@@ -41,8 +41,14 @@
 //! analyze with the `trace_check` bin, or load into Perfetto). The first
 //! seed's trace is additionally replayed and byte-compared, pinning the
 //! whole export path as deterministic.
+//!
+//! Every schedule ends on a healed, quiet tail, by which every member has
+//! acknowledged the whole ordered stream: the instrumented run's
+//! `gcs.order.retained` gauge — the sequencer's replay buffer — must read
+//! [`RETAINED_AT_QUIESCENCE`], or the stream's memory bound has been lost.
 
 use dosgi_core::chaos::{run_nemesis_with_telemetry, ChaosOptions};
+use dosgi_gcs::RETAINED_AT_QUIESCENCE;
 use dosgi_san::BackendKind;
 use dosgi_telemetry::Telemetry;
 use dosgi_testkit::nemesis::{NemesisConfig, NemesisPlan};
@@ -100,6 +106,7 @@ fn main() {
         // prove both determinism and instrumentation passivity (the
         // uninstrumented run records no metrics *and* no trace).
         let a = run_nemesis_with_telemetry(&plan, &opts, sweep_telemetry.clone());
+        let retained = sweep_telemetry.gauge("gcs.order.retained").unwrap_or(0);
         let b = run_nemesis_with_telemetry(&plan, &opts, Telemetry::disabled());
         let replayed = a.fingerprint == b.fingerprint;
         // Cross-backend conformance on this seed.
@@ -168,6 +175,9 @@ fn main() {
         } else if !trace_replayed {
             failed = true;
             "TRACE-NON-DETERMINISTIC"
+        } else if retained > RETAINED_AT_QUIESCENCE as i64 {
+            failed = true;
+            "STREAM-UNBOUNDED"
         } else {
             "ok"
         };
@@ -190,6 +200,12 @@ fn main() {
         if let Some(other) = backend_mismatch {
             println!(
                 "      backend `{other}` fingerprints differently from `{backend}` on this seed"
+            );
+        }
+        if retained > RETAINED_AT_QUIESCENCE as i64 {
+            println!(
+                "      the sequencer still retains {retained} ordered messages at the \
+                 quiet horizon (bound {RETAINED_AT_QUIESCENCE})"
             );
         }
         if let Some(kind) = series_mismatch {

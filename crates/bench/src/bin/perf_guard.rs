@@ -41,6 +41,14 @@
 //! noisy, so only a scrape that blows *through* that generous ceiling
 //! fails: the observability layer must never silently eat the hot path.
 
+//! The guard also covers the **failover round cost**: 40 crash → adopt →
+//! restart → rejoin rounds on the simulator with node 0, the sequencer,
+//! never restarted. Ordered deliveries, registry ops and messages sent per
+//! round are exact counts; round 40 must cost exactly what round 5 cost
+//! (a rejoin that replays history, or a sequencer that stops truncating,
+//! grows them with the cluster's age), and neither may exceed
+//! `results/perf_baseline_failover_rounds.json` by more than 10%.
+
 use dosgi_core::loadgen::{ClassMix, RateSchedule, ScheduledLoadGenerator};
 use dosgi_core::{workloads, ClusterConfig, DosgiCluster};
 use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, Scheduler};
@@ -461,6 +469,77 @@ fn guard_e13(write_baseline: bool) -> bool {
     ok
 }
 
+/// Guard the failover round: flat from round 5 to round 40, and no dearer
+/// than the committed baseline (+10%).
+fn guard_failover_rounds(write_baseline: bool) -> bool {
+    const LABELS: [&str; 3] = ["ordered_delivered", "registry_ops", "net_sent"];
+    let rounds = dosgi_core::chaos::failover_round_costs(40);
+    let (early, late) = (rounds[4], rounds[39]);
+    println!(
+        "perf_guard[failover_rounds]: per round [{}]: round 5 {early:?}, round 40 {late:?}",
+        LABELS.join(", ")
+    );
+    let mut ok = early == late;
+    if !ok {
+        eprintln!(
+            "perf_guard[failover_rounds]: a failover round costs more as the cluster ages — \
+             rejoin must be O(members), not O(history)"
+        );
+    }
+    let path = dosgi_testkit::workspace_root()
+        .join("results")
+        .join("perf_baseline_failover_rounds.json");
+    if write_baseline {
+        let fields: Vec<String> = LABELS
+            .iter()
+            .zip(late)
+            .map(|(l, v)| format!("  \"{l}\": {v}"))
+            .collect();
+        let body = format!(
+            "{{\n  \"scenario\": \"failover_round_40\",\n{}\n}}\n",
+            fields.join(",\n")
+        );
+        std::fs::write(&path, body).expect("write baseline");
+        println!(
+            "perf_guard[failover_rounds]: baseline rewritten at {}",
+            path.display()
+        );
+        return ok;
+    }
+    let text = match std::fs::read_to_string(&path) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!(
+                "perf_guard[failover_rounds]: no baseline at {} ({e})",
+                path.display()
+            );
+            eprintln!("perf_guard: generate one with PERF_GUARD_WRITE_BASELINE=1");
+            return false;
+        }
+    };
+    let json = Json::parse(&text).expect("baseline JSON parses");
+    for (label, now) in LABELS.iter().zip(late) {
+        let base = json
+            .get(label)
+            .and_then(Json::as_u64)
+            .unwrap_or_else(|| panic!("baseline has {label}"));
+        let limit = (base as f64 * (1.0 + TOLERANCE)).ceil() as u64;
+        let status = if now > limit {
+            ok = false;
+            "REGRESSION"
+        } else {
+            "ok"
+        };
+        println!(
+            "perf_guard[failover_rounds]: {label}: {now} vs baseline {base} (limit {limit}) {status}"
+        );
+    }
+    if !ok {
+        eprintln!("perf_guard: if intentional, regenerate with PERF_GUARD_WRITE_BASELINE=1");
+    }
+    ok
+}
+
 /// One scrape pass over a registry with 600 counters, 300 gauges and 100
 /// histograms (the micro bench's `telemetry/scrape_1k_metrics` shape).
 /// Returns the median ns of 64 timed scrapes after 8 warmups.
@@ -575,14 +654,17 @@ fn main() {
     if !guard_scrape(write_baseline) {
         failed = true;
     }
+    if !guard_failover_rounds(write_baseline) {
+        failed = true;
+    }
     if failed {
         std::process::exit(1);
     }
     if !write_baseline {
         println!(
             "perf_guard: within tolerance on every backend, the admission hot \
-             path, the hot-swap blackout, the e13 real-clock floors and the \
-             e16 scrape ceiling"
+             path, the hot-swap blackout, the e13 real-clock floors, the \
+             e16 scrape ceiling and the flat failover round"
         );
     }
 }

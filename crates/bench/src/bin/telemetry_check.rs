@@ -15,9 +15,14 @@
 //! carry live admission-control counters — `ipvs.queued`, `ipvs.shed` and
 //! `ipvs.deadline_missed` all present and non-zero (the overload sweep
 //! queues, sheds and busts deadlines by construction; a zero means the
-//! admission instrumentation went dark). The E13 (real-clock throughput)
-//! and E16 (burn-rate alerting) snapshots must exist at all — those bins
-//! emit them by contract.
+//! admission instrumentation went dark). The chaos snapshot
+//! (`telemetry_chaos.json`) must show the ordered stream's bound: the
+//! `gcs.antientropy.rebased` counter non-zero (the sweep restarts nodes,
+//! and every rejoiner is re-based), the `gcs.order.retained` and
+//! `gcs.order.low_water` gauges present, and `gcs.order.resequenced` absent
+//! or zero (no ordered message was given a second position). The E13
+//! (real-clock throughput) and E16 (burn-rate alerting) snapshots must exist
+//! at all — those bins emit them by contract.
 //!
 //! Run after the bins that emit snapshots (the chaos sweep at minimum);
 //! `scripts/check.sh` wires it in. Exits non-zero listing every violation.
@@ -59,12 +64,45 @@ fn check_file(path: &std::path::Path) -> Result<(), String> {
         .and_then(Json::as_arr)
         .ok_or("missing array `alerts` (schema v3)")?;
     check_alert_timeline(alerts)?;
-    if path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .is_some_and(|n| n == "telemetry_e15.json")
-    {
-        check_admission_counters(&json)?;
+    match path.file_name().and_then(|n| n.to_str()) {
+        Some("telemetry_e15.json") => check_admission_counters(&json)?,
+        Some("telemetry_chaos.json") => check_stream_bound_metrics(&json)?,
+        _ => {}
+    }
+    Ok(())
+}
+
+/// The chaos snapshot must show rejoiners being re-based and the
+/// sequencer's retained window being measured.
+fn check_stream_bound_metrics(json: &Json) -> Result<(), String> {
+    let rebased = json
+        .get("counters")
+        .and_then(|c| c.get("gcs.antientropy.rebased"))
+        .and_then(Json::as_u64)
+        .ok_or("chaos snapshot: missing integer counter `gcs.antientropy.rebased`")?;
+    if rebased == 0 {
+        return Err(
+            "chaos snapshot: counter `gcs.antientropy.rebased` is zero — \
+                    the sweep restarts nodes, every rejoiner must be re-based"
+                .into(),
+        );
+    }
+    let resequenced = json
+        .get("counters")
+        .and_then(|c| c.get("gcs.order.resequenced"))
+        .and_then(Json::as_u64)
+        .unwrap_or(0);
+    if resequenced != 0 {
+        return Err(format!(
+            "chaos snapshot: `gcs.order.resequenced` is {resequenced} — a sequencer \
+             gave an ordered message a second position in its stream"
+        ));
+    }
+    for key in ["gcs.order.retained", "gcs.order.low_water"] {
+        json.get("gauges")
+            .and_then(|g| g.get(key))
+            .and_then(Json::as_i64)
+            .ok_or_else(|| format!("chaos snapshot: missing integer gauge `{key}`"))?;
     }
     Ok(())
 }

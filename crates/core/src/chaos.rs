@@ -20,6 +20,20 @@
 //!    byte-identical, every instance is `Placed` and serving, and no
 //!    quarantine is left standing (the SAN healed, so quarantined
 //!    instances must have re-materialized).
+//! 4. **One position per ordered message** — a sequencer never gives the
+//!    same control message, identified by `(origin, incarnation,
+//!    origin_seq)`, a second position in its stream. Were it to, a node
+//!    that joined between the two would apply the message on top of
+//!    transferred state that already contains it, and diverge. Every member
+//!    that applied the first copy is handed the second and counts it
+//!    (`gcs.order.resequenced`, so this invariant needs telemetry on); that
+//!    no node *applies* a message twice is the group layer's own guarantee,
+//!    property-tested there.
+//! 5. **No stale adoption tickets** — every adoption a node has queued is
+//!    for an instance its sequencer's registry homes on that node. A
+//!    rejoining node must build its registry from the state transfer, never
+//!    from history the total order has since overruled (checked, like
+//!    invariant 1, only while the network is undisturbed).
 //!
 //! Every run is deterministic in its seed: same seed, same schedule, same
 //! violations, same [`ChaosReport::fingerprint`]. A failing run prints its
@@ -184,6 +198,8 @@ pub fn run_nemesis_with_telemetry(
         .map(|at| t0 + SimDuration::from_micros(at));
     let mut wave: Option<UpgradeWave> = None;
     let mut wave_hooks = NoTrafficHooks;
+    // Invariant 4: second positions seen so far (the handle may be shared).
+    let mut resequenced = cluster.telemetry().counter("gcs.order.resequenced");
 
     while cluster.now() < horizon {
         // Apply every nemesis op that has come due.
@@ -260,9 +276,18 @@ pub fn run_nemesis_with_telemetry(
             }
         }
 
+        let seen = cluster.telemetry().counter("gcs.order.resequenced");
+        if seen > resequenced {
+            violations.push(format!(
+                "[{now:?}] {} ordered message(s) given a second position in one stream",
+                seen - resequenced
+            ));
+            resequenced = seen;
+        }
         check_durability(&cluster, &names, &floors, now, &mut violations);
         if undisturbed {
             check_single_copy(&cluster, &names, now, &mut violations);
+            check_adoption_tickets(&cluster, now, &mut violations);
         }
         if violations.len() > 32 {
             break; // a broken run floods; keep the report readable
@@ -321,6 +346,55 @@ pub fn run_nemesis_with_telemetry(
         trace: cluster.trace_log(),
         wave: wave_report,
     }
+}
+
+/// Per-round `[ordered deliveries, registry ops, messages sent]` of
+/// `rounds` crash → adopt → restart → rejoin rounds with node 0, the
+/// sequencer, never restarted — the exact-count probe behind the
+/// "a failover round costs the same at any cluster age" regression test and
+/// `perf_guard` row. 5 nodes on jitter-free links (equal work, equal message
+/// counts), 8 instances, victims cycling over nodes 1–4, 1.5 s to fail over
+/// and 1.5 s to rejoin: from the second round on every victim hosts two
+/// instances and the node restarted the round before takes both, so every
+/// round does the same work.
+///
+/// # Panics
+///
+/// Panics if an instance is not serving at the end.
+pub fn failover_round_costs(rounds: usize) -> Vec<[u64; 3]> {
+    let config = ClusterConfig {
+        link: LinkConfig::ideal(),
+        ..ClusterConfig::default()
+    };
+    let mut c = DosgiCluster::new(5, config, 21);
+    c.run_for(SimDuration::from_millis(500));
+    let names: Vec<String> = (0..8).map(|i| format!("web-{i}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        c.deploy(workloads::web_instance(name, name), i % 5)
+            .expect("deploy on a healthy cluster");
+    }
+    c.run_for(SimDuration::from_secs(1));
+    let totals = |c: &mut DosgiCluster| {
+        [
+            c.telemetry().counter("gcs.order.delivered"),
+            c.telemetry().counter("core.registry.ops"),
+            c.net_mut().stats().sent,
+        ]
+    };
+    let mut costs = Vec::with_capacity(rounds);
+    for round in 1..=rounds {
+        let before = totals(&mut c);
+        let victim = 1 + round % 4;
+        c.crash_node(victim);
+        c.run_for(SimDuration::from_millis(1_500));
+        c.restart_node(victim);
+        c.run_for(SimDuration::from_millis(1_500));
+        let after = totals(&mut c);
+        costs.push([0, 1, 2].map(|i| after[i] - before[i]));
+        c.take_events();
+    }
+    assert!(names.iter().all(|n| c.probe(n)), "every instance serving");
+    costs
 }
 
 #[allow(clippy::too_many_arguments)] // plain plumbing, local to the driver
@@ -446,6 +520,38 @@ fn check_single_copy(
             violations.push(format!(
                 "[{now:?}] duplicate adoption: {name} live on nodes {live:?}"
             ));
+        }
+    }
+}
+
+/// Invariant 5: a queued adoption is for an instance the node's sequencer
+/// — which has applied every message it ever sequenced — homes on that node.
+fn check_adoption_tickets(cluster: &DosgiCluster, now: SimTime, violations: &mut Vec<String>) {
+    for i in 0..cluster.len() {
+        let Some(node) = cluster.node(i) else {
+            continue;
+        };
+        let sequencer = node
+            .view()
+            .coordinator()
+            .and_then(|c| cluster.node(c.index()))
+            .filter(|s| s.view().coordinator() == Some(s.id()));
+        let Some(sequencer) = sequencer else {
+            continue;
+        };
+        for name in node.pending_adoptions() {
+            // (A sequencer with no record at all has overruled nothing: it
+            // restarted into the job and its own state is still in flight.)
+            let Some(home) = sequencer.registry().record(name).map(|r| r.home) else {
+                continue;
+            };
+            if home != node.id() {
+                violations.push(format!(
+                    "[{now:?}] stale adoption ticket: {} queued {name}, homed on {home} by {}",
+                    node.id(),
+                    sequencer.id()
+                ));
+            }
         }
     }
 }

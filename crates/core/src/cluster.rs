@@ -453,36 +453,44 @@ impl DosgiCluster {
     // Client-side views
     // ------------------------------------------------------------------
 
-    fn reference_registry(&self) -> Option<&crate::ClusterRegistry> {
-        self.slots
+    // (These two take the slots, not `self`, so the step loop can probe
+    // into `self.sla` while it walks the registry.)
+    fn reference_registry(slots: &[Slot]) -> Option<&crate::ClusterRegistry> {
+        slots
             .iter()
             .find(|s| s.alive && s.node.state() == NodeState::Running)
             .map(|s| s.node.registry())
     }
 
+    /// The live node `rec` is placed on, if any.
+    fn live_home<'a>(slots: &'a [Slot], rec: &crate::InstanceRecord) -> Option<&'a DosgiNode> {
+        if rec.status != InstanceStatus::Placed {
+            return None;
+        }
+        slots
+            .get(rec.home.index())
+            .filter(|s| s.alive)
+            .map(|s| &s.node)
+    }
+
     fn find_record(&self, name: &str) -> Option<&crate::InstanceRecord> {
-        self.reference_registry().and_then(|r| r.record(name))
+        Self::reference_registry(&self.slots).and_then(|r| r.record(name))
     }
 
     /// The node index currently responsible for `name` (per the replicated
     /// registry), if placed on a live node.
     pub fn home_of(&self, name: &str) -> Option<usize> {
         let rec = self.find_record(name)?;
-        if rec.status != InstanceStatus::Placed {
-            return None;
-        }
-        let idx = rec.home.index();
-        self.node(idx).map(|_| idx)
+        Self::live_home(&self.slots, rec).map(|_| rec.home.index())
     }
 
     /// True if `name` is currently serving somewhere — the availability
     /// probe (a client that knows the service's location, as the paper's
     /// localization schemes provide).
     pub fn probe(&self, name: &str) -> bool {
-        self.home_of(name)
-            .and_then(|idx| self.node(idx))
-            .map(|n| n.probe_local(name))
-            .unwrap_or(false)
+        self.find_record(name)
+            .and_then(|rec| Self::live_home(&self.slots, rec))
+            .is_some_and(|n| n.probe_local(name))
     }
 
     /// Routes a client request to the instance's current home.
@@ -586,14 +594,13 @@ impl DosgiCluster {
                 self.events.push((NodeId(i as u32), e));
             }
         }
-        // Availability probes.
-        let names: Vec<String> = self
-            .reference_registry()
-            .map(|r| r.records().map(|rec| rec.name.clone()).collect())
-            .unwrap_or_default();
-        for name in names {
-            let up = self.probe(&name);
-            self.sla.probe(&name, now, up);
+        // Availability probes (every record, every step: no allocation).
+        if let Some(registry) = Self::reference_registry(&self.slots) {
+            for rec in registry.records() {
+                let up =
+                    Self::live_home(&self.slots, rec).is_some_and(|n| n.probe_local(&rec.name));
+                self.sla.probe(&rec.name, now, up);
+            }
         }
         // Continuous observability, on the scrape cadence: health gauges
         // first (so the scrape samples the fresh values), then the series
@@ -622,7 +629,7 @@ impl DosgiCluster {
     /// Quarantined instances homed on node `idx`, per the replicated
     /// registry (0 when no running node can be consulted).
     fn quarantined_on(&self, idx: usize) -> usize {
-        self.reference_registry()
+        Self::reference_registry(&self.slots)
             .map(|r| {
                 r.records()
                     .filter(|rec| {

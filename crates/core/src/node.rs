@@ -302,6 +302,13 @@ impl DosgiNode {
         self.gcs.pending_orders()
     }
 
+    /// Debug visibility into the adoption queue: the instances this node
+    /// has queued for (re-)materialization.
+    #[doc(hidden)]
+    pub fn pending_adoptions(&self) -> impl Iterator<Item = &str> {
+        self.pending_adoptions.iter().map(|p| p.name.as_str())
+    }
+
     /// Drains accumulated node events.
     pub fn take_events(&mut self) -> Vec<NodeEvent> {
         std::mem::take(&mut self.events)

@@ -59,9 +59,38 @@ impl AvailabilityRecord {
 /// downtime instrument behind experiments E5–E9.
 #[derive(Debug, Clone, Default)]
 pub struct SlaTracker {
-    records: BTreeMap<String, AvailabilityRecord>,
-    last: BTreeMap<String, (SimTime, bool)>,
-    current_outage: BTreeMap<String, SimDuration>,
+    tracked: BTreeMap<String, Tracked>,
+}
+
+#[derive(Debug, Clone, Default)]
+struct Tracked {
+    record: AvailabilityRecord,
+    last: Option<(SimTime, bool)>,
+    // Length so far of the outage in progress (zero while up).
+    current_outage: SimDuration,
+}
+
+impl Tracked {
+    fn probe(&mut self, now: SimTime, available: bool) {
+        let rec = &mut self.record;
+        if let Some((then, was_up)) = self.last {
+            let span = now.since(then);
+            if was_up {
+                rec.up += span;
+            } else {
+                rec.down += span;
+                self.current_outage += span;
+                rec.longest_outage = rec.longest_outage.max(self.current_outage);
+            }
+            if was_up && !available {
+                rec.outages += 1;
+            }
+            if was_up != available {
+                self.current_outage = SimDuration::ZERO;
+            }
+        }
+        self.last = Some((now, available));
+    }
 }
 
 impl SlaTracker {
@@ -72,35 +101,25 @@ impl SlaTracker {
 
     /// Records a probe of `instance` at `now`. The interval since the
     /// previous probe is attributed to the *previous* observed state.
+    /// Called for every instance on every driver step, so the name is
+    /// copied only the first time an instance is seen.
     pub fn probe(&mut self, instance: &str, now: SimTime, available: bool) {
-        let rec = self.records.entry(instance.to_owned()).or_default();
-        if let Some((then, was_up)) = self.last.get(instance).copied() {
-            let span = now.since(then);
-            if was_up {
-                rec.up += span;
-            } else {
-                rec.down += span;
-                let outage = self.current_outage.entry(instance.to_owned()).or_default();
-                *outage += span;
-                if *outage > rec.longest_outage {
-                    rec.longest_outage = *outage;
-                }
-            }
-            if was_up && !available {
-                rec.outages += 1;
-                self.current_outage
-                    .insert(instance.to_owned(), SimDuration::ZERO);
-            }
-            if !was_up && available {
-                self.current_outage.remove(instance);
-            }
+        if let Some(t) = self.tracked.get_mut(instance) {
+            t.probe(now, available);
+            return;
         }
-        self.last.insert(instance.to_owned(), (now, available));
+        self.tracked
+            .entry(instance.to_owned())
+            .or_default()
+            .probe(now, available);
     }
 
     /// The record for `instance` (zeroes if never probed).
     pub fn record(&self, instance: &str) -> AvailabilityRecord {
-        self.records.get(instance).copied().unwrap_or_default()
+        self.tracked
+            .get(instance)
+            .map(|t| t.record)
+            .unwrap_or_default()
     }
 
     /// True if `instance` meets `spec`'s availability target so far.
@@ -110,7 +129,7 @@ impl SlaTracker {
 
     /// All tracked instance names, sorted.
     pub fn instances(&self) -> Vec<&str> {
-        self.records.keys().map(String::as_str).collect()
+        self.tracked.keys().map(String::as_str).collect()
     }
 }
 

@@ -35,7 +35,7 @@ mod view;
 pub mod wire;
 
 pub use config::GcsConfig;
-pub use node::{GcsEvent, GroupNode};
+pub use node::{GcsEvent, GroupNode, RETAINED_AT_QUIESCENCE};
 pub use transport::{FabricTransport, FrameTransport, SimTransport, Transport};
 pub use view::{View, ViewId};
 pub use wire::{

@@ -157,6 +157,8 @@ mod tests {
                 ordered: 0,
                 incarnation: 1,
                 view: crate::ViewId::default(),
+                delivered: 0,
+                stream: 0,
             },
         );
         net.advance(SimDuration::from_millis(1));
@@ -166,7 +168,9 @@ mod tests {
                 sent: 0,
                 ordered: 0,
                 incarnation: 1,
-                view: crate::ViewId::default()
+                view: crate::ViewId::default(),
+                delivered: 0,
+                stream: 0,
             }
         );
     }

@@ -29,12 +29,14 @@ pub struct View {
     /// (lowest live id), which also acts as the total-order sequencer.
     pub members: Vec<NodeId>,
     /// The coordinator's ordered-stream position (last assigned global
-    /// sequence number) when this view was proposed. A member for whom
-    /// this view *changes* the coordinator is joining an ongoing stream:
-    /// it starts its delivery cursor just past `stream_base` rather than
-    /// replaying the stream's history — messages ordered before it joined
-    /// belong to a state it obtains via application-level state transfer,
-    /// and re-applying them on top of that state is not idempotent.
+    /// sequence number) when this view was proposed. Whoever this view
+    /// makes a member of that stream — every member when the coordinator
+    /// changes, the admitted nodes when it stays — is joining an ongoing
+    /// stream: it starts its delivery cursor just past `stream_base` rather
+    /// than replaying the stream's history — messages ordered before it
+    /// joined belong to a state it obtains via application-level state
+    /// transfer, and re-applying them on top of that state is not
+    /// idempotent.
     pub stream_base: u64,
 }
 

@@ -11,11 +11,15 @@
 //!
 //! * v1 frames carry no trace section; decoding one yields
 //!   `trace: None` on the ordering variants.
-//! * v2 (current) appends an optional [`TraceContext`] — flag byte then
-//!   three `u64`s — to `OrderRequest` and `Ordered`. Old decoders would
-//!   reject v2 frames by version byte rather than misparse them; new
-//!   decoders accept both, so a mixed-version group keeps ordering
-//!   (traces simply degrade to `None` across old links).
+//! * v2 appends an optional [`TraceContext`] — flag byte then three
+//!   `u64`s — to `OrderRequest` and `Ordered`. Old decoders would reject
+//!   v2 frames by version byte rather than misparse them; new decoders
+//!   accept both, so a mixed-version group keeps ordering (traces simply
+//!   degrade to `None` across old links).
+//! * v3 (current) appends the ordered-stream acknowledgement — `delivered`
+//!   and `stream` — to `Heartbeat` and adds `OrderedRebase`. An older
+//!   heartbeat decodes as acknowledging nothing (`0`, `0`), which only
+//!   delays the sequencer's truncation.
 
 use crate::View;
 use crate::ViewId;
@@ -46,6 +50,16 @@ pub enum GcsWire<A> {
         /// a member advertising an older id than the receiver's missed one
         /// and is re-sent the current view (view anti-entropy).
         view: ViewId,
+        /// The sender's delivered cursor in its coordinator's ordered
+        /// stream: every `gseq` up to and including this one has been
+        /// delivered (or skipped by a re-base). The sequencer forgets what
+        /// every member has acknowledged.
+        delivered: u64,
+        /// The coordinator incarnation `delivered` refers to, as the sender
+        /// knows it (0 before it has heard the coordinator). A restarted
+        /// sequencer numbers a new stream from 1; this keeps a position in
+        /// its previous life's stream from acknowledging the new one.
+        stream: u64,
     },
     /// "I am leaving gracefully" — peers exclude the sender immediately
     /// instead of waiting for suspicion (the paper's normal-shutdown path).
@@ -84,6 +98,15 @@ pub enum GcsWire<A> {
         /// First missing global sequence number.
         from_gseq: u64,
     },
+    /// The sequencer's answer to a replay request from a joiner — a node
+    /// admitted by a view change, a restarted member, a node that is not a
+    /// member at all: where the stream begins for it. Nothing at or below
+    /// `base` will be delivered; that span is covered by application-level
+    /// state transfer.
+    OrderedRebase {
+        /// The last global sequence number the receiver must skip.
+        base: u64,
+    },
     /// A member asks the sequencer (coordinator) to order a message.
     OrderRequest {
         /// The origin's incarnation: ordering identity is
@@ -119,10 +142,13 @@ pub enum GcsWire<A> {
 }
 
 /// Current wire codec version ([`encode_frame`] always emits this).
-pub const WIRE_VERSION: u8 = 2;
+pub const WIRE_VERSION: u8 = 3;
 
 /// First codec version; frames carry no trace section.
 pub const WIRE_VERSION_V1: u8 = 1;
+
+/// First version whose ordering frames carry a trace section.
+const WIRE_VERSION_TRACE: u8 = 2;
 
 const TAG_HEARTBEAT: u8 = 0;
 const TAG_LEAVE: u8 = 1;
@@ -134,6 +160,7 @@ const TAG_NACK: u8 = 6;
 const TAG_ORDERED_REPLAY_REQUEST: u8 = 7;
 const TAG_ORDER_REQUEST: u8 = 8;
 const TAG_ORDERED: u8 = 9;
+const TAG_ORDERED_REBASE: u8 = 10;
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -230,7 +257,7 @@ impl<'a> Reader<'a> {
     }
 
     fn trace(&mut self, version: u8) -> Option<Option<TraceContext>> {
-        if version < WIRE_VERSION {
+        if version < WIRE_VERSION_TRACE {
             // v1 frames end right after the payload: no trace section.
             return Some(None);
         }
@@ -261,11 +288,15 @@ impl<A> GcsWire<A> {
                 ordered,
                 incarnation,
                 view,
+                delivered,
+                stream,
             } => GcsWire::Heartbeat {
                 sent,
                 ordered,
                 incarnation,
                 view,
+                delivered,
+                stream,
             },
             GcsWire::Leave => GcsWire::Leave,
             GcsWire::ViewPropose(v) => GcsWire::ViewPropose(v),
@@ -279,6 +310,7 @@ impl<A> GcsWire<A> {
             GcsWire::OrderedReplayRequest { from_gseq } => {
                 GcsWire::OrderedReplayRequest { from_gseq }
             }
+            GcsWire::OrderedRebase { base } => GcsWire::OrderedRebase { base },
             GcsWire::OrderRequest {
                 incarnation,
                 origin_seq,
@@ -363,12 +395,18 @@ pub fn encode_frame_into_at<A>(
             ordered,
             incarnation,
             view,
+            delivered,
+            stream,
         } => {
             out.push(TAG_HEARTBEAT);
             put_u64(out, *sent);
             put_u64(out, *ordered);
             put_u64(out, *incarnation);
             put_view_id(out, *view);
+            if version >= WIRE_VERSION {
+                put_u64(out, *delivered);
+                put_u64(out, *stream);
+            }
         }
         GcsWire::Leave => out.push(TAG_LEAVE),
         GcsWire::ViewPropose(view) => {
@@ -397,6 +435,10 @@ pub fn encode_frame_into_at<A>(
             out.push(TAG_ORDERED_REPLAY_REQUEST);
             put_u64(out, *from_gseq);
         }
+        GcsWire::OrderedRebase { base } => {
+            out.push(TAG_ORDERED_REBASE);
+            put_u64(out, *base);
+        }
         GcsWire::OrderRequest {
             incarnation,
             origin_seq,
@@ -407,7 +449,7 @@ pub fn encode_frame_into_at<A>(
             put_u64(out, *incarnation);
             put_u64(out, *origin_seq);
             put_payload(out, payload, &enc_into);
-            if version >= WIRE_VERSION {
+            if version >= WIRE_VERSION_TRACE {
                 put_trace(out, trace);
             }
         }
@@ -425,14 +467,14 @@ pub fn encode_frame_into_at<A>(
             put_u64(out, *origin_inc);
             put_u64(out, *origin_seq);
             put_payload(out, payload, &enc_into);
-            if version >= WIRE_VERSION {
+            if version >= WIRE_VERSION_TRACE {
                 put_trace(out, trace);
             }
         }
     }
 }
 
-/// Decode one frame (v1 or v2); `dec` parses the application payload.
+/// Decode one frame (v1 to v3); `dec` parses the application payload.
 /// Returns `None` on unknown versions/tags, truncation, or trailing
 /// garbage.
 pub fn decode_frame<A>(bytes: &[u8], dec: impl Fn(&[u8]) -> Option<A>) -> Option<GcsWire<A>> {
@@ -456,12 +498,22 @@ pub fn decode_frame_with<'a, A>(
     }
     let tag = r.u8()?;
     let msg = match tag {
-        TAG_HEARTBEAT => GcsWire::Heartbeat {
-            sent: r.u64()?,
-            ordered: r.u64()?,
-            incarnation: r.u64()?,
-            view: r.view_id()?,
-        },
+        TAG_HEARTBEAT => {
+            let (sent, ordered, incarnation, view) = (r.u64()?, r.u64()?, r.u64()?, r.view_id()?);
+            let (delivered, stream) = if version >= WIRE_VERSION {
+                (r.u64()?, r.u64()?)
+            } else {
+                (0, 0)
+            };
+            GcsWire::Heartbeat {
+                sent,
+                ordered,
+                incarnation,
+                view,
+                delivered,
+                stream,
+            }
+        }
         TAG_LEAVE => GcsWire::Leave,
         TAG_VIEW_PROPOSE => GcsWire::ViewPropose(r.view()?),
         TAG_VIEW_ACK => GcsWire::ViewAck {
@@ -477,6 +529,7 @@ pub fn decode_frame_with<'a, A>(
         TAG_ORDERED_REPLAY_REQUEST => GcsWire::OrderedReplayRequest {
             from_gseq: r.u64()?,
         },
+        TAG_ORDERED_REBASE => GcsWire::OrderedRebase { base: r.u64()? },
         TAG_ORDER_REQUEST => GcsWire::OrderRequest {
             incarnation: r.u64()?,
             origin_seq: r.u64()?,
@@ -545,6 +598,8 @@ mod tests {
                 ordered: 20,
                 incarnation: 30,
                 view: view.id,
+                delivered: 19,
+                stream: 31,
             },
             GcsWire::Leave,
             GcsWire::ViewPropose(view.clone()),
@@ -559,6 +614,7 @@ mod tests {
             },
             GcsWire::Nack { from_seq: 2 },
             GcsWire::OrderedReplayRequest { from_gseq: 11 },
+            GcsWire::OrderedRebase { base: 10 },
             GcsWire::OrderRequest {
                 incarnation: 8,
                 origin_seq: 5,
@@ -594,6 +650,8 @@ mod tests {
             ordered: 0,
             incarnation: 1,
             view: ViewId::default(),
+            delivered: 0,
+            stream: 0,
         };
         assert_ne!(hb, GcsWire::Leave);
     }
@@ -639,6 +697,30 @@ mod tests {
     }
 
     #[test]
+    fn pre_v3_heartbeats_decode_as_acknowledging_nothing() {
+        let hb = samples().remove(0);
+        let current = encode_frame(&hb, enc);
+        for version in [WIRE_VERSION_V1, WIRE_VERSION_TRACE] {
+            let old = encode_frame_at(version, &hb, enc);
+            assert_eq!(old.len() + 16, current.len(), "v{version} has no ack");
+            match decode_frame(&old, dec).expect("old heartbeat decodes") {
+                GcsWire::Heartbeat {
+                    sent,
+                    ordered,
+                    incarnation,
+                    delivered,
+                    stream,
+                    ..
+                } => {
+                    assert_eq!((sent, ordered, incarnation), (10, 20, 30));
+                    assert_eq!((delivered, stream), (0, 0), "v{version}");
+                }
+                other => panic!("wrong variant: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn truncation_and_garbage_are_rejected() {
         for msg in samples() {
             let bytes = encode_frame(&msg, enc);
@@ -666,7 +748,7 @@ mod tests {
     #[test]
     fn encode_into_matches_owning_encode_and_reuses_the_buffer() {
         let mut scratch = Vec::new();
-        for version in [WIRE_VERSION_V1, WIRE_VERSION] {
+        for version in [WIRE_VERSION_V1, WIRE_VERSION_TRACE, WIRE_VERSION] {
             for msg in samples() {
                 let owned = encode_frame_at(version, &msg, enc);
                 scratch.clear();
@@ -724,11 +806,8 @@ mod tests {
         prop::check_with(&cfg, "borrowed_decode_equals_owning", &gen, |&raw| {
             let all = samples();
             let msg = &all[(raw % all.len() as u64) as usize];
-            let version = if raw & 1 == 0 {
-                WIRE_VERSION
-            } else {
-                WIRE_VERSION_V1
-            };
+            let version =
+                [WIRE_VERSION, WIRE_VERSION_V1, WIRE_VERSION_TRACE][(raw >> 40) as usize % 3];
             let mut bytes = encode_frame_at(version, msg, enc);
             // Maybe truncate, maybe flip a bit — driven by the raw seed.
             let cut = ((raw >> 8) % (bytes.len() as u64 + 1)) as usize;

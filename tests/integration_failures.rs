@@ -505,3 +505,18 @@ fn crash_during_flaky_san_fails_over_via_retries() {
         .unwrap();
     assert_eq!(out, Value::Int(4), "no acknowledged increment lost");
 }
+
+/// Regression for the rejoin-replay growth: with node 0 — the sequencer —
+/// never restarted, a crash → adopt → restart → rejoin round costs the
+/// same at round 50 as at round 5. Before joiners started at the
+/// sequencer's stream position, each rejoin replayed the whole ordered
+/// history, so registry ops and messages per round grew with the cluster's
+/// age (round 5: 58 ops, 1 167 messages; round 50: 283 and 1 392).
+#[test]
+fn failover_round_costs_the_same_at_round_5_and_round_50() {
+    let rounds = dosgi_core::chaos::failover_round_costs(50);
+    assert_eq!(
+        rounds[4], rounds[49],
+        "[ordered deliveries, registry ops, messages sent] at round 5 vs round 50"
+    );
+}

@@ -36,7 +36,7 @@ fn op_gen() -> Gen<Op> {
 /// After any sequence of deploys, migrations, crashes and restarts — as
 /// long as a majority is alive at the end and the cluster gets time to
 /// settle — every deployed instance is placed on a live node and probes as
-/// available, and all live nodes agree on the registry.
+/// available, and all live nodes hold byte-identical registries.
 fn check_cluster_invariants(ops: &[Op], seed: u64) -> PropResult {
     let mut c = DosgiCluster::new(4, ClusterConfig::default(), seed);
     c.run_for(SimDuration::from_millis(500));
@@ -100,26 +100,15 @@ fn check_cluster_invariants(ops: &[Op], seed: u64) -> PropResult {
         prop_verify!(home.is_some(), "{name} unplaced after settling");
         prop_verify!(c.probe(name), "{name} not serving");
     }
-    // Invariant 2: all live Running nodes agree on the registry
-    // (same homes, same statuses).
+    // Invariant 2: all live Running nodes hold the same registry, byte for
+    // byte (homes, statuses and revisions: a control message applied a
+    // different number of times on one node shows up in a revision).
     let nodes = c.running_nodes();
     if let Some(&first) = nodes.first() {
-        let reference: Vec<(String, u32)> = c
-            .node(first)
-            .unwrap()
-            .registry()
-            .records()
-            .map(|r| (r.name.clone(), r.home.0))
-            .collect();
+        let encode = |i: usize| c.node(i).unwrap().registry().export().encode();
+        let reference = encode(first);
         for &i in &nodes[1..] {
-            let other: Vec<(String, u32)> = c
-                .node(i)
-                .unwrap()
-                .registry()
-                .records()
-                .map(|r| (r.name.clone(), r.home.0))
-                .collect();
-            prop_verify_eq!(&other, &reference, "node {i} registry diverged");
+            prop_verify!(encode(i) == reference, "node {i} registry diverged");
         }
     }
     // Invariant 3: no instance is stuck Migrating or Orphaned.
@@ -273,6 +262,48 @@ fn regression_deploy_crash_restart_same_node_seed_0() {
 #[test]
 fn regression_crash_restart_then_deploy_seed_88() {
     check_cluster_invariants(&[Op::Crash(2), Op::Restart(2), Op::Deploy(2)], 88).unwrap();
+}
+
+/// Regression: a restarted node boots believing node 0 coordinates it and
+/// orders its `Deployed` before it is admitted. The members apply it,
+/// acknowledge it and the sequencer forgets it; the origin, admitted above
+/// it, retries. A sequencer that gave the retry a second position had the
+/// origin alone apply `Deployed` on top of the transferred state: record
+/// revision 2 there, 1 everywhere else, for good (40 of 40 seeds). Every
+/// live registry must end up byte-identical.
+#[test]
+fn regression_deploy_before_readmission_is_applied_once_cluster_wide() {
+    for seed in 0..40 {
+        let mut c = DosgiCluster::new(5, ClusterConfig::default(), seed);
+        c.run_for(SimDuration::from_millis(500));
+        c.crash_node(2);
+        c.run_for(SimDuration::from_millis(1_500));
+        c.restart_node(2);
+        c.deploy(workloads::web_instance("w1", "w1"), 2).unwrap();
+        c.run_for(SimDuration::from_secs(6));
+        assert!(c.probe("w1"), "seed {seed}: w1 not serving");
+        let encoded: Vec<_> = c
+            .running_nodes()
+            .into_iter()
+            .map(|i| c.node(i).unwrap().registry().export().encode())
+            .collect();
+        assert_eq!(encoded.len(), 5, "seed {seed}");
+        assert!(
+            encoded.windows(2).all(|w| w[0] == w[1]),
+            "seed {seed}: registries diverged"
+        );
+    }
+}
+
+/// The same failure as this property found it once registry agreement
+/// meant byte-identical: node 3 alone at record revision 2.
+#[test]
+fn regression_crash_run_restart_deploy_seed_788() {
+    check_cluster_invariants(
+        &[Op::Crash(3), Op::Run(201), Op::Restart(3), Op::Deploy(3)],
+        788,
+    )
+    .unwrap();
 }
 
 #[test]
@@ -504,8 +535,11 @@ fn hot_swap_handoff_matches_storeless_oracle() {
 /// brown-out, one flaky-SAN window, or one message-loss window — preserves
 /// the chaos harness's invariants: at most one live adoption per instance,
 /// acknowledged write-through state never lost, full convergence after the
-/// heal tail. 200 seeded cases; the fault category cycles with the seed so
-/// each category gets ~40 cases.
+/// heal tail, no ordered message given a second position in its stream (so
+/// none applied twice by a node that joined in between), and no node — a
+/// restarted one least of all — queueing an adoption for an instance homed
+/// elsewhere. 200 seeded cases; the fault category
+/// cycles with the seed so each category gets ~40 cases.
 #[test]
 fn single_fault_schedules_preserve_invariants() {
     use dosgi_core::chaos::{run_nemesis, ChaosOptions};
@@ -542,4 +576,68 @@ fn single_fault_schedules_preserve_invariants() {
             Ok(())
         },
     );
+}
+
+/// Regression: two crash/restart cycles, the second rejoiner facing a
+/// history in which it was named home of an instance that has since moved
+/// (sweep seed 9's crash ops). When rejoining replayed that history, the
+/// restarted node queued an adoption for `ctr-1` while the sequencer homed
+/// it on node 0; re-validation at materialization was all that stood
+/// between the stale ticket and a second live copy.
+#[test]
+fn regression_rejoiner_queues_no_adoption_from_overruled_history() {
+    use dosgi_core::chaos::{run_nemesis, ChaosOptions};
+    use dosgi_testkit::nemesis::{NemesisOp, NemesisPlan, NemesisStep};
+
+    let at = |at_us, op| NemesisStep { at_us, op };
+    let plan = NemesisPlan {
+        seed: 9,
+        nodes: 5,
+        horizon_us: 30_000_000,
+        steps: vec![
+            at(3_800_000, NemesisOp::CrashNode { node: 0 }),
+            at(6_400_000, NemesisOp::RestartNode { node: 0 }),
+            at(10_200_000, NemesisOp::CrashNode { node: 1 }),
+            at(13_500_000, NemesisOp::RestartNode { node: 1 }),
+        ],
+    };
+    let report = run_nemesis(&plan, &ChaosOptions::default());
+    assert!(report.ok(), "violations: {:?}", report.violations);
+}
+
+/// Regression: a node that crashes and restarts *inside a minority
+/// partition* rejoins the majority by view change, and the majority's
+/// sequencer learns its new incarnation only after admitting it. An early
+/// cut re-based a member whenever the sequencer saw its incarnation change,
+/// which here moved the rejoiner past the `RegistrySync` pair ordered for
+/// its admission: it kept the minority's registry and its stale copy of
+/// `ctr-2` for good (a second live copy, diverged registries). A restarted
+/// member is re-based only when it *asks* for history, to where its previous
+/// incarnation last acknowledged.
+#[test]
+fn regression_restart_in_minority_still_gets_the_merge_sync() {
+    use dosgi_core::chaos::{run_nemesis, ChaosOptions};
+    use dosgi_testkit::nemesis::{NemesisOp, NemesisPlan, NemesisStep};
+
+    let at = |at_us, op| NemesisStep { at_us, op };
+    let plan = NemesisPlan {
+        seed: 1021, // also seeds the loss pattern
+        nodes: 5,
+        horizon_us: 30_000_000,
+        steps: vec![
+            at(
+                2_000_000,
+                NemesisOp::Partition {
+                    minority: vec![1, 2],
+                },
+            ),
+            at(3_276_822, NemesisOp::CrashNode { node: 2 }),
+            at(4_451_021, NemesisOp::MessageLoss { rate: 0.24 }),
+            at(5_196_206, NemesisOp::RestartNode { node: 2 }),
+            at(6_956_485, NemesisOp::HealPartition),
+            at(7_139_799, NemesisOp::MessageLossOff),
+        ],
+    };
+    let report = run_nemesis(&plan, &ChaosOptions::default());
+    assert!(report.ok(), "violations: {:?}", report.violations);
 }
