@@ -386,7 +386,7 @@ fn bounded_series_memory(telemetry: &Telemetry) {
     );
     let mut retained = 0usize;
     for name in scraper.series_names() {
-        let s = scraper.series(name).unwrap();
+        let s = scraper.series(&name).unwrap();
         assert!(s.len() <= s.capacity(), "{name} exceeded its ring");
         assert_eq!(
             s.appended(),

@@ -20,7 +20,7 @@
 //! | `e10_autonomic` | §3.3/§4 SLA enforcement + consolidation |
 //!
 //! Run any of them with `cargo run -p dosgi-bench --release --bin <name>`;
-//! the Criterion benches (`cargo bench -p dosgi-bench`) measure the
+//! the `dosgi-testkit::bench` suites (`cargo bench -p dosgi-bench`) measure the
 //! corresponding wall-clock costs of the implementation itself.
 
 /// E13 wall-clock measurement harness (real-clock runtime throughput).

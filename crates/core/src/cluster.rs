@@ -7,8 +7,8 @@ use crate::{AdoptReason, CoreError, NodeEvent, SlaTracker};
 use dosgi_net::{LinkConfig, NodeId, Partition, SimDuration, SimNet, SimTime};
 use dosgi_san::{BackendKind, SharedStore, Value};
 use dosgi_telemetry::{
-    FlightRecorder, HealthState, ScrapeConfig, SeriesScraper, SloEngine, SloSpec, Snapshot, SpanId,
-    Telemetry, TraceLog,
+    FlightRecorder, Gauge, HealthState, ScrapeConfig, SeriesScraper, SloEngine, SloSpec, Snapshot,
+    SpanId, Telemetry, TraceLog,
 };
 use dosgi_vosgi::InstanceDescriptor;
 use std::collections::BTreeMap;
@@ -60,6 +60,16 @@ struct Slot {
     // appending to the same ring, and the cluster-wide merge sees the
     // node's whole history.
     recorder: FlightRecorder,
+    // `core.health.n<idx>`.
+    health: Gauge,
+}
+
+dosgi_telemetry::metrics! {
+    /// The driver's own counters, resolved at construction.
+    struct Metrics {
+        counter migration_completed = "core.migration.completed",
+        counter failover_adoptions = "core.failover.adoptions",
+    }
 }
 
 /// A simulated cluster of [`DosgiNode`]s sharing a SAN and a network.
@@ -76,6 +86,7 @@ pub struct DosgiCluster {
     sla: SlaTracker,
     events: Vec<(NodeId, NodeEvent)>,
     telemetry: Telemetry,
+    metrics: Metrics,
     // Open `core.migration.handoff/<name>` spans: entered when the old home
     // releases the instance, exited when the new home reports adoption.
     handoff_spans: BTreeMap<String, SpanId>,
@@ -145,6 +156,7 @@ impl DosgiCluster {
                     node,
                     alive: true,
                     recorder,
+                    health: telemetry.gauge_handle(format_args!("core.health.n{}", id.0)),
                 }
             })
             .collect();
@@ -155,6 +167,7 @@ impl DosgiCluster {
             config,
             sla: SlaTracker::new(),
             events: Vec::new(),
+            metrics: Metrics::new(&telemetry),
             telemetry,
             handoff_spans: BTreeMap::new(),
             observability: None,
@@ -583,10 +596,10 @@ impl DosgiCluster {
                             if let Some(span) = self.handoff_spans.remove(name) {
                                 self.telemetry.span_exit(span, at.as_micros());
                             }
-                            self.telemetry.incr("core.migration.completed");
+                            self.metrics.migration_completed.incr();
                         }
                         AdoptReason::Failover => {
-                            self.telemetry.incr("core.failover.adoptions");
+                            self.metrics.failover_adoptions.incr();
                         }
                     },
                     _ => {}
@@ -614,10 +627,9 @@ impl DosgiCluster {
             .is_some_and(|o| o.scraper.due(now_us))
         {
             self.record_health_gauges();
-            let telemetry = self.telemetry.clone();
             if let Some(obs) = self.observability.as_mut() {
-                obs.scraper.scrape(&telemetry, now_us);
-                obs.slo.observe(&telemetry, now_us);
+                obs.scraper.scrape(&self.telemetry, now_us);
+                obs.slo.observe(&self.telemetry, now_us);
             }
         }
     }
@@ -673,9 +685,8 @@ impl DosgiCluster {
     /// Publishes the scoreboard as `core.health.n<i>` gauges
     /// (0 = ok, 1 = degraded, 2 = critical).
     pub fn record_health_gauges(&self) {
-        for (i, h) in self.health_scoreboard().iter().enumerate() {
-            self.telemetry
-                .gauge_set(&format!("core.health.n{i}"), h.as_gauge());
+        for (i, slot) in self.slots.iter().enumerate() {
+            slot.health.set(self.health_of(i).as_gauge());
         }
     }
 
@@ -827,6 +838,43 @@ mod tests {
             gauges["monitor.web.call_rate_mcps"] > 0,
             "sustained calls show up in the windowed rate: {gauges:?}"
         );
+    }
+
+    #[test]
+    fn a_restarted_node_keeps_counting_into_the_same_slots() {
+        let telemetry = Telemetry::new();
+        let mut c =
+            DosgiCluster::new_with_telemetry(3, ClusterConfig::default(), 77, telemetry.clone());
+        let read = || {
+            (
+                telemetry.counter("gcs.view.installed"),
+                telemetry.counter("core.registry.ops"),
+            )
+        };
+        c.run_for(SimDuration::from_millis(500));
+        c.deploy(workloads::web_instance("a", "web"), 0).unwrap();
+        c.run_for(SimDuration::from_millis(300));
+        let booted = read();
+        c.crash_node(2);
+        c.run_for(SimDuration::from_secs(3));
+        let crashed = read();
+        assert!(
+            crashed.0 > booted.0 && crashed.1 >= booted.1,
+            "the survivors install a view without node 2: {booted:?} -> {crashed:?}"
+        );
+        c.restart_node(2);
+        c.run_for(SimDuration::from_secs(3));
+        assert_eq!(c.running_nodes().len(), 3);
+        let rejoined = read();
+        assert!(
+            rejoined.0 > crashed.0 && rejoined.1 > crashed.1,
+            "the rejoin is counted on top, never from zero: {crashed:?} -> {rejoined:?}"
+        );
+        // One ordered message is applied once per node: the restarted
+        // node's share lands in the slot the others write.
+        c.deploy(workloads::web_instance("b", "web2"), 1).unwrap();
+        c.run_for(SimDuration::from_millis(300));
+        assert_eq!(read().1, rejoined.1 + 3);
     }
 
     #[test]

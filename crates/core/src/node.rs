@@ -13,7 +13,7 @@ use dosgi_net::{Fabric, NodeId, SimDuration, SimTime};
 use dosgi_osgi::{BundleManifest, Framework};
 use dosgi_policy::PolicyAction;
 use dosgi_san::{SharedStore, Value};
-use dosgi_telemetry::{FlightRecorder, SpanId, Telemetry, TraceContext, TraceRef};
+use dosgi_telemetry::{FlightRecorder, Gauge, SpanId, Telemetry, TraceContext, TraceRef};
 use dosgi_vosgi::{InstanceDescriptor, InstanceManager, ResourceQuota};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -109,7 +109,12 @@ pub struct DosgiNode {
     pending_adoptions: Vec<PendingAdoption>,
     pending_upgrades: Vec<PendingUpgrade>,
     events: Vec<NodeEvent>,
+    // Opens spans, and resolves the handles of instances met later.
     telemetry: Telemetry,
+    metrics: Metrics,
+    // The `monitor.<instance>.*` gauges, kept exactly as long as the
+    // monitor keeps the instance's sampling state.
+    monitor_gauges: BTreeMap<String, MonitorGauges>,
     recorder: FlightRecorder,
     // Open failover/heal claim roots, keyed by instance: minted when this
     // node orders an `Adopted` claim, closed when the claim's delivery
@@ -129,6 +134,32 @@ pub struct DosgiNode {
     // The open `shutdown`/`hibernate` root while draining; closed when the
     // drain completes.
     lifecycle_trace: TraceRef,
+}
+
+dosgi_telemetry::metrics! {
+    /// The node's telemetry handles, resolved when a registry is attached.
+    struct Metrics {
+        counter placement_decisions = "core.placement.decisions",
+        counter registry_ops = "core.registry.ops",
+        counter registry_sync_bytes = "registry.sync_bytes",
+        counter registry_delta_bytes = "registry.delta_bytes",
+        counter adopt_overruled = "core.adopt.overruled",
+        counter upgrade_completed = "core.upgrade.completed",
+        counter upgrade_retries = "core.upgrade.retries",
+        counter upgrade_failed = "core.upgrade.failed",
+        histogram upgrade_blackout_us = "core.upgrade.blackout_us",
+        counter san_quarantines = "san.quarantines",
+        counter san_retries = "san.retries",
+        histogram san_retry_backoff_us = "san.retry.backoff_us",
+    }
+}
+
+/// One instance's `monitor.<instance>.*` gauges.
+#[derive(Debug)]
+struct MonitorGauges {
+    cpu_share_pm: Gauge,
+    memory_bytes: Gauge,
+    call_rate_mcps: Gauge,
 }
 
 #[derive(Debug, Clone)]
@@ -221,6 +252,8 @@ impl DosgiNode {
             pending_upgrades: Vec::new(),
             events: Vec::new(),
             telemetry: Telemetry::disabled(),
+            metrics: Metrics::default(),
+            monitor_gauges: BTreeMap::new(),
             recorder: FlightRecorder::disabled(),
             claim_traces: BTreeMap::new(),
             upgrade_traces: BTreeMap::new(),
@@ -235,6 +268,8 @@ impl DosgiNode {
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.gcs.set_telemetry(telemetry.clone());
         self.mgr.set_telemetry(telemetry.clone());
+        self.metrics = Metrics::new(&telemetry);
+        self.monitor_gauges.clear();
         self.telemetry = telemetry;
     }
 
@@ -452,7 +487,7 @@ impl DosgiNode {
             .ok_or_else(|| CoreError::NotPlaced(name.to_owned()))?;
         let _ = self.mgr.stop_instance(iid);
         self.mgr.destroy_instance(iid, true)?;
-        self.monitor.forget(name);
+        self.forget_monitored(name);
         self.throttled.remove(name);
         if let Some(a) = &mut self.autonomic {
             a.forget(name);
@@ -495,7 +530,7 @@ impl DosgiNode {
                     .placement
                     .choose(&name, &candidates, &self.registry, &BTreeMap::new())
             {
-                self.telemetry.incr("core.placement.decisions");
+                self.metrics.placement_decisions.incr();
                 let _ = self.migrate_away_traced(&name, dest, net, parent);
             }
         }
@@ -721,8 +756,9 @@ impl DosgiNode {
                     .copied();
                 if !joined.is_empty() && sync_sender == Some(self.id) {
                     let snapshot = self.registry.export();
-                    self.telemetry
-                        .add("registry.sync_bytes", snapshot.encoded_len() as u64);
+                    self.metrics
+                        .registry_sync_bytes
+                        .add(snapshot.encoded_len() as u64);
                     self.order(net, AppPayload::RegistrySync { registry: snapshot });
                 }
                 let effective_universe = self.gcs.universe() - self.departed_peers.len();
@@ -772,8 +808,9 @@ impl DosgiNode {
             .config
             .placement
             .assign_all(&orphans, &candidates, &self.registry);
-        self.telemetry
-            .add("core.placement.decisions", assignment.len() as u64);
+        self.metrics
+            .placement_decisions
+            .add(assignment.len() as u64);
         for (name, dest) in assignment {
             if dest == self.id {
                 let prior_home = self
@@ -802,7 +839,7 @@ impl DosgiNode {
         net: &mut impl Fabric<Wire>,
         now: SimTime,
     ) {
-        self.telemetry.incr("core.registry.ops");
+        self.metrics.registry_ops.incr();
         // Snapshot pre-application status for claim/adoption decisions.
         let prior_status = payload
             .instance()
@@ -876,10 +913,9 @@ impl DosgiNode {
                     let payload_rows = upserts.as_list().map(<[Value]>::len).unwrap_or(0)
                         + removes.as_list().map(<[Value]>::len).unwrap_or(0);
                     if payload_rows > 0 {
-                        self.telemetry.add(
-                            "registry.delta_bytes",
-                            (upserts.encoded_len() + removes.encoded_len()) as u64,
-                        );
+                        self.metrics
+                            .registry_delta_bytes
+                            .add((upserts.encoded_len() + removes.encoded_len()) as u64);
                         self.order(net, AppPayload::RegistryDelta { upserts, removes });
                     }
                 }
@@ -917,7 +953,7 @@ impl DosgiNode {
             let _ = self.mgr.stop_instance(iid);
             let _ = self.mgr.destroy_instance(iid, false);
         }
-        self.monitor.forget(name);
+        self.forget_monitored(name);
         self.throttled.remove(name);
         if let Some(a) = &mut self.autonomic {
             a.forget(name);
@@ -994,7 +1030,7 @@ impl DosgiNode {
             .child_of(rel, &format!("persist/{name}"), now_us);
         let _ = self.mgr.destroy_instance(iid, false);
         self.recorder.end(persist, now_us);
-        self.monitor.forget(name);
+        self.forget_monitored(name);
         self.throttled.remove(name);
         if let Some(a) = &mut self.autonomic {
             a.forget(name);
@@ -1097,7 +1133,7 @@ impl DosgiNode {
             if !still_ours {
                 self.telemetry.span_exit(p.span, now.as_micros());
                 self.recorder.end(p.trace, now.as_micros());
-                self.telemetry.incr("core.adopt.overruled");
+                self.metrics.adopt_overruled.incr();
                 continue;
             }
             let outcome = match self.mgr.find_by_name(&p.name) {
@@ -1308,9 +1344,10 @@ impl DosgiNode {
                     self.recorder.end(root, adopt_end);
                     self.finished_upgrade_traces.insert(p.name.clone(), root);
                     self.telemetry.span_exit(p.span, now_us);
-                    self.telemetry.incr("core.upgrade.completed");
-                    self.telemetry
-                        .record("core.upgrade.blackout_us", blackout.as_micros());
+                    self.metrics.upgrade_completed.incr();
+                    self.metrics
+                        .upgrade_blackout_us
+                        .record(blackout.as_micros());
                     self.events.push(NodeEvent::BundleUpgraded {
                         at: now,
                         name: p.name,
@@ -1329,7 +1366,7 @@ impl DosgiNode {
                         // continues the same trace instead of minting (and
                         // leaking) a new root per attempt.
                         let backoff = self.config.retry.backoff(p.attempt);
-                        self.telemetry.incr("core.upgrade.retries");
+                        self.metrics.upgrade_retries.incr();
                         self.events.push(NodeEvent::UpgradeRetried {
                             at: now,
                             name: p.name.clone(),
@@ -1347,7 +1384,7 @@ impl DosgiNode {
                         if let Some(root) = self.upgrade_traces.remove(&key) {
                             self.recorder.end(root, now_us);
                         }
-                        self.telemetry.incr("core.upgrade.failed");
+                        self.metrics.upgrade_failed.incr();
                         self.events.push(NodeEvent::UpgradeFailed {
                             at: now,
                             name: p.name,
@@ -1388,7 +1425,7 @@ impl DosgiNode {
         let failures = p.attempt + 1;
         if self.config.retry.exhausted(failures) {
             self.telemetry.span_exit(p.span, now.as_micros());
-            self.telemetry.incr("san.quarantines");
+            self.metrics.san_quarantines.incr();
             self.events.push(NodeEvent::Quarantined {
                 at: now,
                 name: p.name.clone(),
@@ -1409,9 +1446,10 @@ impl DosgiNode {
             return;
         }
         let backoff = self.config.retry.backoff(p.attempt);
-        self.telemetry.incr("san.retries");
-        self.telemetry
-            .record("san.retry.backoff_us", backoff.as_micros());
+        self.metrics.san_retries.incr();
+        self.metrics
+            .san_retry_backoff_us
+            .record(backoff.as_micros());
         self.events.push(NodeEvent::AdoptRetried {
             at: now,
             name: p.name.clone(),
@@ -1431,6 +1469,11 @@ impl DosgiNode {
     // ------------------------------------------------------------------
     // Monitoring + autonomic
     // ------------------------------------------------------------------
+
+    fn forget_monitored(&mut self, name: &str) {
+        self.monitor.forget(name);
+        self.monitor_gauges.remove(name);
+    }
 
     fn sample(&mut self, now: SimTime) {
         let due = self
@@ -1456,12 +1499,21 @@ impl DosgiNode {
                 let window_us = w.window.as_micros().max(1);
                 let cpu_pm = w.cpu.as_micros().saturating_mul(1000) / window_us;
                 let call_mcps = w.calls.saturating_mul(1_000_000_000) / window_us;
-                self.telemetry
-                    .gauge_set(&format!("monitor.{name}.cpu_share_pm"), cpu_pm as i64);
-                self.telemetry
-                    .gauge_set(&format!("monitor.{name}.memory_bytes"), w.memory as i64);
-                self.telemetry
-                    .gauge_set(&format!("monitor.{name}.call_rate_mcps"), call_mcps as i64);
+                let t = &self.telemetry;
+                let gauges =
+                    self.monitor_gauges
+                        .entry(name)
+                        .or_insert_with_key(|name| MonitorGauges {
+                            cpu_share_pm: t
+                                .gauge_handle(format_args!("monitor.{name}.cpu_share_pm")),
+                            memory_bytes: t
+                                .gauge_handle(format_args!("monitor.{name}.memory_bytes")),
+                            call_rate_mcps: t
+                                .gauge_handle(format_args!("monitor.{name}.call_rate_mcps")),
+                        });
+                gauges.cpu_share_pm.set(cpu_pm as i64);
+                gauges.memory_bytes.set(w.memory as i64);
+                gauges.call_rate_mcps.set(call_mcps as i64);
             }
         }
     }

@@ -29,6 +29,7 @@
 //! primary-component discipline.
 
 mod config;
+mod metrics;
 mod node;
 mod transport;
 mod view;

@@ -1,6 +1,7 @@
 //! The per-node protocol engine: failure detection, view agreement,
 //! reliable FIFO broadcast and sequencer-based total order.
 
+use crate::metrics::Metrics;
 use crate::{GcsConfig, GcsWire, Transport, View, ViewId};
 use dosgi_net::{NodeId, SimTime};
 use dosgi_telemetry::{Telemetry, TraceContext};
@@ -112,7 +113,7 @@ pub struct GroupNode<A> {
     last_order_nack: Option<SimTime>,
 
     events: Vec<GcsEvent<A>>,
-    telemetry: Telemetry,
+    metrics: Metrics,
 }
 
 /// How many ordered messages a sequencer still retains for replay once
@@ -178,7 +179,7 @@ impl<A: Clone> GroupNode<A> {
             stream_gen: 0,
             last_order_nack: None,
             events: Vec::new(),
-            telemetry: Telemetry::disabled(),
+            metrics: Metrics::default(),
         };
         let members = view.members.clone();
         node.events.push(GcsEvent::ViewChange {
@@ -189,10 +190,11 @@ impl<A: Clone> GroupNode<A> {
         node
     }
 
-    /// Attaches a telemetry handle (`gcs.*` metrics). Telemetry is
-    /// passive: it never alters protocol behaviour.
+    /// Attaches a telemetry handle: resolves every `gcs.*` metric to its
+    /// slot, once. Telemetry is passive: it never alters protocol
+    /// behaviour.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.metrics = Metrics::new(&telemetry);
     }
 
     /// This node's id.
@@ -234,7 +236,7 @@ impl<A: Clone> GroupNode<A> {
     /// Reliable-FIFO broadcast to the current view (self-delivery is
     /// immediate).
     pub fn broadcast(&mut self, t: &mut impl Transport<A>, payload: A) {
-        self.telemetry.incr("gcs.fifo.sent");
+        self.metrics.fifo_sent.incr();
         self.send_seq += 1;
         self.send_buffer.insert(self.send_seq, payload.clone());
         for &m in &self.view.members {
@@ -275,7 +277,7 @@ impl<A: Clone> GroupNode<A> {
         payload: A,
         trace: Option<TraceContext>,
     ) {
-        self.telemetry.incr("gcs.order.sent");
+        self.metrics.order_sent.incr();
         self.order_seq += 1;
         self.pending_orders
             .insert(self.order_seq, (payload.clone(), trace));
@@ -533,7 +535,7 @@ impl<A: Clone> GroupNode<A> {
                 // anything not newer than the receiver's own, so
                 // concurrent pushes are harmless.
                 if view < self.view.id && self.view.contains(from) {
-                    self.telemetry.incr("gcs.antientropy.view_repairs");
+                    self.metrics.antientropy_view_repairs.incr();
                     t.send(from, GcsWire::ViewCommit(self.view.clone()));
                 }
                 // A changed incarnation means the peer truly restarted:
@@ -579,7 +581,7 @@ impl<A: Clone> GroupNode<A> {
                         .unwrap_or(true);
                     if nack_due {
                         self.last_nack.insert(from, now);
-                        self.telemetry.incr("gcs.antientropy.nacks");
+                        self.metrics.antientropy_nacks.incr();
                         t.send(from, GcsWire::Nack { from_seq: next });
                     }
                 }
@@ -632,7 +634,7 @@ impl<A: Clone> GroupNode<A> {
                 }
             }
             GcsWire::ViewAck { id, stream_base } => {
-                self.telemetry.incr("gcs.view.acks");
+                self.metrics.view_acks.incr();
                 if let Some(p) = self.proposal.as_mut() {
                     if p.view.id == id {
                         p.acks.insert(from);
@@ -709,10 +711,10 @@ impl<A: Clone> GroupNode<A> {
     /// simulated cluster share a registry; a deposed sequencer stays
     /// silent).
     fn publish_window(&self) {
-        self.telemetry
-            .gauge_set("gcs.order.retained", self.ordered_buffer.len() as i64);
-        self.telemetry
-            .gauge_set("gcs.order.low_water", self.low_water as i64);
+        self.metrics
+            .order_retained
+            .set(self.ordered_buffer.len() as i64);
+        self.metrics.order_low_water.set(self.low_water as i64);
     }
 
     fn handle_data(
@@ -738,14 +740,14 @@ impl<A: Clone> GroupNode<A> {
             if nack_due {
                 let missing = *next;
                 self.last_nack.insert(from, now);
-                self.telemetry.incr("gcs.antientropy.nacks");
+                self.metrics.antientropy_nacks.incr();
                 t.send(from, GcsWire::Nack { from_seq: missing });
             }
             return;
         }
         // In-order: deliver it and any buffered successors.
         *next += 1;
-        self.telemetry.incr("gcs.fifo.delivered");
+        self.metrics.fifo_delivered.incr();
         self.events.push(GcsEvent::Deliver { from, payload });
         if let Some(buf) = self.recv_ooo.get_mut(&from) {
             loop {
@@ -753,7 +755,7 @@ impl<A: Clone> GroupNode<A> {
                 match buf.remove(&expected) {
                     Some(p) => {
                         self.recv_next.insert(from, expected + 1);
-                        self.telemetry.incr("gcs.fifo.delivered");
+                        self.metrics.fifo_delivered.incr();
                         self.events.push(GcsEvent::Deliver { from, payload: p });
                     }
                     None => break,
@@ -862,7 +864,7 @@ impl<A: Clone> GroupNode<A> {
             .unwrap_or(true);
         if due {
             self.last_order_nack = Some(now);
-            self.telemetry.incr("gcs.antientropy.replay_requests");
+            self.metrics.antientropy_replay_requests.incr();
             t.send(
                 sequencer,
                 GcsWire::OrderedReplayRequest {
@@ -907,11 +909,11 @@ impl<A: Clone> GroupNode<A> {
         let high = self.delivered_high.entry(origin).or_insert((0, 0, 0));
         if (origin_inc, origin_seq) <= (high.0, high.1) {
             if high.2 == self.stream_gen {
-                self.telemetry.incr("gcs.order.resequenced");
+                self.metrics.order_resequenced.incr();
             }
         } else {
             *high = (origin_inc, origin_seq, self.stream_gen);
-            self.telemetry.incr("gcs.order.delivered");
+            self.metrics.order_delivered.incr();
             self.events.push(GcsEvent::OrderedDeliver {
                 gseq,
                 origin,
@@ -935,7 +937,7 @@ impl<A: Clone> GroupNode<A> {
     }
 
     fn install_view(&mut self, view: View) {
-        self.telemetry.incr("gcs.view.installed");
+        self.metrics.view_installed.incr();
         let old = std::mem::replace(&mut self.view, view.clone());
         let (joined, left) = view.diff(&old);
         // (FIFO stream resets for genuinely restarted peers are driven by
@@ -1008,14 +1010,14 @@ impl<A: Clone> GroupNode<A> {
             self.gseq_counter
         };
         if from_gseq <= base {
-            self.telemetry.incr("gcs.antientropy.rebased");
+            self.metrics.antientropy_rebased.incr();
             t.send(to, GcsWire::OrderedRebase { base });
             from_gseq = base + 1;
         }
         for (&gseq, (origin, origin_inc, origin_seq, payload, trace)) in
             self.ordered_buffer.range(from_gseq..)
         {
-            self.telemetry.incr("gcs.antientropy.replayed");
+            self.metrics.antientropy_replayed.incr();
             t.send(
                 to,
                 GcsWire::Ordered {

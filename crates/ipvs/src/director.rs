@@ -2,6 +2,7 @@
 //! admission control (bounded per-backend queues with priority shedding).
 
 use crate::admission::{Admitted, Completion, QueuedRequest, RequestClass};
+use crate::metrics::{Metrics, ShedReason};
 use crate::{RealServer, Scheduler, VirtualService};
 use dosgi_net::{NodeId, SocketAddr};
 use dosgi_telemetry::{FlightRecorder, Telemetry, TraceContext};
@@ -73,7 +74,7 @@ pub struct IpvsDirector {
     // Classes currently shed outright by policy (see `set_shed_class`).
     shed_classes: BTreeSet<(SocketAddr, RequestClass)>,
     stats: IpvsStats,
-    telemetry: Telemetry,
+    metrics: Metrics,
     recorder: FlightRecorder,
 }
 
@@ -97,8 +98,12 @@ impl IpvsDirector {
 
     /// Attaches a telemetry handle; routed requests are counted per
     /// backend as `ipvs.routed.n<node>`, rejections as `ipvs.rejected`.
+    /// Every metric name is resolved to a slot here, or for a backend's
+    /// own metrics when the director first touches that node — so
+    /// services and replicas added before or after this call are covered
+    /// alike, and no request ever builds a name.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.metrics = Metrics::new(telemetry);
     }
 
     /// Attaches a flight recorder: redirect reactions
@@ -148,8 +153,8 @@ impl IpvsDirector {
     pub fn connect(&mut self, client: u64, address: SocketAddr) -> Result<NodeId, RouteError> {
         if !self.services.contains_key(&address) {
             self.stats.rejected += 1;
-            self.telemetry.incr("ipvs.rejected");
-            self.telemetry.incr("ipvs.rejected.no_service");
+            self.metrics.rejected.incr();
+            self.metrics.rejected_no_service.incr();
             return Err(RouteError::NoSuchService(address));
         }
         // Affinity: reuse the existing backend if still eligible (a
@@ -163,7 +168,7 @@ impl IpvsDirector {
             if still_eligible {
                 self.stats.routed += 1;
                 *self.per_server.entry((address, node)).or_insert(0) += 1;
-                self.telemetry.incr(&format!("ipvs.routed.n{}", node.0));
+                self.metrics.backend(node).routed.incr();
                 return Ok(node);
             }
             self.release(client, address);
@@ -173,8 +178,8 @@ impl IpvsDirector {
         let Some(idx) = scheduler.pick(vs, client) else {
             self.stats.rejected += 1;
             self.stats.no_backend += 1;
-            self.telemetry.incr("ipvs.rejected");
-            self.telemetry.incr("ipvs.rejected.no_backend");
+            self.metrics.rejected.incr();
+            self.metrics.rejected_no_backend.incr();
             return Err(RouteError::NoLiveServers(address));
         };
         vs.servers[idx].active_connections += 1;
@@ -183,7 +188,7 @@ impl IpvsDirector {
         self.stats.routed += 1;
         self.stats.tracked = self.connections.len() as u64;
         *self.per_server.entry((address, node)).or_insert(0) += 1;
-        self.telemetry.incr(&format!("ipvs.routed.n{}", node.0));
+        self.metrics.backend(node).routed.incr();
         Ok(node)
     }
 
@@ -232,12 +237,12 @@ impl IpvsDirector {
     ) -> Result<NodeId, RouteError> {
         if !self.services.contains_key(&address) {
             self.stats.rejected += 1;
-            self.telemetry.incr("ipvs.rejected");
-            self.telemetry.incr("ipvs.rejected.no_service");
+            self.metrics.rejected.incr();
+            self.metrics.rejected_no_service.incr();
             return Err(RouteError::NoSuchService(address));
         }
         if self.shed_classes.contains(&(address, class)) {
-            self.count_shed(class, "policy");
+            self.count_shed(class, ShedReason::Policy);
             return Err(RouteError::Shed(address, class));
         }
         let vs = self.services.get_mut(&address).expect("checked above");
@@ -256,8 +261,8 @@ impl IpvsDirector {
         else {
             self.stats.rejected += 1;
             self.stats.no_backend += 1;
-            self.telemetry.incr("ipvs.rejected");
-            self.telemetry.incr("ipvs.rejected.no_backend");
+            self.metrics.rejected.incr();
+            self.metrics.rejected_no_backend.incr();
             return Err(RouteError::NoLiveServers(address));
         };
         let node = vs.servers[idx].node;
@@ -266,22 +271,22 @@ impl IpvsDirector {
             class,
             enqueued_us: now_us,
         });
+        let depth = vs.queue_depth(node) as i64;
+        self.metrics.backend(node).queue_depth.set(depth);
         match outcome {
             Admitted::Queued => {}
             Admitted::Displaced(victim) => {
                 self.stats.displaced += 1;
-                self.count_shed(victim.class, "displaced");
+                self.count_shed(victim.class, ShedReason::Displaced);
             }
             Admitted::Shed => {
-                self.count_shed(class, "full");
-                self.record_queue_gauge(address, node);
+                self.count_shed(class, ShedReason::Full);
                 return Err(RouteError::Shed(address, class));
             }
         }
         self.stats.queued += 1;
-        self.telemetry.incr("ipvs.queued");
-        self.telemetry.incr(&format!("ipvs.queued.{class}"));
-        self.record_queue_gauge(address, node);
+        self.metrics.queued.incr();
+        self.metrics.class(class).queued.incr();
         Ok(node)
     }
 
@@ -300,20 +305,19 @@ impl IpvsDirector {
             let node = vs.servers[i].node;
             vs.queues[i].drain_until(node, now_us, &mut out);
         }
-        let nodes: Vec<NodeId> = vs.servers.iter().map(|s| s.node).collect();
-        for node in nodes {
-            self.record_queue_gauge(address, node);
+        for s in &vs.servers {
+            let depth = vs.queue_depth(s.node) as i64;
+            self.metrics.backend(s.node).queue_depth.set(depth);
         }
         for c in &out {
+            let class = self.metrics.class(c.class);
             self.stats.completed += 1;
-            self.telemetry.incr("ipvs.completed");
-            self.telemetry
-                .record(&format!("ipvs.latency_us.{}", c.class), c.latency_us());
+            self.metrics.completed.incr();
+            class.latency_us.record(c.latency_us());
             if c.missed_deadline() {
                 self.stats.deadline_missed += 1;
-                self.telemetry.incr("ipvs.deadline_missed");
-                self.telemetry
-                    .incr(&format!("ipvs.deadline_missed.{}", c.class));
+                self.metrics.deadline_missed.incr();
+                class.deadline_missed.incr();
             }
         }
         out
@@ -346,20 +350,11 @@ impl IpvsDirector {
         })
     }
 
-    fn count_shed(&mut self, class: RequestClass, why: &str) {
+    fn count_shed(&mut self, class: RequestClass, why: ShedReason) {
         self.stats.shed += 1;
-        self.telemetry.incr("ipvs.shed");
-        self.telemetry.incr(&format!("ipvs.shed.{class}"));
-        self.telemetry.incr(&format!("ipvs.shed.reason.{why}"));
-    }
-
-    fn record_queue_gauge(&mut self, address: SocketAddr, node: NodeId) {
-        let depth = self
-            .services
-            .get(&address)
-            .map_or(0, |vs| vs.queue_depth(node));
-        self.telemetry
-            .gauge_set(&format!("ipvs.queue_depth.n{}", node.0), depth as i64);
+        self.metrics.shed.incr();
+        self.metrics.class(class).shed.incr();
+        self.metrics.shed_reason(why).incr();
     }
 
     /// Marks every replica on `node` down across all services and drops its
@@ -378,10 +373,11 @@ impl IpvsDirector {
         }
         if abandoned > 0 {
             self.stats.shed += abandoned;
-            self.telemetry.add("ipvs.shed", abandoned);
-            self.telemetry.add("ipvs.shed.reason.node_down", abandoned);
-            self.telemetry
-                .gauge_set(&format!("ipvs.queue_depth.n{}", node.0), 0);
+            self.metrics.shed.add(abandoned);
+            self.metrics
+                .shed_reason(ShedReason::NodeDown)
+                .add(abandoned);
+            self.metrics.backend(node).queue_depth.set(0);
         }
         let before = self.connections.len();
         self.connections.retain(|_, n| *n != node);
@@ -426,7 +422,7 @@ impl IpvsDirector {
         for vs in self.services.values_mut() {
             vs.set_draining(node, true);
         }
-        self.telemetry.incr(&format!("ipvs.drained.n{}", node.0));
+        self.metrics.backend(node).drained.incr();
     }
 
     /// Lifts the administrative drain on `node`: the replica resumes
@@ -435,7 +431,7 @@ impl IpvsDirector {
         for vs in self.services.values_mut() {
             vs.set_draining(node, false);
         }
-        self.telemetry.incr(&format!("ipvs.undrained.n{}", node.0));
+        self.metrics.backend(node).undrained.incr();
     }
 
     /// Whether any service currently holds `node` in the draining state.
@@ -817,6 +813,41 @@ mod tests {
             undrain.lamport_start > ctx.lamport,
             "undrain is causally after the upgrade"
         );
+    }
+
+    #[test]
+    fn telemetry_covers_backends_met_before_and_after_it_is_attached() {
+        let admission = crate::AdmissionConfig::per_second(1000, 8);
+        let late = SocketAddr::new(IpAddr::new(10, 0, 0, 101), Port(80));
+        let mut d = admission_director(2, 8, 1000);
+        let t = Telemetry::new();
+        d.set_telemetry(t.clone());
+        d.add_service(
+            replicated_service(late, Scheduler::RoundRobin, &[NodeId(2)]).with_admission(admission),
+        );
+        // A replica added at run-time, behind the director's back.
+        d.service_mut(late)
+            .unwrap()
+            .add_server(RealServer::new(NodeId(3)));
+        for c in 0..2u64 {
+            d.admit(c, addr(), RequestClass::Standard, 0).unwrap();
+            d.admit(c, late, RequestClass::Critical, 0).unwrap();
+        }
+        for n in 0..4 {
+            assert_eq!(t.gauge(&format!("ipvs.queue_depth.n{n}")), Some(1));
+        }
+        d.drain_node(NodeId(3));
+        assert_eq!(d.drain(late, 10_000).len(), 2);
+        assert_eq!(t.counter("ipvs.queued"), 4);
+        assert_eq!(t.counter("ipvs.queued.critical"), 2);
+        assert_eq!(t.counter("ipvs.completed"), 2);
+        assert_eq!(t.counter("ipvs.drained.n3"), 1);
+        assert_eq!(t.gauge("ipvs.queue_depth.n3"), Some(0));
+        assert_eq!(t.histogram("ipvs.latency_us.critical").unwrap().count(), 2);
+        // Names nothing was written to stay out of the registry.
+        assert_eq!(t.counter("ipvs.shed"), 0);
+        assert!(!t.snapshot("s", 0).counters.contains_key("ipvs.shed"));
+        assert_eq!(t.gauge("ipvs.queue_depth.n4"), None);
     }
 
     #[test]

@@ -28,6 +28,7 @@
 mod admission;
 mod director;
 mod failover;
+mod metrics;
 mod scheduler;
 mod service;
 

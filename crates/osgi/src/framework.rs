@@ -80,6 +80,22 @@ pub struct UpgradeReport {
     pub handoff_keys: usize,
 }
 
+dosgi_telemetry::metrics! {
+    /// The framework's telemetry handles, resolved when a registry is
+    /// attached.
+    struct Metrics {
+        counter installed = "osgi.lifecycle.installed",
+        counter resolved = "osgi.lifecycle.resolved",
+        counter started = "osgi.lifecycle.started",
+        counter stopped = "osgi.lifecycle.stopped",
+        counter updated = "osgi.lifecycle.updated",
+        counter upgraded = "osgi.lifecycle.upgraded",
+        counter uninstalled = "osgi.lifecycle.uninstalled",
+        counter rows_written = "persist.rows_written",
+        counter rows_skipped = "persist.rows_skipped",
+    }
+}
+
 /// An OSGi-like framework instance.
 ///
 /// See the [crate docs](crate) for the model. A `Framework` is used both as
@@ -104,7 +120,7 @@ pub struct Framework {
     deleted_rows: BTreeSet<String>,
     /// Data areas whose SAN write-through failed; flush pending.
     dirty_areas: BTreeSet<String>,
-    telemetry: Telemetry,
+    metrics: Metrics,
 }
 
 impl fmt::Debug for Framework {
@@ -140,7 +156,7 @@ impl Framework {
             dirty_rows: BTreeSet::new(),
             deleted_rows: BTreeSet::new(),
             dirty_areas: BTreeSet::new(),
-            telemetry: Telemetry::disabled(),
+            metrics: Metrics::default(),
         };
         fw.framework_events.push(FrameworkEvent::Started);
         fw
@@ -149,7 +165,7 @@ impl Framework {
     /// Attaches a telemetry handle; bundle lifecycle transitions are
     /// counted as `osgi.lifecycle.<kind>`.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
+        self.metrics = Metrics::new(&telemetry);
     }
 
     /// The framework's name.
@@ -1128,12 +1144,10 @@ impl Framework {
             }
         }
         store.put_many(ns, &entries)?;
-        self.telemetry
-            .add("persist.rows_written", entries.len() as u64);
-        self.telemetry.add(
-            "persist.rows_skipped",
-            (self.bundles.len() as u64 + 1).saturating_sub(entries.len() as u64),
-        );
+        self.metrics.rows_written.add(entries.len() as u64);
+        self.metrics
+            .rows_skipped
+            .add((self.bundles.len() as u64 + 1).saturating_sub(entries.len() as u64));
         self.dirty_rows.clear();
         Ok(())
     }
@@ -1270,16 +1284,17 @@ impl Framework {
     }
 
     fn event(&mut self, bundle: BundleId, kind: BundleEventKind) {
-        let label = match kind {
-            BundleEventKind::Installed => "osgi.lifecycle.installed",
-            BundleEventKind::Resolved => "osgi.lifecycle.resolved",
-            BundleEventKind::Started => "osgi.lifecycle.started",
-            BundleEventKind::Stopped => "osgi.lifecycle.stopped",
-            BundleEventKind::Updated => "osgi.lifecycle.updated",
-            BundleEventKind::Upgraded => "osgi.lifecycle.upgraded",
-            BundleEventKind::Uninstalled => "osgi.lifecycle.uninstalled",
+        let m = &self.metrics;
+        let counter = match kind {
+            BundleEventKind::Installed => &m.installed,
+            BundleEventKind::Resolved => &m.resolved,
+            BundleEventKind::Started => &m.started,
+            BundleEventKind::Stopped => &m.stopped,
+            BundleEventKind::Updated => &m.updated,
+            BundleEventKind::Upgraded => &m.upgraded,
+            BundleEventKind::Uninstalled => &m.uninstalled,
         };
-        self.telemetry.incr(label);
+        counter.incr();
         self.bundle_events.push(BundleEvent { bundle, kind });
     }
 

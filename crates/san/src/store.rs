@@ -4,9 +4,9 @@ use crate::backend::{BackendKind, BackendStats, StoreBackend};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::{StoreError, Value};
 use dosgi_net::SimTime;
-use dosgi_telemetry::Telemetry;
+use dosgi_telemetry::{Counter, Telemetry};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 /// A stored value together with its monotonically increasing version.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,7 +46,43 @@ pub struct StoreStats {
 struct Inner {
     backend: Box<dyn StoreBackend>,
     stats: StoreStats,
-    telemetry: Telemetry,
+}
+
+/// The `san.*` telemetry handles, resolved when a registry is attached.
+/// They sit beside the store's mutex, not inside it: counting an
+/// operation takes neither that lock nor the registry's.
+#[derive(Debug, Default)]
+struct Metrics {
+    ops: Counter,
+    faults: Counter,
+    // `san.faults.<kind>` for the kinds the fault layer injects.
+    fault_kinds: [(&'static str, Counter); 3],
+    skipped_identical: Counter,
+}
+
+impl Metrics {
+    fn new(t: &Telemetry) -> Self {
+        Metrics {
+            ops: t.counter_handle("san.ops"),
+            faults: t.counter_handle("san.faults"),
+            fault_kinds: ["unavailable", "io", "torn_write"]
+                .map(|kind| (kind, t.counter_handle(format_args!("san.faults.{kind}")))),
+            skipped_identical: t.counter_handle("san.writes.skipped_identical"),
+        }
+    }
+
+    fn count_fault(&self, e: &StoreError) {
+        self.faults.incr();
+        if let Some((_, counter)) = self.fault_kinds.iter().find(|(k, _)| *k == e.kind()) {
+            counter.incr();
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Shared {
+    state: Mutex<Inner>,
+    metrics: RwLock<Metrics>,
 }
 
 /// The simulated SAN: a shared, durable, versioned key-value store.
@@ -82,7 +118,7 @@ struct Inner {
 /// harness's omniscient view, not a real client.
 #[derive(Debug, Clone)]
 pub struct SharedStore {
-    inner: Arc<Mutex<Inner>>,
+    shared: Arc<Shared>,
     faults: FaultInjector,
 }
 
@@ -113,11 +149,13 @@ impl SharedStore {
     /// custom [`crate::LogConfig`] geometry).
     pub fn with_backend(backend: Box<dyn StoreBackend>) -> Self {
         SharedStore {
-            inner: Arc::new(Mutex::new(Inner {
-                backend,
-                stats: StoreStats::default(),
-                telemetry: Telemetry::default(),
-            })),
+            shared: Arc::new(Shared {
+                state: Mutex::new(Inner {
+                    backend,
+                    stats: StoreStats::default(),
+                }),
+                metrics: RwLock::default(),
+            }),
             faults: FaultInjector::default(),
         }
     }
@@ -137,16 +175,27 @@ impl SharedStore {
     /// store holds plain owned data, and every critical section leaves it
     /// structurally valid even if a caller's panic poisons the mutex.
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        self.shared
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The attached handles; like [`lock`](Self::lock), a poisoned guard
+    /// is adopted — handles are only ever replaced whole.
+    fn metrics(&self) -> RwLockReadGuard<'_, Metrics> {
+        self.shared
+            .metrics
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn fault(&self, op: &'static str) -> Result<(), StoreError> {
-        let telemetry = self.lock().telemetry.clone();
-        telemetry.incr("san.ops");
+        let metrics = self.metrics();
+        metrics.ops.incr();
         self.faults.roll(op).inspect_err(|e| {
             self.lock().stats.faults += 1;
-            telemetry.incr("san.faults");
-            telemetry.incr(&format!("san.faults.{}", e.kind()));
+            metrics.count_fault(e);
         })
     }
 
@@ -155,7 +204,11 @@ impl SharedStore {
     /// injector's RNG stream is consumed identically with telemetry on
     /// or off.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        self.lock().telemetry = telemetry;
+        *self
+            .shared
+            .metrics
+            .write()
+            .unwrap_or_else(PoisonError::into_inner) = Metrics::new(&telemetry);
     }
 
     // ------------------------------------------------------------------
@@ -209,9 +262,8 @@ impl SharedStore {
         if let Some(version) = inner.backend.identical_live(namespace, key, &value) {
             inner.stats.writes_skipped += 1;
             inner.stats.bytes_skipped += value.encoded_len() as u64;
-            let telemetry = inner.telemetry.clone();
             drop(inner);
-            telemetry.incr("san.writes.skipped_identical");
+            self.metrics().skipped_identical.incr();
             return Ok(version);
         }
         inner.stats.writes += 1;
@@ -275,25 +327,21 @@ impl SharedStore {
         inner.stats.writes_skipped += skipped;
         inner.stats.bytes_skipped += bytes_skipped;
         inner.stats.bytes_written += bytes;
-        let telemetry = inner.telemetry.clone();
+        if torn.is_some() {
+            inner.stats.faults += 1;
+        }
+        drop(inner);
+        let metrics = self.metrics();
+        if skipped > 0 {
+            metrics.skipped_identical.add(skipped);
+        }
         match torn {
             Some(written) => {
-                inner.stats.faults += 1;
-                drop(inner);
-                if skipped > 0 {
-                    telemetry.add("san.writes.skipped_identical", skipped);
-                }
-                telemetry.incr("san.faults");
-                telemetry.incr("san.faults.torn_write");
-                Err(StoreError::TornWrite { written })
+                let e = StoreError::TornWrite { written };
+                metrics.count_fault(&e);
+                Err(e)
             }
-            None => {
-                drop(inner);
-                if skipped > 0 {
-                    telemetry.add("san.writes.skipped_identical", skipped);
-                }
-                Ok(persisted)
-            }
+            None => Ok(persisted),
         }
     }
 

@@ -30,19 +30,33 @@
 //!
 //! ## Handles
 //!
-//! [`Telemetry`] is a cheap-clone handle. [`Telemetry::disabled`] (also
-//! the `Default`) is a no-op: every operation returns immediately, so
-//! library types can hold one unconditionally. [`Telemetry::new`]
-//! creates an enabled registry; clones share it, which is how one
-//! cluster-wide registry is threaded through nodes, stores, frameworks,
-//! and directors.
+//! [`Telemetry`] is a cheap-clone handle on the registry.
+//! [`Telemetry::disabled`] (also the `Default`) is a no-op: every
+//! operation returns immediately, so library types can hold one
+//! unconditionally. [`Telemetry::new`] creates an enabled registry;
+//! clones share it, which is how one cluster-wide registry is threaded
+//! through nodes, stores, frameworks, and directors.
+//!
+//! The write primitive is a per-metric handle — [`Counter`], [`Gauge`],
+//! [`HistogramHandle`] — resolved by name once
+//! ([`Telemetry::counter_handle`] and friends) and kept by the
+//! instrumented type. A write through a handle is an atomic operation
+//! (a histogram takes its own lock): no name is compared or allocated
+//! and the registry lock is not taken. The by-name [`Telemetry::incr`] /
+//! [`add`](Telemetry::add) / [`gauge_set`](Telemetry::gauge_set) /
+//! [`record`](Telemetry::record) resolve and write the same slots in one
+//! call, for cold paths and tests. A metric is visible — to snapshots,
+//! by-name reads and the scraper — from its first write, never from the
+//! resolution of a handle. See [`handle`].
 
+pub mod handle;
 mod hist;
 pub mod series;
 pub mod slo;
 pub mod snapshot;
 pub mod trace;
 
+pub use handle::{Counter, Gauge, HistogramHandle, MetricName};
 pub use hist::{bucket_bounds, bucket_index, Histogram, BUCKETS};
 pub use series::{
     ScrapeConfig, Series, SeriesKind, SeriesPoint, SeriesScraper, DEFAULT_CADENCE_US,
@@ -55,6 +69,7 @@ pub use trace::{
     TRACE_SCHEMA_VERSION,
 };
 
+use handle::{with_slot, CounterSlot, GaugeSlot, HistogramSlot, SlotRead, Written};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
@@ -91,9 +106,9 @@ struct LiveSpan {
 }
 
 struct Inner {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, i64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: BTreeMap<String, Arc<CounterSlot>>,
+    gauges: BTreeMap<String, Arc<GaugeSlot>>,
+    histograms: BTreeMap<String, Arc<HistogramSlot>>,
     next_span: u64,
     open: Vec<LiveSpan>,
     closed: VecDeque<ClosedSpan>,
@@ -159,64 +174,97 @@ impl Telemetry {
             .map(|m| m.lock().expect("telemetry poisoned"))
     }
 
+    /// The slot named `name` in the index `slots` picks, created on first
+    /// use. `None` — before the name is even formatted — when disabled.
+    fn resolve<S: Default>(
+        &self,
+        name: impl MetricName,
+        slots: impl FnOnce(&mut Inner) -> &mut BTreeMap<String, Arc<S>>,
+    ) -> Option<Arc<S>> {
+        let mut g = self.lock()?;
+        Some(name.with_name(|n| with_slot(slots(&mut g), n, Arc::clone)))
+    }
+
+    /// Resolves the counter `name` to a handle (inert when disabled).
+    /// Resolving alone does not make the counter visible.
+    pub fn counter_handle(&self, name: impl MetricName) -> Counter {
+        Counter(self.resolve(name, |g| &mut g.counters))
+    }
+
+    /// Resolves the gauge `name` to a handle (inert when disabled).
+    pub fn gauge_handle(&self, name: impl MetricName) -> Gauge {
+        Gauge(self.resolve(name, |g| &mut g.gauges))
+    }
+
+    /// Resolves the histogram `name` to a handle (inert when disabled).
+    pub fn histogram_handle(&self, name: impl MetricName) -> HistogramHandle {
+        HistogramHandle(self.resolve(name, |g| &mut g.histograms))
+    }
+
     /// Increment counter `name` by 1.
     pub fn incr(&self, name: &str) {
         self.add(name, 1);
     }
 
-    /// Increment counter `name` by `n`.
+    /// Increment counter `name` by `n`: resolve, then write, in one call.
     pub fn add(&self, name: &str, n: u64) {
         if let Some(mut g) = self.lock() {
-            *g.counters.entry(name.to_owned()).or_insert(0) += n;
+            with_slot(&mut g.counters, name, |s| s.add(n));
         }
     }
 
-    /// Read counter `name` (0 when absent or disabled).
+    /// Read counter `name` (0 when never written or disabled).
     pub fn counter(&self, name: &str) -> u64 {
         self.lock()
-            .and_then(|g| g.counters.get(name).copied())
+            .and_then(|g| g.counters.get(name)?.read())
             .unwrap_or(0)
     }
 
     /// Set gauge `name` to `v` (last write wins).
     pub fn gauge_set(&self, name: &str, v: i64) {
         if let Some(mut g) = self.lock() {
-            g.gauges.insert(name.to_owned(), v);
+            with_slot(&mut g.gauges, name, |s| s.set(v));
         }
     }
 
     /// Read gauge `name`.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.lock().and_then(|g| g.gauges.get(name).copied())
+        self.lock().and_then(|g| g.gauges.get(name)?.read())
     }
 
     /// Record sample `v` into histogram `name`.
     pub fn record(&self, name: &str, v: u64) {
         if let Some(mut g) = self.lock() {
-            g.histograms.entry(name.to_owned()).or_default().record(v);
+            with_slot(&mut g.histograms, name, |s| handle::record(s, v));
         }
     }
 
-    /// Copy out histogram `name`, if it exists.
+    /// Copy out histogram `name`, if it has a sample.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.lock().and_then(|g| g.histograms.get(name).cloned())
+        self.lock().and_then(|g| g.histograms.get(name)?.read())
     }
 
-    /// Read the whole registry under one lock — counters, gauges and
-    /// histograms by reference, no clones. This is the
-    /// [`SeriesScraper`]'s bulk read path; `f` must not call back into
-    /// this handle (the lock is held). Returns `None` on a disabled
-    /// handle (the closure is not called).
+    /// Read every written metric under the registry lock — counters,
+    /// gauges and histograms in name order, nothing allocated. This is
+    /// the [`SeriesScraper`]'s bulk read path; `f` must not call back into
+    /// this handle (the lock is held). Handle writes from other threads
+    /// go on meanwhile. Returns `None` on a disabled handle (the closure
+    /// is not called).
     pub fn read<R>(
         &self,
         f: impl FnOnce(
-            &BTreeMap<String, u64>,
-            &BTreeMap<String, i64>,
-            &BTreeMap<String, Histogram>,
+            Written<'_, CounterSlot>,
+            Written<'_, GaugeSlot>,
+            Written<'_, HistogramSlot>,
         ) -> R,
     ) -> Option<R> {
-        self.lock()
-            .map(|g| f(&g.counters, &g.gauges, &g.histograms))
+        self.lock().map(|g| {
+            f(
+                Written(&g.counters),
+                Written(&g.gauges),
+                Written(&g.histograms),
+            )
+        })
     }
 
     /// Append an alert transition to the timeline. Overflow beyond
@@ -226,7 +274,7 @@ impl Telemetry {
         if let Some(mut g) = self.lock() {
             if g.alerts.len() >= ALERT_CAPACITY {
                 g.alerts.pop_front();
-                *g.counters.entry(DROPPED_ALERTS.to_owned()).or_insert(0) += 1;
+                with_slot(&mut g.counters, DROPPED_ALERTS, |s| s.add(1));
             }
             g.alerts.push_back(event);
         }
@@ -270,15 +318,15 @@ impl Telemetry {
             return true;
         };
         let Some(pos) = g.open.iter().rposition(|s| s.id == id.0) else {
-            *g.counters
-                .entry("telemetry.rejected_span_exits".to_owned())
-                .or_insert(0) += 1;
+            with_slot(&mut g.counters, "telemetry.rejected_span_exits", |s| {
+                s.add(1)
+            });
             return false;
         };
         let live = g.open.remove(pos);
         if g.closed.len() >= g.span_capacity {
             g.closed.pop_front();
-            *g.counters.entry(DROPPED_SPANS.to_owned()).or_insert(0) += 1;
+            with_slot(&mut g.counters, DROPPED_SPANS, |s| s.add(1));
         }
         g.closed.push_back(ClosedSpan {
             id: live.id,
@@ -311,9 +359,12 @@ impl Telemetry {
             alerts: Vec::new(),
         };
         if let Some(g) = self.lock() {
-            snap.counters = g.counters.clone();
-            snap.gauges = g.gauges.clone();
-            snap.histograms = g.histograms.clone();
+            fn owned<S: SlotRead>(w: Written<'_, S>) -> BTreeMap<String, S::Value> {
+                w.iter().map(|(name, v)| (name.to_owned(), v)).collect()
+            }
+            snap.counters = owned(Written(&g.counters));
+            snap.gauges = owned(Written(&g.gauges));
+            snap.histograms = owned(Written(&g.histograms));
             snap.alerts = g.alerts.iter().cloned().collect();
             snap.spans = g.closed.iter().cloned().collect();
             snap.open_spans = g
@@ -359,6 +410,124 @@ mod tests {
         t.incr("x");
         u.incr("x");
         assert_eq!(t.counter("x"), 2);
+    }
+
+    #[test]
+    fn a_resolved_handle_is_invisible_until_written() {
+        let t = Telemetry::new();
+        let c = t.counter_handle("c");
+        let g = t.gauge_handle("g");
+        let h = t.histogram_handle(format_args!("h.{}", 1));
+        let mut scraper = SeriesScraper::new(ScrapeConfig::default());
+        assert!(scraper.scrape(&t, 0));
+        let snap = t.snapshot("s", 0);
+        assert!(snap.counters.is_empty() && snap.gauges.is_empty() && snap.histograms.is_empty());
+        assert_eq!(t.read(|c, g, h| c.len() + g.len() + h.len()), Some(0));
+        assert_eq!((t.counter("c"), t.gauge("g")), (0, None));
+        assert!(t.histogram("h.1").is_none());
+        assert_eq!(scraper.series_count(), 0);
+
+        c.incr();
+        g.set(-3);
+        h.record(9);
+        assert!(scraper.scrape(&t, DEFAULT_CADENCE_US));
+        let snap = t.snapshot("s", 0);
+        assert_eq!(snap.counters.get("c"), Some(&1));
+        assert_eq!(snap.gauges.get("g"), Some(&-3));
+        assert_eq!(snap.histograms.get("h.1").map(Histogram::count), Some(1));
+        assert_eq!(t.read(|c, g, h| c.len() + g.len() + h.len()), Some(3));
+        assert_eq!(
+            scraper.series_names(),
+            ["gauge:g", "p50:h.1", "p95:h.1", "p99:h.1", "rate:c"]
+        );
+    }
+
+    #[test]
+    fn by_name_and_handle_writes_land_in_one_slot() {
+        let t = Telemetry::new();
+        t.add("c", 2);
+        let c = t.counter_handle("c");
+        c.add(3);
+        t.incr("c");
+        c.clone().incr();
+        assert_eq!(t.counter("c"), 7);
+
+        let g = t.gauge_handle("g");
+        g.set(4);
+        t.gauge_set("g", 5);
+        assert_eq!(t.gauge("g"), Some(5));
+        g.clone().set(6);
+        assert_eq!(t.gauge("g"), Some(6));
+
+        t.record("h", 1);
+        let h = t.histogram_handle("h");
+        h.record(2);
+        h.clone().record(3);
+        let got = t.histogram("h").unwrap();
+        assert_eq!((got.count(), got.sum()), (3, 6));
+        // A second resolution of the same name is the same slot.
+        t.counter_handle(format_args!("{}", "c")).incr();
+        assert_eq!(t.counter("c"), 8);
+    }
+
+    #[test]
+    fn zero_valued_writes_make_a_metric_visible() {
+        let t = Telemetry::new();
+        t.add("by_name", 0);
+        t.gauge_set("g.by_name", 0);
+        t.counter_handle("by_handle").add(0);
+        t.gauge_handle("g.by_handle").set(0);
+        let snap = t.snapshot("s", 0);
+        assert_eq!(snap.counters.get("by_name"), Some(&0));
+        assert_eq!(snap.counters.get("by_handle"), Some(&0));
+        assert_eq!(t.gauge("g.by_name"), Some(0));
+        assert_eq!(t.gauge("g.by_handle"), Some(0));
+    }
+
+    #[test]
+    fn disabled_handles_are_inert_and_never_format_their_name() {
+        struct Unprintable;
+        impl std::fmt::Display for Unprintable {
+            fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                panic!("a disabled registry formatted a metric name");
+            }
+        }
+        let t = Telemetry::disabled();
+        t.counter_handle(format_args!("c.{Unprintable}")).incr();
+        t.gauge_handle(format_args!("g.{Unprintable}")).set(1);
+        t.histogram_handle(format_args!("h.{Unprintable}"))
+            .record(1);
+        Counter::default().incr();
+        Gauge::default().set(1);
+        HistogramHandle::default().record(1);
+        assert_eq!(t.read(|c, g, h| c.len() + g.len() + h.len()), None);
+    }
+
+    #[test]
+    fn concurrent_handle_writes_sum_exactly() {
+        const THREADS: u64 = 8;
+        const WRITES: u64 = 100_000;
+        let t = Telemetry::new();
+        let counter = t.counter_handle("c");
+        let hist = t.histogram_handle("h");
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|s| {
+            for _ in 0..THREADS {
+                let (counter, hist, start) = (counter.clone(), hist.clone(), &start);
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..WRITES {
+                        counter.incr();
+                        hist.record(i % 2);
+                    }
+                });
+            }
+        });
+        assert_eq!(t.counter("c"), THREADS * WRITES);
+        let h = t.histogram("h").unwrap();
+        assert_eq!(h.count(), THREADS * WRITES);
+        assert_eq!(h.sum(), THREADS * WRITES / 2);
+        assert_eq!(h.bucket(0), h.bucket(1));
     }
 
     #[test]

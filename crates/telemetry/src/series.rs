@@ -30,7 +30,8 @@
 //! loop therefore yields byte-identical series on replay, and a chaos
 //! fingerprint that is identical whether series collection is on or off.
 
-use crate::{bucket_bounds, Histogram, Telemetry, BUCKETS};
+use crate::handle::with_entry;
+use crate::{bucket_bounds, Telemetry, BUCKETS};
 use std::collections::{BTreeMap, VecDeque};
 
 /// Counter incremented (registry-wide) for every point lost to ring
@@ -124,17 +125,17 @@ impl Series {
     /// [`DOWNSAMPLE`], keep each group's last (most recent) point, and
     /// count every discarded point into `dropped`.
     fn compact(&mut self) {
-        let old = std::mem::take(&mut self.points);
-        let n = old.len();
-        let mut kept = VecDeque::with_capacity(self.capacity);
+        let n = self.points.len();
+        let mut kept = 0;
         let mut i = 0;
         while i < n {
             let end = (i + DOWNSAMPLE).min(n);
-            kept.push_back(old[end - 1]);
+            self.points[kept] = self.points[end - 1];
+            kept += 1;
             self.dropped += (end - 1 - i) as u64;
             i = end;
         }
-        self.points = kept;
+        self.points.truncate(kept);
     }
 
     /// The series' point semantics.
@@ -219,20 +220,39 @@ impl Default for ScrapeConfig {
     }
 }
 
-#[derive(Clone)]
+/// The percentile series a histogram feeds, in [`HistCursor::series`] order.
+const PERCENTILES: [(SeriesKind, u64); 3] = [
+    (SeriesKind::P50, 50),
+    (SeriesKind::P95, 95),
+    (SeriesKind::P99, 99),
+];
+
+/// A counter's cumulative value at the previous scrape, and its rate series.
+struct RateCursor {
+    last: u64,
+    series: Series,
+}
+
+/// A histogram's cumulative buckets at the previous scrape, and its
+/// percentile series.
 struct HistCursor {
     buckets: [u64; BUCKETS],
     count: u64,
+    series: [Series; 3],
 }
 
 /// Scrapes a [`Telemetry`] registry into bounded time series on a fixed
 /// sim-time cadence. See the module docs for the point semantics.
+///
+/// Series live with the per-metric cursor that feeds them, keyed by the
+/// metric name, so a scrape looks every metric up once, allocates only
+/// when it first sees one, and never builds a `<kind>:<metric>` string.
 pub struct SeriesScraper {
     config: ScrapeConfig,
     next_due_us: Option<u64>,
-    last_counters: BTreeMap<String, u64>,
-    last_hists: BTreeMap<String, HistCursor>,
-    series: BTreeMap<String, Series>,
+    rates: BTreeMap<String, RateCursor>,
+    gauges: BTreeMap<String, Series>,
+    hists: BTreeMap<String, HistCursor>,
     scrapes: u64,
 }
 
@@ -242,9 +262,9 @@ impl SeriesScraper {
         SeriesScraper {
             config,
             next_due_us: None,
-            last_counters: BTreeMap::new(),
-            last_hists: BTreeMap::new(),
-            series: BTreeMap::new(),
+            rates: BTreeMap::new(),
+            gauges: BTreeMap::new(),
+            hists: BTreeMap::new(),
             scrapes: 0,
         }
     }
@@ -258,70 +278,69 @@ impl SeriesScraper {
     /// Returns `true` when a scrape happened. The first call always
     /// scrapes (establishing the baseline window from zero).
     pub fn scrape(&mut self, telemetry: &Telemetry, now_us: u64) -> bool {
-        if let Some(due) = self.next_due_us {
-            if now_us < due {
-                return false;
-            }
+        if !self.due(now_us) {
+            return false;
         }
         self.next_due_us = Some(now_us + self.config.cadence_us);
         self.scrapes += 1;
 
-        let dropped_before = self.total_dropped();
         let capacity = self.config.capacity;
-        let series = &mut self.series;
-        let last_counters = &mut self.last_counters;
-        let last_hists = &mut self.last_hists;
+        let (rates, gauge_series, hists) = (&mut self.rates, &mut self.gauges, &mut self.hists);
+        let mut newly_dropped = 0u64;
+        let mut push = |series: &mut Series, value: i64| {
+            let before = series.dropped();
+            series.push(SeriesPoint {
+                at_us: now_us,
+                value,
+            });
+            newly_dropped += series.dropped() - before;
+        };
         telemetry.read(|counters, gauges, histograms| {
-            for (name, cum) in counters {
+            for (name, cum) in counters.iter() {
                 // The drop-accounting counter is written by the scraper
                 // itself *after* this read; tracking a series of it
                 // would only echo the scraper back at itself.
                 if name.starts_with("telemetry.series.") {
                     continue;
                 }
-                let prev = last_counters.insert(name.clone(), *cum).unwrap_or(0);
-                let delta = cum.saturating_sub(prev);
-                push_point(
-                    series,
-                    SeriesKind::Rate,
-                    name,
-                    now_us,
-                    delta as i64,
-                    capacity,
-                );
-            }
-            for (name, v) in gauges {
-                push_point(series, SeriesKind::Gauge, name, now_us, *v, capacity);
-            }
-            for (name, h) in histograms {
-                let cur = cursor_of(h);
-                let prev = last_hists.insert(name.clone(), cur.clone());
-                let (delta_buckets, delta_count) = match prev {
-                    Some(p) => {
-                        let mut d = [0u64; BUCKETS];
-                        for (i, slot) in d.iter_mut().enumerate() {
-                            *slot = cur.buckets[i].saturating_sub(p.buckets[i]);
-                        }
-                        (d, cur.count.saturating_sub(p.count))
-                    }
-                    None => (cur.buckets, cur.count),
+                let new = || RateCursor {
+                    last: 0,
+                    series: Series::new(SeriesKind::Rate, capacity),
                 };
-                if delta_count == 0 {
-                    continue; // no samples this window: no percentile point
-                }
-                for (kind, p) in [
-                    (SeriesKind::P50, 50),
-                    (SeriesKind::P95, 95),
-                    (SeriesKind::P99, 99),
-                ] {
-                    if let Some(v) = window_percentile(&delta_buckets, delta_count, p) {
-                        push_point(series, kind, name, now_us, v as i64, capacity);
+                with_entry(rates, name, new, |cursor| {
+                    let delta = cum.saturating_sub(cursor.last);
+                    cursor.last = cum;
+                    push(&mut cursor.series, delta as i64);
+                });
+            }
+            for (name, v) in gauges.iter() {
+                let new = || Series::new(SeriesKind::Gauge, capacity);
+                with_entry(gauge_series, name, new, |series| push(series, v));
+            }
+            for (name, h) in histograms.iter() {
+                let new = || HistCursor {
+                    buckets: [0; BUCKETS],
+                    count: 0,
+                    series: PERCENTILES.map(|(kind, _)| Series::new(kind, capacity)),
+                };
+                with_entry(hists, name, new, |cursor| {
+                    let mut delta = [0u64; BUCKETS];
+                    for (i, slot) in delta.iter_mut().enumerate() {
+                        *slot = h.bucket(i).saturating_sub(cursor.buckets[i]);
+                        cursor.buckets[i] = h.bucket(i);
                     }
-                }
+                    let delta_count = h.count().saturating_sub(cursor.count);
+                    cursor.count = h.count();
+                    // No samples this window: no percentile point.
+                    for (series, (_, p)) in cursor.series.iter_mut().zip(PERCENTILES) {
+                        if let Some(v) = window_percentile(&delta, delta_count, p) {
+                            push(series, v as i64);
+                        }
+                    }
+                });
             }
         });
 
-        let newly_dropped = self.total_dropped() - dropped_before;
         if newly_dropped > 0 {
             telemetry.add(DROPPED_POINTS, newly_dropped);
         }
@@ -330,33 +349,55 @@ impl SeriesScraper {
 
     /// The series named `<kind>:<metric>`, if it exists.
     pub fn series(&self, name: &str) -> Option<&Series> {
-        self.series.get(name)
+        let (prefix, metric) = name.split_once(':')?;
+        match prefix {
+            "rate" => self.rates.get(metric).map(|c| &c.series),
+            "gauge" => self.gauges.get(metric),
+            _ => {
+                let i = PERCENTILES.iter().position(|(k, _)| k.prefix() == prefix)?;
+                Some(&self.hists.get(metric)?.series[i])
+            }
+        }
     }
 
-    /// All series names, sorted.
-    pub fn series_names(&self) -> Vec<&str> {
-        self.series.keys().map(String::as_str).collect()
+    /// Every series with its metric name, sorted by `<kind>:<metric>`.
+    fn all(&self) -> impl Iterator<Item = (&str, &Series)> {
+        let gauges = self.gauges.iter().map(|(m, s)| (m.as_str(), s));
+        let percentiles = (0..PERCENTILES.len()).flat_map(move |i| {
+            self.hists
+                .iter()
+                .map(move |(m, c)| (m.as_str(), &c.series[i]))
+        });
+        let rates = self.rates.iter().map(|(m, c)| (m.as_str(), &c.series));
+        gauges.chain(percentiles).chain(rates)
+    }
+
+    /// All series names (`<kind>:<metric>`), sorted.
+    pub fn series_names(&self) -> Vec<String> {
+        self.all()
+            .map(|(metric, s)| format!("{}:{metric}", s.kind().prefix()))
+            .collect()
     }
 
     /// Number of distinct series.
     pub fn series_count(&self) -> usize {
-        self.series.len()
+        self.all().count()
     }
 
     /// Points currently retained across all series. Bounded by
     /// `series_count() * capacity` forever, regardless of run length.
     pub fn total_points(&self) -> usize {
-        self.series.values().map(Series::len).sum()
+        self.all().map(|(_, s)| s.len()).sum()
     }
 
     /// Points lost to compaction across all series, exactly.
     pub fn total_dropped(&self) -> u64 {
-        self.series.values().map(Series::dropped).sum()
+        self.all().map(|(_, s)| s.dropped()).sum()
     }
 
     /// Points ever appended across all series.
     pub fn total_appended(&self) -> u64 {
-        self.series.values().map(Series::appended).sum()
+        self.all().map(|(_, s)| s.appended()).sum()
     }
 
     /// Scrapes performed so far.
@@ -368,31 +409,6 @@ impl SeriesScraper {
     pub fn cadence_us(&self) -> u64 {
         self.config.cadence_us
     }
-}
-
-fn cursor_of(h: &Histogram) -> HistCursor {
-    let mut buckets = [0u64; BUCKETS];
-    for (i, c) in h.nonzero_buckets() {
-        buckets[i] = c;
-    }
-    HistCursor {
-        buckets,
-        count: h.count(),
-    }
-}
-
-fn push_point(
-    series: &mut BTreeMap<String, Series>,
-    kind: SeriesKind,
-    metric: &str,
-    at_us: u64,
-    value: i64,
-    capacity: usize,
-) {
-    series
-        .entry(format!("{}:{}", kind.prefix(), metric))
-        .or_insert_with(|| Series::new(kind, capacity))
-        .push(SeriesPoint { at_us, value });
 }
 
 #[cfg(test)]

@@ -241,7 +241,7 @@ fn scraper_drop_counter_is_exact_over_overflowing_run() {
     // 10:1 compaction: a full ring shrinks to ceil(capacity/10) points,
     // so each series holds at most capacity points forever.
     for name in scraper.series_names() {
-        let s = scraper.series(name).unwrap();
+        let s = scraper.series(&name).unwrap();
         assert!(s.len() <= s.capacity());
         assert_eq!(s.appended(), s.len() as u64 + s.dropped());
     }

@@ -15,6 +15,18 @@ use dosgi_telemetry::Telemetry;
 use std::collections::BTreeMap;
 use std::fmt;
 
+dosgi_telemetry::metrics! {
+    /// Instance lifecycle counters, resolved when a registry is attached.
+    struct Metrics {
+        counter adopted = "vosgi.lifecycle.adopted",
+        counter created = "vosgi.lifecycle.created",
+        counter destroyed = "vosgi.lifecycle.destroyed",
+        counter started = "vosgi.lifecycle.started",
+        counter stopped = "vosgi.lifecycle.stopped",
+        counter upgraded = "vosgi.lifecycle.upgraded",
+    }
+}
+
 /// Owns the host framework and every virtual instance on a node.
 ///
 /// Architecturally this is the bundle labelled *Instance Manager* in
@@ -29,7 +41,9 @@ pub struct InstanceManager {
     repo: BundleRepository,
     factory: ActivatorFactory,
     store: Option<SharedStore>,
+    // Kept to attach to instance frameworks created or adopted later.
     telemetry: Telemetry,
+    metrics: Metrics,
 }
 
 impl fmt::Debug for InstanceManager {
@@ -53,6 +67,7 @@ impl InstanceManager {
             factory,
             store: None,
             telemetry: Telemetry::disabled(),
+            metrics: Metrics::default(),
         }
     }
 
@@ -65,6 +80,7 @@ impl InstanceManager {
         for inst in self.instances.values_mut() {
             inst.framework.set_telemetry(telemetry.clone());
         }
+        self.metrics = Metrics::new(&telemetry);
         self.telemetry = telemetry;
     }
 
@@ -157,7 +173,7 @@ impl InstanceManager {
             let activator = self.factory.create(&manifest);
             fw.install(manifest, activator)?;
         }
-        self.telemetry.incr("vosgi.lifecycle.created");
+        self.metrics.created.incr();
         Ok(self.insert(descriptor, fw, InstanceState::Created))
     }
 
@@ -194,7 +210,7 @@ impl InstanceManager {
         } else {
             InstanceState::Stopped
         };
-        self.telemetry.incr("vosgi.lifecycle.adopted");
+        self.metrics.adopted.incr();
         Ok(self.insert(descriptor, fw, state))
     }
 
@@ -252,7 +268,7 @@ impl InstanceManager {
             }
         }
         inst.state = InstanceState::Running;
-        self.telemetry.incr("vosgi.lifecycle.started");
+        self.metrics.started.incr();
         Ok(())
     }
 
@@ -266,7 +282,7 @@ impl InstanceManager {
         let inst = self.instance_mut_impl(id)?;
         inst.framework.shutdown();
         inst.state = InstanceState::Stopped;
-        self.telemetry.incr("vosgi.lifecycle.stopped");
+        self.metrics.stopped.incr();
         Ok(())
     }
 
@@ -304,7 +320,7 @@ impl InstanceManager {
                 store.delete_namespace(&inst.descriptor.state_namespace())?;
             }
         }
-        self.telemetry.incr("vosgi.lifecycle.destroyed");
+        self.metrics.destroyed.incr();
         Ok(())
     }
 
@@ -394,7 +410,7 @@ impl InstanceManager {
             .find_bundle(symbolic_name)
             .ok_or_else(|| VosgiError::UnknownBundle(symbolic_name.to_owned()))?;
         let report = inst.framework.upgrade_bundle(bid, manifest, activator)?;
-        self.telemetry.incr("vosgi.lifecycle.upgraded");
+        self.metrics.upgraded.incr();
         Ok(report)
     }
 

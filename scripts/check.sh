@@ -16,6 +16,13 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> stand-alone benchmark package builds against the library API and passes its tests"
+# benchmark/ is frozen between benchmark-defining PRs, so an API change that
+# breaks it must fail here, before it fails the pipeline. It is a workspace
+# of its own; sharing this one's target directory spares a second cold build.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
+    cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
