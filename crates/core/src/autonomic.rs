@@ -141,10 +141,12 @@ impl AutonomicModule {
 
     /// True when an evaluation is due at `now`.
     pub fn due(&self, now: SimTime) -> bool {
-        match self.last {
-            None => true,
-            Some(at) => now.since(at) >= self.interval,
-        }
+        now >= self.next_due()
+    }
+
+    /// The instant from which [`due`](Self::due) holds.
+    pub fn next_due(&self) -> SimTime {
+        self.last.map_or(SimTime::ZERO, |at| at + self.interval)
     }
 
     /// Refreshes the blackboard from the monitoring module and evaluates

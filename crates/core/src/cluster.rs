@@ -75,15 +75,25 @@ dosgi_telemetry::metrics! {
 /// A simulated cluster of [`DosgiNode`]s sharing a SAN and a network.
 ///
 /// The driver advances simulated time in fixed ticks; at each tick the
-/// network delivers due messages, every live node runs its event loop, and
-/// the availability of every registered instance is probed into the
-/// [`SlaTracker`] — the downtime instrument behind experiments E5–E10.
+/// network delivers due messages, every live node is offered the tick (and
+/// takes it only if it has mail or a deadline has come), and the
+/// availability of every registered instance is accounted into the
+/// [`SlaTracker`] — the downtime instrument behind experiments E5–E10 —
+/// by probing when a placement may have changed and by extending the
+/// interval when none has.
 pub struct DosgiCluster {
     net: SimNet<Wire>,
     store: SharedStore,
     slots: Vec<Slot>,
     config: ClusterConfig,
     sla: SlaTracker,
+    // What the last full availability pass saw: the reference node and the
+    // sum of every node's placement epoch. `None` forces the next pass.
+    probed: Option<(usize, u64)>,
+    // The reference the differential test steps beside the real thing:
+    // every step ticks every live node in full and probes every record.
+    #[cfg(test)]
+    fixed_tick_reference: bool,
     events: Vec<(NodeId, NodeEvent)>,
     telemetry: Telemetry,
     metrics: Metrics,
@@ -166,6 +176,9 @@ impl DosgiCluster {
             slots,
             config,
             sla: SlaTracker::new(),
+            probed: None,
+            #[cfg(test)]
+            fixed_tick_reference: false,
             events: Vec::new(),
             metrics: Metrics::new(&telemetry),
             telemetry,
@@ -403,6 +416,7 @@ impl DosgiCluster {
     pub fn crash_node(&mut self, idx: usize) {
         if let Some(slot) = self.slots.get_mut(idx) {
             slot.alive = false;
+            self.probed = None;
             self.net.crash(NodeId(idx as u32));
         }
     }
@@ -425,6 +439,7 @@ impl DosgiCluster {
             node.set_recorder(slot.recorder.clone());
             slot.node = node;
             slot.alive = true;
+            self.probed = None;
         }
     }
 
@@ -466,13 +481,16 @@ impl DosgiCluster {
     // Client-side views
     // ------------------------------------------------------------------
 
-    // (These two take the slots, not `self`, so the step loop can probe
-    // into `self.sla` while it walks the registry.)
-    fn reference_registry(slots: &[Slot]) -> Option<&crate::ClusterRegistry> {
+    // (These take the slots, not `self`, so the step loop can probe into
+    // `self.sla` while it walks the registry.)
+    fn reference_node(slots: &[Slot]) -> Option<usize> {
         slots
             .iter()
-            .find(|s| s.alive && s.node.state() == NodeState::Running)
-            .map(|s| s.node.registry())
+            .position(|s| s.alive && s.node.state() == NodeState::Running)
+    }
+
+    fn reference_registry(slots: &[Slot]) -> Option<&crate::ClusterRegistry> {
+        Self::reference_node(slots).map(|i| slots[i].node.registry())
     }
 
     /// The live node `rec` is placed on, if any.
@@ -532,7 +550,7 @@ impl DosgiCluster {
         node.call_local(name, interface, method, arg)
     }
 
-    /// The SLA/availability tracker fed by per-tick probes.
+    /// The SLA/availability tracker, current to the last step.
     pub fn sla(&self) -> &SlaTracker {
         &self.sla
     }
@@ -557,8 +575,8 @@ impl DosgiCluster {
     // The driver loop
     // ------------------------------------------------------------------
 
-    /// Advances the cluster by `duration`, ticking every live node each
-    /// step and probing every registered instance's availability.
+    /// Advances the cluster by `duration`, one [`step`](Self::step) at a
+    /// time.
     pub fn run_for(&mut self, duration: SimDuration) {
         let end = self.net.now() + duration;
         while self.net.now() < end {
@@ -567,9 +585,16 @@ impl DosgiCluster {
     }
 
     /// One driver step: advance the network by one tick, tick the nodes,
-    /// collect events, probe availability — public so experiments can
-    /// interleave fine-grained actions with time.
+    /// collect events, account availability — public so experiments can
+    /// interleave fine-grained actions with time. A step in which no node
+    /// has mail or a deadline, no placement moved and no scrape is due does
+    /// nothing but advance the clock.
     pub fn step(&mut self) {
+        #[cfg(test)]
+        if self.fixed_tick_reference {
+            self.slots.iter_mut().for_each(|s| s.node.wake());
+            self.probed = None;
+        }
         self.net.advance(self.config.tick);
         let now = self.net.now();
         // Brown-out windows in an armed fault plan are defined in simulated
@@ -586,9 +611,10 @@ impl DosgiCluster {
                     // A release opens the cross-node handoff span; the
                     // matching Adopted (on the destination) closes it.
                     NodeEvent::Released { at, name, .. } => {
-                        let span = self
-                            .telemetry
-                            .span_enter(&format!("core.migration.handoff/{name}"), at.as_micros());
+                        let span = self.telemetry.span_enter(
+                            format_args!("core.migration.handoff/{name}"),
+                            at.as_micros(),
+                        );
                         self.handoff_spans.insert(name.clone(), span);
                     }
                     NodeEvent::Adopted { at, name, reason } => match reason {
@@ -607,13 +633,31 @@ impl DosgiCluster {
                 self.events.push((NodeId(i as u32), e));
             }
         }
-        // Availability probes (every record, every step: no allocation).
-        if let Some(registry) = Self::reference_registry(&self.slots) {
-            for rec in registry.records() {
-                let up =
-                    Self::live_home(&self.slots, rec).is_some_and(|n| n.probe_local(&rec.name));
-                self.sla.probe(&rec.name, now, up);
+        // Availability. A probe's answer is a function of the reference
+        // node's registry, slot liveness and each home's local instances,
+        // so while the stamp below stands still every answer does, and the
+        // tracker extends the interval instead of being told the same
+        // thing again. With no running node nobody is asked, as ever.
+        match Self::reference_node(&self.slots) {
+            Some(reference) => {
+                let epochs = self.slots.iter().map(|s| s.node.placement_epoch()).sum();
+                if self.probed == Some((reference, epochs)) {
+                    self.sla.extend_to(now);
+                } else {
+                    self.probed = Some((reference, epochs));
+                    let slots = &self.slots;
+                    let registry = slots[reference].node.registry();
+                    self.sla.observe(
+                        now,
+                        registry.records().map(|rec| {
+                            let home = Self::live_home(slots, rec);
+                            let up = home.is_some_and(|n| n.probe_local(&rec.name));
+                            (rec.name.as_str(), up)
+                        }),
+                    );
+                }
             }
+            None => self.probed = None,
         }
         // Continuous observability, on the scrape cadence: health gauges
         // first (so the scrape samples the fresh values), then the series
@@ -1011,6 +1055,279 @@ mod tests {
         // A healthy run fires nothing.
         assert_eq!(c.slo_engine().unwrap().firing_count(), 0);
         assert!(telemetry.alerts().is_empty());
+    }
+
+    /// One generated operator action of the differential test, on instance
+    /// and node numbers.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Deploy(usize, usize),
+        Migrate(usize, usize),
+        Undeploy(usize),
+        /// One request to every instance.
+        Calls,
+        Upgrade(usize),
+        Crash(usize),
+        /// Down for so many steps: 0–3 is inside the suspicion timeout
+        /// (nobody notices), 45 and up is outside it.
+        CrashRestart(usize, u64),
+        Restart(usize),
+        Shutdown(usize),
+        Isolate(usize),
+        Heal,
+        /// Loss rate on the link between two nodes.
+        LossyLink(usize, usize, f64),
+        SanFaults {
+            brownout_ms: u64,
+            io_error_rate: f64,
+            torn: f64,
+        },
+        ClearSanFaults,
+    }
+
+    const DIFF_NODES: usize = 4;
+    const DIFF_INSTANCES: usize = 5;
+
+    impl Op {
+        fn generate(rng: &mut dosgi_testkit::TestRng) -> Op {
+            let instance = rng.usize_in(0, DIFF_INSTANCES - 1);
+            let node = rng.usize_in(0, DIFF_NODES - 1);
+            let other = rng.usize_in(0, DIFF_NODES - 1);
+            match rng.u64_below(24) {
+                0..=3 => Op::Deploy(instance, node),
+                4 | 5 => Op::Migrate(instance, node),
+                6 => Op::Undeploy(instance),
+                7 => Op::Calls,
+                8 | 9 => Op::Deploy(instance | 1, node),
+                10 | 11 => Op::Upgrade(instance),
+                12 => Op::Crash(node),
+                13 | 14 => {
+                    Op::CrashRestart(node, [0, 2, 45 + rng.u64_below(80)][rng.usize_in(0, 2)])
+                }
+                15 => Op::Restart(node),
+                16 => Op::Shutdown(node),
+                17 => Op::Isolate(node),
+                18 => Op::Heal,
+                19 => Op::LossyLink(node, other, [0.0, 0.2, 1.0][rng.usize_in(0, 2)]),
+                20..=22 => Op::SanFaults {
+                    brownout_ms: rng.u64_in(0, 1_500),
+                    io_error_rate: [0.0, 0.4][rng.usize_in(0, 1)],
+                    torn: [0.0, 0.5][rng.usize_in(0, 1)],
+                },
+                _ => Op::ClearSanFaults,
+            }
+        }
+    }
+
+    fn diff_name(instance: usize) -> String {
+        format!("i{instance}")
+    }
+
+    /// Applies `op`, returning what the operator would see of it.
+    fn apply(c: &mut DosgiCluster, op: Op, seed: u64) -> String {
+        // Odd instances are write-through counters, even ones web handlers.
+        let counter = |i: usize| i % 2 == 1;
+        let mut seen = String::new();
+        match op {
+            Op::Deploy(instance, on) => {
+                let name = diff_name(instance);
+                let descriptor = if counter(instance) {
+                    workloads::counter_instance_with(&name, &name, workloads::COUNTER_WRITE_THROUGH)
+                } else {
+                    workloads::web_instance(&name, &name)
+                };
+                seen = format!("{:?}", c.deploy(descriptor, on));
+            }
+            Op::Migrate(instance, to) => {
+                seen = format!("{:?}", c.migrate(&diff_name(instance), to))
+            }
+            Op::Undeploy(instance) => seen = format!("{:?}", c.undeploy(&diff_name(instance))),
+            Op::Calls => {
+                let replies = (0..DIFF_INSTANCES).map(|instance| {
+                    let (interface, method) = if counter(instance) {
+                        (workloads::COUNTER_SERVICE, "incr")
+                    } else {
+                        (workloads::WEB_SERVICE, "handle")
+                    };
+                    c.call(&diff_name(instance), interface, method, &Value::Null)
+                });
+                seen = format!("{:?}", replies.collect::<Vec<_>>());
+            }
+            Op::Upgrade(instance) => {
+                let manifest = workloads::counter_manifest_at(
+                    workloads::COUNTER_WRITE_THROUGH,
+                    dosgi_osgi::Version::new(1, 1, 0),
+                );
+                seen = format!("{:?}", c.upgrade_bundle(&diff_name(instance), manifest));
+            }
+            Op::Crash(node) => c.crash_node(node),
+            Op::CrashRestart(node, steps) => {
+                c.crash_node(node);
+                (0..steps).for_each(|_| c.step());
+                c.restart_node(node);
+            }
+            Op::Restart(node) => {
+                if c.node(node).is_none() {
+                    c.restart_node(node);
+                }
+                seen = format!("{:?}", c.wake_node(node));
+            }
+            Op::Shutdown(node) => c.graceful_shutdown(node),
+            Op::Isolate(node) => {
+                let rest = (0..DIFF_NODES as u32).filter(|n| *n as usize != node);
+                c.partition(Partition::split([
+                    vec![NodeId(node as u32)],
+                    rest.map(NodeId).collect(),
+                ]));
+            }
+            Op::Heal => c.heal(),
+            Op::LossyLink(a, b, loss) => {
+                let link = LinkConfig::lossy(loss);
+                c.net_mut()
+                    .set_link(NodeId(a as u32), NodeId(b as u32), link);
+            }
+            Op::SanFaults {
+                brownout_ms,
+                io_error_rate,
+                torn,
+            } => {
+                let now = c.now();
+                c.set_fault_plan(
+                    dosgi_san::FaultPlan::flaky(io_error_rate, seed)
+                        .with_torn_writes(torn)
+                        .with_brownout(now, now + SimDuration::from_millis(brownout_ms)),
+                );
+            }
+            Op::ClearSanFaults => c.clear_faults(),
+        }
+        seen
+    }
+
+    fn differ<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        stepped: T,
+        reference: T,
+    ) -> Result<(), String> {
+        if stepped == reference {
+            Ok(())
+        } else {
+            Err(format!(
+                "{what}: step() has {stepped:?}, the reference {reference:?}"
+            ))
+        }
+    }
+
+    /// Everything of the two clusters an experiment could read, compared.
+    fn same_observables(
+        stepped: &mut DosgiCluster,
+        reference: &mut DosgiCluster,
+        seed: u64,
+    ) -> Result<(), String> {
+        differ("events", stepped.take_events(), reference.take_events())?;
+        let net = |c: &mut DosgiCluster| c.net_mut().stats();
+        differ("net stats", net(stepped), net(reference))?;
+        let census = |c: &DosgiCluster| (c.now(), c.running_nodes(), c.hibernated_nodes());
+        differ("node census", census(stepped), census(reference))?;
+        for i in 0..DIFF_NODES {
+            let of = |c: &DosgiCluster| {
+                c.node(i).map(|n| {
+                    (
+                        n.registry().export(),
+                        n.view().clone(),
+                        n.pending_adoptions().map(str::to_owned).collect::<Vec<_>>(),
+                        n.pending_upgrades(),
+                        n.monitor().report(),
+                    )
+                })
+            };
+            differ(&format!("node {i}"), of(stepped), of(reference))?;
+        }
+        same_sla_and_san(stepped, reference)?;
+        let snapshot = |c: &DosgiCluster| c.telemetry_snapshot("diff", seed).to_json();
+        differ("telemetry snapshot", snapshot(stepped), snapshot(reference))
+    }
+
+    /// What is cheap enough to compare in the middle of a stretch.
+    fn same_sla_and_san(stepped: &DosgiCluster, reference: &DosgiCluster) -> Result<(), String> {
+        let at = stepped.now();
+        let san = |c: &DosgiCluster| c.store().stats();
+        differ(&format!("SAN at {at}"), san(stepped), san(reference))?;
+        let tracked = |c: &DosgiCluster| c.sla().instances().len();
+        differ("tracked instances", tracked(stepped), tracked(reference))?;
+        for i in 0..DIFF_INSTANCES {
+            let name = diff_name(i);
+            let of = |c: &DosgiCluster| (c.sla().record(&name), c.probe(&name));
+            differ(&format!("{name} at {at}"), of(stepped), of(reference))?;
+        }
+        Ok(())
+    }
+
+    /// `step()` — nodes ticking only on mail or a deadline, availability
+    /// accounted in intervals — against the fixed-tick reference, seed for
+    /// seed, over generated operator sequences: everything observable is
+    /// equal after every operation, and the SLA records also in mid-stretch.
+    #[test]
+    fn step_equals_the_fixed_tick_reference() {
+        use dosgi_testkit::{prop, TestRng};
+
+        let cfg = prop::Config::with_cases(200);
+        let seeds = prop::u64s(0, u64::MAX);
+        prop::check_with(&cfg, "step_equals_reference", &seeds, |&seed| {
+            let mut rng = TestRng::new(seed);
+            let mut config = ClusterConfig {
+                link: LinkConfig::lossy([0.0, 0.0, 0.02, 0.1][rng.usize_in(0, 3)]),
+                ..ClusterConfig::default()
+            };
+            // Off the 50 ms grid the defaults share, so that each timer is the
+            // only thing waking a node for it.
+            let ms = SimDuration::from_millis;
+            config.node.sample_interval = ms([250, 35, 115][rng.usize_in(0, 2)]);
+            config.node.policy_interval = ms([500, 65, 185][rng.usize_in(0, 2)]);
+            if rng.chance(0.5) {
+                config.node.gcs = config.node.gcs.with_heartbeat(ms(35));
+            }
+            if rng.chance(0.3) {
+                // Idle nodes pack up and hibernate, highest rank first.
+                config.node.policy = Some(format!(
+                    "{}{}",
+                    crate::autonomic::DEFAULT_POLICY,
+                    crate::autonomic::CONSOLIDATION_POLICY
+                ));
+            }
+            let observed = rng.chance(0.5);
+            let new = |reference: bool| {
+                let mut c = DosgiCluster::new(DIFF_NODES, config.clone(), seed);
+                c.fixed_tick_reference = reference;
+                if observed {
+                    c.enable_observability(ScrapeConfig::default(), DosgiCluster::default_slos());
+                }
+                c
+            };
+            let (mut stepped, mut reference) = (new(false), new(true));
+            let steps = |c: &mut DosgiCluster, n: u64| (0..n).for_each(|_| c.step());
+            steps(&mut stepped, 100);
+            steps(&mut reference, 100);
+            for round in 0..14 {
+                let op = Op::generate(&mut rng);
+                let fail = |e: String| format!("round {round}, after {op:?}: {e}");
+                // The generated action, then (half the time) client traffic.
+                for op in [Some(op), rng.chance(0.5).then_some(Op::Calls)] {
+                    let Some(op) = op else { continue };
+                    let seen = apply(&mut stepped, op, seed);
+                    if seen != apply(&mut reference, op, seed) {
+                        return Err(fail(format!("the operator saw {seen}")));
+                    }
+                }
+                for _ in 0..rng.u64_in(1, 12) {
+                    let stretch = rng.u64_in(1, 17);
+                    steps(&mut stepped, stretch);
+                    steps(&mut reference, stretch);
+                    same_sla_and_san(&stepped, &reference).map_err(fail)?;
+                }
+                same_observables(&mut stepped, &mut reference, seed).map_err(fail)?;
+            }
+            Ok(())
+        });
     }
 
     #[test]

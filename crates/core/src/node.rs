@@ -87,6 +87,10 @@ impl Default for NodeConfig {
     }
 }
 
+/// How often a running node looks for instances stranded on departed
+/// homes (see `sweep_stranded`).
+const STRANDED_SWEEP_INTERVAL: SimDuration = SimDuration::from_millis(1_000);
+
 /// One cluster node: host OSGi framework + Instance Manager + Migration
 /// Module + Monitoring Module + Autonomic Module + GCS endpoint.
 pub struct DosgiNode {
@@ -105,6 +109,13 @@ pub struct DosgiNode {
     last_sample: Option<SimTime>,
     last_sweep: Option<SimTime>,
     hello_sent: bool,
+    // The wake deadline: a tick before it that finds the mailbox empty
+    // returns at once. Taken at the end of every full tick
+    // (`next_deadline`) and zeroed by every call that gives the next tick
+    // something to do (`wake`).
+    wake_at: SimTime,
+    // Bumped whenever the replicated registry is written.
+    registry_epoch: u64,
     store: SharedStore,
     pending_adoptions: Vec<PendingAdoption>,
     pending_upgrades: Vec<PendingUpgrade>,
@@ -247,6 +258,8 @@ impl DosgiNode {
             last_sample: None,
             last_sweep: None,
             hello_sent: false,
+            wake_at: SimTime::ZERO,
+            registry_epoch: 0,
             store,
             pending_adoptions: Vec::new(),
             pending_upgrades: Vec::new(),
@@ -309,7 +322,23 @@ impl DosgiNode {
 
     /// Mutable instance-manager access (tests and workload drivers).
     pub fn manager_mut(&mut self) -> &mut InstanceManager {
+        self.wake();
         &mut self.mgr
+    }
+
+    /// A counter that moves whenever this node's answer to "where is
+    /// instance X, and is it serving?" may have: the replicated registry was
+    /// written, or a local instance was created, adopted, started, stopped
+    /// or dropped. While it stands still on every node, so does every
+    /// availability probe — which is what lets the driver account for
+    /// availability in intervals instead of probing each step.
+    pub fn placement_epoch(&self) -> u64 {
+        self.registry_epoch + self.mgr.lifecycle_epoch()
+    }
+
+    /// The next tick runs in full, whatever the deadline said.
+    pub(crate) fn wake(&mut self) {
+        self.wake_at = SimTime::ZERO;
     }
 
     /// A lock-sharded read handle onto the host framework's service
@@ -386,7 +415,12 @@ impl DosgiNode {
             .mgr
             .find_by_name(name)
             .ok_or_else(|| CoreError::NotPlaced(name.to_owned()))?;
-        Ok(self.mgr.call_service(iid, interface, method, arg)?)
+        let reply = self.mgr.call_service(iid, interface, method, arg);
+        if self.mgr.persist_dirty() {
+            // A write-through failed; the tick retries it.
+            self.wake();
+        }
+        Ok(reply?)
     }
 
     // ------------------------------------------------------------------
@@ -404,6 +438,7 @@ impl DosgiNode {
         net: &mut impl Fabric<Wire>,
         now: SimTime,
     ) -> Result<(), CoreError> {
+        self.wake();
         let name = descriptor.name.clone();
         let value = descriptor.to_value();
         let iid = self.mgr.create_instance(descriptor)?;
@@ -453,6 +488,7 @@ impl DosgiNode {
         if self.mgr.find_by_name(name).is_none() {
             return Err(CoreError::NotPlaced(name.to_owned()));
         }
+        self.wake();
         let now_us = net.now().as_micros();
         let span = if parent.is_some() {
             self.recorder
@@ -485,6 +521,7 @@ impl DosgiNode {
             .mgr
             .find_by_name(name)
             .ok_or_else(|| CoreError::NotPlaced(name.to_owned()))?;
+        self.wake();
         let _ = self.mgr.stop_instance(iid);
         self.mgr.destroy_instance(iid, true)?;
         self.forget_monitored(name);
@@ -508,6 +545,7 @@ impl DosgiNode {
         if self.state != NodeState::Running {
             return;
         }
+        self.wake();
         self.state = NodeState::Draining;
         self.events.push(NodeEvent::Draining { at: now });
         let root = self.recorder.root("shutdown", now.as_micros());
@@ -551,14 +589,20 @@ impl DosgiNode {
     // ------------------------------------------------------------------
 
     /// Processes incoming messages, runs the failure detector, samples
-    /// usage and evaluates policies. The cluster driver calls this at every
-    /// simulation step.
+    /// usage and evaluates policies. The driver — the simulator's step or a
+    /// real-clock worker loop — calls this as often as it likes; a call
+    /// that finds no mail before the wake deadline returns at once, and is
+    /// one that would have done nothing.
     pub fn tick(&mut self, net: &mut impl Fabric<Wire>, now: SimTime) {
         if matches!(self.state, NodeState::Hibernated | NodeState::Stopped) {
             return;
         }
+        let inbox = net.drain(self.id);
+        if inbox.is_empty() && now < self.wake_at {
+            return;
+        }
         // Inbound messages → protocol engine.
-        for env in net.drain(self.id) {
+        for env in inbox {
             let mut t = FabricTransport::new(net, self.id);
             self.gcs.handle(&mut t, env.from, env.payload, now);
         }
@@ -593,6 +637,33 @@ impl DosgiNode {
         self.run_autonomic(net, now);
         self.sweep_stranded(net, now);
         self.check_drained(net, now);
+        self.wake_at = self.next_deadline(now);
+    }
+
+    /// The earliest instant at which a tick without mail may have something
+    /// to do, as things stand at the end of the tick at `now`: the group
+    /// endpoint's own deadline, the first queued adoption or upgrade to
+    /// come due, the next usage sample, policy evaluation and stranded
+    /// sweep. `now` — tick every time — while anything is in progress that
+    /// a tick advances by itself: a drain or hibernation waiting for the
+    /// node to empty, persistence waiting for the SAN to answer.
+    fn next_deadline(&self, now: SimTime) -> SimTime {
+        if self.state != NodeState::Running || self.hibernate_when_empty || self.mgr.persist_dirty()
+        {
+            return now;
+        }
+        let after = |last: Option<SimTime>, interval| last.map_or(now, |at| at + interval);
+        let mut at = self
+            .gcs
+            .next_deadline(now)
+            .min(after(self.last_sample, self.config.sample_interval))
+            .min(after(self.last_sweep, STRANDED_SWEEP_INTERVAL));
+        if let Some(autonomic) = &self.autonomic {
+            at = at.min(autonomic.next_due());
+        }
+        let queued = self.pending_adoptions.iter().map(|p| p.ready_at);
+        let queued = queued.chain(self.pending_upgrades.iter().map(|p| p.ready_at));
+        queued.fold(at, SimTime::min)
     }
 
     /// Write-behind convergence: lifecycle transitions never roll back on a
@@ -620,7 +691,7 @@ impl DosgiNode {
         }
         let due = self
             .last_sweep
-            .map(|at| now.since(at) >= SimDuration::from_millis(1_000))
+            .map(|at| now.since(at) >= STRANDED_SWEEP_INTERVAL)
             .unwrap_or(true);
         if !due {
             return;
@@ -792,6 +863,8 @@ impl DosgiNode {
         // Orphaned (an earlier claim may have been lost or overwritten):
         // the sweep retries until the registry converges.
         let mut orphans = self.registry.orphan_homes(left);
+        // (Marked `Orphaned`, they stop probing as available.)
+        self.registry_epoch += 1;
         orphans.extend(self.registry.orphans());
         orphans.sort();
         orphans.dedup();
@@ -840,6 +913,7 @@ impl DosgiNode {
         now: SimTime,
     ) {
         self.metrics.registry_ops.incr();
+        self.registry_epoch += 1;
         // Snapshot pre-application status for claim/adoption decisions.
         let prior_status = payload
             .instance()
@@ -1091,7 +1165,7 @@ impl DosgiNode {
         };
         let span = self
             .telemetry
-            .span_enter(&format!("core.adopt/{name}"), now.as_micros());
+            .span_enter(format_args!("core.adopt/{name}"), now.as_micros());
         let trace = match ctx {
             Some(c) => self
                 .recorder
@@ -1109,14 +1183,11 @@ impl DosgiNode {
     }
 
     fn process_pending_adoptions(&mut self, net: &mut impl Fabric<Wire>, now: SimTime) {
-        let due: Vec<PendingAdoption> = {
-            let (ready, rest): (Vec<_>, Vec<_>) = self
-                .pending_adoptions
-                .drain(..)
-                .partition(|p| p.ready_at <= now);
-            self.pending_adoptions = rest;
-            ready
-        };
+        // Nothing due: nothing moves and nothing is allocated.
+        let due: Vec<PendingAdoption> = self
+            .pending_adoptions
+            .extract_if(.., |p| p.ready_at <= now)
+            .collect();
         for p in due {
             // A queued adoption can be invalidated by messages ordered
             // *after* it was queued: a replayed snapshot may have enqueued
@@ -1232,6 +1303,7 @@ impl DosgiNode {
         let Some(iid) = self.mgr.find_by_name(name) else {
             return Err(CoreError::NotPlaced(name.to_owned()));
         };
+        self.wake();
         let sn = manifest.symbolic_name.to_string();
         let now_us = now.as_micros();
         let key = format!("{name}/{sn}");
@@ -1241,7 +1313,7 @@ impl DosgiNode {
         }
         let span = self
             .telemetry
-            .span_enter(&format!("core.upgrade/{name}"), now_us);
+            .span_enter(format_args!("core.upgrade/{name}"), now_us);
         let state_bytes = self
             .mgr
             .instance(iid)
@@ -1278,17 +1350,10 @@ impl DosgiNode {
     }
 
     fn process_pending_upgrades(&mut self, now: SimTime) {
-        if self.pending_upgrades.is_empty() {
-            return;
-        }
-        let due: Vec<PendingUpgrade> = {
-            let (ready, rest): (Vec<_>, Vec<_>) = self
-                .pending_upgrades
-                .drain(..)
-                .partition(|p| p.ready_at <= now);
-            self.pending_upgrades = rest;
-            ready
-        };
+        let due: Vec<PendingUpgrade> = self
+            .pending_upgrades
+            .extract_if(.., |p| p.ready_at <= now)
+            .collect();
         for p in due {
             let sn = p.manifest.symbolic_name.to_string();
             let key = format!("{}/{}", p.name, sn);

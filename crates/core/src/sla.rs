@@ -55,22 +55,48 @@ impl AvailabilityRecord {
     }
 }
 
-/// Tracks availability per instance from periodic boolean probes — the
-/// downtime instrument behind experiments E5–E9.
+/// Tracks availability per instance from boolean probes — the downtime
+/// instrument behind experiments E5–E9.
+///
+/// A probe attributes the interval since the previous one to the previous
+/// state, so a run of probes that all see the same state adds up to one
+/// probe at its end. The cluster driver leans on that: it probes every
+/// instance only when a placement may have changed
+/// ([`observe`](Self::observe)) and otherwise just moves the horizon
+/// ([`extend_to`](Self::extend_to)); [`record`](Self::record) settles the
+/// stretch in between on the fly, so every read equals what probing each
+/// step would have accumulated.
 #[derive(Debug, Clone, Default)]
 pub struct SlaTracker {
     tracked: BTreeMap<String, Tracked>,
+    // Every `live` record has been seen in its last state up to here.
+    horizon: SimTime,
 }
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Tracked {
     record: AvailabilityRecord,
     last: Option<(SimTime, bool)>,
     // Length so far of the outage in progress (zero while up).
     current_outage: SimDuration,
+    // Part of the latest `observe` pass: still accruing, up to the horizon.
+    live: bool,
 }
 
 impl Tracked {
+    fn observe(&mut self, now: SimTime, available: bool) {
+        self.probe(now, available);
+        self.live = true;
+    }
+
+    /// The stretch up to `at` in the last seen state, accounted for.
+    fn settled(mut self, at: SimTime) -> Self {
+        if let Some((then, state)) = self.last.filter(|_| self.live) {
+            self.probe(at.max(then), state);
+        }
+        self
+    }
+
     fn probe(&mut self, now: SimTime, available: bool) {
         let rec = &mut self.record;
         if let Some((then, was_up)) = self.last {
@@ -101,8 +127,6 @@ impl SlaTracker {
 
     /// Records a probe of `instance` at `now`. The interval since the
     /// previous probe is attributed to the *previous* observed state.
-    /// Called for every instance on every driver step, so the name is
-    /// copied only the first time an instance is seen.
     pub fn probe(&mut self, instance: &str, now: SimTime, available: bool) {
         if let Some(t) = self.tracked.get_mut(instance) {
             t.probe(now, available);
@@ -114,11 +138,41 @@ impl SlaTracker {
             .probe(now, available);
     }
 
+    /// One pass over everything there is to watch at `now`: each `(instance,
+    /// available)` is probed and keeps accruing in that state as the
+    /// horizon moves; an instance watched so far and absent from this pass
+    /// stops accruing where the previous pass or extension left it, as if
+    /// its probes had simply ceased. The name is copied only the first time
+    /// an instance is seen.
+    pub fn observe<'a>(&mut self, now: SimTime, probes: impl IntoIterator<Item = (&'a str, bool)>) {
+        for t in self.tracked.values_mut().filter(|t| t.live) {
+            *t = t.settled(self.horizon);
+            t.live = false;
+        }
+        for (instance, available) in probes {
+            match self.tracked.get_mut(instance) {
+                Some(t) => t.observe(now, available),
+                None => self
+                    .tracked
+                    .entry(instance.to_owned())
+                    .or_default()
+                    .observe(now, available),
+            }
+        }
+        self.horizon = now;
+    }
+
+    /// Nothing [`observe`](Self::observe) looks at has changed since the
+    /// last pass: the instances it saw are in the same state at `now`.
+    pub fn extend_to(&mut self, now: SimTime) {
+        self.horizon = now;
+    }
+
     /// The record for `instance` (zeroes if never probed).
     pub fn record(&self, instance: &str) -> AvailabilityRecord {
         self.tracked
             .get(instance)
-            .map(|t| t.record)
+            .map(|t| t.settled(self.horizon).record)
             .unwrap_or_default()
     }
 
@@ -186,6 +240,96 @@ mod tests {
             ..spec
         };
         assert!(!t.meets("a", &strict));
+    }
+
+    /// Runs `ticks` — per 5 ms tick, what each of `names` shows (`None`: not
+    /// in the registry) — through a tracker probed every tick and through
+    /// one that passes over the instances only when a tick differs from the
+    /// one before, reading every record after every tick.
+    fn lazy_equals_every_tick(names: &[&str], ticks: &[&[Option<bool>]]) -> SlaTracker {
+        let (mut every_tick, mut lazy) = (SlaTracker::new(), SlaTracker::new());
+        let mut previous: Option<&[Option<bool>]> = None;
+        for (i, &states) in ticks.iter().enumerate() {
+            let now = SimTime::from_millis(5 * (i as u64 + 1));
+            let seen = || {
+                names
+                    .iter()
+                    .zip(states)
+                    .filter_map(|(n, s)| s.map(|up| (*n, up)))
+            };
+            for (name, up) in seen() {
+                every_tick.probe(name, now, up);
+            }
+            if previous == Some(states) {
+                lazy.extend_to(now);
+            } else {
+                lazy.observe(now, seen());
+            }
+            previous = Some(states);
+            for name in names {
+                assert_eq!(
+                    lazy.record(name),
+                    every_tick.record(name),
+                    "{name} read after tick {i}"
+                );
+            }
+        }
+        assert_eq!(lazy.instances(), every_tick.instances());
+        lazy
+    }
+
+    #[test]
+    fn lazy_extension_equals_probing_every_tick() {
+        const UP: Option<bool> = Some(true);
+        const DOWN: Option<bool> = Some(false);
+        // Up, down, up again, with stretches in which nothing changes.
+        let mut ticks: Vec<&[Option<bool>]> = Vec::new();
+        ticks.extend([&[UP, UP][..]; 40]);
+        ticks.extend([&[DOWN, UP][..]; 30]);
+        ticks.extend([&[UP, UP][..]; 25]);
+        let t = lazy_equals_every_tick(&["a", "b"], &ticks);
+        assert_eq!(t.record("a").outages, 1);
+        assert_eq!(t.record("a").down, SimDuration::from_millis(150));
+        assert_eq!(t.record("b").down, SimDuration::ZERO);
+        assert_eq!(t.record("b").up, SimDuration::from_millis(5 * 94));
+    }
+
+    #[test]
+    fn longest_outage_spans_a_skipped_stretch() {
+        const UP: Option<bool> = Some(true);
+        const DOWN: Option<bool> = Some(false);
+        // `a` is down across a change that only concerns `b`, then across a
+        // long stretch nobody looks at, and is read in the middle of it.
+        let mut ticks: Vec<&[Option<bool>]> = Vec::new();
+        ticks.extend([&[UP, UP][..]; 3]);
+        ticks.extend([&[DOWN, UP][..]; 10]);
+        ticks.extend([&[DOWN, DOWN][..]; 200]);
+        ticks.extend([&[UP, DOWN][..]; 4]);
+        ticks.extend([&[DOWN, DOWN][..]; 7]);
+        let t = lazy_equals_every_tick(&["a", "b"], &ticks);
+        assert_eq!(t.record("a").outages, 2);
+        assert_eq!(
+            t.record("a").longest_outage,
+            SimDuration::from_millis(5 * 210)
+        );
+    }
+
+    #[test]
+    fn an_instance_undeployed_mid_stretch_stops_accruing_there() {
+        const UP: Option<bool> = Some(true);
+        const GONE: Option<bool> = None;
+        // `a` leaves the registry while `b` stays; later the name is used
+        // again, and the gap goes to the state `a` was last seen in.
+        let mut ticks: Vec<&[Option<bool>]> = Vec::new();
+        ticks.extend([&[UP, UP][..]; 20]);
+        ticks.extend([&[GONE, UP][..]; 50]);
+        let t = lazy_equals_every_tick(&["a", "b"], &ticks);
+        assert_eq!(t.record("a").up, SimDuration::from_millis(5 * 19));
+        assert_eq!(t.record("b").up, SimDuration::from_millis(5 * 69));
+        ticks.extend([&[Some(false), UP][..]; 10]);
+        ticks.extend([&[GONE, GONE][..]; 10]);
+        ticks.extend([&[UP, UP][..]; 10]);
+        lazy_equals_every_tick(&["a", "b"], &ticks);
     }
 
     #[test]

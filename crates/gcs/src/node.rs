@@ -3,7 +3,7 @@
 
 use crate::metrics::Metrics;
 use crate::{GcsConfig, GcsWire, Transport, View, ViewId};
-use dosgi_net::{NodeId, SimTime};
+use dosgi_net::{NodeId, SimDuration, SimTime};
 use dosgi_telemetry::{Telemetry, TraceContext};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -349,9 +349,120 @@ impl<A: Clone> GroupNode<A> {
             self.last_hb_sent = Some(now);
         }
 
-        // Suspicion: who do I currently believe is alive?
-        let alive = self.alive_set(now);
+        // Suspicion: who do I currently believe is alive? While that is
+        // exactly the view there is nothing to agree on.
+        if !self.alive_matches_view(now) {
+            self.propose_alive_set(t, now);
+        }
 
+        // Retry pending ordered messages (sequencer may have changed or a
+        // request may have been lost).
+        if !self.pending_orders.is_empty() {
+            let due = self
+                .pending_last_sent
+                .map(|at| now.since(at) >= self.config.order_resend)
+                .unwrap_or(true);
+            if due {
+                self.pending_last_sent = Some(now);
+                // Only the head of the queue goes out (per-origin FIFO).
+                let head = self
+                    .pending_orders
+                    .iter()
+                    .next()
+                    .map(|(&s, p)| (s, p.clone()));
+                if let (Some(seq), Some((origin_seq, (payload, trace)))) =
+                    (self.view.coordinator(), head)
+                {
+                    if seq == self.id {
+                        let inc = self.incarnation;
+                        self.assign_and_broadcast(t, self.id, inc, origin_seq, payload, trace);
+                    } else {
+                        t.send(
+                            seq,
+                            GcsWire::OrderRequest {
+                                incarnation: self.incarnation,
+                                origin_seq,
+                                payload,
+                                trace,
+                            },
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The earliest instant at which [`tick`](Self::tick) may have
+    /// something to do, provided no message is [`handle`](Self::handle)d
+    /// and nothing is sent before then: the next heartbeat, the moment the
+    /// first member falls silent for longer than the suspicion timeout, the
+    /// resend of an unsequenced order. Conservative — a tick at or after it
+    /// may still find nothing due — and `now` itself while membership is
+    /// unsettled (the live peers are not the view, or a proposal is open)
+    /// or events wait to be taken: agreement is a conversation, and a node
+    /// in one simply ticks every time.
+    pub fn next_deadline(&self, now: SimTime) -> SimTime {
+        if !self.events.is_empty() || self.proposal.is_some() || !self.alive_matches_view(now) {
+            return now;
+        }
+        let mut at = self
+            .last_hb_sent
+            .map_or(now, |sent| sent + self.config.heartbeat_interval);
+        // A member counts as alive up to and including `suspect_timeout` of
+        // silence (every member has been heard, or it would not be alive).
+        let suspect_after = self.config.suspect_timeout + SimDuration::from_micros(1);
+        for m in &self.view.members {
+            if let Some(&heard) = self.last_heard.get(m).filter(|_| *m != self.id) {
+                at = at.min(heard + suspect_after);
+            }
+        }
+        if !self.pending_orders.is_empty() {
+            at = at.min(
+                self.pending_last_sent
+                    .map_or(now, |sent| sent + self.config.order_resend),
+            );
+        }
+        at
+    }
+
+    fn is_alive(&self, p: NodeId, now: SimTime) -> bool {
+        p == self.id
+            || (!self.departed.contains(&p)
+                && self
+                    .last_heard
+                    .get(&p)
+                    .is_some_and(|&at| now.since(at) <= self.config.suspect_timeout))
+    }
+
+    /// `alive_set(now) == view.members`, without building the set.
+    fn alive_matches_view(&self, now: SimTime) -> bool {
+        let mut alive = 0;
+        for &p in &self.peers {
+            if self.is_alive(p, now) {
+                if !self.view.contains(p) {
+                    return false;
+                }
+                alive += 1;
+            }
+        }
+        alive == self.view.members.len()
+    }
+
+    fn alive_set(&self, now: SimTime) -> Vec<NodeId> {
+        let mut alive: Vec<NodeId> = self
+            .peers
+            .iter()
+            .filter(|&&p| self.is_alive(p, now))
+            .copied()
+            .collect();
+        alive.sort();
+        alive
+    }
+
+    /// The view-agreement half of the tick, entered while the live peers
+    /// differ from the view.
+    fn propose_alive_set(&mut self, t: &mut impl Transport<A>, now: SimTime) {
+        let alive = self.alive_set(now);
         // Proposer election: the lowest *live current member* proposes. A
         // freshly-(re)started outsider with a stale optimistic view must
         // not pre-empt the incumbent coordinator — otherwise a restarted
@@ -363,7 +474,7 @@ impl<A: Clone> GroupNode<A> {
             .find(|m| self.view.contains(**m))
             .or(alive.first())
             .copied();
-        if proposer == Some(self.id) && alive != self.view.members {
+        if proposer == Some(self.id) {
             let need_new = match &self.proposal {
                 Some(p) => p.view.members != alive,
                 None => true,
@@ -414,61 +525,6 @@ impl<A: Clone> GroupNode<A> {
             }
             self.try_commit(t);
         }
-
-        // Retry pending ordered messages (sequencer may have changed or a
-        // request may have been lost).
-        if !self.pending_orders.is_empty() {
-            let due = self
-                .pending_last_sent
-                .map(|at| now.since(at) >= self.config.order_resend)
-                .unwrap_or(true);
-            if due {
-                self.pending_last_sent = Some(now);
-                // Only the head of the queue goes out (per-origin FIFO).
-                let head = self
-                    .pending_orders
-                    .iter()
-                    .next()
-                    .map(|(&s, p)| (s, p.clone()));
-                if let (Some(seq), Some((origin_seq, (payload, trace)))) =
-                    (self.view.coordinator(), head)
-                {
-                    if seq == self.id {
-                        let inc = self.incarnation;
-                        self.assign_and_broadcast(t, self.id, inc, origin_seq, payload, trace);
-                    } else {
-                        t.send(
-                            seq,
-                            GcsWire::OrderRequest {
-                                incarnation: self.incarnation,
-                                origin_seq,
-                                payload,
-                                trace,
-                            },
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    fn alive_set(&self, now: SimTime) -> Vec<NodeId> {
-        let mut alive: Vec<NodeId> = self
-            .peers
-            .iter()
-            .filter(|&&p| {
-                p == self.id
-                    || (!self.departed.contains(&p)
-                        && self
-                            .last_heard
-                            .get(&p)
-                            .map(|&at| now.since(at) <= self.config.suspect_timeout)
-                            .unwrap_or(false))
-            })
-            .copied()
-            .collect();
-        alive.sort();
-        alive
     }
 
     fn send_proposal(&mut self, t: &mut impl Transport<A>) {
@@ -1046,6 +1102,9 @@ mod tests {
         net: Net,
         nodes: Vec<Node>,
         crashed: Vec<bool>,
+        // `Some`: tick a node only when it has mail or its deadline (taken
+        // after its last tick, zeroed by every call made on it) has come.
+        wake_at: Option<Vec<SimTime>>,
     }
 
     impl Cluster {
@@ -1060,6 +1119,18 @@ mod tests {
                 net,
                 nodes,
                 crashed: vec![false; n],
+                wake_at: None,
+            }
+        }
+
+        fn gated(mut self) -> Self {
+            self.wake_at = Some(vec![SimTime::ZERO; self.nodes.len()]);
+            self
+        }
+
+        fn wake(&mut self, i: usize) {
+            if let Some(wake_at) = &mut self.wake_at {
+                wake_at[i] = SimTime::ZERO;
             }
         }
 
@@ -1076,12 +1147,19 @@ mod tests {
                         continue;
                     }
                     let id = NodeId(i as u32);
-                    for env in self.net.drain(id) {
+                    let inbox = self.net.drain(id);
+                    if inbox.is_empty() && self.wake_at.as_ref().is_some_and(|w| now < w[i]) {
+                        continue;
+                    }
+                    for env in inbox {
                         let mut t = SimTransport::new(&mut self.net, id);
                         self.nodes[i].handle(&mut t, env.from, env.payload, now);
                     }
                     let mut t = SimTransport::new(&mut self.net, id);
                     self.nodes[i].tick(&mut t, now);
+                    if let Some(wake_at) = &mut self.wake_at {
+                        wake_at[i] = self.nodes[i].next_deadline(now);
+                    }
                 }
             }
         }
@@ -1097,6 +1175,7 @@ mod tests {
             self.net.restart(NodeId(i as u32));
             self.crashed[i] = false;
             self.nodes[i] = Node::new(NodeId(i as u32), ids, GcsConfig::lan(), self.net.now());
+            self.wake(i);
         }
 
         fn events(&mut self, i: usize) -> Vec<GcsEvent<u64>> {
@@ -1107,18 +1186,21 @@ mod tests {
             let id = NodeId(i as u32);
             let mut t = SimTransport::new(&mut self.net, id);
             self.nodes[i].broadcast(&mut t, payload);
+            self.wake(i);
         }
 
         fn order(&mut self, i: usize, payload: u64) {
             let id = NodeId(i as u32);
             let mut t = SimTransport::new(&mut self.net, id);
             self.nodes[i].order(&mut t, payload);
+            self.wake(i);
         }
 
         fn order_traced(&mut self, i: usize, payload: u64, trace: dosgi_telemetry::TraceContext) {
             let id = NodeId(i as u32);
             let mut t = SimTransport::new(&mut self.net, id);
             self.nodes[i].order_traced(&mut t, payload, Some(trace));
+            self.wake(i);
         }
     }
 
@@ -1827,6 +1909,96 @@ mod tests {
             }
             if c.nodes[0].ordered_buffer.len() != RETAINED_AT_QUIESCENCE {
                 return Err(format!("retained {}", c.nodes[0].ordered_buffer.len()));
+            }
+            Ok(())
+        });
+    }
+
+    /// Ticking a node only when it has mail or its deadline has come is the
+    /// same execution as ticking it every step: same events on every node
+    /// at every check, same traffic, same final views.
+    #[test]
+    fn ticking_on_mail_or_deadline_is_ticking_every_step() {
+        use dosgi_testkit::{prop, TestRng};
+
+        let cfg = prop::Config::with_cases(500);
+        let gen = prop::u64s(0, u64::MAX);
+        prop::check_with(&cfg, "gated_equals_ungated", &gen, |&seed| {
+            const N: usize = 4;
+            let mut rng = TestRng::new(seed);
+            let loss = [0.0, 0.0, 0.03, 0.1][rng.u64_below(4) as usize];
+            let new = || Cluster::new(N, LinkConfig::lossy(loss), GcsConfig::lan(), seed);
+            let mut pair = [new(), new().gated()];
+            let mut payload = 0;
+            for round in 0..14 {
+                let op = rng.u64_below(8);
+                let i = rng.u64_below(N as u64) as usize;
+                let j = rng.u64_below(N as u64) as usize;
+                let sends = 1 + rng.u64_below(3);
+                // Inside the suspicion timeout (nobody notices) or outside.
+                let down = [0, 40, 300 + rng.u64_below(400)][rng.u64_below(3) as usize];
+                let settle = 20 + rng.u64_below(600);
+                for c in &mut pair {
+                    let mut payload = payload;
+                    match op {
+                        0 | 1 => {
+                            for _ in 0..sends {
+                                payload += 1;
+                                c.order(i, payload);
+                            }
+                        }
+                        2 => {
+                            for _ in 0..sends {
+                                payload += 1;
+                                c.broadcast(i, payload);
+                            }
+                        }
+                        3 | 4 => {
+                            if !c.crashed[i] {
+                                c.crash(i);
+                                c.run(SimDuration::from_millis(down));
+                            }
+                            c.restart(i);
+                            c.order(i, payload + 1);
+                        }
+                        5 => c.net.partition(dosgi_net::Partition::split([
+                            (0..N as u32)
+                                .filter(|n| n % 2 == 0)
+                                .map(NodeId)
+                                .collect::<Vec<_>>(),
+                            (0..N as u32)
+                                .filter(|n| n % 2 == 1)
+                                .map(NodeId)
+                                .collect::<Vec<_>>(),
+                        ])),
+                        6 => c.net.heal(),
+                        _ => {
+                            let link = LinkConfig::lossy(if round % 2 == 0 { 1.0 } else { loss });
+                            c.net.set_link(NodeId(i as u32), NodeId(j as u32), link);
+                        }
+                    }
+                    c.run(SimDuration::from_millis(settle));
+                }
+                payload += 3;
+                let [every_step, gated] = &mut pair;
+                for n in 0..N {
+                    let (want, got) = (every_step.events(n), gated.events(n));
+                    if want != got {
+                        return Err(format!(
+                            "round {round} op {op}: node {n} every step {want:?}, gated {got:?}"
+                        ));
+                    }
+                    if every_step.nodes[n].view() != gated.nodes[n].view() {
+                        return Err(format!("round {round}: node {n} views differ"));
+                    }
+                }
+                if every_step.net.stats() != gated.net.stats() {
+                    return Err(format!(
+                        "round {round} op {op}: traffic {:?} vs {:?}",
+                        every_step.net.stats(),
+                        gated.net.stats()
+                    ));
+                }
             }
             Ok(())
         });

@@ -14,6 +14,8 @@ use dosgi_san::{SharedStore, StoreError, Value};
 use dosgi_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Framework construction parameters.
 #[derive(Debug, Clone)]
@@ -120,7 +122,53 @@ pub struct Framework {
     deleted_rows: BTreeSet<String>,
     /// Data areas whose SAN write-through failed; flush pending.
     dirty_areas: BTreeSet<String>,
+    /// This framework's entry in a [`DirtyCount`], kept equal to
+    /// [`persist_dirty`](Framework::persist_dirty) by every site that
+    /// changes one of the three sets above.
+    dirty_mark: DirtyMark,
     metrics: Metrics,
+}
+
+/// How many of the frameworks sharing this count have persistence pending
+/// (see [`Framework::persist_dirty`]): the instance manager's O(1) answer
+/// to "is there anything to flush?".
+#[derive(Debug, Clone, Default)]
+pub struct DirtyCount(Arc<AtomicUsize>);
+
+impl DirtyCount {
+    /// True if any framework counted here has persistence pending.
+    pub fn any(&self) -> bool {
+        // Relaxed: a tally read by the thread that owns the frameworks; it
+        // publishes no other data.
+        self.0.load(Ordering::Relaxed) != 0
+    }
+}
+
+/// One framework's contribution to a [`DirtyCount`]; withdrawn on drop, so
+/// a framework destroyed while dirty does not leave the count stuck.
+#[derive(Debug, Default)]
+struct DirtyMark {
+    count: DirtyCount,
+    counted: bool,
+}
+
+impl DirtyMark {
+    fn set(&mut self, dirty: bool) {
+        if dirty != self.counted {
+            self.counted = dirty;
+            if dirty {
+                self.count.0.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.count.0.fetch_sub(1, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
+impl Drop for DirtyMark {
+    fn drop(&mut self) {
+        self.set(false);
+    }
 }
 
 impl fmt::Debug for Framework {
@@ -156,6 +204,7 @@ impl Framework {
             dirty_rows: BTreeSet::new(),
             deleted_rows: BTreeSet::new(),
             dirty_areas: BTreeSet::new(),
+            dirty_mark: DirtyMark::default(),
             metrics: Metrics::default(),
         };
         fw.framework_events.push(FrameworkEvent::Started);
@@ -190,6 +239,21 @@ impl Framework {
     /// The persistence namespace, if a store is attached.
     pub fn store_namespace(&self) -> Option<&str> {
         self.store.as_ref().map(|(_, ns)| ns.as_str())
+    }
+
+    /// Counts this framework's pending persistence in `count` from now on
+    /// (instead of in a count of its own).
+    pub fn share_dirty_count(&mut self, count: &DirtyCount) {
+        self.dirty_mark = DirtyMark {
+            count: count.clone(),
+            counted: false,
+        };
+        self.sync_dirty_mark();
+    }
+
+    fn sync_dirty_mark(&mut self) {
+        let dirty = self.persist_dirty();
+        self.dirty_mark.set(dirty);
     }
 
     // ------------------------------------------------------------------
@@ -446,6 +510,7 @@ impl Framework {
             let key = persist::bundle_key(id);
             self.dirty_rows.remove(&key);
             self.deleted_rows.insert(key);
+            self.sync_dirty_mark();
         }
         let _ = self.persist();
         Ok(())
@@ -876,6 +941,7 @@ impl Framework {
                     // treat the call as durably acknowledged; the area is
                     // re-flushed by the node tick.
                     self.dirty_areas.insert(sn.clone());
+                    self.dirty_mark.set(true);
                     flush_err = Some(e);
                 }
             }
@@ -930,6 +996,7 @@ impl Framework {
         if let Some((store, ns)) = &self.store {
             if let Err(e) = store.put(&format!("{ns}/data/{sn}"), key, value) {
                 self.dirty_areas.insert(sn);
+                self.dirty_mark.set(true);
                 return Err(BundleError::Store(e));
             }
         }
@@ -1055,6 +1122,7 @@ impl Framework {
     fn mark_bundle_dirty(&mut self, id: BundleId) {
         if self.store.is_some() {
             self.dirty_rows.insert(persist::bundle_key(id));
+            self.dirty_mark.set(true);
         }
     }
 
@@ -1062,6 +1130,7 @@ impl Framework {
     fn mark_header_dirty(&mut self) {
         if self.store.is_some() {
             self.dirty_rows.insert(persist::HEADER_KEY.to_owned());
+            self.dirty_mark.set(true);
         }
     }
 
@@ -1079,6 +1148,7 @@ impl Framework {
             .map(|id| persist::bundle_key(*id))
             .collect();
         self.dirty_rows.extend(keys);
+        self.dirty_mark.set(true);
     }
 
     /// Writes the changed snapshot rows of the framework state to the
@@ -1101,7 +1171,9 @@ impl Framework {
         let Some((store, ns)) = self.store.clone() else {
             return Ok(());
         };
-        match self.persist_rows(&store, &ns) {
+        let outcome = self.persist_rows(&store, &ns);
+        self.sync_dirty_mark();
+        match outcome {
             Ok(()) => Ok(()),
             Err(e) => {
                 self.framework_events.push(FrameworkEvent::Error {
@@ -1167,26 +1239,38 @@ impl Framework {
     /// The first [`StoreError`] hit; [`persist_dirty`](Self::persist_dirty)
     /// remains true.
     pub fn flush_persist(&mut self) -> Result<(), StoreError> {
-        let Some((store, ns)) = self.store.clone() else {
+        if !self.persist_dirty() {
+            return Ok(());
+        }
+        if self.store.is_none() {
             self.dirty_rows.clear();
             self.deleted_rows.clear();
             self.dirty_areas.clear();
+            self.dirty_mark.set(false);
             return Ok(());
-        };
+        }
         if !self.dirty_rows.is_empty() || !self.deleted_rows.is_empty() {
             self.persist()?;
         }
-        let pending: Vec<String> = self.dirty_areas.iter().cloned().collect();
-        for sn in pending {
+        let outcome = self.flush_areas();
+        self.sync_dirty_mark();
+        outcome
+    }
+
+    fn flush_areas(&mut self) -> Result<(), StoreError> {
+        let Some((store, ns)) = &self.store else {
+            return Ok(());
+        };
+        while let Some(sn) = self.dirty_areas.first() {
             let entries: Vec<(String, Value)> = self
                 .data_areas
-                .get(&sn)
+                .get(sn)
                 .map(|a| a.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
                 .unwrap_or_default();
             // Rewriting the full area is the idempotent recovery for torn
             // batch writes as well as plain failures.
             store.put_many(&format!("{ns}/data/{sn}"), &entries)?;
-            self.dirty_areas.remove(&sn);
+            self.dirty_areas.pop_first();
         }
         Ok(())
     }
@@ -1846,19 +1930,33 @@ mod tests {
         let mut fw = Framework::new("a");
         fw.attach_store(store.clone(), "fw/a").unwrap();
         fw.install(log_manifest(), None).unwrap();
+        let count = DirtyCount::default();
+        fw.share_dirty_count(&count);
+        assert!(!count.any());
 
         // Brown-out: the lifecycle mutation proceeds in memory, the
         // snapshot write is deferred (write-behind).
         store.set_fault_plan(FaultPlan::none().with_brownout(SimTime::ZERO, SimTime::from_secs(5)));
         let app = fw.install(app_manifest(), None).unwrap();
         assert!(fw.persist_dirty());
+        assert!(count.any());
         assert!(fw.bundle_state(app).is_ok());
         assert!(fw.flush_persist().is_err(), "still browned out");
+        assert!(count.any());
+
+        // A second framework dirty under the same count, then dropped:
+        // its share goes with it.
+        let mut other = Framework::new("other");
+        other.share_dirty_count(&count);
+        assert!(other.attach_store(store.clone(), "fw/other").is_err());
+        drop(other);
+        assert!(count.any(), "the first framework is still dirty");
 
         // Heal, flush: durable state converges and restore sees both.
         store.set_now(SimTime::from_secs(5));
         fw.flush_persist().unwrap();
         assert!(!fw.persist_dirty());
+        assert!(!count.any());
         drop(fw);
         let fw2 = Framework::restore(
             FrameworkConfig::new("b"),
@@ -2052,10 +2150,18 @@ mod tests {
                     let ns = "prop/fw";
                     let mut fw = Framework::new(ns);
                     fw.attach_store(store.clone(), ns).expect("clean attach");
+                    let count = DirtyCount::default();
+                    fw.share_dirty_count(&count);
                     let mut oracle = Framework::new(ns);
                     for op in ops {
                         apply(&mut fw, &manifests, op, Some(&store));
                         apply(&mut oracle, &manifests, op, None);
+                        prop_verify!(
+                            count.any() == fw.persist_dirty(),
+                            "dirty count {} but persist_dirty {} after {op:?}",
+                            count.any(),
+                            fw.persist_dirty()
+                        );
                     }
                     store.faults().clear();
                     fw.flush_persist().expect("flush after heal");

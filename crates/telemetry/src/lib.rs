@@ -290,8 +290,9 @@ impl Telemetry {
     /// Open a span named `name` at simulated time `now_us`.
     ///
     /// The span's parent is the most recently opened still-open span.
-    /// Disabled handles return [`SpanId::NONE`].
-    pub fn span_enter(&self, name: &str, now_us: u64) -> SpanId {
+    /// Disabled handles return [`SpanId::NONE`] without formatting a
+    /// `format_args!` name.
+    pub fn span_enter(&self, name: impl MetricName, now_us: u64) -> SpanId {
         let Some(mut g) = self.lock() else {
             return SpanId::NONE;
         };
@@ -300,7 +301,7 @@ impl Telemetry {
         let parent = g.open.last().map(|s| s.id);
         g.open.push(LiveSpan {
             id,
-            name: name.to_owned(),
+            name: name.with_name(str::to_owned),
             start_us: now_us,
             parent,
         });
@@ -497,6 +498,9 @@ mod tests {
         t.gauge_handle(format_args!("g.{Unprintable}")).set(1);
         t.histogram_handle(format_args!("h.{Unprintable}"))
             .record(1);
+        let span = t.span_enter(format_args!("s/{Unprintable}"), 1);
+        assert_eq!(span, SpanId::NONE);
+        assert!(t.span_exit(span, 2));
         Counter::default().incr();
         Gauge::default().set(1);
         HistogramHandle::default().record(1);
@@ -562,7 +566,7 @@ mod tests {
     fn ring_overflow_drops_oldest_and_counts() {
         let t = Telemetry::with_span_capacity(2);
         for i in 0..4u64 {
-            let id = t.span_enter(&format!("s{i}"), i * 10);
+            let id = t.span_enter(format_args!("s{i}"), i * 10);
             assert!(t.span_exit(id, i * 10 + 1));
         }
         let snap = t.snapshot("s", 0);

@@ -7,8 +7,8 @@ use crate::{
 };
 use dosgi_net::{IpAddr, Port, SimDuration};
 use dosgi_osgi::{
-    ActivatorFactory, BundleId, ClassRef, Framework, FrameworkConfig, LoadError, LoadPath,
-    ServiceError, SymbolName, UpgradeReport, UsageSnapshot,
+    ActivatorFactory, BundleId, ClassRef, DirtyCount, Framework, FrameworkConfig, LoadError,
+    LoadPath, ServiceError, SymbolName, UpgradeReport, UsageSnapshot,
 };
 use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::Telemetry;
@@ -41,6 +41,11 @@ pub struct InstanceManager {
     repo: BundleRepository,
     factory: ActivatorFactory,
     store: Option<SharedStore>,
+    // Shared by the host and every instance framework.
+    dirty: DirtyCount,
+    // Bumped by everything that can change what an instance's
+    // `is_running` answers, or whether the instance is here at all.
+    lifecycle_epoch: u64,
     // Kept to attach to instance frameworks created or adopted later.
     telemetry: Telemetry,
     metrics: Metrics,
@@ -58,7 +63,9 @@ impl fmt::Debug for InstanceManager {
 impl InstanceManager {
     /// Creates a manager around `host`, using `repo` to resolve bundle
     /// names and `factory` to re-create activators.
-    pub fn new(host: Framework, repo: BundleRepository, factory: ActivatorFactory) -> Self {
+    pub fn new(mut host: Framework, repo: BundleRepository, factory: ActivatorFactory) -> Self {
+        let dirty = DirtyCount::default();
+        host.share_dirty_count(&dirty);
         InstanceManager {
             host,
             instances: BTreeMap::new(),
@@ -66,6 +73,8 @@ impl InstanceManager {
             repo,
             factory,
             store: None,
+            dirty,
+            lifecycle_epoch: 0,
             telemetry: Telemetry::disabled(),
             metrics: Metrics::default(),
         }
@@ -94,9 +103,12 @@ impl InstanceManager {
     /// Retries deferred (write-behind) persistence on the host framework
     /// and every instance framework: snapshots and data areas left dirty by
     /// transient SAN failures are re-flushed. Returns how many frameworks
-    /// are *still* dirty — zero means every durable copy is current. Cheap
-    /// when nothing is dirty; callers run it periodically.
+    /// are *still* dirty — zero means every durable copy is current. Returns
+    /// at once when nothing is dirty; callers run it periodically.
     pub fn flush_persist_all(&mut self) -> usize {
+        if !self.persist_dirty() {
+            return 0;
+        }
         let mut still_dirty = 0;
         if self.host.flush_persist().is_err() {
             still_dirty += 1;
@@ -107,6 +119,21 @@ impl InstanceManager {
             }
         }
         still_dirty
+    }
+
+    /// True while the host or any instance framework has persistence
+    /// pending ([`Framework::persist_dirty`]); a counter read, whatever the
+    /// number of instances.
+    pub fn persist_dirty(&self) -> bool {
+        self.dirty.any()
+    }
+
+    /// A counter that moves whenever an instance is created, adopted,
+    /// started, stopped or destroyed, or handed out mutably: while it
+    /// stands still, every instance's [`is_running`]
+    /// (VirtualInstance::is_running) answers what it answered before.
+    pub fn lifecycle_epoch(&self) -> u64 {
+        self.lifecycle_epoch
     }
 
     /// Read access to the host framework.
@@ -228,9 +255,11 @@ impl InstanceManager {
     fn insert(
         &mut self,
         descriptor: InstanceDescriptor,
-        framework: Framework,
+        mut framework: Framework,
         state: InstanceState,
     ) -> InstanceId {
+        framework.share_dirty_count(&self.dirty);
+        self.lifecycle_epoch += 1;
         let id = InstanceId(self.next);
         self.next += 1;
         self.instances.insert(
@@ -268,6 +297,7 @@ impl InstanceManager {
             }
         }
         inst.state = InstanceState::Running;
+        self.lifecycle_epoch += 1;
         self.metrics.started.incr();
         Ok(())
     }
@@ -282,6 +312,7 @@ impl InstanceManager {
         let inst = self.instance_mut_impl(id)?;
         inst.framework.shutdown();
         inst.state = InstanceState::Stopped;
+        self.lifecycle_epoch += 1;
         self.metrics.stopped.incr();
         Ok(())
     }
@@ -299,6 +330,7 @@ impl InstanceManager {
     /// `wipe_state`, a storage error means the instance is gone from this
     /// node but the durable wipe is outstanding.
     pub fn destroy_instance(&mut self, id: InstanceId, wipe_state: bool) -> Result<(), VosgiError> {
+        self.lifecycle_epoch += 1;
         let inst = self
             .instances
             .get_mut(&id)
@@ -615,6 +647,8 @@ impl InstanceManager {
 
     /// Mutable instance access.
     pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut VirtualInstance> {
+        // `state` is a public field.
+        self.lifecycle_epoch += 1;
         self.instances.get_mut(&id)
     }
 
@@ -770,18 +804,30 @@ mod tests {
     #[test]
     fn create_start_stop_destroy_cycle() {
         let mut mgr = manager();
+        let mut epoch = mgr.lifecycle_epoch();
+        let mut moved = |mgr: &InstanceManager| {
+            let before = std::mem::replace(&mut epoch, mgr.lifecycle_epoch());
+            epoch != before
+        };
         let id = mgr.create_instance(descriptor("a")).unwrap();
+        assert!(moved(&mgr));
         assert_eq!(mgr.instance(id).unwrap().state, InstanceState::Created);
         mgr.start_instance(id).unwrap();
+        assert!(moved(&mgr));
         assert!(mgr.instance(id).unwrap().is_running());
         // The customer bundle's own service works.
         let out = mgr
             .call_service(id, "org.cust.app.Api", "ping", &Value::Null)
             .unwrap();
         assert_eq!(out, Value::from("pong"));
+        assert!(!moved(&mgr), "a call changes no instance's state");
         mgr.stop_instance(id).unwrap();
+        assert!(moved(&mgr));
         assert_eq!(mgr.instance(id).unwrap().state, InstanceState::Stopped);
+        mgr.instance_mut(id).unwrap().state = InstanceState::Running;
+        assert!(moved(&mgr), "`state` is a public field");
         mgr.destroy_instance(id, true).unwrap();
+        assert!(moved(&mgr));
         assert!(mgr.instance(id).is_none());
         assert!(mgr.is_empty());
     }
@@ -1194,10 +1240,18 @@ mod tests {
         let mut mgr = manager();
         mgr.attach_store(store.clone());
         let id = mgr.create_instance(descriptor("a")).unwrap();
+        assert!(!mgr.persist_dirty());
         store.set_fault_plan(FaultPlan::none().with_brownout(SimTime::ZERO, SimTime::from_secs(5)));
+        mgr.start_instance(id).unwrap();
+        assert!(
+            mgr.persist_dirty(),
+            "the start's snapshot write is deferred"
+        );
+        assert_eq!(mgr.flush_persist_all(), 1);
         let err = mgr.destroy_instance(id, true).unwrap_err();
         assert!(err.is_transient_store(), "got {err:?}");
         assert!(mgr.instance(id).is_none(), "gone from the node regardless");
+        assert!(!mgr.persist_dirty(), "and its pending writes with it");
         // Durable state survives until a successful wipe — adoptable.
         store.set_now(SimTime::from_secs(5));
         assert!(mgr.adopt_instance(descriptor("a")).is_ok());

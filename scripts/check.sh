@@ -63,4 +63,11 @@ if cargo metadata --format-version 1 --offline \
   exit 1
 fi
 
+echo "==> committed results are reproduced byte for byte"
+# The steps above rewrote results/. Two files hold wall-clock numbers and
+# differ on every run; every other one is deterministic, so a fingerprint,
+# trace or telemetry snapshot that moved fails here.
+git diff --exit-code -- results/ \
+    ':(exclude)results/e13_throughput.txt' ':(exclude)results/telemetry_e13.json'
+
 echo "All checks passed."
