@@ -20,9 +20,9 @@
 //! `gcs.antientropy.rebased` counter non-zero (the sweep restarts nodes,
 //! and every rejoiner is re-based), the `gcs.order.retained` and
 //! `gcs.order.low_water` gauges present, and `gcs.order.resequenced` absent
-//! or zero (no ordered message was given a second position). The E13
-//! (real-clock throughput) and E16 (burn-rate alerting) snapshots must exist
-//! at all — those bins emit them by contract.
+//! or zero (no ordered message was given a second position). The E16
+//! (burn-rate alerting) snapshot must exist at all — that bin emits it by
+//! contract.
 //!
 //! Run after the bins that emit snapshots (the chaos sweep at minimum);
 //! `scripts/check.sh` wires it in. Exits non-zero listing every violation.
@@ -307,20 +307,12 @@ fn main() {
         std::process::exit(1);
     }
     let mut failed = false;
-    // These bins emit their snapshot by contract; absence means the
+    // This bin emits its snapshot by contract; absence means the
     // experiment ran without its instrumentation (or didn't run).
-    for required in ["telemetry_e13.json", "telemetry_e16.json"] {
-        if !snapshots.iter().any(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n == required)
-        }) {
-            failed = true;
-            println!(
-                "  BAD {}: required snapshot missing",
-                dir.join(required).display()
-            );
-        }
+    let required = dir.join("telemetry_e16.json");
+    if !snapshots.contains(&required) {
+        failed = true;
+        println!("  BAD {}: required snapshot missing", required.display());
     }
     for path in &snapshots {
         match check_file(path) {

@@ -19,20 +19,16 @@
 //! | `e9_replication` | §3.2 future work: context replication ablation |
 //! | `e10_autonomic` | §3.3/§4 SLA enforcement + consolidation |
 //!
-//! Run any of them with `cargo run -p dosgi-bench --release --bin <name>`;
-//! the `dosgi-testkit::bench` suites (`cargo bench -p dosgi-bench`) measure the
-//! corresponding wall-clock costs of the implementation itself.
-
-/// E13 wall-clock measurement harness (real-clock runtime throughput).
-pub mod e13;
+//! Run any of them with `cargo run -p dosgi-bench --release --bin <name>`.
+//! Wall-clock cost is measured in one place only, the stand-alone
+//! `benchmark/` package.
 
 use dosgi_telemetry::Telemetry;
 use std::fmt::Display;
 
 /// Snapshots `telemetry` as `results/telemetry_<label>.json` (under the
-/// workspace root, like the bench reports) and prints the path. Benches
-/// treat snapshot I/O as best-effort: a read-only checkout still runs the
-/// experiment.
+/// workspace root) and prints the path. Experiment bins treat snapshot I/O
+/// as best-effort: a read-only checkout still runs the experiment.
 pub fn write_telemetry_snapshot(telemetry: &Telemetry, label: &str, seed: u64) {
     let dir = dosgi_testkit::workspace_root().join("results");
     match std::fs::create_dir_all(&dir)

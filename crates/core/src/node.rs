@@ -7,7 +7,7 @@ use crate::placement::PlacementPolicy;
 use crate::registry::{ClusterRegistry, InstanceStatus};
 use crate::workloads;
 use crate::CoreError;
-use dosgi_gcs::{FabricTransport, GcsConfig, GcsEvent, GcsWire, GroupNode};
+use dosgi_gcs::{GcsConfig, GcsEvent, GcsWire, GroupNode};
 use dosgi_monitor::{MonitoringModule, NodeCapacity};
 use dosgi_net::{Fabric, NodeId, SimDuration, SimTime};
 use dosgi_osgi::{BundleManifest, Framework};
@@ -443,7 +443,7 @@ impl DosgiNode {
         let value = descriptor.to_value();
         let iid = self.mgr.create_instance(descriptor)?;
         self.mgr.start_instance(iid)?;
-        self.order(
+        self.gcs.order(
             net,
             AppPayload::Deployed {
                 name: name.clone(),
@@ -497,7 +497,7 @@ impl DosgiNode {
             self.recorder.root(&format!("migrate/{name}"), now_us)
         };
         let ctx = self.recorder.context(span);
-        self.order_traced(
+        self.gcs.order_traced(
             net,
             AppPayload::Migrate {
                 name: name.to_owned(),
@@ -529,7 +529,7 @@ impl DosgiNode {
         if let Some(a) = &mut self.autonomic {
             a.forget(name);
         }
-        self.order(
+        self.gcs.order(
             net,
             AppPayload::Undeployed {
                 name: name.to_owned(),
@@ -551,7 +551,8 @@ impl DosgiNode {
         let root = self.recorder.root("shutdown", now.as_micros());
         self.lifecycle_trace = root;
         let ctx = self.recorder.context(root);
-        self.order_traced(net, AppPayload::Draining { node: self.id }, ctx);
+        self.gcs
+            .order_traced(net, AppPayload::Draining { node: self.id }, ctx);
         self.migrate_all_local(net, root);
     }
 
@@ -603,13 +604,9 @@ impl DosgiNode {
         }
         // Inbound messages → protocol engine.
         for env in inbox {
-            let mut t = FabricTransport::new(net, self.id);
-            self.gcs.handle(&mut t, env.from, env.payload, now);
+            self.gcs.handle(net, env.from, env.payload, now);
         }
-        {
-            let mut t = FabricTransport::new(net, self.id);
-            self.gcs.tick(&mut t, now);
-        }
+        self.gcs.tick(net, now);
         // Protocol events → migration/failover logic.
         for event in self.gcs.take_events() {
             self.on_gcs_event(event, net, now);
@@ -622,7 +619,7 @@ impl DosgiNode {
             // degenerates to a full snapshot — same convergence, fewer
             // bytes whenever the sender already holds current records.
             let digest = self.registry.digest();
-            self.order(
+            self.gcs.order(
                 net,
                 AppPayload::Hello {
                     node: self.id,
@@ -748,7 +745,7 @@ impl DosgiNode {
             .collect();
         for name in healable {
             let ctx = self.claim_context(&name, "heal", net.now().as_micros());
-            self.order_traced(
+            self.gcs.order_traced(
                 net,
                 AppPayload::Adopted {
                     name,
@@ -773,21 +770,6 @@ impl DosgiNode {
             }
         };
         self.recorder.context(span)
-    }
-
-    fn order(&mut self, net: &mut impl Fabric<Wire>, payload: AppPayload) {
-        let mut t = FabricTransport::new(net, self.id);
-        self.gcs.order(&mut t, payload);
-    }
-
-    fn order_traced(
-        &mut self,
-        net: &mut impl Fabric<Wire>,
-        payload: AppPayload,
-        ctx: Option<TraceContext>,
-    ) {
-        let mut t = FabricTransport::new(net, self.id);
-        self.gcs.order_traced(&mut t, payload, ctx);
     }
 
     fn on_gcs_event(
@@ -830,7 +812,8 @@ impl DosgiNode {
                     self.metrics
                         .registry_sync_bytes
                         .add(snapshot.encoded_len() as u64);
-                    self.order(net, AppPayload::RegistrySync { registry: snapshot });
+                    self.gcs
+                        .order(net, AppPayload::RegistrySync { registry: snapshot });
                 }
                 let effective_universe = self.gcs.universe() - self.departed_peers.len();
                 if !left.is_empty() && view.has_majority(effective_universe) {
@@ -892,7 +875,7 @@ impl DosgiNode {
                     .map(|r| r.home)
                     .unwrap_or(self.id);
                 let ctx = self.claim_context(&name, "failover", net.now().as_micros());
-                self.order_traced(
+                self.gcs.order_traced(
                     net,
                     AppPayload::Adopted {
                         name,
@@ -990,7 +973,8 @@ impl DosgiNode {
                         self.metrics
                             .registry_delta_bytes
                             .add((upserts.encoded_len() + removes.encoded_len()) as u64);
-                        self.order(net, AppPayload::RegistryDelta { upserts, removes });
+                        self.gcs
+                            .order(net, AppPayload::RegistryDelta { upserts, removes });
                     }
                 }
             }
@@ -1120,7 +1104,7 @@ impl DosgiNode {
         // trace_check's adopt-before-release detector leans on.
         self.recorder.end(rel, now_us);
         let released_ctx = self.recorder.context(rel);
-        self.order_traced(
+        self.gcs.order_traced(
             net,
             AppPayload::Released {
                 name: name.to_owned(),
@@ -1500,7 +1484,7 @@ impl DosgiNode {
             // where the causal chain ended.
             let ctx = self.recorder.context(p.trace);
             self.recorder.end(p.trace, now.as_micros());
-            self.order_traced(
+            self.gcs.order_traced(
                 net,
                 AppPayload::Quarantined {
                     name: p.name,
@@ -1651,7 +1635,8 @@ impl DosgiNode {
                 let root = self.recorder.root("hibernate", now.as_micros());
                 self.lifecycle_trace = root;
                 let ctx = self.recorder.context(root);
-                self.order_traced(net, AppPayload::Draining { node: self.id }, ctx);
+                self.gcs
+                    .order_traced(net, AppPayload::Draining { node: self.id }, ctx);
                 self.migrate_all_local(net, root);
             }
             PolicyAction::Custom { name, .. } if name == "migrate_all" => {
@@ -1673,8 +1658,7 @@ impl DosgiNode {
     }
 
     fn hibernate(&mut self, net: &mut impl Fabric<Wire>, now: SimTime) {
-        let mut t = FabricTransport::new(net, self.id);
-        self.gcs.leave(&mut t);
+        self.gcs.leave(net);
         self.state = NodeState::Hibernated;
         self.recorder.end(self.lifecycle_trace, now.as_micros());
         self.lifecycle_trace = TraceRef::NONE;
@@ -1686,8 +1670,7 @@ impl DosgiNode {
         // sequenced would strand the instances we just handed off.
         let flushed = self.gcs.pending_orders() == 0;
         if self.state == NodeState::Draining && self.mgr.is_empty() && flushed {
-            let mut t = FabricTransport::new(net, self.id);
-            self.gcs.leave(&mut t);
+            self.gcs.leave(net);
             self.state = NodeState::Stopped;
             self.recorder.end(self.lifecycle_trace, now.as_micros());
             self.lifecycle_trace = TraceRef::NONE;

@@ -31,15 +31,10 @@
 mod config;
 mod metrics;
 mod node;
-mod transport;
 mod view;
 pub mod wire;
 
 pub use config::GcsConfig;
 pub use node::{GcsEvent, GroupNode, RETAINED_AT_QUIESCENCE};
-pub use transport::{FabricTransport, FrameTransport, SimTransport, Transport};
 pub use view::{View, ViewId};
-pub use wire::{
-    decode_frame, decode_frame_borrowed, decode_frame_with, encode_frame, encode_frame_at,
-    encode_frame_into, encode_frame_into_at, GcsWire, WIRE_VERSION,
-};
+pub use wire::{decode_frame, encode_frame, GcsWire, WIRE_VERSION};

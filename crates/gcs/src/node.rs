@@ -2,8 +2,8 @@
 //! reliable FIFO broadcast and sequencer-based total order.
 
 use crate::metrics::Metrics;
-use crate::{GcsConfig, GcsWire, Transport, View, ViewId};
-use dosgi_net::{NodeId, SimDuration, SimTime};
+use crate::{GcsConfig, GcsWire, View, ViewId};
+use dosgi_net::{Fabric, NodeId, SimDuration, SimTime};
 use dosgi_telemetry::{Telemetry, TraceContext};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -235,13 +235,14 @@ impl<A: Clone> GroupNode<A> {
 
     /// Reliable-FIFO broadcast to the current view (self-delivery is
     /// immediate).
-    pub fn broadcast(&mut self, t: &mut impl Transport<A>, payload: A) {
+    pub fn broadcast(&mut self, net: &mut impl Fabric<GcsWire<A>>, payload: A) {
         self.metrics.fifo_sent.incr();
         self.send_seq += 1;
         self.send_buffer.insert(self.send_seq, payload.clone());
         for &m in &self.view.members {
             if m != self.id {
-                t.send(
+                net.send(
+                    self.id,
                     m,
                     GcsWire::Data {
                         seq: self.send_seq,
@@ -264,8 +265,8 @@ impl<A: Clone> GroupNode<A> {
     /// outstanding: later messages queue locally until the head is
     /// sequenced (ordering traffic is low-rate control-plane traffic, so
     /// the extra round trip is immaterial).
-    pub fn order(&mut self, t: &mut impl Transport<A>, payload: A) {
-        self.order_traced(t, payload, None);
+    pub fn order(&mut self, net: &mut impl Fabric<GcsWire<A>>, payload: A) {
+        self.order_traced(net, payload, None);
     }
 
     /// [`order`](Self::order) with a causal [`TraceContext`] that rides
@@ -273,7 +274,7 @@ impl<A: Clone> GroupNode<A> {
     /// never alters ordering behaviour.
     pub fn order_traced(
         &mut self,
-        t: &mut impl Transport<A>,
+        net: &mut impl Fabric<GcsWire<A>>,
         payload: A,
         trace: Option<TraceContext>,
     ) {
@@ -288,9 +289,10 @@ impl<A: Clone> GroupNode<A> {
         }
         if self.is_coordinator() {
             let inc = self.incarnation;
-            self.assign_and_broadcast(t, self.id, inc, origin_seq, payload, trace);
+            self.assign_and_broadcast(net, self.id, inc, origin_seq, payload, trace);
         } else if let Some(seq) = self.view.coordinator() {
-            t.send(
+            net.send(
+                self.id,
                 seq,
                 GcsWire::OrderRequest {
                     incarnation: self.incarnation,
@@ -304,10 +306,10 @@ impl<A: Clone> GroupNode<A> {
 
     /// Announces a graceful departure (the paper's normal-shutdown path):
     /// peers exclude this node without waiting for suspicion.
-    pub fn leave(&mut self, t: &mut impl Transport<A>) {
+    pub fn leave(&mut self, net: &mut impl Fabric<GcsWire<A>>) {
         for &m in &self.peers {
             if m != self.id {
-                t.send(m, GcsWire::Leave);
+                net.send(self.id, m, GcsWire::Leave);
             }
         }
     }
@@ -318,7 +320,7 @@ impl<A: Clone> GroupNode<A> {
 
     /// Runs heartbeats, suspicion, view proposal and retransmission timers.
     /// Call at least once per heartbeat interval.
-    pub fn tick(&mut self, t: &mut impl Transport<A>, now: SimTime) {
+    pub fn tick(&mut self, net: &mut impl Fabric<GcsWire<A>>, now: SimTime) {
         // Heartbeats.
         let due = self
             .last_hb_sent
@@ -333,7 +335,8 @@ impl<A: Clone> GroupNode<A> {
                 .unwrap_or(0);
             for &m in &self.peers {
                 if m != self.id {
-                    t.send(
+                    net.send(
+                        self.id,
                         m,
                         GcsWire::Heartbeat {
                             sent: self.send_seq,
@@ -352,7 +355,7 @@ impl<A: Clone> GroupNode<A> {
         // Suspicion: who do I currently believe is alive? While that is
         // exactly the view there is nothing to agree on.
         if !self.alive_matches_view(now) {
-            self.propose_alive_set(t, now);
+            self.propose_alive_set(net, now);
         }
 
         // Retry pending ordered messages (sequencer may have changed or a
@@ -375,9 +378,10 @@ impl<A: Clone> GroupNode<A> {
                 {
                     if seq == self.id {
                         let inc = self.incarnation;
-                        self.assign_and_broadcast(t, self.id, inc, origin_seq, payload, trace);
+                        self.assign_and_broadcast(net, self.id, inc, origin_seq, payload, trace);
                     } else {
-                        t.send(
+                        net.send(
+                            self.id,
                             seq,
                             GcsWire::OrderRequest {
                                 incarnation: self.incarnation,
@@ -461,7 +465,7 @@ impl<A: Clone> GroupNode<A> {
 
     /// The view-agreement half of the tick, entered while the live peers
     /// differ from the view.
-    fn propose_alive_set(&mut self, t: &mut impl Transport<A>, now: SimTime) {
+    fn propose_alive_set(&mut self, net: &mut impl Fabric<GcsWire<A>>, now: SimTime) {
         let alive = self.alive_set(now);
         // Proposer election: the lowest *live current member* proposes. A
         // freshly-(re)started outsider with a stale optimistic view must
@@ -521,23 +525,20 @@ impl<A: Clone> GroupNode<A> {
                     acks,
                     last_sent: now,
                 });
-                self.send_proposal(t);
+                self.send_proposal(net);
             }
-            self.try_commit(t);
+            self.try_commit(net);
         }
     }
 
-    fn send_proposal(&mut self, t: &mut impl Transport<A>) {
+    fn send_proposal(&mut self, net: &mut impl Fabric<GcsWire<A>>) {
         if let Some(p) = &self.proposal {
-            // One clone to build the message; byte transports serialize it
-            // once for the whole broadcast (`send_all`), typed transports
-            // clone per recipient exactly as the old per-member loop did.
             let msg = GcsWire::ViewPropose(p.view.clone());
-            t.send_all(&p.view.members, self.id, &msg);
+            send_all(net, self.id, &p.view.members, &msg);
         }
     }
 
-    fn try_commit(&mut self, t: &mut impl Transport<A>) {
+    fn try_commit(&mut self, net: &mut impl Fabric<GcsWire<A>>) {
         let ready = self
             .proposal
             .as_ref()
@@ -549,7 +550,7 @@ impl<A: Clone> GroupNode<A> {
             let GcsWire::ViewCommit(view_ref) = &msg else {
                 unreachable!()
             };
-            t.send_all(&view_ref.members, self.id, &msg);
+            send_all(net, self.id, &view_ref.members, &msg);
             let GcsWire::ViewCommit(view) = msg else {
                 unreachable!()
             };
@@ -564,7 +565,7 @@ impl<A: Clone> GroupNode<A> {
     /// Processes one incoming wire message.
     pub fn handle(
         &mut self,
-        t: &mut impl Transport<A>,
+        net: &mut impl Fabric<GcsWire<A>>,
         from: NodeId,
         msg: GcsWire<A>,
         now: SimTime,
@@ -592,7 +593,7 @@ impl<A: Clone> GroupNode<A> {
                 // concurrent pushes are harmless.
                 if view < self.view.id && self.view.contains(from) {
                     self.metrics.antientropy_view_repairs.incr();
-                    t.send(from, GcsWire::ViewCommit(self.view.clone()));
+                    net.send(self.id, from, GcsWire::ViewCommit(self.view.clone()));
                 }
                 // A changed incarnation means the peer truly restarted:
                 // its streams begin again at 1. (Suspicion flaps keep the
@@ -638,17 +639,17 @@ impl<A: Clone> GroupNode<A> {
                     if nack_due {
                         self.last_nack.insert(from, now);
                         self.metrics.antientropy_nacks.incr();
-                        t.send(from, GcsWire::Nack { from_seq: next });
+                        net.send(self.id, from, GcsWire::Nack { from_seq: next });
                     }
                 }
                 // Same for the ordered stream, against the sequencer.
                 if Some(from) == self.view.coordinator() && ordered >= self.expected_gseq {
-                    self.request_ordered_replay(t, from, now);
+                    self.request_ordered_replay(net, from, now);
                 }
             }
             GcsWire::OrderedReplayRequest { from_gseq } => {
                 if self.is_coordinator() {
-                    self.replay_ordered(t, from, from_gseq);
+                    self.replay_ordered(net, from, from_gseq);
                 }
             }
             GcsWire::OrderedRebase { base } => {
@@ -680,7 +681,8 @@ impl<A: Clone> GroupNode<A> {
                         } else {
                             0
                         };
-                    t.send(
+                    net.send(
+                        self.id,
                         view.id.proposer,
                         GcsWire::ViewAck {
                             id: view.id,
@@ -699,17 +701,18 @@ impl<A: Clone> GroupNode<A> {
                         }
                     }
                 }
-                self.try_commit(t);
+                self.try_commit(net);
             }
             GcsWire::ViewCommit(view) => {
                 if view.id > self.view.id {
                     self.install_view(view);
                 }
             }
-            GcsWire::Data { seq, payload } => self.handle_data(t, from, seq, payload, now),
+            GcsWire::Data { seq, payload } => self.handle_data(net, from, seq, payload, now),
             GcsWire::Nack { from_seq } => {
                 for (&seq, payload) in self.send_buffer.range(from_seq..) {
-                    t.send(
+                    net.send(
+                        self.id,
                         from,
                         GcsWire::Data {
                             seq,
@@ -725,7 +728,7 @@ impl<A: Clone> GroupNode<A> {
                 trace,
             } => {
                 if self.is_coordinator() {
-                    self.assign_and_broadcast(t, from, incarnation, origin_seq, payload, trace);
+                    self.assign_and_broadcast(net, from, incarnation, origin_seq, payload, trace);
                 }
                 // Otherwise: stale request to an ex-coordinator; the origin
                 // will retry against the new one.
@@ -738,7 +741,7 @@ impl<A: Clone> GroupNode<A> {
                 payload,
                 trace,
             } => self.handle_ordered(
-                t, from, gseq, origin, origin_inc, origin_seq, payload, trace, now,
+                net, from, gseq, origin, origin_inc, origin_seq, payload, trace, now,
             ),
         }
     }
@@ -775,7 +778,7 @@ impl<A: Clone> GroupNode<A> {
 
     fn handle_data(
         &mut self,
-        t: &mut impl Transport<A>,
+        net: &mut impl Fabric<GcsWire<A>>,
         from: NodeId,
         seq: u64,
         payload: A,
@@ -797,7 +800,7 @@ impl<A: Clone> GroupNode<A> {
                 let missing = *next;
                 self.last_nack.insert(from, now);
                 self.metrics.antientropy_nacks.incr();
-                t.send(from, GcsWire::Nack { from_seq: missing });
+                net.send(self.id, from, GcsWire::Nack { from_seq: missing });
             }
             return;
         }
@@ -822,7 +825,7 @@ impl<A: Clone> GroupNode<A> {
 
     fn assign_and_broadcast(
         &mut self,
-        t: &mut impl Transport<A>,
+        net: &mut impl Fabric<GcsWire<A>>,
         origin: NodeId,
         origin_inc: u64,
         origin_seq: u64,
@@ -860,13 +863,13 @@ impl<A: Clone> GroupNode<A> {
         };
         if !self.ordered_buffer.contains_key(&gseq) {
             if origin != self.id {
-                t.send(origin, ordered(payload));
+                net.send(self.id, origin, ordered(payload));
             }
             return;
         }
         for &m in &self.view.members {
             if m != self.id {
-                t.send(m, ordered(payload.clone()));
+                net.send(self.id, m, ordered(payload.clone()));
             }
         }
         if fresh {
@@ -878,7 +881,7 @@ impl<A: Clone> GroupNode<A> {
     #[allow(clippy::too_many_arguments)]
     fn handle_ordered(
         &mut self,
-        t: &mut impl Transport<A>,
+        net: &mut impl Fabric<GcsWire<A>>,
         from: NodeId,
         gseq: u64,
         origin: NodeId,
@@ -900,7 +903,7 @@ impl<A: Clone> GroupNode<A> {
         if gseq > self.expected_gseq {
             self.ordered_ooo
                 .insert(gseq, (origin, origin_inc, origin_seq, payload, trace));
-            self.request_ordered_replay(t, from, now);
+            self.request_ordered_replay(net, from, now);
             return;
         }
         self.deliver_ordered_chain(gseq, origin, origin_inc, origin_seq, payload, trace);
@@ -910,7 +913,7 @@ impl<A: Clone> GroupNode<A> {
     /// from our cursor.
     fn request_ordered_replay(
         &mut self,
-        t: &mut impl Transport<A>,
+        net: &mut impl Fabric<GcsWire<A>>,
         sequencer: NodeId,
         now: SimTime,
     ) {
@@ -921,7 +924,8 @@ impl<A: Clone> GroupNode<A> {
         if due {
             self.last_order_nack = Some(now);
             self.metrics.antientropy_replay_requests.incr();
-            t.send(
+            net.send(
+                self.id,
                 sequencer,
                 GcsWire::OrderedReplayRequest {
                     from_gseq: self.expected_gseq,
@@ -1059,7 +1063,12 @@ impl<A: Clone> GroupNode<A> {
     /// A node that is not (yet) a member has no place in the stream at all
     /// and is sent to its head. A member's cursor is never below the
     /// low-water mark, so what a member may ask for is always retained.
-    fn replay_ordered(&mut self, t: &mut impl Transport<A>, to: NodeId, mut from_gseq: u64) {
+    fn replay_ordered(
+        &mut self,
+        net: &mut impl Fabric<GcsWire<A>>,
+        to: NodeId,
+        mut from_gseq: u64,
+    ) {
         let base = if self.view.contains(to) {
             self.acked.get(&to).copied().unwrap_or(0)
         } else {
@@ -1067,14 +1076,15 @@ impl<A: Clone> GroupNode<A> {
         };
         if from_gseq <= base {
             self.metrics.antientropy_rebased.incr();
-            t.send(to, GcsWire::OrderedRebase { base });
+            net.send(self.id, to, GcsWire::OrderedRebase { base });
             from_gseq = base + 1;
         }
         for (&gseq, (origin, origin_inc, origin_seq, payload, trace)) in
             self.ordered_buffer.range(from_gseq..)
         {
             self.metrics.antientropy_replayed.incr();
-            t.send(
+            net.send(
+                self.id,
                 to,
                 GcsWire::Ordered {
                     gseq,
@@ -1089,10 +1099,23 @@ impl<A: Clone> GroupNode<A> {
     }
 }
 
+/// Sends `msg` from `from` to every other node in `to`, one clone each.
+fn send_all<A: Clone>(
+    net: &mut impl Fabric<GcsWire<A>>,
+    from: NodeId,
+    to: &[NodeId],
+    msg: &GcsWire<A>,
+) {
+    for &n in to {
+        if n != from {
+            net.send(from, n, msg.clone());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimTransport;
     use dosgi_net::{LinkConfig, SimDuration, SimNet};
 
     type Net = SimNet<GcsWire<u64>>;
@@ -1152,11 +1175,9 @@ mod tests {
                         continue;
                     }
                     for env in inbox {
-                        let mut t = SimTransport::new(&mut self.net, id);
-                        self.nodes[i].handle(&mut t, env.from, env.payload, now);
+                        self.nodes[i].handle(&mut self.net, env.from, env.payload, now);
                     }
-                    let mut t = SimTransport::new(&mut self.net, id);
-                    self.nodes[i].tick(&mut t, now);
+                    self.nodes[i].tick(&mut self.net, now);
                     if let Some(wake_at) = &mut self.wake_at {
                         wake_at[i] = self.nodes[i].next_deadline(now);
                     }
@@ -1183,23 +1204,17 @@ mod tests {
         }
 
         fn broadcast(&mut self, i: usize, payload: u64) {
-            let id = NodeId(i as u32);
-            let mut t = SimTransport::new(&mut self.net, id);
-            self.nodes[i].broadcast(&mut t, payload);
+            self.nodes[i].broadcast(&mut self.net, payload);
             self.wake(i);
         }
 
         fn order(&mut self, i: usize, payload: u64) {
-            let id = NodeId(i as u32);
-            let mut t = SimTransport::new(&mut self.net, id);
-            self.nodes[i].order(&mut t, payload);
+            self.nodes[i].order(&mut self.net, payload);
             self.wake(i);
         }
 
         fn order_traced(&mut self, i: usize, payload: u64, trace: dosgi_telemetry::TraceContext) {
-            let id = NodeId(i as u32);
-            let mut t = SimTransport::new(&mut self.net, id);
-            self.nodes[i].order_traced(&mut t, payload, Some(trace));
+            self.nodes[i].order_traced(&mut self.net, payload, Some(trace));
             self.wake(i);
         }
     }
@@ -1294,11 +1309,7 @@ mod tests {
         let mut c = Cluster::new(3, LinkConfig::lan(), GcsConfig::lan(), 4);
         c.run(SimDuration::from_millis(200));
         // Node 2 leaves gracefully.
-        {
-            let id = NodeId(2);
-            let mut t = SimTransport::new(&mut c.net, id);
-            c.nodes[2].leave(&mut t);
-        }
+        c.nodes[2].leave(&mut c.net);
         c.crashed[2] = true;
         // Well under the 200ms suspicion timeout plus propose round.
         c.run(SimDuration::from_millis(150));
@@ -1768,9 +1779,8 @@ mod tests {
         // Late copies of both requests reach the sequencer: the forgotten
         // newest is answered to its origin alone, the older one dropped.
         for origin_seq in [2, 1] {
-            let mut t = SimTransport::new(&mut c.net, NodeId(0));
             c.nodes[0].handle(
-                &mut t,
+                &mut c.net,
                 NodeId(1),
                 GcsWire::OrderRequest {
                     incarnation: inc,
@@ -1806,15 +1816,13 @@ mod tests {
             trace: None,
         };
         // A sequencer gone wrong hands node 2 the same message again.
-        let mut t = SimTransport::new(&mut c.net, NodeId(2));
-        c.nodes[2].handle(&mut t, NodeId(0), copy(2), SimTime::ZERO);
+        c.nodes[2].handle(&mut c.net, NodeId(0), copy(2), SimTime::ZERO);
         assert_eq!(telemetry.counter("gcs.order.resequenced"), 1);
         // The next sequencer re-ordering a retried request is routine.
         c.crash(0);
         c.run(SimDuration::from_secs(1));
         assert_eq!(c.nodes[2].view().coordinator(), Some(NodeId(1)));
-        let mut t = SimTransport::new(&mut c.net, NodeId(2));
-        c.nodes[2].handle(&mut t, NodeId(1), copy(1), SimTime::ZERO);
+        c.nodes[2].handle(&mut c.net, NodeId(1), copy(1), SimTime::ZERO);
         assert_eq!(telemetry.counter("gcs.order.resequenced"), 1);
         assert_eq!(ordered(&c.events(2)), vec![5], "delivered once");
     }
@@ -2002,6 +2010,40 @@ mod tests {
             }
             Ok(())
         });
+    }
+
+    #[test]
+    fn send_all_skips_the_sender() {
+        let mut net: Net = SimNet::new(LinkConfig::ideal(), 1);
+        let ids: Vec<NodeId> = (0..3).map(|_| net.register_node()).collect();
+        send_all(&mut net, ids[1], &ids, &GcsWire::Nack { from_seq: 4 });
+        net.advance(SimDuration::from_millis(1));
+        for (i, &id) in ids.iter().enumerate() {
+            let got: Vec<_> = net.drain(id).into_iter().map(|e| e.from).collect();
+            assert_eq!(got, if i == 1 { vec![] } else { vec![ids[1]] });
+        }
+    }
+
+    #[test]
+    fn a_group_node_sends_through_any_fabric_backend() {
+        let ids = vec![NodeId(0), NodeId(1)];
+        let node = |id| Node::new(id, ids.clone(), GcsConfig::lan(), SimTime::ZERO);
+        // Sim backend.
+        let mut net: Net = SimNet::new(LinkConfig::ideal(), 1);
+        let (a, b) = (net.register_node(), net.register_node());
+        node(a).leave(&mut net);
+        net.advance(SimDuration::from_millis(1));
+        let got = net.drain(b);
+        assert_eq!((got.len(), got[0].from), (1, a));
+        assert_eq!(got[0].payload, GcsWire::Leave);
+        // Real backend.
+        let mut rt: dosgi_net::RealNet<GcsWire<u64>> = dosgi_net::RealNet::new();
+        let (a, b) = (rt.register_node(), rt.register_node());
+        let (mut ea, mut eb) = (rt.endpoint(a), rt.endpoint(b));
+        node(a).leave(&mut ea);
+        let got = eb.drain(b);
+        assert_eq!((got.len(), got[0].from), (1, a));
+        assert_eq!(got[0].payload, GcsWire::Leave);
     }
 
     #[test]

@@ -117,8 +117,7 @@ pub struct Framework {
     /// Snapshot rows (header / `bundle/<id>`) whose in-memory state is
     /// ahead of the SAN; the next persist writes exactly these rows.
     dirty_rows: BTreeSet<String>,
-    /// Snapshot rows pending deletion on the SAN (uninstalled bundles,
-    /// the legacy monolithic key after a migration restore).
+    /// Snapshot rows pending deletion on the SAN (uninstalled bundles).
     deleted_rows: BTreeSet<String>,
     /// Data areas whose SAN write-through failed; flush pending.
     dirty_areas: BTreeSet<String>,
@@ -1287,10 +1286,9 @@ impl Framework {
     }
 
     /// Reconstructs a framework from the per-bundle snapshot rows stored
-    /// under `namespace` (reassembled via `read_namespace`; a legacy
-    /// monolithic snapshot restores too and is converted to rows),
-    /// reinstalling every bundle (activators re-created via `factory`) and
-    /// restarting the ones that were persistently started.
+    /// under `namespace` (reassembled via `read_namespace`), reinstalling
+    /// every bundle (activators re-created via `factory`) and restarting
+    /// the ones that were persistently started.
     ///
     /// This is the paper's migration/redeployment path: the OSGi spec makes
     /// framework state persistent, the SAN makes it visible cluster-wide, so
@@ -1308,8 +1306,6 @@ impl Framework {
         factory: &ActivatorFactory,
     ) -> Result<Framework, BundleError> {
         let rows = store.read_namespace(namespace)?;
-        let legacy = rows.iter().any(|(k, _)| k == persist::LEGACY_SNAPSHOT_KEY)
-            && !rows.iter().any(|(k, _)| k == persist::HEADER_KEY);
         let parsed = persist::assemble(&rows)
             .map_err(BundleError::CorruptState)?
             .ok_or_else(|| BundleError::CorruptState(format!("no snapshot in {namespace}")))?;
@@ -1334,12 +1330,6 @@ impl Framework {
         // Attach the store before restarting anything: activators read
         // their persisted data areas during start.
         fw.store = Some((store, namespace.to_owned()));
-        if legacy {
-            // The trailing persist rewrites the state as rows; drop the
-            // monolithic key so the namespace holds exactly one copy.
-            fw.deleted_rows
-                .insert(persist::LEGACY_SNAPSHOT_KEY.to_owned());
-        }
         fw.resolve_all();
         // Restart persistently-started bundles within the start level, in
         // (start level, id) order.
@@ -1795,6 +1785,22 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, BundleError::CorruptState(_)));
+
+        // A monolithic `snapshot` key is not framework state: only rows are.
+        let store = SharedStore::new();
+        let mono = persist::snapshot(5, 2, std::iter::empty());
+        store.put("old", "snapshot", mono).unwrap();
+        let err = Framework::restore(
+            FrameworkConfig::new("x"),
+            store,
+            "old",
+            &ActivatorFactory::new(),
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            BundleError::CorruptState("no snapshot in old".to_owned())
+        );
     }
 
     #[test]
@@ -2045,10 +2051,9 @@ mod tests {
     /// storeless oracle applying the same ops), and (b) once the SAN heals
     /// and the write-behind rows flush, its per-bundle rows must reassemble
     /// byte-identically to the monolithic snapshot the oracle would write.
-    /// Restoring from the rows and from the legacy monolithic snapshot must
-    /// then agree byte-for-byte too. The whole property runs against
-    /// *every* registered SAN backend — the storeless oracle is the same,
-    /// so this is the backend conformance suite's view from the OSGi layer.
+    /// The whole property runs against *every* registered SAN backend — the
+    /// storeless oracle is the same, so this is the backend conformance
+    /// suite's view from the OSGi layer.
     #[test]
     fn prop_row_persistence_matches_monolithic_oracle_under_faults() {
         use dosgi_testkit::{prop, prop_verify, Gen, PropResult};
@@ -2201,38 +2206,6 @@ mod tests {
                     prop_verify!(
                         from_rows.encode() == mono.encode(),
                         "persisted rows on `{kind}` diverge from the monolithic oracle snapshot"
-                    );
-
-                    // Restore equivalence: rows vs the legacy monolithic key.
-                    let legacy_store = SharedStore::with_kind(kind);
-                    legacy_store
-                        .put(ns, persist::LEGACY_SNAPSHOT_KEY, mono)
-                        .expect("clean legacy write");
-                    let factory = ActivatorFactory::new();
-                    drop(fw);
-                    let from_row_store =
-                        Framework::restore(FrameworkConfig::new(ns), store.clone(), ns, &factory)
-                            .expect("restore from rows");
-                    let from_legacy = Framework::restore(
-                        FrameworkConfig::new(ns),
-                        legacy_store.clone(),
-                        ns,
-                        &factory,
-                    )
-                    .expect("restore from legacy snapshot");
-                    let a = persist::snapshot(
-                        from_row_store.next_bundle,
-                        from_row_store.start_level(),
-                        from_row_store.bundles(),
-                    );
-                    let b = persist::snapshot(
-                        from_legacy.next_bundle,
-                        from_legacy.start_level(),
-                        from_legacy.bundles(),
-                    );
-                    prop_verify!(
-                        a.encode() == b.encode(),
-                        "row restore and legacy-snapshot restore disagree on `{kind}`"
                     );
                 }
                 Ok(())

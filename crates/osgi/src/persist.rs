@@ -17,11 +17,10 @@
 //! <namespace>/bundle/<id>   { id, manifest, state, autostart }
 //! ```
 //!
-//! [`assemble`] reconstructs a [`Snapshot`] from a `read_namespace` listing
-//! and falls back to the pre-row monolithic `snapshot` key so state written
-//! by the old layout restores unchanged. [`snapshot`]/[`parse_snapshot`]
-//! keep the monolithic encoding alive as the equivalence oracle: assembling
-//! the rows must produce a byte-identical snapshot value.
+//! [`assemble`] reconstructs a [`Snapshot`] from a `read_namespace` listing.
+//! [`snapshot`]/[`parse_snapshot`] keep the monolithic encoding alive as the
+//! equivalence oracle: assembling the rows must produce a byte-identical
+//! snapshot value.
 
 use crate::framework::Bundle;
 use crate::{BundleId, BundleManifest, BundleState, Version};
@@ -32,9 +31,6 @@ pub const HEADER_KEY: &str = "header";
 
 /// Key prefix of per-bundle rows.
 pub const BUNDLE_KEY_PREFIX: &str = "bundle/";
-
-/// Key of the legacy monolithic snapshot (pre-row layout).
-pub const LEGACY_SNAPSHOT_KEY: &str = "snapshot";
 
 /// The row key of a bundle.
 pub fn bundle_key(id: BundleId) -> String {
@@ -136,19 +132,14 @@ fn parse_bundle_record(b: &Value) -> Result<BundleRecord, String> {
 
 /// Reassembles a [`Snapshot`] from a `read_namespace` listing of the
 /// framework's namespace: the [`HEADER_KEY`] row plus one
-/// [`bundle_key`] row per bundle. Falls back to parsing a legacy
-/// monolithic [`LEGACY_SNAPSHOT_KEY`] value when no header row exists.
-/// Returns `Ok(None)` when the namespace holds no framework state at all.
+/// [`bundle_key`] row per bundle. Returns `Ok(None)` when the namespace
+/// holds no header row, that is no framework state at all.
 ///
 /// # Errors
 ///
 /// Returns a description of the first missing or malformed field.
 pub fn assemble(pairs: &[(String, Value)]) -> Result<Option<Snapshot>, String> {
-    let header = pairs.iter().find(|(k, _)| k == HEADER_KEY);
-    let Some((_, header)) = header else {
-        if let Some((_, legacy)) = pairs.iter().find(|(k, _)| k == LEGACY_SNAPSHOT_KEY) {
-            return parse_snapshot(legacy).map(Some);
-        }
+    let Some((_, header)) = pairs.iter().find(|(k, _)| k == HEADER_KEY) else {
         return Ok(None);
     };
     let next_bundle = header
@@ -345,16 +336,6 @@ mod tests {
             ),
         ];
         assert!(assemble(&rows).is_err());
-    }
-
-    #[test]
-    fn assemble_falls_back_to_legacy_snapshot() {
-        let legacy = snapshot(5, 2, std::iter::empty());
-        let rows = vec![(LEGACY_SNAPSHOT_KEY.to_owned(), legacy)];
-        let s = assemble(&rows).unwrap().unwrap();
-        assert_eq!(s.next_bundle, 5);
-        assert_eq!(s.start_level, 2);
-        assert!(s.bundles.is_empty());
     }
 
     #[test]

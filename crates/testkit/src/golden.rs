@@ -12,7 +12,7 @@
 //! protocol, not about what is being pinned. The SAN backend conformance
 //! suite (`dosgi-san::conformance`) is its first client.
 
-use crate::bench::workspace_root;
+use crate::workspace_root;
 use std::fs;
 use std::path::PathBuf;
 

@@ -1,6 +1,6 @@
 //! A small JSON reader for validating the workspace's own reports.
 //!
-//! The bench harness and `dosgi-telemetry` *write* JSON with hand-rolled
+//! The bench bins and `dosgi-telemetry` *write* JSON with hand-rolled
 //! format strings; this module is the matching *reader* so tests and
 //! check tooling can parse those reports back without a registry
 //! dependency. It is a strict recursive-descent parser for standard

@@ -41,9 +41,6 @@ cargo run --offline --release -p dosgi-bench --bin e16_slo
 echo "==> e14 hot swap (blackout vs migration + rolling wave under traffic)"
 cargo run --offline --release -p dosgi-bench --bin e14_hot_swap
 
-echo "==> e13 real-clock throughput (ops/sec vs threads; >=2.5x at 4 threads)"
-cargo run --offline --release -p dosgi-bench --bin e13_throughput
-
 echo "==> telemetry snapshot schema check"
 cargo run --offline --release -p dosgi-bench --bin telemetry_check
 
@@ -63,11 +60,17 @@ if cargo metadata --format-version 1 --offline \
   exit 1
 fi
 
-echo "==> committed results are reproduced byte for byte"
-# The steps above rewrote results/. Two files hold wall-clock numbers and
-# differ on every run; every other one is deterministic, so a fingerprint,
-# trace or telemetry snapshot that moved fails here.
-git diff --exit-code -- results/ \
-    ':(exclude)results/e13_throughput.txt' ':(exclude)results/telemetry_e13.json'
+echo "==> committed results are reproduced byte for byte, and nothing new appears"
+# The steps above rewrote results/. Every file they write is deterministic, so
+# a fingerprint, trace or telemetry snapshot that moved fails here — and so
+# does a step that leaves behind a file nobody committed.
+git diff --exit-code -- results/
+if git status --porcelain -- results/ | grep '^??'; then
+  echo "ERROR: a step left the untracked files above under results/" >&2
+  exit 1
+fi
+
+echo "==> non-test code lines (scripts/loc.sh)"
+scripts/loc.sh
 
 echo "All checks passed."
