@@ -47,6 +47,7 @@
 //! `gcs.order.retained` gauge — the sequencer's replay buffer — must read
 //! [`RETAINED_AT_QUIESCENCE`], or the stream's memory bound has been lost.
 
+use dosgi_bench::{shown, write_telemetry_snapshot};
 use dosgi_core::chaos::{run_nemesis_with_telemetry, ChaosOptions};
 use dosgi_gcs::RETAINED_AT_QUIESCENCE;
 use dosgi_san::BackendKind;
@@ -146,7 +147,7 @@ fn main() {
         }
         let trace_label = format!("chaos_s{seed}");
         let trace_path = match a.trace.write_to(&results_dir, &trace_label, seed) {
-            Ok(p) => p.display().to_string(),
+            Ok(p) => shown(&p).to_string(),
             Err(e) => {
                 failed = true;
                 format!("<unwritable: {e}>")
@@ -224,14 +225,7 @@ fn main() {
         }
     }
 
-    let dir = results_dir;
-    let snapshot_note = match std::fs::create_dir_all(&dir)
-        .and_then(|()| sweep_telemetry.snapshot("chaos", seed0).write_to(&dir))
-    {
-        Ok(path) => format!("telemetry snapshot: {}", path.display()),
-        Err(e) => format!("could not write telemetry snapshot: {e}"),
-    };
-    println!("{snapshot_note}");
+    write_telemetry_snapshot(&sweep_telemetry, "chaos", seed0);
     if failed {
         std::process::exit(1);
     }
@@ -239,6 +233,6 @@ fn main() {
         "all schedules held every invariant and replayed identically \
          (with and without telemetry, with and without series scraping, \
          across every storage backend); causal traces under {}",
-        dir.join("trace_chaos_s<seed>.json").display()
+        shown(&results_dir.join("trace_chaos_s<seed>.json"))
     );
 }

@@ -28,7 +28,7 @@
 //! window, un-drain only after every adopt. Metrics land in
 //! `results/telemetry_e14.json`.
 
-use dosgi_bench::{print_table, write_telemetry_snapshot};
+use dosgi_bench::{print_table, shown, write_telemetry_snapshot};
 use dosgi_core::loadgen::{ClassMix, RateSchedule, ScheduledLoadGenerator};
 use dosgi_core::upgrade::{UpgradeWave, WaveHooks};
 use dosgi_core::{workloads, ClusterConfig, DosgiCluster, NodeEvent};
@@ -329,7 +329,7 @@ fn rolling_wave_under_traffic(telemetry: &Telemetry) {
     );
     let dir = dosgi_testkit::workspace_root().join("results");
     match log.write_to(&dir, "e14_hot_swap", SEED) {
-        Ok(p) => println!("causal trace: {}", p.display()),
+        Ok(p) => println!("causal trace: {}", shown(&p)),
         Err(e) => panic!("could not write the e14 trace: {e}"),
     }
 }

@@ -2,9 +2,12 @@
 //!
 //! Compares nested instances that each carry their own copy of the common
 //! infrastructure (Fig. 3) against instances that use the host's single
-//! copy through the delegating classloader (Fig. 4): modeled memory, real
-//! lookup latency through each path, and the safety property (packages off
-//! the export list do not leak).
+//! copy through the delegating classloader (Fig. 4): modeled memory, which
+//! path a class lookup resolves through, and the safety property (packages
+//! off the export list do not leak). It prints no wall-clock figure:
+//! wall-clock cost is measured by `benchmark/` only, which has no
+//! class-lookup probe (its nearest are `vosgi.call_service_ns` and
+//! `osgi.registry_lookup_ns`).
 
 use dosgi_bench::{mib, print_table, ratio};
 use dosgi_core::workloads;
@@ -12,7 +15,6 @@ use dosgi_osgi::{Framework, LoadPath, SymbolName};
 use dosgi_vosgi::{
     DeploymentTopology, FootprintModel, InstanceDescriptor, InstanceManager, VosgiError,
 };
-use std::time::Instant;
 
 fn host_with_log() -> Framework {
     let mut fw = Framework::new("host");
@@ -61,7 +63,7 @@ fn main() {
     );
 
     // ------------------------------------------------------------------
-    // Lookup latency: own package vs host delegation (real wall clock).
+    // Lookup path: own package vs host delegation.
     // ------------------------------------------------------------------
     let mut mgr = InstanceManager::new(
         host_with_log(),
@@ -84,35 +86,23 @@ fn main() {
 
     let own = SymbolName::parse("org.app.web.impl.Handler").unwrap();
     let delegated = SymbolName::parse("org.dosgi.log.api.Logger").unwrap();
-    let n = 100_000u32;
-
-    let t0 = Instant::now();
-    for _ in 0..n {
-        let r = mgr.load_class(id, bundle, &own).unwrap();
-        assert_eq!(r.via, LoadPath::Own);
-    }
-    let own_cost = t0.elapsed() / n;
-
-    let t0 = Instant::now();
-    for _ in 0..n {
-        let r = mgr.load_class(id, bundle, &delegated).unwrap();
-        assert_eq!(r.via, LoadPath::HostDelegation);
-    }
-    let delegated_cost = t0.elapsed() / n;
-
+    let mut row = |path: &str, symbol: &SymbolName, want: LoadPath| {
+        let via = mgr.load_class(id, bundle, symbol).unwrap().via;
+        assert_eq!(via, want);
+        vec![path.to_string(), symbol.to_string(), format!("{via:?}")]
+    };
+    let rows = [
+        row("instance-local (own package)", &own, LoadPath::Own),
+        row(
+            "host delegation (explicit export)",
+            &delegated,
+            LoadPath::HostDelegation,
+        ),
+    ];
     print_table(
-        "E3: class lookup latency by path (wall clock)",
-        &["path", "latency"],
-        &[
-            vec![
-                "instance-local (own package)".to_string(),
-                format!("{own_cost:?}"),
-            ],
-            vec![
-                "host delegation (explicit export)".to_string(),
-                format!("{delegated_cost:?}"),
-            ],
-        ],
+        "E3: class lookup by path",
+        &["path", "symbol", "resolved via"],
+        &rows,
     );
 
     // ------------------------------------------------------------------

@@ -7,7 +7,7 @@
 //! customer bundles) and warm deploy (platform already up). The paper's
 //! claim holds if migration ≈ warm deploy ≪ cold platform start.
 
-use dosgi_bench::{print_table, write_telemetry_snapshot};
+use dosgi_bench::{print_table, shown, write_telemetry_snapshot};
 use dosgi_core::{migration, workloads, ClusterConfig, DosgiCluster};
 use dosgi_net::SimDuration;
 use dosgi_san::Value;
@@ -125,7 +125,7 @@ fn main() {
         let dir = dosgi_testkit::workspace_root().join("results");
         match std::fs::create_dir_all(&dir).and_then(|()| trace.write_to(&dir, "e5_migration", 500))
         {
-            Ok(path) => println!("causal trace: {}", path.display()),
+            Ok(path) => println!("causal trace: {}", shown(&path)),
             Err(e) => eprintln!("could not write causal trace: {e}"),
         }
     }

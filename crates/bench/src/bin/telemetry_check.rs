@@ -1,5 +1,6 @@
 //! Schema check for telemetry snapshots: every `results/telemetry_*.json`
-//! must parse as strict JSON and carry the v3 snapshot schema — a
+//! must parse as strict JSON and carry the current snapshot schema and
+//! nothing else (an unknown top-level field is rejected by name) — a
 //! `schema_version`, the producing run's `seed`, a non-empty `counters`
 //! object (a snapshot with no counters means the instrumentation went
 //! dark, which is a wiring bug, not an empty workload), coherent
@@ -42,6 +43,19 @@ fn check_file(path: &std::path::Path) -> Result<(), String> {
             "schema_version {version} != supported {SCHEMA_VERSION}"
         ));
     }
+    const FIELDS: [&str; 7] = [
+        "schema_version",
+        "label",
+        "seed",
+        "counters",
+        "gauges",
+        "histograms",
+        "alerts",
+    ];
+    let fields = json.as_obj().ok_or("not a JSON object")?;
+    if let Some(unknown) = fields.keys().find(|k| !FIELDS.contains(&k.as_str())) {
+        return Err(format!("unknown field `{unknown}`"));
+    }
     json.get("seed")
         .and_then(Json::as_u64)
         .ok_or("missing integer `seed`")?;
@@ -62,7 +76,7 @@ fn check_file(path: &std::path::Path) -> Result<(), String> {
     let alerts = json
         .get("alerts")
         .and_then(Json::as_arr)
-        .ok_or("missing array `alerts` (schema v3)")?;
+        .ok_or("missing array `alerts`")?;
     check_alert_timeline(alerts)?;
     match path.file_name().and_then(|n| n.to_str()) {
         Some("telemetry_e15.json") => check_admission_counters(&json)?,
@@ -126,7 +140,7 @@ fn check_admission_counters(json: &Json) -> Result<(), String> {
     Ok(())
 }
 
-/// v3 alert-timeline well-formedness: every event carries a `slo`
+/// Alert-timeline well-formedness: every event carries a `slo`
 /// string, integer `at_us` and `burn_x100`, `state` in
 /// {`firing`, `resolved`}, `window` in {`fast`, `slow`}; per SLO, the
 /// events are in non-decreasing time order and strictly alternate
@@ -200,7 +214,7 @@ fn percentile_field(h: &Json, name: &str, key: &str) -> Result<Option<u64>, Stri
         .ok_or_else(|| format!("histogram {name:?}: `{key}` is neither integer nor null"))
 }
 
-/// v2 percentile coherence: present iff non-empty, ordered, within range.
+/// Percentile coherence: present iff non-empty, ordered, within range.
 fn check_histogram(name: &str, h: &Json) -> Result<(), String> {
     let count = h
         .get("count")
@@ -445,28 +459,28 @@ mod tests {
     fn hand_built_bad_snapshot_fails_and_good_passes() {
         let dir = std::env::temp_dir().join(format!("telemetry_check_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let good = dir.join("telemetry_good.json");
-        std::fs::write(
-            &good,
-            r#"{"schema_version":3,"label":"t","seed":1,
-                "counters":{"x":1},"gauges":{},
-                "histograms":{"h":{"count":1,"sum":8,"min":8,"max":8,
-                  "p50":8,"p95":8,"p99":8,"buckets":[[4,1]]}},
-                "open_spans":[],"alerts":[],"dropped_spans":0}"#,
-        )
-        .unwrap();
-        assert!(check_file(&good).is_ok());
-        let bad = dir.join("telemetry_bad.json");
-        std::fs::write(
-            &bad,
-            r#"{"schema_version":3,"label":"t","seed":1,
-                "counters":{"x":1},"gauges":{},
-                "histograms":{"h":{"count":5,"sum":8,"min":8,"max":8,
-                  "p50":8,"p95":8,"p99":8,"buckets":[[4,1]]}},
-                "open_spans":[],"alerts":[],"dropped_spans":0}"#,
-        )
-        .unwrap();
+        let write = |file: &str, version: u64, count: u64, rest: &str| {
+            let path = dir.join(file);
+            let text = format!(
+                r#"{{"schema_version":{version},"label":"t","seed":1,
+                "counters":{{"x":1}},"gauges":{{}},
+                "histograms":{{"h":{{"count":{count},"sum":8,"min":8,"max":8,
+                  "p50":8,"p95":8,"p99":8,"buckets":[[4,1]]}}}},
+                {rest}"alerts":[]}}"#
+            );
+            std::fs::write(&path, text).unwrap();
+            path
+        };
+        assert!(check_file(&write("telemetry_good.json", 4, 1, "")).is_ok());
+        let bad = write("telemetry_bad.json", 4, 5, "");
         assert!(check_file(&bad).unwrap_err().contains("bucket counts"));
+        // The retired v3 shape is rejected by its version, and by its
+        // first span field when only the version number was bumped.
+        let v3 = r#""spans":[],"open_spans":[],"dropped_spans":0,"#;
+        let err = check_file(&write("telemetry_v3.json", 3, 1, v3)).unwrap_err();
+        assert!(err.contains("schema_version 3"), "{err}");
+        let err = check_file(&write("telemetry_v3_as_v4.json", 4, 1, v3)).unwrap_err();
+        assert!(err.contains("unknown field `dropped_spans`"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

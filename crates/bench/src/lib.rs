@@ -9,7 +9,6 @@
 //! | binary | paper anchor |
 //! |---|---|
 //! | `e1_topology` | Fig. 1–4 deployment-design footprints |
-//! | `e2_instance_mgmt` | Fig. 3 instance life-cycle management |
 //! | `e3_sharing` | Fig. 4 shared host bundles + explicit exports |
 //! | `e4_isolation` | §2 isolation claims |
 //! | `e5_migration_cost` | §3.2 "comparable to a normal startup" |
@@ -25,6 +24,15 @@
 
 use dosgi_telemetry::Telemetry;
 use std::fmt::Display;
+use std::path::Path;
+
+/// `path` as the bins print it: relative to the workspace root, so a
+/// captured stdout reads the same from a checkout at any path.
+pub fn shown(path: &Path) -> std::path::Display<'_> {
+    path.strip_prefix(dosgi_testkit::workspace_root())
+        .unwrap_or(path)
+        .display()
+}
 
 /// Snapshots `telemetry` as `results/telemetry_<label>.json` (under the
 /// workspace root) and prints the path. Experiment bins treat snapshot I/O
@@ -34,7 +42,7 @@ pub fn write_telemetry_snapshot(telemetry: &Telemetry, label: &str, seed: u64) {
     match std::fs::create_dir_all(&dir)
         .and_then(|()| telemetry.snapshot(label, seed).write_to(&dir))
     {
-        Ok(path) => println!("\ntelemetry snapshot: {}", path.display()),
+        Ok(path) => println!("\ntelemetry snapshot: {}", shown(&path)),
         Err(e) => eprintln!("could not write telemetry snapshot for {label}: {e}"),
     }
 }

@@ -8,10 +8,9 @@ use dosgi_net::{LinkConfig, NodeId, Partition, SimDuration, SimNet, SimTime};
 use dosgi_san::{BackendKind, SharedStore, Value};
 use dosgi_telemetry::{
     FlightRecorder, Gauge, HealthState, ScrapeConfig, SeriesScraper, SloEngine, SloSpec, Snapshot,
-    SpanId, Telemetry, TraceLog,
+    Telemetry, TraceLog,
 };
 use dosgi_vosgi::InstanceDescriptor;
-use std::collections::BTreeMap;
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -97,9 +96,6 @@ pub struct DosgiCluster {
     events: Vec<(NodeId, NodeEvent)>,
     telemetry: Telemetry,
     metrics: Metrics,
-    // Open `core.migration.handoff/<name>` spans: entered when the old home
-    // releases the instance, exited when the new home reports adoption.
-    handoff_spans: BTreeMap<String, SpanId>,
     observability: Option<Observability>,
 }
 
@@ -182,7 +178,6 @@ impl DosgiCluster {
             events: Vec::new(),
             metrics: Metrics::new(&telemetry),
             telemetry,
-            handoff_spans: BTreeMap::new(),
             observability: None,
         }
     }
@@ -607,28 +602,11 @@ impl DosgiCluster {
         }
         for (i, slot) in self.slots.iter_mut().enumerate() {
             for e in slot.node.take_events() {
-                match &e {
-                    // A release opens the cross-node handoff span; the
-                    // matching Adopted (on the destination) closes it.
-                    NodeEvent::Released { at, name, .. } => {
-                        let span = self.telemetry.span_enter(
-                            format_args!("core.migration.handoff/{name}"),
-                            at.as_micros(),
-                        );
-                        self.handoff_spans.insert(name.clone(), span);
+                if let NodeEvent::Adopted { reason, .. } = &e {
+                    match reason {
+                        AdoptReason::Migration => self.metrics.migration_completed.incr(),
+                        AdoptReason::Failover => self.metrics.failover_adoptions.incr(),
                     }
-                    NodeEvent::Adopted { at, name, reason } => match reason {
-                        AdoptReason::Migration => {
-                            if let Some(span) = self.handoff_spans.remove(name) {
-                                self.telemetry.span_exit(span, at.as_micros());
-                            }
-                            self.metrics.migration_completed.incr();
-                        }
-                        AdoptReason::Failover => {
-                            self.metrics.failover_adoptions.incr();
-                        }
-                    },
-                    _ => {}
                 }
                 self.events.push((NodeId(i as u32), e));
             }
@@ -921,6 +899,14 @@ mod tests {
         assert_eq!(read().1, rejoined.1 + 3);
     }
 
+    /// At a quiet horizon every span a protocol opened has been closed,
+    /// once: nothing is left open on any node and no close was rejected.
+    fn assert_quiet(log: &TraceLog) {
+        let open: Vec<_> = log.events.iter().filter(|e| e.open).collect();
+        assert!(open.is_empty(), "spans left open: {open:?}");
+        assert_eq!(log.rejected, 0, "a span was closed twice or never opened");
+    }
+
     #[test]
     fn migration_produces_causal_trace() {
         let mut c = cluster();
@@ -959,6 +945,7 @@ mod tests {
             adopt.end_us >= release.end_us,
             "adoption finishes after the release in simulated time"
         );
+        assert_quiet(&log);
     }
 
     #[test]
@@ -983,6 +970,8 @@ mod tests {
             .expect("failover adoption joins the claim's trace");
         assert_eq!(adopt.node, new_home as u64);
         assert!(adopt.lamport_start > root.lamport_start);
+        assert!(!adopt.open, "adoption completed");
+        assert_quiet(&log);
     }
 
     #[test]

@@ -2,13 +2,12 @@
 //!
 //! Availability and SLA numbers are only as honest as the load behind
 //! them; this module provides a deterministic Poisson-process request
-//! generator (seeded, exponential inter-arrival gaps), a bounded-Pareto
-//! work-size sampler (the standard open-loop web workload shape), and the
-//! realism layers experiment E15 sweeps: Zipf-skewed tenant popularity
-//! ([`ZipfSampler`]), diurnal ramps and flash-crowd bursts
-//! ([`RateSchedule`] + [`ScheduledLoadGenerator`]), and request-class
-//! mixes with per-class latency SLOs ([`ClassMix`]). Everything is seeded
-//! and advances only on the simulated clock.
+//! generator (seeded, exponential inter-arrival gaps) whose rate follows
+//! a schedule — flat, diurnal ramp, flash-crowd bursts ([`RateSchedule`] +
+//! [`ScheduledLoadGenerator`]) — plus the realism layers experiment E15
+//! sweeps: Zipf-skewed tenant popularity ([`ZipfSampler`]) and
+//! request-class mixes with per-class latency SLOs ([`ClassMix`]).
+//! Everything is seeded and advances only on the simulated clock.
 
 use dosgi_ipvs::RequestClass;
 use dosgi_net::{SimDuration, SimTime};
@@ -17,120 +16,8 @@ use dosgi_testkit::TestRng;
 /// Default per-tick arrival cap: a single driver tick never reports more
 /// than this many arrivals; the excess carries over to later ticks (the
 /// process itself is not thinned — see
-/// [`LoadGenerator::arrivals_until`]).
+/// [`ScheduledLoadGenerator::arrivals_until`]).
 pub const DEFAULT_MAX_ARRIVALS_PER_TICK: u32 = 4096;
-
-/// A Poisson arrival process on the simulated clock.
-#[derive(Debug, Clone)]
-pub struct LoadGenerator {
-    rng: TestRng,
-    rate_per_sec: f64,
-    next_arrival: SimTime,
-    max_per_tick: u32,
-}
-
-impl LoadGenerator {
-    /// A generator producing `rate_per_sec` arrivals per simulated second,
-    /// starting at `start`, deterministic in `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `rate_per_sec` is positive and finite.
-    pub fn new(rate_per_sec: f64, seed: u64, start: SimTime) -> Self {
-        assert!(
-            rate_per_sec > 0.0 && rate_per_sec.is_finite(),
-            "rate must be positive"
-        );
-        let mut gen = LoadGenerator {
-            rng: TestRng::new(seed),
-            rate_per_sec,
-            next_arrival: start,
-            max_per_tick: DEFAULT_MAX_ARRIVALS_PER_TICK,
-        };
-        gen.advance_gap();
-        gen
-    }
-
-    /// Overrides the per-tick arrival cap (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    pub fn with_max_per_tick(mut self, cap: u32) -> Self {
-        assert!(cap > 0, "cap must be positive");
-        self.max_per_tick = cap;
-        self
-    }
-
-    fn advance_gap(&mut self) {
-        // Exponential(λ) inter-arrival: -ln(U)/λ.
-        let u: f64 = self.rng.f64().max(f64::MIN_POSITIVE);
-        let gap_secs = -u.ln() / self.rate_per_sec;
-        self.next_arrival += SimDuration::from_micros((gap_secs * 1e6) as u64);
-    }
-
-    /// Number of arrivals with timestamps `<= now` since the last call,
-    /// bounded by the per-tick cap. Call once per driver tick and issue
-    /// that many requests.
-    ///
-    /// The cap bounds what one tick can *report*, not what the process
-    /// produces: when a long sim-time gap (or a very high rate) backs up
-    /// more than `max_per_tick` arrivals, the excess stays pending and is
-    /// returned by subsequent calls — so no driver tick ever has to issue
-    /// a pathological burst, and the long-run arrival count is unchanged.
-    pub fn arrivals_until(&mut self, now: SimTime) -> u32 {
-        let mut n = 0;
-        while n < self.max_per_tick && self.next_arrival <= now {
-            n += 1;
-            self.advance_gap();
-        }
-        n
-    }
-
-    /// The timestamp of the next pending arrival.
-    pub fn next_arrival(&self) -> SimTime {
-        self.next_arrival
-    }
-}
-
-/// A bounded-Pareto sampler for request service demands (heavy-tailed work,
-/// as web traffic measurements consistently show).
-#[derive(Debug, Clone)]
-pub struct WorkSampler {
-    rng: TestRng,
-    min_us: f64,
-    max_us: f64,
-    alpha: f64,
-}
-
-impl WorkSampler {
-    /// Work sizes in `[min, max]` with tail index `alpha` (1.1–2.5 is the
-    /// empirical web range; lower = heavier tail).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `min < max` and `alpha > 0`.
-    pub fn new(min: SimDuration, max: SimDuration, alpha: f64, seed: u64) -> Self {
-        assert!(min < max, "min must be below max");
-        assert!(alpha > 0.0, "alpha must be positive");
-        WorkSampler {
-            rng: TestRng::new(seed),
-            min_us: min.as_micros() as f64,
-            max_us: max.as_micros() as f64,
-            alpha,
-        }
-    }
-
-    /// Draws one service demand.
-    pub fn sample(&mut self) -> SimDuration {
-        // Inverse-CDF of the bounded Pareto.
-        let u: f64 = self.rng.f64().clamp(1e-12, 1.0 - 1e-12);
-        let (l, h, a) = (self.min_us, self.max_us, self.alpha);
-        let x = (u * h.powf(a) - u * l.powf(a) - h.powf(a)) / (h.powf(a) * l.powf(a));
-        let v = (-x).powf(-1.0 / a);
-        SimDuration::from_micros(v.clamp(l, h) as u64)
-    }
-}
 
 /// A Zipf(s) sampler over ranks `0..n`: rank `k` is drawn with probability
 /// proportional to `1/(k+1)^s` — the empirical shape of tenant popularity
@@ -290,23 +177,12 @@ impl RateSchedule {
         }
         rate
     }
-
-    /// The largest rate the schedule can ever produce (base × diurnal peak
-    /// × the largest overlapping-burst product) — what capacity planning
-    /// sizes against.
-    pub fn peak_rate(&self) -> f64 {
-        let mut rate = self.base_rate * self.diurnal.map_or(1.0, |(_, p)| p);
-        for b in &self.bursts {
-            rate *= b.multiplier.max(1.0);
-        }
-        rate
-    }
 }
 
 /// A non-homogeneous Poisson process driven by a [`RateSchedule`]: gaps
 /// are exponential at the instantaneous rate, so ramps and bursts change
-/// the arrival intensity exactly when the schedule says so. Same per-tick
-/// cap + carry-over contract as [`LoadGenerator::arrivals_until`].
+/// the arrival intensity exactly when the schedule says so; over
+/// [`RateSchedule::constant`] it is the plain Poisson process.
 #[derive(Debug, Clone)]
 pub struct ScheduledLoadGenerator {
     rng: TestRng,
@@ -340,11 +216,6 @@ impl ScheduledLoadGenerator {
         self
     }
 
-    /// The schedule being followed.
-    pub fn schedule(&self) -> &RateSchedule {
-        &self.schedule
-    }
-
     fn advance_gap(&mut self) {
         let rate = self.schedule.rate_at(self.next_arrival);
         let u: f64 = self.rng.f64().max(f64::MIN_POSITIVE);
@@ -354,7 +225,14 @@ impl ScheduledLoadGenerator {
     }
 
     /// Number of arrivals with timestamps `<= now` since the last call,
-    /// bounded by the per-tick cap (excess carries over).
+    /// bounded by the per-tick cap. Call once per driver tick and issue
+    /// that many requests.
+    ///
+    /// The cap bounds what one tick can *report*, not what the process
+    /// produces: when a long sim-time gap (or a very high rate) backs up
+    /// more than `max_per_tick` arrivals, the excess stays pending and is
+    /// returned by subsequent calls — so no driver tick ever has to issue
+    /// a pathological burst, and the long-run arrival count is unchanged.
     pub fn arrivals_until(&mut self, now: SimTime) -> u32 {
         let mut n = 0;
         while n < self.max_per_tick && self.next_arrival <= now {
@@ -428,9 +306,13 @@ impl ClassMix {
 mod tests {
     use super::*;
 
+    pub(super) fn constant(rate_per_sec: f64, seed: u64) -> ScheduledLoadGenerator {
+        ScheduledLoadGenerator::new(RateSchedule::constant(rate_per_sec), seed, SimTime::ZERO)
+    }
+
     #[test]
     fn arrival_rate_is_approximately_right() {
-        let mut gen = LoadGenerator::new(100.0, 7, SimTime::ZERO);
+        let mut gen = constant(100.0, 7);
         let mut total = 0u32;
         for s in 1..=20 {
             total += gen.arrivals_until(SimTime::from_secs(s));
@@ -442,7 +324,7 @@ mod tests {
     #[test]
     fn deterministic_in_seed() {
         let run = |seed| {
-            let mut gen = LoadGenerator::new(50.0, seed, SimTime::ZERO);
+            let mut gen = constant(50.0, seed);
             (1..=10)
                 .map(|s| gen.arrivals_until(SimTime::from_secs(s)))
                 .collect::<Vec<_>>()
@@ -453,7 +335,7 @@ mod tests {
 
     #[test]
     fn arrivals_are_monotone_and_consumed() {
-        let mut gen = LoadGenerator::new(10.0, 3, SimTime::ZERO);
+        let mut gen = constant(10.0, 3);
         let first = gen.arrivals_until(SimTime::from_secs(5));
         let again = gen.arrivals_until(SimTime::from_secs(5));
         assert!(first > 0);
@@ -462,36 +344,9 @@ mod tests {
     }
 
     #[test]
-    fn work_sampler_respects_bounds() {
-        let min = SimDuration::from_micros(100);
-        let max = SimDuration::from_millis(50);
-        let mut s = WorkSampler::new(min, max, 1.5, 11);
-        let mut total = SimDuration::ZERO;
-        for _ in 0..1000 {
-            let w = s.sample();
-            assert!(w >= min && w <= max, "{w}");
-            total += w;
-        }
-        let mean = total / 1000;
-        // Heavy tail: mean well above min, well below max.
-        assert!(mean > min && mean < max, "mean={mean}");
-    }
-
-    #[test]
     #[should_panic(expected = "rate must be positive")]
     fn zero_rate_rejected() {
-        let _ = LoadGenerator::new(0.0, 1, SimTime::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "min must be below max")]
-    fn bad_bounds_rejected() {
-        let _ = WorkSampler::new(
-            SimDuration::from_millis(5),
-            SimDuration::from_millis(5),
-            1.5,
-            1,
-        );
+        let _ = constant(0.0, 1);
     }
 
     // ------------------------------------------------------------------
@@ -503,9 +358,8 @@ mod tests {
     fn regression_long_gap_is_capped_and_carries_over() {
         // 1000/s polled after 100 simulated seconds: ~100k arrivals backed
         // up, but one tick must never report more than the cap.
-        let mut capped = LoadGenerator::new(1000.0, 9, SimTime::ZERO).with_max_per_tick(500);
-        let mut unbounded =
-            LoadGenerator::new(1000.0, 9, SimTime::ZERO).with_max_per_tick(u32::MAX);
+        let mut capped = constant(1000.0, 9).with_max_per_tick(500);
+        let mut unbounded = constant(1000.0, 9).with_max_per_tick(u32::MAX);
         let t = SimTime::from_secs(100);
         let want = unbounded.arrivals_until(t);
         assert!(want > 50_000, "the gap really backs up a burst: {want}");
@@ -528,7 +382,7 @@ mod tests {
 
     #[test]
     fn default_cap_applies() {
-        let mut gen = LoadGenerator::new(100_000.0, 4, SimTime::ZERO);
+        let mut gen = constant(100_000.0, 4);
         let n = gen.arrivals_until(SimTime::from_secs(10));
         assert_eq!(n, DEFAULT_MAX_ARRIVALS_PER_TICK);
         assert!(gen.next_arrival() < SimTime::from_secs(10), "backlog pends");
@@ -588,7 +442,6 @@ mod tests {
         assert!((s.rate_at(SimTime::from_secs(15)) - 200.0).abs() < 1e-6);
         // Periodic: the next cycle looks the same.
         assert!((s.rate_at(SimTime::from_secs(90)) - 300.0).abs() < 1e-9);
-        assert!((s.peak_rate() - 300.0).abs() < 1e-9);
     }
 
     #[test]
@@ -602,7 +455,6 @@ mod tests {
         assert!((s.rate_at(SimTime::from_secs(10)) - 800.0).abs() < 1e-9);
         assert!((s.rate_at(SimTime::from_secs(14)) - 800.0).abs() < 1e-9);
         assert!((s.rate_at(SimTime::from_secs(15)) - 100.0).abs() < 1e-9);
-        assert!((s.peak_rate() - 800.0).abs() < 1e-9);
     }
 
     #[test]
@@ -685,6 +537,7 @@ mod properties {
     //! linear-scan reference exactly. Seeded and replayable via
     //! `DOSGI_PROP_SEED`.
 
+    use super::tests::constant;
     use super::*;
     use dosgi_testkit::prop::{self, Config, Gen};
     use dosgi_testkit::{prop_verify, prop_verify_eq};
@@ -702,8 +555,7 @@ mod properties {
             "poisson_arrival_counts_match_rate",
             &cases,
             |&(rate, secs, seed)| {
-                let mut gen =
-                    LoadGenerator::new(rate, seed, SimTime::ZERO).with_max_per_tick(u32::MAX);
+                let mut gen = constant(rate, seed).with_max_per_tick(u32::MAX);
                 let mut total = 0u64;
                 for s in 1..=secs {
                     total += u64::from(gen.arrivals_until(SimTime::from_secs(s)));
@@ -735,11 +587,9 @@ mod properties {
             &cases,
             |&(rate, cap, seed)| {
                 let t = SimTime::from_secs(2);
-                let mut unbounded =
-                    LoadGenerator::new(rate, seed, SimTime::ZERO).with_max_per_tick(u32::MAX);
+                let mut unbounded = constant(rate, seed).with_max_per_tick(u32::MAX);
                 let want = unbounded.arrivals_until(t);
-                let mut capped =
-                    LoadGenerator::new(rate, seed, SimTime::ZERO).with_max_per_tick(cap);
+                let mut capped = constant(rate, seed).with_max_per_tick(cap);
                 let mut total = 0u32;
                 loop {
                     let n = capped.arrivals_until(t);

@@ -13,7 +13,7 @@ use dosgi_net::{Fabric, NodeId, SimDuration, SimTime};
 use dosgi_osgi::{BundleManifest, Framework};
 use dosgi_policy::PolicyAction;
 use dosgi_san::{SharedStore, Value};
-use dosgi_telemetry::{FlightRecorder, Gauge, SpanId, Telemetry, TraceContext, TraceRef};
+use dosgi_telemetry::{FlightRecorder, Gauge, Telemetry, TraceContext, TraceRef};
 use dosgi_vosgi::{InstanceDescriptor, InstanceManager, ResourceQuota};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -120,7 +120,7 @@ pub struct DosgiNode {
     pending_adoptions: Vec<PendingAdoption>,
     pending_upgrades: Vec<PendingUpgrade>,
     events: Vec<NodeEvent>,
-    // Opens spans, and resolves the handles of instances met later.
+    // Resolves the handles of instances met later.
     telemetry: Telemetry,
     metrics: Metrics,
     // The `monitor.<instance>.*` gauges, kept exactly as long as the
@@ -180,11 +180,9 @@ struct PendingAdoption {
     reason: AdoptReason,
     /// How many materialization attempts already failed transiently.
     attempt: u32,
-    /// The `core.adopt` span opened when the adoption was queued; closed
-    /// when the ticket materializes, is overruled, or quarantines.
-    span: SpanId,
     /// The causal `adopt/<name>` trace span, if the triggering control
-    /// message carried a context; closed alongside `span`.
+    /// message carried a context; closed when the ticket materializes, is
+    /// overruled, or quarantines.
     trace: TraceRef,
 }
 
@@ -200,9 +198,6 @@ struct PendingUpgrade {
     manifest: BundleManifest,
     /// How many swap attempts already failed transiently.
     attempt: u32,
-    /// The `core.upgrade` telemetry span; closed when the swap lands or
-    /// fails permanently (kept across retries — see `upgrade_traces`).
-    span: SpanId,
 }
 
 impl std::fmt::Debug for DosgiNode {
@@ -1147,9 +1142,6 @@ impl DosgiNode {
         } else {
             self.config.san.read_cost(state_bytes) + self.config.start_cost_per_bundle * bundles
         };
-        let span = self
-            .telemetry
-            .span_enter(format_args!("core.adopt/{name}"), now.as_micros());
         let trace = match ctx {
             Some(c) => self
                 .recorder
@@ -1161,7 +1153,6 @@ impl DosgiNode {
             name: name.to_owned(),
             reason,
             attempt: 0,
-            span,
             trace,
         });
     }
@@ -1186,7 +1177,6 @@ impl DosgiNode {
                 .map(|r| r.home == self.id && r.status == InstanceStatus::Placed)
                 .unwrap_or(false);
             if !still_ours {
-                self.telemetry.span_exit(p.span, now.as_micros());
                 self.recorder.end(p.trace, now.as_micros());
                 self.metrics.adopt_overruled.incr();
                 continue;
@@ -1197,14 +1187,12 @@ impl DosgiNode {
                 Some(iid) => self.mgr.start_instance(iid).map(|_| iid),
                 None => {
                     let Some(rec) = self.registry.record(&p.name) else {
-                        self.telemetry.span_exit(p.span, now.as_micros());
                         self.recorder.end(p.trace, now.as_micros());
                         continue;
                     };
                     match InstanceDescriptor::from_value(&rec.descriptor) {
                         Ok(d) => self.mgr.adopt_instance(d),
                         Err(e) => {
-                            self.telemetry.span_exit(p.span, now.as_micros());
                             self.recorder.end(p.trace, now.as_micros());
                             self.events.push(NodeEvent::AdoptFailed {
                                 at: now,
@@ -1242,7 +1230,6 @@ impl DosgiNode {
                             now,
                         );
                     } else {
-                        self.telemetry.span_exit(p.span, now.as_micros());
                         self.recorder.end(p.trace, now.as_micros());
                         self.events.push(NodeEvent::Adopted {
                             at: now,
@@ -1295,9 +1282,6 @@ impl DosgiNode {
             let root = self.recorder.root(&format!("upgrade/{name}"), now_us);
             self.upgrade_traces.insert(key, root);
         }
-        let span = self
-            .telemetry
-            .span_enter(format_args!("core.upgrade/{name}"), now_us);
         let state_bytes = self
             .mgr
             .instance(iid)
@@ -1313,7 +1297,6 @@ impl DosgiNode {
             name: name.to_owned(),
             manifest,
             attempt: 0,
-            span,
         });
         Ok(())
     }
@@ -1345,7 +1328,6 @@ impl DosgiNode {
             // The instance may have migrated away or crashed between the
             // request and the swap instant: abandon the ticket cleanly.
             let Some(iid) = self.mgr.find_by_name(&p.name) else {
-                self.telemetry.span_exit(p.span, now_us);
                 if let Some(root) = self.upgrade_traces.remove(&key) {
                     self.recorder.end(root, now_us);
                 }
@@ -1392,7 +1374,6 @@ impl DosgiNode {
                     self.recorder.end(a, adopt_end);
                     self.recorder.end(root, adopt_end);
                     self.finished_upgrade_traces.insert(p.name.clone(), root);
-                    self.telemetry.span_exit(p.span, now_us);
                     self.metrics.upgrade_completed.incr();
                     self.metrics
                         .upgrade_blackout_us
@@ -1429,7 +1410,6 @@ impl DosgiNode {
                             ..p
                         });
                     } else {
-                        self.telemetry.span_exit(p.span, now_us);
                         if let Some(root) = self.upgrade_traces.remove(&key) {
                             self.recorder.end(root, now_us);
                         }
@@ -1462,7 +1442,6 @@ impl DosgiNode {
         now: SimTime,
     ) {
         if !transient {
-            self.telemetry.span_exit(p.span, now.as_micros());
             self.recorder.end(p.trace, now.as_micros());
             self.events.push(NodeEvent::AdoptFailed {
                 at: now,
@@ -1473,7 +1452,6 @@ impl DosgiNode {
         }
         let failures = p.attempt + 1;
         if self.config.retry.exhausted(failures) {
-            self.telemetry.span_exit(p.span, now.as_micros());
             self.metrics.san_quarantines.incr();
             self.events.push(NodeEvent::Quarantined {
                 at: now,
@@ -1510,7 +1488,6 @@ impl DosgiNode {
             name: p.name,
             reason: p.reason,
             attempt: failures,
-            span: p.span,
             trace: p.trace,
         });
     }

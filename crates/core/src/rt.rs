@@ -14,10 +14,14 @@
 //!
 //! ## Command plane
 //!
-//! Callers talk to worker threads through per-node command channels; each
-//! request carries its own reply channel. The worker loop is:
+//! Callers talk to worker threads through per-node command channels. There
+//! is one command: a closure to run against the node and its endpoint
+//! ([`RealCluster::on`]), which sends its result back on its own reply
+//! channel; `deploy`, `migrate`, `call`, `probe`, `health`,
+//! `registry_reader` and `take_events` are one-line callers of it. The
+//! worker loop is:
 //!
-//! 1. drain pending commands (deploy / migrate / call / probe / …),
+//! 1. run pending commands,
 //! 2. `node.tick(&mut endpoint, endpoint.now())` — heartbeats, view
 //!    changes, total-order delivery, adoption, SLA sweeps,
 //! 3. park briefly so an idle cluster does not spin at 100% CPU.
@@ -34,11 +38,11 @@
 //! worker stamps the shared store's fault clock, keeping that clock
 //! monotonic without cross-thread coordination.
 
-use crate::node::NodeConfig;
+use crate::node::{NodeConfig, Wire};
 use crate::CoreError;
 use crate::DosgiNode;
 use crate::NodeEvent;
-use dosgi_net::{Clock, Fabric, NodeId, RealClock, RealNet, SimTime};
+use dosgi_net::{Clock, Fabric, NodeId, RealClock, RealEndpoint, RealNet, SimTime};
 use dosgi_osgi::RegistryReader;
 use dosgi_san::{BackendKind, SharedStore, Value};
 use dosgi_telemetry::HealthState;
@@ -47,26 +51,14 @@ use std::sync::mpsc::{channel, Sender};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Wire type the nodes exchange (same alias the sim cluster uses).
-type Wire = dosgi_gcs::GcsWire<crate::AppPayload>;
+/// What a worker is asked to run: it has the node and its endpoint, and
+/// sends whatever it computes back on a channel it captured.
+type Job = Box<dyn FnOnce(&mut DosgiNode, &mut RealEndpoint<Wire>) + Send>;
 
-/// One request to a node's worker thread. Every variant carries a reply
-/// channel; `recv` on the caller side blocks until the worker's next loop
-/// iteration services it.
+/// One request to a node's worker thread, serviced on the worker's next
+/// loop iteration.
 enum Command {
-    Deploy(InstanceDescriptor, Sender<Result<(), CoreError>>),
-    Migrate(String, NodeId, Sender<Result<(), CoreError>>),
-    Call(
-        String,
-        String,
-        String,
-        Value,
-        Sender<Result<Value, CoreError>>,
-    ),
-    Probe(String, Sender<bool>),
-    Health(Sender<HealthState>),
-    Reader(Sender<RegistryReader>),
-    TakeEvents(Sender<Vec<NodeEvent>>),
+    Run(Job),
     Shutdown,
 }
 
@@ -115,29 +107,7 @@ impl RealCluster {
                         let mut shutdown = false;
                         while let Ok(cmd) = rx.try_recv() {
                             match cmd {
-                                Command::Deploy(desc, reply) => {
-                                    let now = endpoint.now();
-                                    let _ = reply.send(node.deploy(desc, &mut endpoint, now));
-                                }
-                                Command::Migrate(name, to, reply) => {
-                                    let _ = reply.send(node.migrate_away(&name, to, &mut endpoint));
-                                }
-                                Command::Call(name, interface, method, arg, reply) => {
-                                    let _ = reply
-                                        .send(node.call_local(&name, &interface, &method, &arg));
-                                }
-                                Command::Probe(name, reply) => {
-                                    let _ = reply.send(node.probe_local(&name));
-                                }
-                                Command::Health(reply) => {
-                                    let _ = reply.send(node_health(&node));
-                                }
-                                Command::Reader(reply) => {
-                                    let _ = reply.send(node.registry_reader());
-                                }
-                                Command::TakeEvents(reply) => {
-                                    let _ = reply.send(node.take_events());
-                                }
+                                Command::Run(f) => f(&mut node, &mut endpoint),
                                 Command::Shutdown => shutdown = true,
                             }
                         }
@@ -185,27 +155,37 @@ impl RealCluster {
         self.clock.now()
     }
 
-    fn cmd(&self, on: NodeId) -> &Sender<Command> {
-        &self.cmds[on.0 as usize]
+    /// Runs `f` on node `node`'s worker thread, against the node and its
+    /// endpoint, and returns what it returned: the one operator call the
+    /// others are written in. Blocks until the worker's next loop
+    /// iteration has run it.
+    pub fn on<R: Send + 'static>(
+        &self,
+        node: NodeId,
+        f: impl FnOnce(&mut DosgiNode, &mut RealEndpoint<Wire>) -> R + Send + 'static,
+    ) -> R {
+        let (tx, rx) = channel();
+        self.cmds[node.0 as usize]
+            .send(Command::Run(Box::new(move |node, net| {
+                let _ = tx.send(f(node, net));
+            })))
+            .expect("worker alive");
+        rx.recv().expect("worker replies")
     }
 
     /// Deploys `descriptor` on node `on`; returns once the home node
     /// accepted it (cluster-wide registration follows via total order).
     pub fn deploy(&self, on: NodeId, descriptor: InstanceDescriptor) -> Result<(), CoreError> {
-        let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Deploy(descriptor, tx))
-            .expect("worker alive");
-        rx.recv().expect("worker replies")
+        self.on(on, move |node, net| {
+            let now = net.now();
+            node.deploy(descriptor, net, now)
+        })
     }
 
     /// Requests migration of `name` from `from` to `to`.
     pub fn migrate(&self, from: NodeId, name: &str, to: NodeId) -> Result<(), CoreError> {
-        let (tx, rx) = channel();
-        self.cmd(from)
-            .send(Command::Migrate(name.to_owned(), to, tx))
-            .expect("worker alive");
-        rx.recv().expect("worker replies")
+        let name = name.to_owned();
+        self.on(from, move |node, net| node.migrate_away(&name, to, net))
     }
 
     /// Invokes `interface::method(arg)` on instance `name`, which must be
@@ -218,26 +198,21 @@ impl RealCluster {
         method: &str,
         arg: &Value,
     ) -> Result<Value, CoreError> {
-        let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Call(
-                name.to_owned(),
-                interface.to_owned(),
-                method.to_owned(),
-                arg.clone(),
-                tx,
-            ))
-            .expect("worker alive");
-        rx.recv().expect("worker replies")
+        let (name, interface, method, arg) = (
+            name.to_owned(),
+            interface.to_owned(),
+            method.to_owned(),
+            arg.clone(),
+        );
+        self.on(on, move |node, _| {
+            node.call_local(&name, &interface, &method, &arg)
+        })
     }
 
     /// True if instance `name` is currently running on node `on`.
     pub fn probe(&self, on: NodeId, name: &str) -> bool {
-        let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Probe(name.to_owned(), tx))
-            .expect("worker alive");
-        rx.recv().expect("worker replies")
+        let name = name.to_owned();
+        self.on(on, move |node, _| node.probe_local(&name))
     }
 
     /// Node `on`'s current health, computed on the worker thread from the
@@ -246,11 +221,7 @@ impl RealCluster {
     /// [`DosgiCluster::health_of`](crate::DosgiCluster::health_of) on the
     /// real-clock command plane.
     pub fn health(&self, on: NodeId) -> HealthState {
-        let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Health(tx))
-            .expect("worker alive");
-        rx.recv().expect("worker replies")
+        self.on(on, |node, _| node_health(node))
     }
 
     /// Every node's health, indexed like [`ids`](Self::ids).
@@ -261,20 +232,12 @@ impl RealCluster {
     /// A concurrent read handle onto node `on`'s host service registry.
     /// The handle outlives the request and reads without stopping the node.
     pub fn registry_reader(&self, on: NodeId) -> RegistryReader {
-        let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Reader(tx))
-            .expect("worker alive");
-        rx.recv().expect("worker replies")
+        self.on(on, |node, _| node.registry_reader())
     }
 
     /// Drains node `on`'s accumulated events.
     pub fn take_events(&self, on: NodeId) -> Vec<NodeEvent> {
-        let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::TakeEvents(tx))
-            .expect("worker alive");
-        rx.recv().expect("worker replies")
+        self.on(on, |node, _| node.take_events())
     }
 
     /// Polls until `name` probes true on `on`, or `timeout` elapses.

@@ -407,16 +407,12 @@ mod tests {
             1,
             "retries reuse the open root instead of minting per attempt: {roots:?}"
         );
+        let open = recorder.open_events();
         assert!(
-            recorder
-                .open_events()
-                .iter()
-                .all(|e| !e.name.starts_with("upgrade/")
-                    && !e.name.starts_with("u_persist/")
-                    && !e.name.starts_with("u_quiesce/")
-                    && !e.name.starts_with("u_adopt/")),
-            "no upgrade span leaks open after completion"
+            open.is_empty(),
+            "spans left open after completion: {open:?}"
         );
+        assert_eq!(recorder.rejected(), 0, "no span was closed twice");
         // The handoff phase children all landed under that one root.
         let events = recorder.events();
         let root = &roots[0];

@@ -340,59 +340,6 @@ pub fn host_bundles() -> Vec<BundleManifest> {
     vec![log_manifest(), http_manifest(), metrics_manifest()]
 }
 
-/// Zipf-skewed tenant popularity: which customer each request belongs to
-/// when a handful of tenants dominate a million-user workload.
-///
-/// Rank 0 (`tenant-000`) is the most popular; popularity decays as
-/// `1/rank^exponent` via [`crate::loadgen::ZipfSampler`]. Seeded and
-/// deterministic, so the same request sequence always maps to the same
-/// tenants (E15 fingerprinting).
-#[derive(Debug, Clone)]
-pub struct TenantPopularity {
-    names: Vec<String>,
-    sampler: crate::loadgen::ZipfSampler,
-}
-
-impl TenantPopularity {
-    /// `tenants` customers skewed by `exponent` (1.0 is classic Zipf).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tenants` is zero (via the sampler).
-    pub fn new(tenants: usize, exponent: f64, seed: u64) -> Self {
-        TenantPopularity {
-            names: (0..tenants).map(|i| format!("tenant-{i:03}")).collect(),
-            sampler: crate::loadgen::ZipfSampler::new(tenants, exponent, seed),
-        }
-    }
-
-    /// The tenant the next request belongs to.
-    pub fn sample(&mut self) -> &str {
-        let rank = self.sampler.sample();
-        &self.names[rank]
-    }
-
-    /// The tenant name at popularity `rank` (0 = most popular).
-    pub fn name(&self, rank: usize) -> &str {
-        &self.names[rank]
-    }
-
-    /// The analytic share of traffic tenant `rank` receives.
-    pub fn share(&self, rank: usize) -> f64 {
-        self.sampler.probability(rank)
-    }
-
-    /// Number of tenants.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the fleet is empty (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,29 +371,6 @@ mod tests {
             assert!(repo.contains(b), "{b}");
         }
         assert_eq!(host_bundles().len(), 3);
-    }
-
-    #[test]
-    fn tenant_popularity_is_skewed_and_deterministic() {
-        let mut pop = TenantPopularity::new(50, 1.0, 7);
-        assert_eq!(pop.len(), 50);
-        assert!(!pop.is_empty());
-        assert_eq!(pop.name(0), "tenant-000");
-        assert!(pop.share(0) > pop.share(49));
-        let mut hits = vec![0u32; 50];
-        for _ in 0..5_000 {
-            let name = pop.sample().to_string();
-            let rank: usize = name.trim_start_matches("tenant-").parse().unwrap();
-            hits[rank] += 1;
-        }
-        // The head tenant dominates the tail tenant under Zipf skew.
-        assert!(hits[0] > 10 * hits[49].max(1) / 2, "{hits:?}");
-        // Determinism: same seed, same sequence.
-        let mut a = TenantPopularity::new(50, 1.0, 7);
-        let mut b = TenantPopularity::new(50, 1.0, 7);
-        for _ in 0..100 {
-            assert_eq!(a.sample(), b.sample());
-        }
     }
 
     #[test]

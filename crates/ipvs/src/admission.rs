@@ -183,11 +183,6 @@ impl BackendQueue {
         self.lanes.iter().map(VecDeque::len).sum()
     }
 
-    /// Queued requests of one class.
-    pub fn depth_of(&self, class: RequestClass) -> usize {
-        self.lanes[class.priority()].len()
-    }
-
     /// Offers a request. When the queue is full, a strictly
     /// lower-priority request (the youngest of the lowest occupied lane)
     /// is displaced to make room; if none exists the offer itself is shed.

@@ -75,16 +75,6 @@ impl MonitoringModule {
         self.subjects.get(subject).map(|s| &s.cpu_share)
     }
 
-    /// The memory series for `subject`.
-    pub fn memory_series(&self, subject: &str) -> Option<&TimeSeries> {
-        self.subjects.get(subject).map(|s| &s.memory)
-    }
-
-    /// The call-rate series for `subject`.
-    pub fn call_rate_series(&self, subject: &str) -> Option<&TimeSeries> {
-        self.subjects.get(subject).map(|s| &s.call_rate)
-    }
-
     /// Full reports for every subject, sorted by key.
     pub fn report(&self) -> Vec<SubjectReport> {
         self.subjects

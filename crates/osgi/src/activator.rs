@@ -2,8 +2,8 @@
 
 use crate::framework::Framework;
 use crate::{
-    BundleError, BundleId, BundleManifest, ClassRef, Filter, LoadError, PropValue, Service,
-    ServiceError, ServiceId, SymbolName,
+    BundleError, BundleId, BundleManifest, ClassRef, LoadError, PropValue, Service, ServiceError,
+    ServiceId, SymbolName,
 };
 use dosgi_net::SimDuration;
 use dosgi_san::Value;
@@ -170,20 +170,6 @@ impl<'a> BundleContext<'a> {
     /// The best service offering `interface`.
     pub fn best_service(&self, interface: &str) -> Option<ServiceId> {
         self.framework.best_service(interface)
-    }
-
-    /// Service references matching `interface`/`filter`.
-    pub fn service_references(
-        &self,
-        interface: Option<&str>,
-        filter: Option<&Filter>,
-    ) -> Vec<ServiceId> {
-        self.framework
-            .registry()
-            .references(interface, filter)
-            .into_iter()
-            .map(|r| r.id)
-            .collect()
     }
 
     /// Invokes a service.

@@ -235,11 +235,6 @@ impl Framework {
         self.persist()
     }
 
-    /// The persistence namespace, if a store is attached.
-    pub fn store_namespace(&self) -> Option<&str> {
-        self.store.as_ref().map(|(_, ns)| ns.as_str())
-    }
-
     /// Counts this framework's pending persistence in `count` from now on
     /// (instead of in a count of its own).
     pub fn share_dirty_count(&mut self, count: &DirtyCount) {
@@ -955,12 +950,6 @@ impl Framework {
     /// Read access to the service registry.
     pub fn registry(&self) -> &ServiceRegistry {
         &self.registry
-    }
-
-    /// Mutable access to the service registry (used by the vosgi layer to
-    /// register manager services and share host services).
-    pub fn registry_mut(&mut self) -> &mut ServiceRegistry {
-        &mut self.registry
     }
 
     // ------------------------------------------------------------------

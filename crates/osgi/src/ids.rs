@@ -143,14 +143,6 @@ impl SymbolName {
         })
     }
 
-    /// Builds a symbol from its parts.
-    pub fn in_package(package: PackageName, simple: &str) -> Self {
-        SymbolName {
-            package,
-            simple: simple.to_owned(),
-        }
-    }
-
     /// The package half.
     pub fn package(&self) -> &PackageName {
         &self.package

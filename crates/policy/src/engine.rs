@@ -35,15 +35,6 @@ impl PolicyEngine {
         })
     }
 
-    /// Builds an engine from an already-parsed script.
-    pub fn from_script(script: Script) -> Self {
-        PolicyEngine {
-            script,
-            streaks: BTreeMap::new(),
-            errors: Vec::new(),
-        }
-    }
-
     /// The compiled script.
     pub fn script(&self) -> &Script {
         &self.script

@@ -77,15 +77,6 @@ pub fn encode(value: &Value) -> Vec<u8> {
     out
 }
 
-/// Encodes `value` by appending to `out` — the buffer-reuse hot path.
-/// Reserves the exact encoded size up front ([`encoded_len`] is
-/// allocation-free), so a caller looping over a batch with one scratch
-/// buffer pays at most one growth for the largest value ever seen.
-pub fn encode_into(value: &Value, out: &mut Vec<u8>) {
-    out.reserve(encoded_len(value));
-    write_value(out, value);
-}
-
 fn varint_len(v: u64) -> usize {
     let bits = (64 - v.leading_zeros()).max(1) as usize;
     bits.div_ceil(7)

@@ -101,7 +101,7 @@ struct Shared {
 /// `SharedStore` is a thin fault-injecting, telemetry-emitting,
 /// stats-accounting wrapper over a [`StoreBackend`]: the in-memory map
 /// ([`SharedStore::new`], the default) or the log-structured store
-/// ([`SharedStore::new_log`]). Every backend is held to the same contract
+/// ([`SharedStore::with_kind`]). Every backend is held to the same contract
 /// by the golden-fixture conformance suite in [`crate::conformance`] —
 /// observable behaviour (results, versions, stats, fault interleaving)
 /// must be byte-identical across backends.
@@ -135,11 +135,6 @@ impl SharedStore {
         Self::default()
     }
 
-    /// Creates an empty store on the log-structured backend.
-    pub fn new_log() -> Self {
-        Self::with_kind(BackendKind::Log)
-    }
-
     /// Creates an empty store on the named backend kind.
     pub fn with_kind(kind: BackendKind) -> Self {
         Self::with_backend(kind.build())
@@ -158,11 +153,6 @@ impl SharedStore {
             }),
             faults: FaultInjector::default(),
         }
-    }
-
-    /// The active backend's stable name (`"map"`, `"log"`).
-    pub fn backend_name(&self) -> &'static str {
-        self.lock().backend.name()
     }
 
     /// The active backend's maintenance counters (segments, compactions,
@@ -215,8 +205,7 @@ impl SharedStore {
     // Fault layer wiring
     // ------------------------------------------------------------------
 
-    /// The store's fault injector (share it with a
-    /// [`Journal`](crate::Journal) so both draw from one plan and stream).
+    /// The store's fault injector.
     pub fn faults(&self) -> &FaultInjector {
         &self.faults
     }

@@ -127,12 +127,6 @@ impl Value {
         crate::codec::encode(self)
     }
 
-    /// Encodes the value by appending to `out` (exactly pre-reserved) —
-    /// see [`codec::encode_into`](crate::codec::encode_into).
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        crate::codec::encode_into(self, out)
-    }
-
     /// Decodes a value previously produced by [`encode`](Self::encode).
     ///
     /// # Errors

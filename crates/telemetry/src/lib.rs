@@ -1,14 +1,12 @@
-//! # dosgi-telemetry — cluster-wide metrics, spans, and snapshots
+//! # dosgi-telemetry — cluster-wide metrics, traces, and snapshots
 //!
 //! A zero-dependency observability layer for the dosgi stack:
 //!
 //! * a registry of named **counters** (`u64`, monotonic), **gauges**
 //!   (`i64`, last-write-wins), and log-bucketed **histograms**
 //!   ([`Histogram`]);
-//! * **sim-time span tracing** — [`Telemetry::span_enter`] /
-//!   [`Telemetry::span_exit`] with parent nesting derived from the open
-//!   span stack, closed spans kept in a bounded ring buffer (overflow
-//!   drops the oldest span and increments `telemetry.dropped_spans`);
+//! * **causal span tracing** — the per-node [`FlightRecorder`], merged
+//!   into one [`TraceLog`] per run (see [`trace`]);
 //! * a stable, schema-versioned **JSON snapshot** writer ([`Snapshot`])
 //!   whose output is byte-deterministic: `BTreeMap` key order, integer
 //!   arithmetic only, and simulated timestamps only.
@@ -17,7 +15,7 @@
 //!
 //! Telemetry is *passive*: it never reads the wall clock, never consumes
 //! randomness, and never influences control flow in the instrumented
-//! code. All timestamps fed to spans are simulated-time microseconds
+//! code. All timestamps fed to it are simulated-time microseconds
 //! supplied by the caller (`SimTime::as_micros()`), so a seeded replay
 //! produces a byte-identical snapshot and — because nothing observable
 //! changes — a byte-identical chaos fingerprint whether telemetry is
@@ -63,7 +61,7 @@ pub use series::{
     DEFAULT_SERIES_CAPACITY, DROPPED_POINTS,
 };
 pub use slo::{derive_health, AlertEvent, AlertWindow, HealthState, SloEngine, SloSpec};
-pub use snapshot::{ClosedSpan, OpenSpan, Snapshot, SCHEMA_VERSION};
+pub use snapshot::{Snapshot, SCHEMA_VERSION};
 pub use trace::{
     FlightRecorder, TraceContext, TraceEvent, TraceLog, TraceRef, DEFAULT_EVENT_CAPACITY,
     TRACE_SCHEMA_VERSION,
@@ -73,62 +71,19 @@ use handle::{with_slot, CounterSlot, GaugeSlot, HistogramSlot, SlotRead, Written
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
-/// Counter name incremented when the closed-span ring buffer overflows.
-pub const DROPPED_SPANS: &str = "telemetry.dropped_spans";
-
 /// Counter name incremented when the alert timeline overflows.
 pub const DROPPED_ALERTS: &str = "telemetry.dropped_alerts";
-
-/// Default capacity of the closed-span ring buffer.
-pub const DEFAULT_SPAN_CAPACITY: usize = 1024;
 
 /// Capacity of the alert timeline (alert transitions are sparse; a run
 /// that overflows this is itself an alerting bug worth seeing).
 pub const ALERT_CAPACITY: usize = 1024;
 
-/// Identifier returned by [`Telemetry::span_enter`].
-///
-/// `SpanId(0)` is the reserved *null* id handed out by disabled handles;
-/// enabled registries start numbering at 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SpanId(pub u64);
-
-impl SpanId {
-    /// The null id (never matches a live span).
-    pub const NONE: SpanId = SpanId(0);
-}
-
-struct LiveSpan {
-    id: u64,
-    name: String,
-    start_us: u64,
-    parent: Option<u64>,
-}
-
+#[derive(Default)]
 struct Inner {
     counters: BTreeMap<String, Arc<CounterSlot>>,
     gauges: BTreeMap<String, Arc<GaugeSlot>>,
     histograms: BTreeMap<String, Arc<HistogramSlot>>,
-    next_span: u64,
-    open: Vec<LiveSpan>,
-    closed: VecDeque<ClosedSpan>,
-    span_capacity: usize,
     alerts: VecDeque<AlertEvent>,
-}
-
-impl Inner {
-    fn new(span_capacity: usize) -> Self {
-        Inner {
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
-            next_span: 1,
-            open: Vec::new(),
-            closed: VecDeque::new(),
-            span_capacity,
-            alerts: VecDeque::new(),
-        }
-    }
 }
 
 /// Cheap-clone handle onto a shared telemetry registry (or a no-op).
@@ -146,15 +101,10 @@ impl std::fmt::Debug for Telemetry {
 }
 
 impl Telemetry {
-    /// An enabled registry with the default span-ring capacity.
+    /// An enabled, empty registry.
     pub fn new() -> Self {
-        Self::with_span_capacity(DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// An enabled registry keeping at most `capacity` closed spans.
-    pub fn with_span_capacity(capacity: usize) -> Self {
         Telemetry {
-            inner: Some(Arc::new(Mutex::new(Inner::new(capacity.max(1))))),
+            inner: Some(Arc::default()),
         }
     }
 
@@ -287,66 +237,8 @@ impl Telemetry {
             .unwrap_or_default()
     }
 
-    /// Open a span named `name` at simulated time `now_us`.
-    ///
-    /// The span's parent is the most recently opened still-open span.
-    /// Disabled handles return [`SpanId::NONE`] without formatting a
-    /// `format_args!` name.
-    pub fn span_enter(&self, name: impl MetricName, now_us: u64) -> SpanId {
-        let Some(mut g) = self.lock() else {
-            return SpanId::NONE;
-        };
-        let id = g.next_span;
-        g.next_span += 1;
-        let parent = g.open.last().map(|s| s.id);
-        g.open.push(LiveSpan {
-            id,
-            name: name.with_name(str::to_owned),
-            start_us: now_us,
-            parent,
-        });
-        SpanId(id)
-    }
-
-    /// Close the span `id` at simulated time `now_us`.
-    ///
-    /// Returns `false` (and records nothing) when `id` does not name an
-    /// open span — an exit-without-enter is rejected, not invented. On a
-    /// disabled handle this is an accepted no-op (`true`), matching the
-    /// [`SpanId::NONE`] its `span_enter` handed out.
-    pub fn span_exit(&self, id: SpanId, now_us: u64) -> bool {
-        let Some(mut g) = self.lock() else {
-            return true;
-        };
-        let Some(pos) = g.open.iter().rposition(|s| s.id == id.0) else {
-            with_slot(&mut g.counters, "telemetry.rejected_span_exits", |s| {
-                s.add(1)
-            });
-            return false;
-        };
-        let live = g.open.remove(pos);
-        if g.closed.len() >= g.span_capacity {
-            g.closed.pop_front();
-            with_slot(&mut g.counters, DROPPED_SPANS, |s| s.add(1));
-        }
-        g.closed.push_back(ClosedSpan {
-            id: live.id,
-            name: live.name,
-            start_us: live.start_us,
-            end_us: now_us,
-            parent: live.parent,
-        });
-        true
-    }
-
-    /// Number of currently open spans.
-    pub fn open_spans(&self) -> usize {
-        self.lock().map(|g| g.open.len()).unwrap_or(0)
-    }
-
     /// Materialize a deterministic snapshot of everything recorded so
-    /// far. Open (unbalanced) spans are reported as open, not silently
-    /// closed. The registry keeps accumulating afterwards.
+    /// far. The registry keeps accumulating afterwards.
     pub fn snapshot(&self, label: &str, seed: u64) -> Snapshot {
         let mut snap = Snapshot {
             schema_version: snapshot::SCHEMA_VERSION,
@@ -355,8 +247,6 @@ impl Telemetry {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
-            spans: Vec::new(),
-            open_spans: Vec::new(),
             alerts: Vec::new(),
         };
         if let Some(g) = self.lock() {
@@ -367,17 +257,6 @@ impl Telemetry {
             snap.gauges = owned(Written(&g.gauges));
             snap.histograms = owned(Written(&g.histograms));
             snap.alerts = g.alerts.iter().cloned().collect();
-            snap.spans = g.closed.iter().cloned().collect();
-            snap.open_spans = g
-                .open
-                .iter()
-                .map(|s| OpenSpan {
-                    id: s.id,
-                    name: s.name.clone(),
-                    start_us: s.start_us,
-                    parent: s.parent,
-                })
-                .collect();
         }
         snap
     }
@@ -396,12 +275,8 @@ mod tests {
         assert_eq!(t.counter("a.b.c"), 0);
         assert_eq!(t.gauge("g"), None);
         assert!(t.histogram("h").is_none());
-        let id = t.span_enter("s", 10);
-        assert_eq!(id, SpanId::NONE);
-        assert!(t.span_exit(id, 20));
         let snap = t.snapshot("off", 1);
         assert!(snap.counters.is_empty());
-        assert!(snap.spans.is_empty());
     }
 
     #[test]
@@ -498,9 +373,6 @@ mod tests {
         t.gauge_handle(format_args!("g.{Unprintable}")).set(1);
         t.histogram_handle(format_args!("h.{Unprintable}"))
             .record(1);
-        let span = t.span_enter(format_args!("s/{Unprintable}"), 1);
-        assert_eq!(span, SpanId::NONE);
-        assert!(t.span_exit(span, 2));
         Counter::default().incr();
         Gauge::default().set(1);
         HistogramHandle::default().record(1);
@@ -532,77 +404,5 @@ mod tests {
         assert_eq!(h.count(), THREADS * WRITES);
         assert_eq!(h.sum(), THREADS * WRITES / 2);
         assert_eq!(h.bucket(0), h.bucket(1));
-    }
-
-    #[test]
-    fn span_nesting_assigns_parents() {
-        let t = Telemetry::new();
-        let outer = t.span_enter("outer", 0);
-        let inner = t.span_enter("inner", 5);
-        assert!(t.span_exit(inner, 9));
-        assert!(t.span_exit(outer, 20));
-        let snap = t.snapshot("s", 0);
-        assert_eq!(snap.spans.len(), 2);
-        assert_eq!(snap.spans[0].name, "inner");
-        assert_eq!(snap.spans[0].parent, Some(outer.0));
-        assert_eq!(snap.spans[1].name, "outer");
-        assert_eq!(snap.spans[1].parent, None);
-    }
-
-    #[test]
-    fn exit_without_enter_is_rejected() {
-        let t = Telemetry::new();
-        assert!(!t.span_exit(SpanId(999), 5));
-        assert!(!t.span_exit(SpanId::NONE, 5));
-        let real = t.span_enter("real", 0);
-        assert!(t.span_exit(real, 1));
-        // Double-exit of the same id is also an exit-without-enter.
-        assert!(!t.span_exit(real, 2));
-        assert_eq!(t.counter("telemetry.rejected_span_exits"), 3);
-        assert_eq!(t.snapshot("s", 0).spans.len(), 1);
-    }
-
-    #[test]
-    fn ring_overflow_drops_oldest_and_counts() {
-        let t = Telemetry::with_span_capacity(2);
-        for i in 0..4u64 {
-            let id = t.span_enter(format_args!("s{i}"), i * 10);
-            assert!(t.span_exit(id, i * 10 + 1));
-        }
-        let snap = t.snapshot("s", 0);
-        assert_eq!(snap.spans.len(), 2);
-        assert_eq!(snap.spans[0].name, "s2");
-        assert_eq!(snap.spans[1].name, "s3");
-        assert_eq!(snap.counters.get(DROPPED_SPANS), Some(&2));
-    }
-
-    #[test]
-    fn unbalanced_spans_reported_as_open() {
-        let t = Telemetry::new();
-        let a = t.span_enter("left-open", 3);
-        let b = t.span_enter("closed", 4);
-        assert!(t.span_exit(b, 6));
-        let snap = t.snapshot("s", 0);
-        assert_eq!(snap.spans.len(), 1);
-        assert_eq!(snap.open_spans.len(), 1);
-        assert_eq!(snap.open_spans[0].name, "left-open");
-        assert_eq!(snap.open_spans[0].id, a.0);
-        assert_eq!(snap.open_spans[0].start_us, 3);
-        assert_eq!(t.open_spans(), 1);
-    }
-
-    #[test]
-    fn exiting_parent_before_child_keeps_child_recorded() {
-        let t = Telemetry::new();
-        let outer = t.span_enter("outer", 0);
-        let inner = t.span_enter("inner", 1);
-        // Unbalanced: outer exits first; inner stays open with its
-        // parent reference intact.
-        assert!(t.span_exit(outer, 2));
-        assert!(t.span_exit(inner, 3));
-        let snap = t.snapshot("s", 0);
-        assert_eq!(snap.spans[0].name, "outer");
-        assert_eq!(snap.spans[1].name, "inner");
-        assert_eq!(snap.spans[1].parent, Some(outer.0));
     }
 }

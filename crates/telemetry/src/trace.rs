@@ -1,10 +1,10 @@
 //! Distributed causal tracing: per-node flight recorders, wire-carried
 //! trace contexts, and a deterministic cluster-wide trace log.
 //!
-//! Node-local spans ([`crate::Telemetry::span_enter`]) cannot describe a
-//! protocol that runs across nodes: a migration is released by one node,
-//! ordered by the sequencer, and adopted by another. This module links
-//! those pieces into one tree:
+//! The stack's one span system. A span kept in one node's registry cannot
+//! describe a protocol that runs across nodes: a migration is released by
+//! one node, ordered by the sequencer, and adopted by another. This module
+//! links those pieces into one tree:
 //!
 //! * a [`TraceContext`] — trace id, parent span id, and a **Lamport
 //!   stamp** — minted at protocol entry points and carried inside GCS
@@ -344,12 +344,6 @@ impl FlightRecorder {
     /// Record a zero-duration child event under a local parent span.
     pub fn instant(&self, parent: TraceRef, name: &str, now_us: u64) -> bool {
         let r = self.child_of(parent, name, now_us);
-        r.is_some() && self.end(r, now_us)
-    }
-
-    /// Record a zero-duration child event from an imported context.
-    pub fn instant_for(&self, ctx: TraceContext, name: &str, now_us: u64) -> bool {
-        let r = self.child(ctx, name, now_us);
         r.is_some() && self.end(r, now_us)
     }
 

@@ -96,8 +96,6 @@ impl Model {
             counters: self.counters.clone(),
             gauges: self.gauges.clone(),
             histograms: self.histograms.clone(),
-            spans: Vec::new(),
-            open_spans: Vec::new(),
             alerts: Vec::new(),
         }
         .to_json()

@@ -141,11 +141,6 @@ impl InstanceManager {
         &self.host
     }
 
-    /// Mutable access to the host framework.
-    pub fn host_mut(&mut self) -> &mut Framework {
-        &mut self.host
-    }
-
     /// The node's bundle repository.
     pub fn repository(&self) -> &BundleRepository {
         &self.repo

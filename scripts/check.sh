@@ -29,17 +29,18 @@ cargo clippy --offline --all-targets -- -D warnings
 echo "==> SAN backend conformance (golden fixtures x every backend)"
 cargo run --offline --release -p dosgi-bench --bin san_conformance
 
-echo "==> chaos sweep (seeded nemesis schedules + replay verification)"
+echo "==> chaos sweep (seeded nemesis schedules + replay verification) -> results/chaos_sweep.txt"
 scripts/chaos.sh
 
-echo "==> e15 overload knee (admission on/off + policy reaction + flash-crowd chaos)"
-cargo run --offline --release -p dosgi-bench --bin e15_overload
-
-echo "==> e16 slo burn-rate alerting (lead-time race + alert-driven policy + bounded series)"
-cargo run --offline --release -p dosgi-bench --bin e16_slo
-
-echo "==> e14 hot swap (blackout vs migration + rolling wave under traffic)"
-cargo run --offline --release -p dosgi-bench --bin e14_hot_swap
+echo "==> experiment bins, stdout -> results/<bin>.txt"
+# Every bin is deterministic (simulated time, seeded randomness, paths printed
+# relative to the workspace root), so its capture is held to the committed one
+# by the results/ check at the end like any other file a step writes.
+for bin in e1_topology e3_sharing e4_isolation e5_migration_cost e6_failover \
+    e7_vip_migration e8_ipvs e9_replication e10_autonomic e11_fallible_san \
+    e14_hot_swap e15_overload e16_slo; do
+  cargo run -q --offline --release -p dosgi-bench --bin "$bin" > "results/$bin.txt"
+done
 
 echo "==> telemetry snapshot schema check"
 cargo run --offline --release -p dosgi-bench --bin telemetry_check

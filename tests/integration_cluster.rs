@@ -245,7 +245,7 @@ fn undisturbed_cluster_is_quiet_and_deterministic() {
 
 #[test]
 fn open_loop_load_sees_exactly_the_downtime_window() {
-    use dosgi_core::loadgen::LoadGenerator;
+    use dosgi_core::loadgen::{RateSchedule, ScheduledLoadGenerator};
 
     let mut c = cluster(3, 30);
     warm_up(&mut c);
@@ -254,7 +254,7 @@ fn open_loop_load_sees_exactly_the_downtime_window() {
 
     // Open-loop Poisson clients at 200 req/s for 5 simulated seconds, with
     // a crash of the hosting node 1 s in.
-    let mut gen = LoadGenerator::new(200.0, 99, c.now());
+    let mut gen = ScheduledLoadGenerator::new(RateSchedule::constant(200.0), 99, c.now());
     let crash_after = c.now() + SimDuration::from_secs(1);
     let end = c.now() + SimDuration::from_secs(5);
     let (mut ok, mut failed) = (0u64, 0u64);
