@@ -8,6 +8,7 @@
 //! | row | scenario | guarded (↑ ceiling, ↓ floor) | baseline |
 //! |---|---|---|---|
 //! | `map`, `log` | E5 migration round per SAN backend: a counter with a 256 KiB data area handed 0 → 1. Faults, stats and change detection live in the `SharedStore` wrapper, so a conformant backend sees the same bytes — the row doubles as a coarse conformance check | `bytes_written` ↑, `bytes_read` ↑ (blowing change detection or per-row persistence is a bug) | `perf_baseline_e5.json`, `perf_baseline_e5_<backend>.json` |
+//! | `migrate_reads_map`, `migrate_reads_log` | one benchmark-shaped `migrate` round (incr → migrate → adopted → incr) per SAN backend, of a counter whose data area holds 64, then 256, 1 KiB rows it never reads | SAN `rows_read` ↑ and `bytes_read` ↑, which must be *equal* for the two areas and at most 4 rows: what an adoption reads is what its calls ask for, not the area | `perf_baseline_migrate_reads_<backend>.json` |
 //! | `admission` | E15 admission hot path: one backend at 2 000/s, 64-deep queue, 2× open-loop Poisson load, class mix, 10 simulated seconds | `completed` ↓ (a drain that stops being work-conserving), `shed` ↑ (shedding more at the same load); `offered` recorded | `perf_baseline_e15_admission.json` |
 //! | `hot_swap` | E14 counter-scale in-place upgrade 1.0.0 → 1.1.0 on a fault-free SAN | modeled `blackout_us` ↑ (an extra flush, a fatter persist, a slower swap) | `perf_baseline_e14.json` |
 //! | `failover_rounds` | 40 crash → adopt → restart → rejoin rounds, node 0 (the sequencer) never restarted | `ordered_delivered` ↑, `registry_ops` ↑, `net_sent` ↑ per round, and round 40 must cost *exactly* what round 5 cost (a rejoin that replays history, or a sequencer that stops truncating, grows them with the cluster's age) | `perf_baseline_failover_rounds.json` |
@@ -57,10 +58,9 @@ struct Row {
     broken: Option<&'static str>,
 }
 
-/// The deterministic migration round: deploy a counter with a 256 KiB data
-/// area on node 0, settle, then migrate it to node 1. Returns the SAN
-/// bytes written/read during the round itself.
-fn measure_migration(kind: BackendKind) -> (u64, u64) {
+/// A settled three-node cluster on `kind` with a persist-on-stop counter on
+/// node 0 whose data area holds `blobs` 1 KiB rows beside its count.
+fn counter_with_area(kind: BackendKind, blobs: usize) -> DosgiCluster {
     let config = ClusterConfig {
         backend: kind,
         ..ClusterConfig::default()
@@ -72,20 +72,30 @@ fn measure_migration(kind: BackendKind) -> (u64, u64) {
     c.run_for(SimDuration::from_millis(500));
     let ns = "instance/ctr/data/org.app.counter";
     let blob = vec![0u8; 1024];
-    for i in 0..256 {
+    for i in 0..blobs {
         c.store()
             .put(ns, &format!("blob-{i}"), Value::Bytes(blob.clone()))
             .expect("no faults armed");
     }
+    c
+}
+
+fn incr(c: &mut DosgiCluster) -> Value {
+    c.call("ctr", workloads::COUNTER_SERVICE, "incr", &Value::Null)
+        .unwrap()
+}
+
+/// The deterministic migration round: a counter with a 256 KiB data area
+/// on node 0, five increments, then migrated to node 1. Returns the SAN
+/// bytes written/read during the round itself.
+fn measure_migration(kind: BackendKind) -> (u64, u64) {
+    let mut c = counter_with_area(kind, 256);
     for _ in 0..5 {
-        c.call("ctr", workloads::COUNTER_SERVICE, "incr", &Value::Null)
-            .unwrap();
+        incr(&mut c);
     }
     c.store().reset_stats();
     c.migrate("ctr", 1).unwrap();
     c.run_for(SimDuration::from_secs(8));
-    // Stats snapshot covers exactly the migration round (the verifying
-    // `get` below would add the lazy data-area hydration read).
     let s = c.store().stats();
     assert_eq!(c.home_of("ctr"), Some(1), "migrated");
     assert_eq!(
@@ -95,6 +105,21 @@ fn measure_migration(kind: BackendKind) -> (u64, u64) {
         "state intact"
     );
     (s.bytes_written, s.bytes_read)
+}
+
+/// One round of the benchmark's `migrate` workload — incr, migrate, wait
+/// for the adoption, incr — on a counter beside `blobs` rows it never
+/// reads. Returns the SAN rows and bytes read during the round.
+fn measure_migrate_reads(kind: BackendKind, blobs: usize) -> (u64, u64) {
+    let mut c = counter_with_area(kind, blobs);
+    c.store().reset_stats();
+    assert_eq!(incr(&mut c), Value::Int(1));
+    c.migrate("ctr", 1).unwrap();
+    c.run_for(SimDuration::from_secs(8));
+    assert_eq!(c.home_of("ctr"), Some(1), "migrated");
+    assert_eq!(incr(&mut c), Value::Int(2), "state intact");
+    let s = c.store().stats();
+    (s.reads, s.bytes_read)
 }
 
 /// The deterministic E15 admission round: one backend at 2000/s with a
@@ -183,6 +208,33 @@ fn rows() -> Vec<Row> {
                 ("bytes_read", read, Ceiling),
             ],
             broken: None,
+        });
+    }
+
+    for kind in BackendKind::all() {
+        let (small, large) = (
+            measure_migrate_reads(kind, 64),
+            measure_migrate_reads(kind, 256),
+        );
+        let (rows_read, bytes_read) = large;
+        rows.push(Row {
+            name: format!("migrate_reads_{kind}"),
+            summary: format!(
+                "migrate round [rows, bytes] read: {small:?} beside 64 rows, {large:?} beside 256"
+            ),
+            file: format!("perf_baseline_migrate_reads_{kind}.json"),
+            tags: vec![
+                ("scenario", "migrate_round_reads".to_owned()),
+                ("backend", kind.to_string()),
+            ],
+            fields: vec![
+                ("rows_read", rows_read, Ceiling),
+                ("bytes_read", bytes_read, Ceiling),
+            ],
+            broken: (small != large || rows_read > 4).then_some(
+                "a migrate round reads rows no call asked for — the data area is a row cache, \
+                 not a copy of the SAN",
+            ),
         });
     }
 
@@ -310,8 +362,8 @@ fn main() {
     }
     if !write_baseline {
         println!(
-            "perf_guard: within tolerance on every backend, the admission hot \
-             path, the hot-swap blackout and the flat failover round"
+            "perf_guard: within tolerance on every backend, the migrate round's reads, \
+             the admission hot path, the hot-swap blackout and the flat failover round"
         );
     }
 }

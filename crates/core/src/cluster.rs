@@ -1319,6 +1319,61 @@ mod tests {
         });
     }
 
+    /// A stateless request needs no SAN. (Regression: the whole-area
+    /// warm-up read an always-empty area on every call, so a brown-out
+    /// failed `handle` with `Store(Unavailable)`.)
+    #[test]
+    fn stateless_call_survives_a_san_brown_out() {
+        let mut c = cluster();
+        c.deploy(workloads::web_instance("a", "web"), 0).unwrap();
+        c.run_for(SimDuration::from_millis(300));
+        let until = c.now() + SimDuration::from_secs(10);
+        c.set_fault_plan(dosgi_san::FaultPlan::flaky(0.0, 1).with_brownout(c.now(), until));
+        c.step();
+        let ops = c.telemetry().counter("san.ops");
+        for served in 1..=1_000 {
+            let reply = c.call("web", workloads::WEB_SERVICE, "handle", &Value::Null);
+            assert_eq!(reply.unwrap().get("served"), Some(&Value::Int(served)));
+        }
+        assert_eq!(c.telemetry().counter("san.ops"), ops, "no SAN operation");
+    }
+
+    /// The companion: a write-through call does need the SAN, and in the
+    /// same window it is not acknowledged; its row stays dirty, the node
+    /// stays awake and lands it on the first tick the SAN answers again.
+    #[test]
+    fn write_through_call_in_a_brown_out_is_refused_and_retried() {
+        let mut c = cluster();
+        let descriptor =
+            workloads::counter_instance_with("a", "ctr", workloads::COUNTER_WRITE_THROUGH);
+        c.deploy(descriptor, 0).unwrap();
+        c.run_for(SimDuration::from_millis(300));
+        let incr =
+            |c: &mut DosgiCluster| c.call("ctr", workloads::COUNTER_SERVICE, "incr", &Value::Null);
+        assert_eq!(incr(&mut c), Ok(Value::Int(1)));
+        let until = c.now() + SimDuration::from_secs(10);
+        c.set_fault_plan(dosgi_san::FaultPlan::flaky(0.0, 1).with_brownout(c.now(), until));
+        c.step();
+        let refused = incr(&mut c).unwrap_err();
+        assert!(refused.to_string().contains("brown-out"), "{refused}");
+        let dirty = |c: &DosgiCluster| c.node(0).unwrap().manager().persist_dirty();
+        let ns = format!("instance/ctr/data/{}", workloads::COUNTER_WRITE_THROUGH);
+        assert!(dirty(&c));
+        assert_eq!(c.store().peek(&ns, "count"), Some(Value::Int(1)));
+        // A call that writes nothing does not answer for that row.
+        let get = c.call("ctr", workloads::COUNTER_SERVICE, "get", &Value::Null);
+        assert_eq!(get, Ok(Value::Int(2)));
+        // The window is half-open: the step that reaches its end is the
+        // first on which the SAN answers.
+        while c.now() + c.config.tick < until {
+            c.step();
+        }
+        assert!(dirty(&c) && !c.store().is_available());
+        c.step();
+        assert!(!dirty(&c), "an awake node flushes on that very tick");
+        assert_eq!(c.store().peek(&ns, "count"), Some(Value::Int(2)));
+    }
+
     #[test]
     fn events_are_tagged_with_their_node() {
         let mut c = cluster();

@@ -68,6 +68,31 @@ mod tests {
     use super::*;
     use crate::{ClusterConfig, DosgiCluster};
 
+    /// A standby's bundles never ran, so nothing of the data area is
+    /// resident on it: the takeover reads the SAN and serves what the
+    /// primary wrote last, not what the area held when it was prepared.
+    #[test]
+    fn standby_prepared_before_the_last_write_serves_it_after_takeover() {
+        use crate::workloads::{self, COUNTER_SERVICE};
+        use dosgi_net::SimDuration;
+        use dosgi_san::Value;
+        let mut c = DosgiCluster::new(3, ClusterConfig::default(), 7);
+        c.run_for(SimDuration::from_millis(500));
+        let descriptor =
+            workloads::counter_instance_with("bank", "ctr", workloads::COUNTER_WRITE_THROUGH);
+        c.deploy(descriptor, 0).unwrap();
+        c.run_for(SimDuration::from_millis(500));
+        let incr = |c: &mut DosgiCluster| c.call("ctr", COUNTER_SERVICE, "incr", &Value::Null);
+        assert_eq!(incr(&mut c), Ok(Value::Int(1)));
+        prepare_standby(&mut c, "ctr", 1).unwrap();
+        assert_eq!(incr(&mut c), Ok(Value::Int(2)));
+        assert_eq!(incr(&mut c), Ok(Value::Int(3)));
+        c.crash_node(0);
+        c.run_for(SimDuration::from_secs(4));
+        assert_eq!(c.home_of("ctr"), Some(1), "the standby took over");
+        assert_eq!(incr(&mut c), Ok(Value::Int(4)));
+    }
+
     #[test]
     fn standby_with_no_running_nodes_is_a_clean_error() {
         // Regression: this used to fabricate `NodeUnavailable(n0)` — blaming

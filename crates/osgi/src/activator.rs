@@ -200,18 +200,20 @@ impl<'a> BundleContext<'a> {
     ///
     /// # Errors
     ///
-    /// [`BundleError::Store`] when the SAN write-through fails; the
-    /// in-memory area is updated and re-flushed later regardless.
+    /// [`BundleError::Store`] when the SAN write-through fails; the row is
+    /// written in memory and re-flushed later regardless.
     pub fn store_put(&mut self, key: &str, value: Value) -> Result<(), BundleError> {
         self.framework.bundle_store_put(self.bundle, key, value)
     }
 
-    /// Reads from this bundle's persistent storage area.
+    /// Reads from this bundle's persistent storage area — the same row
+    /// cache a service call's [`CallContext`](crate::CallContext) reads.
     ///
     /// # Errors
     ///
-    /// [`BundleError::Store`] when the SAN fallback read fails.
-    pub fn store_get(&self, key: &str) -> Result<Option<Value>, BundleError> {
+    /// [`BundleError::Store`] when the row is not resident and the SAN read
+    /// fails.
+    pub fn store_get(&mut self, key: &str) -> Result<Option<Value>, BundleError> {
         self.framework.bundle_store_get(self.bundle, key)
     }
 

@@ -142,8 +142,9 @@ pub enum ServiceError {
     Failed(String),
     /// A sandbox policy denied the operation (set by the vosgi layer).
     PermissionDenied(String),
-    /// The SAN rejected the write-through of the service's persistent data
-    /// area; the call's effects were NOT durably acknowledged.
+    /// The SAN rejected a read of the service's persistent data area, or
+    /// the write-through of the rows the call wrote; the call's effects
+    /// were NOT durably acknowledged.
     Store(StoreError),
 }
 
@@ -163,7 +164,7 @@ impl fmt::Display for ServiceError {
             }
             ServiceError::Failed(msg) => write!(f, "service failed: {msg}"),
             ServiceError::PermissionDenied(msg) => write!(f, "permission denied: {msg}"),
-            ServiceError::Store(e) => write!(f, "persistent data area write failed: {e}"),
+            ServiceError::Store(e) => write!(f, "persistent data area access failed: {e}"),
         }
     }
 }

@@ -6,13 +6,13 @@ use crate::loader::LoadPath;
 use crate::persist;
 use crate::{
     Activator, ActivatorFactory, BundleContext, BundleError, BundleEvent, BundleEventKind,
-    BundleId, BundleManifest, BundleState, ClassRef, FrameworkEvent, LoadError, PropValue, Service,
-    ServiceError, ServiceEvent, ServiceId, ServiceRegistry, SymbolName, UsageLedger, Version,
-    Wiring,
+    BundleId, BundleManifest, BundleState, ClassRef, DataArea, FrameworkEvent, LoadError,
+    PropValue, Service, ServiceError, ServiceEvent, ServiceId, ServiceRegistry, SymbolName,
+    UsageLedger, Version, Wiring,
 };
 use dosgi_san::{SharedStore, StoreError, Value};
 use dosgi_telemetry::Telemetry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -78,7 +78,8 @@ pub struct UpgradeReport {
     pub from: Version,
     /// The revision that adopted the state.
     pub to: Version,
-    /// Entries in the handed-off data area at swap time.
+    /// Rows in the handed-off data area at swap time: all the SAN holds,
+    /// whether or not the old revision ever touched them.
     pub handoff_keys: usize,
 }
 
@@ -112,18 +113,18 @@ pub struct Framework {
     ledger: UsageLedger,
     bundle_events: Vec<BundleEvent>,
     framework_events: Vec<FrameworkEvent>,
-    data_areas: HashMap<String, BTreeMap<String, Value>>,
+    /// Bundle data areas by symbolic name, created on first use. Ordered,
+    /// so a flush visits them — and draws its fault rolls — in one order.
+    areas: BTreeMap<String, DataArea>,
     store: Option<(SharedStore, String)>,
     /// Snapshot rows (header / `bundle/<id>`) whose in-memory state is
     /// ahead of the SAN; the next persist writes exactly these rows.
     dirty_rows: BTreeSet<String>,
     /// Snapshot rows pending deletion on the SAN (uninstalled bundles).
     deleted_rows: BTreeSet<String>,
-    /// Data areas whose SAN write-through failed; flush pending.
-    dirty_areas: BTreeSet<String>,
     /// This framework's entry in a [`DirtyCount`], kept equal to
     /// [`persist_dirty`](Framework::persist_dirty) by every site that
-    /// changes one of the three sets above.
+    /// changes one of the two sets above or leaves a data-area row dirty.
     dirty_mark: DirtyMark,
     metrics: Metrics,
 }
@@ -170,6 +171,30 @@ impl Drop for DirtyMark {
     }
 }
 
+/// The SAN namespace of the data area of the bundles named `sn` in the
+/// framework persisted under `namespace`.
+fn area_namespace(namespace: &str, sn: &str) -> String {
+    format!("{namespace}/data/{sn}")
+}
+
+/// The data area of the bundles named `sn`, created — its name and SAN
+/// namespace built — the first time it is asked for. A free function over
+/// the two fields so that callers keep their borrows of the others.
+fn area_of<'a>(
+    areas: &'a mut BTreeMap<String, DataArea>,
+    store: &Option<(SharedStore, String)>,
+    sn: &str,
+) -> &'a mut DataArea {
+    if !areas.contains_key(sn) {
+        let mut area = DataArea::default();
+        if let Some((store, ns)) = store {
+            area.attach(store.clone(), area_namespace(ns, sn));
+        }
+        areas.insert(sn.to_owned(), area);
+    }
+    areas.get_mut(sn).expect("inserted just above")
+}
+
 impl fmt::Debug for Framework {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Framework")
@@ -198,11 +223,10 @@ impl Framework {
             ledger: UsageLedger::new(),
             bundle_events: Vec::new(),
             framework_events: Vec::new(),
-            data_areas: HashMap::new(),
+            areas: BTreeMap::new(),
             store: None,
             dirty_rows: BTreeSet::new(),
             deleted_rows: BTreeSet::new(),
-            dirty_areas: BTreeSet::new(),
             dirty_mark: DirtyMark::default(),
             metrics: Metrics::default(),
         };
@@ -226,13 +250,17 @@ impl Framework {
     ///
     /// # Errors
     ///
-    /// The initial snapshot write may fail with a transient [`StoreError`];
-    /// the store stays attached and the snapshot is flushed on the next
-    /// successful [`flush_persist`](Self::flush_persist).
+    /// The initial write (the snapshot, and data-area rows written while
+    /// no store was attached) may fail with a transient [`StoreError`]; the
+    /// store stays attached and the rest is flushed on the next successful
+    /// [`flush_persist`](Self::flush_persist).
     pub fn attach_store(&mut self, store: SharedStore, namespace: &str) -> Result<(), StoreError> {
+        for (sn, area) in &mut self.areas {
+            area.attach(store.clone(), area_namespace(namespace, sn));
+        }
         self.store = Some((store, namespace.to_owned()));
         self.mark_all_rows_dirty();
-        self.persist()
+        self.flush_persist()
     }
 
     /// Counts this framework's pending persistence in `count` from now on
@@ -398,8 +426,10 @@ impl Framework {
             }
             Err(message) => {
                 bundle.state = BundleState::Resolved;
-                // Services a half-started activator registered are swept.
+                // Services a half-started activator registered are swept,
+                // and so are the rows it read.
                 self.registry.unregister_bundle(id);
+                self.release_area(id);
                 self.framework_events.push(FrameworkEvent::Error {
                     bundle: Some(id),
                     message: message.clone(),
@@ -420,16 +450,24 @@ impl Framework {
     ///
     /// [`BundleError::NotFound`] for unknown ids.
     pub fn stop(&mut self, id: BundleId) -> Result<(), BundleError> {
-        self.stop_internal(id, true)
+        self.stop_internal(id, true)?;
+        self.release_area(id);
+        Ok(())
     }
 
     /// Stops a bundle without clearing its persistent-start flag — used by
     /// start-level sweeps and framework shutdown, after which the bundle
     /// must come back on restart (OSGi semantics).
     pub fn stop_transient(&mut self, id: BundleId) -> Result<(), BundleError> {
-        self.stop_internal(id, false)
+        self.stop_internal(id, false)?;
+        self.release_area(id);
+        Ok(())
     }
 
+    /// The stop itself. The bundle's data area keeps its rows: the public
+    /// stops above end their residency — a stopped bundle holds no copy of
+    /// what the SAN holds, so a restart in place reads what is there by
+    /// then — while an upgrade's quiesce hands them to the new revision.
     fn stop_internal(&mut self, id: BundleId, persistent: bool) -> Result<(), BundleError> {
         let state = self.bundle_state(id)?;
         if state != BundleState::Active {
@@ -576,14 +614,14 @@ impl Framework {
     ///    upgrades leave the old revision serving, untouched.
     /// 2. **Quiesce** — the old revision is stopped transiently (its
     ///    autostart flag survives, as across a framework reboot).
-    /// 3. **Persist** — dirty snapshot rows and data areas are flushed so
-    ///    the handed-off state is durable. A SAN failure here **rolls
-    ///    back**: the old revision restarts and the (usually transient)
-    ///    [`BundleError::Store`] tells the caller to retry.
+    /// 3. **Persist** — dirty snapshot rows and dirty data-area rows are
+    ///    flushed so the handed-off state is durable. A SAN failure here
+    ///    **rolls back**: the old revision restarts and the (usually
+    ///    transient) [`BundleError::Store`] tells the caller to retry.
     /// 4. **Adopt** — the new revision is swapped in and started; because
-    ///    data areas are keyed by symbolic name, it reads exactly the
-    ///    state the old revision quiesced with. The instance's *other*
-    ///    bundles keep serving throughout.
+    ///    data areas are keyed by symbolic name, it finds resident exactly
+    ///    the rows the old revision quiesced with, and on the SAN the
+    ///    rest. The instance's *other* bundles keep serving throughout.
     ///
     /// Downgrades ride the same path — any target within the state's major
     /// version may adopt.
@@ -619,7 +657,7 @@ impl Framework {
         }
         let was_active = state == BundleState::Active;
         if was_active {
-            self.stop_transient(id)?;
+            self.stop_internal(id, false)?;
         }
         if let Err(e) = self.flush_persist() {
             // Roll back: the old revision resumes serving; the caller
@@ -629,11 +667,7 @@ impl Framework {
             }
             return Err(BundleError::Store(e));
         }
-        let handoff_keys = self
-            .data_areas
-            .get(sn.as_str())
-            .map(BTreeMap::len)
-            .unwrap_or(0);
+        let handoff_keys = area_of(&mut self.areas, &self.store, sn.as_str()).len();
         let bundle = self
             .bundles
             .get_mut(&id)
@@ -879,72 +913,43 @@ impl Framework {
     }
 
     /// Invokes a service, charging usage to its owner. The owning bundle's
-    /// persistent storage area is attached to the call context; if the call
-    /// writes to it, the area is flushed to the SAN afterwards — so a
-    /// stateful service's persisted state is already on shared storage when
-    /// a crash happens.
+    /// persistent storage area is attached to the call context: the call
+    /// reads the rows it asks for (from the SAN, the first time) and the
+    /// rows it wrote are flushed to the SAN before it returns — so a
+    /// stateful service's acknowledged state is already on shared storage
+    /// when a crash happens. A call that touches no row touches no SAN.
     ///
     /// # Errors
     ///
-    /// Lookup and implementation errors (see [`ServiceError`]).
+    /// Lookup and implementation errors (see [`ServiceError`]);
+    /// [`ServiceError::Store`] when the flush of a call that wrote fails —
+    /// the in-memory effect stands and the rows stay dirty for
+    /// [`flush_persist`](Self::flush_persist), but the caller must NOT
+    /// treat the call as durably acknowledged.
     pub fn call_service(
         &mut self,
         id: ServiceId,
         method: &str,
         arg: &Value,
     ) -> Result<Value, ServiceError> {
-        let owner_sn = self
+        let owner = self
             .registry
             .owner_of(id)
-            .and_then(|b| self.bundles.get(&b))
-            .map(|b| b.manifest.symbolic_name.as_str().to_owned());
-        let Some(sn) = owner_sn else {
+            .and_then(|b| self.bundles.get(&b));
+        let Some(owner) = owner else {
             // Unknown service: let the registry produce the right error.
-            return self.registry.call(id, &mut self.ledger, method, arg);
+            return self.registry.call(id, &mut self.ledger, None, method, arg);
         };
-        let mut area = self.data_areas.remove(&sn).unwrap_or_default();
-        // After a restore the in-memory area starts empty while the SAN
-        // holds the persisted state: warm it up on first access. A failed
-        // warm-up fails the call — running the service against possibly
-        // incomplete state would silently drop persisted writes.
-        if area.is_empty() {
-            if let Some((store, ns)) = &self.store {
-                match store.read_namespace(&format!("{ns}/data/{sn}")) {
-                    Ok(pairs) => {
-                        for (k, v) in pairs {
-                            area.insert(k, v);
-                        }
-                    }
-                    Err(e) => {
-                        self.data_areas.insert(sn, area);
-                        return Err(ServiceError::Store(e));
-                    }
-                }
-            }
-        }
+        let sn = owner.manifest.symbolic_name.as_str();
+        let area = area_of(&mut self.areas, &self.store, sn);
         let outcome = self
             .registry
-            .call_with_store(id, &mut self.ledger, &mut area, method, arg);
-        let mut flush_err = None;
-        if let Ok((_, true)) = &outcome {
-            if let Some((store, ns)) = &self.store {
-                let entries: Vec<(String, Value)> =
-                    area.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                if let Err(e) = store.put_many(&format!("{ns}/data/{sn}"), &entries) {
-                    // The in-memory effect stands, but the caller must NOT
-                    // treat the call as durably acknowledged; the area is
-                    // re-flushed by the node tick.
-                    self.dirty_areas.insert(sn.clone());
-                    self.dirty_mark.set(true);
-                    flush_err = Some(e);
-                }
-            }
+            .call(id, &mut self.ledger, Some(area), method, arg);
+        if area.written() {
+            let flushed = area.flush();
+            self.settle(flushed)?;
         }
-        self.data_areas.insert(sn, area);
-        match flush_err {
-            Some(e) => Err(ServiceError::Store(e)),
-            None => outcome.map(|(v, _)| v),
-        }
+        outcome
     }
 
     /// Read access to the service registry.
@@ -962,8 +967,8 @@ impl Framework {
     /// # Errors
     ///
     /// [`BundleError::NotFound`] for unknown bundles;
-    /// [`BundleError::Store`] when the SAN write-through fails — the
-    /// in-memory area is updated regardless and marked dirty for a later
+    /// [`BundleError::Store`] when the SAN write-through fails — the row is
+    /// written in memory regardless and stays dirty for a later
     /// [`flush_persist`](Self::flush_persist).
     pub fn bundle_store_put(
         &mut self,
@@ -971,50 +976,55 @@ impl Framework {
         key: &str,
         value: Value,
     ) -> Result<(), BundleError> {
-        let sn = self
+        let b = self
             .bundles
             .get(&bundle)
-            .map(|b| b.manifest.symbolic_name.as_str().to_owned())
             .ok_or(BundleError::NotFound(bundle))?;
         self.ledger.charge_disk(bundle, value.encoded_len() as u64);
-        self.data_areas
-            .entry(sn.clone())
-            .or_default()
-            .insert(key.to_owned(), value.clone());
-        if let Some((store, ns)) = &self.store {
-            if let Err(e) = store.put(&format!("{ns}/data/{sn}"), key, value) {
-                self.dirty_areas.insert(sn);
-                self.dirty_mark.set(true);
-                return Err(BundleError::Store(e));
-            }
-        }
-        Ok(())
+        let sn = b.manifest.symbolic_name.as_str();
+        let area = area_of(&mut self.areas, &self.store, sn);
+        area.put(key, value);
+        let flushed = area.flush();
+        Ok(self.settle(flushed)?)
     }
 
-    /// Reads from a bundle's persistent storage area (falling back to the
-    /// SAN, which is how state written before a migration is found again on
-    /// the destination node).
+    /// Reads from a bundle's persistent storage area: the resident row, or
+    /// else the SAN's — which is how state written before a migration is
+    /// found again on the destination node — remembered from then on.
     ///
     /// # Errors
     ///
     /// [`BundleError::NotFound`] for unknown bundles; [`BundleError::Store`]
-    /// when the SAN fallback read fails.
+    /// when the SAN read fails.
     pub fn bundle_store_get(
-        &self,
+        &mut self,
         bundle: BundleId,
         key: &str,
     ) -> Result<Option<Value>, BundleError> {
-        let sn = self
+        let b = self
             .bundles
             .get(&bundle)
-            .map(|b| b.manifest.symbolic_name.as_str().to_owned())
             .ok_or(BundleError::NotFound(bundle))?;
-        if let Some(v) = self.data_areas.get(&sn).and_then(|m| m.get(key)) {
-            return Ok(Some(v.clone()));
+        let sn = b.manifest.symbolic_name.as_str();
+        Ok(area_of(&mut self.areas, &self.store, sn).get(key)?)
+    }
+
+    /// Keeps the dirty mark equal to [`persist_dirty`](Self::persist_dirty)
+    /// across a write-through: a flush that failed sets it, one that landed
+    /// the last pending row withdraws it. An unmarked framework whose flush
+    /// landed — every request but the rare one — pays a flag test.
+    fn settle(&mut self, flushed: Result<(), StoreError>) -> Result<(), StoreError> {
+        if flushed.is_err() || self.dirty_mark.counted {
+            self.sync_dirty_mark();
         }
-        match &self.store {
-            Some((store, ns)) => Ok(store.get(&format!("{ns}/data/{sn}"), key)?),
-            None => Ok(None),
+        flushed
+    }
+
+    /// Ends the residency of the clean rows of `id`'s data area.
+    fn release_area(&mut self, id: BundleId) {
+        let sn = self.bundles.get(&id).map(|b| &b.manifest.symbolic_name);
+        if let Some(area) = sn.and_then(|sn| self.areas.get_mut(sn.as_str())) {
+            area.release();
         }
     }
 
@@ -1215,12 +1225,14 @@ impl Framework {
     /// True when a snapshot-row or data-area write-through failed and
     /// durable state lags the in-memory state.
     pub fn persist_dirty(&self) -> bool {
-        !self.dirty_rows.is_empty() || !self.deleted_rows.is_empty() || !self.dirty_areas.is_empty()
+        !self.dirty_rows.is_empty()
+            || !self.deleted_rows.is_empty()
+            || self.areas.values().any(DataArea::is_dirty)
     }
 
     /// Retries every pending persistence: dirty snapshot rows, pending row
-    /// deletes, and each data area whose write-through failed. Stops at the
-    /// first error, leaving the remainder dirty for the next attempt.
+    /// deletes, and the dirty rows of each data area. Stops at the first
+    /// error, leaving the remainder dirty for the next attempt.
     ///
     /// # Errors
     ///
@@ -1233,7 +1245,6 @@ impl Framework {
         if self.store.is_none() {
             self.dirty_rows.clear();
             self.deleted_rows.clear();
-            self.dirty_areas.clear();
             self.dirty_mark.set(false);
             return Ok(());
         }
@@ -1245,22 +1256,9 @@ impl Framework {
         outcome
     }
 
+    /// Each area writes its dirty rows, and only those.
     fn flush_areas(&mut self) -> Result<(), StoreError> {
-        let Some((store, ns)) = &self.store else {
-            return Ok(());
-        };
-        while let Some(sn) = self.dirty_areas.first() {
-            let entries: Vec<(String, Value)> = self
-                .data_areas
-                .get(sn)
-                .map(|a| a.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
-                .unwrap_or_default();
-            // Rewriting the full area is the idempotent recovery for torn
-            // batch writes as well as plain failures.
-            store.put_many(&format!("{ns}/data/{sn}"), &entries)?;
-            self.dirty_areas.pop_first();
-        }
-        Ok(())
+        self.areas.values_mut().try_for_each(DataArea::flush)
     }
 
     /// The encoded size of the persisted snapshot rows in bytes (0 when no
@@ -1801,7 +1799,7 @@ mod tests {
         fw.bundle_store_put(log, "counter", Value::Int(41)).unwrap();
         drop(fw);
 
-        let fw2 = Framework::restore(
+        let mut fw2 = Framework::restore(
             FrameworkConfig::new("b"),
             store,
             "fw/a",
@@ -1904,7 +1902,7 @@ mod tests {
                 Box::new(
                     |cc: &mut crate::CallContext<'_>, method: &str, _: &Value| match method {
                         "incr" => {
-                            let n = match cc.store_get("n") {
+                            let n = match cc.store_get("n")? {
                                 Some(Value::Int(n)) => n,
                                 _ => 0,
                             };
@@ -2004,6 +2002,28 @@ mod tests {
             store.peek("fw/a/data/org.test.counter", "n"),
             Some(Value::Int(2))
         );
+    }
+
+    /// The row a failed write-through left dirty goes out with the next
+    /// write of its area that lands, and the shared count hears of it.
+    #[test]
+    fn a_later_acknowledged_write_clears_the_dirty_count() {
+        let store = SharedStore::new();
+        let mut fw = Framework::new("a");
+        fw.attach_store(store.clone(), "fw/a").unwrap();
+        let log = fw.install(log_manifest(), None).unwrap();
+        let count = DirtyCount::default();
+        fw.share_dirty_count(&count);
+        store.set_fault_plan(FaultPlan::flaky(1.0, 7));
+        assert!(fw.bundle_store_put(log, "a", Value::Int(1)).is_err());
+        assert!(fw.persist_dirty() && count.any());
+        store.clear_faults();
+        fw.bundle_store_put(log, "b", Value::Int(2)).unwrap();
+        assert_eq!(
+            store.peek("fw/a/data/org.test.log", "a"),
+            Some(Value::Int(1))
+        );
+        assert!(!fw.persist_dirty() && !count.any());
     }
 
     #[test]

@@ -48,6 +48,7 @@
 //! ```
 
 mod activator;
+mod area;
 mod error;
 mod events;
 mod filter;
@@ -66,6 +67,7 @@ mod service;
 mod tracker;
 
 pub use activator::{Activator, ActivatorFactory, BundleContext, FnActivator};
+pub use area::DataArea;
 pub use error::{BundleError, ServiceError};
 pub use events::{BundleEvent, BundleEventKind, FrameworkEvent, ServiceEvent, ServiceEventKind};
 pub use filter::{Filter, FilterError};

@@ -1,7 +1,7 @@
 //! The service registry.
 
 use crate::{
-    BundleId, CallContext, Filter, PropValue, Service, ServiceError, ServiceEvent,
+    BundleId, CallContext, DataArea, Filter, PropValue, Service, ServiceError, ServiceEvent,
     ServiceEventKind, ServiceId, UsageLedger,
 };
 use dosgi_san::Value;
@@ -432,7 +432,10 @@ impl ServiceRegistry {
     }
 
     /// Invokes `method` on service `id`, charging resource use to the
-    /// owning bundle's account in `ledger`.
+    /// owning bundle's account in `ledger`, with the bundle's persistent
+    /// storage area attached to the context if the caller has one. Rows
+    /// the call wrote are dirty in `data` afterwards; the framework flushes
+    /// them to the SAN.
     ///
     /// # Errors
     ///
@@ -442,37 +445,14 @@ impl ServiceRegistry {
         &mut self,
         id: ServiceId,
         ledger: &mut UsageLedger,
+        data: Option<&mut DataArea>,
         method: &str,
         arg: &Value,
     ) -> Result<Value, ServiceError> {
         let rec = self.services.get_mut(&id).ok_or(ServiceError::Gone(id))?;
         ledger.count_call(rec.owner);
-        let mut ctx = CallContext::new(rec.owner, ledger);
+        let mut ctx = CallContext::new(rec.owner, ledger, data);
         rec.implementation.call(&mut ctx, method, arg)
-    }
-
-    /// Like [`call`](Self::call), but with the owning bundle's persistent
-    /// storage area attached to the context. Returns the result and whether
-    /// the call dirtied the area (the framework then flushes it to the
-    /// SAN).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`call`](Self::call).
-    pub fn call_with_store(
-        &mut self,
-        id: ServiceId,
-        ledger: &mut UsageLedger,
-        data: &mut std::collections::BTreeMap<String, Value>,
-        method: &str,
-        arg: &Value,
-    ) -> Result<(Value, bool), ServiceError> {
-        let rec = self.services.get_mut(&id).ok_or(ServiceError::Gone(id))?;
-        ledger.count_call(rec.owner);
-        let mut ctx = CallContext::with_store(rec.owner, ledger, data);
-        let result = rec.implementation.call(&mut ctx, method, arg);
-        let dirty = ctx.is_dirty();
-        result.map(|v| (v, dirty))
     }
 
     /// The bundle that registered service `id`.
@@ -583,13 +563,15 @@ mod tests {
         let mut r = ServiceRegistry::new();
         let mut ledger = UsageLedger::new();
         let id = r.register(BundleId(7), &["svc"], BTreeMap::new(), echo_service());
-        let out = r.call(id, &mut ledger, "echo", &Value::Int(3)).unwrap();
+        let out = r
+            .call(id, &mut ledger, None, "echo", &Value::Int(3))
+            .unwrap();
         assert_eq!(out, Value::Int(3));
         let snap = ledger.snapshot(BundleId(7));
         assert_eq!(snap.calls, 1);
         assert_eq!(snap.cpu, SimDuration::from_micros(10));
         assert!(matches!(
-            r.call(ServiceId(99), &mut ledger, "echo", &Value::Null),
+            r.call(ServiceId(99), &mut ledger, None, "echo", &Value::Null),
             Err(ServiceError::Gone(_))
         ));
     }

@@ -1,8 +1,8 @@
 //! The dynamic service invocation model.
 
-use crate::{BundleId, ServiceError, UsageLedger};
+use crate::{BundleId, DataArea, ServiceError, UsageLedger};
 use dosgi_net::SimDuration;
-use dosgi_san::Value;
+use dosgi_san::{StoreError, Value};
 
 /// A service implementation registered with the framework.
 ///
@@ -54,57 +54,48 @@ where
 pub struct CallContext<'a> {
     bundle: BundleId,
     ledger: &'a mut UsageLedger,
-    data: Option<&'a mut std::collections::BTreeMap<String, Value>>,
-    dirty: bool,
+    data: Option<&'a mut DataArea>,
 }
 
 impl<'a> CallContext<'a> {
-    /// Creates a context charging `bundle` on `ledger`, without a storage
-    /// area (storage calls become no-ops that return `None`).
-    pub fn new(bundle: BundleId, ledger: &'a mut UsageLedger) -> Self {
-        CallContext {
-            bundle,
-            ledger,
-            data: None,
-            dirty: false,
-        }
-    }
-
-    /// Creates a context with the bundle's persistent storage area
-    /// attached.
-    pub fn with_store(
+    /// Creates a context charging `bundle` on `ledger`, with the bundle's
+    /// persistent storage area attached if there is one (without, storage
+    /// reads find nothing and writes go nowhere).
+    pub fn new(
         bundle: BundleId,
         ledger: &'a mut UsageLedger,
-        data: &'a mut std::collections::BTreeMap<String, Value>,
+        data: Option<&'a mut DataArea>,
     ) -> Self {
         CallContext {
             bundle,
             ledger,
-            data: Some(data),
-            dirty: false,
+            data,
         }
     }
 
-    /// Reads from the bundle's persistent storage area.
-    pub fn store_get(&self, key: &str) -> Option<Value> {
-        self.data.as_ref().and_then(|d| d.get(key).cloned())
+    /// Reads from the bundle's persistent storage area; a row not yet
+    /// resident is fetched from the SAN.
+    ///
+    /// # Errors
+    ///
+    /// The [`StoreError`] of a failed SAN read. Propagate it (`?`): running
+    /// on as if the row were absent would silently drop persisted state.
+    pub fn store_get(&mut self, key: &str) -> Result<Option<Value>, StoreError> {
+        match self.data.as_mut() {
+            Some(area) => area.get(key),
+            None => Ok(None),
+        }
     }
 
     /// Writes to the bundle's persistent storage area (the framework
-    /// flushes dirty areas to the SAN after the call), charging the bytes
-    /// to the bundle's disk account.
+    /// flushes the written rows to the SAN after the call), charging the
+    /// bytes to the bundle's disk account.
     pub fn store_put(&mut self, key: &str, value: Value) {
         self.ledger
             .charge_disk(self.bundle, value.encoded_len() as u64);
-        if let Some(d) = self.data.as_mut() {
-            d.insert(key.to_owned(), value);
-            self.dirty = true;
+        if let Some(area) = self.data.as_mut() {
+            area.put(key, value);
         }
-    }
-
-    /// True if the call wrote to the storage area.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
     }
 
     /// The bundle that owns the service being invoked.
@@ -147,7 +138,7 @@ mod tests {
             }
             other => Err(ServiceError::Failed(format!("no {other}"))),
         };
-        let mut ctx = CallContext::new(BundleId(1), &mut ledger);
+        let mut ctx = CallContext::new(BundleId(1), &mut ledger, None);
         let out = Service::call(&mut svc, &mut ctx, "echo", &Value::Int(7)).unwrap();
         assert_eq!(out, Value::Int(7));
         assert!(Service::call(&mut svc, &mut ctx, "bogus", &Value::Null).is_err());
@@ -161,7 +152,7 @@ mod tests {
     fn context_charges_the_right_bundle() {
         let mut ledger = UsageLedger::new();
         {
-            let mut ctx = CallContext::new(BundleId(2), &mut ledger);
+            let mut ctx = CallContext::new(BundleId(2), &mut ledger, None);
             assert_eq!(ctx.bundle(), BundleId(2));
             ctx.alloc(1024);
             ctx.free(24);

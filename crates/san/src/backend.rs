@@ -33,6 +33,8 @@
 
 use crate::store::Versioned;
 use crate::Value;
+use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// The per-key version-counter state a backend reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,6 +140,10 @@ pub trait StoreBackend: std::fmt::Debug + Send {
     /// Total encoded bytes of live values in a namespace.
     fn namespace_bytes(&self, namespace: &str) -> u64;
 
+    /// Total encoded bytes of live values across every namespace equal to
+    /// `prefix` or under `prefix/…`.
+    fn namespace_bytes_prefixed(&self, prefix: &str) -> u64;
+
     /// Diagnostic maintenance counters (see [`BackendStats`]).
     fn backend_stats(&self) -> BackendStats;
 }
@@ -194,6 +200,23 @@ impl std::fmt::Display for BackendKind {
     }
 }
 
+/// Sums `bytes` over the namespaces of `map` that are `prefix` or lie under
+/// `prefix/…`, walking the ordered names from `prefix` on: nothing is
+/// cloned and no namespace outside the prefix's range is visited.
+pub(crate) fn sum_under<T>(
+    map: &BTreeMap<String, T>,
+    prefix: &str,
+    bytes: impl Fn(&T) -> u64,
+) -> u64 {
+    map.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(|(name, _)| name.starts_with(prefix))
+        // `a-b` and `a0` sort between `a` and `a/b` or after it; neither
+        // is under `a`.
+        .filter(|(name, _)| matches!(name.as_bytes().get(prefix.len()), None | Some(b'/')))
+        .map(|(_, ns)| bytes(ns))
+        .sum()
+}
+
 /// One key's storage slot: a live value or a version tombstone.
 #[derive(Debug, Clone)]
 struct Slot {
@@ -205,7 +228,7 @@ struct Slot {
 /// are slots whose value is `None`.
 #[derive(Debug, Default)]
 pub struct MapBackend {
-    namespaces: std::collections::BTreeMap<String, std::collections::BTreeMap<String, Slot>>,
+    namespaces: BTreeMap<String, BTreeMap<String, Slot>>,
 }
 
 impl MapBackend {
@@ -216,6 +239,13 @@ impl MapBackend {
 
     fn slot(&self, namespace: &str, key: &str) -> Option<&Slot> {
         self.namespaces.get(namespace).and_then(|ns| ns.get(key))
+    }
+
+    fn live_bytes(ns: &BTreeMap<String, Slot>) -> u64 {
+        ns.values()
+            .filter_map(|s| s.value.as_ref())
+            .map(|v| v.encoded_len() as u64)
+            .sum()
     }
 }
 
@@ -253,14 +283,24 @@ impl StoreBackend for MapBackend {
     }
 
     fn insert(&mut self, namespace: &str, key: &str, value: Value) -> u64 {
+        // The slot is looked up before its names are owned: overwriting a
+        // key that exists, live or tombstoned, allocates nothing.
+        if let Some(slot) = self
+            .namespaces
+            .get_mut(namespace)
+            .and_then(|ns| ns.get_mut(key))
+        {
+            slot.version += 1;
+            slot.value = Some(value);
+            return slot.version;
+        }
+        let slot = Slot {
+            version: 1,
+            value: Some(value),
+        };
         let ns = self.namespaces.entry(namespace.to_owned()).or_default();
-        let slot = ns.entry(key.to_owned()).or_insert(Slot {
-            version: 0,
-            value: None,
-        });
-        slot.version += 1;
-        slot.value = Some(value);
-        slot.version
+        ns.insert(key.to_owned(), slot);
+        1
     }
 
     fn insert_many(&mut self, namespace: &str, entries: &[(&str, &Value)]) {
@@ -340,24 +380,17 @@ impl StoreBackend for MapBackend {
     fn namespace_bytes(&self, namespace: &str) -> u64 {
         self.namespaces
             .get(namespace)
-            .map(|ns| {
-                ns.values()
-                    .filter_map(|s| s.value.as_ref())
-                    .map(|v| v.encoded_len() as u64)
-                    .sum()
-            })
+            .map(Self::live_bytes)
             .unwrap_or(0)
+    }
+
+    fn namespace_bytes_prefixed(&self, prefix: &str) -> u64 {
+        sum_under(&self.namespaces, prefix, Self::live_bytes)
     }
 
     fn backend_stats(&self) -> BackendStats {
         BackendStats {
-            live_bytes: self
-                .namespaces
-                .values()
-                .flat_map(|ns| ns.values())
-                .filter_map(|s| s.value.as_ref())
-                .map(|v| v.encoded_len() as u64)
-                .sum(),
+            live_bytes: self.namespaces.values().map(Self::live_bytes).sum(),
             ..BackendStats::default()
         }
     }

@@ -25,7 +25,7 @@
 //! counters even though it drops the tombstone records themselves — the
 //! index, not the log, is the recovery authority for version continuity.
 
-use crate::backend::{BackendStats, KeyVersion, StoreBackend};
+use crate::backend::{sum_under, BackendStats, KeyVersion, StoreBackend};
 use crate::store::Versioned;
 use crate::Value;
 use std::collections::BTreeMap;
@@ -331,14 +331,26 @@ impl LogBackend {
             version,
             value,
         });
-        self.index.entry(namespace.to_owned()).or_default().insert(
-            key.to_owned(),
-            IndexEntry {
-                version,
-                loc: Some(loc),
-            },
-        );
+        let entry = IndexEntry {
+            version,
+            loc: Some(loc),
+        };
+        // As in the map backend, the index owns a name once.
+        match self.index.get_mut(namespace).and_then(|ns| ns.get_mut(key)) {
+            Some(e) => *e = entry,
+            None => {
+                let ns = self.index.entry(namespace.to_owned()).or_default();
+                ns.insert(key.to_owned(), entry);
+            }
+        }
         version
+    }
+
+    fn live_bytes(&self, keys: &BTreeMap<String, IndexEntry>) -> u64 {
+        keys.values()
+            .filter_map(|e| e.loc)
+            .map(|loc| self.value_at(loc).encoded_len() as u64)
+            .sum()
     }
 }
 
@@ -485,24 +497,17 @@ impl StoreBackend for LogBackend {
     fn namespace_bytes(&self, namespace: &str) -> u64 {
         self.index
             .get(namespace)
-            .map(|keys| {
-                keys.values()
-                    .filter_map(|e| e.loc)
-                    .map(|loc| self.value_at(loc).encoded_len() as u64)
-                    .sum()
-            })
+            .map(|keys| self.live_bytes(keys))
             .unwrap_or(0)
+    }
+
+    fn namespace_bytes_prefixed(&self, prefix: &str) -> u64 {
+        sum_under(&self.index, prefix, |keys| self.live_bytes(keys))
     }
 
     fn backend_stats(&self) -> BackendStats {
         BackendStats {
-            live_bytes: self
-                .index
-                .values()
-                .flat_map(|keys| keys.values())
-                .filter_map(|e| e.loc)
-                .map(|loc| self.value_at(loc).encoded_len() as u64)
-                .sum(),
+            live_bytes: self.index.values().map(|keys| self.live_bytes(keys)).sum(),
             dead_bytes: self.dead_bytes,
             segments: self.segments.len() as u64,
             sealed_segments: self.sealed_segments,

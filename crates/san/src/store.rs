@@ -5,6 +5,7 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::{StoreError, Value};
 use dosgi_net::SimTime;
 use dosgi_telemetry::{Counter, Telemetry};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
@@ -264,16 +265,18 @@ impl SharedStore {
     /// `namespace`, committed to the backend as one group. Under a
     /// torn-write fault only a strict prefix lands and
     /// [`StoreError::TornWrite`] reports how much; rewriting the full batch
-    /// is the idempotent recovery.
+    /// is the idempotent recovery. Entries are `(key, value)` pairs, owned
+    /// or borrowed: a caller that holds its rows elsewhere passes
+    /// references and clones nothing.
     ///
     /// # Errors
     ///
     /// Fault-injected [`StoreError::Unavailable`] / [`StoreError::Io`] /
     /// [`StoreError::TornWrite`].
-    pub fn put_many(
+    pub fn put_many<K: AsRef<str>, V: Borrow<Value>>(
         &self,
         namespace: &str,
-        entries: &[(String, Value)],
+        entries: &[(K, V)],
     ) -> Result<usize, StoreError> {
         self.fault("put_many")?;
         let torn = self.faults.torn_len(entries.len());
@@ -289,11 +292,12 @@ impl SharedStore {
         let mut batch: Vec<(&str, &Value)> = Vec::with_capacity(persisted);
         let mut pending: HashMap<&str, &Value> = HashMap::new();
         for (key, value) in &entries[..persisted] {
+            let (key, value) = (key.as_ref(), value.borrow());
             // One size computation per entry (streamed, allocation-free)
             // serves change-detection stats and write accounting alike —
             // the value is never encoded just to be measured.
             let len = value.encoded_len() as u64;
-            let identical = match pending.get(key.as_str()) {
+            let identical = match pending.get(key) {
                 Some(queued) => crate::codec::codec_eq(queued, value),
                 None => inner
                     .backend
@@ -306,8 +310,11 @@ impl SharedStore {
                 continue;
             }
             bytes += len;
-            batch.push((key.as_str(), value));
-            pending.insert(key.as_str(), value);
+            batch.push((key, value));
+            // A batch of one has no earlier entry to be a duplicate of.
+            if persisted > 1 {
+                pending.insert(key, value);
+            }
         }
         if !batch.is_empty() {
             inner.backend.insert_many(namespace, &batch);
@@ -509,15 +516,7 @@ impl SharedStore {
     /// under `prefix/…` — an instance's full footprint (framework snapshot
     /// plus all bundle data areas).
     pub fn namespace_bytes_prefixed(&self, prefix: &str) -> u64 {
-        let inner = self.lock();
-        let sub = format!("{prefix}/");
-        inner
-            .backend
-            .list_namespaces()
-            .into_iter()
-            .filter(|name| *name == prefix || name.starts_with(&sub))
-            .map(|name| inner.backend.namespace_bytes(&name))
-            .sum()
+        self.lock().backend.namespace_bytes_prefixed(prefix)
     }
 
     /// Current I/O counters.
@@ -709,6 +708,52 @@ mod tests {
             assert_eq!(s.namespace_bytes_prefixed("inst/a"), expect);
             assert!(s.namespace_bytes_prefixed("inst/ab") > 0);
             assert_eq!(s.namespace_bytes_prefixed("nope"), 0);
+        });
+    }
+
+    /// The walk over the ordered namespace names: `a-b` sorts between `a`
+    /// and `a/b`, `a0` and `ab/c` after them, and none of the three is
+    /// under `a`; a namespace holding only tombstones weighs nothing.
+    #[test]
+    fn prefixed_bytes_walk_the_ordered_names() {
+        each_backend(|s| {
+            let names = ["a", "a-b", "a/b", "a/b/c", "a0", "ab/c", "a/gone"];
+            for (i, ns) in names.iter().enumerate() {
+                s.put(ns, "k", Value::Bytes(vec![0; 1 << i])).unwrap();
+            }
+            s.delete_namespace("a/gone").unwrap();
+            let bytes = |ns: &str| s.namespace_bytes(ns);
+            assert!(bytes("a/gone") == 0 && !s.list_namespaces().contains(&"a/gone".to_owned()));
+            assert_eq!(
+                s.namespace_bytes_prefixed("a"),
+                bytes("a") + bytes("a/b") + bytes("a/b/c")
+            );
+            assert_eq!(
+                s.namespace_bytes_prefixed("a/b"),
+                bytes("a/b") + bytes("a/b/c")
+            );
+            assert_eq!(s.namespace_bytes_prefixed("a-b"), bytes("a-b"));
+            assert_eq!(s.namespace_bytes_prefixed("ab"), bytes("ab/c"));
+            assert_eq!(
+                s.namespace_bytes_prefixed("a/"),
+                0,
+                "no namespace is named `a/`"
+            );
+            assert_eq!(s.namespace_bytes_prefixed("b"), 0);
+            // What the listing-based sum answered, for every prefix.
+            for prefix in names {
+                let listed: u64 = s
+                    .list_namespaces()
+                    .iter()
+                    .filter(|n| *n == prefix || n.starts_with(&format!("{prefix}/")))
+                    .map(|n| bytes(n))
+                    .sum();
+                assert_eq!(
+                    s.namespace_bytes_prefixed(prefix),
+                    listed,
+                    "prefix {prefix}"
+                );
+            }
         });
     }
 
