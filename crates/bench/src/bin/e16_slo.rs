@@ -289,7 +289,7 @@ fn reacted_run(telemetry: &Telemetry, alerts: bool) -> (u64, Option<u64>) {
             let depth: usize = d.queue_depths(VIP).iter().map(|(_, q)| q).sum();
             bb.set_global_metric("queue_depth", depth as f64);
             bb.set_global_metric("queue_capacity", (QUEUE_CAPACITY * replicas) as f64);
-            for decision in engine.evaluate(&bb, &["std-latency".to_owned()]) {
+            for decision in engine.evaluate(&bb, &["std-latency"]) {
                 match &decision.action {
                     PolicyAction::ScaleOut if replicas < 2 => {
                         replicas += 1;

@@ -153,18 +153,21 @@ impl AutonomicModule {
     /// the policy. `quotas` maps instance name → SLA quota; `node_count` is
     /// the current view size and `node_rank` this node's position in it
     /// (0 = lowest id; consolidation policies key off the highest rank).
+    /// Names are borrowed throughout: a pass over subjects the blackboard
+    /// already knows, in which no rule fires, allocates the subject list
+    /// and nothing else.
     pub fn evaluate(
         &mut self,
         now: SimTime,
         monitor: &MonitoringModule,
-        quotas: &BTreeMap<String, ResourceQuota>,
+        quotas: &BTreeMap<&str, ResourceQuota>,
         capacity: &NodeCapacity,
         node_count: usize,
         node_rank: usize,
     ) -> Vec<PolicyDecision> {
         self.last = Some(now);
-        let subjects: Vec<String> = quotas.keys().cloned().collect();
-        for name in &subjects {
+        let subjects: Vec<&str> = quotas.keys().copied().collect();
+        for (name, q) in quotas {
             if let Some(w) = monitor.latest(name) {
                 self.blackboard
                     .set_subject_metric(name, "cpu_share", w.cpu_share);
@@ -175,14 +178,12 @@ impl AutonomicModule {
                 self.blackboard
                     .set_subject_metric(name, "call_rate", w.call_rate);
             }
-            if let Some(q) = quotas.get(name) {
-                self.blackboard
-                    .set_subject_metric(name, "quota_cpu", q.cpu_per_sec.as_secs_f64());
-                self.blackboard
-                    .set_subject_metric(name, "quota_mem", q.memory_bytes as f64);
-                self.blackboard
-                    .set_subject_metric(name, "quota_disk", q.disk_bytes as f64);
-            }
+            self.blackboard
+                .set_subject_metric(name, "quota_cpu", q.cpu_per_sec.as_secs_f64());
+            self.blackboard
+                .set_subject_metric(name, "quota_mem", q.memory_bytes as f64);
+            self.blackboard
+                .set_subject_metric(name, "quota_disk", q.disk_bytes as f64);
         }
         self.blackboard.set_global_metric(
             "node_cpu",
@@ -239,10 +240,8 @@ mod tests {
         m
     }
 
-    fn quotas(name: &str) -> BTreeMap<String, ResourceQuota> {
-        let mut q = BTreeMap::new();
-        q.insert(name.to_owned(), ResourceQuota::small()); // 100ms/s, 16MiB
-        q
+    fn quotas(name: &str) -> BTreeMap<&str, ResourceQuota> {
+        BTreeMap::from([(name, ResourceQuota::small())]) // 100ms/s, 16MiB
     }
 
     #[test]

@@ -7,6 +7,12 @@ use dosgi_san::Value;
 /// communication layer. Control-plane messages that mutate the replicated
 /// instance registry travel **totally ordered** so every node applies them
 /// in the same sequence; announcements travel FIFO-reliable.
+///
+/// A payload travels as `Arc<AppPayload>` (see [`Wire`](crate::Wire)): the
+/// node that orders a message builds it once, the group layer's retry
+/// queue, sequencer log, fan-out and replays share that one value, and a
+/// receiver applies it by reference; no runtime path clones the payload
+/// itself.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AppPayload {
     /// (ordered) A new instance was deployed on `home`. Carries the

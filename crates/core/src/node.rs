@@ -16,9 +16,13 @@ use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::{FlightRecorder, Gauge, Telemetry, TraceContext, TraceRef};
 use dosgi_vosgi::{InstanceDescriptor, InstanceManager, ResourceQuota};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
-/// The wire type carried by the cluster's simulated network.
-pub type Wire = GcsWire<AppPayload>;
+/// The wire type carried by the cluster's network. The payload is shared:
+/// an ordered message is built once by the node that orders it, and every
+/// copy the group layer keeps of it — retry queue, sequencer log, one per
+/// member of the fan-out, one per replay — is a reference to that one value.
+pub type Wire = GcsWire<Arc<AppPayload>>;
 
 /// A node's coarse operational state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -98,7 +102,7 @@ pub struct DosgiNode {
     state: NodeState,
     config: NodeConfig,
     mgr: InstanceManager,
-    gcs: GroupNode<AppPayload>,
+    gcs: GroupNode<Arc<AppPayload>>,
     registry: ClusterRegistry,
     monitor: MonitoringModule,
     autonomic: Option<AutonomicModule>,
@@ -336,6 +340,17 @@ impl DosgiNode {
         self.wake_at = SimTime::ZERO;
     }
 
+    /// Hands `payload` to the total order. This is the one place an ordered
+    /// message is allocated; from here on it is shared (see [`Wire`]).
+    fn order(
+        &mut self,
+        net: &mut impl Fabric<Wire>,
+        payload: AppPayload,
+        trace: Option<TraceContext>,
+    ) {
+        self.gcs.order_traced(net, Arc::new(payload), trace);
+    }
+
     /// A lock-sharded read handle onto the host framework's service
     /// registry. The handle is `Send + Sync` and stays live after this node
     /// is moved onto a worker thread, so concurrent `by_interface` lookups
@@ -438,13 +453,14 @@ impl DosgiNode {
         let value = descriptor.to_value();
         let iid = self.mgr.create_instance(descriptor)?;
         self.mgr.start_instance(iid)?;
-        self.gcs.order(
+        self.order(
             net,
             AppPayload::Deployed {
                 name: name.clone(),
                 descriptor: value,
                 home: self.id,
             },
+            None,
         );
         self.events.push(NodeEvent::Deployed { at: now, name });
         Ok(())
@@ -492,7 +508,7 @@ impl DosgiNode {
             self.recorder.root(&format!("migrate/{name}"), now_us)
         };
         let ctx = self.recorder.context(span);
-        self.gcs.order_traced(
+        self.order(
             net,
             AppPayload::Migrate {
                 name: name.to_owned(),
@@ -524,11 +540,12 @@ impl DosgiNode {
         if let Some(a) = &mut self.autonomic {
             a.forget(name);
         }
-        self.gcs.order(
+        self.order(
             net,
             AppPayload::Undeployed {
                 name: name.to_owned(),
             },
+            None,
         );
         Ok(())
     }
@@ -546,8 +563,7 @@ impl DosgiNode {
         let root = self.recorder.root("shutdown", now.as_micros());
         self.lifecycle_trace = root;
         let ctx = self.recorder.context(root);
-        self.gcs
-            .order_traced(net, AppPayload::Draining { node: self.id }, ctx);
+        self.order(net, AppPayload::Draining { node: self.id }, ctx);
         self.migrate_all_local(net, root);
     }
 
@@ -614,12 +630,13 @@ impl DosgiNode {
             // degenerates to a full snapshot — same convergence, fewer
             // bytes whenever the sender already holds current records.
             let digest = self.registry.digest();
-            self.gcs.order(
+            self.order(
                 net,
                 AppPayload::Hello {
                     node: self.id,
                     digest,
                 },
+                None,
             );
         }
         self.process_pending_adoptions(net, now);
@@ -689,7 +706,7 @@ impl DosgiNode {
             return;
         }
         self.last_sweep = Some(now);
-        let view = self.gcs.view().clone();
+        let view = self.gcs.view();
         if !view.has_majority(self.gcs.universe() - self.departed_peers.len()) {
             return;
         }
@@ -698,11 +715,11 @@ impl DosgiNode {
                 .registry
                 .records()
                 .flat_map(|r| {
-                    let mut endpoints = vec![r.home];
-                    if let InstanceStatus::Migrating { to } = r.status {
-                        endpoints.push(to);
-                    }
-                    endpoints
+                    let to = match r.status {
+                        InstanceStatus::Migrating { to } => Some(to),
+                        _ => None,
+                    };
+                    std::iter::once(r.home).chain(to)
                 })
                 .filter(|n| !view.contains(*n))
                 .collect();
@@ -740,7 +757,7 @@ impl DosgiNode {
             .collect();
         for name in healable {
             let ctx = self.claim_context(&name, "heal", net.now().as_micros());
-            self.gcs.order_traced(
+            self.order(
                 net,
                 AppPayload::Adopted {
                     name,
@@ -769,7 +786,7 @@ impl DosgiNode {
 
     fn on_gcs_event(
         &mut self,
-        event: GcsEvent<AppPayload>,
+        event: GcsEvent<Arc<AppPayload>>,
         net: &mut impl Fabric<Wire>,
         now: SimTime,
     ) {
@@ -807,8 +824,7 @@ impl DosgiNode {
                     self.metrics
                         .registry_sync_bytes
                         .add(snapshot.encoded_len() as u64);
-                    self.gcs
-                        .order(net, AppPayload::RegistrySync { registry: snapshot });
+                    self.order(net, AppPayload::RegistrySync { registry: snapshot }, None);
                 }
                 let effective_universe = self.gcs.universe() - self.departed_peers.len();
                 if !left.is_empty() && view.has_majority(effective_universe) {
@@ -823,7 +839,7 @@ impl DosgiNode {
                 if let Some(ctx) = trace {
                     self.recorder.observe(ctx);
                 }
-                self.apply_control(payload, trace, net, now);
+                self.apply_control(&payload, trace, net, now);
             }
             GcsEvent::Deliver { .. } => {
                 // All control traffic is ordered; FIFO deliveries are
@@ -870,7 +886,7 @@ impl DosgiNode {
                     .map(|r| r.home)
                     .unwrap_or(self.id);
                 let ctx = self.claim_context(&name, "failover", net.now().as_micros());
-                self.gcs.order_traced(
+                self.order(
                     net,
                     AppPayload::Adopted {
                         name,
@@ -885,7 +901,7 @@ impl DosgiNode {
 
     fn apply_control(
         &mut self,
-        payload: AppPayload,
+        payload: &AppPayload,
         trace: Option<TraceContext>,
         net: &mut impl Fabric<Wire>,
         now: SimTime,
@@ -897,53 +913,54 @@ impl DosgiNode {
             .instance()
             .and_then(|n| self.registry.record(n))
             .map(|r| r.status);
-        self.registry.apply(&payload);
+        self.registry.apply(payload);
         match payload {
             AppPayload::Migrate { name, from, to } => {
-                if from == self.id && prior_status != Some(InstanceStatus::Orphaned) {
-                    self.release_instance(&name, to, net, now, trace);
+                if *from == self.id && prior_status != Some(InstanceStatus::Orphaned) {
+                    self.release_instance(name, *to, net, now, trace);
                 }
             }
             AppPayload::Released { name, to } => {
-                if to == self.id && prior_status != Some(InstanceStatus::Orphaned) {
-                    self.adopt(&name, AdoptReason::Migration, now, trace);
+                if *to == self.id && prior_status != Some(InstanceStatus::Orphaned) {
+                    self.adopt(name, AdoptReason::Migration, now, trace);
                 }
             }
             AppPayload::Adopted { name, node, .. } => {
+                let (name, node) = (name.as_str(), *node);
                 // Any delivered claim for `name` resolves the race this
                 // node's own claim (if any) was part of: close its root.
-                if let Some(span) = self.claim_traces.remove(&name) {
+                if let Some(span) = self.claim_traces.remove(name) {
                     self.recorder.end(span, now.as_micros());
                 }
                 // Decide by post-application state: did this claim win?
                 let won = self
                     .registry
-                    .record(&name)
+                    .record(name)
                     .map(|r| r.home == node && r.status == InstanceStatus::Placed)
                     .unwrap_or(false);
                 if won {
                     if node == self.id {
                         let already_running = self
                             .mgr
-                            .find_by_name(&name)
+                            .find_by_name(name)
                             .and_then(|i| self.mgr.instance(i))
                             .map(|i| i.is_running())
                             .unwrap_or(false);
                         if !already_running
                             && !self.pending_adoptions.iter().any(|p| p.name == name)
                         {
-                            self.adopt(&name, AdoptReason::Failover, now, trace);
+                            self.adopt(name, AdoptReason::Failover, now, trace);
                         }
-                    } else if self.mgr.find_by_name(&name).is_some() {
+                    } else if self.mgr.find_by_name(name).is_some() {
                         // A stale local copy (healed partition / lost
                         // race): the total order says it lives elsewhere.
-                        self.drop_local(&name);
+                        self.drop_local(name);
                     }
                 }
             }
             AppPayload::Draining { node } => {
-                if node != self.id {
-                    self.draining_peers.insert(node);
+                if *node != self.id {
+                    self.draining_peers.insert(*node);
                 }
             }
             AppPayload::Hello { node, digest } => {
@@ -953,23 +970,16 @@ impl DosgiNode {
                 // records the peer already holds at the current revision.
                 // The lowest-id *other* view member answers; rev-gated
                 // merge-import makes duplicates harmless.
-                let responder = self
-                    .gcs
-                    .view()
-                    .members
-                    .iter()
-                    .find(|m| **m != node)
-                    .copied();
-                if node != self.id && responder == Some(self.id) && !self.registry.is_empty() {
-                    let (upserts, removes) = self.registry.export_delta(&digest);
+                let responder = self.gcs.view().members.iter().find(|m| *m != node).copied();
+                if *node != self.id && responder == Some(self.id) && !self.registry.is_empty() {
+                    let (upserts, removes) = self.registry.export_delta(digest);
                     let payload_rows = upserts.as_list().map(<[Value]>::len).unwrap_or(0)
                         + removes.as_list().map(<[Value]>::len).unwrap_or(0);
                     if payload_rows > 0 {
                         self.metrics
                             .registry_delta_bytes
                             .add((upserts.encoded_len() + removes.encoded_len()) as u64);
-                        self.gcs
-                            .order(net, AppPayload::RegistryDelta { upserts, removes });
+                        self.order(net, AppPayload::RegistryDelta { upserts, removes }, None);
                     }
                 }
             }
@@ -979,14 +989,14 @@ impl DosgiNode {
                 // everyone merges the same snapshot at the same logical
                 // instant, then reconciles local instances against it
                 // (partition heal).
-                self.registry.import(&registry);
+                self.registry.import(registry);
                 self.reconcile_with_registry(now);
             }
             AppPayload::RegistryDelta { upserts, removes } => {
                 // Ordered per-record delta: same merge semantics as a full
                 // sync (rev-gated upserts, rev-equality-guarded removals),
                 // applied by every member at the same logical instant.
-                self.registry.import_delta(&upserts, &removes);
+                self.registry.import_delta(upserts, removes);
                 self.reconcile_with_registry(now);
             }
             AppPayload::Quarantined { .. } => {
@@ -1024,7 +1034,7 @@ impl DosgiNode {
         let stale: Vec<String> = self
             .mgr
             .instances()
-            .map(|i| i.descriptor.name.clone())
+            .map(|i| &i.descriptor.name)
             .filter(|name| {
                 // An instance with no record at all is kept: it may be a
                 // local deploy whose `Deployed` is still in flight.
@@ -1033,6 +1043,7 @@ impl DosgiNode {
                     .map(|r| r.home != self.id)
                     .unwrap_or(false)
             })
+            .cloned()
             .collect();
         for name in stale {
             self.drop_local(&name);
@@ -1099,7 +1110,7 @@ impl DosgiNode {
         // trace_check's adopt-before-release detector leans on.
         self.recorder.end(rel, now_us);
         let released_ctx = self.recorder.context(rel);
-        self.gcs.order_traced(
+        self.order(
             net,
             AppPayload::Released {
                 name: name.to_owned(),
@@ -1462,7 +1473,7 @@ impl DosgiNode {
             // where the causal chain ended.
             let ctx = self.recorder.context(p.trace);
             self.recorder.end(p.trace, now.as_micros());
-            self.gcs.order_traced(
+            self.order(
                 net,
                 AppPayload::Quarantined {
                     name: p.name,
@@ -1510,33 +1521,32 @@ impl DosgiNode {
             return;
         }
         self.last_sample = Some(now);
-        let usages: Vec<(String, dosgi_osgi::UsageSnapshot)> = self
-            .mgr
-            .instances()
-            .map(|i| (i.descriptor.name.clone(), i.usage()))
-            .collect();
-        for (name, usage) in usages {
+        for instance in self.mgr.instances() {
+            let name = instance.descriptor.name.as_str();
             // Bridge the monitor's windowed series into the telemetry
             // registry as per-instance gauges. Integer-scaled from the raw
             // window counters (never through the f64 series) so snapshot
             // bytes stay deterministic: CPU share in per-mille of one core,
             // call rate in milli-calls per second.
-            if let Some(w) = self.monitor.record(&name, now, usage) {
+            if let Some(w) = self.monitor.record(name, now, instance.usage()) {
                 let window_us = w.window.as_micros().max(1);
                 let cpu_pm = w.cpu.as_micros().saturating_mul(1000) / window_us;
                 let call_mcps = w.calls.saturating_mul(1_000_000_000) / window_us;
                 let t = &self.telemetry;
-                let gauges =
-                    self.monitor_gauges
-                        .entry(name)
-                        .or_insert_with_key(|name| MonitorGauges {
+                let gauges = match self.monitor_gauges.get(name) {
+                    Some(gauges) => gauges,
+                    None => self
+                        .monitor_gauges
+                        .entry(name.to_owned())
+                        .or_insert(MonitorGauges {
                             cpu_share_pm: t
                                 .gauge_handle(format_args!("monitor.{name}.cpu_share_pm")),
                             memory_bytes: t
                                 .gauge_handle(format_args!("monitor.{name}.memory_bytes")),
                             call_rate_mcps: t
                                 .gauge_handle(format_args!("monitor.{name}.call_rate_mcps")),
-                        });
+                        }),
+                };
                 gauges.cpu_share_pm.set(cpu_pm as i64);
                 gauges.memory_bytes.set(w.memory as i64);
                 gauges.call_rate_mcps.set(call_mcps as i64);
@@ -1551,10 +1561,10 @@ impl DosgiNode {
         if !autonomic.due(now) || self.state != NodeState::Running {
             return;
         }
-        let quotas: BTreeMap<String, ResourceQuota> = self
+        let quotas: BTreeMap<&str, ResourceQuota> = self
             .mgr
             .instances()
-            .map(|i| (i.descriptor.name.clone(), i.descriptor.quota))
+            .map(|i| (i.descriptor.name.as_str(), i.descriptor.quota))
             .collect();
         let view = self.gcs.view();
         let node_count = view.members.len();
@@ -1612,8 +1622,7 @@ impl DosgiNode {
                 let root = self.recorder.root("hibernate", now.as_micros());
                 self.lifecycle_trace = root;
                 let ctx = self.recorder.context(root);
-                self.gcs
-                    .order_traced(net, AppPayload::Draining { node: self.id }, ctx);
+                self.order(net, AppPayload::Draining { node: self.id }, ctx);
                 self.migrate_all_local(net, root);
             }
             PolicyAction::Custom { name, .. } if name == "migrate_all" => {

@@ -333,14 +333,18 @@ impl ClusterRegistry {
         }
     }
 
-    /// Merges an exported snapshot into this registry: present records are
-    /// overwritten by the incoming version, records the snapshot does not
-    /// mention are **kept**. Merge (rather than replace) semantics make
-    /// sync storms safe: a stale snapshot — e.g. one exported before an
+    /// Merges an exported snapshot into this registry: records the snapshot
+    /// does not mention are **kept**, and a record it does mention is
+    /// written only where it differs. Merge (rather than replace) semantics
+    /// make sync storms safe: a stale snapshot — e.g. one exported before an
     /// in-flight `Deployed` re-sequenced — cannot wipe fresher records, and
     /// since every node applies the same syncs in the same total order, all
     /// copies still converge. Malformed entries are skipped (a sync must
     /// never wedge a joining node).
+    ///
+    /// A record held already is updated in place, so a member that is up to
+    /// date — every member but the joiner — allocates nothing; only a
+    /// record this registry lacks costs a name and a descriptor.
     pub fn import(&mut self, v: &Value) {
         let Some(list) = v.as_list() else { return };
         for entry in list {
@@ -350,6 +354,7 @@ impl ClusterRegistry {
             let Some(home) = entry.get("home").and_then(Value::as_int) else {
                 continue;
             };
+            let home = NodeId(home as u32);
             let to = entry
                 .get("to")
                 .and_then(Value::as_int)
@@ -362,26 +367,35 @@ impl ClusterRegistry {
                 _ => continue,
             };
             let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0) as u64;
-            // Refuse regressions: only adopt the incoming record if it is
-            // at least as fresh as ours.
-            if self
-                .records
-                .get(name)
-                .map(|local| rev < local.rev)
-                .unwrap_or(false)
-            {
-                continue;
+            let descriptor = entry.get("descriptor").unwrap_or(&Value::Null);
+            match self.records.get_mut(name) {
+                // Refuse regressions: only adopt the incoming record if it
+                // is at least as fresh as ours.
+                Some(local) if rev < local.rev => {}
+                // An *equal* revision still writes `home` and `status`: a
+                // local `Orphaned` mark bumps no revision, and this is how a
+                // sync carries one or clears it.
+                Some(local) => {
+                    local.home = home;
+                    local.status = status;
+                    local.rev = rev;
+                    if local.descriptor != *descriptor {
+                        local.descriptor = descriptor.clone();
+                    }
+                }
+                None => {
+                    self.records.insert(
+                        name.to_owned(),
+                        InstanceRecord {
+                            name: name.to_owned(),
+                            descriptor: descriptor.clone(),
+                            home,
+                            status,
+                            rev,
+                        },
+                    );
+                }
             }
-            self.records.insert(
-                name.to_owned(),
-                InstanceRecord {
-                    name: name.to_owned(),
-                    descriptor: entry.get("descriptor").cloned().unwrap_or(Value::Null),
-                    home: NodeId(home as u32),
-                    status,
-                    rev,
-                },
-            );
         }
     }
 }
@@ -389,6 +403,7 @@ impl ClusterRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosgi_testkit::{prop, prop_verify_eq, TestRng};
 
     fn deployed(name: &str, home: u32) -> AppPayload {
         AppPayload::Deployed {
@@ -600,6 +615,238 @@ mod tests {
         let mut r3 = ClusterRegistry::new();
         r3.import(&Value::decode(&r.export().encode()).unwrap());
         assert_eq!(r3, r);
+    }
+
+    #[test]
+    fn import_at_equal_revision_still_carries_status_and_home() {
+        let mut r = ClusterRegistry::new();
+        r.apply(&deployed("a", 0));
+        // A peer marked `a` orphaned locally — no revision bump — and its
+        // snapshot carries the mark at the revision this copy holds.
+        let mut peer = r.clone();
+        peer.orphan_homes(&[NodeId(0)]);
+        r.import(&peer.export());
+        assert_eq!(r.record("a").unwrap().status, InstanceStatus::Orphaned);
+        assert_eq!(r.record("a").unwrap().rev, 1);
+        // The same way a later snapshot clears it, and moves `home` with it.
+        let placed = Value::map()
+            .with("name", "a")
+            .with("descriptor", Value::map().with("name", "a"))
+            .with("home", 2u64)
+            .with("status", "placed")
+            .with("rev", 1u64);
+        r.import(&Value::List(vec![placed]));
+        let rec = r.record("a").unwrap();
+        assert_eq!(
+            (rec.home, rec.status, rec.rev),
+            (NodeId(2), InstanceStatus::Placed, 1)
+        );
+    }
+
+    #[test]
+    fn import_of_an_own_export_changes_nothing() {
+        let mut r = ClusterRegistry::new();
+        r.apply(&deployed("a", 0));
+        r.apply(&deployed("b", 1));
+        r.apply(&AppPayload::Migrate {
+            name: "b".into(),
+            from: NodeId(1),
+            to: NodeId(2),
+        });
+        r.apply(&deployed("c", 2));
+        r.apply(&AppPayload::Quarantined {
+            name: "c".into(),
+            node: NodeId(2),
+        });
+        r.apply(&deployed("d", 3));
+        r.orphan_homes(&[NodeId(3)]);
+        let before = r.clone();
+        r.import(&Value::decode(&r.export().encode()).unwrap());
+        assert_eq!(r, before);
+        let (upserts, removes) = r.export_delta(&Value::map());
+        r.import_delta(&upserts, &removes);
+        assert_eq!(r, before);
+    }
+
+    /// What `import` was before it merged in place — every accepted entry
+    /// overwrites the whole record — kept as the model the merge is held to.
+    fn reference_import(reg: &mut ClusterRegistry, v: &Value) {
+        let Some(list) = v.as_list() else { return };
+        for entry in list {
+            let Some(name) = entry.get("name").and_then(Value::as_str) else {
+                continue;
+            };
+            let Some(home) = entry.get("home").and_then(Value::as_int) else {
+                continue;
+            };
+            let to = entry
+                .get("to")
+                .and_then(Value::as_int)
+                .map(|i| NodeId(i as u32));
+            let status = match (entry.get("status").and_then(Value::as_str), to) {
+                (Some("placed"), _) => InstanceStatus::Placed,
+                (Some("migrating"), Some(to)) => InstanceStatus::Migrating { to },
+                (Some("orphaned"), _) => InstanceStatus::Orphaned,
+                (Some("quarantined"), _) => InstanceStatus::Quarantined,
+                _ => continue,
+            };
+            let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0) as u64;
+            if reg.records.get(name).is_some_and(|local| rev < local.rev) {
+                continue;
+            }
+            reg.records.insert(
+                name.to_owned(),
+                InstanceRecord {
+                    name: name.to_owned(),
+                    descriptor: entry.get("descriptor").cloned().unwrap_or(Value::Null),
+                    home: NodeId(home as u32),
+                    status,
+                    rev,
+                },
+            );
+        }
+    }
+
+    fn node(rng: &mut TestRng) -> NodeId {
+        NodeId(rng.u64_below(4) as u32)
+    }
+
+    fn descriptor(name: &str, rng: &mut TestRng) -> Value {
+        let bundles: Value = (0..rng.u64_below(3))
+            .map(|b| Value::Int(b as i64))
+            .collect();
+        Value::map().with("name", name).with("bundles", bundles)
+    }
+
+    /// Random ordered history plus local orphan marks over six names.
+    fn churn(r: &mut ClusterRegistry, rng: &mut TestRng, ops: u64) {
+        for _ in 0..ops {
+            let name = format!("i{}", rng.u64_below(6));
+            // Mostly the node the message must name to take effect.
+            let home = match r.record(&name) {
+                Some(rec) if rng.chance(0.7) => rec.home,
+                _ => node(rng),
+            };
+            match rng.u64_below(8) {
+                0 | 1 => r.apply(&AppPayload::Deployed {
+                    descriptor: descriptor(&name, rng),
+                    name,
+                    home,
+                }),
+                2 => r.apply(&AppPayload::Migrate {
+                    name,
+                    from: home,
+                    to: node(rng),
+                }),
+                3 => r.apply(&AppPayload::Released {
+                    name,
+                    to: node(rng),
+                }),
+                4 => r.apply(&AppPayload::Adopted {
+                    name,
+                    node: node(rng),
+                    prior_home: home,
+                }),
+                5 => r.apply(&AppPayload::Quarantined { name, node: home }),
+                6 => r.apply(&AppPayload::Undeployed { name }),
+                _ => drop(r.orphan_homes(&[home])),
+            }
+        }
+    }
+
+    /// What a hostile or merely unlucky sender adds to a list of export
+    /// records: entries at a revision `held` already has but with another
+    /// status, home or descriptor, a missing `descriptor`, and garbage.
+    fn tamper(payload: &mut Value, held: &ClusterRegistry, rng: &mut TestRng) {
+        let Value::List(entries) = payload else {
+            panic!("an export is a list");
+        };
+        for entry in entries.iter_mut() {
+            let Value::Map(fields) = entry else {
+                panic!("an export record is a map");
+            };
+            let name = fields["name"].as_str().unwrap().to_owned();
+            if let Some(local) = held.record(&name) {
+                if rng.chance(0.6) {
+                    let rev = local.rev + rng.u64_below(3) - 1;
+                    fields.insert("rev".into(), Value::Int(rev as i64));
+                }
+            }
+            match rng.u64_below(8) {
+                0 => drop(fields.remove("descriptor")),
+                1 => drop(fields.insert("descriptor".into(), descriptor(&name, rng))),
+                2 => drop(fields.insert("home".into(), Value::Int(node(rng).0.into()))),
+                3 => {
+                    let status = ["placed", "migrating", "orphaned", "quarantined", "lost"];
+                    let status = status[rng.u64_below(5) as usize];
+                    fields.insert("status".into(), status.into());
+                    if rng.chance(0.8) {
+                        fields.insert("to".into(), Value::Int(node(rng).0.into()));
+                    }
+                }
+                _ => {}
+            }
+        }
+        for _ in 0..rng.u64_below(3) {
+            let garbage = match rng.u64_below(3) {
+                0 => Value::Int(7),
+                1 => Value::map().with("home", 1u64).with("status", "placed"),
+                _ => Value::map().with("name", "i0").with("status", "placed"),
+            };
+            let at = rng.usize_in(0, entries.len());
+            entries.insert(at, garbage);
+        }
+    }
+
+    /// The in-place merge against the whole-record overwrite it replaced.
+    /// Mutation-checked: skipping an entry at an equal revision, leaving the
+    /// descriptor of a held record alone, and not writing `status` each fail.
+    #[test]
+    fn prop_import_matches_whole_record_overwrite() {
+        let wire = |v: Value| Value::decode(&v.encode()).unwrap();
+        let cfg = prop::Config::with_cases(300);
+        let gen = prop::u64s(0, u64::MAX);
+        prop::check_with(
+            &cfg,
+            "import_matches_whole_record_overwrite",
+            &gen,
+            |&seed| {
+                let mut rng = TestRng::new(seed);
+                let mut ours = ClusterRegistry::new();
+                churn(&mut ours, &mut rng, 12);
+                // The sender: a copy that went its own way — or, as after a
+                // restart, one that never shared any history.
+                let mut theirs = if rng.chance(0.8) {
+                    ours.clone()
+                } else {
+                    ClusterRegistry::new()
+                };
+                let diverge = rng.u64_below(10);
+                churn(&mut theirs, &mut rng, diverge);
+                churn(&mut ours, &mut rng, diverge / 2);
+                let mut model = ours.clone();
+                if rng.chance(0.5) {
+                    let mut snapshot = wire(theirs.export());
+                    tamper(&mut snapshot, &ours, &mut rng);
+                    ours.import(&snapshot);
+                    reference_import(&mut model, &snapshot);
+                } else {
+                    let digest = if rng.chance(0.3) {
+                        Value::map()
+                    } else {
+                        ours.digest()
+                    };
+                    let (upserts, removes) = theirs.export_delta(&wire(digest));
+                    let (mut upserts, removes) = (wire(upserts), wire(removes));
+                    tamper(&mut upserts, &ours, &mut rng);
+                    ours.import_delta(&upserts, &removes);
+                    reference_import(&mut model, &upserts);
+                    model.import_delta(&Value::List(Vec::new()), &removes);
+                }
+                prop_verify_eq!(ours, model);
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -9,12 +9,26 @@
 //! lookup (≤ 4), a write-through `incr` on a hot key no name, key or copy of
 //! its data area (≤ 6), and the first call after an adoption the same
 //! whatever the size of the area it does not read.
+//!
+//! What a rejoin costs: importing a registry that says nothing new allocates
+//! nothing; ordering a `RegistrySync` costs its one export and, beyond that,
+//! the same for 4 records as for 40; a whole crash, failover, restart and
+//! rejoin of the `failover` workload allocates ≤ 8 000 times; and a policy
+//! pass in which nothing fires allocates its subject list.
 
-use dosgi_core::{workloads, ClusterConfig, DosgiCluster};
-use dosgi_net::SimDuration;
+use dosgi_core::autonomic::{AutonomicModule, DEFAULT_POLICY};
+use dosgi_core::{workloads, AppPayload, ClusterConfig, ClusterRegistry, DosgiCluster, Wire};
+use dosgi_gcs::{GcsConfig, GcsEvent, GroupNode};
+use dosgi_monitor::{MonitoringModule, NodeCapacity};
+use dosgi_net::{LinkConfig, NodeId, SimDuration, SimNet, SimTime};
+use dosgi_osgi::UsageSnapshot;
+use dosgi_san::Value;
 use dosgi_telemetry::{ScrapeConfig, Telemetry};
+use dosgi_vosgi::ResourceQuota;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 thread_local! {
     // Per thread, so tests running side by side do not see each other.
@@ -64,25 +78,37 @@ static ALLOCATOR: Counting = Counting;
 const NODES: usize = 5;
 const INSTANCES: usize = 40;
 
-/// The `failover` workload's cluster at rest: 5 nodes, 40 instances, every
-/// one serving, observability on.
-fn settled_cluster(telemetry: Telemetry) -> DosgiCluster {
+/// The `failover` workload's cluster at rest: 5 nodes, 40 instances — the
+/// last `counters` of them write-through counters, the rest web — every one
+/// serving, observability on. Returns the instance names with it.
+fn settled_cluster(telemetry: Telemetry, counters: usize) -> (DosgiCluster, Vec<String>) {
     let mut c = DosgiCluster::new_with_telemetry(NODES, ClusterConfig::default(), 7, telemetry);
     c.enable_observability(ScrapeConfig::default(), DosgiCluster::default_slos());
     c.run_for(SimDuration::from_millis(500));
+    let mut names = Vec::new();
     for i in 0..INSTANCES {
-        let name = format!("web-{i:02}");
-        c.deploy(workloads::web_instance(&name, &name), i % NODES)
+        let (name, descriptor) = if i < INSTANCES - counters {
+            let name = format!("web-{i:02}");
+            let descriptor = workloads::web_instance(&name, &name);
+            (name, descriptor)
+        } else {
+            let name = format!("ctr-{i:02}");
+            let descriptor =
+                workloads::counter_instance_with(&name, &name, workloads::COUNTER_WRITE_THROUGH);
+            (name, descriptor)
+        };
+        c.deploy(descriptor, i % NODES)
             .expect("deploy on a healthy cluster");
+        names.push(name);
     }
     c.run_for(SimDuration::from_secs(3));
-    assert!((0..INSTANCES).all(|i| c.probe(&format!("web-{i:02}"))));
+    assert!(names.iter().all(|name| c.probe(name)));
     c.take_events();
-    c
+    (c, names)
 }
 
 fn no_event_steps_allocate_nothing(telemetry: Telemetry) {
-    let mut c = settled_cluster(telemetry);
+    let (mut c, _) = settled_cluster(telemetry, 0);
     let (mut quiet, mut busy) = (0, 0);
     for _ in 0..400 {
         let traffic = c.net_mut().stats();
@@ -127,8 +153,7 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
 /// write-through `incr` on a hot key builds no name, no key and no copy of
 /// the area on its way to the SAN.
 fn request_path_allocations(telemetry: Telemetry) {
-    use dosgi_san::Value;
-    let mut c = settled_cluster(telemetry);
+    let (mut c, _) = settled_cluster(telemetry, 0);
     c.deploy(
         workloads::counter_instance_with("ctr", "ctr", workloads::COUNTER_WRITE_THROUGH),
         0,
@@ -169,7 +194,6 @@ fn request_path_allocations_with_telemetry_off() {
 /// one row or 257.
 #[test]
 fn first_call_after_adoption_does_not_scale_with_the_area() {
-    use dosgi_san::Value;
     let mut c = DosgiCluster::new_with_telemetry(3, ClusterConfig::default(), 7, Telemetry::new());
     c.run_for(SimDuration::from_millis(500));
     for name in ["small", "large"] {
@@ -197,4 +221,182 @@ fn first_call_after_adoption_does_not_scale_with_the_area() {
         allocations
     };
     assert_eq!(first_call("small"), first_call("large"));
+}
+
+/// A registry of `records` web instances spread over the nodes, as the
+/// total order leaves it on every member.
+fn registry_of(records: usize) -> ClusterRegistry {
+    let mut registry = ClusterRegistry::new();
+    for i in 0..records {
+        let name = format!("web-{i:02}");
+        registry.apply(&AppPayload::Deployed {
+            descriptor: workloads::web_instance(&name, &name).to_value(),
+            name,
+            home: NodeId((i % NODES) as u32),
+        });
+    }
+    registry
+}
+
+/// A member that is up to date — every member but the joiner, on every
+/// rejoin — imports a snapshot without allocating: no name, no descriptor,
+/// no record is rebuilt to be found equal.
+#[test]
+fn importing_an_own_export_allocates_nothing() {
+    let mut registry = registry_of(INSTANCES);
+    let snapshot = Value::decode(&registry.export().encode()).expect("an export decodes");
+    let (upserts, removes) = registry.export_delta(&Value::map());
+    let before = registry.clone();
+    let (allocations, ()) = allocations_in(|| {
+        registry.import(&snapshot);
+        registry.import_delta(&upserts, &removes);
+    });
+    assert_eq!(allocations, 0);
+    assert_eq!(registry, before);
+}
+
+/// What ordering one `RegistrySync` in a five-member view allocates — retry
+/// queue, sequencer log, fan-out, delivery and five up-to-date imports —
+/// with the snapshot already exported.
+fn ordered_sync_allocations(records: usize) -> u64 {
+    let registry = registry_of(records);
+    let mut net: SimNet<Wire> = SimNet::new(LinkConfig::lan(), 7);
+    let ids: Vec<NodeId> = (0..NODES).map(|_| net.register_node()).collect();
+    let mut members: Vec<(GroupNode<Arc<AppPayload>>, ClusterRegistry)> = ids
+        .iter()
+        .map(|&id| {
+            let gcs = GroupNode::new(id, ids.clone(), GcsConfig::lan(), SimTime::ZERO);
+            (gcs, registry.clone())
+        })
+        .collect();
+    // One driver step; returns how many members applied a sync in it.
+    let step = |net: &mut SimNet<Wire>, members: &mut [(GroupNode<_>, ClusterRegistry)]| {
+        net.advance(SimDuration::from_millis(5));
+        let now = net.now();
+        let mut applied = 0;
+        for (gcs, registry) in members {
+            for env in net.drain(gcs.id()) {
+                gcs.handle(net, env.from, env.payload, now);
+            }
+            gcs.tick(net, now);
+            for event in gcs.take_events() {
+                if let GcsEvent::OrderedDeliver { payload, .. } = event {
+                    let AppPayload::RegistrySync { registry: snapshot } = &*payload else {
+                        panic!("only a sync is ordered here");
+                    };
+                    registry.import(snapshot);
+                    applied += 1;
+                }
+            }
+        }
+        applied
+    };
+    for _ in 0..100 {
+        step(&mut net, &mut members);
+    }
+    assert!(members.iter().all(|(gcs, _)| gcs.view().len() == NODES));
+    let snapshot = registry.export();
+    let (allocations, ()) = allocations_in(|| {
+        let sync = AppPayload::RegistrySync { registry: snapshot };
+        members[1].0.order(&mut net, Arc::new(sync));
+        let mut applied = 0;
+        while applied < NODES {
+            applied += step(&mut net, &mut members);
+        }
+    });
+    assert!(members.iter().all(|(_, held)| *held == registry));
+    allocations
+}
+
+/// An ordered message is shared, not copied, and an up-to-date import
+/// writes nothing: past its one export a sync costs the same whatever the
+/// size of the registry it carries.
+#[test]
+fn an_ordered_sync_costs_its_export_and_nothing_else_that_scales() {
+    assert_eq!(ordered_sync_allocations(4), ordered_sync_allocations(40));
+}
+
+/// A round of the `failover` workload of `benchmark/`: 20 web and 20
+/// write-through counter instances under observability; 20 `incr`, a crash,
+/// the failover, a restart, the rejoin and 200 settle steps.
+fn failover_round_allocations(telemetry: Telemetry) {
+    let (mut c, names) = settled_cluster(telemetry, INSTANCES / 2);
+    let step_until = |c: &mut DosgiCluster, done: &dyn Fn(&DosgiCluster) -> bool| {
+        for _ in 0..2_000 {
+            if done(c) {
+                return;
+            }
+            c.step();
+        }
+        panic!("the cluster did not get there in 2000 steps");
+    };
+    let all_serving = |c: &DosgiCluster| names.iter().all(|n| c.probe(n));
+    for round in 0..8 {
+        let victim = 1 + round % (NODES - 1);
+        let (allocations, ()) = allocations_in(|| {
+            for name in &names[INSTANCES / 2..] {
+                let reply = c.call(name, workloads::COUNTER_SERVICE, "incr", &Value::Null);
+                assert_eq!(reply, Ok(Value::Int(round as i64 + 1)));
+            }
+            c.crash_node(victim);
+            step_until(&mut c, &all_serving);
+            c.restart_node(victim);
+            step_until(&mut c, &|c| c.running_nodes().len() == NODES);
+            for _ in 0..200 {
+                c.step();
+            }
+            drop(c.take_events());
+        });
+        assert!(all_serving(&c));
+        // Measured 6 686 to 7 737 over these rounds, telemetry on or off.
+        assert!(
+            allocations <= 8_000,
+            "failover round {round} allocated {allocations} times"
+        );
+    }
+}
+
+#[test]
+fn failover_round_allocations_with_telemetry_on() {
+    failover_round_allocations(Telemetry::new());
+}
+
+#[test]
+fn failover_round_allocations_with_telemetry_off() {
+    failover_round_allocations(Telemetry::disabled());
+}
+
+/// A policy pass over subjects the blackboard already knows, in which no
+/// rule fires, borrows every name: the subject list is its one allocation.
+#[test]
+fn a_quiet_policy_pass_allocates_its_subject_list() {
+    let mut autonomic = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_millis(500))
+        .expect("the default policy compiles");
+    let names: Vec<String> = (0..8).map(|i| format!("web-{i:02}")).collect();
+    let mut monitor = MonitoringModule::new();
+    for second in 0..2 {
+        for name in &names {
+            let usage = UsageSnapshot {
+                calls: 10 * second,
+                ..UsageSnapshot::default()
+            };
+            monitor.record(name, SimTime::from_secs(second), usage);
+        }
+    }
+    let quotas: BTreeMap<&str, ResourceQuota> = names
+        .iter()
+        .map(|name| (name.as_str(), ResourceQuota::standard()))
+        .collect();
+    let capacity = NodeCapacity::standard();
+    let mut pass = |second| {
+        let now = SimTime::from_secs(second);
+        allocations_in(|| autonomic.evaluate(now, &monitor, &quotas, &capacity, NODES, 0))
+    };
+    assert!(pass(2).1.is_empty());
+    let (allocations, decisions) = pass(3);
+    assert!(decisions.is_empty() && autonomic.last_errors().is_empty());
+    assert!(
+        allocations <= 1,
+        "a quiet pass allocated {allocations} times"
+    );
 }

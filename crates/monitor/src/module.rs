@@ -56,7 +56,10 @@ impl MonitoringModule {
         now: SimTime,
         snapshot: UsageSnapshot,
     ) -> Option<WindowedUsage> {
-        let state = self.subjects.entry(subject.to_owned()).or_default();
+        let state = match self.subjects.get_mut(subject) {
+            Some(state) => state,
+            None => self.subjects.entry(subject.to_owned()).or_default(),
+        };
         let window = state.sampler.observe(now, snapshot)?;
         state.cpu_share.push(window.cpu_share);
         state.memory.push(window.memory as f64);

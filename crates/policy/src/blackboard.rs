@@ -26,15 +26,16 @@ impl Blackboard {
 
     /// Sets a per-subject metric.
     pub fn set_subject_metric(&mut self, subject: &str, name: &str, value: f64) {
-        self.subject_metrics
-            .entry(subject.to_owned())
-            .or_default()
-            .insert(name.to_owned(), value);
+        let metrics = match self.subject_metrics.get_mut(subject) {
+            Some(metrics) => metrics,
+            None => self.subject_metrics.entry(subject.to_owned()).or_default(),
+        };
+        set(metrics, name, value);
     }
 
     /// Sets a global metric.
     pub fn set_global_metric(&mut self, name: &str, value: f64) {
-        self.global_metrics.insert(name.to_owned(), value);
+        set(&mut self.global_metrics, name, value);
     }
 
     /// Removes every metric of a subject (after migration/destruction).
@@ -51,6 +52,16 @@ impl Blackboard {
     pub fn clear(&mut self) {
         self.subject_metrics.clear();
         self.global_metrics.clear();
+    }
+}
+
+/// Overwrites a metric in place; only the first write of a name owns it.
+fn set(metrics: &mut BTreeMap<String, f64>, name: &str, value: f64) {
+    match metrics.get_mut(name) {
+        Some(slot) => *slot = value,
+        None => {
+            metrics.insert(name.to_owned(), value);
+        }
     }
 }
 

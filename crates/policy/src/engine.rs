@@ -15,8 +15,9 @@ use std::collections::BTreeMap;
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyEngine {
     script: Script,
-    // (rule, subject-or-"") → consecutive true evaluations.
-    streaks: BTreeMap<(String, String), u32>,
+    // Per rule, by its position in the script (two rules may share a name):
+    // subject-or-"" → consecutive true evaluations.
+    streaks: Vec<BTreeMap<String, u32>>,
     // Evaluation errors from the last pass (missing metrics etc.).
     errors: Vec<String>,
 }
@@ -28,9 +29,10 @@ impl PolicyEngine {
     ///
     /// Returns the parse error for malformed scripts.
     pub fn compile(source: &str) -> Result<Self, ParseError> {
+        let script = parse(source)?;
         Ok(PolicyEngine {
-            script: parse(source)?,
-            streaks: BTreeMap::new(),
+            streaks: vec![BTreeMap::new(); script.rules.len()],
+            script,
             errors: Vec::new(),
         })
     }
@@ -48,38 +50,45 @@ impl PolicyEngine {
     /// just-created instance) are treated as *false* and recorded in
     /// [`last_errors`](Self::last_errors) — a policy must never crash the
     /// platform it governs.
+    ///
+    /// A pass in which nothing fires and nothing fails allocates nothing.
     pub fn evaluate(
         &mut self,
         source: &dyn MetricSource,
-        subjects: &[String],
+        subjects: &[&str],
     ) -> Vec<PolicyDecision> {
-        self.errors.clear();
+        let PolicyEngine {
+            script,
+            streaks,
+            errors,
+        } = self;
+        errors.clear();
         let mut decisions = Vec::new();
-        let rules = self.script.rules.clone();
-        for rule in &rules {
+        for (rule, streaks) in script.rules.iter().zip(streaks) {
+            // A global rule is evaluated once, with no subject bound; its
+            // streak is kept under "".
             let per_subject = rule_uses_subject(rule);
-            let bindings: Vec<Option<&str>> = if per_subject {
-                subjects.iter().map(|s| Some(s.as_str())).collect()
-            } else {
-                vec![None]
-            };
-            for subject in bindings {
-                let key = (rule.name.clone(), subject.unwrap_or("").to_owned());
+            let keys: &[&str] = if per_subject { subjects } else { &[""] };
+            for &key in keys {
+                let subject = per_subject.then_some(key);
                 let holds = match eval(&rule.condition, source, subject) {
                     Ok(Value::Bool(b)) => b,
                     Ok(other) => {
-                        self.errors.push(format!(
+                        errors.push(format!(
                             "rule {}: condition evaluated to {other}, not bool",
                             rule.name
                         ));
                         false
                     }
                     Err(e) => {
-                        self.errors.push(format!("rule {}: {e}", rule.name));
+                        errors.push(format!("rule {}: {e}", rule.name));
                         false
                     }
                 };
-                let streak = self.streaks.entry(key).or_insert(0);
+                let streak = match streaks.get_mut(key) {
+                    Some(streak) => streak,
+                    None => streaks.entry(key.to_owned()).or_insert(0),
+                };
                 if holds {
                     *streak += 1;
                 } else {
@@ -96,7 +105,7 @@ impl PolicyEngine {
                                 subject: subject.map(str::to_owned),
                                 action,
                             }),
-                            Err(e) => self.errors.push(format!("rule {}: {e}", rule.name)),
+                            Err(e) => errors.push(format!("rule {}: {e}", rule.name)),
                         }
                     }
                 }
@@ -113,7 +122,7 @@ impl PolicyEngine {
 
     /// Resets all sustained-condition counters (e.g. after reconfiguring).
     pub fn reset(&mut self) {
-        self.streaks.clear();
+        self.streaks.iter_mut().for_each(BTreeMap::clear);
     }
 }
 
@@ -212,10 +221,6 @@ mod tests {
     use super::*;
     use crate::Blackboard;
 
-    fn subjects(list: &[&str]) -> Vec<String> {
-        list.iter().map(|s| (*s).to_owned()).collect()
-    }
-
     #[test]
     fn per_subject_rule_fires_for_each_matching_subject() {
         let mut e =
@@ -224,7 +229,7 @@ mod tests {
         bb.set_subject_metric("a", "cpu", 0.9);
         bb.set_subject_metric("b", "cpu", 0.1);
         bb.set_subject_metric("c", "cpu", 0.7);
-        let d = e.evaluate(&bb, &subjects(&["a", "b", "c"]));
+        let d = e.evaluate(&bb, &["a", "b", "c"]);
         assert_eq!(d.len(), 2);
         assert_eq!(
             d[0].action,
@@ -247,7 +252,7 @@ mod tests {
             PolicyEngine::compile("rule hot { when cpu($i) > 0.5 for 3 then stop($i) }").unwrap();
         let mut bb = Blackboard::new();
         bb.set_subject_metric("a", "cpu", 0.9);
-        let s = subjects(&["a"]);
+        let s = ["a"];
         assert!(e.evaluate(&bb, &s).is_empty(), "1st hit");
         assert!(e.evaluate(&bb, &s).is_empty(), "2nd hit");
         assert_eq!(e.evaluate(&bb, &s).len(), 1, "3rd hit fires");
@@ -265,12 +270,34 @@ mod tests {
     }
 
     #[test]
+    fn rules_with_one_name_keep_their_own_streaks() {
+        // The parser accepts two rules called `r`; each debounces by itself.
+        let mut e = PolicyEngine::compile(
+            r#"rule r { when load() > 1 for 2 then alert("first") }
+               rule r { when load() > 1 for 2 then alert("second") }"#,
+        )
+        .unwrap();
+        let mut bb = Blackboard::new();
+        bb.set_global_metric("load", 2.0);
+        let mut fired = Vec::new();
+        for _ in 0..4 {
+            let messages = e.evaluate(&bb, &[]).into_iter().map(|d| match d.action {
+                PolicyAction::Alert { message, .. } => message,
+                other => panic!("unexpected action {other:?}"),
+            });
+            fired.push(messages.collect::<Vec<_>>());
+        }
+        let both = vec!["first".to_owned(), "second".to_owned()];
+        assert_eq!(fired, [vec![], both.clone(), vec![], both]);
+    }
+
+    #[test]
     fn global_rules_evaluate_once() {
         let mut e =
             PolicyEngine::compile("rule idle { when node_cpu() < 0.2 then hibernate() }").unwrap();
         let mut bb = Blackboard::new();
         bb.set_global_metric("node_cpu", 0.1);
-        let d = e.evaluate(&bb, &subjects(&["a", "b", "c"]));
+        let d = e.evaluate(&bb, &["a", "b", "c"]);
         assert_eq!(d.len(), 1, "not once per subject");
         assert_eq!(d[0].action, PolicyAction::HibernateNode);
         assert_eq!(d[0].subject, None);
@@ -280,7 +307,7 @@ mod tests {
     fn missing_metrics_are_false_not_fatal() {
         let mut e = PolicyEngine::compile("rule hot { when cpu($i) > 0.5 then stop($i) }").unwrap();
         let bb = Blackboard::new();
-        let d = e.evaluate(&bb, &subjects(&["ghost"]));
+        let d = e.evaluate(&bb, &["ghost"]);
         assert!(d.is_empty());
         assert_eq!(e.last_errors().len(), 1);
         assert!(e.last_errors()[0].contains("unknown metric"));
@@ -294,7 +321,7 @@ mod tests {
         .unwrap();
         let mut bb = Blackboard::new();
         bb.set_subject_metric("a", "memory", 200.0);
-        let d = e.evaluate(&bb, &subjects(&["a"]));
+        let d = e.evaluate(&bb, &["a"]);
         assert_eq!(d.len(), 2);
         assert!(matches!(d[0].action, PolicyAction::Stop { .. }));
         assert!(matches!(
@@ -307,7 +334,7 @@ mod tests {
     fn custom_actions_are_forwarded() {
         let mut e = PolicyEngine::compile("rule x { when true then boost($i, 2) }").unwrap();
         let bb = Blackboard::new();
-        let d = e.evaluate(&bb, &subjects(&["a"]));
+        let d = e.evaluate(&bb, &["a"]);
         assert_eq!(
             d[0].action,
             PolicyAction::Custom {
@@ -374,7 +401,7 @@ mod tests {
             PolicyEngine::compile("rule hot { when cpu($i) > 0.5 for 2 then stop($i) }").unwrap();
         let mut bb = Blackboard::new();
         bb.set_subject_metric("a", "cpu", 0.9);
-        let s = subjects(&["a"]);
+        let s = ["a"];
         assert!(e.evaluate(&bb, &s).is_empty());
         e.reset();
         assert!(e.evaluate(&bb, &s).is_empty(), "streak restarted");

@@ -213,18 +213,20 @@ fn eval_call(
         }
         _ => {}
     }
-    // Metric functions: nullary (global) or unary ($i / string subject).
-    let resolved_subject: Option<String> = match args {
+    // Metric functions: nullary (global) or unary ($i / string subject —
+    // the only two expressions that yield a string, so the name is borrowed).
+    let resolved_subject: Option<&str> = match args {
         [] => None,
-        [one] => match eval(one, source, subject)? {
-            Value::Str(s) => Some(s),
-            _other => {
-                return Err(EvalError::Arity {
-                    name: name.to_owned(),
-                    expected: "a subject ($i or string)",
-                })
-            }
-        },
+        [Expr::Subject] => Some(subject.ok_or(EvalError::NoSubject)?),
+        [Expr::Str(s)] => Some(s),
+        // Anything else is no string; its own error, if it has one, is first.
+        [one] => {
+            eval(one, source, subject)?;
+            return Err(EvalError::Arity {
+                name: name.to_owned(),
+                expected: "a subject ($i or string)",
+            });
+        }
         _ => {
             return Err(EvalError::Arity {
                 name: name.to_owned(),
@@ -233,11 +235,11 @@ fn eval_call(
         }
     };
     source
-        .metric(name, resolved_subject.as_deref())
+        .metric(name, resolved_subject)
         .map(Value::Num)
-        .ok_or(EvalError::UnknownMetric {
+        .ok_or_else(|| EvalError::UnknownMetric {
             name: name.to_owned(),
-            subject: resolved_subject,
+            subject: resolved_subject.map(str::to_owned),
         })
 }
 

@@ -74,14 +74,14 @@ impl Hierarchy {
     pub fn evaluate(
         &mut self,
         blackboard: &mut Blackboard,
-        subjects: &[String],
+        subjects: &[&str],
     ) -> Vec<LevelDecision> {
         let mut out = Vec::new();
         for level in &mut self.levels {
-            let scoped: Vec<String> = subjects
+            let scoped: Vec<&str> = subjects
                 .iter()
                 .filter(|s| s.starts_with(&level.scope))
-                .cloned()
+                .copied()
                 .collect();
             let decisions = level.engine.evaluate(blackboard, &scoped);
             let alerts = decisions
@@ -118,8 +118,7 @@ mod tests {
         bb.set_subject_metric("n0/a", "cpu", 0.9);
         bb.set_subject_metric("n0/b", "cpu", 0.8);
         bb.set_subject_metric("n1/c", "cpu", 0.9); // out of scope for "node"
-        let subjects = vec!["n0/a".to_owned(), "n0/b".to_owned(), "n1/c".to_owned()];
-        let decisions = h.evaluate(&mut bb, &subjects);
+        let decisions = h.evaluate(&mut bb, &["n0/a", "n0/b", "n1/c"]);
         // Two node-level alerts (n0/a, n0/b) escalate into one cluster
         // alert; n1/c was invisible to the node level.
         let node_alerts: Vec<_> = decisions.iter().filter(|d| d.level == "node").collect();
@@ -147,10 +146,10 @@ mod tests {
         let mut h = Hierarchy::new().with_level("node", node, "");
         let mut bb = Blackboard::new();
         bb.set_subject_metric("a", "cpu", 0.9);
-        h.evaluate(&mut bb, &["a".to_owned()]);
+        h.evaluate(&mut bb, &["a"]);
         assert_eq!(bb.metric("alerts_node", None), Some(1.0));
         bb.set_subject_metric("a", "cpu", 0.1);
-        h.evaluate(&mut bb, &["a".to_owned()]);
+        h.evaluate(&mut bb, &["a"]);
         assert_eq!(bb.metric("alerts_node", None), Some(0.0));
     }
 }

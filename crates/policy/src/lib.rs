@@ -47,7 +47,7 @@
 //! let mut bb = Blackboard::new();
 //! bb.set_subject_metric("acme", "memory", 600.0);
 //! bb.set_subject_metric("acme", "quota_mem", 500.0);
-//! let decisions = engine.evaluate(&bb, &["acme".to_owned()]);
+//! let decisions = engine.evaluate(&bb, &["acme"]);
 //! assert_eq!(decisions.len(), 1);
 //! assert!(matches!(decisions[0].action, PolicyAction::Stop { .. }));
 //! # Ok(())

@@ -1,0 +1,114 @@
+#!/usr/bin/env bash
+# Seed-for-seed pairs of benchmark runs, a parent commit against the working
+# tree, by the rule every perf PR is held to: at least ten pairs, alternating
+# which side runs first; a gain counts when the change wins nine tenths of the
+# pairs and the medians lie further apart than the parent's own quartiles.
+#
+#   scripts/bench_pairs.sh <parent-ref> <workload> [first-seed=1] [pairs=10]
+#
+# The parent is unpacked (`git archive`) under target/bench_pairs/, each side
+# is built by its own benchmark/run.sh into its own CARGO_TARGET_DIR there, and
+# pair i runs both on seed first-seed + i. Bash and awk only, nothing fetched;
+# it reads benchmark/ and BENCHMARK.json and edits neither. Per timed metric it
+# prints both medians with their quartiles (Python's statistics.quantiles,
+# n=4, as the driver computes them), the parent's quartile distance and the
+# pairs the change won; per exact metric (a count or a modeled time, equal
+# between two runs of one build on one seed) whether it is equal, lower or
+# higher. What every run printed is kept beside the builds. Exits non-zero if
+# any run reports a failed or incorrect op.
+set -euo pipefail
+
+if [[ $# -lt 2 || $# -gt 4 ]]; then
+    echo "usage: scripts/bench_pairs.sh <parent-ref> <workload> [first-seed=1] [pairs=10]" >&2
+    exit 2
+fi
+parent_ref="$1" workload="$2" first_seed="${3:-1}" pairs="${4:-10}"
+
+cd "$(dirname "$0")/.."
+work="$PWD/target/bench_pairs"
+rm -rf "$work/parent-src"
+mkdir -p "$work/parent-src" "$work/out"
+git archive "$parent_ref" | tar -x -C "$work/parent-src"
+
+# side <parent|change> <seed>: one run, its last line (the result) on stdout.
+side() {
+    local root="$PWD"
+    [[ $1 == parent ]] && root="$work/parent-src"
+    CARGO_TARGET_DIR="$work/$1" "$root/benchmark/run.sh" \
+        --workload "$workload" --seed "$2" --trace 0 \
+        | tee -a "$work/out/${workload}_$1.txt" | tail -n 1
+}
+
+: >"$work/out/${workload}_parent.txt"
+: >"$work/out/${workload}_change.txt"
+results="$work/out/${workload}_pairs.txt"
+: >"$results"
+for ((i = 0; i < pairs; i++)); do
+    seed=$((first_seed + i))
+    order=(parent change)
+    ((i % 2)) && order=(change parent)
+    for s in "${order[@]}"; do
+        result="$(side "$s" "$seed")"
+        echo "$s $seed $result" >>"$results"
+        echo "pair $((i + 1))/$pairs, seed $seed: $s done" >&2
+    done
+done
+
+awk -v workload="$workload" '
+# Which way is better, and which metrics are exact, from the "end_to_end"
+# list of BENCHMARK.json.
+FILENAME == ARGV[1] {
+    if (/^  "/) listed = /"end_to_end"/
+    if (!listed) next
+    if (match($0, /"name": *"[^"]*"/)) { name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name) }
+    if (match($0, /"unit": *"[^"]*"/)) { u = $0; sub(/.*"unit": *"/, "", u); sub(/".*/, "", u); unit[name] = u }
+    if (match($0, /"better": *"[^"]*"/)) {
+        b = $0; sub(/.*"better": *"/, "", b); sub(/".*/, "", b)
+        better[name] = b; metrics[++n_metrics] = name
+    }
+    next
+}
+{
+    side = $1; seed = $2
+    if ($0 !~ /"correct": true/ || $0 !~ /"failed": 0[,}]/) { bad = bad "  " side " on seed " seed "\n" }
+    if (!(seed in seen)) { seen[seed] = 1; n_pairs++ }
+    for (m = 1; m <= n_metrics; m++) {
+        v = $0
+        if (!sub(".*\"" metrics[m] "\": *\\{\"value\": *", "", v)) { bad = bad "  " side " on seed " seed " printed no " metrics[m] "\n"; continue }
+        sub(/[,}].*/, "", v)
+        value[side, metrics[m], seed] = v + 0
+    }
+}
+function quartiles(side, metric,    n, i, j, t, x, p, k, s) {
+    n = 0
+    for (s in seen) x[++n] = value[side, metric, s]
+    for (i = 2; i <= n; i++) { t = x[i]; for (j = i - 1; j >= 1 && x[j] > t; j--) x[j + 1] = x[j]; x[j + 1] = t }
+    for (k = 1; k <= 3; k++) {
+        p = k * (n + 1) / 4; i = int(p)
+        if (i < 1) q[k] = x[1]; else if (i >= n) q[k] = x[n]; else q[k] = x[i] + (p - i) * (x[i + 1] - x[i])
+    }
+}
+END {
+    printf "%s: %d pairs, parent -> change\n", workload, n_pairs
+    for (m = 1; m <= n_metrics; m++) {
+        name = metrics[m]; lower = better[name] == "lower"
+        below = above = 0
+        for (s in seen) {
+            d = value["change", name, s] - value["parent", name, s]
+            below += d < 0; above += d > 0
+        }
+        won = lower ? below : above; lost = lower ? above : below
+        quartiles("parent", name); p1 = q[1]; p2 = q[2]; p3 = q[3]
+        quartiles("change", name)
+        if (unit[name] ~ /^(s|us|1\/s|MiB)$/) {
+            gap = q[2] - p2; if (lower) gap = -gap
+            printf "  %-17s %.6g [%.6g, %.6g] -> %.6g [%.6g, %.6g] %s; parent quartile distance %.3g; change better on %d, worse on %d of %d%s\n", \
+                name, p2, p1, p3, q[2], q[1], q[3], unit[name], p3 - p1, won, lost, n_pairs, \
+                (n_pairs >= 10 && won * 10 >= n_pairs * 9 && gap > p3 - p1) ? "  (a gain by the rule)" : ""
+        } else {
+            verdict = !(below + above) ? "equal on every pair" : !above ? "lower" : !below ? "higher" : "lower on some pairs, higher on others"
+            printf "  %-17s exact: %s (medians %.6g -> %.6g %s)\n", name, verdict, p2, q[2], unit[name]
+        }
+    }
+    if (bad != "") { printf "FAILED or incorrect ops:\n%s", bad; exit 1 }
+}' BENCHMARK.json "$results"
