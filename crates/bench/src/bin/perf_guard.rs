@@ -9,6 +9,7 @@
 //! |---|---|---|---|
 //! | `map`, `log` | E5 migration round per SAN backend: a counter with a 256 KiB data area handed 0 → 1. Faults, stats and change detection live in the `SharedStore` wrapper, so a conformant backend sees the same bytes — the row doubles as a coarse conformance check | `bytes_written` ↑, `bytes_read` ↑ (blowing change detection or per-row persistence is a bug) | `perf_baseline_e5.json`, `perf_baseline_e5_<backend>.json` |
 //! | `migrate_reads_map`, `migrate_reads_log` | one benchmark-shaped `migrate` round (incr → migrate → adopted → incr) per SAN backend, of a counter whose data area holds 64, then 256, 1 KiB rows it never reads | SAN `rows_read` ↑ and `bytes_read` ↑, which must be *equal* for the two areas and at most 4 rows: what an adoption reads is what its calls ask for, not the area | `perf_baseline_migrate_reads_<backend>.json` |
+//! | `handoff` | the two ends of a hand-off at the instance manager: a one-bundle persist-on-stop counter beside 4, then 1 024, 1 KiB rows it never reads, released (stop + destroy keeping its state) and adopted | SAN operations and rows written by each end ↑, rows read by the adoption ↑: 1 area flush + 1 `put_many` to release, 1 `read_namespace` + 1 area read + 1 `put_many` to adopt — more operations, or anything that differs between the two areas, is broken | `perf_baseline_handoff.json` |
 //! | `admission` | E15 admission hot path: one backend at 2 000/s, 64-deep queue, 2× open-loop Poisson load, class mix, 10 simulated seconds | `completed` ↓ (a drain that stops being work-conserving), `shed` ↑ (shedding more at the same load); `offered` recorded | `perf_baseline_e15_admission.json` |
 //! | `hot_swap` | E14 counter-scale in-place upgrade 1.0.0 → 1.1.0 on a fault-free SAN | modeled `blackout_us` ↑ (an extra flush, a fatter persist, a slower swap) | `perf_baseline_e14.json` |
 //! | `failover_rounds` | 40 crash → adopt → restart → rejoin rounds, node 0 (the sequencer) never restarted | `ordered_delivered` ↑, `registry_ops` ↑, `net_sent` ↑ per round, and round 40 must cost *exactly* what round 5 cost (a rejoin that replays history, or a sequencer that stops truncating, grows them with the cluster's age) | `perf_baseline_failover_rounds.json` |
@@ -25,9 +26,11 @@ use dosgi_core::loadgen::{ClassMix, RateSchedule, ScheduledLoadGenerator};
 use dosgi_core::{workloads, ClusterConfig, DosgiCluster, NodeEvent};
 use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, Scheduler};
 use dosgi_net::{IpAddr, NodeId, Port, SimDuration, SimTime, SocketAddr};
-use dosgi_osgi::Version;
-use dosgi_san::{BackendKind, Value};
+use dosgi_osgi::{Framework, Version};
+use dosgi_san::{BackendKind, SharedStore, Value};
+use dosgi_telemetry::Telemetry;
 use dosgi_testkit::Json;
+use dosgi_vosgi::InstanceManager;
 
 const TOLERANCE: f64 = 0.10;
 
@@ -120,6 +123,45 @@ fn measure_migrate_reads(kind: BackendKind, blobs: usize) -> (u64, u64) {
     assert_eq!(incr(&mut c), Value::Int(2), "state intact");
     let s = c.store().stats();
     (s.reads, s.bytes_read)
+}
+
+/// Both ends of a hand-off at the instance manager, for a persist-on-stop
+/// counter beside `blobs` 1 KiB rows it never reads: SAN operations and rows
+/// written by the release (stop, then destroy keeping the state), then SAN
+/// operations, rows written and rows read by the adoption that follows.
+fn measure_handoff(blobs: usize) -> [u64; 5] {
+    let (store, telemetry) = (SharedStore::new(), Telemetry::new());
+    store.set_telemetry(telemetry.clone());
+    let (repo, factory) = (
+        workloads::standard_repository(),
+        workloads::standard_factory(),
+    );
+    let mut mgr = InstanceManager::new(Framework::new("host"), repo, factory);
+    mgr.attach_store(store.clone());
+    let descriptor = workloads::counter_instance("bank", "ctr");
+    let id = mgr.create_instance(descriptor.clone()).expect("fresh");
+    mgr.start_instance(id).expect("starts");
+    for i in 0..blobs {
+        let (key, row) = (format!("blob-{i}"), Value::Bytes(vec![0u8; 1024]));
+        store
+            .put("instance/ctr/data/org.app.counter", &key, row)
+            .expect("no faults armed");
+    }
+    let ops = || telemetry.counter("san.ops");
+    store.reset_stats();
+    let before = ops();
+    mgr.stop_instance(id).expect("stops");
+    mgr.destroy_instance(id, false).expect("leaves its state");
+    let (released, release) = (ops(), store.stats());
+    mgr.adopt_instance(descriptor).expect("adopts");
+    let adopt = store.stats();
+    [
+        released - before,
+        release.writes,
+        ops() - released,
+        adopt.writes - release.writes,
+        adopt.reads - release.reads,
+    ]
 }
 
 /// The deterministic E15 admission round: one backend at 2000/s with a
@@ -237,6 +279,33 @@ fn rows() -> Vec<Row> {
             ),
         });
     }
+
+    const ENDS: [&str; 5] = [
+        "release_ops",
+        "release_rows_written",
+        "adopt_ops",
+        "adopt_rows_written",
+        "adopt_rows_read",
+    ];
+    let (small, large) = (measure_handoff(4), measure_handoff(1024));
+    rows.push(Row {
+        name: "handoff".to_owned(),
+        summary: format!(
+            "hand-off ends [{}]: {small:?} beside 4 rows, {large:?} beside 1024",
+            ENDS.join(", ")
+        ),
+        file: "perf_baseline_handoff.json".to_owned(),
+        tags: vec![("scenario", "handoff_ends".to_owned())],
+        fields: ENDS
+            .iter()
+            .zip(large)
+            .map(|(&l, v)| (l, v, Ceiling))
+            .collect(),
+        broken: (small != large || large[0] > 2 || large[2] > 3).then_some(
+            "an end of a hand-off costs more than one read and one write of what differs \
+             (and the bundle's own row), or scales with the state beside it",
+        ),
+    });
 
     let (offered, completed, shed) = measure_admission();
     rows.push(Row {
@@ -362,8 +431,9 @@ fn main() {
     }
     if !write_baseline {
         println!(
-            "perf_guard: within tolerance on every backend, the migrate round's reads, \
-             the admission hot path, the hot-swap blackout and the flat failover round"
+            "perf_guard: within tolerance on every backend, the migrate round's reads, the \
+             hand-off's two ends, the admission hot path, the hot-swap blackout and the flat \
+             failover round"
         );
     }
 }

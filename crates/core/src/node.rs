@@ -188,6 +188,10 @@ struct PendingAdoption {
     /// message carried a context; closed when the ticket materializes, is
     /// overruled, or quarantines.
     trace: TraceRef,
+    /// The descriptor parsed when the ticket was queued and the record
+    /// revision it was parsed at: materialization reuses it unless the
+    /// revision moved. A retried ticket carries none and parses again.
+    parsed: Option<(u64, InstanceDescriptor)>,
 }
 
 /// A queued in-place bundle upgrade: the swap happens once `ready_at`
@@ -1131,6 +1135,7 @@ impl DosgiNode {
         let Some(rec) = self.registry.record(name) else {
             return;
         };
+        let rev = rec.rev;
         let descriptor = match InstanceDescriptor::from_value(&rec.descriptor) {
             Ok(d) => d,
             Err(e) => {
@@ -1165,6 +1170,7 @@ impl DosgiNode {
             reason,
             attempt: 0,
             trace,
+            parsed: Some((rev, descriptor)),
         });
     }
 
@@ -1174,7 +1180,7 @@ impl DosgiNode {
             .pending_adoptions
             .extract_if(.., |p| p.ready_at <= now)
             .collect();
-        for p in due {
+        for mut p in due {
             // A queued adoption can be invalidated by messages ordered
             // *after* it was queued: a replayed snapshot may have enqueued
             // it, then a later claim re-homed the instance elsewhere (or an
@@ -1201,7 +1207,11 @@ impl DosgiNode {
                         self.recorder.end(p.trace, now.as_micros());
                         continue;
                     };
-                    match InstanceDescriptor::from_value(&rec.descriptor) {
+                    let descriptor = match p.parsed.take() {
+                        Some((rev, d)) if rev == rec.rev => Ok(d),
+                        _ => InstanceDescriptor::from_value(&rec.descriptor),
+                    };
+                    match descriptor {
                         Ok(d) => self.mgr.adopt_instance(d),
                         Err(e) => {
                             self.recorder.end(p.trace, now.as_micros());
@@ -1500,6 +1510,7 @@ impl DosgiNode {
             reason: p.reason,
             attempt: failures,
             trace: p.trace,
+            parsed: None,
         });
     }
 

@@ -4,11 +4,14 @@ use dosgi_san::{SharedStore, StoreError, Value};
 use std::collections::BTreeMap;
 
 /// One resident row: what the SAN holds under the key (`None`: known to be
-/// absent there) or, while `dirty`, a written value the SAN has yet to take.
+/// absent there) or, while dirty, a written value the SAN has yet to take.
 #[derive(Debug)]
 struct Row {
     value: Option<Value>,
-    dirty: bool,
+    /// The area's flush count when the row was last written, plus one
+    /// (0: never written). The row is dirty while no flush has landed
+    /// since, so a flush that lands cleans every row by counting itself.
+    written_in: u64,
 }
 
 /// A bundle's persistent storage area (OSGi's per-bundle data area) as a
@@ -31,6 +34,8 @@ struct Row {
 pub struct DataArea {
     san: Option<(SharedStore, String)>,
     rows: BTreeMap<String, Row>,
+    /// How many flushes landed.
+    flushes: u64,
     /// How many rows are dirty.
     dirty: usize,
     /// A row was written since the last flush attempt.
@@ -59,7 +64,7 @@ impl DataArea {
         let value = store.get(namespace, key)?;
         let row = Row {
             value: value.clone(),
-            dirty: false,
+            written_in: 0,
         };
         self.rows.insert(key.to_owned(), row);
         Ok(value)
@@ -70,10 +75,10 @@ impl DataArea {
     pub fn put(&mut self, key: &str, value: Value) {
         let row = Row {
             value: Some(value),
-            dirty: true,
+            written_in: self.flushes + 1,
         };
         let was_dirty = match self.rows.get_mut(key) {
-            Some(resident) => std::mem::replace(resident, row).dirty,
+            Some(resident) => std::mem::replace(resident, row).written_in > self.flushes,
             None => self.rows.insert(key.to_owned(), row).is_some(),
         };
         self.dirty += usize::from(!was_dirty);
@@ -107,10 +112,12 @@ impl DataArea {
         let Some((store, namespace)) = &self.san else {
             return Ok(());
         };
+        // One pass, which ends at the last dirty row.
         let mut dirty = self
             .rows
             .iter()
-            .filter(|(_, row)| row.dirty)
+            .filter(|(_, row)| row.written_in > self.flushes)
+            .take(self.dirty)
             .filter_map(|(key, row)| Some((key.as_str(), row.value.as_ref()?)));
         match (dirty.next(), self.dirty) {
             // The hot-key case needs no batch built.
@@ -120,16 +127,14 @@ impl DataArea {
                 store.put_many(namespace, &batch)?
             }
         };
-        for row in self.rows.values_mut() {
-            row.dirty = false;
-        }
+        self.flushes += 1;
         self.dirty = 0;
         Ok(())
     }
 
     /// Drops every clean row; dirty rows stay until a flush lands them.
     pub(crate) fn release(&mut self) {
-        self.rows.retain(|_, row| row.dirty);
+        self.rows.retain(|_, row| row.written_in > self.flushes);
     }
 
     /// How many rows the area holds: the SAN's live rows when one is

@@ -11,7 +11,6 @@ use crate::{
     UsageLedger, Version, Wiring,
 };
 use dosgi_san::{SharedStore, StoreError, Value};
-use dosgi_telemetry::Telemetry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -84,9 +83,10 @@ pub struct UpgradeReport {
 }
 
 dosgi_telemetry::metrics! {
-    /// The framework's telemetry handles, resolved when a registry is
-    /// attached.
-    struct Metrics {
+    /// A framework's telemetry handles. Resolved against a registry once —
+    /// by the instance manager, say — and cloned into each framework from
+    /// then on: handing them over resolves nothing by name.
+    pub struct FrameworkMetrics {
         counter installed = "osgi.lifecycle.installed",
         counter resolved = "osgi.lifecycle.resolved",
         counter started = "osgi.lifecycle.started",
@@ -126,7 +126,10 @@ pub struct Framework {
     /// [`persist_dirty`](Framework::persist_dirty) by every site that
     /// changes one of the two sets above or leaves a data-area row dirty.
     dirty_mark: DirtyMark,
-    metrics: Metrics,
+    /// How many times a snapshot row was marked dirty: a lifecycle
+    /// operation persists when its transitions moved this.
+    marks: u64,
+    metrics: FrameworkMetrics,
 }
 
 /// How many of the frameworks sharing this count have persistence pending
@@ -228,16 +231,17 @@ impl Framework {
             dirty_rows: BTreeSet::new(),
             deleted_rows: BTreeSet::new(),
             dirty_mark: DirtyMark::default(),
-            metrics: Metrics::default(),
+            marks: 0,
+            metrics: FrameworkMetrics::default(),
         };
         fw.framework_events.push(FrameworkEvent::Started);
         fw
     }
 
-    /// Attaches a telemetry handle; bundle lifecycle transitions are
-    /// counted as `osgi.lifecycle.<kind>`.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.metrics = Metrics::new(&telemetry);
+    /// Attaches telemetry handles; bundle lifecycle transitions are counted
+    /// as `osgi.lifecycle.<kind>`, snapshot rows as `persist.rows_*`.
+    pub fn set_metrics(&mut self, metrics: FrameworkMetrics) {
+        self.metrics = metrics;
     }
 
     /// The framework's name.
@@ -325,6 +329,24 @@ impl Framework {
     /// Attempts to resolve every `INSTALLED` bundle. Returns the ids that
     /// newly resolved.
     pub fn resolve_all(&mut self) -> Vec<BundleId> {
+        self.then_persist(Self::resolve_step)
+    }
+
+    /// Runs lifecycle transitions, then persists the rows they marked — if
+    /// they marked any — in one write. The transitions themselves
+    /// (`*_step`) never persist: [`restore`](Self::restore) and
+    /// [`shutdown`](Self::shutdown) run many of them before their one
+    /// persist, each public operation here is the batch of one.
+    fn then_persist<R>(&mut self, transitions: impl FnOnce(&mut Self) -> R) -> R {
+        let marks = self.marks;
+        let outcome = transitions(self);
+        if self.marks != marks {
+            let _ = self.persist();
+        }
+        outcome
+    }
+
+    fn resolve_step(&mut self) -> Vec<BundleId> {
         let candidates: BTreeMap<BundleId, &BundleManifest> = self
             .bundles
             .values()
@@ -348,9 +370,6 @@ impl Framework {
             self.event(id, BundleEventKind::Resolved);
             self.mark_bundle_dirty(id);
         }
-        if !ids.is_empty() {
-            let _ = self.persist();
-        }
         ids
     }
 
@@ -364,11 +383,19 @@ impl Framework {
     /// [`BundleError::ActivatorFailed`] (bundle rolls back to `RESOLVED`),
     /// or [`BundleError::InvalidTransition`] from transient/terminal states.
     pub fn start(&mut self, id: BundleId) -> Result<(), BundleError> {
+        // Two operations, each persisted, when the bundle has yet to resolve.
+        if self.bundle_state(id)? == BundleState::Installed {
+            self.resolve_all();
+        }
+        self.then_persist(|fw| fw.start_step(id))
+    }
+
+    fn start_step(&mut self, id: BundleId) -> Result<(), BundleError> {
         let state = self.bundle_state(id)?;
         match state {
             BundleState::Active => return Ok(()),
             BundleState::Installed => {
-                self.resolve_all();
+                self.resolve_step();
                 let state = self.bundle_state(id)?;
                 if state == BundleState::Installed {
                     let missing = self
@@ -421,7 +448,6 @@ impl Framework {
                 bundle.autostart = true;
                 self.event(id, BundleEventKind::Started);
                 self.mark_bundle_dirty(id);
-                let _ = self.persist();
                 Ok(())
             }
             Err(message) => {
@@ -469,13 +495,16 @@ impl Framework {
     /// what the SAN holds, so a restart in place reads what is there by
     /// then — while an upgrade's quiesce hands them to the new revision.
     fn stop_internal(&mut self, id: BundleId, persistent: bool) -> Result<(), BundleError> {
+        self.then_persist(|fw| fw.stop_step(id, persistent))
+    }
+
+    fn stop_step(&mut self, id: BundleId, persistent: bool) -> Result<(), BundleError> {
         let state = self.bundle_state(id)?;
         if state != BundleState::Active {
             if persistent {
                 if let Some(b) = self.bundles.get_mut(&id) {
                     b.autostart = false;
                 }
-                // Captured by the next persist, like any deferred change.
                 self.mark_bundle_dirty(id);
             }
             return Ok(());
@@ -512,7 +541,6 @@ impl Framework {
         }
         self.event(id, BundleEventKind::Stopped);
         self.mark_bundle_dirty(id);
-        let _ = self.persist();
         Ok(())
     }
 
@@ -789,7 +817,7 @@ impl Framework {
 
     /// Orderly shutdown: stops all active bundles in descending start-level
     /// order *without* clearing their persistent-start flags, then persists
-    /// the final state. After `restore`, the same bundles come back.
+    /// the final state, once. After `restore`, the same bundles come back.
     pub fn shutdown(&mut self) {
         self.framework_events.push(FrameworkEvent::ShuttingDown);
         let mut active: Vec<(u32, BundleId)> = self
@@ -800,7 +828,8 @@ impl Framework {
             .collect();
         active.sort_by(|a, b| b.cmp(a));
         for (_, id) in active {
-            let _ = self.stop_transient(id);
+            let _ = self.stop_step(id, false);
+            self.release_area(id);
         }
         let _ = self.persist();
     }
@@ -1121,6 +1150,7 @@ impl Framework {
         if self.store.is_some() {
             self.dirty_rows.insert(persist::bundle_key(id));
             self.dirty_mark.set(true);
+            self.marks += 1;
         }
     }
 
@@ -1129,24 +1159,17 @@ impl Framework {
         if self.store.is_some() {
             self.dirty_rows.insert(persist::HEADER_KEY.to_owned());
             self.dirty_mark.set(true);
+            self.marks += 1;
         }
     }
 
     /// Marks every snapshot row dirty — used when the SAN copy cannot be
-    /// assumed to match anything (store attach, restore). Change detection
-    /// in the store makes rewriting an identical row free.
+    /// assumed to match anything (store attach). Change detection in the
+    /// store makes rewriting an identical row free.
     fn mark_all_rows_dirty(&mut self) {
-        if self.store.is_none() {
-            return;
-        }
-        self.dirty_rows.insert(persist::HEADER_KEY.to_owned());
-        let keys: Vec<String> = self
-            .bundles
-            .keys()
-            .map(|id| persist::bundle_key(*id))
-            .collect();
-        self.dirty_rows.extend(keys);
-        self.dirty_mark.set(true);
+        let ids: Vec<BundleId> = self.bundles.keys().copied().collect();
+        self.mark_header_dirty();
+        ids.into_iter().for_each(|id| self.mark_bundle_dirty(id));
     }
 
     /// Writes the changed snapshot rows of the framework state to the
@@ -1166,10 +1189,12 @@ impl Framework {
     ///
     /// The [`StoreError`] from the failed write; the rows stay dirty.
     pub fn persist(&mut self) -> Result<(), StoreError> {
-        let Some((store, ns)) = self.store.clone() else {
+        // Lent to `persist_rows` beside `&mut self`, then put back.
+        let Some((store, ns)) = self.store.take() else {
             return Ok(());
         };
         let outcome = self.persist_rows(&store, &ns);
+        self.store = Some((store, ns));
         self.sync_dirty_mark();
         match outcome {
             Ok(()) => Ok(()),
@@ -1213,11 +1238,13 @@ impl Framework {
                 }
             }
         }
-        store.put_many(ns, &entries)?;
-        self.metrics.rows_written.add(entries.len() as u64);
+        // Built for this write: the store takes the rows, it copies none.
+        let rows = entries.len() as u64;
+        store.put_many_owned(ns, entries)?;
+        self.metrics.rows_written.add(rows);
         self.metrics
             .rows_skipped
-            .add((self.bundles.len() as u64 + 1).saturating_sub(entries.len() as u64));
+            .add((self.bundles.len() as u64 + 1).saturating_sub(rows));
         self.dirty_rows.clear();
         Ok(())
     }
@@ -1275,7 +1302,9 @@ impl Framework {
     /// Reconstructs a framework from the per-bundle snapshot rows stored
     /// under `namespace` (reassembled via `read_namespace`), reinstalling
     /// every bundle (activators re-created via `factory`) and restarting
-    /// the ones that were persistently started.
+    /// the ones that were persistently started — one lifecycle batch: one
+    /// read, then every transition, then one write of the rows that no
+    /// longer say what the SAN holds.
     ///
     /// This is the paper's migration/redeployment path: the OSGi spec makes
     /// framework state persistent, the SAN makes it visible cluster-wide, so
@@ -1292,19 +1321,53 @@ impl Framework {
         namespace: &str,
         factory: &ActivatorFactory,
     ) -> Result<Framework, BundleError> {
+        let uncounted = FrameworkMetrics::default();
+        Self::restore_counted(config, store, namespace, factory, uncounted)
+    }
+
+    /// [`restore`](Self::restore) with the telemetry handles attached
+    /// before the first bundle is installed, so that the restore's own
+    /// transitions and rows are counted.
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](Self::restore).
+    pub fn restore_counted(
+        config: FrameworkConfig,
+        store: SharedStore,
+        namespace: &str,
+        factory: &ActivatorFactory,
+        metrics: FrameworkMetrics,
+    ) -> Result<Framework, BundleError> {
         let rows = store.read_namespace(namespace)?;
         let parsed = persist::assemble(&rows)
             .map_err(BundleError::CorruptState)?
             .ok_or_else(|| BundleError::CorruptState(format!("no snapshot in {namespace}")))?;
         let mut fw = Framework::with_config(config);
+        fw.metrics = metrics;
         fw.config.start_level = parsed.start_level;
-        for record in &parsed.bundles {
+        fw.next_bundle = parsed.next_bundle;
+        // Attached before anything restarts: activators read their
+        // persisted data areas during start.
+        fw.store = Some((store, namespace.to_owned()));
+        // What each row said when it was read, and the persistently-started
+        // bundles within the start level, in (start level, id) order.
+        let mut read = Vec::with_capacity(parsed.bundles.len());
+        let mut to_start: Vec<(u32, BundleId)> = Vec::new();
+        for record in parsed.bundles {
+            if record.autostart && record.manifest.start_level <= parsed.start_level {
+                to_start.push((record.manifest.start_level, record.id));
+            }
+            read.push((
+                record.id,
+                (record.state, record.autostart, record.state_version),
+            ));
             let activator = factory.create(&record.manifest);
             fw.bundles.insert(
                 record.id,
                 Bundle {
                     id: record.id,
-                    manifest: record.manifest.clone(),
+                    manifest: record.manifest,
                     state: BundleState::Installed,
                     autostart: record.autostart,
                     state_version: record.state_version,
@@ -1313,33 +1376,25 @@ impl Framework {
             );
             fw.event(record.id, BundleEventKind::Installed);
         }
-        fw.next_bundle = parsed.next_bundle;
-        // Attach the store before restarting anything: activators read
-        // their persisted data areas during start.
-        fw.store = Some((store, namespace.to_owned()));
-        fw.resolve_all();
-        // Restart persistently-started bundles within the start level, in
-        // (start level, id) order.
-        let mut to_start: Vec<(u32, BundleId)> = parsed
-            .bundles
-            .iter()
-            .filter(|r| r.autostart && r.manifest.start_level <= parsed.start_level)
-            .map(|r| (r.manifest.start_level, r.id))
-            .collect();
         to_start.sort();
+        fw.resolve_step();
         for (_, id) in to_start {
-            if let Err(e) = fw.start(id) {
+            if let Err(e) = fw.start_step(id) {
                 fw.framework_events.push(FrameworkEvent::Error {
                     bundle: Some(id),
                     message: e.to_string(),
                 });
             }
         }
-        // Re-mark everything: restored in-memory states can lag the rows
-        // just read (e.g. a bundle persisted RESOLVED that no longer
-        // resolves stays INSTALLED). Unchanged rows cost nothing to
-        // rewrite thanks to store-level change detection.
-        fw.mark_all_rows_dirty();
+        // The transitions marked the rows they changed. A row can also lag
+        // what was read without any of them having run: a bundle persisted
+        // RESOLVED that no longer resolves stays INSTALLED.
+        for (id, as_read) in read {
+            let b = &fw.bundles[&id];
+            if (b.state, b.autostart, b.state_version) != as_read {
+                fw.mark_bundle_dirty(id);
+            }
+        }
         let _ = fw.persist();
         Ok(fw)
     }
@@ -2216,6 +2271,441 @@ mod tests {
                         from_rows.encode() == mono.encode(),
                         "persisted rows on `{kind}` diverge from the monolithic oracle snapshot"
                     );
+                }
+                Ok(())
+            },
+        );
+    }
+    /// The model the batched [`Framework::restore`] is held to: the
+    /// per-transition sequence it replaced — every transition persisted on
+    /// its own through the public operations, every row re-marked at the end.
+    fn reference_restore(
+        config: FrameworkConfig,
+        store: SharedStore,
+        namespace: &str,
+        factory: &ActivatorFactory,
+    ) -> Result<Framework, BundleError> {
+        let rows = store.read_namespace(namespace)?;
+        let parsed = persist::assemble(&rows)
+            .map_err(BundleError::CorruptState)?
+            .ok_or_else(|| BundleError::CorruptState(format!("no snapshot in {namespace}")))?;
+        let mut fw = Framework::with_config(config);
+        fw.config.start_level = parsed.start_level;
+        for record in &parsed.bundles {
+            let activator = factory.create(&record.manifest);
+            fw.bundles.insert(
+                record.id,
+                Bundle {
+                    id: record.id,
+                    manifest: record.manifest.clone(),
+                    state: BundleState::Installed,
+                    autostart: record.autostart,
+                    state_version: record.state_version,
+                    activator,
+                },
+            );
+            fw.event(record.id, BundleEventKind::Installed);
+        }
+        fw.next_bundle = parsed.next_bundle;
+        fw.store = Some((store, namespace.to_owned()));
+        fw.resolve_all();
+        let mut to_start: Vec<(u32, BundleId)> = parsed
+            .bundles
+            .iter()
+            .filter(|r| r.autostart && r.manifest.start_level <= parsed.start_level)
+            .map(|r| (r.manifest.start_level, r.id))
+            .collect();
+        to_start.sort();
+        for (_, id) in to_start {
+            if let Err(e) = fw.start(id) {
+                fw.framework_events.push(FrameworkEvent::Error {
+                    bundle: Some(id),
+                    message: e.to_string(),
+                });
+            }
+        }
+        fw.mark_all_rows_dirty();
+        let _ = fw.persist();
+        Ok(fw)
+    }
+
+    /// A lifecycle batch against the per-transition model, and against what
+    /// a crash or a failing SAN can leave of its one write.
+    ///
+    /// Random bundle sets (1–6 bundles; start levels; left installed,
+    /// resolved, started or started-then-stopped; an exporter uninstalled
+    /// under its importers, so that rows persisted RESOLVED or ACTIVE no
+    /// longer resolve; an activator that starts refusing; stateful bundles
+    /// reading and writing a data area) are persisted, by an orderly
+    /// shutdown or a crash. Then:
+    ///
+    /// * restored by the batched `restore` and by `reference_restore`, each
+    ///   from its own copy of the SAN: bundles, start level, wirings and all
+    ///   three event queues are equal, and once flushed the two SANs hold
+    ///   the same rows, value for value — and each what its framework holds;
+    /// * the batch's one write failed with `Unavailable`, with `Io`, and
+    ///   torn (the fault armed by the last activator to start, so that it
+    ///   hits that write and nothing before it): the transitions stand, the
+    ///   dirty count says so, and the flush after the SAN heals lands the
+    ///   same rows as the clean run;
+    /// * **every** strict prefix of the rows that write changes, laid over
+    ///   the old SAN as a torn write would leave it: a second restore of
+    ///   what landed yields the state the clean one did — each row is the
+    ///   old or the new one and either restores alike — or `CorruptState`,
+    ///   and converges the SAN to the same rows; never a panic.
+    ///
+    /// Mutation-checked: dropping the "differs from the record read" rule,
+    /// clearing `dirty_rows` before the batch write has succeeded, and
+    /// clearing the `DirtyMark` when the persist failed each fail it.
+    #[test]
+    fn prop_batched_restore_matches_the_per_transition_model() {
+        use dosgi_testkit::{prop, prop_verify, prop_verify_eq, Gen, PropResult, TestRng};
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Mutex;
+
+        const NS: &str = "diff/fw";
+
+        #[derive(Debug, Clone, Copy, PartialEq)]
+        enum Left {
+            Installed,
+            Resolved,
+            Started,
+            StartedThenStopped,
+        }
+
+        #[derive(Debug, Clone)]
+        struct Spec {
+            level: u32,
+            left: Left,
+            imports: bool,
+            refuses: bool,
+            stateful: bool,
+        }
+
+        #[derive(Debug, Clone)]
+        struct Case {
+            bundles: Vec<Spec>,
+            framework_level: u32,
+            orphan_importers: bool,
+            orderly: bool,
+        }
+
+        fn case(rng: &mut TestRng) -> Case {
+            let n = rng.usize_in(1, 6);
+            Case {
+                bundles: (0..n)
+                    .map(|i| Spec {
+                        level: rng.u64_in(1, 3) as u32,
+                        left: [
+                            Left::Installed,
+                            Left::Resolved,
+                            Left::Started,
+                            Left::Started,
+                            Left::StartedThenStopped,
+                        ][rng.usize_in(0, 4)],
+                        imports: i > 0 && rng.chance(0.4),
+                        refuses: rng.chance(0.15),
+                        stateful: rng.chance(0.4),
+                    })
+                    .collect(),
+                framework_level: rng.u64_in(1, 3) as u32,
+                orphan_importers: rng.chance(0.3),
+                orderly: rng.chance(0.5),
+            }
+        }
+
+        fn manifest(i: usize, spec: &Spec) -> BundleManifest {
+            let mut b = ManifestBuilder::new(&format!("org.diff.b{i}"), Version::new(1, 0, 0))
+                .start_level(spec.level);
+            if i == 0 {
+                b = b.export_package("org.diff.api", Version::new(1, 0, 0), ["Api"]);
+            }
+            if spec.imports {
+                b = b.import_package("org.diff.api", "[1.0,2.0)".parse().unwrap());
+            }
+            if spec.stateful {
+                b = b.stateful(true);
+            }
+            b.build().unwrap()
+        }
+
+        /// What the activators of one framework share: whether the
+        /// refusers refuse yet, and a fault plan the bundle named `armed`
+        /// sets on `store` at the end of its start.
+        #[derive(Clone)]
+        struct World {
+            store: SharedStore,
+            refusing: Arc<AtomicBool>,
+            armed: Arc<Mutex<Option<(String, FaultPlan)>>>,
+        }
+
+        fn factory(case: &Case, world: &World) -> ActivatorFactory {
+            let mut factory = ActivatorFactory::new();
+            for (i, spec) in case.bundles.iter().enumerate() {
+                let (spec, world) = (spec.clone(), world.clone());
+                factory.register(&format!("org.diff.b{i}"), move |m| {
+                    let (world, name) = (world.clone(), m.symbolic_name.to_string());
+                    let (refuses, stateful) = (spec.refuses, spec.stateful);
+                    Box::new(FnActivator::new(
+                        move |ctx| {
+                            if refuses && world.refusing.load(Ordering::Relaxed) {
+                                return Err("refuses".to_owned());
+                            }
+                            if stateful {
+                                let starts = ctx.store_get("starts").map_err(|e| e.to_string())?;
+                                let starts = starts.and_then(|v| v.as_int()).unwrap_or(0);
+                                ctx.register_service(
+                                    &[&format!("org.diff.Starts{starts}")],
+                                    BTreeMap::new(),
+                                    Box::new(
+                                        |_: &mut crate::CallContext<'_>, _: &str, _: &Value| {
+                                            Ok(Value::Null)
+                                        },
+                                    ),
+                                );
+                            }
+                            let mut armed = world.armed.lock().unwrap();
+                            if armed.as_ref().is_some_and(|(last, _)| *last == name) {
+                                world.store.set_fault_plan(armed.take().unwrap().1);
+                            }
+                            Ok(())
+                        },
+                        move |ctx| {
+                            if stateful {
+                                let starts = ctx.store_get("starts").map_err(|e| e.to_string())?;
+                                let starts = starts.and_then(|v| v.as_int()).unwrap_or(0);
+                                ctx.store_put("starts", Value::Int(starts + 1))
+                                    .map_err(|e| e.to_string())?;
+                            }
+                            Ok(())
+                        },
+                    ))
+                });
+            }
+            factory
+        }
+
+        fn world(store: &SharedStore) -> World {
+            World {
+                store: store.clone(),
+                refusing: Arc::new(AtomicBool::new(false)),
+                armed: Arc::new(Mutex::new(None)),
+            }
+        }
+
+        /// Runs the case's history on a fresh SAN and returns it.
+        fn persisted(case: &Case) -> SharedStore {
+            let store = SharedStore::new();
+            let factory = factory(case, &world(&store));
+            let mut fw = Framework::new(NS);
+            fw.attach_store(store.clone(), NS).unwrap();
+            let ids: Vec<BundleId> = case
+                .bundles
+                .iter()
+                .enumerate()
+                .map(|(i, spec)| {
+                    let m = manifest(i, spec);
+                    let activator = factory.create(&m);
+                    fw.install(m, activator).unwrap()
+                })
+                .collect();
+            fw.set_start_level(case.framework_level);
+            for (id, spec) in ids.iter().zip(&case.bundles) {
+                match spec.left {
+                    Left::Installed => {}
+                    Left::Resolved => drop(fw.resolve_all()),
+                    Left::Started => drop(fw.start(*id)),
+                    Left::StartedThenStopped => {
+                        let _ = fw.start(*id);
+                        fw.stop(*id).unwrap();
+                    }
+                }
+            }
+            if case.orphan_importers {
+                fw.uninstall(ids[0]).unwrap();
+            }
+            if case.orderly {
+                fw.shutdown();
+            }
+            fw.flush_persist().unwrap();
+            store
+        }
+
+        /// Every live row of `store`, and a fresh SAN holding `rows`.
+        fn rows_of(store: &SharedStore) -> Vec<(String, String, Value)> {
+            let dump = store.dump().into_iter();
+            dump.flat_map(|(ns, rows)| {
+                rows.into_iter()
+                    .map(move |(key, v)| (ns.clone(), key, v.value))
+            })
+            .collect()
+        }
+
+        fn san_with(rows: &[(String, String, Value)]) -> SharedStore {
+            let store = SharedStore::new();
+            for (ns, key, value) in rows {
+                store.put(ns, key, value.clone()).unwrap();
+            }
+            store
+        }
+
+        fn same_rows(a: &SharedStore, b: &SharedStore) -> Result<(), String> {
+            let (a, b) = (rows_of(a), rows_of(b));
+            prop_verify_eq!(a.len(), b.len(), "row count");
+            for ((ans, akey, av), (bns, bkey, bv)) in a.iter().zip(&b) {
+                prop_verify_eq!((ans, akey), (bns, bkey), "row name");
+                prop_verify!(
+                    dosgi_san::codec::codec_eq(av, bv),
+                    "{ans}/{akey}: {av:?} vs {bv:?}"
+                );
+            }
+            Ok(())
+        }
+
+        /// What a restore leaves in memory, events included.
+        fn state_of(fw: &mut Framework) -> String {
+            let bundles: Vec<_> = fw
+                .bundles()
+                .map(|b| (b.id, &b.manifest, b.state, b.autostart, b.state_version))
+                .collect();
+            let head = (fw.next_bundle, fw.config.start_level, fw.persist_dirty());
+            let wirings = format!("{:?}", fw.wirings);
+            let services = fw.registry.len();
+            let state = format!("{head:?} {bundles:?} {wirings} {services}");
+            let events = (
+                fw.take_bundle_events(),
+                fw.take_framework_events(),
+                fw.take_service_events(),
+            );
+            format!("{state} {events:?}")
+        }
+
+        /// The SAN holds what the framework holds: header and every
+        /// bundle's row.
+        fn san_is_memory(fw: &Framework, store: &SharedStore) -> Result<(), String> {
+            let header = persist::header_row(fw.next_bundle, fw.config.start_level);
+            let at = store.peek(NS, persist::HEADER_KEY);
+            prop_verify!(
+                at.is_some_and(|at| dosgi_san::codec::codec_eq(&at, &header)),
+                "header"
+            );
+            for b in fw.bundles() {
+                let at = store.peek(NS, &persist::bundle_key(b.id));
+                let row = persist::bundle_row(b);
+                prop_verify!(
+                    at.is_some_and(|at| dosgi_san::codec::codec_eq(&at, &row)),
+                    "row of {:?} lags memory",
+                    b.id
+                );
+            }
+            let live = store.list_keys(NS).len();
+            prop_verify_eq!(live, fw.bundles().count() + 1, "stray rows");
+            Ok(())
+        }
+
+        let config = || FrameworkConfig::new(NS);
+        prop::check_with(
+            &prop::Config::with_cases(300),
+            "prop_batched_restore_matches_the_per_transition_model",
+            &Gen::new(case),
+            |case: &Case| -> PropResult {
+                let old = rows_of(&persisted(case));
+                let restore = |store: &SharedStore, arm: Option<FaultPlan>| {
+                    let world = world(store);
+                    world.refusing.store(true, Ordering::Relaxed);
+                    // The last bundle `restore` will start.
+                    let last = case
+                        .bundles
+                        .iter()
+                        .enumerate()
+                        .filter(|(i, spec)| {
+                            spec.left == Left::Started
+                                && spec.level <= case.framework_level
+                                && !(case.orphan_importers && (*i == 0 || spec.imports))
+                                && !spec.refuses
+                        })
+                        .max_by_key(|(i, spec)| (spec.level, *i))
+                        .map(|(i, _)| format!("org.diff.b{i}"));
+                    let armed = arm.is_some() && last.is_some();
+                    *world.armed.lock().unwrap() = last.zip(arm);
+                    let factory = factory(case, &world);
+                    let fw = Framework::restore(config(), store.clone(), NS, &factory);
+                    (fw, armed)
+                };
+
+                // Differential leg.
+                let (san, model_san) = (san_with(&old), san_with(&old));
+                let mut fw = restore(&san, None).0.map_err(|e| format!("batched: {e}"))?;
+                let model_world = world(&model_san);
+                model_world.refusing.store(true, Ordering::Relaxed);
+                let mut model = reference_restore(
+                    config(),
+                    model_san.clone(),
+                    NS,
+                    &factory(case, &model_world),
+                )
+                .map_err(|e| format!("model: {e}"))?;
+                prop_verify_eq!(state_of(&mut fw), state_of(&mut model));
+                fw.flush_persist().unwrap();
+                model.flush_persist().unwrap();
+                same_rows(&san, &model_san)?;
+                san_is_memory(&fw, &san)?;
+                let clean_state = {
+                    let (again, _) = restore(&san_with(&old), None);
+                    state_of(&mut again.unwrap())
+                };
+
+                // The one write fails or tears.
+                let plans = [
+                    FaultPlan::none().with_brownout(SimTime::ZERO, SimTime::from_secs(1)),
+                    FaultPlan::flaky(1.0, 11),
+                    FaultPlan::flaky(0.0, 11).with_torn_writes(1.0),
+                ];
+                for plan in plans {
+                    let faulted = san_with(&old);
+                    let (fw, armed) = restore(&faulted, Some(plan.clone()));
+                    let mut fw = fw.map_err(|e| format!("under {plan:?}: {e}"))?;
+                    // The mark `restore` itself left, before anything re-syncs it.
+                    prop_verify_eq!(fw.dirty_mark.counted, fw.persist_dirty(), "{plan:?}");
+                    let count = DirtyCount::default();
+                    fw.share_dirty_count(&count);
+                    if armed && rows_of(&san) != old {
+                        prop_verify!(fw.persist_dirty(), "a failed write left nothing dirty");
+                    }
+                    faulted.clear_faults();
+                    fw.flush_persist().unwrap();
+                    prop_verify!(!count.any() && !fw.persist_dirty(), "dirty after the flush");
+                    same_rows(&faulted, &san).map_err(|e| format!("after {plan:?}: {e}"))?;
+                }
+
+                // Every strict prefix of the write, as a torn batch leaves it.
+                let new = rows_of(&san);
+                let changed: Vec<usize> =
+                    (0..new.len()).filter(|&i| !old.contains(&new[i])).collect();
+                for landed in 0..changed.len() {
+                    let mut torn = old.clone();
+                    for &i in &changed[..landed] {
+                        let (ns, key, value) = &new[i];
+                        match torn.iter_mut().find(|(n, k, _)| n == ns && k == key) {
+                            Some(row) => row.2 = value.clone(),
+                            None => torn.push(new[i].clone()),
+                        }
+                    }
+                    let torn_san = san_with(&torn);
+                    match restore(&torn_san, None).0 {
+                        Ok(mut second) => {
+                            prop_verify_eq!(
+                                state_of(&mut second),
+                                clean_state,
+                                "a chimera from {landed} of {} rows",
+                                changed.len()
+                            );
+                            second.flush_persist().unwrap();
+                            same_rows(&torn_san, &san)?;
+                        }
+                        Err(BundleError::CorruptState(_)) => {}
+                        Err(e) => return Err(format!("second restore: {e}")),
+                    }
                 }
                 Ok(())
             },

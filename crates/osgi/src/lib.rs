@@ -71,7 +71,9 @@ pub use area::DataArea;
 pub use error::{BundleError, ServiceError};
 pub use events::{BundleEvent, BundleEventKind, FrameworkEvent, ServiceEvent, ServiceEventKind};
 pub use filter::{Filter, FilterError};
-pub use framework::{Bundle, DirtyCount, Framework, FrameworkConfig, UpgradeReport};
+pub use framework::{
+    Bundle, DirtyCount, Framework, FrameworkConfig, FrameworkMetrics, UpgradeReport,
+};
 pub use ids::{BundleId, PackageName, ServiceId, SymbolName, SymbolicName, Version, VersionRange};
 pub use ledger::{UsageLedger, UsageSnapshot};
 pub use lifecycle::BundleState;

@@ -100,10 +100,11 @@ pub struct RegistryReader {
 
 impl RegistryReader {
     fn new() -> Self {
+        // Every shard starts out on one shared empty index; a write swaps
+        // in its own.
+        let empty = Arc::new(ShardIndex::default());
         RegistryReader {
-            shards: Arc::new(std::array::from_fn(|_| {
-                RwLock::new(Arc::new(ShardIndex::default()))
-            })),
+            shards: Arc::new(std::array::from_fn(|_| RwLock::new(Arc::clone(&empty)))),
         }
     }
 

@@ -117,8 +117,9 @@ pub trait StoreBackend: std::fmt::Debug + Send {
     /// Writes a batch into one namespace as a single group commit. Entry
     /// semantics are exactly `insert` applied in order (duplicate keys bump
     /// twice). The wrapper has already applied change detection and torn-
-    /// write truncation; the batch is to be persisted in full.
-    fn insert_many(&mut self, namespace: &str, entries: &[(&str, &Value)]);
+    /// write truncation; the batch is to be persisted in full, its values
+    /// moved in.
+    fn insert_many(&mut self, namespace: &str, entries: &mut dyn Iterator<Item = (&str, Value)>);
 
     /// Deletes a live key, leaving a version tombstone. Returns `false`
     /// (and changes nothing) if the key is not live.
@@ -137,11 +138,12 @@ pub trait StoreBackend: std::fmt::Debug + Send {
     /// Namespaces holding at least one live key, sorted.
     fn list_namespaces(&self) -> Vec<String>;
 
-    /// Total encoded bytes of live values in a namespace.
+    /// Total encoded bytes of live values in a namespace: a running total
+    /// kept by every write and delete, never a walk over the rows.
     fn namespace_bytes(&self, namespace: &str) -> u64;
 
     /// Total encoded bytes of live values across every namespace equal to
-    /// `prefix` or under `prefix/…`.
+    /// `prefix` or under `prefix/…`, from the same per-namespace totals.
     fn namespace_bytes_prefixed(&self, prefix: &str) -> u64;
 
     /// Diagnostic maintenance counters (see [`BackendStats`]).
@@ -222,13 +224,48 @@ pub(crate) fn sum_under<T>(
 struct Slot {
     version: u64,
     value: Option<Value>,
+    /// The live value's encoded length, measured once when it was written
+    /// (0 for a tombstone).
+    len: u64,
+}
+
+/// One namespace: its slots and the running total of their live lengths.
+#[derive(Debug, Default)]
+struct Namespace {
+    slots: BTreeMap<String, Slot>,
+    live_bytes: u64,
+}
+
+impl Namespace {
+    /// Writes `value` under `key`, returning the new version. The slot is
+    /// looked up before its key is owned: overwriting a key that exists,
+    /// live or tombstoned, allocates nothing, and the total moves by the
+    /// difference of the two lengths without the old value being measured.
+    fn insert(&mut self, key: &str, value: Value) -> u64 {
+        let len = value.encoded_len() as u64;
+        self.live_bytes += len;
+        if let Some(slot) = self.slots.get_mut(key) {
+            self.live_bytes -= slot.len;
+            slot.version += 1;
+            slot.value = Some(value);
+            slot.len = len;
+            return slot.version;
+        }
+        let slot = Slot {
+            version: 1,
+            value: Some(value),
+            len,
+        };
+        self.slots.insert(key.to_owned(), slot);
+        1
+    }
 }
 
 /// The original in-memory backend: namespaces of ordered maps. Tombstones
 /// are slots whose value is `None`.
 #[derive(Debug, Default)]
 pub struct MapBackend {
-    namespaces: BTreeMap<String, BTreeMap<String, Slot>>,
+    namespaces: BTreeMap<String, Namespace>,
 }
 
 impl MapBackend {
@@ -238,14 +275,9 @@ impl MapBackend {
     }
 
     fn slot(&self, namespace: &str, key: &str) -> Option<&Slot> {
-        self.namespaces.get(namespace).and_then(|ns| ns.get(key))
-    }
-
-    fn live_bytes(ns: &BTreeMap<String, Slot>) -> u64 {
-        ns.values()
-            .filter_map(|s| s.value.as_ref())
-            .map(|v| v.encoded_len() as u64)
-            .sum()
+        self.namespaces
+            .get(namespace)
+            .and_then(|ns| ns.slots.get(key))
     }
 }
 
@@ -266,7 +298,7 @@ impl StoreBackend for MapBackend {
     fn key_version(&self, namespace: &str, key: &str) -> KeyVersion {
         match self.slot(namespace, key) {
             None => KeyVersion::Absent,
-            Some(Slot { version, value }) => match value {
+            Some(Slot { version, value, .. }) => match value {
                 Some(_) => KeyVersion::Live(*version),
                 None => KeyVersion::Tombstone(*version),
             },
@@ -283,40 +315,30 @@ impl StoreBackend for MapBackend {
     }
 
     fn insert(&mut self, namespace: &str, key: &str, value: Value) -> u64 {
-        // The slot is looked up before its names are owned: overwriting a
-        // key that exists, live or tombstoned, allocates nothing.
-        if let Some(slot) = self
-            .namespaces
-            .get_mut(namespace)
-            .and_then(|ns| ns.get_mut(key))
-        {
-            slot.version += 1;
-            slot.value = Some(value);
-            return slot.version;
+        // The namespace, too, is looked up before its name is owned.
+        if let Some(ns) = self.namespaces.get_mut(namespace) {
+            return ns.insert(key, value);
         }
-        let slot = Slot {
-            version: 1,
-            value: Some(value),
-        };
-        let ns = self.namespaces.entry(namespace.to_owned()).or_default();
-        ns.insert(key.to_owned(), slot);
+        let mut ns = Namespace::default();
+        ns.insert(key, value);
+        self.namespaces.insert(namespace.to_owned(), ns);
         1
     }
 
-    fn insert_many(&mut self, namespace: &str, entries: &[(&str, &Value)]) {
+    fn insert_many(&mut self, namespace: &str, entries: &mut dyn Iterator<Item = (&str, Value)>) {
         for (key, value) in entries {
-            self.insert(namespace, key, (*value).clone());
+            self.insert(namespace, key, value);
         }
     }
 
     fn remove(&mut self, namespace: &str, key: &str) -> bool {
-        match self
-            .namespaces
-            .get_mut(namespace)
-            .and_then(|ns| ns.get_mut(key))
-        {
+        let Some(ns) = self.namespaces.get_mut(namespace) else {
+            return false;
+        };
+        match ns.slots.get_mut(key) {
             Some(slot) if slot.value.is_some() => {
                 slot.value = None;
+                ns.live_bytes -= std::mem::take(&mut slot.len);
                 true
             }
             _ => false,
@@ -327,8 +349,10 @@ impl StoreBackend for MapBackend {
         let Some(ns) = self.namespaces.get_mut(namespace) else {
             return 0;
         };
+        ns.live_bytes = 0;
         let mut removed = 0;
-        for slot in ns.values_mut() {
+        for slot in ns.slots.values_mut() {
+            slot.len = 0;
             if slot.value.take().is_some() {
                 removed += 1;
             }
@@ -340,7 +364,8 @@ impl StoreBackend for MapBackend {
         self.namespaces
             .get(namespace)
             .map(|ns| {
-                ns.iter()
+                ns.slots
+                    .iter()
                     .filter_map(|(k, s)| {
                         s.value.as_ref().map(|v| {
                             (
@@ -361,7 +386,8 @@ impl StoreBackend for MapBackend {
         self.namespaces
             .get(namespace)
             .map(|ns| {
-                ns.iter()
+                ns.slots
+                    .iter()
                     .filter(|(_, s)| s.value.is_some())
                     .map(|(k, _)| k.clone())
                     .collect()
@@ -372,25 +398,22 @@ impl StoreBackend for MapBackend {
     fn list_namespaces(&self) -> Vec<String> {
         self.namespaces
             .iter()
-            .filter(|(_, ns)| ns.values().any(|s| s.value.is_some()))
+            .filter(|(_, ns)| ns.slots.values().any(|s| s.value.is_some()))
             .map(|(k, _)| k.clone())
             .collect()
     }
 
     fn namespace_bytes(&self, namespace: &str) -> u64 {
-        self.namespaces
-            .get(namespace)
-            .map(Self::live_bytes)
-            .unwrap_or(0)
+        self.namespaces.get(namespace).map_or(0, |ns| ns.live_bytes)
     }
 
     fn namespace_bytes_prefixed(&self, prefix: &str) -> u64 {
-        sum_under(&self.namespaces, prefix, Self::live_bytes)
+        sum_under(&self.namespaces, prefix, |ns| ns.live_bytes)
     }
 
     fn backend_stats(&self) -> BackendStats {
         BackendStats {
-            live_bytes: self.namespaces.values().map(Self::live_bytes).sum(),
+            live_bytes: self.namespaces.values().map(|ns| ns.live_bytes).sum(),
             ..BackendStats::default()
         }
     }

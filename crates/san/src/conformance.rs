@@ -26,9 +26,10 @@
 
 use crate::backend::BackendKind;
 use crate::fault::FaultPlan;
-use crate::{SharedStore, StoreError, Value};
+use crate::{SharedStore, StoreError, Value, Versioned};
 use dosgi_net::SimTime;
 use dosgi_testkit::TestRng;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// Workspace-relative directory holding the committed fixtures.
@@ -180,9 +181,14 @@ pub fn run_script(script: &Script, kind: BackendKind) -> String {
         "# ops: {} (backend-agnostic by contract)",
         script.ops.len()
     );
+    let mut seen = BTreeSet::new();
     for (i, op) in script.ops.iter().enumerate() {
         let line = apply_op(&store, op);
         let _ = writeln!(out, "op {i:03} {line}");
+        seen.extend(store.list_namespaces());
+        if let Err(e) = check_byte_totals(&store, &seen) {
+            panic!("backend `{kind}` after op {i:03} {line}: {e}");
+        }
     }
     let _ = writeln!(out, "-- store --");
     for (ns, rows) in store.dump() {
@@ -304,6 +310,49 @@ fn apply_op(store: &SharedStore, op: &ScriptOp) -> String {
             "reset_stats -> ok".to_owned()
         }
     }
+}
+
+/// Holds the store's running byte totals to a recount: `namespace_bytes`
+/// of every live namespace and of each of `names` (a wiped namespace must
+/// read 0), and `namespace_bytes_prefixed` of every `/`-prefix of those,
+/// against sums over [`SharedStore::dump`]. [`run_script`] holds every
+/// backend to it after every op.
+///
+/// # Errors
+///
+/// The first total that disagrees with the recount.
+pub fn check_byte_totals(store: &SharedStore, names: &BTreeSet<String>) -> Result<(), String> {
+    let bytes = |rows: &[(String, Versioned)]| -> u64 {
+        rows.iter().map(|(_, v)| v.value.encoded_len() as u64).sum()
+    };
+    let dump = store.dump();
+    let recount: Vec<(&str, u64)> = dump.iter().map(|(ns, r)| (ns.as_str(), bytes(r))).collect();
+    let sum = |keep: &dyn Fn(&str) -> bool| -> u64 {
+        let kept = recount.iter().filter(|(ns, _)| keep(ns));
+        kept.map(|(_, bytes)| bytes).sum()
+    };
+    for name in recount
+        .iter()
+        .map(|(ns, _)| *ns)
+        .chain(names.iter().map(String::as_str))
+    {
+        if store.namespace_bytes(name) != sum(&|ns| ns == name) {
+            return Err(format!("namespace_bytes({name}) is not the recount"));
+        }
+        for cut in name.match_indices('/').map(|(i, _)| i).chain([name.len()]) {
+            let prefix = &name[..cut];
+            let under = |ns: &str| {
+                let rest = ns.strip_prefix(prefix);
+                rest.is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+            };
+            if store.namespace_bytes_prefixed(prefix) != sum(&under) {
+                return Err(format!(
+                    "namespace_bytes_prefixed({prefix}) is not the recount"
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 fn put(ns: &str, key: &str, value: Value) -> ScriptOp {

@@ -82,21 +82,13 @@ enum Record {
 }
 
 impl Record {
-    /// The record's accounting cost: key material + encoded value + a
-    /// fixed framing overhead (tag, version, lengths).
-    fn cost(&self) -> u64 {
+    /// The record's accounting cost: key material + `value_len` encoded
+    /// value bytes (0 for a tombstone; measured once, when the value was
+    /// written) + a fixed framing overhead (tag, version, lengths).
+    fn cost(&self, value_len: u64) -> u64 {
         const FRAME: u64 = 16;
-        match self {
-            Record::Put {
-                namespace,
-                key,
-                value,
-                ..
-            } => FRAME + namespace.len() as u64 + key.len() as u64 + value.encoded_len() as u64,
-            Record::Tombstone { namespace, key, .. } => {
-                FRAME + namespace.len() as u64 + key.len() as u64
-            }
-        }
+        let (Record::Put { namespace, key, .. } | Record::Tombstone { namespace, key, .. }) = self;
+        FRAME + namespace.len() as u64 + key.len() as u64 + value_len
     }
 }
 
@@ -118,6 +110,17 @@ struct IndexEntry {
     version: u64,
     /// `None` marks a tombstone: the counter survives, the value is gone.
     loc: Option<Loc>,
+    /// The live value's encoded length (0 for a tombstone).
+    len: u64,
+}
+
+/// One namespace of the index: its keys and the running total of their
+/// live lengths. Compaction moves records, not lengths, so it leaves the
+/// total alone.
+#[derive(Debug, Default)]
+struct Keys {
+    entries: BTreeMap<String, IndexEntry>,
+    live_bytes: u64,
 }
 
 /// The log-structured backend. See the module docs for the design.
@@ -129,7 +132,7 @@ pub struct LogBackend {
     next_segment: u64,
     /// `namespace → key → entry`. BTreeMaps keep every iteration (reads,
     /// compaction rewrite order) deterministic.
-    index: BTreeMap<String, BTreeMap<String, IndexEntry>>,
+    index: BTreeMap<String, Keys>,
     dead_bytes: u64,
     total_bytes: u64,
     sealed_segments: u64,
@@ -165,7 +168,19 @@ impl LogBackend {
     }
 
     fn entry(&self, namespace: &str, key: &str) -> Option<&IndexEntry> {
-        self.index.get(namespace).and_then(|ns| ns.get(key))
+        self.index.get(namespace).and_then(|ns| ns.entries.get(key))
+    }
+
+    /// Marks `namespace/key`'s live record dead and its entry a tombstone
+    /// at the same version; `None` if the key is not live.
+    fn bury(&mut self, namespace: &str, key: &str) -> Option<u64> {
+        let keys = self.index.get_mut(namespace)?;
+        let entry = keys.entries.get_mut(key)?;
+        let loc = entry.loc.take()?;
+        let (version, len) = (entry.version, std::mem::take(&mut entry.len));
+        keys.live_bytes -= len;
+        self.kill(loc, len);
+        Some(version)
     }
 
     fn record_at(&self, loc: Loc) -> &Record {
@@ -185,8 +200,8 @@ impl LogBackend {
     /// Appends one record to the active segment (opening one if needed)
     /// and returns its location. Does *not* roll or compact — group
     /// commits decide that once per batch.
-    fn append(&mut self, record: Record) -> Loc {
-        let cost = record.cost();
+    fn append(&mut self, record: Record, value_len: u64) -> Loc {
+        let cost = record.cost(value_len);
         let id = match self.segments.last_key_value() {
             Some((&id, _)) => id,
             None => {
@@ -206,9 +221,22 @@ impl LogBackend {
         }
     }
 
+    /// Appends the tombstone record of a key [`bury`](Self::bury) just
+    /// deleted. The record is dead on arrival for compaction purposes: the
+    /// index carries the counter from here on.
+    fn append_tombstone(&mut self, namespace: &str, key: &str, version: u64) {
+        let record = Record::Tombstone {
+            namespace: namespace.to_owned(),
+            key: key.to_owned(),
+            version,
+        };
+        self.dead_bytes += record.cost(0);
+        self.append(record, 0);
+    }
+
     /// Marks the record a superseded index entry pointed at as dead.
-    fn kill(&mut self, loc: Loc) {
-        self.dead_bytes += self.record_at(loc).cost();
+    fn kill(&mut self, loc: Loc, value_len: u64) {
+        self.dead_bytes += self.record_at(loc).cost(value_len);
     }
 
     /// Seals the active segment if it crossed the target, then compacts if
@@ -241,18 +269,19 @@ impl LogBackend {
         let old_segments = std::mem::take(&mut self.segments);
         self.total_bytes = 0;
         self.dead_bytes = 0;
-        // Collect (namespace, key, loc) of live entries in index order.
-        let live: Vec<(String, String, Loc)> = self
+        // Collect (namespace, key, loc, len) of live entries in index order.
+        let live: Vec<(String, String, Loc, u64)> = self
             .index
             .iter()
             .flat_map(|(ns, keys)| {
-                keys.iter()
-                    .filter_map(|(k, e)| e.loc.map(|loc| (ns.clone(), k.clone(), loc)))
+                keys.entries
+                    .iter()
+                    .filter_map(|(k, e)| e.loc.map(|loc| (ns.clone(), k.clone(), loc, e.len)))
             })
             .collect();
-        for (ns, key, loc) in live {
+        for (ns, key, loc, len) in live {
             let record = old_segments[&loc.segment].records[loc.record].clone();
-            let cost = record.cost();
+            let cost = record.cost(len);
             let id = match self.segments.last_key_value() {
                 Some((&id, seg)) if seg.bytes + cost <= self.config.segment_target_bytes => id,
                 _ => {
@@ -272,7 +301,7 @@ impl LogBackend {
             };
             self.index
                 .get_mut(&ns)
-                .and_then(|m| m.get_mut(&key))
+                .and_then(|m| m.entries.get_mut(&key))
                 .expect("live entry still indexed")
                 .loc = Some(new_loc);
         }
@@ -317,40 +346,44 @@ impl LogBackend {
     }
 
     fn insert_one(&mut self, namespace: &str, key: &str, value: Value) -> u64 {
+        let len = value.encoded_len() as u64;
         let prior = self.entry(namespace, key).copied();
         let version = match prior {
             Some(e) => e.version + 1,
             None => 1,
         };
-        if let Some(IndexEntry { loc: Some(loc), .. }) = prior {
-            self.kill(loc);
+        if let Some(IndexEntry {
+            loc: Some(loc),
+            len: old,
+            ..
+        }) = prior
+        {
+            self.kill(loc, old);
         }
-        let loc = self.append(Record::Put {
+        let record = Record::Put {
             namespace: namespace.to_owned(),
             key: key.to_owned(),
             version,
             value,
-        });
+        };
         let entry = IndexEntry {
             version,
-            loc: Some(loc),
+            loc: Some(self.append(record, len)),
+            len,
         };
         // As in the map backend, the index owns a name once.
-        match self.index.get_mut(namespace).and_then(|ns| ns.get_mut(key)) {
+        if !self.index.contains_key(namespace) {
+            self.index.insert(namespace.to_owned(), Keys::default());
+        }
+        let keys = self.index.get_mut(namespace).expect("ensured just above");
+        keys.live_bytes = keys.live_bytes + len - prior.map_or(0, |e| e.len);
+        match keys.entries.get_mut(key) {
             Some(e) => *e = entry,
             None => {
-                let ns = self.index.entry(namespace.to_owned()).or_default();
-                ns.insert(key.to_owned(), entry);
+                keys.entries.insert(key.to_owned(), entry);
             }
         }
         version
-    }
-
-    fn live_bytes(&self, keys: &BTreeMap<String, IndexEntry>) -> u64 {
-        keys.values()
-            .filter_map(|e| e.loc)
-            .map(|loc| self.value_at(loc).encoded_len() as u64)
-            .sum()
     }
 }
 
@@ -374,8 +407,9 @@ impl StoreBackend for LogBackend {
             Some(IndexEntry {
                 version,
                 loc: Some(_),
+                ..
             }) => KeyVersion::Live(*version),
-            Some(IndexEntry { version, loc: None }) => KeyVersion::Tombstone(*version),
+            Some(IndexEntry { version, .. }) => KeyVersion::Tombstone(*version),
         }
     }
 
@@ -393,38 +427,21 @@ impl StoreBackend for LogBackend {
         version
     }
 
-    fn insert_many(&mut self, namespace: &str, entries: &[(&str, &Value)]) {
+    fn insert_many(&mut self, namespace: &str, entries: &mut dyn Iterator<Item = (&str, Value)>) {
         // Group commit: every record of the batch lands in the log before
         // the single roll/compact decision.
         for (key, value) in entries {
-            self.insert_one(namespace, key, (*value).clone());
+            self.insert_one(namespace, key, value);
         }
         self.group_commits += 1;
         self.finish_commit();
     }
 
     fn remove(&mut self, namespace: &str, key: &str) -> bool {
-        let Some(&IndexEntry {
-            version,
-            loc: Some(loc),
-        }) = self.entry(namespace, key)
-        else {
+        let Some(version) = self.bury(namespace, key) else {
             return false;
         };
-        self.kill(loc);
-        let t = self.append(Record::Tombstone {
-            namespace: namespace.to_owned(),
-            key: key.to_owned(),
-            version,
-        });
-        // The tombstone record is dead on arrival for compaction purposes:
-        // the index carries the counter from here on.
-        self.dead_bytes += self.record_at(t).cost();
-        self.index
-            .get_mut(namespace)
-            .and_then(|m| m.get_mut(key))
-            .expect("entry just read")
-            .loc = None;
+        self.append_tombstone(namespace, key, version);
         self.finish_commit();
         true
     }
@@ -432,21 +449,10 @@ impl StoreBackend for LogBackend {
     fn remove_namespace(&mut self, namespace: &str) -> usize {
         let live: Vec<String> = self.list_keys(namespace);
         for key in &live {
-            let &IndexEntry { version, loc } =
-                self.entry(namespace, key).expect("live key indexed");
-            let loc = loc.expect("list_keys returns live keys only");
-            self.kill(loc);
-            let t = self.append(Record::Tombstone {
-                namespace: namespace.to_owned(),
-                key: key.clone(),
-                version,
-            });
-            self.dead_bytes += self.record_at(t).cost();
-            self.index
-                .get_mut(namespace)
-                .and_then(|m| m.get_mut(key))
-                .expect("entry just read")
-                .loc = None;
+            let version = self
+                .bury(namespace, key)
+                .expect("list_keys returns live keys only");
+            self.append_tombstone(namespace, key, version);
         }
         // A namespace wipe is one logical commit, like a batch.
         self.finish_commit();
@@ -457,7 +463,8 @@ impl StoreBackend for LogBackend {
         self.index
             .get(namespace)
             .map(|keys| {
-                keys.iter()
+                keys.entries
+                    .iter()
                     .filter_map(|(k, e)| {
                         e.loc.map(|loc| {
                             (
@@ -478,7 +485,8 @@ impl StoreBackend for LogBackend {
         self.index
             .get(namespace)
             .map(|keys| {
-                keys.iter()
+                keys.entries
+                    .iter()
                     .filter(|(_, e)| e.loc.is_some())
                     .map(|(k, _)| k.clone())
                     .collect()
@@ -489,25 +497,22 @@ impl StoreBackend for LogBackend {
     fn list_namespaces(&self) -> Vec<String> {
         self.index
             .iter()
-            .filter(|(_, keys)| keys.values().any(|e| e.loc.is_some()))
+            .filter(|(_, keys)| keys.entries.values().any(|e| e.loc.is_some()))
             .map(|(ns, _)| ns.clone())
             .collect()
     }
 
     fn namespace_bytes(&self, namespace: &str) -> u64 {
-        self.index
-            .get(namespace)
-            .map(|keys| self.live_bytes(keys))
-            .unwrap_or(0)
+        self.index.get(namespace).map_or(0, |keys| keys.live_bytes)
     }
 
     fn namespace_bytes_prefixed(&self, prefix: &str) -> u64 {
-        sum_under(&self.index, prefix, |keys| self.live_bytes(keys))
+        sum_under(&self.index, prefix, |keys| keys.live_bytes)
     }
 
     fn backend_stats(&self) -> BackendStats {
         BackendStats {
-            live_bytes: self.index.values().map(|keys| self.live_bytes(keys)).sum(),
+            live_bytes: self.index.values().map(|keys| keys.live_bytes).sum(),
             dead_bytes: self.dead_bytes,
             segments: self.segments.len() as u64,
             sealed_segments: self.sealed_segments,
@@ -606,9 +611,11 @@ mod tests {
         let rows: Vec<(String, Value)> = (0..24)
             .map(|i| (format!("bundle/{i}"), blob(384, i as u8)))
             .collect();
-        let refs: Vec<(&str, &Value)> = rows.iter().map(|(k, v)| (k.as_str(), v)).collect();
-        b.insert_many("fw", &refs);
-        b.insert_many("fw", &refs[..2]);
+        b.insert_many("fw", &mut rows.iter().map(|(k, v)| (k.as_str(), v.clone())));
+        b.insert_many(
+            "fw",
+            &mut rows[..2].iter().map(|(k, v)| (k.as_str(), v.clone())),
+        );
         let s = b.backend_stats();
         assert_eq!(s.group_commits, 2);
         assert_eq!(b.list_keys("fw").len(), 24);
@@ -654,9 +661,10 @@ mod tests {
     #[test]
     fn duplicate_keys_in_a_batch_bump_twice() {
         let mut b = LogBackend::new();
-        let v1 = Value::Int(1);
-        let v2 = Value::Int(2);
-        b.insert_many("ns", &[("k", &v1), ("k", &v2)]);
+        b.insert_many(
+            "ns",
+            &mut [("k", Value::Int(1)), ("k", Value::Int(2))].into_iter(),
+        );
         let got = b.get("ns", "k").unwrap();
         assert_eq!(got.version, 2);
         assert_eq!(got.value, Value::Int(2));

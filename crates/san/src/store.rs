@@ -267,7 +267,7 @@ impl SharedStore {
     /// [`StoreError::TornWrite`] reports how much; rewriting the full batch
     /// is the idempotent recovery. Entries are `(key, value)` pairs, owned
     /// or borrowed: a caller that holds its rows elsewhere passes
-    /// references and clones nothing.
+    /// references, and only the values that changed are cloned.
     ///
     /// # Errors
     ///
@@ -278,6 +278,36 @@ impl SharedStore {
         namespace: &str,
         entries: &[(K, V)],
     ) -> Result<usize, StoreError> {
+        let rows = entries.iter().map(|(k, v)| (k.as_ref(), v.borrow()));
+        self.put_batch(namespace, rows, Value::clone)
+    }
+
+    /// [`put_many`](Self::put_many) for a caller that built the rows for
+    /// this write: the values that changed are moved into the store, not
+    /// cloned. Same semantics, errors and accounting.
+    ///
+    /// # Errors
+    ///
+    /// As [`put_many`](Self::put_many).
+    pub fn put_many_owned(
+        &self,
+        namespace: &str,
+        mut entries: Vec<(String, Value)>,
+    ) -> Result<usize, StoreError> {
+        let rows = entries
+            .iter_mut()
+            .map(|(k, v)| (k.as_str(), std::mem::take(v)));
+        self.put_batch(namespace, rows, std::convert::identity)
+    }
+
+    /// The batch write itself, over entries whose values are references
+    /// (`own` clones the ones that changed) or owned (`own` hands them on).
+    fn put_batch<'e, V: Borrow<Value>>(
+        &self,
+        namespace: &str,
+        entries: impl ExactSizeIterator<Item = (&'e str, V)>,
+        own: fn(V) -> Value,
+    ) -> Result<usize, StoreError> {
         self.fault("put_many")?;
         let torn = self.faults.torn_len(entries.len());
         let persisted = torn.unwrap_or(entries.len());
@@ -287,21 +317,21 @@ impl SharedStore {
         let mut bytes_skipped = 0u64;
         // Per-entry change detection, same contract as `put`: an identical
         // entry costs nothing and keeps its version. `pending` carries the
-        // batch-so-far state so a duplicate key compares against the value
-        // queued just before it, not the pre-batch one.
-        let mut batch: Vec<(&str, &Value)> = Vec::with_capacity(persisted);
-        let mut pending: HashMap<&str, &Value> = HashMap::new();
-        for (key, value) in &entries[..persisted] {
-            let (key, value) = (key.as_ref(), value.borrow());
+        // batch-so-far state (by position in `batch`) so a duplicate key
+        // compares against the value queued just before it, not the
+        // pre-batch one.
+        let mut batch: Vec<(&str, V)> = Vec::with_capacity(persisted);
+        let mut pending: HashMap<&str, usize> = HashMap::new();
+        for (key, value) in entries.take(persisted) {
             // One size computation per entry (streamed, allocation-free)
             // serves change-detection stats and write accounting alike —
             // the value is never encoded just to be measured.
-            let len = value.encoded_len() as u64;
+            let len = value.borrow().encoded_len() as u64;
             let identical = match pending.get(key) {
-                Some(queued) => crate::codec::codec_eq(queued, value),
+                Some(&queued) => crate::codec::codec_eq(batch[queued].1.borrow(), value.borrow()),
                 None => inner
                     .backend
-                    .identical_live(namespace, key, value)
+                    .identical_live(namespace, key, value.borrow())
                     .is_some(),
             };
             if identical {
@@ -310,14 +340,15 @@ impl SharedStore {
                 continue;
             }
             bytes += len;
-            batch.push((key, value));
             // A batch of one has no earlier entry to be a duplicate of.
             if persisted > 1 {
-                pending.insert(key, value);
+                pending.insert(key, batch.len());
             }
+            batch.push((key, value));
         }
         if !batch.is_empty() {
-            inner.backend.insert_many(namespace, &batch);
+            let mut rows = batch.into_iter().map(|(k, v)| (k, own(v)));
+            inner.backend.insert_many(namespace, &mut rows);
         }
         inner.stats.writes += persisted as u64 - skipped;
         inner.stats.writes_skipped += skipped;

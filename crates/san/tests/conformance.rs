@@ -10,7 +10,9 @@
 //! Regenerate fixtures (after an intentional contract change) with
 //! `SAN_FIXTURE_WRITE=1 cargo test -p dosgi-san --test conformance`.
 
-use dosgi_san::conformance::{builtin_scripts, random_script, run_script, WRITE_ENV};
+use dosgi_san::conformance::{
+    builtin_scripts, check_byte_totals, random_script, run_script, WRITE_ENV,
+};
 use dosgi_san::{BackendKind, LogBackend, LogConfig, SharedStore, Value};
 use dosgi_testkit::{prop, unified_diff, Gen, PropConfig, TestRng};
 
@@ -97,6 +99,32 @@ fn prop_tiny_log_geometry_is_observably_identical() {
             Ok(())
         },
     );
+}
+
+/// The running totals are part of the contract, through compaction too: a
+/// long seeded walk of `put` / `put_many` (duplicate keys in a batch) /
+/// `cas` / `delete` / `delete_namespace` / identical rewrites / torn batches
+/// over a log that compacts every few dozen writes, `namespace_bytes` and
+/// `namespace_bytes_prefixed` of every prefix held to a recount after each
+/// op. (`run_script` does the same for every script on every backend.)
+#[test]
+fn byte_totals_equal_a_recount_through_compaction() {
+    for seed in 0..8 {
+        let store = SharedStore::with_backend(Box::new(LogBackend::with_config(LogConfig::tiny())));
+        let mut rng = TestRng::new(seed);
+        let mut seen = std::collections::BTreeSet::new();
+        for _ in 0..12 {
+            for op in &random_script(&mut rng).ops {
+                apply(&store, op);
+                seen.extend(store.list_namespaces());
+                if let Err(e) = check_byte_totals(&store, &seen) {
+                    panic!("seed {seed}, after {op:?}: {e}");
+                }
+            }
+        }
+        let compactions = store.backend_stats().compactions;
+        assert!(compactions > 0, "seed {seed}: the walk never compacted");
+    }
 }
 
 /// Minimal op applier for the tiny-geometry replay (results are compared

@@ -7,8 +7,8 @@ use crate::{
 };
 use dosgi_net::{IpAddr, Port, SimDuration};
 use dosgi_osgi::{
-    ActivatorFactory, BundleId, ClassRef, DirtyCount, Framework, FrameworkConfig, LoadError,
-    LoadPath, ServiceError, SymbolName, UpgradeReport, UsageSnapshot,
+    ActivatorFactory, BundleId, ClassRef, DirtyCount, Framework, FrameworkConfig, FrameworkMetrics,
+    LoadError, LoadPath, ServiceError, SymbolName, UpgradeReport, UsageSnapshot,
 };
 use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::Telemetry;
@@ -46,8 +46,9 @@ pub struct InstanceManager {
     // Bumped by everything that can change what an instance's
     // `is_running` answers, or whether the instance is here at all.
     lifecycle_epoch: u64,
-    // Kept to attach to instance frameworks created or adopted later.
-    telemetry: Telemetry,
+    // Resolved once; cloned into instance frameworks created or adopted
+    // later, before their first transition.
+    framework_metrics: FrameworkMetrics,
     metrics: Metrics,
 }
 
@@ -75,7 +76,7 @@ impl InstanceManager {
             store: None,
             dirty,
             lifecycle_epoch: 0,
-            telemetry: Telemetry::disabled(),
+            framework_metrics: FrameworkMetrics::default(),
             metrics: Metrics::default(),
         }
     }
@@ -85,12 +86,12 @@ impl InstanceManager {
     /// the host framework and every instance framework created or
     /// adopted afterwards (`osgi.lifecycle.*`).
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.host.set_telemetry(telemetry.clone());
+        self.framework_metrics = FrameworkMetrics::new(&telemetry);
+        self.host.set_metrics(self.framework_metrics.clone());
         for inst in self.instances.values_mut() {
-            inst.framework.set_telemetry(telemetry.clone());
+            inst.framework.set_metrics(self.framework_metrics.clone());
         }
         self.metrics = Metrics::new(&telemetry);
-        self.telemetry = telemetry;
     }
 
     /// Attaches the SAN; every instance framework created afterwards
@@ -182,7 +183,7 @@ impl InstanceManager {
         self.check_name_free(&descriptor.name)?;
         let mut fw =
             Framework::with_config(FrameworkConfig::new(&format!("vosgi/{}", descriptor.name)));
-        fw.set_telemetry(self.telemetry.clone());
+        fw.set_metrics(self.framework_metrics.clone());
         if let Some(store) = &self.store {
             fw.attach_store(store.clone(), &descriptor.state_namespace())?;
         }
@@ -219,13 +220,13 @@ impl InstanceManager {
             .store
             .clone()
             .ok_or(VosgiError::NoStore { operation: "adopt" })?;
-        let mut fw = Framework::restore(
+        let fw = Framework::restore_counted(
             FrameworkConfig::new(&format!("vosgi/{}", descriptor.name)),
             store,
             &descriptor.state_namespace(),
             &self.factory,
+            self.framework_metrics.clone(),
         )?;
-        fw.set_telemetry(self.telemetry.clone());
         let running = fw.bundles().any(|b| b.state.is_active());
         let state = if running {
             InstanceState::Running
@@ -1224,6 +1225,43 @@ mod tests {
         // kept autostart, so the instance comes back running).
         let id2 = mgr.adopt_instance(descriptor("a")).unwrap();
         assert!(mgr.instance(id2).unwrap().is_running());
+    }
+
+    /// Regression: the handles used to be attached after `restore` had run,
+    /// so an adopted framework's install / resolve / start and its rows
+    /// were counted nowhere.
+    #[test]
+    fn adopted_frameworks_count_their_lifecycle_like_created_ones() {
+        let store = SharedStore::new();
+        let telemetry = Telemetry::new();
+        let mut mgr = manager();
+        mgr.attach_store(store);
+        mgr.set_telemetry(telemetry.clone());
+        let count = |name: &str| telemetry.counter(name);
+        let id = mgr.create_instance(descriptor("a")).unwrap();
+        mgr.start_instance(id).unwrap();
+        let created = [
+            count("osgi.lifecycle.installed"),
+            count("osgi.lifecycle.resolved"),
+            count("osgi.lifecycle.started"),
+        ];
+        assert_eq!(created, [1, 1, 1]);
+        for adopted in 1..=3u64 {
+            let id = mgr.find_by_name("a").unwrap();
+            mgr.stop_instance(id).unwrap();
+            mgr.destroy_instance(id, false).unwrap();
+            let rows_released = count("persist.rows_written");
+            mgr.adopt_instance(descriptor("a")).unwrap();
+            assert_eq!(count("vosgi.lifecycle.adopted"), adopted);
+            assert_eq!(
+                count("osgi.lifecycle.started"),
+                count("vosgi.lifecycle.created") + count("vosgi.lifecycle.adopted"),
+            );
+            assert_eq!(count("osgi.lifecycle.installed"), 1 + adopted);
+            assert_eq!(count("osgi.lifecycle.resolved"), 1 + adopted);
+            // The restore's one write: the bundle's row, ACTIVE again.
+            assert_eq!(count("persist.rows_written"), rows_released + 1);
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@
 # which side runs first; a gain counts when the change wins nine tenths of the
 # pairs and the medians lie further apart than the parent's own quartiles.
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> [first-seed=1] [pairs=10]
+#   scripts/bench_pairs.sh [--record <pr>] <parent-ref> <workload> [first-seed=1] [pairs=10]
 #
 # The parent is unpacked (`git archive`) under target/bench_pairs/, each side
 # is built by its own benchmark/run.sh into its own CARGO_TARGET_DIR there, and
@@ -16,10 +16,26 @@
 # between two runs of one build on one seed) whether it is equal, lower or
 # higher. What every run printed is kept beside the builds. Exits non-zero if
 # any run reports a failed or incorrect op.
+#
+# With `--record <pr>` the same numbers are also appended, one row for this
+# workload, to BENCH_HISTORY.json at the root: the trajectory file (PR, parent
+# commit, seeds, per timed metric both medians and quartiles and the pairs won
+# and lost, per exact metric both medians, and the median of the calibration
+# kernel's p50 on each side, which says how busy the host was). It holds
+# wall-clock numbers, so it lives outside results/, whose files are diffed
+# byte for byte. One row per line, so that a row is appended, or back-filled
+# by hand from a PR's own tables, without a JSON tool; a back-filled row says
+# `null` where its table gave no quartile and carries the parent's quartile
+# distance as `parent_iqr`.
 set -euo pipefail
 
+record=""
+if [[ ${1:-} == --record ]]; then
+    record="${2:?--record takes the PR number}"
+    shift 2
+fi
 if [[ $# -lt 2 || $# -gt 4 ]]; then
-    echo "usage: scripts/bench_pairs.sh <parent-ref> <workload> [first-seed=1] [pairs=10]" >&2
+    echo "usage: scripts/bench_pairs.sh [--record <pr>] <parent-ref> <workload> [first-seed=1] [pairs=10]" >&2
     exit 2
 fi
 parent_ref="$1" workload="$2" first_seed="${3:-1}" pairs="${4:-10}"
@@ -30,13 +46,15 @@ rm -rf "$work/parent-src"
 mkdir -p "$work/parent-src" "$work/out"
 git archive "$parent_ref" | tar -x -C "$work/parent-src"
 
-# side <parent|change> <seed>: one run, its last line (the result) on stdout.
+# side <parent|change> <seed>: one run; on stdout the calibration kernel's p50
+# (from the run's heading), then its last line (the result).
 side() {
-    local root="$PWD"
+    local root="$PWD" out
     [[ $1 == parent ]] && root="$work/parent-src"
-    CARGO_TARGET_DIR="$work/$1" "$root/benchmark/run.sh" \
-        --workload "$workload" --seed "$2" --trace 0 \
-        | tee -a "$work/out/${workload}_$1.txt" | tail -n 1
+    out="$(CARGO_TARGET_DIR="$work/$1" "$root/benchmark/run.sh" \
+        --workload "$workload" --seed "$2" --trace 0)"
+    echo "$out" >>"$work/out/${workload}_$1.txt"
+    echo "$(sed -n '1s/.*calibration kernel.* p50 \([0-9.]*\) us.*/\1/p' <<<"$out") $(tail -n 1 <<<"$out")"
 }
 
 : >"$work/out/${workload}_parent.txt"
@@ -54,7 +72,9 @@ for ((i = 0; i < pairs; i++)); do
     done
 done
 
-awk -v workload="$workload" '
+row="$work/out/${workload}_row.json"
+awk -v workload="$workload" -v row="$row" -v pr="$record" -v first_seed="$first_seed" \
+    -v parent="$(git rev-parse --short "$parent_ref")" '
 # Which way is better, and which metrics are exact, from the "end_to_end"
 # list of BENCHMARK.json.
 FILENAME == ARGV[1] {
@@ -69,7 +89,7 @@ FILENAME == ARGV[1] {
     next
 }
 {
-    side = $1; seed = $2
+    side = $1; seed = $2; value[side, "cal", seed] = $3
     if ($0 !~ /"correct": true/ || $0 !~ /"failed": 0[,}]/) { bad = bad "  " side " on seed " seed "\n" }
     if (!(seed in seen)) { seen[seed] = 1; n_pairs++ }
     for (m = 1; m <= n_metrics; m++) {
@@ -102,13 +122,31 @@ END {
         quartiles("change", name)
         if (unit[name] ~ /^(s|us|1\/s|MiB)$/) {
             gap = q[2] - p2; if (lower) gap = -gap
+            timed = timed sprintf("%s\"%s\": {\"parent\": [%.6g, %.6g, %.6g], \"change\": [%.6g, %.6g, %.6g], \"won\": %d, \"lost\": %d}", \
+                timed == "" ? "" : ", ", name, p1, p2, p3, q[1], q[2], q[3], won, lost)
             printf "  %-17s %.6g [%.6g, %.6g] -> %.6g [%.6g, %.6g] %s; parent quartile distance %.3g; change better on %d, worse on %d of %d%s\n", \
                 name, p2, p1, p3, q[2], q[1], q[3], unit[name], p3 - p1, won, lost, n_pairs, \
                 (n_pairs >= 10 && won * 10 >= n_pairs * 9 && gap > p3 - p1) ? "  (a gain by the rule)" : ""
         } else {
             verdict = !(below + above) ? "equal on every pair" : !above ? "lower" : !below ? "higher" : "lower on some pairs, higher on others"
             printf "  %-17s exact: %s (medians %.6g -> %.6g %s)\n", name, verdict, p2, q[2], unit[name]
+            exact = exact sprintf("%s\"%s\": [%.6g, %.6g]", exact == "" ? "" : ", ", name, p2, q[2])
         }
     }
+    quartiles("parent", "cal"); p2 = q[2]; quartiles("change", "cal")
+    printf("{\"pr\": %d, \"parent\": \"%s\", \"workload\": \"%s\", \"seeds\": [%d, %d], \"pairs\": %d, \"timed\": {%s}, \"exact\": {%s}, \"cal.kernel_us_p50\": [%.6g, %.6g]}\n", \
+        pr, parent, workload, first_seed, first_seed + n_pairs - 1, n_pairs, timed, exact, p2, q[2]) >row
     if (bad != "") { printf "FAILED or incorrect ops:\n%s", bad; exit 1 }
 }' BENCHMARK.json "$results"
+
+# The trajectory file is a JSON array, one row per line: the new row goes
+# before the closing bracket.
+if [[ -n $record ]]; then
+    history=BENCH_HISTORY.json
+    [[ -s $history ]] || printf '[\n]\n' >"$history"
+    sed -i '$d' "$history"
+    sed -i '$s/}$/},/' "$history"
+    cat "$row" >>"$history"
+    echo ']' >>"$history"
+    echo "recorded in $history" >&2
+fi

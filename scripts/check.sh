@@ -49,7 +49,7 @@ echo "==> causal trace check (zero happens-before violations over the sweep)"
 cargo run --offline --release -p dosgi-bench --bin trace_check
 cargo run --offline --release -p dosgi-bench --bin trace_check results/trace_e14_hot_swap.json
 
-echo "==> perf guard (e5 migration SAN bytes + migrate-round SAN reads + e15 admission hot path + e14 blackout + flat failover rounds vs committed baselines)"
+echo "==> perf guard (e5 migration SAN bytes + migrate-round SAN reads + hand-off ends + e15 admission hot path + e14 blackout + flat failover rounds vs committed baselines)"
 cargo run --offline --release -p dosgi-bench --bin perf_guard
 
 echo "==> verifying zero registry dependencies"
