@@ -7,8 +7,8 @@
 //!
 //! | row | scenario | guarded (↑ ceiling, ↓ floor) | baseline |
 //! |---|---|---|---|
-//! | `map`, `log` | E5 migration round per SAN backend: a counter with a 256 KiB data area handed 0 → 1. Faults, stats and change detection live in the `SharedStore` wrapper, so a conformant backend sees the same bytes — the row doubles as a coarse conformance check | `bytes_written` ↑, `bytes_read` ↑ (blowing change detection or per-row persistence is a bug) | `perf_baseline_e5.json`, `perf_baseline_e5_<backend>.json` |
-//! | `migrate_reads_map`, `migrate_reads_log` | one benchmark-shaped `migrate` round (incr → migrate → adopted → incr) per SAN backend, of a counter whose data area holds 64, then 256, 1 KiB rows it never reads | SAN `rows_read` ↑ and `bytes_read` ↑, which must be *equal* for the two areas and at most 4 rows: what an adoption reads is what its calls ask for, not the area | `perf_baseline_migrate_reads_<backend>.json` |
+//! | `e5` | E5 migration round: a counter with a 256 KiB data area handed 0 → 1 | `bytes_written` ↑, `bytes_read` ↑ (blowing change detection or per-row persistence is a bug) | `perf_baseline_e5.json` |
+//! | `migrate_reads` | one benchmark-shaped `migrate` round (incr → migrate → adopted → incr) of a counter whose data area holds 64, then 256, 1 KiB rows it never reads | SAN `rows_read` ↑ and `bytes_read` ↑, which must be *equal* for the two areas and at most 4 rows: what an adoption reads is what its calls ask for, not the area | `perf_baseline_migrate_reads.json` |
 //! | `handoff` | the two ends of a hand-off at the instance manager: a one-bundle persist-on-stop counter beside 4, then 1 024, 1 KiB rows it never reads, released (stop + destroy keeping its state) and adopted | SAN operations and rows written by each end ↑, rows read by the adoption ↑: 1 area flush + 1 `put_many` to release, 1 `read_namespace` + 1 area read + 1 `put_many` to adopt — more operations, or anything that differs between the two areas, is broken | `perf_baseline_handoff.json` |
 //! | `admission` | E15 admission hot path: one backend at 2 000/s, 64-deep queue, 2× open-loop Poisson load, class mix, 10 simulated seconds | `completed` ↓ (a drain that stops being work-conserving), `shed` ↑ (shedding more at the same load); `offered` recorded | `perf_baseline_e15_admission.json` |
 //! | `hot_swap` | E14 counter-scale in-place upgrade 1.0.0 → 1.1.0 on a fault-free SAN | modeled `blackout_us` ↑ (an extra flush, a fatter persist, a slower swap) | `perf_baseline_e14.json` |
@@ -27,7 +27,7 @@ use dosgi_core::{workloads, ClusterConfig, DosgiCluster, NodeEvent};
 use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, Scheduler};
 use dosgi_net::{IpAddr, NodeId, Port, SimDuration, SimTime, SocketAddr};
 use dosgi_osgi::{Framework, Version};
-use dosgi_san::{BackendKind, SharedStore, Value};
+use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::Telemetry;
 use dosgi_testkit::Json;
 use dosgi_vosgi::InstanceManager;
@@ -61,14 +61,10 @@ struct Row {
     broken: Option<&'static str>,
 }
 
-/// A settled three-node cluster on `kind` with a persist-on-stop counter on
-/// node 0 whose data area holds `blobs` 1 KiB rows beside its count.
-fn counter_with_area(kind: BackendKind, blobs: usize) -> DosgiCluster {
-    let config = ClusterConfig {
-        backend: kind,
-        ..ClusterConfig::default()
-    };
-    let mut c = DosgiCluster::new(3, config, 500);
+/// A settled three-node cluster with a persist-on-stop counter on node 0
+/// whose data area holds `blobs` 1 KiB rows beside its count.
+fn counter_with_area(blobs: usize) -> DosgiCluster {
+    let mut c = DosgiCluster::new(3, ClusterConfig::default(), 500);
     c.run_for(SimDuration::from_millis(500));
     c.deploy(workloads::counter_instance("bank", "ctr"), 0)
         .unwrap();
@@ -91,8 +87,8 @@ fn incr(c: &mut DosgiCluster) -> Value {
 /// The deterministic migration round: a counter with a 256 KiB data area
 /// on node 0, five increments, then migrated to node 1. Returns the SAN
 /// bytes written/read during the round itself.
-fn measure_migration(kind: BackendKind) -> (u64, u64) {
-    let mut c = counter_with_area(kind, 256);
+fn measure_migration() -> (u64, u64) {
+    let mut c = counter_with_area(256);
     for _ in 0..5 {
         incr(&mut c);
     }
@@ -113,8 +109,8 @@ fn measure_migration(kind: BackendKind) -> (u64, u64) {
 /// One round of the benchmark's `migrate` workload — incr, migrate, wait
 /// for the adoption, incr — on a counter beside `blobs` rows it never
 /// reads. Returns the SAN rows and bytes read during the round.
-fn measure_migrate_reads(kind: BackendKind, blobs: usize) -> (u64, u64) {
-    let mut c = counter_with_area(kind, blobs);
+fn measure_migrate_reads(blobs: usize) -> (u64, u64) {
+    let mut c = counter_with_area(blobs);
     c.store().reset_stats();
     assert_eq!(incr(&mut c), Value::Int(1));
     c.migrate("ctr", 1).unwrap();
@@ -232,53 +228,37 @@ fn measure_hot_swap() -> u64 {
 /// Runs every scenario: the table in the module docs, as data.
 fn rows() -> Vec<Row> {
     let mut rows = Vec::new();
-    for kind in BackendKind::all() {
-        let (written, read) = measure_migration(kind);
-        rows.push(Row {
-            name: kind.to_string(),
-            summary: format!("e5 migration round: {written} B written, {read} B read"),
-            file: match kind {
-                BackendKind::Map => "perf_baseline_e5.json".to_owned(),
-                other => format!("perf_baseline_e5_{other}.json"),
-            },
-            tags: vec![
-                ("scenario", "e5_migration_round".to_owned()),
-                ("backend", kind.to_string()),
-            ],
-            fields: vec![
-                ("bytes_written", written, Ceiling),
-                ("bytes_read", read, Ceiling),
-            ],
-            broken: None,
-        });
-    }
+    let (written, read) = measure_migration();
+    rows.push(Row {
+        name: "e5".to_owned(),
+        summary: format!("e5 migration round: {written} B written, {read} B read"),
+        file: "perf_baseline_e5.json".to_owned(),
+        tags: vec![("scenario", "e5_migration_round".to_owned())],
+        fields: vec![
+            ("bytes_written", written, Ceiling),
+            ("bytes_read", read, Ceiling),
+        ],
+        broken: None,
+    });
 
-    for kind in BackendKind::all() {
-        let (small, large) = (
-            measure_migrate_reads(kind, 64),
-            measure_migrate_reads(kind, 256),
-        );
-        let (rows_read, bytes_read) = large;
-        rows.push(Row {
-            name: format!("migrate_reads_{kind}"),
-            summary: format!(
-                "migrate round [rows, bytes] read: {small:?} beside 64 rows, {large:?} beside 256"
-            ),
-            file: format!("perf_baseline_migrate_reads_{kind}.json"),
-            tags: vec![
-                ("scenario", "migrate_round_reads".to_owned()),
-                ("backend", kind.to_string()),
-            ],
-            fields: vec![
-                ("rows_read", rows_read, Ceiling),
-                ("bytes_read", bytes_read, Ceiling),
-            ],
-            broken: (small != large || rows_read > 4).then_some(
-                "a migrate round reads rows no call asked for — the data area is a row cache, \
-                 not a copy of the SAN",
-            ),
-        });
-    }
+    let (small, large) = (measure_migrate_reads(64), measure_migrate_reads(256));
+    let (rows_read, bytes_read) = large;
+    rows.push(Row {
+        name: "migrate_reads".to_owned(),
+        summary: format!(
+            "migrate round [rows, bytes] read: {small:?} beside 64 rows, {large:?} beside 256"
+        ),
+        file: "perf_baseline_migrate_reads.json".to_owned(),
+        tags: vec![("scenario", "migrate_round_reads".to_owned())],
+        fields: vec![
+            ("rows_read", rows_read, Ceiling),
+            ("bytes_read", bytes_read, Ceiling),
+        ],
+        broken: (small != large || rows_read > 4).then_some(
+            "a migrate round reads rows no call asked for — the data area is a row cache, \
+             not a copy of the SAN",
+        ),
+    });
 
     const ENDS: [&str; 5] = [
         "release_ops",
@@ -431,7 +411,7 @@ fn main() {
     }
     if !write_baseline {
         println!(
-            "perf_guard: within tolerance on every backend, the migrate round's reads, the \
+            "perf_guard: within tolerance on the e5 migration round, the migrate round's reads, the \
              hand-off's two ends, the admission hot path, the hot-swap blackout and the flat \
              failover round"
         );

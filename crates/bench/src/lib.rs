@@ -78,6 +78,23 @@ pub fn print_table<H: Display, C: Display>(title: &str, headers: &[H], rows: &[V
     }
 }
 
+/// A numeric override a bin reads from the environment: `default` when the
+/// variable is unset (`raw` is `None`).
+///
+/// # Errors
+///
+/// The variable is set and is not a `u64`; the message names the variable
+/// and the value. A mistyped override must stop the run, not turn into the
+/// default and reproduce a different schedule.
+pub fn override_u64(key: &str, raw: Option<&str>, default: u64) -> Result<u64, String> {
+    match raw {
+        None => Ok(default),
+        Some(value) => value
+            .parse()
+            .map_err(|e| format!("{key}={value:?} is not a number ({e})")),
+    }
+}
+
 /// Formats bytes human-readably (MiB with two decimals).
 pub fn mib(bytes: u64) -> String {
     format!("{:.2} MiB", bytes as f64 / (1024.0 * 1024.0))
@@ -95,6 +112,20 @@ pub fn ratio(a: f64, b: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Regression: `CHAOS_SEED0=15l` used to replay seed 1 and print `ok`.
+    #[test]
+    fn unparsable_override_is_an_error_not_the_default() {
+        assert_eq!(override_u64("CHAOS_SEED0", None, 1), Ok(1));
+        assert_eq!(override_u64("CHAOS_SEED0", Some("15"), 1), Ok(15));
+        for typo in ["15l", "1O", "", " 7", "-1"] {
+            let e = override_u64("CHAOS_SEED0", Some(typo), 1).unwrap_err();
+            assert!(
+                e.contains("CHAOS_SEED0") && e.contains(&format!("{typo:?}")),
+                "the error names the variable and the value: {e}"
+            );
+        }
+    }
 
     #[test]
     fn helpers_format() {

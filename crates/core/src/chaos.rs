@@ -44,7 +44,7 @@ use crate::upgrade::{NoTrafficHooks, UpgradeWave, WaveReport};
 use crate::workloads;
 use crate::{ClusterConfig, CoreError, DosgiCluster};
 use dosgi_net::{LinkConfig, NodeId, Partition, SimDuration, SimTime};
-use dosgi_san::{BackendKind, FaultPlan, Value};
+use dosgi_san::{FaultPlan, Value};
 use dosgi_telemetry::{Telemetry, TraceLog};
 use dosgi_testkit::mix_seed;
 use dosgi_testkit::nemesis::{NemesisOp, NemesisPlan};
@@ -61,16 +61,11 @@ pub struct ChaosOptions {
     /// How long after a network disturbance (partition / message loss)
     /// ends before order-sensitive invariants are enforced again.
     pub settle: SimDuration,
-    /// SAN storage backend for the run. Conformant backends may not change
-    /// any observable outcome, so reports (and fingerprints) must be
-    /// byte-identical across this knob — the chaos sweep enforces that on
-    /// every seed.
-    pub backend: BackendKind,
     /// When set, a rolling [`UpgradeWave`] (counter bundle → 1.1.0, every
     /// node in order, [`NoTrafficHooks`]) starts this many µs after the
     /// schedule's t0 — hot-swap under nemesis fire. The wave must never
     /// break an invariant, and its outcome folds into the fingerprint so
-    /// the telemetry-passivity and backend-conformance sweeps cover it too.
+    /// the telemetry-passivity sweep covers it too.
     pub upgrade_wave_at_us: Option<u64>,
     /// When set, the run enables continuous observability
     /// ([`DosgiCluster::enable_observability`] with the default scrape
@@ -78,7 +73,7 @@ pub struct ChaosOptions {
     /// alerting driven from the step loop. The scraper is strictly
     /// passive — it must never touch the fault-injector RNG stream — so
     /// the report (and fingerprint) must be byte-identical with this on
-    /// or off; the chaos sweep enforces that on every seed and backend.
+    /// or off; the chaos sweep enforces that on every seed.
     pub series: bool,
 }
 
@@ -88,7 +83,6 @@ impl Default for ChaosOptions {
             instances: 3,
             client_period: SimDuration::from_millis(100),
             settle: SimDuration::from_secs(6),
-            backend: BackendKind::Map,
             upgrade_wave_at_us: None,
             series: false,
         }
@@ -150,10 +144,7 @@ pub fn run_nemesis_with_telemetry(
     opts: &ChaosOptions,
     telemetry: Telemetry,
 ) -> ChaosReport {
-    let config = ClusterConfig {
-        backend: opts.backend,
-        ..ClusterConfig::default()
-    };
+    let config = ClusterConfig::default();
     let default_link = config.link;
     let mut cluster = DosgiCluster::new_with_telemetry(
         plan.nodes.max(1),
@@ -786,35 +777,12 @@ mod tests {
         );
     }
 
-    /// The storage backend is invisible to the protocol: the same mixed
-    /// fault schedule must fingerprint identically on every registered
-    /// backend (the full 10-seed sweep lives in the chaos bin).
-    #[test]
-    fn seed_seven_fingerprint_is_unchanged_by_backend() {
-        let plan = NemesisPlan::generate(7, 5, &NemesisConfig::default());
-        let reference = run_nemesis(&plan, &ChaosOptions::default());
-        for backend in BackendKind::all() {
-            let opts = ChaosOptions {
-                backend,
-                ..ChaosOptions::default()
-            };
-            let report = run_nemesis(&plan, &opts);
-            assert_eq!(
-                report.fingerprint, reference.fingerprint,
-                "backend {backend} changed the run's observable behaviour"
-            );
-            assert_eq!(report.acked, reference.acked);
-            assert_eq!(report.floors, reference.floors);
-            assert_eq!(report.violations, reference.violations);
-        }
-    }
-
     /// Satellite: a rolling upgrade wave launched mid-schedule — so the
     /// nemesis can kill the in-flight node, flake the SAN under the
     /// state handoff, or partition the cluster around it — still holds
     /// at-most-one-live-copy, durability and convergence; its outcome is
-    /// byte-identical with telemetry on or off and across every SAN
-    /// backend. (The full 10-seed sweep lives in the chaos bin.)
+    /// byte-identical with telemetry on or off. (The full 10-seed sweep
+    /// lives in the chaos bin.)
     #[test]
     fn upgrade_wave_mid_nemesis_holds_invariants_and_stays_passive() {
         let plan = NemesisPlan::generate(7, 5, &NemesisConfig::default());
@@ -836,20 +804,6 @@ mod tests {
             "telemetry changed a wave run's observable behaviour"
         );
         assert_eq!(a.wave, b.wave);
-        for backend in BackendKind::all() {
-            let r = run_nemesis(
-                &plan,
-                &ChaosOptions {
-                    backend,
-                    ..opts.clone()
-                },
-            );
-            assert_eq!(
-                r.fingerprint, a.fingerprint,
-                "backend {backend} changed a wave run's observable behaviour"
-            );
-            assert_eq!(r.wave, a.wave);
-        }
     }
 
     /// The causal trace is part of the deterministic surface: two

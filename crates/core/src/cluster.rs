@@ -5,7 +5,7 @@ use crate::node::{DosgiNode, NodeConfig, NodeState, Wire};
 use crate::registry::InstanceStatus;
 use crate::{AdoptReason, CoreError, NodeEvent, SlaTracker};
 use dosgi_net::{LinkConfig, NodeId, Partition, SimDuration, SimNet, SimTime};
-use dosgi_san::{BackendKind, SharedStore, Value};
+use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::{
     FlightRecorder, Gauge, HealthState, ScrapeConfig, SeriesScraper, SloEngine, SloSpec, Snapshot,
     Telemetry, TraceLog,
@@ -21,11 +21,6 @@ pub struct ClusterConfig {
     pub link: LinkConfig,
     /// Driver step size (how often nodes tick).
     pub tick: SimDuration,
-    /// Which SAN storage backend the shared store runs on. Backends are
-    /// held to byte-identical observable behaviour by the conformance
-    /// suite in `dosgi-san`, so this knob must never change experiment
-    /// outcomes — only storage-internal mechanics.
-    pub backend: BackendKind,
 }
 
 impl Default for ClusterConfig {
@@ -34,7 +29,6 @@ impl Default for ClusterConfig {
             node: NodeConfig::default(),
             link: LinkConfig::lan(),
             tick: SimDuration::from_millis(5),
-            backend: BackendKind::Map,
         }
     }
 }
@@ -134,7 +128,7 @@ impl DosgiCluster {
     ) -> Self {
         assert!(n > 0, "a cluster needs at least one node");
         let mut net = SimNet::new(config.link, seed);
-        let store = SharedStore::with_kind(config.backend);
+        let store = SharedStore::new();
         store.set_telemetry(telemetry.clone());
         let ids: Vec<NodeId> = (0..n).map(|_| net.register_node()).collect();
         let slots = ids

@@ -3,7 +3,7 @@
 //! Availability and SLA numbers are only as honest as the load behind
 //! them; this module provides a deterministic Poisson-process request
 //! generator (seeded, exponential inter-arrival gaps) whose rate follows
-//! a schedule — flat, diurnal ramp, flash-crowd bursts ([`RateSchedule`] +
+//! a schedule — flat or with flash-crowd bursts ([`RateSchedule`] +
 //! [`ScheduledLoadGenerator`]) — plus the realism layers experiment E15
 //! sweeps: Zipf-skewed tenant popularity ([`ZipfSampler`]) and
 //! request-class mixes with per-class latency SLOs ([`ClassMix`]).
@@ -104,14 +104,12 @@ pub struct Burst {
     pub multiplier: f64,
 }
 
-/// A deterministic offered-load profile: base rate, optional diurnal ramp
-/// (a triangle wave between the base and a peak), and flash-crowd bursts.
+/// A deterministic offered-load profile: base rate and flash-crowd bursts.
 /// Pure function of the simulated clock — no RNG, so two runs see exactly
 /// the same instantaneous rate at every instant.
 #[derive(Debug, Clone)]
 pub struct RateSchedule {
     base_rate: f64,
-    diurnal: Option<(SimDuration, f64)>, // (period, peak multiplier)
     bursts: Vec<Burst>,
 }
 
@@ -128,23 +126,8 @@ impl RateSchedule {
         );
         RateSchedule {
             base_rate: rate_per_sec,
-            diurnal: None,
             bursts: Vec::new(),
         }
-    }
-
-    /// Adds a diurnal ramp (builder style): over each `period` the rate
-    /// climbs linearly from the base to `base × peak_multiplier` at
-    /// mid-period and back — a compressed day/night cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `period` is positive and `peak_multiplier >= 1`.
-    pub fn with_diurnal(mut self, period: SimDuration, peak_multiplier: f64) -> Self {
-        assert!(period > SimDuration::ZERO, "period must be positive");
-        assert!(peak_multiplier >= 1.0, "peak must be >= 1");
-        self.diurnal = Some((period, peak_multiplier));
-        self
     }
 
     /// Adds a flash-crowd burst (builder style).
@@ -164,12 +147,6 @@ impl RateSchedule {
     /// The instantaneous offered rate at `t` (requests per second).
     pub fn rate_at(&self, t: SimTime) -> f64 {
         let mut rate = self.base_rate;
-        if let Some((period, peak)) = self.diurnal {
-            let phase = (t.as_micros() % period.as_micros()) as f64 / period.as_micros() as f64;
-            // Triangle wave: 0 at phase 0, 1 at phase 0.5, 0 at phase 1.
-            let tri = 1.0 - (2.0 * phase - 1.0).abs();
-            rate *= 1.0 + (peak - 1.0) * tri;
-        }
         for b in &self.bursts {
             if t >= b.start && t < b.start + b.duration {
                 rate *= b.multiplier;
@@ -180,7 +157,7 @@ impl RateSchedule {
 }
 
 /// A non-homogeneous Poisson process driven by a [`RateSchedule`]: gaps
-/// are exponential at the instantaneous rate, so ramps and bursts change
+/// are exponential at the instantaneous rate, so bursts change
 /// the arrival intensity exactly when the schedule says so; over
 /// [`RateSchedule::constant`] it is the plain Poisson process.
 #[derive(Debug, Clone)]
@@ -431,18 +408,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Rate schedules: diurnal ramps + flash crowds.
+    // Rate schedules: flash crowds.
     // ------------------------------------------------------------------
-
-    #[test]
-    fn diurnal_ramp_peaks_mid_period() {
-        let s = RateSchedule::constant(100.0).with_diurnal(SimDuration::from_secs(60), 3.0);
-        assert!((s.rate_at(SimTime::ZERO) - 100.0).abs() < 1e-9);
-        assert!((s.rate_at(SimTime::from_secs(30)) - 300.0).abs() < 1e-9);
-        assert!((s.rate_at(SimTime::from_secs(15)) - 200.0).abs() < 1e-6);
-        // Periodic: the next cycle looks the same.
-        assert!((s.rate_at(SimTime::from_secs(90)) - 300.0).abs() < 1e-9);
-    }
 
     #[test]
     fn flash_crowd_multiplies_while_active() {

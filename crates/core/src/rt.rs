@@ -44,7 +44,7 @@ use crate::DosgiNode;
 use crate::NodeEvent;
 use dosgi_net::{Clock, Fabric, NodeId, RealClock, RealEndpoint, RealNet, SimTime};
 use dosgi_osgi::RegistryReader;
-use dosgi_san::{BackendKind, SharedStore, Value};
+use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::HealthState;
 use dosgi_vosgi::InstanceDescriptor;
 use std::sync::mpsc::{channel, Sender};
@@ -75,7 +75,7 @@ pub struct RealCluster {
 impl RealCluster {
     /// Spins up `n` nodes with identical configs on an in-memory store.
     pub fn new(n: usize, config: NodeConfig) -> Self {
-        Self::with_store(n, config, SharedStore::with_kind(BackendKind::Map))
+        Self::with_store(n, config, SharedStore::new())
     }
 
     /// Spins up `n` nodes sharing `store`. Each node is constructed *on*

@@ -175,7 +175,7 @@ fn request_path_allocations(telemetry: Telemetry) {
         if warm == 1 {
             assert!(handle.0 <= 4, "`handle` allocated {} times", handle.0);
             assert!(
-                incr.0 <= 6,
+                incr.0 <= 1,
                 "write-through `incr` allocated {} times",
                 incr.0
             );
@@ -352,9 +352,9 @@ fn failover_round_allocations(telemetry: Telemetry) {
             drop(c.take_events());
         });
         assert!(all_serving(&c));
-        // Measured 6 686 to 7 737 over these rounds, telemetry on or off.
+        // Measured 5 144 to 5 890 over these rounds, telemetry on or off.
         assert!(
-            allocations <= 8_000,
+            allocations <= 5_890,
             "failover round {round} allocated {allocations} times"
         );
     }
@@ -428,10 +428,10 @@ fn migrate_round_allocations(telemetry: Telemetry, blobs: usize) -> Vec<u64> {
 
 fn migrate_rounds_are_bounded_and_blind_to_the_area(telemetry: fn() -> Telemetry) {
     let small = migrate_round_allocations(telemetry(), 4);
-    // Measured: 2 427 over the ten rounds with telemetry off, 2 529 with it
-    // on, 220 to 338 a round (the parent: 3 937 and 4 039, 371 to 489).
+    // Measured: 2 397 over the ten rounds with telemetry off, 2 499 with it
+    // on, 217 to 335 a round.
     let total: u64 = small.iter().sum();
-    assert!(total <= 2_550, "ten migrate rounds allocated {small:?}");
+    assert!(total <= 2_499, "ten migrate rounds allocated {small:?}");
     assert_eq!(small, migrate_round_allocations(telemetry(), 1024));
 }
 

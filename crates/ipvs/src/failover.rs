@@ -71,16 +71,6 @@ impl FaultTolerantIpvs {
         }
     }
 
-    /// [`fail_active`](Self::fail_active) with a causal trace: records a
-    /// `redirect/vip_takeover` root span into the underlying director's
-    /// flight recorder.
-    pub fn fail_active_traced(&mut self, bindings: &mut IpBindings, now_us: u64) {
-        let recorder = self.director.recorder().clone();
-        let span = recorder.root("redirect/vip_takeover", now_us);
-        self.fail_active(bindings);
-        recorder.end(span, now_us);
-    }
-
     /// The active director fails: the standby becomes active, takes over
     /// the VIPs in `bindings`, and — without connection sync — loses the
     /// connection table.
@@ -159,25 +149,6 @@ mod tests {
         // Failing again fails back to the primary.
         ft.fail_active(&mut bindings);
         assert_eq!(ft.active(), NodeId(0));
-    }
-
-    #[test]
-    fn traced_takeover_records_a_root_span() {
-        use dosgi_telemetry::FlightRecorder;
-        let rec = FlightRecorder::new(9);
-        let mut bindings = IpBindings::new();
-        let mut ft = pair(true);
-        ft.director_mut().set_recorder(rec.clone());
-        ft.bind_vips(&mut bindings);
-        ft.fail_active_traced(&mut bindings, 1_000);
-        assert_eq!(ft.active(), NodeId(1), "takeover still happens");
-        let events = rec.events();
-        let span = events
-            .iter()
-            .find(|e| e.name == "redirect/vip_takeover")
-            .expect("takeover span recorded");
-        assert_eq!(span.parent_span, 0, "a takeover starts its own trace");
-        assert!(!span.open);
     }
 
     #[test]

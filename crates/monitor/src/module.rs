@@ -73,11 +73,6 @@ impl MonitoringModule {
         self.subjects.get(subject).and_then(|s| s.latest)
     }
 
-    /// The CPU-share series for `subject`.
-    pub fn cpu_series(&self, subject: &str) -> Option<&TimeSeries> {
-        self.subjects.get(subject).map(|s| &s.cpu_share)
-    }
-
     /// Full reports for every subject, sorted by key.
     pub fn report(&self) -> Vec<SubjectReport> {
         self.subjects
@@ -149,9 +144,8 @@ mod tests {
         assert!((w.cpu_share - 0.25).abs() < 1e-9);
         m.record("a", SimTime::from_secs(2), snap(750, 30, 15))
             .unwrap();
-        let series = m.cpu_series("a").unwrap();
-        assert_eq!(series.len(), 2);
-        assert!((series.mean().unwrap() - 0.375).abs() < 1e-9);
+        let cpu_share_mean = m.report()[0].cpu_share_mean.unwrap();
+        assert!((cpu_share_mean - 0.375).abs() < 1e-9, "two windows");
         assert_eq!(m.latest("a").unwrap().memory, 30);
         assert_eq!(m.subjects(), vec!["a"]);
     }

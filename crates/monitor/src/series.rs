@@ -56,11 +56,6 @@ impl TimeSeries {
         self.values.is_empty()
     }
 
-    /// The most recent observation.
-    pub fn last(&self) -> Option<f64> {
-        self.values.back().copied()
-    }
-
     /// Arithmetic mean over the window.
     pub fn mean(&self) -> Option<f64> {
         if self.values.is_empty() {
@@ -75,41 +70,9 @@ impl TimeSeries {
         self.values.iter().copied().reduce(f64::max)
     }
 
-    /// Minimum over the window.
-    pub fn min(&self) -> Option<f64> {
-        self.values.iter().copied().reduce(f64::min)
-    }
-
     /// Exponentially weighted moving average.
     pub fn ewma(&self) -> Option<f64> {
         self.ewma
-    }
-
-    /// The `p`-th percentile (nearest-rank), `p` in `[0, 100]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p` is outside `[0, 100]`.
-    pub fn percentile(&self, p: f64) -> Option<f64> {
-        assert!((0.0..=100.0).contains(&p), "percentile must be in [0,100]");
-        if self.values.is_empty() {
-            return None;
-        }
-        let mut sorted: Vec<f64> = self.values.iter().copied().collect();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN observations"));
-        let rank = ((p / 100.0) * (sorted.len() as f64 - 1.0)).round() as usize;
-        Some(sorted[rank])
-    }
-
-    /// How many of the last `n` observations exceed `threshold` —
-    /// "for 3 consecutive samples"-style policy conditions.
-    pub fn count_above_in_last(&self, threshold: f64, n: usize) -> usize {
-        self.values
-            .iter()
-            .rev()
-            .take(n)
-            .filter(|&&v| v > threshold)
-            .count()
     }
 }
 
@@ -130,9 +93,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.mean(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.percentile(50.0), None);
         assert_eq!(s.ewma(), None);
-        assert_eq!(s.last(), None);
     }
 
     #[test]
@@ -144,11 +105,6 @@ mod tests {
         assert_eq!(s.len(), 4);
         assert_eq!(s.mean(), Some(2.5));
         assert_eq!(s.max(), Some(4.0));
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.last(), Some(4.0));
-        assert_eq!(s.percentile(0.0), Some(1.0));
-        assert_eq!(s.percentile(100.0), Some(4.0));
-        assert_eq!(s.percentile(50.0), Some(3.0)); // nearest rank of 1.5 → idx 2
     }
 
     #[test]
@@ -158,7 +114,7 @@ mod tests {
             s.push(v);
         }
         assert_eq!(s.len(), 3);
-        assert_eq!(s.min(), Some(2.0));
+        assert_eq!(s.mean(), Some(3.0), "1.0 left the window");
     }
 
     #[test]
@@ -170,17 +126,6 @@ mod tests {
         }
         let e = s.ewma().unwrap();
         assert!(e > 9.9 && e <= 10.0);
-    }
-
-    #[test]
-    fn count_above_looks_at_the_tail() {
-        let mut s = TimeSeries::new(10, 0.5);
-        for v in [9.0, 1.0, 9.0, 9.0] {
-            s.push(v);
-        }
-        assert_eq!(s.count_above_in_last(5.0, 2), 2);
-        assert_eq!(s.count_above_in_last(5.0, 3), 2);
-        assert_eq!(s.count_above_in_last(5.0, 10), 3);
     }
 
     #[test]
@@ -197,10 +142,9 @@ mod tests {
             for v in values {
                 s.push(*v);
             }
-            let (mean, min, max) = (s.mean().unwrap(), s.min().unwrap(), s.max().unwrap());
+            let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let (mean, max) = (s.mean().unwrap(), s.max().unwrap());
             prop_verify!(mean >= min - 1e-9 && mean <= max + 1e-9);
-            prop_verify!(s.percentile(50.0).unwrap() >= min);
-            prop_verify!(s.percentile(50.0).unwrap() <= max);
             Ok(())
         });
     }

@@ -32,15 +32,6 @@ impl LinkConfig {
         }
     }
 
-    /// A WAN-ish link: 20ms ± 5ms, 0.1% loss.
-    pub fn wan() -> Self {
-        LinkConfig {
-            latency: SimDuration::from_millis(20),
-            jitter: SimDuration::from_millis(5),
-            loss: 0.001,
-        }
-    }
-
     /// A perfect link: zero latency, zero loss. Useful in unit tests where
     /// timing is irrelevant.
     pub fn ideal() -> Self {
@@ -90,7 +81,6 @@ mod tests {
     #[test]
     fn presets() {
         assert_eq!(LinkConfig::lan().loss, 0.0);
-        assert!(LinkConfig::wan().latency > LinkConfig::lan().latency);
         assert!(LinkConfig::ideal().latency.is_zero());
         assert_eq!(LinkConfig::default(), LinkConfig::lan());
     }

@@ -28,7 +28,7 @@ use crate::{Envelope, NodeId, SimTime};
 ///
 /// The deterministic backend ([`SimNet`](crate::SimNet)) additionally
 /// guarantees that with a fixed seed the exact same interleaving of
-/// deliveries, drops and timer fires is produced on every run. The
+/// deliveries and drops is produced on every run. The
 /// real-clock backend makes no such promise — interleaving is whatever the
 /// OS scheduler does.
 pub trait Fabric<M> {

@@ -17,7 +17,7 @@
 //!   localization schemes (Figure 5: unique IP per service that is released
 //!   by the old node and bound by the new one; Figure 6: shared IPs fronted
 //!   by an ipvs layer, built in the `dosgi-ipvs` crate on top of this);
-//! * timers, delivery statistics and a seeded RNG so that every experiment
+//! * delivery statistics and a seeded RNG so that every experiment
 //!   is exactly reproducible.
 //!
 //! Since PR 9 the crate also hosts the **runtime-backend abstraction**: the
@@ -59,7 +59,7 @@ pub use config::LinkConfig;
 pub use fabric::Fabric;
 pub use id::NodeId;
 pub use rt::{RealEndpoint, RealNet};
-pub use sim::{Envelope, SimNet, TimerToken};
+pub use sim::{Envelope, SimNet};
 pub use stats::NetStats;
 pub use time::{SimDuration, SimTime};
 pub use topology::Partition;

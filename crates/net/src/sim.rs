@@ -20,22 +20,11 @@ pub struct Envelope<M> {
     pub payload: M,
 }
 
-/// An opaque identifier the caller attaches to a timer so it can recognize
-/// the expiry when it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TimerToken(pub u64);
-
-#[derive(Debug)]
-enum Pending<M> {
-    Deliver(Envelope<M>),
-    Timer { node: NodeId, token: TimerToken },
-}
-
 #[derive(Debug)]
 struct Queued<M> {
     at: SimTime,
     seq: u64,
-    event: Pending<M>,
+    env: Envelope<M>,
 }
 
 impl<M> PartialEq for Queued<M> {
@@ -79,7 +68,6 @@ pub struct SimNet<M> {
     partition: Partition,
     alive: Vec<bool>,
     mailboxes: Vec<VecDeque<Envelope<M>>>,
-    fired: Vec<Vec<TimerToken>>,
     queue: BinaryHeap<Reverse<Queued<M>>>,
     seq: u64,
     rng: TestRng,
@@ -97,7 +85,6 @@ impl<M> SimNet<M> {
             partition: Partition::none(),
             alive: Vec::new(),
             mailboxes: Vec::new(),
-            fired: Vec::new(),
             queue: BinaryHeap::new(),
             seq: 0,
             rng: TestRng::new(seed),
@@ -111,7 +98,6 @@ impl<M> SimNet<M> {
         let id = NodeId(self.alive.len() as u32);
         self.alive.push(true);
         self.mailboxes.push(VecDeque::new());
-        self.fired.push(Vec::new());
         id
     }
 
@@ -194,20 +180,9 @@ impl<M> SimNet<M> {
             delivered_at: at,
             payload,
         };
-        self.push(at, Pending::Deliver(env));
-    }
-
-    /// Schedules a timer for `node` after `delay`; the token is returned to
-    /// the node via an expiry when the clock passes the deadline.
-    pub fn set_timer(&mut self, node: NodeId, delay: SimDuration, token: TimerToken) {
-        let at = self.now + delay;
-        self.push(at, Pending::Timer { node, token });
-    }
-
-    fn push(&mut self, at: SimTime, event: Pending<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Queued { at, seq, event }));
+        self.queue.push(Reverse(Queued { at, seq, env }));
     }
 
     /// Pops the next message delivered to `node`, if any.
@@ -223,14 +198,6 @@ impl<M> SimNet<M> {
     /// Number of messages waiting in `node`'s mailbox.
     pub fn pending(&self, node: NodeId) -> usize {
         self.mailboxes[node.index()].len()
-    }
-
-    /// Timer expiries that fired for `node` since the last call.
-    pub fn expired_timers(&mut self, node: NodeId) -> Vec<TimerToken> {
-        self.fired
-            .get_mut(node.index())
-            .map(std::mem::take)
-            .unwrap_or_default()
     }
 
     /// Advances the clock by `d`, processing all events up to the new time.
@@ -252,7 +219,7 @@ impl<M> SimNet<M> {
             }
             let Reverse(q) = self.queue.pop().expect("peeked");
             self.now = q.at;
-            self.dispatch(q.event);
+            self.dispatch(q.env);
         }
         self.now = target;
     }
@@ -265,27 +232,17 @@ impl<M> SimNet<M> {
         Some(at)
     }
 
-    fn dispatch(&mut self, event: Pending<M>) {
-        match event {
-            Pending::Deliver(env) => {
-                if !self.is_alive(env.to) || !self.is_alive(env.from) {
-                    self.stats.dropped_dead += 1;
-                    return;
-                }
-                if !self.partition.connected(env.from, env.to) {
-                    self.stats.partitioned += 1;
-                    return;
-                }
-                self.stats.delivered += 1;
-                self.mailboxes[env.to.index()].push_back(env);
-            }
-            Pending::Timer { node, token } => {
-                self.stats.timers_fired += 1;
-                if self.is_alive(node) {
-                    self.fired[node.index()].push(token);
-                }
-            }
+    fn dispatch(&mut self, env: Envelope<M>) {
+        if !self.is_alive(env.to) || !self.is_alive(env.from) {
+            self.stats.dropped_dead += 1;
+            return;
         }
+        if !self.partition.connected(env.from, env.to) {
+            self.stats.partitioned += 1;
+            return;
+        }
+        self.stats.delivered += 1;
+        self.mailboxes[env.to.index()].push_back(env);
     }
 
     /// Traffic counters.
@@ -412,29 +369,6 @@ mod tests {
         }
         n2.advance(SimDuration::from_millis(10));
         assert_eq!(n2.drain(b2).len(), delivered);
-    }
-
-    #[test]
-    fn timers_fire_at_deadline() {
-        let mut n = net(4);
-        let a = n.register_node();
-        n.set_timer(a, SimDuration::from_millis(5), TimerToken(9));
-        n.advance(SimDuration::from_millis(4));
-        assert!(n.expired_timers(a).is_empty());
-        n.advance(SimDuration::from_millis(2));
-        assert_eq!(n.expired_timers(a), vec![TimerToken(9)]);
-        // Consumed: not reported twice.
-        assert!(n.expired_timers(a).is_empty());
-    }
-
-    #[test]
-    fn timers_for_crashed_nodes_are_swallowed() {
-        let mut n = net(5);
-        let a = n.register_node();
-        n.set_timer(a, SimDuration::from_millis(1), TimerToken(1));
-        n.crash(a);
-        n.advance(SimDuration::from_millis(2));
-        assert!(n.expired_timers(a).is_empty());
     }
 
     #[test]

@@ -17,7 +17,9 @@ pub struct NetStats {
     pub partitioned: u64,
     /// Messages dropped because the destination (or source) was crashed.
     pub dropped_dead: u64,
-    /// Timer events fired.
+    /// Always 0: the timer API that counted here is gone. The field stays
+    /// because the frozen `benchmark/` harness reads it (`net.timers_per_op`)
+    /// and goes with that metric in the next benchmark PR.
     pub timers_fired: u64,
 }
 
@@ -25,15 +27,6 @@ impl NetStats {
     /// Messages that never reached a mailbox, for any reason.
     pub fn total_dropped(&self) -> u64 {
         self.lost + self.partitioned + self.dropped_dead
-    }
-
-    /// Delivery ratio in `[0, 1]`; `1.0` when nothing has been sent.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.sent == 0 {
-            1.0
-        } else {
-            self.delivered as f64 / self.sent as f64
-        }
     }
 }
 
@@ -43,8 +36,6 @@ mod tests {
 
     #[test]
     fn ratios() {
-        let s = NetStats::default();
-        assert_eq!(s.delivery_ratio(), 1.0);
         let s = NetStats {
             sent: 10,
             delivered: 8,
@@ -53,6 +44,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.total_dropped(), 2);
-        assert!((s.delivery_ratio() - 0.8).abs() < 1e-12);
     }
 }

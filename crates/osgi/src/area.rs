@@ -154,7 +154,7 @@ mod tests {
         ActivatorFactory, BundleId, BundleManifest, CallContext, DirtyCount, FnActivator,
         Framework, FrameworkConfig, ManifestBuilder, ServiceError, Version,
     };
-    use dosgi_san::{BackendKind, FaultPlan};
+    use dosgi_san::FaultPlan;
     use dosgi_telemetry::Telemetry;
     use dosgi_testkit::{prop, prop_verify, prop_verify_eq, Gen, PropResult};
 
@@ -372,8 +372,8 @@ mod tests {
     /// for byte, and so at the end; no key is fetched from the SAN twice in
     /// one residency; and the shared dirty count says what the framework
     /// says.
-    fn cache_matches_the_eager_model(ops: &[Op], kind: BackendKind) -> PropResult {
-        let store = SharedStore::with_kind(kind);
+    fn cache_matches_the_eager_model(ops: &[Op]) -> PropResult {
+        let store = SharedStore::new();
         let fac = factory();
         let (mut fw, mut id) = started(&store, &fac);
         let count = DirtyCount::default();
@@ -521,11 +521,7 @@ mod tests {
             &prop::Config::with_cases(200),
             "prop_row_cache_matches_an_eager_area_under_faults",
             &ops(),
-            |ops: &Vec<Op>| {
-                BackendKind::all()
-                    .into_iter()
-                    .try_for_each(|kind| cache_matches_the_eager_model(ops, kind))
-            },
+            |ops: &Vec<Op>| cache_matches_the_eager_model(ops),
         );
     }
 }

@@ -2213,65 +2213,57 @@ mod tests {
             "prop_row_persistence_matches_monolithic_oracle_under_faults",
             &ops,
             |ops: &Vec<Op>| -> PropResult {
-                for kind in dosgi_san::BackendKind::all() {
-                    let manifests = pool();
-                    let store = SharedStore::with_kind(kind);
-                    let ns = "prop/fw";
-                    let mut fw = Framework::new(ns);
-                    fw.attach_store(store.clone(), ns).expect("clean attach");
-                    let count = DirtyCount::default();
-                    fw.share_dirty_count(&count);
-                    let mut oracle = Framework::new(ns);
-                    for op in ops {
-                        apply(&mut fw, &manifests, op, Some(&store));
-                        apply(&mut oracle, &manifests, op, None);
-                        prop_verify!(
-                            count.any() == fw.persist_dirty(),
-                            "dirty count {} but persist_dirty {} after {op:?}",
-                            count.any(),
-                            fw.persist_dirty()
-                        );
-                    }
-                    store.faults().clear();
-                    fw.flush_persist().expect("flush after heal");
-
-                    let mono = persist::snapshot(
-                        oracle.next_bundle,
-                        oracle.start_level(),
-                        oracle.bundles(),
-                    );
-                    let live = persist::snapshot(fw.next_bundle, fw.start_level(), fw.bundles());
+                let manifests = pool();
+                let store = SharedStore::new();
+                let ns = "prop/fw";
+                let mut fw = Framework::new(ns);
+                fw.attach_store(store.clone(), ns).expect("clean attach");
+                let count = DirtyCount::default();
+                fw.share_dirty_count(&count);
+                let mut oracle = Framework::new(ns);
+                for op in ops {
+                    apply(&mut fw, &manifests, op, Some(&store));
+                    apply(&mut oracle, &manifests, op, None);
                     prop_verify!(
-                        live.encode() == mono.encode(),
-                        "faulted framework on `{kind}` diverged from the storeless oracle in memory"
-                    );
-
-                    let rows = store.read_namespace(ns).expect("healed SAN");
-                    let assembled = persist::assemble(&rows)
-                        .expect("well-formed rows")
-                        .expect("header row present");
-                    let rebuilt: Vec<Bundle> = assembled
-                        .bundles
-                        .into_iter()
-                        .map(|r| Bundle {
-                            id: r.id,
-                            manifest: r.manifest,
-                            state: r.state,
-                            autostart: r.autostart,
-                            state_version: r.state_version,
-                            activator: None,
-                        })
-                        .collect();
-                    let from_rows = persist::snapshot(
-                        assembled.next_bundle,
-                        assembled.start_level,
-                        rebuilt.iter(),
-                    );
-                    prop_verify!(
-                        from_rows.encode() == mono.encode(),
-                        "persisted rows on `{kind}` diverge from the monolithic oracle snapshot"
+                        count.any() == fw.persist_dirty(),
+                        "dirty count {} but persist_dirty {} after {op:?}",
+                        count.any(),
+                        fw.persist_dirty()
                     );
                 }
+                store.faults().clear();
+                fw.flush_persist().expect("flush after heal");
+
+                let mono =
+                    persist::snapshot(oracle.next_bundle, oracle.start_level(), oracle.bundles());
+                let live = persist::snapshot(fw.next_bundle, fw.start_level(), fw.bundles());
+                prop_verify!(
+                    live.encode() == mono.encode(),
+                    "faulted framework diverged from the storeless oracle in memory"
+                );
+
+                let rows = store.read_namespace(ns).expect("healed SAN");
+                let assembled = persist::assemble(&rows)
+                    .expect("well-formed rows")
+                    .expect("header row present");
+                let rebuilt: Vec<Bundle> = assembled
+                    .bundles
+                    .into_iter()
+                    .map(|r| Bundle {
+                        id: r.id,
+                        manifest: r.manifest,
+                        state: r.state,
+                        autostart: r.autostart,
+                        state_version: r.state_version,
+                        activator: None,
+                    })
+                    .collect();
+                let from_rows =
+                    persist::snapshot(assembled.next_bundle, assembled.start_level, rebuilt.iter());
+                prop_verify!(
+                    from_rows.encode() == mono.encode(),
+                    "persisted rows diverge from the monolithic oracle snapshot"
+                );
                 Ok(())
             },
         );

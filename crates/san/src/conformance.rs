@@ -1,30 +1,23 @@
-//! Backend conformance suite: deterministic op scripts → textual dumps.
+//! Store conformance suite: deterministic op scripts → textual dumps.
 //!
 //! A [`Script`] is a pure-data sequence of store operations (including
 //! fault-plan changes and clock advances). [`run_script`] executes it on a
-//! fresh [`SharedStore`] over a chosen [`BackendKind`] and renders every
-//! observable effect — per-op results, the final store dump with its
-//! version vector, and the final [`StoreStats`](crate::StoreStats) — into
-//! one canonical string.
+//! fresh [`SharedStore`] and renders every observable effect — per-op
+//! results, the final store dump with its version vector, and the final
+//! [`StoreStats`](crate::StoreStats) — into one canonical string, holding
+//! the store's running byte totals to a recount after every op.
 //!
-//! That string is the **backend contract**:
+//! That string is the **store contract**:
 //!
 //! * The [`builtin_scripts`] renderings are committed as golden fixtures
-//!   under `results/san_fixtures/` (one file per script, backend-agnostic
-//!   by definition) and compared byte-for-byte by the conformance tests
-//!   and the `san_conformance` check-suite step. `SAN_FIXTURE_WRITE=1`
-//!   regenerates them, turning an intentional semantic change into a
-//!   reviewed fixture diff.
-//! * [`random_script`] generates seeded arbitrary scripts for the
-//!   cross-backend equivalence property test: the same op+fault stream
-//!   must render identically on every registered backend.
-//!
-//! A third backend joins the project by implementing
-//! [`StoreBackend`](crate::StoreBackend), registering in
-//! [`BackendKind::all`], and passing this suite unchanged — see
-//! DESIGN.md §6e.
+//!   under `results/san_fixtures/` (one file per script) and compared
+//!   byte-for-byte by `cargo test -p dosgi-san --test conformance`.
+//!   `SAN_FIXTURE_WRITE=1` regenerates them, turning an intentional
+//!   semantic change into a reviewed fixture diff.
+//! * [`random_script`] generates seeded arbitrary scripts for the property
+//!   test: any op+fault stream keeps its byte totals and renders the same
+//!   twice.
 
-use crate::backend::BackendKind;
 use crate::fault::FaultPlan;
 use crate::{SharedStore, StoreError, Value, Versioned};
 use dosgi_net::SimTime;
@@ -38,8 +31,8 @@ pub const FIXTURE_DIR: &str = "results/san_fixtures";
 /// Environment variable that switches golden comparison to regeneration.
 pub const WRITE_ENV: &str = "SAN_FIXTURE_WRITE";
 
-/// One store operation in a conformance script. Pure data: a script plus a
-/// backend kind fully determines the rendered outcome.
+/// One store operation in a conformance script. Pure data: a script fully
+/// determines the rendered outcome.
 #[derive(Debug, Clone)]
 pub enum ScriptOp {
     /// `SharedStore::put`.
@@ -51,7 +44,7 @@ pub enum ScriptOp {
         /// Value to write.
         value: Value,
     },
-    /// `SharedStore::put_many` (the group-commit batch path).
+    /// `SharedStore::put_many` (the batch path).
     PutMany {
         /// Target namespace.
         namespace: String,
@@ -169,25 +162,20 @@ fn render_err(e: &StoreError) -> String {
     format!("err[{}: {e}]", e.kind())
 }
 
-/// Executes `script` on a fresh store over `kind` and renders the full
-/// observable surface. Two backends conform iff this string is identical
-/// for every script.
-pub fn run_script(script: &Script, kind: BackendKind) -> String {
-    let store = SharedStore::with_kind(kind);
+/// Executes `script` on a fresh store and renders the full observable
+/// surface.
+pub fn run_script(script: &Script) -> String {
+    let store = SharedStore::new();
     let mut out = String::new();
     let _ = writeln!(out, "# san conformance fixture: {}", script.name);
-    let _ = writeln!(
-        out,
-        "# ops: {} (backend-agnostic by contract)",
-        script.ops.len()
-    );
+    let _ = writeln!(out, "# ops: {}", script.ops.len());
     let mut seen = BTreeSet::new();
     for (i, op) in script.ops.iter().enumerate() {
         let line = apply_op(&store, op);
         let _ = writeln!(out, "op {i:03} {line}");
         seen.extend(store.list_namespaces());
         if let Err(e) = check_byte_totals(&store, &seen) {
-            panic!("backend `{kind}` after op {i:03} {line}: {e}");
+            panic!("after op {i:03} {line}: {e}");
         }
     }
     let _ = writeln!(out, "-- store --");
@@ -208,7 +196,8 @@ pub fn run_script(script: &Script, kind: BackendKind) -> String {
     out
 }
 
-fn apply_op(store: &SharedStore, op: &ScriptOp) -> String {
+/// Applies one op to `store` and renders its outcome as a fixture line.
+pub fn apply_op(store: &SharedStore, op: &ScriptOp) -> String {
     match op {
         ScriptOp::Put {
             namespace,
@@ -315,8 +304,8 @@ fn apply_op(store: &SharedStore, op: &ScriptOp) -> String {
 /// Holds the store's running byte totals to a recount: `namespace_bytes`
 /// of every live namespace and of each of `names` (a wiped namespace must
 /// read 0), and `namespace_bytes_prefixed` of every `/`-prefix of those,
-/// against sums over [`SharedStore::dump`]. [`run_script`] holds every
-/// backend to it after every op.
+/// against sums over [`SharedStore::dump`]. [`run_script`] holds the store
+/// to it after every op.
 ///
 /// # Errors
 ///
@@ -396,11 +385,6 @@ pub fn builtin_scripts() -> Vec<Script> {
         faults(),
         batch_rows(),
     ]
-}
-
-/// Looks up a builtin script by fixture name.
-pub fn builtin_script(name: &str) -> Option<Script> {
-    builtin_scripts().into_iter().find(|s| s.name == name)
 }
 
 /// Create/read/update/delete, namespace listing and the not-found surface.
@@ -519,7 +503,7 @@ fn faults() -> Script {
         seed: 1101,
     }];
     // A run of puts under flaky I/O: the pass/fail pattern is pinned by the
-    // fixture, so both the injector stream and its position in the wrapper
+    // fixture, so both the injector stream and its position in the store
     // (fault roll before change detection) are part of the contract.
     for i in 0..12 {
         ops.push(put("flaky", &format!("k{i}"), Value::Int(i)));
@@ -568,8 +552,8 @@ fn faults() -> Script {
 }
 
 /// The PR 4 per-bundle row workload shape: ~24-row batches of a few hundred
-/// bytes each, rewritten with mostly-identical content (group commit +
-/// change detection is the hot path the log backend's batching is sized to).
+/// bytes each, rewritten with mostly-identical content (a batch under
+/// change detection is the persist hot path).
 fn batch_rows() -> Script {
     let mut rng = TestRng::new(0x0B07_4005);
     let row = |rng: &mut TestRng, rev: i64| {
@@ -612,9 +596,9 @@ fn batch_rows() -> Script {
     }
 }
 
-/// A seeded arbitrary script for the cross-backend equivalence property
-/// test: random ops over a small key space, interleaved with fault-plan
-/// swaps, clock advances and stat resets. Same seed → same script.
+/// A seeded arbitrary script for the property test: random ops over a small
+/// key space, interleaved with fault-plan swaps, clock advances and stat
+/// resets. Same seed → same script.
 pub fn random_script(rng: &mut TestRng) -> Script {
     let namespaces = ["a", "b", "a/sub"];
     let keys = ["k0", "k1", "k2", "k3", "k4"];
@@ -688,23 +672,20 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), scripts.len(), "duplicate fixture names");
         assert_eq!(
-            builtin_script("basic_crud").unwrap().fixture_rel_path(),
+            scripts[0].fixture_rel_path(),
             "results/san_fixtures/basic_crud.txt"
         );
-        assert!(builtin_script("no_such_script").is_none());
     }
 
     #[test]
     fn run_script_is_deterministic_per_backend() {
-        for kind in BackendKind::all() {
-            for script in builtin_scripts() {
-                assert_eq!(
-                    run_script(&script, kind),
-                    run_script(&script, kind),
-                    "script {} not deterministic on {kind}",
-                    script.name
-                );
-            }
+        for script in builtin_scripts() {
+            assert_eq!(
+                run_script(&script),
+                run_script(&script),
+                "script {} not deterministic",
+                script.name
+            );
         }
     }
 
@@ -712,10 +693,7 @@ mod tests {
     fn random_script_is_seed_deterministic() {
         let a = random_script(&mut TestRng::new(9));
         let b = random_script(&mut TestRng::new(9));
-        assert_eq!(
-            run_script(&a, BackendKind::Map),
-            run_script(&b, BackendKind::Map)
-        );
+        assert_eq!(run_script(&a), run_script(&b));
     }
 
     #[test]

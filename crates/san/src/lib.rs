@@ -42,20 +42,17 @@
 //! windows, and torn batch writes. With no [`FaultPlan`] attached (the
 //! default) they never fail for fault reasons.
 
-pub mod backend;
+mod backend;
 pub mod codec;
 pub mod conformance;
 mod error;
 pub mod fault;
-mod log;
 mod profile;
 mod store;
 mod value;
 
-pub use backend::{BackendKind, BackendStats, KeyVersion, MapBackend, StoreBackend};
 pub use error::StoreError;
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy};
-pub use log::{LogBackend, LogConfig};
 pub use profile::SanProfile;
 pub use store::{SharedStore, StoreStats, Versioned};
 pub use value::Value;

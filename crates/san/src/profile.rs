@@ -29,15 +29,6 @@ impl SanProfile {
         }
     }
 
-    /// An NFS-class distributed filesystem: 2ms reads, 5ms writes, 50µs/KiB.
-    pub fn nfs() -> Self {
-        SanProfile {
-            read: SimDuration::from_millis(2),
-            write: SimDuration::from_millis(5),
-            per_kib: SimDuration::from_micros(50),
-        }
-    }
-
     /// Zero-cost storage for unit tests.
     pub fn instant() -> Self {
         SanProfile {
@@ -76,7 +67,8 @@ mod tests {
 
     #[test]
     fn costs_scale_with_size() {
-        let p = SanProfile::fast();
+        let p = SanProfile::default();
+        assert_eq!(p, SanProfile::fast());
         assert_eq!(p.read_cost(0), SimDuration::from_micros(250));
         assert_eq!(p.read_cost(1), SimDuration::from_micros(260));
         assert_eq!(p.read_cost(1024), SimDuration::from_micros(260));
@@ -89,11 +81,5 @@ mod tests {
         let p = SanProfile::instant();
         assert!(p.read_cost(1 << 20).is_zero());
         assert!(p.write_cost(1 << 20).is_zero());
-    }
-
-    #[test]
-    fn nfs_is_slower_than_fast() {
-        assert!(SanProfile::nfs().write_cost(1024) > SanProfile::fast().write_cost(1024));
-        assert_eq!(SanProfile::default(), SanProfile::fast());
     }
 }

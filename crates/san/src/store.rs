@@ -1,21 +1,20 @@
 //! The cluster-wide shared object store.
 
-use crate::backend::{BackendKind, BackendStats, StoreBackend};
+use crate::backend::MapBackend;
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::{StoreError, Value};
 use dosgi_net::SimTime;
 use dosgi_telemetry::{Counter, Telemetry};
 use std::borrow::Borrow;
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 /// A stored value together with its monotonically increasing version.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Versioned {
     /// Version counter: 1 on first write, +1 per update. The counter
-    /// survives deletion (see [`crate::backend`]): a deleted key leaves a
-    /// tombstone, and a re-created key continues counting from it, so a
-    /// version number can never be observed twice for different states.
+    /// survives deletion: a deleted key leaves a tombstone, and a re-created
+    /// key continues counting from it, so a version number can never be
+    /// observed twice for different states.
     pub version: u64,
     /// The value.
     pub value: Value,
@@ -43,9 +42,9 @@ pub struct StoreStats {
     pub bytes_skipped: u64,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Inner {
-    backend: Box<dyn StoreBackend>,
+    map: MapBackend,
     stats: StoreStats,
 }
 
@@ -97,15 +96,15 @@ struct Shared {
 /// `"instance/42/data"`), which map onto the per-framework and per-bundle
 /// storage areas of the OSGi specification.
 ///
-/// # Backends
+/// # Contract
 ///
-/// `SharedStore` is a thin fault-injecting, telemetry-emitting,
-/// stats-accounting wrapper over a [`StoreBackend`]: the in-memory map
-/// ([`SharedStore::new`], the default) or the log-structured store
-/// ([`SharedStore::with_kind`]). Every backend is held to the same contract
-/// by the golden-fixture conformance suite in [`crate::conformance`] —
-/// observable behaviour (results, versions, stats, fault interleaving)
-/// must be byte-identical across backends.
+/// `SharedStore` is the fault-injecting, telemetry-emitting,
+/// stats-accounting front door over one in-memory map of versioned slots.
+/// Every key's version counter **survives deletion** — a delete leaves a
+/// tombstone and a re-created key continues counting from it — and a
+/// byte-identical rewrite is skipped (change detection, decided here, above
+/// the map). The golden fixtures of [`crate::conformance`] pin the
+/// observable behaviour: results, versions, stats, fault interleaving.
 ///
 /// # Fallibility
 ///
@@ -125,41 +124,20 @@ pub struct SharedStore {
 
 impl Default for SharedStore {
     fn default() -> Self {
-        Self::with_kind(BackendKind::Map)
-    }
-}
-
-impl SharedStore {
-    /// Creates an empty store on the default (map) backend with an inert
-    /// fault injector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates an empty store on the named backend kind.
-    pub fn with_kind(kind: BackendKind) -> Self {
-        Self::with_backend(kind.build())
-    }
-
-    /// Wraps an explicit backend (e.g. a [`crate::LogBackend`] with a
-    /// custom [`crate::LogConfig`] geometry).
-    pub fn with_backend(backend: Box<dyn StoreBackend>) -> Self {
         SharedStore {
             shared: Arc::new(Shared {
-                state: Mutex::new(Inner {
-                    backend,
-                    stats: StoreStats::default(),
-                }),
+                state: Mutex::default(),
                 metrics: RwLock::default(),
             }),
             faults: FaultInjector::default(),
         }
     }
+}
 
-    /// The active backend's maintenance counters (segments, compactions,
-    /// live/dead bytes — diagnostic, not part of the conformance surface).
-    pub fn backend_stats(&self) -> BackendStats {
-        self.lock().backend.backend_stats()
+impl SharedStore {
+    /// Creates an empty store with an inert fault injector.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Locks the shared state, explicitly adopting a poisoned lock: the
@@ -249,20 +227,21 @@ impl SharedStore {
     pub fn put(&self, namespace: &str, key: &str, value: Value) -> Result<u64, StoreError> {
         self.fault("put")?;
         let mut inner = self.lock();
-        if let Some(version) = inner.backend.identical_live(namespace, key, &value) {
+        let len = value.encoded_len() as u64;
+        if let Some(version) = inner.map.identical_live(namespace, key, &value) {
             inner.stats.writes_skipped += 1;
-            inner.stats.bytes_skipped += value.encoded_len() as u64;
+            inner.stats.bytes_skipped += len;
             drop(inner);
             self.metrics().skipped_identical.incr();
             return Ok(version);
         }
         inner.stats.writes += 1;
-        inner.stats.bytes_written += value.encoded_len() as u64;
-        Ok(inner.backend.insert(namespace, key, value))
+        inner.stats.bytes_written += len;
+        Ok(inner.map.insert(namespace, key, value, len))
     }
 
     /// Atomically-intended multi-key write: all of `entries` into
-    /// `namespace`, committed to the backend as one group. Under a
+    /// `namespace`, in order under one lock. Under a
     /// torn-write fault only a strict prefix lands and
     /// [`StoreError::TornWrite`] reports how much; rewriting the full batch
     /// is the idempotent recovery. Entries are `(key, value)` pairs, owned
@@ -316,39 +295,26 @@ impl SharedStore {
         let mut skipped = 0u64;
         let mut bytes_skipped = 0u64;
         // Per-entry change detection, same contract as `put`: an identical
-        // entry costs nothing and keeps its version. `pending` carries the
-        // batch-so-far state (by position in `batch`) so a duplicate key
-        // compares against the value queued just before it, not the
-        // pre-batch one.
-        let mut batch: Vec<(&str, V)> = Vec::with_capacity(persisted);
-        let mut pending: HashMap<&str, usize> = HashMap::new();
+        // entry costs nothing and keeps its version. Each surviving entry
+        // is written before the next is compared, so a duplicate key
+        // compares against the row the batch just wrote, not the pre-batch
+        // one.
         for (key, value) in entries.take(persisted) {
             // One size computation per entry (streamed, allocation-free)
-            // serves change-detection stats and write accounting alike —
-            // the value is never encoded just to be measured.
+            // serves change-detection stats, write accounting and the
+            // namespace's running total alike.
             let len = value.borrow().encoded_len() as u64;
-            let identical = match pending.get(key) {
-                Some(&queued) => crate::codec::codec_eq(batch[queued].1.borrow(), value.borrow()),
-                None => inner
-                    .backend
-                    .identical_live(namespace, key, value.borrow())
-                    .is_some(),
-            };
-            if identical {
+            if inner
+                .map
+                .identical_live(namespace, key, value.borrow())
+                .is_some()
+            {
                 skipped += 1;
                 bytes_skipped += len;
-                continue;
+            } else {
+                bytes += len;
+                inner.map.insert(namespace, key, own(value), len);
             }
-            bytes += len;
-            // A batch of one has no earlier entry to be a duplicate of.
-            if persisted > 1 {
-                pending.insert(key, batch.len());
-            }
-            batch.push((key, value));
-        }
-        if !batch.is_empty() {
-            let mut rows = batch.into_iter().map(|(k, v)| (k, own(v)));
-            inner.backend.insert_many(namespace, &mut rows);
         }
         inner.stats.writes += persisted as u64 - skipped;
         inner.stats.writes_skipped += skipped;
@@ -393,7 +359,7 @@ impl SharedStore {
     ) -> Result<Option<Versioned>, StoreError> {
         self.fault("get")?;
         let mut inner = self.lock();
-        let v = inner.backend.get(namespace, key);
+        let v = inner.map.get(namespace, key);
         if let Some(v) = &v {
             inner.stats.reads += 1;
             inner.stats.bytes_read += v.value.encoded_len() as u64;
@@ -421,12 +387,12 @@ impl SharedStore {
     ) -> Result<u64, StoreError> {
         self.fault("cas")?;
         let mut inner = self.lock();
-        let found = inner.backend.key_version(namespace, key).live();
+        let found = inner.map.key_version(namespace, key).live();
         if found != expected {
             return Err(StoreError::CasConflict { expected, found });
         }
         let len = value.encoded_len() as u64;
-        let version = inner.backend.insert(namespace, key, value);
+        let version = inner.map.insert(namespace, key, value, len);
         inner.stats.writes += 1;
         inner.stats.bytes_written += len;
         Ok(version)
@@ -444,7 +410,7 @@ impl SharedStore {
     pub fn delete(&self, namespace: &str, key: &str) -> Result<(), StoreError> {
         self.fault("delete")?;
         let mut inner = self.lock();
-        if inner.backend.remove(namespace, key) {
+        if inner.map.remove(namespace, key) {
             inner.stats.writes += 1;
             Ok(())
         } else {
@@ -464,7 +430,7 @@ impl SharedStore {
     pub fn delete_namespace(&self, namespace: &str) -> Result<usize, StoreError> {
         self.fault("delete_namespace")?;
         let mut inner = self.lock();
-        let n = inner.backend.remove_namespace(namespace);
+        let n = inner.map.remove_namespace(namespace);
         if n > 0 {
             inner.stats.writes += 1;
         }
@@ -480,7 +446,7 @@ impl SharedStore {
         self.fault("read_namespace")?;
         let mut inner = self.lock();
         let pairs: Vec<(String, Value)> = inner
-            .backend
+            .map
             .read_namespace(namespace)
             .into_iter()
             .map(|(k, v)| (k, v.value))
@@ -501,37 +467,36 @@ impl SharedStore {
     /// Invariant checkers use this to inspect durable state *during* a
     /// brown-out; production paths must use [`get`](Self::get).
     pub fn peek(&self, namespace: &str, key: &str) -> Option<Value> {
-        self.lock().backend.get(namespace, key).map(|v| v.value)
+        self.lock().map.get(namespace, key).map(|v| v.value)
     }
 
     /// Like [`peek`](Self::peek) but with the version — the conformance
     /// suite's window onto the version vector.
     pub fn peek_versioned(&self, namespace: &str, key: &str) -> Option<Versioned> {
-        self.lock().backend.get(namespace, key)
+        self.lock().map.get(namespace, key)
     }
 
     /// Keys in a namespace, sorted.
     pub fn list_keys(&self, namespace: &str) -> Vec<String> {
-        self.lock().backend.list_keys(namespace)
+        self.lock().map.list_keys(namespace)
     }
 
     /// All namespaces with at least one key, sorted.
     pub fn list_namespaces(&self) -> Vec<String> {
-        self.lock().backend.list_namespaces()
+        self.lock().map.list_namespaces()
     }
 
     /// A full omniscient dump of the live store — every namespace's
     /// key-sorted `(key, version, value)` rows — bypassing faults and
-    /// stats. This is the byte surface the golden fixtures and the
-    /// cross-backend equivalence tests compare.
+    /// stats. This is the byte surface the golden fixtures compare.
     pub fn dump(&self) -> Vec<(String, Vec<(String, Versioned)>)> {
         let inner = self.lock();
         inner
-            .backend
+            .map
             .list_namespaces()
             .into_iter()
             .map(|ns| {
-                let rows = inner.backend.read_namespace(&ns);
+                let rows = inner.map.read_namespace(&ns);
                 (ns, rows)
             })
             .collect()
@@ -540,14 +505,14 @@ impl SharedStore {
     /// Total encoded size of a namespace in bytes (no stats impact) —
     /// the "how much state would a migration move" metric.
     pub fn namespace_bytes(&self, namespace: &str) -> u64 {
-        self.lock().backend.namespace_bytes(namespace)
+        self.lock().map.namespace_bytes(namespace)
     }
 
     /// Total encoded size across every namespace equal to `prefix` or
     /// under `prefix/…` — an instance's full footprint (framework snapshot
     /// plus all bundle data areas).
     pub fn namespace_bytes_prefixed(&self, prefix: &str) -> u64 {
-        self.lock().backend.namespace_bytes_prefixed(prefix)
+        self.lock().map.namespace_bytes_prefixed(prefix)
     }
 
     /// Current I/O counters.
@@ -564,63 +529,53 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every store-level unit test runs against every registered backend:
-    /// the wrapper's contract is backend-independent by construction.
-    fn each_backend(test: impl Fn(SharedStore)) {
-        for kind in BackendKind::all() {
-            test(SharedStore::with_kind(kind));
-        }
-    }
+    use dosgi_testkit::{prop, Gen, PropConfig, TestRng};
+    use std::collections::HashMap;
 
     #[test]
     fn put_get_round_trip_and_versions() {
-        each_backend(|s| {
-            assert_eq!(s.put("ns", "k", Value::Int(1)), Ok(1));
-            assert_eq!(s.put("ns", "k", Value::Int(2)), Ok(2));
-            assert_eq!(s.get("ns", "k"), Ok(Some(Value::Int(2))));
-            assert_eq!(s.get_versioned("ns", "k").unwrap().unwrap().version, 2);
-            assert_eq!(s.get("ns", "missing"), Ok(None));
-        });
+        let s = SharedStore::new();
+        assert_eq!(s.put("ns", "k", Value::Int(1)), Ok(1));
+        assert_eq!(s.put("ns", "k", Value::Int(2)), Ok(2));
+        assert_eq!(s.get("ns", "k"), Ok(Some(Value::Int(2))));
+        assert_eq!(s.get_versioned("ns", "k").unwrap().unwrap().version, 2);
+        assert_eq!(s.get("ns", "missing"), Ok(None));
     }
 
     #[test]
     fn clones_share_storage() {
-        each_backend(|s| {
-            let s2 = s.clone();
-            s.put("ns", "k", Value::Int(1)).unwrap();
-            assert_eq!(s2.get("ns", "k"), Ok(Some(Value::Int(1))));
-        });
+        let s = SharedStore::new();
+        let s2 = s.clone();
+        s.put("ns", "k", Value::Int(1)).unwrap();
+        assert_eq!(s2.get("ns", "k"), Ok(Some(Value::Int(1))));
     }
 
     #[test]
     fn cas_succeeds_only_on_matching_version() {
-        each_backend(|s| {
-            // Create-if-absent.
-            assert_eq!(s.cas("ns", "k", 0, Value::Int(1)), Ok(1));
-            assert_eq!(
-                s.cas("ns", "k", 0, Value::Int(9)),
-                Err(StoreError::CasConflict {
-                    expected: 0,
-                    found: 1
-                })
-            );
-            assert_eq!(s.cas("ns", "k", 1, Value::Int(2)), Ok(2));
-            assert_eq!(s.get("ns", "k"), Ok(Some(Value::Int(2))));
-        });
+        let s = SharedStore::new();
+        // Create-if-absent.
+        assert_eq!(s.cas("ns", "k", 0, Value::Int(1)), Ok(1));
+        assert_eq!(
+            s.cas("ns", "k", 0, Value::Int(9)),
+            Err(StoreError::CasConflict {
+                expected: 0,
+                found: 1
+            })
+        );
+        assert_eq!(s.cas("ns", "k", 1, Value::Int(2)), Ok(2));
+        assert_eq!(s.get("ns", "k"), Ok(Some(Value::Int(2))));
     }
 
     #[test]
     fn delete_and_not_found() {
-        each_backend(|s| {
-            s.put("ns", "k", Value::Int(1)).unwrap();
-            s.delete("ns", "k").unwrap();
-            assert_eq!(s.get("ns", "k"), Ok(None));
-            assert!(matches!(
-                s.delete("ns", "k"),
-                Err(StoreError::NotFound { .. })
-            ));
-        });
+        let s = SharedStore::new();
+        s.put("ns", "k", Value::Int(1)).unwrap();
+        s.delete("ns", "k").unwrap();
+        assert_eq!(s.get("ns", "k"), Ok(None));
+        assert!(matches!(
+            s.delete("ns", "k"),
+            Err(StoreError::NotFound { .. })
+        ));
     }
 
     /// Regression for the stale-reader hazard: a delete followed by a
@@ -631,115 +586,108 @@ mod tests {
     /// that the key had been deleted and recreated.
     #[test]
     fn delete_then_identical_reput_always_bumps_the_version() {
-        each_backend(|s| {
-            let v = Value::Str("same".into());
-            assert_eq!(s.put("ns", "k", v.clone()), Ok(1));
-            s.delete("ns", "k").unwrap();
-            let recreated = s.put("ns", "k", v.clone()).unwrap();
-            assert!(
-                recreated > 1,
-                "recreated key must not reuse version 1 (got {recreated})"
-            );
-            assert_eq!(recreated, 2, "counter continues past the tombstone");
-            // And change detection still works on the recreated key.
-            assert_eq!(s.put("ns", "k", v.clone()), Ok(2));
-            assert_eq!(s.stats().writes_skipped, 1);
-        });
+        let s = SharedStore::new();
+        let v = Value::Str("same".into());
+        assert_eq!(s.put("ns", "k", v.clone()), Ok(1));
+        s.delete("ns", "k").unwrap();
+        let recreated = s.put("ns", "k", v.clone()).unwrap();
+        assert!(
+            recreated > 1,
+            "recreated key must not reuse version 1 (got {recreated})"
+        );
+        assert_eq!(recreated, 2, "counter continues past the tombstone");
+        // And change detection still works on the recreated key.
+        assert_eq!(s.put("ns", "k", v.clone()), Ok(2));
+        assert_eq!(s.stats().writes_skipped, 1);
     }
 
     /// Same hazard through the namespace-wide delete: `delete_namespace`
     /// must tombstone every key it removes.
     #[test]
     fn delete_namespace_then_reput_always_bumps_versions() {
-        each_backend(|s| {
-            s.put("ns", "a", Value::Int(1)).unwrap();
-            s.put("ns", "a", Value::Int(2)).unwrap();
-            s.put("ns", "b", Value::Int(3)).unwrap();
-            assert_eq!(s.delete_namespace("ns"), Ok(2));
-            assert_eq!(s.put("ns", "a", Value::Int(2)), Ok(3), "a was at 2");
-            assert_eq!(s.put("ns", "b", Value::Int(3)), Ok(2), "b was at 1");
-        });
+        let s = SharedStore::new();
+        s.put("ns", "a", Value::Int(1)).unwrap();
+        s.put("ns", "a", Value::Int(2)).unwrap();
+        s.put("ns", "b", Value::Int(3)).unwrap();
+        assert_eq!(s.delete_namespace("ns"), Ok(2));
+        assert_eq!(s.put("ns", "a", Value::Int(2)), Ok(3), "a was at 2");
+        assert_eq!(s.put("ns", "b", Value::Int(3)), Ok(2), "b was at 1");
     }
 
     /// A deleted key counts as absent for `cas(expected = 0)`, but the
     /// granted version continues the monotonic counter.
     #[test]
     fn cas_create_after_delete_continues_the_counter() {
-        each_backend(|s| {
-            s.put("ns", "k", Value::Int(1)).unwrap();
-            s.put("ns", "k", Value::Int(2)).unwrap();
-            s.delete("ns", "k").unwrap();
-            assert_eq!(
-                s.cas("ns", "k", 2, Value::Int(9)),
-                Err(StoreError::CasConflict {
-                    expected: 2,
-                    found: 0
-                }),
-                "a tombstoned key reads as absent to cas"
-            );
-            assert_eq!(s.cas("ns", "k", 0, Value::Int(9)), Ok(3));
-        });
+        let s = SharedStore::new();
+        s.put("ns", "k", Value::Int(1)).unwrap();
+        s.put("ns", "k", Value::Int(2)).unwrap();
+        s.delete("ns", "k").unwrap();
+        assert_eq!(
+            s.cas("ns", "k", 2, Value::Int(9)),
+            Err(StoreError::CasConflict {
+                expected: 2,
+                found: 0
+            }),
+            "a tombstoned key reads as absent to cas"
+        );
+        assert_eq!(s.cas("ns", "k", 0, Value::Int(9)), Ok(3));
     }
 
     #[test]
     fn namespace_operations() {
-        each_backend(|s| {
-            s.put("a", "k1", Value::Int(1)).unwrap();
-            s.put("a", "k2", Value::Int(2)).unwrap();
-            s.put("b", "k3", Value::Int(3)).unwrap();
-            assert_eq!(s.list_keys("a"), vec!["k1", "k2"]);
-            assert_eq!(s.list_namespaces(), vec!["a", "b"]);
-            let all = s.read_namespace("a").unwrap();
-            assert_eq!(all.len(), 2);
-            assert_eq!(all[0], ("k1".to_owned(), Value::Int(1)));
-            assert_eq!(s.delete_namespace("a"), Ok(2));
-            assert_eq!(s.list_namespaces(), vec!["b"]);
-            assert_eq!(s.delete_namespace("a"), Ok(0));
-        });
+        let s = SharedStore::new();
+        s.put("a", "k1", Value::Int(1)).unwrap();
+        s.put("a", "k2", Value::Int(2)).unwrap();
+        s.put("b", "k3", Value::Int(3)).unwrap();
+        assert_eq!(s.list_keys("a"), vec!["k1", "k2"]);
+        assert_eq!(s.list_namespaces(), vec!["a", "b"]);
+        let all = s.read_namespace("a").unwrap();
+        assert_eq!(all.len(), 2);
+        assert_eq!(all[0], ("k1".to_owned(), Value::Int(1)));
+        assert_eq!(s.delete_namespace("a"), Ok(2));
+        assert_eq!(s.list_namespaces(), vec!["b"]);
+        assert_eq!(s.delete_namespace("a"), Ok(0));
     }
 
     #[test]
     fn stats_account_bytes() {
-        each_backend(|s| {
-            let v = Value::Str("hello".into());
-            let len = v.encoded_len() as u64;
-            s.put("ns", "k", v).unwrap();
-            let _ = s.get("ns", "k").unwrap();
-            let st = s.stats();
-            assert_eq!(st.writes, 1);
-            assert_eq!(st.reads, 1);
-            assert_eq!(st.bytes_written, len);
-            assert_eq!(st.bytes_read, len);
-            assert_eq!(st.faults, 0);
-            s.reset_stats();
-            assert_eq!(s.stats(), StoreStats::default());
-        });
+        let s = SharedStore::new();
+        let v = Value::Str("hello".into());
+        let len = v.encoded_len() as u64;
+        s.put("ns", "k", v).unwrap();
+        let _ = s.get("ns", "k").unwrap();
+        let st = s.stats();
+        assert_eq!(st.writes, 1);
+        assert_eq!(st.reads, 1);
+        assert_eq!(st.bytes_written, len);
+        assert_eq!(st.bytes_read, len);
+        assert_eq!(st.faults, 0);
+        s.reset_stats();
+        assert_eq!(s.stats(), StoreStats::default());
     }
 
     #[test]
     fn namespace_bytes_reports_encoded_size() {
-        each_backend(|s| {
-            let v1 = Value::Str("abc".into());
-            let v2 = Value::Int(7);
-            let expect = (v1.encoded_len() + v2.encoded_len()) as u64;
-            s.put("ns", "k1", v1).unwrap();
-            s.put("ns", "k2", v2).unwrap();
-            assert_eq!(s.namespace_bytes("ns"), expect);
-            assert_eq!(s.namespace_bytes("other"), 0);
-        });
+        let s = SharedStore::new();
+        let v1 = Value::Str("abc".into());
+        let v2 = Value::Int(7);
+        let expect = (v1.encoded_len() + v2.encoded_len()) as u64;
+        s.put("ns", "k1", v1).unwrap();
+        s.put("ns", "k2", v2).unwrap();
+        assert_eq!(s.namespace_bytes("ns"), expect);
+        assert_eq!(s.namespace_bytes("other"), 0);
     }
 
     #[test]
     fn prefixed_bytes_cover_sub_namespaces_only() {
-        each_backend(|s| {
-            s.put("inst/a", "k", Value::Int(1)).unwrap();
-            s.put("inst/a/data/x", "k", Value::Int(2)).unwrap();
-            s.put("inst/ab", "k", Value::Int(3)).unwrap(); // sibling, NOT under inst/a
-            let expect = Value::Int(1).encoded_len() as u64 + Value::Int(2).encoded_len() as u64;
-            assert_eq!(s.namespace_bytes_prefixed("inst/a"), expect);
-            assert!(s.namespace_bytes_prefixed("inst/ab") > 0);
-            assert_eq!(s.namespace_bytes_prefixed("nope"), 0);
-        });
+        let s = SharedStore::new();
+        s.put("inst/a", "k", Value::Int(1)).unwrap();
+        s.put("inst/a/data/x", "k", Value::Int(2)).unwrap();
+        s.put("inst/ab", "k", Value::Int(3)).unwrap(); // sibling, NOT under inst/a
+        let expect = Value::Int(1).encoded_len() as u64 + Value::Int(2).encoded_len() as u64;
+        assert_eq!(s.namespace_bytes_prefixed("inst/a"), expect);
+        assert!(s.namespace_bytes_prefixed("inst/ab") > 0);
+        assert_eq!(s.namespace_bytes_prefixed("nope"), 0);
     }
 
     /// The walk over the ordered namespace names: `a-b` sorts between `a`
@@ -747,226 +695,369 @@ mod tests {
     /// under `a`; a namespace holding only tombstones weighs nothing.
     #[test]
     fn prefixed_bytes_walk_the_ordered_names() {
-        each_backend(|s| {
-            let names = ["a", "a-b", "a/b", "a/b/c", "a0", "ab/c", "a/gone"];
-            for (i, ns) in names.iter().enumerate() {
-                s.put(ns, "k", Value::Bytes(vec![0; 1 << i])).unwrap();
-            }
-            s.delete_namespace("a/gone").unwrap();
-            let bytes = |ns: &str| s.namespace_bytes(ns);
-            assert!(bytes("a/gone") == 0 && !s.list_namespaces().contains(&"a/gone".to_owned()));
+        let s = SharedStore::new();
+        let names = ["a", "a-b", "a/b", "a/b/c", "a0", "ab/c", "a/gone"];
+        for (i, ns) in names.iter().enumerate() {
+            s.put(ns, "k", Value::Bytes(vec![0; 1 << i])).unwrap();
+        }
+        s.delete_namespace("a/gone").unwrap();
+        let bytes = |ns: &str| s.namespace_bytes(ns);
+        assert!(bytes("a/gone") == 0 && !s.list_namespaces().contains(&"a/gone".to_owned()));
+        assert_eq!(
+            s.namespace_bytes_prefixed("a"),
+            bytes("a") + bytes("a/b") + bytes("a/b/c")
+        );
+        assert_eq!(
+            s.namespace_bytes_prefixed("a/b"),
+            bytes("a/b") + bytes("a/b/c")
+        );
+        assert_eq!(s.namespace_bytes_prefixed("a-b"), bytes("a-b"));
+        assert_eq!(s.namespace_bytes_prefixed("ab"), bytes("ab/c"));
+        assert_eq!(
+            s.namespace_bytes_prefixed("a/"),
+            0,
+            "no namespace is named `a/`"
+        );
+        assert_eq!(s.namespace_bytes_prefixed("b"), 0);
+        // What the listing-based sum answered, for every prefix.
+        for prefix in names {
+            let listed: u64 = s
+                .list_namespaces()
+                .iter()
+                .filter(|n| *n == prefix || n.starts_with(&format!("{prefix}/")))
+                .map(|n| bytes(n))
+                .sum();
             assert_eq!(
-                s.namespace_bytes_prefixed("a"),
-                bytes("a") + bytes("a/b") + bytes("a/b/c")
+                s.namespace_bytes_prefixed(prefix),
+                listed,
+                "prefix {prefix}"
             );
-            assert_eq!(
-                s.namespace_bytes_prefixed("a/b"),
-                bytes("a/b") + bytes("a/b/c")
-            );
-            assert_eq!(s.namespace_bytes_prefixed("a-b"), bytes("a-b"));
-            assert_eq!(s.namespace_bytes_prefixed("ab"), bytes("ab/c"));
-            assert_eq!(
-                s.namespace_bytes_prefixed("a/"),
-                0,
-                "no namespace is named `a/`"
-            );
-            assert_eq!(s.namespace_bytes_prefixed("b"), 0);
-            // What the listing-based sum answered, for every prefix.
-            for prefix in names {
-                let listed: u64 = s
-                    .list_namespaces()
-                    .iter()
-                    .filter(|n| *n == prefix || n.starts_with(&format!("{prefix}/")))
-                    .map(|n| bytes(n))
-                    .sum();
-                assert_eq!(
-                    s.namespace_bytes_prefixed(prefix),
-                    listed,
-                    "prefix {prefix}"
-                );
-            }
-        });
+        }
     }
 
     #[test]
     fn misses_do_not_count_as_reads() {
-        each_backend(|s| {
-            let _ = s.get("ns", "missing").unwrap();
-            assert_eq!(s.stats().reads, 0);
-        });
+        let s = SharedStore::new();
+        let _ = s.get("ns", "missing").unwrap();
+        assert_eq!(s.stats().reads, 0);
     }
 
     #[test]
     fn identical_put_skips_version_bump_and_bytes() {
-        each_backend(|s| {
-            let v = Value::Str("same".into());
-            assert_eq!(s.put("ns", "k", v.clone()), Ok(1));
-            let before = s.stats();
-            // Identical rewrite: same version back, nothing counted as a write.
-            assert_eq!(s.put("ns", "k", v.clone()), Ok(1));
-            let after = s.stats();
-            assert_eq!(after.writes, before.writes);
-            assert_eq!(after.bytes_written, before.bytes_written);
-            assert_eq!(after.writes_skipped, before.writes_skipped + 1);
-            assert_eq!(s.get_versioned("ns", "k").unwrap().unwrap().version, 1);
-            // A different value still bumps.
-            assert_eq!(s.put("ns", "k", Value::Str("new".into())), Ok(2));
-            assert_eq!(s.stats().writes, before.writes + 1);
-        });
+        let s = SharedStore::new();
+        let v = Value::Str("same".into());
+        assert_eq!(s.put("ns", "k", v.clone()), Ok(1));
+        let before = s.stats();
+        // Identical rewrite: same version back, nothing counted as a write.
+        assert_eq!(s.put("ns", "k", v.clone()), Ok(1));
+        let after = s.stats();
+        assert_eq!(after.writes, before.writes);
+        assert_eq!(after.bytes_written, before.bytes_written);
+        assert_eq!(after.writes_skipped, before.writes_skipped + 1);
+        assert_eq!(s.get_versioned("ns", "k").unwrap().unwrap().version, 1);
+        // A different value still bumps.
+        assert_eq!(s.put("ns", "k", Value::Str("new".into())), Ok(2));
+        assert_eq!(s.stats().writes, before.writes + 1);
     }
 
     #[test]
     fn identical_put_uses_codec_equality_for_floats() {
-        each_backend(|s| {
-            s.put("ns", "f", Value::Float(0.0)).unwrap();
-            // -0.0 == 0.0 under PartialEq but encodes differently: must write.
-            assert_eq!(s.put("ns", "f", Value::Float(-0.0)), Ok(2));
-            // Bit-identical NaN is a skip even though NaN != NaN.
-            s.put("ns", "n", Value::Float(f64::NAN)).unwrap();
-            assert_eq!(s.put("ns", "n", Value::Float(f64::NAN)), Ok(1));
-            assert_eq!(s.stats().writes_skipped, 1);
-        });
+        let s = SharedStore::new();
+        s.put("ns", "f", Value::Float(0.0)).unwrap();
+        // -0.0 == 0.0 under PartialEq but encodes differently: must write.
+        assert_eq!(s.put("ns", "f", Value::Float(-0.0)), Ok(2));
+        // Bit-identical NaN is a skip even though NaN != NaN.
+        s.put("ns", "n", Value::Float(f64::NAN)).unwrap();
+        assert_eq!(s.put("ns", "n", Value::Float(f64::NAN)), Ok(1));
+        assert_eq!(s.stats().writes_skipped, 1);
     }
 
     #[test]
     fn put_many_skips_identical_entries_only() {
-        each_backend(|s| {
-            s.put("ns", "a", Value::Int(1)).unwrap();
-            s.put("ns", "b", Value::Int(2)).unwrap();
-            s.reset_stats();
-            let entries = vec![
-                ("a".to_owned(), Value::Int(1)),  // identical → skipped
-                ("b".to_owned(), Value::Int(22)), // changed → written
-                ("c".to_owned(), Value::Int(3)),  // new → written
-            ];
-            assert_eq!(s.put_many("ns", &entries), Ok(3));
-            let st = s.stats();
-            assert_eq!(st.writes, 2);
-            assert_eq!(st.writes_skipped, 1);
-            assert_eq!(
-                st.bytes_written,
-                (Value::Int(22).encoded_len() + Value::Int(3).encoded_len()) as u64
-            );
-            assert_eq!(s.get_versioned("ns", "a").unwrap().unwrap().version, 1);
-            assert_eq!(s.get_versioned("ns", "b").unwrap().unwrap().version, 2);
-        });
+        let s = SharedStore::new();
+        s.put("ns", "a", Value::Int(1)).unwrap();
+        s.put("ns", "b", Value::Int(2)).unwrap();
+        s.reset_stats();
+        let entries = vec![
+            ("a".to_owned(), Value::Int(1)),  // identical → skipped
+            ("b".to_owned(), Value::Int(22)), // changed → written
+            ("c".to_owned(), Value::Int(3)),  // new → written
+        ];
+        assert_eq!(s.put_many("ns", &entries), Ok(3));
+        let st = s.stats();
+        assert_eq!(st.writes, 2);
+        assert_eq!(st.writes_skipped, 1);
+        assert_eq!(
+            st.bytes_written,
+            (Value::Int(22).encoded_len() + Value::Int(3).encoded_len()) as u64
+        );
+        assert_eq!(s.get_versioned("ns", "a").unwrap().unwrap().version, 1);
+        assert_eq!(s.get_versioned("ns", "b").unwrap().unwrap().version, 2);
     }
 
     #[test]
     fn put_many_duplicate_keys_compare_against_the_batch() {
-        each_backend(|s| {
-            // Second occurrence identical to the first: skipped (it compares
-            // against the value queued within the batch, not pre-batch state).
-            let entries = vec![
-                ("k".to_owned(), Value::Int(1)),
-                ("k".to_owned(), Value::Int(1)),
-            ];
-            assert_eq!(s.put_many("ns", &entries), Ok(2));
-            let st = s.stats();
-            assert_eq!(st.writes, 1);
-            assert_eq!(st.writes_skipped, 1);
-            assert_eq!(s.get_versioned("ns", "k").unwrap().unwrap().version, 1);
-            // Differing duplicate bumps twice.
-            let entries = vec![
-                ("j".to_owned(), Value::Int(1)),
-                ("j".to_owned(), Value::Int(2)),
-            ];
-            assert_eq!(s.put_many("ns", &entries), Ok(2));
-            assert_eq!(s.get_versioned("ns", "j").unwrap().unwrap().version, 2);
-        });
+        let s = SharedStore::new();
+        // Second occurrence identical to the first: skipped (it compares
+        // against the value queued within the batch, not pre-batch state).
+        let entries = vec![
+            ("k".to_owned(), Value::Int(1)),
+            ("k".to_owned(), Value::Int(1)),
+        ];
+        assert_eq!(s.put_many("ns", &entries), Ok(2));
+        let st = s.stats();
+        assert_eq!(st.writes, 1);
+        assert_eq!(st.writes_skipped, 1);
+        assert_eq!(s.get_versioned("ns", "k").unwrap().unwrap().version, 1);
+        // Differing duplicate bumps twice.
+        let entries = vec![
+            ("j".to_owned(), Value::Int(1)),
+            ("j".to_owned(), Value::Int(2)),
+        ];
+        assert_eq!(s.put_many("ns", &entries), Ok(2));
+        assert_eq!(s.get_versioned("ns", "j").unwrap().unwrap().version, 2);
     }
 
     #[test]
     fn put_many_writes_all_entries_when_healthy() {
-        each_backend(|s| {
-            let entries = vec![
-                ("a".to_owned(), Value::Int(1)),
-                ("b".to_owned(), Value::Int(2)),
-            ];
-            assert_eq!(s.put_many("ns", &entries), Ok(2));
-            assert_eq!(s.get("ns", "a"), Ok(Some(Value::Int(1))));
-            assert_eq!(s.get("ns", "b"), Ok(Some(Value::Int(2))));
-            assert_eq!(s.stats().writes, 2);
-        });
+        let s = SharedStore::new();
+        let entries = vec![
+            ("a".to_owned(), Value::Int(1)),
+            ("b".to_owned(), Value::Int(2)),
+        ];
+        assert_eq!(s.put_many("ns", &entries), Ok(2));
+        assert_eq!(s.get("ns", "a"), Ok(Some(Value::Int(1))));
+        assert_eq!(s.get("ns", "b"), Ok(Some(Value::Int(2))));
+        assert_eq!(s.stats().writes, 2);
     }
 
     #[test]
     fn torn_put_many_persists_exactly_the_reported_prefix() {
-        each_backend(|s| {
-            s.set_fault_plan(FaultPlan::none().with_torn_writes(1.0));
-            let entries: Vec<(String, Value)> =
-                (0..6).map(|i| (format!("k{i}"), Value::Int(i))).collect();
-            let Err(StoreError::TornWrite { written }) = s.put_many("ns", &entries) else {
-                panic!("rate-1.0 torn plan must tear");
-            };
-            assert!(written < entries.len());
-            assert_eq!(s.list_keys("ns").len(), written);
-            // Recovery: rewriting the whole batch is idempotent and complete.
-            s.clear_faults();
-            assert_eq!(s.put_many("ns", &entries), Ok(6));
-            assert_eq!(s.list_keys("ns").len(), 6);
-        });
+        let s = SharedStore::new();
+        s.set_fault_plan(FaultPlan::none().with_torn_writes(1.0));
+        let entries: Vec<(String, Value)> =
+            (0..6).map(|i| (format!("k{i}"), Value::Int(i))).collect();
+        let Err(StoreError::TornWrite { written }) = s.put_many("ns", &entries) else {
+            panic!("rate-1.0 torn plan must tear");
+        };
+        assert!(written < entries.len());
+        assert_eq!(s.list_keys("ns").len(), written);
+        // Recovery: rewriting the whole batch is idempotent and complete.
+        s.clear_faults();
+        assert_eq!(s.put_many("ns", &entries), Ok(6));
+        assert_eq!(s.list_keys("ns").len(), 6);
     }
 
     #[test]
     fn brownout_blocks_data_plane_but_not_peek() {
-        each_backend(|s| {
-            s.put("ns", "k", Value::Int(7)).unwrap();
-            s.set_fault_plan(
-                FaultPlan::none().with_brownout(SimTime::ZERO, SimTime::from_secs(10)),
-            );
-            assert!(!s.is_available());
-            assert_eq!(s.get("ns", "k"), Err(StoreError::Unavailable));
-            assert_eq!(
-                s.put("ns", "k", Value::Int(8)),
-                Err(StoreError::Unavailable)
-            );
-            assert_eq!(s.read_namespace("ns"), Err(StoreError::Unavailable));
-            assert_eq!(s.delete_namespace("ns"), Err(StoreError::Unavailable));
-            // The omniscient observer still sees the durable value.
-            assert_eq!(s.peek("ns", "k"), Some(Value::Int(7)));
-            assert!(s.stats().faults >= 4);
-            // Time moves past the window: the store heals.
-            s.set_now(SimTime::from_secs(10));
-            assert!(s.is_available());
-            assert_eq!(s.get("ns", "k"), Ok(Some(Value::Int(7))));
-        });
+        let s = SharedStore::new();
+        s.put("ns", "k", Value::Int(7)).unwrap();
+        s.set_fault_plan(FaultPlan::none().with_brownout(SimTime::ZERO, SimTime::from_secs(10)));
+        assert!(!s.is_available());
+        assert_eq!(s.get("ns", "k"), Err(StoreError::Unavailable));
+        assert_eq!(
+            s.put("ns", "k", Value::Int(8)),
+            Err(StoreError::Unavailable)
+        );
+        assert_eq!(s.read_namespace("ns"), Err(StoreError::Unavailable));
+        assert_eq!(s.delete_namespace("ns"), Err(StoreError::Unavailable));
+        // The omniscient observer still sees the durable value.
+        assert_eq!(s.peek("ns", "k"), Some(Value::Int(7)));
+        assert!(s.stats().faults >= 4);
+        // Time moves past the window: the store heals.
+        s.set_now(SimTime::from_secs(10));
+        assert!(s.is_available());
+        assert_eq!(s.get("ns", "k"), Ok(Some(Value::Int(7))));
     }
 
     #[test]
     fn flaky_store_fails_deterministically_per_seed() {
-        let run = |kind, seed| {
-            let s = SharedStore::with_kind(kind);
+        let run = |seed| {
+            let s = SharedStore::new();
             s.set_fault_plan(FaultPlan::flaky(0.5, seed));
             (0..64)
                 .map(|i| s.put("ns", &format!("k{i}"), Value::Int(i)).is_err())
                 .collect::<Vec<_>>()
         };
-        for kind in BackendKind::all() {
-            assert_eq!(run(kind, 7), run(kind, 7));
-            assert_ne!(
-                run(kind, 7),
-                run(kind, 8),
-                "different seeds, different fault pattern"
-            );
-        }
-        // And the fault pattern is backend-independent: the injector's RNG
-        // stream is consumed by the wrapper, above the backend seam.
-        assert_eq!(run(BackendKind::Map, 7), run(BackendKind::Log, 7));
+        assert_eq!(run(7), run(7));
+        assert_ne!(run(7), run(8), "different seeds, different fault pattern");
     }
 
     #[test]
     fn dump_covers_every_live_namespace_with_versions() {
-        each_backend(|s| {
-            s.put("b", "k", Value::Int(1)).unwrap();
-            s.put("a", "k", Value::Int(2)).unwrap();
-            s.put("a", "k", Value::Int(3)).unwrap();
-            s.delete("b", "k").unwrap();
-            let dump = s.dump();
-            assert_eq!(dump.len(), 1, "namespace b is all tombstones");
-            assert_eq!(dump[0].0, "a");
-            assert_eq!(dump[0].1[0].1.version, 2);
-            assert_eq!(s.peek_versioned("a", "k").unwrap().version, 2);
-        });
+        let s = SharedStore::new();
+        s.put("b", "k", Value::Int(1)).unwrap();
+        s.put("a", "k", Value::Int(2)).unwrap();
+        s.put("a", "k", Value::Int(3)).unwrap();
+        s.delete("b", "k").unwrap();
+        let dump = s.dump();
+        assert_eq!(dump.len(), 1, "namespace b is all tombstones");
+        assert_eq!(dump[0].0, "a");
+        assert_eq!(dump[0].1[0].1.version, 2);
+        assert_eq!(s.peek_versioned("a", "k").unwrap().version, 2);
+    }
+
+    /// `put_many` as it was while a batch staged itself for a group commit:
+    /// survivors queued in a `Vec`, a map from key to queue position so that
+    /// a duplicate key compares against the entry queued before it, and
+    /// every insert at the end. The streamed write is held to this model.
+    fn staged_put_many(
+        store: &SharedStore,
+        namespace: &str,
+        entries: &[(String, Value)],
+    ) -> Result<usize, StoreError> {
+        store.fault("put_many")?;
+        let torn = store.faults.torn_len(entries.len());
+        let persisted = torn.unwrap_or(entries.len());
+        let mut inner = store.lock();
+        let mut batch: Vec<(&str, &Value)> = Vec::new();
+        let mut pending: HashMap<&str, usize> = HashMap::new();
+        for (key, value) in &entries[..persisted] {
+            let len = value.encoded_len() as u64;
+            let identical = match pending.get(key.as_str()) {
+                Some(&queued) => crate::codec::codec_eq(batch[queued].1, value),
+                None => inner.map.identical_live(namespace, key, value).is_some(),
+            };
+            if identical {
+                inner.stats.writes_skipped += 1;
+                inner.stats.bytes_skipped += len;
+                continue;
+            }
+            inner.stats.writes += 1;
+            inner.stats.bytes_written += len;
+            pending.insert(key, batch.len());
+            batch.push((key, value));
+        }
+        for (key, value) in batch {
+            let len = value.encoded_len() as u64;
+            inner.map.insert(namespace, key, value.clone(), len);
+        }
+        match torn {
+            Some(written) => {
+                inner.stats.faults += 1;
+                Err(StoreError::TornWrite { written })
+            }
+            None => Ok(persisted),
+        }
+    }
+
+    /// One batch over a namespace whose keys are live, tombstoned or absent.
+    #[derive(Debug, Clone)]
+    struct BatchCase {
+        /// Keys written before the batch; `true` deletes the key again.
+        before: Vec<(String, Value, bool)>,
+        batch: Vec<(String, Value)>,
+        /// Whether the streamed side takes the batch through
+        /// `put_many_owned` rather than `put_many`.
+        owned: bool,
+    }
+
+    fn batch_cases() -> Gen<BatchCase> {
+        // Six keys and three values: duplicates within a batch and rewrites
+        // identical to the live row are the common case, not the rare one.
+        let value = |rng: &mut TestRng| match rng.u64_below(3) {
+            0 => Value::Int(7),
+            1 => Value::Str("seven".into()),
+            _ => Value::Bytes(vec![7; 40]),
+        };
+        Gen::new(move |rng: &mut TestRng| {
+            let mut before = Vec::new();
+            for k in 0..6 {
+                if rng.chance(0.7) {
+                    before.push((format!("k{k}"), value(rng), rng.chance(0.3)));
+                }
+            }
+            BatchCase {
+                before,
+                batch: (0..rng.usize_in(1, 24))
+                    .map(|_| (format!("k{}", rng.u64_below(6)), value(rng)))
+                    .collect(),
+                owned: rng.chance(0.5),
+            }
+        })
+    }
+
+    /// A plan under which a batch of `len` entries tears after exactly
+    /// `torn` of them: fault seeds are tried until the injector draws that
+    /// prefix (an inert plan for `None`).
+    fn plan_tearing_at(len: usize, torn: Option<usize>) -> FaultPlan {
+        let Some(torn) = torn else {
+            return FaultPlan::none();
+        };
+        (0..)
+            .map(|seed| FaultPlan::flaky(0.0, seed).with_torn_writes(1.0))
+            .find(|plan| {
+                let probe = FaultInjector::new();
+                probe.set_plan(plan.clone());
+                probe.torn_len(len) == Some(torn)
+            })
+            .expect("some seed draws every prefix length")
+    }
+
+    /// The streamed `put_batch` against the staged one it replaced: 300
+    /// seeded batches (1–24 entries over six keys that are live, tombstoned
+    /// or absent; duplicate keys; rewrites identical to the live row), each
+    /// run untorn and torn at every prefix length, on two stores in the same
+    /// state. The result, `dump()`, `StoreStats` and the running byte totals
+    /// must be equal. Mutation-checked: a duplicate compared against the
+    /// pre-batch value, and a duplicate's version bump skipped, both fail it.
+    #[test]
+    fn prop_streamed_batch_matches_the_staged_one() {
+        const NS: &str = "inst/3/rows";
+        prop::check_with(
+            &PropConfig::with_cases(300),
+            "prop_streamed_batch_matches_the_staged_one",
+            &batch_cases(),
+            |case| {
+                let len = case.batch.len();
+                for torn in std::iter::once(None).chain((0..len).map(Some)) {
+                    let prepared = || {
+                        let s = SharedStore::new();
+                        for (key, value, deleted) in &case.before {
+                            s.put(NS, key, value.clone()).unwrap();
+                            if *deleted {
+                                s.delete(NS, key).unwrap();
+                            }
+                        }
+                        s.set_fault_plan(plan_tearing_at(len, torn));
+                        s
+                    };
+                    let (staged, streamed) = (prepared(), prepared());
+                    let expected = staged_put_many(&staged, NS, &case.batch);
+                    let got = if case.owned {
+                        streamed.put_many_owned(NS, case.batch.clone())
+                    } else {
+                        streamed.put_many(NS, &case.batch)
+                    };
+                    if expected
+                        != torn.map_or(Ok(len), |written| Err(StoreError::TornWrite { written }))
+                    {
+                        return Err(format!("torn {torn:?}: the plan drew {expected:?}"));
+                    }
+                    let differs = if got != expected {
+                        "result"
+                    } else if streamed.dump() != staged.dump() {
+                        "dump"
+                    } else if streamed.stats() != staged.stats() {
+                        "stats"
+                    } else if streamed.namespace_bytes(NS) != staged.namespace_bytes(NS)
+                        || streamed.namespace_bytes_prefixed("inst/3")
+                            != staged.namespace_bytes_prefixed("inst/3")
+                    {
+                        "byte totals"
+                    } else {
+                        continue;
+                    };
+                    return Err(format!(
+                        "torn {torn:?}: {differs} differ: streamed {got:?} {:?} {:?}, staged {expected:?} {:?} {:?}",
+                        streamed.dump(),
+                        streamed.stats(),
+                        staged.dump(),
+                        staged.stats()
+                    ));
+                }
+                Ok(())
+            },
+        );
     }
 }

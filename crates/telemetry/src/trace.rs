@@ -341,12 +341,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Record a zero-duration child event under a local parent span.
-    pub fn instant(&self, parent: TraceRef, name: &str, now_us: u64) -> bool {
-        let r = self.child_of(parent, name, now_us);
-        r.is_some() && self.end(r, now_us)
-    }
-
     /// Close span `r` at sim-time `now_us`.
     ///
     /// Unknown / double closes are rejected and counted; closing
@@ -644,18 +638,6 @@ mod tests {
         let migrate = j.find("\"name\":\"migrate\"").unwrap();
         let adopt = j.find("\"name\":\"adopt\"").unwrap();
         assert!(migrate < adopt);
-    }
-
-    #[test]
-    fn instant_events_are_zero_duration_children() {
-        let r = FlightRecorder::new(0);
-        let root = r.root("failover", 0);
-        assert!(r.instant(root, "redirect", 7));
-        r.end(root, 9);
-        let evs = r.events();
-        assert_eq!(evs[0].name, "redirect");
-        assert_eq!(evs[0].duration_us(), 0);
-        assert_eq!(evs[0].parent_span, root.span_id);
     }
 
     #[test]

@@ -26,9 +26,6 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
-echo "==> SAN backend conformance (golden fixtures x every backend)"
-cargo run --offline --release -p dosgi-bench --bin san_conformance
-
 echo "==> chaos sweep (seeded nemesis schedules + replay verification) -> results/chaos_sweep.txt"
 scripts/chaos.sh
 

@@ -330,7 +330,7 @@ mod hot_swap {
         Activator, ActivatorFactory, BundleError, BundleManifest, FnActivator, Framework,
         FrameworkConfig, ManifestBuilder, Version,
     };
-    use dosgi_san::{BackendKind, SharedStore};
+    use dosgi_san::SharedStore;
 
     const SN: &str = "org.prop.hotswap";
     const NS: &str = "prop";
@@ -386,12 +386,12 @@ mod hot_swap {
         f
     }
 
-    /// Runs one interleaving on `backend` and checks the oracle after
+    /// Runs one interleaving and checks the oracle after
     /// every step: the bundle's live count — and, at the end, the durable
     /// SAN row — must be byte-identical to a storeless i64 counter that
     /// never went through any handoff.
-    pub fn check(ops: &[SwapOp], backend: BackendKind) -> PropResult {
-        let store = SharedStore::with_kind(backend);
+    pub fn check(ops: &[SwapOp]) -> PropResult {
+        let store = SharedStore::new();
         let fac = factory();
         let mut fw = Framework::new(NS);
         fw.attach_store(store.clone(), NS)
@@ -499,12 +499,9 @@ mod hot_swap {
 
 /// Satellite battery: 200 random upgrade/downgrade/crash interleavings.
 /// After every handoff the bundle's state is byte-identical to a storeless
-/// oracle, on every registered SAN backend. `DOSGI_PROP_SEED=0x<seed>`
-/// replays a failing case exactly.
+/// oracle. `DOSGI_PROP_SEED=0x<seed>` replays a failing case exactly.
 #[test]
 fn hot_swap_handoff_matches_storeless_oracle() {
-    use dosgi_san::BackendKind;
-
     let cfg = prop::Config {
         cases: 200,
         ..prop::Config::default()
@@ -518,12 +515,7 @@ fn hot_swap_handoff_matches_storeless_oracle() {
         &cfg,
         "hot_swap_handoff_matches_storeless_oracle",
         &case,
-        |ops| {
-            for backend in BackendKind::all() {
-                hot_swap::check(ops, backend)?;
-            }
-            Ok(())
-        },
+        |ops| hot_swap::check(ops),
     );
 }
 
