@@ -8,26 +8,24 @@
 //! claim holds if migration ≈ warm deploy ≪ cold platform start.
 
 use dosgi_bench::{print_table, shown, write_telemetry_snapshot};
-use dosgi_core::{migration, workloads, ClusterConfig, DosgiCluster};
+use dosgi_core::{migration, workloads, ClusterConfig, DosgiCluster, START_COST_PER_BUNDLE};
 use dosgi_net::SimDuration;
 use dosgi_san::Value;
 use dosgi_telemetry::Telemetry;
 
 /// Modeled cold platform start (2008 numbers): JVM boot + OSGi framework
 /// boot + host bundles + the customer's bundles.
-fn cold_start(config: &ClusterConfig, customer_bundles: u64) -> SimDuration {
+fn cold_start(customer_bundles: u64) -> SimDuration {
     let jvm_boot = SimDuration::from_millis(2_000);
     let framework_boot = SimDuration::from_millis(400);
     let host_bundles = 3;
-    jvm_boot
-        + framework_boot
-        + config.node.start_cost_per_bundle * (host_bundles + customer_bundles)
+    jvm_boot + framework_boot + START_COST_PER_BUNDLE * (host_bundles + customer_bundles)
 }
 
 fn main() {
     let config = ClusterConfig::default();
-    let cold = cold_start(&config, 1);
-    let warm_deploy = config.node.start_cost_per_bundle; // 1 bundle, platform up
+    let cold = cold_start(1);
+    let warm_deploy = START_COST_PER_BUNDLE; // 1 bundle, platform up
 
     let telemetry = Telemetry::new();
     let mut rows = Vec::new();

@@ -54,13 +54,8 @@ use std::collections::BTreeMap;
 /// [`NemesisPlan`]).
 #[derive(Debug, Clone)]
 pub struct ChaosOptions {
-    /// How many write-through counter instances to deploy (round-robin).
-    pub instances: usize,
     /// How often the client attempts one `incr` per instance.
     pub client_period: SimDuration,
-    /// How long after a network disturbance (partition / message loss)
-    /// ends before order-sensitive invariants are enforced again.
-    pub settle: SimDuration,
     /// When set, a rolling [`UpgradeWave`] (counter bundle → 1.1.0, every
     /// node in order, [`NoTrafficHooks`]) starts this many µs after the
     /// schedule's t0 — hot-swap under nemesis fire. The wave must never
@@ -80,14 +75,19 @@ pub struct ChaosOptions {
 impl Default for ChaosOptions {
     fn default() -> Self {
         ChaosOptions {
-            instances: 3,
             client_period: SimDuration::from_millis(100),
-            settle: SimDuration::from_secs(6),
             upgrade_wave_at_us: None,
             series: false,
         }
     }
 }
+
+/// How many write-through counter instances a run deploys (round-robin).
+const INSTANCES: usize = 3;
+
+/// How long after a network disturbance (partition / message loss) ends
+/// before order-sensitive invariants are enforced again.
+const SETTLE: SimDuration = SimDuration::from_secs(6);
 
 /// The outcome of one nemesis run.
 #[derive(Debug, Clone)]
@@ -162,9 +162,7 @@ pub fn run_nemesis_with_telemetry(
 
     // Boot, deploy the workload, let placement commit everywhere.
     cluster.run_for(SimDuration::from_millis(500));
-    let names: Vec<String> = (0..opts.instances.max(1))
-        .map(|i| format!("ctr-{i}"))
-        .collect();
+    let names: Vec<String> = (0..INSTANCES).map(|i| format!("ctr-{i}")).collect();
     for (i, name) in names.iter().enumerate() {
         let d = workloads::counter_instance_with("chaos", name, workloads::COUNTER_WRITE_THROUGH);
         if let Err(e) = cluster.deploy(d, i % plan.nodes.max(1)) {
@@ -207,7 +205,6 @@ pub fn run_nemesis_with_telemetry(
                 &mut partitioned,
                 &mut lossy,
                 &mut disturbed_until,
-                opts.settle,
                 default_link,
             );
             next_op += 1;
@@ -398,7 +395,6 @@ fn apply_op(
     partitioned: &mut bool,
     lossy: &mut bool,
     disturbed_until: &mut SimTime,
-    settle: SimDuration,
     default_link: LinkConfig,
 ) {
     let now = cluster.now();
@@ -417,7 +413,7 @@ fn apply_op(
         NemesisOp::HealPartition => {
             cluster.heal();
             *partitioned = false;
-            *disturbed_until = now + settle;
+            *disturbed_until = now + SETTLE;
         }
         NemesisOp::SanBrownout => {
             // The heal is its own schedule step; arm a window that outlasts
@@ -440,7 +436,7 @@ fn apply_op(
         NemesisOp::MessageLossOff => {
             set_all_links(cluster, plan.nodes, default_link);
             *lossy = false;
-            *disturbed_until = now + settle;
+            *disturbed_until = now + SETTLE;
         }
     }
 }

@@ -19,8 +19,6 @@ pub struct ClusterConfig {
     pub node: NodeConfig,
     /// Default link quality.
     pub link: LinkConfig,
-    /// Driver step size (how often nodes tick).
-    pub tick: SimDuration,
 }
 
 impl Default for ClusterConfig {
@@ -28,10 +26,12 @@ impl Default for ClusterConfig {
         ClusterConfig {
             node: NodeConfig::default(),
             link: LinkConfig::lan(),
-            tick: SimDuration::from_millis(5),
         }
     }
 }
+
+/// Driver step size (how often nodes tick).
+const TICK: SimDuration = SimDuration::from_millis(5);
 
 /// The optional continuous-observability pipeline: a [`SeriesScraper`]
 /// turning the registry into bounded time series plus an [`SloEngine`]
@@ -584,7 +584,7 @@ impl DosgiCluster {
             self.slots.iter_mut().for_each(|s| s.node.wake());
             self.probed = None;
         }
-        self.net.advance(self.config.tick);
+        self.net.advance(TICK);
         let now = self.net.now();
         // Brown-out windows in an armed fault plan are defined in simulated
         // time; advance the injector's clock alongside the network's.
@@ -708,8 +708,9 @@ impl DosgiCluster {
 
     /// Publishes the cluster's derived health figures as telemetry gauges:
     /// aggregate SLA downtime/outages across all tracked instances and the
-    /// node-state census. Call before [`telemetry_snapshot`]
-    /// (Self::telemetry_snapshot) so the snapshot reflects current state.
+    /// node-state census. Call before
+    /// [`telemetry_snapshot`](Self::telemetry_snapshot) so the snapshot
+    /// reflects current state.
     pub fn record_telemetry_gauges(&self) {
         let mut down_us: u64 = 0;
         let mut outages: u64 = 0;
@@ -1219,7 +1220,11 @@ mod tests {
                         n.view().clone(),
                         n.pending_adoptions().map(str::to_owned).collect::<Vec<_>>(),
                         n.pending_upgrades(),
-                        n.monitor().report(),
+                        n.monitor()
+                            .subjects()
+                            .into_iter()
+                            .map(|s| (s.to_owned(), n.monitor().latest(s)))
+                            .collect::<Vec<_>>(),
                     )
                 })
             };
@@ -1359,7 +1364,7 @@ mod tests {
         assert_eq!(get, Ok(Value::Int(2)));
         // The window is half-open: the step that reaches its end is the
         // first on which the SAN answers.
-        while c.now() + c.config.tick < until {
+        while c.now() + TICK < until {
             c.step();
         }
         assert!(dirty(&c) && !c.store().is_available());

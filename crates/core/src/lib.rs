@@ -72,8 +72,7 @@ pub use cluster::{ClusterConfig, DosgiCluster};
 pub use error::CoreError;
 pub use events::{AdoptReason, NodeEvent};
 pub use msg::AppPayload;
-pub use node::{DosgiNode, NodeConfig, NodeState, Wire};
-pub use placement::PlacementPolicy;
+pub use node::{DosgiNode, NodeConfig, NodeState, Wire, START_COST_PER_BUNDLE};
 pub use registry::{ClusterRegistry, InstanceRecord, InstanceStatus};
 pub use rt::RealCluster;
 pub use sla::{SlaSpec, SlaTracker};

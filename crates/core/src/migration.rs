@@ -8,8 +8,8 @@
 //!    totally-ordered control messages.
 //! 2. **Node failures** — on a view change that excludes nodes, each
 //!    survivor orphans the affected records, computes the *same*
-//!    deterministic placement ([`PlacementPolicy`](crate::PlacementPolicy))
-//!    and claims its own share through the total order; the first claim per
+//!    deterministic placement (fewest placed instances, ties to the lowest
+//!    id) and claims its own share through the total order; the first claim per
 //!    orphan wins everywhere (see [`ClusterRegistry`](crate::ClusterRegistry)). Claims are only
 //!    acted on in a **majority partition** (primary-component discipline).
 //! 3. **State migration** — the OSGi framework state is persistent (spec

@@ -3,7 +3,7 @@
 use crate::autonomic::AutonomicModule;
 use crate::events::{AdoptReason, NodeEvent};
 use crate::msg::AppPayload;
-use crate::placement::PlacementPolicy;
+use crate::placement;
 use crate::registry::{ClusterRegistry, InstanceStatus};
 use crate::workloads;
 use crate::CoreError;
@@ -12,7 +12,7 @@ use dosgi_monitor::{MonitoringModule, NodeCapacity};
 use dosgi_net::{Fabric, NodeId, SimDuration, SimTime};
 use dosgi_osgi::{BundleManifest, Framework};
 use dosgi_policy::PolicyAction;
-use dosgi_san::{SharedStore, Value};
+use dosgi_san::{RetryPolicy, SharedStore, Value};
 use dosgi_telemetry::{FlightRecorder, Gauge, Telemetry, TraceContext, TraceRef};
 use dosgi_vosgi::{InstanceDescriptor, InstanceManager, ResourceQuota};
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,33 +45,14 @@ pub struct NodeConfig {
     pub gcs: GcsConfig,
     /// Monitoring sample period.
     pub sample_interval: SimDuration,
-    /// Placement discipline for failover and SLA migrations.
-    pub placement: PlacementPolicy,
-    /// Physical capacity.
-    pub capacity: NodeCapacity,
     /// Autonomic policy script (`None` disables the module — the E10
     /// baseline).
     pub policy: Option<String>,
     /// Autonomic evaluation period.
     pub policy_interval: SimDuration,
-    /// Simulated cost of installing + starting one bundle (re-materializing
-    /// an instance pays this per bundle; calibrated to a small 2008-era
-    /// bundle start).
-    pub start_cost_per_bundle: SimDuration,
     /// SAN latency profile: adoption pays a read of the instance's
     /// persisted state.
     pub san: dosgi_san::SanProfile,
-    /// Retry/backoff discipline for adoption against a faulty SAN: a
-    /// transiently-failing re-materialization is retried with exponential
-    /// backoff; once the budget is exhausted the instance is quarantined
-    /// (kept in the registry, re-claimed when the SAN heals).
-    pub retry: dosgi_san::RetryPolicy,
-    /// Simulated cost of the in-place revision swap during a hot bundle
-    /// upgrade (manifest replacement + re-wire + activator start against
-    /// already-warm state). The per-upgrade blackout is this plus a SAN
-    /// write of the bundle's dirty state — µs-scale, as opposed to the
-    /// ms-scale whole-instance migration path.
-    pub upgrade_swap_cost: SimDuration,
 }
 
 impl Default for NodeConfig {
@@ -79,14 +60,9 @@ impl Default for NodeConfig {
         NodeConfig {
             gcs: GcsConfig::lan(),
             sample_interval: SimDuration::from_millis(250),
-            placement: PlacementPolicy::FewestInstances,
-            capacity: NodeCapacity::standard(),
             policy: Some(crate::autonomic::DEFAULT_POLICY.to_owned()),
             policy_interval: SimDuration::from_millis(500),
-            start_cost_per_bundle: SimDuration::from_millis(50),
             san: dosgi_san::SanProfile::fast(),
-            retry: dosgi_san::RetryPolicy::persistence(),
-            upgrade_swap_cost: SimDuration::from_micros(150),
         }
     }
 }
@@ -94,6 +70,24 @@ impl Default for NodeConfig {
 /// How often a running node looks for instances stranded on departed
 /// homes (see `sweep_stranded`).
 const STRANDED_SWEEP_INTERVAL: SimDuration = SimDuration::from_millis(1_000);
+
+/// Simulated cost of installing + starting one bundle (re-materializing an
+/// instance pays this per bundle; calibrated to a small 2008-era bundle
+/// start).
+pub const START_COST_PER_BUNDLE: SimDuration = SimDuration::from_millis(50);
+
+/// Simulated cost of the in-place revision swap during a hot bundle upgrade
+/// (manifest replacement + re-wire + activator start against already-warm
+/// state). The per-upgrade blackout is this plus a SAN write of the bundle's
+/// dirty state — µs-scale, as opposed to the ms-scale whole-instance
+/// migration path.
+const UPGRADE_SWAP_COST: SimDuration = SimDuration::from_micros(150);
+
+/// Retry/backoff discipline for adoptions and upgrades against a faulty
+/// SAN: a transient failure is retried with exponential backoff; once the
+/// budget is exhausted an adoption is quarantined (kept in the registry,
+/// re-claimed when the SAN heals).
+const RETRY: RetryPolicy = RetryPolicy::persistence();
 
 /// One cluster node: host OSGi framework + Instance Manager + Migration
 /// Module + Monitoring Module + Autonomic Module + GCS endpoint.
@@ -355,14 +349,6 @@ impl DosgiNode {
         self.gcs.order_traced(net, Arc::new(payload), trace);
     }
 
-    /// A lock-sharded read handle onto the host framework's service
-    /// registry. The handle is `Send + Sync` and stays live after this node
-    /// is moved onto a worker thread, so concurrent `by_interface` lookups
-    /// never serialize behind the node itself.
-    pub fn registry_reader(&self) -> dosgi_osgi::RegistryReader {
-        self.mgr.host().registry().reader()
-    }
-
     /// The node's monitoring module.
     pub fn monitor(&self) -> &MonitoringModule {
         &self.monitor
@@ -579,11 +565,7 @@ impl DosgiNode {
             .collect();
         let candidates = self.placement_candidates();
         for name in locals {
-            if let Some(dest) =
-                self.config
-                    .placement
-                    .choose(&name, &candidates, &self.registry, &BTreeMap::new())
-            {
+            if let Some(dest) = placement::choose(&candidates, &self.registry, &BTreeMap::new()) {
                 self.metrics.placement_decisions.incr();
                 let _ = self.migrate_away_traced(&name, dest, net, parent);
             }
@@ -875,10 +857,7 @@ impl DosgiNode {
             c.sort();
             c
         };
-        let assignment = self
-            .config
-            .placement
-            .assign_all(&orphans, &candidates, &self.registry);
+        let assignment = placement::assign_all(&orphans, &candidates, &self.registry);
         self.metrics
             .placement_decisions
             .add(assignment.len() as u64);
@@ -1154,9 +1133,9 @@ impl DosgiNode {
         let standby = self.mgr.find_by_name(name).is_some();
         let cost = if standby {
             // Bundles already installed: pay only the start sweep.
-            (self.config.start_cost_per_bundle / 2) * bundles
+            (START_COST_PER_BUNDLE / 2) * bundles
         } else {
-            self.config.san.read_cost(state_bytes) + self.config.start_cost_per_bundle * bundles
+            self.config.san.read_cost(state_bytes) + START_COST_PER_BUNDLE * bundles
         };
         let trace = match ctx {
             Some(c) => self
@@ -1274,7 +1253,7 @@ impl DosgiNode {
     /// Requests an in-place upgrade of the bundle named by
     /// `manifest.symbolic_name` inside local instance `name`. The swap is
     /// queued for the modeled blackout window — a SAN write of the bundle's
-    /// persisted state plus [`NodeConfig::upgrade_swap_cost`] — and lands on
+    /// persisted state plus a fixed revision-swap cost (150 µs) — and lands on
     /// a subsequent tick; the instance keeps serving its *other* bundles
     /// throughout, and the old revision keeps serving until the swap
     /// instant. Completion is observable as [`NodeEvent::BundleUpgraded`].
@@ -1312,7 +1291,7 @@ impl DosgiNode {
                     .namespace_bytes_prefixed(&format!("{ns}/data/{sn}"))
             })
             .unwrap_or(0);
-        let blackout = self.config.san.write_cost(state_bytes) + self.config.upgrade_swap_cost;
+        let blackout = self.config.san.write_cost(state_bytes) + UPGRADE_SWAP_COST;
         self.pending_upgrades.push(PendingUpgrade {
             ready_at: now + blackout,
             name: name.to_owned(),
@@ -1370,7 +1349,7 @@ impl DosgiNode {
                 })
                 .unwrap_or(0);
             let persist_cost = self.config.san.write_cost(state_bytes);
-            let blackout = persist_cost + self.config.upgrade_swap_cost;
+            let blackout = persist_cost + UPGRADE_SWAP_COST;
             match self.mgr.upgrade_bundle(iid, &sn, p.manifest.clone()) {
                 Ok(report) => {
                     // Stamp the handoff phases under the upgrade root with
@@ -1410,13 +1389,13 @@ impl DosgiNode {
                 }
                 Err(e) => {
                     let failures = p.attempt + 1;
-                    if e.is_transient_store() && !self.config.retry.exhausted(failures) {
+                    if e.is_transient_store() && !RETRY.exhausted(failures) {
                         // The framework rolled the old revision back; it
                         // keeps serving during the backoff. The upgrade
                         // root stays OPEN in `upgrade_traces` — the retry
                         // continues the same trace instead of minting (and
                         // leaking) a new root per attempt.
-                        let backoff = self.config.retry.backoff(p.attempt);
+                        let backoff = RETRY.backoff(p.attempt);
                         self.metrics.upgrade_retries.incr();
                         self.events.push(NodeEvent::UpgradeRetried {
                             at: now,
@@ -1472,7 +1451,7 @@ impl DosgiNode {
             return;
         }
         let failures = p.attempt + 1;
-        if self.config.retry.exhausted(failures) {
+        if RETRY.exhausted(failures) {
             self.metrics.san_quarantines.incr();
             self.events.push(NodeEvent::Quarantined {
                 at: now,
@@ -1493,7 +1472,7 @@ impl DosgiNode {
             );
             return;
         }
-        let backoff = self.config.retry.backoff(p.attempt);
+        let backoff = RETRY.backoff(p.attempt);
         self.metrics.san_retries.incr();
         self.metrics
             .san_retry_backoff_us
@@ -1584,7 +1563,7 @@ impl DosgiNode {
             now,
             &self.monitor,
             &quotas,
-            &self.config.capacity,
+            &NodeCapacity::standard(),
             node_count,
             node_rank,
         );
@@ -1601,12 +1580,8 @@ impl DosgiNode {
         match action {
             PolicyAction::Migrate { subject } => {
                 let candidates = self.placement_candidates();
-                if let Some(dest) = self.config.placement.choose(
-                    &subject,
-                    &candidates,
-                    &self.registry,
-                    &BTreeMap::new(),
-                ) {
+                if let Some(dest) = placement::choose(&candidates, &self.registry, &BTreeMap::new())
+                {
                     let _ = self.migrate_away(&subject, dest, net);
                 }
             }

@@ -15,78 +15,40 @@ use crate::registry::ClusterRegistry;
 use dosgi_net::NodeId;
 use std::collections::BTreeMap;
 
-/// The placement disciplines the Autonomic Module can choose between.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PlacementPolicy {
-    /// Spread instances evenly: always the candidate currently hosting the
-    /// fewest placed instances (ties to the lowest node id).
-    #[default]
-    FewestInstances,
-    /// Deterministic round-robin by instance-name hash — cheapest, ignores
-    /// load.
-    HashSpread,
-    /// Pack instances onto the lowest-id nodes (consolidation mode: frees
-    /// the highest-id nodes for hibernation — the paper's power-saving
-    /// side effect).
-    Consolidate,
+/// Chooses a destination among `candidates` (sorted): the one currently
+/// hosting the fewest placed instances, ties to the lowest node id, given
+/// the replicated registry and an accumulating count of assignments made
+/// earlier in this same placement round (`pending` — so a batch of orphans
+/// spreads instead of all landing on the same least-loaded node). `None`
+/// when there is no candidate.
+pub(crate) fn choose(
+    candidates: &[NodeId],
+    registry: &ClusterRegistry,
+    pending: &BTreeMap<NodeId, usize>,
+) -> Option<NodeId> {
+    let load = registry.load_by_node();
+    candidates
+        .iter()
+        .min_by_key(|n| load.get(n).copied().unwrap_or(0) + pending.get(n).copied().unwrap_or(0))
+        .copied()
 }
 
-impl PlacementPolicy {
-    /// Chooses a destination for `instance` among `candidates` (must be
-    /// non-empty, sorted), given the replicated registry and an
-    /// accumulating count of assignments made earlier in this same
-    /// placement round (`pending` — so a batch of orphans spreads instead
-    /// of all landing on the same least-loaded node).
-    pub fn choose(
-        self,
-        instance: &str,
-        candidates: &[NodeId],
-        registry: &ClusterRegistry,
-        pending: &BTreeMap<NodeId, usize>,
-    ) -> Option<NodeId> {
-        if candidates.is_empty() {
-            return None;
-        }
-        match self {
-            PlacementPolicy::FewestInstances => {
-                let load = registry.load_by_node();
-                candidates
-                    .iter()
-                    .min_by_key(|n| {
-                        load.get(n).copied().unwrap_or(0) + pending.get(n).copied().unwrap_or(0)
-                    })
-                    .copied()
-            }
-            PlacementPolicy::HashSpread => {
-                let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-                for b in instance.as_bytes() {
-                    h ^= u64::from(*b);
-                    h = h.wrapping_mul(0x1000_0000_01b3);
-                }
-                Some(candidates[(h % candidates.len() as u64) as usize])
-            }
-            PlacementPolicy::Consolidate => candidates.first().copied(),
+/// Assigns every `orphan` to a candidate, spreading within the batch.
+/// Returns `(instance, destination)` pairs in input order.
+pub(crate) fn assign_all(
+    orphans: &[String],
+    candidates: &[NodeId],
+    registry: &ClusterRegistry,
+) -> Vec<(String, NodeId)> {
+    let mut pending: BTreeMap<NodeId, usize> = BTreeMap::new();
+    let mut out = Vec::with_capacity(orphans.len());
+    for name in orphans {
+        if let Some(dest) = choose(candidates, registry, &pending) {
+            *pending.entry(dest).or_insert(0) += 1;
+            out.push((name.clone(), dest));
         }
     }
-
-    /// Assigns every `orphan` to a candidate, spreading within the batch.
-    /// Returns `(instance, destination)` pairs in input order.
-    pub fn assign_all(
-        self,
-        orphans: &[String],
-        candidates: &[NodeId],
-        registry: &ClusterRegistry,
-    ) -> Vec<(String, NodeId)> {
-        let mut pending: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut out = Vec::with_capacity(orphans.len());
-        for name in orphans {
-            if let Some(dest) = self.choose(name, candidates, registry, &pending) {
-                *pending.entry(dest).or_insert(0) += 1;
-                out.push((name.clone(), dest));
-            }
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
@@ -111,9 +73,7 @@ mod tests {
     fn fewest_instances_picks_least_loaded() {
         let r = registry_with(&[("a", 0), ("b", 0), ("c", 1)]);
         let candidates = vec![NodeId(0), NodeId(1), NodeId(2)];
-        let dest = PlacementPolicy::FewestInstances
-            .choose("x", &candidates, &r, &BTreeMap::new())
-            .unwrap();
+        let dest = choose(&candidates, &r, &BTreeMap::new()).unwrap();
         assert_eq!(dest, NodeId(2), "empty node wins");
     }
 
@@ -122,7 +82,7 @@ mod tests {
         let r = registry_with(&[]);
         let candidates = vec![NodeId(0), NodeId(1)];
         let orphans: Vec<String> = (0..4).map(|i| format!("i{i}")).collect();
-        let assignment = PlacementPolicy::FewestInstances.assign_all(&orphans, &candidates, &r);
+        let assignment = assign_all(&orphans, &candidates, &r);
         let on0 = assignment.iter().filter(|(_, n)| *n == NodeId(0)).count();
         let on1 = assignment.iter().filter(|(_, n)| *n == NodeId(1)).count();
         assert_eq!(on0, 2);
@@ -130,48 +90,8 @@ mod tests {
     }
 
     #[test]
-    fn hash_spread_is_deterministic() {
-        let r = registry_with(&[]);
-        let candidates = vec![NodeId(0), NodeId(1), NodeId(2)];
-        let a = PlacementPolicy::HashSpread.choose("acme-web", &candidates, &r, &BTreeMap::new());
-        let b = PlacementPolicy::HashSpread.choose("acme-web", &candidates, &r, &BTreeMap::new());
-        assert_eq!(a, b);
-        // Different names spread (statistically: over 32 names, >1 target).
-        let spread: std::collections::HashSet<NodeId> = (0..32)
-            .filter_map(|i| {
-                PlacementPolicy::HashSpread.choose(
-                    &format!("inst-{i}"),
-                    &candidates,
-                    &r,
-                    &BTreeMap::new(),
-                )
-            })
-            .collect();
-        assert!(spread.len() > 1);
-    }
-
-    #[test]
-    fn consolidate_packs_lowest_node() {
-        let r = registry_with(&[]);
-        let candidates = vec![NodeId(1), NodeId(3)];
-        for name in ["a", "b", "c"] {
-            assert_eq!(
-                PlacementPolicy::Consolidate.choose(name, &candidates, &r, &BTreeMap::new()),
-                Some(NodeId(1))
-            );
-        }
-    }
-
-    #[test]
     fn empty_candidates_yield_none() {
         let r = registry_with(&[]);
-        for p in [
-            PlacementPolicy::FewestInstances,
-            PlacementPolicy::HashSpread,
-            PlacementPolicy::Consolidate,
-        ] {
-            assert_eq!(p.choose("x", &[], &r, &BTreeMap::new()), None);
-        }
-        assert!(PlacementPolicy::default() == PlacementPolicy::FewestInstances);
+        assert_eq!(choose(&[], &r, &BTreeMap::new()), None);
     }
 }

@@ -6,9 +6,8 @@
 //! how the hot paths behave under *actual* concurrency.
 //!
 //! [`RealCluster`] is the second backend behind the same node logic: each
-//! [`DosgiNode`] moves onto its own `std::thread`, owns a
-//! [`RealEndpoint`](dosgi_net::RealEndpoint) (lock-free `mpsc` links, a
-//! shared monotonic [`RealClock`](dosgi_net::RealClock)), and ticks the
+//! [`DosgiNode`] moves onto its own `std::thread`, owns a [`RealEndpoint`]
+//! (lock-free `mpsc` links, a shared monotonic [`RealClock`]), and ticks the
 //! identical protocol code the simulator runs. Nothing in `DosgiNode` knows
 //! which backend it is on — the only coupling is the [`Fabric`] trait.
 //!
@@ -17,9 +16,9 @@
 //! Callers talk to worker threads through per-node command channels. There
 //! is one command: a closure to run against the node and its endpoint
 //! ([`RealCluster::on`]), which sends its result back on its own reply
-//! channel; `deploy`, `migrate`, `call`, `probe`, `health`,
-//! `registry_reader` and `take_events` are one-line callers of it. The
-//! worker loop is:
+//! channel; `deploy`, `migrate`, `call`, `probe`, `health` and
+//! `take_events` are one-line callers of it, and it is the one way to
+//! read a node from another thread. The worker loop is:
 //!
 //! 1. run pending commands,
 //! 2. `node.tick(&mut endpoint, endpoint.now())` — heartbeats, view
@@ -42,8 +41,7 @@ use crate::node::{NodeConfig, Wire};
 use crate::CoreError;
 use crate::DosgiNode;
 use crate::NodeEvent;
-use dosgi_net::{Clock, Fabric, NodeId, RealClock, RealEndpoint, RealNet, SimTime};
-use dosgi_osgi::RegistryReader;
+use dosgi_net::{Fabric, NodeId, RealClock, RealEndpoint, RealNet, SimTime};
 use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::HealthState;
 use dosgi_vosgi::InstanceDescriptor;
@@ -217,7 +215,7 @@ impl RealCluster {
 
     /// Node `on`'s current health, computed on the worker thread from the
     /// node's own view: quarantined instances homed there and total-order
-    /// backlog pressure (see [`node_health`]). Mirrors the sim driver's
+    /// backlog pressure. Mirrors the sim driver's
     /// [`DosgiCluster::health_of`](crate::DosgiCluster::health_of) on the
     /// real-clock command plane.
     pub fn health(&self, on: NodeId) -> HealthState {
@@ -227,12 +225,6 @@ impl RealCluster {
     /// Every node's health, indexed like [`ids`](Self::ids).
     pub fn health_scoreboard(&self) -> Vec<HealthState> {
         self.ids.iter().map(|&id| self.health(id)).collect()
-    }
-
-    /// A concurrent read handle onto node `on`'s host service registry.
-    /// The handle outlives the request and reads without stopping the node.
-    pub fn registry_reader(&self, on: NodeId) -> RegistryReader {
-        self.on(on, |node, _| node.registry_reader())
     }
 
     /// Drains node `on`'s accumulated events.
@@ -374,10 +366,10 @@ mod tests {
         cluster.shutdown();
     }
 
-    /// Satellite: two genuinely concurrent client threads — one migrating an
-    /// instance back and forth, one hammering registry lookups through a
-    /// `RegistryReader` — must finish without deadlock or panic. This is the
-    /// interleaving the sharded COW registry exists for.
+    /// Two genuinely concurrent client threads — one migrating an instance
+    /// back and forth, one looking services up on both nodes through the
+    /// command plane — must finish without deadlock or panic, each having
+    /// made progress.
     #[test]
     fn concurrent_migrate_and_lookup_survive() {
         let cluster = two_node_cluster();
@@ -387,41 +379,39 @@ mod tests {
             .expect("deploy accepted");
         assert!(cluster.await_running(a, "kv-hot", Duration::from_secs(10)));
 
-        let reader_a = cluster.registry_reader(a);
-        let reader_b = cluster.registry_reader(b);
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let lookup_stop = stop.clone();
-        let lookups = std::thread::spawn(move || {
-            let mut sweeps = 0u64;
-            let mut done = false;
-            while !done {
-                done = lookup_stop.load(std::sync::atomic::Ordering::Relaxed);
-                for reader in [&reader_a, &reader_b] {
-                    for interface in [workloads::LOG_SERVICE, workloads::COUNTER_SERVICE] {
-                        for svc in reader.lookup(interface).iter() {
-                            std::hint::black_box(&svc.interfaces);
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        // Nothing asserts inside the scope: a panic there would leave the
+        // lookup thread spinning and the scope waiting for it.
+        let (sweeps, converged) = std::thread::scope(|s| {
+            let lookups = s.spawn(|| {
+                let mut sweeps = 0u64;
+                let mut done = false;
+                while !done {
+                    done = stop.load(std::sync::atomic::Ordering::Relaxed);
+                    for node in [a, b] {
+                        for interface in [workloads::LOG_SERVICE, workloads::COUNTER_SERVICE] {
+                            std::hint::black_box(cluster.on(node, move |n, _| {
+                                n.manager().host().registry().best(interface)
+                            }));
                         }
                     }
+                    sweeps += 1;
                 }
-                sweeps += 1;
-            }
-            sweeps
-        });
+                sweeps
+            });
 
-        let mut here = a;
-        for _ in 0..4 {
-            let to = if here == a { b } else { a };
-            cluster
-                .migrate(here, "kv-hot", to)
-                .expect("migrate accepted");
-            assert!(
-                cluster.await_running(to, "kv-hot", Duration::from_secs(10)),
-                "migration must converge while lookups run"
-            );
-            here = to;
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let sweeps = lookups.join().expect("lookup thread survives");
+            let mut here = a;
+            let mut converged = true;
+            for _ in 0..4 {
+                let to = if here == a { b } else { a };
+                converged &= cluster.migrate(here, "kv-hot", to).is_ok()
+                    && cluster.await_running(to, "kv-hot", Duration::from_secs(10));
+                here = to;
+            }
+            stop.store(true, std::sync::atomic::Ordering::Relaxed);
+            (lookups.join().expect("lookup thread survives"), converged)
+        });
+        assert!(converged, "migrations must converge while lookups run");
         assert!(sweeps > 0, "lookup thread must have made progress");
         cluster.shutdown();
     }

@@ -31,16 +31,6 @@ impl GcsConfig {
         }
     }
 
-    /// Aggressive detection for fast-failover experiments: 10ms/40ms.
-    pub fn fast() -> Self {
-        GcsConfig {
-            heartbeat_interval: SimDuration::from_millis(10),
-            suspect_timeout: SimDuration::from_millis(40),
-            propose_resend: SimDuration::from_millis(20),
-            order_resend: SimDuration::from_millis(30),
-        }
-    }
-
     /// Scales heartbeat and suspicion together, preserving the ratio — the
     /// knob experiment E6 sweeps.
     pub fn with_heartbeat(mut self, interval: SimDuration) -> Self {
@@ -65,8 +55,6 @@ mod tests {
     fn presets_are_sane() {
         let c = GcsConfig::lan();
         assert!(c.suspect_timeout > c.heartbeat_interval * 2);
-        let f = GcsConfig::fast();
-        assert!(f.heartbeat_interval < c.heartbeat_interval);
         assert_eq!(GcsConfig::default(), GcsConfig::lan());
     }
 

@@ -26,15 +26,6 @@ impl NodeCapacity {
         }
     }
 
-    /// A small node for consolidation experiments: 2 cores, 2 GiB.
-    pub fn small() -> Self {
-        NodeCapacity {
-            cpu_cores: 2.0,
-            memory_bytes: 2 << 30,
-            disk_bytes: 100 << 30,
-        }
-    }
-
     /// True if a workload needing `cpu_per_sec` CPU (per second of wall
     /// clock), `memory` and `disk` fits inside the *remaining* capacity
     /// after `used_*` are subtracted.
@@ -107,7 +98,6 @@ mod tests {
 
     #[test]
     fn presets() {
-        assert!(NodeCapacity::standard().memory_bytes > NodeCapacity::small().memory_bytes);
         assert_eq!(NodeCapacity::default(), NodeCapacity::standard());
     }
 }

@@ -7,30 +7,28 @@
 //! thread via `ThreadMXBean`, and the authors pin their hopes on **JSR-284,
 //! the Resource Consumption Management API**.
 //!
-//! The simulation is not subject to the JVM's limits, so this crate simply
-//! *implements* the JSR-284 model the paper wanted:
+//! The simulation is not subject to the JVM's limits, so this crate measures
+//! what the paper wanted measured:
 //!
-//! * [`ResourceDomain`] — a named accounting domain (one per customer
-//!   instance) with per-[`ResourceType`] limits, reservations and
-//!   consumption, in the JSR-284 style;
 //! * [`Sampler`] — turns cumulative [`UsageSnapshot`]s (from the
 //!   `dosgi-osgi` ledger) into windowed rates: CPU share of a core, calls
 //!   per second, memory gauge;
-//! * [`TimeSeries`] — bounded history with mean/max/EWMA/percentile, the
-//!   inputs to autonomic policy conditions;
-//! * [`NodeCapacity`] — a node's total resources and the `fits` test the
-//!   Migration Module uses when choosing a failover destination.
+//! * [`MonitoringModule`] — one sampler per customer instance and the
+//!   latest window of each, the inputs to autonomic policy conditions;
+//! * [`NodeCapacity`] — a node's total resources: what the Autonomic Module
+//!   computes node utilization against, and a `fits` test for weighing a
+//!   destination.
+//!
+//! The limit the runtime enforces per instance is `dosgi_vosgi`'s quota;
+//! history of the windows is `dosgi_telemetry`'s series over the
+//! `monitor.<subject>.*` gauges a node publishes.
 //!
 //! [`UsageSnapshot`]: dosgi_osgi::UsageSnapshot
 
 mod capacity;
-mod domain;
 mod module;
 mod sample;
-mod series;
 
 pub use capacity::NodeCapacity;
-pub use domain::{DomainEvent, ResourceDomain, ResourceType};
-pub use module::{MonitoringModule, SubjectReport};
+pub use module::MonitoringModule;
 pub use sample::{Sampler, WindowedUsage};
-pub use series::TimeSeries;

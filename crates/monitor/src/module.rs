@@ -1,33 +1,18 @@
-//! The Monitoring Module: per-subject samplers and series under one roof.
+//! The Monitoring Module: per-subject samplers under one roof.
 
-use crate::{Sampler, TimeSeries, WindowedUsage};
+use crate::{Sampler, WindowedUsage};
 use dosgi_net::SimTime;
 use dosgi_osgi::UsageSnapshot;
 use std::collections::BTreeMap;
 
-/// Aggregated statistics for one monitored subject (a virtual instance,
-/// keyed by name).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubjectReport {
-    /// The subject's key.
-    pub subject: String,
-    /// Most recent windowed usage, if at least two samples exist.
-    pub latest: Option<WindowedUsage>,
-    /// Mean CPU share over the series window.
-    pub cpu_share_mean: Option<f64>,
-    /// EWMA CPU share.
-    pub cpu_share_ewma: Option<f64>,
-    /// Peak memory seen in the window.
-    pub memory_max: Option<f64>,
-    /// Mean call rate.
-    pub call_rate_mean: Option<f64>,
-}
-
 /// The per-node Monitoring Module: feed it cumulative usage snapshots per
-/// subject (typically once per sampling period), query windowed statistics.
+/// subject (typically once per sampling period), query the latest window.
 ///
 /// This is the component §3.1 could not fully build on a 2008 JVM; the
-/// blackboard it produces is the input to the Autonomic Module's policies.
+/// latest window per subject is the input to the Autonomic Module's
+/// policies. History is not kept here: the node publishes each window as
+/// `monitor.<subject>.*` gauges, and `dosgi_telemetry`'s series scraper
+/// keeps theirs.
 #[derive(Debug, Clone, Default)]
 pub struct MonitoringModule {
     subjects: BTreeMap<String, SubjectState>,
@@ -36,9 +21,6 @@ pub struct MonitoringModule {
 #[derive(Debug, Clone, Default)]
 struct SubjectState {
     sampler: Sampler,
-    cpu_share: TimeSeries,
-    memory: TimeSeries,
-    call_rate: TimeSeries,
     latest: Option<WindowedUsage>,
 }
 
@@ -61,9 +43,6 @@ impl MonitoringModule {
             None => self.subjects.entry(subject.to_owned()).or_default(),
         };
         let window = state.sampler.observe(now, snapshot)?;
-        state.cpu_share.push(window.cpu_share);
-        state.memory.push(window.memory as f64);
-        state.call_rate.push(window.call_rate);
         state.latest = Some(window);
         Some(window)
     }
@@ -71,21 +50,6 @@ impl MonitoringModule {
     /// The latest windowed usage for `subject`.
     pub fn latest(&self, subject: &str) -> Option<WindowedUsage> {
         self.subjects.get(subject).and_then(|s| s.latest)
-    }
-
-    /// Full reports for every subject, sorted by key.
-    pub fn report(&self) -> Vec<SubjectReport> {
-        self.subjects
-            .iter()
-            .map(|(k, s)| SubjectReport {
-                subject: k.clone(),
-                latest: s.latest,
-                cpu_share_mean: s.cpu_share.mean(),
-                cpu_share_ewma: s.cpu_share.ewma(),
-                memory_max: s.memory.max(),
-                call_rate_mean: s.call_rate.mean(),
-            })
-            .collect()
     }
 
     /// Sum of the latest CPU shares across subjects — the node-level load
@@ -133,21 +97,24 @@ mod tests {
     }
 
     #[test]
-    fn record_builds_series_per_subject() {
+    fn record_keeps_the_latest_window_per_subject() {
         let mut m = MonitoringModule::new();
         assert!(m
             .record("a", SimTime::from_secs(0), snap(0, 10, 0))
             .is_none());
+        m.record("b", SimTime::from_secs(0), snap(0, 0, 0));
         let w = m
             .record("a", SimTime::from_secs(1), snap(250, 20, 5))
             .unwrap();
         assert!((w.cpu_share - 0.25).abs() < 1e-9);
-        m.record("a", SimTime::from_secs(2), snap(750, 30, 15))
+        assert_eq!(m.latest("a"), Some(w));
+        let w = m
+            .record("a", SimTime::from_secs(2), snap(750, 30, 15))
             .unwrap();
-        let cpu_share_mean = m.report()[0].cpu_share_mean.unwrap();
-        assert!((cpu_share_mean - 0.375).abs() < 1e-9, "two windows");
+        assert!((w.cpu_share - 0.5).abs() < 1e-9, "the second window alone");
         assert_eq!(m.latest("a").unwrap().memory, 30);
-        assert_eq!(m.subjects(), vec!["a"]);
+        assert_eq!(m.latest("b"), None, "b has only one sample");
+        assert_eq!(m.subjects(), vec!["a", "b"]);
     }
 
     #[test]
@@ -159,19 +126,6 @@ mod tests {
         }
         assert!((m.total_cpu_share() - 1.0).abs() < 1e-9);
         assert_eq!(m.total_memory(), 200);
-    }
-
-    #[test]
-    fn report_covers_all_subjects() {
-        let mut m = MonitoringModule::new();
-        m.record("a", SimTime::from_secs(0), snap(0, 0, 0));
-        m.record("b", SimTime::from_secs(0), snap(0, 0, 0));
-        m.record("a", SimTime::from_secs(1), snap(100, 5, 2));
-        let report = m.report();
-        assert_eq!(report.len(), 2);
-        assert_eq!(report[0].subject, "a");
-        assert!(report[0].latest.is_some());
-        assert!(report[1].latest.is_none(), "b has only one sample");
     }
 
     #[test]

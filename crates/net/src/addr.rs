@@ -74,7 +74,7 @@ impl fmt::Display for SocketAddr {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BindError {
     /// The IP is already bound to another node; it must be released first
-    /// (Figure 5: "the node currently holding the service [must] release the
+    /// (Figure 5: "the node currently holding the service \[must\] release the
     /// IP address").
     AlreadyBound {
         /// The node currently holding the address.

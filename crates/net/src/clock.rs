@@ -1,4 +1,4 @@
-//! Clock abstraction: virtual (driver-advanced) or real (monotonic) time.
+//! The real runtime's clock.
 //!
 //! Both backends express time as [`SimTime`] — microseconds since an
 //! epoch — so every layer above (GCS heartbeat deadlines, lease expiry,
@@ -9,12 +9,6 @@
 use crate::SimTime;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// A source of the current instant.
-pub trait Clock {
-    /// The current instant, as microseconds since this clock's epoch.
-    fn now(&self) -> SimTime;
-}
 
 /// A monotonic wall-clock anchored at its creation instant.
 ///
@@ -33,17 +27,16 @@ impl RealClock {
             epoch: Arc::new(Instant::now()),
         }
     }
+
+    /// The current instant, as microseconds since this clock's epoch.
+    pub fn now(&self) -> SimTime {
+        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
+    }
 }
 
 impl Default for RealClock {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-impl Clock for RealClock {
-    fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
     }
 }
 

@@ -54,18 +54,6 @@ impl LinkConfig {
             ..LinkConfig::lan()
         }
     }
-
-    /// Builder-style override of the base latency.
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Builder-style override of the jitter bound.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
-        self
-    }
 }
 
 impl Default for LinkConfig {
@@ -94,14 +82,5 @@ mod tests {
     #[should_panic(expected = "loss must be in [0,1]")]
     fn lossy_rejects_out_of_range() {
         let _ = LinkConfig::lossy(1.5);
-    }
-
-    #[test]
-    fn builder_overrides() {
-        let c = LinkConfig::lan()
-            .with_latency(SimDuration::from_millis(1))
-            .with_jitter(SimDuration::ZERO);
-        assert_eq!(c.latency, SimDuration::from_millis(1));
-        assert!(c.jitter.is_zero());
     }
 }

@@ -53,8 +53,8 @@ mod stats;
 mod time;
 mod topology;
 
-pub use addr::{IpAddr, IpBindings, Port, SocketAddr};
-pub use clock::{Clock, RealClock};
+pub use addr::{BindError, IpAddr, IpBindings, Port, SocketAddr};
+pub use clock::RealClock;
 pub use config::LinkConfig;
 pub use fabric::Fabric;
 pub use id::NodeId;

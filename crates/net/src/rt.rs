@@ -15,7 +15,7 @@
 //! determinism — it exists to measure real hardware, not to replay
 //! schedules.
 
-use crate::{Clock, Envelope, Fabric, NodeId, RealClock, SimTime};
+use crate::{Envelope, Fabric, NodeId, RealClock, SimTime};
 use std::sync::mpsc::{channel, Receiver, Sender};
 
 /// Builder for a set of mutually connected [`RealEndpoint`]s.

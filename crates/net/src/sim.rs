@@ -379,7 +379,10 @@ mod tests {
         n.set_link(
             a,
             b,
-            LinkConfig::ideal().with_latency(SimDuration::from_millis(7)),
+            LinkConfig {
+                latency: SimDuration::from_millis(7),
+                ..LinkConfig::ideal()
+            },
         );
         n.send(a, b, 1);
         let t = n.step().unwrap();

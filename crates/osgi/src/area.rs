@@ -22,10 +22,10 @@ struct Row {
 ///   and remembers the answer, found or absent: a row is fetched at most
 ///   once per residency. A failed read remembers nothing and is the
 ///   caller's error.
-/// * A write lands in memory and marks its row dirty; [`flush`](Self::flush)
+/// * A write lands in memory and marks its row dirty; a `flush`
 ///   writes the dirty rows — and only those — as one batch and clears the
 ///   marks when the SAN took them all.
-/// * [`release`](Self::release) ends the residency of every clean row, so
+/// * A `release` ends the residency of every clean row, so
 ///   the next read asks the SAN again.
 ///
 /// Without a SAN the area is plain memory: reads never miss to anywhere,

@@ -58,7 +58,6 @@ mod ledger;
 mod lifecycle;
 mod loader;
 mod manifest;
-/// Framework-state snapshot serialization (public for the migration layer).
 pub mod persist;
 mod props;
 mod registry;
@@ -80,7 +79,7 @@ pub use lifecycle::BundleState;
 pub use loader::{BootDelegation, ClassRef, LoadError, LoadPath};
 pub use manifest::{BundleManifest, ManifestBuilder, PackageExport, PackageImport};
 pub use props::PropValue;
-pub use registry::{RegistryReader, ServiceMeta, ServiceRecord, ServiceRegistry};
+pub use registry::{ServiceRecord, ServiceRegistry};
 pub use resolver::{ResolutionReport, Wiring};
 pub use service::{CallContext, Service};
 pub use tracker::ServiceTracker;

@@ -5,9 +5,8 @@ use crate::{
     ServiceEventKind, ServiceId, UsageLedger,
 };
 use dosgi_san::Value;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
 
 /// A registered service: metadata plus the (type-erased) implementation.
 pub struct ServiceRecord {
@@ -36,161 +35,24 @@ impl fmt::Debug for ServiceRecord {
     }
 }
 
-/// Immutable registration metadata published to concurrent readers: every
-/// field of a [`ServiceRecord`] except the (necessarily exclusive)
-/// implementation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceMeta {
-    /// The service's id.
-    pub id: ServiceId,
-    /// The bundle that registered it.
-    pub owner: BundleId,
-    /// The interface names it is registered under.
-    pub interfaces: Vec<String>,
-    /// Its property dictionary.
-    pub properties: BTreeMap<String, PropValue>,
-    /// Its ranking.
-    pub ranking: i64,
-}
-
-/// Number of independent read shards. Interface names hash onto shards, so
-/// concurrent lookups of different interfaces almost never contend on the
-/// same lock; a power of two keeps the modulo a mask.
-const SHARD_COUNT: usize = 16;
-
-/// Stable FNV-1a over the interface name — must not vary across runs or
-/// threads (shard choice is part of no observable behavior, but stability
-/// keeps reasoning simple).
-fn shard_of(interface: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in interface.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h as usize) & (SHARD_COUNT - 1)
-}
-
-/// One shard's published index: interface → matching registrations,
-/// pre-sorted by ranking descending then id ascending (the OSGi tie-break)
-/// so readers never sort.
-#[derive(Debug, Default)]
-struct ShardIndex {
-    by_interface: BTreeMap<String, Arc<[Arc<ServiceMeta>]>>,
-}
-
-/// A cloneable, `Send + Sync` read handle onto the registry's
-/// interface index — the concurrent lookup path for the real-clock
-/// runtime.
-///
-/// Copy-on-write sharding: writers ([`ServiceRegistry::register`] and
-/// friends) rebuild only the affected interface's entry inside its shard
-/// and swap the shard's `Arc`; readers take a shard read lock just long
-/// enough to clone an `Arc`, then work lock-free on the immutable
-/// snapshot. Lookups of different interfaces land on different shards with
-/// probability `1 - 1/16`, so they don't serialize behind a single lock.
-///
-/// Reads are **snapshot-consistent, not linearizable**: a lookup
-/// concurrent with a registration may see the index from just before or
-/// just after it — exactly the semantics OSGi service trackers already
-/// live with.
-#[derive(Debug, Clone)]
-pub struct RegistryReader {
-    shards: Arc<[RwLock<Arc<ShardIndex>>; SHARD_COUNT]>,
-}
-
-impl RegistryReader {
-    fn new() -> Self {
-        // Every shard starts out on one shared empty index; a write swaps
-        // in its own.
-        let empty = Arc::new(ShardIndex::default());
-        RegistryReader {
-            shards: Arc::new(std::array::from_fn(|_| RwLock::new(Arc::clone(&empty)))),
-        }
-    }
-
-    /// The published snapshot for `interface`'s shard.
-    fn snapshot(&self, interface: &str) -> Arc<ShardIndex> {
-        let guard = self.shards[shard_of(interface)]
-            .read()
-            .unwrap_or_else(|e| e.into_inner());
-        Arc::clone(&guard)
-    }
-
-    /// Registrations offering `interface`, ordered by ranking descending
-    /// then id ascending. Allocation-free beyond the returned `Arc` clone.
-    pub fn lookup(&self, interface: &str) -> Arc<[Arc<ServiceMeta>]> {
-        self.snapshot(interface)
-            .by_interface
-            .get(interface)
-            .cloned()
-            .unwrap_or_else(|| Arc::from(Vec::new()))
-    }
-
-    /// Like [`lookup`](Self::lookup), narrowed by an LDAP-style filter.
-    pub fn lookup_filtered(&self, interface: &str, filter: &Filter) -> Vec<Arc<ServiceMeta>> {
-        self.snapshot(interface)
-            .by_interface
-            .get(interface)
-            .map(|entries| {
-                entries
-                    .iter()
-                    .filter(|m| filter.matches(&m.properties))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default()
-    }
-
-    /// The best (highest-ranked, then lowest-id) service offering
-    /// `interface`.
-    pub fn best(&self, interface: &str) -> Option<ServiceId> {
-        self.snapshot(interface)
-            .by_interface
-            .get(interface)
-            .and_then(|entries| entries.first())
-            .map(|m| m.id)
-    }
-}
-
 /// The framework's service registry.
 ///
 /// Services are registered under one or more interface names with a property
 /// dictionary; consumers look them up by interface, optionally narrowed by
 /// an LDAP-style [`Filter`], and receive references ordered by ranking
 /// (descending) then id (ascending) — the OSGi tie-break.
-///
-/// The `&self` methods serve the deterministic single-threaded path; for
-/// concurrent readers (real-clock runtime, other node threads) a
-/// copy-on-write [`RegistryReader`] handle is available via
-/// [`reader`](Self::reader) — registrations publish their metadata to it
-/// on every mutation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServiceRegistry {
     services: BTreeMap<ServiceId, ServiceRecord>,
-    /// Interface name → ids registered under it. Interfaces are fixed at
-    /// registration (property updates cannot change them), so the index
-    /// only moves on register/unregister; lookups by interface scan just
-    /// the candidate set instead of every registration.
-    by_interface: BTreeMap<String, BTreeSet<ServiceId>>,
-    /// Cached published metadata per service, shared by every interface
-    /// entry in the reader's shards (rebuilt when properties change).
-    meta: BTreeMap<ServiceId, Arc<ServiceMeta>>,
-    reader: RegistryReader,
+    /// Interface name → the ids registered under it, held in lookup order
+    /// (ranking descending, then id ascending), so the best provider is the
+    /// first entry and a lookup by interface never sorts. Interfaces are
+    /// fixed at registration; a list moves on register, unregister and a
+    /// property update that changes the ranking, and an interface with no
+    /// provider has no entry.
+    by_interface: BTreeMap<String, Vec<ServiceId>>,
     next_id: u64,
     events: Vec<ServiceEvent>,
-}
-
-impl Default for ServiceRegistry {
-    fn default() -> Self {
-        ServiceRegistry {
-            services: BTreeMap::new(),
-            by_interface: BTreeMap::new(),
-            meta: BTreeMap::new(),
-            reader: RegistryReader::new(),
-            next_id: 0,
-            events: Vec::new(),
-        }
-    }
 }
 
 impl ServiceRegistry {
@@ -199,56 +61,36 @@ impl ServiceRegistry {
         Self::default()
     }
 
-    /// A cloneable, `Send + Sync` handle for concurrent by-interface
-    /// lookups. Handles observe every mutation made after (and before)
-    /// they were taken — they all share the registry's shard set.
-    pub fn reader(&self) -> RegistryReader {
-        self.reader.clone()
-    }
-
-    /// Rebuilds the published metadata for `id` from its record.
-    fn refresh_meta(&mut self, id: ServiceId) {
+    /// Places `id`, whose record is in `services`, in the list of each of
+    /// its interfaces at its position in lookup order.
+    fn index(&mut self, id: ServiceId) {
         let rec = &self.services[&id];
-        self.meta.insert(
-            id,
-            Arc::new(ServiceMeta {
-                id: rec.id,
-                owner: rec.owner,
-                interfaces: rec.interfaces.clone(),
-                properties: rec.properties.clone(),
-                ranking: rec.ranking,
-            }),
-        );
+        for iface in &rec.interfaces {
+            let ids = self.by_interface.entry(iface.clone()).or_default();
+            let at = ids.partition_point(|other| {
+                let ranking = self.services[other].ranking;
+                ranking > rec.ranking || (ranking == rec.ranking && *other < id)
+            });
+            // An interface named twice in one registration is listed once.
+            if ids.get(at) != Some(&id) {
+                ids.insert(at, id);
+            }
+        }
     }
 
-    /// Republishes the affected interfaces' entries into their shards:
-    /// copy-on-write per shard, so in-flight readers keep their snapshot.
-    fn republish(&self, interfaces: &[String]) {
+    /// Takes `id` out of the list of each of `interfaces`.
+    fn unindex(
+        by_interface: &mut BTreeMap<String, Vec<ServiceId>>,
+        id: ServiceId,
+        interfaces: &[String],
+    ) {
         for iface in interfaces {
-            let entries: Vec<Arc<ServiceMeta>> = self
-                .by_interface
-                .get(iface)
-                .map(|ids| {
-                    let mut v: Vec<Arc<ServiceMeta>> = ids
-                        .iter()
-                        .filter_map(|id| self.meta.get(id))
-                        .cloned()
-                        .collect();
-                    v.sort_by(|a, b| b.ranking.cmp(&a.ranking).then(a.id.cmp(&b.id)));
-                    v
-                })
-                .unwrap_or_default();
-            let shard = &self.reader.shards[shard_of(iface)];
-            let mut guard = shard.write().unwrap_or_else(|e| e.into_inner());
-            let mut next = ShardIndex {
-                by_interface: guard.by_interface.clone(),
-            };
-            if entries.is_empty() {
-                next.by_interface.remove(iface);
-            } else {
-                next.by_interface.insert(iface.clone(), Arc::from(entries));
+            if let Some(ids) = by_interface.get_mut(iface) {
+                ids.retain(|other| *other != id);
+                if ids.is_empty() {
+                    by_interface.remove(iface);
+                }
             }
-            *guard = Arc::new(next);
         }
     }
 
@@ -286,31 +128,23 @@ impl ServiceRegistry {
         );
         properties.insert("service.id".to_owned(), PropValue::Int(id.0 as i64));
         properties.insert("service.ranking".to_owned(), PropValue::Int(ranking));
-        for iface in &interfaces {
-            self.by_interface
-                .entry(iface.clone())
-                .or_default()
-                .insert(id);
-        }
+        self.events.push(ServiceEvent {
+            service: id,
+            interfaces: interfaces.clone(),
+            kind: ServiceEventKind::Registered,
+        });
         self.services.insert(
             id,
             ServiceRecord {
                 id,
                 owner,
-                interfaces: interfaces.clone(),
+                interfaces,
                 properties,
                 ranking,
                 implementation,
             },
         );
-        self.events.push(ServiceEvent {
-            service: id,
-            interfaces,
-            kind: ServiceEventKind::Registered,
-        });
-        self.refresh_meta(id);
-        let ifaces = self.services[&id].interfaces.clone();
-        self.republish(&ifaces);
+        self.index(id);
         id
     }
 
@@ -322,16 +156,7 @@ impl ServiceRegistry {
     pub fn unregister(&mut self, id: ServiceId) -> Result<(), ServiceError> {
         match self.services.remove(&id) {
             Some(rec) => {
-                for iface in &rec.interfaces {
-                    if let Some(ids) = self.by_interface.get_mut(iface) {
-                        ids.remove(&id);
-                        if ids.is_empty() {
-                            self.by_interface.remove(iface);
-                        }
-                    }
-                }
-                self.meta.remove(&id);
-                self.republish(&rec.interfaces);
+                Self::unindex(&mut self.by_interface, id, &rec.interfaces);
                 self.events.push(ServiceEvent {
                     service: id,
                     interfaces: rec.interfaces,
@@ -380,6 +205,10 @@ impl ServiceRegistry {
         );
         properties.insert("service.id".to_owned(), PropValue::Int(id.0 as i64));
         properties.insert("service.ranking".to_owned(), PropValue::Int(ranking));
+        let reranked = ranking != rec.ranking;
+        if reranked {
+            Self::unindex(&mut self.by_interface, id, &rec.interfaces);
+        }
         rec.ranking = ranking;
         rec.properties = properties;
         self.events.push(ServiceEvent {
@@ -387,44 +216,43 @@ impl ServiceRegistry {
             interfaces: rec.interfaces.clone(),
             kind: ServiceEventKind::Modified,
         });
-        self.refresh_meta(id);
-        let ifaces = self.services[&id].interfaces.clone();
-        self.republish(&ifaces);
+        if reranked {
+            self.index(id);
+        }
         Ok(())
     }
 
     /// References matching `interface` (if given) and `filter` (if given),
     /// ordered by ranking descending then id ascending. An interface query
-    /// scans only the ids indexed under that interface, not every
-    /// registration.
+    /// walks that interface's list, which is kept in this order; only a
+    /// query over every registration sorts.
     pub fn references(
         &self,
         interface: Option<&str>,
         filter: Option<&Filter>,
     ) -> Vec<&ServiceRecord> {
-        let mut out: Vec<&ServiceRecord> = match interface {
+        let matches = |r: &&ServiceRecord| filter.is_none_or(|f| f.matches(&r.properties));
+        match interface {
             Some(i) => self
                 .by_interface
                 .get(i)
                 .into_iter()
                 .flatten()
-                .filter_map(|id| self.services.get(id))
-                .filter(|r| filter.is_none_or(|f| f.matches(&r.properties)))
+                .map(|id| &self.services[id])
+                .filter(matches)
                 .collect(),
-            None => self
-                .services
-                .values()
-                .filter(|r| filter.is_none_or(|f| f.matches(&r.properties)))
-                .collect(),
-        };
-        out.sort_by(|a, b| b.ranking.cmp(&a.ranking).then(a.id.cmp(&b.id)));
-        out
+            None => {
+                let mut out: Vec<&ServiceRecord> = self.services.values().filter(matches).collect();
+                out.sort_by(|a, b| b.ranking.cmp(&a.ranking).then(a.id.cmp(&b.id)));
+                out
+            }
+        }
     }
 
     /// The best (highest-ranked, then lowest-id) service offering
-    /// `interface`.
+    /// `interface`: the first entry of its list.
     pub fn best(&self, interface: &str) -> Option<ServiceId> {
-        self.references(Some(interface), None).first().map(|r| r.id)
+        self.by_interface.get(interface)?.first().copied()
     }
 
     /// Looks up a record by id.
@@ -481,6 +309,7 @@ impl ServiceRegistry {
 mod tests {
     use super::*;
     use dosgi_net::SimDuration;
+    use dosgi_testkit::{prop, prop_verify_eq};
 
     fn echo_service() -> Box<dyn Service> {
         Box::new(
@@ -627,34 +456,144 @@ mod tests {
         assert!(r.by_interface.is_empty());
     }
 
+    /// One step of registry churn. Targets are picked among the live ids.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Register {
+            owner: u64,
+            interfaces: Vec<usize>,
+            ranking: i64,
+            acme: bool,
+        },
+        Unregister(usize),
+        UnregisterBundle(u64),
+        /// `ranking`: 0 leaves the key out (ranking kept), 1 sets a
+        /// non-`Int` value (ranking kept), anything else is the new ranking.
+        SetProperties {
+            target: usize,
+            ranking: i64,
+            acme: bool,
+        },
+    }
+
+    const IFACES: [&str; 4] = ["a", "b", "c", "d"];
+
+    fn churn() -> prop::Gen<Vec<Op>> {
+        prop::vecs(
+            prop::Gen::new(|rng| match rng.u64_below(8) {
+                0..=3 => Op::Register {
+                    owner: rng.u64_in(1, 3),
+                    interfaces: (0..rng.usize_in(1, 3))
+                        .map(|_| rng.usize_in(0, IFACES.len() - 1))
+                        .collect(),
+                    ranking: rng.i64_in(-1, 2),
+                    acme: rng.chance(0.5),
+                },
+                4 => Op::Unregister(rng.usize_in(0, 63)),
+                5 => Op::UnregisterBundle(rng.u64_in(1, 3)),
+                _ => Op::SetProperties {
+                    target: rng.usize_in(0, 63),
+                    ranking: rng.i64_in(-1, 4),
+                    acme: rng.chance(0.5),
+                },
+            }),
+            1,
+            40,
+        )
+    }
+
+    fn vendor(acme: bool) -> BTreeMap<String, PropValue> {
+        let mut p = BTreeMap::new();
+        p.insert(
+            "vendor".to_owned(),
+            PropValue::from(if acme { "acme" } else { "other" }),
+        );
+        p
+    }
+
+    /// Every lookup by interface agrees, after every step, with a scan over
+    /// every record followed by a sort.
+    fn index_matches_the_scan(ops: &[Op]) -> prop::PropResult {
+        let acme: Filter = "(vendor=acme)".parse().unwrap();
+        let mut r = ServiceRegistry::new();
+        for op in ops {
+            let live: Vec<ServiceId> = r.services.keys().copied().collect();
+            match op {
+                Op::Register {
+                    owner,
+                    interfaces,
+                    ranking,
+                    acme,
+                } => {
+                    let names: Vec<&str> = interfaces.iter().map(|i| IFACES[*i]).collect();
+                    let mut p = vendor(*acme);
+                    p.insert("service.ranking".to_owned(), PropValue::Int(*ranking));
+                    let _ = r.register(BundleId(*owner), &names, p, echo_service());
+                }
+                Op::Unregister(target) if !live.is_empty() => {
+                    r.unregister(live[target % live.len()]).unwrap();
+                }
+                Op::UnregisterBundle(owner) => {
+                    let _ = r.unregister_bundle(BundleId(*owner));
+                }
+                Op::SetProperties {
+                    target,
+                    ranking,
+                    acme,
+                } if !live.is_empty() => {
+                    let mut p = vendor(*acme);
+                    match ranking {
+                        0 => {}
+                        1 => drop(p.insert("service.ranking".to_owned(), "high".into())),
+                        r => drop(p.insert("service.ranking".to_owned(), PropValue::Int(*r))),
+                    }
+                    r.set_properties(live[target % live.len()], p).unwrap();
+                }
+                Op::Unregister(_) | Op::SetProperties { .. } => {}
+            }
+            for iface in IFACES {
+                // Oracle: the full scan over every record, then a sort.
+                let mut scan: Vec<&ServiceRecord> = r
+                    .services
+                    .values()
+                    .filter(|rec| rec.interfaces.iter().any(|x| x == iface))
+                    .collect();
+                scan.sort_by(|a, b| b.ranking.cmp(&a.ranking).then(a.id.cmp(&b.id)));
+                let ids = |recs: &[&ServiceRecord]| recs.iter().map(|x| x.id).collect::<Vec<_>>();
+                prop_verify_eq!(
+                    ids(&r.references(Some(iface), None)),
+                    ids(&scan),
+                    "{iface} after {op:?}"
+                );
+                prop_verify_eq!(
+                    r.best(iface),
+                    scan.first().map(|x| x.id),
+                    "best({iface}) after {op:?}"
+                );
+                prop_verify_eq!(
+                    r.by_interface.contains_key(iface),
+                    !scan.is_empty(),
+                    "entry for {iface} after {op:?}"
+                );
+                scan.retain(|rec| acme.matches(&rec.properties));
+                prop_verify_eq!(
+                    ids(&r.references(Some(iface), Some(&acme))),
+                    ids(&scan),
+                    "{iface} filtered after {op:?}"
+                );
+            }
+        }
+        Ok(())
+    }
+
     #[test]
     fn indexed_lookup_matches_full_scan() {
-        let mut r = ServiceRegistry::new();
-        for i in 0..20 {
-            let iface = ["x", "y", "z"][i % 3];
-            let _ = r.register(
-                BundleId(1 + (i % 4) as u64),
-                &[iface, "common"],
-                props((i as i64 * 7) % 5),
-                echo_service(),
-            );
-        }
-        for iface in ["x", "y", "z", "common"] {
-            let indexed: Vec<ServiceId> = r
-                .references(Some(iface), None)
-                .iter()
-                .map(|x| x.id)
-                .collect();
-            // Oracle: the old full scan over every record.
-            let mut scan: Vec<&ServiceRecord> = r
-                .services
-                .values()
-                .filter(|rec| rec.interfaces.iter().any(|x| x == iface))
-                .collect();
-            scan.sort_by(|a, b| b.ranking.cmp(&a.ranking).then(a.id.cmp(&b.id)));
-            let scan: Vec<ServiceId> = scan.iter().map(|x| x.id).collect();
-            assert_eq!(indexed, scan);
-        }
+        prop::check_with(
+            &prop::Config::with_cases(300),
+            "indexed_lookup_matches_full_scan",
+            &churn(),
+            |ops: &Vec<Op>| index_matches_the_scan(ops),
+        );
     }
 
     #[test]
@@ -675,128 +614,5 @@ mod tests {
     fn register_requires_an_interface() {
         let mut r = ServiceRegistry::new();
         let _ = r.register(BundleId(1), &[], BTreeMap::new(), echo_service());
-    }
-
-    #[test]
-    fn reader_tracks_every_mutation() {
-        let mut r = ServiceRegistry::new();
-        let reader = r.reader();
-        assert!(reader.lookup("svc").is_empty());
-        let low = r.register(BundleId(1), &["svc"], props(1), echo_service());
-        let high = r.register(BundleId(1), &["svc", "alt"], props(9), echo_service());
-        // Same order as the exclusive path: ranking desc, id asc.
-        let ids: Vec<ServiceId> = reader.lookup("svc").iter().map(|m| m.id).collect();
-        assert_eq!(ids, vec![high, low]);
-        assert_eq!(reader.best("svc"), r.best("svc"));
-        assert_eq!(reader.best("alt"), Some(high));
-        // Property updates re-rank the published entries.
-        r.set_properties(low, props(99)).unwrap();
-        assert_eq!(reader.best("svc"), Some(low));
-        assert_eq!(
-            reader.lookup("svc")[0].properties.get("service.ranking"),
-            Some(&PropValue::Int(99))
-        );
-        // Unregistration removes the published entry everywhere.
-        r.unregister(high).unwrap();
-        assert!(reader.lookup("alt").is_empty());
-        assert_eq!(
-            reader
-                .lookup("svc")
-                .iter()
-                .map(|m| m.id)
-                .collect::<Vec<_>>(),
-            vec![low]
-        );
-        // A handle taken late sees the same state as an early one.
-        let late = r.reader();
-        assert_eq!(late.best("svc"), reader.best("svc"));
-    }
-
-    #[test]
-    fn reader_filtered_lookup_matches_exclusive_path() {
-        let mut r = ServiceRegistry::new();
-        for i in 0..12 {
-            let mut p = props(i % 3);
-            p.insert(
-                "vendor".to_owned(),
-                PropValue::from(if i % 2 == 0 { "acme" } else { "other" }),
-            );
-            let _ = r.register(BundleId(1), &["svc"], p, echo_service());
-        }
-        let f: Filter = "(vendor=acme)".parse().unwrap();
-        let reader = r.reader();
-        let via_reader: Vec<ServiceId> = reader
-            .lookup_filtered("svc", &f)
-            .iter()
-            .map(|m| m.id)
-            .collect();
-        let via_registry: Vec<ServiceId> = r
-            .references(Some("svc"), Some(&f))
-            .iter()
-            .map(|x| x.id)
-            .collect();
-        assert_eq!(via_reader, via_registry);
-    }
-
-    #[test]
-    fn reader_is_send_sync_and_survives_concurrent_churn() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<RegistryReader>();
-
-        let mut r = ServiceRegistry::new();
-        for i in 0..8 {
-            let _ = r.register(
-                BundleId(i),
-                &[format!("iface.{i}").as_str()],
-                props(i as i64),
-                echo_service(),
-            );
-        }
-        let reader = r.reader();
-        let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let readers: Vec<_> = (0..4)
-            .map(|t| {
-                let reader = reader.clone();
-                let stop = std::sync::Arc::clone(&stop);
-                std::thread::spawn(move || {
-                    let mut seen = 0usize;
-                    let mut done = false;
-                    // At least one full sweep even if the writer already
-                    // finished; then spin until told to stop.
-                    while !done {
-                        done = stop.load(std::sync::atomic::Ordering::Relaxed);
-                        for i in 0..8 {
-                            let entries = reader.lookup(&format!("iface.{i}"));
-                            // Snapshots are always internally consistent:
-                            // ranking descending, id ascending on ties.
-                            for w in entries.windows(2) {
-                                assert!(
-                                    w[0].ranking > w[1].ranking
-                                        || (w[0].ranking == w[1].ranking && w[0].id < w[1].id),
-                                    "ordering violated"
-                                );
-                            }
-                            seen += entries.len();
-                        }
-                        let _ = reader.best(&format!("iface.{t}"));
-                    }
-                    seen
-                })
-            })
-            .collect();
-        // Writer churns registrations while the readers spin.
-        for round in 0..200 {
-            let id = r.register(
-                BundleId(99),
-                &[format!("iface.{}", round % 8).as_str()],
-                props(round),
-                echo_service(),
-            );
-            r.unregister(id).unwrap();
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for t in readers {
-            assert!(t.join().expect("no reader panicked") > 0);
-        }
     }
 }

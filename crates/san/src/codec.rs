@@ -84,10 +84,10 @@ fn varint_len(v: u64) -> usize {
 
 /// Computes `encode(value).len()` without materializing the encoding.
 ///
-/// Mirrors [`write_value`] case by case: one tag byte, varint-sized
-/// lengths/counts, then payload bytes. Stats paths (`StoreStats`,
-/// `namespace_bytes`) call this on every operation, so it must stay
-/// allocation-free.
+/// Mirrors the encoder (`write_value`) case by case: one tag byte,
+/// varint-sized lengths/counts, then payload bytes. Stats paths
+/// (`StoreStats`, `namespace_bytes`) call this on every operation, so it
+/// must stay allocation-free.
 pub fn encoded_len(value: &Value) -> usize {
     match value {
         Value::Null | Value::Bool(_) => 1,

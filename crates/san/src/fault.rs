@@ -12,20 +12,18 @@
 //!
 //! * **Transient I/O errors** — every data-plane operation independently
 //!   fails with probability `io_error_rate`
-//!   ([`StoreError::Io`](crate::StoreError::Io)); retryable.
+//!   ([`StoreError::Io`]); retryable.
 //! * **Brown-outs** — timed unavailability windows during which every
-//!   data-plane operation fails
-//!   ([`StoreError::Unavailable`](crate::StoreError::Unavailable)); the
+//!   data-plane operation fails ([`StoreError::Unavailable`]); the
 //!   storage-tier analogue of a network partition.
-//! * **Torn writes** — a multi-key batch ([`SharedStore::put_many`]
-//!   [`crate::SharedStore::put_many`]) persists only a prefix and reports
-//!   [`StoreError::TornWrite`](crate::StoreError::TornWrite), modeling a
+//! * **Torn writes** — a multi-key batch ([`crate::SharedStore::put_many`])
+//!   persists only a prefix and reports [`StoreError::TornWrite`], modeling a
 //!   writer crashing mid-batch. Recovery is an idempotent full-batch
 //!   rewrite.
 //!
-//! The plan composes with — and is orthogonal to — the [`SanProfile`]
-//! (crate::SanProfile) latency model: profiles say how *slow* the SAN is,
-//! plans say how *broken* it is.
+//! The plan composes with — and is orthogonal to — the
+//! [`SanProfile`](crate::SanProfile) latency model: profiles say how *slow*
+//! the SAN is, plans say how *broken* it is.
 //!
 //! Fault decisions consume a dedicated RNG stream in operation order; since
 //! the simulation is single-threaded and deterministic, the same seed
@@ -45,13 +43,13 @@ pub struct FaultPlan {
     /// Seed for the fault RNG stream.
     pub seed: u64,
     /// Probability in `[0, 1]` that any data-plane operation fails with a
-    /// transient [`StoreError::Io`](crate::StoreError::Io).
+    /// transient [`StoreError::Io`].
     pub io_error_rate: f64,
     /// Probability in `[0, 1]` that a [`put_many`](crate::SharedStore::put_many)
     /// batch tears: a strict prefix is persisted, the rest is lost.
     pub torn_write_rate: f64,
     /// Half-open `[from, until)` windows during which every data-plane
-    /// operation fails with [`StoreError::Unavailable`](crate::StoreError::Unavailable).
+    /// operation fails with [`StoreError::Unavailable`].
     pub brownouts: Vec<(SimTime, SimTime)>,
 }
 
@@ -234,7 +232,7 @@ pub struct RetryPolicy {
 impl RetryPolicy {
     /// The default policy for persistence paths: 5 attempts, 20 ms base,
     /// capped at 2 s.
-    pub fn persistence() -> Self {
+    pub const fn persistence() -> Self {
         RetryPolicy {
             max_attempts: 5,
             base: SimDuration::from_millis(20),

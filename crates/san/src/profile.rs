@@ -29,15 +29,6 @@ impl SanProfile {
         }
     }
 
-    /// Zero-cost storage for unit tests.
-    pub fn instant() -> Self {
-        SanProfile {
-            read: SimDuration::ZERO,
-            write: SimDuration::ZERO,
-            per_kib: SimDuration::ZERO,
-        }
-    }
-
     /// The time charged for reading `bytes` bytes.
     pub fn read_cost(&self, bytes: u64) -> SimDuration {
         self.read + self.transfer_cost(bytes)
@@ -74,12 +65,5 @@ mod tests {
         assert_eq!(p.read_cost(1024), SimDuration::from_micros(260));
         assert_eq!(p.read_cost(1025), SimDuration::from_micros(270));
         assert!(p.write_cost(4096) > p.read_cost(4096));
-    }
-
-    #[test]
-    fn instant_is_free() {
-        let p = SanProfile::instant();
-        assert!(p.read_cost(1 << 20).is_zero());
-        assert!(p.write_cost(1 << 20).is_zero());
     }
 }

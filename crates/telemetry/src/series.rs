@@ -183,7 +183,8 @@ impl Series {
 /// delta bucket counts: the lower bound of the bucket holding the
 /// ceil-rank `⌈count·p/100⌉`-th smallest window sample.
 ///
-/// Unlike [`Histogram::percentile`] this cannot clamp into `[min, max]`
+/// Unlike [`Histogram::percentile`](crate::Histogram::percentile) this
+/// cannot clamp into `[min, max]`
 /// — a window's exact extrema are not recoverable from cumulative
 /// histograms — so it is a pure function of the delta buckets, which is
 /// what makes it exactly reproducible from a naive recompute.

@@ -131,8 +131,9 @@ impl InstanceManager {
 
     /// A counter that moves whenever an instance is created, adopted,
     /// started, stopped or destroyed, or handed out mutably: while it
-    /// stands still, every instance's [`is_running`]
-    /// (VirtualInstance::is_running) answers what it answered before.
+    /// stands still, every instance's
+    /// [`is_running`](crate::VirtualInstance::is_running) answers what it
+    /// answered before.
     pub fn lifecycle_epoch(&self) -> u64 {
         self.lifecycle_epoch
     }

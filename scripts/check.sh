@@ -26,6 +26,9 @@ CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-$PWD/target}" \
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
+echo "==> cargo doc --offline, warnings denied (a deleted item must not leave a dangling doc link)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
+
 echo "==> chaos sweep (seeded nemesis schedules + replay verification) -> results/chaos_sweep.txt"
 scripts/chaos.sh
 

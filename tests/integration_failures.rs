@@ -306,8 +306,12 @@ fn fast_failure_detection_shrinks_downtime() {
         assert!(c.probe("web"));
         c.sla().record("web").down
     };
-    let slow = run(GcsConfig::lan(), 23); // 50ms heartbeat / 200ms timeout
-    let fast = run(GcsConfig::fast(), 23); // 10ms heartbeat / 40ms timeout
+    // 50ms heartbeat / 200ms timeout, then 10ms / 40ms.
+    let slow = run(GcsConfig::lan(), 23);
+    let fast = run(
+        GcsConfig::lan().with_heartbeat(SimDuration::from_millis(10)),
+        23,
+    );
     assert!(
         fast < slow,
         "aggressive detection ({fast}) should beat LAN defaults ({slow})"

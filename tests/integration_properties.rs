@@ -557,9 +557,7 @@ fn single_fault_schedules_preserve_invariants() {
             };
             let plan = NemesisPlan::generate(*seed, 3, &nemesis_cfg);
             let opts = ChaosOptions {
-                instances: 2,
                 client_period: SimDuration::from_millis(200),
-                settle: SimDuration::from_secs(5),
                 ..ChaosOptions::default()
             };
             let report = run_nemesis(&plan, &opts);
