@@ -412,24 +412,28 @@ impl DosgiCluster {
 
     /// Restarts a crashed node with fresh volatile state; it rejoins the
     /// group and receives a registry sync from the coordinator.
+    /// An index that is not a node is a no-op, as it is for
+    /// [`crash_node`](Self::crash_node).
     pub fn restart_node(&mut self, idx: usize) {
-        let ids: Vec<NodeId> = (0..self.slots.len()).map(|i| NodeId(i as u32)).collect();
+        let peers = self.slots.len();
+        let Some(slot) = self.slots.get_mut(idx) else {
+            return;
+        };
+        let ids: Vec<NodeId> = (0..peers).map(|i| NodeId(i as u32)).collect();
         let id = NodeId(idx as u32);
         self.net.restart(id);
-        if let Some(slot) = self.slots.get_mut(idx) {
-            let mut node = DosgiNode::new(
-                id,
-                ids,
-                self.config.node.clone(),
-                self.store.clone(),
-                self.net.now(),
-            );
-            node.set_telemetry(self.telemetry.clone());
-            node.set_recorder(slot.recorder.clone());
-            slot.node = node;
-            slot.alive = true;
-            self.probed = None;
-        }
+        let mut node = DosgiNode::new(
+            id,
+            ids,
+            self.config.node.clone(),
+            self.store.clone(),
+            self.net.now(),
+        );
+        node.set_telemetry(self.telemetry.clone());
+        node.set_recorder(slot.recorder.clone());
+        slot.node = node;
+        slot.alive = true;
+        self.probed = None;
     }
 
     /// Wakes a hibernated (or orderly-stopped) node: it rejoins the group
@@ -801,6 +805,16 @@ mod tests {
         c.crash_node(1);
         assert!(c.node(1).is_none());
         assert_eq!(c.running_nodes(), vec![0, 2]);
+    }
+
+    #[test]
+    fn crash_and_restart_of_an_index_that_is_no_node_change_nothing() {
+        let mut c = cluster();
+        c.run_for(SimDuration::from_millis(50));
+        let (running, now) = (c.running_nodes(), c.now());
+        c.crash_node(99);
+        c.restart_node(99);
+        assert_eq!((c.running_nodes(), c.now()), (running, now));
     }
 
     #[test]

@@ -9,7 +9,7 @@ use crate::workloads;
 use crate::CoreError;
 use dosgi_gcs::{GcsConfig, GcsEvent, GcsWire, GroupNode};
 use dosgi_monitor::{MonitoringModule, NodeCapacity};
-use dosgi_net::{Fabric, NodeId, SimDuration, SimTime};
+use dosgi_net::{Envelope, Fabric, NodeId, SimDuration, SimTime};
 use dosgi_osgi::{BundleManifest, Framework};
 use dosgi_policy::PolicyAction;
 use dosgi_san::{RetryPolicy, SharedStore, Value};
@@ -112,6 +112,9 @@ pub struct DosgiNode {
     // (`next_deadline`) and zeroed by every call that gives the next tick
     // something to do (`wake`).
     wake_at: SimTime,
+    // Where a tick drains its mail: empty between ticks, kept for its
+    // capacity so a non-empty mailbox costs no allocation.
+    inbox: Vec<Envelope<Wire>>,
     // Bumped whenever the replicated registry is written.
     registry_epoch: u64,
     store: SharedStore,
@@ -256,6 +259,7 @@ impl DosgiNode {
             last_sweep: None,
             hello_sent: false,
             wake_at: SimTime::ZERO,
+            inbox: Vec::new(),
             registry_epoch: 0,
             store,
             pending_adoptions: Vec::new(),
@@ -595,12 +599,12 @@ impl DosgiNode {
         if matches!(self.state, NodeState::Hibernated | NodeState::Stopped) {
             return;
         }
-        let inbox = net.drain(self.id);
-        if inbox.is_empty() && now < self.wake_at {
+        net.drain(self.id, &mut self.inbox);
+        if self.inbox.is_empty() && now < self.wake_at {
             return;
         }
         // Inbound messages → protocol engine.
-        for env in inbox {
+        for env in self.inbox.drain(..) {
             self.gcs.handle(net, env.from, env.payload, now);
         }
         self.gcs.tick(net, now);

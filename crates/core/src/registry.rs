@@ -13,7 +13,7 @@
 
 use crate::msg::AppPayload;
 use dosgi_net::NodeId;
-use dosgi_san::Value;
+use dosgi_san::{Map, Value};
 use std::collections::BTreeMap;
 
 /// Where an instance is in its placement life-cycle.
@@ -278,7 +278,7 @@ impl ClusterRegistry {
     /// newer) are omitted entirely — the fast path that makes a
     /// steady-state hello answer near-empty.
     pub fn export_delta(&self, digest: &Value) -> (Value, Value) {
-        let empty = BTreeMap::new();
+        let empty = Map::new();
         let known = digest.as_map().unwrap_or(&empty);
         let upserts: Value = self
             .records
@@ -294,10 +294,10 @@ impl ClusterRegistry {
             .collect();
         let removes: Value = known
             .iter()
-            .filter(|(name, _)| !self.records.contains_key(*name))
+            .filter(|&(name, _)| !self.records.contains_key(&**name))
             .map(|(name, rev)| {
                 Value::map()
-                    .with("name", name.as_str())
+                    .with("name", &**name)
                     .with("rev", rev.as_int().unwrap_or(0))
             })
             .collect();
@@ -765,7 +765,11 @@ mod tests {
             let Value::Map(fields) = entry else {
                 panic!("an export record is a map");
             };
-            let name = fields["name"].as_str().unwrap().to_owned();
+            let name = fields
+                .get("name")
+                .and_then(Value::as_str)
+                .unwrap()
+                .to_owned();
             if let Some(local) = held.record(&name) {
                 if rng.chance(0.6) {
                     let rev = local.rev + rng.u64_below(3) - 1;

@@ -155,7 +155,7 @@ fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
 }
 
 /// The request path on a settled cluster: a stateless `handle` touches no
-/// data-area row and no SAN, and what it allocates is its reply; a
+/// data-area row and no SAN, and what it allocates is its reply, one vector; a
 /// write-through `incr` on a hot key builds no name, no key and no copy of
 /// the area on its way to the SAN.
 fn request_path_allocations(telemetry: Telemetry) {
@@ -175,7 +175,7 @@ fn request_path_allocations(telemetry: Telemetry) {
             allocations_in(|| c.call("ctr", workloads::COUNTER_SERVICE, "incr", &Value::Null));
         assert!(handle.1.is_ok() && incr.1 == Ok(Value::Int(warm + 1)));
         if warm == 1 {
-            assert!(handle.0 <= 3, "`handle` allocated {} times", handle.0);
+            assert!(handle.0 <= 1, "`handle` allocated {} times", handle.0);
             assert_eq!(incr.0, 0, "write-through `incr` allocated");
         }
     }
@@ -377,9 +377,11 @@ fn failover_round_allocations(telemetry: Telemetry) {
             drop(c.take_events());
         });
         assert!(all_serving(&c));
-        // Measured 5 144 to 5 890 over these rounds, telemetry on or off.
+        // Measured 3 017 to 3 420 over these rounds, telemetry on or off
+        // (5 144 to 5 890 while a map was a tree with a `String` per key and
+        // every non-empty mailbox was drained into a fresh vector).
         assert!(
-            allocations <= 5_890,
+            allocations <= 3_420,
             "failover round {round} allocated {allocations} times"
         );
     }
@@ -453,10 +455,11 @@ fn migrate_round_allocations(telemetry: Telemetry, blobs: usize) -> Vec<u64> {
 
 fn migrate_rounds_are_bounded_and_blind_to_the_area(telemetry: fn() -> Telemetry) {
     let small = migrate_round_allocations(telemetry(), 4);
-    // Measured: 2 397 over the ten rounds with telemetry off, 2 499 with it
-    // on, 217 to 335 a round.
+    // Measured: 1 479 over the ten rounds with telemetry off, 1 581 with it
+    // on, 138 to 235 a round (2 397 and 2 499, 217 to 335 a round, while a
+    // map was a tree with a `String` per key).
     let total: u64 = small.iter().sum();
-    assert!(total <= 2_499, "ten migrate rounds allocated {small:?}");
+    assert!(total <= 1_581, "ten migrate rounds allocated {small:?}");
     assert_eq!(small, migrate_round_allocations(telemetry(), 1024));
 }
 

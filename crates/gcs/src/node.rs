@@ -2041,7 +2041,8 @@ mod tests {
         let (a, b) = (rt.register_node(), rt.register_node());
         let (mut ea, mut eb) = (rt.endpoint(a), rt.endpoint(b));
         node(a).leave(&mut ea);
-        let got = eb.drain(b);
+        let mut got = Vec::new();
+        eb.drain(b, &mut got);
         assert_eq!((got.len(), got[0].from), (1, a));
         assert_eq!(got[0].payload, GcsWire::Leave);
     }

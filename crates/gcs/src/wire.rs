@@ -677,20 +677,18 @@ mod tests {
             self.mail.push((from, to, frame(&msg)));
         }
 
-        fn drain(&mut self, node: NodeId) -> Vec<Envelope<GcsWire<u32>>> {
+        fn drain(&mut self, node: NodeId, into: &mut Vec<Envelope<GcsWire<u32>>>) {
             let (mine, rest): (Vec<_>, Vec<_>) = std::mem::take(&mut self.mail)
                 .into_iter()
                 .partition(|(_, to, _)| *to == node);
             self.mail = rest;
-            mine.into_iter()
-                .map(|(from, to, bytes)| Envelope {
-                    from,
-                    to,
-                    sent_at: SimTime::ZERO,
-                    delivered_at: SimTime::ZERO,
-                    payload: decode_frame(&bytes, dec).expect("frame decodes"),
-                })
-                .collect()
+            into.extend(mine.into_iter().map(|(from, to, bytes)| Envelope {
+                from,
+                to,
+                sent_at: SimTime::ZERO,
+                delivered_at: SimTime::ZERO,
+                payload: decode_frame(&bytes, dec).expect("frame decodes"),
+            }));
         }
     }
 
@@ -721,7 +719,9 @@ mod tests {
             }
             assert!(round < 20, "byte-frame exchange did not quiesce");
             for node in &mut nodes {
-                for env in net.drain(node.id()) {
+                let mut inbox = Vec::new();
+                net.drain(node.id(), &mut inbox);
+                for env in inbox {
                     node.handle(&mut net, env.from, env.payload, SimTime::ZERO);
                 }
             }

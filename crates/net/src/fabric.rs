@@ -2,11 +2,10 @@
 //!
 //! Upper layers (GCS, the dosgi core node) only ever need three things from
 //! the network: the current time, a way to send a payload, and a way to
-//! drain their mailbox. [`Fabric`] captures exactly that surface, with
-//! signatures identical to the inherent [`SimNet`](crate::SimNet) methods so
-//! the deterministic simulator implements it by pure delegation — no
-//! behavioral change, which is what keeps the chaos-sweep fingerprints
-//! byte-identical across the refactor.
+//! drain their mailbox. [`Fabric`] captures exactly that surface, and the
+//! deterministic simulator implements it from its inherent
+//! [`SimNet`](crate::SimNet) methods — no behavioral change, which is what
+//! keeps the chaos-sweep fingerprints byte-identical across the refactor.
 //!
 //! The second implementor is [`RealEndpoint`](crate::RealEndpoint): a
 //! per-node handle onto a real multi-threaded runtime where `now` reads a
@@ -23,8 +22,10 @@ use crate::{Envelope, NodeId, SimTime};
 /// * `send` is fire-and-forget — delivery may be delayed, dropped (sim
 ///   faults) or reordered across links, but a backend must never deliver a
 ///   message to a node other than `to`;
-/// * `drain` returns every message currently queued for `node`, in the
-///   order the backend delivered them, and removes them from the mailbox.
+/// * `drain` moves every message currently queued for `node` onto the end
+///   of the caller's buffer, in the order the backend delivered them. The
+///   buffer is the caller's to keep, so a node that drains every tick
+///   allocates for its mail once, not once per non-empty mailbox.
 ///
 /// The deterministic backend ([`SimNet`](crate::SimNet)) additionally
 /// guarantees that with a fixed seed the exact same interleaving of
@@ -38,8 +39,8 @@ pub trait Fabric<M> {
     /// Sends `payload` from `from` to `to`.
     fn send(&mut self, from: NodeId, to: NodeId, payload: M);
 
-    /// Drains every pending message for `node`.
-    fn drain(&mut self, node: NodeId) -> Vec<Envelope<M>>;
+    /// Appends every pending message for `node` to `into`.
+    fn drain(&mut self, node: NodeId, into: &mut Vec<Envelope<M>>);
 }
 
 impl<M> Fabric<M> for crate::SimNet<M> {
@@ -51,8 +52,8 @@ impl<M> Fabric<M> for crate::SimNet<M> {
         crate::SimNet::send(self, from, to, payload);
     }
 
-    fn drain(&mut self, node: NodeId) -> Vec<Envelope<M>> {
-        crate::SimNet::drain(self, node)
+    fn drain(&mut self, node: NodeId, into: &mut Vec<Envelope<M>>) {
+        into.extend(std::iter::from_fn(|| self.recv(node)));
     }
 }
 
@@ -65,8 +66,8 @@ impl<M, F: Fabric<M> + ?Sized> Fabric<M> for &mut F {
         (**self).send(from, to, payload);
     }
 
-    fn drain(&mut self, node: NodeId) -> Vec<Envelope<M>> {
-        (**self).drain(node)
+    fn drain(&mut self, node: NodeId, into: &mut Vec<Envelope<M>>) {
+        (**self).drain(node, into);
     }
 }
 
@@ -78,7 +79,9 @@ mod tests {
     fn roundtrip<N: Fabric<u32>>(net: &mut N, a: NodeId, b: NodeId) -> Vec<u32> {
         net.send(a, b, 41);
         net.send(a, b, 42);
-        net.drain(b).into_iter().map(|e| e.payload).collect()
+        let mut got = Vec::new();
+        net.drain(b, &mut got);
+        got.into_iter().map(|e| e.payload).collect()
     }
 
     #[test]
@@ -90,11 +93,14 @@ mod tests {
         // nothing arrives until the driver advances virtual time.
         assert_eq!(roundtrip(&mut n, a, b), Vec::<u32>::new());
         n.advance(SimDuration::from_millis(1));
-        let got: Vec<u32> = Fabric::drain(&mut n, b)
-            .into_iter()
-            .map(|e| e.payload)
-            .collect();
-        assert_eq!(got, vec![41, 42]);
+        // A drain appends: what the caller already holds stays in front.
+        let mut got = Vec::new();
+        Fabric::drain(&mut n, b, &mut got);
+        n.send(a, b, 43);
+        n.advance(SimDuration::from_millis(1));
+        Fabric::drain(&mut n, b, &mut got);
+        let got: Vec<u32> = got.into_iter().map(|e| e.payload).collect();
+        assert_eq!(got, vec![41, 42, 43]);
     }
 
     #[test]

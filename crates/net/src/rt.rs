@@ -128,9 +128,9 @@ impl<M> Fabric<M> for RealEndpoint<M> {
     ///
     /// Panics if `node` is not this endpoint's node — an endpoint only
     /// holds its own mailbox.
-    fn drain(&mut self, node: NodeId) -> Vec<Envelope<M>> {
+    fn drain(&mut self, node: NodeId, into: &mut Vec<Envelope<M>>) {
         assert_eq!(node, self.id, "an endpoint only drains its own mailbox");
-        self.rx.try_iter().collect()
+        into.extend(self.rx.try_iter());
     }
 }
 
@@ -150,22 +150,21 @@ mod tests {
             ea.send(a, b, 7);
             ea.send(a, b, 8);
             // Wait for the echo from b.
-            loop {
-                let got = ea.drain(a);
-                if !got.is_empty() {
-                    return got[0].payload;
-                }
+            let mut got = Vec::new();
+            while got.is_empty() {
+                ea.drain(a, &mut got);
                 std::thread::yield_now();
             }
+            got[0].payload
         });
-        // b echoes the sum back to a.
-        let sum = loop {
-            let got: Vec<u32> = eb.drain(b).into_iter().map(|e| e.payload).collect();
-            if got.len() == 2 {
-                break got.iter().sum::<u32>();
-            }
+        // b echoes the sum back to a. The two may arrive in separate drains;
+        // the buffer keeps the first while b waits for the second.
+        let mut got = Vec::new();
+        while got.len() < 2 {
+            eb.drain(b, &mut got);
             std::thread::yield_now();
-        };
+        }
+        let sum = got.iter().map(|e| e.payload).sum::<u32>();
         eb.send(b, a, sum);
         assert_eq!(t.join().unwrap(), 15);
     }
@@ -176,7 +175,9 @@ mod tests {
         let a = net.register_node();
         let mut ea = net.endpoint(a);
         ea.send(a, NodeId(99), 1); // no panic, no delivery
-        assert!(ea.drain(a).is_empty());
+        let mut got = Vec::new();
+        ea.drain(a, &mut got);
+        assert!(got.is_empty());
     }
 
     #[test]
@@ -188,11 +189,11 @@ mod tests {
         let mut eb = net.endpoint(b);
         let before = ea.now();
         ea.send(a, b, 1);
-        let env = loop {
-            if let Some(env) = eb.drain(b).pop() {
-                break env;
-            }
-        };
+        let mut got = Vec::new();
+        while got.is_empty() {
+            eb.drain(b, &mut got);
+        }
+        let env = &got[0];
         assert!(env.sent_at >= before);
         assert!(eb.now() >= env.sent_at);
     }

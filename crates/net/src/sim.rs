@@ -190,7 +190,10 @@ impl<M> SimNet<M> {
         self.mailboxes[node.index()].pop_front()
     }
 
-    /// Drains every pending message for `node`.
+    /// Drains every pending message for `node` into a fresh vector: the
+    /// driver's and the tests' view. A node's tick goes through
+    /// [`Fabric::drain`](crate::Fabric::drain), which fills a buffer the
+    /// node keeps.
     pub fn drain(&mut self, node: NodeId) -> Vec<Envelope<M>> {
         self.mailboxes[node.index()].drain(..).collect()
     }

@@ -17,8 +17,7 @@
 //! the SAN* for framework snapshots and bundle state — real state-transfer
 //! cost, not a hand-wave.
 
-use crate::Value;
-use std::collections::BTreeMap;
+use crate::{Map, Value};
 
 const T_NULL: u8 = 0x00;
 const T_FALSE: u8 = 0x01;
@@ -220,12 +219,17 @@ fn read_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         }
         T_MAP => {
             let n = get_varint(bytes, pos)? as usize;
-            let mut m = BTreeMap::new();
+            let mut m = Map::with_capacity(n.min(4096));
             for _ in 0..n {
                 let k = read_slice(bytes, pos)?;
                 let k = String::from_utf8(k.to_vec()).map_err(|e| e.to_string())?;
+                // Every writer emits keys ascending, so each insert appends:
+                // a hostile count of unordered keys cannot cost a shift each.
+                if m.keys().next_back().is_some_and(|last| **last >= *k) {
+                    return Err("map keys out of order".to_owned());
+                }
                 let v = read_value(bytes, pos)?;
-                m.insert(k, v);
+                m.insert(k.into(), v);
             }
             Ok(Value::Map(m))
         }
@@ -244,7 +248,9 @@ fn read_slice<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], String> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Key;
     use dosgi_testkit::{prop, prop_verify, prop_verify_eq, Gen, TestRng};
+    use std::collections::BTreeMap;
 
     #[test]
     fn scalars_round_trip() {
@@ -305,6 +311,152 @@ mod tests {
         assert!(decode(&[T_FLOAT, 1, 2]).is_err()); // truncated float
         assert!(decode(&[T_NULL, T_NULL]).is_err()); // trailing garbage
         assert!(decode(&[T_STR, 1, 0xff]).is_err()); // invalid UTF-8
+    }
+
+    /// A decoded map is canonical, and rejecting what is not costs linear
+    /// time: no writer emits keys out of order, so the decoder need never
+    /// shift an entry to place one.
+    #[test]
+    fn maps_with_unordered_or_duplicate_keys_are_rejected() {
+        fn map_of(keys: impl ExactSizeIterator<Item = String>) -> Vec<u8> {
+            let mut bytes = vec![T_MAP];
+            put_varint(&mut bytes, keys.len() as u64);
+            for k in keys {
+                put_varint(&mut bytes, k.len() as u64);
+                bytes.extend_from_slice(k.as_bytes());
+                bytes.push(T_NULL);
+            }
+            bytes
+        }
+        let n = 200_000usize;
+        let decoded = decode(&map_of((0..n).map(|i| format!("{i:06}")))).unwrap();
+        let map = decoded.as_map().unwrap();
+        assert_eq!(map.len(), n);
+        // A lookup in a map this size lands on either side of every split.
+        for i in [0, 1, n / 2 - 1, n / 2, n - 2, n - 1] {
+            assert_eq!(map.get(&format!("{i:06}")), Some(&Value::Null));
+            assert_eq!(map.get(&format!("{i:06}x")), None);
+        }
+        assert!(!map.contains_key("") && !map.contains_key("z"));
+        let descending = map_of((0..n).rev().map(|i| format!("{i:06}")));
+        assert_eq!(decode(&descending).unwrap_err(), "map keys out of order");
+        let duplicate = map_of(["a", "b", "b"].into_iter().map(str::to_owned));
+        assert_eq!(decode(&duplicate).unwrap_err(), "map keys out of order");
+    }
+
+    /// The keys the oracle test draws from: few, so that inserts overwrite
+    /// and removes hit, and `'static`, so that each can be a literal key.
+    const KEYS: [&str; 8] = ["", "a", "ab", "b", "home", "name", "rev", "\u{e9}"];
+
+    #[derive(Debug)]
+    enum MapOp {
+        Insert {
+            key: usize,
+            literal: bool,
+            value: Value,
+        },
+        Remove(usize),
+        Collect(Vec<(usize, Value)>),
+    }
+
+    fn key_of(key: usize, literal: bool) -> Key {
+        if literal {
+            Key::Borrowed(KEYS[key])
+        } else {
+            Key::Owned(KEYS[key].to_owned())
+        }
+    }
+
+    /// The vector against the tree it replaces: every `Map` operation
+    /// agrees with a `BTreeMap<String, Value>` driven by the same steps, in
+    /// length, order, text and encoded bytes — and a decode, whose keys are
+    /// all owned, equals the same map built from literals.
+    #[test]
+    fn prop_map_matches_the_btreemap_it_replaces() {
+        let key = |rng: &mut TestRng| rng.usize_in(0, KEYS.len() - 1);
+        let ops = Gen::new(move |rng: &mut TestRng| {
+            (0..rng.usize_in(1, 24))
+                .map(|_| match rng.u64_below(8) {
+                    0 => MapOp::Remove(key(rng)),
+                    1 => MapOp::Collect(
+                        (0..rng.usize_in(0, 10))
+                            .map(|_| (key(rng), arb_value(rng, 1)))
+                            .collect(),
+                    ),
+                    _ => MapOp::Insert {
+                        key: key(rng),
+                        literal: rng.chance(0.5),
+                        value: arb_value(rng, 1),
+                    },
+                })
+                .collect::<Vec<_>>()
+        });
+        let name = "prop_map_matches_the_btreemap_it_replaces";
+        prop::check_with(&prop::Config::with_cases(300), name, &ops, |ops| {
+            let mut map = Map::new();
+            let mut oracle: BTreeMap<String, Value> = BTreeMap::new();
+            for op in ops {
+                match op {
+                    MapOp::Insert {
+                        key,
+                        literal,
+                        value,
+                    } => {
+                        prop_verify_eq!(
+                            map.insert(key_of(*key, *literal), value.clone()),
+                            oracle.insert(KEYS[*key].to_owned(), value.clone())
+                        );
+                    }
+                    MapOp::Remove(key) => {
+                        prop_verify_eq!(map.remove(KEYS[*key]), oracle.remove(KEYS[*key]));
+                    }
+                    MapOp::Collect(entries) => {
+                        let entries = || entries.iter().map(|(k, v)| (KEYS[*k], v.clone()));
+                        map = entries().collect();
+                        oracle = entries().map(|(k, v)| (k.to_owned(), v)).collect();
+                    }
+                }
+                prop_verify_eq!(map.len(), oracle.len());
+                prop_verify_eq!(map.is_empty(), oracle.is_empty());
+                for k in KEYS {
+                    prop_verify_eq!(map.get(k), oracle.get(k));
+                    prop_verify_eq!(map.contains_key(k), oracle.contains_key(k));
+                }
+                let order: Vec<(&str, &Value)> = map.iter().map(|(k, v)| (&**k, v)).collect();
+                let want: Vec<(&str, &Value)> = oracle.iter().map(|(k, v)| (&**k, v)).collect();
+                prop_verify_eq!(&order, &want);
+
+                // The oracle's text and bytes, written out from the tree.
+                let text: Vec<String> = oracle.iter().map(|(k, v)| format!("{k}: {v}")).collect();
+                let mut bytes = vec![T_MAP];
+                put_varint(&mut bytes, oracle.len() as u64);
+                for (k, v) in &oracle {
+                    put_varint(&mut bytes, k.len() as u64);
+                    bytes.extend_from_slice(k.as_bytes());
+                    bytes.extend_from_slice(&encode(v));
+                }
+                let v = Value::Map(map.clone());
+                prop_verify_eq!(v.to_string(), format!("{{{}}}", text.join(", ")));
+                prop_verify_eq!(&encode(&v), &bytes);
+                prop_verify_eq!(v.encoded_len(), bytes.len());
+
+                // Owned keys on one side, literal keys on the other.
+                let decoded = decode(&bytes).unwrap();
+                let owned = |m: &Map| m.keys().all(|k| matches!(k, Key::Owned(_)));
+                prop_verify!(owned(decoded.as_map().unwrap()), "a decoded key is owned");
+                let literal: Map = oracle
+                    .iter()
+                    .map(|(k, v)| (*KEYS.iter().find(|lit| *lit == k).unwrap(), v.clone()))
+                    .collect();
+                prop_verify!(
+                    !literal.keys().any(|k| matches!(k, Key::Owned(_))),
+                    "literal"
+                );
+                prop_verify_eq!(&decoded, &Value::Map(literal));
+                prop_verify_eq!(&decoded, &v);
+            }
+            Ok(())
+        });
     }
 
     /// A random `Value` tree, depth-bounded like the old proptest

@@ -55,4 +55,4 @@ pub use error::StoreError;
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy};
 pub use profile::SanProfile;
 pub use store::{SharedStore, StoreStats, Versioned};
-pub use value::Value;
+pub use value::{Key, Map, Value};
