@@ -4,7 +4,10 @@
 //! and the Migration Module to know about other nodes … the Autonomic
 //! Module is able to enforce the business policies."*
 //!
-//! Each sampling period the module refreshes a [`Blackboard`] with:
+//! Each policy period the module evaluates its script against these
+//! metrics, read in place from the monitor's latest windows, the local
+//! instances' quotas and the node's view — a per-instance metric only for
+//! an instance in the quotas:
 //!
 //! | metric | scope | meaning |
 //! |---|---|---|
@@ -19,14 +22,17 @@
 //! | `node_mem()` | node | total memory utilization (0..1) |
 //! | `instance_count()` | node | local running instances |
 //! | `node_count()` | node | live nodes in the current view |
+//! | `node_rank()` | node | this node's position in the view (0 = lowest id) |
 //!
-//! and evaluates the configured policy script, yielding
-//! [`PolicyDecision`]s the node executes (migrate / stop / throttle /
-//! restart / hibernate / alert).
+//! Any other metric, and a built-in one the above does not answer (an
+//! instance's usage before its first window), is read from the
+//! [`Blackboard`], which holds only what a driver put there (E16's
+//! `alert_firing`, say). The script yields [`PolicyDecision`]s the node
+//! executes (migrate / stop / throttle / restart / hibernate / alert).
 
 use dosgi_monitor::{MonitoringModule, NodeCapacity};
 use dosgi_net::{SimDuration, SimTime};
-use dosgi_policy::{Blackboard, ParseError, PolicyDecision, PolicyEngine};
+use dosgi_policy::{Blackboard, MetricSource, ParseError, PolicyDecision, PolicyEngine};
 use dosgi_vosgi::ResourceQuota;
 use std::collections::BTreeMap;
 
@@ -149,12 +155,11 @@ impl AutonomicModule {
         self.last.map_or(SimTime::ZERO, |at| at + self.interval)
     }
 
-    /// Refreshes the blackboard from the monitoring module and evaluates
-    /// the policy. `quotas` maps instance name → SLA quota; `node_count` is
-    /// the current view size and `node_rank` this node's position in it
-    /// (0 = lowest id; consolidation policies key off the highest rank).
-    /// Names are borrowed throughout: a pass over subjects the blackboard
-    /// already knows, in which no rule fires, allocates the subject list
+    /// Evaluates the policy against the module table's metrics, read in
+    /// place. `quotas` maps instance name → SLA quota; `node_count` is the
+    /// current view size and `node_rank` this node's position in it (0 =
+    /// lowest id; consolidation policies key off the highest rank). Nothing
+    /// is copied: a pass in which no rule fires allocates the subject list
     /// and nothing else.
     pub fn evaluate(
         &mut self,
@@ -167,47 +172,30 @@ impl AutonomicModule {
     ) -> Vec<PolicyDecision> {
         self.last = Some(now);
         let subjects: Vec<&str> = quotas.keys().copied().collect();
-        for (name, q) in quotas {
-            if let Some(w) = monitor.latest(name) {
-                self.blackboard
-                    .set_subject_metric(name, "cpu_share", w.cpu_share);
-                self.blackboard
-                    .set_subject_metric(name, "memory", w.memory as f64);
-                self.blackboard
-                    .set_subject_metric(name, "disk", w.disk as f64);
-                self.blackboard
-                    .set_subject_metric(name, "call_rate", w.call_rate);
-            }
-            self.blackboard
-                .set_subject_metric(name, "quota_cpu", q.cpu_per_sec.as_secs_f64());
-            self.blackboard
-                .set_subject_metric(name, "quota_mem", q.memory_bytes as f64);
-            self.blackboard
-                .set_subject_metric(name, "quota_disk", q.disk_bytes as f64);
-        }
-        self.blackboard.set_global_metric(
-            "node_cpu",
-            capacity.cpu_utilization(monitor.total_cpu_share()),
-        );
-        self.blackboard.set_global_metric(
-            "node_mem",
-            capacity.memory_utilization(monitor.total_memory()),
-        );
-        self.blackboard
-            .set_global_metric("instance_count", subjects.len() as f64);
-        self.blackboard
-            .set_global_metric("node_count", node_count as f64);
-        self.blackboard
-            .set_global_metric("node_rank", node_rank as f64);
-        self.engine.evaluate(&self.blackboard, &subjects)
+        let node_cpu = capacity.cpu_utilization(monitor.total_cpu_share());
+        let node_mem = capacity.memory_utilization(monitor.total_memory());
+        let source = InPlace {
+            monitor,
+            quotas,
+            globals: [
+                ("node_cpu", node_cpu),
+                ("node_mem", node_mem),
+                ("instance_count", subjects.len() as f64),
+                ("node_count", node_count as f64),
+                ("node_rank", node_rank as f64),
+            ],
+            blackboard: &self.blackboard,
+        };
+        self.engine.evaluate(&source, &subjects)
     }
 
-    /// Removes a migrated/destroyed instance's metrics.
+    /// Removes what a driver put on the blackboard for a migrated or
+    /// destroyed instance.
     pub fn forget(&mut self, subject: &str) {
         self.blackboard.forget_subject(subject);
     }
 
-    /// The blackboard (tests and custom embeddings).
+    /// The blackboard: metrics a driver adds to the module table's.
     pub fn blackboard_mut(&mut self) -> &mut Blackboard {
         &mut self.blackboard
     }
@@ -215,6 +203,36 @@ impl AutonomicModule {
     /// Evaluation errors from the last pass.
     pub fn last_errors(&self) -> &[String] {
         self.engine.last_errors()
+    }
+}
+
+/// The module table's metrics where they are kept, over the blackboard.
+struct InPlace<'a> {
+    monitor: &'a MonitoringModule,
+    quotas: &'a BTreeMap<&'a str, ResourceQuota>,
+    globals: [(&'static str, f64); 5],
+    blackboard: &'a Blackboard,
+}
+
+impl MetricSource for InPlace<'_> {
+    fn metric(&self, name: &str, subject: Option<&str>) -> Option<f64> {
+        let builtin = match subject {
+            None => self.globals.iter().find(|g| g.0 == name).map(|g| g.1),
+            Some(s) => self.quotas.get(s).and_then(|q| {
+                let window = || self.monitor.latest(s);
+                match name {
+                    "cpu_share" => window().map(|w| w.cpu_share),
+                    "memory" => window().map(|w| w.memory as f64),
+                    "disk" => window().map(|w| w.disk as f64),
+                    "call_rate" => window().map(|w| w.call_rate),
+                    "quota_cpu" => Some(q.cpu_per_sec.as_secs_f64()),
+                    "quota_mem" => Some(q.memory_bytes as f64),
+                    "quota_disk" => Some(q.disk_bytes as f64),
+                    _ => None,
+                }
+            }),
+        };
+        builtin.or_else(|| self.blackboard.metric(name, subject))
     }
 }
 
@@ -390,6 +408,220 @@ mod tests {
             "{fired:?}"
         );
         assert!(a.last_errors().is_empty(), "{:?}", a.last_errors());
+    }
+
+    /// The evaluator `evaluate` replaced: every pass copies each metric of
+    /// the module table onto the blackboard, then evaluates against it.
+    struct ByCopy {
+        engine: PolicyEngine,
+        blackboard: Blackboard,
+    }
+
+    impl ByCopy {
+        fn evaluate(
+            &mut self,
+            monitor: &MonitoringModule,
+            quotas: &BTreeMap<&str, ResourceQuota>,
+            capacity: &NodeCapacity,
+            node_count: usize,
+            node_rank: usize,
+        ) -> Vec<PolicyDecision> {
+            let bb = &mut self.blackboard;
+            for (name, q) in quotas {
+                if let Some(w) = monitor.latest(name) {
+                    bb.set_subject_metric(name, "cpu_share", w.cpu_share);
+                    bb.set_subject_metric(name, "memory", w.memory as f64);
+                    bb.set_subject_metric(name, "disk", w.disk as f64);
+                    bb.set_subject_metric(name, "call_rate", w.call_rate);
+                }
+                bb.set_subject_metric(name, "quota_cpu", q.cpu_per_sec.as_secs_f64());
+                bb.set_subject_metric(name, "quota_mem", q.memory_bytes as f64);
+                bb.set_subject_metric(name, "quota_disk", q.disk_bytes as f64);
+            }
+            let node_cpu = capacity.cpu_utilization(monitor.total_cpu_share());
+            bb.set_global_metric("node_cpu", node_cpu);
+            let node_mem = capacity.memory_utilization(monitor.total_memory());
+            bb.set_global_metric("node_mem", node_mem);
+            bb.set_global_metric("instance_count", quotas.len() as f64);
+            bb.set_global_metric("node_count", node_count as f64);
+            bb.set_global_metric("node_rank", node_rank as f64);
+            let subjects: Vec<&str> = quotas.keys().copied().collect();
+            self.engine.evaluate(&self.blackboard, &subjects)
+        }
+    }
+
+    /// One input of the differential policy test, on indexes into the
+    /// tables below.
+    #[derive(Debug, Clone, Copy)]
+    enum Input {
+        /// The monitor samples a subject: cumulative CPU ms, memory, disk,
+        /// calls.
+        Record(usize, [u64; 4]),
+        /// A subject is local with a small (or a standard) quota.
+        Quota(usize, bool),
+        /// A subject leaves: what `node.rs` does at each of its three sites.
+        Forget(usize),
+        /// A driver writes a subject's metric.
+        DriverSubject(usize, usize, f64),
+        /// A driver writes a global.
+        DriverGlobal(usize, f64),
+        Pass {
+            node_count: usize,
+            node_rank: usize,
+        },
+    }
+
+    const SUBJECTS: [&str; 5] = ["a", "b", "c", "d", "std-latency"];
+    const SUBJECT_METRICS: [&str; 8] = [
+        "cpu_share",
+        "memory",
+        "disk",
+        "call_rate",
+        "quota_cpu",
+        "quota_mem",
+        "quota_disk",
+        "alert_firing",
+    ];
+    const GLOBALS: [&str; 7] = [
+        "node_cpu",
+        "node_mem",
+        "instance_count",
+        "node_count",
+        "node_rank",
+        "queue_depth",
+        "queue_capacity",
+    ];
+
+    /// A rule per metric and subject reporting the value it reads (or the
+    /// error) — for the bound subject and for three by name.
+    fn every_metric_script() -> String {
+        let mut script = String::new();
+        for (i, metric) in SUBJECT_METRICS.iter().enumerate() {
+            for (j, arg) in ["$i", "\"a\"", "\"d\"", "\"std-latency\""]
+                .iter()
+                .enumerate()
+            {
+                script += &format!("rule s{i}_{j} {{ when true then report({metric}({arg})) }}\n");
+            }
+        }
+        for (i, global) in GLOBALS.iter().enumerate() {
+            script += &format!("rule g{i} {{ when true then report({global}()) }}\n");
+        }
+        script
+    }
+
+    /// Monitor windows, quota changes, departures and driver writes —
+    /// built-in names among them, for local subjects and others — between
+    /// passes: reading in place decides and errs exactly as copying did.
+    #[test]
+    fn reading_in_place_equals_copying_onto_the_blackboard_300_cases() {
+        use dosgi_testkit::prop::{self, Config, Gen};
+        use dosgi_testkit::{prop_verify_eq, TestRng};
+
+        let scripts = [
+            DEFAULT_POLICY.to_owned(),
+            CONSOLIDATION_POLICY.to_owned(),
+            OVERLOAD_POLICY.to_owned(),
+            every_metric_script(),
+        ];
+        let runs = Gen::new(|rng: &mut TestRng| {
+            let script = rng.usize_in(0, 3);
+            let inputs = (0..rng.usize_in(1, 60))
+                .map(|_| {
+                    let s = rng.usize_in(0, SUBJECTS.len() - 1);
+                    match rng.u64_below(10) {
+                        0..=2 => Input::Record(
+                            s,
+                            [
+                                rng.u64_in(0, 3_000),
+                                rng.u64_in(0, 64 << 20),
+                                rng.u64_in(0, 1 << 20),
+                                rng.u64_in(0, 500),
+                            ],
+                        ),
+                        3 => Input::Quota(s, rng.chance(0.5)),
+                        4 => Input::Forget(s),
+                        5 => Input::DriverSubject(
+                            s,
+                            rng.usize_in(0, SUBJECT_METRICS.len() - 1),
+                            rng.f64_in(0.0, 2.0),
+                        ),
+                        6 => Input::DriverGlobal(
+                            rng.usize_in(0, GLOBALS.len() - 1),
+                            rng.f64_in(0.0, 200.0),
+                        ),
+                        _ => Input::Pass {
+                            node_count: rng.usize_in(1, 4),
+                            node_rank: rng.usize_in(0, 3),
+                        },
+                    }
+                })
+                .collect::<Vec<_>>();
+            (script, inputs)
+        });
+        prop::check_with(&Config::with_cases(300), "policy_in_place", &runs, |run| {
+            let script = &scripts[run.0];
+            let mut in_place = AutonomicModule::new(script, SimDuration::from_secs(1)).unwrap();
+            let mut by_copy = ByCopy {
+                engine: PolicyEngine::compile(script).unwrap(),
+                blackboard: Blackboard::new(),
+            };
+            let mut monitor = MonitoringModule::new();
+            let mut quotas: BTreeMap<&str, ResourceQuota> = BTreeMap::new();
+            let capacity = NodeCapacity::standard();
+            for (i, input) in run.1.iter().enumerate() {
+                let now = SimTime::from_millis(100 * (i as u64 + 1));
+                match *input {
+                    Input::Record(s, [cpu_ms, memory, disk, calls]) => {
+                        let cpu = SimDuration::from_millis(cpu_ms);
+                        let usage = UsageSnapshot {
+                            cpu,
+                            memory,
+                            disk,
+                            calls,
+                        };
+                        monitor.record(SUBJECTS[s], now, usage);
+                    }
+                    Input::Quota(s, small) => {
+                        let quota = if small {
+                            ResourceQuota::small()
+                        } else {
+                            ResourceQuota::standard()
+                        };
+                        quotas.insert(SUBJECTS[s], quota);
+                    }
+                    Input::Forget(s) => {
+                        monitor.forget(SUBJECTS[s]);
+                        in_place.forget(SUBJECTS[s]);
+                        by_copy.blackboard.forget_subject(SUBJECTS[s]);
+                        quotas.remove(SUBJECTS[s]);
+                    }
+                    Input::DriverSubject(s, m, v) => {
+                        for bb in [in_place.blackboard_mut(), &mut by_copy.blackboard] {
+                            bb.set_subject_metric(SUBJECTS[s], SUBJECT_METRICS[m], v);
+                        }
+                    }
+                    Input::DriverGlobal(g, v) => {
+                        for bb in [in_place.blackboard_mut(), &mut by_copy.blackboard] {
+                            bb.set_global_metric(GLOBALS[g], v);
+                        }
+                    }
+                    Input::Pass {
+                        node_count,
+                        node_rank,
+                    } => {
+                        let got = in_place
+                            .evaluate(now, &monitor, &quotas, &capacity, node_count, node_rank);
+                        let want =
+                            by_copy.evaluate(&monitor, &quotas, &capacity, node_count, node_rank);
+                        prop_verify_eq!(got, want, "decisions, input {i}");
+                        let errors = by_copy.engine.last_errors();
+                        prop_verify_eq!(in_place.last_errors(), errors, "errors, input {i}");
+                    }
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -80,13 +80,16 @@ pub struct DosgiCluster {
     slots: Vec<Slot>,
     config: ClusterConfig,
     sla: SlaTracker,
-    // What the last full availability pass saw: the reference node and the
-    // sum of every node's placement epoch. `None` forces the next pass.
+    // What the last full availability pass saw: the reference node, and
+    // its registry's epoch plus every node's lifecycle epoch. `None` forces
+    // the next pass.
     probed: Option<(usize, u64)>,
     // The reference the differential test steps beside the real thing:
     // every step ticks every live node in full and probes every record.
     #[cfg(test)]
     fixed_tick_reference: bool,
+    #[cfg(test)]
+    full_passes: u64,
     events: Vec<(NodeId, NodeEvent)>,
     telemetry: Telemetry,
     metrics: Metrics,
@@ -169,6 +172,8 @@ impl DosgiCluster {
             probed: None,
             #[cfg(test)]
             fixed_tick_reference: false,
+            #[cfg(test)]
+            full_passes: 0,
             events: Vec::new(),
             metrics: Metrics::new(&telemetry),
             telemetry,
@@ -613,13 +618,20 @@ impl DosgiCluster {
         // node's registry, slot liveness and each home's local instances,
         // so while the stamp below stands still every answer does, and the
         // tracker extends the interval instead of being told the same
-        // thing again. With no running node nobody is asked, as ever.
+        // thing again. The other nodes' registry copies are not read. With
+        // no running node nobody is asked, as ever.
         match Self::reference_node(&self.slots) {
             Some(reference) => {
-                let epochs = self.slots.iter().map(|s| s.node.placement_epoch()).sum();
+                let lifecycle = |s: &Slot| s.node.manager().lifecycle_epoch();
+                let epochs = self.slots[reference].node.registry().epoch()
+                    + self.slots.iter().map(lifecycle).sum::<u64>();
                 if self.probed == Some((reference, epochs)) {
                     self.sla.extend_to(now);
                 } else {
+                    #[cfg(test)]
+                    {
+                        self.full_passes += 1;
+                    }
                     self.probed = Some((reference, epochs));
                     let slots = &self.slots;
                     let registry = slots[reference].node.registry();
@@ -1053,6 +1065,34 @@ mod tests {
         // A healthy run fires nothing.
         assert_eq!(c.slo_engine().unwrap().firing_count(), 0);
         assert!(telemetry.alerts().is_empty());
+    }
+
+    /// A probe reads the reference node's registry and no other: a step in
+    /// which only another node's copy was written extends the interval, one
+    /// in which the reference's was runs a full pass.
+    #[test]
+    fn only_the_reference_registry_owes_a_full_pass() {
+        let mut c = cluster();
+        c.deploy(workloads::web_instance("a", "web"), 1).unwrap();
+        c.run_for(SimDuration::from_millis(300));
+        assert_eq!(DosgiCluster::reference_node(&c.slots), Some(0));
+        let write = |c: &mut DosgiCluster, idx: usize| {
+            let registry = c.slots[idx].node.registry_mut();
+            registry.apply(&crate::AppPayload::Draining { node: NodeId(9) });
+        };
+        let step = |c: &mut DosgiCluster| {
+            let (passes, up) = (c.full_passes, c.sla().record("web").up);
+            c.step();
+            assert_eq!(c.sla().record("web").up, up + TICK, "the interval grows");
+            c.full_passes - passes
+        };
+        assert_eq!(step(&mut c), 0, "a quiet step");
+        for other in [1, 2] {
+            write(&mut c, other);
+            assert_eq!(step(&mut c), 0, "node {other}'s copy moved");
+        }
+        write(&mut c, 0);
+        assert_eq!(step(&mut c), 1, "the reference's copy moved");
     }
 
     /// One generated operator action of the differential test, on instance

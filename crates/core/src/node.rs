@@ -115,8 +115,6 @@ pub struct DosgiNode {
     // Where a tick drains its mail: empty between ticks, kept for its
     // capacity so a non-empty mailbox costs no allocation.
     inbox: Vec<Envelope<Wire>>,
-    // Bumped whenever the replicated registry is written.
-    registry_epoch: u64,
     store: SharedStore,
     pending_adoptions: Vec<PendingAdoption>,
     pending_upgrades: Vec<PendingUpgrade>,
@@ -260,7 +258,6 @@ impl DosgiNode {
             hello_sent: false,
             wake_at: SimTime::ZERO,
             inbox: Vec::new(),
-            registry_epoch: 0,
             store,
             pending_adoptions: Vec::new(),
             pending_upgrades: Vec::new(),
@@ -316,6 +313,12 @@ impl DosgiNode {
         &self.registry
     }
 
+    /// Writes the registry copy past the total order (the cluster's tests).
+    #[cfg(test)]
+    pub(crate) fn registry_mut(&mut self) -> &mut ClusterRegistry {
+        &mut self.registry
+    }
+
     /// The node's instance manager.
     pub fn manager(&self) -> &InstanceManager {
         &self.mgr
@@ -325,16 +328,6 @@ impl DosgiNode {
     pub fn manager_mut(&mut self) -> &mut InstanceManager {
         self.wake();
         &mut self.mgr
-    }
-
-    /// A counter that moves whenever this node's answer to "where is
-    /// instance X, and is it serving?" may have: the replicated registry was
-    /// written, or a local instance was created, adopted, started, stopped
-    /// or dropped. While it stands still on every node, so does every
-    /// availability probe — which is what lets the driver account for
-    /// availability in intervals instead of probing each step.
-    pub fn placement_epoch(&self) -> u64 {
-        self.registry_epoch + self.mgr.lifecycle_epoch()
     }
 
     /// The next tick runs in full, whatever the deadline said.
@@ -847,8 +840,6 @@ impl DosgiNode {
         // Orphaned (an earlier claim may have been lost or overwritten):
         // the sweep retries until the registry converges.
         let mut orphans = self.registry.orphan_homes(left);
-        // (Marked `Orphaned`, they stop probing as available.)
-        self.registry_epoch += 1;
         orphans.extend(self.registry.orphans());
         orphans.sort();
         orphans.dedup();
@@ -894,7 +885,6 @@ impl DosgiNode {
         now: SimTime,
     ) {
         self.metrics.registry_ops.incr();
-        self.registry_epoch += 1;
         // Snapshot pre-application status for claim/adoption decisions.
         let prior_status = payload
             .instance()

@@ -56,15 +56,32 @@ pub struct InstanceRecord {
 }
 
 /// The replicated registry: apply ordered messages, query placements.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Two copies are equal when they hold the same records, however many
+/// writes each took to get there.
+#[derive(Debug, Clone, Default)]
 pub struct ClusterRegistry {
     records: BTreeMap<String, InstanceRecord>,
+    // Moved by every `&mut self` method.
+    epoch: u64,
+}
+
+impl PartialEq for ClusterRegistry {
+    fn eq(&self, other: &Self) -> bool {
+        self.records == other.records
+    }
 }
 
 impl ClusterRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// A counter that every write moves: while it stands still, every
+    /// record reads what it read before.
+    pub(crate) fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Applies one ordered control message. Unknown instances in
@@ -78,6 +95,7 @@ impl ClusterRegistry {
     ///   `Orphaned` record, so exactly the first claim in the total order
     ///   wins, on every node alike.
     pub fn apply(&mut self, msg: &AppPayload) {
+        self.epoch += 1;
         match msg {
             AppPayload::Deployed {
                 name,
@@ -159,6 +177,7 @@ impl ClusterRegistry {
     /// stranded when its home left; a `Migrating` one when either endpoint
     /// left.
     pub fn orphan_homes(&mut self, left: &[NodeId]) -> Vec<String> {
+        self.epoch += 1;
         let mut orphans = Vec::new();
         for r in self.records.values_mut() {
             let stranded = match r.status {
@@ -311,6 +330,7 @@ impl ClusterRegistry {
     /// between the digest and the delta (a redeploy, a claim) changes the
     /// revision and voids the removal.
     pub fn import_delta(&mut self, upserts: &Value, removes: &Value) {
+        // (`import` moves the epoch.)
         self.import(upserts);
         let Some(list) = removes.as_list() else {
             return;
@@ -346,6 +366,7 @@ impl ClusterRegistry {
     /// date — every member but the joiner — allocates nothing; only a
     /// record this registry lacks costs a name and a descriptor.
     pub fn import(&mut self, v: &Value) {
+        self.epoch += 1;
         let Some(list) = v.as_list() else { return };
         for entry in list {
             let Some(name) = entry.get("name").and_then(Value::as_str) else {
@@ -440,6 +461,25 @@ mod tests {
 
         r.apply(&AppPayload::Undeployed { name: "a".into() });
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn every_write_moves_the_epoch_and_equality_ignores_it() {
+        let mut r = ClusterRegistry::new();
+        let mut epoch = r.epoch();
+        let mut moved = |r: &ClusterRegistry| std::mem::replace(&mut epoch, r.epoch()) != r.epoch();
+        r.apply(&deployed("a", 0));
+        assert!(moved(&r));
+        let copy = r.clone();
+        assert!(r.orphan_homes(&[NodeId(1)]).is_empty());
+        assert!(moved(&r), "a write that changes nothing still counts");
+        r.import(&copy.export());
+        assert!(moved(&r));
+        r.import_delta(&Value::List(Vec::new()), &Value::List(Vec::new()));
+        assert!(moved(&r));
+        let _ = (r.record("a"), r.export(), r.digest());
+        assert!(!moved(&r));
+        assert_eq!(r, copy);
     }
 
     #[test]

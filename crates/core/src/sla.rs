@@ -144,12 +144,33 @@ impl SlaTracker {
     /// stops accruing where the previous pass or extension left it, as if
     /// its probes had simply ceased. The name is copied only the first time
     /// an instance is seen.
+    ///
+    /// One walk over the tracked instances beside the probes settles,
+    /// probes and retires each of them, so probes in name order cost no
+    /// lookup. A probe of a name the walk has already passed, or has never
+    /// seen, is looked up after it: any order gives the same records.
     pub fn observe<'a>(&mut self, now: SimTime, probes: impl IntoIterator<Item = (&'a str, bool)>) {
-        for t in self.tracked.values_mut().filter(|t| t.live) {
-            *t = t.settled(self.horizon);
+        let horizon = self.horizon;
+        let retire = |t: &mut Tracked| {
+            *t = t.settled(horizon);
             t.live = false;
-        }
+        };
+        let mut behind = Vec::new();
+        let mut walk = self.tracked.iter_mut().peekable();
         for (instance, available) in probes {
+            while let Some((_, t)) = walk.next_if(|(name, _)| name.as_str() < instance) {
+                retire(t);
+            }
+            match walk.next_if(|(name, _)| name.as_str() == instance) {
+                Some((_, t)) => {
+                    retire(t);
+                    t.observe(now, available);
+                }
+                None => behind.push((instance, available)),
+            }
+        }
+        walk.for_each(|(_, t)| retire(t));
+        for (instance, available) in behind {
             match self.tracked.get_mut(instance) {
                 Some(t) => t.observe(now, available),
                 None => self
@@ -330,6 +351,93 @@ mod tests {
         ticks.extend([&[GONE, GONE][..]; 10]);
         ticks.extend([&[UP, UP][..]; 10]);
         lazy_equals_every_tick(&["a", "b"], &ticks);
+    }
+
+    /// The pass the walk replaced: settle every live record, then look each
+    /// probe up.
+    fn observe_by_lookup<'a>(
+        t: &mut SlaTracker,
+        now: SimTime,
+        probes: impl IntoIterator<Item = (&'a str, bool)>,
+    ) {
+        for r in t.tracked.values_mut().filter(|r| r.live) {
+            *r = r.settled(t.horizon);
+            r.live = false;
+        }
+        for (instance, available) in probes {
+            t.tracked
+                .entry(instance.to_owned())
+                .or_default()
+                .observe(now, available);
+        }
+        t.horizon = now;
+    }
+
+    /// One step of a generated run: so many milliseconds later, a pass over
+    /// `(name, up)` probes, or an extension.
+    #[derive(Debug, Clone)]
+    enum Step {
+        Observe(Vec<(usize, bool)>),
+        Extend,
+    }
+
+    const NAMES: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
+
+    /// Passes in name order, in any order, with duplicates, with names
+    /// never seen before and without names seen so far, interleaved with
+    /// extensions: every record reads the same as through a lookup per probe.
+    #[test]
+    fn the_walk_equals_a_lookup_per_probe_300_cases() {
+        use dosgi_testkit::prop::{self, Config, Gen};
+        use dosgi_testkit::{prop_verify_eq, TestRng};
+
+        let runs = Gen::new(|rng: &mut TestRng| {
+            let steps = rng.usize_in(1, 40);
+            (0..steps)
+                .map(|_| {
+                    let gap_ms = rng.u64_in(0, 20);
+                    if rng.chance(0.3) {
+                        return (gap_ms, Step::Extend);
+                    }
+                    let n = rng.usize_in(0, 10);
+                    let mut probes: Vec<(usize, bool)> = (0..n)
+                        .map(|_| (rng.usize_in(0, NAMES.len() - 1), rng.chance(0.7)))
+                        .collect();
+                    match rng.u64_below(3) {
+                        0 => {}
+                        1 => probes.sort_by_key(|p| p.0),
+                        _ => {
+                            probes.sort_by_key(|p| p.0);
+                            probes.dedup_by_key(|p| p.0);
+                        }
+                    }
+                    (gap_ms, Step::Observe(probes))
+                })
+                .collect::<Vec<_>>()
+        });
+        prop::check_with(&Config::with_cases(300), "sla_walk", &runs, |run| {
+            let (mut walk, mut lookup) = (SlaTracker::new(), SlaTracker::new());
+            let mut now = SimTime::ZERO;
+            for (i, (gap_ms, step)) in run.iter().enumerate() {
+                now += SimDuration::from_millis(*gap_ms);
+                match step {
+                    Step::Extend => {
+                        walk.extend_to(now);
+                        lookup.extend_to(now);
+                    }
+                    Step::Observe(probes) => {
+                        let probes = || probes.iter().map(|&(n, up)| (NAMES[n], up));
+                        walk.observe(now, probes());
+                        observe_by_lookup(&mut lookup, now, probes());
+                    }
+                }
+                for name in NAMES {
+                    prop_verify_eq!(walk.record(name), lookup.record(name), "{name}, step {i}");
+                }
+                prop_verify_eq!(walk.instances(), lookup.instances());
+            }
+            Ok(())
+        });
     }
 
     #[test]

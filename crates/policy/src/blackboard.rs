@@ -6,9 +6,10 @@ use std::collections::BTreeMap;
 /// A two-level metric store: per-subject metrics (e.g. `cpu_share` of
 /// instance `acme-prod`) and global metrics (e.g. `node_cpu`).
 ///
-/// The Autonomic Module refreshes the blackboard from the
-/// [`MonitoringModule`]'s report each sampling period, then evaluates its
-/// [`PolicyEngine`] against it.
+/// Any [`MetricSource`] feeds a [`PolicyEngine`]; this one holds what was
+/// written to it. The Autonomic Module reads the [`MonitoringModule`]'s
+/// windows in place and consults its blackboard for the metrics a driver
+/// adds.
 ///
 /// [`MonitoringModule`]: ../dosgi_monitor/struct.MonitoringModule.html
 /// [`PolicyEngine`]: crate::PolicyEngine

@@ -27,8 +27,9 @@
 //!   `$i` in turn); nullary metric functions read node-level values.
 //! * `for N` requires the condition to hold on N consecutive evaluations —
 //!   the debouncing every real autonomic controller needs.
-//! * Metric functions are resolved against a [`Blackboard`] the Monitoring
-//!   Module fills each sampling period.
+//! * Metric functions are resolved against a [`MetricSource`]: a
+//!   [`Blackboard`] of written values, or — in the `dosgi-core` Autonomic
+//!   Module — the Monitoring Module's windows read in place.
 //! * Actions become [`PolicyAction`]s the embedding (the `dosgi-core`
 //!   Autonomic Module) executes: migrate, stop, throttle, restart, alert,
 //!   hibernate, wake.

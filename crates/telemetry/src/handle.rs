@@ -137,6 +137,29 @@ pub(crate) fn with_entry<T, R>(
     r
 }
 
+/// [`with_entry`] for every `(name, value)` of `items`: one walk over `map`
+/// beside them, so names in ascending order cost no lookup. A name the
+/// walk has passed or not found is looked up, or created, after it.
+pub(crate) fn merge_entries<'a, T, V>(
+    map: &mut BTreeMap<String, T>,
+    items: impl IntoIterator<Item = (&'a str, V)>,
+    new: impl Fn() -> T,
+    mut f: impl FnMut(&mut T, V),
+) {
+    let mut behind = Vec::new();
+    let mut walk = map.iter_mut().peekable();
+    for (name, value) in items {
+        while walk.next_if(|(key, _)| key.as_str() < name).is_some() {}
+        match walk.next_if(|(key, _)| key.as_str() == name) {
+            Some((_, entry)) => f(entry, value),
+            None => behind.push((name, value)),
+        }
+    }
+    for (name, value) in behind {
+        with_entry(map, name, &new, |entry| f(entry, value));
+    }
+}
+
 /// [`with_entry`] on an index of slots.
 pub(crate) fn with_slot<S: Default, R>(
     slots: &mut BTreeMap<String, Arc<S>>,

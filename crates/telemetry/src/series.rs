@@ -30,7 +30,7 @@
 //! loop therefore yields byte-identical series on replay, and a chaos
 //! fingerprint that is identical whether series collection is on or off.
 
-use crate::handle::with_entry;
+use crate::handle::merge_entries;
 use crate::{bucket_bounds, Telemetry, BUCKETS};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -112,10 +112,15 @@ impl Series {
         }
     }
 
-    /// Append one point, compacting first if the ring is full.
+    /// Append one point, compacting first if the ring is full. A group of
+    /// one keeps its point, so a ring of capacity 1 drops its oldest.
     pub fn push(&mut self, p: SeriesPoint) {
         if self.points.len() >= self.capacity {
             self.compact();
+            if self.points.len() >= self.capacity {
+                self.points.pop_front();
+                self.dropped += 1;
+            }
         }
         self.points.push_back(p);
         self.appended += 1;
@@ -246,8 +251,10 @@ struct HistCursor {
 /// sim-time cadence. See the module docs for the point semantics.
 ///
 /// Series live with the per-metric cursor that feeds them, keyed by the
-/// metric name, so a scrape looks every metric up once, allocates only
-/// when it first sees one, and never builds a `<kind>:<metric>` string.
+/// metric name. A scrape walks each kind's cursors beside the registry's
+/// name-ordered read — one merge, no lookup per metric — allocates only
+/// for a metric it has not seen before, and never builds a
+/// `<kind>:<metric>` string.
 pub struct SeriesScraper {
     config: ScrapeConfig,
     next_due_us: Option<u64>,
@@ -297,49 +304,45 @@ impl SeriesScraper {
             newly_dropped += series.dropped() - before;
         };
         telemetry.read(|counters, gauges, histograms| {
-            for (name, cum) in counters.iter() {
-                // The drop-accounting counter is written by the scraper
-                // itself *after* this read; tracking a series of it
-                // would only echo the scraper back at itself.
-                if name.starts_with("telemetry.series.") {
-                    continue;
+            // The drop-accounting counter is written by the scraper itself
+            // *after* this read; tracking a series of it would only echo the
+            // scraper back at itself.
+            let counters = counters
+                .iter()
+                .filter(|(name, _)| !name.starts_with("telemetry.series."));
+            let new = || RateCursor {
+                last: 0,
+                series: Series::new(SeriesKind::Rate, capacity),
+            };
+            merge_entries(rates, counters, new, |cursor, cum| {
+                let delta = cum.saturating_sub(cursor.last);
+                cursor.last = cum;
+                push(&mut cursor.series, delta as i64);
+            });
+            let new = || Series::new(SeriesKind::Gauge, capacity);
+            merge_entries(gauge_series, gauges.iter(), new, |series, v| {
+                push(series, v)
+            });
+            let new = || HistCursor {
+                buckets: [0; BUCKETS],
+                count: 0,
+                series: PERCENTILES.map(|(kind, _)| Series::new(kind, capacity)),
+            };
+            merge_entries(hists, histograms.iter(), new, |cursor, h| {
+                let mut delta = [0u64; BUCKETS];
+                for (i, slot) in delta.iter_mut().enumerate() {
+                    *slot = h.bucket(i).saturating_sub(cursor.buckets[i]);
+                    cursor.buckets[i] = h.bucket(i);
                 }
-                let new = || RateCursor {
-                    last: 0,
-                    series: Series::new(SeriesKind::Rate, capacity),
-                };
-                with_entry(rates, name, new, |cursor| {
-                    let delta = cum.saturating_sub(cursor.last);
-                    cursor.last = cum;
-                    push(&mut cursor.series, delta as i64);
-                });
-            }
-            for (name, v) in gauges.iter() {
-                let new = || Series::new(SeriesKind::Gauge, capacity);
-                with_entry(gauge_series, name, new, |series| push(series, v));
-            }
-            for (name, h) in histograms.iter() {
-                let new = || HistCursor {
-                    buckets: [0; BUCKETS],
-                    count: 0,
-                    series: PERCENTILES.map(|(kind, _)| Series::new(kind, capacity)),
-                };
-                with_entry(hists, name, new, |cursor| {
-                    let mut delta = [0u64; BUCKETS];
-                    for (i, slot) in delta.iter_mut().enumerate() {
-                        *slot = h.bucket(i).saturating_sub(cursor.buckets[i]);
-                        cursor.buckets[i] = h.bucket(i);
+                let delta_count = h.count().saturating_sub(cursor.count);
+                cursor.count = h.count();
+                // No samples this window: no percentile point.
+                for (series, (_, p)) in cursor.series.iter_mut().zip(PERCENTILES) {
+                    if let Some(v) = window_percentile(&delta, delta_count, p) {
+                        push(series, v as i64);
                     }
-                    let delta_count = h.count().saturating_sub(cursor.count);
-                    cursor.count = h.count();
-                    // No samples this window: no percentile point.
-                    for (series, (_, p)) in cursor.series.iter_mut().zip(PERCENTILES) {
-                        if let Some(v) = window_percentile(&delta, delta_count, p) {
-                            push(series, v as i64);
-                        }
-                    }
-                });
-            }
+                }
+            });
         });
 
         if newly_dropped > 0 {

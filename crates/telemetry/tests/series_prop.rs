@@ -214,6 +214,117 @@ fn downsampling_drop_accounting_is_exact() {
     }
 }
 
+/// Regression: a full ring frees at least one slot on every push, whatever
+/// its capacity. (A group of one keeps its point, so compaction alone left a
+/// ring of capacity 1 holding two.)
+#[test]
+fn every_capacity_holds_at_most_its_capacity() {
+    for capacity in 1..=25 {
+        let mut s = Series::new(SeriesKind::Gauge, capacity);
+        for i in 0..200u64 {
+            s.push(SeriesPoint {
+                at_us: i,
+                value: i as i64,
+            });
+            assert!(s.len() <= s.capacity(), "capacity {capacity}, push {i}");
+            assert_eq!(
+                s.appended(),
+                s.len() as u64 + s.dropped(),
+                "capacity {capacity}, push {i}"
+            );
+        }
+        assert_eq!(s.last().map(|p| p.at_us), Some(199));
+    }
+}
+
+/// Metric names, the ones written from the start and the ones first written
+/// in a later window, in the order they sort.
+const NAMES: [&str; 7] = ["a", "b", "c", "d", "e", "f", "g"];
+const FROM_THE_START: [&str; 3] = ["b", "d", "f"];
+
+/// Per window, `(name, value)` of every metric written in it: the names
+/// written from the start in any window, each other one from a window of
+/// its own on (or never).
+fn arrivals() -> Gen<Vec<Vec<(usize, u64)>>> {
+    Gen::new(|rng: &mut TestRng| {
+        let windows = rng.usize_in(2, 12);
+        let first: Vec<usize> = NAMES
+            .iter()
+            .map(|n| {
+                if FROM_THE_START.contains(n) {
+                    0
+                } else {
+                    rng.usize_in(1, windows)
+                }
+            })
+            .collect();
+        (0..windows)
+            .map(|w| {
+                let mut writes = Vec::new();
+                for (i, &from) in first.iter().enumerate() {
+                    if from <= w && rng.chance(0.7) {
+                        writes.push((i, rng.u64_in(0, 5_000)));
+                    }
+                }
+                writes
+            })
+            .collect()
+    })
+}
+
+/// Names first written between scrapes — sorting before, between and after
+/// the ones the scraper already follows — through one scraper, against a
+/// scraper per name that never sees another: every series is the same,
+/// point for point, with the same compaction.
+#[test]
+fn names_arriving_between_scrapes_match_a_scraper_per_name_200_cases() {
+    prop::check_with(
+        &Config::with_cases(200),
+        "names_arriving_between_scrapes",
+        &arrivals(),
+        |windows| {
+            let config = ScrapeConfig {
+                cadence_us: 1_000,
+                capacity: 8,
+            };
+            let (shared, mut scraper) = (Telemetry::new(), SeriesScraper::new(config.clone()));
+            let mut per_name: Vec<(Telemetry, SeriesScraper)> = NAMES
+                .iter()
+                .map(|_| (Telemetry::new(), SeriesScraper::new(config.clone())))
+                .collect();
+            for (w, writes) in windows.iter().enumerate() {
+                for &(i, v) in writes {
+                    for t in [&shared, &per_name[i].0] {
+                        t.add(NAMES[i], v);
+                        t.gauge_set(NAMES[i], v as i64);
+                        t.record(NAMES[i], v);
+                    }
+                }
+                let now_us = w as u64 * 1_000;
+                prop_verify!(scraper.scrape(&shared, now_us), "scrape due every window");
+                for (t, s) in &mut per_name {
+                    s.scrape(t, now_us);
+                }
+            }
+            let mut names = Vec::new();
+            for (i, name) in NAMES.iter().enumerate() {
+                for kind in ["rate", "gauge", "p50", "p95", "p99"] {
+                    let series = format!("{kind}:{name}");
+                    let of = |s: &SeriesScraper| {
+                        s.series(&series)
+                            .map(|s| (s.points().copied().collect::<Vec<_>>(), s.dropped()))
+                    };
+                    prop_verify_eq!(of(&scraper), of(&per_name[i].1), "{series}");
+                }
+                names.extend(per_name[i].1.series_names());
+            }
+            names.sort();
+            prop_verify_eq!(scraper.series_names(), names);
+            Ok(())
+        },
+    );
+}
+
 /// Regression: the scraper mirrors every compaction into the registry
 /// counter, and a long run through small rings stays bounded.
 #[test]

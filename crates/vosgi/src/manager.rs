@@ -37,6 +37,9 @@ dosgi_telemetry::metrics! {
 pub struct InstanceManager {
     host: Framework,
     instances: BTreeMap<InstanceId, VirtualInstance>,
+    // Every instance by its name; kept by `insert` and `destroy_instance`,
+    // the only two places that change `instances`.
+    by_name: BTreeMap<String, InstanceId>,
     next: u64,
     repo: BundleRepository,
     factory: ActivatorFactory,
@@ -70,6 +73,7 @@ impl InstanceManager {
         InstanceManager {
             host,
             instances: BTreeMap::new(),
+            by_name: BTreeMap::new(),
             next: 1,
             repo,
             factory,
@@ -239,11 +243,7 @@ impl InstanceManager {
     }
 
     fn check_name_free(&self, name: &str) -> Result<(), VosgiError> {
-        if self
-            .instances
-            .values()
-            .any(|i| i.descriptor.name == name && i.state != InstanceState::Destroyed)
-        {
+        if self.by_name.contains_key(name) {
             return Err(VosgiError::DuplicateInstance(name.to_owned()));
         }
         Ok(())
@@ -259,6 +259,7 @@ impl InstanceManager {
         self.lifecycle_epoch += 1;
         let id = InstanceId(self.next);
         self.next += 1;
+        self.by_name.insert(descriptor.name.clone(), id);
         self.instances.insert(
             id,
             VirtualInstance {
@@ -343,6 +344,7 @@ impl InstanceManager {
             .instances
             .remove(&id)
             .expect("looked up the id just above");
+        self.by_name.remove(&inst.descriptor.name);
         inst.state = InstanceState::Destroyed;
         if wipe_state {
             if let Some(store) = &self.store {
@@ -642,7 +644,9 @@ impl InstanceManager {
         self.instances.get(&id)
     }
 
-    /// Mutable instance access.
+    /// Mutable instance access. The descriptor's name is what
+    /// [`find_by_name`](Self::find_by_name) knows the instance by: leave it
+    /// as it is.
     pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut VirtualInstance> {
         // `state` is a public field.
         self.lifecycle_epoch += 1;
@@ -662,10 +666,7 @@ impl InstanceManager {
 
     /// Finds an instance by name.
     pub fn find_by_name(&self, name: &str) -> Option<InstanceId> {
-        self.instances
-            .values()
-            .find(|i| i.descriptor.name == name)
-            .map(|i| i.id)
+        self.by_name.get(name).copied()
     }
 
     /// Number of (non-destroyed) instances.
@@ -1200,6 +1201,49 @@ mod tests {
         assert_eq!(mgr.usage(b).unwrap().calls, 0);
         assert_eq!(mgr.find_by_name("b"), Some(b));
         assert_eq!(mgr.len(), 2);
+    }
+
+    /// Creations, adoptions and destructions of a few names in any order:
+    /// the index answers what a scan of the instances answers, and a name is
+    /// refused exactly while a scan finds it.
+    #[test]
+    fn the_name_index_equals_a_scan_200_cases() {
+        use dosgi_testkit::prop::{self, Config, Gen};
+        use dosgi_testkit::{prop_verify_eq, TestRng};
+
+        const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+        // (0 create | 1 adopt | 2 destroy, state kept | 3 destroy, wiped; name)
+        let runs = Gen::new(|rng: &mut TestRng| {
+            let steps = rng.usize_in(1, 30);
+            (0..steps)
+                .map(|_| (rng.u64_below(4), rng.usize_in(0, NAMES.len() - 1)))
+                .collect::<Vec<_>>()
+        });
+        let scan = |mgr: &InstanceManager, name: &str| {
+            mgr.instances()
+                .find(|i| i.descriptor.name == name)
+                .map(|i| i.id)
+        };
+        prop::check_with(&Config::with_cases(200), "name_index", &runs, |run| {
+            let mut mgr = manager();
+            mgr.attach_store(SharedStore::new());
+            for (i, &(op, n)) in run.iter().enumerate() {
+                let name = NAMES[n];
+                let held = scan(&mgr, name);
+                let outcome = match (op, held) {
+                    (0, _) => mgr.create_instance(descriptor(name)).map(drop),
+                    (1, _) => mgr.adopt_instance(descriptor(name)).map(drop),
+                    (_, Some(id)) => mgr.destroy_instance(id, op == 3),
+                    (_, None) => Ok(()),
+                };
+                let refused = matches!(outcome, Err(VosgiError::DuplicateInstance(_)));
+                prop_verify_eq!(refused, op < 2 && held.is_some(), "step {i}: {outcome:?}");
+                for name in NAMES {
+                    prop_verify_eq!(mgr.find_by_name(name), scan(&mgr, name), "{name}, step {i}");
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

@@ -6,6 +6,9 @@
 #
 #   scripts/bench_pairs.sh [--record <pr>] <parent-ref> <workload> [first-seed=1] [pairs=10]
 #
+# The workload `all` runs every workload of BENCHMARK.json in its order, each
+# as if named alone: a table (and a recorded row) per workload.
+#
 # The parent is unpacked (`git archive`) under target/bench_pairs/, each side
 # is built by its own benchmark/run.sh into its own CARGO_TARGET_DIR there, and
 # pair i runs both on seed first-seed + i. Bash and awk only, nothing fetched;
@@ -35,12 +38,19 @@ if [[ ${1:-} == --record ]]; then
     shift 2
 fi
 if [[ $# -lt 2 || $# -gt 4 ]]; then
-    echo "usage: scripts/bench_pairs.sh [--record <pr>] <parent-ref> <workload> [first-seed=1] [pairs=10]" >&2
+    echo "usage: scripts/bench_pairs.sh [--record <pr>] <parent-ref> <workload|all> [first-seed=1] [pairs=10]" >&2
     exit 2
 fi
 parent_ref="$1" workload="$2" first_seed="${3:-1}" pairs="${4:-10}"
 
 cd "$(dirname "$0")/.."
+if [[ $workload == all ]]; then
+    for w in $(awk '/^  "/ { listed = /"workloads"/ }
+        listed && sub(/.*"name": *"/, "") { sub(/".*/, ""); print }' BENCHMARK.json); do
+        scripts/bench_pairs.sh ${record:+--record "$record"} "$parent_ref" "$w" "$first_seed" "$pairs"
+    done
+    exit
+fi
 work="$PWD/target/bench_pairs"
 rm -rf "$work/parent-src"
 mkdir -p "$work/parent-src" "$work/out"
