@@ -164,7 +164,19 @@ fn main() {
             c.telemetry().counter("core.registry.ops"),
             c.net_mut().stats().sent,
         );
-        c.run_for(SimDuration::from_millis(1_500));
+        // A node that orders a `RegistrySync` or a `RegistryDelta` adds its
+        // bytes as it orders it: a step in which a counter moved ordered one.
+        let shipped = |c: &DosgiCluster| {
+            ["registry.sync_bytes", "registry.delta_bytes"].map(|m| c.telemetry().counter(m))
+        };
+        let mut transfers = 0;
+        let end = c.now() + SimDuration::from_millis(1_500);
+        while c.now() < end {
+            let before = shipped(&c);
+            c.step();
+            let after = shipped(&c);
+            transfers += before.iter().zip(&after).filter(|(b, a)| a > b).count();
+        }
         let ops = c.telemetry().counter("core.registry.ops") - ops;
         let sent = c.net_mut().stats().sent - sent;
         let quiet = {
@@ -177,6 +189,7 @@ fn main() {
         rows.push(vec![
             prior_rounds.to_string(),
             history.to_string(),
+            transfers.to_string(),
             ops.to_string(),
             sent.to_string(),
             format!("{:+}", sent as i64 - quiet as i64),
@@ -187,6 +200,7 @@ fn main() {
         &[
             "prior failover rounds",
             "ordered messages in the stream",
+            "registry transfers ordered",
             "registry ops applied (all nodes)",
             "messages (rejoin window)",
             "vs quiet cluster",
@@ -194,8 +208,10 @@ fn main() {
         &rows,
     );
     println!(
-        "\n(A rejoin is a view agreement, a re-base, a `Hello` and its \
-         `RegistryDelta`/`RegistrySync` — O(nodes) messages however long the \
+        "\n(A rejoin after suspicion is a view agreement, a re-base, the \
+         joiner's `Hello` — ordered before the view admits it, so nobody \
+         answers it — and the `RegistrySync` the admitting view change orders \
+         for it: one registry transfer, O(nodes) messages however long the \
          stream the node missed.)"
     );
 

@@ -416,7 +416,9 @@ impl DosgiCluster {
     }
 
     /// Restarts a crashed node with fresh volatile state; it rejoins the
-    /// group and receives a registry sync from the coordinator.
+    /// group and receives one registry transfer: the `RegistrySync` of the
+    /// view change that admits it, or — restarted inside the suspicion
+    /// timeout — the `RegistryDelta` answering its `Hello`.
     /// An index that is not a node is a no-op, as it is for
     /// [`crash_node`](Self::crash_node).
     pub fn restart_node(&mut self, idx: usize) {
@@ -1425,6 +1427,32 @@ mod tests {
         c.step();
         assert!(!dirty(&c), "an awake node flushes on that very tick");
         assert_eq!(c.store().peek(&ns, "count"), Some(Value::Int(2)));
+    }
+
+    /// The sequencer delivers its own `Released` at once and applies it on
+    /// its next tick. A stranded sweep falling on the tick in between must
+    /// not take the hand-off for one its source forgot and release it a
+    /// second time: every migration off node 0 adopts once, at revision 3.
+    #[test]
+    fn a_sequencer_releasing_on_its_sweep_tick_releases_once() {
+        for lead in 0..4 {
+            let mut c = cluster();
+            c.deploy(workloads::web_instance("a", "w"), 0).unwrap();
+            // Node 0 sweeps every second on the ticks at 5 ms past it.
+            while c.now().as_micros() < 2_000_000 - TICK.as_micros() * lead {
+                c.step();
+            }
+            c.take_events();
+            c.migrate("w", 1).unwrap();
+            c.run_for(SimDuration::from_secs(1));
+            let adoptions = c
+                .take_events()
+                .into_iter()
+                .filter(|(_, e)| matches!(e, crate::NodeEvent::Adopted { .. }))
+                .count();
+            let rev = c.node(0).unwrap().registry().record("w").unwrap().rev;
+            assert_eq!((adoptions, rev), (1, 3), "migrated {lead} ticks early");
+        }
     }
 
     #[test]

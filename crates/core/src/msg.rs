@@ -78,12 +78,17 @@ pub enum AppPayload {
         /// The node shutting down.
         node: NodeId,
     },
-    /// (ordered) A node announces it (re)started. Peers answer with a
-    /// `RegistryDelta` computed against the carried digest, which lets a
-    /// node that crashed and restarted *below the suspicion timeout* —
-    /// invisible to the failure detector — learn the registry and re-adopt
-    /// the instances it silently lost, without shipping records it already
-    /// holds at the current revision.
+    /// (ordered) A node announces it (re)started and asks for the registry.
+    /// A node admitted by a view change is sent its state by the
+    /// `RegistrySync` that view change orders, so a `Hello` from outside the
+    /// answering node's view goes unanswered. A `Hello` from a member — a
+    /// node that crashed and restarted *below the suspicion timeout*,
+    /// invisible to the failure detector — is answered with a
+    /// `RegistryDelta` addressed to it, computed against the carried digest,
+    /// so it learns the registry and re-adopts the instances it silently
+    /// lost without being sent records it already holds. Until a transfer
+    /// addressed to it lands, the node asks again on the stranded-sweep
+    /// cadence.
     Hello {
         /// The (re)started node.
         node: NodeId,
@@ -92,21 +97,31 @@ pub enum AppPayload {
         /// Empty after a fresh restart, in which case the answering delta
         /// degenerates to a full snapshot.
         digest: Value,
+        /// A repeated request: an earlier `Hello` went unanswered. Every
+        /// member that holds the registry answers it, with an empty delta
+        /// if need be, so that the asking stops.
+        retry: bool,
     },
-    /// (ordered) Full registry state, sent by the coordinator when a node
-    /// (re)joins — the anti-entropy fallback for healed minorities and
-    /// joiners, whose divergence is unbounded. Per-record deltas
-    /// (`RegistryDelta`) cover the common, bounded-divergence case.
+    /// (ordered) Full registry state, ordered by the lowest-id member that
+    /// was already in the group when a view change admits nodes: the
+    /// joiners' one transfer, whether they restarted after being suspected
+    /// or come from the other side of a healed partition, whose divergence
+    /// is unbounded. Every member merges it at the same logical instant.
     RegistrySync {
         /// The serialized registry (see
         /// [`ClusterRegistry::export`](crate::ClusterRegistry::export)).
         registry: Value,
+        /// The nodes the view change admitted, as the sender saw it: the
+        /// nodes this transfer is addressed to.
+        joined: Vec<NodeId>,
     },
     /// (ordered) Per-record registry delta, answering a `Hello`: only the
     /// records the digest is missing or holds at an older revision travel,
     /// plus revision-guarded removals for records the digest names but the
     /// sender's registry no longer contains.
     RegistryDelta {
+        /// The node whose `Hello` this answers: the node it is addressed to.
+        to: NodeId,
         /// Export-format records (see
         /// [`ClusterRegistry::export`](crate::ClusterRegistry::export))
         /// newer than — or absent from — the digest this delta answers.
@@ -154,12 +169,14 @@ mod tests {
             AppPayload::Hello {
                 node: NodeId(0),
                 digest: Value::map(),
+                retry: false,
             }
             .instance(),
             None
         );
         assert_eq!(
             AppPayload::RegistryDelta {
+                to: NodeId(0),
                 upserts: Value::List(Vec::new()),
                 removes: Value::List(Vec::new()),
             }

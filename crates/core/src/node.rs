@@ -38,6 +38,28 @@ pub enum NodeState {
     Stopped,
 }
 
+/// Where a node stands in getting the registry it (re)started without.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Transfer {
+    /// No `Hello` ordered yet: the first tick orders one.
+    Unsent,
+    /// A `Hello` is out; the next stranded sweep marks it overdue.
+    Sent,
+    /// A stranded sweep has passed with no transfer: every sweep asks again.
+    Overdue,
+    /// A transfer addressed to this node has been applied, or the node
+    /// booted with the group and applied its own `Hello` having missed
+    /// nothing. Only such a node ships the registry to others.
+    Answered,
+}
+
+/// True when a delta's two lists hold nothing.
+fn is_empty_delta(upserts: &Value, removes: &Value) -> bool {
+    [upserts, removes]
+        .iter()
+        .all(|l| l.as_list().is_none_or(<[Value]>::is_empty))
+}
+
 /// Per-node configuration.
 #[derive(Debug, Clone)]
 pub struct NodeConfig {
@@ -106,7 +128,10 @@ pub struct DosgiNode {
     hibernate_when_empty: bool,
     last_sample: Option<SimTime>,
     last_sweep: Option<SimTime>,
-    hello_sent: bool,
+    transfer: Transfer,
+    // The SAN held this node's host state when it was created: it ran
+    // before, and whatever it missed comes by transfer.
+    restarted: bool,
     // The wake deadline: a tick before it that finds the mailbox empty
     // returns at once. Taken at the end of every full tick
     // (`next_deadline`) and zeroed by every call that gives the next tick
@@ -224,10 +249,12 @@ impl DosgiNode {
         store: SharedStore,
         now: SimTime,
     ) -> Self {
-        let mut host = Framework::new(&format!("host/{id}"));
+        let host_ns = format!("host/{id}");
+        let mut host = Framework::new(&host_ns);
+        let restarted = store.namespace_bytes_prefixed(&host_ns) > 0;
         // A node booting during a SAN fault keeps its snapshot dirty; the
         // tick's flush loop converges it once the SAN answers again.
-        let _ = host.attach_store(store.clone(), &format!("host/{id}"));
+        let _ = host.attach_store(store.clone(), &host_ns);
         let factory = workloads::standard_factory();
         for manifest in workloads::host_bundles() {
             let activator = factory.create(&manifest);
@@ -255,7 +282,8 @@ impl DosgiNode {
             hibernate_when_empty: false,
             last_sample: None,
             last_sweep: None,
-            hello_sent: false,
+            transfer: Transfer::Unsent,
+            restarted,
             wake_at: SimTime::ZERO,
             inbox: Vec::new(),
             store,
@@ -317,6 +345,13 @@ impl DosgiNode {
     #[cfg(test)]
     pub(crate) fn registry_mut(&mut self) -> &mut ClusterRegistry {
         &mut self.registry
+    }
+
+    /// True until this node holds the registry: until it has applied a
+    /// transfer addressed to it, or — booted with the group — its own
+    /// `Hello` with nothing ordered before it.
+    pub fn awaiting_transfer(&self) -> bool {
+        self.transfer != Transfer::Answered
     }
 
     /// The node's instance manager.
@@ -605,22 +640,9 @@ impl DosgiNode {
         for event in self.gcs.take_events() {
             self.on_gcs_event(event, net, now);
         }
-        if !self.hello_sent {
-            self.hello_sent = true;
-            // The digest lets the answering peer ship a per-record delta
-            // instead of the full registry. A freshly restarted node has an
-            // empty registry, so its digest is empty and the delta
-            // degenerates to a full snapshot — same convergence, fewer
-            // bytes whenever the sender already holds current records.
-            let digest = self.registry.digest();
-            self.order(
-                net,
-                AppPayload::Hello {
-                    node: self.id,
-                    digest,
-                },
-                None,
-            );
+        if self.transfer == Transfer::Unsent {
+            self.transfer = Transfer::Sent;
+            self.ask_for_registry(net, false);
         }
         self.process_pending_adoptions(net, now);
         self.process_pending_upgrades(now);
@@ -630,6 +652,24 @@ impl DosgiNode {
         self.sweep_stranded(net, now);
         self.check_drained(net, now);
         self.wake_at = self.next_deadline(now);
+    }
+
+    /// Orders a `Hello`. The digest lets the answering peer ship a
+    /// per-record delta instead of the full registry. A freshly restarted
+    /// node has an empty registry, so its digest is empty and the delta
+    /// degenerates to a full snapshot — same convergence, fewer bytes
+    /// whenever the sender already holds current records.
+    fn ask_for_registry(&mut self, net: &mut impl Fabric<Wire>, retry: bool) {
+        let digest = self.registry.digest();
+        self.order(
+            net,
+            AppPayload::Hello {
+                node: self.id,
+                digest,
+                retry,
+            },
+            None,
+        );
     }
 
     /// The earliest instant at which a tick without mail may have something
@@ -689,6 +729,13 @@ impl DosgiNode {
             return;
         }
         self.last_sweep = Some(now);
+        // A joiner whose transfer has not landed asks again: the one it was
+        // owed can die with a crashing sequencer or sync sender.
+        match self.transfer {
+            Transfer::Sent => self.transfer = Transfer::Overdue,
+            Transfer::Overdue => self.ask_for_registry(net, true),
+            Transfer::Unsent | Transfer::Answered => {}
+        }
         let view = self.gcs.view();
         if !view.has_majority(self.gcs.universe() - self.departed_peers.len()) {
             return;
@@ -719,7 +766,44 @@ impl DosgiNode {
         if !stranded.is_empty() || !self.registry.orphans().is_empty() {
             self.handle_failover(&stranded, net);
         }
+        self.release_handoffs_without_a_source(net);
         self.heal_quarantined(net);
+    }
+
+    /// Completes hand-offs this node was the source of but can no longer
+    /// release: the record is still homed here and `Migrating` to a member,
+    /// yet no local copy exists — the node crashed and restarted inside the
+    /// suspicion timeout, so no view change orphans the record, and it
+    /// either applied the `Migrate` without a copy to stop or learnt the
+    /// record by transfer after its previous life's `Released` died with
+    /// it. Ordering the `Released` lets the destination adopt from the SAN,
+    /// as it would after a crash. Only with nothing of this node's own in
+    /// flight — nothing unsequenced, nothing delivered but not yet applied
+    /// (a sequencer delivers its own orders at once and applies them on its
+    /// next tick): a `Released` it ordered itself has then been applied
+    /// here, and the record no longer reads `Migrating`.
+    fn release_handoffs_without_a_source(&mut self, net: &mut impl Fabric<Wire>) {
+        if self.gcs.pending_orders() > 0 || self.gcs.has_events() {
+            return;
+        }
+        let view = self.gcs.view();
+        let unreleased: Vec<(String, NodeId)> = self
+            .registry
+            .records()
+            .filter_map(|r| match r.status {
+                InstanceStatus::Migrating { to }
+                    if r.home == self.id
+                        && view.contains(to)
+                        && self.mgr.find_by_name(&r.name).is_none() =>
+                {
+                    Some((r.name.clone(), to))
+                }
+                _ => None,
+            })
+            .collect();
+        for (name, to) in unreleased {
+            self.order(net, AppPayload::Released { name, to }, None);
+        }
     }
 
     /// The healing half of quarantine: once the SAN answers again, re-claim
@@ -792,22 +876,28 @@ impl DosgiNode {
                     self.draining_peers.remove(j);
                     self.departed_peers.remove(j);
                 }
-                // State transfer for joiners: the lowest-id member that
-                // was *already* in the group sends its registry (the new
-                // coordinator may well be the freshly-restarted joiner,
-                // whose registry is empty).
+                // State transfer for joiners, the one they get: the
+                // lowest-id member that was *already* in the group sends its
+                // registry, addressed to them (the new coordinator may well
+                // be the freshly-restarted joiner, whose registry is empty).
+                // A member still waiting for its own transfer has nothing to
+                // ship; the joiners then ask again.
                 let sync_sender = view
                     .members
                     .iter()
                     .filter(|m| !joined.contains(m))
                     .min()
                     .copied();
-                if !joined.is_empty() && sync_sender == Some(self.id) {
+                if !joined.is_empty() && sync_sender == Some(self.id) && !self.awaiting_transfer() {
                     let snapshot = self.registry.export();
                     self.metrics
                         .registry_sync_bytes
                         .add(snapshot.encoded_len() as u64);
-                    self.order(net, AppPayload::RegistrySync { registry: snapshot }, None);
+                    let sync = AppPayload::RegistrySync {
+                        registry: snapshot,
+                        joined,
+                    };
+                    self.order(net, sync, None);
                 }
                 let effective_universe = self.gcs.universe() - self.departed_peers.len();
                 if !left.is_empty() && view.has_majority(effective_universe) {
@@ -940,41 +1030,66 @@ impl DosgiNode {
                     self.draining_peers.insert(*node);
                 }
             }
-            AppPayload::Hello { node, digest } => {
-                // Answer a (re)started peer with a per-record delta against
-                // its digest, so a silent restart (crash + rejoin under the
-                // suspicion timeout) still converges without re-shipping
-                // records the peer already holds at the current revision.
-                // The lowest-id *other* view member answers; rev-gated
-                // merge-import makes duplicates harmless.
-                let responder = self.gcs.view().members.iter().find(|m| *m != node).copied();
-                if *node != self.id && responder == Some(self.id) && !self.registry.is_empty() {
-                    let (upserts, removes) = self.registry.export_delta(digest);
-                    let payload_rows = upserts.as_list().map(<[Value]>::len).unwrap_or(0)
-                        + removes.as_list().map(<[Value]>::len).unwrap_or(0);
-                    if payload_rows > 0 {
-                        self.metrics
-                            .registry_delta_bytes
-                            .add((upserts.encoded_len() + removes.encoded_len()) as u64);
-                        self.order(net, AppPayload::RegistryDelta { upserts, removes }, None);
+            AppPayload::Hello {
+                node,
+                digest,
+                retry,
+            } => {
+                if *node == self.id {
+                    // A first boot that followed its stream from the first
+                    // message missed nothing: it booted with the group, when
+                    // every registry is empty and nobody answers. (A
+                    // restarted node 0 coordinates a fresh stream of its own
+                    // and follows it from the start too; it is told apart by
+                    // the host state it left in the SAN.)
+                    if !self.restarted && self.gcs.delivered_from_start() {
+                        self.transfer = Transfer::Answered;
+                    }
+                } else if self.gcs.view().contains(*node) && !self.awaiting_transfer() {
+                    // A member that restarted under the suspicion timeout
+                    // (a node outside the view is sent the sync of the view
+                    // change that admits it): the lowest-id other member
+                    // answers with a per-record delta against its digest,
+                    // so the peer is not re-sent records it holds at the
+                    // current revision. A retry is answered by every member
+                    // that holds the registry, even with an empty delta, so
+                    // that the asking stops; rev-gated merge-import makes
+                    // the duplicates harmless.
+                    let responder = self.gcs.view().members.iter().find(|m| *m != node);
+                    let lowest = responder == Some(&self.id) && !self.registry.is_empty();
+                    if *retry || lowest {
+                        let (upserts, removes) = self.registry.export_delta(digest);
+                        if *retry || !is_empty_delta(&upserts, &removes) {
+                            self.ship_delta(net, *node, upserts, removes);
+                        }
                     }
                 }
             }
-            AppPayload::RegistrySync { registry } => {
-                // Authoritative snapshot in the total order — the
-                // anti-entropy fallback (joiners, healed minorities):
-                // everyone merges the same snapshot at the same logical
-                // instant, then reconciles local instances against it
-                // (partition heal).
+            AppPayload::RegistrySync { registry, joined } => {
+                // Authoritative snapshot in the total order — the joiners'
+                // transfer (restarts, healed minorities): everyone merges
+                // the same snapshot at the same logical instant, then
+                // reconciles local instances against it (partition heal).
                 self.registry.import(registry);
                 self.reconcile_with_registry(now);
+                if joined.contains(&self.id) {
+                    self.transfer = Transfer::Answered;
+                }
             }
-            AppPayload::RegistryDelta { upserts, removes } => {
+            AppPayload::RegistryDelta {
+                to,
+                upserts,
+                removes,
+            } => {
                 // Ordered per-record delta: same merge semantics as a full
                 // sync (rev-gated upserts, rev-equality-guarded removals),
                 // applied by every member at the same logical instant.
+                self.ship_what_moved(upserts, *to, net);
                 self.registry.import_delta(upserts, removes);
                 self.reconcile_with_registry(now);
+                if *to == self.id {
+                    self.transfer = Transfer::Answered;
+                }
             }
             AppPayload::Quarantined { .. } => {
                 // Registry bookkeeping only (done in `apply` above): the
@@ -983,6 +1098,47 @@ impl DosgiNode {
                 // in place.
             }
             AppPayload::Deployed { .. } | AppPayload::Undeployed { .. } => {}
+        }
+    }
+
+    /// Orders a `RegistryDelta` addressed to `to`.
+    fn ship_delta(
+        &mut self,
+        net: &mut impl Fabric<Wire>,
+        to: NodeId,
+        upserts: Value,
+        removes: Value,
+    ) {
+        self.metrics
+            .registry_delta_bytes
+            .add((upserts.encoded_len() + removes.encoded_len()) as u64);
+        let delta = AppPayload::RegistryDelta {
+            to,
+            upserts,
+            removes,
+        };
+        self.order(net, delta, None);
+    }
+
+    /// A delta carries the records its addressee lacked or held older, as
+    /// they stood where its sender applied the `Hello`. A write ordered
+    /// between that point and the delta's own position reached every member
+    /// but the addressee, which passed over a record it did not have yet;
+    /// importing the delta then left it a revision behind, for good. Every
+    /// member applies the same stream and sees the same gap, so the lowest
+    /// member other than the addressee ships it what moved, in a delta of
+    /// its own — corrected the same way should it be overtaken in turn.
+    /// Nothing moved, nothing is sent. (A sync is not checked so: its
+    /// addressees may be the other side of a healed partition, whose own
+    /// newer records are no gap.)
+    fn ship_what_moved(&mut self, shipped: &Value, to: NodeId, net: &mut impl Fabric<Wire>) {
+        let sender = self.gcs.view().members.iter().find(|m| **m != to);
+        if sender != Some(&self.id) || self.awaiting_transfer() {
+            return;
+        }
+        let (upserts, removes) = self.registry.moved_since(shipped);
+        if !is_empty_delta(&upserts, &removes) {
+            self.ship_delta(net, to, upserts, removes);
         }
     }
 

@@ -323,6 +323,28 @@ impl ClusterRegistry {
         (upserts, removes)
     }
 
+    /// What this registry has moved past since `shipped` (an export-format
+    /// record list, as a transfer carries) was taken: the shipped records it
+    /// holds at a newer revision, as upserts, and those it no longer holds,
+    /// as removes guarded by the shipped revision — the delta that brings a
+    /// node that imported `shipped` to where this registry stands. Both
+    /// lists are empty, and nothing is allocated, when nothing moved.
+    pub fn moved_since(&self, shipped: &Value) -> (Value, Value) {
+        let (mut upserts, mut removes) = (Vec::new(), Vec::new());
+        for entry in shipped.as_list().unwrap_or_default() {
+            let Some(name) = entry.get("name").and_then(Value::as_str) else {
+                continue;
+            };
+            let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0);
+            match self.records.get(name) {
+                Some(r) if r.rev > rev as u64 => upserts.push(Self::record_value(r)),
+                Some(_) => {}
+                None => removes.push(Value::map().with("name", name).with("rev", rev)),
+            }
+        }
+        (Value::List(upserts), Value::List(removes))
+    }
+
     /// Applies a per-record delta (see [`export_delta`](Self::export_delta)).
     /// Upserts merge exactly like [`import`](Self::import) — revision
     /// regressions are refused — and removals only fire while the local
@@ -480,6 +502,36 @@ mod tests {
         let _ = (r.record("a"), r.export(), r.digest());
         assert!(!moved(&r));
         assert_eq!(r, copy);
+    }
+
+    #[test]
+    fn what_moved_since_a_transfer_is_what_it_got_wrong() {
+        let mut r = ClusterRegistry::new();
+        for (name, home) in [("a", 0), ("b", 1), ("c", 2)] {
+            r.apply(&deployed(name, home));
+        }
+        let shipped = r.export();
+        let (upserts, removes) = r.moved_since(&shipped);
+        assert_eq!(
+            (upserts.as_list(), removes.as_list()),
+            (Some(&[][..]), Some(&[][..]))
+        );
+        // Written after the transfer was taken: a claim moves `a`, `b` goes.
+        r.orphan_homes(&[NodeId(0)]);
+        r.apply(&AppPayload::Adopted {
+            name: "a".into(),
+            node: NodeId(2),
+            prior_home: NodeId(0),
+        });
+        r.apply(&AppPayload::Undeployed { name: "b".into() });
+        let (upserts, removes) = r.moved_since(&shipped);
+        // Whoever imported the transfer ends where this registry stands.
+        let mut joiner = ClusterRegistry::new();
+        joiner.import(&shipped);
+        joiner.import_delta(&upserts, &removes);
+        assert_eq!(joiner, r);
+        assert_eq!(upserts.as_list().map(<[Value]>::len), Some(1));
+        assert_eq!(removes.as_list().map(<[Value]>::len), Some(1));
     }
 
     #[test]

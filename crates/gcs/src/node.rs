@@ -110,6 +110,9 @@ pub struct GroupNode<A> {
     // the *same* stream it means the sequencer gave one message two
     // positions (`gcs.order.resequenced`, never expected).
     stream_gen: u64,
+    // Set for good the first time the cursor moves other than by delivering
+    // (see `delivered_from_start`).
+    rebased: bool,
     last_order_nack: Option<SimTime>,
 
     events: Vec<GcsEvent<A>>,
@@ -177,6 +180,7 @@ impl<A: Clone> GroupNode<A> {
             ordered_ooo: BTreeMap::new(),
             delivered_high: BTreeMap::new(),
             stream_gen: 0,
+            rebased: false,
             last_order_nack: None,
             events: Vec::new(),
             metrics: Metrics::default(),
@@ -222,11 +226,29 @@ impl<A: Clone> GroupNode<A> {
         std::mem::take(&mut self.events)
     }
 
+    /// True while events wait to be taken. A message this node sequences
+    /// itself is delivered to it at once, and handed up with the next
+    /// [`take_events`](Self::take_events).
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     /// Number of ordered messages sent but not yet sequenced. A node that
     /// intends to leave gracefully must wait until this reaches zero, or
     /// its final control messages die with it.
     pub fn pending_orders(&self) -> usize {
         self.pending_orders.len()
+    }
+
+    /// True while this node's ordered cursor has only ever moved by
+    /// delivering: it has followed one stream from that stream's first
+    /// message and applied everything ordered in it. A re-base, the reset
+    /// for a restarted sequencer and a change of coordinator each end it
+    /// for good. The layer above reads it to tell a node that booted with
+    /// the group (it missed nothing) from one that joined a stream already
+    /// under way (it owes its state to a transfer).
+    pub fn delivered_from_start(&self) -> bool {
+        !self.rebased
     }
 
     // ------------------------------------------------------------------
@@ -610,6 +632,7 @@ impl<A: Clone> GroupNode<A> {
                         self.expected_gseq = 1;
                         self.ordered_ooo.clear();
                         self.stream_gen += 1;
+                        self.rebased = true;
                     }
                 }
                 // The sender's cursor in our stream: an acknowledgement
@@ -656,6 +679,7 @@ impl<A: Clone> GroupNode<A> {
                 // Forward only, so a duplicate or late re-base is harmless.
                 if Some(from) == self.view.coordinator() && base >= self.expected_gseq {
                     self.expected_gseq = base + 1;
+                    self.rebased = true;
                     let above = self.ordered_ooo.split_off(&(base + 1));
                     // Skipped, but sequenced: a request of ours among them
                     // needs no more retries.
@@ -1021,6 +1045,7 @@ impl<A: Clone> GroupNode<A> {
         if view.coordinator() != old.coordinator() {
             self.expected_gseq = view.stream_base + 1;
             self.stream_gen += 1;
+            self.rebased = true;
             self.ordered_ooo.clear();
             self.ordered_buffer.clear();
             self.assigned.clear();

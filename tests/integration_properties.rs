@@ -7,7 +7,7 @@
 //! below as explicit named `regression_*` tests.
 
 use dosgi_core::{workloads, ClusterConfig, DosgiCluster, InstanceStatus};
-use dosgi_net::SimDuration;
+use dosgi_net::{NodeId, SimDuration};
 use dosgi_san::Value;
 use dosgi_testkit::{prop, prop_verify, prop_verify_eq, Gen, PropResult};
 
@@ -320,6 +320,63 @@ fn regression_crash_deploy_restart_crash_seed_0() {
     .unwrap();
 }
 
+/// Regression (hole (c) of the rejoin protocol): the source of a migration
+/// crashes and restarts at once, so no view change orphans the record. The
+/// restarted source applies its own `Migrate` with no copy left to release,
+/// and the record stayed `Migrating`, homed on a live member, for good —
+/// no failover or stranded sweep looked at it. The source now orders the
+/// `Released` itself and the destination adopts from the SAN.
+#[test]
+fn regression_deploy_migrate_crash_restart_seed_151() {
+    check_cluster_invariants(
+        &[
+            Op::Deploy(2),
+            Op::Migrate(3, 1),
+            Op::Crash(2),
+            Op::Restart(2),
+        ],
+        151,
+    )
+    .unwrap();
+}
+
+/// Hole (c)'s other road: the source releases the instance, and its
+/// `Released` dies with it before reaching the sequencer. Restarted inside
+/// the suspicion timeout, it learns the record — still `Migrating`, homed on
+/// itself — from the delta answering its `Hello`, not by applying the
+/// `Migrate`. The stranded sweep completes that hand-off too.
+#[test]
+fn a_handoff_whose_released_died_is_completed_by_the_restarted_source() {
+    let mut c = DosgiCluster::new(4, ClusterConfig::default(), 151);
+    c.run_for(SimDuration::from_millis(500));
+    c.deploy(workloads::web_instance("w", "w"), 2).unwrap();
+    c.run_for(SimDuration::from_millis(500));
+    c.migrate("w", 3).unwrap();
+    // The source applies its `Migrate`: the copy is gone and the `Released`
+    // is on its way to the sequencer.
+    while c.node(2).unwrap().manager().find_by_name("w").is_some() {
+        c.step();
+    }
+    c.crash_node(2);
+    (0..5).for_each(|_| c.step());
+    c.restart_node(2);
+    c.run_for(SimDuration::from_secs(1));
+    let status = c.node(2).unwrap().registry().record("w").unwrap().status;
+    assert_eq!(
+        status,
+        InstanceStatus::Migrating { to: NodeId(3) },
+        "learnt by transfer"
+    );
+    c.run_for(SimDuration::from_secs(5));
+    assert_eq!(c.home_of("w"), Some(3));
+    assert!(c.probe("w"));
+    let encoded = encoded_registries(&c);
+    assert!(
+        encoded.windows(2).all(|w| w[0].1 == w[1].1),
+        "registries diverged"
+    );
+}
+
 // ---------------------------------------------------------------------
 // Hot-swap property: upgrade/downgrade/crash interleavings vs an oracle.
 // ---------------------------------------------------------------------
@@ -630,4 +687,189 @@ fn regression_restart_in_minority_still_gets_the_merge_sync() {
     };
     let report = run_nemesis(&plan, &ChaosOptions::default());
     assert!(report.ok(), "violations: {:?}", report.violations);
+}
+
+// ---------------------------------------------------------------------
+// Registry transfer: one per joiner, asked for until it lands.
+// ---------------------------------------------------------------------
+
+/// Every running node's registry, encoded.
+fn encoded_registries(c: &DosgiCluster) -> Vec<(usize, Vec<u8>)> {
+    c.running_nodes()
+        .into_iter()
+        .map(|i| (i, c.node(i).unwrap().registry().export().encode()))
+        .collect()
+}
+
+/// Regression (hole (b) of the rejoin protocol): node 1 restarts after it
+/// was suspected, and the view change that admits it has node 0 — the
+/// sequencer and the lowest member already in the group — order its
+/// `RegistrySync`. Node 0 crashes `k` steps later. For some `k` the sync
+/// dies with it before it reaches node 1, which then coordinates the new
+/// view with an empty registry. A joiner that asked once and waited held 0
+/// of 6 records for good (k = 5 and 6); one that asks again until a
+/// transfer addressed to it lands holds all 6, whatever `k`.
+#[test]
+fn regression_joiner_whose_admission_sync_dies_with_the_sequencer() {
+    for k in 0..80 {
+        let mut c = DosgiCluster::new(5, ClusterConfig::default(), 3);
+        c.run_for(SimDuration::from_millis(500));
+        for i in 0..6 {
+            let name = format!("w{i}");
+            c.deploy(workloads::web_instance(&name, &name), 2 + i % 3)
+                .unwrap();
+        }
+        c.crash_node(1);
+        c.run_for(SimDuration::from_millis(1_500));
+        c.restart_node(1);
+        (0..k).for_each(|_| c.step());
+        c.crash_node(0);
+        c.run_for(SimDuration::from_secs(8));
+        let encoded = encoded_registries(&c);
+        assert!(
+            encoded.windows(2).all(|w| w[0].1 == w[1].1),
+            "k = {k}: registries diverged"
+        );
+        let held = c.node(1).unwrap().registry().len();
+        assert_eq!(held, 6, "k = {k}: node 1 holds {held} of 6 records");
+    }
+}
+
+/// One rejoin, drawn: which node restarts, whether it was down long enough
+/// to be suspected, when after its restart the sequencer crashes (if at
+/// all) and how many instances the registry holds.
+#[derive(Debug, Clone)]
+struct Rejoin {
+    seed: u64,
+    victim: usize,
+    /// Steps down: under the suspicion timeout's 40, or 1.5 s.
+    down_steps: u64,
+    sequencer_crash_after: Option<u64>,
+    instances: usize,
+}
+
+/// Steps `c` for `d`, counting the registry transfers ordered meanwhile:
+/// `(syncs, deltas)`. The ordering node adds a transfer's bytes when it
+/// orders it, so a step in which a counter moved ordered one.
+fn count_transfers(c: &mut DosgiCluster, d: SimDuration) -> (u32, u32) {
+    let read = |c: &DosgiCluster| {
+        (
+            c.telemetry().counter("registry.sync_bytes"),
+            c.telemetry().counter("registry.delta_bytes"),
+        )
+    };
+    let end = c.now() + d;
+    let mut counted = (0, 0);
+    while c.now() < end {
+        let before = read(c);
+        c.step();
+        let after = read(c);
+        counted.0 += u32::from(after.0 > before.0);
+        counted.1 += u32::from(after.1 > before.1);
+    }
+    counted
+}
+
+fn check_one_transfer(r: &Rejoin) -> PropResult {
+    let mut c = DosgiCluster::new(5, ClusterConfig::default(), r.seed);
+    let boot = count_transfers(&mut c, SimDuration::from_millis(500));
+    prop_verify_eq!(boot, (0, 0), "boot ordered a transfer");
+    for i in 0..r.instances {
+        let name = format!("w{i}");
+        c.deploy(workloads::web_instance(&name, &name), i % 5)
+            .map_err(|e| e.to_string())?;
+    }
+    c.crash_node(r.victim);
+    (0..r.down_steps).for_each(|_| c.step());
+    c.restart_node(r.victim);
+    let mut transfers = (0, 0);
+    if let Some(steps) = r.sequencer_crash_after {
+        (0..steps).for_each(|_| c.step());
+        c.crash_node(0);
+    }
+    let settled = count_transfers(&mut c, SimDuration::from_secs(8));
+    transfers.0 += settled.0;
+    transfers.1 += settled.1;
+    let encoded = encoded_registries(&c);
+    prop_verify!(
+        encoded.windows(2).all(|w| w[0].1 == w[1].1),
+        "registries diverged"
+    );
+    for i in c.running_nodes() {
+        let node = c.node(i).unwrap();
+        prop_verify_eq!(node.registry().len(), r.instances, "node {i}'s records");
+        prop_verify!(!node.awaiting_transfer(), "node {i} still waits");
+    }
+    if r.sequencer_crash_after.is_none() {
+        let expected = if r.down_steps < 40 { (0, 1) } else { (1, 0) };
+        prop_verify_eq!(transfers, expected, "(syncs, deltas) for the rejoin");
+    }
+    Ok(())
+}
+
+/// Whatever the interleaving of a rejoin with a crash of the sequencer,
+/// every running registry ends byte-identical and complete and nobody is
+/// left waiting for its transfer; and without the crash, a rejoin after
+/// suspicion orders exactly one transfer (the admission sync), a silent
+/// restart exactly one delta, and the boot none.
+#[test]
+fn one_transfer_per_joiner_whatever_the_interleaving() {
+    let cfg = prop::Config {
+        cases: 200,
+        ..prop::Config::default()
+    };
+    let case = Gen::new(|rng| Rejoin {
+        seed: rng.u64_below(1_000),
+        victim: rng.usize_in(1, 4),
+        down_steps: if rng.chance(0.5) {
+            rng.u64_in(0, 30)
+        } else {
+            300
+        },
+        sequencer_crash_after: rng.chance(0.5).then(|| rng.u64_below(80)),
+        instances: rng.usize_in(1, 8),
+    });
+    prop::check_with(
+        &cfg,
+        "one_transfer_per_joiner_whatever_the_interleaving",
+        &case,
+        check_one_transfer,
+    );
+}
+
+/// Regression: node 1 rejoins after it was suspected, then node 0 — the
+/// sequencer — crashes and restarts, inside the suspicion timeout or after
+/// it. Restarted, node 0 coordinates a fresh stream of its own and applies
+/// its own `Hello` as that stream's first message, just as it does at boot.
+/// Taken for a booting node, it stopped asking and held 0 of 6 records,
+/// while as the lowest id it answered for the others. A node that finds its
+/// own host state in the SAN is restarting, and waits for a transfer.
+#[test]
+fn regression_sequencer_restarted_after_a_rejoin_is_not_taken_for_booting() {
+    for k in 0..20 {
+        for down in [0, 30] {
+            let mut c = DosgiCluster::new(5, ClusterConfig::default(), 4);
+            c.run_for(SimDuration::from_millis(500));
+            for i in 0..6 {
+                let name = format!("w{i}");
+                c.deploy(workloads::web_instance(&name, &name), 2 + i % 3)
+                    .unwrap();
+            }
+            c.crash_node(1);
+            c.run_for(SimDuration::from_millis(1_500));
+            c.restart_node(1);
+            (0..k).for_each(|_| c.step());
+            c.crash_node(0);
+            (0..down).for_each(|_| c.step());
+            c.restart_node(0);
+            c.run_for(SimDuration::from_secs(8));
+            let encoded = encoded_registries(&c);
+            assert!(
+                encoded.windows(2).all(|w| w[0].1 == w[1].1),
+                "k = {k}, down {down}: registries diverged"
+            );
+            let held = c.node(0).unwrap().registry().len();
+            assert_eq!(held, 6, "k = {k}, down {down}: node 0 holds {held} of 6");
+        }
+    }
 }
