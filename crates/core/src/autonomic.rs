@@ -1,4 +1,4 @@
-//! The Autonomic Module: policies over the monitoring blackboard.
+//! The Autonomic Module: policies over the node's monitoring data.
 //!
 //! §3.3: *"By using the Monitoring Module to build the view of the system
 //! and the Migration Module to know about other nodes … the Autonomic
@@ -25,14 +25,16 @@
 //! | `node_rank()` | node | this node's position in the view (0 = lowest id) |
 //!
 //! Any other metric, and a built-in one the above does not answer (an
-//! instance's usage before its first window), is read from the
-//! [`Blackboard`], which holds only what a driver put there (E16's
-//! `alert_firing`, say). The script yields [`PolicyDecision`]s the node
-//! executes (migrate / stop / throttle / restart / hibernate / alert).
+//! instance's usage before its first window), is an evaluation error,
+//! reported in [`AutonomicModule::last_errors`]. Policies over what a driver
+//! writes ([`OVERLOAD_POLICY`]'s `alert_firing`, say) run on a
+//! [`PolicyEngine`] over a [`dosgi_policy::Blackboard`], as E15 and E16 do.
+//! The script yields [`PolicyDecision`]s the node executes (migrate / stop /
+//! throttle / restart / hibernate / alert).
 
 use dosgi_monitor::{MonitoringModule, NodeCapacity};
 use dosgi_net::{SimDuration, SimTime};
-use dosgi_policy::{Blackboard, MetricSource, ParseError, PolicyDecision, PolicyEngine};
+use dosgi_policy::{MetricSource, ParseError, PolicyDecision, PolicyEngine};
 use dosgi_vosgi::ResourceQuota;
 use std::collections::BTreeMap;
 
@@ -125,7 +127,6 @@ rule pressure_cleared {
 #[derive(Debug, Clone)]
 pub struct AutonomicModule {
     engine: PolicyEngine,
-    blackboard: Blackboard,
     interval: SimDuration,
     last: Option<SimTime>,
 }
@@ -139,7 +140,6 @@ impl AutonomicModule {
     pub fn new(script: &str, interval: SimDuration) -> Result<Self, ParseError> {
         Ok(AutonomicModule {
             engine: PolicyEngine::compile(script)?,
-            blackboard: Blackboard::new(),
             interval,
             last: None,
         })
@@ -184,20 +184,8 @@ impl AutonomicModule {
                 ("node_count", node_count as f64),
                 ("node_rank", node_rank as f64),
             ],
-            blackboard: &self.blackboard,
         };
         self.engine.evaluate(&source, &subjects)
-    }
-
-    /// Removes what a driver put on the blackboard for a migrated or
-    /// destroyed instance.
-    pub fn forget(&mut self, subject: &str) {
-        self.blackboard.forget_subject(subject);
-    }
-
-    /// The blackboard: metrics a driver adds to the module table's.
-    pub fn blackboard_mut(&mut self) -> &mut Blackboard {
-        &mut self.blackboard
     }
 
     /// Evaluation errors from the last pass.
@@ -206,17 +194,16 @@ impl AutonomicModule {
     }
 }
 
-/// The module table's metrics where they are kept, over the blackboard.
+/// The module table's metrics where they are kept.
 struct InPlace<'a> {
     monitor: &'a MonitoringModule,
     quotas: &'a BTreeMap<&'a str, ResourceQuota>,
     globals: [(&'static str, f64); 5],
-    blackboard: &'a Blackboard,
 }
 
 impl MetricSource for InPlace<'_> {
     fn metric(&self, name: &str, subject: Option<&str>) -> Option<f64> {
-        let builtin = match subject {
+        match subject {
             None => self.globals.iter().find(|g| g.0 == name).map(|g| g.1),
             Some(s) => self.quotas.get(s).and_then(|q| {
                 let window = || self.monitor.latest(s);
@@ -231,8 +218,7 @@ impl MetricSource for InPlace<'_> {
                     _ => None,
                 }
             }),
-        };
-        builtin.or_else(|| self.blackboard.metric(name, subject))
+        }
     }
 }
 
@@ -240,7 +226,7 @@ impl MetricSource for InPlace<'_> {
 mod tests {
     use super::*;
     use dosgi_osgi::UsageSnapshot;
-    use dosgi_policy::PolicyAction;
+    use dosgi_policy::{Blackboard, PolicyAction};
 
     fn monitor_with(name: &str, cpu_ms_per_s: u64, memory: u64) -> MonitoringModule {
         let mut m = MonitoringModule::new();
@@ -333,20 +319,16 @@ mod tests {
 
     #[test]
     fn overload_policy_scales_out_while_alert_fires() {
-        let mut a = AutonomicModule::new(OVERLOAD_POLICY, SimDuration::from_secs(1)).unwrap();
-        let m = MonitoringModule::new();
-        let cap = NodeCapacity::standard();
-        let q = BTreeMap::new();
-        // Feed the alert state and queue signals straight into the
-        // blackboard (the E16 driver does the same from the SLO engine
-        // and the admission-layer stats).
-        let bb = a.blackboard_mut();
+        let mut engine = PolicyEngine::compile(OVERLOAD_POLICY).unwrap();
+        // Feed the alert state and queue signals into a blackboard, as the
+        // E16 driver does from the SLO engine and the admission-layer stats.
+        let mut bb = Blackboard::new();
         bb.set_subject_metric("std-latency", "alert_firing", 1.0);
         bb.set_global_metric("queue_depth", 120.0);
         bb.set_global_metric("queue_capacity", 128.0);
         let mut fired = Vec::new();
-        for s in 1..=2 {
-            fired.extend(a.evaluate(SimTime::from_secs(s), &m, &q, &cap, 3, 0));
+        for _ in 0..2 {
+            fired.extend(engine.evaluate(&bb, &[]));
         }
         assert!(
             fired.iter().any(|d| d.action == PolicyAction::ScaleOut),
@@ -359,15 +341,18 @@ mod tests {
             )),
             "{fired:?}"
         );
-        assert!(a.last_errors().is_empty(), "{:?}", a.last_errors());
+        assert!(
+            engine.last_errors().is_empty(),
+            "{:?}",
+            engine.last_errors()
+        );
 
         // Alert resolved, queues drained: shedding lifts after `for 4`.
-        let bb = a.blackboard_mut();
         bb.set_subject_metric("std-latency", "alert_firing", 0.0);
         bb.set_global_metric("queue_depth", 2.0);
         let mut cleared = Vec::new();
-        for s in 3..=7 {
-            cleared.extend(a.evaluate(SimTime::from_secs(s), &m, &q, &cap, 3, 0));
+        for _ in 0..5 {
+            cleared.extend(engine.evaluate(&bb, &[]));
         }
         assert!(
             cleared.iter().any(|d| matches!(
@@ -377,24 +362,24 @@ mod tests {
             )),
             "{cleared:?}"
         );
-        assert!(a.last_errors().is_empty(), "{:?}", a.last_errors());
+        assert!(
+            engine.last_errors().is_empty(),
+            "{:?}",
+            engine.last_errors()
+        );
     }
 
     #[test]
     fn polled_overload_policy_scales_out_on_sustained_p95_breach() {
-        let mut a =
-            AutonomicModule::new(POLLED_OVERLOAD_POLICY, SimDuration::from_secs(1)).unwrap();
-        let m = MonitoringModule::new();
-        let cap = NodeCapacity::standard();
-        let q = BTreeMap::new();
-        let bb = a.blackboard_mut();
+        let mut engine = PolicyEngine::compile(POLLED_OVERLOAD_POLICY).unwrap();
+        let mut bb = Blackboard::new();
         bb.set_global_metric("p95_latency_us", 400_000.0);
         bb.set_global_metric("slo_us", 250_000.0);
         bb.set_global_metric("queue_depth", 120.0);
         bb.set_global_metric("queue_capacity", 128.0);
         let mut fired = Vec::new();
-        for s in 1..=3 {
-            fired.extend(a.evaluate(SimTime::from_secs(s), &m, &q, &cap, 3, 0));
+        for _ in 0..3 {
+            fired.extend(engine.evaluate(&bb, &[]));
         }
         assert!(
             fired.iter().any(|d| d.action == PolicyAction::ScaleOut),
@@ -407,7 +392,11 @@ mod tests {
             )),
             "{fired:?}"
         );
-        assert!(a.last_errors().is_empty(), "{:?}", a.last_errors());
+        assert!(
+            engine.last_errors().is_empty(),
+            "{:?}",
+            engine.last_errors()
+        );
     }
 
     /// The evaluator `evaluate` replaced: every pass copies each metric of
@@ -461,10 +450,6 @@ mod tests {
         Quota(usize, bool),
         /// A subject leaves: what `node.rs` does at each of its three sites.
         Forget(usize),
-        /// A driver writes a subject's metric.
-        DriverSubject(usize, usize, f64),
-        /// A driver writes a global.
-        DriverGlobal(usize, f64),
         Pass {
             node_count: usize,
             node_rank: usize,
@@ -510,9 +495,9 @@ mod tests {
         script
     }
 
-    /// Monitor windows, quota changes, departures and driver writes —
-    /// built-in names among them, for local subjects and others — between
-    /// passes: reading in place decides and errs exactly as copying did.
+    /// Monitor windows, quota changes and departures — for local subjects
+    /// and others — between passes: reading in place decides and errs
+    /// exactly as copying did, a metric that is not built in included.
     #[test]
     fn reading_in_place_equals_copying_onto_the_blackboard_300_cases() {
         use dosgi_testkit::prop::{self, Config, Gen};
@@ -529,7 +514,7 @@ mod tests {
             let inputs = (0..rng.usize_in(1, 60))
                 .map(|_| {
                     let s = rng.usize_in(0, SUBJECTS.len() - 1);
-                    match rng.u64_below(10) {
+                    match rng.u64_below(8) {
                         0..=2 => Input::Record(
                             s,
                             [
@@ -541,15 +526,6 @@ mod tests {
                         ),
                         3 => Input::Quota(s, rng.chance(0.5)),
                         4 => Input::Forget(s),
-                        5 => Input::DriverSubject(
-                            s,
-                            rng.usize_in(0, SUBJECT_METRICS.len() - 1),
-                            rng.f64_in(0.0, 2.0),
-                        ),
-                        6 => Input::DriverGlobal(
-                            rng.usize_in(0, GLOBALS.len() - 1),
-                            rng.f64_in(0.0, 200.0),
-                        ),
                         _ => Input::Pass {
                             node_count: rng.usize_in(1, 4),
                             node_rank: rng.usize_in(0, 3),
@@ -592,19 +568,8 @@ mod tests {
                     }
                     Input::Forget(s) => {
                         monitor.forget(SUBJECTS[s]);
-                        in_place.forget(SUBJECTS[s]);
                         by_copy.blackboard.forget_subject(SUBJECTS[s]);
                         quotas.remove(SUBJECTS[s]);
-                    }
-                    Input::DriverSubject(s, m, v) => {
-                        for bb in [in_place.blackboard_mut(), &mut by_copy.blackboard] {
-                            bb.set_subject_metric(SUBJECTS[s], SUBJECT_METRICS[m], v);
-                        }
-                    }
-                    Input::DriverGlobal(g, v) => {
-                        for bb in [in_place.blackboard_mut(), &mut by_copy.blackboard] {
-                            bb.set_global_metric(GLOBALS[g], v);
-                        }
                     }
                     Input::Pass {
                         node_count,

@@ -22,9 +22,9 @@
 //!    [`MonitoringModule`](dosgi_monitor::MonitoringModule) fed by the
 //!    frameworks' usage ledgers;
 //! 4. *Enforce SLA requirements based on business policies* — the
-//!    [`autonomic`] module evaluates policy scripts against the monitoring
-//!    blackboard and executes the resulting actions (stop / throttle /
-//!    migrate / consolidate).
+//!    [`autonomic`] module evaluates policy scripts against the node's
+//!    monitoring windows, quotas and view, read in place, and executes the
+//!    resulting actions (stop / throttle / migrate / consolidate).
 //!
 //! The [`DosgiCluster`] type is the experiment driver: deterministic,
 //! seeded, with crash/partition/shutdown injection and service-availability

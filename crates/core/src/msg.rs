@@ -4,9 +4,9 @@ use dosgi_net::NodeId;
 use dosgi_san::Value;
 
 /// Application payloads exchanged between nodes through the group
-/// communication layer. Control-plane messages that mutate the replicated
-/// instance registry travel **totally ordered** so every node applies them
-/// in the same sequence; announcements travel FIFO-reliable.
+/// communication layer. Every one travels **totally ordered**, the group
+/// layer's one broadcast, so every node applies registry changes and
+/// announcements alike in the same sequence.
 ///
 /// A payload travels as `Arc<AppPayload>` (see [`Wire`](crate::Wire)): the
 /// node that orders a message builds it once, the group layer's retry

@@ -559,9 +559,6 @@ impl DosgiNode {
         self.mgr.destroy_instance(iid, true)?;
         self.forget_monitored(name);
         self.throttled.remove(name);
-        if let Some(a) = &mut self.autonomic {
-            a.forget(name);
-        }
         self.order(
             net,
             AppPayload::Undeployed {
@@ -914,10 +911,6 @@ impl DosgiNode {
                 }
                 self.apply_control(&payload, trace, net, now);
             }
-            GcsEvent::Deliver { .. } => {
-                // All control traffic is ordered; FIFO deliveries are
-                // reserved for future bulk data.
-            }
         }
     }
 
@@ -1151,9 +1144,6 @@ impl DosgiNode {
         }
         self.forget_monitored(name);
         self.throttled.remove(name);
-        if let Some(a) = &mut self.autonomic {
-            a.forget(name);
-        }
     }
 
     /// After importing an authoritative registry snapshot, converge the
@@ -1229,9 +1219,6 @@ impl DosgiNode {
         self.recorder.end(persist, now_us);
         self.forget_monitored(name);
         self.throttled.remove(name);
-        if let Some(a) = &mut self.autonomic {
-            a.forget(name);
-        }
         self.events.push(NodeEvent::Released {
             at: now,
             name: name.to_owned(),

@@ -15,13 +15,17 @@
 //!   propose/ack/commit protocol; every membership change (join, graceful
 //!   leave, crash) produces a [`GcsEvent::ViewChange`] carrying exactly the
 //!   joined/left sets the paper's Migration Module reacts to;
-//! * **reliable FIFO broadcast** — per-sender sequence numbers,
-//!   negative-acknowledgement retransmission, duplicate suppression;
-//! * **total-order broadcast** — a coordinator-sequenced stream (the
-//!   classic fixed-sequencer construction): because the sequencer's own
-//!   stream is FIFO-reliable, all correct members deliver ordered messages
-//!   in the same global order. The migration layer uses this to agree on
-//!   failover placements without a central authority.
+//! * **total-order broadcast** — the one broadcast: a coordinator-sequenced
+//!   stream (the classic fixed-sequencer construction). The sequencer sends
+//!   each ordered message point to point to every member; a member that
+//!   sees a gap, or a sequencer heartbeat whose head is past its cursor, asks
+//!   for replay, and one that joins a stream already under way is re-based
+//!   past the history its state transfer covers. Members acknowledge on
+//!   their heartbeats, and the sequencer forgets what all have delivered.
+//!   So all members of a stable view deliver the same messages in the same
+//!   global order, and every control message of the layers above travels
+//!   this way. The migration layer uses it to agree on failover placements
+//!   without a central authority.
 //!
 //! Split-brain caveat: during a partition each side may install its own
 //! view. The crate exposes [`View::has_majority`] so the layer above only

@@ -3,13 +3,10 @@
 
 dosgi_telemetry::metrics! {
     pub(crate) struct Metrics {
-        counter antientropy_nacks = "gcs.antientropy.nacks",
         counter antientropy_rebased = "gcs.antientropy.rebased",
         counter antientropy_replay_requests = "gcs.antientropy.replay_requests",
         counter antientropy_replayed = "gcs.antientropy.replayed",
         counter antientropy_view_repairs = "gcs.antientropy.view_repairs",
-        counter fifo_delivered = "gcs.fifo.delivered",
-        counter fifo_sent = "gcs.fifo.sent",
         counter order_delivered = "gcs.order.delivered",
         counter order_resequenced = "gcs.order.resequenced",
         counter order_sent = "gcs.order.sent",

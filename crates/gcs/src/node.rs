@@ -1,5 +1,5 @@
-//! The per-node protocol engine: failure detection, view agreement,
-//! reliable FIFO broadcast and sequencer-based total order.
+//! The per-node protocol engine: failure detection, view agreement and
+//! sequencer-based total order.
 
 use crate::metrics::Metrics;
 use crate::{GcsConfig, GcsWire, View, ViewId};
@@ -19,13 +19,6 @@ pub enum GcsEvent<A> {
         /// Members present before but not now — the trigger for the paper's
         /// failover redeployment.
         left: Vec<NodeId>,
-    },
-    /// A reliable-FIFO message.
-    Deliver {
-        /// The sender.
-        from: NodeId,
-        /// The payload.
-        payload: A,
     },
     /// A totally-ordered message. All members of a stable view deliver
     /// these in the same `gseq` order.
@@ -69,13 +62,6 @@ pub struct GroupNode<A> {
     // View agreement.
     view: View,
     proposal: Option<Proposal>,
-
-    // Reliable FIFO.
-    send_seq: u64,
-    send_buffer: BTreeMap<u64, A>,
-    recv_next: BTreeMap<NodeId, u64>,
-    recv_ooo: BTreeMap<NodeId, BTreeMap<u64, A>>,
-    last_nack: BTreeMap<NodeId, SimTime>,
 
     // Total order.
     order_seq: u64,
@@ -163,11 +149,6 @@ impl<A: Clone> GroupNode<A> {
             departed: BTreeSet::new(),
             view: view.clone(),
             proposal: None,
-            send_seq: 0,
-            send_buffer: BTreeMap::new(),
-            recv_next: BTreeMap::new(),
-            recv_ooo: BTreeMap::new(),
-            last_nack: BTreeMap::new(),
             order_seq: 0,
             pending_orders: BTreeMap::new(),
             pending_last_sent: None,
@@ -255,30 +236,6 @@ impl<A: Clone> GroupNode<A> {
     // Sending
     // ------------------------------------------------------------------
 
-    /// Reliable-FIFO broadcast to the current view (self-delivery is
-    /// immediate).
-    pub fn broadcast(&mut self, net: &mut impl Fabric<GcsWire<A>>, payload: A) {
-        self.metrics.fifo_sent.incr();
-        self.send_seq += 1;
-        self.send_buffer.insert(self.send_seq, payload.clone());
-        for &m in &self.view.members {
-            if m != self.id {
-                net.send(
-                    self.id,
-                    m,
-                    GcsWire::Data {
-                        seq: self.send_seq,
-                        payload: payload.clone(),
-                    },
-                );
-            }
-        }
-        self.events.push(GcsEvent::Deliver {
-            from: self.id,
-            payload,
-        });
-    }
-
     /// Totally-ordered broadcast: the message is sequenced by the view
     /// coordinator and delivered everywhere in global order. Retries
     /// automatically across sequencer failovers until ordered.
@@ -361,7 +318,6 @@ impl<A: Clone> GroupNode<A> {
                         self.id,
                         m,
                         GcsWire::Heartbeat {
-                            sent: self.send_seq,
                             ordered: self.gseq_counter,
                             incarnation: self.incarnation,
                             view: self.view.id,
@@ -597,7 +553,6 @@ impl<A: Clone> GroupNode<A> {
         self.departed.remove(&from);
         match msg {
             GcsWire::Heartbeat {
-                sent,
                 ordered,
                 incarnation,
                 view,
@@ -617,23 +572,20 @@ impl<A: Clone> GroupNode<A> {
                     self.metrics.antientropy_view_repairs.incr();
                     net.send(self.id, from, GcsWire::ViewCommit(self.view.clone()));
                 }
-                // A changed incarnation means the peer truly restarted:
-                // its streams begin again at 1. (Suspicion flaps keep the
-                // incarnation, so no duplicate re-delivery.)
+                // A changed incarnation means the peer truly restarted. If
+                // it is the current sequencer, its global order counter
+                // restarted: reset our cursor for its stream. (A restarted
+                // *member* needs nothing here: it asks for replay from 1
+                // and is re-based, see `replay_ordered`.)
                 let prev = self.peer_incarnations.insert(from, incarnation);
-                if prev.is_some() && prev != Some(incarnation) {
-                    self.recv_next.insert(from, 1);
-                    self.recv_ooo.remove(&from);
-                    // And if it is the current sequencer, its global order
-                    // counter restarted: reset our cursor for its stream.
-                    // (A restarted *member* needs nothing here: it asks for
-                    // replay from 1 and is re-based, see `replay_ordered`.)
-                    if Some(from) == self.view.coordinator() {
-                        self.expected_gseq = 1;
-                        self.ordered_ooo.clear();
-                        self.stream_gen += 1;
-                        self.rebased = true;
-                    }
+                if prev.is_some()
+                    && prev != Some(incarnation)
+                    && Some(from) == self.view.coordinator()
+                {
+                    self.expected_gseq = 1;
+                    self.ordered_ooo.clear();
+                    self.stream_gen += 1;
+                    self.rebased = true;
                 }
                 // The sender's cursor in our stream: an acknowledgement
                 // counts only from a member that shares our view (so we are
@@ -649,23 +601,10 @@ impl<A: Clone> GroupNode<A> {
                     *acked = (*acked).max(delivered);
                     self.truncate_ordered();
                 }
-                // Anti-entropy: if the sender claims more messages than we
-                // have seen, nack the missing prefix — this recovers streams
-                // whose every copy was lost (no gap visible locally).
-                let next = self.recv_next.get(&from).copied().unwrap_or(1);
-                if sent >= next {
-                    let nack_due = self
-                        .last_nack
-                        .get(&from)
-                        .map(|&at| now.since(at) >= self.config.order_resend)
-                        .unwrap_or(true);
-                    if nack_due {
-                        self.last_nack.insert(from, now);
-                        self.metrics.antientropy_nacks.incr();
-                        net.send(self.id, from, GcsWire::Nack { from_seq: next });
-                    }
-                }
-                // Same for the ordered stream, against the sequencer.
+                // Anti-entropy: if the sequencer claims more ordered
+                // messages than we have delivered, ask for replay — this
+                // recovers a tail whose every copy was lost (no gap visible
+                // locally).
                 if Some(from) == self.view.coordinator() && ordered >= self.expected_gseq {
                     self.request_ordered_replay(net, from, now);
                 }
@@ -732,19 +671,6 @@ impl<A: Clone> GroupNode<A> {
                     self.install_view(view);
                 }
             }
-            GcsWire::Data { seq, payload } => self.handle_data(net, from, seq, payload, now),
-            GcsWire::Nack { from_seq } => {
-                for (&seq, payload) in self.send_buffer.range(from_seq..) {
-                    net.send(
-                        self.id,
-                        from,
-                        GcsWire::Data {
-                            seq,
-                            payload: payload.clone(),
-                        },
-                    );
-                }
-            }
             GcsWire::OrderRequest {
                 incarnation,
                 origin_seq,
@@ -798,53 +724,6 @@ impl<A: Clone> GroupNode<A> {
             .order_retained
             .set(self.ordered_buffer.len() as i64);
         self.metrics.order_low_water.set(self.low_water as i64);
-    }
-
-    fn handle_data(
-        &mut self,
-        net: &mut impl Fabric<GcsWire<A>>,
-        from: NodeId,
-        seq: u64,
-        payload: A,
-        now: SimTime,
-    ) {
-        let next = self.recv_next.entry(from).or_insert(1);
-        if seq < *next {
-            return; // duplicate
-        }
-        if seq > *next {
-            self.recv_ooo.entry(from).or_default().insert(seq, payload);
-            // Rate-limited nack.
-            let nack_due = self
-                .last_nack
-                .get(&from)
-                .map(|&at| now.since(at) >= self.config.order_resend)
-                .unwrap_or(true);
-            if nack_due {
-                let missing = *next;
-                self.last_nack.insert(from, now);
-                self.metrics.antientropy_nacks.incr();
-                net.send(self.id, from, GcsWire::Nack { from_seq: missing });
-            }
-            return;
-        }
-        // In-order: deliver it and any buffered successors.
-        *next += 1;
-        self.metrics.fifo_delivered.incr();
-        self.events.push(GcsEvent::Deliver { from, payload });
-        if let Some(buf) = self.recv_ooo.get_mut(&from) {
-            loop {
-                let expected = self.recv_next.get(&from).copied().unwrap_or(1);
-                match buf.remove(&expected) {
-                    Some(p) => {
-                        self.recv_next.insert(from, expected + 1);
-                        self.metrics.fifo_delivered.incr();
-                        self.events.push(GcsEvent::Deliver { from, payload: p });
-                    }
-                    None => break,
-                }
-            }
-        }
     }
 
     fn assign_and_broadcast(
@@ -1024,11 +903,6 @@ impl<A: Clone> GroupNode<A> {
         self.metrics.view_installed.incr();
         let old = std::mem::replace(&mut self.view, view.clone());
         let (joined, left) = view.diff(&old);
-        // (FIFO stream resets for genuinely restarted peers are driven by
-        // the incarnation number on their heartbeats, not by view
-        // membership — a suspicion flap must not replay the retransmission
-        // buffer.)
-        //
         // Joining a stream is not lagging in it: whoever this view makes a
         // member of a stream it was not in starts just past `stream_base`,
         // never at 1. The history before that was ordered while it was not
@@ -1141,6 +1015,7 @@ fn send_all<A: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{decode_frame, encode_frame};
     use dosgi_net::{LinkConfig, SimDuration, SimNet};
 
     type Net = SimNet<GcsWire<u64>>;
@@ -1153,6 +1028,20 @@ mod tests {
         // `Some`: tick a node only when it has mail or its deadline (taken
         // after its last tick, zeroed by every call made on it) has come.
         wake_at: Option<Vec<SimTime>>,
+        // Every message crosses the frame codec on its way in.
+        framed: bool,
+    }
+
+    /// `msg` encoded to a frame and decoded back. Panics unless the round
+    /// trip gives back exactly `msg`.
+    fn through_codec(msg: GcsWire<u64>) -> GcsWire<u64> {
+        let mut bytes = Vec::new();
+        encode_frame(&mut bytes, &msg, |p, out| {
+            out.extend_from_slice(&p.to_le_bytes())
+        });
+        let back = decode_frame(&bytes, |b| b.try_into().ok().map(u64::from_le_bytes));
+        assert_eq!(back.as_ref(), Some(&msg), "frame {bytes:02x?}");
+        back.expect("checked")
     }
 
     impl Cluster {
@@ -1168,11 +1057,17 @@ mod tests {
                 nodes,
                 crashed: vec![false; n],
                 wake_at: None,
+                framed: false,
             }
         }
 
         fn gated(mut self) -> Self {
             self.wake_at = Some(vec![SimTime::ZERO; self.nodes.len()]);
+            self
+        }
+
+        fn framed(mut self) -> Self {
+            self.framed = true;
             self
         }
 
@@ -1200,7 +1095,12 @@ mod tests {
                         continue;
                     }
                     for env in inbox {
-                        self.nodes[i].handle(&mut self.net, env.from, env.payload, now);
+                        let msg = if self.framed {
+                            through_codec(env.payload)
+                        } else {
+                            env.payload
+                        };
+                        self.nodes[i].handle(&mut self.net, env.from, msg, now);
                     }
                     self.nodes[i].tick(&mut self.net, now);
                     if let Some(wake_at) = &mut self.wake_at {
@@ -1228,11 +1128,6 @@ mod tests {
             self.nodes[i].take_events()
         }
 
-        fn broadcast(&mut self, i: usize, payload: u64) {
-            self.nodes[i].broadcast(&mut self.net, payload);
-            self.wake(i);
-        }
-
         fn order(&mut self, i: usize, payload: u64) {
             self.nodes[i].order(&mut self.net, payload);
             self.wake(i);
@@ -1242,16 +1137,6 @@ mod tests {
             self.nodes[i].order_traced(&mut self.net, payload, Some(trace));
             self.wake(i);
         }
-    }
-
-    fn delivered(events: &[GcsEvent<u64>]) -> Vec<(NodeId, u64)> {
-        events
-            .iter()
-            .filter_map(|e| match e {
-                GcsEvent::Deliver { from, payload } => Some((*from, *payload)),
-                _ => None,
-            })
-            .collect()
     }
 
     fn ordered(events: &[GcsEvent<u64>]) -> Vec<u64> {
@@ -1355,45 +1240,6 @@ mod tests {
         for i in 0..3 {
             assert_eq!(c.nodes[i].view().members.len(), 3, "node {i}");
         }
-    }
-
-    #[test]
-    fn fifo_broadcast_delivers_in_order_everywhere() {
-        let mut c = Cluster::new(3, LinkConfig::lan(), GcsConfig::lan(), 6);
-        c.run(SimDuration::from_millis(100));
-        for i in 0..3 {
-            c.events(i);
-        }
-        for v in 1..=20 {
-            c.broadcast(0, v);
-        }
-        c.run(SimDuration::from_millis(300));
-        for i in 0..3 {
-            let events = c.events(i);
-            let got: Vec<u64> = delivered(&events)
-                .into_iter()
-                .filter(|(from, _)| *from == NodeId(0))
-                .map(|(_, p)| p)
-                .collect();
-            assert_eq!(got, (1..=20).collect::<Vec<_>>(), "node {i}");
-        }
-    }
-
-    #[test]
-    fn fifo_survives_heavy_message_loss() {
-        let mut c = Cluster::new(2, LinkConfig::lossy(0.3), GcsConfig::lan(), 7);
-        c.run(SimDuration::from_millis(100));
-        for i in 0..2 {
-            c.events(i);
-        }
-        for v in 1..=50 {
-            c.broadcast(0, v);
-        }
-        // Generous time for nack-driven recovery.
-        c.run(SimDuration::from_secs(5));
-        let events = c.events(1);
-        let got: Vec<u64> = delivered(&events).into_iter().map(|(_, p)| p).collect();
-        assert_eq!(got, (1..=50).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1949,7 +1795,10 @@ mod tests {
 
     /// Ticking a node only when it has mail or its deadline has come is the
     /// same execution as ticking it every step: same events on every node
-    /// at every check, same traffic, same final views.
+    /// at every check, same traffic, same final views. The gated side
+    /// receives every message through the frame codec, so every frame a
+    /// lossy crash/partition run sends — at the values it really carries —
+    /// must round-trip.
     #[test]
     fn ticking_on_mail_or_deadline_is_ticking_every_step() {
         use dosgi_testkit::{prop, TestRng};
@@ -1961,7 +1810,7 @@ mod tests {
             let mut rng = TestRng::new(seed);
             let loss = [0.0, 0.0, 0.03, 0.1][rng.u64_below(4) as usize];
             let new = || Cluster::new(N, LinkConfig::lossy(loss), GcsConfig::lan(), seed);
-            let mut pair = [new(), new().gated()];
+            let mut pair = [new(), new().gated().framed()];
             let mut payload = 0;
             for round in 0..14 {
                 let op = rng.u64_below(8);
@@ -1983,7 +1832,7 @@ mod tests {
                         2 => {
                             for _ in 0..sends {
                                 payload += 1;
-                                c.broadcast(i, payload);
+                                c.order(j, payload);
                             }
                         }
                         3 | 4 => {
@@ -2041,7 +1890,8 @@ mod tests {
     fn send_all_skips_the_sender() {
         let mut net: Net = SimNet::new(LinkConfig::ideal(), 1);
         let ids: Vec<NodeId> = (0..3).map(|_| net.register_node()).collect();
-        send_all(&mut net, ids[1], &ids, &GcsWire::Nack { from_seq: 4 });
+        let msg = GcsWire::OrderedReplayRequest { from_gseq: 4 };
+        send_all(&mut net, ids[1], &ids, &msg);
         net.advance(SimDuration::from_millis(1));
         for (i, &id) in ids.iter().enumerate() {
             let got: Vec<_> = net.drain(id).into_iter().map(|e| e.from).collect();

@@ -18,20 +18,17 @@ use dosgi_telemetry::TraceContext;
 #[derive(Debug, Clone, PartialEq)]
 pub enum GcsWire<A> {
     /// "I am alive" — the failure-detector pulse. Carries the sender's
-    /// current FIFO head and (when the sender is the sequencer) its ordered
-    /// head, so receivers can detect streams they lost entirely
-    /// (anti-entropy: a receiver behind either counter nacks even if it
-    /// never saw a gap).
+    /// ordered head, so a member behind the sequencer's head asks for
+    /// replay even if it never saw a gap (anti-entropy), and the sender's
+    /// cursor in its coordinator's stream, which acknowledges it.
     Heartbeat {
-        /// The sender's highest assigned FIFO sequence number.
-        sent: u64,
         /// The sender's highest assigned global order number (meaningful
         /// only from the current coordinator).
         ordered: u64,
-        /// The sender's incarnation (its start time): receivers reset the
-        /// sender's FIFO stream when this changes — and only then. A mere
-        /// suspicion flap must NOT reset the stream (that would re-deliver
-        /// the retransmission buffer).
+        /// The sender's incarnation (its start time). A change tells a
+        /// genuine restart from a suspicion flap: when the current
+        /// sequencer's changes, its stream begins again at 1 and receivers
+        /// reset their cursor in it.
         incarnation: u64,
         /// The sender's current view id. View commits are fire-and-forget;
         /// a member advertising an older id than the receiver's missed one
@@ -67,18 +64,6 @@ pub enum GcsWire<A> {
     },
     /// Coordinator commits an acknowledged view.
     ViewCommit(View),
-    /// Reliable FIFO application data, sequenced per sender.
-    Data {
-        /// Per-sender sequence number (1-based, contiguous).
-        seq: u64,
-        /// The application payload.
-        payload: A,
-    },
-    /// Receiver signals a gap in a sender's stream: "resend from `from_seq`".
-    Nack {
-        /// First missing sequence number.
-        from_seq: u64,
-    },
     /// A lagging member asks the sequencer to replay its ordered stream
     /// from `from_gseq`.
     OrderedReplayRequest {
@@ -109,8 +94,9 @@ pub enum GcsWire<A> {
         /// flows).
         trace: Option<TraceContext>,
     },
-    /// The sequencer's ordered announcement, carried inside its own
-    /// FIFO-reliable stream.
+    /// The sequencer's ordered announcement, sent point to point to each
+    /// member. A lost copy shows as a gap or as a heartbeat's head past
+    /// the receiver's cursor, and is replayed on request.
     Ordered {
         /// Global sequence number.
         gseq: u64,
@@ -130,15 +116,14 @@ pub enum GcsWire<A> {
 
 /// The wire codec version: [`encode_frame`] emits it, [`decode_frame`]
 /// accepts nothing else.
-pub const WIRE_VERSION: u8 = 3;
+pub const WIRE_VERSION: u8 = 4;
 
+// Tags 5 and 6 carried a reliable-FIFO broadcast that version 4 dropped.
 const TAG_HEARTBEAT: u8 = 0;
 const TAG_LEAVE: u8 = 1;
 const TAG_VIEW_PROPOSE: u8 = 2;
 const TAG_VIEW_ACK: u8 = 3;
 const TAG_VIEW_COMMIT: u8 = 4;
-const TAG_DATA: u8 = 5;
-const TAG_NACK: u8 = 6;
 const TAG_ORDERED_REPLAY_REQUEST: u8 = 7;
 const TAG_ORDER_REQUEST: u8 = 8;
 const TAG_ORDERED: u8 = 9;
@@ -279,7 +264,6 @@ pub fn encode_frame<A>(out: &mut Vec<u8>, msg: &GcsWire<A>, enc_into: impl Fn(&A
     out.push(WIRE_VERSION);
     match msg {
         GcsWire::Heartbeat {
-            sent,
             ordered,
             incarnation,
             view,
@@ -287,7 +271,6 @@ pub fn encode_frame<A>(out: &mut Vec<u8>, msg: &GcsWire<A>, enc_into: impl Fn(&A
             stream,
         } => {
             out.push(TAG_HEARTBEAT);
-            put_u64(out, *sent);
             put_u64(out, *ordered);
             put_u64(out, *incarnation);
             put_view_id(out, *view);
@@ -307,15 +290,6 @@ pub fn encode_frame<A>(out: &mut Vec<u8>, msg: &GcsWire<A>, enc_into: impl Fn(&A
         GcsWire::ViewCommit(view) => {
             out.push(TAG_VIEW_COMMIT);
             put_view(out, view);
-        }
-        GcsWire::Data { seq, payload } => {
-            out.push(TAG_DATA);
-            put_u64(out, *seq);
-            put_payload(out, payload, &enc_into);
-        }
-        GcsWire::Nack { from_seq } => {
-            out.push(TAG_NACK);
-            put_u64(out, *from_seq);
         }
         GcsWire::OrderedReplayRequest { from_gseq } => {
             out.push(TAG_ORDERED_REPLAY_REQUEST);
@@ -372,7 +346,6 @@ pub fn decode_frame<'a, A>(
     let tag = r.u8()?;
     let msg = match tag {
         TAG_HEARTBEAT => GcsWire::Heartbeat {
-            sent: r.u64()?,
             ordered: r.u64()?,
             incarnation: r.u64()?,
             view: r.view_id()?,
@@ -386,11 +359,6 @@ pub fn decode_frame<'a, A>(
             stream_base: r.u64()?,
         },
         TAG_VIEW_COMMIT => GcsWire::ViewCommit(r.view()?),
-        TAG_DATA => GcsWire::Data {
-            seq: r.u64()?,
-            payload: dec(r.bytes()?)?,
-        },
-        TAG_NACK => GcsWire::Nack { from_seq: r.u64()? },
         TAG_ORDERED_REPLAY_REQUEST => GcsWire::OrderedReplayRequest {
             from_gseq: r.u64()?,
         },
@@ -452,7 +420,6 @@ mod tests {
         .with_stream_base(9);
         vec![
             GcsWire::Heartbeat {
-                sent: 10,
                 ordered: 20,
                 incarnation: 30,
                 view: view.id,
@@ -466,11 +433,6 @@ mod tests {
                 stream_base: 7,
             },
             GcsWire::ViewCommit(view),
-            GcsWire::Data {
-                seq: 3,
-                payload: 42,
-            },
-            GcsWire::Nack { from_seq: 2 },
             GcsWire::OrderedReplayRequest { from_gseq: 11 },
             GcsWire::OrderedRebase { base: 10 },
             GcsWire::OrderRequest {
@@ -499,19 +461,17 @@ mod tests {
     /// The frame layout as a contract: [`samples`], one frame each, at
     /// [`WIRE_VERSION`]. A layout change is a reviewed edit of these
     /// literals (and a version bump).
-    const GOLDEN: [&str; 12] = [
-        "03000a0000000000000014000000000000001e0000000000000004000000000000000200000013000000000000001f00000000000000",
-        "0301",
-        "0302040000000000000002000000090000000000000003000000020000000300000005000000",
-        "03030400000000000000020000000700000000000000",
-        "0304040000000000000002000000090000000000000003000000020000000300000005000000",
-        "03050300000000000000040000002a000000",
-        "03060200000000000000",
-        "03070b00000000000000",
-        "030a0a00000000000000",
-        "030808000000000000000500000000000000040000004d00000001010000000003000002000000000300001100000000000000",
-        "030808000000000000000600000000000000040000004e00000000",
-        "03090c000000000000000300000008000000000000000500000000000000040000004d00000001010000000003000002000000000300001100000000000000",
+    const GOLDEN: [&str; 10] = [
+        "040014000000000000001e0000000000000004000000000000000200000013000000000000001f00000000000000",
+        "0401",
+        "0402040000000000000002000000090000000000000003000000020000000300000005000000",
+        "04030400000000000000020000000700000000000000",
+        "0404040000000000000002000000090000000000000003000000020000000300000005000000",
+        "04070b00000000000000",
+        "040a0a00000000000000",
+        "040808000000000000000500000000000000040000004d00000001010000000003000002000000000300001100000000000000",
+        "040808000000000000000600000000000000040000004e00000000",
+        "04090c000000000000000300000008000000000000000500000000000000040000004d00000001010000000003000002000000000300001100000000000000",
     ];
 
     fn hex(bytes: &[u8]) -> String {
@@ -520,13 +480,14 @@ mod tests {
 
     #[test]
     fn wire_values_are_cloneable_and_comparable() {
-        let m: GcsWire<u32> = GcsWire::Data {
-            seq: 1,
+        let m: GcsWire<u32> = GcsWire::OrderRequest {
+            incarnation: 1,
+            origin_seq: 1,
             payload: 42,
+            trace: None,
         };
         assert_eq!(m.clone(), m);
         let hb: GcsWire<u32> = GcsWire::Heartbeat {
-            sent: 0,
             ordered: 0,
             incarnation: 1,
             view: ViewId::default(),
@@ -588,7 +549,7 @@ mod tests {
 
     #[test]
     fn frames_at_any_other_version_are_rejected() {
-        // Versions 1 and 2 were once decodable; no peer ever spoke them.
+        // Versions 1 to 3 were once decodable; no peer ever spoke them.
         for msg in samples() {
             let mut bytes = frame(&msg);
             for version in (0..=u8::MAX).filter(|&v| v != WIRE_VERSION) {

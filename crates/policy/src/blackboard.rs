@@ -1,4 +1,4 @@
-//! The metrics blackboard the Monitoring Module fills and policies read.
+//! The metrics blackboard a driver fills and policies read.
 
 use crate::eval::MetricSource;
 use std::collections::BTreeMap;
@@ -7,9 +7,10 @@ use std::collections::BTreeMap;
 /// instance `acme-prod`) and global metrics (e.g. `node_cpu`).
 ///
 /// Any [`MetricSource`] feeds a [`PolicyEngine`]; this one holds what was
-/// written to it. The Autonomic Module reads the [`MonitoringModule`]'s
-/// windows in place and consults its blackboard for the metrics a driver
-/// adds.
+/// written to it. The E15 and E16 drivers run their overload policies on
+/// one, writing SLO alert states and queue depths. The node's Autonomic
+/// Module holds none: it reads the [`MonitoringModule`]'s windows, its
+/// quotas and its view in place.
 ///
 /// [`MonitoringModule`]: ../dosgi_monitor/struct.MonitoringModule.html
 /// [`PolicyEngine`]: crate::PolicyEngine
