@@ -340,7 +340,8 @@ pub fn run_nemesis_with_telemetry(
 /// `rounds` crash → adopt → restart → rejoin rounds with node 0, the
 /// sequencer, never restarted — the exact-count probe behind the
 /// "a failover round costs the same at any cluster age" regression test and
-/// `perf_guard` row. 5 nodes on jitter-free links (equal work, equal message
+/// the `failover_rounds` row of `perf_guard`'s capture,
+/// `results/perf_guard.txt`. 5 nodes on jitter-free links (equal work, equal message
 /// counts), 8 instances, victims cycling over nodes 1–4, 1.5 s to fail over
 /// and 1.5 s to rejoin: from the second round on every victim hosts two
 /// instances and the node restarted the round before takes both, so every

@@ -29,6 +29,11 @@ const T_BYTES: u8 = 0x06;
 const T_LIST: u8 = 0x07;
 const T_MAP: u8 = 0x08;
 
+/// How deeply lists and maps may nest in a decoded value: far above any
+/// value a writer here produces, far below the depth whose recursion
+/// overflows a thread's stack.
+const MAX_DEPTH: u32 = 128;
+
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
@@ -176,19 +181,22 @@ fn write_value(out: &mut Vec<u8>, value: &Value) {
 /// # Errors
 ///
 /// Returns a description of the malformation (truncation, bad tag, invalid
-/// UTF-8, trailing garbage).
+/// UTF-8, lists and maps nested more than 128 deep, trailing garbage).
 pub fn decode(bytes: &[u8]) -> Result<Value, String> {
     let mut pos = 0;
-    let v = read_value(bytes, &mut pos)?;
+    let v = read_value(bytes, &mut pos, 0)?;
     if pos != bytes.len() {
         return Err(format!("trailing garbage at offset {pos}"));
     }
     Ok(v)
 }
 
-fn read_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn read_value(bytes: &[u8], pos: &mut usize, depth: u32) -> Result<Value, String> {
     let tag = *bytes.get(*pos).ok_or("truncated value")?;
     *pos += 1;
+    if matches!(tag, T_LIST | T_MAP) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at offset {pos}"));
+    }
     match tag {
         T_NULL => Ok(Value::Null),
         T_FALSE => Ok(Value::Bool(false)),
@@ -213,7 +221,7 @@ fn read_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
             let n = get_varint(bytes, pos)? as usize;
             let mut l = Vec::with_capacity(n.min(4096));
             for _ in 0..n {
-                l.push(read_value(bytes, pos)?);
+                l.push(read_value(bytes, pos, depth + 1)?);
             }
             Ok(Value::List(l))
         }
@@ -228,7 +236,7 @@ fn read_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
                 if m.keys().next_back().is_some_and(|last| **last >= *k) {
                     return Err("map keys out of order".to_owned());
                 }
-                let v = read_value(bytes, pos)?;
+                let v = read_value(bytes, pos, depth + 1)?;
                 m.insert(k.into(), v);
             }
             Ok(Value::Map(m))
@@ -311,6 +319,29 @@ mod tests {
         assert!(decode(&[T_FLOAT, 1, 2]).is_err()); // truncated float
         assert!(decode(&[T_NULL, T_NULL]).is_err()); // trailing garbage
         assert!(decode(&[T_STR, 1, 0xff]).is_err()); // invalid UTF-8
+    }
+
+    /// A list holding a list holding … `depth` times, around a null; or the
+    /// same chain of one-entry maps.
+    fn nested(depth: usize, container: &[u8]) -> Vec<u8> {
+        let mut bytes = container.repeat(depth);
+        bytes.push(T_NULL);
+        bytes
+    }
+
+    /// Two megabytes of nesting are an error, not a stack overflow that
+    /// aborts the process; every depth up to the bound still decodes.
+    #[test]
+    fn deeply_nested_encodings_are_rejected_not_overflowed() {
+        let max = MAX_DEPTH as usize;
+        for container in [&[T_LIST, 1][..], &[T_MAP, 1, 1, b'k']] {
+            let deepest = decode(&nested(max, container)).unwrap();
+            assert_eq!(encode(&deepest), nested(max, container));
+            for depth in [1_000_000, max + 1] {
+                let err = decode(&nested(depth, container)).unwrap_err();
+                assert!(err.starts_with("nesting deeper than 128"), "{err}");
+            }
+        }
     }
 
     /// A decoded map is canonical, and rejecting what is not costs linear

@@ -56,6 +56,7 @@ impl Json {
         let mut p = Parser {
             b: text.as_bytes(),
             i: 0,
+            depth: 0,
         };
         p.ws();
         let v = p.value()?;
@@ -145,9 +146,16 @@ impl Json {
     }
 }
 
+/// How deeply arrays and objects may nest: far above any report the
+/// workspace writes, far below the depth whose recursion overflows a
+/// thread's stack.
+const MAX_DEPTH: u32 = 128;
+
 struct Parser<'a> {
     b: &'a [u8],
     i: usize,
+    /// Arrays and objects open around the parser's position.
+    depth: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -183,8 +191,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -193,6 +201,21 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected byte {:?}", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level further in, or fails past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Json) -> Result<Json, JsonError> {
@@ -432,6 +455,52 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted malformed {bad:?}");
         }
+    }
+
+    /// A megabyte of open brackets is an error, not a stack overflow that
+    /// aborts the process; every depth up to the bound still parses.
+    #[test]
+    fn deeply_nested_documents_are_rejected_not_overflowed() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}null{}", "{\"k\":".repeat(n), "}".repeat(n));
+        let max = MAX_DEPTH as usize;
+        assert!(Json::parse(&arrays(max)).is_ok());
+        assert!(Json::parse(&objects(max)).is_ok());
+        for deep in [
+            "[".repeat(1_000_000),
+            "{\"k\":".repeat(1_000_000),
+            arrays(max + 1),
+            objects(max + 1),
+        ] {
+            assert_eq!(
+                Json::parse(&deep).unwrap_err().msg,
+                "nesting deeper than 128"
+            );
+        }
+    }
+
+    /// Every single-bit flip of every truncation of a slice of a committed
+    /// snapshot — objects, arrays, strings and numbers — parses to a value
+    /// or an error, never a panic.
+    #[test]
+    fn bit_flipped_truncations_of_a_snapshot_never_panic() {
+        let path = crate::workspace_root().join("results/telemetry_e14.json");
+        let text = std::fs::read_to_string(&path).expect("committed snapshot");
+        let at = text.find("\"buckets\":[[").expect("a histogram") - 64;
+        let slice = &text.as_bytes()[at..at + 128];
+        let mut parsed = 0u32;
+        for len in 0..=slice.len() {
+            for flip in 0..len * 8 {
+                let mut bytes = slice[..len].to_vec();
+                bytes[flip / 8] ^= 1 << (flip % 8);
+                if let Ok(doc) = std::str::from_utf8(&bytes) {
+                    let _ = Json::parse(doc);
+                    parsed += 1;
+                }
+            }
+        }
+        // The flips of an ASCII byte's high bit are not UTF-8; the rest parse.
+        assert_eq!(parsed, 128 * 129 / 2 * 7);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   fault timelines as pure data, well-formed by construction, for the
 //!   chaos harness in `dosgi-core` to apply and check invariants against.
 //! * [`json`] — a strict JSON reader ([`Json`]) so tests and check
-//!   tooling can parse the telemetry and baseline reports this workspace
-//!   writes.
+//!   tooling can parse the telemetry snapshots and causal traces this
+//!   workspace writes.
 //! * [`golden`] — a committed-fixture harness: byte-exact comparison
 //!   against files under the workspace root, unified diffs on mismatch,
 //!   and an env-var regeneration protocol.

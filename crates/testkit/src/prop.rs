@@ -57,11 +57,6 @@ pub fn u64s(lo: u64, hi: u64) -> Gen<u64> {
     Gen::new(move |rng| rng.u64_in(lo, hi))
 }
 
-/// Uniform `usize` in `[lo, hi]`.
-pub fn usizes(lo: usize, hi: usize) -> Gen<usize> {
-    Gen::new(move |rng| rng.usize_in(lo, hi))
-}
-
 /// Uniform `u8` in `[lo, hi]`.
 pub fn u8s(lo: u8, hi: u8) -> Gen<u8> {
     Gen::new(move |rng| rng.u64_in(lo as u64, hi as u64) as u8)
@@ -72,24 +67,9 @@ pub fn u16s(lo: u16, hi: u16) -> Gen<u16> {
     Gen::new(move |rng| rng.u64_in(lo as u64, hi as u64) as u16)
 }
 
-/// Uniform `u32` in `[lo, hi]`.
-pub fn u32s(lo: u32, hi: u32) -> Gen<u32> {
-    Gen::new(move |rng| rng.u64_in(lo as u64, hi as u64) as u32)
-}
-
-/// Uniform `i64` in `[lo, hi]`.
-pub fn i64s(lo: i64, hi: i64) -> Gen<i64> {
-    Gen::new(move |rng| rng.i64_in(lo, hi))
-}
-
 /// Uniform `i64` over the whole range.
 pub fn any_i64() -> Gen<i64> {
     Gen::new(|rng| rng.any_i64())
-}
-
-/// Uniform `f64` in `[lo, hi)`.
-pub fn f64s(lo: f64, hi: f64) -> Gen<f64> {
-    Gen::new(move |rng| rng.f64_in(lo, hi))
 }
 
 /// Fair coin.

@@ -36,9 +36,12 @@ echo "==> experiment bins, stdout -> results/<bin>.txt"
 # Every bin is deterministic (simulated time, seeded randomness, paths printed
 # relative to the workspace root), so its capture is held to the committed one
 # by the results/ check at the end like any other file a step writes.
+# perf_guard's capture holds exact counts (SAN reads of a migrate round, the
+# hand-off's two ends, e15 admission, flat failover rounds); it exits non-zero
+# naming any row that is broken on its own terms.
 for bin in e1_topology e3_sharing e4_isolation e5_migration_cost e6_failover \
     e7_vip_migration e8_ipvs e9_replication e10_autonomic e11_fallible_san \
-    e14_hot_swap e15_overload e16_slo; do
+    e14_hot_swap e15_overload e16_slo perf_guard; do
   cargo run -q --offline --release -p dosgi-bench --bin "$bin" > "results/$bin.txt"
 done
 
@@ -47,10 +50,6 @@ cargo run --offline --release -p dosgi-bench --bin telemetry_check
 
 echo "==> causal trace check (zero happens-before violations over the sweep)"
 cargo run --offline --release -p dosgi-bench --bin trace_check
-cargo run --offline --release -p dosgi-bench --bin trace_check results/trace_e14_hot_swap.json
-
-echo "==> perf guard (e5 migration SAN bytes + migrate-round SAN reads + hand-off ends + e15 admission hot path + e14 blackout + flat failover rounds vs committed baselines)"
-cargo run --offline --release -p dosgi-bench --bin perf_guard
 
 echo "==> verifying zero registry dependencies"
 if cargo metadata --format-version 1 --offline \
