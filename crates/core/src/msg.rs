@@ -1,7 +1,9 @@
 //! Cluster application messages (carried inside the GCS).
 
+use crate::registry::InstanceRecord;
 use dosgi_net::NodeId;
 use dosgi_san::Value;
+use std::sync::Arc;
 
 /// Application payloads exchanged between nodes through the group
 /// communication layer. Every one travels **totally ordered**, the group
@@ -12,7 +14,9 @@ use dosgi_san::Value;
 /// node that orders a message builds it once, the group layer's retry
 /// queue, sequencer log, fan-out and replays share that one value, and a
 /// receiver applies it by reference; no runtime path clones the payload
-/// itself.
+/// itself. The registry's transfers are typed records, not a serialized
+/// tree: a descriptor is an `Arc` built once per deploy, so a transfer and
+/// every registry copy that imports it share that one value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AppPayload {
     /// (ordered) A new instance was deployed on `home`. Carries the
@@ -20,8 +24,9 @@ pub enum AppPayload {
     Deployed {
         /// The instance name.
         name: String,
-        /// The serialized [`InstanceDescriptor`](dosgi_vosgi::InstanceDescriptor).
-        descriptor: Value,
+        /// The serialized [`InstanceDescriptor`](dosgi_vosgi::InstanceDescriptor),
+        /// shared by every registry record made from this message.
+        descriptor: Arc<Value>,
         /// The node it was deployed on.
         home: NodeId,
     },
@@ -92,11 +97,11 @@ pub enum AppPayload {
     Hello {
         /// The (re)started node.
         node: NodeId,
-        /// The sender's registry digest (`name → rev`, see
+        /// The sender's registry digest (`(name, rev)` in name order, see
         /// [`ClusterRegistry::digest`](crate::ClusterRegistry::digest)).
         /// Empty after a fresh restart, in which case the answering delta
         /// degenerates to a full snapshot.
-        digest: Value,
+        digest: Vec<(String, u64)>,
         /// A repeated request: an earlier `Hello` went unanswered. Every
         /// member that holds the registry answers it, with an empty delta
         /// if need be, so that the asking stops.
@@ -108,9 +113,9 @@ pub enum AppPayload {
     /// or come from the other side of a healed partition, whose divergence
     /// is unbounded. Every member merges it at the same logical instant.
     RegistrySync {
-        /// The serialized registry (see
-        /// [`ClusterRegistry::export`](crate::ClusterRegistry::export)).
-        registry: Value,
+        /// Every record of the sender's registry, in name order, each
+        /// sharing its descriptor with the sender's copy.
+        registry: Vec<InstanceRecord>,
         /// The nodes the view change admitted, as the sender saw it: the
         /// nodes this transfer is addressed to.
         joined: Vec<NodeId>,
@@ -122,15 +127,14 @@ pub enum AppPayload {
     RegistryDelta {
         /// The node whose `Hello` this answers: the node it is addressed to.
         to: NodeId,
-        /// Export-format records (see
-        /// [`ClusterRegistry::export`](crate::ClusterRegistry::export))
-        /// newer than — or absent from — the digest this delta answers.
-        upserts: Value,
-        /// A list of `{name, rev}` maps: records the digest named that the
-        /// sender lacks. Applied only when the receiver's revision still
-        /// equals `rev` (a CAS guard — revisions restart at 1 after an
-        /// undeploy + redeploy, so a plain `<=` check would be unsound).
-        removes: Value,
+        /// Records newer than — or absent from — the digest this delta
+        /// answers, in name order.
+        upserts: Vec<InstanceRecord>,
+        /// `(name, rev)`: records the digest named that the sender lacks.
+        /// Applied only when the receiver's revision still equals `rev` (a
+        /// CAS guard — revisions restart at 1 after an undeploy + redeploy,
+        /// so a plain `<=` check would be unsound).
+        removes: Vec<(String, u64)>,
     },
 }
 
@@ -168,7 +172,7 @@ mod tests {
         assert_eq!(
             AppPayload::Hello {
                 node: NodeId(0),
-                digest: Value::map(),
+                digest: Vec::new(),
                 retry: false,
             }
             .instance(),
@@ -177,8 +181,8 @@ mod tests {
         assert_eq!(
             AppPayload::RegistryDelta {
                 to: NodeId(0),
-                upserts: Value::List(Vec::new()),
-                removes: Value::List(Vec::new()),
+                upserts: Vec::new(),
+                removes: Vec::new(),
             }
             .instance(),
             None

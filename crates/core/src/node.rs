@@ -4,7 +4,7 @@ use crate::autonomic::AutonomicModule;
 use crate::events::{AdoptReason, NodeEvent};
 use crate::msg::AppPayload;
 use crate::placement;
-use crate::registry::{ClusterRegistry, InstanceStatus};
+use crate::registry::{self, ClusterRegistry, InstanceRecord, InstanceStatus};
 use crate::workloads;
 use crate::CoreError;
 use dosgi_gcs::{GcsConfig, GcsEvent, GcsWire, GroupNode};
@@ -51,13 +51,6 @@ enum Transfer {
     /// booted with the group and applied its own `Hello` having missed
     /// nothing. Only such a node ships the registry to others.
     Answered,
-}
-
-/// True when a delta's two lists hold nothing.
-fn is_empty_delta(upserts: &Value, removes: &Value) -> bool {
-    [upserts, removes]
-        .iter()
-        .all(|l| l.as_list().is_none_or(<[Value]>::is_empty))
 }
 
 /// Per-node configuration.
@@ -479,7 +472,7 @@ impl DosgiNode {
             net,
             AppPayload::Deployed {
                 name: name.clone(),
-                descriptor: value,
+                descriptor: Arc::new(value),
                 home: self.id,
             },
             None,
@@ -592,12 +585,15 @@ impl DosgiNode {
             .instances()
             .map(|i| i.descriptor.name.clone())
             .collect();
+        // Ordering a migration writes no registry, so one choice holds for
+        // the whole drain.
         let candidates = self.placement_candidates();
+        let Some(dest) = placement::choose(&candidates, &self.registry, &BTreeMap::new()) else {
+            return;
+        };
         for name in locals {
-            if let Some(dest) = placement::choose(&candidates, &self.registry, &BTreeMap::new()) {
-                self.metrics.placement_decisions.incr();
-                let _ = self.migrate_away_traced(&name, dest, net, parent);
-            }
+            self.metrics.placement_decisions.incr();
+            let _ = self.migrate_away_traced(&name, dest, net, parent);
         }
     }
 
@@ -886,12 +882,12 @@ impl DosgiNode {
                     .min()
                     .copied();
                 if !joined.is_empty() && sync_sender == Some(self.id) && !self.awaiting_transfer() {
-                    let snapshot = self.registry.export();
+                    let records: Vec<InstanceRecord> = self.registry.records().cloned().collect();
                     self.metrics
                         .registry_sync_bytes
-                        .add(snapshot.encoded_len() as u64);
+                        .add(registry::records_len(&records) as u64);
                     let sync = AppPayload::RegistrySync {
-                        registry: snapshot,
+                        registry: records,
                         joined,
                     };
                     self.order(net, sync, None);
@@ -1052,7 +1048,7 @@ impl DosgiNode {
                     let lowest = responder == Some(&self.id) && !self.registry.is_empty();
                     if *retry || lowest {
                         let (upserts, removes) = self.registry.export_delta(digest);
-                        if *retry || !is_empty_delta(&upserts, &removes) {
+                        if *retry || !upserts.is_empty() || !removes.is_empty() {
                             self.ship_delta(net, *node, upserts, removes);
                         }
                     }
@@ -1099,12 +1095,12 @@ impl DosgiNode {
         &mut self,
         net: &mut impl Fabric<Wire>,
         to: NodeId,
-        upserts: Value,
-        removes: Value,
+        upserts: Vec<InstanceRecord>,
+        removes: Vec<(String, u64)>,
     ) {
         self.metrics
             .registry_delta_bytes
-            .add((upserts.encoded_len() + removes.encoded_len()) as u64);
+            .add((registry::records_len(&upserts) + registry::removes_len(&removes)) as u64);
         let delta = AppPayload::RegistryDelta {
             to,
             upserts,
@@ -1124,13 +1120,18 @@ impl DosgiNode {
     /// Nothing moved, nothing is sent. (A sync is not checked so: its
     /// addressees may be the other side of a healed partition, whose own
     /// newer records are no gap.)
-    fn ship_what_moved(&mut self, shipped: &Value, to: NodeId, net: &mut impl Fabric<Wire>) {
+    fn ship_what_moved(
+        &mut self,
+        shipped: &[InstanceRecord],
+        to: NodeId,
+        net: &mut impl Fabric<Wire>,
+    ) {
         let sender = self.gcs.view().members.iter().find(|m| **m != to);
         if sender != Some(&self.id) || self.awaiting_transfer() {
             return;
         }
         let (upserts, removes) = self.registry.moved_since(shipped);
-        if !is_empty_delta(&upserts, &removes) {
+        if !upserts.is_empty() || !removes.is_empty() {
             self.ship_delta(net, to, upserts, removes);
         }
     }

@@ -26,7 +26,14 @@ pub(crate) fn choose(
     registry: &ClusterRegistry,
     pending: &BTreeMap<NodeId, usize>,
 ) -> Option<NodeId> {
-    let load = registry.load_by_node();
+    least_loaded(candidates, &registry.load_by_node(), pending)
+}
+
+fn least_loaded(
+    candidates: &[NodeId],
+    load: &BTreeMap<NodeId, usize>,
+    pending: &BTreeMap<NodeId, usize>,
+) -> Option<NodeId> {
     candidates
         .iter()
         .min_by_key(|n| load.get(n).copied().unwrap_or(0) + pending.get(n).copied().unwrap_or(0))
@@ -34,16 +41,18 @@ pub(crate) fn choose(
 }
 
 /// Assigns every `orphan` to a candidate, spreading within the batch.
-/// Returns `(instance, destination)` pairs in input order.
+/// Returns `(instance, destination)` pairs in input order. The registry's
+/// load is read once: nothing in the round writes it.
 pub(crate) fn assign_all(
     orphans: &[String],
     candidates: &[NodeId],
     registry: &ClusterRegistry,
 ) -> Vec<(String, NodeId)> {
+    let load = registry.load_by_node();
     let mut pending: BTreeMap<NodeId, usize> = BTreeMap::new();
     let mut out = Vec::with_capacity(orphans.len());
     for name in orphans {
-        if let Some(dest) = choose(candidates, registry, &pending) {
+        if let Some(dest) = least_loaded(candidates, &load, &pending) {
             *pending.entry(dest).or_insert(0) += 1;
             out.push((name.clone(), dest));
         }
@@ -56,13 +65,14 @@ mod tests {
     use super::*;
     use crate::msg::AppPayload;
     use dosgi_san::Value;
+    use dosgi_testkit::{prop, prop_verify_eq, TestRng};
 
     fn registry_with(homes: &[(&str, u32)]) -> ClusterRegistry {
         let mut r = ClusterRegistry::new();
         for (name, home) in homes {
             r.apply(&AppPayload::Deployed {
                 name: (*name).to_owned(),
-                descriptor: Value::Null,
+                descriptor: Value::Null.into(),
                 home: NodeId(*home),
             });
         }
@@ -93,5 +103,59 @@ mod tests {
     fn empty_candidates_yield_none() {
         let r = registry_with(&[]);
         assert_eq!(choose(&[], &r, &BTreeMap::new()), None);
+    }
+
+    /// What `assign_all` was before it read the load once: a fresh
+    /// `choose`, and with it a fresh load, for every orphan.
+    fn assign_each(
+        orphans: &[String],
+        candidates: &[NodeId],
+        registry: &ClusterRegistry,
+    ) -> Vec<(String, NodeId)> {
+        let mut pending: BTreeMap<NodeId, usize> = BTreeMap::new();
+        let mut out = Vec::new();
+        for name in orphans {
+            if let Some(dest) = choose(candidates, registry, &pending) {
+                *pending.entry(dest).or_insert(0) += 1;
+                out.push((name.clone(), dest));
+            }
+        }
+        out
+    }
+
+    /// Mutation-checked: an `assign_all` that forgets to count its own
+    /// assignments (no `pending`) fails.
+    #[test]
+    fn prop_assign_all_matches_a_choice_per_orphan() {
+        let cfg = prop::Config::with_cases(200);
+        prop::check_with(
+            &cfg,
+            "assign_all_matches_a_choice_per_orphan",
+            &prop::u64s(0, u64::MAX),
+            |&seed| {
+                let mut rng = TestRng::new(seed);
+                let mut r = registry_with(&[]);
+                for i in 0..rng.u64_below(12) {
+                    let name = format!("i{i}");
+                    r.apply(&AppPayload::Deployed {
+                        name: name.clone(),
+                        descriptor: Value::Null.into(),
+                        home: NodeId(rng.u64_below(5) as u32),
+                    });
+                    if rng.chance(0.3) {
+                        r.orphan_homes(&[NodeId(rng.u64_below(5) as u32)]);
+                    }
+                }
+                let candidates: Vec<NodeId> =
+                    (0..5).filter(|_| rng.chance(0.7)).map(NodeId).collect();
+                let orphans: Vec<String> =
+                    (0..rng.u64_below(10)).map(|i| format!("o{i}")).collect();
+                prop_verify_eq!(
+                    assign_all(&orphans, &candidates, &r),
+                    assign_each(&orphans, &candidates, &r)
+                );
+                Ok(())
+            },
+        );
     }
 }

@@ -10,11 +10,20 @@
 //! computed independently yet identically on every survivor, and what makes
 //! failover *claims* race-free: the first claim for an orphan in the total
 //! order wins everywhere; later claims are ignored everywhere.
+//!
+//! A registry travels between nodes as typed records: a `RegistrySync`
+//! carries them all, a `RegistryDelta` the ones a digest lacks. A record's
+//! descriptor is an `Arc` made once by the deploy, so every copy of the
+//! registry, and every transfer between them, shares that one value.
+//! [`export`](ClusterRegistry::export) is the one serialized rendering; a
+//! transfer's reported size is that rendering's encoded length.
 
 use crate::msg::AppPayload;
 use dosgi_net::NodeId;
-use dosgi_san::{Map, Value};
+use dosgi_san::codec::varint_len;
+use dosgi_san::Value;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Where an instance is in its placement life-cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -36,14 +45,27 @@ pub enum InstanceStatus {
     Quarantined,
 }
 
+impl InstanceStatus {
+    /// The export format's `status` field, and its `to` field if any.
+    fn fields(self) -> (&'static str, Option<NodeId>) {
+        match self {
+            InstanceStatus::Placed => ("placed", None),
+            InstanceStatus::Migrating { to } => ("migrating", Some(to)),
+            InstanceStatus::Orphaned => ("orphaned", None),
+            InstanceStatus::Quarantined => ("quarantined", None),
+        }
+    }
+}
+
 /// One instance's replicated record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceRecord {
     /// The instance name (unique cluster-wide).
     pub name: String,
     /// The serialized descriptor (policy-free; see
-    /// [`InstanceDescriptor::from_value`](dosgi_vosgi::InstanceDescriptor::from_value)).
-    pub descriptor: Value,
+    /// [`InstanceDescriptor::from_value`](dosgi_vosgi::InstanceDescriptor::from_value)),
+    /// built once by the deploy and shared by every copy of this record.
+    pub descriptor: Arc<Value>,
     /// The node responsible for it.
     pub home: NodeId,
     /// Placement status.
@@ -107,7 +129,7 @@ impl ClusterRegistry {
                     name.clone(),
                     InstanceRecord {
                         name: name.clone(),
-                        descriptor: descriptor.clone(),
+                        descriptor: Arc::clone(descriptor),
                         home: *home,
                         status: InstanceStatus::Placed,
                         rev,
@@ -247,17 +269,12 @@ impl ClusterRegistry {
         self.records.is_empty()
     }
 
-    /// Serializes one record in the export wire format.
+    /// Serializes one record in the export format.
     fn record_value(r: &InstanceRecord) -> Value {
-        let (status, to) = match r.status {
-            InstanceStatus::Placed => ("placed", None),
-            InstanceStatus::Migrating { to } => ("migrating", Some(to)),
-            InstanceStatus::Orphaned => ("orphaned", None),
-            InstanceStatus::Quarantined => ("quarantined", None),
-        };
+        let (status, to) = r.status.fields();
         let mut v = Value::map()
             .with("name", r.name.as_str())
-            .with("descriptor", r.descriptor.clone())
+            .with("descriptor", (*r.descriptor).clone())
             .with("home", u64::from(r.home.0))
             .with("status", status)
             .with("rev", r.rev);
@@ -267,27 +284,29 @@ impl ClusterRegistry {
         v
     }
 
-    /// Serializes the full registry for state transfer to a joining node.
+    /// Serializes the full registry: the one rendering of it as a [`Value`],
+    /// which fingerprints and convergence checks compare byte for byte.
     pub fn export(&self) -> Value {
         Value::List(self.records.values().map(Self::record_value).collect())
     }
 
-    /// A compact digest: `name → rev` for every record. Carried by `Hello`
-    /// so a peer can answer with a per-record delta
+    /// A compact digest: `(name, rev)` for every record, in name order.
+    /// Carried by `Hello` so a peer can answer with a per-record delta
     /// ([`export_delta`](Self::export_delta)) instead of the full registry.
-    pub fn digest(&self) -> Value {
+    pub fn digest(&self) -> Vec<(String, u64)> {
         self.records
             .values()
-            .map(|r| (r.name.clone(), Value::Int(r.rev as i64)))
+            .map(|r| (r.name.clone(), r.rev))
             .collect()
     }
 
     /// Computes the per-record delta that brings a registry described by
-    /// `digest` (see [`digest`](Self::digest)) up to date with this one:
+    /// `digest` (name-ordered, as [`digest`](Self::digest) returns it) up to
+    /// date with this one:
     ///
-    /// * **upserts** — export-format records the digest is missing or holds
-    ///   at an older revision (name-ascending, like [`export`](Self::export));
-    /// * **removes** — `{name, rev}` for every digest entry this registry
+    /// * **upserts** — records the digest is missing or holds at an older
+    ///   revision, in name order;
+    /// * **removes** — `(name, rev)` for every digest entry this registry
     ///   has no record for. `rev` echoes the digest's revision and acts as
     ///   a compare-and-swap guard at the receiver: revisions restart at 1
     ///   after an undeploy + redeploy, so revision *equality* — not `<=` —
@@ -296,53 +315,47 @@ impl ClusterRegistry {
     /// Records the digest already holds at this registry's revision (or
     /// newer) are omitted entirely — the fast path that makes a
     /// steady-state hello answer near-empty.
-    pub fn export_delta(&self, digest: &Value) -> (Value, Value) {
-        let empty = Map::new();
-        let known = digest.as_map().unwrap_or(&empty);
-        let upserts: Value = self
+    pub fn export_delta(
+        &self,
+        digest: &[(String, u64)],
+    ) -> (Vec<InstanceRecord>, Vec<(String, u64)>) {
+        let known = |name: &str| {
+            let at = digest.binary_search_by(|(held, _)| held.as_str().cmp(name));
+            at.ok().map(|i| digest[i].1)
+        };
+        let upserts = self
             .records
             .values()
-            .filter(|r| {
-                known
-                    .get(&r.name)
-                    .and_then(Value::as_int)
-                    .map(|rev| (rev as u64) < r.rev)
-                    .unwrap_or(true)
-            })
-            .map(Self::record_value)
+            .filter(|r| known(&r.name).is_none_or(|rev| rev < r.rev))
+            .cloned()
             .collect();
-        let removes: Value = known
+        let removes = digest
             .iter()
-            .filter(|&(name, _)| !self.records.contains_key(&**name))
-            .map(|(name, rev)| {
-                Value::map()
-                    .with("name", &**name)
-                    .with("rev", rev.as_int().unwrap_or(0))
-            })
+            .filter(|(name, _)| !self.records.contains_key(name))
+            .cloned()
             .collect();
         (upserts, removes)
     }
 
-    /// What this registry has moved past since `shipped` (an export-format
-    /// record list, as a transfer carries) was taken: the shipped records it
-    /// holds at a newer revision, as upserts, and those it no longer holds,
-    /// as removes guarded by the shipped revision — the delta that brings a
-    /// node that imported `shipped` to where this registry stands. Both
-    /// lists are empty, and nothing is allocated, when nothing moved.
-    pub fn moved_since(&self, shipped: &Value) -> (Value, Value) {
+    /// What this registry has moved past since `shipped` (the records a
+    /// transfer carries) was taken: the shipped records it holds at a newer
+    /// revision, as upserts, and those it no longer holds, as removes
+    /// guarded by the shipped revision — the delta that brings a node that
+    /// imported `shipped` to where this registry stands. Both lists are
+    /// empty, and nothing is allocated, when nothing moved.
+    pub fn moved_since(
+        &self,
+        shipped: &[InstanceRecord],
+    ) -> (Vec<InstanceRecord>, Vec<(String, u64)>) {
         let (mut upserts, mut removes) = (Vec::new(), Vec::new());
-        for entry in shipped.as_list().unwrap_or_default() {
-            let Some(name) = entry.get("name").and_then(Value::as_str) else {
-                continue;
-            };
-            let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0);
-            match self.records.get(name) {
-                Some(r) if r.rev > rev as u64 => upserts.push(Self::record_value(r)),
+        for s in shipped {
+            match self.records.get(&s.name) {
+                Some(r) if r.rev > s.rev => upserts.push(r.clone()),
                 Some(_) => {}
-                None => removes.push(Value::map().with("name", name).with("rev", rev)),
+                None => removes.push((s.name.clone(), s.rev)),
             }
         }
-        (Value::List(upserts), Value::List(removes))
+        (upserts, removes)
     }
 
     /// Applies a per-record delta (see [`export_delta`](Self::export_delta)).
@@ -351,109 +364,119 @@ impl ClusterRegistry {
     /// revision still *equals* the guard: any ordered mutation interleaved
     /// between the digest and the delta (a redeploy, a claim) changes the
     /// revision and voids the removal.
-    pub fn import_delta(&mut self, upserts: &Value, removes: &Value) {
+    pub fn import_delta(&mut self, upserts: &[InstanceRecord], removes: &[(String, u64)]) {
         // (`import` moves the epoch.)
         self.import(upserts);
-        let Some(list) = removes.as_list() else {
-            return;
-        };
-        for entry in list {
-            let Some(name) = entry.get("name").and_then(Value::as_str) else {
-                continue;
-            };
-            let Some(rev) = entry.get("rev").and_then(Value::as_int) else {
-                continue;
-            };
-            if self
-                .records
-                .get(name)
-                .map(|r| r.rev == rev as u64)
-                .unwrap_or(false)
-            {
+        for (name, rev) in removes {
+            if self.records.get(name).is_some_and(|r| r.rev == *rev) {
                 self.records.remove(name);
             }
         }
     }
 
-    /// Merges an exported snapshot into this registry: records the snapshot
-    /// does not mention are **kept**, and a record it does mention is
-    /// written only where it differs. Merge (rather than replace) semantics
-    /// make sync storms safe: a stale snapshot — e.g. one exported before an
+    /// Merges a transfer's records into this registry: records it does not
+    /// mention are **kept**, and a record it does mention is written only
+    /// where it differs. Merge (rather than replace) semantics make sync
+    /// storms safe: a stale snapshot — e.g. one exported before an
     /// in-flight `Deployed` re-sequenced — cannot wipe fresher records, and
     /// since every node applies the same syncs in the same total order, all
-    /// copies still converge. Malformed entries are skipped (a sync must
-    /// never wedge a joining node).
+    /// copies still converge.
     ///
-    /// A record held already is updated in place, so a member that is up to
-    /// date — every member but the joiner — allocates nothing; only a
-    /// record this registry lacks costs a name and a descriptor.
-    pub fn import(&mut self, v: &Value) {
+    /// A record held already is updated in place, and a descriptor it
+    /// shares with the incoming record is not compared, so a member that is
+    /// up to date — every member but the joiner — allocates nothing. A
+    /// record this registry lacks costs its name and its place in the map;
+    /// its descriptor is shared, not copied.
+    pub fn import(&mut self, records: &[InstanceRecord]) {
         self.epoch += 1;
-        let Some(list) = v.as_list() else { return };
-        for entry in list {
-            let Some(name) = entry.get("name").and_then(Value::as_str) else {
-                continue;
-            };
-            let Some(home) = entry.get("home").and_then(Value::as_int) else {
-                continue;
-            };
-            let home = NodeId(home as u32);
-            let to = entry
-                .get("to")
-                .and_then(Value::as_int)
-                .map(|i| NodeId(i as u32));
-            let status = match (entry.get("status").and_then(Value::as_str), to) {
-                (Some("placed"), _) => InstanceStatus::Placed,
-                (Some("migrating"), Some(to)) => InstanceStatus::Migrating { to },
-                (Some("orphaned"), _) => InstanceStatus::Orphaned,
-                (Some("quarantined"), _) => InstanceStatus::Quarantined,
-                _ => continue,
-            };
-            let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0) as u64;
-            let descriptor = entry.get("descriptor").unwrap_or(&Value::Null);
-            match self.records.get_mut(name) {
+        for incoming in records {
+            match self.records.get_mut(&incoming.name) {
                 // Refuse regressions: only adopt the incoming record if it
                 // is at least as fresh as ours.
-                Some(local) if rev < local.rev => {}
+                Some(local) if incoming.rev < local.rev => {}
                 // An *equal* revision still writes `home` and `status`: a
                 // local `Orphaned` mark bumps no revision, and this is how a
                 // sync carries one or clears it.
                 Some(local) => {
-                    local.home = home;
-                    local.status = status;
-                    local.rev = rev;
-                    if local.descriptor != *descriptor {
-                        local.descriptor = descriptor.clone();
+                    local.home = incoming.home;
+                    local.status = incoming.status;
+                    local.rev = incoming.rev;
+                    if !Arc::ptr_eq(&local.descriptor, &incoming.descriptor)
+                        && local.descriptor != incoming.descriptor
+                    {
+                        local.descriptor = Arc::clone(&incoming.descriptor);
                     }
                 }
                 None => {
-                    self.records.insert(
-                        name.to_owned(),
-                        InstanceRecord {
-                            name: name.to_owned(),
-                            descriptor: descriptor.clone(),
-                            home,
-                            status,
-                            rev,
-                        },
-                    );
+                    self.records.insert(incoming.name.clone(), incoming.clone());
                 }
             }
         }
     }
 }
 
+/// The encoded length of `records` in the export format — of the list
+/// [`export`](ClusterRegistry::export) would render them as — computed from
+/// the records, with nothing built: what a transfer of them reports.
+pub(crate) fn records_len(records: &[InstanceRecord]) -> usize {
+    let records_len = records.iter().map(|r| {
+        let (status, to) = r.status.fields();
+        let to = to.map_or(0, |to| field_len("to", int_len(to.0.into())));
+        header_len(5 + usize::from(to > 0))
+            + field_len("name", str_len(&r.name))
+            + field_len("descriptor", r.descriptor.encoded_len())
+            + field_len("home", int_len(r.home.0.into()))
+            + field_len("status", str_len(status))
+            + field_len("rev", int_len(r.rev))
+            + to
+    });
+    header_len(records.len()) + records_len.sum::<usize>()
+}
+
+/// The encoded length of `removes` rendered as a list of `{name, rev}`
+/// maps, with nothing built: what a delta's removes report.
+pub(crate) fn removes_len(removes: &[(String, u64)]) -> usize {
+    let removes_len = removes.iter().map(|(name, rev)| {
+        header_len(2) + field_len("name", str_len(name)) + field_len("rev", int_len(*rev))
+    });
+    header_len(removes.len()) + removes_len.sum::<usize>()
+}
+
+/// A tag and a varint length or count: a string's, list's or map's header.
+fn header_len(count: usize) -> usize {
+    1 + varint_len(count as u64)
+}
+
+fn str_len(s: &str) -> usize {
+    header_len(s.len()) + s.len()
+}
+
+fn int_len(i: u64) -> usize {
+    Value::Int(i as i64).encoded_len()
+}
+
+/// A map entry: its key, a string without the tag, then its value.
+fn field_len(key: &str, value_len: usize) -> usize {
+    str_len(key) - 1 + value_len
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dosgi_testkit::{prop, prop_verify_eq, TestRng};
+    use dosgi_testkit::{prop, prop_verify, prop_verify_eq, TestRng};
+    use std::cell::Cell;
 
     fn deployed(name: &str, home: u32) -> AppPayload {
         AppPayload::Deployed {
             name: name.into(),
-            descriptor: Value::map().with("name", name),
+            descriptor: Value::map().with("name", name).into(),
             home: NodeId(home),
         }
+    }
+
+    /// What a `RegistrySync` carries: every record, descriptors shared.
+    fn transfer(r: &ClusterRegistry) -> Vec<InstanceRecord> {
+        r.records().cloned().collect()
     }
 
     #[test]
@@ -495,9 +518,9 @@ mod tests {
         let copy = r.clone();
         assert!(r.orphan_homes(&[NodeId(1)]).is_empty());
         assert!(moved(&r), "a write that changes nothing still counts");
-        r.import(&copy.export());
+        r.import(&transfer(&copy));
         assert!(moved(&r));
-        r.import_delta(&Value::List(Vec::new()), &Value::List(Vec::new()));
+        r.import_delta(&[], &[]);
         assert!(moved(&r));
         let _ = (r.record("a"), r.export(), r.digest());
         assert!(!moved(&r));
@@ -510,12 +533,9 @@ mod tests {
         for (name, home) in [("a", 0), ("b", 1), ("c", 2)] {
             r.apply(&deployed(name, home));
         }
-        let shipped = r.export();
+        let shipped = transfer(&r);
         let (upserts, removes) = r.moved_since(&shipped);
-        assert_eq!(
-            (upserts.as_list(), removes.as_list()),
-            (Some(&[][..]), Some(&[][..]))
-        );
+        assert!(upserts.is_empty() && removes.is_empty());
         // Written after the transfer was taken: a claim moves `a`, `b` goes.
         r.orphan_homes(&[NodeId(0)]);
         r.apply(&AppPayload::Adopted {
@@ -530,8 +550,7 @@ mod tests {
         joiner.import(&shipped);
         joiner.import_delta(&upserts, &removes);
         assert_eq!(joiner, r);
-        assert_eq!(upserts.as_list().map(<[Value]>::len), Some(1));
-        assert_eq!(removes.as_list().map(<[Value]>::len), Some(1));
+        assert_eq!((upserts.len(), removes.len()), (1, 1));
     }
 
     #[test]
@@ -684,8 +703,9 @@ mod tests {
             node: NodeId(0),
         });
         let mut r2 = ClusterRegistry::new();
-        r2.import(&Value::decode(&r.export().encode()).unwrap());
+        r2.import(&transfer(&r));
         assert_eq!(r2, r);
+        assert_eq!(r2.export().encode(), r.export().encode());
     }
 
     #[test]
@@ -701,12 +721,15 @@ mod tests {
         r.apply(&deployed("c", 2));
         r.orphan_homes(&[NodeId(2)]);
         let mut r2 = ClusterRegistry::new();
-        r2.import(&r.export());
+        r2.import(&transfer(&r));
         assert_eq!(r2, r);
-        // Import through the binary codec (the wire path).
-        let mut r3 = ClusterRegistry::new();
-        r3.import(&Value::decode(&r.export().encode()).unwrap());
-        assert_eq!(r3, r);
+        // The joiner's descriptors are the sender's, not copies of them.
+        assert!(r2
+            .records()
+            .zip(r.records())
+            .all(|(got, sent)| Arc::ptr_eq(&got.descriptor, &sent.descriptor)));
+        // The one serialized rendering survives the codec.
+        assert_eq!(Value::decode(&r2.export().encode()).unwrap(), r.export());
     }
 
     #[test]
@@ -717,17 +740,18 @@ mod tests {
         // snapshot carries the mark at the revision this copy holds.
         let mut peer = r.clone();
         peer.orphan_homes(&[NodeId(0)]);
-        r.import(&peer.export());
+        r.import(&transfer(&peer));
         assert_eq!(r.record("a").unwrap().status, InstanceStatus::Orphaned);
         assert_eq!(r.record("a").unwrap().rev, 1);
         // The same way a later snapshot clears it, and moves `home` with it.
-        let placed = Value::map()
-            .with("name", "a")
-            .with("descriptor", Value::map().with("name", "a"))
-            .with("home", 2u64)
-            .with("status", "placed")
-            .with("rev", 1u64);
-        r.import(&Value::List(vec![placed]));
+        let placed = InstanceRecord {
+            name: "a".into(),
+            descriptor: Value::map().with("name", "a").into(),
+            home: NodeId(2),
+            status: InstanceStatus::Placed,
+            rev: 1,
+        };
+        r.import(&[placed]);
         let rec = r.record("a").unwrap();
         assert_eq!(
             (rec.home, rec.status, rec.rev),
@@ -753,49 +777,133 @@ mod tests {
         r.apply(&deployed("d", 3));
         r.orphan_homes(&[NodeId(3)]);
         let before = r.clone();
-        r.import(&Value::decode(&r.export().encode()).unwrap());
+        r.import(&transfer(&r.clone()));
         assert_eq!(r, before);
-        let (upserts, removes) = r.export_delta(&Value::map());
+        let (upserts, removes) = r.export_delta(&[]);
         r.import_delta(&upserts, &removes);
         assert_eq!(r, before);
     }
 
-    /// What `import` was before it merged in place — every accepted entry
-    /// overwrites the whole record — kept as the model the merge is held to.
-    fn reference_import(reg: &mut ClusterRegistry, v: &Value) {
-        let Some(list) = v.as_list() else { return };
-        for entry in list {
-            let Some(name) = entry.get("name").and_then(Value::as_str) else {
-                continue;
-            };
-            let Some(home) = entry.get("home").and_then(Value::as_int) else {
-                continue;
-            };
-            let to = entry
-                .get("to")
-                .and_then(Value::as_int)
-                .map(|i| NodeId(i as u32));
-            let status = match (entry.get("status").and_then(Value::as_str), to) {
-                (Some("placed"), _) => InstanceStatus::Placed,
-                (Some("migrating"), Some(to)) => InstanceStatus::Migrating { to },
-                (Some("orphaned"), _) => InstanceStatus::Orphaned,
-                (Some("quarantined"), _) => InstanceStatus::Quarantined,
-                _ => continue,
-            };
-            let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0) as u64;
-            if reg.records.get(name).is_some_and(|local| rev < local.rev) {
-                continue;
+    /// The transfer before it was typed, kept as the model the typed one is
+    /// held to: records rendered as export-format `Value`s, digests and
+    /// removes as maps, and every receiver parsing them back. Its `import`
+    /// overwrites a whole record, the simplest rule the in-place merge
+    /// must agree with.
+    mod value_model {
+        use super::super::*;
+        use dosgi_san::Map;
+
+        pub fn render(records: &[InstanceRecord]) -> Value {
+            records.iter().map(ClusterRegistry::record_value).collect()
+        }
+
+        pub fn render_removes(removes: &[(String, u64)]) -> Value {
+            removes
+                .iter()
+                .map(|(name, rev)| Value::map().with("name", name.as_str()).with("rev", *rev))
+                .collect()
+        }
+
+        pub fn digest(reg: &ClusterRegistry) -> Value {
+            reg.records
+                .values()
+                .map(|r| (r.name.clone(), Value::Int(r.rev as i64)))
+                .collect()
+        }
+
+        pub fn export_delta(reg: &ClusterRegistry, digest: &Value) -> (Value, Value) {
+            let empty = Map::new();
+            let known = digest.as_map().unwrap_or(&empty);
+            let upserts: Value = reg
+                .records
+                .values()
+                .filter(|r| {
+                    known
+                        .get(&r.name)
+                        .and_then(Value::as_int)
+                        .map(|rev| (rev as u64) < r.rev)
+                        .unwrap_or(true)
+                })
+                .map(ClusterRegistry::record_value)
+                .collect();
+            let removes: Value = known
+                .iter()
+                .filter(|&(name, _)| !reg.records.contains_key(&**name))
+                .map(|(name, rev)| {
+                    Value::map()
+                        .with("name", &**name)
+                        .with("rev", rev.as_int().unwrap_or(0))
+                })
+                .collect();
+            (upserts, removes)
+        }
+
+        pub fn moved_since(reg: &ClusterRegistry, shipped: &Value) -> (Value, Value) {
+            let (mut upserts, mut removes) = (Vec::new(), Vec::new());
+            for entry in shipped.as_list().unwrap_or_default() {
+                let Some(name) = entry.get("name").and_then(Value::as_str) else {
+                    continue;
+                };
+                let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0);
+                match reg.records.get(name) {
+                    Some(r) if r.rev > rev as u64 => upserts.push(ClusterRegistry::record_value(r)),
+                    Some(_) => {}
+                    None => removes.push(Value::map().with("name", name).with("rev", rev)),
+                }
             }
-            reg.records.insert(
-                name.to_owned(),
-                InstanceRecord {
-                    name: name.to_owned(),
-                    descriptor: entry.get("descriptor").cloned().unwrap_or(Value::Null),
-                    home: NodeId(home as u32),
-                    status,
-                    rev,
-                },
-            );
+            (Value::List(upserts), Value::List(removes))
+        }
+
+        pub fn import(reg: &mut ClusterRegistry, v: &Value) {
+            let Some(list) = v.as_list() else { return };
+            for entry in list {
+                let Some(name) = entry.get("name").and_then(Value::as_str) else {
+                    continue;
+                };
+                let Some(home) = entry.get("home").and_then(Value::as_int) else {
+                    continue;
+                };
+                let to = entry
+                    .get("to")
+                    .and_then(Value::as_int)
+                    .map(|i| NodeId(i as u32));
+                let status = match (entry.get("status").and_then(Value::as_str), to) {
+                    (Some("placed"), _) => InstanceStatus::Placed,
+                    (Some("migrating"), Some(to)) => InstanceStatus::Migrating { to },
+                    (Some("orphaned"), _) => InstanceStatus::Orphaned,
+                    (Some("quarantined"), _) => InstanceStatus::Quarantined,
+                    _ => continue,
+                };
+                let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0) as u64;
+                if reg.records.get(name).is_some_and(|local| rev < local.rev) {
+                    continue;
+                }
+                reg.records.insert(
+                    name.to_owned(),
+                    InstanceRecord {
+                        name: name.to_owned(),
+                        descriptor: Arc::new(entry.get("descriptor").cloned().unwrap_or_default()),
+                        home: NodeId(home as u32),
+                        status,
+                        rev,
+                    },
+                );
+            }
+        }
+
+        pub fn import_delta(reg: &mut ClusterRegistry, upserts: &Value, removes: &Value) {
+            import(reg, upserts);
+            for entry in removes.as_list().unwrap_or_default() {
+                let Some(name) = entry.get("name").and_then(Value::as_str) else {
+                    continue;
+                };
+                let Some(rev) = entry.get("rev").and_then(Value::as_int) else {
+                    continue;
+                };
+                if reg.records.get(name).is_some_and(|r| r.rev == rev as u64) {
+                    reg.records.remove(name);
+                }
+            }
         }
     }
 
@@ -803,11 +911,11 @@ mod tests {
         NodeId(rng.u64_below(4) as u32)
     }
 
-    fn descriptor(name: &str, rng: &mut TestRng) -> Value {
+    fn descriptor(name: &str, rng: &mut TestRng) -> Arc<Value> {
         let bundles: Value = (0..rng.u64_below(3))
             .map(|b| Value::Int(b as i64))
             .collect();
-        Value::map().with("name", name).with("bundles", bundles)
+        Arc::new(Value::map().with("name", name).with("bundles", bundles))
     }
 
     /// Random ordered history plus local orphan marks over six names.
@@ -846,121 +954,156 @@ mod tests {
         }
     }
 
-    /// What a hostile or merely unlucky sender adds to a list of export
-    /// records: entries at a revision `held` already has but with another
-    /// status, home or descriptor, a missing `descriptor`, and garbage.
-    fn tamper(payload: &mut Value, held: &ClusterRegistry, rng: &mut TestRng) {
-        let Value::List(entries) = payload else {
-            panic!("an export is a list");
-        };
-        for entry in entries.iter_mut() {
-            let Value::Map(fields) = entry else {
-                panic!("an export record is a map");
-            };
-            let name = fields
-                .get("name")
-                .and_then(Value::as_str)
-                .unwrap()
-                .to_owned();
-            if let Some(local) = held.record(&name) {
+    /// What a diverged sender's records differ by beyond history: entries
+    /// at a revision `held` already has but with another status, home or
+    /// descriptor — an equal descriptor in a value of its own, or the very
+    /// one `held` shares.
+    fn tamper(records: &mut [InstanceRecord], held: &ClusterRegistry, rng: &mut TestRng) {
+        for record in records.iter_mut() {
+            let local = held.record(&record.name);
+            if let Some(local) = local {
                 if rng.chance(0.6) {
-                    let rev = local.rev + rng.u64_below(3) - 1;
-                    fields.insert("rev".into(), Value::Int(rev as i64));
+                    record.rev = local.rev + rng.u64_below(3) - 1;
                 }
             }
             match rng.u64_below(8) {
-                0 => drop(fields.remove("descriptor")),
-                1 => drop(fields.insert("descriptor".into(), descriptor(&name, rng))),
-                2 => drop(fields.insert("home".into(), Value::Int(node(rng).0.into()))),
+                0 => record.descriptor = descriptor(&record.name, rng),
+                1 => {
+                    if let Some(local) = local {
+                        record.descriptor = Arc::clone(&local.descriptor);
+                    }
+                }
+                2 => record.home = node(rng),
                 3 => {
-                    let status = ["placed", "migrating", "orphaned", "quarantined", "lost"];
-                    let status = status[rng.u64_below(5) as usize];
-                    fields.insert("status".into(), status.into());
-                    if rng.chance(0.8) {
-                        fields.insert("to".into(), Value::Int(node(rng).0.into()));
+                    record.status = match rng.u64_below(4) {
+                        0 => InstanceStatus::Placed,
+                        1 => InstanceStatus::Migrating { to: node(rng) },
+                        2 => InstanceStatus::Orphaned,
+                        _ => InstanceStatus::Quarantined,
                     }
                 }
                 _ => {}
             }
         }
-        for _ in 0..rng.u64_below(3) {
-            let garbage = match rng.u64_below(3) {
-                0 => Value::Int(7),
-                1 => Value::map().with("home", 1u64).with("status", "placed"),
-                _ => Value::map().with("name", "i0").with("status", "placed"),
-            };
-            let at = rng.usize_in(0, entries.len());
-            entries.insert(at, garbage);
-        }
     }
 
-    /// The in-place merge against the whole-record overwrite it replaced.
-    /// Mutation-checked: skipping an entry at an equal revision, leaving the
-    /// descriptor of a held record alone, and not writing `status` each fail.
+    /// Two copies: ours, and the sender's — one that went its own way or,
+    /// as after a restart, one that never shared any history — plus a
+    /// transfer the sender shipped before they diverged.
+    fn diverged(rng: &mut TestRng) -> (ClusterRegistry, ClusterRegistry, Vec<InstanceRecord>) {
+        let mut ours = ClusterRegistry::new();
+        churn(&mut ours, rng, 12);
+        let mut theirs = if rng.chance(0.8) {
+            ours.clone()
+        } else {
+            ClusterRegistry::new()
+        };
+        let shipped = transfer(&theirs);
+        let diverge = rng.u64_below(10);
+        churn(&mut theirs, rng, diverge);
+        churn(&mut ours, rng, diverge / 2);
+        (ours, theirs, shipped)
+    }
+
+    /// The typed transfer against the `Value` one it replaced: a sync's
+    /// import, a `Hello` answer's `export_delta` and `import_delta`, and a
+    /// correction's `moved_since`, each leaving the receiver's export
+    /// byte-identical to the model's. Mutation-checked: an equal-revision
+    /// import that leaves `status` alone fails.
     #[test]
-    fn prop_import_matches_whole_record_overwrite() {
-        let wire = |v: Value| Value::decode(&v.encode()).unwrap();
+    fn prop_typed_transfer_matches_the_value_transfer() {
+        let bytes = |(upserts, removes): (Value, Value)| (upserts.encode(), removes.encode());
         let cfg = prop::Config::with_cases(300);
         let gen = prop::u64s(0, u64::MAX);
         prop::check_with(
             &cfg,
-            "import_matches_whole_record_overwrite",
+            "typed_transfer_matches_the_value_transfer",
             &gen,
             |&seed| {
                 let mut rng = TestRng::new(seed);
-                let mut ours = ClusterRegistry::new();
-                churn(&mut ours, &mut rng, 12);
-                // The sender: a copy that went its own way — or, as after a
-                // restart, one that never shared any history.
-                let mut theirs = if rng.chance(0.8) {
-                    ours.clone()
-                } else {
-                    ClusterRegistry::new()
-                };
-                let diverge = rng.u64_below(10);
-                churn(&mut theirs, &mut rng, diverge);
-                churn(&mut ours, &mut rng, diverge / 2);
+                let (mut ours, theirs, shipped) = diverged(&mut rng);
                 let mut model = ours.clone();
-                if rng.chance(0.5) {
-                    let mut snapshot = wire(theirs.export());
-                    tamper(&mut snapshot, &ours, &mut rng);
-                    ours.import(&snapshot);
-                    reference_import(&mut model, &snapshot);
-                } else {
-                    let digest = if rng.chance(0.3) {
-                        Value::map()
-                    } else {
-                        ours.digest()
-                    };
-                    let (upserts, removes) = theirs.export_delta(&wire(digest));
-                    let (mut upserts, removes) = (wire(upserts), wire(removes));
-                    tamper(&mut upserts, &ours, &mut rng);
-                    ours.import_delta(&upserts, &removes);
-                    reference_import(&mut model, &upserts);
-                    model.import_delta(&Value::List(Vec::new()), &removes);
+                match rng.u64_below(3) {
+                    0 => {
+                        let mut records = transfer(&theirs);
+                        tamper(&mut records, &ours, &mut rng);
+                        ours.import(&records);
+                        value_model::import(&mut model, &value_model::render(&records));
+                    }
+                    1 => {
+                        let (digest, model_digest) = if rng.chance(0.3) {
+                            (Vec::new(), Value::map())
+                        } else {
+                            (ours.digest(), value_model::digest(&ours))
+                        };
+                        let (mut upserts, removes) = theirs.export_delta(&digest);
+                        prop_verify_eq!(
+                            bytes((
+                                value_model::render(&upserts),
+                                value_model::render_removes(&removes)
+                            )),
+                            bytes(value_model::export_delta(&theirs, &model_digest))
+                        );
+                        tamper(&mut upserts, &ours, &mut rng);
+                        ours.import_delta(&upserts, &removes);
+                        value_model::import_delta(
+                            &mut model,
+                            &value_model::render(&upserts),
+                            &value_model::render_removes(&removes),
+                        );
+                    }
+                    _ => {
+                        let (upserts, removes) = theirs.moved_since(&shipped);
+                        let (model_upserts, model_removes) =
+                            value_model::moved_since(&theirs, &value_model::render(&shipped));
+                        prop_verify_eq!(
+                            bytes((
+                                value_model::render(&upserts),
+                                value_model::render_removes(&removes)
+                            )),
+                            bytes((model_upserts.clone(), model_removes.clone()))
+                        );
+                        ours.import_delta(&upserts, &removes);
+                        value_model::import_delta(&mut model, &model_upserts, &model_removes);
+                    }
                 }
-                prop_verify_eq!(ours, model);
+                prop_verify_eq!(ours.export().encode(), model.export().encode());
                 Ok(())
             },
         );
     }
 
+    /// A transfer reports the encoded length of the `Value`s it used to
+    /// ship, counted from its typed records. Mutation-checked: a size that
+    /// drops a `Migrating` record's `to` fails.
     #[test]
-    fn import_skips_garbage_entries() {
-        let mut r = ClusterRegistry::new();
-        r.import(&Value::List(vec![
-            Value::map()
-                .with("name", "ok")
-                .with("home", 1u64)
-                .with("status", "placed"),
-            Value::map().with("home", 1u64), // no name
-            Value::Int(7),                   // not a map
-        ]));
-        assert_eq!(r.len(), 1);
-        assert!(r.record("ok").is_some());
-        // Non-list import is a no-op.
-        r.import(&Value::Null);
-        assert_eq!(r.len(), 1);
+    fn prop_transfer_lengths_are_their_value_encodings() {
+        let (migrating, removed) = (Cell::new(0), Cell::new(0));
+        let cfg = prop::Config::with_cases(300);
+        let gen = prop::u64s(0, u64::MAX);
+        prop::check_with(
+            &cfg,
+            "transfer_lengths_are_their_value_encodings",
+            &gen,
+            |&seed| {
+                let mut rng = TestRng::new(seed);
+                let (ours, theirs, _) = diverged(&mut rng);
+                let records = transfer(&theirs);
+                prop_verify_eq!(records_len(&records), theirs.export().encoded_len());
+                let (upserts, removes) = theirs.export_delta(&ours.digest());
+                let (model_upserts, model_removes) =
+                    value_model::export_delta(&theirs, &value_model::digest(&ours));
+                prop_verify_eq!(records_len(&upserts), model_upserts.encoded_len());
+                prop_verify_eq!(removes_len(&removes), model_removes.encoded_len());
+                let moving =
+                    |r: &InstanceRecord| matches!(r.status, InstanceStatus::Migrating { .. });
+                migrating.set(migrating.get() + upserts.iter().filter(|r| moving(r)).count());
+                removed.set(removed.get() + removes.len());
+                prop_verify!(records_len(&[]) == Value::List(Vec::new()).encoded_len());
+                Ok(())
+            },
+        );
+        assert!(migrating.get() > 0 && removed.get() > 0);
     }
 
     #[test]
@@ -968,9 +1111,9 @@ mod tests {
         let mut r = ClusterRegistry::new();
         r.apply(&deployed("a", 0));
         r.apply(&deployed("b", 1));
-        let (upserts, removes) = r.export_delta(&Value::map());
-        assert_eq!(upserts, r.export());
-        assert_eq!(removes.as_list().unwrap().len(), 0);
+        let (upserts, removes) = r.export_delta(&[]);
+        assert_eq!(upserts, transfer(&r));
+        assert!(removes.is_empty());
         // A fresh replica importing the delta converges exactly.
         let mut r2 = ClusterRegistry::new();
         r2.import_delta(&upserts, &removes);
@@ -987,8 +1130,7 @@ mod tests {
             to: NodeId(1),
         });
         let (upserts, removes) = r.export_delta(&r.digest());
-        assert_eq!(upserts.as_list().unwrap().len(), 0);
-        assert_eq!(removes.as_list().unwrap().len(), 0);
+        assert!(upserts.is_empty() && removes.is_empty());
     }
 
     #[test]
@@ -1005,14 +1147,9 @@ mod tests {
         });
         r.apply(&deployed("c", 2));
         let (upserts, removes) = r.export_delta(&behind.digest());
-        let names: Vec<&str> = upserts
-            .as_list()
-            .unwrap()
-            .iter()
-            .filter_map(|e| e.get("name").and_then(Value::as_str))
-            .collect();
+        let names: Vec<&str> = upserts.iter().map(|u| u.name.as_str()).collect();
         assert_eq!(names, vec!["a", "c"]);
-        assert_eq!(removes.as_list().unwrap().len(), 0);
+        assert!(removes.is_empty());
         let mut caught_up = behind.clone();
         caught_up.import_delta(&upserts, &removes);
         assert_eq!(caught_up, r);
@@ -1025,8 +1162,8 @@ mod tests {
         let stale_digest = r.digest(); // knows a@1
         r.apply(&AppPayload::Undeployed { name: "a".into() });
         let (upserts, removes) = r.export_delta(&stale_digest);
-        assert_eq!(upserts.as_list().unwrap().len(), 0);
-        assert_eq!(removes.as_list().unwrap().len(), 1);
+        assert!(upserts.is_empty());
+        assert_eq!(removes, [("a".to_owned(), 1)]);
 
         // A replica still holding a@1 drops it…
         let mut behind = ClusterRegistry::new();
@@ -1060,28 +1197,11 @@ mod tests {
             name: "a".into(),
             node: NodeId(0),
         });
-        let (upserts, removes) = r.export_delta(&Value::map());
+        let (upserts, removes) = r.export_delta(&[]);
         let mut r2 = ClusterRegistry::new();
-        r2.import_delta(
-            &Value::decode(&upserts.encode()).unwrap(),
-            &Value::decode(&removes.encode()).unwrap(),
-        );
+        r2.import_delta(&upserts, &removes);
         assert_eq!(r2, r);
-    }
-
-    #[test]
-    fn import_delta_skips_garbage_removes() {
-        let mut r = ClusterRegistry::new();
-        r.apply(&deployed("a", 0));
-        r.import_delta(
-            &Value::List(Vec::new()),
-            &Value::List(vec![
-                Value::map().with("rev", 1u64), // no name
-                Value::map().with("name", "a"), // no rev guard
-                Value::Int(9),                  // not a map
-            ]),
-        );
-        assert!(r.record("a").is_some());
+        assert_eq!(Value::decode(&r2.export().encode()).unwrap(), r.export());
     }
 
     #[test]

@@ -18,15 +18,19 @@
 //! ordered hand-off, the adoption — allocate ≤ 2 550 times, and each round
 //! exactly as often beside 4 rows of state as beside 1 024.
 //!
-//! What a rejoin costs: importing a registry that says nothing new allocates
-//! nothing; ordering a `RegistrySync` costs its one export and, beyond that,
-//! the same for 4 records as for 40; a whole crash, failover, restart and
-//! rejoin of the `failover` workload — one registry transfer — allocates
-//! ≤ 2 885 times; and a policy pass in which nothing fires allocates its
-//! subject list.
+//! What a rejoin costs: a sync's sender exports one vector and one name per
+//! record, and no descriptor; a joiner imports 40 records in 87 allocations,
+//! holding the sender's descriptors rather than copies of them; importing a
+//! registry that says nothing new allocates nothing; ordering a
+//! `RegistrySync` costs, beyond its export, the same for 4 records as for
+//! 40; a whole crash, failover, restart and rejoin of the `failover`
+//! workload — one registry transfer — allocates ≤ 2 168 times; and a policy
+//! pass in which nothing fires allocates its subject list.
 
 use dosgi_core::autonomic::{AutonomicModule, DEFAULT_POLICY};
-use dosgi_core::{workloads, AppPayload, ClusterConfig, ClusterRegistry, DosgiCluster, Wire};
+use dosgi_core::{
+    workloads, AppPayload, ClusterConfig, ClusterRegistry, DosgiCluster, InstanceRecord, Wire,
+};
 use dosgi_gcs::{GcsConfig, GcsEvent, GroupNode};
 use dosgi_monitor::{MonitoringModule, NodeCapacity};
 use dosgi_net::{LinkConfig, NodeId, SimDuration, SimNet, SimTime};
@@ -86,6 +90,8 @@ static ALLOCATOR: Counting = Counting;
 
 const NODES: usize = 5;
 const INSTANCES: usize = 40;
+/// What a joiner's import of `INSTANCES` records allocates.
+const JOINER_IMPORT: u64 = 87;
 
 /// The `failover` workload's cluster at rest: 5 nodes, 40 instances — the
 /// last `counters` of them write-through counters, the rest web — every one
@@ -310,7 +316,7 @@ fn registry_of(records: usize) -> ClusterRegistry {
     for i in 0..records {
         let name = format!("web-{i:02}");
         registry.apply(&AppPayload::Deployed {
-            descriptor: workloads::web_instance(&name, &name).to_value(),
+            descriptor: Arc::new(workloads::web_instance(&name, &name).to_value()),
             name,
             home: NodeId((i % NODES) as u32),
         });
@@ -318,17 +324,53 @@ fn registry_of(records: usize) -> ClusterRegistry {
     registry
 }
 
+/// What a `RegistrySync` carries: every record, descriptors shared.
+fn transfer(registry: &ClusterRegistry) -> Vec<InstanceRecord> {
+    registry.records().cloned().collect()
+}
+
+/// A sync's sender exports one vector and one name per record; every
+/// descriptor it ships is the one its own records hold.
+#[test]
+fn exporting_a_sync_copies_no_descriptor() {
+    let registry = registry_of(INSTANCES);
+    let (allocations, records) = allocations_in(|| transfer(&registry));
+    assert_eq!(allocations, 1 + INSTANCES as u64);
+    assert!(records
+        .iter()
+        .zip(registry.records())
+        .all(|(sent, held)| Arc::ptr_eq(&sent.descriptor, &held.descriptor)));
+}
+
+/// A joiner's import of a 40-record sync inserts the records without
+/// copying a descriptor: what it allocates is a name for the key and one
+/// for the record, and the map's nodes.
+#[test]
+fn a_joiner_shares_every_descriptor_it_imports() {
+    let records = transfer(&registry_of(INSTANCES));
+    let mut joiner = ClusterRegistry::new();
+    let (allocations, ()) = allocations_in(|| joiner.import(&records));
+    assert_eq!(allocations, JOINER_IMPORT);
+    assert!(joiner
+        .records()
+        .zip(&records)
+        .all(|(held, sent)| Arc::ptr_eq(&held.descriptor, &sent.descriptor)));
+}
+
 /// A member that is up to date — every member but the joiner, on every
 /// rejoin — imports a snapshot without allocating: no name, no descriptor,
-/// no record is rebuilt to be found equal.
+/// no record is rebuilt to be found equal, whether the snapshot shares its
+/// descriptors or holds equal ones of its own.
 #[test]
 fn importing_an_own_export_allocates_nothing() {
     let mut registry = registry_of(INSTANCES);
-    let snapshot = Value::decode(&registry.export().encode()).expect("an export decodes");
-    let (upserts, removes) = registry.export_delta(&Value::map());
+    let snapshot = transfer(&registry);
+    let twin = transfer(&registry_of(INSTANCES));
+    let (upserts, removes) = registry.export_delta(&[]);
     let before = registry.clone();
     let (allocations, ()) = allocations_in(|| {
         registry.import(&snapshot);
+        registry.import(&twin);
         registry.import_delta(&upserts, &removes);
     });
     assert_eq!(allocations, 0);
@@ -379,7 +421,7 @@ fn ordered_sync_allocations(records: usize) -> u64 {
         step(&mut net, &mut members);
     }
     assert!(members.iter().all(|(gcs, _)| gcs.view().len() == NODES));
-    let snapshot = registry.export();
+    let snapshot = transfer(&registry);
     let (allocations, ()) = allocations_in(|| {
         let sync = AppPayload::RegistrySync {
             registry: snapshot,
@@ -435,15 +477,17 @@ fn failover_round_allocations(telemetry: Telemetry) {
             drop(c.take_events());
         });
         assert!(all_serving(&c));
-        // Measured 2 499 to 2 885 over these rounds, telemetry on or off
-        // (2 947 to 3 334 while a rejoin shipped the registry twice, as the
-        // admission sync and again as the delta answering the joiner's
-        // `Hello`; 3 017 to 3 420 while a policy pass copied every metric
+        // Measured 1 791 to 2 168 over these rounds, telemetry on or off
+        // (2 499 to 2 885 while a sync's sender and every joiner copied
+        // each descriptor; 2 947 to 3 334 while a rejoin shipped the
+        // registry twice, as the admission sync and again as the delta
+        // answering the joiner's `Hello`; 3 017 to 3 420 while a policy
+        // pass copied every metric
         // onto its blackboard; 5 144 to 5 890 while a map was a tree with a
         // `String` per key and every non-empty mailbox was drained into a
         // fresh vector).
         assert!(
-            allocations <= 2_885,
+            allocations <= 2_168,
             "failover round {round} allocated {allocations} times"
         );
     }

@@ -81,7 +81,10 @@ pub fn encode(value: &Value) -> Vec<u8> {
     out
 }
 
-fn varint_len(v: u64) -> usize {
+/// The bytes `v` takes as a varint: the length or count after a string's,
+/// list's or map's tag, and each map key's length. Lets a caller size an
+/// encoding it never builds.
+pub fn varint_len(v: u64) -> usize {
     let bits = (64 - v.leading_zeros()).max(1) as usize;
     bits.div_ceil(7)
 }
