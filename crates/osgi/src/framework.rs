@@ -54,6 +54,11 @@ pub struct Bundle {
     /// target against it before adopting the state.
     pub state_version: Version,
     pub(crate) activator: Option<Box<dyn Activator>>,
+    /// The bundle's snapshot row in the form the SAN holds it. Built where
+    /// the manifest is set (install, update, upgrade) and kept as read by a
+    /// restore; a persist rewrites its lifecycle fields in place and hands
+    /// the store a reference, so no write builds or re-serializes a row.
+    pub(crate) row: Value,
 }
 
 impl fmt::Debug for Bundle {
@@ -308,17 +313,17 @@ impl Framework {
         let id = BundleId(self.next_bundle);
         self.next_bundle += 1;
         let state_version = manifest.version;
-        self.bundles.insert(
+        let mut bundle = Bundle {
             id,
-            Bundle {
-                id,
-                manifest,
-                state: BundleState::Installed,
-                autostart: false,
-                state_version,
-                activator,
-            },
-        );
+            manifest,
+            state: BundleState::Installed,
+            autostart: false,
+            state_version,
+            activator,
+            row: Value::Null,
+        };
+        bundle.row = persist::bundle_row(&bundle);
+        self.bundles.insert(id, bundle);
         self.event(id, BundleEventKind::Installed);
         self.mark_header_dirty(); // next_bundle advanced
         self.mark_bundle_dirty(id);
@@ -618,6 +623,7 @@ impl Framework {
         // `update` gives no state-handoff guarantee: the new revision owns
         // whatever the data area holds, so the compatibility anchor moves.
         bundle.state_version = bundle.manifest.version;
+        bundle.row = persist::bundle_row(bundle);
         if let Some(a) = activator {
             bundle.activator = Some(a);
         }
@@ -704,6 +710,7 @@ impl Framework {
         bundle.state = BundleState::Installed;
         let to = bundle.manifest.version;
         bundle.state_version = to;
+        bundle.row = persist::bundle_row(bundle);
         if let Some(a) = activator {
             bundle.activator = Some(a);
         }
@@ -1223,24 +1230,35 @@ impl Framework {
         if self.dirty_rows.is_empty() {
             return Ok(());
         }
-        let mut entries: Vec<(String, Value)> = Vec::with_capacity(self.dirty_rows.len());
+        // A dirty row for a since-uninstalled bundle was replaced by a
+        // delete marker: it has no bundle, and nothing is written for it.
         for key in &self.dirty_rows {
-            if key == persist::HEADER_KEY {
-                entries.push((
-                    key.clone(),
-                    persist::header_row(self.next_bundle, self.config.start_level),
-                ));
-            } else if let Some(id) = persist::parse_bundle_key(key) {
-                // A dirty row for a since-uninstalled bundle was replaced
-                // by a delete marker; nothing to write.
-                if let Some(b) = self.bundles.get(&id) {
-                    entries.push((key.clone(), persist::bundle_row(b)));
-                }
+            let id = persist::parse_bundle_key(key);
+            if let Some(b) = id.and_then(|id| self.bundles.get_mut(&id)) {
+                persist::refresh_row(b);
             }
         }
-        // Built for this write: the store takes the rows, it copies none.
-        let rows = entries.len() as u64;
-        store.put_many_owned(ns, entries)?;
+        let header = self
+            .dirty_rows
+            .contains(persist::HEADER_KEY)
+            .then(|| persist::header_row(self.next_bundle, self.config.start_level));
+        // In key order, header last: a torn batch lands a prefix of it.
+        let mut entries = self.dirty_rows.iter().filter_map(|key| {
+            let row = if key == persist::HEADER_KEY {
+                header.as_ref()?
+            } else {
+                &self.bundles.get(&persist::parse_bundle_key(key)?)?.row
+            };
+            Some((key.as_str(), row))
+        });
+        // Either end of a hand-off writes one row, and needs no batch built.
+        let rows = match (entries.next(), self.dirty_rows.len()) {
+            (Some(only), 1) => store.put_many(ns, &[only])?,
+            (first, _) => {
+                let batch: Vec<(&str, &Value)> = first.into_iter().chain(entries).collect();
+                store.put_many(ns, &batch)?
+            }
+        } as u64;
         self.metrics.rows_written.add(rows);
         self.metrics
             .rows_skipped
@@ -1346,10 +1364,16 @@ impl Framework {
         let mut fw = Framework::with_config(config);
         fw.metrics = metrics;
         fw.config.start_level = parsed.start_level;
-        fw.next_bundle = parsed.next_bundle;
+        // A torn install batch lands the bundle's row without the header
+        // that counts it: no id a row holds is handed out again.
+        let past_rows = parsed.bundles.last().map_or(0, |r| r.id.0 + 1);
+        fw.next_bundle = parsed.next_bundle.max(past_rows);
         // Attached before anything restarts: activators read their
         // persisted data areas during start.
         fw.store = Some((store, namespace.to_owned()));
+        if fw.next_bundle != parsed.next_bundle {
+            fw.mark_header_dirty();
+        }
         // What each row said when it was read, and the persistently-started
         // bundles within the start level, in (start level, id) order.
         let mut read = Vec::with_capacity(parsed.bundles.len());
@@ -1372,9 +1396,17 @@ impl Framework {
                     autostart: record.autostart,
                     state_version: record.state_version,
                     activator,
+                    row: Value::Null,
                 },
             );
             fw.event(record.id, BundleEventKind::Installed);
+        }
+        // The rows read are the rows kept: they say what the SAN holds.
+        for (key, row) in rows {
+            let id = persist::parse_bundle_key(&key);
+            if let Some(b) = id.and_then(|id| fw.bundles.get_mut(&id)) {
+                b.row = row;
+            }
         }
         to_start.sort();
         fw.resolve_step();
@@ -2109,15 +2141,147 @@ mod tests {
         .is_ok());
     }
 
+    /// An install writes `[bundle/<n>, header]`; a batch torn after its first
+    /// row leaves the header one bundle behind. A restore of that must not
+    /// hand the bundle's id out again — a later install would overwrite it —
+    /// and converges the header.
+    #[test]
+    fn regression_a_torn_install_batch_reuses_no_bundle_id() {
+        let store = SharedStore::new();
+        let mut fw = Framework::new("a");
+        fw.attach_store(store.clone(), "fw/a").unwrap();
+        for name in ["a", "b", "c"] {
+            let manifest = ManifestBuilder::new(name, Version::new(1, 0, 0));
+            fw.install(manifest.build().unwrap(), None).unwrap();
+        }
+        drop(fw);
+        store
+            .put("fw/a", persist::HEADER_KEY, persist::header_row(3, 1))
+            .unwrap();
+        let factory = ActivatorFactory::new();
+        let mut fw =
+            Framework::restore(FrameworkConfig::new("a"), store.clone(), "fw/a", &factory).unwrap();
+        let header = store.peek("fw/a", persist::HEADER_KEY).unwrap();
+        assert_eq!(header.get("next_bundle"), Some(&Value::Int(4)));
+        let d = ManifestBuilder::new("d", Version::new(1, 0, 0));
+        assert_eq!(fw.install(d.build().unwrap(), None), Ok(BundleId(4)));
+        let names: Vec<&str> = fw
+            .bundles()
+            .map(|b| b.manifest.symbolic_name.as_str())
+            .collect();
+        assert_eq!(names, ["a", "b", "c", "d"]);
+    }
+
+    /// A row written before `state_version` existed restores (the field
+    /// defaults to the manifest version), and is kept as read: the next
+    /// persist of its bundle writes the field into it, so the SAN then holds
+    /// the row `bundle_row` builds.
+    #[test]
+    fn a_kept_row_gains_the_fields_it_was_read_without() {
+        let store = SharedStore::new();
+        let manifest = log_manifest();
+        let legacy = Value::map()
+            .with("id", 1u64)
+            .with("manifest", manifest.to_value())
+            .with("state", "INSTALLED");
+        store.put("fw/a", "bundle/1", legacy).unwrap();
+        store
+            .put("fw/a", persist::HEADER_KEY, persist::header_row(2, 1))
+            .unwrap();
+        let factory = ActivatorFactory::new();
+        let mut fw =
+            Framework::restore(FrameworkConfig::new("a"), store.clone(), "fw/a", &factory).unwrap();
+        fw.start(BundleId(1)).unwrap();
+        let b = fw.bundle(BundleId(1)).unwrap();
+        assert_eq!(b.state_version, manifest.version);
+        let row = store.peek("fw/a", "bundle/1").unwrap();
+        assert_eq!(row.encode(), persist::bundle_row(b).encode());
+    }
+
+    /// The crash-point table of the two batches that hand out bundle ids,
+    /// with 0–3 bundles installed before each: every strict prefix of an
+    /// install's batch, and of `attach_store`'s, laid over the rows the SAN
+    /// held before it, restores to the framework before the batch or to the
+    /// one after it (a namespace with no header holds no framework) — never
+    /// to a mix, whose next install would reuse an id. Before a restore
+    /// counted past the highest row id, an install's `[bundle/<n>]` prefix
+    /// failed it.
+    #[test]
+    fn every_prefix_of_an_id_handing_batch_restores_one_side_of_it() {
+        const NS: &str = "table/fw";
+        type Shape = Option<(u64, Vec<(BundleId, String)>)>;
+        let shape = |fw: &Framework| -> Shape {
+            let bundles = fw
+                .bundles()
+                .map(|b| (b.id, b.manifest.symbolic_name.to_string()));
+            Some((fw.next_bundle, bundles.collect()))
+        };
+        let restored = |rows: &[(String, Value)]| -> Shape {
+            let store = SharedStore::new();
+            store.put_many(NS, rows).unwrap();
+            let factory = ActivatorFactory::new();
+            match Framework::restore(FrameworkConfig::new(NS), store, NS, &factory) {
+                Ok(fw) => shape(&fw),
+                Err(BundleError::CorruptState(_)) => None,
+                Err(e) => panic!("restore: {e}"),
+            }
+        };
+        let install = |fw: &mut Framework, i: u64| {
+            let manifest = ManifestBuilder::new(&format!("b{i}"), Version::new(1, 0, 0));
+            fw.install(manifest.build().unwrap(), None).unwrap();
+        };
+        // The batch is the rows that moved, in key order, as it is written.
+        let check = |old: Vec<(String, Value)>, new: Vec<(String, Value)>, sides: [Shape; 2]| {
+            let batch: Vec<_> = new.iter().filter(|row| !old.contains(row)).collect();
+            assert_eq!(restored(&new), sides[1]);
+            for landed in 0..batch.len() {
+                let mut torn = old.clone();
+                for (key, value) in &batch[..landed] {
+                    torn.retain(|(k, _)| k != key);
+                    torn.push((key.clone(), value.clone()));
+                }
+                let got = restored(&torn);
+                assert!(
+                    sides.contains(&got),
+                    "{landed} of {} rows landed: {got:?} is neither {sides:?}",
+                    batch.len()
+                );
+            }
+        };
+        for n in 0..=3 {
+            let store = SharedStore::new();
+            let mut fw = Framework::new(NS);
+            fw.attach_store(store.clone(), NS).unwrap();
+            (1..=n).for_each(|i| install(&mut fw, i));
+            let (old, before) = (store.read_namespace(NS).unwrap(), shape(&fw));
+            install(&mut fw, n + 1);
+            check(old, store.read_namespace(NS).unwrap(), [before, shape(&fw)]);
+
+            let store = SharedStore::new();
+            let mut fw = Framework::new(NS);
+            (1..=n).for_each(|i| install(&mut fw, i));
+            fw.attach_store(store.clone(), NS).unwrap();
+            check(
+                Vec::new(),
+                store.read_namespace(NS).unwrap(),
+                [None, shape(&fw)],
+            );
+        }
+    }
+
     /// Random lifecycle sequences with SAN faults injected mid-stream: the
     /// store-attached framework must (a) never let a fault change a
     /// lifecycle outcome (its in-memory state stays byte-identical to a
     /// storeless oracle applying the same ops), and (b) once the SAN heals
-    /// and the write-behind rows flush, its per-bundle rows must reassemble
-    /// byte-identically to the monolithic snapshot the oracle would write.
-    /// The whole property runs against *every* registered SAN backend — the
-    /// storeless oracle is the same, so this is the backend conformance
-    /// suite's view from the OSGi layer.
+    /// and the write-behind rows flush, its per-bundle rows — the rows each
+    /// bundle keeps, refreshed in place by every persist — must reassemble
+    /// byte-identically to the monolithic snapshot the oracle would write,
+    /// which builds every row afresh. The ops include `update`, an in-place
+    /// upgrade within the major version, and a restore: the framework is
+    /// dropped and restored from what the healed SAN holds, the oracle from
+    /// a fault-free SAN of its own (after which it keeps that one).
+    /// Mutation-checked: an `upgrade_bundle` that leaves the kept row's
+    /// manifest stale, and a refresh that skips `autostart`, each fail it.
     #[test]
     fn prop_row_persistence_matches_monolithic_oracle_under_faults() {
         use dosgi_testkit::{prop, prop_verify, Gen, PropResult};
@@ -2130,6 +2294,9 @@ mod tests {
             Uninstall(u8),
             SetStartLevel(u8),
             DataPut(u8),
+            Update(u8),
+            Upgrade(u8),
+            Restore,
             Fault(u8),
             Heal,
         }
@@ -2175,6 +2342,44 @@ mod tests {
                         Value::Int(i64::from(n)),
                     );
                 }
+                Op::Update(n) | Op::Upgrade(n) => {
+                    let id = BundleId(u64::from(n) % 12 + 1);
+                    let Some(mut manifest) = fw.bundle(id).map(|b| b.manifest.clone()) else {
+                        return;
+                    };
+                    let v = manifest.version;
+                    if let Op::Update(_) = op {
+                        manifest.version = Version::new(v.major + 1, 0, 0);
+                        manifest.start_level = 3 - manifest.start_level.min(2);
+                        let _ = fw.update(id, manifest);
+                    } else {
+                        // An upgrade that cannot persist its quiesce rolls
+                        // back, an outcome a fault is allowed to change:
+                        // the SAN heals first.
+                        if let Some(store) = store {
+                            store.faults().clear();
+                        }
+                        manifest.version = Version::new(v.major, v.minor + 1, 0);
+                        let _ = fw.upgrade_bundle(id, manifest, None);
+                    }
+                }
+                Op::Restore => {
+                    if let Some(store) = store {
+                        store.faults().clear();
+                    }
+                    let (san, ns) = match &fw.store {
+                        Some(attached) => attached.clone(),
+                        None => {
+                            let (san, ns) = (SharedStore::new(), fw.name().to_owned());
+                            fw.attach_store(san.clone(), &ns).expect("a fault-free SAN");
+                            (san, ns)
+                        }
+                    };
+                    fw.flush_persist().expect("a healed SAN");
+                    let factory = ActivatorFactory::new();
+                    *fw = Framework::restore(FrameworkConfig::new(&ns), san, &ns, &factory)
+                        .expect("rows the framework wrote restore");
+                }
                 Op::Fault(n) => {
                     // Only the store-attached framework sees the SAN; the
                     // oracle has none to fault.
@@ -2201,6 +2406,9 @@ mod tests {
                 prop::u8s(0, 11).map(Op::Uninstall),
                 prop::u8s(1, 3).map(Op::SetStartLevel),
                 prop::u8s(0, 11).map(Op::DataPut),
+                prop::u8s(0, 11).map(Op::Update),
+                prop::u8s(0, 11).map(Op::Upgrade),
+                Gen::new(|_| Op::Restore),
                 prop::u8s(0, 99).map(Op::Fault),
                 Gen::new(|_| Op::Heal),
             ]),
@@ -2224,6 +2432,9 @@ mod tests {
                 for op in ops {
                     apply(&mut fw, &manifests, op, Some(&store));
                     apply(&mut oracle, &manifests, op, None);
+                    if let Op::Restore = op {
+                        fw.share_dirty_count(&count);
+                    }
                     prop_verify!(
                         count.any() == fw.persist_dirty(),
                         "dirty count {} but persist_dirty {} after {op:?}",
@@ -2256,6 +2467,7 @@ mod tests {
                         autostart: r.autostart,
                         state_version: r.state_version,
                         activator: None,
+                        row: Value::Null,
                     })
                     .collect();
                 let from_rows =
@@ -2285,17 +2497,17 @@ mod tests {
         fw.config.start_level = parsed.start_level;
         for record in &parsed.bundles {
             let activator = factory.create(&record.manifest);
-            fw.bundles.insert(
-                record.id,
-                Bundle {
-                    id: record.id,
-                    manifest: record.manifest.clone(),
-                    state: BundleState::Installed,
-                    autostart: record.autostart,
-                    state_version: record.state_version,
-                    activator,
-                },
-            );
+            let mut bundle = Bundle {
+                id: record.id,
+                manifest: record.manifest.clone(),
+                state: BundleState::Installed,
+                autostart: record.autostart,
+                state_version: record.state_version,
+                activator,
+                row: Value::Null,
+            };
+            bundle.row = persist::bundle_row(&bundle);
+            fw.bundles.insert(record.id, bundle);
             fw.event(record.id, BundleEventKind::Installed);
         }
         fw.next_bundle = parsed.next_bundle;

@@ -10,7 +10,10 @@
 //!
 //! The persisted framework state is stored as **per-bundle rows** inside
 //! the framework's namespace, so a dirty flush rewrites only the rows that
-//! changed instead of re-encoding the whole framework:
+//! changed instead of re-encoding the whole framework. Each bundle keeps
+//! its row as the SAN holds it: [`bundle_row`] builds it where the
+//! manifest is set, a restore keeps the row it read, and a persist
+//! rewrites the lifecycle fields in place and writes the row by reference:
 //!
 //! ```text
 //! <namespace>/header        { next_bundle, start_level }
@@ -24,7 +27,8 @@
 
 use crate::framework::Bundle;
 use crate::{BundleId, BundleManifest, BundleState, Version};
-use dosgi_san::Value;
+use dosgi_san::{Map, Value};
+use std::fmt::{self, Write};
 
 /// Key of the header row (`next_bundle` + `start_level`).
 pub const HEADER_KEY: &str = "header";
@@ -81,7 +85,8 @@ pub fn header_row(next_bundle: u64, start_level: u32) -> Value {
 }
 
 /// Serializes one bundle's row — the same map shape a bundle has inside
-/// the monolithic [`snapshot`], so row and oracle encodings agree.
+/// the monolithic [`snapshot`], so row and oracle encodings agree. The
+/// framework builds one where a bundle's manifest is set, and keeps it.
 pub fn bundle_row(b: &Bundle) -> Value {
     Value::map()
         .with("id", b.id.0)
@@ -89,6 +94,32 @@ pub fn bundle_row(b: &Bundle) -> Value {
         .with("state", b.state.as_str())
         .with("autostart", b.autostart)
         .with("state_version", b.state_version.to_string())
+}
+
+/// Rewrites the lifecycle fields of `b`'s kept row — `state`, `autostart`
+/// and `state_version` — in place, each string into the buffer it already
+/// has, leaving the manifest as it is: the row then encodes as
+/// [`bundle_row`] would build it. A field a row read from the SAN lacks or
+/// holds in another type is written whole.
+pub(crate) fn refresh_row(b: &mut Bundle) {
+    let Value::Map(row) = &mut b.row else {
+        unreachable!("a bundle row is a map: built so, or parsed as one");
+    };
+    write_str(row, "state", b.state.as_str());
+    row.insert("autostart".into(), Value::Bool(b.autostart));
+    write_str(row, "state_version", b.state_version);
+}
+
+fn write_str(row: &mut Map, key: &'static str, text: impl fmt::Display) {
+    match row.get_mut(key) {
+        Some(Value::Str(s)) => {
+            s.clear();
+            write!(s, "{text}").expect("a String takes any text");
+        }
+        _ => {
+            row.insert(key.into(), Value::Str(text.to_string()));
+        }
+    }
 }
 
 /// Serializes framework state into a single monolithic [`Value`].

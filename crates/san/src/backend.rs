@@ -31,6 +31,7 @@
 
 use crate::store::Versioned;
 use crate::Value;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -77,21 +78,26 @@ struct Namespace {
 impl Namespace {
     /// Writes `value`, `len` bytes encoded, under `key`, returning the new
     /// version. The slot is looked up before its key is owned: overwriting
-    /// a key that exists, live or tombstoned, allocates nothing, and the
+    /// a key that exists, live or tombstoned, allocates no key, and the
     /// total moves by the difference of the two lengths without either
-    /// value being measured.
-    fn insert(&mut self, key: &str, value: Value, len: u64) -> u64 {
+    /// value being measured. A borrowed value overwrites a live one in
+    /// place, reusing its allocations where the shapes match; an owned one
+    /// is moved in.
+    fn insert(&mut self, key: &str, value: Cow<'_, Value>, len: u64) -> u64 {
         self.live_bytes += len;
         if let Some(slot) = self.slots.get_mut(key) {
             self.live_bytes -= slot.len;
             slot.version += 1;
-            slot.value = Some(value);
+            match (&mut slot.value, value) {
+                (Some(live), Cow::Borrowed(value)) => live.clone_from(value),
+                (stored, value) => *stored = Some(value.into_owned()),
+            }
             slot.len = len;
             return slot.version;
         }
         let slot = Slot {
             version: 1,
-            value: Some(value),
+            value: Some(value.into_owned()),
             len,
         };
         self.slots.insert(key.to_owned(), slot);
@@ -148,7 +154,13 @@ impl MapBackend {
     /// Unconditionally writes `value`, whose encoded length the caller has
     /// measured as `len`, bumping the key's version counter (tombstones
     /// included). Returns the new version.
-    pub(crate) fn insert(&mut self, namespace: &str, key: &str, value: Value, len: u64) -> u64 {
+    pub(crate) fn insert(
+        &mut self,
+        namespace: &str,
+        key: &str,
+        value: Cow<'_, Value>,
+        len: u64,
+    ) -> u64 {
         // The namespace, too, is looked up before its name is owned.
         if let Some(ns) = self.namespaces.get_mut(namespace) {
             return ns.insert(key, value, len);
@@ -266,7 +278,7 @@ mod tests {
 
     fn insert(b: &mut MapBackend, namespace: &str, key: &str, value: Value) -> u64 {
         let len = value.encoded_len() as u64;
-        b.insert(namespace, key, value, len)
+        b.insert(namespace, key, Cow::Owned(value), len)
     }
 
     #[test]

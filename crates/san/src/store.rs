@@ -5,7 +5,7 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::{StoreError, Value};
 use dosgi_net::SimTime;
 use dosgi_telemetry::{Counter, Telemetry};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
 
 /// A stored value together with its monotonically increasing version.
@@ -237,7 +237,7 @@ impl SharedStore {
         }
         inner.stats.writes += 1;
         inner.stats.bytes_written += len;
-        Ok(inner.map.insert(namespace, key, value, len))
+        Ok(inner.map.insert(namespace, key, Cow::Owned(value), len))
     }
 
     /// Atomically-intended multi-key write: all of `entries` into
@@ -246,7 +246,8 @@ impl SharedStore {
     /// [`StoreError::TornWrite`] reports how much; rewriting the full batch
     /// is the idempotent recovery. Entries are `(key, value)` pairs, owned
     /// or borrowed: a caller that holds its rows elsewhere passes
-    /// references, and only the values that changed are cloned.
+    /// references. A value that changed is copied into its live slot,
+    /// reusing the stored value's allocations where the shapes match.
     ///
     /// # Errors
     ///
@@ -256,36 +257,6 @@ impl SharedStore {
         &self,
         namespace: &str,
         entries: &[(K, V)],
-    ) -> Result<usize, StoreError> {
-        let rows = entries.iter().map(|(k, v)| (k.as_ref(), v.borrow()));
-        self.put_batch(namespace, rows, Value::clone)
-    }
-
-    /// [`put_many`](Self::put_many) for a caller that built the rows for
-    /// this write: the values that changed are moved into the store, not
-    /// cloned. Same semantics, errors and accounting.
-    ///
-    /// # Errors
-    ///
-    /// As [`put_many`](Self::put_many).
-    pub fn put_many_owned(
-        &self,
-        namespace: &str,
-        mut entries: Vec<(String, Value)>,
-    ) -> Result<usize, StoreError> {
-        let rows = entries
-            .iter_mut()
-            .map(|(k, v)| (k.as_str(), std::mem::take(v)));
-        self.put_batch(namespace, rows, std::convert::identity)
-    }
-
-    /// The batch write itself, over entries whose values are references
-    /// (`own` clones the ones that changed) or owned (`own` hands them on).
-    fn put_batch<'e, V: Borrow<Value>>(
-        &self,
-        namespace: &str,
-        entries: impl ExactSizeIterator<Item = (&'e str, V)>,
-        own: fn(V) -> Value,
     ) -> Result<usize, StoreError> {
         self.fault("put_many")?;
         let torn = self.faults.torn_len(entries.len());
@@ -299,21 +270,18 @@ impl SharedStore {
         // is written before the next is compared, so a duplicate key
         // compares against the row the batch just wrote, not the pre-batch
         // one.
-        for (key, value) in entries.take(persisted) {
+        for (key, value) in &entries[..persisted] {
+            let (key, value) = (key.as_ref(), value.borrow());
             // One size computation per entry (streamed, allocation-free)
             // serves change-detection stats, write accounting and the
             // namespace's running total alike.
-            let len = value.borrow().encoded_len() as u64;
-            if inner
-                .map
-                .identical_live(namespace, key, value.borrow())
-                .is_some()
-            {
+            let len = value.encoded_len() as u64;
+            if inner.map.identical_live(namespace, key, value).is_some() {
                 skipped += 1;
                 bytes_skipped += len;
             } else {
                 bytes += len;
-                inner.map.insert(namespace, key, own(value), len);
+                inner.map.insert(namespace, key, Cow::Borrowed(value), len);
             }
         }
         inner.stats.writes += persisted as u64 - skipped;
@@ -392,7 +360,7 @@ impl SharedStore {
             return Err(StoreError::CasConflict { expected, found });
         }
         let len = value.encoded_len() as u64;
-        let version = inner.map.insert(namespace, key, value, len);
+        let version = inner.map.insert(namespace, key, Cow::Owned(value), len);
         inner.stats.writes += 1;
         inner.stats.bytes_written += len;
         Ok(version)
@@ -529,7 +497,7 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dosgi_testkit::{prop, Gen, PropConfig, TestRng};
+    use dosgi_testkit::{prop, prop_verify, prop_verify_eq, Gen, PropConfig, TestRng};
     use std::collections::HashMap;
 
     #[test]
@@ -930,7 +898,9 @@ mod tests {
         }
         for (key, value) in batch {
             let len = value.encoded_len() as u64;
-            inner.map.insert(namespace, key, value.clone(), len);
+            inner
+                .map
+                .insert(namespace, key, Cow::Owned(value.clone()), len);
         }
         match torn {
             Some(written) => {
@@ -941,24 +911,74 @@ mod tests {
         }
     }
 
+    /// A value of few shapes, so that two draws often share one, or one
+    /// but for a length: maps of 0–3 entries over three keys (literal or
+    /// owned), lists nested down to `depth`, strings and bytes of three
+    /// lengths, and both zeros.
+    fn shaped_value(rng: &mut TestRng, depth: u32) -> Value {
+        match rng.u64_below(if depth == 0 { 5 } else { 7 }) {
+            0 => Value::Null,
+            1 => Value::Int(7),
+            2 => Value::Float(if rng.chance(0.5) { 0.0 } else { -0.0 }),
+            3 => Value::Str("seven".repeat(rng.usize_in(0, 2))),
+            4 => Value::Bytes(vec![7; 20 * rng.usize_in(0, 2)]),
+            5 => (0..rng.usize_in(0, 3))
+                .map(|_| shaped_value(rng, depth - 1))
+                .collect(),
+            _ => (0..rng.usize_in(0, 3))
+                .map(|i| {
+                    let key = ["a", "b", "c"][i];
+                    let key = if rng.chance(0.5) {
+                        Cow::Borrowed(key)
+                    } else {
+                        Cow::Owned(key.to_owned())
+                    };
+                    (key, shaped_value(rng, depth - 1))
+                })
+                .collect(),
+        }
+    }
+
+    /// Overwriting a value in place leaves one equal to the source and
+    /// encoded byte for byte as it is, whatever the two shapes: 300 seeded
+    /// pairs. Mutation-checked: a `Map::clone_from` that keeps a longer
+    /// destination's tail fails it.
+    #[test]
+    fn prop_clone_from_leaves_the_source_value() {
+        let pairs = Gen::new(|rng: &mut TestRng| (shaped_value(rng, 2), shaped_value(rng, 2)));
+        prop::check_with(
+            &PropConfig::with_cases(300),
+            "prop_clone_from_leaves_the_source_value",
+            &pairs,
+            |(stored, source)| {
+                let mut overwritten = stored.clone();
+                overwritten.clone_from(source);
+                prop_verify!(overwritten == *source, "{overwritten:?} != {source:?}");
+                prop_verify_eq!(overwritten.encode(), source.encode());
+                Ok(())
+            },
+        );
+    }
+
     /// One batch over a namespace whose keys are live, tombstoned or absent.
     #[derive(Debug, Clone)]
     struct BatchCase {
         /// Keys written before the batch; `true` deletes the key again.
         before: Vec<(String, Value, bool)>,
         batch: Vec<(String, Value)>,
-        /// Whether the streamed side takes the batch through
-        /// `put_many_owned` rather than `put_many`.
-        owned: bool,
     }
 
     fn batch_cases() -> Gen<BatchCase> {
-        // Six keys and three values: duplicates within a batch and rewrites
-        // identical to the live row are the common case, not the rare one.
-        let value = |rng: &mut TestRng| match rng.u64_below(3) {
+        // Six keys, and half the values one of three: duplicates within a
+        // batch and rewrites identical to the live row are the common case,
+        // not the rare one. The other half are of few shapes — maps of 0–3
+        // entries, nested lists, strings shorter or longer than the stored
+        // one — so that an overwrite in place often meets a row it can reuse.
+        let value = |rng: &mut TestRng| match rng.u64_below(6) {
             0 => Value::Int(7),
             1 => Value::Str("seven".into()),
-            _ => Value::Bytes(vec![7; 40]),
+            2 => Value::Bytes(vec![7; 40]),
+            _ => shaped_value(rng, 2),
         };
         Gen::new(move |rng: &mut TestRng| {
             let mut before = Vec::new();
@@ -972,7 +992,6 @@ mod tests {
                 batch: (0..rng.usize_in(1, 24))
                     .map(|_| (format!("k{}", rng.u64_below(6)), value(rng)))
                     .collect(),
-                owned: rng.chance(0.5),
             }
         })
     }
@@ -994,13 +1013,16 @@ mod tests {
             .expect("some seed draws every prefix length")
     }
 
-    /// The streamed `put_batch` against the staged one it replaced: 300
+    /// The streamed `put_many`, which overwrites a live row in place,
+    /// against the staged one it replaced, which stored a fresh copy: 300
     /// seeded batches (1–24 entries over six keys that are live, tombstoned
-    /// or absent; duplicate keys; rewrites identical to the live row), each
-    /// run untorn and torn at every prefix length, on two stores in the same
-    /// state. The result, `dump()`, `StoreStats` and the running byte totals
-    /// must be equal. Mutation-checked: a duplicate compared against the
-    /// pre-batch value, and a duplicate's version bump skipped, both fail it.
+    /// or absent; duplicate keys; rewrites identical to the live row; values
+    /// whose shape differs from the live row's), each run untorn and torn at
+    /// every prefix length, on two stores in the same state. The result,
+    /// `dump()`, `StoreStats` and the running byte totals must be equal.
+    /// Mutation-checked: a duplicate compared against the pre-batch value, a
+    /// duplicate's version bump skipped, and a `Map::clone_from` that keeps
+    /// a longer destination's tail each fail it.
     #[test]
     fn prop_streamed_batch_matches_the_staged_one() {
         const NS: &str = "inst/3/rows";
@@ -1024,11 +1046,7 @@ mod tests {
                     };
                     let (staged, streamed) = (prepared(), prepared());
                     let expected = staged_put_many(&staged, NS, &case.batch);
-                    let got = if case.owned {
-                        streamed.put_many_owned(NS, case.batch.clone())
-                    } else {
-                        streamed.put_many(NS, &case.batch)
-                    };
+                    let got = streamed.put_many(NS, &case.batch);
                     if expected
                         != torn.map_or(Ok(len), |written| Err(StoreError::TornWrite { written }))
                     {

@@ -13,8 +13,27 @@ pub type Key = Cow<'static, str>;
 /// The entries of a [`Value::Map`]: one vector kept strictly ascending by
 /// key, so iteration order — and with it `Display` and every encoded byte
 /// — is key order, and a map of literals costs one allocation.
-#[derive(Clone, PartialEq, Default)]
+#[derive(PartialEq, Default)]
 pub struct Map(Vec<(Key, Value)>);
+
+impl Clone for Map {
+    #[inline]
+    fn clone(&self) -> Self {
+        Map(self.0.clone())
+    }
+
+    /// Overwrites entry by entry, so that an entry of the same shape keeps
+    /// its allocations (a tuple's own `clone_from` clones afresh).
+    fn clone_from(&mut self, source: &Self) {
+        self.0.truncate(source.0.len());
+        let (shared, tail) = source.0.split_at(self.0.len());
+        for ((key, value), (source_key, source_value)) in self.0.iter_mut().zip(shared) {
+            key.clone_from(source_key);
+            value.clone_from(source_value);
+        }
+        self.0.extend_from_slice(tail);
+    }
+}
 
 impl Map {
     /// An empty map; allocates nothing until the first insert.
@@ -56,6 +75,11 @@ impl Map {
     /// The value stored under `key`.
     pub fn get(&self, key: &str) -> Option<&Value> {
         self.search(key).ok().map(|i| &self.0[i].1)
+    }
+
+    /// The value stored under `key`, to write in place.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Value> {
+        self.search(key).ok().map(|i| &mut self.0[i].1)
     }
 
     /// True if `key` has an entry.
@@ -148,7 +172,7 @@ impl<K: Into<Key>> FromIterator<(K, Value)> for Map {
 /// The OSGi layer serializes framework state, bundle storage areas and
 /// migration metadata into `Value`s; the [binary codec](Value::encode) gives
 /// the harness realistic byte-size accounting for state-transfer costs.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, PartialEq, Default)]
 pub enum Value {
     /// Absence of a value.
     #[default]
@@ -167,6 +191,35 @@ pub enum Value {
     List(Vec<Value>),
     /// A string-keyed map, iterated in key order.
     Map(Map),
+}
+
+impl Clone for Value {
+    #[inline]
+    fn clone(&self) -> Self {
+        match self {
+            Value::Null => Value::Null,
+            Value::Bool(b) => Value::Bool(*b),
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(x) => Value::Float(*x),
+            Value::Str(s) => Value::Str(s.clone()),
+            Value::Bytes(b) => Value::Bytes(b.clone()),
+            Value::List(l) => Value::List(l.clone()),
+            Value::Map(m) => Value::Map(m.clone()),
+        }
+    }
+
+    /// Reuses `self`'s buffers where `source` has the same shape, down the
+    /// tree: overwriting a stored row with one that differs in a field
+    /// allocates nothing for the fields that did not grow.
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (Value::Str(s), Value::Str(source)) => s.clone_from(source),
+            (Value::Bytes(b), Value::Bytes(source)) => b.clone_from(source),
+            (Value::List(l), Value::List(source)) => l.clone_from(source),
+            (Value::Map(m), Value::Map(source)) => m.clone_from(source),
+            (this, source) => *this = source.clone(),
+        }
+    }
 }
 
 impl Value {
