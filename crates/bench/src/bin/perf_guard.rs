@@ -11,8 +11,20 @@
 //! |---|---|---|---|---|
 //! | `migrate_reads` | one benchmark-shaped `migrate` round (incr → migrate → adopted → incr) of a counter whose data area holds 64, then 256, 1 KiB rows it never reads | SAN rows and bytes read | the two areas differ, or more than 4 rows are read: what an adoption reads is what its calls ask for, not the area | (3, 250) beside both areas |
 //! | `handoff` | the two ends of a hand-off at the instance manager: a one-bundle persist-on-stop counter beside 4, then 1 024, 1 KiB rows it never reads, released (stop + destroy keeping its state) and adopted | SAN operations and rows written by each end, rows read by the adoption: 1 area flush + 1 `put_many` to release, 1 `read_namespace` + 1 area read + 1 `put_many` to adopt | the two areas differ, or an end takes more operations than that | [2, 2, 3, 1, 3] beside 4 and 1 024 rows |
+//! | `boot` | a node's host boot at the SAN: a first boot over an empty namespace, then the same node restarted over what it wrote | SAN operations, rows and bytes written by the first boot; operations, rows read, rows written and bytes read by the restart | the restart writes a row (a restart is a restore), or the first boot takes more than one operation (its snapshot is one batch) | [1, 4, 699] / [2, 4, 0, 699] |
 //! | `admission` | E15 admission hot path: one backend at 2 000/s, 64-deep queue, 2× open-loop Poisson load, class mix, 10 simulated seconds | requests offered, completed and shed | — | 40 244 / 19 990 / 20 200 |
 //! | `failover_rounds` | 40 crash → adopt → restart → rejoin rounds, node 0 (the sequencer) never restarted | ordered deliveries, registry operations and messages sent per round | round 40 costs anything but what round 5 cost (a rejoin that replays history, or a sequencer that stops truncating, grows them with the cluster's age) | [17, 17, 1 130] at rounds 5 and 40 |
+//!
+//!
+//! A second table, `phases`, is the step loop's profile: a benchmark-shaped
+//! `failover` round — 5 nodes, 20 web and 20 write-through counter
+//! instances under observability; 20 `incr`, a crash, the failover, a
+//! restart, the rejoin and 200 settle steps — with the phase table on and a
+//! counting global allocator feeding it. It prints, per round over four
+//! rounds (one per victim), how often each phase ran and what it allocated;
+//! a restart is split into taking the boot kit, building the host framework
+//! and the rest. Wall-clock µs per phase, and the same rounds' wall time with
+//! the table off and on, go to stderr only: they are not exact.
 //!
 //! The E5 migration round's SAN bytes and the E14 counter-scale swap
 //! blackout are pinned by their own captures, `results/e5_migration_cost.txt`
@@ -23,13 +35,57 @@
 
 use dosgi_bench::print_table;
 use dosgi_core::loadgen::{ClassMix, RateSchedule, ScheduledLoadGenerator};
-use dosgi_core::{workloads, ClusterConfig, DosgiCluster};
+use dosgi_core::{workloads, BootKit, ClusterConfig, DosgiCluster, DosgiNode, NodeConfig};
 use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, Scheduler};
 use dosgi_net::{IpAddr, NodeId, Port, SimDuration, SimTime, SocketAddr};
 use dosgi_osgi::Framework;
 use dosgi_san::{SharedStore, Value};
-use dosgi_telemetry::Telemetry;
+use dosgi_telemetry::{Phase, Phases, ScrapeConfig, Telemetry};
 use dosgi_vosgi::InstanceManager;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// `System`, counting allocation requests for the phase table.
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter never touches the memory
+// being handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.load(Ordering::Relaxed)
+}
 
 /// A settled three-node cluster with a persist-on-stop counter on node 0
 /// whose data area holds `blobs` 1 KiB rows beside its count.
@@ -108,6 +164,41 @@ fn measure_handoff(blobs: usize) -> [u64; 5] {
     ]
 }
 
+/// A node's host boot at the SAN: SAN operations, rows written and bytes
+/// written by a first boot over an empty namespace, then SAN operations,
+/// rows read, rows written and bytes read by the same node restarted over
+/// what that boot wrote.
+fn measure_boot() -> ([u64; 3], [u64; 4]) {
+    let (store, telemetry) = (SharedStore::new(), Telemetry::new());
+    store.set_telemetry(telemetry.clone());
+    let kit = Arc::new(BootKit::new(NodeConfig::default()));
+    let boot = || {
+        let (id, now) = (NodeId(0), SimTime::ZERO);
+        drop(DosgiNode::new(
+            id,
+            vec![id],
+            &kit,
+            store.clone(),
+            now,
+            &Phases::disabled(),
+        ));
+    };
+    let ops = || telemetry.counter("san.ops");
+    boot();
+    let (booted, first) = (ops(), store.stats());
+    boot();
+    let restart = store.stats();
+    (
+        [booted, first.writes, first.bytes_written],
+        [
+            ops() - booted,
+            restart.reads - first.reads,
+            restart.writes - first.writes,
+            restart.bytes_read - first.bytes_read,
+        ],
+    )
+}
+
 /// The deterministic E15 admission round: one backend at 2000/s with a
 /// 64-deep queue under 2× open-loop load for 10 simulated seconds.
 /// Returns (offered, completed, shed).
@@ -132,6 +223,112 @@ fn measure_admission() -> (u64, u64, u64) {
     }
     let s = d.stats();
     (client, s.completed, s.shed)
+}
+
+/// Rounds the phase table averages over: one per victim.
+const PHASE_ROUNDS: u64 = 4;
+
+/// The `failover` workload's cluster, settled: 5 nodes, 20 web and 20
+/// write-through counter instances, observability on. Returns the names,
+/// the counters last.
+fn failover_cluster() -> (DosgiCluster, Vec<String>) {
+    let mut c = DosgiCluster::new(5, ClusterConfig::default(), 7);
+    c.enable_observability(ScrapeConfig::default(), DosgiCluster::default_slos());
+    c.run_for(SimDuration::from_millis(500));
+    let mut names = Vec::new();
+    for i in 0..40 {
+        let descriptor = if i < 20 {
+            let name = format!("web-{i:02}");
+            workloads::web_instance(&name, &name)
+        } else {
+            let name = format!("ctr-{i:02}");
+            workloads::counter_instance_with(&name, &name, workloads::COUNTER_WRITE_THROUGH)
+        };
+        names.push(descriptor.name.clone());
+        c.deploy(descriptor, i % 5)
+            .expect("deploy on a healthy cluster");
+    }
+    c.run_for(SimDuration::from_secs(3));
+    c.take_events();
+    (c, names)
+}
+
+/// One `failover` round with node `victim` as the casualty.
+fn failover_round(c: &mut DosgiCluster, names: &[String], victim: usize) {
+    let step_until = |c: &mut DosgiCluster, done: &dyn Fn(&DosgiCluster) -> bool| {
+        for _ in 0..2_000 {
+            if done(c) {
+                return;
+            }
+            c.step();
+        }
+        panic!("the cluster did not get there in 2000 steps");
+    };
+    for name in &names[20..] {
+        c.call(name, workloads::COUNTER_SERVICE, "incr", &Value::Null)
+            .expect("a serving counter");
+    }
+    c.crash_node(victim);
+    step_until(c, &|c| names.iter().all(|n| c.probe(n)));
+    c.restart_node(victim);
+    step_until(c, &|c| c.running_nodes().len() == 5);
+    for _ in 0..200 {
+        c.step();
+    }
+    drop(c.take_events());
+}
+
+/// The phase table of `PHASE_ROUNDS` `failover` rounds: per phase, calls
+/// and allocations per round, and µs per round for stderr.
+fn measure_phases() -> Vec<(&'static str, f64, f64, f64)> {
+    let (mut c, names) = failover_cluster();
+    let phases = Phases::new(allocations);
+    c.set_phases(phases.clone());
+    for victim in 1..=PHASE_ROUNDS as usize {
+        failover_round(&mut c, &names, victim);
+    }
+    let per_round = |n: u64| n as f64 / PHASE_ROUNDS as f64;
+    let mut table: Vec<_> = Phase::ALL
+        .iter()
+        .map(|&p| {
+            let n = phases.count(p);
+            let us = per_round(n.ns) / 1e3;
+            (p.name(), per_round(n.calls), per_round(n.allocs), us)
+        })
+        .collect();
+    let restart = phases.count(Phase::RestartNode);
+    let parts = [Phase::RestartKit, Phase::RestartHost].map(|p| phases.count(p));
+    let rest =
+        |f: fn(&dosgi_telemetry::PhaseCount) -> u64| f(&restart) - parts.iter().map(f).sum::<u64>();
+    table.push((
+        "restart_node.rest",
+        per_round(restart.calls),
+        per_round(rest(|n| n.allocs)),
+        per_round(rest(|n| n.ns)) / 1e3,
+    ));
+    table
+}
+
+/// Wall time of `PHASE_ROUNDS` `failover` rounds with the phase table off
+/// and on, best of five alternating tries each, in µs.
+fn phase_table_cost() -> (f64, f64) {
+    let (mut c, names) = failover_cluster();
+    let mut best = [f64::INFINITY; 2];
+    for _ in 0..5 {
+        for (on, best) in best.iter_mut().enumerate() {
+            c.set_phases(if on == 1 {
+                Phases::new(allocations)
+            } else {
+                Phases::disabled()
+            });
+            let t = Instant::now();
+            for victim in 1..=PHASE_ROUNDS as usize {
+                failover_round(&mut c, &names, victim);
+            }
+            *best = best.min(t.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    (best[0], best[1])
 }
 
 /// Runs every scenario — the table in the module docs, as data — prints
@@ -167,6 +364,18 @@ fn main() {
         ),
     );
 
+    let (first, restart) = measure_boot();
+    row(
+        "boot",
+        "host boot [ops, rows_written, bytes_written] first boot / \
+         [ops, rows_read, rows_written, bytes_read] restart",
+        format!("{first:?} / {restart:?}"),
+        (restart[2] > 0 || first[0] > 1).then_some(
+            "a restarted node writes its host snapshot instead of restoring it, or a first \
+             boot writes its snapshot in more than one batch",
+        ),
+    );
+
     let (offered, completed, shed) = measure_admission();
     row(
         "admission",
@@ -192,6 +401,31 @@ fn main() {
         &["row", "counted", "value"],
         &rows,
     );
+    let phases = measure_phases();
+    let phase_rows: Vec<Vec<String>> = phases
+        .iter()
+        .map(|(name, calls, allocs, _)| {
+            vec![
+                name.to_string(),
+                format!("{calls:.2}"),
+                format!("{allocs:.2}"),
+            ]
+        })
+        .collect();
+    print_table(
+        "perf_guard phases: one benchmark-shaped failover round, averaged over four",
+        &["phase", "calls per round", "allocations per round"],
+        &phase_rows,
+    );
+    for (name, _, _, us) in &phases {
+        eprintln!("phase {name}: {us:.1} µs per round");
+    }
+    let (off, on) = phase_table_cost();
+    eprintln!(
+        "phase table cost: {PHASE_ROUNDS} failover rounds take {off:.0} µs with it off, {on:.0} µs on ({:.3}x)",
+        on / off
+    );
+
     for why in &broken {
         eprintln!("{why}");
     }

@@ -3,14 +3,16 @@
 
 use crate::node::{DosgiNode, NodeConfig, NodeState, Wire};
 use crate::registry::InstanceStatus;
+use crate::BootKit;
 use crate::{AdoptReason, CoreError, NodeEvent, SlaTracker};
 use dosgi_net::{LinkConfig, NodeId, Partition, SimDuration, SimNet, SimTime};
 use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::{
-    FlightRecorder, Gauge, HealthState, ScrapeConfig, SeriesScraper, SloEngine, SloSpec, Snapshot,
-    Telemetry, TraceLog,
+    FlightRecorder, Gauge, HealthState, Phase, Phases, ScrapeConfig, SeriesScraper, SloEngine,
+    SloSpec, Snapshot, Telemetry, TraceLog,
 };
 use dosgi_vosgi::InstanceDescriptor;
+use std::sync::Arc;
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -78,7 +80,8 @@ pub struct DosgiCluster {
     net: SimNet<Wire>,
     store: SharedStore,
     slots: Vec<Slot>,
-    config: ClusterConfig,
+    // What every node boots and restarts from, built once.
+    kit: Arc<BootKit>,
     sla: SlaTracker,
     // What the last full availability pass saw: the reference node, and
     // its registry's epoch plus every node's lifecycle epoch. `None` forces
@@ -94,6 +97,7 @@ pub struct DosgiCluster {
     telemetry: Telemetry,
     metrics: Metrics,
     observability: Option<Observability>,
+    phases: Phases,
 }
 
 impl std::fmt::Debug for DosgiCluster {
@@ -134,15 +138,17 @@ impl DosgiCluster {
         let store = SharedStore::new();
         store.set_telemetry(telemetry.clone());
         let ids: Vec<NodeId> = (0..n).map(|_| net.register_node()).collect();
+        let kit = Arc::new(BootKit::new(config.node));
         let slots = ids
             .iter()
             .map(|&id| {
                 let mut node = DosgiNode::new(
                     id,
                     ids.clone(),
-                    config.node.clone(),
+                    &kit,
                     store.clone(),
                     net.now(),
+                    &Phases::disabled(),
                 );
                 node.set_telemetry(telemetry.clone());
                 // Tracing rides the same switch as the rest of telemetry:
@@ -167,7 +173,7 @@ impl DosgiCluster {
             net,
             store,
             slots,
-            config,
+            kit,
             sla: SlaTracker::new(),
             probed: None,
             #[cfg(test)]
@@ -178,7 +184,18 @@ impl DosgiCluster {
             metrics: Metrics::new(&telemetry),
             telemetry,
             observability: None,
+            phases: Phases::disabled(),
         }
+    }
+
+    /// Counts where each step's — and each restart's — calls, time and
+    /// allocations go into `phases`, on the driver and on every node, from
+    /// now on. Passive, like telemetry: nothing a run does depends on it.
+    pub fn set_phases(&mut self, phases: Phases) {
+        for slot in &mut self.slots {
+            slot.node.set_phases(phases.clone());
+        }
+        self.phases = phases;
     }
 
     /// Turns on continuous observability: every `config.cadence_us` of
@@ -415,7 +432,8 @@ impl DosgiCluster {
         }
     }
 
-    /// Restarts a crashed node with fresh volatile state; it rejoins the
+    /// Restarts a crashed node with fresh volatile state and its host
+    /// framework restored from its own SAN snapshot; it rejoins the
     /// group and receives one registry transfer: the `RegistrySync` of the
     /// view change that admits it, or — restarted inside the suspicion
     /// timeout — the `RegistryDelta` answering its `Hello`.
@@ -426,15 +444,17 @@ impl DosgiCluster {
         let Some(slot) = self.slots.get_mut(idx) else {
             return;
         };
+        let _restart = self.phases.enter(Phase::RestartNode);
         let ids: Vec<NodeId> = (0..peers).map(|i| NodeId(i as u32)).collect();
         let id = NodeId(idx as u32);
         self.net.restart(id);
         let mut node = DosgiNode::new(
             id,
             ids,
-            self.config.node.clone(),
+            &self.kit,
             self.store.clone(),
             self.net.now(),
+            &self.phases,
         );
         node.set_telemetry(self.telemetry.clone());
         node.set_recorder(slot.recorder.clone());
@@ -595,7 +615,8 @@ impl DosgiCluster {
             self.slots.iter_mut().for_each(|s| s.node.wake());
             self.probed = None;
         }
-        self.net.advance(TICK);
+        let phases = self.phases.clone();
+        phases.count_in(Phase::NetDrain, || self.net.advance(TICK));
         let now = self.net.now();
         // Brown-out windows in an armed fault plan are defined in simulated
         // time; advance the injector's clock alongside the network's.
@@ -622,6 +643,7 @@ impl DosgiCluster {
         // tracker extends the interval instead of being told the same
         // thing again. The other nodes' registry copies are not read. With
         // no running node nobody is asked, as ever.
+        let availability = phases.enter(Phase::Availability);
         match Self::reference_node(&self.slots) {
             Some(reference) => {
                 let lifecycle = |s: &Slot| s.node.manager().lifecycle_epoch();
@@ -649,6 +671,7 @@ impl DosgiCluster {
             }
             None => self.probed = None,
         }
+        drop(availability);
         // Continuous observability, on the scrape cadence: health gauges
         // first (so the scrape samples the fresh values), then the series
         // scrape, then SLO evaluation. Pure reads of the telemetry
@@ -660,6 +683,7 @@ impl DosgiCluster {
             .as_ref()
             .is_some_and(|o| o.scraper.due(now_us))
         {
+            let _scrape = phases.enter(Phase::Scrape);
             self.record_health_gauges();
             if let Some(obs) = self.observability.as_mut() {
                 obs.scraper.scrape(&self.telemetry, now_us);

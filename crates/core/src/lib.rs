@@ -51,6 +51,7 @@
 //! ```
 
 pub mod autonomic;
+mod boot;
 pub mod chaos;
 mod cluster;
 mod error;
@@ -67,6 +68,7 @@ mod sla;
 pub mod upgrade;
 pub mod workloads;
 
+pub use boot::BootKit;
 pub use chaos::{run_nemesis, ChaosOptions, ChaosReport};
 pub use cluster::{ClusterConfig, DosgiCluster};
 pub use error::CoreError;

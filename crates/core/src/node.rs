@@ -1,19 +1,19 @@
 //! One node of the dependable distributed OSGi environment.
 
 use crate::autonomic::AutonomicModule;
+use crate::boot::BootKit;
 use crate::events::{AdoptReason, NodeEvent};
 use crate::msg::AppPayload;
 use crate::placement;
 use crate::registry::{self, ClusterRegistry, InstanceRecord, InstanceStatus};
-use crate::workloads;
 use crate::CoreError;
 use dosgi_gcs::{GcsConfig, GcsEvent, GcsWire, GroupNode};
 use dosgi_monitor::{MonitoringModule, NodeCapacity};
 use dosgi_net::{Envelope, Fabric, NodeId, SimDuration, SimTime};
-use dosgi_osgi::{BundleManifest, Framework};
+use dosgi_osgi::BundleManifest;
 use dosgi_policy::PolicyAction;
 use dosgi_san::{RetryPolicy, SharedStore, Value};
-use dosgi_telemetry::{FlightRecorder, Gauge, Telemetry, TraceContext, TraceRef};
+use dosgi_telemetry::{FlightRecorder, Gauge, Phase, Phases, Telemetry, TraceContext, TraceRef};
 use dosgi_vosgi::{InstanceDescriptor, InstanceManager, ResourceQuota};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -109,7 +109,8 @@ const RETRY: RetryPolicy = RetryPolicy::persistence();
 pub struct DosgiNode {
     id: NodeId,
     state: NodeState,
-    config: NodeConfig,
+    // Shared with every node of the cluster; holds the node configuration.
+    kit: Arc<BootKit>,
     mgr: InstanceManager,
     gcs: GroupNode<Arc<AppPayload>>,
     registry: ClusterRegistry,
@@ -123,7 +124,8 @@ pub struct DosgiNode {
     last_sweep: Option<SimTime>,
     transfer: Transfer,
     // The SAN held this node's host state when it was created: it ran
-    // before, and whatever it missed comes by transfer.
+    // before, and whatever it missed comes by transfer. True whether that
+    // state was restored or, the restore failing, booted over.
     restarted: bool,
     // The wake deadline: a tick before it that finds the mailbox empty
     // returns at once. Taken at the end of every full tick
@@ -162,6 +164,9 @@ pub struct DosgiNode {
     // The open `shutdown`/`hibernate` root while draining; closed when the
     // drain completes.
     lifecycle_trace: TraceRef,
+    // Where a tick's calls, time and allocations go; off unless a
+    // profiling driver turns it on.
+    phases: Phases,
 }
 
 dosgi_telemetry::metrics! {
@@ -233,38 +238,31 @@ impl std::fmt::Debug for DosgiNode {
 }
 
 impl DosgiNode {
-    /// Creates a node: host framework with the standard host bundles (log,
-    /// HTTP, metrics) started, SAN attached, GCS endpoint joined.
+    /// Creates a node from the cluster's boot kit: its host framework —
+    /// restored when the SAN holds this node's host state, booted with the
+    /// standard host bundles (log, HTTP, metrics) otherwise (see
+    /// [`BootKit`]) — with the SAN attached and the GCS endpoint joined.
+    /// `phases` counts what taking the kit and building the host cost.
     pub fn new(
         id: NodeId,
         peers: Vec<NodeId>,
-        config: NodeConfig,
+        kit: &Arc<BootKit>,
         store: SharedStore,
         now: SimTime,
+        phases: &Phases,
     ) -> Self {
-        let host_ns = format!("host/{id}");
-        let mut host = Framework::new(&host_ns);
-        let restarted = store.namespace_bytes_prefixed(&host_ns) > 0;
-        // A node booting during a SAN fault keeps its snapshot dirty; the
-        // tick's flush loop converges it once the SAN answers again.
-        let _ = host.attach_store(store.clone(), &host_ns);
-        let factory = workloads::standard_factory();
-        for manifest in workloads::host_bundles() {
-            let activator = factory.create(&manifest);
-            let bid = host.install(manifest, activator).expect("fresh framework");
-            host.start(bid).expect("host bundles start");
-        }
-        let mut mgr = InstanceManager::new(host, workloads::standard_repository(), factory);
-        mgr.attach_store(store.clone());
-        let autonomic = config.policy.as_ref().map(|script| {
-            AutonomicModule::new(script, config.policy_interval)
-                .expect("node policy script must compile")
-        });
+        let taking = phases.enter(Phase::RestartKit);
+        let kit = Arc::clone(kit);
+        let autonomic = kit.autonomic();
+        drop(taking);
+        let (host, restarted) =
+            phases.count_in(Phase::RestartHost, || kit.host_framework(id, &store));
+        let mgr = kit.manager(host, &store);
         DosgiNode {
             id,
             state: NodeState::Running,
-            gcs: GroupNode::new(id, peers, config.gcs, now),
-            config,
+            gcs: GroupNode::new(id, peers, kit.config.gcs, now),
+            kit,
             mgr,
             registry: ClusterRegistry::new(),
             monitor: MonitoringModule::new(),
@@ -291,6 +289,7 @@ impl DosgiNode {
             upgrade_traces: BTreeMap::new(),
             finished_upgrade_traces: BTreeMap::new(),
             lifecycle_trace: TraceRef::NONE,
+            phases: phases.clone(),
         }
     }
 
@@ -312,6 +311,11 @@ impl DosgiNode {
     /// recorder on or off.
     pub fn set_recorder(&mut self, recorder: FlightRecorder) {
         self.recorder = recorder;
+    }
+
+    /// Counts the node's tick phases into `phases` from now on.
+    pub fn set_phases(&mut self, phases: Phases) {
+        self.phases = phases;
     }
 
     /// The node's flight recorder (disabled unless attached).
@@ -620,30 +624,37 @@ impl DosgiNode {
         if matches!(self.state, NodeState::Hibernated | NodeState::Stopped) {
             return;
         }
-        net.drain(self.id, &mut self.inbox);
+        let phases = self.phases.clone();
+        phases.count_in(Phase::NetDrain, || net.drain(self.id, &mut self.inbox));
         if self.inbox.is_empty() && now < self.wake_at {
             return;
         }
         // Inbound messages → protocol engine.
-        for env in self.inbox.drain(..) {
-            self.gcs.handle(net, env.from, env.payload, now);
-        }
-        self.gcs.tick(net, now);
+        phases.count_in(Phase::GcsHandle, || {
+            for env in self.inbox.drain(..) {
+                self.gcs.handle(net, env.from, env.payload, now);
+            }
+        });
+        phases.count_in(Phase::GcsTick, || self.gcs.tick(net, now));
         // Protocol events → migration/failover logic.
-        for event in self.gcs.take_events() {
-            self.on_gcs_event(event, net, now);
-        }
-        if self.transfer == Transfer::Unsent {
-            self.transfer = Transfer::Sent;
-            self.ask_for_registry(net, false);
-        }
-        self.process_pending_adoptions(net, now);
-        self.process_pending_upgrades(now);
-        self.flush_deferred_persistence();
-        self.sample(now);
-        self.run_autonomic(net, now);
-        self.sweep_stranded(net, now);
-        self.check_drained(net, now);
+        phases.count_in(Phase::ApplyControl, || {
+            for event in self.gcs.take_events() {
+                self.on_gcs_event(event, net, now);
+            }
+            if self.transfer == Transfer::Unsent {
+                self.transfer = Transfer::Sent;
+                self.ask_for_registry(net, false);
+            }
+        });
+        phases.count_in(Phase::Adopt, || self.process_pending_adoptions(net, now));
+        phases.count_in(Phase::Upgrade, || self.process_pending_upgrades(now));
+        phases.count_in(Phase::PersistFlush, || self.flush_deferred_persistence());
+        phases.count_in(Phase::Sample, || self.sample(now));
+        phases.count_in(Phase::Policy, || self.run_autonomic(net, now));
+        phases.count_in(Phase::Sweep, || {
+            self.sweep_stranded(net, now);
+            self.check_drained(net, now);
+        });
         self.wake_at = self.next_deadline(now);
     }
 
@@ -681,7 +692,7 @@ impl DosgiNode {
         let mut at = self
             .gcs
             .next_deadline(now)
-            .min(after(self.last_sample, self.config.sample_interval))
+            .min(after(self.last_sample, self.kit.config.sample_interval))
             .min(after(self.last_sweep, STRANDED_SWEEP_INTERVAL));
         if let Some(autonomic) = &self.autonomic {
             at = at.min(autonomic.next_due());
@@ -1273,7 +1284,7 @@ impl DosgiNode {
             // Bundles already installed: pay only the start sweep.
             (START_COST_PER_BUNDLE / 2) * bundles
         } else {
-            self.config.san.read_cost(state_bytes) + START_COST_PER_BUNDLE * bundles
+            self.kit.config.san.read_cost(state_bytes) + START_COST_PER_BUNDLE * bundles
         };
         let trace = match ctx {
             Some(c) => self
@@ -1429,7 +1440,7 @@ impl DosgiNode {
                     .namespace_bytes_prefixed(&format!("{ns}/data/{sn}"))
             })
             .unwrap_or(0);
-        let blackout = self.config.san.write_cost(state_bytes) + UPGRADE_SWAP_COST;
+        let blackout = self.kit.config.san.write_cost(state_bytes) + UPGRADE_SWAP_COST;
         self.pending_upgrades.push(PendingUpgrade {
             ready_at: now + blackout,
             name: name.to_owned(),
@@ -1486,7 +1497,7 @@ impl DosgiNode {
                         .namespace_bytes_prefixed(&format!("{ns}/data/{sn}"))
                 })
                 .unwrap_or(0);
-            let persist_cost = self.config.san.write_cost(state_bytes);
+            let persist_cost = self.kit.config.san.write_cost(state_bytes);
             let blackout = persist_cost + UPGRADE_SWAP_COST;
             match self.mgr.upgrade_bundle(iid, &sn, p.manifest.clone()) {
                 Ok(report) => {
@@ -1643,7 +1654,7 @@ impl DosgiNode {
     fn sample(&mut self, now: SimTime) {
         let due = self
             .last_sample
-            .map(|at| now.since(at) >= self.config.sample_interval)
+            .map(|at| now.since(at) >= self.kit.config.sample_interval)
             .unwrap_or(true);
         if !due {
             return;

@@ -38,14 +38,16 @@
 //! monotonic without cross-thread coordination.
 
 use crate::node::{NodeConfig, Wire};
+use crate::BootKit;
 use crate::CoreError;
 use crate::DosgiNode;
 use crate::NodeEvent;
 use dosgi_net::{Fabric, NodeId, RealClock, RealEndpoint, RealNet, SimTime};
 use dosgi_san::{SharedStore, Value};
-use dosgi_telemetry::HealthState;
+use dosgi_telemetry::{HealthState, Phases};
 use dosgi_vosgi::InstanceDescriptor;
 use std::sync::mpsc::{channel, Sender};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -84,19 +86,28 @@ impl RealCluster {
         let mut net: RealNet<Wire> = RealNet::new();
         let ids: Vec<NodeId> = (0..n).map(|_| net.register_node()).collect();
         let clock = net.clock().clone();
+        // Built once, shared by every worker.
+        let kit = Arc::new(BootKit::new(config));
         let mut cmds = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for &id in &ids {
             let (tx, rx) = channel::<Command>();
             let mut endpoint = net.endpoint(id);
             let peers = ids.clone();
-            let cfg = config.clone();
+            let kit = Arc::clone(&kit);
             let node_store = store.clone();
             let handle = std::thread::Builder::new()
                 .name(format!("dosgi-node-{id}"))
                 .spawn(move || {
                     let boot = endpoint.now();
-                    let mut node = DosgiNode::new(id, peers, cfg, node_store.clone(), boot);
+                    let mut node = DosgiNode::new(
+                        id,
+                        peers,
+                        &kit,
+                        node_store.clone(),
+                        boot,
+                        &Phases::disabled(),
+                    );
                     let is_timekeeper = id == NodeId(0);
                     loop {
                         // Service every queued command before the tick so a

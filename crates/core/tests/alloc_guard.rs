@@ -26,9 +26,12 @@
 //! holding the sender's descriptors rather than copies of them; importing a
 //! registry that says nothing new allocates nothing; ordering a
 //! `RegistrySync` costs, beyond its export, the same for 4 records as for
-//! 40; a whole crash, failover, restart and rejoin of the `failover`
-//! workload — one registry transfer — allocates ≤ 1 898 times; and a policy
-//! pass in which nothing fires allocates its subject list.
+//! 40; the restart takes its share of the cluster's one boot kit and
+//! restores the host framework from the node's own snapshot, allocating
+//! exactly 150 times and writing no row; a whole crash, failover, restart
+//! and rejoin of the `failover` workload — one registry transfer —
+//! allocates ≤ 1 695 times; and a policy pass in which nothing fires
+//! allocates its subject list.
 
 use dosgi_core::autonomic::{AutonomicModule, DEFAULT_POLICY};
 use dosgi_core::{
@@ -98,6 +101,8 @@ const NODES: usize = 5;
 const INSTANCES: usize = 40;
 /// What a joiner's import of `INSTANCES` records allocates.
 const JOINER_IMPORT: u64 = 87;
+/// What `DosgiCluster::restart_node` allocates.
+const RESTART: u64 = 150;
 
 /// The `failover` workload's cluster at rest: 5 nodes, 40 instances — the
 /// last `counters` of them write-through counters, the rest web — every one
@@ -451,6 +456,45 @@ fn an_ordered_sync_costs_its_export_and_nothing_else_that_scales() {
     assert_eq!(ordered_sync_allocations(4), ordered_sync_allocations(40));
 }
 
+/// A restart takes the node's share of the cluster's one boot kit and
+/// restores the host framework from the node's own SAN snapshot: it reads
+/// the snapshot's four rows back, writes none, and allocates exactly
+/// `RESTART` times, telemetry on or off. A restart that built its kit again
+/// (repository, factory, host manifests, compiled policy) allocated 339
+/// times; one that booted a fresh host framework over its snapshot read no
+/// row and allocated 165 times; the code before the kit did both, and wrote
+/// its snapshot 13 times: 353.
+fn a_restart_restores_and_shares_the_kit(telemetry: Telemetry) {
+    let (mut c, names) = settled_cluster(telemetry, INSTANCES / 2);
+    for victim in 1..NODES {
+        c.crash_node(victim);
+        for _ in 0..2_000 {
+            if names.iter().all(|n| c.probe(n)) {
+                break;
+            }
+            c.step();
+        }
+        let before = c.store().stats();
+        let (allocations, ()) = allocations_in(|| c.restart_node(victim));
+        let after = c.store().stats();
+        let rows = (after.reads - before.reads, after.writes - before.writes);
+        assert_eq!(rows, (4, 0), "node {victim}'s restart [read, wrote] rows");
+        assert_eq!(allocations, RESTART, "restarting node {victim}");
+        c.run_for(SimDuration::from_secs(2));
+        assert_eq!(c.running_nodes().len(), NODES);
+    }
+}
+
+#[test]
+fn a_restart_restores_and_shares_the_kit_with_telemetry_on() {
+    a_restart_restores_and_shares_the_kit(Telemetry::new());
+}
+
+#[test]
+fn a_restart_restores_and_shares_the_kit_with_telemetry_off() {
+    a_restart_restores_and_shares_the_kit(Telemetry::disabled());
+}
+
 /// A round of the `failover` workload of `benchmark/`: 20 web and 20
 /// write-through counter instances under observability; 20 `incr`, a crash,
 /// the failover, a restart, the rejoin and 200 settle steps.
@@ -483,8 +527,10 @@ fn failover_round_allocations(telemetry: Telemetry) {
             drop(c.take_events());
         });
         assert!(all_serving(&c));
-        // Measured 1 553 to 1 898 over these rounds, telemetry on or off
-        // (1 791 to 2 168 while every snapshot write built the rows it
+        // Measured 1 350 to 1 695 over these rounds, telemetry on or off
+        // (1 553 to 1 898 while a restart rebuilt the boot kit and wrote
+        // a fresh host framework over its snapshot; 1 791 to 2 168 while
+        // every snapshot write built the rows it
         // wrote; 2 499 to 2 885 while a sync's sender and every joiner
         // copied each descriptor; 2 947 to 3 334 while a rejoin shipped the
         // registry twice, as the admission sync and again as the delta
@@ -494,7 +540,7 @@ fn failover_round_allocations(telemetry: Telemetry) {
         // `String` per key and every non-empty mailbox was drained into a
         // fresh vector).
         assert!(
-            allocations <= 1_898,
+            allocations <= 1_695,
             "failover round {round} allocated {allocations} times"
         );
     }

@@ -5,6 +5,7 @@ use crate::eval::{eval, MetricSource, Value};
 use crate::parser::{parse, ParseError};
 use crate::{PolicyAction, PolicyDecision};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A compiled policy script plus its evaluation state.
 ///
@@ -12,9 +13,12 @@ use std::collections::BTreeMap;
 /// design): all system knowledge arrives through the blackboard each
 /// evaluation; the only internal state is the consecutive-hit counters that
 /// implement `for N` debouncing.
+///
+/// The compiled script is shared: a clone holds the same script and owns
+/// only its streaks, so a compiled engine can be stamped out per node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyEngine {
-    script: Script,
+    script: Arc<Script>,
     // Per rule, by its position in the script (two rules may share a name):
     // subject-or-"" → consecutive true evaluations.
     streaks: Vec<BTreeMap<String, u32>>,
@@ -32,7 +36,7 @@ impl PolicyEngine {
         let script = parse(source)?;
         Ok(PolicyEngine {
             streaks: vec![BTreeMap::new(); script.rules.len()],
-            script,
+            script: Arc::new(script),
             errors: Vec::new(),
         })
     }
@@ -393,6 +397,25 @@ mod tests {
         let bb = Blackboard::new();
         assert!(e.evaluate(&bb, &[]).is_empty());
         assert!(e.last_errors()[0].contains("not bool"));
+    }
+
+    #[test]
+    fn a_clone_shares_the_script_and_keeps_its_own_streaks() {
+        let mut e =
+            PolicyEngine::compile("rule hot { when cpu($i) > 0.5 for 2 then stop($i) }").unwrap();
+        let mut copy = e.clone();
+        assert!(std::ptr::eq(e.script(), copy.script()));
+        let mut bb = Blackboard::new();
+        bb.set_subject_metric("a", "cpu", 0.9);
+        let s = ["a"];
+        assert!(e.evaluate(&bb, &s).is_empty());
+        assert!(copy.evaluate(&bb, &s).is_empty(), "the copy's first hit");
+        assert_eq!(e.evaluate(&bb, &s).len(), 1);
+        bb.set_subject_metric("a", "cpu", 0.1);
+        assert!(copy.evaluate(&bb, &s).is_empty(), "the copy's dip");
+        bb.set_subject_metric("a", "cpu", 0.9);
+        assert!(copy.evaluate(&bb, &s).is_empty());
+        assert_eq!(copy.evaluate(&bb, &s).len(), 1);
     }
 
     #[test]

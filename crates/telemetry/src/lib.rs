@@ -46,9 +46,14 @@
 //! call, for cold paths and tests. A metric is visible — to snapshots,
 //! by-name reads and the scraper — from its first write, never from the
 //! resolution of a handle. See [`handle`].
+//!
+//! [`Phases`] is the one wall-clock instrument: a table of calls, time and
+//! allocations per [`Phase`] of the driver loop, off unless a profiling
+//! driver turns it on. See [`phase`].
 
 pub mod handle;
 mod hist;
+pub mod phase;
 pub mod series;
 pub mod slo;
 pub mod snapshot;
@@ -56,6 +61,7 @@ pub mod trace;
 
 pub use handle::{Counter, Gauge, HistogramHandle, MetricName};
 pub use hist::{bucket_bounds, bucket_index, Histogram, BUCKETS};
+pub use phase::{Phase, PhaseCount, PhaseGuard, Phases};
 pub use series::{
     ScrapeConfig, Series, SeriesKind, SeriesPoint, SeriesScraper, DEFAULT_CADENCE_US,
     DEFAULT_SERIES_CAPACITY, DROPPED_POINTS,

@@ -14,6 +14,7 @@ use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::Telemetry;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 dosgi_telemetry::metrics! {
     /// Instance lifecycle counters, resolved when a registry is attached.
@@ -41,8 +42,10 @@ pub struct InstanceManager {
     // the only two places that change `instances`.
     by_name: BTreeMap<String, InstanceId>,
     next: u64,
-    repo: BundleRepository,
-    factory: ActivatorFactory,
+    // Shared with every node the cluster boots: neither changes once a
+    // manager exists.
+    repo: Arc<BundleRepository>,
+    factory: Arc<ActivatorFactory>,
     store: Option<SharedStore>,
     // Shared by the host and every instance framework.
     dirty: DirtyCount,
@@ -66,8 +69,13 @@ impl fmt::Debug for InstanceManager {
 
 impl InstanceManager {
     /// Creates a manager around `host`, using `repo` to resolve bundle
-    /// names and `factory` to re-create activators.
-    pub fn new(mut host: Framework, repo: BundleRepository, factory: ActivatorFactory) -> Self {
+    /// names and `factory` to re-create activators. Either may be shared:
+    /// pass an `Arc` that other managers hold too, or a value of its own.
+    pub fn new(
+        mut host: Framework,
+        repo: impl Into<Arc<BundleRepository>>,
+        factory: impl Into<Arc<ActivatorFactory>>,
+    ) -> Self {
         let dirty = DirtyCount::default();
         host.share_dirty_count(&dirty);
         InstanceManager {
@@ -75,8 +83,8 @@ impl InstanceManager {
             instances: BTreeMap::new(),
             by_name: BTreeMap::new(),
             next: 1,
-            repo,
-            factory,
+            repo: repo.into(),
+            factory: factory.into(),
             store: None,
             dirty,
             lifecycle_epoch: 0,
@@ -152,19 +160,9 @@ impl InstanceManager {
         &self.repo
     }
 
-    /// Mutable access to the repository (provisioning new bundles).
-    pub fn repository_mut(&mut self) -> &mut BundleRepository {
-        &mut self.repo
-    }
-
     /// The activator factory.
     pub fn factory(&self) -> &ActivatorFactory {
         &self.factory
-    }
-
-    /// Mutable access to the factory.
-    pub fn factory_mut(&mut self) -> &mut ActivatorFactory {
-        &mut self.factory
     }
 
     // ------------------------------------------------------------------
@@ -791,6 +789,28 @@ mod tests {
         InstanceManager::new(host(), repo, factory)
     }
 
+    /// A manager whose repository and factory also know `org.cust.extra`,
+    /// registered before the manager shares them.
+    fn manager_with_extra() -> InstanceManager {
+        let (mut repo, mut factory) = repo_and_factory();
+        repo.add(
+            ManifestBuilder::new("org.cust.extra", Version::new(1, 0, 0))
+                .build()
+                .unwrap(),
+        );
+        factory.register("org.cust.extra", |_| {
+            Box::new(FnActivator::on_start(|ctx| {
+                ctx.register_service(
+                    &["org.cust.extra.Api"],
+                    Props::new(),
+                    Box::new(|_: &mut CallContext<'_>, _: &str, _: &Value| Ok(Value::Int(42))),
+                );
+                Ok(())
+            }))
+        });
+        InstanceManager::new(host(), repo, factory)
+    }
+
     fn descriptor(name: &str) -> InstanceDescriptor {
         InstanceDescriptor::builder("acme", name)
             .bundle("org.cust.app")
@@ -1034,23 +1054,7 @@ mod tests {
 
     #[test]
     fn bundles_install_and_update_at_runtime() {
-        let mut mgr = manager();
-        // Extend the repo with a second customer bundle + activator.
-        mgr.repository_mut().add(
-            ManifestBuilder::new("org.cust.extra", Version::new(1, 0, 0))
-                .build()
-                .unwrap(),
-        );
-        mgr.factory_mut().register("org.cust.extra", |_| {
-            Box::new(FnActivator::on_start(|ctx| {
-                ctx.register_service(
-                    &["org.cust.extra.Api"],
-                    Props::new(),
-                    Box::new(|_: &mut CallContext<'_>, _: &str, _: &Value| Ok(Value::Int(42))),
-                );
-                Ok(())
-            }))
-        });
+        let mut mgr = manager_with_extra();
         let id = mgr.create_instance(descriptor("a")).unwrap();
         mgr.start_instance(id).unwrap();
 

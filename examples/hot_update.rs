@@ -20,19 +20,16 @@ use dosgi_vosgi::{InstanceDescriptor, InstanceManager};
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let mut mgr = InstanceManager::new(
-        Framework::new("host"),
-        workloads::standard_repository(),
-        workloads::standard_factory(),
-    );
-
-    // Provision a new bundle + activator into the node's repository.
-    mgr.repository_mut().add(
+    // Provision a new bundle + activator into the node's repository and
+    // factory, before the manager shares them.
+    let mut repository = workloads::standard_repository();
+    repository.add(
         ManifestBuilder::new("org.acme.search", Version::new(1, 0, 0))
             .private_package("org.acme.search.impl", ["Index"])
             .build()?,
     );
-    mgr.factory_mut().register("org.acme.search", |m| {
+    let mut factory = workloads::standard_factory();
+    factory.register("org.acme.search", |m| {
         let version = m.version;
         Box::new(FnActivator::on_start(move |ctx| {
             ctx.register_service(
@@ -48,6 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Ok(())
         }))
     });
+    let mut mgr = InstanceManager::new(Framework::new("host"), repository, factory);
 
     // The customer's instance starts with just the web bundle.
     let id = mgr.create_instance(
