@@ -9,7 +9,7 @@ use dosgi_net::{LinkConfig, NodeId, Partition, SimDuration, SimNet, SimTime};
 use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::{
     FlightRecorder, Gauge, HealthState, Phase, Phases, ScrapeConfig, SeriesScraper, SloEngine,
-    SloSpec, Snapshot, Telemetry, TraceLog,
+    SloSpec, Telemetry, TraceLog,
 };
 use dosgi_vosgi::InstanceDescriptor;
 use std::sync::Arc;
@@ -229,11 +229,6 @@ impl DosgiCluster {
     /// The series scraper, when observability is enabled.
     pub fn scraper(&self) -> Option<&SeriesScraper> {
         self.observability.as_ref().map(|o| &o.scraper)
-    }
-
-    /// The SLO engine, when observability is enabled.
-    pub fn slo_engine(&self) -> Option<&SloEngine> {
-        self.observability.as_ref().map(|o| &o.slo)
     }
 
     /// The cluster-wide telemetry handle (cheap to clone; all clones share
@@ -750,9 +745,8 @@ impl DosgiCluster {
 
     /// Publishes the cluster's derived health figures as telemetry gauges:
     /// aggregate SLA downtime/outages across all tracked instances and the
-    /// node-state census. Call before
-    /// [`telemetry_snapshot`](Self::telemetry_snapshot) so the snapshot
-    /// reflects current state.
+    /// node-state census. Call before taking a telemetry snapshot so the
+    /// snapshot reflects current state.
     pub fn record_telemetry_gauges(&self) {
         let mut down_us: u64 = 0;
         let mut outages: u64 = 0;
@@ -781,7 +775,8 @@ impl DosgiCluster {
 
     /// Refreshes the derived gauges and takes a snapshot of the cluster's
     /// telemetry registry, labelled for the snapshot file name.
-    pub fn telemetry_snapshot(&self, label: &str, seed: u64) -> Snapshot {
+    #[cfg(test)]
+    pub(crate) fn telemetry_snapshot(&self, label: &str, seed: u64) -> dosgi_telemetry::Snapshot {
         self.record_telemetry_gauges();
         self.telemetry.snapshot(label, seed)
     }
@@ -1089,7 +1084,7 @@ mod tests {
         // Health gauges became series too.
         assert!(scraper.series("gauge:core.health.n0").is_some());
         // A healthy run fires nothing.
-        assert_eq!(c.slo_engine().unwrap().firing_count(), 0);
+        assert_eq!(c.observability.as_ref().unwrap().slo.firing_count(), 0);
         assert!(telemetry.alerts().is_empty());
     }
 

@@ -72,7 +72,8 @@ impl ZipfSampler {
     }
 
     /// The probability of drawing `rank`.
-    pub fn probability(&self, rank: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn probability(&self, rank: usize) -> f64 {
         let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
         self.cdf[rank] - lo
     }
@@ -187,7 +188,8 @@ impl ScheduledLoadGenerator {
     /// # Panics
     ///
     /// Panics if `cap` is zero.
-    pub fn with_max_per_tick(mut self, cap: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_max_per_tick(mut self, cap: u32) -> Self {
         assert!(cap > 0, "cap must be positive");
         self.max_per_tick = cap;
         self

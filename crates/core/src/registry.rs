@@ -229,15 +229,6 @@ impl ClusterRegistry {
         self.records.values()
     }
 
-    /// Names of instances currently homed (and placed) on `node`, sorted.
-    pub fn placed_on(&self, node: NodeId) -> Vec<String> {
-        self.records
-            .values()
-            .filter(|r| r.home == node && r.status == InstanceStatus::Placed)
-            .map(|r| r.name.clone())
-            .collect()
-    }
-
     /// Count of placed instances per node (the deterministic load signal
     /// placement uses).
     pub fn load_by_node(&self) -> BTreeMap<NodeId, usize> {
@@ -574,7 +565,6 @@ mod tests {
         assert_eq!(orphans, vec!["a", "c"]);
         assert_eq!(r.orphans(), vec!["a", "c"]);
         assert_eq!(r.record("b").unwrap().status, InstanceStatus::Placed);
-        assert_eq!(r.placed_on(NodeId(1)), vec!["b"]);
         // Idempotent: a second sweep orphans nothing new.
         assert!(r.orphan_homes(&[NodeId(0)]).is_empty());
     }
@@ -666,7 +656,6 @@ mod tests {
         let rec = r.record("a").unwrap();
         assert_eq!(rec.status, InstanceStatus::Quarantined);
         assert_eq!(rec.home, NodeId(1));
-        assert_eq!(r.placed_on(NodeId(1)), Vec::<String>::new());
         // A stale quarantine report from a non-home is ignored.
         r.apply(&AppPayload::Quarantined {
             name: "a".into(),
@@ -813,7 +802,10 @@ mod tests {
 
         pub fn export_delta(reg: &ClusterRegistry, digest: &Value) -> (Value, Value) {
             let empty = Map::new();
-            let known = digest.as_map().unwrap_or(&empty);
+            let known = match digest {
+                Value::Map(m) => m,
+                _ => &empty,
+            };
             let upserts: Value = reg
                 .records
                 .values()

@@ -198,7 +198,8 @@ impl SlaTracker {
     }
 
     /// True if `instance` meets `spec`'s availability target so far.
-    pub fn meets(&self, instance: &str, spec: &SlaSpec) -> bool {
+    #[cfg(test)]
+    pub(crate) fn meets(&self, instance: &str, spec: &SlaSpec) -> bool {
         self.record(instance).availability() >= spec.availability
     }
 

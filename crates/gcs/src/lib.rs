@@ -36,9 +36,9 @@ mod config;
 mod metrics;
 mod node;
 mod view;
-pub mod wire;
+mod wire;
 
 pub use config::GcsConfig;
 pub use node::{GcsEvent, GroupNode, RETAINED_AT_QUIESCENCE};
 pub use view::{View, ViewId};
-pub use wire::{decode_frame, encode_frame, GcsWire, WIRE_VERSION};
+pub use wire::GcsWire;

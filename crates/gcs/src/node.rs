@@ -1015,7 +1015,6 @@ fn send_all<A: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode_frame, encode_frame};
     use dosgi_net::{LinkConfig, SimDuration, SimNet};
 
     type Net = SimNet<GcsWire<u64>>;
@@ -1028,20 +1027,6 @@ mod tests {
         // `Some`: tick a node only when it has mail or its deadline (taken
         // after its last tick, zeroed by every call made on it) has come.
         wake_at: Option<Vec<SimTime>>,
-        // Every message crosses the frame codec on its way in.
-        framed: bool,
-    }
-
-    /// `msg` encoded to a frame and decoded back. Panics unless the round
-    /// trip gives back exactly `msg`.
-    fn through_codec(msg: GcsWire<u64>) -> GcsWire<u64> {
-        let mut bytes = Vec::new();
-        encode_frame(&mut bytes, &msg, |p, out| {
-            out.extend_from_slice(&p.to_le_bytes())
-        });
-        let back = decode_frame(&bytes, |b| b.try_into().ok().map(u64::from_le_bytes));
-        assert_eq!(back.as_ref(), Some(&msg), "frame {bytes:02x?}");
-        back.expect("checked")
     }
 
     impl Cluster {
@@ -1057,17 +1042,11 @@ mod tests {
                 nodes,
                 crashed: vec![false; n],
                 wake_at: None,
-                framed: false,
             }
         }
 
         fn gated(mut self) -> Self {
             self.wake_at = Some(vec![SimTime::ZERO; self.nodes.len()]);
-            self
-        }
-
-        fn framed(mut self) -> Self {
-            self.framed = true;
             self
         }
 
@@ -1095,12 +1074,7 @@ mod tests {
                         continue;
                     }
                     for env in inbox {
-                        let msg = if self.framed {
-                            through_codec(env.payload)
-                        } else {
-                            env.payload
-                        };
-                        self.nodes[i].handle(&mut self.net, env.from, msg, now);
+                        self.nodes[i].handle(&mut self.net, env.from, env.payload, now);
                     }
                     self.nodes[i].tick(&mut self.net, now);
                     if let Some(wake_at) = &mut self.wake_at {
@@ -1795,10 +1769,7 @@ mod tests {
 
     /// Ticking a node only when it has mail or its deadline has come is the
     /// same execution as ticking it every step: same events on every node
-    /// at every check, same traffic, same final views. The gated side
-    /// receives every message through the frame codec, so every frame a
-    /// lossy crash/partition run sends — at the values it really carries —
-    /// must round-trip.
+    /// at every check, same traffic, same final views.
     #[test]
     fn ticking_on_mail_or_deadline_is_ticking_every_step() {
         use dosgi_testkit::{prop, TestRng};
@@ -1810,7 +1781,7 @@ mod tests {
             let mut rng = TestRng::new(seed);
             let loss = [0.0, 0.0, 0.03, 0.1][rng.u64_below(4) as usize];
             let new = || Cluster::new(N, LinkConfig::lossy(loss), GcsConfig::lan(), seed);
-            let mut pair = [new(), new().gated().framed()];
+            let mut pair = [new(), new().gated()];
             let mut payload = 0;
             for round in 0..14 {
                 let op = rng.u64_below(8);

@@ -106,8 +106,8 @@ impl IpvsDirector {
         self.metrics = Metrics::new(telemetry);
     }
 
-    /// Attaches a flight recorder: redirect reactions
-    /// ([`node_down_traced`](Self::node_down_traced)) record causal spans
+    /// Attaches a flight recorder: traced drains and un-drains
+    /// ([`drain_node_traced`](Self::drain_node_traced)) record causal spans
     /// into it. Passive — routing decisions never depend on it.
     pub fn set_recorder(&mut self, recorder: FlightRecorder) {
         self.recorder = recorder;
@@ -124,7 +124,8 @@ impl IpvsDirector {
     }
 
     /// Removes a virtual service and its tracked connections.
-    pub fn remove_service(&mut self, address: SocketAddr) -> bool {
+    #[cfg(test)]
+    pub(crate) fn remove_service(&mut self, address: SocketAddr) -> bool {
         let existed = self.services.remove(&address).is_some();
         if existed {
             self.connections.retain(|(_, a), _| *a != address);
@@ -390,7 +391,8 @@ impl IpvsDirector {
     /// triggered the health-check reaction — making "redirect happens
     /// after adopt" checkable), or starts a fresh `redirect/n<node>` trace
     /// for an unprompted health-check trip.
-    pub fn node_down_traced(
+    #[cfg(test)]
+    pub(crate) fn node_down_traced(
         &mut self,
         node: NodeId,
         ctx: Option<TraceContext>,
@@ -407,7 +409,8 @@ impl IpvsDirector {
     }
 
     /// Marks every replica on `node` back up.
-    pub fn node_up(&mut self, node: NodeId) {
+    #[cfg(test)]
+    pub(crate) fn node_up(&mut self, node: NodeId) {
         for vs in self.services.values_mut() {
             vs.set_alive(node, true);
         }
@@ -435,7 +438,8 @@ impl IpvsDirector {
     }
 
     /// Whether any service currently holds `node` in the draining state.
-    pub fn is_draining(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_draining(&self, node: NodeId) -> bool {
         self.services
             .values()
             .any(|vs| vs.servers.iter().any(|s| s.node == node && s.draining))
@@ -572,7 +576,7 @@ mod tests {
         // The same client is rerouted to the survivor.
         assert_eq!(d.connect(1, addr()).unwrap(), NodeId(1));
         d.node_up(NodeId(0));
-        assert_eq!(d.service(addr()).unwrap().alive_count(), 2);
+        assert_eq!(d.service(addr()).unwrap().eligible_count(), 2);
     }
 
     #[test]

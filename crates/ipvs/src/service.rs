@@ -113,7 +113,8 @@ impl VirtualService {
     }
 
     /// Removes the replica on `node`, returning whether one was found.
-    pub fn remove_server(&mut self, node: NodeId) -> bool {
+    #[cfg(test)]
+    pub(crate) fn remove_server(&mut self, node: NodeId) -> bool {
         match self.servers.iter().position(|s| s.node == node) {
             Some(i) => {
                 self.servers.remove(i);
@@ -155,11 +156,6 @@ impl VirtualService {
         }
     }
 
-    /// Live replica count.
-    pub fn alive_count(&self) -> usize {
-        self.servers.iter().filter(|s| s.alive).count()
-    }
-
     /// Replicas eligible for new work (alive and not draining).
     pub fn eligible_count(&self) -> usize {
         self.servers.iter().filter(|s| s.eligible()).count()
@@ -173,11 +169,6 @@ impl VirtualService {
             .position(|s| s.node == node)
             .and_then(|i| self.queues.get(i))
             .map_or(0, BackendQueue::depth)
-    }
-
-    /// Total queued requests across every backend of this service.
-    pub fn total_queued(&self) -> usize {
-        self.queues.iter().map(BackendQueue::depth).sum()
     }
 }
 
@@ -196,7 +187,7 @@ mod tests {
         vs.add_server(RealServer::new(NodeId(1)));
         vs.add_server(RealServer::new(NodeId(2)).with_weight(3));
         assert_eq!(vs.servers.len(), 2);
-        assert_eq!(vs.alive_count(), 2);
+        assert_eq!(vs.eligible_count(), 2);
         assert!(vs.remove_server(NodeId(1)));
         assert!(!vs.remove_server(NodeId(1)));
         assert_eq!(vs.servers.len(), 1);
@@ -208,7 +199,7 @@ mod tests {
         let mut vs = VirtualService::new(addr(), Scheduler::RoundRobin);
         vs.add_server(RealServer::new(NodeId(1)));
         assert!(vs.set_alive(NodeId(1), false));
-        assert_eq!(vs.alive_count(), 0);
+        assert_eq!(vs.eligible_count(), 0);
         assert!(!vs.set_alive(NodeId(9), false));
     }
 
@@ -229,7 +220,7 @@ mod tests {
         assert_eq!(vs.queue_depth(NodeId(1)), 0);
         assert!(vs.remove_server(NodeId(1)));
         assert_eq!(vs.queues.len(), 1);
-        assert_eq!(vs.total_queued(), 0);
+        assert_eq!(vs.queue_depth(NodeId(2)), 0);
         // Without admission, no queues are kept.
         let mut plain = VirtualService::new(addr(), Scheduler::RoundRobin);
         plain.add_server(RealServer::new(NodeId(3)));

@@ -1,7 +1,5 @@
 //! Node capacity and placement fitting.
 
-use dosgi_net::SimDuration;
-
 /// A node's total resources — what the Migration Module weighs a
 /// destination against (§3.2: *"The decision of where to redeploy the
 /// virtual instance shall take into account its resource requirements and
@@ -30,12 +28,13 @@ impl NodeCapacity {
     /// clock), `memory` and `disk` fits inside the *remaining* capacity
     /// after `used_*` are subtracted.
     #[allow(clippy::too_many_arguments)]
-    pub fn fits(
+    #[cfg(test)]
+    pub(crate) fn fits(
         &self,
         used_cpu_share: f64,
         used_memory: u64,
         used_disk: u64,
-        need_cpu_per_sec: SimDuration,
+        need_cpu_per_sec: dosgi_net::SimDuration,
         need_memory: u64,
         need_disk: u64,
     ) -> bool {
@@ -65,6 +64,7 @@ impl Default for NodeCapacity {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosgi_net::SimDuration;
 
     #[test]
     fn fits_checks_all_dimensions() {

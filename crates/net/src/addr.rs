@@ -178,7 +178,8 @@ impl IpBindings {
     }
 
     /// All addresses currently bound by `node`.
-    pub fn bound_by(&self, node: NodeId) -> Vec<IpAddr> {
+    #[cfg(test)]
+    pub(crate) fn bound_by(&self, node: NodeId) -> Vec<IpAddr> {
         let mut v: Vec<IpAddr> = self
             .owners
             .iter()

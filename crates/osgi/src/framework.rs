@@ -787,7 +787,8 @@ impl Framework {
     /// below the level are started (ascending level order); active bundles
     /// above it are stopped transiently (descending order). Activator
     /// failures are recorded as framework events and do not abort the sweep.
-    pub fn set_start_level(&mut self, level: u32) {
+    #[cfg(test)]
+    pub(crate) fn set_start_level(&mut self, level: u32) {
         let mut to_start: Vec<(u32, BundleId)> = self
             .bundles
             .values()
@@ -1132,12 +1133,14 @@ impl Framework {
     }
 
     /// Drains queued bundle events.
-    pub fn take_bundle_events(&mut self) -> Vec<BundleEvent> {
+    #[cfg(test)]
+    pub(crate) fn take_bundle_events(&mut self) -> Vec<BundleEvent> {
         std::mem::take(&mut self.bundle_events)
     }
 
     /// Drains queued framework events.
-    pub fn take_framework_events(&mut self) -> Vec<FrameworkEvent> {
+    #[cfg(test)]
+    pub(crate) fn take_framework_events(&mut self) -> Vec<FrameworkEvent> {
         std::mem::take(&mut self.framework_events)
     }
 
@@ -1308,7 +1311,8 @@ impl Framework {
 
     /// The encoded size of the persisted snapshot rows in bytes (0 when no
     /// store is attached) — the state a migration must move.
-    pub fn snapshot_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn snapshot_bytes(&self) -> u64 {
         match &self.store {
             // A metric, not a data read: namespace_bytes bypasses the fault
             // layer so sizing stays observable during brown-outs.

@@ -261,7 +261,8 @@ impl VersionRange {
     }
 
     /// `[min,max)` — the common "compatible until next major" form.
-    pub const fn half_open(min: Version, max: Version) -> Self {
+    #[cfg(test)]
+    pub(crate) const fn half_open(min: Version, max: Version) -> Self {
         VersionRange {
             min,
             min_inclusive: true,

@@ -53,12 +53,14 @@ impl BundleState {
     }
 
     /// True if a `start` operation is legal from this state.
-    pub fn can_start(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn can_start(self) -> bool {
         matches!(self, BundleState::Installed | BundleState::Resolved)
     }
 
     /// True if a `stop` operation is legal from this state.
-    pub fn can_stop(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn can_stop(self) -> bool {
         self == BundleState::Active
     }
 

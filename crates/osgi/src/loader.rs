@@ -81,7 +81,8 @@ impl BootDelegation {
     }
 
     /// A boot delegation with the given prefixes.
-    pub fn with_prefixes<I, S>(prefixes: I) -> Self
+    #[cfg(test)]
+    pub(crate) fn with_prefixes<I, S>(prefixes: I) -> Self
     where
         I: IntoIterator<Item = S>,
         S: Into<String>,

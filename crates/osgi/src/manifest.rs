@@ -258,7 +258,8 @@ impl ManifestBuilder {
     }
 
     /// Adds an optional package import.
-    pub fn import_package_optional(mut self, name: &str, range: VersionRange) -> Self {
+    #[cfg(test)]
+    pub(crate) fn import_package_optional(mut self, name: &str, range: VersionRange) -> Self {
         self.imports.push((name.to_owned(), range, true));
         self
     }

@@ -21,9 +21,9 @@
 //! ```
 //!
 //! [`assemble`] reconstructs a [`Snapshot`] from a `read_namespace` listing.
-//! [`snapshot`]/[`parse_snapshot`] keep the monolithic encoding alive as the
-//! equivalence oracle: assembling the rows must produce a byte-identical
-//! snapshot value.
+//! The test-only `snapshot`/`parse_snapshot` keep the monolithic encoding
+//! alive as the equivalence oracle: assembling the rows must produce a
+//! byte-identical snapshot value.
 
 use crate::framework::Bundle;
 use crate::{BundleId, BundleManifest, BundleState, Version};
@@ -85,7 +85,7 @@ pub fn header_row(next_bundle: u64, start_level: u32) -> Value {
 }
 
 /// Serializes one bundle's row — the same map shape a bundle has inside
-/// the monolithic [`snapshot`], so row and oracle encodings agree. The
+/// the monolithic `snapshot`, so row and oracle encodings agree. The
 /// framework builds one where a bundle's manifest is set, and keeps it.
 pub fn bundle_row(b: &Bundle) -> Value {
     Value::map()
@@ -123,7 +123,8 @@ fn write_str(row: &mut Map, key: &'static str, text: impl fmt::Display) {
 }
 
 /// Serializes framework state into a single monolithic [`Value`].
-pub fn snapshot<'a>(
+#[cfg(test)]
+pub(crate) fn snapshot<'a>(
     next_bundle: u64,
     start_level: u32,
     bundles: impl Iterator<Item = &'a Bundle>,
@@ -209,7 +210,8 @@ pub fn assemble(pairs: &[(String, Value)]) -> Result<Option<Snapshot>, String> {
 /// # Errors
 ///
 /// Returns a description of the first missing or malformed field.
-pub fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
+#[cfg(test)]
+pub(crate) fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
     let next_bundle = v
         .get("next_bundle")
         .and_then(Value::as_int)

@@ -189,7 +189,8 @@ impl ServiceRegistry {
     /// # Errors
     ///
     /// Returns [`ServiceError::Gone`] if the id is unknown.
-    pub fn set_properties(
+    #[cfg(test)]
+    pub(crate) fn set_properties(
         &mut self,
         id: ServiceId,
         mut properties: BTreeMap<String, PropValue>,

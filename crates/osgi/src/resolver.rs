@@ -13,7 +13,8 @@ pub struct Wiring {
 
 impl Wiring {
     /// The exporter wired for `package`, if any.
-    pub fn exporter_of(&self, package: &PackageName) -> Option<BundleId> {
+    #[cfg(test)]
+    pub(crate) fn exporter_of(&self, package: &PackageName) -> Option<BundleId> {
         self.imports.get(package).map(|(b, _)| *b)
     }
 }

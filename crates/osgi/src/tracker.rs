@@ -48,7 +48,8 @@ impl ServiceTracker {
     }
 
     /// Additionally narrows matches with `filter`.
-    pub fn with_filter(mut self, filter: Filter) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_filter(mut self, filter: Filter) -> Self {
         self.filter = Some(filter);
         self
     }

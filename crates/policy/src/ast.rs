@@ -170,7 +170,8 @@ pub struct Script {
 impl Script {
     /// True if the script uses `$i` anywhere (needs per-subject
     /// evaluation).
-    pub fn uses_subject(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn uses_subject(&self) -> bool {
         fn expr_uses(e: &Expr) -> bool {
             match e {
                 Expr::Subject => true,

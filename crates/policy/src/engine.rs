@@ -125,7 +125,8 @@ impl PolicyEngine {
     }
 
     /// Resets all sustained-condition counters (e.g. after reconfiguring).
-    pub fn reset(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn reset(&mut self) {
         self.streaks.iter_mut().for_each(BTreeMap::clear);
     }
 }

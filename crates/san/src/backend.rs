@@ -5,8 +5,8 @@
 //! slots, tombstones and the running byte total of every namespace.
 //! [`MapBackend`] is **infallible and unsynchronized** — fault injection,
 //! locking, stats, telemetry and change detection all live in the wrapper —
-//! and iterates in sorted order (by key / namespace) everywhere. The golden
-//! fixtures of [`crate::conformance`] pin the semantics; DESIGN.md §6e
+//! and iterates in sorted order (by key / namespace) everywhere. The
+//! `san_contract` bin's capture pins the semantics; DESIGN.md §6e
 //! describes them.
 //!
 //! # Versioning contract

@@ -364,7 +364,9 @@ mod tests {
         }
         let n = 200_000usize;
         let decoded = decode(&map_of((0..n).map(|i| format!("{i:06}")))).unwrap();
-        let map = decoded.as_map().unwrap();
+        let Value::Map(map) = &decoded else {
+            panic!("decodes to a map")
+        };
         assert_eq!(map.len(), n);
         // A lookup in a map this size lands on either side of every split.
         for i in [0, 1, n / 2 - 1, n / 2, n - 2, n - 1] {
@@ -477,7 +479,10 @@ mod tests {
                 // Owned keys on one side, literal keys on the other.
                 let decoded = decode(&bytes).unwrap();
                 let owned = |m: &Map| m.keys().all(|k| matches!(k, Key::Owned(_)));
-                prop_verify!(owned(decoded.as_map().unwrap()), "a decoded key is owned");
+                let Value::Map(map) = &decoded else {
+                    return Err("decodes to a map".into());
+                };
+                prop_verify!(owned(map), "a decoded key is owned");
                 let literal: Map = oracle
                     .iter()
                     .map(|(k, v)| (*KEYS.iter().find(|lit| *lit == k).unwrap(), v.clone()))

@@ -100,7 +100,8 @@ impl FaultPlan {
     }
 
     /// True when the plan can never inject anything.
-    pub fn is_inert(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_inert(&self) -> bool {
         self.io_error_rate <= 0.0 && self.torn_write_rate <= 0.0 && self.brownouts.is_empty()
     }
 }

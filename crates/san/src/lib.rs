@@ -44,7 +44,6 @@
 
 mod backend;
 pub mod codec;
-pub mod conformance;
 mod error;
 pub mod fault;
 mod profile;

@@ -103,8 +103,8 @@ struct Shared {
 /// Every key's version counter **survives deletion** — a delete leaves a
 /// tombstone and a re-created key continues counting from it — and a
 /// byte-identical rewrite is skipped (change detection, decided here, above
-/// the map). The golden fixtures of [`crate::conformance`] pin the
-/// observable behaviour: results, versions, stats, fault interleaving.
+/// the map). The `san_contract` bin's capture pins the observable
+/// behaviour: results, versions, stats, fault interleaving.
 ///
 /// # Fallibility
 ///
@@ -438,12 +438,6 @@ impl SharedStore {
         self.lock().map.get(namespace, key).map(|v| v.value)
     }
 
-    /// Like [`peek`](Self::peek) but with the version — the conformance
-    /// suite's window onto the version vector.
-    pub fn peek_versioned(&self, namespace: &str, key: &str) -> Option<Versioned> {
-        self.lock().map.get(namespace, key)
-    }
-
     /// Keys in a namespace, sorted.
     pub fn list_keys(&self, namespace: &str) -> Vec<String> {
         self.lock().map.list_keys(namespace)
@@ -456,7 +450,7 @@ impl SharedStore {
 
     /// A full omniscient dump of the live store — every namespace's
     /// key-sorted `(key, version, value)` rows — bypassing faults and
-    /// stats. This is the byte surface the golden fixtures compare.
+    /// stats. This is the store section of the `san_contract` capture.
     pub fn dump(&self) -> Vec<(String, Vec<(String, Versioned)>)> {
         let inner = self.lock();
         inner
@@ -862,7 +856,6 @@ mod tests {
         assert_eq!(dump.len(), 1, "namespace b is all tombstones");
         assert_eq!(dump[0].0, "a");
         assert_eq!(dump[0].1[0].1.version, 2);
-        assert_eq!(s.peek_versioned("a", "k").unwrap().version, 2);
     }
 
     /// `put_many` as it was while a batch staged itself for a group commit:

@@ -301,14 +301,6 @@ impl Value {
         }
     }
 
-    /// The value as a map, if it is one.
-    pub fn as_map(&self) -> Option<&Map> {
-        match self {
-            Value::Map(m) => Some(m),
-            _ => None,
-        }
-    }
-
     /// True for [`Value::Null`].
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

@@ -148,8 +148,12 @@ fn run_case(case: &Case) -> Result<(), String> {
             }
         }
         // After every committed round the store must mirror the oracle
-        // exactly (peek bypasses faults).
-        let got = store.peek_versioned("k8s", "lease");
+        // exactly (a dump bypasses faults).
+        let got = store.dump().into_iter().filter(|(ns, _)| ns == "k8s");
+        let got = got
+            .flat_map(|(_, rows)| rows)
+            .find(|(k, _)| k == "lease")
+            .map(|(_, v)| v);
         match (oracle.live, got) {
             (true, Some(v)) if v.version == oracle.counter => {}
             (false, None) => {}

@@ -100,7 +100,8 @@ impl Json {
     }
 
     /// The number as `f64`, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
+    #[cfg(test)]
+    pub(crate) fn as_f64(&self) -> Option<f64> {
         match self {
             Json::Num(f, _) => Some(*f),
             _ => None,

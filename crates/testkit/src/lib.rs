@@ -19,20 +19,15 @@
 //! * [`json`] — a strict JSON reader ([`Json`]) so tests and check
 //!   tooling can parse the telemetry snapshots and causal traces this
 //!   workspace writes.
-//! * [`golden`] — a committed-fixture harness: byte-exact comparison
-//!   against files under the workspace root, unified diffs on mismatch,
-//!   and an env-var regeneration protocol.
 //!
 //! Policy: no crate in this workspace may depend on the crates.io
 //! registry. If a capability is missing, it is added here.
 
-pub mod golden;
 pub mod json;
 pub mod nemesis;
 pub mod prop;
 pub mod rng;
 
-pub use golden::{assert_golden, unified_diff, GoldenOutcome};
 pub use json::{Json, JsonError};
 pub use nemesis::{NemesisConfig, NemesisOp, NemesisPlan, NemesisStep};
 pub use prop::{Config as PropConfig, Gen, PropResult};

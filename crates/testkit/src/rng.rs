@@ -125,12 +125,6 @@ impl TestRng {
         (lo as i128 + self.u64_below(span as u64 + 1) as i128) as i64
     }
 
-    /// A uniform `f64` in `[lo, hi)`.
-    #[inline]
-    pub fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
-        lo + self.f64() * (hi - lo)
-    }
-
     /// A uniform i64 over the full range.
     #[inline]
     pub fn any_i64(&mut self) -> i64 {
@@ -158,7 +152,8 @@ impl TestRng {
     }
 
     /// Derives an independent generator (distinct stream) from this one.
-    pub fn fork(&mut self) -> TestRng {
+    #[cfg(test)]
+    pub(crate) fn fork(&mut self) -> TestRng {
         TestRng::new(self.next_u64())
     }
 }

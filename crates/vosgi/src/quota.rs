@@ -31,7 +31,8 @@ impl ResourceQuota {
     }
 
     /// An effectively unlimited quota (for system instances).
-    pub fn unlimited() -> Self {
+    #[cfg(test)]
+    pub(crate) fn unlimited() -> Self {
         ResourceQuota {
             cpu_per_sec: SimDuration::from_secs(1_000_000),
             memory_bytes: u64::MAX,
@@ -128,7 +129,8 @@ pub enum QuotaViolation {
 
 impl QuotaViolation {
     /// How far over quota, as a ratio (`1.5` = 50 % over).
-    pub fn overage(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn overage(&self) -> f64 {
         match self {
             QuotaViolation::Cpu { used, allowed, .. } => {
                 used.as_micros() as f64 / allowed.as_micros().max(1) as f64

@@ -38,10 +38,11 @@ echo "==> experiment bins, stdout -> results/<bin>.txt"
 # by the results/ check at the end like any other file a step writes.
 # perf_guard's capture holds exact counts (SAN reads of a migrate round, the
 # hand-off's two ends, e15 admission, flat failover rounds); it exits non-zero
-# naming any row that is broken on its own terms.
+# naming any row that is broken on its own terms. san_contract's capture is the
+# SAN store contract: five fixed op scripts, every result, version and counter.
 for bin in e1_topology e3_sharing e4_isolation e5_migration_cost e6_failover \
     e7_vip_migration e8_ipvs e9_replication e10_autonomic e11_fallible_san \
-    e14_hot_swap e15_overload e16_slo perf_guard; do
+    e14_hot_swap e15_overload e16_slo perf_guard san_contract; do
   cargo run -q --offline --release -p dosgi-bench --bin "$bin" > "results/$bin.txt"
 done
 
