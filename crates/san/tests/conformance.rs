@@ -141,6 +141,22 @@ fn prop_random_scripts_hold_their_byte_totals_and_render_deterministically() {
     );
 }
 
+/// One seed drives one walk: two fresh stores fed the same seed give the
+/// same outcomes, store and stats.
+#[test]
+fn random_walk_is_seed_deterministic() {
+    let run = || {
+        walk(
+            &SharedStore::new(),
+            &mut TestRng::new(9),
+            &mut BTreeSet::new(),
+        )
+    };
+    let first = run().unwrap_or_else(|e| panic!("seed 9: {e}"));
+    assert!(first.lines().count() > 10, "seed 9: the walk ran no ops");
+    assert_eq!(first, run().unwrap_or_else(|e| panic!("seed 9: {e}")));
+}
+
 /// The running totals hold over a long history too: twelve walks back to
 /// back on one store.
 #[test]
