@@ -26,6 +26,17 @@
 //! and the rest. Wall-clock µs per phase, and the same rounds' wall time with
 //! the table off and on, go to stderr only: they are not exact.
 //!
+//! A third table, `migrate phases`, is the same profile of a hand-off: a
+//! benchmark-shaped `migrate` cycle — 5 nodes, 20 persist-on-stop counters
+//! each beside 256 1 KiB rows; per op an `incr`, a migration to the next
+//! node and steps until it serves there — one op per counter, after a first
+//! cycle with the table off. It prints, per op, the calls and allocations
+//! of each phase that ran — the source's `release`, and the destination's
+//! `adopt` with its restore's parts `adopt.read`, `adopt.manifests`,
+//! `adopt.resolve`, `adopt.start` and, inside the start, `adopt.register`
+//! — and last the whole op's allocations. The `adopt.*` rows of the
+//! `failover` table count a restarted node's host restore as well.
+//!
 //! The E5 migration round's SAN bytes and the E14 counter-scale swap
 //! blackout are pinned by their own captures, `results/e5_migration_cost.txt`
 //! and `results/e14_hot_swap.txt`. Wall-clock cost is not guarded here: the
@@ -278,6 +289,82 @@ fn failover_round(c: &mut DosgiCluster, names: &[String], victim: usize) {
     drop(c.take_events());
 }
 
+/// Ops the `migrate` table averages over: one per counter, a full cycle.
+const MIGRATE_OPS: usize = 20;
+
+/// The `migrate` workload's cluster, settled: 5 nodes and 20
+/// persist-on-stop counters, each beside 256 1 KiB rows. Returns the names
+/// and each counter's home.
+fn migrate_cluster() -> (DosgiCluster, Vec<String>, Vec<usize>) {
+    let mut c = DosgiCluster::new(5, ClusterConfig::default(), 7);
+    c.run_for(SimDuration::from_millis(500));
+    let names: Vec<String> = (0..MIGRATE_OPS).map(|i| format!("ctr-{i:02}")).collect();
+    let homes: Vec<usize> = (0..MIGRATE_OPS).map(|i| i % 5).collect();
+    for (i, (name, &home)) in names.iter().zip(&homes).enumerate() {
+        c.deploy(workloads::counter_instance(name, name), home)
+            .expect("deploy on a healthy cluster");
+        let ns = format!("instance/{name}/data/{}", workloads::COUNTER_ON_STOP);
+        for b in 0..256 {
+            let blob = Value::Bytes(vec![(i + b) as u8; 1024]);
+            c.store()
+                .put(&ns, &format!("blob-{b:03}"), blob)
+                .expect("no faults armed");
+        }
+    }
+    c.run_for(SimDuration::from_secs(2));
+    assert!(names.iter().all(|n| c.probe(n)), "every counter serves");
+    c.take_events();
+    (c, names, homes)
+}
+
+/// One `migrate` op: an `incr`, a migration of counter `i` to the next
+/// node, and steps until it serves there.
+fn migrate_op(c: &mut DosgiCluster, names: &[String], homes: &mut [usize], i: usize) {
+    let (name, to) = (names[i].as_str(), (homes[i] + 1) % 5);
+    c.call(name, workloads::COUNTER_SERVICE, "incr", &Value::Null)
+        .expect("a serving counter");
+    c.migrate(name, to).expect("both nodes are up");
+    for _ in 0..2_000 {
+        if c.home_of(name) == Some(to) && c.probe(name) {
+            break;
+        }
+        c.step();
+    }
+    assert!(c.home_of(name) == Some(to) && c.probe(name), "migrated");
+    homes[i] = to;
+    drop(c.take_events());
+}
+
+/// The phase table of one `migrate` cycle — every counter migrated once,
+/// after a first cycle with the table off — per op: calls and allocations
+/// of each phase that ran, µs for stderr, and last the whole op's
+/// allocations.
+fn measure_migrate_phases() -> Vec<(&'static str, f64, f64, f64)> {
+    let (mut c, names, mut homes) = migrate_cluster();
+    for i in 0..MIGRATE_OPS {
+        migrate_op(&mut c, &names, &mut homes, i);
+    }
+    let phases = Phases::new(allocations);
+    c.set_phases(phases.clone());
+    let before = allocations();
+    for i in 0..MIGRATE_OPS {
+        migrate_op(&mut c, &names, &mut homes, i);
+    }
+    let per_op = |n: u64| n as f64 / MIGRATE_OPS as f64;
+    let whole = per_op(allocations() - before);
+    let mut table: Vec<_> = Phase::ALL
+        .iter()
+        .map(|&p| (p.name(), phases.count(p)))
+        .filter(|(_, n)| n.calls > 0)
+        .map(|(name, n)| {
+            let us = per_op(n.ns) / 1e3;
+            (name, per_op(n.calls), per_op(n.allocs), us)
+        })
+        .collect();
+    table.push(("op", 1.0, whole, f64::NAN));
+    table
+}
+
 /// The phase table of `PHASE_ROUNDS` `failover` rounds: per phase, calls
 /// and allocations per round, and µs per round for stderr.
 fn measure_phases() -> Vec<(&'static str, f64, f64, f64)> {
@@ -419,6 +506,25 @@ fn main() {
     );
     for (name, _, _, us) in &phases {
         eprintln!("phase {name}: {us:.1} µs per round");
+    }
+    let migrate = measure_migrate_phases();
+    let migrate_rows: Vec<Vec<String>> = migrate
+        .iter()
+        .map(|(name, calls, allocs, _)| {
+            vec![
+                name.to_string(),
+                format!("{calls:.2}"),
+                format!("{allocs:.2}"),
+            ]
+        })
+        .collect();
+    print_table(
+        "perf_guard migrate phases: one benchmark-shaped migrate cycle, per op",
+        &["phase", "calls per op", "allocations per op"],
+        &migrate_rows,
+    );
+    for (name, _, _, us) in migrate.iter().filter(|(_, _, _, us)| !us.is_nan()) {
+        eprintln!("migrate phase {name}: {us:.2} µs per op");
     }
     let (off, on) = phase_table_cost();
     eprintln!(

@@ -19,8 +19,9 @@ use crate::autonomic::AutonomicModule;
 use crate::node::NodeConfig;
 use crate::workloads;
 use dosgi_net::NodeId;
-use dosgi_osgi::{ActivatorFactory, BundleManifest, Framework, FrameworkConfig};
+use dosgi_osgi::{ActivatorFactory, BundleManifest, Framework, FrameworkConfig, FrameworkMetrics};
 use dosgi_san::SharedStore;
+use dosgi_telemetry::Phases;
 use dosgi_vosgi::{BundleRepository, InstanceManager};
 use std::sync::Arc;
 
@@ -81,13 +82,27 @@ impl BootKit {
     /// it: a restarted node's framework is restored, anything else boots
     /// for the first time (see the module docs). Whether the node
     /// restarted is read past the fault layer, so a node restarted during
-    /// a brown-out is a restarted node even when its restore fails.
-    pub(crate) fn host_framework(&self, id: NodeId, store: &SharedStore) -> (Framework, bool) {
+    /// a brown-out is a restarted node even when its restore fails. The
+    /// restore's parts count in `phases`, as an adoption's do.
+    pub(crate) fn host_framework(
+        &self,
+        id: NodeId,
+        store: &SharedStore,
+        phases: &Phases,
+    ) -> (Framework, bool) {
         let ns = format!("host/{id}");
         let restarted = store.namespace_bytes_prefixed(&ns) > 0;
         if restarted {
-            let config = FrameworkConfig::new(&ns);
-            if let Ok(host) = Framework::restore(config, store.clone(), &ns, &self.factory) {
+            let (config, uncounted) = (FrameworkConfig::new(&ns), FrameworkMetrics::default());
+            let restored = Framework::restore_counted(
+                config,
+                store.clone(),
+                &ns,
+                &self.factory,
+                uncounted,
+                phases,
+            );
+            if let Ok(host) = restored {
                 return (host, true);
             }
         }
@@ -144,7 +159,7 @@ mod tests {
     fn a_first_boot_is_one_batch_and_a_restart_writes_no_row() {
         let kit = BootKit::new(NodeConfig::default());
         let store = SharedStore::new();
-        let (host, restarted) = kit.host_framework(ID, &store);
+        let (host, restarted) = kit.host_framework(ID, &store, &Phases::disabled());
         let first = store.stats();
         assert!(!restarted);
         assert_eq!(
@@ -155,7 +170,7 @@ mod tests {
         let booted = shape(&host, &store);
         assert_eq!(booted.1.len(), 3, "every host service registered");
         drop(host);
-        let (host, restarted) = kit.host_framework(ID, &store);
+        let (host, restarted) = kit.host_framework(ID, &store, &Phases::disabled());
         let restart = store.stats();
         assert!(restarted);
         assert_eq!(restart.writes, first.writes, "a restart writes no row");
@@ -176,7 +191,7 @@ mod tests {
     fn every_prefix_of_a_first_boot_batch_boots_as_a_first_boot() {
         let kit = BootKit::new(NodeConfig::default());
         let store = SharedStore::new();
-        let (host, _) = kit.host_framework(ID, &store);
+        let (host, _) = kit.host_framework(ID, &store, &Phases::disabled());
         let booted = shape(&host, &store);
         let batch = store.read_namespace(NS).expect("no faults armed");
         assert_eq!(batch.last().map(|(k, _)| k.as_str()), Some("header"));
@@ -187,7 +202,7 @@ mod tests {
                     .put_many(NS, &batch[..landed])
                     .expect("no faults armed");
             }
-            let (host, restarted) = kit.host_framework(ID, &store);
+            let (host, restarted) = kit.host_framework(ID, &store, &Phases::disabled());
             assert_eq!(restarted, landed > 0, "{landed} rows landed");
             assert_eq!(shape(&host, &store), booted, "{landed} rows landed");
         }
@@ -196,7 +211,7 @@ mod tests {
         store.put_many(NS, &batch).expect("no faults armed");
         let until = SimTime::from_secs(5);
         store.set_fault_plan(FaultPlan::none().with_brownout(SimTime::ZERO, until));
-        let (mut host, restarted) = kit.host_framework(ID, &store);
+        let (mut host, restarted) = kit.host_framework(ID, &store, &Phases::disabled());
         assert!(restarted, "a restart in a brown-out is a restart");
         assert!(host.persist_dirty(), "the snapshot waits for the SAN");
         store.set_now(until);

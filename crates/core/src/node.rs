@@ -255,9 +255,11 @@ impl DosgiNode {
         let kit = Arc::clone(kit);
         let autonomic = kit.autonomic();
         drop(taking);
-        let (host, restarted) =
-            phases.count_in(Phase::RestartHost, || kit.host_framework(id, &store));
-        let mgr = kit.manager(host, &store);
+        let (host, restarted) = phases.count_in(Phase::RestartHost, || {
+            kit.host_framework(id, &store, phases)
+        });
+        let mut mgr = kit.manager(host, &store);
+        mgr.set_phases(phases.clone());
         DosgiNode {
             id,
             state: NodeState::Running,
@@ -313,8 +315,10 @@ impl DosgiNode {
         self.recorder = recorder;
     }
 
-    /// Counts the node's tick phases into `phases` from now on.
+    /// Counts the node's tick phases, its releases and its adoptions'
+    /// restores into `phases` from now on.
     pub fn set_phases(&mut self, phases: Phases) {
+        self.mgr.set_phases(phases.clone());
         self.phases = phases;
     }
 
@@ -1210,6 +1214,8 @@ impl DosgiNode {
         let Some(iid) = self.mgr.find_by_name(name) else {
             return;
         };
+        let phases = self.phases.clone();
+        let _releasing = phases.enter(Phase::Release);
         let now_us = now.as_micros();
         let rel = match ctx {
             Some(c) => self.recorder.child(c, &format!("release/{name}"), now_us),

@@ -11,6 +11,7 @@ use crate::{
     UsageLedger, Version, Wiring,
 };
 use dosgi_san::{SharedStore, StoreError, Value};
+use dosgi_telemetry::{Phase, Phases};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -135,6 +136,9 @@ pub struct Framework {
     /// operation persists when its transitions moved this.
     marks: u64,
     metrics: FrameworkMetrics,
+    /// The restore's phase table while a restore runs — its activators'
+    /// registrations count as `adopt.register` — and disabled otherwise.
+    phases: Phases,
 }
 
 /// How many of the frameworks sharing this count have persistence pending
@@ -238,6 +242,7 @@ impl Framework {
             dirty_mark: DirtyMark::default(),
             marks: 0,
             metrics: FrameworkMetrics::default(),
+            phases: Phases::disabled(),
         };
         fw.framework_events.push(FrameworkEvent::Started);
         fw
@@ -940,6 +945,7 @@ impl Framework {
         properties: BTreeMap<String, PropValue>,
         implementation: Box<dyn Service>,
     ) -> ServiceId {
+        let _registering = self.phases.enter(Phase::AdoptRegister);
         self.registry
             .register(owner, interfaces, properties, implementation)
     }
@@ -1344,12 +1350,15 @@ impl Framework {
         factory: &ActivatorFactory,
     ) -> Result<Framework, BundleError> {
         let uncounted = FrameworkMetrics::default();
-        Self::restore_counted(config, store, namespace, factory, uncounted)
+        let unphased = Phases::disabled();
+        Self::restore_counted(config, store, namespace, factory, uncounted, &unphased)
     }
 
     /// [`restore`](Self::restore) with the telemetry handles attached
     /// before the first bundle is installed, so that the restore's own
-    /// transitions and rows are counted.
+    /// transitions and rows are counted, and its parts counted in
+    /// `phases`: `adopt.read`, `adopt.manifests`, `adopt.resolve`,
+    /// `adopt.start` and, inside the start, `adopt.register`.
     ///
     /// # Errors
     ///
@@ -1360,8 +1369,10 @@ impl Framework {
         namespace: &str,
         factory: &ActivatorFactory,
         metrics: FrameworkMetrics,
+        phases: &Phases,
     ) -> Result<Framework, BundleError> {
-        let rows = store.read_namespace(namespace)?;
+        let rows = phases.count_in(Phase::AdoptRead, || store.read_namespace(namespace))?;
+        let making = phases.enter(Phase::AdoptManifests);
         let parsed = persist::assemble(&rows)
             .map_err(BundleError::CorruptState)?
             .ok_or_else(|| BundleError::CorruptState(format!("no snapshot in {namespace}")))?;
@@ -1413,7 +1424,10 @@ impl Framework {
             }
         }
         to_start.sort();
-        fw.resolve_step();
+        drop(making);
+        phases.count_in(Phase::AdoptResolve, || fw.resolve_step());
+        fw.phases = phases.clone();
+        let starting = phases.enter(Phase::AdoptStart);
         for (_, id) in to_start {
             if let Err(e) = fw.start_step(id) {
                 fw.framework_events.push(FrameworkEvent::Error {
@@ -1422,6 +1436,8 @@ impl Framework {
                 });
             }
         }
+        drop(starting);
+        fw.phases = Phases::disabled();
         // The transitions marked the rows they changed. A row can also lag
         // what was read without any of them having run: a bundle persisted
         // RESOLVED that no longer resolves stays INSTALLED.

@@ -53,6 +53,20 @@ phases! {
     ApplyControl = "apply_control",
     /// Queued adoptions materializing.
     Adopt = "adopt",
+    /// A restore reading its framework's namespace from the SAN.
+    AdoptRead = "adopt.read",
+    /// A restore turning its rows into bundles: the header, the
+    /// manifests (shared or parsed) and the activators.
+    AdoptManifests = "adopt.manifests",
+    /// A restore wiring its bundles.
+    AdoptResolve = "adopt.resolve",
+    /// A restoring framework's activators registering services.
+    AdoptRegister = "adopt.register",
+    /// A restore starting its persistently started bundles.
+    AdoptStart = "adopt.start",
+    /// A graceful hand-off's source end: the instance stopped, its state
+    /// flushed and the release ordered.
+    Release = "release",
     /// Queued in-place upgrades swapping.
     Upgrade = "upgrade",
     /// Write-behind persistence being retried.
@@ -117,12 +131,14 @@ impl Phases {
     }
 
     /// Starts counting `phase`; the count is taken when the guard drops.
+    /// The guard borrows the table: entering a phase touches no reference
+    /// count.
     #[inline]
-    pub fn enter(&self, phase: Phase) -> PhaseGuard {
-        PhaseGuard(self.0.as_ref().map(|table| Entered {
+    pub fn enter(&self, phase: Phase) -> PhaseGuard<'_> {
+        PhaseGuard(self.0.as_deref().map(|table| Entered {
             start: Instant::now(),
             allocs: (table.allocations)(),
-            table: Arc::clone(table),
+            table,
             phase,
         }))
     }
@@ -148,8 +164,8 @@ impl Phases {
 }
 
 #[derive(Debug)]
-struct Entered {
-    table: Arc<Table>,
+struct Entered<'a> {
+    table: &'a Table,
     phase: Phase,
     start: Instant,
     allocs: u64,
@@ -158,9 +174,9 @@ struct Entered {
 /// Counts one call of a phase when dropped; inert from a disabled handle.
 #[derive(Debug)]
 #[must_use = "a phase is counted when its guard drops"]
-pub struct PhaseGuard(Option<Entered>);
+pub struct PhaseGuard<'a>(Option<Entered<'a>>);
 
-impl Drop for PhaseGuard {
+impl Drop for PhaseGuard<'_> {
     #[inline]
     fn drop(&mut self) {
         if let Some(e) = &self.0 {

@@ -11,7 +11,7 @@ use dosgi_osgi::{
     LoadError, LoadPath, ServiceError, SymbolName, UpgradeReport, UsageSnapshot,
 };
 use dosgi_san::{SharedStore, Value};
-use dosgi_telemetry::Telemetry;
+use dosgi_telemetry::{Phases, Telemetry};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -56,6 +56,8 @@ pub struct InstanceManager {
     // later, before their first transition.
     framework_metrics: FrameworkMetrics,
     metrics: Metrics,
+    // Counts the parts of every adoption's restore.
+    phases: Phases,
 }
 
 impl fmt::Debug for InstanceManager {
@@ -90,6 +92,7 @@ impl InstanceManager {
             lifecycle_epoch: 0,
             framework_metrics: FrameworkMetrics::default(),
             metrics: Metrics::default(),
+            phases: Phases::disabled(),
         }
     }
 
@@ -104,6 +107,12 @@ impl InstanceManager {
             inst.framework.set_metrics(self.framework_metrics.clone());
         }
         self.metrics = Metrics::new(&telemetry);
+    }
+
+    /// Counts the parts of each adoption's restore (`adopt.*`) into
+    /// `phases` from now on.
+    pub fn set_phases(&mut self, phases: Phases) {
+        self.phases = phases;
     }
 
     /// Attaches the SAN; every instance framework created afterwards
@@ -229,6 +238,7 @@ impl InstanceManager {
             &descriptor.state_namespace(),
             &self.factory,
             self.framework_metrics.clone(),
+            &self.phases,
         )?;
         let running = fw.bundles().any(|b| b.state.is_active());
         let state = if running {
