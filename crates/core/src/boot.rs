@@ -33,7 +33,8 @@ pub struct BootKit {
     pub(crate) config: NodeConfig,
     repository: Arc<BundleRepository>,
     factory: Arc<ActivatorFactory>,
-    host_bundles: Vec<BundleManifest>,
+    // The repository's own manifests, shared.
+    host_bundles: Vec<Arc<BundleManifest>>,
     // Compiled, never evaluated: each node takes a copy, which shares the
     // script and owns its own streaks.
     autonomic: Option<AutonomicModule>,
@@ -52,10 +53,22 @@ impl BootKit {
             AutonomicModule::new(script, config.policy_interval)
                 .expect("node policy script must compile")
         });
+        let repository = workloads::standard_repository();
+        let host_bundles = workloads::host_bundles()
+            .iter()
+            .map(|m| {
+                let name = m.symbolic_name.as_str();
+                Arc::clone(
+                    repository
+                        .manifest(name)
+                        .expect("host bundles are catalogued"),
+                )
+            })
+            .collect();
         BootKit {
-            repository: Arc::new(workloads::standard_repository()),
+            repository: Arc::new(repository),
             factory: Arc::new(workloads::standard_factory()),
-            host_bundles: workloads::host_bundles(),
+            host_bundles,
             autonomic,
             config,
         }
@@ -83,7 +96,8 @@ impl BootKit {
     /// for the first time (see the module docs). Whether the node
     /// restarted is read past the fault layer, so a node restarted during
     /// a brown-out is a restarted node even when its restore fails. The
-    /// restore's parts count in `phases`, as an adoption's do.
+    /// restore shares the repository's manifests and counts its parts in
+    /// `phases`, as an adoption does.
     pub(crate) fn host_framework(
         &self,
         id: NodeId,
@@ -94,11 +108,13 @@ impl BootKit {
         let restarted = store.namespace_bytes_prefixed(&ns) > 0;
         if restarted {
             let (config, uncounted) = (FrameworkConfig::new(&ns), FrameworkMetrics::default());
+            let known = &*self.repository;
             let restored = Framework::restore_counted(
                 config,
                 store.clone(),
                 &ns,
                 &self.factory,
+                known,
                 uncounted,
                 phases,
             );
@@ -110,7 +126,7 @@ impl BootKit {
         for manifest in &self.host_bundles {
             let activator = self.factory.create(manifest);
             let bid = host
-                .install(manifest.clone(), activator)
+                .install(Arc::clone(manifest), activator)
                 .expect("fresh framework");
             host.start(bid).expect("host bundles start");
         }

@@ -1362,8 +1362,8 @@ impl DosgiNode {
             match outcome {
                 Ok(iid) => {
                     // Verify the adoption: activator failures during restore
-                    // are swallowed into framework events (one bad bundle
-                    // must not block the rest), so a transient SAN read
+                    // are swallowed (one bad bundle must not block the
+                    // rest), so a transient SAN read
                     // during state recovery leaves autostart bundles dead
                     // while the instance *looks* adopted. Such a partial
                     // re-materialization is a failed adoption: stop it

@@ -12,14 +12,19 @@
 //! provider reads the first entry of a list kept in order — and the first
 //! call after an adoption the same whatever the size of the area it does not
 //! read. Registering and unregistering a two-interface service beside eight
-//! others allocates 18 times.
+//! others allocates 3 times: one interface list, whose names it shares, and
+//! two lists grown.
 //!
 //! What a hand-off costs: ten rounds of the `migrate` workload — `incr`, the
-//! ordered hand-off, the adoption — allocate ≤ 1 247 times, and each round
+//! ordered hand-off, the adoption — allocate ≤ 867 times, and each round
 //! exactly as often beside 4 rows of state as beside 1 024. Each end's one
-//! snapshot write builds no row: a restore of a one-bundle instance
-//! allocates 44 times, its closing write included, and the shutdown that
-//! releases it 3.
+//! snapshot write builds no row: a restore of a one-bundle instance through
+//! the repository reads its namespace once, copies only the row the bundle
+//! keeps and shares the repository's manifest, allocating 20 times, its
+//! closing write included; the shutdown that releases it allocates once. A
+//! restored bundle holds the repository's manifest itself; one upgraded to
+//! a revision the repository does not hold restores by parsing its row,
+//! to what a restore that knows no manifest makes of it.
 //!
 //! What a rejoin costs: a sync's sender exports one vector and one name per
 //! record, and no descriptor; a joiner imports 40 records in 87 allocations,
@@ -27,11 +32,11 @@
 //! registry that says nothing new allocates nothing; ordering a
 //! `RegistrySync` costs, beyond its export, the same for 4 records as for
 //! 40; the restart takes its share of the cluster's one boot kit and
-//! restores the host framework from the node's own snapshot, allocating
-//! exactly 150 times and writing no row; a whole crash, failover, restart
-//! and rejoin of the `failover` workload — one registry transfer —
-//! allocates ≤ 1 695 times; and a policy pass in which nothing fires
-//! allocates its subject list.
+//! restores the host framework from the node's own snapshot, sharing the
+//! kit's host manifests, allocating exactly 78 times and writing no row; a
+//! whole crash, failover, restart and rejoin of the `failover` workload —
+//! one registry transfer — allocates ≤ 1 273 times; and a policy pass in
+//! which nothing fires allocates its subject list.
 
 use dosgi_core::autonomic::{AutonomicModule, DEFAULT_POLICY};
 use dosgi_core::{
@@ -41,12 +46,12 @@ use dosgi_gcs::{GcsConfig, GcsEvent, GroupNode};
 use dosgi_monitor::{MonitoringModule, NodeCapacity};
 use dosgi_net::{LinkConfig, NodeId, SimDuration, SimNet, SimTime};
 use dosgi_osgi::{
-    ActivatorFactory, BundleId, CallContext, Framework, FrameworkConfig, Service, ServiceRegistry,
-    UsageSnapshot, Version,
+    ActivatorFactory, BundleId, CallContext, Framework, FrameworkConfig, FrameworkMetrics,
+    KnownManifests, Service, ServiceRegistry, UsageSnapshot, Version,
 };
 use dosgi_san::{SharedStore, Value};
-use dosgi_telemetry::{ScrapeConfig, SeriesScraper, Telemetry};
-use dosgi_vosgi::ResourceQuota;
+use dosgi_telemetry::{Phases, ScrapeConfig, SeriesScraper, Telemetry};
+use dosgi_vosgi::{BundleRepository, ResourceQuota};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -101,8 +106,10 @@ const NODES: usize = 5;
 const INSTANCES: usize = 40;
 /// What a joiner's import of `INSTANCES` records allocates.
 const JOINER_IMPORT: u64 = 87;
-/// What `DosgiCluster::restart_node` allocates.
-const RESTART: u64 = 150;
+/// What `DosgiCluster::restart_node` allocates (150 while a restore copied
+/// every row and its key to read them, parsed every manifest and
+/// registered each host service with five copies of its metadata).
+const RESTART: u64 = 78;
 
 /// The `failover` workload's cluster at rest: 5 nodes, 40 instances — the
 /// last `counters` of them write-through counters, the rest web — every one
@@ -260,9 +267,12 @@ fn request_path_allocations_with_telemetry_off() {
 }
 
 /// What a starting and a stopping bundle pay the service registry: the
-/// registration's own interface list, property map and two events, and its
-/// place in two lists that already exist (two keys to find them, two lists
-/// grown) — no second copy of its own metadata, no copy of anybody else's.
+/// registration's one interface list, whose names it shares with the two
+/// lists that already exist, and its place in those lists (two lists
+/// grown) — no property entry for what the record's fields answer, no
+/// event, no second copy of its own metadata, no copy of anybody else's.
+/// (18 while a registration copied its interfaces into its property map
+/// and into two events, and each list's key was found by a fresh name.)
 #[test]
 fn register_and_unregister_allocations() {
     let service = || -> Box<dyn Service> {
@@ -277,12 +287,11 @@ fn register_and_unregister_allocations() {
             service(),
         );
     }
-    let _ = registry.take_events();
     let (allocations, ()) = allocations_in(|| {
         let id = registry.register(BundleId(8), &["svc.a", "svc.b"], BTreeMap::new(), service());
         registry.unregister(id).expect("registered a line ago");
     });
-    assert_eq!(allocations, 18);
+    assert_eq!(allocations, 3);
     assert_eq!(registry.references(Some("svc.b"), None).len(), 8);
 }
 
@@ -527,8 +536,11 @@ fn failover_round_allocations(telemetry: Telemetry) {
             drop(c.take_events());
         });
         assert!(all_serving(&c));
-        // Measured 1 350 to 1 695 over these rounds, telemetry on or off
-        // (1 553 to 1 898 while a restart rebuilt the boot kit and wrote
+        // Measured 998 to 1 273 over these rounds, telemetry on or off
+        // (1 350 to 1 695 while an adoption copied every row and its key
+        // to read them, parsed every manifest, registered each service
+        // with five copies of its metadata and queued every lifecycle
+        // event; 1 553 to 1 898 while a restart rebuilt the boot kit and wrote
         // a fresh host framework over its snapshot; 1 791 to 2 168 while
         // every snapshot write built the rows it
         // wrote; 2 499 to 2 885 while a sync's sender and every joiner
@@ -540,7 +552,7 @@ fn failover_round_allocations(telemetry: Telemetry) {
         // `String` per key and every non-empty mailbox was drained into a
         // fresh vector).
         assert!(
-            allocations <= 1_695,
+            allocations <= 1_273,
             "failover round {round} allocated {allocations} times"
         );
     }
@@ -612,44 +624,147 @@ fn migrate_round_allocations(telemetry: Telemetry, blobs: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The two ends of a hand-off, each one snapshot write: a restore of the
-/// `migrate` workload's one-bundle instance, whose closing write takes the
-/// bundle back to `ACTIVE`, and the restored framework's `shutdown`, whose
-/// write takes it to `RESOLVED`. Neither builds a row: each bundle keeps its
-/// row as the SAN holds it, a persist rewrites the lifecycle fields in place
-/// and the store overwrites its copy in place; a write of one row builds no
-/// batch for it. (Building the row and a batch for each write cost 16 more
-/// allocations at each end: 60 and 19.)
-#[test]
-fn the_ends_of_a_handoff_build_no_row() {
-    const NS: &str = "instance/ctr";
-    let store = SharedStore::new();
+/// A framework at `NS` holding the `migrate` workload's one-bundle
+/// instance, installed from `repository` and shut down: its snapshot says
+/// `RESOLVED`, persistently started.
+fn shut_down_counter(store: &SharedStore, repository: &BundleRepository) {
     let mut fw = Framework::new(NS);
     fw.attach_store(store.clone(), NS).expect("no faults armed");
-    let manifest =
-        workloads::counter_manifest_at(workloads::COUNTER_ON_STOP, Version::new(1, 0, 0));
-    let id = fw.install(manifest, None).expect("a fresh framework");
+    let manifest = repository
+        .manifest(workloads::COUNTER_ON_STOP)
+        .expect("catalogued");
+    let id = fw
+        .install(Arc::clone(manifest), None)
+        .expect("a fresh framework");
     fw.start(id).expect("no activator to refuse");
     fw.shutdown();
-    let factory = ActivatorFactory::new();
+}
+
+const NS: &str = "instance/ctr";
+
+/// The two ends of a hand-off, each one snapshot write: a restore of the
+/// `migrate` workload's one-bundle instance through the repository, whose
+/// closing write takes the bundle back to `ACTIVE`, and the restored
+/// framework's `shutdown`, whose write takes it to `RESOLVED`. The restore
+/// reads the namespace once and copies only the bundle's row, which the
+/// bundle keeps; it shares the repository's manifest, which the row's
+/// equals, instead of parsing one. Neither end builds a row: a persist
+/// rewrites the lifecycle fields in place and the store overwrites its copy
+/// in place; a write of one row builds no batch for it and no key. (A
+/// restore allocated 44 times, and a shutdown 3, while a restore copied
+/// every row and its key to read them and parsed every manifest, and a
+/// dirty row was marked by its key string; 60 and 19 while each write
+/// built its row and a batch.)
+#[test]
+fn the_ends_of_a_handoff_build_no_row() {
+    let store = SharedStore::new();
+    let repository = workloads::standard_repository();
+    shut_down_counter(&store, &repository);
+    let (factory, metrics) = (ActivatorFactory::new(), FrameworkMetrics::default());
     let (restore_allocations, fw) = allocations_in(|| {
-        Framework::restore(FrameworkConfig::new(NS), store.clone(), NS, &factory)
+        let config = FrameworkConfig::new(NS);
+        let phases = Phases::disabled();
+        Framework::restore_counted(
+            config,
+            store.clone(),
+            NS,
+            &factory,
+            &repository,
+            metrics,
+            &phases,
+        )
     });
     let mut fw = fw.expect("persisted state restores");
     let (shutdown_allocations, ()) = allocations_in(|| fw.shutdown());
-    assert_eq!((restore_allocations, shutdown_allocations), (44, 3));
+    assert_eq!((restore_allocations, shutdown_allocations), (20, 1));
+}
+
+/// An adopted instance's bundle holds the repository's manifest itself,
+/// shared, not a copy parsed from its row.
+#[test]
+fn a_restored_bundle_shares_the_repository_manifest() {
+    let store = SharedStore::new();
+    let repository = workloads::standard_repository();
+    shut_down_counter(&store, &repository);
+    let factory = ActivatorFactory::new();
+    let (metrics, phases) = (FrameworkMetrics::default(), Phases::disabled());
+    let config = FrameworkConfig::new(NS);
+    let fw = Framework::restore_counted(config, store, NS, &factory, &repository, metrics, &phases)
+        .expect("persisted state restores");
+    let bundle = fw.bundles().next().expect("one bundle");
+    let held = repository
+        .manifest(workloads::COUNTER_ON_STOP)
+        .expect("catalogued");
+    assert!(Arc::ptr_eq(&bundle.manifest, held));
+    assert!(bundle.state.is_active());
+}
+
+/// A bundle upgraded to a revision the repository does not hold restores
+/// by parsing its row: its manifest is the upgrade's, held by no one else,
+/// and the restore equals what a restore that knows no manifest makes of
+/// the same rows.
+#[test]
+fn an_upgraded_bundle_restores_by_parsing() {
+    let store = SharedStore::new();
+    let repository = workloads::standard_repository();
+    let mut fw = Framework::new(NS);
+    fw.attach_store(store.clone(), NS).expect("no faults armed");
+    let held = repository
+        .manifest(workloads::COUNTER_ON_STOP)
+        .expect("catalogued");
+    let id = fw
+        .install(Arc::clone(held), None)
+        .expect("a fresh framework");
+    fw.start(id).expect("no activator to refuse");
+    let upgrade = workloads::counter_manifest_at(workloads::COUNTER_ON_STOP, Version::new(1, 1, 0));
+    fw.upgrade_bundle(id, upgrade.clone(), None)
+        .expect("same major version");
+    fw.shutdown();
+    // The same rows on a second SAN, for a restore that knows no manifest.
+    let rows = store.read_namespace(NS).expect("no faults armed");
+    let twin = SharedStore::new();
+    twin.put_many(NS, &rows).expect("no faults armed");
+    let factory = ActivatorFactory::new();
+    let restore = |store: &SharedStore, known: &dyn KnownManifests| {
+        let (metrics, phases) = (FrameworkMetrics::default(), Phases::disabled());
+        let config = FrameworkConfig::new(NS);
+        Framework::restore_counted(config, store.clone(), NS, &factory, known, metrics, &phases)
+            .expect("persisted state restores")
+    };
+    let shape = |fw: &Framework| -> Vec<_> {
+        fw.bundles()
+            .map(|b| {
+                (
+                    b.id,
+                    (*b.manifest).clone(),
+                    b.state,
+                    b.autostart,
+                    b.state_version,
+                )
+            })
+            .collect()
+    };
+    let (shared, parsed) = (restore(&store, &repository), restore(&twin, &()));
+    let bundle = shared.bundles().next().expect("one bundle");
+    assert!(!Arc::ptr_eq(&bundle.manifest, held));
+    assert_eq!(*bundle.manifest, upgrade);
+    assert_eq!(shape(&shared), shape(&parsed));
+    assert_eq!(store.read_namespace(NS), twin.read_namespace(NS));
 }
 
 fn migrate_rounds_are_bounded_and_blind_to_the_area(telemetry: fn() -> Telemetry) {
     let small = migrate_round_allocations(telemetry(), 4);
-    // Measured: 1 145 over the ten rounds with telemetry off, 1 247 with it
-    // on, 107 to 180 a round (1 465 and 1 567 while each end of a hand-off
+    // Measured: 765 over the ten rounds with telemetry off, 867 with it
+    // on, 69 to 142 a round (1 145 and 1 247, 107 to 180 a round, while an
+    // adoption copied every row and its key to read them, parsed its
+    // manifest and registered its service with five copies of its
+    // metadata; 1 465 and 1 567 while each end of a hand-off
     // built the bundle's row, and a batch, for its write; 1 479 and 1 581
     // while a policy
     // pass copied every metric onto its blackboard; 2 397 and 2 499, 217 to
     // 335 a round, while a map was a tree with a `String` per key).
     let total: u64 = small.iter().sum();
-    assert!(total <= 1_247, "ten migrate rounds allocated {small:?}");
+    assert!(total <= 867, "ten migrate rounds allocated {small:?}");
     assert_eq!(small, migrate_round_allocations(telemetry(), 1024));
 }
 

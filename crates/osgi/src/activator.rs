@@ -29,8 +29,9 @@ pub trait Activator: Send {
     ///
     /// # Errors
     ///
-    /// Errors are recorded as framework events; the stop proceeds anyway
-    /// (OSGi semantics: a failing stop cannot keep a bundle active).
+    /// An error does not stop the stop: the bundle stops and its services
+    /// go anyway (OSGi semantics: a failing stop cannot keep a bundle
+    /// active).
     fn stop(&mut self, ctx: &mut BundleContext<'_>) -> Result<(), String>;
 }
 

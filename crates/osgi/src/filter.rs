@@ -29,9 +29,24 @@
 //! ```
 
 use crate::PropValue;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
+
+/// What a filter reads: a property by its key. A plain map answers from
+/// its entries; a [`ServiceRecord`](crate::ServiceRecord) also answers
+/// the keys OSGi sets, from its fields.
+pub trait Properties {
+    /// The value under `key`, if there is one.
+    fn property(&self, key: &str) -> Option<Cow<'_, PropValue>>;
+}
+
+impl Properties for BTreeMap<String, PropValue> {
+    fn property(&self, key: &str) -> Option<Cow<'_, PropValue>> {
+        self.get(key).map(Cow::Borrowed)
+    }
+}
 
 /// A parse error, with the byte offset where parsing failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -93,7 +108,7 @@ impl Filter {
     }
 
     /// Evaluates the filter against a property dictionary.
-    pub fn matches(&self, props: &BTreeMap<String, PropValue>) -> bool {
+    pub fn matches(&self, props: &impl Properties) -> bool {
         eval(&self.root, props)
     }
 
@@ -247,22 +262,24 @@ fn parse_operation(bytes: &[u8], pos: &mut usize) -> Result<Node, FilterError> {
     })
 }
 
-fn eval(node: &Node, props: &BTreeMap<String, PropValue>) -> bool {
+fn eval(node: &Node, props: &impl Properties) -> bool {
     match node {
         Node::And(list) => list.iter().all(|n| eval(n, props)),
         Node::Or(list) => list.iter().any(|n| eval(n, props)),
         Node::Not(inner) => !eval(inner, props),
-        Node::Present(attr) => props.contains_key(attr),
-        Node::Equal(attr, pattern) => props.get(attr).is_some_and(|v| equal_match(v, pattern)),
+        Node::Present(attr) => props.property(attr).is_some(),
+        Node::Equal(attr, pattern) => props
+            .property(attr)
+            .is_some_and(|v| equal_match(&v, pattern)),
         Node::Approx(attr, pattern) => props
-            .get(attr)
+            .property(attr)
             .is_some_and(|v| normalize(&v.literal()) == normalize(pattern)),
         Node::GreaterEq(attr, value) => props
-            .get(attr)
-            .is_some_and(|v| ordered_cmp(v, value).is_some_and(|o| o >= 0)),
+            .property(attr)
+            .is_some_and(|v| ordered_cmp(&v, value).is_some_and(|o| o >= 0)),
         Node::LessEq(attr, value) => props
-            .get(attr)
-            .is_some_and(|v| ordered_cmp(v, value).is_some_and(|o| o <= 0)),
+            .property(attr)
+            .is_some_and(|v| ordered_cmp(&v, value).is_some_and(|o| o <= 0)),
     }
 }
 

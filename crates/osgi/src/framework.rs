@@ -3,16 +3,15 @@
 
 use crate::loader::BootDelegation;
 use crate::loader::LoadPath;
-use crate::persist;
+use crate::persist::{self, Row};
 use crate::{
-    Activator, ActivatorFactory, BundleContext, BundleError, BundleEvent, BundleEventKind,
-    BundleId, BundleManifest, BundleState, ClassRef, DataArea, FrameworkEvent, LoadError,
-    PropValue, Service, ServiceError, ServiceEvent, ServiceId, ServiceRegistry, SymbolName,
-    UsageLedger, Version, Wiring,
+    Activator, ActivatorFactory, BundleContext, BundleError, BundleId, BundleManifest, BundleState,
+    ClassRef, DataArea, KnownManifests, LoadError, PropValue, Service, ServiceError, ServiceId,
+    ServiceRegistry, SymbolName, UsageLedger, Version, Wiring,
 };
 use dosgi_san::{SharedStore, StoreError, Value};
 use dosgi_telemetry::{Phase, Phases};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,9 +29,9 @@ pub struct FrameworkConfig {
 
 impl FrameworkConfig {
     /// A config named `name` with standard boot delegation and start level 1.
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: impl Into<String>) -> Self {
         FrameworkConfig {
-            name: name.to_owned(),
+            name: name.into(),
             boot: BootDelegation::standard(),
             start_level: 1,
         }
@@ -43,8 +42,10 @@ impl FrameworkConfig {
 pub struct Bundle {
     /// Framework-local id.
     pub id: BundleId,
-    /// The bundle's manifest.
-    pub manifest: BundleManifest,
+    /// The bundle's manifest, shared with the repository it was installed
+    /// from, and with every framework that installed or restored it from
+    /// there.
+    pub manifest: Arc<BundleManifest>,
     /// Current lifecycle state.
     pub state: BundleState,
     /// Whether the bundle is persistently started (survives reboots and
@@ -117,17 +118,17 @@ pub struct Framework {
     registry: ServiceRegistry,
     wirings: BTreeMap<BundleId, Wiring>,
     ledger: UsageLedger,
-    bundle_events: Vec<BundleEvent>,
-    framework_events: Vec<FrameworkEvent>,
     /// Bundle data areas by symbolic name, created on first use. Ordered,
     /// so a flush visits them — and draws its fault rolls — in one order.
     areas: BTreeMap<String, DataArea>,
     store: Option<(SharedStore, String)>,
     /// Snapshot rows (header / `bundle/<id>`) whose in-memory state is
     /// ahead of the SAN; the next persist writes exactly these rows.
-    dirty_rows: BTreeSet<String>,
+    /// Kept sorted, in key order; clearing it keeps its capacity, so a
+    /// mark after the first allocates nothing.
+    dirty_rows: Vec<Row>,
     /// Snapshot rows pending deletion on the SAN (uninstalled bundles).
-    deleted_rows: BTreeSet<String>,
+    deleted_rows: Vec<Row>,
     /// This framework's entry in a [`DirtyCount`], kept equal to
     /// [`persist_dirty`](Framework::persist_dirty) by every site that
     /// changes one of the two sets above or leaves a data-area row dirty.
@@ -139,6 +140,13 @@ pub struct Framework {
     /// The restore's phase table while a restore runs — its activators'
     /// registrations count as `adopt.register` — and disabled otherwise.
     phases: Phases,
+}
+
+/// Adds `row` to `rows`, kept sorted and free of duplicates.
+fn mark(rows: &mut Vec<Row>, row: Row) {
+    if let Err(at) = rows.binary_search(&row) {
+        rows.insert(at, row);
+    }
 }
 
 /// How many of the frameworks sharing this count have persistence pending
@@ -226,26 +234,22 @@ impl Framework {
 
     /// Creates a framework from an explicit configuration.
     pub fn with_config(config: FrameworkConfig) -> Self {
-        let mut fw = Framework {
+        Framework {
             config,
             bundles: BTreeMap::new(),
             next_bundle: 1,
             registry: ServiceRegistry::new(),
             wirings: BTreeMap::new(),
             ledger: UsageLedger::new(),
-            bundle_events: Vec::new(),
-            framework_events: Vec::new(),
             areas: BTreeMap::new(),
             store: None,
-            dirty_rows: BTreeSet::new(),
-            deleted_rows: BTreeSet::new(),
+            dirty_rows: Vec::new(),
+            deleted_rows: Vec::new(),
             dirty_mark: DirtyMark::default(),
             marks: 0,
             metrics: FrameworkMetrics::default(),
             phases: Phases::disabled(),
-        };
-        fw.framework_events.push(FrameworkEvent::Started);
-        fw
+        }
     }
 
     /// Attaches telemetry handles; bundle lifecycle transitions are counted
@@ -304,9 +308,10 @@ impl Framework {
     /// name and version is already installed.
     pub fn install(
         &mut self,
-        manifest: BundleManifest,
+        manifest: impl Into<Arc<BundleManifest>>,
         activator: Option<Box<dyn Activator>>,
     ) -> Result<BundleId, BundleError> {
+        let manifest = manifest.into();
         if let Some(existing) = self.bundles.values().find(|b| {
             b.manifest.symbolic_name == manifest.symbolic_name
                 && b.manifest.version == manifest.version
@@ -329,17 +334,16 @@ impl Framework {
         };
         bundle.row = persist::bundle_row(&bundle);
         self.bundles.insert(id, bundle);
-        self.event(id, BundleEventKind::Installed);
+        self.metrics.installed.incr();
         self.mark_header_dirty(); // next_bundle advanced
         self.mark_bundle_dirty(id);
         let _ = self.persist();
         Ok(id)
     }
 
-    /// Attempts to resolve every `INSTALLED` bundle. Returns the ids that
-    /// newly resolved.
-    pub fn resolve_all(&mut self) -> Vec<BundleId> {
-        self.then_persist(Self::resolve_step)
+    /// Attempts to resolve every `INSTALLED` bundle.
+    pub fn resolve_all(&mut self) {
+        self.then_persist(Self::resolve_step);
     }
 
     /// Runs lifecycle transitions, then persists the rows they marked — if
@@ -356,31 +360,28 @@ impl Framework {
         outcome
     }
 
-    fn resolve_step(&mut self) -> Vec<BundleId> {
-        let candidates: BTreeMap<BundleId, &BundleManifest> = self
-            .bundles
-            .values()
+    /// Wires the `INSTALLED` bundles against the resolved ones, reading
+    /// both straight from the bundle table.
+    fn resolve_step(&mut self) {
+        let bundles = self.bundles.values();
+        let candidates = bundles
+            .clone()
             .filter(|b| b.state == BundleState::Installed)
-            .map(|b| (b.id, &b.manifest))
-            .collect();
-        let resolved_pool: BTreeMap<BundleId, &BundleManifest> = self
-            .bundles
-            .values()
+            .map(|b| (b.id, &*b.manifest));
+        let resolved_pool = bundles
             .filter(|b| b.state.is_resolved())
-            .map(|b| (b.id, &b.manifest))
-            .collect();
-        let report = crate::resolver::resolve(&candidates, &resolved_pool);
-        let ids: Vec<BundleId> = report.resolved.keys().copied().collect();
-        for (id, wiring) in report.resolved {
-            self.wirings.insert(id, wiring);
+            .map(|b| (b.id, &*b.manifest));
+        let mut report = crate::resolver::resolve(candidates, resolved_pool);
+        for &id in report.resolved.keys() {
             self.bundles
                 .get_mut(&id)
                 .expect("resolver only reports candidate ids")
                 .state = BundleState::Resolved;
-            self.event(id, BundleEventKind::Resolved);
+            self.metrics.resolved.incr();
             self.mark_bundle_dirty(id);
         }
-        ids
+        // Moved, not copied: into an empty table, the report's whole.
+        self.wirings.append(&mut report.resolved);
     }
 
     /// Starts a bundle: resolves it if necessary, runs its activator, and
@@ -456,7 +457,7 @@ impl Framework {
             Ok(()) => {
                 bundle.state = BundleState::Active;
                 bundle.autostart = true;
-                self.event(id, BundleEventKind::Started);
+                self.metrics.started.incr();
                 self.mark_bundle_dirty(id);
                 Ok(())
             }
@@ -466,10 +467,6 @@ impl Framework {
                 // and so are the rows it read.
                 self.registry.unregister_bundle(id);
                 self.release_area(id);
-                self.framework_events.push(FrameworkEvent::Error {
-                    bundle: Some(id),
-                    message: message.clone(),
-                });
                 Err(BundleError::ActivatorFailed {
                     bundle: id,
                     message,
@@ -526,18 +523,11 @@ impl Framework {
             .expect("bundle_state checked id above")
             .activator
             .take();
-        let result = match activator.as_mut() {
-            Some(a) => {
-                let mut ctx = BundleContext::new(id, self);
-                a.stop(&mut ctx)
-            }
-            None => Ok(()),
-        };
-        if let Err(message) = result {
-            self.framework_events.push(FrameworkEvent::Error {
-                bundle: Some(id),
-                message,
-            });
+        // A failing `stop` still stops the bundle: its services go either
+        // way.
+        if let Some(a) = activator.as_mut() {
+            let mut ctx = BundleContext::new(id, self);
+            let _ = a.stop(&mut ctx);
         }
         self.registry.unregister_bundle(id);
         let bundle = self
@@ -549,7 +539,7 @@ impl Framework {
         if persistent {
             bundle.autostart = false;
         }
-        self.event(id, BundleEventKind::Stopped);
+        self.metrics.stopped.incr();
         self.mark_bundle_dirty(id);
         Ok(())
     }
@@ -575,11 +565,11 @@ impl Framework {
         self.bundles.remove(&id);
         self.wirings.remove(&id);
         self.ledger.forget(id);
-        self.event(id, BundleEventKind::Uninstalled);
+        self.metrics.uninstalled.incr();
         if self.store.is_some() {
-            let key = persist::bundle_key(id);
-            self.dirty_rows.remove(&key);
-            self.deleted_rows.insert(key);
+            let row = Row::Bundle(id);
+            self.dirty_rows.retain(|dirty| *dirty != row);
+            mark(&mut self.deleted_rows, row);
             self.sync_dirty_mark();
         }
         let _ = self.persist();
@@ -596,7 +586,11 @@ impl Framework {
     ///
     /// Lifecycle errors from the embedded stop/start, or
     /// [`BundleError::ResolutionFailed`] if the new manifest cannot wire.
-    pub fn update(&mut self, id: BundleId, manifest: BundleManifest) -> Result<(), BundleError> {
+    pub fn update(
+        &mut self,
+        id: BundleId,
+        manifest: impl Into<Arc<BundleManifest>>,
+    ) -> Result<(), BundleError> {
         self.update_with_activator(id, manifest, None)
     }
 
@@ -611,7 +605,7 @@ impl Framework {
     pub fn update_with_activator(
         &mut self,
         id: BundleId,
-        manifest: BundleManifest,
+        manifest: impl Into<Arc<BundleManifest>>,
         activator: Option<Box<dyn Activator>>,
     ) -> Result<(), BundleError> {
         let state = self.bundle_state(id)?;
@@ -623,7 +617,7 @@ impl Framework {
             .bundles
             .get_mut(&id)
             .expect("bundle_state checked id above");
-        bundle.manifest = manifest;
+        bundle.manifest = manifest.into();
         bundle.state = BundleState::Installed;
         // `update` gives no state-handoff guarantee: the new revision owns
         // whatever the data area holds, so the compatibility anchor moves.
@@ -633,7 +627,7 @@ impl Framework {
             bundle.activator = Some(a);
         }
         self.wirings.remove(&id);
-        self.event(id, BundleEventKind::Updated);
+        self.metrics.updated.incr();
         self.mark_bundle_dirty(id);
         self.refresh();
         if was_active {
@@ -675,9 +669,10 @@ impl Framework {
     pub fn upgrade_bundle(
         &mut self,
         id: BundleId,
-        manifest: BundleManifest,
+        manifest: impl Into<Arc<BundleManifest>>,
         activator: Option<Box<dyn Activator>>,
     ) -> Result<UpgradeReport, BundleError> {
+        let manifest = manifest.into();
         let (sn, from, state_version, state) = {
             let b = self.bundles.get(&id).ok_or(BundleError::NotFound(id))?;
             (
@@ -720,7 +715,7 @@ impl Framework {
             bundle.activator = Some(a);
         }
         self.wirings.remove(&id);
-        self.event(id, BundleEventKind::Upgraded);
+        self.metrics.upgraded.incr();
         self.mark_bundle_dirty(id);
         self.refresh();
         if was_active {
@@ -739,13 +734,12 @@ impl Framework {
     /// no longer be satisfied are stopped and demoted to `INSTALLED`
     /// (a simplified OSGi *refresh packages* operation).
     pub fn refresh(&mut self) {
-        let candidates: BTreeMap<BundleId, &BundleManifest> = self
+        let candidates = self
             .bundles
             .values()
             .filter(|b| b.state != BundleState::Uninstalled)
-            .map(|b| (b.id, &b.manifest))
-            .collect();
-        let report = crate::resolver::resolve(&candidates, &BTreeMap::new());
+            .map(|b| (b.id, &*b.manifest));
+        let report = crate::resolver::resolve(candidates, std::iter::empty());
         let failed: Vec<BundleId> = report.failed.keys().copied().collect();
         self.wirings = report.resolved.clone();
         for (id, _) in report.resolved {
@@ -755,7 +749,7 @@ impl Framework {
                 .expect("resolver only reports installed ids");
             if b.state == BundleState::Installed {
                 b.state = BundleState::Resolved;
-                self.event(id, BundleEventKind::Resolved);
+                self.metrics.resolved.incr();
                 self.mark_bundle_dirty(id);
             }
         }
@@ -790,8 +784,8 @@ impl Framework {
 
     /// Moves the framework to `level`: persistently-started bundles at or
     /// below the level are started (ascending level order); active bundles
-    /// above it are stopped transiently (descending order). Activator
-    /// failures are recorded as framework events and do not abort the sweep.
+    /// above it are stopped transiently (descending order). A bundle whose
+    /// activator fails is left degraded and does not abort the sweep.
     #[cfg(test)]
     pub(crate) fn set_start_level(&mut self, level: u32) {
         let mut to_start: Vec<(u32, BundleId)> = self
@@ -814,16 +808,10 @@ impl Framework {
             let _ = self.stop_transient(id);
         }
         for (_, id) in to_start {
-            if let Err(e) = self.start(id) {
-                self.framework_events.push(FrameworkEvent::Error {
-                    bundle: Some(id),
-                    message: e.to_string(),
-                });
-            }
+            // A bundle that fails to start is left degraded.
+            let _ = self.start(id);
         }
         self.config.start_level = level;
-        self.framework_events
-            .push(FrameworkEvent::StartLevelChanged { level });
         self.mark_header_dirty();
         let _ = self.persist();
     }
@@ -832,7 +820,6 @@ impl Framework {
     /// order *without* clearing their persistent-start flags, then persists
     /// the final state, once. After `restore`, the same bundles come back.
     pub fn shutdown(&mut self) {
-        self.framework_events.push(FrameworkEvent::ShuttingDown);
         let mut active: Vec<(u32, BundleId)> = self
             .bundles
             .values()
@@ -1138,23 +1125,6 @@ impl Framework {
         &mut self.ledger
     }
 
-    /// Drains queued bundle events.
-    #[cfg(test)]
-    pub(crate) fn take_bundle_events(&mut self) -> Vec<BundleEvent> {
-        std::mem::take(&mut self.bundle_events)
-    }
-
-    /// Drains queued framework events.
-    #[cfg(test)]
-    pub(crate) fn take_framework_events(&mut self) -> Vec<FrameworkEvent> {
-        std::mem::take(&mut self.framework_events)
-    }
-
-    /// Drains queued service events.
-    pub fn take_service_events(&mut self) -> Vec<ServiceEvent> {
-        self.registry.take_events()
-    }
-
     // ------------------------------------------------------------------
     // Persistence
     // ------------------------------------------------------------------
@@ -1164,7 +1134,7 @@ impl Framework {
     /// sites then flush exactly the marked rows (write-behind on failure).
     fn mark_bundle_dirty(&mut self, id: BundleId) {
         if self.store.is_some() {
-            self.dirty_rows.insert(persist::bundle_key(id));
+            mark(&mut self.dirty_rows, Row::Bundle(id));
             self.dirty_mark.set(true);
             self.marks += 1;
         }
@@ -1173,7 +1143,7 @@ impl Framework {
     /// Marks the header row (`next_bundle` / `start_level`) dirty.
     fn mark_header_dirty(&mut self) {
         if self.store.is_some() {
-            self.dirty_rows.insert(persist::HEADER_KEY.to_owned());
+            mark(&mut self.dirty_rows, Row::Header);
             self.dirty_mark.set(true);
             self.marks += 1;
         }
@@ -1196,8 +1166,8 @@ impl Framework {
     ///
     /// Persistence is **write-behind** with respect to lifecycle progress: a
     /// transient SAN failure does not roll back the in-memory transition.
-    /// Instead the framework leaves the rows marked dirty, records a
-    /// [`FrameworkEvent::Error`], and relies on a later
+    /// Instead the framework leaves the rows marked dirty and relies on a
+    /// later
     /// [`flush_persist`](Self::flush_persist) (the node tick drives one with
     /// backoff) to converge durable state.
     ///
@@ -1212,26 +1182,16 @@ impl Framework {
         let outcome = self.persist_rows(&store, &ns);
         self.store = Some((store, ns));
         self.sync_dirty_mark();
-        match outcome {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.framework_events.push(FrameworkEvent::Error {
-                    bundle: None,
-                    message: format!("snapshot persist deferred: {e}"),
-                });
-                Err(e)
-            }
-        }
+        outcome
     }
 
     fn persist_rows(&mut self, store: &SharedStore, ns: &str) -> Result<(), StoreError> {
         // Deletes first: an uninstalled bundle's row must be gone before a
         // concurrent restore could reassemble it into a stale bundle.
-        let deletes: Vec<String> = self.deleted_rows.iter().cloned().collect();
-        for key in deletes {
-            match store.delete(ns, &key) {
+        while let Some(&row) = self.deleted_rows.first() {
+            match store.delete(ns, row.key().as_ref()) {
                 Ok(()) | Err(StoreError::NotFound { .. }) => {
-                    self.deleted_rows.remove(&key);
+                    self.deleted_rows.remove(0);
                 }
                 Err(e) => return Err(e),
             }
@@ -1241,30 +1201,30 @@ impl Framework {
         }
         // A dirty row for a since-uninstalled bundle was replaced by a
         // delete marker: it has no bundle, and nothing is written for it.
-        for key in &self.dirty_rows {
-            let id = persist::parse_bundle_key(key);
-            if let Some(b) = id.and_then(|id| self.bundles.get_mut(&id)) {
-                persist::refresh_row(b);
+        for row in &self.dirty_rows {
+            if let Row::Bundle(id) = row {
+                if let Some(b) = self.bundles.get_mut(id) {
+                    persist::refresh_row(b);
+                }
             }
         }
         let header = self
             .dirty_rows
-            .contains(persist::HEADER_KEY)
+            .contains(&Row::Header)
             .then(|| persist::header_row(self.next_bundle, self.config.start_level));
         // In key order, header last: a torn batch lands a prefix of it.
-        let mut entries = self.dirty_rows.iter().filter_map(|key| {
-            let row = if key == persist::HEADER_KEY {
-                header.as_ref()?
-            } else {
-                &self.bundles.get(&persist::parse_bundle_key(key)?)?.row
+        let mut entries = self.dirty_rows.iter().filter_map(|&row| {
+            let value = match row {
+                Row::Header => header.as_ref()?,
+                Row::Bundle(id) => &self.bundles.get(&id)?.row,
             };
-            Some((key.as_str(), row))
+            Some((row.key(), value))
         });
         // Either end of a hand-off writes one row, and needs no batch built.
         let rows = match (entries.next(), self.dirty_rows.len()) {
             (Some(only), 1) => store.put_many(ns, &[only])?,
             (first, _) => {
-                let batch: Vec<(&str, &Value)> = first.into_iter().chain(entries).collect();
+                let batch: Vec<_> = first.into_iter().chain(entries).collect();
                 store.put_many(ns, &batch)?
             }
         } as u64;
@@ -1328,8 +1288,8 @@ impl Framework {
     }
 
     /// Reconstructs a framework from the per-bundle snapshot rows stored
-    /// under `namespace` (reassembled via `read_namespace`), reinstalling
-    /// every bundle (activators re-created via `factory`) and restarting
+    /// under `namespace`, reinstalling every bundle (activators re-created
+    /// via `factory`, every manifest parsed from its row) and restarting
     /// the ones that were persistently started — one lifecycle batch: one
     /// read, then every transition, then one write of the rows that no
     /// longer say what the SAN holds.
@@ -1349,16 +1309,22 @@ impl Framework {
         namespace: &str,
         factory: &ActivatorFactory,
     ) -> Result<Framework, BundleError> {
-        let uncounted = FrameworkMetrics::default();
-        let unphased = Phases::disabled();
-        Self::restore_counted(config, store, namespace, factory, uncounted, &unphased)
+        let (uncounted, unphased) = (FrameworkMetrics::default(), Phases::disabled());
+        Self::restore_counted(config, store, namespace, factory, &(), uncounted, &unphased)
     }
 
-    /// [`restore`](Self::restore) with the telemetry handles attached
-    /// before the first bundle is installed, so that the restore's own
-    /// transitions and rows are counted, and its parts counted in
-    /// `phases`: `adopt.read`, `adopt.manifests`, `adopt.resolve`,
-    /// `adopt.start` and, inside the start, `adopt.register`.
+    /// [`restore`](Self::restore) sharing the manifests `known` holds —
+    /// a bundle whose persisted manifest equals a known one's row form gets
+    /// that manifest, any other is parsed from its row — with the telemetry
+    /// handles attached before the first bundle is installed, so that the
+    /// restore's own transitions and rows are counted, and its parts
+    /// counted in `phases`: `adopt.read`, `adopt.manifests`,
+    /// `adopt.resolve`, `adopt.start` and, inside the start,
+    /// `adopt.register`.
+    ///
+    /// The namespace is read once, under the store's lock: the header's
+    /// fields are parsed where they lie, and only the bundle rows, which
+    /// the bundles keep, are copied.
     ///
     /// # Errors
     ///
@@ -1366,16 +1332,22 @@ impl Framework {
     pub fn restore_counted(
         config: FrameworkConfig,
         store: SharedStore,
-        namespace: &str,
+        namespace: impl Into<String>,
         factory: &ActivatorFactory,
+        known: &dyn KnownManifests,
         metrics: FrameworkMetrics,
         phases: &Phases,
     ) -> Result<Framework, BundleError> {
-        let rows = phases.count_in(Phase::AdoptRead, || store.read_namespace(namespace))?;
+        let namespace = namespace.into();
+        let mut rows = persist::Rows::default();
+        phases.count_in(Phase::AdoptRead, || {
+            store.visit_namespace(&namespace, |key, row| rows.read(key, row))
+        })?;
         let making = phases.enter(Phase::AdoptManifests);
-        let parsed = persist::assemble(&rows)
-            .map_err(BundleError::CorruptState)?
-            .ok_or_else(|| BundleError::CorruptState(format!("no snapshot in {namespace}")))?;
+        let Some(mut parsed) = rows.assemble(known).map_err(BundleError::CorruptState)? else {
+            let missing = format!("no snapshot in {namespace}");
+            return Err(BundleError::CorruptState(missing));
+        };
         let mut fw = Framework::with_config(config);
         fw.metrics = metrics;
         fw.config.start_level = parsed.start_level;
@@ -1385,85 +1357,56 @@ impl Framework {
         fw.next_bundle = parsed.next_bundle.max(past_rows);
         // Attached before anything restarts: activators read their
         // persisted data areas during start.
-        fw.store = Some((store, namespace.to_owned()));
+        fw.store = Some((store, namespace));
         if fw.next_bundle != parsed.next_bundle {
             fw.mark_header_dirty();
         }
-        // What each row said when it was read, and the persistently-started
-        // bundles within the start level, in (start level, id) order.
-        let mut read = Vec::with_capacity(parsed.bundles.len());
-        let mut to_start: Vec<(u32, BundleId)> = Vec::new();
-        for record in parsed.bundles {
-            if record.autostart && record.manifest.start_level <= parsed.start_level {
-                to_start.push((record.manifest.start_level, record.id));
-            }
-            read.push((
-                record.id,
-                (record.state, record.autostart, record.state_version),
-            ));
+        for record in &mut parsed.bundles {
             let activator = factory.create(&record.manifest);
-            fw.bundles.insert(
-                record.id,
-                Bundle {
-                    id: record.id,
-                    manifest: record.manifest,
-                    state: BundleState::Installed,
-                    autostart: record.autostart,
-                    state_version: record.state_version,
-                    activator,
-                    row: Value::Null,
-                },
-            );
-            fw.event(record.id, BundleEventKind::Installed);
+            // The rows read are the rows kept: they say what the SAN holds.
+            let bundle = Bundle {
+                id: record.id,
+                manifest: Arc::clone(&record.manifest),
+                state: BundleState::Installed,
+                autostart: record.autostart,
+                state_version: record.state_version,
+                activator,
+                row: std::mem::take(&mut record.row),
+            };
+            fw.bundles.insert(record.id, bundle);
+            fw.metrics.installed.incr();
         }
-        // The rows read are the rows kept: they say what the SAN holds.
-        for (key, row) in rows {
-            let id = persist::parse_bundle_key(&key);
-            if let Some(b) = id.and_then(|id| fw.bundles.get_mut(&id)) {
-                b.row = row;
-            }
-        }
-        to_start.sort();
+        // The records still say what each row said when it was read.
+        // Sorted, the persistently-started bundles within the start level
+        // come last, in (start level, id) order.
+        let starts = |r: &persist::BundleRecord| {
+            let level = r.manifest.start_level;
+            (r.autostart && level <= parsed.start_level).then_some(level)
+        };
+        parsed.bundles.sort_unstable_by_key(|r| (starts(r), r.id));
         drop(making);
         phases.count_in(Phase::AdoptResolve, || fw.resolve_step());
         fw.phases = phases.clone();
         let starting = phases.enter(Phase::AdoptStart);
-        for (_, id) in to_start {
-            if let Err(e) = fw.start_step(id) {
-                fw.framework_events.push(FrameworkEvent::Error {
-                    bundle: Some(id),
-                    message: e.to_string(),
-                });
-            }
+        for record in parsed.bundles.iter().filter(|r| starts(r).is_some()) {
+            // A bundle whose activator fails stays degraded
+            // (`degraded_bundles`); the others start regardless.
+            let _ = fw.start_step(record.id);
         }
         drop(starting);
         fw.phases = Phases::disabled();
         // The transitions marked the rows they changed. A row can also lag
         // what was read without any of them having run: a bundle persisted
         // RESOLVED that no longer resolves stays INSTALLED.
-        for (id, as_read) in read {
-            let b = &fw.bundles[&id];
+        for record in &parsed.bundles {
+            let b = &fw.bundles[&record.id];
+            let as_read = (record.state, record.autostart, record.state_version);
             if (b.state, b.autostart, b.state_version) != as_read {
-                fw.mark_bundle_dirty(id);
+                fw.mark_bundle_dirty(record.id);
             }
         }
         let _ = fw.persist();
         Ok(fw)
-    }
-
-    fn event(&mut self, bundle: BundleId, kind: BundleEventKind) {
-        let m = &self.metrics;
-        let counter = match kind {
-            BundleEventKind::Installed => &m.installed,
-            BundleEventKind::Resolved => &m.resolved,
-            BundleEventKind::Started => &m.started,
-            BundleEventKind::Stopped => &m.stopped,
-            BundleEventKind::Updated => &m.updated,
-            BundleEventKind::Upgraded => &m.upgraded,
-            BundleEventKind::Uninstalled => &m.uninstalled,
-        };
-        counter.incr();
-        self.bundle_events.push(BundleEvent { bundle, kind });
     }
 
     fn set_state(&mut self, id: BundleId, state: BundleState) {
@@ -1478,6 +1421,30 @@ mod tests {
     use super::*;
     use crate::{FnActivator, ManifestBuilder, Version, VersionRange};
     use dosgi_san::SharedStore;
+    use dosgi_telemetry::Telemetry;
+
+    /// A framework counting its lifecycle into a registry of its own.
+    fn counted(name: &str) -> (Framework, Telemetry) {
+        let telemetry = Telemetry::new();
+        let mut fw = Framework::new(name);
+        fw.set_metrics(FrameworkMetrics::new(&telemetry));
+        (fw, telemetry)
+    }
+
+    /// The `osgi.lifecycle.*` counts `telemetry` holds: installed,
+    /// resolved, started, stopped, updated, upgraded and uninstalled.
+    fn lifecycle(telemetry: &Telemetry) -> [u64; 7] {
+        [
+            "installed",
+            "resolved",
+            "started",
+            "stopped",
+            "updated",
+            "upgraded",
+            "uninstalled",
+        ]
+        .map(|kind| telemetry.counter(&format!("osgi.lifecycle.{kind}")))
+    }
 
     fn log_manifest() -> BundleManifest {
         ManifestBuilder::new("org.test.log", Version::new(1, 0, 0))
@@ -1557,7 +1524,7 @@ mod tests {
 
     #[test]
     fn failing_activator_rolls_back_and_sweeps_services() {
-        let mut fw = Framework::new("t");
+        let (mut fw, telemetry) = counted("t");
         let m = ManifestBuilder::new("org.test.bad", Version::new(1, 0, 0))
             .build()
             .unwrap();
@@ -1581,10 +1548,11 @@ mod tests {
         assert!(matches!(err, BundleError::ActivatorFailed { .. }));
         assert_eq!(fw.bundle_state(id).unwrap(), BundleState::Resolved);
         assert!(fw.best_service("ghost").is_none());
-        let events = fw.take_framework_events();
-        assert!(events
-            .iter()
-            .any(|e| matches!(e, FrameworkEvent::Error { bundle: Some(b), .. } if *b == id)));
+        assert!(
+            fw.registry().is_empty(),
+            "the half-start's registration is swept"
+        );
+        assert_eq!(lifecycle(&telemetry)[2], 0, "a failed start is not a start");
     }
 
     #[test]
@@ -1620,7 +1588,7 @@ mod tests {
 
     #[test]
     fn update_replaces_manifest_and_restarts() {
-        let mut fw = Framework::new("t");
+        let (mut fw, telemetry) = counted("t");
         let log = fw.install(log_manifest(), Some(log_activator())).unwrap();
         fw.start(log).unwrap();
         let v2 = ManifestBuilder::new("org.test.log", Version::new(1, 1, 0))
@@ -1637,8 +1605,7 @@ mod tests {
             fw.bundle(log).unwrap().manifest.version,
             Version::new(1, 1, 0)
         );
-        let kinds: Vec<BundleEventKind> = fw.take_bundle_events().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&BundleEventKind::Updated));
+        assert_eq!(lifecycle(&telemetry)[4], 1, "one update");
         // Service re-registered by the restarted activator.
         assert!(fw.best_service("org.test.log.Logger").is_some());
     }
@@ -1646,7 +1613,7 @@ mod tests {
     #[test]
     fn upgrade_hands_state_to_new_revision() {
         let store = SharedStore::new();
-        let mut fw = Framework::new("u");
+        let (mut fw, telemetry) = counted("u");
         fw.attach_store(store.clone(), "u").unwrap();
         let m1 = ManifestBuilder::new("org.test.ctr", Version::new(1, 0, 0))
             .build()
@@ -1679,8 +1646,7 @@ mod tests {
         assert!(fw.bundle_state(id).unwrap().is_active());
         assert_eq!(fw.bundle(id).unwrap().state_version, Version::new(1, 2, 0));
         assert_eq!(fw.bundle_store_get(id, "n").unwrap(), Some(Value::Int(42)));
-        let kinds: Vec<BundleEventKind> = fw.take_bundle_events().iter().map(|e| e.kind).collect();
-        assert!(kinds.contains(&BundleEventKind::Upgraded));
+        assert_eq!(lifecycle(&telemetry)[5], 1, "one upgrade");
         // The swap is durable: a restore comes back at the new revision
         // with the same compatibility anchor.
         let factory = ActivatorFactory::new();
@@ -1943,33 +1909,20 @@ mod tests {
         assert!(fw.snapshot_bytes() > 0);
     }
 
+    /// Each transition of a full lifecycle is counted once, and the
+    /// registry's generation moves once for the service's registration
+    /// and once for its removal.
     #[test]
     fn events_flow_for_full_lifecycle() {
-        let mut fw = Framework::new("t");
+        let (mut fw, telemetry) = counted("t");
         let log = fw.install(log_manifest(), Some(log_activator())).unwrap();
         fw.start(log).unwrap();
+        assert_eq!(fw.registry().generation(), 1, "registered");
         fw.stop(log).unwrap();
         fw.uninstall(log).unwrap();
-        let kinds: Vec<BundleEventKind> = fw.take_bundle_events().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                BundleEventKind::Installed,
-                BundleEventKind::Resolved,
-                BundleEventKind::Started,
-                BundleEventKind::Stopped,
-                BundleEventKind::Uninstalled,
-            ]
-        );
-        let service_kinds: Vec<crate::ServiceEventKind> =
-            fw.take_service_events().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            service_kinds,
-            vec![
-                crate::ServiceEventKind::Registered,
-                crate::ServiceEventKind::Unregistering
-            ]
-        );
+        assert_eq!(lifecycle(&telemetry), [1, 1, 1, 1, 0, 0, 1]);
+        assert_eq!(fw.registry().generation(), 2, "unregistered");
+        assert!(fw.bundles().next().is_none() && fw.registry().is_empty());
     }
 
     #[test]
@@ -2364,7 +2317,7 @@ mod tests {
                 }
                 Op::Update(n) | Op::Upgrade(n) => {
                     let id = BundleId(u64::from(n) % 12 + 1);
-                    let Some(mut manifest) = fw.bundle(id).map(|b| b.manifest.clone()) else {
+                    let Some(mut manifest) = fw.bundle(id).map(|b| (*b.manifest).clone()) else {
                         return;
                     };
                     let v = manifest.version;
@@ -2473,8 +2426,12 @@ mod tests {
                     "faulted framework diverged from the storeless oracle in memory"
                 );
 
-                let rows = store.read_namespace(ns).expect("healed SAN");
-                let assembled = persist::assemble(&rows)
+                let mut rows = persist::Rows::default();
+                store
+                    .visit_namespace(ns, |key, row| rows.read(key, row))
+                    .expect("healed SAN");
+                let assembled = rows
+                    .assemble(&())
                     .expect("well-formed rows")
                     .expect("header row present");
                 let rebuilt: Vec<Bundle> = assembled
@@ -2508,12 +2465,18 @@ mod tests {
         store: SharedStore,
         namespace: &str,
         factory: &ActivatorFactory,
+        metrics: FrameworkMetrics,
     ) -> Result<Framework, BundleError> {
-        let rows = store.read_namespace(namespace)?;
-        let parsed = persist::assemble(&rows)
+        let mut rows = persist::Rows::default();
+        for (key, row) in store.read_namespace(namespace)? {
+            rows.read(&key, &row);
+        }
+        let parsed = rows
+            .assemble(&())
             .map_err(BundleError::CorruptState)?
             .ok_or_else(|| BundleError::CorruptState(format!("no snapshot in {namespace}")))?;
         let mut fw = Framework::with_config(config);
+        fw.metrics = metrics;
         fw.config.start_level = parsed.start_level;
         for record in &parsed.bundles {
             let activator = factory.create(&record.manifest);
@@ -2528,7 +2491,7 @@ mod tests {
             };
             bundle.row = persist::bundle_row(&bundle);
             fw.bundles.insert(record.id, bundle);
-            fw.event(record.id, BundleEventKind::Installed);
+            fw.metrics.installed.incr();
         }
         fw.next_bundle = parsed.next_bundle;
         fw.store = Some((store, namespace.to_owned()));
@@ -2541,12 +2504,7 @@ mod tests {
             .collect();
         to_start.sort();
         for (_, id) in to_start {
-            if let Err(e) = fw.start(id) {
-                fw.framework_events.push(FrameworkEvent::Error {
-                    bundle: Some(id),
-                    message: e.to_string(),
-                });
-            }
+            let _ = fw.start(id);
         }
         fw.mark_all_rows_dirty();
         let _ = fw.persist();
@@ -2564,8 +2522,9 @@ mod tests {
     /// shutdown or a crash. Then:
     ///
     /// * restored by the batched `restore` and by `reference_restore`, each
-    ///   from its own copy of the SAN: bundles, start level, wirings and all
-    ///   three event queues are equal, and once flushed the two SANs hold
+    ///   from its own copy of the SAN: bundles, start level, wirings, the
+    ///   services and the registry's generation, and the lifecycle counts
+    ///   are equal, and once flushed the two SANs hold
     ///   the same rows, value for value — and each what its framework holds;
     /// * the batch's one write failed with `Unavailable`, with `Io`, and
     ///   torn (the fault armed by the last activator to start, so that it
@@ -2737,7 +2696,7 @@ mod tests {
             for (id, spec) in ids.iter().zip(&case.bundles) {
                 match spec.left {
                     Left::Installed => {}
-                    Left::Resolved => drop(fw.resolve_all()),
+                    Left::Resolved => fw.resolve_all(),
                     Left::Started => drop(fw.start(*id)),
                     Left::StartedThenStopped => {
                         let _ = fw.start(*id);
@@ -2786,22 +2745,18 @@ mod tests {
             Ok(())
         }
 
-        /// What a restore leaves in memory, events included.
-        fn state_of(fw: &mut Framework) -> String {
+        /// What a restore leaves in memory, the lifecycle it counted into
+        /// `telemetry` included.
+        fn state_of(fw: &Framework, telemetry: &Telemetry) -> String {
             let bundles: Vec<_> = fw
                 .bundles()
                 .map(|b| (b.id, &b.manifest, b.state, b.autostart, b.state_version))
                 .collect();
             let head = (fw.next_bundle, fw.config.start_level, fw.persist_dirty());
             let wirings = format!("{:?}", fw.wirings);
-            let services = fw.registry.len();
-            let state = format!("{head:?} {bundles:?} {wirings} {services}");
-            let events = (
-                fw.take_bundle_events(),
-                fw.take_framework_events(),
-                fw.take_service_events(),
-            );
-            format!("{state} {events:?}")
+            let services = (fw.registry.len(), fw.registry.generation());
+            let counted = lifecycle(telemetry);
+            format!("{head:?} {bundles:?} {wirings} {services:?} {counted:?}")
         }
 
         /// The SAN holds what the framework holds: header and every
@@ -2814,7 +2769,7 @@ mod tests {
                 "header"
             );
             for b in fw.bundles() {
-                let at = store.peek(NS, &persist::bundle_key(b.id));
+                let at = store.peek(NS, Row::Bundle(b.id).key().as_ref());
                 let row = persist::bundle_row(b);
                 prop_verify!(
                     at.is_some_and(|at| dosgi_san::codec::codec_eq(&at, &row)),
@@ -2853,30 +2808,45 @@ mod tests {
                     let armed = arm.is_some() && last.is_some();
                     *world.armed.lock().unwrap() = last.zip(arm);
                     let factory = factory(case, &world);
-                    let fw = Framework::restore(config(), store.clone(), NS, &factory);
-                    (fw, armed)
+                    let telemetry = Telemetry::new();
+                    let metrics = FrameworkMetrics::new(&telemetry);
+                    let unphased = Phases::disabled();
+                    let fw = Framework::restore_counted(
+                        config(),
+                        store.clone(),
+                        NS,
+                        &factory,
+                        &(),
+                        metrics,
+                        &unphased,
+                    );
+                    (fw.map(|fw| (fw, telemetry)), armed)
                 };
 
                 // Differential leg.
                 let (san, model_san) = (san_with(&old), san_with(&old));
-                let mut fw = restore(&san, None).0.map_err(|e| format!("batched: {e}"))?;
+                let (mut fw, counts) =
+                    restore(&san, None).0.map_err(|e| format!("batched: {e}"))?;
                 let model_world = world(&model_san);
                 model_world.refusing.store(true, Ordering::Relaxed);
+                let model_counts = Telemetry::new();
                 let mut model = reference_restore(
                     config(),
                     model_san.clone(),
                     NS,
                     &factory(case, &model_world),
+                    FrameworkMetrics::new(&model_counts),
                 )
                 .map_err(|e| format!("model: {e}"))?;
-                prop_verify_eq!(state_of(&mut fw), state_of(&mut model));
+                prop_verify_eq!(state_of(&fw, &counts), state_of(&model, &model_counts));
                 fw.flush_persist().unwrap();
                 model.flush_persist().unwrap();
                 same_rows(&san, &model_san)?;
                 san_is_memory(&fw, &san)?;
                 let clean_state = {
                     let (again, _) = restore(&san_with(&old), None);
-                    state_of(&mut again.unwrap())
+                    let (again, counts) = again.unwrap();
+                    state_of(&again, &counts)
                 };
 
                 // The one write fails or tears.
@@ -2888,7 +2858,7 @@ mod tests {
                 for plan in plans {
                     let faulted = san_with(&old);
                     let (fw, armed) = restore(&faulted, Some(plan.clone()));
-                    let mut fw = fw.map_err(|e| format!("under {plan:?}: {e}"))?;
+                    let (mut fw, _) = fw.map_err(|e| format!("under {plan:?}: {e}"))?;
                     // The mark `restore` itself left, before anything re-syncs it.
                     prop_verify_eq!(fw.dirty_mark.counted, fw.persist_dirty(), "{plan:?}");
                     let count = DirtyCount::default();
@@ -2917,9 +2887,9 @@ mod tests {
                     }
                     let torn_san = san_with(&torn);
                     match restore(&torn_san, None).0 {
-                        Ok(mut second) => {
+                        Ok((mut second, counts)) => {
                             prop_verify_eq!(
-                                state_of(&mut second),
+                                state_of(&second, &counts),
                                 clean_state,
                                 "a chimera from {landed} of {} rows",
                                 changed.len()

@@ -18,7 +18,8 @@
 //!   *explicit-export delegating classloader* for virtual instances;
 //! * **Service registry** ([`ServiceRegistry`]) — services registered under
 //!   interface names with properties, looked up directly or through
-//!   LDAP-style [`Filter`]s, ranked, with registration events;
+//!   LDAP-style [`Filter`]s, ranked; a [`ServiceTracker`] follows a
+//!   registry's changes by its generation;
 //! * **Persistent framework state** — the OSGi spec requires that *"the
 //!   framework state shall be persistent across framework reboots"*; state
 //!   snapshots serialize to [`dosgi_san::Value`] and live in the simulated
@@ -50,7 +51,6 @@
 mod activator;
 mod area;
 mod error;
-mod events;
 mod filter;
 mod framework;
 mod ids;
@@ -68,8 +68,7 @@ mod tracker;
 pub use activator::{Activator, ActivatorFactory, BundleContext, FnActivator};
 pub use area::DataArea;
 pub use error::{BundleError, ServiceError};
-pub use events::{BundleEvent, BundleEventKind, FrameworkEvent, ServiceEvent, ServiceEventKind};
-pub use filter::{Filter, FilterError};
+pub use filter::{Filter, FilterError, Properties};
 pub use framework::{
     Bundle, DirtyCount, Framework, FrameworkConfig, FrameworkMetrics, UpgradeReport,
 };
@@ -77,7 +76,7 @@ pub use ids::{BundleId, PackageName, ServiceId, SymbolName, SymbolicName, Versio
 pub use ledger::{UsageLedger, UsageSnapshot};
 pub use lifecycle::BundleState;
 pub use loader::{BootDelegation, ClassRef, LoadError, LoadPath};
-pub use manifest::{BundleManifest, ManifestBuilder, PackageExport, PackageImport};
+pub use manifest::{BundleManifest, KnownManifests, ManifestBuilder, PackageExport, PackageImport};
 pub use props::PropValue;
 pub use registry::{ServiceRecord, ServiceRegistry};
 pub use resolver::{ResolutionReport, Wiring};

@@ -66,30 +66,25 @@ impl fmt::Display for LoadError {
 impl std::error::Error for LoadError {}
 
 /// The boot-delegation list: package prefixes served by the platform itself
-/// rather than any bundle (the `java.*` analogue).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// rather than any bundle (the `java.*` analogue). The platform is fixed,
+/// so the list is too: a framework takes it without copying it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BootDelegation {
-    prefixes: Vec<String>,
+    prefixes: &'static [&'static str],
 }
 
 impl BootDelegation {
     /// The default boot delegation: `std.*` and `platform.*`.
     pub fn standard() -> Self {
         BootDelegation {
-            prefixes: vec!["std".to_owned(), "platform".to_owned()],
+            prefixes: &["std", "platform"],
         }
     }
 
     /// A boot delegation with the given prefixes.
     #[cfg(test)]
-    pub(crate) fn with_prefixes<I, S>(prefixes: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        BootDelegation {
-            prefixes: prefixes.into_iter().map(Into::into).collect(),
-        }
+    pub(crate) fn with_prefixes(prefixes: &'static [&'static str]) -> Self {
+        BootDelegation { prefixes }
     }
 
     /// True if `package` is boot-delegated.
@@ -109,7 +104,7 @@ mod tests {
         assert!(boot.covers(&PackageName::new("platform").unwrap()));
         assert!(!boot.covers(&PackageName::new("org.example").unwrap()));
         assert!(!boot.covers(&PackageName::new("stdlib").unwrap()));
-        let custom = BootDelegation::with_prefixes(["corp.base"]);
+        let custom = BootDelegation::with_prefixes(&["corp.base"]);
         assert!(custom.covers(&PackageName::new("corp.base.util").unwrap()));
         assert!(!BootDelegation::default().covers(&PackageName::new("std.io").unwrap()));
     }

@@ -2,6 +2,7 @@
 
 use crate::{PackageName, SymbolicName, Version, VersionRange};
 use dosgi_san::Value;
+use std::sync::Arc;
 
 /// A package a bundle offers to others (`Export-Package`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -177,6 +178,22 @@ impl BundleManifest {
     /// private).
     pub fn own_packages(&self) -> impl Iterator<Item = &PackageExport> {
         self.exports.iter().chain(self.private.iter())
+    }
+}
+
+/// Manifests a node already holds, each beside its row form
+/// ([`BundleManifest::to_value`]): a restore shares the held manifest of a
+/// bundle whose persisted manifest equals that form, instead of parsing a
+/// copy of it.
+pub trait KnownManifests {
+    /// The manifest known as `symbolic_name`, and its row form.
+    fn known(&self, symbolic_name: &str) -> Option<(&Arc<BundleManifest>, &Value)>;
+}
+
+/// Knows no manifest: a restore given `()` parses every manifest.
+impl KnownManifests for () {
+    fn known(&self, _: &str) -> Option<(&Arc<BundleManifest>, &Value)> {
+        None
     }
 }
 

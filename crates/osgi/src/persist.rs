@@ -20,15 +20,20 @@
 //! <namespace>/bundle/<id>   { id, manifest, state, autostart }
 //! ```
 //!
-//! [`assemble`] reconstructs a [`Snapshot`] from a `read_namespace` listing.
-//! The test-only `snapshot`/`parse_snapshot` keep the monolithic encoding
-//! alive as the equivalence oracle: assembling the rows must produce a
-//! byte-identical snapshot value.
+//! A restore reads the namespace once, through [`Rows::read`]: the header's
+//! two fields are parsed where the row lies, and each bundle row is copied,
+//! because the bundle keeps it. [`Rows::assemble`] then turns the copies
+//! into a [`Snapshot`], each manifest shared from a [`KnownManifests`] when
+//! the row's manifest equals the known manifest's row form, and parsed
+//! otherwise. The test-only `snapshot`/`parse_snapshot` keep the monolithic
+//! encoding alive as the equivalence oracle: assembling the rows must
+//! produce a byte-identical snapshot value.
 
 use crate::framework::Bundle;
-use crate::{BundleId, BundleManifest, BundleState, Version};
+use crate::{BundleId, BundleManifest, BundleState, KnownManifests, Version};
 use dosgi_san::{Map, Value};
 use std::fmt::{self, Write};
+use std::sync::Arc;
 
 /// Key of the header row (`next_bundle` + `start_level`).
 pub const HEADER_KEY: &str = "header";
@@ -36,9 +41,65 @@ pub const HEADER_KEY: &str = "header";
 /// Key prefix of per-bundle rows.
 pub const BUNDLE_KEY_PREFIX: &str = "bundle/";
 
-/// The row key of a bundle.
-pub fn bundle_key(id: BundleId) -> String {
-    format!("{BUNDLE_KEY_PREFIX}{}", id.0)
+/// One snapshot row of a framework: the header, or a bundle's. Rows order
+/// as their keys sort (`bundle/10` < `bundle/2` < `header`), so a batch
+/// written in row order is written in key order, header last.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Row {
+    /// A bundle's row.
+    Bundle(BundleId),
+    /// The header row.
+    Header,
+}
+
+impl Row {
+    /// The row's key, written on the stack: naming a row allocates
+    /// nothing.
+    pub(crate) fn key(self) -> Key {
+        use std::io::Write as _;
+        let mut key = Key {
+            bytes: [0; Key::CAPACITY],
+            len: 0,
+        };
+        let mut out = &mut key.bytes[..];
+        match self {
+            Row::Header => out.write_all(HEADER_KEY.as_bytes()),
+            Row::Bundle(id) => write!(out, "{BUNDLE_KEY_PREFIX}{}", id.0),
+        }
+        .expect("`bundle/` and a u64 fit");
+        key.len = Key::CAPACITY - out.len();
+        key
+    }
+}
+
+impl Ord for Row {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.key().as_ref().cmp(other.key().as_ref())
+    }
+}
+
+impl PartialOrd for Row {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// A row key held on the stack.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Key {
+    bytes: [u8; Key::CAPACITY],
+    len: usize,
+}
+
+impl Key {
+    /// `bundle/` and the twenty digits of the largest id.
+    const CAPACITY: usize = 27;
+}
+
+impl AsRef<str> for Key {
+    fn as_ref(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("written from text")
+    }
 }
 
 /// Parses a `bundle/<id>` row key back into the bundle id.
@@ -53,8 +114,8 @@ pub fn parse_bundle_key(key: &str) -> Option<BundleId> {
 pub struct BundleRecord {
     /// The bundle's id (preserved across restore).
     pub id: BundleId,
-    /// The manifest.
-    pub manifest: BundleManifest,
+    /// The manifest: a known one the row's equals, or parsed from the row.
+    pub manifest: Arc<BundleManifest>,
     /// The persisted lifecycle state (`ACTIVE` collapses transient states).
     pub state: BundleState,
     /// Whether the bundle is persistently started.
@@ -64,6 +125,8 @@ pub struct BundleRecord {
     /// the state. Rows written before this field existed default to the
     /// manifest version.
     pub state_version: Version,
+    /// The row the record was parsed from, as the SAN holds it.
+    pub row: Value,
 }
 
 /// A parsed framework snapshot.
@@ -75,6 +138,76 @@ pub struct Snapshot {
     pub start_level: u32,
     /// All installed bundles.
     pub bundles: Vec<BundleRecord>,
+}
+
+/// A framework namespace as a restore reads it, row by row: the header's
+/// fields, parsed in place, and a copy of each bundle row with the id its
+/// key names. Any other row is passed over.
+#[derive(Debug, Default)]
+pub struct Rows {
+    header: Option<Result<(u64, u32), String>>,
+    bundles: Vec<(BundleId, Value)>,
+}
+
+impl Rows {
+    /// Reads one row of the namespace.
+    pub fn read(&mut self, key: &str, row: &Value) {
+        if key == HEADER_KEY {
+            self.header = Some(parse_header(row));
+        } else if let Some(id) = parse_bundle_key(key) {
+            self.bundles.push((id, row.clone()));
+        }
+    }
+
+    /// Reassembles the [`Snapshot`] the rows read hold, sharing each
+    /// manifest `known` holds in the row's form. Returns `Ok(None)` when
+    /// no header row was read, that is no framework state at all.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first missing or malformed field.
+    pub fn assemble(self, known: &dyn KnownManifests) -> Result<Option<Snapshot>, String> {
+        let Some(header) = self.header else {
+            return Ok(None);
+        };
+        let (next_bundle, start_level) = header?;
+        let mut bundles = self
+            .bundles
+            .into_iter()
+            .map(|(id, row)| {
+                let record = parse_bundle_record(row, known)?;
+                if record.id != id {
+                    return Err(format!(
+                        "row bundle/{} holds bundle id {}",
+                        id.0, record.id.0
+                    ));
+                }
+                Ok(record)
+            })
+            .collect::<Result<Vec<_>, String>>()?;
+        // Row keys sort lexicographically ("bundle/10" < "bundle/2"); the
+        // snapshot contract is numeric id order.
+        bundles.sort_unstable_by_key(|r| r.id);
+        Ok(Some(Snapshot {
+            next_bundle,
+            start_level,
+            bundles,
+        }))
+    }
+}
+
+fn parse_header(header: &Value) -> Result<(u64, u32), String> {
+    let next_bundle = header
+        .get("next_bundle")
+        .and_then(Value::as_int)
+        .ok_or("header missing next_bundle")? as u64;
+    let start_level = header
+        .get("start_level")
+        .and_then(Value::as_int)
+        .ok_or("header missing start_level")?
+        .try_into()
+        .map_err(|_| "negative start_level")?;
+    Ok((next_bundle, start_level))
 }
 
 /// Serializes the header row: the non-bundle framework state.
@@ -135,74 +268,55 @@ pub(crate) fn snapshot<'a>(
         .with("bundles", Value::List(bundles.map(bundle_row).collect()))
 }
 
-fn parse_bundle_record(b: &Value) -> Result<BundleRecord, String> {
-    let id = b
+/// The manifest a bundle row holds: the one `known` holds under its
+/// symbolic name when the row's manifest equals that one's row form — a
+/// comparison of values, which allocates nothing — and a parse of it
+/// otherwise.
+fn manifest_of(row: &Value, known: &dyn KnownManifests) -> Result<Arc<BundleManifest>, String> {
+    let shared = row
+        .get("sn")
+        .and_then(Value::as_str)
+        .and_then(|sn| known.known(sn))
+        .filter(|(_, form)| *form == row);
+    match shared {
+        Some((manifest, _)) => Ok(Arc::clone(manifest)),
+        None => BundleManifest::from_value(row).map(Arc::new),
+    }
+}
+
+fn parse_bundle_record(row: Value, known: &dyn KnownManifests) -> Result<BundleRecord, String> {
+    let id = row
         .get("id")
         .and_then(Value::as_int)
         .ok_or("bundle record missing id")? as u64;
-    let manifest =
-        BundleManifest::from_value(b.get("manifest").ok_or("bundle record missing manifest")?)?;
+    let manifest = manifest_of(
+        row.get("manifest")
+            .ok_or("bundle record missing manifest")?,
+        known,
+    )?;
     let state = BundleState::parse(
-        b.get("state")
+        row.get("state")
             .and_then(Value::as_str)
             .ok_or("bundle record missing state")?,
     )?;
-    let state_version = match b.get("state_version").and_then(Value::as_str) {
+    let state_version = match row.get("state_version").and_then(Value::as_str) {
         Some(s) => s
             .parse()
             .map_err(|_| format!("bad state_version {s:?} in bundle record"))?,
         None => manifest.version,
     };
+    let autostart = row
+        .get("autostart")
+        .and_then(Value::as_bool)
+        .unwrap_or(false);
     Ok(BundleRecord {
         id: BundleId(id),
         manifest,
         state,
-        autostart: b.get("autostart").and_then(Value::as_bool).unwrap_or(false),
+        autostart,
         state_version,
+        row,
     })
-}
-
-/// Reassembles a [`Snapshot`] from a `read_namespace` listing of the
-/// framework's namespace: the [`HEADER_KEY`] row plus one
-/// [`bundle_key`] row per bundle. Returns `Ok(None)` when the namespace
-/// holds no header row, that is no framework state at all.
-///
-/// # Errors
-///
-/// Returns a description of the first missing or malformed field.
-pub fn assemble(pairs: &[(String, Value)]) -> Result<Option<Snapshot>, String> {
-    let Some((_, header)) = pairs.iter().find(|(k, _)| k == HEADER_KEY) else {
-        return Ok(None);
-    };
-    let next_bundle = header
-        .get("next_bundle")
-        .and_then(Value::as_int)
-        .ok_or("header missing next_bundle")? as u64;
-    let start_level = header
-        .get("start_level")
-        .and_then(Value::as_int)
-        .ok_or("header missing start_level")?
-        .try_into()
-        .map_err(|_| "negative start_level")?;
-    let mut bundles = pairs
-        .iter()
-        .filter(|(k, _)| parse_bundle_key(k).is_some())
-        .map(|(k, v)| {
-            let record = parse_bundle_record(v)?;
-            if Some(record.id) != parse_bundle_key(k) {
-                return Err(format!("row {k} holds bundle id {}", record.id.0));
-            }
-            Ok(record)
-        })
-        .collect::<Result<Vec<_>, String>>()?;
-    // Row keys sort lexicographically ("bundle/10" < "bundle/2"); the
-    // snapshot contract is numeric id order.
-    bundles.sort_by_key(|r| r.id);
-    Ok(Some(Snapshot {
-        next_bundle,
-        start_level,
-        bundles,
-    }))
 }
 
 /// Parses a snapshot produced by [`snapshot`].
@@ -227,7 +341,7 @@ pub(crate) fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
         .and_then(Value::as_list)
         .ok_or("snapshot missing bundles")?
         .iter()
-        .map(parse_bundle_record)
+        .map(|row| parse_bundle_record(row.clone(), &()))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Snapshot {
         next_bundle,
@@ -240,6 +354,19 @@ pub(crate) fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
 mod tests {
     use super::*;
     use crate::{Framework, ManifestBuilder, Version};
+
+    fn bundle_key(id: BundleId) -> String {
+        Row::Bundle(id).key().as_ref().to_owned()
+    }
+
+    /// What a restore assembles of a namespace listing, knowing no manifest.
+    fn assemble(pairs: &[(String, Value)]) -> Result<Option<Snapshot>, String> {
+        let mut rows = Rows::default();
+        for (key, row) in pairs {
+            rows.read(key, row);
+        }
+        rows.assemble(&())
+    }
 
     #[test]
     fn snapshot_round_trip_through_framework() {
@@ -256,7 +383,7 @@ mod tests {
         assert_eq!(parsed.start_level, 1);
         assert_eq!(parsed.bundles.len(), 1);
         assert_eq!(parsed.bundles[0].id, id);
-        assert_eq!(parsed.bundles[0].manifest, m);
+        assert_eq!(*parsed.bundles[0].manifest, m);
         assert_eq!(parsed.bundles[0].state, BundleState::Active);
         assert!(parsed.bundles[0].autostart);
     }
@@ -282,6 +409,26 @@ mod tests {
     #[test]
     fn bundle_keys_round_trip() {
         assert_eq!(bundle_key(BundleId(17)), "bundle/17");
+        assert_eq!(
+            bundle_key(BundleId(u64::MAX)),
+            format!("bundle/{}", u64::MAX)
+        );
+        assert_eq!(Row::Header.key().as_ref(), HEADER_KEY);
+        // Rows order as their keys.
+        let mut rows = [
+            Row::Header,
+            Row::Bundle(BundleId(2)),
+            Row::Bundle(BundleId(10)),
+        ];
+        rows.sort();
+        assert_eq!(
+            rows,
+            [
+                Row::Bundle(BundleId(10)),
+                Row::Bundle(BundleId(2)),
+                Row::Header
+            ]
+        );
         assert_eq!(parse_bundle_key("bundle/17"), Some(BundleId(17)));
         assert_eq!(parse_bundle_key("header"), None);
         assert_eq!(parse_bundle_key("bundle/x"), None);

@@ -1,12 +1,15 @@
 //! The service registry.
 
+use crate::filter::Properties;
 use crate::{
-    BundleId, CallContext, DataArea, Filter, PropValue, Service, ServiceError, ServiceEvent,
-    ServiceEventKind, ServiceId, UsageLedger,
+    BundleId, CallContext, DataArea, Filter, PropValue, Service, ServiceError, ServiceId,
+    UsageLedger,
 };
 use dosgi_san::Value;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A registered service: metadata plus the (type-erased) implementation.
 pub struct ServiceRecord {
@@ -14,14 +17,39 @@ pub struct ServiceRecord {
     pub id: ServiceId,
     /// The bundle that registered it.
     pub owner: BundleId,
-    /// The interface names it is registered under.
-    pub interfaces: Vec<String>,
-    /// Its property dictionary (includes the auto-set `objectClass`,
-    /// `service.id` and `service.ranking` keys, as in OSGi).
+    /// The interface names it is registered under, shared with the
+    /// registry's index.
+    pub interfaces: Box<[Arc<str>]>,
+    /// Its property dictionary as registered, less the three keys OSGi
+    /// sets itself — `objectClass`, `service.id` and `service.ranking` —
+    /// which [`property`](Self::property) answers from the fields.
     pub properties: BTreeMap<String, PropValue>,
     /// Its ranking; higher wins ties in [`ServiceRegistry::best`].
     pub ranking: i64,
     implementation: Box<dyn Service>,
+}
+
+impl ServiceRecord {
+    /// The value of property `key` as OSGi defines it: `objectClass` is
+    /// the interface list, `service.id` the id and `service.ranking` the
+    /// ranking; any other key is looked up in [`properties`](Self::properties).
+    pub fn property(&self, key: &str) -> Option<Cow<'_, PropValue>> {
+        let standard = match key {
+            "objectClass" => {
+                PropValue::List(self.interfaces.iter().map(|i| i.to_string()).collect())
+            }
+            "service.id" => PropValue::Int(self.id.0 as i64),
+            "service.ranking" => PropValue::Int(self.ranking),
+            _ => return self.properties.get(key).map(Cow::Borrowed),
+        };
+        Some(Cow::Owned(standard))
+    }
+}
+
+impl Properties for ServiceRecord {
+    fn property(&self, key: &str) -> Option<Cow<'_, PropValue>> {
+        ServiceRecord::property(self, key)
+    }
 }
 
 impl fmt::Debug for ServiceRecord {
@@ -35,12 +63,25 @@ impl fmt::Debug for ServiceRecord {
     }
 }
 
+/// The ranking `properties` asks for (`service.ranking`, an integer), or
+/// `otherwise`; the standard keys leave the map, the record answers them.
+fn take_standard_keys(properties: &mut BTreeMap<String, PropValue>, otherwise: i64) -> i64 {
+    properties.remove("objectClass");
+    properties.remove("service.id");
+    match properties.remove("service.ranking") {
+        Some(PropValue::Int(r)) => r,
+        _ => otherwise,
+    }
+}
+
 /// The framework's service registry.
 ///
 /// Services are registered under one or more interface names with a property
 /// dictionary; consumers look them up by interface, optionally narrowed by
 /// an LDAP-style [`Filter`], and receive references ordered by ranking
-/// (descending) then id (ascending) — the OSGi tie-break.
+/// (descending) then id (ascending) — the OSGi tie-break. A
+/// [`generation`](Self::generation) moves with every change, which is how a
+/// [`ServiceTracker`](crate::ServiceTracker) knows to look again.
 #[derive(Debug, Default)]
 pub struct ServiceRegistry {
     services: BTreeMap<ServiceId, ServiceRecord>,
@@ -49,10 +90,11 @@ pub struct ServiceRegistry {
     /// first entry and a lookup by interface never sorts. Interfaces are
     /// fixed at registration; a list moves on register, unregister and a
     /// property update that changes the ranking, and an interface with no
-    /// provider has no entry.
-    by_interface: BTreeMap<String, Vec<ServiceId>>,
+    /// provider has no entry. A name is one `Arc` shared by the key and
+    /// every record registered under it.
+    by_interface: BTreeMap<Arc<str>, Vec<ServiceId>>,
     next_id: u64,
-    events: Vec<ServiceEvent>,
+    generation: u64,
 }
 
 impl ServiceRegistry {
@@ -66,7 +108,7 @@ impl ServiceRegistry {
     fn index(&mut self, id: ServiceId) {
         let rec = &self.services[&id];
         for iface in &rec.interfaces {
-            let ids = self.by_interface.entry(iface.clone()).or_default();
+            let ids = self.by_interface.entry(Arc::clone(iface)).or_default();
             let at = ids.partition_point(|other| {
                 let ranking = self.services[other].ranking;
                 ranking > rec.ranking || (ranking == rec.ranking && *other < id)
@@ -80,15 +122,15 @@ impl ServiceRegistry {
 
     /// Takes `id` out of the list of each of `interfaces`.
     fn unindex(
-        by_interface: &mut BTreeMap<String, Vec<ServiceId>>,
+        by_interface: &mut BTreeMap<Arc<str>, Vec<ServiceId>>,
         id: ServiceId,
-        interfaces: &[String],
+        interfaces: &[Arc<str>],
     ) {
         for iface in interfaces {
-            if let Some(ids) = by_interface.get_mut(iface) {
+            if let Some(ids) = by_interface.get_mut(&**iface) {
                 ids.retain(|other| *other != id);
                 if ids.is_empty() {
-                    by_interface.remove(iface);
+                    by_interface.remove(&**iface);
                 }
             }
         }
@@ -96,9 +138,11 @@ impl ServiceRegistry {
 
     /// Registers `implementation` under `interfaces` on behalf of `owner`.
     ///
-    /// The keys `objectClass`, `service.id` and `service.ranking` are set
-    /// automatically (`service.ranking` is read from `properties` if present,
-    /// defaulting to 0).
+    /// The record holds one interface list, its names shared with the
+    /// index — a name already registered is not copied — and the
+    /// properties as given; `objectClass`, `service.id` and
+    /// `service.ranking` (read from `properties` if present, defaulting to
+    /// 0) are answered from its fields ([`ServiceRecord::property`]).
     ///
     /// # Panics
     ///
@@ -117,22 +161,15 @@ impl ServiceRegistry {
         );
         let id = ServiceId(self.next_id);
         self.next_id += 1;
-        let ranking = match properties.get("service.ranking") {
-            Some(PropValue::Int(r)) => *r,
-            _ => 0,
-        };
-        let interfaces: Vec<String> = interfaces.iter().map(|s| (*s).to_owned()).collect();
-        properties.insert(
-            "objectClass".to_owned(),
-            PropValue::List(interfaces.clone()),
-        );
-        properties.insert("service.id".to_owned(), PropValue::Int(id.0 as i64));
-        properties.insert("service.ranking".to_owned(), PropValue::Int(ranking));
-        self.events.push(ServiceEvent {
-            service: id,
-            interfaces: interfaces.clone(),
-            kind: ServiceEventKind::Registered,
-        });
+        self.generation += 1;
+        let ranking = take_standard_keys(&mut properties, 0);
+        let interfaces = interfaces
+            .iter()
+            .map(|name| match self.by_interface.get_key_value(*name) {
+                Some((shared, _)) => Arc::clone(shared),
+                None => Arc::from(*name),
+            })
+            .collect();
         self.services.insert(
             id,
             ServiceRecord {
@@ -157,11 +194,7 @@ impl ServiceRegistry {
         match self.services.remove(&id) {
             Some(rec) => {
                 Self::unindex(&mut self.by_interface, id, &rec.interfaces);
-                self.events.push(ServiceEvent {
-                    service: id,
-                    interfaces: rec.interfaces,
-                    kind: ServiceEventKind::Unregistering,
-                });
+                self.generation += 1;
                 Ok(())
             }
             None => Err(ServiceError::Gone(id)),
@@ -183,8 +216,8 @@ impl ServiceRegistry {
         ids
     }
 
-    /// Replaces a service's properties (preserving the auto-set keys) and
-    /// emits a `Modified` event.
+    /// Replaces a service's properties (the standard keys stay the
+    /// record's; `service.ranking`, if given as an integer, re-ranks it).
     ///
     /// # Errors
     ///
@@ -196,27 +229,14 @@ impl ServiceRegistry {
         mut properties: BTreeMap<String, PropValue>,
     ) -> Result<(), ServiceError> {
         let rec = self.services.get_mut(&id).ok_or(ServiceError::Gone(id))?;
-        let ranking = match properties.get("service.ranking") {
-            Some(PropValue::Int(r)) => *r,
-            _ => rec.ranking,
-        };
-        properties.insert(
-            "objectClass".to_owned(),
-            PropValue::List(rec.interfaces.clone()),
-        );
-        properties.insert("service.id".to_owned(), PropValue::Int(id.0 as i64));
-        properties.insert("service.ranking".to_owned(), PropValue::Int(ranking));
+        let ranking = take_standard_keys(&mut properties, rec.ranking);
         let reranked = ranking != rec.ranking;
         if reranked {
             Self::unindex(&mut self.by_interface, id, &rec.interfaces);
         }
         rec.ranking = ranking;
         rec.properties = properties;
-        self.events.push(ServiceEvent {
-            service: id,
-            interfaces: rec.interfaces.clone(),
-            kind: ServiceEventKind::Modified,
-        });
+        self.generation += 1;
         if reranked {
             self.index(id);
         }
@@ -232,7 +252,7 @@ impl ServiceRegistry {
         interface: Option<&str>,
         filter: Option<&Filter>,
     ) -> Vec<&ServiceRecord> {
-        let matches = |r: &&ServiceRecord| filter.is_none_or(|f| f.matches(&r.properties));
+        let matches = |r: &&ServiceRecord| filter.is_none_or(|f| f.matches(*r));
         match interface {
             Some(i) => self
                 .by_interface
@@ -300,9 +320,11 @@ impl ServiceRegistry {
         self.services.is_empty()
     }
 
-    /// Drains accumulated registry events.
-    pub fn take_events(&mut self) -> Vec<ServiceEvent> {
-        std::mem::take(&mut self.events)
+    /// A count that moves with every registration, unregistration and
+    /// property change: while it stands still, every lookup answers what
+    /// it answered before.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 }
 
@@ -343,12 +365,32 @@ mod tests {
             echo_service(),
         );
         let rec = r.record(id).unwrap();
+        let class = PropValue::List(vec!["log.Service".into()]);
+        assert_eq!(rec.property("objectClass").as_deref(), Some(&class));
         assert_eq!(
-            rec.properties.get("objectClass"),
-            Some(&PropValue::List(vec!["log.Service".into()]))
+            rec.property("service.id").as_deref(),
+            Some(&PropValue::Int(0))
         );
-        assert_eq!(rec.properties.get("service.id"), Some(&PropValue::Int(0)));
+        assert_eq!(
+            rec.property("service.ranking").as_deref(),
+            Some(&PropValue::Int(0))
+        );
         assert_eq!(rec.ranking, 0);
+        // The record keeps one copy of its metadata: the standard keys are
+        // its fields, not entries of its dictionary.
+        assert!(rec.properties.is_empty());
+        // A name already registered is shared, not copied.
+        let again = r.register(
+            BundleId(2),
+            &["log.Service"],
+            BTreeMap::new(),
+            echo_service(),
+        );
+        let (first, second) = (
+            &r.record(id).unwrap().interfaces[0],
+            &r.record(again).unwrap().interfaces[0],
+        );
+        assert!(Arc::ptr_eq(first, second));
     }
 
     #[test]
@@ -384,7 +426,7 @@ mod tests {
         let refs = r.references(Some("svc"), Some(&f));
         assert_eq!(refs.len(), 1);
         assert_eq!(refs[0].id, acme);
-        // Filter on objectClass works because registration injects it.
+        // Filter on objectClass works: the record answers it.
         let f: Filter = "(objectClass=svc)".parse().unwrap();
         assert_eq!(r.references(None, Some(&f)).len(), 2);
     }
@@ -407,18 +449,17 @@ mod tests {
         ));
     }
 
+    /// Each change moves the generation once; a refused one does not.
     #[test]
     fn unregister_and_events() {
         let mut r = ServiceRegistry::new();
         let id = r.register(BundleId(1), &["svc"], BTreeMap::new(), echo_service());
+        assert_eq!(r.generation(), 1);
         r.unregister(id).unwrap();
         assert!(r.is_empty());
+        assert_eq!(r.generation(), 2);
         assert!(matches!(r.unregister(id), Err(ServiceError::Gone(_))));
-        let events = r.take_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, ServiceEventKind::Registered);
-        assert_eq!(events[1].kind, ServiceEventKind::Unregistering);
-        assert!(r.take_events().is_empty());
+        assert_eq!(r.generation(), 2);
     }
 
     #[test]
@@ -557,7 +598,7 @@ mod tests {
                 let mut scan: Vec<&ServiceRecord> = r
                     .services
                     .values()
-                    .filter(|rec| rec.interfaces.iter().any(|x| x == iface))
+                    .filter(|rec| rec.interfaces.iter().any(|x| &**x == iface))
                     .collect();
                 scan.sort_by(|a, b| b.ranking.cmp(&a.ranking).then(a.id.cmp(&b.id)));
                 let ids = |recs: &[&ServiceRecord]| recs.iter().map(|x| x.id).collect::<Vec<_>>();
@@ -576,7 +617,7 @@ mod tests {
                     !scan.is_empty(),
                     "entry for {iface} after {op:?}"
                 );
-                scan.retain(|rec| acme.matches(&rec.properties));
+                scan.retain(|rec| acme.matches(*rec));
                 prop_verify_eq!(
                     ids(&r.references(Some(iface), Some(&acme))),
                     ids(&scan),
@@ -603,11 +644,9 @@ mod tests {
         let id = r.register(BundleId(1), &["svc"], BTreeMap::new(), echo_service());
         r.set_properties(id, props(42)).unwrap();
         assert_eq!(r.record(id).unwrap().ranking, 42);
-        let kinds: Vec<ServiceEventKind> = r.take_events().iter().map(|e| e.kind).collect();
-        assert_eq!(
-            kinds,
-            vec![ServiceEventKind::Registered, ServiceEventKind::Modified]
-        );
+        let ranking = r.record(id).unwrap().property("service.ranking");
+        assert_eq!(ranking.as_deref(), Some(&PropValue::Int(42)));
+        assert_eq!(r.generation(), 2, "registered, then modified");
     }
 
     #[test]

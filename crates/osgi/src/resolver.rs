@@ -44,19 +44,26 @@ pub struct ResolutionReport {
 ///   candidate pool, which may cascade.
 ///
 /// `uses`-constraint consistency checking is not modeled.
-pub fn resolve(
-    candidates: &BTreeMap<BundleId, &BundleManifest>,
-    already_resolved: &BTreeMap<BundleId, &BundleManifest>,
+///
+/// Both sides are read as they are handed over — `(id, manifest)` pairs
+/// with distinct ids, walked once per pass of the fixpoint — and nothing is
+/// copied out of them: the candidates still viable are those not failed
+/// yet. What a pass allocates is its exporter pool and its report.
+pub fn resolve<'a>(
+    candidates: impl Iterator<Item = (BundleId, &'a BundleManifest)> + Clone,
+    already_resolved: impl Iterator<Item = (BundleId, &'a BundleManifest)> + Clone,
 ) -> ResolutionReport {
     // Start optimistically: every candidate might resolve.
-    let mut viable: BTreeMap<BundleId, &BundleManifest> = candidates.clone();
     let mut failed: BTreeMap<BundleId, Vec<PackageName>> = BTreeMap::new();
 
     loop {
+        let viable = candidates
+            .clone()
+            .filter(|(id, _)| !failed.contains_key(id));
         // Exporter pool: already-resolved bundles plus currently-viable
         // candidates.
         let mut pool: HashMap<&PackageName, Vec<(BundleId, Version)>> = HashMap::new();
-        for (&id, m) in already_resolved.iter().chain(viable.iter()) {
+        for (id, m) in already_resolved.clone().chain(viable.clone()) {
             for e in &m.exports {
                 pool.entry(&e.name).or_default().push((id, e.version));
             }
@@ -67,7 +74,7 @@ pub fn resolve(
         }
 
         let mut newly_failed: Vec<(BundleId, Vec<PackageName>)> = Vec::new();
-        for (&id, m) in &viable {
+        for (id, m) in viable.clone() {
             let missing: Vec<PackageName> = m
                 .imports
                 .iter()
@@ -87,7 +94,7 @@ pub fn resolve(
         if newly_failed.is_empty() {
             // Fixpoint reached: wire everything still viable.
             let mut resolved = BTreeMap::new();
-            for (&id, m) in &viable {
+            for (id, m) in viable {
                 let mut wiring = Wiring::default();
                 for imp in &m.imports {
                     let pick = pool
@@ -106,10 +113,7 @@ pub fn resolve(
             return ResolutionReport { resolved, failed };
         }
 
-        for (id, missing) in newly_failed {
-            viable.remove(&id);
-            failed.insert(id, missing);
-        }
+        failed.extend(newly_failed);
     }
 }
 
@@ -132,15 +136,16 @@ mod tests {
             .unwrap()
     }
 
-    fn run(
-        candidates: &[(u64, &BundleManifest)],
-        resolved: &[(u64, &BundleManifest)],
+    fn run<'a>(
+        candidates: &[(u64, &'a BundleManifest)],
+        resolved: &[(u64, &'a BundleManifest)],
     ) -> ResolutionReport {
-        let c: BTreeMap<BundleId, &BundleManifest> =
-            candidates.iter().map(|(i, m)| (BundleId(*i), *m)).collect();
-        let r: BTreeMap<BundleId, &BundleManifest> =
-            resolved.iter().map(|(i, m)| (BundleId(*i), *m)).collect();
-        resolve(&c, &r)
+        let pairs = |list: &[(u64, &'a BundleManifest)]| {
+            list.iter()
+                .map(|&(i, m)| (BundleId(i), m))
+                .collect::<Vec<_>>()
+        };
+        resolve(pairs(candidates).into_iter(), pairs(resolved).into_iter())
     }
 
     #[test]

@@ -1,13 +1,19 @@
 //! Service trackers: the OSGi `ServiceTracker` utility.
 //!
 //! Dynamic services come and go as bundles start and stop; a tracker
-//! maintains a live, filtered set of matching services from the registry's
-//! event stream, so consumers don't re-query on every use. The paper's
-//! virtual instances consume host services exactly this way: the instance
-//! manager re-wires customers transparently when a host service bounces
-//! during an update (§1's "without disrupting the production environment").
+//! maintains a live, filtered set of matching services, so consumers don't
+//! re-query on every use. The paper's virtual instances consume host
+//! services exactly this way: the instance manager re-wires customers
+//! transparently when a host service bounces during an update (§1's
+//! "without disrupting the production environment").
+//!
+//! A tracker follows the registry by its
+//! [`generation`](ServiceRegistry::generation): a [`sync`](ServiceTracker::sync)
+//! against a registry that has not moved does nothing, and one against a
+//! registry that has takes the set of matching services afresh and counts
+//! what joined and what left. The registry keeps no event queue for it.
 
-use crate::{Filter, ServiceEvent, ServiceEventKind, ServiceId, ServiceRegistry};
+use crate::{Filter, ServiceId, ServiceRegistry};
 use std::collections::BTreeSet;
 
 /// Tracks the set of registered services offering one interface,
@@ -31,6 +37,8 @@ pub struct ServiceTracker {
     interface: String,
     filter: Option<Filter>,
     tracked: BTreeSet<ServiceId>,
+    /// The registry generation `tracked` was taken at.
+    generation: Option<u64>,
     added: u64,
     removed: u64,
 }
@@ -42,6 +50,7 @@ impl ServiceTracker {
             interface: interface.to_owned(),
             filter: None,
             tracked: BTreeSet::new(),
+            generation: None,
             added: 0,
             removed: 0,
         }
@@ -56,46 +65,26 @@ impl ServiceTracker {
 
     /// Primes the tracker from the registry's current contents.
     pub fn open(&mut self, registry: &ServiceRegistry) {
-        self.tracked = registry
+        self.sync(registry);
+    }
+
+    /// Brings the tracked set up to date with `registry`: nothing to do
+    /// while its generation stands still; otherwise the matching services
+    /// are taken afresh, and those that joined and left the set are
+    /// counted in [`churn`](Self::churn).
+    pub fn sync(&mut self, registry: &ServiceRegistry) {
+        if self.generation == Some(registry.generation()) {
+            return;
+        }
+        self.generation = Some(registry.generation());
+        let now: BTreeSet<ServiceId> = registry
             .references(Some(&self.interface), self.filter.as_ref())
             .into_iter()
             .map(|r| r.id)
             .collect();
-        self.added = self.tracked.len() as u64;
-    }
-
-    /// Feeds one registry event. Call with every event from
-    /// [`Framework::take_service_events`](crate::Framework::take_service_events)
-    /// (the registry is consulted for current properties).
-    pub fn on_event(&mut self, registry: &ServiceRegistry, event: &ServiceEvent) {
-        if !event.interfaces.iter().any(|i| i == &self.interface) {
-            return;
-        }
-        match event.kind {
-            ServiceEventKind::Unregistering => {
-                if self.tracked.remove(&event.service) {
-                    self.removed += 1;
-                }
-            }
-            ServiceEventKind::Registered | ServiceEventKind::Modified => {
-                let matches = registry
-                    .record(event.service)
-                    .map(|r| {
-                        self.filter
-                            .as_ref()
-                            .map(|f| f.matches(&r.properties))
-                            .unwrap_or(true)
-                    })
-                    .unwrap_or(false);
-                if matches {
-                    if self.tracked.insert(event.service) {
-                        self.added += 1;
-                    }
-                } else if self.tracked.remove(&event.service) {
-                    self.removed += 1;
-                }
-            }
-        }
+        self.added += now.difference(&self.tracked).count() as u64;
+        self.removed += self.tracked.difference(&now).count() as u64;
+        self.tracked = now;
     }
 
     /// Currently tracked service ids, ascending.
@@ -122,7 +111,8 @@ impl ServiceTracker {
         self.tracked.is_empty()
     }
 
-    /// Lifetime counters `(added, removed)` — churn observability.
+    /// Lifetime counters `(added, removed)` — churn observability. A
+    /// service that came and went between two syncs is counted in neither.
     pub fn churn(&self) -> (u64, u64) {
         (self.added, self.removed)
     }
@@ -166,14 +156,10 @@ mod tests {
         t.open(&reg);
         let a = reg.register(BundleId(1), &["log"], BTreeMap::new(), svc());
         let b = reg.register(BundleId(2), &["log"], BTreeMap::new(), svc());
-        for e in reg.take_events() {
-            t.on_event(&reg, &e);
-        }
+        t.sync(&reg);
         assert_eq!(t.tracked(), vec![a, b]);
         reg.unregister(a).unwrap();
-        for e in reg.take_events() {
-            t.on_event(&reg, &e);
-        }
+        t.sync(&reg);
         assert_eq!(t.tracked(), vec![b]);
         assert_eq!(t.churn(), (2, 1));
         assert!(!t.is_empty());
@@ -196,23 +182,17 @@ mod tests {
             props(&[("vendor", PropValue::from("globex"))]),
             svc(),
         );
-        for e in reg.take_events() {
-            t.on_event(&reg, &e);
-        }
+        t.sync(&reg);
         assert_eq!(t.tracked(), vec![a]);
         // b changes vendor: now it matches.
         reg.set_properties(b, props(&[("vendor", PropValue::from("acme"))]))
             .unwrap();
-        for e in reg.take_events() {
-            t.on_event(&reg, &e);
-        }
+        t.sync(&reg);
         assert_eq!(t.tracked(), vec![a, b]);
         // a changes away: drops out.
         reg.set_properties(a, props(&[("vendor", PropValue::from("x"))]))
             .unwrap();
-        for e in reg.take_events() {
-            t.on_event(&reg, &e);
-        }
+        t.sync(&reg);
         assert_eq!(t.tracked(), vec![b]);
     }
 
@@ -233,14 +213,10 @@ mod tests {
             props(&[("service.ranking", PropValue::Int(9))]),
             svc(),
         );
-        for e in reg.take_events() {
-            t.on_event(&reg, &e);
-        }
+        t.sync(&reg);
         assert_eq!(t.best(&reg), Some(high));
         reg.unregister(high).unwrap();
-        for e in reg.take_events() {
-            t.on_event(&reg, &e);
-        }
+        t.sync(&reg);
         assert_eq!(t.best(&reg), Some(low));
     }
 
@@ -250,9 +226,7 @@ mod tests {
         let mut t = ServiceTracker::new("log");
         t.open(&reg);
         reg.register(BundleId(1), &["http"], BTreeMap::new(), svc());
-        for e in reg.take_events() {
-            t.on_event(&reg, &e);
-        }
+        t.sync(&reg);
         assert!(t.is_empty());
     }
 }

@@ -22,12 +22,12 @@
 //! * [`MapBackend::insert`] returns `counter + 1` where `counter` is the
 //!   live version, the tombstone version, or 0 for a never-written key.
 //! * [`MapBackend::remove`] / [`MapBackend::remove_namespace`] keep
-//!   the counter in a tombstone; live reads (`get`, `read_namespace`,
-//!   `list_keys`, `list_namespaces`) never see tombstones.
+//!   the counter in a tombstone; live reads (`get`, `rows`, `list_keys`,
+//!   `list_namespaces`) never see tombstones.
 //!
-//! Change detection itself (skip a byte-identical rewrite) lives in
-//! `SharedStore`, above the map; [`MapBackend::identical_live`] is only the
-//! allocation-free probe it uses.
+//! Change detection (skip a byte-identical rewrite) is a decision of
+//! `SharedStore`, above the map, which writes through [`MapBackend::put`]:
+//! one search of the namespace and of its slots both compares and writes.
 
 use crate::store::Versioned;
 use crate::Value;
@@ -77,15 +77,25 @@ struct Namespace {
 
 impl Namespace {
     /// Writes `value`, `len` bytes encoded, under `key`, returning the new
-    /// version. The slot is looked up before its key is owned: overwriting
-    /// a key that exists, live or tombstoned, allocates no key, and the
-    /// total moves by the difference of the two lengths without either
-    /// value being measured. A borrowed value overwrites a live one in
-    /// place, reusing its allocations where the shapes match; an owned one
-    /// is moved in.
-    fn insert(&mut self, key: &str, value: Cow<'_, Value>, len: u64) -> u64 {
-        self.live_bytes += len;
+    /// version — unless `skip_identical` and the live value encodes
+    /// byte-identically to it, which is left as it is. One search finds the
+    /// slot for both the comparison and the write, and it is made before
+    /// the key is owned: overwriting a key that exists, live or tombstoned,
+    /// allocates no key, and the total moves by the difference of the two
+    /// lengths without either value being measured. A borrowed value
+    /// overwrites a live one in place, reusing its allocations where the
+    /// shapes match; an owned one is moved in.
+    fn write(&mut self, key: &str, value: Cow<'_, Value>, len: u64, skip_identical: bool) -> Put {
         if let Some(slot) = self.slots.get_mut(key) {
+            if skip_identical
+                && slot
+                    .value
+                    .as_ref()
+                    .is_some_and(|live| crate::codec::codec_eq(live, &value))
+            {
+                return Put::Skipped(slot.version);
+            }
+            self.live_bytes += len;
             self.live_bytes -= slot.len;
             slot.version += 1;
             match (&mut slot.value, value) {
@@ -93,16 +103,36 @@ impl Namespace {
                 (stored, value) => *stored = Some(value.into_owned()),
             }
             slot.len = len;
-            return slot.version;
+            return Put::Wrote(slot.version);
         }
+        self.live_bytes += len;
         let slot = Slot {
             version: 1,
             value: Some(value.into_owned()),
             len,
         };
         self.slots.insert(key.to_owned(), slot);
-        1
+        Put::Wrote(1)
     }
+}
+
+/// What a change-detecting [`MapBackend::put`] did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Put {
+    /// The live value was byte-identical: nothing changed; its version.
+    Skipped(u64),
+    /// The value was written; the key's new version.
+    Wrote(u64),
+}
+
+/// One live row of a namespace, as the map holds it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Row<'a> {
+    pub(crate) key: &'a str,
+    pub(crate) version: u64,
+    pub(crate) value: &'a Value,
+    /// The value's encoded length, measured when it was written.
+    pub(crate) len: u64,
 }
 
 /// Namespaces of ordered maps. Tombstones are slots whose value is `None`.
@@ -140,8 +170,9 @@ impl MapBackend {
     }
 
     /// If the *live* value under `namespace/key` encodes byte-identically
-    /// to `value`, returns its version — the change-detection probe, which
-    /// clones nothing.
+    /// to `value`, returns its version. A store write makes this
+    /// comparison inside [`put`](Self::put), in the search that writes.
+    #[cfg(test)]
     pub(crate) fn identical_live(&self, namespace: &str, key: &str, value: &Value) -> Option<u64> {
         self.slot(namespace, key).and_then(|s| {
             s.value
@@ -149,6 +180,20 @@ impl MapBackend {
                 .filter(|stored| crate::codec::codec_eq(stored, value))
                 .map(|_| s.version)
         })
+    }
+
+    /// Writes `value`, whose encoded length the caller has measured as
+    /// `len`, unless the live value under `namespace/key` encodes
+    /// byte-identically to it — the change detection every store write
+    /// makes — in one search of the namespace and one of its slots.
+    pub(crate) fn put(
+        &mut self,
+        namespace: &str,
+        key: &str,
+        value: Cow<'_, Value>,
+        len: u64,
+    ) -> Put {
+        self.write(namespace, key, value, len, true)
     }
 
     /// Unconditionally writes `value`, whose encoded length the caller has
@@ -161,14 +206,27 @@ impl MapBackend {
         value: Cow<'_, Value>,
         len: u64,
     ) -> u64 {
+        match self.write(namespace, key, value, len, false) {
+            Put::Wrote(version) | Put::Skipped(version) => version,
+        }
+    }
+
+    fn write(
+        &mut self,
+        namespace: &str,
+        key: &str,
+        value: Cow<'_, Value>,
+        len: u64,
+        skip_identical: bool,
+    ) -> Put {
         // The namespace, too, is looked up before its name is owned.
         if let Some(ns) = self.namespaces.get_mut(namespace) {
-            return ns.insert(key, value, len);
+            return ns.write(key, value, len, skip_identical);
         }
         let mut ns = Namespace::default();
-        ns.insert(key, value, len);
+        let wrote = ns.write(key, value, len, skip_identical);
         self.namespaces.insert(namespace.to_owned(), ns);
-        1
+        wrote
     }
 
     /// Deletes a live key, leaving a version tombstone. Returns `false`
@@ -204,27 +262,20 @@ impl MapBackend {
         removed
     }
 
-    /// All live `(key, versioned-value)` pairs in a namespace, key-sorted.
-    pub(crate) fn read_namespace(&self, namespace: &str) -> Vec<(String, Versioned)> {
+    /// The live rows of a namespace, key-sorted, borrowed.
+    pub(crate) fn rows<'a>(&'a self, namespace: &str) -> impl Iterator<Item = Row<'a>> {
         self.namespaces
             .get(namespace)
-            .map(|ns| {
-                ns.slots
-                    .iter()
-                    .filter_map(|(k, s)| {
-                        s.value.as_ref().map(|v| {
-                            (
-                                k.clone(),
-                                Versioned {
-                                    version: s.version,
-                                    value: v.clone(),
-                                },
-                            )
-                        })
-                    })
-                    .collect()
+            .into_iter()
+            .flat_map(|ns| &ns.slots)
+            .filter_map(|(key, s)| {
+                s.value.as_ref().map(|value| Row {
+                    key,
+                    version: s.version,
+                    value,
+                    len: s.len,
+                })
             })
-            .unwrap_or_default()
     }
 
     /// Live keys in a namespace, sorted.
@@ -300,7 +351,7 @@ mod tests {
         b.remove("ns", "a");
         assert_eq!(b.get("ns", "a"), None);
         assert_eq!(b.list_keys("ns"), vec!["b"]);
-        assert_eq!(b.read_namespace("ns").len(), 1);
+        assert_eq!(b.rows("ns").count(), 1);
         b.remove("ns", "b");
         assert!(b.list_namespaces().is_empty());
         assert_eq!(b.namespace_bytes("ns"), 0);

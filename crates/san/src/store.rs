@@ -1,6 +1,6 @@
 //! The cluster-wide shared object store.
 
-use crate::backend::MapBackend;
+use crate::backend::{MapBackend, Put};
 use crate::fault::{FaultInjector, FaultPlan};
 use crate::{StoreError, Value};
 use dosgi_net::SimTime;
@@ -228,16 +228,20 @@ impl SharedStore {
         self.fault("put")?;
         let mut inner = self.lock();
         let len = value.encoded_len() as u64;
-        if let Some(version) = inner.map.identical_live(namespace, key, &value) {
-            inner.stats.writes_skipped += 1;
-            inner.stats.bytes_skipped += len;
-            drop(inner);
-            self.metrics().skipped_identical.incr();
-            return Ok(version);
+        match inner.map.put(namespace, key, Cow::Owned(value), len) {
+            Put::Skipped(version) => {
+                inner.stats.writes_skipped += 1;
+                inner.stats.bytes_skipped += len;
+                drop(inner);
+                self.metrics().skipped_identical.incr();
+                Ok(version)
+            }
+            Put::Wrote(version) => {
+                inner.stats.writes += 1;
+                inner.stats.bytes_written += len;
+                Ok(version)
+            }
         }
-        inner.stats.writes += 1;
-        inner.stats.bytes_written += len;
-        Ok(inner.map.insert(namespace, key, Cow::Owned(value), len))
     }
 
     /// Atomically-intended multi-key write: all of `entries` into
@@ -276,12 +280,12 @@ impl SharedStore {
             // serves change-detection stats, write accounting and the
             // namespace's running total alike.
             let len = value.encoded_len() as u64;
-            if inner.map.identical_live(namespace, key, value).is_some() {
-                skipped += 1;
-                bytes_skipped += len;
-            } else {
-                bytes += len;
-                inner.map.insert(namespace, key, Cow::Borrowed(value), len);
+            match inner.map.put(namespace, key, Cow::Borrowed(value), len) {
+                Put::Skipped(_) => {
+                    skipped += 1;
+                    bytes_skipped += len;
+                }
+                Put::Wrote(_) => bytes += len,
             }
         }
         inner.stats.writes += persisted as u64 - skipped;
@@ -405,25 +409,44 @@ impl SharedStore {
         Ok(n)
     }
 
-    /// Reads a whole namespace as `(key, value)` pairs, sorted by key.
+    /// Reads a whole namespace as `(key, value)` pairs, sorted by key: the
+    /// owning form of [`visit_namespace`](Self::visit_namespace).
     ///
     /// # Errors
     ///
     /// Fault-injected [`StoreError::Unavailable`] / [`StoreError::Io`].
     pub fn read_namespace(&self, namespace: &str) -> Result<Vec<(String, Value)>, StoreError> {
+        let mut pairs = Vec::new();
+        self.visit_namespace(namespace, |key, value| {
+            pairs.push((key.to_owned(), value.clone()));
+        })?;
+        Ok(pairs)
+    }
+
+    /// Reads a whole namespace, handing each live row to `visit` in key
+    /// order, borrowed: the reader copies what it keeps and nothing else.
+    /// One fault roll, and each row counted as one read of its encoded
+    /// bytes, as [`read_namespace`](Self::read_namespace) counts them.
+    /// `visit` runs under the store's lock, so it must not call the store.
+    ///
+    /// # Errors
+    ///
+    /// Fault-injected [`StoreError::Unavailable`] / [`StoreError::Io`];
+    /// `visit` then sees no row.
+    pub fn visit_namespace(
+        &self,
+        namespace: &str,
+        mut visit: impl FnMut(&str, &Value),
+    ) -> Result<(), StoreError> {
         self.fault("read_namespace")?;
         let mut inner = self.lock();
-        let pairs: Vec<(String, Value)> = inner
-            .map
-            .read_namespace(namespace)
-            .into_iter()
-            .map(|(k, v)| (k, v.value))
-            .collect();
-        for (_, v) in &pairs {
-            inner.stats.reads += 1;
-            inner.stats.bytes_read += v.encoded_len() as u64;
+        let Inner { map, stats } = &mut *inner;
+        for row in map.rows(namespace) {
+            stats.reads += 1;
+            stats.bytes_read += row.len;
+            visit(row.key, row.value);
         }
-        Ok(pairs)
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -458,7 +481,18 @@ impl SharedStore {
             .list_namespaces()
             .into_iter()
             .map(|ns| {
-                let rows = inner.map.read_namespace(&ns);
+                let rows = inner
+                    .map
+                    .rows(&ns)
+                    .map(|row| {
+                        let value = row.value.clone();
+                        let versioned = Versioned {
+                            version: row.version,
+                            value,
+                        };
+                        (row.key.to_owned(), versioned)
+                    })
+                    .collect();
                 (ns, rows)
             })
             .collect()

@@ -194,7 +194,7 @@ impl InstanceManager {
     ) -> Result<InstanceId, VosgiError> {
         self.check_name_free(&descriptor.name)?;
         let mut fw =
-            Framework::with_config(FrameworkConfig::new(&format!("vosgi/{}", descriptor.name)));
+            Framework::with_config(FrameworkConfig::new(format!("vosgi/{}", descriptor.name)));
         fw.set_metrics(self.framework_metrics.clone());
         if let Some(store) = &self.store {
             fw.attach_store(store.clone(), &descriptor.state_namespace())?;
@@ -203,10 +203,9 @@ impl InstanceManager {
             let manifest = self
                 .repo
                 .manifest(name)
-                .ok_or_else(|| VosgiError::UnknownBundle(name.clone()))?
-                .clone();
-            let activator = self.factory.create(&manifest);
-            fw.install(manifest, activator)?;
+                .ok_or_else(|| VosgiError::UnknownBundle(name.clone()))?;
+            let activator = self.factory.create(manifest);
+            fw.install(Arc::clone(manifest), activator)?;
         }
         self.metrics.created.incr();
         Ok(self.insert(descriptor, fw, InstanceState::Created))
@@ -214,7 +213,9 @@ impl InstanceManager {
 
     /// Re-materializes an instance from its SAN-persisted framework state —
     /// the arrival half of a migration or a failover redeployment. Bundles
-    /// that were running when the state was persisted come back running.
+    /// that were running when the state was persisted come back running,
+    /// each sharing the repository's manifest when its persisted one
+    /// equals it.
     ///
     /// # Errors
     ///
@@ -233,10 +234,11 @@ impl InstanceManager {
             .clone()
             .ok_or(VosgiError::NoStore { operation: "adopt" })?;
         let fw = Framework::restore_counted(
-            FrameworkConfig::new(&format!("vosgi/{}", descriptor.name)),
+            FrameworkConfig::new(format!("vosgi/{}", descriptor.name)),
             store,
-            &descriptor.state_namespace(),
+            descriptor.state_namespace(),
             &self.factory,
+            &*self.repo,
             self.framework_metrics.clone(),
             &self.phases,
         )?;
@@ -285,8 +287,9 @@ impl InstanceManager {
     /// # Errors
     ///
     /// [`VosgiError::NoSuchInstance`]; individual activator failures are
-    /// reported as framework events, not errors, so one bad bundle does not
-    /// block a customer's remaining services.
+    /// not errors — the bundle is left degraded
+    /// ([`Framework::degraded_bundles`]) — so one bad bundle does not block
+    /// a customer's remaining services.
     pub fn start_instance(&mut self, id: InstanceId) -> Result<(), VosgiError> {
         let inst = self.instance_mut_impl(id)?;
         let mut order: Vec<(u32, BundleId)> = inst
@@ -377,11 +380,11 @@ impl InstanceManager {
         id: InstanceId,
         symbolic_name: &str,
     ) -> Result<BundleId, VosgiError> {
-        let manifest = self
-            .repo
-            .manifest(symbolic_name)
-            .ok_or_else(|| VosgiError::UnknownBundle(symbolic_name.to_owned()))?
-            .clone();
+        let manifest = Arc::clone(
+            self.repo
+                .manifest(symbolic_name)
+                .ok_or_else(|| VosgiError::UnknownBundle(symbolic_name.to_owned()))?,
+        );
         let activator = self.factory.create(&manifest);
         let inst = self.instance_mut_impl(id)?;
         let bid = inst.framework.install(manifest, activator)?;

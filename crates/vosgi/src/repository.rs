@@ -5,15 +5,24 @@
 //! [`ActivatorFactory`](dosgi_osgi::ActivatorFactory), to behaviour). In a
 //! real deployment this is the provisioning system every node can reach —
 //! the reason a migrated instance's bundles can be re-materialized anywhere.
+//!
+//! Each manifest is held once, shared: every framework that installs it
+//! holds the repository's `Arc`, and so does a restore whose persisted
+//! manifest equals the one catalogued — the repository keeps each
+//! manifest's row form beside it for that comparison
+//! ([`KnownManifests`]).
 
-use dosgi_osgi::BundleManifest;
+use dosgi_osgi::{BundleManifest, KnownManifests};
+use dosgi_san::Value;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A name → manifest catalogue.
 #[derive(Clone, Default)]
 pub struct BundleRepository {
-    manifests: HashMap<String, BundleManifest>,
+    /// Each manifest beside its row form.
+    manifests: HashMap<String, (Arc<BundleManifest>, Value)>,
 }
 
 impl fmt::Debug for BundleRepository {
@@ -32,13 +41,16 @@ impl BundleRepository {
 
     /// Adds (or replaces) a manifest, keyed by its symbolic name.
     pub fn add(&mut self, manifest: BundleManifest) {
-        self.manifests
-            .insert(manifest.symbolic_name.as_str().to_owned(), manifest);
+        let (name, form) = (manifest.symbolic_name.to_string(), manifest.to_value());
+        self.manifests.insert(name, (Arc::new(manifest), form));
     }
 
-    /// Looks up a manifest by symbolic name.
-    pub fn manifest(&self, symbolic_name: &str) -> Option<&BundleManifest> {
-        self.manifests.get(symbolic_name)
+    /// Looks up a manifest by symbolic name: the one every framework that
+    /// installs it shares.
+    pub fn manifest(&self, symbolic_name: &str) -> Option<&Arc<BundleManifest>> {
+        self.manifests
+            .get(symbolic_name)
+            .map(|(manifest, _)| manifest)
     }
 
     /// True if the repository knows `symbolic_name`.
@@ -61,6 +73,14 @@ impl BundleRepository {
     /// True if the repository is empty.
     pub fn is_empty(&self) -> bool {
         self.manifests.is_empty()
+    }
+}
+
+impl KnownManifests for BundleRepository {
+    fn known(&self, symbolic_name: &str) -> Option<(&Arc<BundleManifest>, &Value)> {
+        self.manifests
+            .get(symbolic_name)
+            .map(|(manifest, form)| (manifest, form))
     }
 }
 
@@ -104,6 +124,10 @@ mod tests {
         assert_eq!(repo.manifest("c.d").unwrap().symbolic_name.as_str(), "c.d");
         assert_eq!(repo.names(), vec!["a.b", "c.d"]);
         assert_eq!(repo.len(), 2);
+        // The row form a restore compares against is the manifest's own.
+        let (manifest, form) = repo.known("a.b").unwrap();
+        assert_eq!(*form, manifest.to_value());
+        assert!(repo.known("x.y").is_none());
     }
 
     #[test]

@@ -66,14 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(Value::as_int)
         .unwrap_or(0);
     mgr.install_bundle(id, "org.acme.search")?;
-    for e in mgr
-        .instance_mut(id)
-        .unwrap()
-        .framework_mut()
-        .take_service_events()
-    {
-        tracker.on_event(mgr.instance(id).unwrap().framework().registry(), &e);
-    }
+    tracker.sync(mgr.instance(id).unwrap().framework().registry());
     println!(
         "hot-installed search v{} (tracked: {}); web already served {} requests and keeps going",
         mgr.call_service(id, "org.acme.search.Search", "version", &Value::Null)?,
@@ -89,14 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .private_package("org.acme.search.impl", ["Index", "Ranker"])
             .build()?,
     )?;
-    for e in mgr
-        .instance_mut(id)
-        .unwrap()
-        .framework_mut()
-        .take_service_events()
-    {
-        tracker.on_event(mgr.instance(id).unwrap().framework().registry(), &e);
-    }
+    tracker.sync(mgr.instance(id).unwrap().framework().registry());
     let (added, removed) = tracker.churn();
     println!(
         "hot-updated search to v{} (tracker saw {added} registrations, {removed} removals)",
