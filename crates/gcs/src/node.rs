@@ -1428,6 +1428,145 @@ mod tests {
         assert_eq!(c.nodes[0].ordered_buffer.len(), RETAINED_AT_QUIESCENCE);
     }
 
+    /// A `SimNet` that loses the first `ViewCommit` addressed to `victim`,
+    /// and records every later one sent to it and every proposal's epoch.
+    struct LoseFirstCommit {
+        net: Net,
+        victim: NodeId,
+        lost: bool,
+        commits_after: u64,
+        proposed: Vec<u64>,
+    }
+
+    impl Fabric<GcsWire<u64>> for LoseFirstCommit {
+        fn now(&self) -> SimTime {
+            self.net.now()
+        }
+
+        fn send(&mut self, from: NodeId, to: NodeId, msg: GcsWire<u64>) {
+            match &msg {
+                GcsWire::ViewPropose(view) => self.proposed.push(view.id.epoch),
+                GcsWire::ViewCommit(_) if to == self.victim => {
+                    if !self.lost {
+                        self.lost = true;
+                        return;
+                    }
+                    self.commits_after += 1;
+                }
+                _ => {}
+            }
+            self.net.send(from, to, msg);
+        }
+
+        fn drain(&mut self, node: NodeId, into: &mut Vec<dosgi_net::Envelope<GcsWire<u64>>>) {
+            Fabric::drain(&mut self.net, node, into);
+        }
+    }
+
+    #[test]
+    fn a_lost_view_commit_is_repaired_by_a_heartbeat() {
+        // Node 2 crashes and node 0 commits {0, 1}; its one commit to node 1
+        // is lost. Node 1 waits for node 0 to propose, and node 0, whose
+        // view is the alive set, never proposes again: only its answer to
+        // node 1's stale heartbeat moves node 1.
+        fn run(fabric: &mut LoseFirstCommit, nodes: &mut [Node], steps: usize) {
+            for _ in 0..steps {
+                fabric.net.advance(SimDuration::from_millis(5));
+                let now = fabric.net.now();
+                for node in nodes.iter_mut() {
+                    if !fabric.net.is_alive(node.id()) {
+                        continue;
+                    }
+                    for env in fabric.net.drain(node.id()) {
+                        node.handle(fabric, env.from, env.payload, now);
+                    }
+                    node.tick(fabric, now);
+                }
+            }
+        }
+        let telemetry = Telemetry::new();
+        let mut net = Net::new(LinkConfig::lan(), 20);
+        let ids: Vec<NodeId> = (0..3).map(|_| net.register_node()).collect();
+        let mut nodes: Vec<Node> = ids
+            .iter()
+            .map(|&id| Node::new(id, ids.clone(), GcsConfig::lan(), SimTime::ZERO))
+            .collect();
+        for node in &mut nodes {
+            node.set_telemetry(telemetry.clone());
+        }
+        let mut fabric = LoseFirstCommit {
+            net,
+            victim: NodeId(1),
+            lost: false,
+            commits_after: 0,
+            proposed: Vec::new(),
+        };
+        run(&mut fabric, &mut nodes, 40);
+        fabric.net.crash(NodeId(2));
+        run(&mut fabric, &mut nodes, 200);
+
+        assert!(fabric.lost, "the commit to node 1 was lost");
+        let agreed = nodes[0].view().id;
+        assert_eq!(nodes[0].view().members, vec![NodeId(0), NodeId(1)]);
+        assert_eq!(nodes[1].view().id, agreed, "node 1 caught up");
+        assert!(
+            fabric.proposed.iter().all(|&epoch| epoch <= agreed.epoch),
+            "no proposal past the agreed view: {:?}",
+            fabric.proposed
+        );
+        assert!(fabric.commits_after >= 1, "the view was pushed again");
+        assert_eq!(
+            telemetry.counter("gcs.antientropy.view_repairs"),
+            fabric.commits_after
+        );
+    }
+
+    #[test]
+    fn a_sequencer_restarted_inside_the_timeout_starts_a_new_stream() {
+        let mut c = Cluster::new(3, LinkConfig::lan(), GcsConfig::lan(), 21);
+        c.run(SimDuration::from_millis(200));
+        for v in 1..=12 {
+            c.order(1 + v as usize % 2, v);
+        }
+        c.run(SimDuration::from_secs(2));
+        let view_before = c.nodes[0].view().id;
+        for i in 0..3 {
+            assert_eq!(ordered(&c.events(i)).len(), 12, "node {i}");
+            assert!(c.nodes[i].delivered_from_start(), "node {i}");
+        }
+
+        // The sequencer crashes and restarts before anyone suspects it; its
+        // new life numbers a new stream from 1. The members' first requests
+        // race its first heartbeat.
+        c.crash(0);
+        c.restart(0);
+        for v in 100..106 {
+            c.order(v as usize % 3, v);
+        }
+        c.run(SimDuration::from_secs(2));
+        let got: Vec<Vec<(u64, u64)>> = (0..3).map(|i| ordered_gseqs(&c.events(i))).collect();
+        let gseqs: Vec<u64> = got[0].iter().map(|g| g.0).collect();
+        assert_eq!(gseqs, (1..=6).collect::<Vec<_>>());
+        let mut payloads: Vec<u64> = got[0].iter().map(|g| g.1).collect();
+        payloads.sort();
+        assert_eq!(payloads, (100..106).collect::<Vec<_>>());
+        for i in 0..3 {
+            assert_eq!(
+                c.nodes[i].view().id,
+                view_before,
+                "node {i}: no view change"
+            );
+            assert_eq!(got[i], got[0], "node {i}");
+            assert_eq!(c.nodes[i].pending_orders(), 0, "node {i}");
+        }
+        // The members' cursors were reset for the new stream; the restarted
+        // sequencer has followed its own from its first message.
+        assert!(c.nodes[0].delivered_from_start());
+        for i in 1..3 {
+            assert!(!c.nodes[i].delivered_from_start(), "node {i}");
+        }
+    }
+
     #[test]
     fn silent_restart_rebases_without_a_view_change() {
         let mut c = Cluster::new(3, LinkConfig::lan(), GcsConfig::lan(), 14);
