@@ -912,15 +912,15 @@ impl DosgiNode {
                     self.handle_failover(&left, net);
                 }
             }
-            GcsEvent::OrderedDeliver { payload, trace, .. } => {
+            GcsEvent::OrderedDeliver { msg, .. } => {
                 // Fold the carried Lamport stamp into the local logical
                 // clock even when this node opens no span of its own: a
                 // later local root must still order after everything the
                 // delivery happened-after.
-                if let Some(ctx) = trace {
+                if let Some(ctx) = msg.trace {
                     self.recorder.observe(ctx);
                 }
-                self.apply_control(&payload, trace, net, now);
+                self.apply_control(&msg.payload, msg.trace, net, now);
             }
         }
     }

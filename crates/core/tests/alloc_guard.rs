@@ -423,10 +423,10 @@ fn ordered_sync_allocations(records: usize) -> u64 {
             }
             gcs.tick(net, now);
             for event in gcs.take_events() {
-                if let GcsEvent::OrderedDeliver { payload, .. } = event {
+                if let GcsEvent::OrderedDeliver { msg, .. } = event {
                     let AppPayload::RegistrySync {
                         registry: snapshot, ..
-                    } = &*payload
+                    } = &*msg.payload
                     else {
                         panic!("only a sync is ordered here");
                     };

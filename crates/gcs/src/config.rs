@@ -1,43 +1,49 @@
-//! Protocol timing parameters.
+//! Protocol timing: the one settable value, the intervals derived from it
+//! or fixed, and the one test of whether an interval has passed.
 
-use dosgi_net::SimDuration;
+use dosgi_net::{SimDuration, SimTime};
 
-/// Timing knobs for the membership and broadcast protocols.
+/// How often an uncommitted view proposal is re-sent.
+pub(crate) const PROPOSE_RESEND: SimDuration = SimDuration::from_millis(100);
+
+/// How often the head of the origin's queue is re-sent to the sequencer,
+/// and how often a member may ask the sequencer for replay.
+pub(crate) const ORDER_RESEND: SimDuration = SimDuration::from_millis(150);
+
+/// The suspicion timeout, in heartbeat intervals.
+const SUSPECT_AFTER_HEARTBEATS: u64 = 4;
+
+/// Timing of the membership and broadcast protocols: the heartbeat
+/// interval, from which the suspicion timeout follows.
 ///
-/// The failover experiment (**E6**) sweeps `heartbeat_interval` /
-/// `suspect_timeout` to show the classic detection-latency/false-positive
-/// trade-off the paper inherits from its GCS.
+/// The failover experiment (**E6**) sweeps `heartbeat_interval` to show the
+/// classic detection-latency/false-positive trade-off the paper inherits
+/// from its GCS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GcsConfig {
     /// How often each member broadcasts a heartbeat.
     pub heartbeat_interval: SimDuration,
-    /// Silence after which a peer is suspected crashed. Must exceed the
-    /// heartbeat interval by a healthy margin (≥3× is sensible on a LAN).
-    pub suspect_timeout: SimDuration,
-    /// How often an uncommitted view proposal is re-sent.
-    pub propose_resend: SimDuration,
-    /// How often undelivered ordered requests are re-sent to the sequencer.
-    pub order_resend: SimDuration,
 }
 
 impl GcsConfig {
-    /// LAN defaults: 50ms heartbeats, 200ms suspicion.
+    /// LAN defaults: 50ms heartbeats, so 200ms suspicion.
     pub fn lan() -> Self {
         GcsConfig {
             heartbeat_interval: SimDuration::from_millis(50),
-            suspect_timeout: SimDuration::from_millis(200),
-            propose_resend: SimDuration::from_millis(100),
-            order_resend: SimDuration::from_millis(150),
         }
     }
 
-    /// Scales heartbeat and suspicion together, preserving the ratio — the
+    /// Sets the heartbeat interval; the suspicion timeout follows it — the
     /// knob experiment E6 sweeps.
     pub fn with_heartbeat(mut self, interval: SimDuration) -> Self {
-        let ratio = self.suspect_timeout.as_micros() / self.heartbeat_interval.as_micros().max(1);
         self.heartbeat_interval = interval;
-        self.suspect_timeout = interval * ratio;
         self
+    }
+
+    /// Silence after which a peer is suspected crashed: four heartbeat
+    /// intervals.
+    pub fn suspect_timeout(&self) -> SimDuration {
+        self.heartbeat_interval * SUSPECT_AFTER_HEARTBEATS
     }
 }
 
@@ -47,6 +53,16 @@ impl Default for GcsConfig {
     }
 }
 
+/// The one interval test: true when `every` has passed since `*last`, or
+/// when there is no `last`; the interval then restarts at `now`.
+pub(crate) fn due(last: &mut Option<SimTime>, every: SimDuration, now: SimTime) -> bool {
+    let due = last.is_none_or(|at| now.since(at) >= every);
+    if due {
+        *last = Some(now);
+    }
+    due
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +70,7 @@ mod tests {
     #[test]
     fn presets_are_sane() {
         let c = GcsConfig::lan();
-        assert!(c.suspect_timeout > c.heartbeat_interval * 2);
+        assert!(c.suspect_timeout() > c.heartbeat_interval * 2);
         assert_eq!(GcsConfig::default(), GcsConfig::lan());
     }
 
@@ -62,6 +78,6 @@ mod tests {
     fn with_heartbeat_preserves_ratio() {
         let c = GcsConfig::lan().with_heartbeat(SimDuration::from_millis(10));
         assert_eq!(c.heartbeat_interval, SimDuration::from_millis(10));
-        assert_eq!(c.suspect_timeout, SimDuration::from_millis(40));
+        assert_eq!(c.suspect_timeout(), SimDuration::from_millis(40));
     }
 }

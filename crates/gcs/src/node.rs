@@ -1,11 +1,14 @@
-//! The per-node protocol engine: failure detection, view agreement and
-//! sequencer-based total order.
+//! The per-node endpoint: the three machines — failure detection
+//! (`detector.rs`), view agreement (`membership.rs`) and total order
+//! (`stream.rs`) — plus the events they hand up and their metrics.
 
+use crate::detector::Detector;
+use crate::membership::Membership;
 use crate::metrics::Metrics;
+use crate::stream::{Sequenced, Sequencer, Stream};
 use crate::{GcsConfig, GcsWire, View, ViewId};
-use dosgi_net::{Fabric, NodeId, SimDuration, SimTime};
+use dosgi_net::{Fabric, NodeId, SimTime};
 use dosgi_telemetry::{Telemetry, TraceContext};
-use std::collections::{BTreeMap, BTreeSet};
 
 /// Events a [`GroupNode`] delivers to the layer above.
 #[derive(Debug, Clone, PartialEq)]
@@ -25,19 +28,8 @@ pub enum GcsEvent<A> {
     OrderedDeliver {
         /// The global sequence number (per sequencer epoch).
         gseq: u64,
-        /// The original sender.
-        origin: NodeId,
-        /// The origin's incarnation and its per-incarnation sequence number:
-        /// with `origin`, the message's identity. No node delivers the same
-        /// identity twice.
-        origin_inc: u64,
-        /// See `origin_inc`.
-        origin_seq: u64,
-        /// The payload.
-        payload: A,
-        /// The origin's causal trace context, if the flow was traced
-        /// (carried opaquely: GCS never inspects or alters it).
-        trace: Option<TraceContext>,
+        /// The message. No node delivers the same identity twice.
+        msg: Sequenced<A>,
     },
 }
 
@@ -49,127 +41,38 @@ pub enum GcsEvent<A> {
 #[derive(Debug)]
 pub struct GroupNode<A> {
     id: NodeId,
-    peers: Vec<NodeId>,
-    config: GcsConfig,
-
-    // Failure detection.
-    incarnation: u64,
-    peer_incarnations: BTreeMap<NodeId, u64>,
-    last_heard: BTreeMap<NodeId, SimTime>,
-    last_hb_sent: Option<SimTime>,
-    departed: BTreeSet<NodeId>,
-
-    // View agreement.
-    view: View,
-    proposal: Option<Proposal>,
-
-    // Total order.
-    order_seq: u64,
-    pending_orders: BTreeMap<u64, (A, Option<TraceContext>)>,
-    pending_last_sent: Option<SimTime>,
-    gseq_counter: u64,
-    // Sequencer: the ordered messages some member may still need, i.e.
-    // everything above `low_water`.
-    ordered_buffer: BTreeMap<u64, Sequenced<A>>,
-    // Sequencer: per origin, the newest request sequenced in this stream,
-    // `(incarnation, origin_seq, gseq)`. An origin keeps one request
-    // outstanding, so a request not newer than this is a retry (or a stale
-    // copy): it is answered with the `gseq` it has, never sequenced again.
-    assigned: BTreeMap<NodeId, (u64, u64, u64)>,
-    // Sequencer: per member, a `gseq` it is known to be past — acknowledged
-    // on its heartbeats, or the base it was admitted at. Above the member's
-    // real cursor only until the member asks for replay and is re-based.
-    acked: BTreeMap<NodeId, u64>,
-    // Sequencer: the minimum of `acked` over the view; nothing at or below
-    // it is retained.
-    low_water: u64,
-    expected_gseq: u64,
-    ordered_ooo: BTreeMap<u64, Sequenced<A>>,
-    // Per origin, the newest `(incarnation, origin_seq)` delivered, and the
-    // `stream_gen` it was delivered in. An origin keeps one order request
-    // outstanding, so its messages arrive in sequence and anything not
-    // newer is a duplicate.
-    delivered_high: BTreeMap<NodeId, (u64, u64, u64)>,
-    // Counts the streams this node has followed: bumped whenever the cursor
-    // is reset for a new one. A duplicate of something delivered in an
-    // *earlier* stream is a new sequencer re-ordering a retried request; in
-    // the *same* stream it means the sequencer gave one message two
-    // positions (`gcs.order.resequenced`, never expected).
-    stream_gen: u64,
-    // Set for good the first time the cursor moves other than by delivering
-    // (see `delivered_from_start`).
-    rebased: bool,
-    last_order_nack: Option<SimTime>,
-
+    detector: Detector,
+    membership: Membership,
+    stream: Stream<A>,
     events: Vec<GcsEvent<A>>,
     metrics: Metrics,
 }
 
-/// How many ordered messages a sequencer still retains for replay once
-/// every member of its view has acknowledged the whole stream: none. The
-/// `gcs.order.retained` gauge reads this at quiescence.
-pub const RETAINED_AT_QUIESCENCE: usize = 0;
-
-/// A sequenced message: `(origin, origin_inc, origin_seq, payload, trace)`.
-type Sequenced<A> = (NodeId, u64, u64, A, Option<TraceContext>);
-
-#[derive(Debug)]
-struct Proposal {
-    view: View,
-    acks: BTreeSet<NodeId>,
-    last_sent: SimTime,
-}
-
 impl<A: Clone> GroupNode<A> {
-    /// Creates a node for `id` in a fixed universe of `peers` (which must
-    /// include `id`). The initial view optimistically contains every peer;
-    /// the failure detector prunes it within a suspicion timeout.
+    /// Creates a node for `id` in a fixed universe of `peers` (in any
+    /// order; they must include `id`). The initial view optimistically
+    /// contains every peer; the failure detector prunes it within a
+    /// suspicion timeout.
     ///
     /// # Panics
     ///
     /// Panics if `peers` does not contain `id`.
     pub fn new(id: NodeId, peers: Vec<NodeId>, config: GcsConfig, now: SimTime) -> Self {
         assert!(peers.contains(&id), "peers must include the local node");
-        let view = View::new(
-            ViewId {
-                epoch: 0,
-                proposer: NodeId(0),
-            },
-            peers.clone(),
-        );
-        let last_heard = peers.iter().map(|p| (*p, now)).collect();
+        let view = View::new(ViewId::default(), peers.clone());
+        let detector = Detector::new(peers, config, now);
         let mut node = GroupNode {
             id,
-            peers,
-            config,
-            incarnation: now.as_micros().wrapping_add(1),
-            peer_incarnations: BTreeMap::new(),
-            last_heard,
-            last_hb_sent: None,
-            departed: BTreeSet::new(),
-            view: view.clone(),
-            proposal: None,
-            order_seq: 0,
-            pending_orders: BTreeMap::new(),
-            pending_last_sent: None,
-            gseq_counter: 0,
-            ordered_buffer: BTreeMap::new(),
-            assigned: BTreeMap::new(),
-            acked: BTreeMap::new(),
-            low_water: 0,
-            expected_gseq: 1,
-            ordered_ooo: BTreeMap::new(),
-            delivered_high: BTreeMap::new(),
-            stream_gen: 0,
-            rebased: false,
-            last_order_nack: None,
+            stream: Stream::new(id, detector.incarnation),
+            detector,
+            membership: Membership::new(view.clone()),
             events: Vec::new(),
             metrics: Metrics::default(),
         };
-        let members = view.members.clone();
+        let joined = view.members.clone();
         node.events.push(GcsEvent::ViewChange {
             view,
-            joined: members,
+            joined,
             left: Vec::new(),
         });
         node
@@ -189,17 +92,17 @@ impl<A: Clone> GroupNode<A> {
 
     /// The currently installed view.
     pub fn view(&self) -> &View {
-        &self.view
+        &self.membership.view
     }
 
     /// The fixed universe size (for majority tests).
     pub fn universe(&self) -> usize {
-        self.peers.len()
+        self.detector.peers.len()
     }
 
     /// True if this node is the current view's coordinator/sequencer.
     pub fn is_coordinator(&self) -> bool {
-        self.view.coordinator() == Some(self.id)
+        self.membership.view.coordinator() == Some(self.id)
     }
 
     /// Drains accumulated events.
@@ -218,7 +121,7 @@ impl<A: Clone> GroupNode<A> {
     /// intends to leave gracefully must wait until this reaches zero, or
     /// its final control messages die with it.
     pub fn pending_orders(&self) -> usize {
-        self.pending_orders.len()
+        self.stream.queue.pending.len()
     }
 
     /// True while this node's ordered cursor has only ever moved by
@@ -229,7 +132,7 @@ impl<A: Clone> GroupNode<A> {
     /// the group (it missed nothing) from one that joined a stream already
     /// under way (it owes its state to a transfer).
     pub fn delivered_from_start(&self) -> bool {
-        !self.rebased
+        !self.stream.cursor.rebased
     }
 
     // ------------------------------------------------------------------
@@ -258,38 +161,30 @@ impl<A: Clone> GroupNode<A> {
         trace: Option<TraceContext>,
     ) {
         self.metrics.order_sent.incr();
-        self.order_seq += 1;
-        self.pending_orders
-            .insert(self.order_seq, (payload.clone(), trace));
-        let is_head = self.pending_orders.len() == 1;
-        let origin_seq = self.order_seq;
-        if !is_head {
-            return; // the tick timer sends it once the head clears
+        if self.stream.queue.push(payload, trace) {
+            self.send_head(net);
         }
-        if self.is_coordinator() {
-            let inc = self.incarnation;
-            self.assign_and_broadcast(net, self.id, inc, origin_seq, payload, trace);
-        } else if let Some(seq) = self.view.coordinator() {
-            net.send(
-                self.id,
-                seq,
-                GcsWire::OrderRequest {
-                    incarnation: self.incarnation,
-                    origin_seq,
-                    payload,
-                    trace,
-                },
-            );
-        }
+        // Otherwise the tick timer sends it once the head clears.
     }
 
     /// Announces a graceful departure (the paper's normal-shutdown path):
     /// peers exclude this node without waiting for suspicion.
     pub fn leave(&mut self, net: &mut impl Fabric<GcsWire<A>>) {
-        for &m in &self.peers {
-            if m != self.id {
-                net.send(self.id, m, GcsWire::Leave);
+        send_all(net, self.id, &self.detector.peers, &GcsWire::Leave);
+    }
+
+    /// Sends the queue's head to the view's coordinator: sequenced here if
+    /// that is this node, else as an `OrderRequest`.
+    fn send_head(&mut self, net: &mut impl Fabric<GcsWire<A>>) {
+        let (view, head) = (&self.membership.view, self.stream.queue.head());
+        match (view.coordinator(), head) {
+            (Some(c), Some(head)) if c == self.id => {
+                let seq = &mut self.stream.seq;
+                let fresh = seq.sequence(net, self.id, view, head, &self.metrics);
+                self.deliver(fresh);
             }
+            (Some(c), Some(head)) => net.send(self.id, c, GcsWire::OrderRequest(head)),
+            _ => {}
         }
     }
 
@@ -300,77 +195,32 @@ impl<A: Clone> GroupNode<A> {
     /// Runs heartbeats, suspicion, view proposal and retransmission timers.
     /// Call at least once per heartbeat interval.
     pub fn tick(&mut self, net: &mut impl Fabric<GcsWire<A>>, now: SimTime) {
-        // Heartbeats.
-        let due = self
-            .last_hb_sent
-            .map(|at| now.since(at) >= self.config.heartbeat_interval)
-            .unwrap_or(true);
-        if due {
-            let stream = self
-                .view
-                .coordinator()
-                .and_then(|c| self.peer_incarnations.get(&c))
-                .copied()
-                .unwrap_or(0);
-            for &m in &self.peers {
-                if m != self.id {
-                    net.send(
-                        self.id,
-                        m,
-                        GcsWire::Heartbeat {
-                            ordered: self.gseq_counter,
-                            incarnation: self.incarnation,
-                            view: self.view.id,
-                            delivered: self.expected_gseq - 1,
-                            stream,
-                        },
-                    );
-                }
-            }
-            self.last_hb_sent = Some(now);
+        let view = &self.membership.view;
+        if self.detector.beat(now) {
+            let heartbeat = GcsWire::Heartbeat {
+                ordered: self.stream.seq.counter,
+                incarnation: self.detector.incarnation,
+                view: view.id,
+                delivered: self.stream.cursor.expected - 1,
+                stream: view
+                    .coordinator()
+                    .map_or(0, |c| self.detector.incarnation_of(c)),
+            };
+            send_all(net, self.id, &self.detector.peers, &heartbeat);
         }
 
         // Suspicion: who do I currently believe is alive? While that is
         // exactly the view there is nothing to agree on.
-        if !self.alive_matches_view(now) {
-            self.propose_alive_set(net, now);
+        if !self.detector.alive_match(self.id, view, now) {
+            let alive: Vec<NodeId> = self.detector.alive(self.id, now).collect();
+            let counter = self.stream.seq.counter;
+            if let Some(view) = self.membership.propose(net, self.id, &alive, counter, now) {
+                self.install_view(view);
+            }
         }
 
-        // Retry pending ordered messages (sequencer may have changed or a
-        // request may have been lost).
-        if !self.pending_orders.is_empty() {
-            let due = self
-                .pending_last_sent
-                .map(|at| now.since(at) >= self.config.order_resend)
-                .unwrap_or(true);
-            if due {
-                self.pending_last_sent = Some(now);
-                // Only the head of the queue goes out (per-origin FIFO).
-                let head = self
-                    .pending_orders
-                    .iter()
-                    .next()
-                    .map(|(&s, p)| (s, p.clone()));
-                if let (Some(seq), Some((origin_seq, (payload, trace)))) =
-                    (self.view.coordinator(), head)
-                {
-                    if seq == self.id {
-                        let inc = self.incarnation;
-                        self.assign_and_broadcast(net, self.id, inc, origin_seq, payload, trace);
-                    } else {
-                        net.send(
-                            self.id,
-                            seq,
-                            GcsWire::OrderRequest {
-                                incarnation: self.incarnation,
-                                origin_seq,
-                                payload,
-                                trace,
-                            },
-                        );
-                    }
-                }
-            }
+        if self.stream.queue.resend_due(now) {
+            self.send_head(net);
         }
     }
 
@@ -384,156 +234,16 @@ impl<A: Clone> GroupNode<A> {
     /// or events wait to be taken: agreement is a conversation, and a node
     /// in one simply ticks every time.
     pub fn next_deadline(&self, now: SimTime) -> SimTime {
-        if !self.events.is_empty() || self.proposal.is_some() || !self.alive_matches_view(now) {
+        let view = &self.membership.view;
+        if !self.events.is_empty()
+            || self.membership.proposing()
+            || !self.detector.alive_match(self.id, view, now)
+        {
             return now;
         }
-        let mut at = self
-            .last_hb_sent
-            .map_or(now, |sent| sent + self.config.heartbeat_interval);
-        // A member counts as alive up to and including `suspect_timeout` of
-        // silence (every member has been heard, or it would not be alive).
-        let suspect_after = self.config.suspect_timeout + SimDuration::from_micros(1);
-        for m in &self.view.members {
-            if let Some(&heard) = self.last_heard.get(m).filter(|_| *m != self.id) {
-                at = at.min(heard + suspect_after);
-            }
-        }
-        if !self.pending_orders.is_empty() {
-            at = at.min(
-                self.pending_last_sent
-                    .map_or(now, |sent| sent + self.config.order_resend),
-            );
-        }
-        at
-    }
-
-    fn is_alive(&self, p: NodeId, now: SimTime) -> bool {
-        p == self.id
-            || (!self.departed.contains(&p)
-                && self
-                    .last_heard
-                    .get(&p)
-                    .is_some_and(|&at| now.since(at) <= self.config.suspect_timeout))
-    }
-
-    /// `alive_set(now) == view.members`, without building the set.
-    fn alive_matches_view(&self, now: SimTime) -> bool {
-        let mut alive = 0;
-        for &p in &self.peers {
-            if self.is_alive(p, now) {
-                if !self.view.contains(p) {
-                    return false;
-                }
-                alive += 1;
-            }
-        }
-        alive == self.view.members.len()
-    }
-
-    fn alive_set(&self, now: SimTime) -> Vec<NodeId> {
-        let mut alive: Vec<NodeId> = self
-            .peers
-            .iter()
-            .filter(|&&p| self.is_alive(p, now))
-            .copied()
-            .collect();
-        alive.sort();
-        alive
-    }
-
-    /// The view-agreement half of the tick, entered while the live peers
-    /// differ from the view.
-    fn propose_alive_set(&mut self, net: &mut impl Fabric<GcsWire<A>>, now: SimTime) {
-        let alive = self.alive_set(now);
-        // Proposer election: the lowest *live current member* proposes. A
-        // freshly-(re)started outsider with a stale optimistic view must
-        // not pre-empt the incumbent coordinator — otherwise a restarted
-        // lowest-id node and the incumbent each wait for the other and the
-        // merge never happens. If no current member is alive (a node alone
-        // after a wipe), fall back to the lowest live node.
-        let proposer = alive
-            .iter()
-            .find(|m| self.view.contains(**m))
-            .or(alive.first())
-            .copied();
-        if proposer == Some(self.id) {
-            let need_new = match &self.proposal {
-                Some(p) => p.view.members != alive,
-                None => true,
-            };
-            let resend_due = self
-                .proposal
-                .as_ref()
-                .map(|p| now.since(p.last_sent) >= self.config.propose_resend)
-                .unwrap_or(false);
-            if need_new || resend_due {
-                // Every (re-)proposal bumps the epoch: if the previous one
-                // could not gather acks (e.g. the other side of a healed
-                // partition sits at a higher epoch), the retry eventually
-                // overtakes it.
-                let epoch = self
-                    .proposal
-                    .as_ref()
-                    .map(|p| p.view.id.epoch)
-                    .unwrap_or(0)
-                    .max(self.view.id.epoch)
-                    + 1;
-                // The proposer is the lowest live node, i.e. the new
-                // view's coordinator. If it is *already* sequencing (its
-                // coordinatorship survives the change), the stream
-                // continues and joiners must skip its history; a freshly
-                // elected coordinator starts a new stream at zero.
-                let stream_base = if self.is_coordinator() {
-                    self.gseq_counter
-                } else {
-                    0
-                };
-                let view = View::new(
-                    ViewId {
-                        epoch,
-                        proposer: self.id,
-                    },
-                    alive.clone(),
-                )
-                .with_stream_base(stream_base);
-                let mut acks = BTreeSet::new();
-                acks.insert(self.id);
-                self.proposal = Some(Proposal {
-                    view,
-                    acks,
-                    last_sent: now,
-                });
-                self.send_proposal(net);
-            }
-            self.try_commit(net);
-        }
-    }
-
-    fn send_proposal(&mut self, net: &mut impl Fabric<GcsWire<A>>) {
-        if let Some(p) = &self.proposal {
-            let msg = GcsWire::ViewPropose(p.view.clone());
-            send_all(net, self.id, &p.view.members, &msg);
-        }
-    }
-
-    fn try_commit(&mut self, net: &mut impl Fabric<GcsWire<A>>) {
-        let ready = self
-            .proposal
-            .as_ref()
-            .map(|p| p.view.members.iter().all(|m| p.acks.contains(m)))
-            .unwrap_or(false);
-        if ready {
-            let view = self.proposal.take().expect("checked").view;
-            let msg = GcsWire::ViewCommit(view);
-            let GcsWire::ViewCommit(view_ref) = &msg else {
-                unreachable!()
-            };
-            send_all(net, self.id, &view_ref.members, &msg);
-            let GcsWire::ViewCommit(view) = msg else {
-                unreachable!()
-            };
-            self.install_view(view);
-        }
+        let at = self.detector.next_deadline(self.id, view, now);
+        let resend = self.stream.queue.next_deadline(now);
+        resend.map_or(at, |resend| at.min(resend))
     }
 
     // ------------------------------------------------------------------
@@ -548,9 +258,8 @@ impl<A: Clone> GroupNode<A> {
         msg: GcsWire<A>,
         now: SimTime,
     ) {
-        // Any traffic counts as liveness.
-        self.last_heard.insert(from, now);
-        self.departed.remove(&from);
+        self.detector.heard(from, now);
+        let coordinator = self.membership.view.coordinator();
         match msg {
             GcsWire::Heartbeat {
                 ordered,
@@ -559,349 +268,136 @@ impl<A: Clone> GroupNode<A> {
                 delivered,
                 stream,
             } => {
+                let current = &self.membership.view;
                 // View anti-entropy. A `ViewCommit` is sent exactly once;
                 // if the one carrying this member into the current view was
                 // lost, no later message repairs it — the member waits for
                 // a proposal from a coordinator that, seeing its own view
                 // already match the alive set, never proposes again. So:
                 // a current member advertising an older view id missed a
-                // commit; push it the view we hold. `install_view` ignores
-                // anything not newer than the receiver's own, so
-                // concurrent pushes are harmless.
-                if view < self.view.id && self.view.contains(from) {
+                // commit; push it the view we hold. A commit not newer than
+                // the receiver's view is ignored, so concurrent pushes are
+                // harmless.
+                if view < current.id && current.contains(from) {
                     self.metrics.antientropy_view_repairs.incr();
-                    net.send(self.id, from, GcsWire::ViewCommit(self.view.clone()));
+                    net.send(self.id, from, GcsWire::ViewCommit(current.clone()));
                 }
                 // A changed incarnation means the peer truly restarted. If
-                // it is the current sequencer, its global order counter
-                // restarted: reset our cursor for its stream. (A restarted
-                // *member* needs nothing here: it asks for replay from 1
-                // and is re-based, see `replay_ordered`.)
-                let prev = self.peer_incarnations.insert(from, incarnation);
-                if prev.is_some()
-                    && prev != Some(incarnation)
-                    && Some(from) == self.view.coordinator()
-                {
-                    self.expected_gseq = 1;
-                    self.ordered_ooo.clear();
-                    self.stream_gen += 1;
-                    self.rebased = true;
+                // it is the current sequencer, its stream begins again at
+                // 1. (A restarted *member* needs nothing here: it asks for
+                // replay from 1 and is re-based, see `Sequencer::replay`.)
+                if self.detector.restarted(from, incarnation) && Some(from) == coordinator {
+                    self.stream.cursor.follow(0);
                 }
                 // The sender's cursor in our stream: an acknowledgement
                 // counts only from a member that shares our view (so we are
                 // its coordinator) and knows this incarnation of us (so the
                 // cursor is a position in this stream, not our last life's).
-                if self.is_coordinator()
-                    && self.view.contains(from)
-                    && view == self.view.id
-                    && stream == self.incarnation
-                    && delivered <= self.gseq_counter
+                let seq = &mut self.stream.seq;
+                if coordinator == Some(self.id)
+                    && current.contains(from)
+                    && view == current.id
+                    && stream == self.detector.incarnation
+                    && delivered <= seq.counter
                 {
-                    let acked = self.acked.entry(from).or_insert(0);
-                    *acked = (*acked).max(delivered);
-                    self.truncate_ordered();
+                    seq.ack(from, delivered);
+                    seq.truncate(self.id, current, &self.metrics);
                 }
                 // Anti-entropy: if the sequencer claims more ordered
                 // messages than we have delivered, ask for replay — this
                 // recovers a tail whose every copy was lost (no gap visible
                 // locally).
-                if Some(from) == self.view.coordinator() && ordered >= self.expected_gseq {
-                    self.request_ordered_replay(net, from, now);
+                if Some(from) == coordinator && ordered >= self.stream.cursor.expected {
+                    self.request_replay(net, from, now);
                 }
             }
             GcsWire::OrderedReplayRequest { from_gseq } => {
-                if self.is_coordinator() {
-                    self.replay_ordered(net, from, from_gseq);
+                if coordinator == Some(self.id) {
+                    let (seq, view) = (&self.stream.seq, &self.membership.view);
+                    seq.replay(net, self.id, view, from, from_gseq, &self.metrics);
                 }
             }
             GcsWire::OrderedRebase { base } => {
                 // Forward only, so a duplicate or late re-base is harmless.
-                if Some(from) == self.view.coordinator() && base >= self.expected_gseq {
-                    self.expected_gseq = base + 1;
-                    self.rebased = true;
-                    let above = self.ordered_ooo.split_off(&(base + 1));
-                    // Skipped, but sequenced: a request of ours among them
-                    // needs no more retries.
-                    for (_, (o, oi, os, ..)) in std::mem::replace(&mut self.ordered_ooo, above) {
-                        self.clear_pending(o, oi, os);
+                if Some(from) == coordinator && base >= self.stream.cursor.expected {
+                    for skipped in self.stream.cursor.rebase(base).values() {
+                        self.stream.queue.settle(skipped);
                     }
-                    self.deliver_buffered();
+                    self.deliver(None);
                 }
             }
-            GcsWire::Leave => {
-                self.departed.insert(from);
-                self.last_heard.remove(&from);
-            }
+            GcsWire::Leave => self.detector.left(from),
             GcsWire::ViewPropose(view) => {
-                if view.id > self.view.id {
-                    // If we would coordinate the proposed view and already
-                    // sequence our current one, the stream continues at our
-                    // counter; report it so the commit carries the right
-                    // `stream_base` (the proposer may not be us).
-                    let stream_base =
-                        if view.coordinator() == Some(self.id) && self.is_coordinator() {
-                            self.gseq_counter
-                        } else {
-                            0
-                        };
-                    net.send(
-                        self.id,
-                        view.id.proposer,
-                        GcsWire::ViewAck {
-                            id: view.id,
-                            stream_base,
-                        },
-                    );
-                }
+                let counter = self.stream.seq.counter;
+                self.membership.ack(net, self.id, &view, counter);
             }
             GcsWire::ViewAck { id, stream_base } => {
                 self.metrics.view_acks.incr();
-                if let Some(p) = self.proposal.as_mut() {
-                    if p.view.id == id {
-                        p.acks.insert(from);
-                        if p.view.coordinator() == Some(from) {
-                            p.view.stream_base = stream_base;
-                        }
-                    }
-                }
-                self.try_commit(net);
-            }
-            GcsWire::ViewCommit(view) => {
-                if view.id > self.view.id {
+                if let Some(view) = self.membership.acked(net, self.id, from, id, stream_base) {
                     self.install_view(view);
                 }
             }
-            GcsWire::OrderRequest {
-                incarnation,
-                origin_seq,
-                payload,
-                trace,
-            } => {
-                if self.is_coordinator() {
-                    self.assign_and_broadcast(net, from, incarnation, origin_seq, payload, trace);
+            GcsWire::ViewCommit(view) => {
+                if view.id > self.membership.view.id {
+                    self.install_view(view);
                 }
-                // Otherwise: stale request to an ex-coordinator; the origin
-                // will retry against the new one.
             }
-            GcsWire::Ordered {
-                gseq,
-                origin,
-                origin_inc,
-                origin_seq,
-                payload,
-                trace,
-            } => self.handle_ordered(
-                net, from, gseq, origin, origin_inc, origin_seq, payload, trace, now,
-            ),
-        }
-    }
-
-    /// Sequencer: forgets every ordered message all current members have
-    /// acknowledged (a member not heard from yet holds the mark at 0).
-    fn truncate_ordered(&mut self) {
-        let low_water = self
-            .view
-            .members
-            .iter()
-            .filter(|m| **m != self.id)
-            .map(|m| self.acked.get(m).copied().unwrap_or(0))
-            .min()
-            .unwrap_or(self.gseq_counter);
-        if low_water > self.low_water {
-            self.low_water = low_water;
-            self.ordered_buffer = self.ordered_buffer.split_off(&(low_water + 1));
-            self.publish_window();
-        }
-    }
-
-    /// Sequencer: publishes the replay window's size and floor. Called at
-    /// every change of the window, taking over a stream included, so the
-    /// gauges read the sequencer that last changed its window (nodes of one
-    /// simulated cluster share a registry; a deposed sequencer stays
-    /// silent).
-    fn publish_window(&self) {
-        self.metrics
-            .order_retained
-            .set(self.ordered_buffer.len() as i64);
-        self.metrics.order_low_water.set(self.low_water as i64);
-    }
-
-    fn assign_and_broadcast(
-        &mut self,
-        net: &mut impl Fabric<GcsWire<A>>,
-        origin: NodeId,
-        origin_inc: u64,
-        origin_seq: u64,
-        payload: A,
-        trace: Option<TraceContext>,
-    ) {
-        // Never sequence the same request twice: a retry gets the `gseq` it
-        // already has. While that is retained, re-announce it to the view (a
-        // lost broadcast). Once it is forgotten every member is past it,
-        // the origin included — delivered, or admitted above it with its
-        // state transferred — so only the origin is told, to stop retrying.
-        let id = (origin_inc, origin_seq);
-        let (gseq, fresh) = match self.assigned.get(&origin) {
-            Some(&(inc, seq, _)) if id < (inc, seq) => return, // superseded
-            Some(&(inc, seq, gseq)) if id == (inc, seq) => (gseq, false),
-            _ => {
-                self.gseq_counter += 1;
-                self.assigned
-                    .insert(origin, (origin_inc, origin_seq, self.gseq_counter));
-                self.ordered_buffer.insert(
-                    self.gseq_counter,
-                    (origin, origin_inc, origin_seq, payload.clone(), trace),
-                );
-                self.publish_window();
-                (self.gseq_counter, true)
+            GcsWire::OrderRequest(msg) => {
+                // A stale request to an ex-coordinator is dropped: the
+                // origin retries against the new one.
+                if msg.origin == from && coordinator == Some(self.id) {
+                    let (seq, view) = (&mut self.stream.seq, &self.membership.view);
+                    let fresh = seq.sequence(net, self.id, view, msg, &self.metrics);
+                    self.deliver(fresh);
+                }
             }
-        };
-        let ordered = |payload| GcsWire::Ordered {
-            gseq,
-            origin,
-            origin_inc,
-            origin_seq,
-            payload,
-            trace,
-        };
-        if !self.ordered_buffer.contains_key(&gseq) {
-            if origin != self.id {
-                net.send(self.id, origin, ordered(payload));
-            }
-            return;
-        }
-        for &m in &self.view.members {
-            if m != self.id {
-                net.send(self.id, m, ordered(payload.clone()));
+            GcsWire::Ordered { gseq, msg } => {
+                // Only the current coordinator's stream counts.
+                if Some(from) != coordinator {
+                    return;
+                }
+                let expected = self.stream.cursor.expected;
+                if gseq < expected {
+                    // Duplicate of something already processed; still
+                    // clears pending.
+                    self.stream.queue.settle(&msg);
+                } else if gseq > expected {
+                    self.stream.cursor.ooo.insert(gseq, msg);
+                    self.request_replay(net, from, now);
+                } else {
+                    self.deliver(Some((gseq, msg)));
+                }
             }
         }
-        if fresh {
-            // Sequencer self-delivery.
-            self.deliver_ordered_chain(gseq, origin, origin_inc, origin_seq, payload, trace);
-        }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn handle_ordered(
-        &mut self,
-        net: &mut impl Fabric<GcsWire<A>>,
-        from: NodeId,
-        gseq: u64,
-        origin: NodeId,
-        origin_inc: u64,
-        origin_seq: u64,
-        payload: A,
-        trace: Option<TraceContext>,
-        now: SimTime,
-    ) {
-        // Only the current coordinator's stream counts.
-        if Some(from) != self.view.coordinator() {
-            return;
-        }
-        if gseq < self.expected_gseq {
-            // Duplicate of something already processed; still clears pending.
-            self.clear_pending(origin, origin_inc, origin_seq);
-            return;
-        }
-        if gseq > self.expected_gseq {
-            self.ordered_ooo
-                .insert(gseq, (origin, origin_inc, origin_seq, payload, trace));
-            self.request_ordered_replay(net, from, now);
-            return;
-        }
-        self.deliver_ordered_chain(gseq, origin, origin_inc, origin_seq, payload, trace);
-    }
-
-    /// Rate-limited request to the sequencer to replay the ordered stream
-    /// from our cursor.
-    fn request_ordered_replay(
-        &mut self,
-        net: &mut impl Fabric<GcsWire<A>>,
-        sequencer: NodeId,
-        now: SimTime,
-    ) {
-        let due = self
-            .last_order_nack
-            .map(|at| now.since(at) >= self.config.order_resend)
-            .unwrap_or(true);
-        if due {
-            self.last_order_nack = Some(now);
+    /// Asks `to`, the sequencer, to replay the stream from the cursor, at
+    /// most once per resend interval.
+    fn request_replay(&mut self, net: &mut impl Fabric<GcsWire<A>>, to: NodeId, now: SimTime) {
+        if self.stream.cursor.nack_due(now) {
             self.metrics.antientropy_replay_requests.incr();
-            net.send(
-                self.id,
-                sequencer,
-                GcsWire::OrderedReplayRequest {
-                    from_gseq: self.expected_gseq,
-                },
-            );
+            let from_gseq = self.stream.cursor.expected;
+            net.send(self.id, to, GcsWire::OrderedReplayRequest { from_gseq });
         }
     }
 
-    fn deliver_ordered_chain(
-        &mut self,
-        gseq: u64,
-        origin: NodeId,
-        origin_inc: u64,
-        origin_seq: u64,
-        payload: A,
-        trace: Option<TraceContext>,
-    ) {
-        self.deliver_ordered_one(gseq, origin, origin_inc, origin_seq, payload, trace);
-        self.deliver_buffered();
-    }
-
-    /// Delivers the out-of-order buffer's run starting at the cursor.
-    fn deliver_buffered(&mut self) {
-        while let Some((o, oi, os, p, tr)) = self.ordered_ooo.remove(&self.expected_gseq) {
-            self.deliver_ordered_one(self.expected_gseq, o, oi, os, p, tr);
-        }
-    }
-
-    fn deliver_ordered_one(
-        &mut self,
-        gseq: u64,
-        origin: NodeId,
-        origin_inc: u64,
-        origin_seq: u64,
-        payload: A,
-        trace: Option<TraceContext>,
-    ) {
-        // Monotone: a replayed/stale gseq must never pull the cursor back.
-        self.expected_gseq = self.expected_gseq.max(gseq + 1);
-        self.clear_pending(origin, origin_inc, origin_seq);
-        let high = self.delivered_high.entry(origin).or_insert((0, 0, 0));
-        if (origin_inc, origin_seq) <= (high.0, high.1) {
-            if high.2 == self.stream_gen {
-                self.metrics.order_resequenced.incr();
+    /// Delivers `first`, if any, then every held message from the cursor
+    /// on. None is held at the cursor outside this loop, so with no `first`
+    /// it delivers only what a re-base has just brought to the cursor.
+    fn deliver(&mut self, first: Option<(u64, Sequenced<A>)>) {
+        let mut next = first.or_else(|| self.stream.cursor.next_held());
+        while let Some((gseq, msg)) = next {
+            self.stream.queue.settle(&msg);
+            if self.stream.cursor.advance(gseq, &msg, &self.metrics) {
+                self.events.push(GcsEvent::OrderedDeliver { gseq, msg });
             }
-        } else {
-            *high = (origin_inc, origin_seq, self.stream_gen);
-            self.metrics.order_delivered.incr();
-            self.events.push(GcsEvent::OrderedDeliver {
-                gseq,
-                origin,
-                origin_inc,
-                origin_seq,
-                payload,
-                trace,
-            });
-        }
-    }
-
-    fn clear_pending(&mut self, origin: NodeId, origin_inc: u64, origin_seq: u64) {
-        if origin == self.id
-            && origin_inc == self.incarnation
-            && self.pending_orders.remove(&origin_seq).is_some()
-        {
-            // Head cleared: let the next tick dispatch the next pending
-            // message immediately.
-            self.pending_last_sent = None;
+            next = self.stream.cursor.next_held();
         }
     }
 
     fn install_view(&mut self, view: View) {
         self.metrics.view_installed.incr();
-        let old = std::mem::replace(&mut self.view, view.clone());
+        let old = self.membership.install(view.clone());
         let (joined, left) = view.diff(&old);
         // Joining a stream is not lagging in it: whoever this view makes a
         // member of a stream it was not in starts just past `stream_base`,
@@ -915,91 +411,30 @@ impl<A: Clone> GroupNode<A> {
         // the new sequencer by the tick timer; a freshly elected
         // coordinator has `stream_base` 0, a new stream from 1). When the
         // sequencer stays, only it knows who is new; it notes their base
-        // and tells them when they ask (`replay_ordered`).
+        // and tells them when they ask (`Sequencer::replay`).
         if view.coordinator() != old.coordinator() {
-            self.expected_gseq = view.stream_base + 1;
-            self.stream_gen += 1;
-            self.rebased = true;
-            self.ordered_ooo.clear();
-            self.ordered_buffer.clear();
-            self.assigned.clear();
-            self.acked.clear();
-            if self.is_coordinator() {
+            self.stream.cursor.follow(view.stream_base);
+            self.stream.seq = if self.is_coordinator() {
                 // Everyone joins our stream at `stream_base`.
-                self.gseq_counter = view.stream_base;
-                self.low_water = view.stream_base;
-                self.acked
-                    .extend(view.members.iter().map(|m| (*m, view.stream_base)));
-                self.publish_window();
-            }
-            self.pending_last_sent = None;
+                let seq = Sequencer::at(view.stream_base, &view.members);
+                seq.publish_window(&self.metrics);
+                seq
+            } else {
+                // Only the counter outlives sequencing: heartbeats carry it.
+                Sequencer::at(self.stream.seq.counter, &[])
+            };
+            self.stream.queue.resend_now();
         } else if self.is_coordinator() {
-            // Our stream continues. The members this view admits join it at
-            // `stream_base` (taken before the commit, so before any state
-            // transfer the admission triggers), or at the low-water mark if
-            // the stream has already been truncated past that. They learn
-            // it when they first ask for anything older.
-            self.acked.retain(|m, _| view.contains(*m));
-            let base = view.stream_base.max(self.low_water);
-            self.acked.extend(joined.iter().map(|j| (*j, base)));
-            self.truncate_ordered();
+            let seq = &mut self.stream.seq;
+            seq.admit(self.id, &view, &joined, &self.metrics);
         }
-        if self.proposal.as_ref().is_some_and(|p| p.view.id <= view.id) {
-            self.proposal = None;
-        }
-        self.events
-            .push(GcsEvent::ViewChange { view, joined, left });
-    }
-
-    /// Handles a replay request: resends the ordered buffer from
-    /// `from_gseq` to a lagging member. A request that reaches to or below
-    /// what the requester is known to be past is answered with that base
-    /// instead of with history. It comes from a node a view change admitted
-    /// (its base is the view's `stream_base`, its cursor older), or from a
-    /// member that restarted without a view change and asks from 1 — it
-    /// resumes where its previous incarnation last acknowledged, a position
-    /// before its restart and so before the `Hello` that fetches its state.
-    /// A node that is not (yet) a member has no place in the stream at all
-    /// and is sent to its head. A member's cursor is never below the
-    /// low-water mark, so what a member may ask for is always retained.
-    fn replay_ordered(
-        &mut self,
-        net: &mut impl Fabric<GcsWire<A>>,
-        to: NodeId,
-        mut from_gseq: u64,
-    ) {
-        let base = if self.view.contains(to) {
-            self.acked.get(&to).copied().unwrap_or(0)
-        } else {
-            self.gseq_counter
-        };
-        if from_gseq <= base {
-            self.metrics.antientropy_rebased.incr();
-            net.send(self.id, to, GcsWire::OrderedRebase { base });
-            from_gseq = base + 1;
-        }
-        for (&gseq, (origin, origin_inc, origin_seq, payload, trace)) in
-            self.ordered_buffer.range(from_gseq..)
-        {
-            self.metrics.antientropy_replayed.incr();
-            net.send(
-                self.id,
-                to,
-                GcsWire::Ordered {
-                    gseq,
-                    origin: *origin,
-                    origin_inc: *origin_inc,
-                    origin_seq: *origin_seq,
-                    payload: payload.clone(),
-                    trace: *trace,
-                },
-            );
-        }
+        let change = GcsEvent::ViewChange { view, joined, left };
+        self.events.push(change);
     }
 }
 
 /// Sends `msg` from `from` to every other node in `to`, one clone each.
-fn send_all<A: Clone>(
+pub(crate) fn send_all<A: Clone>(
     net: &mut impl Fabric<GcsWire<A>>,
     from: NodeId,
     to: &[NodeId],
@@ -1015,7 +450,9 @@ fn send_all<A: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RETAINED_AT_QUIESCENCE;
     use dosgi_net::{LinkConfig, SimDuration, SimNet};
+    use std::collections::BTreeMap;
 
     type Net = SimNet<GcsWire<u64>>;
     type Node = GroupNode<u64>;
@@ -1117,7 +554,7 @@ mod tests {
         events
             .iter()
             .filter_map(|e| match e {
-                GcsEvent::OrderedDeliver { payload, .. } => Some(*payload),
+                GcsEvent::OrderedDeliver { msg, .. } => Some(msg.payload),
                 _ => None,
             })
             .collect()
@@ -1283,7 +720,7 @@ mod tests {
                 .events(i)
                 .into_iter()
                 .filter_map(|e| match e {
-                    GcsEvent::OrderedDeliver { payload, trace, .. } => Some((payload, trace)),
+                    GcsEvent::OrderedDeliver { msg, .. } => Some((msg.payload, msg.trace)),
                     _ => None,
                 })
                 .collect();
@@ -1344,7 +781,7 @@ mod tests {
         events
             .iter()
             .filter_map(|e| match e {
-                GcsEvent::OrderedDeliver { gseq, payload, .. } => Some((*gseq, *payload)),
+                GcsEvent::OrderedDeliver { gseq, msg } => Some((*gseq, msg.payload)),
                 _ => None,
             })
             .collect()
@@ -1361,9 +798,9 @@ mod tests {
         for i in 0..4 {
             assert_eq!(ordered(&c.events(i)).len(), 30, "node {i}");
         }
-        assert_eq!(c.nodes[0].gseq_counter, 30);
-        assert_eq!(c.nodes[0].ordered_buffer.len(), RETAINED_AT_QUIESCENCE);
-        assert_eq!(c.nodes[0].low_water, 30);
+        assert_eq!(c.nodes[0].stream.seq.counter, 30);
+        assert_eq!(c.nodes[0].stream.seq.buffer.len(), RETAINED_AT_QUIESCENCE);
+        assert_eq!(c.nodes[0].stream.seq.low_water, 30);
 
         // Crash a non-coordinator; the stream moves on without it.
         c.crash(2);
@@ -1374,7 +811,7 @@ mod tests {
         }
         c.run(SimDuration::from_secs(1));
         assert_eq!(
-            c.nodes[0].ordered_buffer.len(),
+            c.nodes[0].stream.seq.buffer.len(),
             RETAINED_AT_QUIESCENCE,
             "a departed member does not hold the low-water mark"
         );
@@ -1390,7 +827,7 @@ mod tests {
             vec![],
             "a rejoiner delivers nothing at or below its stream base"
         );
-        assert_eq!(c.nodes[2].expected_gseq, 36);
+        assert_eq!(c.nodes[2].stream.cursor.expected, 36);
 
         // New traffic reaches it, including its own.
         c.order(2, 36);
@@ -1400,8 +837,8 @@ mod tests {
         got.sort();
         assert_eq!(got.iter().map(|g| g.0).collect::<Vec<_>>(), vec![36, 37]);
         assert_eq!(c.nodes[2].pending_orders(), 0);
-        assert_eq!(c.nodes[0].ordered_buffer.len(), RETAINED_AT_QUIESCENCE);
-        assert_eq!(c.nodes[0].low_water, 37);
+        assert_eq!(c.nodes[0].stream.seq.buffer.len(), RETAINED_AT_QUIESCENCE);
+        assert_eq!(c.nodes[0].stream.seq.low_water, 37);
         for i in [0, 1, 3] {
             c.events(i);
         }
@@ -1416,16 +853,16 @@ mod tests {
         c.run(SimDuration::from_millis(100));
         assert_eq!(c.nodes[0].view().members.len(), 4, "no view change");
         assert!(
-            c.nodes[0].ordered_buffer.len() >= 8,
+            c.nodes[0].stream.seq.buffer.len() >= 8,
             "the sequencer keeps what the laggard has not acknowledged, has {}",
-            c.nodes[0].ordered_buffer.len()
+            c.nodes[0].stream.seq.buffer.len()
         );
         c.net.set_link(NodeId(0), NodeId(3), LinkConfig::lan());
         c.run(SimDuration::from_secs(2));
         let got = ordered_gseqs(&c.events(3));
         let want: Vec<(u64, u64)> = (38..=47).map(|v| (v, v)).collect();
         assert_eq!(got, want, "no skipped gseq on the laggard");
-        assert_eq!(c.nodes[0].ordered_buffer.len(), RETAINED_AT_QUIESCENCE);
+        assert_eq!(c.nodes[0].stream.seq.buffer.len(), RETAINED_AT_QUIESCENCE);
     }
 
     /// A `SimNet` that loses the first `ViewCommit` addressed to `victim`,
@@ -1606,7 +1043,7 @@ mod tests {
         c.order(1, 101);
         c.run(SimDuration::from_secs(1));
         assert_eq!(ordered_gseqs(&c.events(2)), vec![(14, 101)]);
-        assert_eq!(c.nodes[0].ordered_buffer.len(), RETAINED_AT_QUIESCENCE);
+        assert_eq!(c.nodes[0].stream.seq.buffer.len(), RETAINED_AT_QUIESCENCE);
     }
 
     #[test]
@@ -1691,13 +1128,9 @@ mod tests {
         events
             .iter()
             .filter_map(|e| match e {
-                GcsEvent::OrderedDeliver {
-                    gseq,
-                    origin,
-                    origin_inc,
-                    origin_seq,
-                    ..
-                } => Some(((*origin, *origin_inc, *origin_seq), *gseq)),
+                GcsEvent::OrderedDeliver { gseq, msg } => {
+                    Some(((msg.origin, msg.inc, msg.seq), *gseq))
+                }
                 _ => None,
             })
             .collect()
@@ -1743,8 +1176,8 @@ mod tests {
             "node 3 joined before or after 777, but at no other position: {got:?}"
         );
         assert_eq!(c.nodes[3].pending_orders(), 0, "the origin stops retrying");
-        assert_eq!(c.nodes[0].gseq_counter, 7);
-        assert_eq!(c.nodes[0].ordered_buffer.len(), RETAINED_AT_QUIESCENCE);
+        assert_eq!(c.nodes[0].stream.seq.counter, 7);
+        assert_eq!(c.nodes[0].stream.seq.buffer.len(), RETAINED_AT_QUIESCENCE);
     }
 
     #[test]
@@ -1754,9 +1187,9 @@ mod tests {
         c.order(1, 1);
         c.order(1, 2);
         c.run(SimDuration::from_secs(1));
-        assert_eq!(c.nodes[0].gseq_counter, 2);
-        assert_eq!(c.nodes[0].ordered_buffer.len(), RETAINED_AT_QUIESCENCE);
-        let inc = c.nodes[1].incarnation;
+        assert_eq!(c.nodes[0].stream.seq.counter, 2);
+        assert_eq!(c.nodes[0].stream.seq.buffer.len(), RETAINED_AT_QUIESCENCE);
+        let inc = c.nodes[1].detector.incarnation;
         for i in 0..3 {
             c.events(i);
         }
@@ -1766,17 +1199,18 @@ mod tests {
             c.nodes[0].handle(
                 &mut c.net,
                 NodeId(1),
-                GcsWire::OrderRequest {
-                    incarnation: inc,
-                    origin_seq,
+                GcsWire::OrderRequest(Sequenced {
+                    origin: NodeId(1),
+                    inc,
+                    seq: origin_seq,
                     payload: origin_seq,
                     trace: None,
-                },
+                }),
                 SimTime::ZERO,
             );
         }
         c.run(SimDuration::from_secs(1));
-        assert_eq!(c.nodes[0].gseq_counter, 2, "no new position");
+        assert_eq!(c.nodes[0].stream.seq.counter, 2, "no new position");
         for i in 0..3 {
             assert_eq!(ordered_gseqs(&c.events(i)), vec![], "node {i}");
         }
@@ -1790,14 +1224,16 @@ mod tests {
         c.run(SimDuration::from_millis(200));
         c.order(1, 5);
         c.run(SimDuration::from_secs(1));
-        let inc = c.nodes[1].incarnation;
+        let inc = c.nodes[1].detector.incarnation;
         let copy = |gseq| GcsWire::Ordered {
             gseq,
-            origin: NodeId(1),
-            origin_inc: inc,
-            origin_seq: 1,
-            payload: 5,
-            trace: None,
+            msg: Sequenced {
+                origin: NodeId(1),
+                inc,
+                seq: 1,
+                payload: 5,
+                trace: None,
+            },
         };
         // A sequencer gone wrong hands node 2 the same message again.
         c.nodes[2].handle(&mut c.net, NodeId(0), copy(2), SimTime::ZERO);
@@ -1899,8 +1335,8 @@ mod tests {
             if let Some(i) = (0..4).find(|&i| c.nodes[i].pending_orders() != 0) {
                 return Err(format!("node {i} still retries"));
             }
-            if c.nodes[0].ordered_buffer.len() != RETAINED_AT_QUIESCENCE {
-                return Err(format!("retained {}", c.nodes[0].ordered_buffer.len()));
+            if c.nodes[0].stream.seq.buffer.len() != RETAINED_AT_QUIESCENCE {
+                return Err(format!("retained {}", c.nodes[0].stream.seq.buffer.len()));
             }
             Ok(())
         });

@@ -4,10 +4,7 @@
 //! `GcsWire<A>` values directly; no fabric carries bytes, so there is no
 //! frame codec.
 
-use crate::View;
-use crate::ViewId;
-use dosgi_net::NodeId;
-use dosgi_telemetry::TraceContext;
+use crate::{Sequenced, View, ViewId};
 
 /// Messages exchanged by [`GroupNode`](crate::GroupNode)s. Generic over the
 /// application payload `A` so upper layers send plain Rust values.
@@ -75,61 +72,17 @@ pub enum GcsWire<A> {
         /// The last global sequence number the receiver must skip.
         base: u64,
     },
-    /// A member asks the sequencer (coordinator) to order a message.
-    OrderRequest {
-        /// The origin's incarnation: ordering identity is
-        /// `(origin, incarnation, origin_seq)`, so a restarted origin's
-        /// fresh sequence numbers can never collide with its previous
-        /// life's in the sequencer's dedupe state.
-        incarnation: u64,
-        /// The origin's local ordering sequence (for dedupe/retry).
-        origin_seq: u64,
-        /// The application payload.
-        payload: A,
-        /// Causal trace context minted by the origin (`None` on untraced
-        /// flows).
-        trace: Option<TraceContext>,
-    },
+    /// A member asks the sequencer (coordinator) to order a message: the
+    /// head of its queue. A request whose `origin` is not its sender is
+    /// dropped.
+    OrderRequest(Sequenced<A>),
     /// The sequencer's ordered announcement, sent point to point to each
     /// member. A lost copy shows as a gap or as a heartbeat's head past
     /// the receiver's cursor, and is replayed on request.
     Ordered {
         /// Global sequence number.
         gseq: u64,
-        /// The node that originated the message.
-        origin: NodeId,
-        /// The origin's incarnation at ordering time.
-        origin_inc: u64,
-        /// The origin's local ordering sequence.
-        origin_seq: u64,
-        /// The application payload.
-        payload: A,
-        /// The origin's causal trace context, forwarded verbatim by the
-        /// sequencer so every deliverer links its spans to the origin's.
-        trace: Option<TraceContext>,
+        /// The message, as its origin queued it.
+        msg: Sequenced<A>,
     },
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_values_are_cloneable_and_comparable() {
-        let m: GcsWire<u32> = GcsWire::OrderRequest {
-            incarnation: 1,
-            origin_seq: 1,
-            payload: 42,
-            trace: None,
-        };
-        assert_eq!(m.clone(), m);
-        let hb: GcsWire<u32> = GcsWire::Heartbeat {
-            ordered: 0,
-            incarnation: 1,
-            view: ViewId::default(),
-            delivered: 0,
-            stream: 0,
-        };
-        assert_ne!(hb, GcsWire::Leave);
-    }
 }
