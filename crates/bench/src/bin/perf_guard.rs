@@ -22,8 +22,10 @@
 //! restart, the rejoin and 200 settle steps — with the phase table on and a
 //! counting global allocator feeding it. It prints, per round over four
 //! rounds (one per victim), how often each phase ran and what it allocated;
-//! a restart is split into taking the boot kit, building the host framework
-//! and the rest. Wall-clock µs per phase, and the same rounds' wall time with
+//! `apply_control` has three parts, a failover's claims (`.claims`), a
+//! `RegistrySync`'s export and import (`.sync`) and adoptions queued
+//! (`.queue`); a restart is split into taking the boot kit, building the
+//! host framework and the rest. Wall-clock µs per phase, and the same rounds' wall time with
 //! the table off and on, go to stderr only: they are not exact.
 //!
 //! A third table, `migrate phases`, is the same profile of a hand-off: a
@@ -31,7 +33,8 @@
 //! each beside 256 1 KiB rows; per op an `incr`, a migration to the next
 //! node and steps until it serves there — one op per counter, after a first
 //! cycle with the table off. It prints, per op, the calls and allocations
-//! of each phase that ran — the source's `release`, and the destination's
+//! of each phase that ran, and of `apply_control`'s three parts whether
+//! they ran or not — the source's `release`, and the destination's
 //! `adopt` with its restore's parts `adopt.read`, `adopt.manifests`,
 //! `adopt.resolve`, `adopt.start` and, inside the start, `adopt.register`
 //! — and last the whole op's allocations. The `adopt.*` rows of the
@@ -355,7 +358,7 @@ fn measure_migrate_phases() -> Vec<(&'static str, f64, f64, f64)> {
     let mut table: Vec<_> = Phase::ALL
         .iter()
         .map(|&p| (p.name(), phases.count(p)))
-        .filter(|(_, n)| n.calls > 0)
+        .filter(|(name, n)| n.calls > 0 || name.starts_with("apply_control."))
         .map(|(name, n)| {
             let us = per_op(n.ns) / 1e3;
             (name, per_op(n.calls), per_op(n.allocs), us)

@@ -897,6 +897,8 @@ impl DosgiNode {
                     .min()
                     .copied();
                 if !joined.is_empty() && sync_sender == Some(self.id) && !self.awaiting_transfer() {
+                    let phases = self.phases.clone();
+                    let _exporting = phases.enter(Phase::ApplyControlSync);
                     let records: Vec<InstanceRecord> = self.registry.records().cloned().collect();
                     self.metrics
                         .registry_sync_bytes
@@ -930,6 +932,8 @@ impl DosgiNode {
     /// *claims* (via the total order) only the instances assigned to
     /// itself. The first claim per orphan wins on every node alike.
     fn handle_failover(&mut self, left: &[NodeId], net: &mut impl Fabric<Wire>) {
+        let phases = self.phases.clone();
+        let _claiming = phases.enter(Phase::ApplyControlClaims);
         // Claim both newly-orphaned records AND records still sitting in
         // Orphaned (an earlier claim may have been lost or overwritten):
         // the sweep retries until the registry converges.
@@ -1074,7 +1078,8 @@ impl DosgiNode {
                 // transfer (restarts, healed minorities): everyone merges
                 // the same snapshot at the same logical instant, then
                 // reconciles local instances against it (partition heal).
-                self.registry.import(registry);
+                self.phases
+                    .count_in(Phase::ApplyControlSync, || self.registry.import(registry));
                 self.reconcile_with_registry(now);
                 if joined.contains(&self.id) {
                     self.transfer = Transfer::Answered;
@@ -1266,6 +1271,8 @@ impl DosgiNode {
     /// A pre-created hot standby (see [`crate::replication`]) skips the
     /// install half and pays only the start cost.
     fn adopt(&mut self, name: &str, reason: AdoptReason, now: SimTime, ctx: Option<TraceContext>) {
+        let phases = self.phases.clone();
+        let _queueing = phases.enter(Phase::ApplyControlQueue);
         let Some(rec) = self.registry.record(name) else {
             return;
         };

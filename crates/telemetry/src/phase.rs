@@ -51,6 +51,13 @@ phases! {
     GcsTick = "gcs.tick",
     /// The node applying what the group layer delivered.
     ApplyControl = "apply_control",
+    /// A failover's claims: orphans marked, assigned and claimed
+    /// (`handle_failover`, wherever it runs — the stranded sweep too).
+    ApplyControlClaims = "apply_control.claims",
+    /// A `RegistrySync`: the sender's export and every member's import.
+    ApplyControlSync = "apply_control.sync",
+    /// Adoptions queued: the record read and the adoption's cost reckoned.
+    ApplyControlQueue = "apply_control.queue",
     /// Queued adoptions materializing.
     Adopt = "adopt",
     /// A restore reading its framework's namespace from the SAN.
