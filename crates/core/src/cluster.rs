@@ -659,7 +659,7 @@ impl DosgiCluster {
                         registry.records().map(|rec| {
                             let home = Self::live_home(slots, rec);
                             let up = home.is_some_and(|n| n.probe_local(&rec.name));
-                            (rec.name.as_str(), up)
+                            (&*rec.name, up)
                         }),
                     );
                 }
@@ -794,6 +794,7 @@ mod tests {
     use super::*;
     use crate::workloads;
     use dosgi_san::Value;
+    use dosgi_vosgi::SecurityPolicy;
 
     fn cluster() -> DosgiCluster {
         let mut c = DosgiCluster::new(3, ClusterConfig::default(), 77);
@@ -818,6 +819,45 @@ mod tests {
         c.deploy(workloads::web_instance("a", "web"), 1).unwrap();
         c.run_for(SimDuration::from_millis(300));
         assert_eq!(c.home_of("web"), Some(1));
+    }
+
+    /// A descriptor from the network grants itself nothing: the deploying
+    /// node keeps the policy it granted, every registry record is
+    /// policy-free, and an instance adopted by a migration or a failover
+    /// runs deny-all. Mutation-checked: a deploy that orders the deployer's
+    /// descriptor, policy and all, fails.
+    #[test]
+    fn an_adopted_instance_runs_under_deny_all() {
+        let mut c = cluster();
+        let granted = SecurityPolicy::deny_all().grant_file_rw("/data/acme");
+        let mut descriptor = workloads::web_instance("acme", "web");
+        descriptor.policy = granted.clone();
+        c.deploy(descriptor, 0).unwrap();
+        c.run_for(SimDuration::from_millis(300));
+        let policy = |c: &DosgiCluster, node: usize| {
+            let manager = c.node(node).unwrap().manager();
+            let iid = manager.find_by_name("web").unwrap();
+            manager.instance(iid).unwrap().descriptor.policy.clone()
+        };
+        let records_grant_nothing = |c: &DosgiCluster| {
+            c.running_nodes().into_iter().all(|n| {
+                let record = c.node(n).unwrap().registry().record("web").unwrap();
+                record.descriptor.policy == SecurityPolicy::deny_all()
+            })
+        };
+        assert_eq!(policy(&c, 0), granted);
+        assert!(records_grant_nothing(&c));
+        c.migrate("web", 1).unwrap();
+        c.run_for(SimDuration::from_millis(500));
+        assert_eq!(c.home_of("web"), Some(1));
+        assert_eq!(policy(&c, 1), SecurityPolicy::deny_all());
+        c.crash_node(1);
+        c.run_for(SimDuration::from_secs(4));
+        let home = c.home_of("web").unwrap();
+        assert_ne!(home, 1);
+        assert!(c.probe("web"));
+        assert_eq!(policy(&c, home), SecurityPolicy::deny_all());
+        assert!(records_grant_nothing(&c));
     }
 
     #[test]

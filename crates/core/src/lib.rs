@@ -60,7 +60,7 @@ pub mod loadgen;
 pub mod migration;
 mod msg;
 mod node;
-mod placement;
+pub mod placement;
 mod registry;
 pub mod replication;
 pub mod rt;

@@ -2,7 +2,7 @@
 
 use crate::registry::InstanceRecord;
 use dosgi_net::NodeId;
-use dosgi_san::Value;
+use dosgi_vosgi::InstanceDescriptor;
 use std::sync::Arc;
 
 /// Application payloads exchanged between nodes through the group
@@ -15,18 +15,20 @@ use std::sync::Arc;
 /// queue, sequencer log, fan-out and replays share that one value, and a
 /// receiver applies it by reference; no runtime path clones the payload
 /// itself. The registry's transfers are typed records, not a serialized
-/// tree: a descriptor is an `Arc` built once per deploy, so a transfer and
-/// every registry copy that imports it share that one value.
+/// tree: a record's name and descriptor are `Arc`s made once per deploy, so
+/// a transfer, a digest and every registry copy that imports them share
+/// those values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AppPayload {
     /// (ordered) A new instance was deployed on `home`. Carries the
-    /// serialized descriptor so any node can later re-materialize it.
+    /// descriptor so any node can later re-materialize it.
     Deployed {
         /// The instance name.
         name: String,
-        /// The serialized [`InstanceDescriptor`](dosgi_vosgi::InstanceDescriptor),
-        /// shared by every registry record made from this message.
-        descriptor: Arc<Value>,
+        /// The descriptor, policy-free: the deploying node's sandbox grants
+        /// stay on that node. Shared by every registry record made from
+        /// this message and every instance adopted from one.
+        descriptor: Arc<InstanceDescriptor>,
         /// The node it was deployed on.
         home: NodeId,
     },
@@ -101,7 +103,7 @@ pub enum AppPayload {
         /// [`ClusterRegistry::digest`](crate::ClusterRegistry::digest)).
         /// Empty after a fresh restart, in which case the answering delta
         /// degenerates to a full snapshot.
-        digest: Vec<(String, u64)>,
+        digest: Vec<(Arc<str>, u64)>,
         /// A repeated request: an earlier `Hello` went unanswered. Every
         /// member that holds the registry answers it, with an empty delta
         /// if need be, so that the asking stops.
@@ -134,7 +136,7 @@ pub enum AppPayload {
         /// Applied only when the receiver's revision still equals `rev` (a
         /// CAS guard — revisions restart at 1 after an undeploy + redeploy,
         /// so a plain `<=` check would be unsound).
-        removes: Vec<(String, u64)>,
+        removes: Vec<(Arc<str>, u64)>,
     },
 }
 

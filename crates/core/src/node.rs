@@ -14,7 +14,7 @@ use dosgi_osgi::BundleManifest;
 use dosgi_policy::PolicyAction;
 use dosgi_san::{RetryPolicy, SharedStore, Value};
 use dosgi_telemetry::{FlightRecorder, Gauge, Phase, Phases, Telemetry, TraceContext, TraceRef};
-use dosgi_vosgi::{InstanceDescriptor, InstanceManager, ResourceQuota};
+use dosgi_vosgi::{InstanceDescriptor, InstanceManager, ResourceQuota, SecurityPolicy};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -206,10 +206,6 @@ struct PendingAdoption {
     /// message carried a context; closed when the ticket materializes, is
     /// overruled, or quarantines.
     trace: TraceRef,
-    /// The descriptor parsed when the ticket was queued and the record
-    /// revision it was parsed at: materialization reuses it unless the
-    /// revision moved. A retried ticket carries none and parses again.
-    parsed: Option<(u64, InstanceDescriptor)>,
 }
 
 /// A queued in-place bundle upgrade: the swap happens once `ready_at`
@@ -473,14 +469,20 @@ impl DosgiNode {
     ) -> Result<(), CoreError> {
         self.wake();
         let name = descriptor.name.clone();
-        let value = descriptor.to_value();
+        // The registry's copy grants nothing: a descriptor from the network
+        // must not be able to grant itself permissions, so a node adopting
+        // the instance runs it under its own deny-all default.
+        let shared = Arc::new(InstanceDescriptor {
+            policy: SecurityPolicy::deny_all(),
+            ..descriptor.clone()
+        });
         let iid = self.mgr.create_instance(descriptor)?;
         self.mgr.start_instance(iid)?;
         self.order(
             net,
             AppPayload::Deployed {
                 name: name.clone(),
-                descriptor: Arc::new(value),
+                descriptor: shared,
                 home: self.id,
             },
             None,
@@ -771,7 +773,7 @@ impl DosgiNode {
         // rejoin means no further view change will ever re-trigger
         // failover. The claim rules keep this race-free — a claim against
         // an `Orphaned` record wins exactly once in the total order.
-        if !stranded.is_empty() || !self.registry.orphans().is_empty() {
+        if !stranded.is_empty() || self.registry.has_orphans() {
             self.handle_failover(&stranded, net);
         }
         self.release_handoffs_without_a_source(net);
@@ -804,7 +806,7 @@ impl DosgiNode {
                         && view.contains(to)
                         && self.mgr.find_by_name(&r.name).is_none() =>
                 {
-                    Some((r.name.clone(), to))
+                    Some((r.name.to_string(), to))
                 }
                 _ => None,
             })
@@ -827,8 +829,8 @@ impl DosgiNode {
             .registry
             .records()
             .filter(|r| r.status == InstanceStatus::Quarantined && r.home == self.id)
-            .filter(|r| !self.pending_adoptions.iter().any(|p| p.name == r.name))
-            .map(|r| r.name.clone())
+            .filter(|r| !self.pending_adoptions.iter().any(|p| *p.name == *r.name))
+            .map(|r| r.name.to_string())
             .collect();
         for name in healable {
             let ctx = self.claim_context(&name, "heal", net.now().as_micros());
@@ -867,11 +869,6 @@ impl DosgiNode {
     ) {
         match event {
             GcsEvent::ViewChange { view, joined, left } => {
-                self.events.push(NodeEvent::ViewChanged {
-                    at: now,
-                    members: view.members.clone(),
-                    left: left.clone(),
-                });
                 // Classify departures: a node that announced Draining left
                 // voluntarily and stops counting toward the quorum
                 // universe; anything else is a crash.
@@ -913,6 +910,13 @@ impl DosgiNode {
                 if !left.is_empty() && view.has_majority(effective_universe) {
                     self.handle_failover(&left, net);
                 }
+                // Last, so that it takes the view's lists: nothing above
+                // pushes an event, so its place among the events is kept.
+                self.events.push(NodeEvent::ViewChanged {
+                    at: now,
+                    members: view.members,
+                    left,
+                });
             }
             GcsEvent::OrderedDeliver { msg, .. } => {
                 // Fold the carried Lamport stamp into the local logical
@@ -937,11 +941,8 @@ impl DosgiNode {
         // Claim both newly-orphaned records AND records still sitting in
         // Orphaned (an earlier claim may have been lost or overwritten):
         // the sweep retries until the registry converges.
-        let mut orphans = self.registry.orphan_homes(left);
-        orphans.extend(self.registry.orphans());
-        orphans.sort();
-        orphans.dedup();
-        if orphans.is_empty() || self.state != NodeState::Running {
+        self.registry.orphan_homes(left);
+        if !self.registry.has_orphans() || self.state != NodeState::Running {
             return;
         }
         let candidates = {
@@ -950,7 +951,7 @@ impl DosgiNode {
             c.sort();
             c
         };
-        let assignment = placement::assign_all(&orphans, &candidates, &self.registry);
+        let assignment = placement::assign_all(&candidates, &self.registry);
         self.metrics
             .placement_decisions
             .add(assignment.len() as u64);
@@ -965,7 +966,7 @@ impl DosgiNode {
                 self.order(
                     net,
                     AppPayload::Adopted {
-                        name,
+                        name: name.to_string(),
                         node: self.id,
                         prior_home,
                     },
@@ -1116,7 +1117,7 @@ impl DosgiNode {
         net: &mut impl Fabric<Wire>,
         to: NodeId,
         upserts: Vec<InstanceRecord>,
-        removes: Vec<(String, u64)>,
+        removes: Vec<(Arc<str>, u64)>,
     ) {
         self.metrics
             .registry_delta_bytes
@@ -1192,16 +1193,16 @@ impl DosgiNode {
         for name in stale {
             self.drop_local(&name);
         }
-        let missing: Vec<String> = self
+        let missing: Vec<Arc<str>> = self
             .registry
             .records()
             .filter(|r| {
                 r.home == self.id
                     && r.status == InstanceStatus::Placed
                     && !self.probe_local(&r.name)
-                    && !self.pending_adoptions.iter().any(|p| p.name == r.name)
+                    && !self.pending_adoptions.iter().any(|p| *p.name == *r.name)
             })
-            .map(|r| r.name.clone())
+            .map(|r| Arc::clone(&r.name))
             .collect();
         for name in missing {
             self.adopt(&name, AdoptReason::Failover, now, None);
@@ -1276,22 +1277,10 @@ impl DosgiNode {
         let Some(rec) = self.registry.record(name) else {
             return;
         };
-        let rev = rec.rev;
-        let descriptor = match InstanceDescriptor::from_value(&rec.descriptor) {
-            Ok(d) => d,
-            Err(e) => {
-                self.events.push(NodeEvent::AdoptFailed {
-                    at: now,
-                    name: name.to_owned(),
-                    error: e,
-                });
-                return;
-            }
-        };
         let state_bytes = self
             .store
-            .namespace_bytes_prefixed(&descriptor.state_namespace());
-        let bundles = descriptor.bundles.len() as u64;
+            .namespace_bytes_prefixed(&rec.descriptor.state_namespace());
+        let bundles = rec.descriptor.bundles.len() as u64;
         let standby = self.mgr.find_by_name(name).is_some();
         let cost = if standby {
             // Bundles already installed: pay only the start sweep.
@@ -1311,7 +1300,6 @@ impl DosgiNode {
             reason,
             attempt: 0,
             trace,
-            parsed: Some((rev, descriptor)),
         });
     }
 
@@ -1321,7 +1309,7 @@ impl DosgiNode {
             .pending_adoptions
             .extract_if(.., |p| p.ready_at <= now)
             .collect();
-        for mut p in due {
+        for p in due {
             // A queued adoption can be invalidated by messages ordered
             // *after* it was queued: a replayed snapshot may have enqueued
             // it, then a later claim re-homed the instance elsewhere (or an
@@ -1332,39 +1320,18 @@ impl DosgiNode {
             let still_ours = self
                 .registry
                 .record(&p.name)
-                .map(|r| r.home == self.id && r.status == InstanceStatus::Placed)
-                .unwrap_or(false);
-            if !still_ours {
+                .filter(|r| r.home == self.id && r.status == InstanceStatus::Placed)
+                .map(|r| Arc::clone(&r.descriptor));
+            let Some(descriptor) = still_ours else {
                 self.recorder.end(p.trace, now.as_micros());
                 self.metrics.adopt_overruled.incr();
                 continue;
-            }
+            };
             let outcome = match self.mgr.find_by_name(&p.name) {
                 // Hot standby or a previous partially-restored attempt:
                 // already installed, just (re)start it.
                 Some(iid) => self.mgr.start_instance(iid).map(|_| iid),
-                None => {
-                    let Some(rec) = self.registry.record(&p.name) else {
-                        self.recorder.end(p.trace, now.as_micros());
-                        continue;
-                    };
-                    let descriptor = match p.parsed.take() {
-                        Some((rev, d)) if rev == rec.rev => Ok(d),
-                        _ => InstanceDescriptor::from_value(&rec.descriptor),
-                    };
-                    match descriptor {
-                        Ok(d) => self.mgr.adopt_instance(d),
-                        Err(e) => {
-                            self.recorder.end(p.trace, now.as_micros());
-                            self.events.push(NodeEvent::AdoptFailed {
-                                at: now,
-                                name: p.name,
-                                error: e,
-                            });
-                            continue;
-                        }
-                    }
-                }
+                None => self.mgr.adopt_instance(descriptor),
             };
             match outcome {
                 Ok(iid) => {
@@ -1651,7 +1618,6 @@ impl DosgiNode {
             reason: p.reason,
             attempt: failures,
             trace: p.trace,
-            parsed: None,
         });
     }
 

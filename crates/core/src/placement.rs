@@ -14,6 +14,7 @@
 use crate::registry::ClusterRegistry;
 use dosgi_net::NodeId;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Chooses a destination among `candidates` (sorted): the one currently
 /// hosting the fewest placed instances, ties to the lowest node id, given
@@ -40,21 +41,18 @@ fn least_loaded(
         .copied()
 }
 
-/// Assigns every `orphan` to a candidate, spreading within the batch.
-/// Returns `(instance, destination)` pairs in input order. The registry's
-/// load is read once: nothing in the round writes it.
-pub(crate) fn assign_all(
-    orphans: &[String],
-    candidates: &[NodeId],
-    registry: &ClusterRegistry,
-) -> Vec<(String, NodeId)> {
+/// Assigns every orphan of `registry` to a candidate, spreading within the
+/// batch. Returns `(instance, destination)` pairs in name order, the names
+/// shared with the registry. The registry's load is read once: nothing in
+/// the round writes it.
+pub fn assign_all(candidates: &[NodeId], registry: &ClusterRegistry) -> Vec<(Arc<str>, NodeId)> {
     let load = registry.load_by_node();
     let mut pending: BTreeMap<NodeId, usize> = BTreeMap::new();
-    let mut out = Vec::with_capacity(orphans.len());
-    for name in orphans {
+    let mut out = Vec::with_capacity(registry.orphans().count());
+    for name in registry.orphans() {
         if let Some(dest) = least_loaded(candidates, &load, &pending) {
             *pending.entry(dest).or_insert(0) += 1;
-            out.push((name.clone(), dest));
+            out.push((Arc::clone(name), dest));
         }
     }
     out
@@ -64,17 +62,21 @@ pub(crate) fn assign_all(
 mod tests {
     use super::*;
     use crate::msg::AppPayload;
-    use dosgi_san::Value;
     use dosgi_testkit::{prop, prop_verify_eq, TestRng};
+    use dosgi_vosgi::InstanceDescriptor;
+
+    fn deployed(name: &str, home: u32) -> AppPayload {
+        AppPayload::Deployed {
+            name: name.to_owned(),
+            descriptor: Arc::new(InstanceDescriptor::builder(name, name).build()),
+            home: NodeId(home),
+        }
+    }
 
     fn registry_with(homes: &[(&str, u32)]) -> ClusterRegistry {
         let mut r = ClusterRegistry::new();
         for (name, home) in homes {
-            r.apply(&AppPayload::Deployed {
-                name: (*name).to_owned(),
-                descriptor: Value::Null.into(),
-                home: NodeId(*home),
-            });
+            r.apply(&deployed(name, *home));
         }
         r
     }
@@ -89,10 +91,10 @@ mod tests {
 
     #[test]
     fn batch_assignment_spreads() {
-        let r = registry_with(&[]);
+        let mut r = registry_with(&[("i0", 9), ("i1", 9), ("i2", 9), ("i3", 9)]);
+        assert_eq!(r.orphan_homes(&[NodeId(9)]), 4);
         let candidates = vec![NodeId(0), NodeId(1)];
-        let orphans: Vec<String> = (0..4).map(|i| format!("i{i}")).collect();
-        let assignment = assign_all(&orphans, &candidates, &r);
+        let assignment = assign_all(&candidates, &r);
         let on0 = assignment.iter().filter(|(_, n)| *n == NodeId(0)).count();
         let on1 = assignment.iter().filter(|(_, n)| *n == NodeId(1)).count();
         assert_eq!(on0, 2);
@@ -107,14 +109,10 @@ mod tests {
 
     /// What `assign_all` was before it read the load once: a fresh
     /// `choose`, and with it a fresh load, for every orphan.
-    fn assign_each(
-        orphans: &[String],
-        candidates: &[NodeId],
-        registry: &ClusterRegistry,
-    ) -> Vec<(String, NodeId)> {
+    fn assign_each(candidates: &[NodeId], registry: &ClusterRegistry) -> Vec<(Arc<str>, NodeId)> {
         let mut pending: BTreeMap<NodeId, usize> = BTreeMap::new();
         let mut out = Vec::new();
-        for name in orphans {
+        for name in registry.orphans() {
             if let Some(dest) = choose(candidates, registry, &pending) {
                 *pending.entry(dest).or_insert(0) += 1;
                 out.push((name.clone(), dest));
@@ -136,24 +134,14 @@ mod tests {
                 let mut rng = TestRng::new(seed);
                 let mut r = registry_with(&[]);
                 for i in 0..rng.u64_below(12) {
-                    let name = format!("i{i}");
-                    r.apply(&AppPayload::Deployed {
-                        name: name.clone(),
-                        descriptor: Value::Null.into(),
-                        home: NodeId(rng.u64_below(5) as u32),
-                    });
+                    r.apply(&deployed(&format!("i{i}"), rng.u64_below(5) as u32));
                     if rng.chance(0.3) {
                         r.orphan_homes(&[NodeId(rng.u64_below(5) as u32)]);
                     }
                 }
                 let candidates: Vec<NodeId> =
                     (0..5).filter(|_| rng.chance(0.7)).map(NodeId).collect();
-                let orphans: Vec<String> =
-                    (0..rng.u64_below(10)).map(|i| format!("o{i}")).collect();
-                prop_verify_eq!(
-                    assign_all(&orphans, &candidates, &r),
-                    assign_each(&orphans, &candidates, &r)
-                );
+                prop_verify_eq!(assign_all(&candidates, &r), assign_each(&candidates, &r));
                 Ok(())
             },
         );

@@ -13,15 +13,17 @@
 //!
 //! A registry travels between nodes as typed records: a `RegistrySync`
 //! carries them all, a `RegistryDelta` the ones a digest lacks. A record's
-//! descriptor is an `Arc` made once by the deploy, so every copy of the
-//! registry, and every transfer between them, shares that one value.
+//! name and its descriptor are `Arc`s, the name made once when the
+//! `Deployed` is applied and the descriptor once by the deploying node, so
+//! every copy of the registry, every transfer and every digest shares them.
 //! [`export`](ClusterRegistry::export) is the one serialized rendering; a
 //! transfer's reported size is that rendering's encoded length.
 
 use crate::msg::AppPayload;
 use dosgi_net::NodeId;
-use dosgi_san::codec::varint_len;
+use dosgi_san::codec::{field_len, header_len, int_len, str_len};
 use dosgi_san::Value;
+use dosgi_vosgi::InstanceDescriptor;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -60,12 +62,13 @@ impl InstanceStatus {
 /// One instance's replicated record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceRecord {
-    /// The instance name (unique cluster-wide).
-    pub name: String,
-    /// The serialized descriptor (policy-free; see
-    /// [`InstanceDescriptor::from_value`](dosgi_vosgi::InstanceDescriptor::from_value)),
-    /// built once by the deploy and shared by every copy of this record.
-    pub descriptor: Arc<Value>,
+    /// The instance name (unique cluster-wide), shared with the registry's
+    /// key and every copy of this record.
+    pub name: Arc<str>,
+    /// The descriptor, policy-free, built once by the deploying node and
+    /// shared by every copy of this record and every instance adopted
+    /// from it.
+    pub descriptor: Arc<InstanceDescriptor>,
     /// The node responsible for it.
     pub home: NodeId,
     /// Placement status.
@@ -83,7 +86,7 @@ pub struct InstanceRecord {
 /// writes each took to get there.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterRegistry {
-    records: BTreeMap<String, InstanceRecord>,
+    records: BTreeMap<Arc<str>, InstanceRecord>,
     // Moved by every `&mut self` method.
     epoch: u64,
 }
@@ -124,11 +127,12 @@ impl ClusterRegistry {
                 descriptor,
                 home,
             } => {
-                let rev = self.records.get(name).map(|r| r.rev).unwrap_or(0) + 1;
+                let rev = self.records.get(name.as_str()).map(|r| r.rev).unwrap_or(0) + 1;
+                let name: Arc<str> = name.as_str().into();
                 self.records.insert(
-                    name.clone(),
+                    Arc::clone(&name),
                     InstanceRecord {
-                        name: name.clone(),
+                        name,
                         descriptor: Arc::clone(descriptor),
                         home: *home,
                         status: InstanceStatus::Placed,
@@ -137,7 +141,7 @@ impl ClusterRegistry {
                 );
             }
             AppPayload::Migrate { name, to, .. } => {
-                if let Some(r) = self.records.get_mut(name) {
+                if let Some(r) = self.records.get_mut(name.as_str()) {
                     if r.status != InstanceStatus::Orphaned {
                         r.status = InstanceStatus::Migrating { to: *to };
                         r.rev += 1;
@@ -145,7 +149,7 @@ impl ClusterRegistry {
                 }
             }
             AppPayload::Released { name, to } => {
-                if let Some(r) = self.records.get_mut(name) {
+                if let Some(r) = self.records.get_mut(name.as_str()) {
                     if r.status != InstanceStatus::Orphaned {
                         r.home = *to;
                         r.status = InstanceStatus::Placed;
@@ -158,7 +162,7 @@ impl ClusterRegistry {
                 node,
                 prior_home,
             } => {
-                if let Some(r) = self.records.get_mut(name) {
+                if let Some(r) = self.records.get_mut(name.as_str()) {
                     // The claim wins iff the record is orphaned locally OR
                     // still points at the home the claimant saw die (this
                     // node's failure detector is merely behind).
@@ -173,7 +177,7 @@ impl ClusterRegistry {
                 }
             }
             AppPayload::Quarantined { name, node } => {
-                if let Some(r) = self.records.get_mut(name) {
+                if let Some(r) = self.records.get_mut(name.as_str()) {
                     // Only the current home may quarantine: a stale report
                     // from a node that already lost the instance (crash +
                     // re-claim raced the report) must not shadow the new
@@ -185,7 +189,7 @@ impl ClusterRegistry {
                 }
             }
             AppPayload::Undeployed { name } => {
-                self.records.remove(name);
+                self.records.remove(name.as_str());
             }
             AppPayload::Draining { .. }
             | AppPayload::Hello { .. }
@@ -195,12 +199,13 @@ impl ClusterRegistry {
     }
 
     /// Marks every instance stranded by the departure of `left` as
-    /// orphaned; returns the orphaned names, sorted. A `Placed` instance is
+    /// orphaned; returns how many it marked. A `Placed` instance is
     /// stranded when its home left; a `Migrating` one when either endpoint
-    /// left.
-    pub fn orphan_homes(&mut self, left: &[NodeId]) -> Vec<String> {
+    /// left. [`orphans`](Self::orphans) then lists them with the ones
+    /// orphaned before.
+    pub fn orphan_homes(&mut self, left: &[NodeId]) -> usize {
         self.epoch += 1;
-        let mut orphans = Vec::new();
+        let mut marked = 0;
         for r in self.records.values_mut() {
             let stranded = match r.status {
                 InstanceStatus::Migrating { to } => left.contains(&r.home) || left.contains(&to),
@@ -212,11 +217,10 @@ impl ClusterRegistry {
             };
             if stranded {
                 r.status = InstanceStatus::Orphaned;
-                orphans.push(r.name.clone());
+                marked += 1;
             }
         }
-        orphans.sort();
-        orphans
+        marked
     }
 
     /// Looks up a record.
@@ -241,13 +245,18 @@ impl ClusterRegistry {
         m
     }
 
-    /// Names of instances with [`InstanceStatus::Orphaned`], sorted.
-    pub fn orphans(&self) -> Vec<String> {
+    /// Names of instances with [`InstanceStatus::Orphaned`], in name
+    /// order, as the registry shares them.
+    pub fn orphans(&self) -> impl Iterator<Item = &Arc<str>> {
         self.records
             .values()
             .filter(|r| r.status == InstanceStatus::Orphaned)
-            .map(|r| r.name.clone())
-            .collect()
+            .map(|r| &r.name)
+    }
+
+    /// True when some instance is [`InstanceStatus::Orphaned`].
+    pub fn has_orphans(&self) -> bool {
+        self.orphans().next().is_some()
     }
 
     /// Number of records.
@@ -264,8 +273,8 @@ impl ClusterRegistry {
     fn record_value(r: &InstanceRecord) -> Value {
         let (status, to) = r.status.fields();
         let mut v = Value::map()
-            .with("name", r.name.as_str())
-            .with("descriptor", (*r.descriptor).clone())
+            .with("name", &*r.name)
+            .with("descriptor", r.descriptor.to_value())
             .with("home", u64::from(r.home.0))
             .with("status", status)
             .with("rev", r.rev);
@@ -281,13 +290,14 @@ impl ClusterRegistry {
         Value::List(self.records.values().map(Self::record_value).collect())
     }
 
-    /// A compact digest: `(name, rev)` for every record, in name order.
-    /// Carried by `Hello` so a peer can answer with a per-record delta
-    /// ([`export_delta`](Self::export_delta)) instead of the full registry.
-    pub fn digest(&self) -> Vec<(String, u64)> {
+    /// A compact digest: `(name, rev)` for every record, in name order,
+    /// sharing the names. Carried by `Hello` so a peer can answer with a
+    /// per-record delta ([`export_delta`](Self::export_delta)) instead of
+    /// the full registry.
+    pub fn digest(&self) -> Vec<(Arc<str>, u64)> {
         self.records
             .values()
-            .map(|r| (r.name.clone(), r.rev))
+            .map(|r| (Arc::clone(&r.name), r.rev))
             .collect()
     }
 
@@ -308,10 +318,10 @@ impl ClusterRegistry {
     /// steady-state hello answer near-empty.
     pub fn export_delta(
         &self,
-        digest: &[(String, u64)],
-    ) -> (Vec<InstanceRecord>, Vec<(String, u64)>) {
+        digest: &[(Arc<str>, u64)],
+    ) -> (Vec<InstanceRecord>, Vec<(Arc<str>, u64)>) {
         let known = |name: &str| {
-            let at = digest.binary_search_by(|(held, _)| held.as_str().cmp(name));
+            let at = digest.binary_search_by(|(held, _)| (**held).cmp(name));
             at.ok().map(|i| digest[i].1)
         };
         let upserts = self
@@ -337,13 +347,13 @@ impl ClusterRegistry {
     pub fn moved_since(
         &self,
         shipped: &[InstanceRecord],
-    ) -> (Vec<InstanceRecord>, Vec<(String, u64)>) {
+    ) -> (Vec<InstanceRecord>, Vec<(Arc<str>, u64)>) {
         let (mut upserts, mut removes) = (Vec::new(), Vec::new());
         for s in shipped {
             match self.records.get(&s.name) {
                 Some(r) if r.rev > s.rev => upserts.push(r.clone()),
                 Some(_) => {}
-                None => removes.push((s.name.clone(), s.rev)),
+                None => removes.push((Arc::clone(&s.name), s.rev)),
             }
         }
         (upserts, removes)
@@ -355,7 +365,7 @@ impl ClusterRegistry {
     /// revision still *equals* the guard: any ordered mutation interleaved
     /// between the digest and the delta (a redeploy, a claim) changes the
     /// revision and voids the removal.
-    pub fn import_delta(&mut self, upserts: &[InstanceRecord], removes: &[(String, u64)]) {
+    pub fn import_delta(&mut self, upserts: &[InstanceRecord], removes: &[(Arc<str>, u64)]) {
         // (`import` moves the epoch.)
         self.import(upserts);
         for (name, rev) in removes {
@@ -376,8 +386,8 @@ impl ClusterRegistry {
     /// A record held already is updated in place, and a descriptor it
     /// shares with the incoming record is not compared, so a member that is
     /// up to date — every member but the joiner — allocates nothing. A
-    /// record this registry lacks costs its name and its place in the map;
-    /// its descriptor is shared, not copied.
+    /// record this registry lacks costs its place in the map; its name and
+    /// its descriptor are shared, not copied.
     pub fn import(&mut self, records: &[InstanceRecord]) {
         self.epoch += 1;
         for incoming in records {
@@ -399,7 +409,8 @@ impl ClusterRegistry {
                     }
                 }
                 None => {
-                    self.records.insert(incoming.name.clone(), incoming.clone());
+                    self.records
+                        .insert(Arc::clone(&incoming.name), incoming.clone());
                 }
             }
         }
@@ -418,7 +429,7 @@ pub(crate) fn records_len(records: &[InstanceRecord]) -> usize {
             + field_len("descriptor", r.descriptor.encoded_len())
             + field_len("home", int_len(r.home.0.into()))
             + field_len("status", str_len(status))
-            + field_len("rev", int_len(r.rev))
+            + field_len("rev", int_len(r.rev as i64))
             + to
     });
     header_len(records.len()) + records_len.sum::<usize>()
@@ -426,41 +437,28 @@ pub(crate) fn records_len(records: &[InstanceRecord]) -> usize {
 
 /// The encoded length of `removes` rendered as a list of `{name, rev}`
 /// maps, with nothing built: what a delta's removes report.
-pub(crate) fn removes_len(removes: &[(String, u64)]) -> usize {
+pub(crate) fn removes_len(removes: &[(Arc<str>, u64)]) -> usize {
     let removes_len = removes.iter().map(|(name, rev)| {
-        header_len(2) + field_len("name", str_len(name)) + field_len("rev", int_len(*rev))
+        header_len(2) + field_len("name", str_len(name)) + field_len("rev", int_len(*rev as i64))
     });
     header_len(removes.len()) + removes_len.sum::<usize>()
-}
-
-/// A tag and a varint length or count: a string's, list's or map's header.
-fn header_len(count: usize) -> usize {
-    1 + varint_len(count as u64)
-}
-
-fn str_len(s: &str) -> usize {
-    header_len(s.len()) + s.len()
-}
-
-fn int_len(i: u64) -> usize {
-    Value::Int(i as i64).encoded_len()
-}
-
-/// A map entry: its key, a string without the tag, then its value.
-fn field_len(key: &str, value_len: usize) -> usize {
-    str_len(key) - 1 + value_len
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dosgi_testkit::{prop, prop_verify, prop_verify_eq, TestRng};
+    use dosgi_vosgi::ResourceQuota;
     use std::cell::Cell;
+
+    fn named(name: &str) -> Arc<InstanceDescriptor> {
+        Arc::new(InstanceDescriptor::builder(name, name).build())
+    }
 
     fn deployed(name: &str, home: u32) -> AppPayload {
         AppPayload::Deployed {
             name: name.into(),
-            descriptor: Value::map().with("name", name).into(),
+            descriptor: named(name),
             home: NodeId(home),
         }
     }
@@ -507,7 +505,7 @@ mod tests {
         r.apply(&deployed("a", 0));
         assert!(moved(&r));
         let copy = r.clone();
-        assert!(r.orphan_homes(&[NodeId(1)]).is_empty());
+        assert_eq!(r.orphan_homes(&[NodeId(1)]), 0);
         assert!(moved(&r), "a write that changes nothing still counts");
         r.import(&transfer(&copy));
         assert!(moved(&r));
@@ -561,12 +559,13 @@ mod tests {
         r.apply(&deployed("a", 0));
         r.apply(&deployed("b", 1));
         r.apply(&deployed("c", 0));
-        let orphans = r.orphan_homes(&[NodeId(0)]);
-        assert_eq!(orphans, vec!["a", "c"]);
-        assert_eq!(r.orphans(), vec!["a", "c"]);
+        assert!(!r.has_orphans());
+        assert_eq!(r.orphan_homes(&[NodeId(0)]), 2);
+        assert!(r.has_orphans());
+        assert!(r.orphans().map(|n| &**n).eq(["a", "c"]));
         assert_eq!(r.record("b").unwrap().status, InstanceStatus::Placed);
         // Idempotent: a second sweep orphans nothing new.
-        assert!(r.orphan_homes(&[NodeId(0)]).is_empty());
+        assert_eq!(r.orphan_homes(&[NodeId(0)]), 0);
     }
 
     #[test]
@@ -616,7 +615,7 @@ mod tests {
             to: NodeId(1),
         });
         // Destination n1 dies mid-migration: orphaned.
-        assert_eq!(r.orphan_homes(&[NodeId(1)]), vec!["a"]);
+        assert_eq!(r.orphan_homes(&[NodeId(1)]), 1);
         // The source's Released (racing the view change) must not resurrect
         // a placement on the dead destination.
         r.apply(&AppPayload::Released {
@@ -635,7 +634,7 @@ mod tests {
             from: NodeId(0),
             to: NodeId(1),
         });
-        assert_eq!(r.orphan_homes(&[NodeId(0)]), vec!["a"]);
+        assert_eq!(r.orphan_homes(&[NodeId(0)]), 1);
     }
 
     #[test]
@@ -679,7 +678,7 @@ mod tests {
             name: "a".into(),
             node: NodeId(0),
         });
-        assert_eq!(r.orphan_homes(&[NodeId(0)]), vec!["a"]);
+        assert_eq!(r.orphan_homes(&[NodeId(0)]), 1);
         assert_eq!(r.record("a").unwrap().status, InstanceStatus::Orphaned);
     }
 
@@ -735,7 +734,7 @@ mod tests {
         // The same way a later snapshot clears it, and moves `home` with it.
         let placed = InstanceRecord {
             name: "a".into(),
-            descriptor: Value::map().with("name", "a").into(),
+            descriptor: named("a"),
             home: NodeId(2),
             status: InstanceStatus::Placed,
             rev: 1,
@@ -780,24 +779,48 @@ mod tests {
     /// must agree with.
     mod value_model {
         use super::super::*;
+        use dosgi_net::SimDuration;
         use dosgi_san::Map;
+        use dosgi_vosgi::ResourceQuota;
 
         pub fn render(records: &[InstanceRecord]) -> Value {
             records.iter().map(ClusterRegistry::record_value).collect()
         }
 
-        pub fn render_removes(removes: &[(String, u64)]) -> Value {
+        pub fn render_removes(removes: &[(Arc<str>, u64)]) -> Value {
             removes
                 .iter()
-                .map(|(name, rev)| Value::map().with("name", name.as_str()).with("rev", *rev))
+                .map(|(name, rev)| Value::map().with("name", &**name).with("rev", *rev))
                 .collect()
         }
 
         pub fn digest(reg: &ClusterRegistry) -> Value {
             reg.records
                 .values()
-                .map(|r| (r.name.clone(), Value::Int(r.rev as i64)))
+                .map(|r| (r.name.to_string(), Value::Int(r.rev as i64)))
                 .collect()
+        }
+
+        /// The model's parse of a rendered descriptor: the fields the
+        /// descriptors of these tests vary.
+        fn typed(v: Option<&Value>) -> Arc<InstanceDescriptor> {
+            let v = v.cloned().unwrap_or_default();
+            let text = |key| v.get(key).and_then(Value::as_str).unwrap_or_default();
+            let int = |key| v.get(key).and_then(Value::as_int).unwrap_or(0) as u64;
+            let mut d = InstanceDescriptor::builder(text("customer"), text("name"));
+            for bundle in v
+                .get("bundles")
+                .and_then(Value::as_list)
+                .unwrap_or_default()
+            {
+                d = d.bundle(bundle.as_str().unwrap_or_default());
+            }
+            let quota = ResourceQuota {
+                cpu_per_sec: SimDuration::from_micros(int("quota_cpu_us")),
+                memory_bytes: int("quota_mem"),
+                disk_bytes: int("quota_disk"),
+            };
+            Arc::new(d.quota(quota).build())
         }
 
         pub fn export_delta(reg: &ClusterRegistry, digest: &Value) -> (Value, Value) {
@@ -870,11 +893,12 @@ mod tests {
                 if reg.records.get(name).is_some_and(|local| rev < local.rev) {
                     continue;
                 }
+                let name: Arc<str> = name.into();
                 reg.records.insert(
-                    name.to_owned(),
+                    Arc::clone(&name),
                     InstanceRecord {
-                        name: name.to_owned(),
-                        descriptor: Arc::new(entry.get("descriptor").cloned().unwrap_or_default()),
+                        name,
+                        descriptor: typed(entry.get("descriptor")),
                         home: NodeId(home as u32),
                         status,
                         rev,
@@ -903,11 +927,16 @@ mod tests {
         NodeId(rng.u64_below(4) as u32)
     }
 
-    fn descriptor(name: &str, rng: &mut TestRng) -> Arc<Value> {
-        let bundles: Value = (0..rng.u64_below(3))
-            .map(|b| Value::Int(b as i64))
-            .collect();
-        Arc::new(Value::map().with("name", name).with("bundles", bundles))
+    fn descriptor(name: &str, rng: &mut TestRng) -> Arc<InstanceDescriptor> {
+        let quota = ResourceQuota {
+            memory_bytes: rng.next_u64() >> rng.u64_below(64),
+            ..ResourceQuota::standard()
+        };
+        let mut d = InstanceDescriptor::builder(name, name).quota(quota);
+        for b in 0..rng.u64_below(3) {
+            d = d.bundle(&format!("b{b}"));
+        }
+        Arc::new(d.build())
     }
 
     /// Random ordered history plus local orphan marks over six names.
@@ -941,7 +970,9 @@ mod tests {
                 }),
                 5 => r.apply(&AppPayload::Quarantined { name, node: home }),
                 6 => r.apply(&AppPayload::Undeployed { name }),
-                _ => drop(r.orphan_homes(&[home])),
+                _ => {
+                    r.orphan_homes(&[home]);
+                }
             }
         }
     }
@@ -1139,7 +1170,7 @@ mod tests {
         });
         r.apply(&deployed("c", 2));
         let (upserts, removes) = r.export_delta(&behind.digest());
-        let names: Vec<&str> = upserts.iter().map(|u| u.name.as_str()).collect();
+        let names: Vec<&str> = upserts.iter().map(|u| &*u.name).collect();
         assert_eq!(names, vec!["a", "c"]);
         assert!(removes.is_empty());
         let mut caught_up = behind.clone();
@@ -1155,7 +1186,7 @@ mod tests {
         r.apply(&AppPayload::Undeployed { name: "a".into() });
         let (upserts, removes) = r.export_delta(&stale_digest);
         assert!(upserts.is_empty());
-        assert_eq!(removes, [("a".to_owned(), 1)]);
+        assert_eq!(removes, [("a".into(), 1)]);
 
         // A replica still holding a@1 drops it…
         let mut behind = ClusterRegistry::new();

@@ -89,6 +89,30 @@ pub fn varint_len(v: u64) -> usize {
     bits.div_ceil(7)
 }
 
+/// The bytes a string's, list's or map's header takes: its tag and its
+/// varint length or count.
+pub fn header_len(count: usize) -> usize {
+    1 + varint_len(count as u64)
+}
+
+/// The bytes `Value::Str(s)` takes encoded.
+pub fn str_len(s: &str) -> usize {
+    header_len(s.len()) + s.len()
+}
+
+/// The bytes `Value::Int(i)` takes encoded.
+pub fn int_len(i: i64) -> usize {
+    1 + varint_len(zigzag(i))
+}
+
+/// The bytes a map entry takes: its key — a string without the tag — then
+/// its value, `value_len` bytes encoded. With [`header_len`], [`str_len`]
+/// and [`int_len`] it sizes a map its owner renders from typed fields
+/// without building it.
+pub fn field_len(key: &str, value_len: usize) -> usize {
+    str_len(key) - 1 + value_len
+}
+
 /// Computes `encode(value).len()` without materializing the encoding.
 ///
 /// Mirrors the encoder (`write_value`) case by case: one tag byte,
@@ -98,9 +122,9 @@ pub fn varint_len(v: u64) -> usize {
 pub fn encoded_len(value: &Value) -> usize {
     match value {
         Value::Null | Value::Bool(_) => 1,
-        Value::Int(i) => 1 + varint_len(zigzag(*i)),
+        Value::Int(i) => int_len(*i),
         Value::Float(_) => 1 + 8,
-        Value::Str(s) => 1 + varint_len(s.len() as u64) + s.len(),
+        Value::Str(s) => str_len(s),
         Value::Bytes(b) => 1 + varint_len(b.len() as u64) + b.len(),
         Value::List(l) => 1 + varint_len(l.len() as u64) + l.iter().map(encoded_len).sum::<usize>(),
         Value::Map(m) => {

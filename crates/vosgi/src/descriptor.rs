@@ -2,6 +2,7 @@
 
 use crate::{ResourceQuota, SecurityPolicy};
 use dosgi_osgi::PackageName;
+use dosgi_san::codec::{field_len, header_len, int_len, str_len};
 use dosgi_san::Value;
 use std::fmt;
 
@@ -39,6 +40,11 @@ impl From<&str> for CustomerId {
 /// [`to_value`](Self::to_value)) and is what the Migration Module ships
 /// between nodes; the destination re-materializes the instance from the
 /// descriptor plus the SAN-persisted framework state.
+///
+/// The cluster registry holds one shared, policy-free copy per instance,
+/// made by the deploying node: the sandbox policy never leaves the node it
+/// was granted on, so a node adopting the instance runs it under
+/// [`SecurityPolicy::deny_all`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct InstanceDescriptor {
     /// The owning customer.
@@ -117,16 +123,36 @@ impl InstanceDescriptor {
             .with("quota_disk", self.quota.disk_bytes)
     }
 
-    /// Reads a descriptor back from [`to_value`](Self::to_value) form.
-    ///
-    /// The sandbox policy is intentionally *not* shipped in the value: the
-    /// destination node's administrator re-derives it from local business
-    /// policy (a descriptor from the network must not be able to grant
-    /// itself permissions).
+    /// The encoded length of [`to_value`](Self::to_value)'s rendering,
+    /// computed from the fields with nothing built: what a registry
+    /// transfer reports for this descriptor.
+    pub fn encoded_len(&self) -> usize {
+        fn list_len<'a>(items: impl ExactSizeIterator<Item = &'a str>) -> usize {
+            header_len(items.len()) + items.map(str_len).sum::<usize>()
+        }
+        let int = |i: u64| int_len(i as i64);
+        let packages = self.shared_packages.iter().map(PackageName::as_str);
+        header_len(8)
+            + field_len("customer", str_len(&self.customer.0))
+            + field_len("name", str_len(&self.name))
+            + field_len("bundles", list_len(self.bundles.iter().map(String::as_str)))
+            + field_len("shared_packages", list_len(packages))
+            + field_len(
+                "shared_services",
+                list_len(self.shared_services.iter().map(String::as_str)),
+            )
+            + field_len("quota_cpu_us", int(self.quota.cpu_per_sec.as_micros()))
+            + field_len("quota_mem", int(self.quota.memory_bytes))
+            + field_len("quota_disk", int(self.quota.disk_bytes))
+    }
+
+    /// Reads a descriptor back from [`to_value`](Self::to_value) form, with
+    /// a deny-all policy: the policy is not in the value.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed field.
+    #[cfg(test)]
     pub fn from_value(v: &Value) -> Result<Self, String> {
         let str_list = |key: &str| -> Result<Vec<String>, String> {
             v.get(key)
@@ -222,6 +248,7 @@ impl InstanceDescriptorBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dosgi_testkit::{prop, prop_verify_eq, TestRng};
 
     fn sample() -> InstanceDescriptor {
         InstanceDescriptor::builder("acme", "acme-prod")
@@ -256,6 +283,46 @@ mod tests {
         assert_eq!(back.quota, d.quota);
         // Policy is never shipped: deny-all on arrival.
         assert!(back.policy.grants().is_empty());
+    }
+
+    /// A descriptor with every field random: names and lists of lengths on
+    /// both sides of a one-byte varint, quotas of any size.
+    fn random(rng: &mut TestRng) -> InstanceDescriptor {
+        let text = |rng: &mut TestRng| "x".repeat(rng.usize_in(0, 300));
+        let mut d = InstanceDescriptor::builder(text(rng).as_str(), &text(rng))
+            .quota(ResourceQuota {
+                cpu_per_sec: dosgi_net::SimDuration::from_micros(
+                    rng.next_u64() >> rng.u64_below(64),
+                ),
+                memory_bytes: rng.next_u64() >> rng.u64_below(64),
+                disk_bytes: rng.next_u64(),
+            })
+            .policy(SecurityPolicy::deny_all().grant_file_rw("/data"));
+        for i in 0..rng.u64_below(4) {
+            d = d.bundle(&text(rng)).share_package(&format!("org.p{i}"));
+        }
+        let services = if rng.chance(0.2) {
+            200
+        } else {
+            rng.u64_below(3)
+        };
+        for _ in 0..services {
+            d = d.share_service(&text(rng));
+        }
+        d.build()
+    }
+
+    /// Mutation-checked: a length that counts a list's header as two bytes
+    /// whatever the list's length fails.
+    #[test]
+    fn prop_encoded_len_is_the_rendering_length() {
+        let cfg = prop::Config::with_cases(300);
+        let gen = prop::u64s(0, u64::MAX);
+        prop::check_with(&cfg, "encoded_len_is_the_rendering_length", &gen, |&seed| {
+            let d = random(&mut TestRng::new(seed));
+            prop_verify_eq!(d.encoded_len(), d.to_value().encoded_len());
+            Ok(())
+        });
     }
 
     #[test]

@@ -4,6 +4,7 @@
 use crate::{InstanceDescriptor, InstanceId};
 use dosgi_osgi::{Framework, UsageSnapshot};
 use std::fmt;
+use std::sync::Arc;
 
 /// The coarse life-cycle of a virtual instance (distinct from the
 /// per-bundle lifecycle inside it).
@@ -38,8 +39,9 @@ impl fmt::Display for InstanceState {
 pub struct VirtualInstance {
     /// The manager-local id.
     pub id: InstanceId,
-    /// The deployment descriptor.
-    pub descriptor: InstanceDescriptor,
+    /// The deployment descriptor; an adopted instance shares the cluster
+    /// registry's copy.
+    pub descriptor: Arc<InstanceDescriptor>,
     /// Current coarse state.
     pub state: InstanceState,
     pub(crate) framework: Framework,

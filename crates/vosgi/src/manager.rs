@@ -180,6 +180,7 @@ impl InstanceManager {
 
     /// Creates a fresh virtual instance from `descriptor`: a nested
     /// framework with the descriptor's bundles installed (not started).
+    /// The instance keeps `descriptor` as it is passed, owned or shared.
     ///
     /// # Errors
     ///
@@ -190,8 +191,9 @@ impl InstanceManager {
     /// framework error.
     pub fn create_instance(
         &mut self,
-        descriptor: InstanceDescriptor,
+        descriptor: impl Into<Arc<InstanceDescriptor>>,
     ) -> Result<InstanceId, VosgiError> {
+        let descriptor = descriptor.into();
         self.check_name_free(&descriptor.name)?;
         let mut fw =
             Framework::with_config(FrameworkConfig::new(format!("vosgi/{}", descriptor.name)));
@@ -215,7 +217,8 @@ impl InstanceManager {
     /// the arrival half of a migration or a failover redeployment. Bundles
     /// that were running when the state was persisted come back running,
     /// each sharing the repository's manifest when its persisted one
-    /// equals it.
+    /// equals it. An adoption passes the cluster registry's descriptor,
+    /// which the instance then shares.
     ///
     /// # Errors
     ///
@@ -226,8 +229,9 @@ impl InstanceManager {
     /// rejects the snapshot read — the caller's retry loop handles those.
     pub fn adopt_instance(
         &mut self,
-        descriptor: InstanceDescriptor,
+        descriptor: impl Into<Arc<InstanceDescriptor>>,
     ) -> Result<InstanceId, VosgiError> {
+        let descriptor = descriptor.into();
         self.check_name_free(&descriptor.name)?;
         let store = self
             .store
@@ -261,7 +265,7 @@ impl InstanceManager {
 
     fn insert(
         &mut self,
-        descriptor: InstanceDescriptor,
+        descriptor: Arc<InstanceDescriptor>,
         mut framework: Framework,
         state: InstanceState,
     ) -> InstanceId {
