@@ -24,17 +24,24 @@
 //! rounds (one per victim), how often each phase ran and what it allocated;
 //! `apply_control` has three parts, a failover's claims (`.claims`), a
 //! `RegistrySync`'s export and import (`.sync`) and adoptions queued
-//! (`.queue`); a restart is split into taking the boot kit, building the
-//! host framework and the rest. Wall-clock µs per phase, and the same rounds' wall time with
-//! the table off and on, go to stderr only: they are not exact.
+//! (`.queue`); `gcs.handle` and `gcs.tick` have one part per machine of
+//! the group layer (`.detector`, `.membership`, `.stream`; a handled
+//! message counts one call of the machine it is addressed to); `sample`
+//! has the windows recorded (`.record`, one call per instance sampled)
+//! and published as gauges (`.gauges`, one per window closed); `policy`
+//! has its subjects gathered (`.subjects`) and the script evaluated over
+//! them (`.eval`), one call each per pass; a restart is split into taking
+//! the boot kit, building the host framework and the rest. Wall-clock µs
+//! per phase, and the same rounds' wall time with the table off and on, go
+//! to stderr only: they are not exact.
 //!
 //! A third table, `migrate phases`, is the same profile of a hand-off: a
 //! benchmark-shaped `migrate` cycle — 5 nodes, 20 persist-on-stop counters
 //! each beside 256 1 KiB rows; per op an `incr`, a migration to the next
 //! node and steps until it serves there — one op per counter, after a first
 //! cycle with the table off. It prints, per op, the calls and allocations
-//! of each phase that ran, and of `apply_control`'s three parts whether
-//! they ran or not — the source's `release`, and the destination's
+//! of each phase that ran, and of the parts of `apply_control`, `gcs.handle`
+//! and `gcs.tick` whether they ran or not — the source's `release`, and the destination's
 //! `adopt` with its restore's parts `adopt.read`, `adopt.manifests`,
 //! `adopt.resolve`, `adopt.start` and, inside the start, `adopt.register`
 //! — and last the whole op's allocations. The `adopt.*` rows of the
@@ -358,7 +365,9 @@ fn measure_migrate_phases() -> Vec<(&'static str, f64, f64, f64)> {
     let mut table: Vec<_> = Phase::ALL
         .iter()
         .map(|&p| (p.name(), phases.count(p)))
-        .filter(|(name, n)| n.calls > 0 || name.starts_with("apply_control."))
+        .filter(|(name, n)| {
+            n.calls > 0 || name.starts_with("apply_control.") || name.starts_with("gcs.")
+        })
         .map(|(name, n)| {
             let us = per_op(n.ns) / 1e3;
             (name, per_op(n.calls), per_op(n.allocs), us)

@@ -256,10 +256,12 @@ impl DosgiNode {
         });
         let mut mgr = kit.manager(host, &store);
         mgr.set_phases(phases.clone());
+        let mut gcs = GroupNode::new(id, peers, kit.config.gcs, now);
+        gcs.set_phases(phases.clone());
         DosgiNode {
             id,
             state: NodeState::Running,
-            gcs: GroupNode::new(id, peers, kit.config.gcs, now),
+            gcs,
             kit,
             mgr,
             registry: ClusterRegistry::new(),
@@ -314,6 +316,7 @@ impl DosgiNode {
     /// Counts the node's tick phases, its releases and its adoptions'
     /// restores into `phases` from now on.
     pub fn set_phases(&mut self, phases: Phases) {
+        self.gcs.set_phases(phases.clone());
         self.mgr.set_phases(phases.clone());
         self.phases = phases;
     }
@@ -1639,6 +1642,7 @@ impl DosgiNode {
             return;
         }
         self.last_sample = Some(now);
+        let phases = &self.phases;
         for instance in self.mgr.instances() {
             let name = instance.descriptor.name.as_str();
             // Bridge the monitor's windowed series into the telemetry
@@ -1646,7 +1650,11 @@ impl DosgiNode {
             // window counters (never through the f64 series) so snapshot
             // bytes stay deterministic: CPU share in per-mille of one core,
             // call rate in milli-calls per second.
-            if let Some(w) = self.monitor.record(name, now, instance.usage()) {
+            let recording = phases.enter(Phase::SampleRecord);
+            let window = self.monitor.record(name, now, instance.usage());
+            drop(recording);
+            if let Some(w) = window {
+                let _publishing = phases.enter(Phase::SampleGauges);
                 let window_us = w.window.as_micros().max(1);
                 let cpu_pm = w.cpu.as_micros().saturating_mul(1000) / window_us;
                 let call_mcps = w.calls.saturating_mul(1_000_000_000) / window_us;
@@ -1679,22 +1687,26 @@ impl DosgiNode {
         if !autonomic.due(now) || self.state != NodeState::Running {
             return;
         }
+        let gathering = self.phases.enter(Phase::PolicySubjects);
         let quotas: BTreeMap<&str, ResourceQuota> = self
             .mgr
             .instances()
             .map(|i| (i.descriptor.name.as_str(), i.descriptor.quota))
             .collect();
+        drop(gathering);
         let view = self.gcs.view();
         let node_count = view.members.len();
         let node_rank = view.members.iter().position(|m| *m == self.id).unwrap_or(0);
-        let decisions = autonomic.evaluate(
-            now,
-            &self.monitor,
-            &quotas,
-            &NodeCapacity::standard(),
-            node_count,
-            node_rank,
-        );
+        let decisions = self.phases.count_in(Phase::PolicyEval, || {
+            autonomic.evaluate(
+                now,
+                &self.monitor,
+                &quotas,
+                &NodeCapacity::standard(),
+                node_count,
+                node_rank,
+            )
+        });
         for decision in decisions {
             self.events.push(NodeEvent::PolicyFired {
                 at: now,

@@ -8,7 +8,7 @@ use crate::metrics::Metrics;
 use crate::stream::{Sequenced, Sequencer, Stream};
 use crate::{GcsConfig, GcsWire, View, ViewId};
 use dosgi_net::{Fabric, NodeId, SimTime};
-use dosgi_telemetry::{Telemetry, TraceContext};
+use dosgi_telemetry::{Phase, Phases, Telemetry, TraceContext};
 
 /// Events a [`GroupNode`] delivers to the layer above.
 #[derive(Debug, Clone, PartialEq)]
@@ -46,6 +46,9 @@ pub struct GroupNode<A> {
     stream: Stream<A>,
     events: Vec<GcsEvent<A>>,
     metrics: Metrics,
+    // Where `handle` and `tick` count each machine's share; off unless a
+    // profiling driver turns it on.
+    phases: Phases,
 }
 
 impl<A: Clone> GroupNode<A> {
@@ -68,6 +71,7 @@ impl<A: Clone> GroupNode<A> {
             membership: Membership::new(view.clone()),
             events: Vec::new(),
             metrics: Metrics::default(),
+            phases: Phases::disabled(),
         };
         let joined = view.members.clone();
         node.events.push(GcsEvent::ViewChange {
@@ -83,6 +87,12 @@ impl<A: Clone> GroupNode<A> {
     /// behaviour.
     pub fn set_telemetry(&mut self, telemetry: Telemetry) {
         self.metrics = Metrics::new(&telemetry);
+    }
+
+    /// Counts each machine's share of [`handle`](Self::handle) and
+    /// [`tick`](Self::tick) into `phases` from now on.
+    pub fn set_phases(&mut self, phases: Phases) {
+        self.phases = phases;
     }
 
     /// This node's id.
@@ -195,6 +205,8 @@ impl<A: Clone> GroupNode<A> {
     /// Runs heartbeats, suspicion, view proposal and retransmission timers.
     /// Call at least once per heartbeat interval.
     pub fn tick(&mut self, net: &mut impl Fabric<GcsWire<A>>, now: SimTime) {
+        let phases = self.phases.clone();
+        let beating = phases.enter(Phase::GcsTickDetector);
         let view = &self.membership.view;
         if self.detector.beat(now) {
             let heartbeat = GcsWire::Heartbeat {
@@ -208,9 +220,11 @@ impl<A: Clone> GroupNode<A> {
             };
             send_all(net, self.id, &self.detector.peers, &heartbeat);
         }
+        drop(beating);
 
         // Suspicion: who do I currently believe is alive? While that is
         // exactly the view there is nothing to agree on.
+        let suspecting = phases.enter(Phase::GcsTickMembership);
         if !self.detector.alive_match(self.id, view, now) {
             let alive: Vec<NodeId> = self.detector.alive(self.id, now).collect();
             let counter = self.stream.seq.counter;
@@ -218,7 +232,9 @@ impl<A: Clone> GroupNode<A> {
                 self.install_view(view);
             }
         }
+        drop(suspecting);
 
+        let _resending = phases.enter(Phase::GcsTickStream);
         if self.stream.queue.resend_due(now) {
             self.send_head(net);
         }
@@ -258,6 +274,17 @@ impl<A: Clone> GroupNode<A> {
         msg: GcsWire<A>,
         now: SimTime,
     ) {
+        let phases = self.phases.clone();
+        let _counted = phases.enter(match msg {
+            GcsWire::Heartbeat { .. } | GcsWire::Leave => Phase::GcsHandleDetector,
+            GcsWire::ViewPropose(_) | GcsWire::ViewAck { .. } | GcsWire::ViewCommit(_) => {
+                Phase::GcsHandleMembership
+            }
+            GcsWire::OrderRequest(_)
+            | GcsWire::Ordered { .. }
+            | GcsWire::OrderedReplayRequest { .. }
+            | GcsWire::OrderedRebase { .. } => Phase::GcsHandleStream,
+        });
         self.detector.heard(from, now);
         let coordinator = self.membership.view.coordinator();
         match msg {

@@ -47,8 +47,21 @@ phases! {
     NetDrain = "net.drain",
     /// The group endpoint handling a tick's inbound messages.
     GcsHandle = "gcs.handle",
+    /// Heartbeats and departures handled: the failure detector's messages.
+    GcsHandleDetector = "gcs.handle.detector",
+    /// View proposals, acknowledgements and commits handled.
+    GcsHandleMembership = "gcs.handle.membership",
+    /// Order requests, ordered messages, replay requests and re-bases
+    /// handled.
+    GcsHandleStream = "gcs.handle.stream",
     /// The group endpoint's own tick: heartbeats, suspicion, ordering.
     GcsTick = "gcs.tick",
+    /// The tick's heartbeat, when one is due.
+    GcsTickDetector = "gcs.tick.detector",
+    /// The tick's suspicion check and the view it proposes.
+    GcsTickMembership = "gcs.tick.membership",
+    /// The tick's resend of an unsequenced order.
+    GcsTickStream = "gcs.tick.stream",
     /// The node applying what the group layer delivered.
     ApplyControl = "apply_control",
     /// A failover's claims: orphans marked, assigned and claimed
@@ -80,8 +93,16 @@ phases! {
     PersistFlush = "persist.flush",
     /// Usage sampling.
     Sample = "sample",
+    /// One instance's cumulative usage turned into a window.
+    SampleRecord = "sample.record",
+    /// One closed window published as the instance's gauges.
+    SampleGauges = "sample.gauges",
     /// Autonomic policy evaluation.
     Policy = "policy",
+    /// The pass's subjects gathered: the local instances and their quotas.
+    PolicySubjects = "policy.subjects",
+    /// The policy script evaluated over them.
+    PolicyEval = "policy.eval",
     /// The stranded sweep and the drain check.
     Sweep = "sweep",
     /// The driver's availability accounting.
