@@ -192,6 +192,12 @@ impl AutonomicModule {
     pub fn last_errors(&self) -> &[String] {
         self.engine.last_errors()
     }
+
+    /// Forgets a subject that left: its `for N` streaks start over if it
+    /// comes back.
+    pub fn forget(&mut self, subject: &str) {
+        self.engine.forget(subject);
+    }
 }
 
 /// The module table's metrics where they are kept.
@@ -282,6 +288,41 @@ mod tests {
         assert!(d
             .iter()
             .any(|d| matches!(&d.action, PolicyAction::Stop { subject } if subject == "acme")));
+    }
+
+    /// An instance that leaves after two hot passes and comes back as hot
+    /// is debounced afresh: `cpu_hog`'s `for 3` counts from its return.
+    #[test]
+    fn a_returning_instance_is_debounced_afresh() {
+        let mut a = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_secs(1)).unwrap();
+        let hot = monitor_with("acme", 400, 0);
+        let cap = NodeCapacity::standard();
+        let migrates = |d: Vec<PolicyDecision>| {
+            d.iter()
+                .filter(|d| matches!(d.action, PolicyAction::Migrate { .. }))
+                .count()
+        };
+        for s in 1..=2 {
+            let d = a.evaluate(SimTime::from_secs(s), &hot, &quotas("acme"), &cap, 3, 0);
+            assert_eq!(migrates(d), 0, "hot pass {s}");
+        }
+        // It leaves: the pass after it sees no instance.
+        let gone = a.evaluate(
+            SimTime::from_secs(3),
+            &MonitoringModule::new(),
+            &BTreeMap::new(),
+            &cap,
+            3,
+            0,
+        );
+        assert!(gone.is_empty());
+        let back: Vec<_> = (4..=6)
+            .map(|s| {
+                let d = a.evaluate(SimTime::from_secs(s), &hot, &quotas("acme"), &cap, 3, 0);
+                migrates(d)
+            })
+            .collect();
+        assert_eq!(back, [0, 0, 1], "fired on its third hot pass back");
     }
 
     #[test]
@@ -568,6 +609,8 @@ mod tests {
                     }
                     Input::Forget(s) => {
                         monitor.forget(SUBJECTS[s]);
+                        in_place.forget(SUBJECTS[s]);
+                        by_copy.engine.forget(SUBJECTS[s]);
                         by_copy.blackboard.forget_subject(SUBJECTS[s]);
                         quotas.remove(SUBJECTS[s]);
                     }

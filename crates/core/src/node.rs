@@ -1631,6 +1631,9 @@ impl DosgiNode {
     fn forget_monitored(&mut self, name: &str) {
         self.monitor.forget(name);
         self.monitor_gauges.remove(name);
+        if let Some(autonomic) = &mut self.autonomic {
+            autonomic.forget(name);
+        }
     }
 
     fn sample(&mut self, now: SimTime) {

@@ -48,7 +48,9 @@ impl PolicyEngine {
 
     /// Evaluates every rule once: per-subject rules against each of
     /// `subjects`, global rules once. Returns the actions of rules whose
-    /// conditions have held for their `for N` requirement.
+    /// conditions have held for their `for N` requirement. A subject's
+    /// streaks last while it is in every pass: one missing from a pass
+    /// comes back with none.
     ///
     /// Rules whose conditions fail to evaluate (e.g. a metric missing for a
     /// just-created instance) are treated as *false* and recorded in
@@ -114,8 +116,19 @@ impl PolicyEngine {
                     }
                 }
             }
+            if per_subject {
+                streaks.retain(|key, _| subjects.contains(&key.as_str()));
+            }
         }
         decisions
+    }
+
+    /// Drops `subject`'s streaks: it left, and a later pass that sees it
+    /// again counts its `for N` from nothing.
+    pub fn forget(&mut self, subject: &str) {
+        for streaks in &mut self.streaks {
+            streaks.remove(subject);
+        }
     }
 
     /// Evaluation problems from the most recent [`evaluate`](Self::evaluate)
