@@ -35,7 +35,7 @@ use dosgi_ipvs::{
     Scheduler,
 };
 use dosgi_net::{IpAddr, NodeId, Port, SimDuration, SimTime, SocketAddr};
-use dosgi_policy::{Blackboard, PolicyAction, PolicyEngine};
+use dosgi_policy::{Blackboard, Named, PolicyAction, PolicyEngine};
 use dosgi_telemetry::Telemetry;
 use dosgi_testkit::nemesis::{NemesisOp, NemesisPlan, NemesisStep};
 
@@ -254,7 +254,7 @@ fn policy_reaction(telemetry: &Telemetry) {
             bb.set_global_metric("slo_us", RequestClass::Standard.slo_us() as f64);
             bb.set_global_metric("queue_depth", depth as f64);
             bb.set_global_metric("queue_capacity", (QUEUE_CAPACITY * replicas) as f64);
-            for decision in engine.evaluate(&bb, &[]) {
+            for decision in engine.evaluate(&bb, &[] as &[Named]) {
                 match &decision.action {
                     PolicyAction::ScaleOut if replicas < 2 => {
                         replicas += 1;

@@ -221,6 +221,7 @@ fn reacted_run(telemetry: &Telemetry, alerts: bool) -> (u64, Option<u64>) {
         POLLED_OVERLOAD_POLICY
     };
     let mut engine = PolicyEngine::compile(script).expect("overload policy compiles");
+    let latency = engine.streaks();
     let mut bb = Blackboard::new();
     let mut slo = SloEngine::new(CADENCE_US);
     if alerts {
@@ -289,7 +290,7 @@ fn reacted_run(telemetry: &Telemetry, alerts: bool) -> (u64, Option<u64>) {
             let depth: usize = d.queue_depths(VIP).iter().map(|(_, q)| q).sum();
             bb.set_global_metric("queue_depth", depth as f64);
             bb.set_global_metric("queue_capacity", (QUEUE_CAPACITY * replicas) as f64);
-            for decision in engine.evaluate(&bb, &["std-latency"]) {
+            for decision in engine.evaluate(&bb, &[("std-latency", &latency)]) {
                 match &decision.action {
                     PolicyAction::ScaleOut if replicas < 2 => {
                         replicas += 1;

@@ -5,9 +5,10 @@
 //! Module is able to enforce the business policies."*
 //!
 //! Each policy period the module evaluates its script against these
-//! metrics, read in place from the monitor's latest windows, the local
-//! instances' quotas and the node's view — a per-instance metric only for
-//! an instance in the quotas:
+//! metrics, read in place: a per-instance metric from the instance's watch
+//! record ([`crate::watch`]) — its latest window and its quota — and a
+//! node metric from the records' totals and the node's view. Only a local
+//! instance, one with a record, has per-instance metrics:
 //!
 //! | metric | scope | meaning |
 //! |---|---|---|
@@ -26,17 +27,20 @@
 //!
 //! Any other metric, and a built-in one the above does not answer (an
 //! instance's usage before its first window), is an evaluation error,
-//! reported in [`AutonomicModule::last_errors`]. Policies over what a driver
+//! reported in [`AutonomicModule::last_errors`]. A pass walks the records
+//! in name order, the order it decides in; each record carries its own
+//! `for N` streaks, so an instance that leaves and comes back is debounced
+//! afresh. A pass in which no rule fires allocates nothing, whether rules
+//! fail or not. Policies over what a driver
 //! writes ([`OVERLOAD_POLICY`]'s `alert_firing`, say) run on a
 //! [`PolicyEngine`] over a [`dosgi_policy::Blackboard`], as E15 and E16 do.
 //! The script yields [`PolicyDecision`]s the node executes (migrate / stop /
 //! throttle / restart / hibernate / alert).
 
-use dosgi_monitor::{MonitoringModule, NodeCapacity};
+use crate::watch::Watched;
+use dosgi_monitor::NodeCapacity;
 use dosgi_net::{SimDuration, SimTime};
-use dosgi_policy::{MetricSource, ParseError, PolicyDecision, PolicyEngine};
-use dosgi_vosgi::ResourceQuota;
-use std::collections::BTreeMap;
+use dosgi_policy::{MetricSource, ParseError, PolicyDecision, PolicyEngine, Streaks};
 
 /// The default SLA-enforcement policy used by examples and experiment E10:
 /// sustained CPU overuse migrates the offender; memory overuse stops it;
@@ -155,55 +159,53 @@ impl AutonomicModule {
         self.last.map_or(SimTime::ZERO, |at| at + self.interval)
     }
 
+    /// Fresh policy streaks for a local instance's watch record.
+    pub fn streaks(&self) -> Streaks {
+        self.engine.streaks()
+    }
+
     /// Evaluates the policy against the module table's metrics, read in
-    /// place. `quotas` maps instance name → SLA quota; `node_count` is the
-    /// current view size and `node_rank` this node's position in it (0 =
-    /// lowest id; consolidation policies key off the highest rank). Nothing
-    /// is copied: a pass in which no rule fires allocates the subject list
-    /// and nothing else.
+    /// place from `watched`, the node's records of its local instances;
+    /// `node_count` is the current view size and `node_rank` this node's
+    /// position in it (0 = lowest id; consolidation policies key off the
+    /// highest rank). Nothing is copied and nothing is looked up by name
+    /// but a metric a script asks for by an instance's name: a pass in
+    /// which no rule fires allocates nothing.
     pub fn evaluate(
         &mut self,
         now: SimTime,
-        monitor: &MonitoringModule,
-        quotas: &BTreeMap<&str, ResourceQuota>,
+        watched: &Watched,
         capacity: &NodeCapacity,
         node_count: usize,
         node_rank: usize,
     ) -> Vec<PolicyDecision> {
         self.last = Some(now);
-        let subjects: Vec<&str> = quotas.keys().copied().collect();
-        let node_cpu = capacity.cpu_utilization(monitor.total_cpu_share());
-        let node_mem = capacity.memory_utilization(monitor.total_memory());
+        let records = watched.records();
+        let node_cpu = capacity.cpu_utilization(watched.total_cpu_share());
+        let node_mem = capacity.memory_utilization(watched.total_memory());
         let source = InPlace {
-            monitor,
-            quotas,
+            watched,
             globals: [
                 ("node_cpu", node_cpu),
                 ("node_mem", node_mem),
-                ("instance_count", subjects.len() as f64),
+                ("instance_count", records.len() as f64),
                 ("node_count", node_count as f64),
                 ("node_rank", node_rank as f64),
             ],
         };
-        self.engine.evaluate(&source, &subjects)
+        self.engine.evaluate(&source, records)
     }
 
-    /// Evaluation errors from the last pass.
-    pub fn last_errors(&self) -> &[String] {
+    /// Evaluation errors from the last pass, in the order they arose.
+    pub fn last_errors(&self) -> impl Iterator<Item = &str> {
         self.engine.last_errors()
-    }
-
-    /// Forgets a subject that left: its `for N` streaks start over if it
-    /// comes back.
-    pub fn forget(&mut self, subject: &str) {
-        self.engine.forget(subject);
     }
 }
 
-/// The module table's metrics where they are kept.
+/// The module table's node metrics, and an instance's metrics for a script
+/// that names it; a pass's own subject answers for itself.
 struct InPlace<'a> {
-    monitor: &'a MonitoringModule,
-    quotas: &'a BTreeMap<&'a str, ResourceQuota>,
+    watched: &'a Watched,
     globals: [(&'static str, f64); 5],
 }
 
@@ -211,19 +213,7 @@ impl MetricSource for InPlace<'_> {
     fn metric(&self, name: &str, subject: Option<&str>) -> Option<f64> {
         match subject {
             None => self.globals.iter().find(|g| g.0 == name).map(|g| g.1),
-            Some(s) => self.quotas.get(s).and_then(|q| {
-                let window = || self.monitor.latest(s);
-                match name {
-                    "cpu_share" => window().map(|w| w.cpu_share),
-                    "memory" => window().map(|w| w.memory as f64),
-                    "disk" => window().map(|w| w.disk as f64),
-                    "call_rate" => window().map(|w| w.call_rate),
-                    "quota_cpu" => Some(q.cpu_per_sec.as_secs_f64()),
-                    "quota_mem" => Some(q.memory_bytes as f64),
-                    "quota_disk" => Some(q.disk_bytes as f64),
-                    _ => None,
-                }
-            }),
+            Some(s) => self.watched.get(s).and_then(|w| w.metric(name)),
         }
     }
 }
@@ -231,14 +221,35 @@ impl MetricSource for InPlace<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::watch::Watch;
+    use crate::workloads;
     use dosgi_osgi::UsageSnapshot;
-    use dosgi_policy::{Blackboard, PolicyAction};
+    use dosgi_policy::{Blackboard, Named, PolicyAction};
+    use dosgi_vosgi::{InstanceDescriptor, InstanceId, ResourceQuota};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
 
-    fn monitor_with(name: &str, cpu_ms_per_s: u64, memory: u64) -> MonitoringModule {
-        let mut m = MonitoringModule::new();
-        m.record(name, SimTime::from_secs(0), UsageSnapshot::default());
-        m.record(
-            name,
+    /// No subject: a pass of global rules only.
+    const GLOBAL: &[Named<'static>] = &[];
+
+    /// `name`'s descriptor under `quota`.
+    fn descriptor(name: &str, quota: ResourceQuota) -> Arc<InstanceDescriptor> {
+        Arc::new(InstanceDescriptor {
+            quota,
+            ..workloads::web_instance(name, name)
+        })
+    }
+
+    /// A record of `name` under a small quota (100 ms/s, 16 MiB) whose one
+    /// window used `cpu_ms_per_s` and `memory`.
+    fn sampled(a: &AutonomicModule, name: &str, cpu_ms_per_s: u64, memory: u64) -> Watch {
+        let mut w = Watch::new(
+            InstanceId(0),
+            descriptor(name, ResourceQuota::small()),
+            a.streaks(),
+        );
+        w.observe(SimTime::from_secs(0), UsageSnapshot::default());
+        w.observe(
             SimTime::from_secs(1),
             UsageSnapshot {
                 cpu: SimDuration::from_millis(cpu_ms_per_s),
@@ -247,47 +258,31 @@ mod tests {
                 calls: 10,
             },
         );
-        m
+        w
     }
 
-    fn quotas(name: &str) -> BTreeMap<&str, ResourceQuota> {
-        BTreeMap::from([(name, ResourceQuota::small())]) // 100ms/s, 16MiB
+    fn table(records: impl IntoIterator<Item = Watch>) -> Watched {
+        let mut t = Watched::new();
+        records.into_iter().for_each(|w| t.insert(w));
+        t
     }
 
     #[test]
     fn default_policy_migrates_sustained_cpu_hogs() {
         let mut a = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_secs(1)).unwrap();
         // 400ms/s over a 100ms/s quota: over 1.2x.
-        let m = monitor_with("acme", 400, 0);
+        let t = table([sampled(&a, "acme", 400, 0)]);
         let cap = NodeCapacity::standard();
-        let q = quotas("acme");
         let mut all = Vec::new();
         for s in 1..=3 {
-            all.extend(a.evaluate(SimTime::from_secs(s), &m, &q, &cap, 3, 0));
+            all.extend(a.evaluate(SimTime::from_secs(s), &t, &cap, 3, 0));
         }
         let migrates: Vec<_> = all
             .iter()
             .filter(|d| matches!(d.action, PolicyAction::Migrate { .. }))
             .collect();
         assert_eq!(migrates.len(), 1, "for 3 debounces to a single firing");
-        assert!(a.last_errors().is_empty(), "{:?}", a.last_errors());
-    }
-
-    #[test]
-    fn default_policy_stops_memory_hogs_immediately() {
-        let mut a = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_secs(1)).unwrap();
-        let m = monitor_with("acme", 0, 64 << 20); // 64MiB over a 16MiB quota
-        let d = a.evaluate(
-            SimTime::from_secs(1),
-            &m,
-            &quotas("acme"),
-            &NodeCapacity::standard(),
-            3,
-            0,
-        );
-        assert!(d
-            .iter()
-            .any(|d| matches!(&d.action, PolicyAction::Stop { subject } if subject == "acme")));
+        assert_eq!(a.last_errors().count(), 0);
     }
 
     /// An instance that leaves after two hot passes and comes back as hot
@@ -295,7 +290,7 @@ mod tests {
     #[test]
     fn a_returning_instance_is_debounced_afresh() {
         let mut a = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_secs(1)).unwrap();
-        let hot = monitor_with("acme", 400, 0);
+        let mut t = table([sampled(&a, "acme", 400, 0)]);
         let cap = NodeCapacity::standard();
         let migrates = |d: Vec<PolicyDecision>| {
             d.iter()
@@ -303,41 +298,36 @@ mod tests {
                 .count()
         };
         for s in 1..=2 {
-            let d = a.evaluate(SimTime::from_secs(s), &hot, &quotas("acme"), &cap, 3, 0);
+            let d = a.evaluate(SimTime::from_secs(s), &t, &cap, 3, 0);
             assert_eq!(migrates(d), 0, "hot pass {s}");
         }
         // It leaves: the pass after it sees no instance.
-        let gone = a.evaluate(
-            SimTime::from_secs(3),
-            &MonitoringModule::new(),
-            &BTreeMap::new(),
-            &cap,
-            3,
-            0,
-        );
-        assert!(gone.is_empty());
+        t.remove("acme");
+        assert!(a.evaluate(SimTime::from_secs(3), &t, &cap, 3, 0).is_empty());
+        t.insert(sampled(&a, "acme", 400, 0));
         let back: Vec<_> = (4..=6)
-            .map(|s| {
-                let d = a.evaluate(SimTime::from_secs(s), &hot, &quotas("acme"), &cap, 3, 0);
-                migrates(d)
-            })
+            .map(|s| migrates(a.evaluate(SimTime::from_secs(s), &t, &cap, 3, 0)))
             .collect();
         assert_eq!(back, [0, 0, 1], "fired on its third hot pass back");
     }
 
     #[test]
+    fn default_policy_stops_memory_hogs_immediately() {
+        let mut a = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_secs(1)).unwrap();
+        // 64MiB over a 16MiB quota.
+        let t = table([sampled(&a, "acme", 0, 64 << 20)]);
+        let d = a.evaluate(SimTime::from_secs(1), &t, &NodeCapacity::standard(), 3, 0);
+        assert!(d
+            .iter()
+            .any(|d| matches!(&d.action, PolicyAction::Stop { subject } if subject == "acme")));
+    }
+
+    #[test]
     fn within_quota_is_quiet() {
         let mut a = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_secs(1)).unwrap();
-        let m = monitor_with("acme", 50, 1 << 20);
+        let t = table([sampled(&a, "acme", 50, 1 << 20)]);
         for s in 1..=5 {
-            let d = a.evaluate(
-                SimTime::from_secs(s),
-                &m,
-                &quotas("acme"),
-                &NodeCapacity::standard(),
-                3,
-                0,
-            );
+            let d = a.evaluate(SimTime::from_secs(s), &t, &NodeCapacity::standard(), 3, 0);
             assert!(d.is_empty(), "tick {s}: {d:?}");
         }
     }
@@ -346,14 +336,8 @@ mod tests {
     fn due_respects_interval() {
         let mut a = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_secs(5)).unwrap();
         assert!(a.due(SimTime::ZERO));
-        a.evaluate(
-            SimTime::from_secs(1),
-            &MonitoringModule::new(),
-            &BTreeMap::new(),
-            &NodeCapacity::standard(),
-            1,
-            0,
-        );
+        let cap = NodeCapacity::standard();
+        a.evaluate(SimTime::from_secs(1), &Watched::new(), &cap, 1, 0);
         assert!(!a.due(SimTime::from_secs(3)));
         assert!(a.due(SimTime::from_secs(6)));
     }
@@ -369,7 +353,7 @@ mod tests {
         bb.set_global_metric("queue_capacity", 128.0);
         let mut fired = Vec::new();
         for _ in 0..2 {
-            fired.extend(engine.evaluate(&bb, &[]));
+            fired.extend(engine.evaluate(&bb, GLOBAL));
         }
         assert!(
             fired.iter().any(|d| d.action == PolicyAction::ScaleOut),
@@ -382,18 +366,14 @@ mod tests {
             )),
             "{fired:?}"
         );
-        assert!(
-            engine.last_errors().is_empty(),
-            "{:?}",
-            engine.last_errors()
-        );
+        assert_eq!(engine.last_errors().count(), 0);
 
         // Alert resolved, queues drained: shedding lifts after `for 4`.
         bb.set_subject_metric("std-latency", "alert_firing", 0.0);
         bb.set_global_metric("queue_depth", 2.0);
         let mut cleared = Vec::new();
         for _ in 0..5 {
-            cleared.extend(engine.evaluate(&bb, &[]));
+            cleared.extend(engine.evaluate(&bb, GLOBAL));
         }
         assert!(
             cleared.iter().any(|d| matches!(
@@ -403,11 +383,7 @@ mod tests {
             )),
             "{cleared:?}"
         );
-        assert!(
-            engine.last_errors().is_empty(),
-            "{:?}",
-            engine.last_errors()
-        );
+        assert_eq!(engine.last_errors().count(), 0);
     }
 
     #[test]
@@ -420,7 +396,7 @@ mod tests {
         bb.set_global_metric("queue_capacity", 128.0);
         let mut fired = Vec::new();
         for _ in 0..3 {
-            fired.extend(engine.evaluate(&bb, &[]));
+            fired.extend(engine.evaluate(&bb, GLOBAL));
         }
         assert!(
             fired.iter().any(|d| d.action == PolicyAction::ScaleOut),
@@ -433,32 +409,47 @@ mod tests {
             )),
             "{fired:?}"
         );
-        assert!(
-            engine.last_errors().is_empty(),
-            "{:?}",
-            engine.last_errors()
-        );
+        assert_eq!(engine.last_errors().count(), 0);
     }
 
-    /// The evaluator `evaluate` replaced: every pass copies each metric of
-    /// the module table onto the blackboard, then evaluates against it.
+    /// The evaluator `evaluate` replaced: a node kept its windows and its
+    /// quotas in two maps by name, and every pass copied each metric of the
+    /// module table onto the blackboard, then evaluated against it, each
+    /// subject's streaks kept by name and dropped when it left.
+    #[derive(Default)]
     struct ByCopy {
-        engine: PolicyEngine,
+        engine: Option<PolicyEngine>,
         blackboard: Blackboard,
+        windows: BTreeMap<&'static str, dosgi_monitor::Sampler>,
+        quotas: BTreeMap<&'static str, ResourceQuota>,
+        streaks: BTreeMap<&'static str, Streaks>,
     }
 
     impl ByCopy {
+        fn arrive(&mut self, name: &'static str, quota: ResourceQuota) {
+            if self.quotas.insert(name, quota).is_none() {
+                self.windows.insert(name, Default::default());
+                let streaks = self.engine.as_ref().map(PolicyEngine::streaks);
+                self.streaks.insert(name, streaks.unwrap_or_default());
+            }
+        }
+
+        fn forget(&mut self, name: &str) {
+            self.quotas.remove(name);
+            self.windows.remove(name);
+            self.streaks.remove(name);
+            self.blackboard.forget_subject(name);
+        }
+
         fn evaluate(
             &mut self,
-            monitor: &MonitoringModule,
-            quotas: &BTreeMap<&str, ResourceQuota>,
             capacity: &NodeCapacity,
             node_count: usize,
             node_rank: usize,
         ) -> Vec<PolicyDecision> {
             let bb = &mut self.blackboard;
-            for (name, q) in quotas {
-                if let Some(w) = monitor.latest(name) {
+            for (name, q) in &self.quotas {
+                if let Some(w) = self.windows[name].latest() {
                     bb.set_subject_metric(name, "cpu_share", w.cpu_share);
                     bb.set_subject_metric(name, "memory", w.memory as f64);
                     bb.set_subject_metric(name, "disk", w.disk as f64);
@@ -468,15 +459,17 @@ mod tests {
                 bb.set_subject_metric(name, "quota_mem", q.memory_bytes as f64);
                 bb.set_subject_metric(name, "quota_disk", q.disk_bytes as f64);
             }
-            let node_cpu = capacity.cpu_utilization(monitor.total_cpu_share());
+            let latest = || self.windows.values().filter_map(|s| s.latest());
+            let node_cpu = capacity.cpu_utilization(latest().map(|w| w.cpu_share).sum());
             bb.set_global_metric("node_cpu", node_cpu);
-            let node_mem = capacity.memory_utilization(monitor.total_memory());
+            let node_mem = capacity.memory_utilization(latest().map(|w| w.memory).sum());
             bb.set_global_metric("node_mem", node_mem);
-            bb.set_global_metric("instance_count", quotas.len() as f64);
+            bb.set_global_metric("instance_count", self.quotas.len() as f64);
             bb.set_global_metric("node_count", node_count as f64);
             bb.set_global_metric("node_rank", node_rank as f64);
-            let subjects: Vec<&str> = quotas.keys().copied().collect();
-            self.engine.evaluate(&self.blackboard, &subjects)
+            let subjects: Vec<Named> = self.streaks.iter().map(|(n, s)| (*n, s)).collect();
+            let engine = self.engine.as_mut().expect("compiled");
+            engine.evaluate(&self.blackboard, &subjects)
         }
     }
 
@@ -484,10 +477,11 @@ mod tests {
     /// tables below.
     #[derive(Debug, Clone, Copy)]
     enum Input {
-        /// The monitor samples a subject: cumulative CPU ms, memory, disk,
-        /// calls.
+        /// The node samples a subject, if it is local: cumulative CPU ms,
+        /// memory, disk, calls.
         Record(usize, [u64; 4]),
-        /// A subject is local with a small (or a standard) quota.
+        /// A subject is local with a small (or a standard) quota: it
+        /// arrives, or its quota changes.
         Quota(usize, bool),
         /// A subject leaves: what `node.rs` does at each of its three sites.
         Forget(usize),
@@ -536,9 +530,10 @@ mod tests {
         script
     }
 
-    /// Monitor windows, quota changes and departures — for local subjects
-    /// and others — between passes: reading in place decides and errs
-    /// exactly as copying did, a metric that is not built in included.
+    /// Windows, arrivals, quota changes and departures — for local
+    /// subjects and others — between passes: reading each record in place
+    /// decides and errs exactly as copying did, a metric that is not built
+    /// in and one named by a subject that is not local included.
     #[test]
     fn reading_in_place_equals_copying_onto_the_blackboard_300_cases() {
         use dosgi_testkit::prop::{self, Config, Gen};
@@ -579,12 +574,11 @@ mod tests {
         prop::check_with(&Config::with_cases(300), "policy_in_place", &runs, |run| {
             let script = &scripts[run.0];
             let mut in_place = AutonomicModule::new(script, SimDuration::from_secs(1)).unwrap();
+            let mut watched = Watched::new();
             let mut by_copy = ByCopy {
-                engine: PolicyEngine::compile(script).unwrap(),
-                blackboard: Blackboard::new(),
+                engine: Some(PolicyEngine::compile(script).unwrap()),
+                ..ByCopy::default()
             };
-            let mut monitor = MonitoringModule::new();
-            let mut quotas: BTreeMap<&str, ResourceQuota> = BTreeMap::new();
             let capacity = NodeCapacity::standard();
             for (i, input) in run.1.iter().enumerate() {
                 let now = SimTime::from_millis(100 * (i as u64 + 1));
@@ -597,7 +591,12 @@ mod tests {
                             disk,
                             calls,
                         };
-                        monitor.record(SUBJECTS[s], now, usage);
+                        if let Some(w) = watched.get_mut(SUBJECTS[s]) {
+                            w.observe(now, usage);
+                        }
+                        if let Some(w) = by_copy.windows.get_mut(SUBJECTS[s]) {
+                            w.observe(now, usage);
+                        }
                     }
                     Input::Quota(s, small) => {
                         let quota = if small {
@@ -605,26 +604,32 @@ mod tests {
                         } else {
                             ResourceQuota::standard()
                         };
-                        quotas.insert(SUBJECTS[s], quota);
+                        let descriptor = descriptor(SUBJECTS[s], quota);
+                        match watched.get_mut(SUBJECTS[s]) {
+                            Some(w) => w.refresh(&descriptor),
+                            None => {
+                                let streaks = in_place.streaks();
+                                watched.insert(Watch::new(InstanceId(0), descriptor, streaks));
+                            }
+                        }
+                        by_copy.arrive(SUBJECTS[s], quota);
                     }
                     Input::Forget(s) => {
-                        monitor.forget(SUBJECTS[s]);
-                        in_place.forget(SUBJECTS[s]);
-                        by_copy.engine.forget(SUBJECTS[s]);
-                        by_copy.blackboard.forget_subject(SUBJECTS[s]);
-                        quotas.remove(SUBJECTS[s]);
+                        watched.remove(SUBJECTS[s]);
+                        by_copy.forget(SUBJECTS[s]);
                     }
                     Input::Pass {
                         node_count,
                         node_rank,
                     } => {
-                        let got = in_place
-                            .evaluate(now, &monitor, &quotas, &capacity, node_count, node_rank);
-                        let want =
-                            by_copy.evaluate(&monitor, &quotas, &capacity, node_count, node_rank);
+                        let got =
+                            in_place.evaluate(now, &watched, &capacity, node_count, node_rank);
+                        let want = by_copy.evaluate(&capacity, node_count, node_rank);
                         prop_verify_eq!(got, want, "decisions, input {i}");
-                        let errors = by_copy.engine.last_errors();
-                        prop_verify_eq!(in_place.last_errors(), errors, "errors, input {i}");
+                        let errors: Vec<_> = in_place.last_errors().collect();
+                        let engine = by_copy.engine.as_ref().expect("compiled");
+                        let want: Vec<_> = engine.last_errors().collect();
+                        prop_verify_eq!(errors, want, "errors, input {i}");
                     }
                 }
             }
@@ -635,17 +640,11 @@ mod tests {
     #[test]
     fn consolidation_policy_compiles_and_fires_on_idle() {
         let mut a = AutonomicModule::new(CONSOLIDATION_POLICY, SimDuration::from_secs(1)).unwrap();
-        let m = MonitoringModule::new(); // nothing running: node_cpu 0
+        let t = Watched::new(); // nothing running: node_cpu 0
         let mut fired = Vec::new();
         for s in 1..=5 {
-            fired.extend(a.evaluate(
-                SimTime::from_secs(s),
-                &m,
-                &BTreeMap::new(),
-                &NodeCapacity::standard(),
-                2,
-                1, // highest rank in a 2-node view: the consolidator
-            ));
+            // The highest rank in a 2-node view: the consolidator.
+            fired.extend(a.evaluate(SimTime::from_secs(s), &t, &NodeCapacity::standard(), 2, 1));
         }
         assert!(fired
             .iter()

@@ -1335,10 +1335,10 @@ mod tests {
                         n.view().clone(),
                         n.pending_adoptions().map(str::to_owned).collect::<Vec<_>>(),
                         n.pending_upgrades(),
-                        n.monitor()
-                            .subjects()
-                            .into_iter()
-                            .map(|s| (s.to_owned(), n.monitor().latest(s)))
+                        n.watched()
+                            .records()
+                            .iter()
+                            .map(|w| (w.name().to_owned(), w.latest()))
                             .collect::<Vec<_>>(),
                     )
                 })

@@ -18,13 +18,13 @@
 //!    graceful migration via totally-ordered hand-off messages, and
 //!    decentralized failover on view changes (every survivor derives the
 //!    same deterministic placement, so no coordinator is needed);
-//! 3. *Measure resource usage of each customer* — per-node
-//!    [`MonitoringModule`](dosgi_monitor::MonitoringModule) fed by the
+//! 3. *Measure resource usage of each customer* — one [`watch`] record per
+//!    local instance, its [`Sampler`](dosgi_monitor::Sampler) fed by the
 //!    frameworks' usage ledgers;
 //! 4. *Enforce SLA requirements based on business policies* — the
-//!    [`autonomic`] module evaluates policy scripts against the node's
-//!    monitoring windows, quotas and view, read in place, and executes the
-//!    resulting actions (stop / throttle / migrate / consolidate).
+//!    [`autonomic`] module evaluates policy scripts against those records'
+//!    windows and quotas and the node's view, read in place, and executes
+//!    the resulting actions (stop / throttle / migrate / consolidate).
 //!
 //! The [`DosgiCluster`] type is the experiment driver: deterministic,
 //! seeded, with crash/partition/shutdown injection and service-availability
@@ -66,6 +66,7 @@ pub mod replication;
 pub mod rt;
 mod sla;
 pub mod upgrade;
+pub mod watch;
 pub mod workloads;
 
 pub use boot::BootKit;

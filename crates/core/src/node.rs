@@ -6,15 +6,16 @@ use crate::events::{AdoptReason, NodeEvent};
 use crate::msg::AppPayload;
 use crate::placement;
 use crate::registry::{self, ClusterRegistry, InstanceRecord, InstanceStatus};
+use crate::watch::{Watch, Watched};
 use crate::CoreError;
 use dosgi_gcs::{GcsConfig, GcsEvent, GcsWire, GroupNode};
-use dosgi_monitor::{MonitoringModule, NodeCapacity};
+use dosgi_monitor::NodeCapacity;
 use dosgi_net::{Envelope, Fabric, NodeId, SimDuration, SimTime};
 use dosgi_osgi::BundleManifest;
 use dosgi_policy::PolicyAction;
 use dosgi_san::{RetryPolicy, SharedStore, Value};
-use dosgi_telemetry::{FlightRecorder, Gauge, Phase, Phases, Telemetry, TraceContext, TraceRef};
-use dosgi_vosgi::{InstanceDescriptor, InstanceManager, ResourceQuota, SecurityPolicy};
+use dosgi_telemetry::{FlightRecorder, Phase, Phases, Telemetry, TraceContext, TraceRef};
+use dosgi_vosgi::{InstanceDescriptor, InstanceManager, SecurityPolicy};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -114,7 +115,12 @@ pub struct DosgiNode {
     mgr: InstanceManager,
     gcs: GroupNode<Arc<AppPayload>>,
     registry: ClusterRegistry,
-    monitor: MonitoringModule,
+    // One watch record per local instance: its window, gauges and policy
+    // streaks. Brought up to the instance manager when its lifecycle
+    // epoch has moved since `watched_at`; a departure drops its record at
+    // once (`forget_monitored`).
+    watched: Watched,
+    watched_at: Option<u64>,
     autonomic: Option<AutonomicModule>,
     draining_peers: BTreeSet<NodeId>,
     departed_peers: BTreeSet<NodeId>,
@@ -142,9 +148,6 @@ pub struct DosgiNode {
     // Resolves the handles of instances met later.
     telemetry: Telemetry,
     metrics: Metrics,
-    // The `monitor.<instance>.*` gauges, kept exactly as long as the
-    // monitor keeps the instance's sampling state.
-    monitor_gauges: BTreeMap<String, MonitorGauges>,
     recorder: FlightRecorder,
     // Open failover/heal claim roots, keyed by instance: minted when this
     // node orders an `Adopted` claim, closed when the claim's delivery
@@ -185,14 +188,6 @@ dosgi_telemetry::metrics! {
         counter san_retries = "san.retries",
         histogram san_retry_backoff_us = "san.retry.backoff_us",
     }
-}
-
-/// One instance's `monitor.<instance>.*` gauges.
-#[derive(Debug)]
-struct MonitorGauges {
-    cpu_share_pm: Gauge,
-    memory_bytes: Gauge,
-    call_rate_mcps: Gauge,
 }
 
 #[derive(Debug, Clone)]
@@ -265,7 +260,8 @@ impl DosgiNode {
             kit,
             mgr,
             registry: ClusterRegistry::new(),
-            monitor: MonitoringModule::new(),
+            watched: Watched::new(),
+            watched_at: None,
             autonomic,
             draining_peers: BTreeSet::new(),
             departed_peers: BTreeSet::new(),
@@ -283,7 +279,6 @@ impl DosgiNode {
             events: Vec::new(),
             telemetry: Telemetry::disabled(),
             metrics: Metrics::default(),
-            monitor_gauges: BTreeMap::new(),
             recorder: FlightRecorder::disabled(),
             claim_traces: BTreeMap::new(),
             upgrade_traces: BTreeMap::new(),
@@ -300,7 +295,7 @@ impl DosgiNode {
         self.gcs.set_telemetry(telemetry.clone());
         self.mgr.set_telemetry(telemetry.clone());
         self.metrics = Metrics::new(&telemetry);
-        self.monitor_gauges.clear();
+        self.watched.iter_mut().for_each(Watch::unpublish);
         self.telemetry = telemetry;
     }
 
@@ -381,9 +376,10 @@ impl DosgiNode {
         self.gcs.order_traced(net, Arc::new(payload), trace);
     }
 
-    /// The node's monitoring module.
-    pub fn monitor(&self) -> &MonitoringModule {
-        &self.monitor
+    /// The node's watch records: one per local instance, as of the last
+    /// sampling or policy pass.
+    pub fn watched(&self) -> &Watched {
+        &self.watched
     }
 
     /// The current membership view.
@@ -1629,10 +1625,33 @@ impl DosgiNode {
     // ------------------------------------------------------------------
 
     fn forget_monitored(&mut self, name: &str) {
-        self.monitor.forget(name);
-        self.monitor_gauges.remove(name);
-        if let Some(autonomic) = &mut self.autonomic {
-            autonomic.forget(name);
+        self.watched.remove(name);
+    }
+
+    /// Brings the watch records up to the local instances when their
+    /// lifecycle has moved: a record for each instance that arrived, none
+    /// for one that left, and each record reading its instance's current
+    /// descriptor. An instance whose record `forget_monitored` dropped
+    /// while it stayed (its teardown failed) comes back with a fresh one.
+    fn watch_arrivals(&mut self) {
+        let epoch = self.mgr.lifecycle_epoch();
+        if self.watched_at == Some(epoch) {
+            return;
+        }
+        self.watched_at = Some(epoch);
+        let mgr = &self.mgr;
+        self.watched.retain(|w| mgr.instance(w.id()).is_some());
+        for instance in mgr.instances() {
+            let descriptor = &instance.descriptor;
+            match self.watched.get_mut(&descriptor.name) {
+                Some(watch) => watch.refresh(descriptor),
+                None => {
+                    let streaks = self.autonomic.as_ref().map(AutonomicModule::streaks);
+                    let descriptor = Arc::clone(descriptor);
+                    let watch = Watch::new(instance.id, descriptor, streaks.unwrap_or_default());
+                    self.watched.insert(watch);
+                }
+            }
         }
     }
 
@@ -1645,66 +1664,43 @@ impl DosgiNode {
             return;
         }
         self.last_sample = Some(now);
+        self.watch_arrivals();
         let phases = &self.phases;
-        for instance in self.mgr.instances() {
-            let name = instance.descriptor.name.as_str();
-            // Bridge the monitor's windowed series into the telemetry
-            // registry as per-instance gauges. Integer-scaled from the raw
-            // window counters (never through the f64 series) so snapshot
-            // bytes stay deterministic: CPU share in per-mille of one core,
-            // call rate in milli-calls per second.
+        for watch in self.watched.iter_mut() {
+            let Some(instance) = self.mgr.instance(watch.id()) else {
+                continue;
+            };
             let recording = phases.enter(Phase::SampleRecord);
-            let window = self.monitor.record(name, now, instance.usage());
+            let window = watch.observe(now, instance.usage());
             drop(recording);
+            // Bridge the window into the telemetry registry as the
+            // instance's gauges.
             if let Some(w) = window {
                 let _publishing = phases.enter(Phase::SampleGauges);
-                let window_us = w.window.as_micros().max(1);
-                let cpu_pm = w.cpu.as_micros().saturating_mul(1000) / window_us;
-                let call_mcps = w.calls.saturating_mul(1_000_000_000) / window_us;
-                let t = &self.telemetry;
-                let gauges = match self.monitor_gauges.get(name) {
-                    Some(gauges) => gauges,
-                    None => self
-                        .monitor_gauges
-                        .entry(name.to_owned())
-                        .or_insert(MonitorGauges {
-                            cpu_share_pm: t
-                                .gauge_handle(format_args!("monitor.{name}.cpu_share_pm")),
-                            memory_bytes: t
-                                .gauge_handle(format_args!("monitor.{name}.memory_bytes")),
-                            call_rate_mcps: t
-                                .gauge_handle(format_args!("monitor.{name}.call_rate_mcps")),
-                        }),
-                };
-                gauges.cpu_share_pm.set(cpu_pm as i64);
-                gauges.memory_bytes.set(w.memory as i64);
-                gauges.call_rate_mcps.set(call_mcps as i64);
+                watch.publish(&w, &self.telemetry);
             }
         }
     }
 
     fn run_autonomic(&mut self, net: &mut impl Fabric<Wire>, now: SimTime) {
-        let Some(autonomic) = &mut self.autonomic else {
-            return;
-        };
-        if !autonomic.due(now) || self.state != NodeState::Running {
-            return;
+        match &self.autonomic {
+            Some(autonomic) if autonomic.due(now) && self.state == NodeState::Running => {}
+            _ => return,
         }
-        let gathering = self.phases.enter(Phase::PolicySubjects);
-        let quotas: BTreeMap<&str, ResourceQuota> = self
-            .mgr
-            .instances()
-            .map(|i| (i.descriptor.name.as_str(), i.descriptor.quota))
-            .collect();
-        drop(gathering);
+        let phases = self.phases.clone();
+        let gathering = phases.enter(Phase::PolicySubjects);
+        self.watch_arrivals();
         let view = self.gcs.view();
         let node_count = view.members.len();
         let node_rank = view.members.iter().position(|m| *m == self.id).unwrap_or(0);
-        let decisions = self.phases.count_in(Phase::PolicyEval, || {
+        drop(gathering);
+        let Some(autonomic) = &mut self.autonomic else {
+            return;
+        };
+        let decisions = phases.count_in(Phase::PolicyEval, || {
             autonomic.evaluate(
                 now,
-                &self.monitor,
-                &quotas,
+                &self.watched,
                 &NodeCapacity::standard(),
                 node_count,
                 node_rank,

@@ -16,7 +16,7 @@
 //! two lists grown.
 //!
 //! What a hand-off costs: ten rounds of the `migrate` workload — `incr`, the
-//! ordered hand-off, the adoption — allocate ≤ 827 times, and each round
+//! ordered hand-off, the adoption — allocate ≤ 774 times, and each round
 //! exactly as often beside 4 rows of state as beside 1 024. Each end's one
 //! snapshot write builds no row: a restore of a one-bundle instance through
 //! the repository reads its namespace once, copies only the row the bundle
@@ -40,16 +40,21 @@
 //! restores the host framework from the node's own snapshot, sharing the
 //! kit's host manifests, allocating exactly 78 times and writing no row; a
 //! whole crash, failover, restart and rejoin of the `failover` workload —
-//! one registry transfer — allocates ≤ 936 times; and a policy pass in
-//! which nothing fires allocates its subject list.
+//! one registry transfer — allocates ≤ 756 times.
+//!
+//! What watching costs once an instance's watch record exists: sampling it
+//! allocates nothing, its gauges included, and neither does a policy pass
+//! in which nothing fires, whether its conditions are false or cannot be
+//! evaluated — an error is written into the engine's one reused buffer.
 
 use dosgi_core::autonomic::{AutonomicModule, DEFAULT_POLICY};
+use dosgi_core::watch::{Watch, Watched};
 use dosgi_core::{
     placement, workloads, AppPayload, ClusterConfig, ClusterRegistry, DosgiCluster, InstanceRecord,
     Wire,
 };
 use dosgi_gcs::{GcsConfig, GcsEvent, GroupNode};
-use dosgi_monitor::{MonitoringModule, NodeCapacity};
+use dosgi_monitor::NodeCapacity;
 use dosgi_net::{LinkConfig, NodeId, SimDuration, SimNet, SimTime};
 use dosgi_osgi::{
     ActivatorFactory, BundleId, CallContext, Framework, FrameworkConfig, FrameworkMetrics,
@@ -57,7 +62,7 @@ use dosgi_osgi::{
 };
 use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::{Phases, ScrapeConfig, SeriesScraper, Telemetry};
-use dosgi_vosgi::{BundleRepository, ResourceQuota};
+use dosgi_vosgi::{BundleRepository, InstanceDescriptor, InstanceId, ResourceQuota};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -572,8 +577,12 @@ fn failover_round_allocations(telemetry: Telemetry) {
             drop(c.take_events());
         });
         assert!(all_serving(&c));
-        // Measured 716 to 936 over these rounds, telemetry on or off
-        // (998 to 1 273 while a failover copied the orphans' names into its
+        // Measured 660 to 756 over these rounds, telemetry on or off
+        // (716 to 936 while each policy pass built a quota map and a
+        // subject list, formatted every failing rule's error and copied
+        // every new subject's name into each rule's streaks, and each
+        // instance's gauge names were formatted into a `String`; 998 to
+        // 1 273 while a failover copied the orphans' names into its
         // claims, a sync's sender and its joiner copied every name and each
         // queued adoption parsed its descriptor; 1 350 to 1 695 while an adoption copied every row and its key
         // to read them, parsed every manifest, registered each service
@@ -590,7 +599,7 @@ fn failover_round_allocations(telemetry: Telemetry) {
         // `String` per key and every non-empty mailbox was drained into a
         // fresh vector).
         assert!(
-            allocations <= 936,
+            allocations <= 756,
             "failover round {round} allocated {allocations} times"
         );
     }
@@ -792,8 +801,10 @@ fn an_upgraded_bundle_restores_by_parsing() {
 
 fn migrate_rounds_are_bounded_and_blind_to_the_area(telemetry: fn() -> Telemetry) {
     let small = migrate_round_allocations(telemetry(), 4);
-    // Measured: 725 over the ten rounds with telemetry off, 827 with it
-    // on, 65 to 138 a round (765 and 867, 69 to 142 a round, while each
+    // Measured: 684 over the ten rounds with telemetry off, 774 with it
+    // on, 65 to 96 a round (725 and 827, 65 to 138 a round, while a policy
+    // pass built its subjects and an instance's gauge names were formatted
+    // into a `String`; 765 and 867, 69 to 142 a round, while each
     // queued adoption parsed its descriptor; 1 145 and 1 247, 107 to 180 a round, while an
     // adoption copied every row and its key to read them, parsed its
     // manifest and registered its service with five copies of its
@@ -803,7 +814,7 @@ fn migrate_rounds_are_bounded_and_blind_to_the_area(telemetry: fn() -> Telemetry
     // pass copied every metric onto its blackboard; 2 397 and 2 499, 217 to
     // 335 a round, while a map was a tree with a `String` per key).
     let total: u64 = small.iter().sum();
-    assert!(total <= 827, "ten migrate rounds allocated {small:?}");
+    assert!(total <= 774, "ten migrate rounds allocated {small:?}");
     assert_eq!(small, migrate_round_allocations(telemetry(), 1024));
 }
 
@@ -817,37 +828,107 @@ fn migrate_round_allocations_with_telemetry_off() {
     migrate_rounds_are_bounded_and_blind_to_the_area(Telemetry::disabled);
 }
 
-/// A policy pass over subjects the blackboard already knows, in which no
-/// rule fires, borrows every name: the subject list is its one allocation.
-#[test]
-fn a_quiet_policy_pass_allocates_its_subject_list() {
-    let mut autonomic = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_millis(500))
-        .expect("the default policy compiles");
-    let names: Vec<String> = (0..8).map(|i| format!("web-{i:02}")).collect();
-    let mut monitor = MonitoringModule::new();
-    for second in 0..2 {
-        for name in &names {
+/// `names`' watch records under standard quotas, made by `autonomic`'s
+/// engine, each sampled `samples` times a second apart.
+fn watched(autonomic: &AutonomicModule, names: &[String], samples: u64) -> Watched {
+    let mut table = Watched::new();
+    for (i, name) in names.iter().enumerate() {
+        let descriptor = Arc::new(InstanceDescriptor {
+            quota: ResourceQuota::standard(),
+            ..workloads::web_instance(name, name)
+        });
+        let mut watch = Watch::new(InstanceId(i as u64), descriptor, autonomic.streaks());
+        for second in 0..samples {
             let usage = UsageSnapshot {
                 calls: 10 * second,
                 ..UsageSnapshot::default()
             };
-            monitor.record(name, SimTime::from_secs(second), usage);
+            watch.observe(SimTime::from_secs(second), usage);
         }
+        table.insert(watch);
     }
-    let quotas: BTreeMap<&str, ResourceQuota> = names
-        .iter()
-        .map(|name| (name.as_str(), ResourceQuota::standard()))
-        .collect();
+    table
+}
+
+/// A policy pass over eight local instances' records, in which no rule
+/// fires, reads each record where it is: it allocates nothing.
+#[test]
+fn a_quiet_policy_pass_allocates_nothing() {
+    let mut autonomic = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_millis(500))
+        .expect("the default policy compiles");
+    let names: Vec<String> = (0..8).map(|i| format!("web-{i:02}")).collect();
+    let table = watched(&autonomic, &names, 2);
     let capacity = NodeCapacity::standard();
     let mut pass = |second| {
         let now = SimTime::from_secs(second);
-        allocations_in(|| autonomic.evaluate(now, &monitor, &quotas, &capacity, NODES, 0))
+        allocations_in(|| autonomic.evaluate(now, &table, &capacity, NODES, 0))
     };
     assert!(pass(2).1.is_empty());
     let (allocations, decisions) = pass(3);
-    assert!(decisions.is_empty() && autonomic.last_errors().is_empty());
+    assert!(decisions.is_empty() && autonomic.last_errors().next().is_none());
+    assert_eq!(allocations, 0, "a quiet pass allocated");
+}
+
+/// A policy pass over eight instances that have quotas but no window yet:
+/// every per-instance rule fails, and each error is written into the
+/// engine's one buffer, which the pass before grew. It allocates nothing,
+/// and the errors read as they always have.
+#[test]
+fn an_erring_policy_pass_allocates_nothing() {
+    let mut autonomic = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_millis(500))
+        .expect("the default policy compiles");
+    let names: Vec<String> = (0..8).map(|i| format!("web-{i:02}")).collect();
+    let table = watched(&autonomic, &names, 1);
+    let capacity = NodeCapacity::standard();
+    let mut pass = |second| {
+        let now = SimTime::from_secs(second);
+        allocations_in(|| autonomic.evaluate(now, &table, &capacity, NODES, 0))
+    };
+    assert!(pass(1).1.is_empty());
+    let (allocations, decisions) = pass(2);
+    assert!(decisions.is_empty());
+    assert_eq!(allocations, 0, "an erring pass allocated");
+    let want: Vec<String> = [("cpu_hog", "cpu_share"), ("mem_hog", "memory")]
+        .iter()
+        .flat_map(|(rule, metric)| {
+            let unknown = move |name| format!("rule {rule}: unknown metric {metric}({name})");
+            names.iter().map(unknown)
+        })
+        .collect();
+    assert_eq!(autonomic.last_errors().collect::<Vec<_>>(), want);
+}
+
+/// Sampling an instance whose record exists allocates nothing, its gauges
+/// published included; so does a record made again for an instance the
+/// registry already has gauges for — its names are formatted on the stack.
+#[test]
+fn sampling_a_watched_instance_allocates_nothing() {
+    let telemetry = Telemetry::new();
+    let autonomic = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_millis(500))
+        .expect("the default policy compiles");
+    let names = ["web-00".to_owned()];
+    let sample = |table: &mut Watched, second: u64| {
+        let watch = table.iter_mut().next().expect("one record");
+        let usage = UsageSnapshot {
+            calls: 10 * second,
+            ..UsageSnapshot::default()
+        };
+        allocations_in(|| {
+            let window = watch.observe(SimTime::from_secs(second), usage);
+            window.map(|w| watch.publish(&w, &telemetry)).is_some()
+        })
+    };
+    let mut table = watched(&autonomic, &names, 0);
+    assert_eq!(sample(&mut table, 0), (0, false), "no window yet");
     assert!(
-        allocations <= 1,
-        "a quiet pass allocated {allocations} times"
+        sample(&mut table, 1).1,
+        "the first window resolves the gauges"
     );
+    assert_eq!(sample(&mut table, 2), (0, true));
+    assert_eq!(
+        telemetry.gauge("monitor.web-00.call_rate_mcps"),
+        Some(10_000)
+    );
+    let mut again = watched(&autonomic, &names, 2);
+    assert_eq!(sample(&mut again, 3), (0, true), "known gauges resolved");
 }

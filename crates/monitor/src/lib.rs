@@ -12,9 +12,9 @@
 //!
 //! * [`Sampler`] — turns cumulative [`UsageSnapshot`]s (from the
 //!   `dosgi-osgi` ledger) into windowed rates: CPU share of a core, calls
-//!   per second, memory gauge;
-//! * [`MonitoringModule`] — one sampler per customer instance and the
-//!   latest window of each, the inputs to autonomic policy conditions;
+//!   per second, memory gauge — and keeps the latest window, the input to
+//!   autonomic policy conditions. A node holds one per local instance, in
+//!   the instance's watch record (`dosgi_core::watch`);
 //! * [`NodeCapacity`] — a node's total resources: what the Autonomic Module
 //!   computes node utilization against, and a `fits` test for weighing a
 //!   destination.
@@ -26,9 +26,7 @@
 //! [`UsageSnapshot`]: dosgi_osgi::UsageSnapshot
 
 mod capacity;
-mod module;
 mod sample;
 
 pub use capacity::NodeCapacity;
-pub use module::MonitoringModule;
 pub use sample::{Sampler, WindowedUsage};

@@ -25,10 +25,12 @@ pub struct WindowedUsage {
 }
 
 /// Converts a stream of cumulative [`UsageSnapshot`]s into
-/// [`WindowedUsage`] deltas. One `Sampler` per monitored subject.
+/// [`WindowedUsage`] deltas, and keeps the latest — the input to the
+/// Autonomic Module's policies. One `Sampler` per monitored subject.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Sampler {
     prev: Option<(SimTime, UsageSnapshot)>,
+    latest: Option<WindowedUsage>,
 }
 
 impl Sampler {
@@ -62,12 +64,18 @@ impl Sampler {
             None => None,
         };
         self.prev = Some((now, snapshot));
+        self.latest = result.or(self.latest);
         result
     }
 
     /// The last observed cumulative snapshot, if any.
     pub fn last(&self) -> Option<(SimTime, UsageSnapshot)> {
         self.prev
+    }
+
+    /// The latest window closed, if any.
+    pub fn latest(&self) -> Option<WindowedUsage> {
+        self.latest
     }
 }
 
@@ -105,6 +113,21 @@ mod tests {
         assert_eq!(w.memory, 80);
         assert_eq!(w.calls, 20);
         assert!((w.call_rate - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_sampler_keeps_its_latest_window() {
+        let mut s = Sampler::new();
+        assert_eq!(s.observe(SimTime::from_secs(0), snap(0, 10, 0)), None);
+        assert_eq!(s.latest(), None, "one sample is no window");
+        let w = s.observe(SimTime::from_secs(1), snap(250, 20, 5)).unwrap();
+        assert!((w.cpu_share - 0.25).abs() < 1e-9);
+        assert_eq!(s.latest(), Some(w));
+        assert_eq!(s.observe(SimTime::from_secs(1), snap(300, 20, 5)), None);
+        assert_eq!(s.latest(), Some(w), "no window closed: the latest stays");
+        let w = s.observe(SimTime::from_secs(2), snap(750, 30, 15)).unwrap();
+        assert!((w.cpu_share - 0.45).abs() < 1e-9, "the second window alone");
+        assert_eq!(s.latest().unwrap().memory, 30);
     }
 
     #[test]

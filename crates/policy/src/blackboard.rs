@@ -7,12 +7,11 @@ use std::collections::BTreeMap;
 /// instance `acme-prod`) and global metrics (e.g. `node_cpu`).
 ///
 /// Any [`MetricSource`] feeds a [`PolicyEngine`]; this one holds what was
-/// written to it. The E15 and E16 drivers run their overload policies on
-/// one, writing SLO alert states and queue depths. The node's Autonomic
-/// Module holds none: it reads the [`MonitoringModule`]'s windows, its
-/// quotas and its view in place.
+/// written to it, for subjects known by name ([`Named`](crate::Named)).
+/// The E15 and E16 drivers run their overload policies on one, writing SLO
+/// alert states and queue depths. The node's Autonomic Module holds none:
+/// it reads each local instance's watch record, and its view, in place.
 ///
-/// [`MonitoringModule`]: ../dosgi_monitor/struct.MonitoringModule.html
 /// [`PolicyEngine`]: crate::PolicyEngine
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Blackboard {

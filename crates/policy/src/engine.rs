@@ -1,30 +1,39 @@
 //! The rule engine: compiled script + sustained-condition tracking.
 
-use crate::ast::{ActionCall, Expr, Script};
-use crate::eval::{eval, MetricSource, Value};
+use crate::ast::{ActionCall, Expr, Rule, Script};
+use crate::eval::{eval, MetricSource, Subject, Value};
 use crate::parser::{parse, ParseError};
 use crate::{PolicyAction, PolicyDecision};
-use std::collections::BTreeMap;
+use std::cell::Cell;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 /// A compiled policy script plus its evaluation state.
 ///
 /// The engine is *stateless with respect to the system* (Serpentine's
-/// design): all system knowledge arrives through the blackboard each
-/// evaluation; the only internal state is the consecutive-hit counters that
-/// implement `for N` debouncing.
+/// design): all system knowledge arrives through a [`MetricSource`] and
+/// the subjects of each evaluation. Its own state is the `for N` streaks of
+/// its global rules and the last pass's errors; each subject carries the
+/// streaks of the per-subject rules ([`Streaks`]), so they live exactly as
+/// long as whoever holds the subject keeps it.
 ///
 /// The compiled script is shared: a clone holds the same script and owns
 /// only its streaks, so a compiled engine can be stamped out per node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PolicyEngine {
     script: Arc<Script>,
-    // Per rule, by its position in the script (two rules may share a name):
-    // subject-or-"" → consecutive true evaluations.
-    streaks: Vec<BTreeMap<String, u32>>,
-    // Evaluation errors from the last pass (missing metrics etc.).
-    errors: Vec<String>,
+    // The global rules' streaks, by rule position (a per-subject rule's
+    // slot stays 0).
+    global: Box<[u32]>,
+    // The last pass's errors.
+    errors: Errors,
 }
+
+/// One subject's `for N` streaks: the consecutive passes in which each
+/// rule of a script held for it, by the rule's position in the script (two
+/// rules may share a name).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Streaks(Box<[Cell<u32>]>);
 
 impl PolicyEngine {
     /// Compiles a policy script.
@@ -33,11 +42,11 @@ impl PolicyEngine {
     ///
     /// Returns the parse error for malformed scripts.
     pub fn compile(source: &str) -> Result<Self, ParseError> {
-        let script = parse(source)?;
+        let script = Arc::new(parse(source)?);
         Ok(PolicyEngine {
-            streaks: vec![BTreeMap::new(); script.rules.len()],
-            script: Arc::new(script),
-            errors: Vec::new(),
+            global: vec![0; script.rules.len()].into(),
+            script,
+            errors: Errors::default(),
         })
     }
 
@@ -46,105 +55,141 @@ impl PolicyEngine {
         &self.script
     }
 
-    /// Evaluates every rule once: per-subject rules against each of
-    /// `subjects`, global rules once. Returns the actions of rules whose
-    /// conditions have held for their `for N` requirement. A subject's
-    /// streaks last while it is in every pass: one missing from a pass
-    /// comes back with none.
+    /// Fresh streaks for a subject this engine (or a clone of it) will
+    /// evaluate: one counter per rule, none held yet.
+    pub fn streaks(&self) -> Streaks {
+        Streaks(self.script.rules.iter().map(|_| Cell::new(0)).collect())
+    }
+
+    /// Evaluates every rule once: per-subject rules for each of
+    /// `subjects`, in order, global rules once. Returns the actions of
+    /// rules whose conditions have held for their `for N` requirement.
     ///
     /// Rules whose conditions fail to evaluate (e.g. a metric missing for a
     /// just-created instance) are treated as *false* and recorded in
     /// [`last_errors`](Self::last_errors) — a policy must never crash the
     /// platform it governs.
     ///
-    /// A pass in which nothing fires and nothing fails allocates nothing.
-    pub fn evaluate(
+    /// Each subject's streaks are its own, made by
+    /// [`streaks`](Self::streaks): one that leaves and comes back with
+    /// fresh ones is debounced afresh. A pass in which nothing fires
+    /// allocates nothing, failing rules included, once the error buffer
+    /// has grown to the longest pass's errors.
+    pub fn evaluate<S: Subject>(
         &mut self,
         source: &dyn MetricSource,
-        subjects: &[&str],
+        subjects: &[S],
     ) -> Vec<PolicyDecision> {
         let PolicyEngine {
             script,
-            streaks,
+            global,
             errors,
         } = self;
         errors.clear();
-        let mut decisions = Vec::new();
-        for (rule, streaks) in script.rules.iter().zip(streaks) {
-            // A global rule is evaluated once, with no subject bound; its
-            // streak is kept under "".
-            let per_subject = rule_uses_subject(rule);
-            let keys: &[&str] = if per_subject { subjects } else { &[""] };
-            for &key in keys {
-                let subject = per_subject.then_some(key);
-                let holds = match eval(&rule.condition, source, subject) {
-                    Ok(Value::Bool(b)) => b,
-                    Ok(other) => {
-                        errors.push(format!(
-                            "rule {}: condition evaluated to {other}, not bool",
-                            rule.name
-                        ));
-                        false
-                    }
-                    Err(e) => {
-                        errors.push(format!("rule {}: {e}", rule.name));
-                        false
-                    }
-                };
-                let streak = match streaks.get_mut(key) {
-                    Some(streak) => streak,
-                    None => streaks.entry(key.to_owned()).or_insert(0),
-                };
-                if holds {
-                    *streak += 1;
-                } else {
-                    *streak = 0;
+        let mut pass = Pass {
+            source,
+            errors,
+            decisions: Vec::new(),
+        };
+        for (i, rule) in script.rules.iter().enumerate() {
+            if rule_uses_subject(rule) {
+                for subject in subjects {
+                    // Streaks another script made lack this rule's slot.
+                    let fresh = Cell::new(0);
+                    let streak = subject.streaks().0.get(i).unwrap_or(&fresh);
+                    pass.run(rule, Some(subject as &dyn Subject), streak);
                 }
-                if holds && *streak >= rule.sustain {
-                    // Re-arm: a sustained rule fires once per sustained
-                    // window, not on every subsequent evaluation.
-                    *streak = 0;
-                    for call in &rule.actions {
-                        match resolve_action(call, source, subject) {
-                            Ok(action) => decisions.push(PolicyDecision {
-                                rule: rule.name.clone(),
-                                subject: subject.map(str::to_owned),
-                                action,
-                            }),
-                            Err(e) => errors.push(format!("rule {}: {e}", rule.name)),
-                        }
-                    }
-                }
-            }
-            if per_subject {
-                streaks.retain(|key, _| subjects.contains(&key.as_str()));
+            } else {
+                // A global rule is evaluated once, with no subject bound.
+                pass.run(rule, None, Cell::from_mut(&mut global[i]));
             }
         }
-        decisions
-    }
-
-    /// Drops `subject`'s streaks: it left, and a later pass that sees it
-    /// again counts its `for N` from nothing.
-    pub fn forget(&mut self, subject: &str) {
-        for streaks in &mut self.streaks {
-            streaks.remove(subject);
-        }
+        pass.decisions
     }
 
     /// Evaluation problems from the most recent [`evaluate`](Self::evaluate)
-    /// pass.
-    pub fn last_errors(&self) -> &[String] {
-        &self.errors
+    /// pass, in the order they arose.
+    pub fn last_errors(&self) -> impl Iterator<Item = &str> {
+        let Errors { text, ends } = &self.errors;
+        let starts = std::iter::once(0).chain(ends.iter().copied());
+        starts.zip(ends).map(|(start, &end)| &text[start..end])
     }
 
-    /// Resets all sustained-condition counters (e.g. after reconfiguring).
+    /// Resets the global rules' sustained-condition counters (e.g. after
+    /// reconfiguring).
     #[cfg(test)]
     pub(crate) fn reset(&mut self) {
-        self.streaks.iter_mut().for_each(BTreeMap::clear);
+        self.global.fill(0);
     }
 }
 
-fn rule_uses_subject(rule: &crate::ast::Rule) -> bool {
+/// One pass under way: what it reads, the errors it writes and the
+/// decisions it has made.
+struct Pass<'a> {
+    source: &'a dyn MetricSource,
+    errors: &'a mut Errors,
+    decisions: Vec<PolicyDecision>,
+}
+
+/// A pass's errors, written one after another into one buffer that keeps
+/// its capacity, and where each one ends.
+#[derive(Debug, Clone, Default, PartialEq)]
+struct Errors {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl Errors {
+    fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    fn push(&mut self, error: fmt::Arguments<'_>) {
+        // Writing into a `String` cannot fail.
+        let _ = self.text.write_fmt(error);
+        self.ends.push(self.text.len());
+    }
+}
+
+impl Pass<'_> {
+    /// Evaluates `rule` once, for `subject` or globally, against its
+    /// streak, and takes its decisions when it fires.
+    fn run(&mut self, rule: &Rule, subject: Option<&dyn Subject>, streak: &Cell<u32>) {
+        let holds = match eval(&rule.condition, self.source, subject) {
+            Ok(Value::Bool(b)) => b,
+            Ok(other) => {
+                self.errors.push(format_args!(
+                    "rule {}: condition evaluated to {other}, not bool",
+                    rule.name
+                ));
+                false
+            }
+            Err(e) => {
+                self.errors.push(format_args!("rule {}: {e}", rule.name));
+                false
+            }
+        };
+        streak.set(if holds { streak.get() + 1 } else { 0 });
+        if holds && streak.get() >= rule.sustain {
+            // Re-arm: a sustained rule fires once per sustained window, not
+            // on every subsequent evaluation.
+            streak.set(0);
+            for call in &rule.actions {
+                match resolve_action(call, self.source, subject) {
+                    Ok(action) => self.decisions.push(PolicyDecision {
+                        rule: rule.name.clone(),
+                        subject: subject.map(|s| s.name().to_owned()),
+                        action,
+                    }),
+                    Err(e) => self.errors.push(format_args!("rule {}: {e}", rule.name)),
+                }
+            }
+        }
+    }
+}
+
+fn rule_uses_subject(rule: &Rule) -> bool {
     fn expr_uses(e: &Expr) -> bool {
         match e {
             Expr::Subject => true,
@@ -160,12 +205,12 @@ fn rule_uses_subject(rule: &crate::ast::Rule) -> bool {
 fn resolve_action(
     call: &ActionCall,
     source: &dyn MetricSource,
-    subject: Option<&str>,
+    subject: Option<&dyn Subject>,
 ) -> Result<PolicyAction, String> {
     let arg_subject = |idx: usize| -> Result<String, String> {
         match call.args.get(idx) {
             None => subject
-                .map(str::to_owned)
+                .map(|s| s.name().to_owned())
                 .ok_or_else(|| format!("{} needs a subject", call.name)),
             Some(e) => match eval(e, source, subject).map_err(|e| e.to_string())? {
                 Value::Str(s) => Ok(s),
@@ -198,7 +243,7 @@ fn resolve_action(
                 None => "policy alert".to_owned(),
             };
             Ok(PolicyAction::Alert {
-                subject: subject.map(str::to_owned),
+                subject: subject.map(|s| s.name().to_owned()),
                 message,
             })
         }
@@ -227,7 +272,7 @@ fn resolve_action(
             }
             Ok(PolicyAction::Custom {
                 name: other.to_owned(),
-                subject: subject.map(str::to_owned),
+                subject: subject.map(|s| s.name().to_owned()),
                 args,
             })
         }
@@ -237,7 +282,10 @@ fn resolve_action(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Blackboard;
+    use crate::{Blackboard, Named};
+
+    /// No subject: a pass of global rules only.
+    const GLOBAL: &[Named<'static>] = &[];
 
     #[test]
     fn per_subject_rule_fires_for_each_matching_subject() {
@@ -247,7 +295,9 @@ mod tests {
         bb.set_subject_metric("a", "cpu", 0.9);
         bb.set_subject_metric("b", "cpu", 0.1);
         bb.set_subject_metric("c", "cpu", 0.7);
-        let d = e.evaluate(&bb, &["a", "b", "c"]);
+        let streaks = [e.streaks(), e.streaks(), e.streaks()];
+        let subjects = [("a", &streaks[0]), ("b", &streaks[1]), ("c", &streaks[2])];
+        let d = e.evaluate(&bb, &subjects);
         assert_eq!(d.len(), 2);
         assert_eq!(
             d[0].action,
@@ -261,7 +311,7 @@ mod tests {
                 subject: "c".into()
             }
         );
-        assert!(e.last_errors().is_empty());
+        assert_eq!(e.last_errors().count(), 0);
     }
 
     #[test]
@@ -270,7 +320,8 @@ mod tests {
             PolicyEngine::compile("rule hot { when cpu($i) > 0.5 for 3 then stop($i) }").unwrap();
         let mut bb = Blackboard::new();
         bb.set_subject_metric("a", "cpu", 0.9);
-        let s = ["a"];
+        let a = e.streaks();
+        let s = [("a", &a)];
         assert!(e.evaluate(&bb, &s).is_empty(), "1st hit");
         assert!(e.evaluate(&bb, &s).is_empty(), "2nd hit");
         assert_eq!(e.evaluate(&bb, &s).len(), 1, "3rd hit fires");
@@ -299,7 +350,7 @@ mod tests {
         bb.set_global_metric("load", 2.0);
         let mut fired = Vec::new();
         for _ in 0..4 {
-            let messages = e.evaluate(&bb, &[]).into_iter().map(|d| match d.action {
+            let messages = e.evaluate(&bb, GLOBAL).into_iter().map(|d| match d.action {
                 PolicyAction::Alert { message, .. } => message,
                 other => panic!("unexpected action {other:?}"),
             });
@@ -315,7 +366,8 @@ mod tests {
             PolicyEngine::compile("rule idle { when node_cpu() < 0.2 then hibernate() }").unwrap();
         let mut bb = Blackboard::new();
         bb.set_global_metric("node_cpu", 0.1);
-        let d = e.evaluate(&bb, &["a", "b", "c"]);
+        let streaks = e.streaks();
+        let d = e.evaluate(&bb, &[("a", &streaks), ("b", &streaks), ("c", &streaks)]);
         assert_eq!(d.len(), 1, "not once per subject");
         assert_eq!(d[0].action, PolicyAction::HibernateNode);
         assert_eq!(d[0].subject, None);
@@ -325,10 +377,11 @@ mod tests {
     fn missing_metrics_are_false_not_fatal() {
         let mut e = PolicyEngine::compile("rule hot { when cpu($i) > 0.5 then stop($i) }").unwrap();
         let bb = Blackboard::new();
-        let d = e.evaluate(&bb, &["ghost"]);
+        let ghost = e.streaks();
+        let d = e.evaluate(&bb, &[("ghost", &ghost)]);
         assert!(d.is_empty());
-        assert_eq!(e.last_errors().len(), 1);
-        assert!(e.last_errors()[0].contains("unknown metric"));
+        let errors: Vec<_> = e.last_errors().collect();
+        assert_eq!(errors, ["rule hot: unknown metric cpu(ghost)"]);
     }
 
     #[test]
@@ -339,7 +392,8 @@ mod tests {
         .unwrap();
         let mut bb = Blackboard::new();
         bb.set_subject_metric("a", "memory", 200.0);
-        let d = e.evaluate(&bb, &["a"]);
+        let a = e.streaks();
+        let d = e.evaluate(&bb, &[("a", &a)]);
         assert_eq!(d.len(), 2);
         assert!(matches!(d[0].action, PolicyAction::Stop { .. }));
         assert!(matches!(
@@ -352,7 +406,8 @@ mod tests {
     fn custom_actions_are_forwarded() {
         let mut e = PolicyEngine::compile("rule x { when true then boost($i, 2) }").unwrap();
         let bb = Blackboard::new();
-        let d = e.evaluate(&bb, &["a"]);
+        let a = e.streaks();
+        let d = e.evaluate(&bb, &[("a", &a)]);
         assert_eq!(
             d[0].action,
             PolicyAction::Custom {
@@ -374,8 +429,8 @@ mod tests {
         .unwrap();
         let mut bb = Blackboard::new();
         bb.set_global_metric("p95_latency_us", 400_000.0);
-        assert!(e.evaluate(&bb, &[]).is_empty(), "for 2 debounces");
-        let d = e.evaluate(&bb, &[]);
+        assert!(e.evaluate(&bb, GLOBAL).is_empty(), "for 2 debounces");
+        let d = e.evaluate(&bb, GLOBAL);
         assert_eq!(d.len(), 2);
         assert_eq!(d[0].action, PolicyAction::ScaleOut);
         assert_eq!(
@@ -384,64 +439,84 @@ mod tests {
                 class: "background".into()
             }
         );
-        assert!(e.last_errors().is_empty(), "{:?}", e.last_errors());
+        assert_eq!(e.last_errors().count(), 0);
     }
 
     #[test]
     fn upgrade_wave_resolves_first_class() {
         let mut e = PolicyEngine::compile("rule roll { when true then upgrade_wave() }").unwrap();
         let bb = Blackboard::new();
-        let d = e.evaluate(&bb, &[]);
+        let d = e.evaluate(&bb, GLOBAL);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].action, PolicyAction::UpgradeWave);
-        assert!(e.last_errors().is_empty(), "{:?}", e.last_errors());
+        assert_eq!(e.last_errors().count(), 0);
     }
 
     #[test]
     fn shed_class_without_argument_is_an_error() {
         let mut e = PolicyEngine::compile("rule x { when true then shed_class() }").unwrap();
         let bb = Blackboard::new();
-        assert!(e.evaluate(&bb, &[]).is_empty());
-        assert!(e.last_errors()[0].contains("needs a class argument"));
+        assert!(e.evaluate(&bb, GLOBAL).is_empty());
+        let errors: Vec<_> = e.last_errors().collect();
+        assert_eq!(errors, ["rule x: shed_class needs a class argument"]);
     }
 
     #[test]
     fn non_bool_condition_is_an_error_not_a_panic() {
         let mut e = PolicyEngine::compile("rule x { when 1 + 1 then stop(\"a\") }").unwrap();
         let bb = Blackboard::new();
-        assert!(e.evaluate(&bb, &[]).is_empty());
-        assert!(e.last_errors()[0].contains("not bool"));
+        assert!(e.evaluate(&bb, GLOBAL).is_empty());
+        let errors: Vec<_> = e.last_errors().collect();
+        assert_eq!(errors, ["rule x: condition evaluated to 2, not bool"]);
     }
 
     #[test]
     fn a_clone_shares_the_script_and_keeps_its_own_streaks() {
         let mut e =
-            PolicyEngine::compile("rule hot { when cpu($i) > 0.5 for 2 then stop($i) }").unwrap();
+            PolicyEngine::compile("rule hot { when load() > 0.5 for 2 then hibernate() }").unwrap();
         let mut copy = e.clone();
         assert!(std::ptr::eq(e.script(), copy.script()));
         let mut bb = Blackboard::new();
-        bb.set_subject_metric("a", "cpu", 0.9);
-        let s = ["a"];
-        assert!(e.evaluate(&bb, &s).is_empty());
-        assert!(copy.evaluate(&bb, &s).is_empty(), "the copy's first hit");
-        assert_eq!(e.evaluate(&bb, &s).len(), 1);
-        bb.set_subject_metric("a", "cpu", 0.1);
-        assert!(copy.evaluate(&bb, &s).is_empty(), "the copy's dip");
-        bb.set_subject_metric("a", "cpu", 0.9);
-        assert!(copy.evaluate(&bb, &s).is_empty());
-        assert_eq!(copy.evaluate(&bb, &s).len(), 1);
+        bb.set_global_metric("load", 0.9);
+        assert!(e.evaluate(&bb, GLOBAL).is_empty());
+        assert!(
+            copy.evaluate(&bb, GLOBAL).is_empty(),
+            "the copy's first hit"
+        );
+        assert_eq!(e.evaluate(&bb, GLOBAL).len(), 1);
+        bb.set_global_metric("load", 0.1);
+        assert!(copy.evaluate(&bb, GLOBAL).is_empty(), "the copy's dip");
+        bb.set_global_metric("load", 0.9);
+        assert!(copy.evaluate(&bb, GLOBAL).is_empty());
+        assert_eq!(copy.evaluate(&bb, GLOBAL).len(), 1);
     }
 
     #[test]
     fn reset_clears_streaks() {
         let mut e =
+            PolicyEngine::compile("rule hot { when load() > 0.5 for 2 then hibernate() }").unwrap();
+        let mut bb = Blackboard::new();
+        bb.set_global_metric("load", 0.9);
+        assert!(e.evaluate(&bb, GLOBAL).is_empty());
+        e.reset();
+        assert!(e.evaluate(&bb, GLOBAL).is_empty(), "streak restarted");
+        assert_eq!(e.evaluate(&bb, GLOBAL).len(), 1);
+    }
+
+    #[test]
+    fn a_subject_with_fresh_streaks_is_debounced_afresh() {
+        let mut e =
             PolicyEngine::compile("rule hot { when cpu($i) > 0.5 for 2 then stop($i) }").unwrap();
         let mut bb = Blackboard::new();
         bb.set_subject_metric("a", "cpu", 0.9);
-        let s = ["a"];
-        assert!(e.evaluate(&bb, &s).is_empty());
-        e.reset();
-        assert!(e.evaluate(&bb, &s).is_empty(), "streak restarted");
-        assert_eq!(e.evaluate(&bb, &s).len(), 1);
+        let held = e.streaks();
+        assert!(e.evaluate(&bb, &[("a", &held)]).is_empty());
+        assert_eq!(held, Streaks(Box::new([Cell::new(1)])));
+        let fresh = e.streaks();
+        assert!(
+            e.evaluate(&bb, &[("a", &fresh)]).is_empty(),
+            "counts from 1"
+        );
+        assert_eq!(e.evaluate(&bb, &[("a", &fresh)]).len(), 1);
     }
 }

@@ -1,6 +1,7 @@
 //! Expression evaluation against a metric source.
 
 use crate::ast::{BinOp, Expr};
+use crate::engine::Streaks;
 use std::fmt;
 
 /// A runtime value.
@@ -23,7 +24,7 @@ impl Value {
         }
     }
 
-    fn as_num(&self) -> Result<f64, EvalError> {
+    fn as_num<'a>(&self) -> Result<f64, EvalError<'a>> {
         match self {
             Value::Num(n) => Ok(*n),
             other => Err(EvalError::Type {
@@ -33,7 +34,7 @@ impl Value {
         }
     }
 
-    fn as_bool(&self) -> Result<bool, EvalError> {
+    fn as_bool<'a>(&self) -> Result<bool, EvalError<'a>> {
         match self {
             Value::Bool(b) => Ok(*b),
             other => Err(EvalError::Type {
@@ -54,15 +55,16 @@ impl fmt::Display for Value {
     }
 }
 
-/// An evaluation failure.
+/// An evaluation failure. It borrows its names from the script and the
+/// subject, so a failing rule costs no allocation until it is formatted.
 #[derive(Debug, Clone, PartialEq)]
-pub enum EvalError {
+pub enum EvalError<'a> {
     /// A metric function had no value for the subject.
     UnknownMetric {
         /// The metric's name.
-        name: String,
+        name: &'a str,
         /// The subject queried, if any.
-        subject: Option<String>,
+        subject: Option<&'a str>,
     },
     /// A type mismatch.
     Type {
@@ -74,7 +76,7 @@ pub enum EvalError {
     /// Wrong number or kind of arguments to a function.
     Arity {
         /// The function.
-        name: String,
+        name: &'a str,
         /// A description of the expectation.
         expected: &'static str,
     },
@@ -82,7 +84,7 @@ pub enum EvalError {
     NoSubject,
 }
 
-impl fmt::Display for EvalError {
+impl fmt::Display for EvalError<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EvalError::UnknownMetric { name, subject } => match subject {
@@ -100,7 +102,7 @@ impl fmt::Display for EvalError {
     }
 }
 
-impl std::error::Error for EvalError {}
+impl std::error::Error for EvalError<'_> {}
 
 /// Where metric-function values come from — implemented by
 /// [`Blackboard`](crate::Blackboard) and by anything else the embedding
@@ -111,28 +113,60 @@ pub trait MetricSource {
     fn metric(&self, name: &str, subject: Option<&str>) -> Option<f64>;
 }
 
+/// What a per-subject rule is evaluated for: the name `$i` binds, the
+/// subject's `for N` streaks and its metrics.
+pub trait Subject {
+    /// The name `$i` binds.
+    fn name(&self) -> &str;
+
+    /// The subject's streaks, made by the engine that evaluates it
+    /// ([`PolicyEngine::streaks`](crate::PolicyEngine::streaks)).
+    fn streaks(&self) -> &Streaks;
+
+    /// The subject's metric `name`, what `name($i)` reads: by default what
+    /// `source` holds under the subject's name. A subject that carries its
+    /// metrics answers without a lookup.
+    fn metric(&self, name: &str, source: &dyn MetricSource) -> Option<f64> {
+        source.metric(name, Some(self.name()))
+    }
+}
+
+/// A subject known by its name alone: its metrics are what the source
+/// holds under that name.
+pub type Named<'a> = (&'a str, &'a Streaks);
+
+impl Subject for Named<'_> {
+    fn name(&self) -> &str {
+        self.0
+    }
+
+    fn streaks(&self) -> &Streaks {
+        self.1
+    }
+}
+
 /// Evaluates `expr` with `$i` bound to `subject` (or unbound for global
 /// rules).
 ///
 /// Built-in numeric functions (`min`, `max`, `abs`) are evaluated
-/// directly; every other call is resolved through `source`: a nullary call
-/// reads a global metric, a call whose single argument is `$i` or a string
-/// reads a per-subject metric.
+/// directly; every other call reads a metric: a nullary call a global one
+/// from `source`, a call on `$i` the bound subject's, a call on a string
+/// the one `source` holds under that name.
 ///
 /// # Errors
 ///
 /// See [`EvalError`].
-pub fn eval(
-    expr: &Expr,
+pub fn eval<'a>(
+    expr: &'a Expr,
     source: &dyn MetricSource,
-    subject: Option<&str>,
-) -> Result<Value, EvalError> {
+    subject: Option<&'a dyn Subject>,
+) -> Result<Value, EvalError<'a>> {
     match expr {
         Expr::Number(n) => Ok(Value::Num(*n)),
         Expr::Bool(b) => Ok(Value::Bool(*b)),
         Expr::Str(s) => Ok(Value::Str(s.clone())),
         Expr::Subject => match subject {
-            Some(s) => Ok(Value::Str(s.to_owned())),
+            Some(s) => Ok(Value::Str(s.name().to_owned())),
             None => Err(EvalError::NoSubject),
         },
         Expr::Neg(inner) => Ok(Value::Num(-eval(inner, source, subject)?.as_num()?)),
@@ -183,18 +217,18 @@ fn values_equal(l: &Value, r: &Value) -> bool {
     }
 }
 
-fn eval_call(
-    name: &str,
-    args: &[Expr],
+fn eval_call<'a>(
+    name: &'a str,
+    args: &'a [Expr],
     source: &dyn MetricSource,
-    subject: Option<&str>,
-) -> Result<Value, EvalError> {
+    subject: Option<&'a dyn Subject>,
+) -> Result<Value, EvalError<'a>> {
     // Numeric built-ins.
     match name {
         "min" | "max" => {
             if args.len() != 2 {
                 return Err(EvalError::Arity {
-                    name: name.to_owned(),
+                    name,
                     expected: "two numbers",
                 });
             }
@@ -205,7 +239,7 @@ fn eval_call(
         "abs" => {
             if args.len() != 1 {
                 return Err(EvalError::Arity {
-                    name: name.to_owned(),
+                    name,
                     expected: "one number",
                 });
             }
@@ -215,32 +249,32 @@ fn eval_call(
     }
     // Metric functions: nullary (global) or unary ($i / string subject —
     // the only two expressions that yield a string, so the name is borrowed).
-    let resolved_subject: Option<&str> = match args {
-        [] => None,
-        [Expr::Subject] => Some(subject.ok_or(EvalError::NoSubject)?),
-        [Expr::Str(s)] => Some(s),
+    let (value, queried) = match args {
+        [] => (source.metric(name, None), None),
+        [Expr::Subject] => {
+            let s = subject.ok_or(EvalError::NoSubject)?;
+            (s.metric(name, source), Some(s.name()))
+        }
+        [Expr::Str(s)] => (source.metric(name, Some(s)), Some(s.as_str())),
         // Anything else is no string; its own error, if it has one, is first.
         [one] => {
             eval(one, source, subject)?;
             return Err(EvalError::Arity {
-                name: name.to_owned(),
+                name,
                 expected: "a subject ($i or string)",
             });
         }
         _ => {
             return Err(EvalError::Arity {
-                name: name.to_owned(),
+                name,
                 expected: "zero or one argument",
             })
         }
     };
-    source
-        .metric(name, resolved_subject)
-        .map(Value::Num)
-        .ok_or_else(|| EvalError::UnknownMetric {
-            name: name.to_owned(),
-            subject: resolved_subject.map(str::to_owned),
-        })
+    value.map(Value::Num).ok_or(EvalError::UnknownMetric {
+        name,
+        subject: queried,
+    })
 }
 
 #[cfg(test)]
@@ -267,6 +301,8 @@ mod tests {
         MapSource(m)
     }
 
+    const NONE: Option<&dyn Subject> = None;
+
     fn condition(src: &str) -> Expr {
         parse(&format!("rule t {{ when {src} then x }}"))
             .unwrap()
@@ -275,17 +311,24 @@ mod tests {
             .condition
     }
 
+    /// Subject `a`, known by name.
+    fn a(streaks: &Streaks) -> Named<'_> {
+        ("a", streaks)
+    }
+
     #[test]
     fn arithmetic_and_comparison() {
         let s = source();
+        let streaks = Streaks::default();
+        let a = a(&streaks);
         let e = condition("cpu($i) > quota($i) * 1.5");
-        assert_eq!(eval(&e, &s, Some("a")).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &s, Some(&a)).unwrap(), Value::Bool(true));
         let e = condition("cpu($i) > quota($i) * 2");
-        assert_eq!(eval(&e, &s, Some("a")).unwrap(), Value::Bool(false));
+        assert_eq!(eval(&e, &s, Some(&a)).unwrap(), Value::Bool(false));
         let e = condition("node_cpu() + 0.7 == 1.0");
-        assert_eq!(eval(&e, &s, None).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &s, NONE).unwrap(), Value::Bool(true));
         let e = condition("-node_cpu() < 0");
-        assert_eq!(eval(&e, &s, None).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &s, NONE).unwrap(), Value::Bool(true));
     }
 
     #[test]
@@ -293,52 +336,56 @@ mod tests {
         let s = source();
         // The rhs references a missing metric; `or` must not evaluate it.
         let e = condition("true or missing() > 1");
-        assert_eq!(eval(&e, &s, None).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &s, NONE).unwrap(), Value::Bool(true));
         let e = condition("false and missing() > 1");
-        assert_eq!(eval(&e, &s, None).unwrap(), Value::Bool(false));
+        assert_eq!(eval(&e, &s, NONE).unwrap(), Value::Bool(false));
         let e = condition("not false");
-        assert_eq!(eval(&e, &s, None).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &s, NONE).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn builtins() {
         let s = source();
         let e = condition("min(3, 5) == 3 and max(3, 5) == 5 and abs(-2) == 2");
-        assert_eq!(eval(&e, &s, None).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &s, NONE).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn string_subjects_work_like_dollar_i() {
         let s = source();
+        let streaks = Streaks::default();
+        let a = a(&streaks);
         let e = condition("cpu(\"a\") == cpu($i)");
-        assert_eq!(eval(&e, &s, Some("a")).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &s, Some(&a)).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn errors() {
         let s = source();
+        let streaks = Streaks::default();
+        let a = a(&streaks);
         assert!(matches!(
-            eval(&condition("missing()"), &s, None),
+            eval(&condition("missing()"), &s, NONE),
             Err(EvalError::UnknownMetric { .. })
         ));
         assert!(matches!(
-            eval(&condition("cpu($i)"), &s, None),
+            eval(&condition("cpu($i)"), &s, NONE),
             Err(EvalError::NoSubject)
         ));
         assert!(matches!(
-            eval(&condition("true + 1"), &s, None),
+            eval(&condition("true + 1"), &s, NONE),
             Err(EvalError::Type { .. })
         ));
         assert!(matches!(
-            eval(&condition("min(1, 2, 3)"), &s, None),
+            eval(&condition("min(1, 2, 3)"), &s, NONE),
             Err(EvalError::Arity { .. })
         ));
         assert!(matches!(
-            eval(&condition("cpu(1)"), &s, Some("a")),
+            eval(&condition("cpu(1)"), &s, Some(&a)),
             Err(EvalError::Arity { .. })
         ));
         assert!(matches!(
-            eval(&condition("cpu($i, $i)"), &s, Some("a")),
+            eval(&condition("cpu($i, $i)"), &s, Some(&a)),
             Err(EvalError::Arity { .. })
         ));
     }
@@ -347,17 +394,17 @@ mod tests {
     fn equality_across_types_is_false() {
         let s = source();
         let e = condition("\"x\" == 1");
-        assert_eq!(eval(&e, &s, None).unwrap(), Value::Bool(false));
+        assert_eq!(eval(&e, &s, NONE).unwrap(), Value::Bool(false));
         let e = condition("\"x\" != 1");
-        assert_eq!(eval(&e, &s, None).unwrap(), Value::Bool(true));
+        assert_eq!(eval(&e, &s, NONE).unwrap(), Value::Bool(true));
     }
 
     #[test]
     fn error_display() {
         assert_eq!(
             EvalError::UnknownMetric {
-                name: "cpu".into(),
-                subject: Some("a".into())
+                name: "cpu",
+                subject: Some("a")
             }
             .to_string(),
             "unknown metric cpu(a)"

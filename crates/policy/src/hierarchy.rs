@@ -13,7 +13,8 @@
 //! can react to the aggregate behaviour of node-level policies without
 //! seeing their subjects.
 
-use crate::{Blackboard, PolicyAction, PolicyDecision, PolicyEngine};
+use crate::{Blackboard, PolicyAction, PolicyDecision, PolicyEngine, Streaks};
+use std::collections::BTreeMap;
 
 /// One level of the cascade.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,6 +25,8 @@ pub struct Level {
     pub engine: PolicyEngine,
     /// Subject prefix this level may see (`""` sees everything).
     pub scope: String,
+    // The streaks of the subjects of the level's last pass.
+    streaks: BTreeMap<String, Streaks>,
 }
 
 /// A decision tagged with the level that produced it.
@@ -54,6 +57,7 @@ impl Hierarchy {
             name: name.to_owned(),
             engine,
             scope: scope.to_owned(),
+            streaks: BTreeMap::new(),
         });
         self
     }
@@ -70,7 +74,8 @@ impl Hierarchy {
 
     /// Evaluates every level bottom-up against `blackboard`, scoping each
     /// level's subject list and escalating alert counts to the levels
-    /// above as `alerts_<level>()` global metrics.
+    /// above as `alerts_<level>()` global metrics. A subject keeps its
+    /// streaks at a level while it is in every pass the level sees.
     pub fn evaluate(
         &mut self,
         blackboard: &mut Blackboard,
@@ -83,6 +88,14 @@ impl Hierarchy {
                 .filter(|s| s.starts_with(&level.scope))
                 .copied()
                 .collect();
+            let held = &mut level.streaks;
+            held.retain(|name, _| scoped.contains(&name.as_str()));
+            for &s in &scoped {
+                if !held.contains_key(s) {
+                    held.insert(s.to_owned(), level.engine.streaks());
+                }
+            }
+            let scoped: Vec<(&str, &Streaks)> = scoped.iter().map(|&s| (s, &held[s])).collect();
             let decisions = level.engine.evaluate(blackboard, &scoped);
             let alerts = decisions
                 .iter()

@@ -26,10 +26,12 @@
 //! * Rules are evaluated **per subject** (each virtual instance binds
 //!   `$i` in turn); nullary metric functions read node-level values.
 //! * `for N` requires the condition to hold on N consecutive evaluations —
-//!   the debouncing every real autonomic controller needs.
-//! * Metric functions are resolved against a [`MetricSource`]: a
-//!   [`Blackboard`] of written values, or — in the `dosgi-core` Autonomic
-//!   Module — the Monitoring Module's windows read in place.
+//!   the debouncing every real autonomic controller needs. Each
+//!   [`Subject`] carries its own [`Streaks`].
+//! * Metric functions are resolved against a [`MetricSource`] and the
+//!   bound [`Subject`]: a [`Blackboard`] of written values and subjects
+//!   known by name, or — in the `dosgi-core` Autonomic Module — each local
+//!   instance's watch record, read in place.
 //! * Actions become [`PolicyAction`]s the embedding (the `dosgi-core`
 //!   Autonomic Module) executes: migrate, stop, throttle, restart, alert,
 //!   hibernate, wake.
@@ -48,7 +50,8 @@
 //! let mut bb = Blackboard::new();
 //! bb.set_subject_metric("acme", "memory", 600.0);
 //! bb.set_subject_metric("acme", "quota_mem", 500.0);
-//! let decisions = engine.evaluate(&bb, &["acme"]);
+//! let acme = engine.streaks();
+//! let decisions = engine.evaluate(&bb, &[("acme", &acme)]);
 //! assert_eq!(decisions.len(), 1);
 //! assert!(matches!(decisions[0].action, PolicyAction::Stop { .. }));
 //! # Ok(())
@@ -67,8 +70,8 @@ mod parser;
 pub use actions::{PolicyAction, PolicyDecision};
 pub use ast::{ActionCall, Expr, Rule, Script};
 pub use blackboard::Blackboard;
-pub use engine::PolicyEngine;
-pub use eval::{EvalError, MetricSource};
+pub use engine::{PolicyEngine, Streaks};
+pub use eval::{EvalError, MetricSource, Named, Subject};
 pub use hierarchy::{Hierarchy, Level, LevelDecision};
 pub use lexer::{LexError, Token};
 pub use parser::ParseError;

@@ -171,7 +171,8 @@ pub(crate) fn with_slot<S: Default, R>(
 
 /// A metric name a handle is resolved from: a plain `&str`, or
 /// `format_args!(..)` for a name with a variable part — which is only
-/// formatted if the registry is enabled.
+/// formatted if the registry is enabled, on the stack when it is at most
+/// 128 bytes long: resolving a name that exists allocates nothing.
 pub trait MetricName {
     /// Calls `f` with the name.
     fn with_name<R>(self, f: impl FnOnce(&str) -> R) -> R;
@@ -185,10 +186,42 @@ impl MetricName for &str {
 
 impl MetricName for fmt::Arguments<'_> {
     fn with_name<R>(self, f: impl FnOnce(&str) -> R) -> R {
-        match self.as_str() {
-            Some(name) => f(name),
-            None => f(&self.to_string()),
+        if let Some(name) = self.as_str() {
+            return f(name);
         }
+        let mut name = StackName {
+            bytes: [0; NAME_ON_STACK],
+            len: 0,
+        };
+        match fmt::write(&mut name, self) {
+            Ok(()) => f(name.as_str()),
+            Err(_) => f(&self.to_string()),
+        }
+    }
+}
+
+/// The longest formatted name [`MetricName`] keeps off the heap.
+const NAME_ON_STACK: usize = 128;
+
+/// A name formatted into a fixed buffer; writing past its end fails.
+struct StackName {
+    bytes: [u8; NAME_ON_STACK],
+    len: usize,
+}
+
+impl StackName {
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("written from whole `str`s")
+    }
+}
+
+impl fmt::Write for StackName {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let end = self.len + s.len();
+        let slot = self.bytes.get_mut(self.len..end).ok_or(fmt::Error)?;
+        slot.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -283,4 +316,25 @@ macro_rules! metrics {
     (@resolve $t:ident counter $metric:literal) => { $t.counter_handle($metric) };
     (@resolve $t:ident gauge $metric:literal) => { $t.gauge_handle($metric) };
     (@resolve $t:ident histogram $metric:literal) => { $t.histogram_handle($metric) };
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::Telemetry;
+
+    #[test]
+    fn a_formatted_name_resolves_alike_on_the_stack_and_past_it() {
+        let t = Telemetry::new();
+        for len in [1, 127, 128, 129, 300] {
+            let part = "x".repeat(len - 1);
+            t.gauge_handle(format_args!("g{part}")).set(len as i64);
+            assert_eq!(
+                t.gauge(&format!("g{part}")),
+                Some(len as i64),
+                "{len} bytes"
+            );
+        }
+        t.gauge_handle(format_args!("g{}", "é".repeat(100))).set(-1);
+        assert_eq!(t.gauge(&format!("g{}", "é".repeat(100))), Some(-1));
+    }
 }

@@ -91,7 +91,8 @@ phases! {
     Upgrade = "upgrade",
     /// Write-behind persistence being retried.
     PersistFlush = "persist.flush",
-    /// Usage sampling.
+    /// Usage sampling: the watch records brought up to the local
+    /// instances, then each instance's two parts.
     Sample = "sample",
     /// One instance's cumulative usage turned into a window.
     SampleRecord = "sample.record",
@@ -99,7 +100,8 @@ phases! {
     SampleGauges = "sample.gauges",
     /// Autonomic policy evaluation.
     Policy = "policy",
-    /// The pass's subjects gathered: the local instances and their quotas.
+    /// The pass's subjects gathered: the watch records brought up to the
+    /// local instances, and the view's size and this node's rank read.
     PolicySubjects = "policy.subjects",
     /// The policy script evaluated over them.
     PolicyEval = "policy.eval",

@@ -202,10 +202,12 @@ fn monitoring_sees_per_instance_usage() {
         c.run_for(SimDuration::from_millis(100));
     }
     let node = c.node(0).unwrap();
-    let latest = node.monitor().latest("web").expect("sampled");
+    let latest = node.watched().get("web").and_then(|w| w.latest());
+    let latest = latest.expect("sampled");
     assert!(latest.cpu_share > 0.0, "cpu visible: {latest:?}");
     assert!(latest.call_rate > 0.0);
-    assert_eq!(node.monitor().subjects(), vec!["web"]);
+    let watched: Vec<_> = node.watched().records().iter().map(|w| w.name()).collect();
+    assert_eq!(watched, ["web"]);
 }
 
 #[test]
