@@ -66,7 +66,7 @@ pub const CONSOLIDATION_POLICY: &str = r#"
 rule consolidate {
     when node_cpu() < 0.05 and instance_count() > 0 and node_count() > 1
          and node_rank() == node_count() - 1 for 5
-    then migrate_all(); hibernate()
+    then hibernate()
 }
 rule empty_node {
     when node_cpu() < 0.05 and instance_count() == 0 and node_count() > 1

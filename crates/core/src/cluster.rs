@@ -1073,6 +1073,32 @@ mod tests {
         assert!(c.trace_log().events.is_empty());
     }
 
+    /// A consolidating node orders each of its instances away once.
+    /// (Regression: the rule said `migrate_all(); hibernate()`, and the
+    /// hibernation drains the node by itself, so every instance was
+    /// ordered away twice.)
+    #[test]
+    fn consolidation_orders_each_migration_once() {
+        let mut config = ClusterConfig::default();
+        config.node.policy = Some(crate::autonomic::CONSOLIDATION_POLICY.to_owned());
+        let mut c = DosgiCluster::new(3, config, 31);
+        c.run_for(SimDuration::from_secs(1));
+        for i in 0..4 {
+            c.deploy(workloads::web_instance("idle", &format!("idle-{i}")), 2)
+                .unwrap();
+        }
+        let deadline = c.now() + SimDuration::from_secs(20);
+        while c.hibernated_nodes() == 0 && c.now() < deadline {
+            c.step();
+        }
+        assert_eq!(c.node(2).map(|n| n.state()), Some(NodeState::Hibernated));
+        assert_eq!(c.telemetry().counter("core.placement.decisions"), 4);
+        c.run_for(SimDuration::from_secs(1));
+        for i in 0..4 {
+            assert!(c.probe(&format!("idle-{i}")), "idle-{i} still served");
+        }
+    }
+
     #[test]
     fn health_scoreboard_tracks_liveness_and_gauges() {
         let telemetry = Telemetry::new();

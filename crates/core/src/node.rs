@@ -1750,9 +1750,6 @@ impl DosgiNode {
                 self.order(net, AppPayload::Draining { node: self.id }, ctx);
                 self.migrate_all_local(net, root);
             }
-            PolicyAction::Custom { name, .. } if name == "migrate_all" => {
-                self.migrate_all_local(net, TraceRef::NONE);
-            }
             PolicyAction::WakeNode
             | PolicyAction::ScaleOut
             | PolicyAction::ShedClass { .. }
