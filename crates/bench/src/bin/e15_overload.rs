@@ -262,21 +262,15 @@ fn policy_reaction(telemetry: &Telemetry) {
                         vs.add_server(RealServer::new(NodeId(1)));
                         timeline.push((now_us, "scale_out: standby n1 joins".into()));
                     }
-                    PolicyAction::ShedClass { class } => {
-                        if let Some(c) = RequestClass::from_name(class) {
-                            if !d.is_shedding(VIP, c) {
-                                d.set_shed_class(VIP, c, true);
-                                timeline.push((now_us, format!("shed_class({class}) on")));
-                            }
-                        }
-                    }
-                    PolicyAction::Custom { name, args, .. } if name == "stop_shed" => {
-                        if let Some(c) = args.first().and_then(|a| RequestClass::from_name(a)) {
-                            if d.is_shedding(VIP, c) {
-                                d.set_shed_class(VIP, c, false);
-                                timeline
-                                    .push((now_us, format!("stop_shed({c}) — pressure cleared")));
-                            }
+                    PolicyAction::ShedClass { class } | PolicyAction::StopShed { class } => {
+                        let shed = matches!(decision.action, PolicyAction::ShedClass { .. });
+                        let Some(c) = RequestClass::from_name(class) else {
+                            continue;
+                        };
+                        if d.is_shedding(VIP, c) != shed {
+                            d.set_shed_class(VIP, c, shed);
+                            let why = if shed { "on" } else { "— pressure cleared" };
+                            timeline.push((now_us, format!("{} {why}", decision.action)));
                         }
                     }
                     _ => {}

@@ -298,18 +298,10 @@ fn reacted_run(telemetry: &Telemetry, alerts: bool) -> (u64, Option<u64>) {
                         let vs = d.service_mut(VIP).expect("vip registered");
                         vs.add_server(RealServer::new(NodeId(1)));
                     }
-                    PolicyAction::ShedClass { class } => {
+                    PolicyAction::ShedClass { class } | PolicyAction::StopShed { class } => {
+                        let shed = matches!(decision.action, PolicyAction::ShedClass { .. });
                         if let Some(c) = RequestClass::from_name(class) {
-                            if !d.is_shedding(VIP, c) {
-                                d.set_shed_class(VIP, c, true);
-                            }
-                        }
-                    }
-                    PolicyAction::Custom { name, args, .. } if name == "stop_shed" => {
-                        if let Some(c) = args.first().and_then(|a| RequestClass::from_name(a)) {
-                            if d.is_shedding(VIP, c) {
-                                d.set_shed_class(VIP, c, false);
-                            }
+                            d.set_shed_class(VIP, c, shed);
                         }
                     }
                     _ => {}

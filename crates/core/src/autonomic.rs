@@ -82,8 +82,8 @@ rule empty_node {
 /// background class; once queues drain, shedding is lifted — un-shed is
 /// deliberately queue-governed, not alert-governed, because burn-rate
 /// alerts reset only after the bad window ages out, long after the
-/// overload itself has passed (`stop_shed` is forwarded as a
-/// [`dosgi_policy::PolicyAction::Custom`] the driver interprets). The
+/// overload itself has passed (`stop_shed` is a
+/// [`dosgi_policy::PolicyAction::StopShed`] the driver executes). The
 /// driver feeds the blackboard `alert_firing` per SLO subject
 /// (`set_subject_metric(<slo>, "alert_firing", 0/1)` from
 /// `SloEngine::firing`) plus the `queue_depth` / `queue_capacity`
@@ -378,8 +378,7 @@ mod tests {
         assert!(
             cleared.iter().any(|d| matches!(
                 &d.action,
-                PolicyAction::Custom { name, args, .. } if name == "stop_shed"
-                    && args == &["background".to_owned()]
+                PolicyAction::StopShed { class } if class == "background"
             )),
             "{cleared:?}"
         );
@@ -512,8 +511,8 @@ mod tests {
         "queue_capacity",
     ];
 
-    /// A rule per metric and subject reporting the value it reads (or the
-    /// error) — for the bound subject and for three by name.
+    /// A rule per metric and subject alerting with the value it reads (or
+    /// erring) — for the bound subject and for three by name.
     fn every_metric_script() -> String {
         let mut script = String::new();
         for (i, metric) in SUBJECT_METRICS.iter().enumerate() {
@@ -521,11 +520,11 @@ mod tests {
                 .iter()
                 .enumerate()
             {
-                script += &format!("rule s{i}_{j} {{ when true then report({metric}({arg})) }}\n");
+                script += &format!("rule s{i}_{j} {{ when true then alert({metric}({arg})) }}\n");
             }
         }
         for (i, global) in GLOBALS.iter().enumerate() {
-            script += &format!("rule g{i} {{ when true then report({global}()) }}\n");
+            script += &format!("rule g{i} {{ when true then alert({global}()) }}\n");
         }
         script
     }

@@ -730,11 +730,6 @@ impl DosgiCluster {
         dosgi_telemetry::derive_health(alerts, self.quarantined_on(idx), 0)
     }
 
-    /// The per-node health scoreboard, indexed like the nodes.
-    pub fn health_scoreboard(&self) -> Vec<HealthState> {
-        (0..self.slots.len()).map(|i| self.health_of(i)).collect()
-    }
-
     /// Publishes the scoreboard as `core.health.n<i>` gauges
     /// (0 = ok, 1 = degraded, 2 = critical).
     pub fn record_health_gauges(&self) {
@@ -1105,10 +1100,9 @@ mod tests {
         let mut c =
             DosgiCluster::new_with_telemetry(3, ClusterConfig::default(), 77, telemetry.clone());
         c.run_for(SimDuration::from_millis(500));
-        assert_eq!(
-            c.health_scoreboard(),
-            vec![HealthState::Ok, HealthState::Ok, HealthState::Ok]
-        );
+        for i in 0..3 {
+            assert_eq!(c.health_of(i), HealthState::Ok);
+        }
         c.crash_node(1);
         assert_eq!(c.health_of(1), HealthState::Critical);
         assert_eq!(c.health_of(0), HealthState::Ok);

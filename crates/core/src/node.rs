@@ -1750,17 +1750,14 @@ impl DosgiNode {
                 self.order(net, AppPayload::Draining { node: self.id }, ctx);
                 self.migrate_all_local(net, root);
             }
-            PolicyAction::WakeNode
+            PolicyAction::Alert { .. }
             | PolicyAction::ScaleOut
             | PolicyAction::ShedClass { .. }
-            | PolicyAction::UpgradeWave
-            | PolicyAction::Alert { .. }
-            | PolicyAction::Custom { .. } => {
-                // Alerts are visible through the PolicyFired event; wake,
-                // scale-out, class shedding and upgrade waves are
-                // cluster-level operations (the driver reacts — e.g. E15
-                // wakes a standby replica or flips the admission layer's
-                // shed switch, E14 starts a rolling `UpgradeWave`).
+            | PolicyAction::StopShed { .. } => {
+                // Alerts are visible through the PolicyFired event; scaling
+                // out and class shedding act on the admission layer, which
+                // a driver owns (E15 and E16 add a standby replica or flip
+                // the shed switch).
             }
         }
     }

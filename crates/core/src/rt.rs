@@ -233,11 +233,6 @@ impl RealCluster {
         self.on(on, |node, _| node_health(node))
     }
 
-    /// Every node's health, indexed like [`ids`](Self::ids).
-    pub fn health_scoreboard(&self) -> Vec<HealthState> {
-        self.ids.iter().map(|&id| self.health(id)).collect()
-    }
-
     /// Drains node `on`'s accumulated events.
     pub fn take_events(&self, on: NodeId) -> Vec<NodeEvent> {
         self.on(on, |node, _| node.take_events())
@@ -359,7 +354,7 @@ mod tests {
     }
 
     /// The command plane answers health queries: an idle healthy cluster
-    /// scores `Ok` on every node, and the scoreboard is indexed like `ids`.
+    /// scores `Ok` on every node.
     #[test]
     fn health_scoreboard_over_command_plane() {
         let cluster = two_node_cluster();
@@ -368,12 +363,13 @@ mod tests {
             .deploy(a, workloads::counter_instance("acme", "ctr-health"))
             .expect("deploy accepted");
         assert!(cluster.await_running(a, "ctr-health", Duration::from_secs(10)));
-        let board = cluster.health_scoreboard();
-        assert_eq!(board.len(), cluster.ids().len());
-        for (i, h) in board.iter().enumerate() {
-            assert_eq!(*h, HealthState::Ok, "idle node {i} must be healthy");
+        for &id in cluster.ids() {
+            assert_eq!(
+                cluster.health(id),
+                HealthState::Ok,
+                "idle {id:?} must be healthy"
+            );
         }
-        assert_eq!(cluster.health(a), HealthState::Ok);
         cluster.shutdown();
     }
 

@@ -386,28 +386,6 @@ impl IpvsDirector {
         before - self.connections.len()
     }
 
-    /// [`node_down`](Self::node_down) with a causal trace: the redirect
-    /// span joins `ctx`'s trace when given (the failover adoption that
-    /// triggered the health-check reaction — making "redirect happens
-    /// after adopt" checkable), or starts a fresh `redirect/n<node>` trace
-    /// for an unprompted health-check trip.
-    #[cfg(test)]
-    pub(crate) fn node_down_traced(
-        &mut self,
-        node: NodeId,
-        ctx: Option<TraceContext>,
-        now_us: u64,
-    ) -> usize {
-        let name = format!("redirect/n{}", node.0);
-        let span = match ctx {
-            Some(c) => self.recorder.child(c, &name, now_us),
-            None => self.recorder.root(&name, now_us),
-        };
-        let broken = self.node_down(node);
-        self.recorder.end(span, now_us);
-        broken
-    }
-
     /// Marks every replica on `node` back up.
     #[cfg(test)]
     pub(crate) fn node_up(&mut self, node: NodeId) {
@@ -605,46 +583,13 @@ mod tests {
     }
 
     #[test]
-    fn node_down_traced_records_redirect_span() {
-        let rec = FlightRecorder::new(5);
-        let mut d = director(2);
-        d.set_recorder(rec.clone());
-        d.connect(1, addr()).unwrap();
-        // An adoption context from some other node parents the redirect.
-        let adopt = rec.root("adopt/web", 100);
-        let ctx = rec.context(adopt).unwrap();
-        rec.end(adopt, 100);
-        let broken = d.node_down_traced(NodeId(0), Some(ctx), 250);
-        assert_eq!(broken, 1);
-        let events = rec.events();
-        let redirect = events
-            .iter()
-            .find(|e| e.name == "redirect/n0")
-            .expect("redirect span recorded");
-        assert_eq!(redirect.trace_id, ctx.trace_id, "joins the adopt trace");
-        assert!(
-            redirect.lamport_start > ctx.lamport,
-            "redirect is causally after the adoption"
-        );
-        // Without a context the redirect starts its own trace.
-        d.node_up(NodeId(0));
-        d.node_down_traced(NodeId(0), None, 300);
-        let roots: Vec<_> = rec
-            .events()
-            .into_iter()
-            .filter(|e| e.name == "redirect/n0" && e.parent_span == 0)
-            .collect();
-        assert_eq!(roots.len(), 1);
-    }
-
-    #[test]
     fn default_recorder_is_inert() {
         let mut traced = director(2);
         let mut plain = director(2);
         traced.connect(1, addr()).unwrap();
         plain.connect(1, addr()).unwrap();
-        traced.node_down_traced(NodeId(0), None, 10);
-        plain.node_down(NodeId(0));
+        traced.drain_node_traced(NodeId(0), None, 10);
+        plain.drain_node(NodeId(0));
         assert_eq!(traced, plain, "tracing hooks change no routing state");
         assert!(traced.recorder().events().is_empty());
     }

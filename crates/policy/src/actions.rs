@@ -2,10 +2,72 @@
 
 use std::fmt;
 
-/// A concrete action the embedding (the node's Autonomic Module) should
-/// execute. §3.3: *"stopping a given virtual instance, giving it lower
-/// priority … or swap it, if possible, to a suitable node"*, plus the
-/// consolidation/power actions from §4.
+/// A verb a rule's `then` clause may name: one per [`PolicyAction`], each
+/// executed by a node or a driver. One table holds the verbs' names: the
+/// parser reads a verb from it, so a script naming any other verb does not
+/// compile, and a [`PolicyAction`] prints with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verb {
+    /// `migrate($i)`: [`PolicyAction::Migrate`].
+    Migrate,
+    /// `stop($i)`: [`PolicyAction::Stop`].
+    Stop,
+    /// `throttle($i)`: [`PolicyAction::Throttle`].
+    Throttle,
+    /// `restart($i)`: [`PolicyAction::Restart`].
+    Restart,
+    /// `alert("text")`: [`PolicyAction::Alert`].
+    Alert,
+    /// `hibernate()`: [`PolicyAction::HibernateNode`].
+    Hibernate,
+    /// `scale_out()`: [`PolicyAction::ScaleOut`].
+    ScaleOut,
+    /// `shed_class("class")`: [`PolicyAction::ShedClass`].
+    ShedClass,
+    /// `stop_shed("class")`: [`PolicyAction::StopShed`].
+    StopShed,
+}
+
+impl Verb {
+    /// Every verb.
+    pub(crate) const ALL: [Verb; 9] = [
+        Verb::Migrate,
+        Verb::Stop,
+        Verb::Throttle,
+        Verb::Restart,
+        Verb::Alert,
+        Verb::Hibernate,
+        Verb::ScaleOut,
+        Verb::ShedClass,
+        Verb::StopShed,
+    ];
+
+    /// The verb as a script names it.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            Verb::Migrate => "migrate",
+            Verb::Stop => "stop",
+            Verb::Throttle => "throttle",
+            Verb::Restart => "restart",
+            Verb::Alert => "alert",
+            Verb::Hibernate => "hibernate",
+            Verb::ScaleOut => "scale_out",
+            Verb::ShedClass => "shed_class",
+            Verb::StopShed => "stop_shed",
+        }
+    }
+
+    /// The verb a script's `name` names, if any.
+    pub(crate) fn from_name(name: &str) -> Option<Verb> {
+        Verb::ALL.into_iter().find(|verb| verb.name() == name)
+    }
+}
+
+/// A concrete action the embedding (the node's Autonomic Module, or the
+/// E15/E16 drivers) executes. §3.3: *"stopping a given virtual instance,
+/// giving it lower priority … or swap it, if possible, to a suitable
+/// node"*, plus the consolidation action from §4 and the overload
+/// reactions a driver takes at the admission layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PolicyAction {
     /// Move the instance to another node (destination chosen by the
@@ -39,8 +101,6 @@ pub enum PolicyAction {
     /// Consolidate: this node should hand off its instances and power down
     /// (the paper's green-computing side effect).
     HibernateNode,
-    /// Bring a hibernated node back.
-    WakeNode,
     /// Add serving capacity (wake a standby / add a replica behind the
     /// VIP) — the reaction to a sustained latency-SLO breach.
     ScaleOut,
@@ -51,51 +111,45 @@ pub enum PolicyAction {
         /// The class to shed (e.g. `"background"`).
         class: String,
     },
-    /// Begin a cluster-wide rolling bundle upgrade: one node at a time is
-    /// drained at the director, its bundles hot-swapped in place, then
-    /// un-drained — a cluster-level action the driver orchestrates (E14).
-    UpgradeWave,
-    /// An action the engine does not recognize; forwarded verbatim so
-    /// embeddings can extend the vocabulary.
-    Custom {
-        /// The action name from the script.
-        name: String,
-        /// The subject, if the rule was per-subject.
-        subject: Option<String>,
-        /// Stringified arguments.
-        args: Vec<String>,
+    /// Stop shedding the named request class: the pressure has cleared.
+    StopShed {
+        /// The class to admit again.
+        class: String,
     },
+}
+
+impl PolicyAction {
+    /// The verb a script names this action with.
+    fn verb(&self) -> Verb {
+        match self {
+            PolicyAction::Migrate { .. } => Verb::Migrate,
+            PolicyAction::Stop { .. } => Verb::Stop,
+            PolicyAction::Throttle { .. } => Verb::Throttle,
+            PolicyAction::Restart { .. } => Verb::Restart,
+            PolicyAction::Alert { .. } => Verb::Alert,
+            PolicyAction::HibernateNode => Verb::Hibernate,
+            PolicyAction::ScaleOut => Verb::ScaleOut,
+            PolicyAction::ShedClass { .. } => Verb::ShedClass,
+            PolicyAction::StopShed { .. } => Verb::StopShed,
+        }
+    }
 }
 
 impl fmt::Display for PolicyAction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verb = self.verb().name();
         match self {
-            PolicyAction::Migrate { subject } => write!(f, "migrate({subject})"),
-            PolicyAction::Stop { subject } => write!(f, "stop({subject})"),
-            PolicyAction::Throttle { subject } => write!(f, "throttle({subject})"),
-            PolicyAction::Restart { subject } => write!(f, "restart({subject})"),
+            PolicyAction::Migrate { subject }
+            | PolicyAction::Stop { subject }
+            | PolicyAction::Throttle { subject }
+            | PolicyAction::Restart { subject } => write!(f, "{verb}({subject})"),
             PolicyAction::Alert { subject, message } => match subject {
-                Some(s) => write!(f, "alert({s}, {message:?})"),
-                None => write!(f, "alert({message:?})"),
+                Some(s) => write!(f, "{verb}({s}, {message:?})"),
+                None => write!(f, "{verb}({message:?})"),
             },
-            PolicyAction::HibernateNode => write!(f, "hibernate()"),
-            PolicyAction::WakeNode => write!(f, "wake()"),
-            PolicyAction::ScaleOut => write!(f, "scale_out()"),
-            PolicyAction::ShedClass { class } => write!(f, "shed_class({class})"),
-            PolicyAction::UpgradeWave => write!(f, "upgrade_wave()"),
-            PolicyAction::Custom {
-                name,
-                subject,
-                args,
-            } => {
-                write!(f, "{name}(")?;
-                if let Some(s) = subject {
-                    write!(f, "{s}")?;
-                    if !args.is_empty() {
-                        write!(f, ", ")?;
-                    }
-                }
-                write!(f, "{})", args.join(", "))
+            PolicyAction::HibernateNode | PolicyAction::ScaleOut => write!(f, "{verb}()"),
+            PolicyAction::ShedClass { class } | PolicyAction::StopShed { class } => {
+                write!(f, "{verb}({class})")
             }
         }
     }
@@ -137,7 +191,6 @@ mod tests {
         assert_eq!(d.to_string(), "[hot/acme] migrate(acme)");
         assert_eq!(PolicyAction::HibernateNode.to_string(), "hibernate()");
         assert_eq!(PolicyAction::ScaleOut.to_string(), "scale_out()");
-        assert_eq!(PolicyAction::UpgradeWave.to_string(), "upgrade_wave()");
         assert_eq!(
             PolicyAction::ShedClass {
                 class: "background".into()
@@ -154,13 +207,11 @@ mod tests {
             "alert(\"x\")"
         );
         assert_eq!(
-            PolicyAction::Custom {
-                name: "boost".into(),
-                subject: Some("a".into()),
-                args: vec!["2".into()]
+            PolicyAction::StopShed {
+                class: "background".into()
             }
             .to_string(),
-            "boost(a, 2)"
+            "stop_shed(background)"
         );
     }
 }

@@ -1,5 +1,6 @@
 //! The policy-script abstract syntax tree.
 
+use crate::Verb;
 use std::fmt;
 
 /// An expression in a `when` clause or an action argument.
@@ -111,15 +112,15 @@ impl fmt::Display for Expr {
 /// One action invocation in a `then` clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActionCall {
-    /// The action's name (`migrate`, `stop`, `alert`, …).
-    pub name: String,
+    /// The action's verb (`migrate`, `stop`, `alert`, …).
+    pub verb: Verb,
     /// Its arguments.
     pub args: Vec<Expr>,
 }
 
 impl fmt::Display for ActionCall {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}(", self.name)?;
+        write!(f, "{}(", self.verb.name())?;
         for (i, a) in self.args.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
@@ -217,7 +218,7 @@ mod tests {
             },
             sustain: 3,
             actions: vec![ActionCall {
-                name: "migrate".into(),
+                verb: Verb::Migrate,
                 args: vec![Expr::Subject],
             }],
         };
@@ -239,7 +240,7 @@ mod tests {
             },
             sustain: 1,
             actions: vec![ActionCall {
-                name: "hibernate".into(),
+                verb: Verb::Hibernate,
                 args: vec![],
             }],
         });

@@ -43,17 +43,6 @@ impl Blackboard {
     pub fn forget_subject(&mut self, subject: &str) {
         self.subject_metrics.remove(subject);
     }
-
-    /// All subjects with at least one metric, sorted.
-    pub fn subjects(&self) -> Vec<String> {
-        self.subject_metrics.keys().cloned().collect()
-    }
-
-    /// Clears everything.
-    pub fn clear(&mut self) {
-        self.subject_metrics.clear();
-        self.global_metrics.clear();
-    }
 }
 
 /// Overwrites a metric in place; only the first write of a name owns it.
@@ -92,19 +81,18 @@ mod tests {
         assert_eq!(bb.metric("cpu", Some("b")), None);
         assert_eq!(bb.metric("node_cpu", None), Some(0.9));
         assert_eq!(bb.metric("cpu", None), None);
-        assert_eq!(bb.subjects(), vec!["a"]);
     }
 
     #[test]
-    fn forget_and_clear() {
+    fn forget_subject_keeps_the_rest() {
         let mut bb = Blackboard::new();
         bb.set_subject_metric("a", "cpu", 0.5);
+        bb.set_subject_metric("b", "cpu", 0.7);
         bb.set_global_metric("g", 1.0);
         bb.forget_subject("a");
-        assert!(bb.subjects().is_empty());
+        assert_eq!(bb.metric("cpu", Some("a")), None);
+        assert_eq!(bb.metric("cpu", Some("b")), Some(0.7));
         assert_eq!(bb.metric("g", None), Some(1.0));
-        bb.clear();
-        assert_eq!(bb.metric("g", None), None);
     }
 
     #[test]

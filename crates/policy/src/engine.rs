@@ -3,7 +3,7 @@
 use crate::ast::{ActionCall, Expr, Rule, Script};
 use crate::eval::{eval, MetricSource, Subject, Value};
 use crate::parser::{parse, ParseError};
-use crate::{PolicyAction, PolicyDecision};
+use crate::{PolicyAction, PolicyDecision, Verb};
 use std::cell::Cell;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
@@ -40,7 +40,8 @@ impl PolicyEngine {
     ///
     /// # Errors
     ///
-    /// Returns the parse error for malformed scripts.
+    /// Returns the parse error for malformed scripts, and for a script
+    /// whose `then` clause names an action that is not a [`Verb`].
     pub fn compile(source: &str) -> Result<Self, ParseError> {
         let script = Arc::new(parse(source)?);
         Ok(PolicyEngine {
@@ -207,76 +208,55 @@ fn resolve_action(
     source: &dyn MetricSource,
     subject: Option<&dyn Subject>,
 ) -> Result<PolicyAction, String> {
-    let arg_subject = |idx: usize| -> Result<String, String> {
-        match call.args.get(idx) {
+    let verb = call.verb.name();
+    let arg = |idx: usize| -> Result<Option<Value>, String> {
+        call.args
+            .get(idx)
+            .map(|e| eval(e, source, subject).map_err(|e| e.to_string()))
+            .transpose()
+    };
+    let arg_subject = || -> Result<String, String> {
+        match arg(0)? {
             None => subject
                 .map(|s| s.name().to_owned())
-                .ok_or_else(|| format!("{} needs a subject", call.name)),
-            Some(e) => match eval(e, source, subject).map_err(|e| e.to_string())? {
-                Value::Str(s) => Ok(s),
-                other => Err(format!(
-                    "{} subject must be a string, got {other}",
-                    call.name
-                )),
-            },
+                .ok_or_else(|| format!("{verb} needs a subject")),
+            Some(Value::Str(s)) => Ok(s),
+            Some(other) => Err(format!("{verb} subject must be a string, got {other}")),
         }
     };
-    match call.name.as_str() {
-        "migrate" => Ok(PolicyAction::Migrate {
-            subject: arg_subject(0)?,
-        }),
-        "stop" => Ok(PolicyAction::Stop {
-            subject: arg_subject(0)?,
-        }),
-        "throttle" => Ok(PolicyAction::Throttle {
-            subject: arg_subject(0)?,
-        }),
-        "restart" => Ok(PolicyAction::Restart {
-            subject: arg_subject(0)?,
-        }),
-        "alert" => {
-            let message = match call.args.first() {
-                Some(e) => match eval(e, source, subject).map_err(|e| e.to_string())? {
-                    Value::Str(s) => s,
-                    other => other.to_string(),
-                },
+    let class = || -> Result<String, String> {
+        match arg(0)? {
+            Some(Value::Str(s)) => Ok(s),
+            Some(other) => Err(format!("{verb} wants a class name, got {other}")),
+            None => Err(format!("{verb} needs a class argument")),
+        }
+    };
+    Ok(match call.verb {
+        Verb::Migrate => PolicyAction::Migrate {
+            subject: arg_subject()?,
+        },
+        Verb::Stop => PolicyAction::Stop {
+            subject: arg_subject()?,
+        },
+        Verb::Throttle => PolicyAction::Throttle {
+            subject: arg_subject()?,
+        },
+        Verb::Restart => PolicyAction::Restart {
+            subject: arg_subject()?,
+        },
+        Verb::Alert => PolicyAction::Alert {
+            subject: subject.map(|s| s.name().to_owned()),
+            message: match arg(0)? {
+                Some(Value::Str(s)) => s,
+                Some(other) => other.to_string(),
                 None => "policy alert".to_owned(),
-            };
-            Ok(PolicyAction::Alert {
-                subject: subject.map(|s| s.name().to_owned()),
-                message,
-            })
-        }
-        "hibernate" => Ok(PolicyAction::HibernateNode),
-        "wake" => Ok(PolicyAction::WakeNode),
-        "scale_out" => Ok(PolicyAction::ScaleOut),
-        "upgrade_wave" => Ok(PolicyAction::UpgradeWave),
-        "shed_class" => {
-            let class = match call.args.first() {
-                Some(e) => match eval(e, source, subject).map_err(|e| e.to_string())? {
-                    Value::Str(s) => s,
-                    other => return Err(format!("shed_class wants a class name, got {other}")),
-                },
-                None => return Err("shed_class needs a class argument".to_owned()),
-            };
-            Ok(PolicyAction::ShedClass { class })
-        }
-        other => {
-            let mut args = Vec::new();
-            for e in &call.args {
-                args.push(
-                    eval(e, source, subject)
-                        .map_err(|e| e.to_string())?
-                        .to_string(),
-                );
-            }
-            Ok(PolicyAction::Custom {
-                name: other.to_owned(),
-                subject: subject.map(|s| s.name().to_owned()),
-                args,
-            })
-        }
-    }
+            },
+        },
+        Verb::Hibernate => PolicyAction::HibernateNode,
+        Verb::ScaleOut => PolicyAction::ScaleOut,
+        Verb::ShedClass => PolicyAction::ShedClass { class: class()? },
+        Verb::StopShed => PolicyAction::StopShed { class: class()? },
+    })
 }
 
 #[cfg(test)]
@@ -403,19 +383,29 @@ mod tests {
     }
 
     #[test]
-    fn custom_actions_are_forwarded() {
-        let mut e = PolicyEngine::compile("rule x { when true then boost($i, 2) }").unwrap();
-        let bb = Blackboard::new();
-        let a = e.streaks();
-        let d = e.evaluate(&bb, &[("a", &a)]);
-        assert_eq!(
-            d[0].action,
-            PolicyAction::Custom {
-                name: "boost".into(),
-                subject: Some("a".into()),
-                args: vec!["a".into(), "2".into()],
-            }
-        );
+    fn unknown_verbs_fail_to_compile_naming_the_verb() {
+        for (verb, script) in [
+            ("wake", "rule w { when true then wake() }"),
+            ("upgrade_wave", "rule u { when true then upgrade_wave() }"),
+            (
+                "migrate_all",
+                "rule m { when true then migrate_all(); hibernate() }",
+            ),
+            ("migrat", "rule m { when cpu($i) > 1 then migrat($i) }"),
+        ] {
+            let error = PolicyEngine::compile(script).unwrap_err();
+            assert_eq!(error.message, format!("unknown action `{verb}`"));
+            assert_eq!(&script[error.at..error.at + verb.len()], verb);
+        }
+    }
+
+    #[test]
+    fn every_verb_compiles() {
+        for verb in Verb::ALL {
+            let script = format!("rule r {{ when true then {}(\"x\") }}", verb.name());
+            let engine = PolicyEngine::compile(&script).unwrap();
+            assert_eq!(engine.script().rules[0].actions[0].verb, verb);
+        }
     }
 
     #[test]
@@ -443,12 +433,19 @@ mod tests {
     }
 
     #[test]
-    fn upgrade_wave_resolves_first_class() {
-        let mut e = PolicyEngine::compile("rule roll { when true then upgrade_wave() }").unwrap();
+    fn stop_shed_resolves_first_class() {
+        let mut e =
+            PolicyEngine::compile(r#"rule lift { when true then stop_shed("background") }"#)
+                .unwrap();
         let bb = Blackboard::new();
         let d = e.evaluate(&bb, GLOBAL);
         assert_eq!(d.len(), 1);
-        assert_eq!(d[0].action, PolicyAction::UpgradeWave);
+        assert_eq!(
+            d[0].action,
+            PolicyAction::StopShed {
+                class: "background".into()
+            }
+        );
         assert_eq!(e.last_errors().count(), 0);
     }
 

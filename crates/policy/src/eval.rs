@@ -304,7 +304,7 @@ mod tests {
     const NONE: Option<&dyn Subject> = None;
 
     fn condition(src: &str) -> Expr {
-        parse(&format!("rule t {{ when {src} then x }}"))
+        parse(&format!("rule t {{ when {src} then hibernate }}"))
             .unwrap()
             .rules
             .remove(0)

@@ -3,7 +3,9 @@
 //! §3.3 of the paper delegates SLA enforcement to an autonomic component
 //! built on *Serpentine* (Matos et al., SAC 2008): stateless, composable in
 //! hierarchies, with business policies written *programmatically* via
-//! JSR-223 (Scripting for the Java Platform).
+//! JSR-223 (Scripting for the Java Platform). The hierarchies (§3.3's
+//! "cascading capabilities") are not reproduced: each node runs one
+//! engine, and no experiment composes levels.
 //!
 //! This crate reproduces that component with an embedded policy-script
 //! language:
@@ -32,11 +34,12 @@
 //!   bound [`Subject`]: a [`Blackboard`] of written values and subjects
 //!   known by name, or — in the `dosgi-core` Autonomic Module — each local
 //!   instance's watch record, read in place.
-//! * Actions become [`PolicyAction`]s the embedding (the `dosgi-core`
-//!   Autonomic Module) executes: migrate, stop, throttle, restart, alert,
-//!   hibernate, wake.
-//! * [`Hierarchy`] composes engines in levels with subject scopes, the
-//!   paper's "cascading capabilities … different levels of control".
+//! * Actions become [`PolicyAction`]s the embedding executes: the
+//!   `dosgi-core` Autonomic Module migrates, stops, throttles, restarts
+//!   and hibernates; the E15/E16 drivers scale out and start or stop
+//!   shedding a request class; an alert is an event. The [`Verb`]s a
+//!   `then` clause may name are exactly these, and a script naming any
+//!   other fails to compile.
 //!
 //! The full pipeline:
 //!
@@ -63,15 +66,13 @@ mod ast;
 mod blackboard;
 mod engine;
 mod eval;
-mod hierarchy;
 mod lexer;
 mod parser;
 
-pub use actions::{PolicyAction, PolicyDecision};
+pub use actions::{PolicyAction, PolicyDecision, Verb};
 pub use ast::{ActionCall, Expr, Rule, Script};
 pub use blackboard::Blackboard;
 pub use engine::{PolicyEngine, Streaks};
 pub use eval::{EvalError, MetricSource, Named, Subject};
-pub use hierarchy::{Hierarchy, Level, LevelDecision};
 pub use lexer::{LexError, Token};
 pub use parser::ParseError;

@@ -2,6 +2,7 @@
 
 use crate::ast::{ActionCall, BinOp, Expr, Rule, Script};
 use crate::lexer::{lex, LexError, Token};
+use crate::Verb;
 use std::fmt;
 
 /// A parse failure.
@@ -141,7 +142,12 @@ impl Parser {
     }
 
     fn action(&mut self) -> Result<ActionCall, ParseError> {
+        let at = self.offset();
         let name = self.ident()?;
+        let verb = Verb::from_name(&name).ok_or_else(|| ParseError {
+            at,
+            message: format!("unknown action `{name}`"),
+        })?;
         let mut args = Vec::new();
         if matches!(self.peek(), Some(Token::LParen)) {
             self.pos += 1;
@@ -154,7 +160,7 @@ impl Parser {
             }
             self.expect(&Token::RParen)?;
         }
-        Ok(ActionCall { name, args })
+        Ok(ActionCall { verb, args })
     }
 
     fn expr(&mut self) -> Result<Expr, ParseError> {
@@ -312,7 +318,7 @@ mod tests {
         assert_eq!(r.name, "hot");
         assert_eq!(r.sustain, 3);
         assert_eq!(r.actions.len(), 2);
-        assert_eq!(r.actions[1].name, "alert");
+        assert_eq!(r.actions[1].verb, Verb::Alert);
         assert_eq!(
             r.to_string(),
             "rule hot { when (cpu_share($i) > (quota_cpu($i) * 1.2)) for 3 then migrate($i); alert(\"hot\") }"
@@ -326,20 +332,20 @@ mod tests {
             s.rules[0].condition.to_string(),
             "(((a() + (b() * 2)) > 10) and not c())"
         );
-        let s = parse("rule p { when a() or b() and c() then x }").unwrap();
+        let s = parse("rule p { when a() or b() and c() then hibernate }").unwrap();
         assert_eq!(s.rules[0].condition.to_string(), "(a() or (b() and c()))");
     }
 
     #[test]
     fn parentheses_override() {
-        let s = parse("rule p { when (a() or b()) and c() then x }").unwrap();
+        let s = parse("rule p { when (a() or b()) and c() then hibernate }").unwrap();
         assert_eq!(s.rules[0].condition.to_string(), "((a() or b()) and c())");
     }
 
     #[test]
     fn multiple_rules_and_bare_actions() {
         let s = parse(
-            "# policies\nrule a { when true then hibernate }\nrule b { when false then wake }",
+            "# policies\nrule a { when true then hibernate }\nrule b { when false then scale_out }",
         )
         .unwrap();
         assert_eq!(s.rules.len(), 2);
@@ -356,13 +362,13 @@ mod tests {
 
     #[test]
     fn errors_are_descriptive() {
-        assert!(parse("rule { when true then x }").is_err()); // missing name
-        assert!(parse("rule a when true then x }").is_err()); // missing brace
-        assert!(parse("rule a { when then x }").is_err()); // missing cond
-        assert!(parse("rule a { when true for 0 then x }").is_err()); // bad sustain
-        assert!(parse("rule a { when true for 1.5 then x }").is_err());
+        assert!(parse("rule { when true then stop }").is_err()); // missing name
+        assert!(parse("rule a when true then stop }").is_err()); // missing brace
+        assert!(parse("rule a { when then stop }").is_err()); // missing cond
+        assert!(parse("rule a { when true for 0 then stop }").is_err()); // bad sustain
+        assert!(parse("rule a { when true for 1.5 then stop }").is_err());
         assert!(parse("rule a { when true }").is_err()); // missing then
-        assert!(parse("rule a { when f( then x }").is_err()); // bad call
+        assert!(parse("rule a { when f( then stop }").is_err()); // bad call
         let e = parse("bogus").unwrap_err();
         assert!(e.message.contains("rule"));
     }
