@@ -137,8 +137,7 @@ fn by_trace(events: &[TraceEvent]) -> BTreeMap<u64, Vec<&TraceEvent>> {
 /// overflow was reported, disabling the structural (missing-span) checks.
 fn check(events: &[TraceEvent], complete: bool) -> Verdict {
     let mut verdict = Verdict::default();
-    let traces = by_trace(events);
-    for (trace_id, evs) in &traces {
+    for (trace_id, evs) in &by_trace(events) {
         let by_span: BTreeMap<u64, &TraceEvent> = evs.iter().map(|e| (e.span_id, *e)).collect();
         if complete {
             verdict.examine("missing root");
@@ -289,9 +288,8 @@ struct Breakdown {
 /// Extracts the latency breakdown of every `migrate/<name>`-rooted trace
 /// whose five phase spans are all present and closed.
 fn migration_breakdowns(events: &[TraceEvent]) -> Vec<Breakdown> {
-    let traces = by_trace(events);
     let mut out = Vec::new();
-    for (trace_id, evs) in &traces {
+    for (trace_id, evs) in &by_trace(events) {
         let Some(root) = evs.iter().find(|e| e.span_id == *trace_id) else {
             continue;
         };
