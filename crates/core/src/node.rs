@@ -1459,6 +1459,7 @@ impl DosgiNode {
                 if let Some(root) = self.upgrade_traces.remove(&key) {
                     self.recorder.end(root, now_us);
                 }
+                self.metrics.upgrade_failed.incr();
                 self.events.push(NodeEvent::UpgradeFailed {
                     at: now,
                     name: p.name,

@@ -436,6 +436,51 @@ mod tests {
         assert_eq!(got, dosgi_san::Value::Int(1));
     }
 
+    /// An upgrade whose instance migrates away before the swap instant is
+    /// abandoned, and an abandoned upgrade is a failed one: one
+    /// `UpgradeFailed`, its `upgrade/` root ended, and
+    /// `core.upgrade.failed` counting it.
+    #[test]
+    fn an_upgrade_abandoned_by_a_migration_counts_as_failed() {
+        let mut cluster = wave_cluster(2, 1);
+        let home = cluster.home_of("ctr-0").expect("placed");
+        let manifest = workloads::counter_manifest_at(
+            workloads::COUNTER_WRITE_THROUGH,
+            dosgi_osgi::Version::new(1, 1, 0),
+        );
+        cluster.upgrade_bundle("ctr-0", manifest).expect("request");
+        cluster.migrate("ctr-0", 1 - home).expect("migrate");
+        let mut failed = Vec::new();
+        let deadline = cluster.now() + SimDuration::from_secs(2);
+        while cluster.now() < deadline {
+            cluster.step();
+            for (node, ev) in cluster.take_events() {
+                match ev {
+                    NodeEvent::UpgradeFailed { error, .. } => failed.push((node, error)),
+                    NodeEvent::BundleUpgraded { .. } => panic!("the swap landed: {ev:?}"),
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(
+            failed,
+            vec![(
+                NodeId(home as u32),
+                "instance no longer placed here".to_owned()
+            )]
+        );
+        assert_eq!(cluster.home_of("ctr-0"), Some(1 - home));
+        let recorder = cluster.node(home).expect("alive").recorder();
+        let roots = recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.name.starts_with("upgrade/"))
+            .count();
+        assert_eq!(roots, 1, "one upgrade root, ended");
+        assert!(recorder.open_events().is_empty());
+        assert_eq!(cluster.telemetry().counter("core.upgrade.failed"), 1);
+    }
+
     #[test]
     fn wave_skips_a_node_killed_mid_upgrade() {
         let mut cluster = wave_cluster(3, 3);
