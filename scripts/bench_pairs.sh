@@ -9,9 +9,11 @@
 # The workload `all` runs every workload of BENCHMARK.json in its order, each
 # as if named alone: a table (and a recorded row) per workload.
 #
-# The parent is unpacked (`git archive`) under target/bench_pairs/, each side
-# is built by its own benchmark/run.sh into its own CARGO_TARGET_DIR there, and
-# pair i runs both on seed first-seed + i. Bash and awk only, nothing fetched;
+# The parent is unpacked (`git archive`, with the time of unpacking rather than
+# the commit's, so that a build left by an earlier parent is not reused) under
+# target/bench_pairs/, each side is built by its own benchmark/run.sh into its
+# own CARGO_TARGET_DIR there, and pair i runs both on seed first-seed + i.
+# Bash and awk only, nothing fetched;
 # it reads benchmark/ and BENCHMARK.json and edits neither. Per timed metric it
 # prints both medians with their quartiles (Python's statistics.quantiles,
 # n=4, as the driver computes them), the parent's quartile distance and the
@@ -54,7 +56,7 @@ fi
 work="$PWD/target/bench_pairs"
 rm -rf "$work/parent-src"
 mkdir -p "$work/parent-src" "$work/out"
-git archive "$parent_ref" | tar -x -C "$work/parent-src"
+git archive "$parent_ref" | tar -x -m -C "$work/parent-src"
 
 # side <parent|change> <seed>: one run; on stdout the calibration kernel's p50
 # (from the run's heading), then its last line (the result).

@@ -6,7 +6,9 @@
 #
 # The parent is unpacked (`git archive`) under target/sweep_diff/, and each
 # side's `chaos` bin is built into its own CARGO_TARGET_DIR there: the parent
-# from its unpacked source, the change from the working tree. Both sides then
+# from its unpacked source, the change from the working tree. The unpacked
+# files take the time of unpacking, not the commit's (`tar -m`), so a build
+# left by an earlier parent is never taken for this one's. Both sides then
 # run `CHAOS_SEEDS=<seeds> CHAOS_SEED0=1`, each from an empty directory outside
 # any cargo workspace (the bin writes its traces and telemetry snapshot under
 # the workspace it is run from), so nothing is written under results/. What a
@@ -29,7 +31,7 @@ cd "$(dirname "$0")/.."
 work="$PWD/target/sweep_diff"
 rm -rf "$work/parent-src" "$work/parent" "$work/change"
 mkdir -p "$work/parent-src"
-git archive "$parent_ref" | tar -x -C "$work/parent-src"
+git archive "$parent_ref" | tar -x -m -C "$work/parent-src"
 
 # build <side> <source>: the side's chaos bin, built from <source>.
 build() {
