@@ -482,7 +482,7 @@ mod tests {
         /// A subject is local with a small (or a standard) quota: it
         /// arrives, or its quota changes.
         Quota(usize, bool),
-        /// A subject leaves: what `node.rs` does at each of its three sites.
+        /// A subject leaves: what a node's `forget_local` does.
         Forget(usize),
         Pass {
             node_count: usize,

@@ -691,20 +691,6 @@ impl DosgiCluster {
     // The health scoreboard
     // ------------------------------------------------------------------
 
-    /// Quarantined instances homed on node `idx`, per the replicated
-    /// registry (0 when no running node can be consulted).
-    fn quarantined_on(&self, idx: usize) -> usize {
-        Self::reference_registry(&self.slots)
-            .map(|r| {
-                r.records()
-                    .filter(|rec| {
-                        rec.status == InstanceStatus::Quarantined && rec.home.index() == idx
-                    })
-                    .count()
-            })
-            .unwrap_or(0)
-    }
-
     /// Node `idx`'s current health: a dead node is `Critical` outright;
     /// otherwise alert state (cluster-scoped SLO alerts degrade every
     /// serving node), quarantined instances homed here, and queue
@@ -727,7 +713,11 @@ impl DosgiCluster {
         } else {
             0
         };
-        dosgi_telemetry::derive_health(alerts, self.quarantined_on(idx), 0)
+        // Quarantined instances homed here, per the replicated registry (0
+        // when no running node can be consulted).
+        let quarantined = Self::reference_registry(&self.slots)
+            .map_or(0, |r| r.quarantined_on(NodeId(idx as u32)).count());
+        dosgi_telemetry::derive_health(alerts, quarantined, 0)
     }
 
     /// Publishes the scoreboard as `core.health.n<i>` gauges
@@ -1092,6 +1082,117 @@ mod tests {
         for i in 0..4 {
             assert!(c.probe(&format!("idle-{i}")), "idle-{i} still served");
         }
+    }
+
+    /// A drain ends in `Stopped` after a shutdown and in `Hibernated`
+    /// after consolidation, and either way its root is ended once, as the
+    /// drain ends: one closed `shutdown` or `hibernate` root and one
+    /// `Drained` or `Hibernated` event.
+    #[test]
+    fn a_shutdown_and_a_hibernation_each_end_their_drain_root_once() {
+        let drained = |c: &mut DosgiCluster, root: &str, state: NodeState| {
+            assert_eq!(c.node(2).map(|n| n.state()), Some(state));
+            let roots: Vec<_> = c
+                .trace_log()
+                .events
+                .into_iter()
+                .filter(|e| e.name == root)
+                .collect();
+            assert_eq!(roots.len(), 1, "one {root} root: {roots:?}");
+            assert!(!roots[0].open && roots[0].node == 2, "{roots:?}");
+            let ends = c
+                .take_events()
+                .into_iter()
+                .filter(|(n, e)| {
+                    *n == NodeId(2)
+                        && matches!(e, NodeEvent::Drained { .. } | NodeEvent::Hibernated { .. })
+                })
+                .count();
+            assert_eq!(ends, 1);
+        };
+        let mut config = ClusterConfig::default();
+        config.node.policy = None;
+        let mut c = DosgiCluster::new(3, config, 31);
+        c.run_for(SimDuration::from_secs(1));
+        c.deploy(workloads::web_instance("a", "web"), 2).unwrap();
+        c.run_for(SimDuration::from_millis(300));
+        c.graceful_shutdown(2);
+        c.run_for(SimDuration::from_secs(2));
+        drained(&mut c, "shutdown", NodeState::Stopped);
+        assert!(c.probe("web"), "web moved before node 2 stopped");
+
+        let mut config = ClusterConfig::default();
+        config.node.policy = Some(crate::autonomic::CONSOLIDATION_POLICY.to_owned());
+        let mut c = DosgiCluster::new(3, config, 31);
+        c.run_for(SimDuration::from_secs(1));
+        c.deploy(workloads::web_instance("idle", "idle"), 2)
+            .unwrap();
+        let deadline = c.now() + SimDuration::from_secs(20);
+        while c.hibernated_nodes() == 0 && c.now() < deadline {
+            c.step();
+        }
+        c.run_for(SimDuration::from_secs(1));
+        drained(&mut c, "hibernate", NodeState::Hibernated);
+        assert!(c.probe("idle"), "idle moved before node 2 hibernated");
+    }
+
+    /// A node draining to stop is `Draining` and claims nothing; one
+    /// draining to hibernate stays `Running` and goes on claiming
+    /// failovers. Each drain is held open by an instance created on the
+    /// node after it began, which the drain does not move; then the node
+    /// that received the drained instances crashes.
+    #[test]
+    fn only_a_hibernating_node_claims_failovers_while_it_drains() {
+        let claims_by_node_2 = |policy: Option<&str>, hibernate: bool| {
+            let mut config = ClusterConfig::default();
+            config.node.policy = policy.map(str::to_owned);
+            let mut c = DosgiCluster::new(3, config, 31);
+            c.run_for(SimDuration::from_secs(1));
+            for i in 0..4 {
+                c.deploy(workloads::web_instance("idle", &format!("idle-{i}")), 2)
+                    .unwrap();
+            }
+            if hibernate {
+                let deadline = c.now() + SimDuration::from_secs(20);
+                let mut fired = false;
+                while !fired && c.now() < deadline {
+                    c.step();
+                    fired = c.take_events().iter().any(|(n, e)| {
+                        *n == NodeId(2)
+                            && matches!(e, NodeEvent::PolicyFired { decision, .. }
+                                if decision.action == dosgi_policy::PolicyAction::HibernateNode)
+                    });
+                }
+                assert!(fired, "node 2 began to hibernate");
+            } else {
+                c.run_for(SimDuration::from_millis(300));
+                c.graceful_shutdown(2);
+            }
+            let pinned = workloads::web_instance("pin", "pinned");
+            let node = c.node_mut(2).expect("node 2 up");
+            node.manager_mut().create_instance(pinned).unwrap();
+            c.run_for(SimDuration::from_millis(500));
+            let dest = c.home_of("idle-0").expect("idle-0 moved");
+            assert_ne!(dest, 2);
+            // Within the consolidation rule's next window (5 passes of
+            // 500 ms), which would order the pinned instance away too.
+            c.crash_node(dest);
+            c.run_for(SimDuration::from_millis(1_500));
+            let state = c.node(2).map(|n| n.state());
+            let claims = c
+                .trace_log()
+                .events
+                .iter()
+                .filter(|e| e.node == 2 && e.name.starts_with("failover/"))
+                .count();
+            (state, claims)
+        };
+        let (state, claims) = claims_by_node_2(None, false);
+        assert_eq!(state, Some(NodeState::Draining));
+        assert_eq!(claims, 0, "a node draining to stop claims nothing");
+        let (state, claims) = claims_by_node_2(Some(crate::autonomic::CONSOLIDATION_POLICY), true);
+        assert_eq!(state, Some(NodeState::Running));
+        assert!(claims > 0, "a node draining to hibernate claims failovers");
     }
 
     #[test]

@@ -254,6 +254,15 @@ impl ClusterRegistry {
             .map(|r| &r.name)
     }
 
+    /// Names of instances with [`InstanceStatus::Quarantined`] homed on
+    /// `node`, in name order.
+    pub(crate) fn quarantined_on(&self, node: NodeId) -> impl Iterator<Item = &Arc<str>> {
+        self.records
+            .values()
+            .filter(move |r| r.status == InstanceStatus::Quarantined && r.home == node)
+            .map(|r| &r.name)
+    }
+
     /// True when some instance is [`InstanceStatus::Orphaned`].
     pub fn has_orphans(&self) -> bool {
         self.orphans().next().is_some()

@@ -294,12 +294,7 @@ const GCS_BACKLOG_NOMINAL: usize = 256;
 /// instances homed on this node plus total-order backlog pressure scaled
 /// against [`GCS_BACKLOG_NOMINAL`].
 fn node_health(node: &DosgiNode) -> HealthState {
-    let id = node.id();
-    let quarantined = node
-        .registry()
-        .records()
-        .filter(|r| r.status == crate::InstanceStatus::Quarantined && r.home == id)
-        .count();
+    let quarantined = node.registry().quarantined_on(node.id()).count();
     let queue_pct = (node.gcs_pending() as u64 * 100) / GCS_BACKLOG_NOMINAL as u64;
     dosgi_telemetry::derive_health(0, quarantined, queue_pct.min(100))
 }

@@ -348,7 +348,7 @@ mod tests {
         }
     }
 
-    /// The `claim_traces` discipline, mirrored for upgrades: an upgrade
+    /// Failover claims' open-root discipline, for upgrades: an upgrade
     /// that fails transiently against a faulty SAN is retried with
     /// backoff, and every retry continues the SAME open `upgrade/` root —
     /// when the SAN heals and the swap lands, exactly one upgrade root
