@@ -9,10 +9,11 @@
 # The workload `all` runs every workload of BENCHMARK.json in its order, each
 # as if named alone: a table (and a recorded row) per workload.
 #
-# The parent is unpacked (`git archive`, with the time of unpacking rather than
-# the commit's, so that a build left by an earlier parent is not reused) under
-# target/bench_pairs/, each side is built by its own benchmark/run.sh into its
-# own CARGO_TARGET_DIR there, and pair i runs both on seed first-seed + i.
+# The parent (`git archive`) and the working tree are unpacked side by side
+# under target/bench_pairs/, with the time of unpacking rather than their own,
+# so that a build left by an earlier parent is not reused; each side is built
+# by its own benchmark/run.sh into its own CARGO_TARGET_DIR there, and pair i
+# runs both on seed first-seed + i.
 # Bash and awk only, nothing fetched;
 # it reads benchmark/ and BENCHMARK.json and edits neither. Per timed metric it
 # prints both medians with their quartiles (Python's statistics.quantiles,
@@ -54,16 +55,21 @@ if [[ $workload == all ]]; then
     exit
 fi
 work="$PWD/target/bench_pairs"
-rm -rf "$work/parent-src"
-mkdir -p "$work/parent-src" "$work/out"
+rm -rf "$work/parent-src" "$work/change-src"
+mkdir -p "$work/parent-src" "$work/change-src" "$work/out"
 git archive "$parent_ref" | tar -x -m -C "$work/parent-src"
+# The change is the working tree's files, tracked or not (ignored ones left
+# out), unpacked beside the parent: two builds of one commit from paths of
+# different lengths differ in layout, and serve_write read 2 % apart.
+git ls-files -z -co --exclude-standard | while IFS= read -r -d '' f; do
+    if [[ -e $f ]]; then printf '%s\0' "$f"; fi
+done | tar --null -T - -cf - | tar -x -m -C "$work/change-src"
 
 # side <parent|change> <seed>: one run; on stdout the calibration kernel's p50
 # (from the run's heading), then its last line (the result).
 side() {
-    local root="$PWD" out
-    [[ $1 == parent ]] && root="$work/parent-src"
-    out="$(CARGO_TARGET_DIR="$work/$1" "$root/benchmark/run.sh" \
+    local out
+    out="$(CARGO_TARGET_DIR="$work/$1" "$work/$1-src/benchmark/run.sh" \
         --workload "$workload" --seed "$2" --trace 0)"
     echo "$out" >>"$work/out/${workload}_$1.txt"
     echo "$(sed -n '1s/.*calibration kernel.* p50 \([0-9.]*\) us.*/\1/p' <<<"$out") $(tail -n 1 <<<"$out")"
