@@ -43,13 +43,6 @@ pub(super) struct Adoption {
 }
 
 impl DosgiNode {
-    /// Debug visibility into the adoption queue: the instances this node
-    /// has queued for (re-)materialization.
-    #[doc(hidden)]
-    pub fn pending_adoptions(&self) -> impl Iterator<Item = &str> {
-        self.adoptions.0.iter().map(|t| t.name.as_str())
-    }
-
     /// Level-triggered failover: periodically claim any instance whose
     /// placement points at a node outside the current view. The
     /// edge-triggered path (view changes) catches ordinary crashes; this

@@ -63,21 +63,6 @@ impl DosgiNode {
         Ok(())
     }
 
-    /// Number of upgrades still queued (pending or in backoff).
-    pub fn pending_upgrades(&self) -> usize {
-        self.upgrades.0.len()
-    }
-
-    /// The trace context of the most recent *completed* upgrade of an
-    /// instance hosted here — the hook the rolling-upgrade wave uses to
-    /// attach its `undrain/` span causally after the new revision's
-    /// adoption.
-    pub fn upgrade_trace_context(&self, name: &str) -> Option<TraceContext> {
-        self.finished_upgrade_traces
-            .get(name)
-            .and_then(|&root| self.recorder.context(root))
-    }
-
     /// The modeled SAN write of bundle `sn`'s persisted state in instance
     /// `iid`.
     fn swap_persist_cost(&self, iid: InstanceId, sn: &str) -> SimDuration {

@@ -416,6 +416,46 @@ impl DosgiNode {
         &mut self.registry
     }
 
+    /// True until this node holds the registry: until it has applied a
+    /// transfer addressed to it, or — booted with the group — its own
+    /// `Hello` with nothing ordered before it.
+    pub fn awaiting_transfer(&self) -> bool {
+        self.transfer != Transfer::Answered
+    }
+
+    /// The node's watch records: one per local instance, as of the last
+    /// sampling or policy pass.
+    pub fn watched(&self) -> &Watched {
+        &self.watched
+    }
+
+    /// True if `name` is an SLA-throttled instance.
+    pub fn is_throttled(&self, name: &str) -> bool {
+        self.throttled.contains(name)
+    }
+
+    /// Debug visibility into the adoption queue: the instances this node
+    /// has queued for (re-)materialization.
+    #[doc(hidden)]
+    pub fn pending_adoptions(&self) -> impl Iterator<Item = &str> {
+        self.adoptions.0.iter().map(|t| t.name.as_str())
+    }
+
+    /// Number of upgrades still queued (pending or in backoff).
+    pub fn pending_upgrades(&self) -> usize {
+        self.upgrades.0.len()
+    }
+
+    /// The trace context of the most recent *completed* upgrade of an
+    /// instance hosted here — the hook the rolling-upgrade wave uses to
+    /// attach its `undrain/` span causally after the new revision's
+    /// adoption.
+    pub fn upgrade_trace_context(&self, name: &str) -> Option<TraceContext> {
+        self.finished_upgrade_traces
+            .get(name)
+            .and_then(|&root| self.recorder.context(root))
+    }
+
     /// The node's instance manager.
     pub fn manager(&self) -> &InstanceManager {
         &self.mgr

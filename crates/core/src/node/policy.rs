@@ -23,17 +23,6 @@ use dosgi_monitor::NodeCapacity;
 use dosgi_policy::PolicyAction;
 
 impl DosgiNode {
-    /// The node's watch records: one per local instance, as of the last
-    /// sampling or policy pass.
-    pub fn watched(&self) -> &Watched {
-        &self.watched
-    }
-
-    /// True if `name` is an SLA-throttled instance.
-    pub fn is_throttled(&self, name: &str) -> bool {
-        self.throttled.contains(name)
-    }
-
     /// A local copy of `name` left: its watch record and throttle go with
     /// it.
     pub(super) fn forget_local(&mut self, name: &str) {

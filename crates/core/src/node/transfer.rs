@@ -37,13 +37,6 @@ pub(super) enum Transfer {
 }
 
 impl DosgiNode {
-    /// True until this node holds the registry: until it has applied a
-    /// transfer addressed to it, or — booted with the group — its own
-    /// `Hello` with nothing ordered before it.
-    pub fn awaiting_transfer(&self) -> bool {
-        self.transfer != Transfer::Answered
-    }
-
     /// The first tick's `Hello`.
     pub(super) fn ask_first(&mut self, net: &mut impl Fabric<Wire>) {
         if self.transfer == Transfer::Unsent {
