@@ -14,6 +14,7 @@
 //! | `boot` | a node's host boot at the SAN: a first boot over an empty namespace, then the same node restarted over what it wrote | SAN operations, rows and bytes written by the first boot; operations, rows read, rows written and bytes read by the restart | the restart writes a row (a restart is a restore), or the first boot takes more than one operation (its snapshot is one batch) | [1, 4, 699] / [2, 4, 0, 699] |
 //! | `admission` | E15 admission hot path: one backend at 2 000/s, 64-deep queue, 2× open-loop Poisson load, class mix, 10 simulated seconds | requests offered, completed and shed | — | 40 244 / 19 990 / 20 200 |
 //! | `failover_rounds` | 40 crash → adopt → restart → rejoin rounds, node 0 (the sequencer) never restarted | ordered deliveries, registry operations and messages sent per round | round 40 costs anything but what round 5 cost (a rejoin that replays history, or a sequencer that stops truncating, grows them with the cluster's age) | [17, 17, 1 130] at rounds 5 and 40 |
+//! | `control_work` | the `migrate` cycle and the `failover` rounds of the two phase tables below, each on a cluster of its own | spans opened (closed, open and dropped events of `DosgiCluster::trace_log`), ordered messages sent (`gcs.order.sent`) and adoptions (`core.migration.completed` + `core.failover.adoptions`), per `migrate` op and per `failover` round: the units a control-plane name rides in | — | [5, 2, 1] / [19, 11.5, 9.5] |
 //!
 //!
 //! A second table, `phases`, is the step loop's profile: a benchmark-shaped
@@ -345,6 +346,41 @@ fn migrate_op(c: &mut DosgiCluster, names: &[String], homes: &mut [usize], i: us
     drop(c.take_events());
 }
 
+/// Spans opened so far, ordered messages sent and adoptions completed:
+/// what the control plane names an instance in.
+fn control_units(c: &DosgiCluster) -> [u64; 3] {
+    let (log, t) = (c.trace_log(), c.telemetry());
+    [
+        log.events.len() as u64 + log.dropped,
+        t.counter("gcs.order.sent"),
+        t.counter("core.migration.completed") + t.counter("core.failover.adoptions"),
+    ]
+}
+
+/// [`control_units`] per `migrate` op of a cycle after a first one, and
+/// per `failover` round of `PHASE_ROUNDS`, each on a cluster of its own.
+fn measure_control_work() -> ([f64; 3], [f64; 3]) {
+    let per = |c: &DosgiCluster, before: [u64; 3], n: usize| {
+        let after = control_units(c);
+        std::array::from_fn(|i| (after[i] - before[i]) as f64 / n as f64)
+    };
+    let (mut c, names, mut homes) = migrate_cluster();
+    for i in 0..MIGRATE_OPS {
+        migrate_op(&mut c, &names, &mut homes, i);
+    }
+    let before = control_units(&c);
+    for i in 0..MIGRATE_OPS {
+        migrate_op(&mut c, &names, &mut homes, i);
+    }
+    let migrate = per(&c, before, MIGRATE_OPS);
+    let (mut c, names) = failover_cluster();
+    let before = control_units(&c);
+    for victim in 1..=PHASE_ROUNDS as usize {
+        failover_round(&mut c, &names, victim);
+    }
+    (migrate, per(&c, before, PHASE_ROUNDS as usize))
+}
+
 /// The phase table of one `migrate` cycle — every counter migrated once,
 /// after a first cycle with the table off — per op: calls and allocations
 /// of each phase that ran, µs for stderr, and last the whole op's
@@ -493,6 +529,15 @@ fn main() {
             "a failover round costs more as the cluster ages — rejoin must be O(members), \
              not O(history)",
         ),
+    );
+
+    let (migrate, failover) = measure_control_work();
+    let units = |u: [f64; 3]| format!("[{}, {}, {}]", u[0], u[1], u[2]);
+    row(
+        "control_work",
+        "[spans opened, ordered messages, adoptions] per migrate op / per failover round",
+        format!("{} / {}", units(migrate), units(failover)),
+        None,
     );
 
     print_table(
