@@ -53,6 +53,7 @@
 
 pub mod handle;
 mod hist;
+mod json;
 pub mod phase;
 pub mod series;
 pub mod slo;

@@ -1,7 +1,9 @@
 //! Schema-versioned, byte-deterministic JSON snapshots.
 //!
-//! The format is hand-rolled compact JSON built from `format!` with
-//! `{:?}` string escaping, a trailing newline, and files written under
+//! The format is hand-rolled compact JSON built from `format!`, with every
+//! string written by the crate's one JSON string writer (a metric name is
+//! whatever its instrumented code made it, an instance name included), a
+//! trailing newline, and files written under
 //! `results/` at the workspace root. Every value is an integer or a
 //! string and every map is a `BTreeMap`, so the same recorded state
 //! always serializes to the same bytes.
@@ -33,6 +35,7 @@
 //! }
 //! ```
 
+use crate::json::JsonStr;
 use crate::slo::AlertEvent;
 use crate::Histogram;
 use std::collections::BTreeMap;
@@ -75,16 +78,18 @@ impl Snapshot {
         let mut out = String::with_capacity(4096);
         let _ = write!(
             out,
-            "{{\"schema_version\":{},\"label\":{:?},\"seed\":{}",
-            self.schema_version, self.label, self.seed
+            "{{\"schema_version\":{},\"label\":{},\"seed\":{}",
+            self.schema_version,
+            JsonStr(&self.label),
+            self.seed
         );
         out.push_str(",\"counters\":{");
         for (i, (k, v)) in self.counters.iter().enumerate() {
-            let _ = write!(out, "{}{:?}:{}", if i > 0 { "," } else { "" }, k, v);
+            let _ = write!(out, "{}{}:{}", if i > 0 { "," } else { "" }, JsonStr(k), v);
         }
         out.push_str("},\"gauges\":{");
         for (i, (k, v)) in self.gauges.iter().enumerate() {
-            let _ = write!(out, "{}{:?}:{}", if i > 0 { "," } else { "" }, k, v);
+            let _ = write!(out, "{}{}:{}", if i > 0 { "," } else { "" }, JsonStr(k), v);
         }
         out.push_str("},\"histograms\":{");
         for (i, (k, h)) in self.histograms.iter().enumerate() {
@@ -95,9 +100,9 @@ impl Snapshot {
                 .collect();
             let _ = write!(
                 out,
-                "{}{:?}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[{}]}}",
+                "{}{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p95\":{},\"p99\":{},\"buckets\":[{}]}}",
                 if i > 0 { "," } else { "" },
-                k,
+                JsonStr(k),
                 h.count(),
                 h.sum(),
                 opt_u64(h.min()),
@@ -112,9 +117,9 @@ impl Snapshot {
         for (i, a) in self.alerts.iter().enumerate() {
             let _ = write!(
                 out,
-                "{}{{\"slo\":{:?},\"at_us\":{},\"state\":{:?},\"window\":{:?},\"burn_x100\":{}}}",
+                "{}{{\"slo\":{},\"at_us\":{},\"state\":\"{}\",\"window\":\"{}\",\"burn_x100\":{}}}",
                 if i > 0 { "," } else { "" },
-                a.slo,
+                JsonStr(&a.slo),
                 a.at_us,
                 if a.firing { "firing" } else { "resolved" },
                 a.window.as_str(),

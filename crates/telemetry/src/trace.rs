@@ -46,6 +46,7 @@
 //! 2^53 for any realistic node count, so strict JSON readers that use
 //! doubles still round-trip them exactly.
 
+use crate::json::JsonStr;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -455,7 +456,8 @@ impl TraceLog {
     /// `ts`/`dur` in microseconds, `pid` = node). Causal metadata rides
     /// in `args`, which `chrome://tracing`/Perfetto display but ignore.
     /// Byte-deterministic: events are pre-sorted and every value is an
-    /// integer or a string.
+    /// integer or a string, written by the crate's one JSON string writer
+    /// whatever characters a name holds.
     pub fn to_chrome_json(&self, label: &str, seed: u64) -> String {
         // Dense per-trace track ids so Perfetto draws each trace on its
         // own row; ordering follows first appearance in the sorted log.
@@ -469,9 +471,9 @@ impl TraceLog {
         for (i, e) in self.events.iter().enumerate() {
             let _ = write!(
                 out,
-                "{}{{\"name\":{:?},\"cat\":\"dosgi\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":{},\"span_id\":{},\"parent_span\":{},\"lamport_start\":{},\"lamport_end\":{},\"ctx_lamport\":{},\"open\":{}}}}}",
+                "{}{{\"name\":{},\"cat\":\"dosgi\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{\"trace_id\":{},\"span_id\":{},\"parent_span\":{},\"lamport_start\":{},\"lamport_end\":{},\"ctx_lamport\":{},\"open\":{}}}}}",
                 if i > 0 { "," } else { "" },
-                e.name,
+                JsonStr(&e.name),
                 e.start_us,
                 e.duration_us(),
                 e.node,
@@ -487,9 +489,9 @@ impl TraceLog {
         }
         let _ = writeln!(
             out,
-            "],\"metadata\":{{\"schema\":{},\"label\":{:?},\"seed\":{},\"events\":{},\"dropped\":{},\"rejected\":{}}}}}",
+            "],\"metadata\":{{\"schema\":{},\"label\":{},\"seed\":{},\"events\":{},\"dropped\":{},\"rejected\":{}}}}}",
             TRACE_SCHEMA_VERSION,
-            label,
+            JsonStr(label),
             seed,
             self.events.len(),
             self.dropped,
