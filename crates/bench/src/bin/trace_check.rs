@@ -466,25 +466,27 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dosgi_telemetry::{FlightRecorder, TraceLog};
+    use dosgi_telemetry::{FlightRecorder, SpanName, TraceLog};
+    use std::sync::Arc;
 
     /// Drives two recorders through a full graceful migration and returns
     /// the merged log: the reference "good" trace.
     fn migration_log() -> TraceLog {
         let src = FlightRecorder::new(0);
         let dst = FlightRecorder::new(1);
-        let root = src.root("migrate/web", 1_000);
+        let web: Arc<str> = Arc::from("web");
+        let root = src.root(SpanName::of("migrate", &web), 1_000);
         let root_ctx = src.context(root).unwrap();
-        let rel = src.child(root_ctx, "release/web", 2_000);
+        let rel = src.child(root_ctx, SpanName::of("release", &web), 2_000);
         let rel_ctx = src.context(rel).unwrap();
-        let q = src.child(rel_ctx, "quiesce/web", 2_000);
+        let q = src.child(rel_ctx, SpanName::of("quiesce", &web), 2_000);
         src.end(q, 2_500);
-        let p = src.child(rel_ctx, "persist/web", 2_500);
+        let p = src.child(rel_ctx, SpanName::of("persist", &web), 2_500);
         src.end(p, 4_000);
         src.end(rel, 4_000);
         let released = src.context(rel).unwrap();
         src.end(root, 4_100);
-        let adopt = dst.child(released, "adopt/web", 5_000);
+        let adopt = dst.child(released, SpanName::of("adopt", &web), 5_000);
         dst.end(adopt, 7_000);
         TraceLog::merge([&src, &dst])
     }
@@ -598,17 +600,18 @@ mod tests {
     fn upgrade_log() -> TraceLog {
         let node = FlightRecorder::new(0);
         let lb = FlightRecorder::new(9);
-        let root = node.root("upgrade/ctr-0", 1_000);
+        let (ctr, bundle): (Arc<str>, Arc<str>) = ("ctr-0".into(), "org.app.counter-wt".into());
+        let root = node.root(SpanName::of("upgrade", &ctr), 1_000);
         let ctx = node.context(root).unwrap();
-        let q = node.child(ctx, "u_quiesce/org.app.counter-wt", 1_000);
+        let q = node.child(ctx, SpanName::of("u_quiesce", &bundle), 1_000);
         node.end(q, 1_050);
-        let p = node.child(ctx, "u_persist/org.app.counter-wt", 1_050);
+        let p = node.child(ctx, SpanName::of("u_persist", &bundle), 1_050);
         node.end(p, 1_400);
-        let a = node.child(ctx, "u_adopt/org.app.counter-wt", 1_400);
+        let a = node.child(ctx, SpanName::of("u_adopt", &bundle), 1_400);
         node.end(a, 1_550);
         node.end(root, 1_550);
         let done = node.context(root).unwrap();
-        let u = lb.child(done, "undrain/n0", 2_000);
+        let u = lb.child(done, SpanName::node("undrain", 0), 2_000);
         lb.end(u, 2_010);
         TraceLog::merge([&node, &lb])
     }

@@ -3,8 +3,10 @@
 use dosgi_net::{NodeId, SimDuration, SimTime};
 use dosgi_osgi::Version;
 use dosgi_policy::PolicyDecision;
+use std::sync::Arc;
 
-/// Something noteworthy that happened on a node.
+/// Something noteworthy that happened on a node. An instance's name is the
+/// registry record's `Arc<str>`, shared rather than copied.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NodeEvent {
     /// A membership view was installed.
@@ -21,14 +23,14 @@ pub enum NodeEvent {
         /// When.
         at: SimTime,
         /// Which instance.
-        name: String,
+        name: Arc<str>,
     },
     /// This node stopped and released an instance for migration.
     Released {
         /// When.
         at: SimTime,
         /// Which instance.
-        name: String,
+        name: Arc<str>,
         /// The destination.
         to: NodeId,
     },
@@ -37,7 +39,7 @@ pub enum NodeEvent {
         /// When.
         at: SimTime,
         /// Which instance.
-        name: String,
+        name: Arc<str>,
         /// Why it arrived here.
         reason: AdoptReason,
     },
@@ -69,7 +71,7 @@ pub enum NodeEvent {
         /// When.
         at: SimTime,
         /// Which instance.
-        name: String,
+        name: Arc<str>,
         /// Which attempt just failed (0-based).
         attempt: u32,
         /// Why.
@@ -83,14 +85,14 @@ pub enum NodeEvent {
         /// When.
         at: SimTime,
         /// Which instance.
-        name: String,
+        name: Arc<str>,
     },
     /// An instance failed to adopt (error text preserved).
     AdoptFailed {
         /// When.
         at: SimTime,
         /// Which instance.
-        name: String,
+        name: Arc<str>,
         /// Why.
         error: String,
     },
@@ -101,7 +103,7 @@ pub enum NodeEvent {
         /// When.
         at: SimTime,
         /// The instance hosting the bundle.
-        name: String,
+        name: Arc<str>,
         /// The bundle's symbolic name.
         bundle: String,
         /// Version before the swap.
@@ -118,7 +120,7 @@ pub enum NodeEvent {
         /// When.
         at: SimTime,
         /// The instance hosting the bundle.
-        name: String,
+        name: Arc<str>,
         /// The bundle's symbolic name.
         bundle: String,
         /// Which attempt just failed (0-based).
@@ -132,7 +134,7 @@ pub enum NodeEvent {
         /// When.
         at: SimTime,
         /// The instance hosting the bundle.
-        name: String,
+        name: Arc<str>,
         /// The bundle's symbolic name.
         bundle: String,
         /// Why.

@@ -35,7 +35,7 @@ use dosgi_net::{NodeId, SimDuration, SimTime};
 /// The instant a node released `name` for migration, from an event stream.
 pub fn released_at(events: &[(NodeId, NodeEvent)], name: &str) -> Option<SimTime> {
     events.iter().find_map(|(_, e)| match e {
-        NodeEvent::Released { at, name: n, .. } if n == name => Some(*at),
+        NodeEvent::Released { at, name: n, .. } if **n == *name => Some(*at),
         _ => None,
     })
 }
@@ -51,7 +51,7 @@ pub fn adopted_at(
             at,
             name: n,
             reason: r,
-        } if n == name && reason.map(|want| want == *r).unwrap_or(true) => Some(*at),
+        } if **n == *name && reason.map(|want| want == *r).unwrap_or(true) => Some(*at),
         _ => None,
     })
 }

@@ -17,14 +17,16 @@ use std::sync::Arc;
 /// itself. The registry's transfers are typed records, not a serialized
 /// tree: a record's name and descriptor are `Arc`s made once per deploy, so
 /// a transfer, a digest and every registry copy that imports them share
-/// those values.
+/// those values. Every instance name a payload carries is that record's
+/// `Arc<str>` too (the deploying node's, in a `Deployed`), so ordering a
+/// message about an instance copies no name.
 #[derive(Debug, Clone, PartialEq)]
 pub enum AppPayload {
     /// (ordered) A new instance was deployed on `home`. Carries the
     /// descriptor so any node can later re-materialize it.
     Deployed {
         /// The instance name.
-        name: String,
+        name: Arc<str>,
         /// The descriptor, policy-free: the deploying node's sandbox grants
         /// stay on that node. Shared by every registry record made from
         /// this message and every instance adopted from one.
@@ -35,7 +37,7 @@ pub enum AppPayload {
     /// (ordered) A migration was decided: `name` moves `from → to`.
     Migrate {
         /// The instance to move.
-        name: String,
+        name: Arc<str>,
         /// Current home.
         from: NodeId,
         /// Destination.
@@ -45,7 +47,7 @@ pub enum AppPayload {
     /// the SAN; the destination may adopt it.
     Released {
         /// The instance released.
-        name: String,
+        name: Arc<str>,
         /// The destination that should adopt it.
         to: NodeId,
     },
@@ -57,7 +59,7 @@ pub enum AppPayload {
     /// everywhere.
     Adopted {
         /// The instance claimed.
-        name: String,
+        name: Arc<str>,
         /// Its new home (the claimant).
         node: NodeId,
         /// The home the claimant observed as dead.
@@ -70,14 +72,14 @@ pub enum AppPayload {
     /// `Adopted { prior_home: self }` and re-adopts from the SAN.
     Quarantined {
         /// The instance that could not be re-materialized.
-        name: String,
+        name: Arc<str>,
         /// The node that holds (and will heal) it.
         node: NodeId,
     },
     /// (ordered) An instance was destroyed on purpose (undeploy).
     Undeployed {
         /// The instance removed.
-        name: String,
+        name: Arc<str>,
     },
     /// (ordered) A node announces it is draining for a graceful shutdown;
     /// its instances will be migrated away before it leaves the group.

@@ -144,15 +144,21 @@ impl DosgiNode {
     /// under the open claim root: an earlier claim still unresolved (the
     /// sweep retries lost claims) lends its root, otherwise a fresh
     /// `<kind>/<name>` root is opened.
-    fn claim(&mut self, name: &str, prior_home: NodeId, kind: &str, net: &mut impl Fabric<Wire>) {
+    fn claim(
+        &mut self,
+        name: &Arc<str>,
+        prior_home: NodeId,
+        kind: &'static str,
+        net: &mut impl Fabric<Wire>,
+    ) {
         let now_us = net.now().as_micros();
         let root = self
             .claim_roots
-            .open(&self.recorder, name, || format!("{kind}/{name}"), now_us);
+            .open(&self.recorder, name, SpanName::of(kind, name), now_us);
         self.order(
             net,
             AppPayload::Adopted {
-                name: name.to_owned(),
+                name: Arc::clone(name),
                 node: self.id,
                 prior_home,
             },
@@ -260,11 +266,10 @@ impl DosgiNode {
         let Some(rec) = self.registry.record(name) else {
             return;
         };
-        let state_bytes = self
-            .store
-            .namespace_bytes_prefixed(&rec.descriptor.state_namespace());
+        let state_bytes = namespace_bytes(&self.store, rec.descriptor.state_namespace_text());
         let bundles = rec.descriptor.bundles.len() as u64;
-        let standby = self.mgr.find_by_name(name).is_some();
+        let name = Arc::clone(&rec.name);
+        let standby = self.mgr.find_by_name(&name).is_some();
         let cost = if standby {
             // Bundles already installed: pay only the start sweep.
             (START_COST_PER_BUNDLE / 2) * bundles
@@ -274,15 +279,15 @@ impl DosgiNode {
         let trace = match ctx {
             Some(c) => self
                 .recorder
-                .child(c, &format!("adopt/{name}"), now.as_micros()),
+                .child(c, SpanName::of("adopt", &name), now.as_micros()),
             None => TraceRef::NONE,
         };
         self.adoptions
-            .push(now + cost, name.to_owned(), Adoption { reason, trace });
+            .push(now + cost, name, Adoption { reason, trace });
     }
 
     pub(super) fn process_pending_adoptions(&mut self, net: &mut impl Fabric<Wire>, now: SimTime) {
-        for t in self.adoptions.take_due(now) {
+        while let Some(t) = self.adoptions.take_due(now) {
             // A queued adoption can be invalidated by messages ordered
             // *after* it was queued: a replayed snapshot may have enqueued
             // it, then a later claim re-homed the instance elsewhere (or an
@@ -378,7 +383,7 @@ impl DosgiNode {
                     .record(backoff.as_micros());
                 self.events.push(NodeEvent::AdoptRetried {
                     at: now,
-                    name: name.to_owned(),
+                    name: Arc::clone(name),
                     attempt,
                     error,
                 });

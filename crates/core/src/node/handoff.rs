@@ -57,22 +57,16 @@ impl DosgiNode {
         }
         self.local(name)?;
         self.wake();
+        let name = self.shared_name(name);
         let now_us = net.now().as_micros();
+        let span_name = SpanName::of("migrate", &name);
         let span = if parent.is_some() {
-            self.recorder
-                .child_of(parent, &format!("migrate/{name}"), now_us)
+            self.recorder.child_of(parent, span_name, now_us)
         } else {
-            self.recorder.root(&format!("migrate/{name}"), now_us)
+            self.recorder.root(span_name, now_us)
         };
-        self.order(
-            net,
-            AppPayload::Migrate {
-                name: name.to_owned(),
-                from: self.id,
-                to,
-            },
-            span,
-        );
+        let from = self.id;
+        self.order(net, AppPayload::Migrate { name, from, to }, span);
         self.recorder.end(span, now_us);
         Ok(())
     }
@@ -101,7 +95,7 @@ impl DosgiNode {
     /// copy and order the `Released` that lets the destination adopt.
     pub(super) fn release_instance(
         &mut self,
-        name: &str,
+        name: &Arc<str>,
         to: NodeId,
         net: &mut impl Fabric<Wire>,
         now: SimTime,
@@ -114,27 +108,29 @@ impl DosgiNode {
         let _releasing = phases.enter(Phase::Release);
         let now_us = now.as_micros();
         let rel = match ctx {
-            Some(c) => self.recorder.child(c, &format!("release/{name}"), now_us),
+            Some(c) => self
+                .recorder
+                .child(c, SpanName::of("release", name), now_us),
             None => TraceRef::NONE,
         };
         // Quiesce: stop the instance (in-flight work completes — the sim's
         // stop is synchronous, so this phase costs no simulated time).
         let quiesce = self
             .recorder
-            .child_of(rel, &format!("quiesce/{name}"), now_us);
+            .child_of(rel, SpanName::of("quiesce", name), now_us);
         let _ = self.mgr.stop_instance(iid);
         self.recorder.end(quiesce, now_us);
         // Persist: tear down the local copy, flushing its state to the SAN
         // (kept — the instance lives on at the destination).
         let persist = self
             .recorder
-            .child_of(rel, &format!("persist/{name}"), now_us);
+            .child_of(rel, SpanName::of("persist", name), now_us);
         let _ = self.mgr.destroy_instance(iid, false);
         self.recorder.end(persist, now_us);
         self.forget_local(name);
         self.events.push(NodeEvent::Released {
             at: now,
-            name: name.to_owned(),
+            name: Arc::clone(name),
             to,
         });
         // Close the release span *before* exporting the context the
@@ -145,7 +141,7 @@ impl DosgiNode {
         self.order(
             net,
             AppPayload::Released {
-                name: name.to_owned(),
+                name: Arc::clone(name),
                 to,
             },
             rel,
@@ -169,7 +165,7 @@ impl DosgiNode {
             return;
         }
         let view = self.gcs.view();
-        let unreleased: Vec<(String, NodeId)> = self
+        let unreleased: Vec<(Arc<str>, NodeId)> = self
             .registry
             .records()
             .filter_map(|r| match r.status {
@@ -178,7 +174,7 @@ impl DosgiNode {
                         && view.contains(to)
                         && self.mgr.find_by_name(&r.name).is_none() =>
                 {
-                    Some((r.name.to_string(), to))
+                    Some((Arc::clone(&r.name), to))
                 }
                 _ => None,
             })
@@ -207,11 +203,11 @@ impl DosgiNode {
     pub(super) fn begin_drain(
         &mut self,
         end: NodeState,
-        label: &str,
+        label: &'static str,
         net: &mut impl Fabric<Wire>,
         now: SimTime,
     ) {
-        let root = self.recorder.root(label, now.as_micros());
+        let root = self.recorder.root(SpanName::verb(label), now.as_micros());
         self.drain = Some(Drain { end, root });
         self.order(net, AppPayload::Draining { node: self.id }, root);
         let locals: Vec<String> = self

@@ -51,15 +51,15 @@ impl DosgiNode {
         let iid = self.local(name)?;
         self.wake();
         let sn = manifest.symbolic_name.to_string();
+        let name = self.shared_name(name);
         self.upgrade_roots.open(
             &self.recorder,
-            format!("{name}/{sn}"),
-            || format!("upgrade/{name}"),
+            &format!("{name}/{sn}").into(),
+            SpanName::of("upgrade", &name),
             now.as_micros(),
         );
         let blackout = self.swap_persist_cost(iid, &sn) + UPGRADE_SWAP_COST;
-        self.upgrades
-            .push(now + blackout, name.to_owned(), manifest);
+        self.upgrades.push(now + blackout, name, manifest);
         Ok(())
     }
 
@@ -67,15 +67,14 @@ impl DosgiNode {
     /// `iid`.
     fn swap_persist_cost(&self, iid: InstanceId, sn: &str) -> SimDuration {
         let state_bytes = self.mgr.instance(iid).map_or(0, |i| {
-            let ns = i.descriptor.state_namespace();
-            self.store
-                .namespace_bytes_prefixed(&format!("{ns}/data/{sn}"))
+            let ns = i.descriptor.state_namespace_text();
+            namespace_bytes(&self.store, format_args!("{ns}/data/{sn}"))
         });
         self.kit.config.san.write_cost(state_bytes)
     }
 
     pub(super) fn process_pending_upgrades(&mut self, now: SimTime) {
-        for t in self.upgrades.take_due(now) {
+        while let Some(t) = self.upgrades.take_due(now) {
             let sn = t.work.symbolic_name.to_string();
             let key = format!("{}/{}", t.name, sn);
             let now_us = now.as_micros();
@@ -96,10 +95,11 @@ impl DosgiNode {
                     // starts strictly after persist ends (the ordering
                     // trace_check's upgrade rules pin).
                     let root = self.upgrade_roots.take(&key);
-                    let stamp = |phase: &str, start_us, end_us| {
-                        let span = self
-                            .recorder
-                            .child_of(root, &format!("{phase}/{sn}"), start_us);
+                    let bundle: Arc<str> = sn.as_str().into();
+                    let stamp = |phase, start_us, end_us| {
+                        let span =
+                            self.recorder
+                                .child_of(root, SpanName::of(phase, &bundle), start_us);
                         self.recorder.end(span, end_us);
                     };
                     let persist_end = now_us + persist_cost.as_micros();
@@ -108,7 +108,8 @@ impl DosgiNode {
                     stamp("u_persist", now_us, persist_end);
                     stamp("u_adopt", persist_end, adopt_end);
                     self.recorder.end(root, adopt_end);
-                    self.finished_upgrade_traces.insert(t.name.clone(), root);
+                    self.finished_upgrade_traces
+                        .insert(Arc::clone(&t.name), root);
                     self.metrics.upgrade_completed.incr();
                     self.metrics
                         .upgrade_blackout_us
@@ -130,7 +131,7 @@ impl DosgiNode {
                         self.metrics.upgrade_retries.incr();
                         self.events.push(NodeEvent::UpgradeRetried {
                             at: now,
-                            name: name.to_owned(),
+                            name: Arc::clone(name),
                             bundle: sn,
                             attempt,
                             error: e.to_string(),

@@ -37,7 +37,7 @@ use dosgi_gcs::{GcsConfig, GcsEvent, GcsWire, GroupNode, View};
 use dosgi_net::{Envelope, Fabric, NodeId, SimDuration, SimTime};
 use dosgi_osgi::BundleManifest;
 use dosgi_san::{RetryPolicy, SharedStore, Value};
-use dosgi_telemetry::{FlightRecorder, Phase, Phases, Telemetry, TraceContext, TraceRef};
+use dosgi_telemetry::{FlightRecorder, Phase, Phases, SpanName, Telemetry, TraceContext, TraceRef};
 use dosgi_vosgi::{InstanceDescriptor, InstanceId, InstanceManager, SecurityPolicy};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -107,6 +107,22 @@ const STRANDED_SWEEP_INTERVAL: SimDuration = SimDuration::from_millis(1_000);
 /// re-claimed when the SAN heals) and an upgrade fails.
 const RETRY: RetryPolicy = RetryPolicy::persistence();
 
+/// The bytes the SAN holds in the namespace `ns` writes out and under it.
+/// The namespace is written on the stack, as `osgi::persist`'s row keys
+/// are, when it fits in 128 bytes (an instance's does for any name up to
+/// about a hundred bytes): sizing an instance's state builds no string.
+fn namespace_bytes(store: &SharedStore, ns: impl std::fmt::Display) -> u64 {
+    use std::io::Write as _;
+    let mut bytes = [0u8; 128];
+    let mut out = &mut bytes[..];
+    if write!(out, "{ns}").is_err() {
+        return store.namespace_bytes_prefixed(&ns.to_string());
+    }
+    let free = out.len();
+    let ns = std::str::from_utf8(&bytes[..bytes.len() - free]).expect("written from text");
+    store.namespace_bytes_prefixed(ns)
+}
+
 /// One cluster node: host OSGi framework + Instance Manager + Migration
 /// Module + Monitoring Module + Autonomic Module + GCS endpoint.
 pub struct DosgiNode {
@@ -169,7 +185,7 @@ pub struct DosgiNode {
     // The (ended) root of the most recent completed upgrade per instance:
     // the wave orchestrator joins its `undrain/` span to this trace so the
     // un-drain is causally ordered after the new revision's adoption.
-    finished_upgrade_traces: BTreeMap<String, TraceRef>,
+    finished_upgrade_traces: BTreeMap<Arc<str>, TraceRef>,
     // Where a tick's calls, time and allocations go; off unless a
     // profiling driver turns it on.
     phases: Phases,
@@ -195,9 +211,10 @@ dosgi_telemetry::metrics! {
 
 /// Queued work on a named instance — an adoption or an upgrade — due at
 /// `ready_at` and retried under [`RETRY`] after each transient failure.
+/// `name` is the registry record's, shared.
 struct Ticket<W> {
     ready_at: SimTime,
-    name: String,
+    name: Arc<str>,
     /// How many attempts already failed transiently.
     attempt: u32,
     work: W,
@@ -208,7 +225,7 @@ struct Tickets<W>(Vec<Ticket<W>>);
 
 impl<W> Tickets<W> {
     /// Queues a first attempt at `work` on `name`, due at `ready_at`.
-    fn push(&mut self, ready_at: SimTime, name: String, work: W) {
+    fn push(&mut self, ready_at: SimTime, name: Arc<str>, work: W) {
         self.0.push(Ticket {
             ready_at,
             name,
@@ -217,10 +234,13 @@ impl<W> Tickets<W> {
         });
     }
 
-    /// Takes every ticket due at `now`. Nothing due: nothing moves and
-    /// nothing is allocated.
-    fn take_due(&mut self, now: SimTime) -> Vec<Ticket<W>> {
-        self.0.extract_if(.., |t| t.ready_at <= now).collect()
+    /// Takes the first ticket, in queue order, due at `now`. A ticket
+    /// queued again meanwhile comes due a backoff later, so taking until
+    /// `None` takes, in order, every ticket that was due; nothing is
+    /// allocated.
+    fn take_due(&mut self, now: SimTime) -> Option<Ticket<W>> {
+        let due = self.0.iter().position(|t| t.ready_at <= now)?;
+        Some(self.0.remove(due))
     }
 
     /// Queues `ticket` again after its attempt failed transiently, due
@@ -231,7 +251,7 @@ impl<W> Tickets<W> {
         &mut self,
         mut ticket: Ticket<W>,
         now: SimTime,
-    ) -> Result<(&str, u32, SimDuration), Ticket<W>> {
+    ) -> Result<(&Arc<str>, u32, SimDuration), Ticket<W>> {
         let failed = ticket.attempt;
         if RETRY.exhausted(failed + 1) {
             return Err(ticket);
@@ -246,7 +266,7 @@ impl<W> Tickets<W> {
 
     /// True if a ticket for `name` is queued.
     fn holds(&self, name: &str) -> bool {
-        self.0.iter().any(|t| t.name == name)
+        self.0.iter().any(|t| *t.name == *name)
     }
 
     /// The earlier of `at` and the instant the first ticket comes due.
@@ -258,23 +278,23 @@ impl<W> Tickets<W> {
 /// Trace roots kept open across retries, keyed by what they trace: the
 /// first attempt opens one, every later attempt reuses it, and it is
 /// taken out once, to be ended.
-struct OpenRoots(BTreeMap<String, TraceRef>);
+struct OpenRoots(BTreeMap<Arc<str>, TraceRef>);
 
 impl OpenRoots {
-    /// The open root for `key`; one named `name()` is opened at `now_us`
-    /// if there is none.
+    /// The open root for `key`; one named `name` is opened at `now_us` if
+    /// there is none.
     fn open(
         &mut self,
         recorder: &FlightRecorder,
-        key: impl AsRef<str> + Into<String>,
-        name: impl FnOnce() -> String,
+        key: &Arc<str>,
+        name: SpanName,
         now_us: u64,
     ) -> TraceRef {
-        if let Some(&root) = self.0.get(key.as_ref()) {
+        if let Some(&root) = self.0.get(key) {
             return root;
         }
-        let root = recorder.root(&name(), now_us);
-        self.0.insert(key.into(), root);
+        let root = recorder.root(name, now_us);
+        self.0.insert(Arc::clone(key), root);
         root
     }
 
@@ -438,7 +458,7 @@ impl DosgiNode {
     /// has queued for (re-)materialization.
     #[doc(hidden)]
     pub fn pending_adoptions(&self) -> impl Iterator<Item = &str> {
-        self.adoptions.0.iter().map(|t| t.name.as_str())
+        self.adoptions.0.iter().map(|t| &*t.name)
     }
 
     /// Number of upgrades still queued (pending or in backoff).
@@ -512,6 +532,14 @@ impl DosgiNode {
             .is_some_and(|i| i.is_running())
     }
 
+    /// `name` as the registry shares it: its record's name or, for an
+    /// instance whose `Deployed` is still in flight, a copy.
+    fn shared_name(&self, name: &str) -> Arc<str> {
+        self.registry
+            .record(name)
+            .map_or_else(|| name.into(), |r| Arc::clone(&r.name))
+    }
+
     /// The local instance named `name`.
     fn local(&self, name: &str) -> Result<InstanceId, CoreError> {
         let iid = self.mgr.find_by_name(name);
@@ -556,7 +584,7 @@ impl DosgiNode {
         now: SimTime,
     ) -> Result<(), CoreError> {
         self.wake();
-        let name = descriptor.name.clone();
+        let name: Arc<str> = descriptor.name.as_str().into();
         // The registry's copy grants nothing: a descriptor from the network
         // must not be able to grant itself permissions, so a node adopting
         // the instance runs it under its own deny-all default.
@@ -569,7 +597,7 @@ impl DosgiNode {
         self.order(
             net,
             AppPayload::Deployed {
-                name: name.clone(),
+                name: Arc::clone(&name),
                 descriptor: shared,
                 home: self.id,
             },
@@ -594,7 +622,7 @@ impl DosgiNode {
         self.order(
             net,
             AppPayload::Undeployed {
-                name: name.to_owned(),
+                name: self.shared_name(name),
             },
             TraceRef::NONE,
         );

@@ -67,7 +67,7 @@ mod tests {
 
     fn deployed(name: &str, home: u32) -> AppPayload {
         AppPayload::Deployed {
-            name: name.to_owned(),
+            name: name.into(),
             descriptor: Arc::new(InstanceDescriptor::builder(name, name).build()),
             home: NodeId(home),
         }

@@ -13,9 +13,10 @@
 //!
 //! A registry travels between nodes as typed records: a `RegistrySync`
 //! carries them all, a `RegistryDelta` the ones a digest lacks. A record's
-//! name and its descriptor are `Arc`s, the name made once when the
-//! `Deployed` is applied and the descriptor once by the deploying node, so
-//! every copy of the registry, every transfer and every digest shares them.
+//! name and its descriptor are `Arc`s, both made once by the deploying node
+//! and carried by its `Deployed`, so every copy of the registry, every
+//! transfer and every digest shares them, as does every later message,
+//! event and trace span that names the instance.
 //! [`export`](ClusterRegistry::export) is the one serialized rendering; a
 //! transfer's reported size is that rendering's encoded length.
 
@@ -127,12 +128,11 @@ impl ClusterRegistry {
                 descriptor,
                 home,
             } => {
-                let rev = self.records.get(name.as_str()).map(|r| r.rev).unwrap_or(0) + 1;
-                let name: Arc<str> = name.as_str().into();
+                let rev = self.records.get(&**name).map(|r| r.rev).unwrap_or(0) + 1;
                 self.records.insert(
-                    Arc::clone(&name),
+                    Arc::clone(name),
                     InstanceRecord {
-                        name,
+                        name: Arc::clone(name),
                         descriptor: Arc::clone(descriptor),
                         home: *home,
                         status: InstanceStatus::Placed,
@@ -141,7 +141,7 @@ impl ClusterRegistry {
                 );
             }
             AppPayload::Migrate { name, to, .. } => {
-                if let Some(r) = self.records.get_mut(name.as_str()) {
+                if let Some(r) = self.records.get_mut(&**name) {
                     if r.status != InstanceStatus::Orphaned {
                         r.status = InstanceStatus::Migrating { to: *to };
                         r.rev += 1;
@@ -149,7 +149,7 @@ impl ClusterRegistry {
                 }
             }
             AppPayload::Released { name, to } => {
-                if let Some(r) = self.records.get_mut(name.as_str()) {
+                if let Some(r) = self.records.get_mut(&**name) {
                     if r.status != InstanceStatus::Orphaned {
                         r.home = *to;
                         r.status = InstanceStatus::Placed;
@@ -162,7 +162,7 @@ impl ClusterRegistry {
                 node,
                 prior_home,
             } => {
-                if let Some(r) = self.records.get_mut(name.as_str()) {
+                if let Some(r) = self.records.get_mut(&**name) {
                     // The claim wins iff the record is orphaned locally OR
                     // still points at the home the claimant saw die (this
                     // node's failure detector is merely behind).
@@ -177,7 +177,7 @@ impl ClusterRegistry {
                 }
             }
             AppPayload::Quarantined { name, node } => {
-                if let Some(r) = self.records.get_mut(name.as_str()) {
+                if let Some(r) = self.records.get_mut(&**name) {
                     // Only the current home may quarantine: a stale report
                     // from a node that already lost the instance (crash +
                     // re-claim raced the report) must not shadow the new
@@ -189,7 +189,7 @@ impl ClusterRegistry {
                 }
             }
             AppPayload::Undeployed { name } => {
-                self.records.remove(name.as_str());
+                self.records.remove(&**name);
             }
             AppPayload::Draining { .. }
             | AppPayload::Hello { .. }
@@ -951,7 +951,7 @@ mod tests {
     /// Random ordered history plus local orphan marks over six names.
     fn churn(r: &mut ClusterRegistry, rng: &mut TestRng, ops: u64) {
         for _ in 0..ops {
-            let name = format!("i{}", rng.u64_below(6));
+            let name: Arc<str> = format!("i{}", rng.u64_below(6)).into();
             // Mostly the node the message must name to take effect.
             let home = match r.record(&name) {
                 Some(rec) if rng.chance(0.7) => rec.home,

@@ -189,20 +189,22 @@ impl UpgradeWave {
                             to,
                             blackout,
                             ..
-                        } if expected.contains(name) => {
-                            expected.retain(|n| n != name);
-                            self.last_done = Some(name.clone());
+                        } if expected.iter().any(|n| **n == **name) => {
+                            expected.retain(|n| **n != **name);
+                            self.last_done = Some(name.to_string());
                             self.report.upgraded.push(WaveUpgrade {
-                                instance: name.clone(),
+                                instance: name.to_string(),
                                 node: idx,
                                 from: *from,
                                 to: *to,
                                 blackout: *blackout,
                             });
                         }
-                        NodeEvent::UpgradeFailed { name, error, .. } if expected.contains(name) => {
-                            expected.retain(|n| n != name);
-                            self.report.failed.push((name.clone(), error.clone()));
+                        NodeEvent::UpgradeFailed { name, error, .. }
+                            if expected.iter().any(|n| **n == **name) =>
+                        {
+                            expected.retain(|n| **n != **name);
+                            self.report.failed.push((name.to_string(), error.clone()));
                         }
                         _ => {}
                     }

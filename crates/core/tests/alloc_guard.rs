@@ -16,7 +16,7 @@
 //! two lists grown.
 //!
 //! What a hand-off costs: ten rounds of the `migrate` workload — `incr`, the
-//! ordered hand-off, the adoption — allocate ≤ 774 times, and each round
+//! ordered hand-off, the adoption — allocate ≤ 602 times, and each round
 //! exactly as often beside 4 rows of state as beside 1 024. Each end's one
 //! snapshot write builds no row: a restore of a one-bundle instance through
 //! the repository reads its namespace once, copies only the row the bundle
@@ -40,7 +40,12 @@
 //! restores the host framework from the node's own snapshot, sharing the
 //! kit's host manifests, allocating exactly 78 times and writing no row; a
 //! whole crash, failover, restart and rejoin of the `failover` workload —
-//! one registry transfer — allocates ≤ 756 times.
+//! one registry transfer — allocates ≤ 650 times.
+//!
+//! What naming costs: a trace span is named by a static verb and the
+//! registry's shared instance name, so opening one, exporting a context
+//! under it, opening the remote child and ending both allocates nothing on
+//! a warm recorder and nothing on a disabled one, the call site included.
 //!
 //! What watching costs once an instance's watch record exists: sampling it
 //! allocates nothing, its gauges included, and neither does a policy pass
@@ -61,7 +66,7 @@ use dosgi_osgi::{
     KnownManifests, Service, ServiceRegistry, UsageSnapshot, Version,
 };
 use dosgi_san::{SharedStore, Value};
-use dosgi_telemetry::{Phases, ScrapeConfig, SeriesScraper, Telemetry};
+use dosgi_telemetry::{FlightRecorder, Phases, ScrapeConfig, SeriesScraper, SpanName, Telemetry};
 use dosgi_vosgi::{BundleRepository, InstanceDescriptor, InstanceId, ResourceQuota};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -278,6 +283,34 @@ fn request_path_allocations_with_telemetry_off() {
     request_path_allocations(Telemetry::disabled());
 }
 
+/// A hand-off's trace as its two ends make it, call sites included: the
+/// source opens `release/<name>` and exports the context its `Released`
+/// carries, the destination opens `adopt/<name>` from that context, and
+/// both end. (4 on a warm recorder and 1 on a disabled one while each
+/// call site formatted its span's name and the recorder copied it.)
+fn trace_a_handoff(recorder: &FlightRecorder, name: &Arc<str>) {
+    let release = recorder.root(SpanName::of("release", name), 10);
+    let released = recorder.context(release);
+    recorder.end(release, 20);
+    if let Some(ctx) = released {
+        let adopt = recorder.child(ctx, SpanName::of("adopt", name), 30);
+        recorder.end(adopt, 40);
+    }
+}
+
+#[test]
+fn a_span_named_by_a_shared_name_allocates_nothing() {
+    let name: Arc<str> = Arc::from("ctr-07");
+    let warm = FlightRecorder::with_capacity(0, 8);
+    for _ in 0..8 {
+        trace_a_handoff(&warm, &name);
+    }
+    for recorder in [warm, FlightRecorder::disabled()] {
+        let (allocations, ()) = allocations_in(|| trace_a_handoff(&recorder, &name));
+        assert_eq!(allocations, 0, "enabled: {}", recorder.is_enabled());
+    }
+}
+
 /// What a starting and a stopping bundle pay the service registry: the
 /// registration's one interface list, whose names it shares with the two
 /// lists that already exist, and its place in those lists (two lists
@@ -349,7 +382,7 @@ fn registry_of(records: usize) -> ClusterRegistry {
         let name = format!("web-{i:02}");
         registry.apply(&AppPayload::Deployed {
             descriptor: Arc::new(workloads::web_instance(&name, &name)),
-            name,
+            name: name.into(),
             home: NodeId((i % NODES) as u32),
         });
     }
@@ -577,8 +610,12 @@ fn failover_round_allocations(telemetry: Telemetry) {
             drop(c.take_events());
         });
         assert!(all_serving(&c));
-        // Measured 660 to 756 over these rounds, telemetry on or off
-        // (716 to 936 while each policy pass built a quota map and a
+        // Measured 602 to 650 over these rounds, telemetry on or off
+        // (660 to 756 while every claim, `Adopted`, adoption ticket and
+        // trace span copied or formatted its instance's name, a queued
+        // adoption built its namespace's name to size it, each tick's due
+        // tickets were collected into a fresh vector and a sequencer's
+        // truncation built a new tree; 716 to 936 while each policy pass built a quota map and a
         // subject list, formatted every failing rule's error and copied
         // every new subject's name into each rule's streaks, and each
         // instance's gauge names were formatted into a `String`; 998 to
@@ -599,7 +636,7 @@ fn failover_round_allocations(telemetry: Telemetry) {
         // `String` per key and every non-empty mailbox was drained into a
         // fresh vector).
         assert!(
-            allocations <= 756,
+            allocations <= 650,
             "failover round {round} allocated {allocations} times"
         );
     }
@@ -801,8 +838,12 @@ fn an_upgraded_bundle_restores_by_parsing() {
 
 fn migrate_rounds_are_bounded_and_blind_to_the_area(telemetry: fn() -> Telemetry) {
     let small = migrate_round_allocations(telemetry(), 4);
-    // Measured: 684 over the ten rounds with telemetry off, 774 with it
-    // on, 65 to 96 a round (725 and 827, 65 to 138 a round, while a policy
+    // Measured: 582 over the ten rounds with telemetry off, 602 with it
+    // on, 55 to 79 a round (684 and 774, 65 to 96 a round, while each
+    // message, event, ticket and trace span of a hand-off copied or
+    // formatted its instance's name, the adoption built its namespace's
+    // name to size it and a sequencer's truncation built a new tree; 725
+    // and 827, 65 to 138 a round, while a policy
     // pass built its subjects and an instance's gauge names were formatted
     // into a `String`; 765 and 867, 69 to 142 a round, while each
     // queued adoption parsed its descriptor; 1 145 and 1 247, 107 to 180 a round, while an
@@ -814,7 +855,7 @@ fn migrate_rounds_are_bounded_and_blind_to_the_area(telemetry: fn() -> Telemetry
     // pass copied every metric onto its blackboard; 2 397 and 2 499, 217 to
     // 335 a round, while a map was a tree with a `String` per key).
     let total: u64 = small.iter().sum();
-    assert!(total <= 774, "ten migrate rounds allocated {small:?}");
+    assert!(total <= 602, "ten migrate rounds allocated {small:?}");
     assert_eq!(small, migrate_round_allocations(telemetry(), 1024));
 }
 

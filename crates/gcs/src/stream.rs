@@ -226,14 +226,20 @@ impl<A: Clone> Sequencer<A> {
     }
 
     /// Forgets every ordered message all of `view`'s other members have
-    /// acknowledged (a member not heard from yet holds the mark at 0).
+    /// acknowledged (a member not heard from yet holds the mark at 0), in
+    /// place: the replay buffer keeps its tree.
     pub fn truncate(&mut self, me: NodeId, view: &View, metrics: &Metrics) {
         let acked = |m: &NodeId| self.acked.get(m).copied().unwrap_or(0);
         let others = view.members.iter().filter(|m| **m != me);
         let low_water = others.map(acked).min().unwrap_or(self.counter);
         if low_water > self.low_water {
             self.low_water = low_water;
-            self.buffer = self.buffer.split_off(&(low_water + 1));
+            while let Some(acknowledged) = self.buffer.first_entry() {
+                if *acknowledged.key() > low_water {
+                    break;
+                }
+                acknowledged.remove();
+            }
             self.publish_window(metrics);
         }
     }

@@ -5,7 +5,7 @@ use crate::admission::{Admitted, Completion, QueuedRequest, RequestClass};
 use crate::metrics::{Metrics, ShedReason};
 use crate::{RealServer, Scheduler, VirtualService};
 use dosgi_net::{NodeId, SocketAddr};
-use dosgi_telemetry::{FlightRecorder, Telemetry, TraceContext};
+use dosgi_telemetry::{FlightRecorder, SpanName, Telemetry, TraceContext};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -427,10 +427,10 @@ impl IpvsDirector {
     /// `drain/n<node>` span, joined to `ctx` when given (the wave
     /// orchestrator's per-node step) or as a fresh root.
     pub fn drain_node_traced(&mut self, node: NodeId, ctx: Option<TraceContext>, now_us: u64) {
-        let name = format!("drain/n{}", node.0);
+        let name = SpanName::node("drain", node.0.into());
         let span = match ctx {
-            Some(c) => self.recorder.child(c, &name, now_us),
-            None => self.recorder.root(&name, now_us),
+            Some(c) => self.recorder.child(c, name, now_us),
+            None => self.recorder.root(name, now_us),
         };
         self.drain_node(node);
         self.recorder.end(span, now_us);
@@ -442,10 +442,10 @@ impl IpvsDirector {
     /// "un-drain happens after the new revision adopted" checkable by
     /// `trace_check`.
     pub fn undrain_node_traced(&mut self, node: NodeId, ctx: Option<TraceContext>, now_us: u64) {
-        let name = format!("undrain/n{}", node.0);
+        let name = SpanName::node("undrain", node.0.into());
         let span = match ctx {
-            Some(c) => self.recorder.child(c, &name, now_us),
-            None => self.recorder.root(&name, now_us),
+            Some(c) => self.recorder.child(c, name, now_us),
+            None => self.recorder.root(name, now_us),
         };
         self.undrain_node(node);
         self.recorder.end(span, now_us);
@@ -748,7 +748,7 @@ mod tests {
         let rec = FlightRecorder::new(9);
         let mut d = director(2);
         d.set_recorder(rec.clone());
-        let up = rec.root("upgrade/web", 100);
+        let up = rec.root(SpanName::of("upgrade", &"web".into()), 100);
         let ctx = rec.context(up).unwrap();
         rec.end(up, 400);
         d.drain_node_traced(NodeId(0), None, 50);

@@ -70,7 +70,7 @@ pub use series::{
 pub use slo::{derive_health, AlertEvent, AlertWindow, HealthState, SloEngine, SloSpec};
 pub use snapshot::{Snapshot, SCHEMA_VERSION};
 pub use trace::{
-    FlightRecorder, TraceContext, TraceEvent, TraceLog, TraceRef, DEFAULT_EVENT_CAPACITY,
+    FlightRecorder, SpanName, TraceContext, TraceEvent, TraceLog, TraceRef, DEFAULT_EVENT_CAPACITY,
     TRACE_SCHEMA_VERSION,
 };
 

@@ -17,6 +17,14 @@
 //!   deterministic event list and exports it as Chrome trace-event JSON
 //!   (loadable in `chrome://tracing` / Perfetto).
 //!
+//! A span is named by a [`SpanName`]: a static verb and a subject shared
+//! with its owner, such as the registry's instance name. The recorder keeps
+//! that pair while the span is open and after it closes, and renders it as
+//! `verb/subject` only at export; the Chrome trace writes the rendered name
+//! through the crate's one JSON string writer. Opening, exporting a context
+//! under and ending a span allocates nothing once the recorder is warm, and
+//! nothing at all on a disabled recorder, the call site's name included.
+//!
 //! ## Lamport stamping rules
 //!
 //! Each enabled recorder keeps one logical clock `C`:
@@ -111,7 +119,7 @@ pub struct TraceEvent {
     pub parent_span: u64,
     /// Node the span was recorded on.
     pub node: u64,
-    /// Event name, `crate.protocol.phase` style.
+    /// The span's [`SpanName`], rendered: `verb/subject` or the bare verb.
     pub name: String,
     /// Sim-time open instant, microseconds.
     pub start_us: u64,
@@ -142,31 +150,134 @@ impl TraceEvent {
     }
 }
 
-struct OpenSpanRec {
+/// A span's name: a static verb and, optionally, what it acts on — an
+/// instance name shared with whoever holds it, or a node. The recorder keeps
+/// it as it is, open and closed; it is rendered to text, `verb/subject` or
+/// the bare verb, only when the span is exported ([`FlightRecorder::events`],
+/// [`FlightRecorder::open_events`]). Naming a span allocates nothing.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpanName {
+    verb: &'static str,
+    subject: Subject,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Subject {
+    None,
+    Shared(Arc<str>),
+    Node(u64),
+}
+
+impl SpanName {
+    /// A span named by its verb alone (`shutdown`).
+    pub const fn verb(verb: &'static str) -> Self {
+        SpanName {
+            verb,
+            subject: Subject::None,
+        }
+    }
+
+    /// `verb/<subject>`, sharing `subject` (`adopt/<instance>`).
+    pub fn of(verb: &'static str, subject: &Arc<str>) -> Self {
+        SpanName {
+            verb,
+            subject: Subject::Shared(Arc::clone(subject)),
+        }
+    }
+
+    /// `verb/n<node>` (`drain/n3`).
+    pub const fn node(verb: &'static str, node: u64) -> Self {
+        SpanName {
+            verb,
+            subject: Subject::Node(node),
+        }
+    }
+}
+
+impl std::fmt::Display for SpanName {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.verb)?;
+        match &self.subject {
+            Subject::None => Ok(()),
+            Subject::Shared(subject) => write!(f, "/{subject}"),
+            Subject::Node(node) => write!(f, "/n{node}"),
+        }
+    }
+}
+
+struct SpanRec {
     trace_id: u64,
     parent_span: u64,
-    name: String,
+    name: SpanName,
     start_us: u64,
     lamport_start: u64,
     ctx_lamport: u64,
+}
+
+impl SpanRec {
+    /// The span as an exported event: closed at `(end_us, lamport_end)`,
+    /// or still open.
+    fn event(&self, node: u64, span_id: u64, end: Option<(u64, u64)>) -> TraceEvent {
+        let (end_us, lamport_end) = end.unwrap_or((self.start_us, self.lamport_start));
+        TraceEvent {
+            trace_id: self.trace_id,
+            span_id,
+            parent_span: self.parent_span,
+            node,
+            name: self.name.to_string(),
+            start_us: self.start_us,
+            end_us,
+            lamport_start: self.lamport_start,
+            lamport_end,
+            ctx_lamport: self.ctx_lamport,
+            open: end.is_none(),
+        }
+    }
+}
+
+/// A closed span in the ring.
+struct ClosedSpan {
+    span_id: u64,
+    span: SpanRec,
+    end_us: u64,
+    lamport_end: u64,
 }
 
 struct RecInner {
     node: u64,
     clock: u64,
     next_seq: u64,
-    open: BTreeMap<u64, OpenSpanRec>,
-    closed: VecDeque<TraceEvent>,
+    open: BTreeMap<u64, SpanRec>,
+    closed: VecDeque<ClosedSpan>,
     capacity: usize,
     dropped: u64,
     rejected: u64,
 }
 
 impl RecInner {
-    fn alloc_span(&mut self) -> u64 {
-        let id = ((self.node + 1) << NODE_SHIFT) | self.next_seq;
+    /// Opens a span of `trace_id` under `parent_span` at the clock's
+    /// current value, and returns its id.
+    fn open(
+        &mut self,
+        trace_id: Option<u64>,
+        parent_span: u64,
+        name: SpanName,
+        start_us: u64,
+        ctx_lamport: u64,
+    ) -> TraceRef {
+        let span_id = ((self.node + 1) << NODE_SHIFT) | self.next_seq;
         self.next_seq += 1;
-        id
+        let trace_id = trace_id.unwrap_or(span_id);
+        let span = SpanRec {
+            trace_id,
+            parent_span,
+            name,
+            start_us,
+            lamport_start: self.clock,
+            ctx_lamport,
+        };
+        self.open.insert(span_id, span);
+        TraceRef { trace_id, span_id }
     }
 }
 
@@ -238,58 +349,32 @@ impl FlightRecorder {
 
     /// Open a new root span: starts a fresh trace whose id is the root's
     /// own span id.
-    pub fn root(&self, name: &str, now_us: u64) -> TraceRef {
+    pub fn root(&self, name: SpanName, now_us: u64) -> TraceRef {
         let Some(mut g) = self.lock() else {
             return TraceRef::NONE;
         };
         g.clock += 1;
-        let id = g.alloc_span();
-        let lamport_start = g.clock;
-        g.open.insert(
-            id,
-            OpenSpanRec {
-                trace_id: id,
-                parent_span: 0,
-                name: name.to_owned(),
-                start_us: now_us,
-                lamport_start,
-                ctx_lamport: 0,
-            },
-        );
-        TraceRef {
-            trace_id: id,
-            span_id: id,
-        }
+        g.open(None, 0, name, now_us, 0)
     }
 
     /// Open a child span from an imported wire context (a *receive*:
     /// the local clock is folded with the context's stamp first).
-    pub fn child(&self, ctx: TraceContext, name: &str, now_us: u64) -> TraceRef {
+    pub fn child(&self, ctx: TraceContext, name: SpanName, now_us: u64) -> TraceRef {
         let Some(mut g) = self.lock() else {
             return TraceRef::NONE;
         };
         g.clock = g.clock.max(ctx.lamport) + 1;
-        let id = g.alloc_span();
-        let lamport_start = g.clock;
-        g.open.insert(
-            id,
-            OpenSpanRec {
-                trace_id: ctx.trace_id,
-                parent_span: ctx.parent_span,
-                name: name.to_owned(),
-                start_us: now_us,
-                lamport_start,
-                ctx_lamport: ctx.lamport,
-            },
-        );
-        TraceRef {
-            trace_id: ctx.trace_id,
-            span_id: id,
-        }
+        g.open(
+            Some(ctx.trace_id),
+            ctx.parent_span,
+            name,
+            now_us,
+            ctx.lamport,
+        )
     }
 
     /// Open a node-local child of a span this recorder owns.
-    pub fn child_of(&self, parent: TraceRef, name: &str, now_us: u64) -> TraceRef {
+    pub fn child_of(&self, parent: TraceRef, name: SpanName, now_us: u64) -> TraceRef {
         if !parent.is_some() {
             return TraceRef::NONE;
         }
@@ -297,23 +382,7 @@ impl FlightRecorder {
             return TraceRef::NONE;
         };
         g.clock += 1;
-        let id = g.alloc_span();
-        let lamport_start = g.clock;
-        g.open.insert(
-            id,
-            OpenSpanRec {
-                trace_id: parent.trace_id,
-                parent_span: parent.span_id,
-                name: name.to_owned(),
-                start_us: now_us,
-                lamport_start,
-                ctx_lamport: 0,
-            },
-        );
-        TraceRef {
-            trace_id: parent.trace_id,
-            span_id: id,
-        }
+        g.open(Some(parent.trace_id), parent.span_id, name, now_us, 0)
     }
 
     /// Export a wire context under `of` (a *send*: ticks the clock).
@@ -359,54 +428,45 @@ impl FlightRecorder {
             return false;
         };
         g.clock += 1;
-        let ev = TraceEvent {
-            trace_id: span.trace_id,
+        let closed = ClosedSpan {
             span_id: r.span_id,
-            parent_span: span.parent_span,
-            node: g.node,
-            name: span.name,
-            start_us: span.start_us,
+            span,
             end_us: now_us,
-            lamport_start: span.lamport_start,
             lamport_end: g.clock,
-            ctx_lamport: span.ctx_lamport,
-            open: false,
         };
         if g.closed.len() >= g.capacity {
             g.closed.pop_front();
             g.dropped += 1;
         }
-        g.closed.push_back(ev);
+        g.closed.push_back(closed);
         true
     }
 
-    /// Closed events, oldest first (bounded by the ring capacity).
+    /// Closed events, oldest first (bounded by the ring capacity), their
+    /// names rendered.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.lock()
-            .map(|g| g.closed.iter().cloned().collect())
+            .map(|g| {
+                g.closed
+                    .iter()
+                    .map(|c| {
+                        let end = (c.end_us, c.lamport_end);
+                        c.span.event(g.node, c.span_id, Some(end))
+                    })
+                    .collect()
+            })
             .unwrap_or_default()
     }
 
     /// Snapshot of spans still open (crashed or in-flight protocol),
-    /// exported with `open = true` and `end_us == start_us`.
+    /// exported with `open = true` and `end_us == start_us`, their names
+    /// rendered.
     pub fn open_events(&self) -> Vec<TraceEvent> {
         self.lock()
             .map(|g| {
                 g.open
                     .iter()
-                    .map(|(id, s)| TraceEvent {
-                        trace_id: s.trace_id,
-                        span_id: *id,
-                        parent_span: s.parent_span,
-                        node: g.node,
-                        name: s.name.clone(),
-                        start_us: s.start_us,
-                        end_us: s.start_us,
-                        lamport_start: s.lamport_start,
-                        lamport_end: s.lamport_start,
-                        ctx_lamport: s.ctx_lamport,
-                        open: true,
-                    })
+                    .map(|(&id, s)| s.event(g.node, id, None))
                     .collect()
             })
             .unwrap_or_default()
@@ -516,7 +576,7 @@ mod tests {
     #[test]
     fn disabled_recorder_is_inert() {
         let r = FlightRecorder::disabled();
-        let root = r.root("m", 0);
+        let root = r.root(SpanName::verb("m"), 0);
         assert_eq!(root, TraceRef::NONE);
         assert!(r.context(root).is_none());
         assert!(r.end(root, 1));
@@ -526,15 +586,35 @@ mod tests {
     }
 
     #[test]
+    fn a_span_name_renders_at_export() {
+        let name: Arc<str> = Arc::from("web-01");
+        let r = FlightRecorder::new(0);
+        let names = [
+            SpanName::verb("shutdown"),
+            SpanName::of("adopt", &name),
+            SpanName::node("drain", 3),
+        ];
+        for (i, n) in names.into_iter().enumerate() {
+            let s = r.root(n, i as u64);
+            if i > 0 {
+                r.end(s, 9);
+            }
+        }
+        let mut rendered: Vec<String> = r.events().into_iter().map(|e| e.name).collect();
+        rendered.extend(r.open_events().into_iter().map(|e| e.name));
+        assert_eq!(rendered, ["adopt/web-01", "drain/n3", "shutdown"]);
+    }
+
+    #[test]
     fn span_ids_encode_the_node() {
         let r = FlightRecorder::new(3);
-        let a = r.root("a", 0);
-        let b = r.root("b", 0);
+        let a = r.root(SpanName::verb("a"), 0);
+        let b = r.root(SpanName::verb("b"), 0);
         assert_eq!(TraceEvent::node_of(a.span_id), 3);
         assert_eq!(TraceEvent::node_of(b.span_id), 3);
         assert_ne!(a.span_id, b.span_id);
         let other = FlightRecorder::new(4);
-        let c = other.root("c", 0);
+        let c = other.root(SpanName::verb("c"), 0);
         assert_ne!(a.span_id, c.span_id);
     }
 
@@ -542,9 +622,9 @@ mod tests {
     fn lamport_stamps_order_cross_node_edges() {
         let sender = FlightRecorder::new(0);
         let receiver = FlightRecorder::new(1);
-        let root = sender.root("migrate", 100);
+        let root = sender.root(SpanName::verb("migrate"), 100);
         let ctx = sender.context(root).expect("ctx");
-        let child = receiver.child(ctx, "adopt", 200);
+        let child = receiver.child(ctx, SpanName::verb("adopt"), 200);
         assert!(receiver.end(child, 250));
         assert!(sender.end(root, 300));
         let s = &sender.events()[0];
@@ -566,7 +646,7 @@ mod tests {
         });
         assert_eq!(r.clock(), 51);
         // A later local root causally follows the observed stamp.
-        let root = r.root("later", 0);
+        let root = r.root(SpanName::verb("later"), 0);
         assert!(root.is_some());
         assert_eq!(r.clock(), 52);
     }
@@ -574,7 +654,7 @@ mod tests {
     #[test]
     fn unknown_and_double_end_are_rejected() {
         let r = FlightRecorder::new(0);
-        let root = r.root("a", 0);
+        let root = r.root(SpanName::verb("a"), 0);
         assert!(r.end(root, 1));
         assert!(!r.end(root, 2));
         assert!(!r.end(
@@ -591,8 +671,9 @@ mod tests {
     #[test]
     fn ring_overflow_drops_oldest_and_counts() {
         let r = FlightRecorder::with_capacity(0, 2);
-        for i in 0..4u64 {
-            let s = r.root(&format!("s{i}"), i * 10);
+        for (i, name) in ["s0", "s1", "s2", "s3"].into_iter().enumerate() {
+            let i = i as u64;
+            let s = r.root(SpanName::verb(name), i * 10);
             assert!(r.end(s, i * 10 + 1));
         }
         let evs = r.events();
@@ -605,7 +686,7 @@ mod tests {
     #[test]
     fn open_spans_survive_into_the_export() {
         let r = FlightRecorder::new(0);
-        let root = r.root("crashed-mid-flight", 40);
+        let root = r.root(SpanName::verb("crashed-mid-flight"), 40);
         let open = r.open_events();
         assert_eq!(open.len(), 1);
         assert!(open[0].open);
@@ -621,12 +702,12 @@ mod tests {
         let build = || {
             let a = FlightRecorder::new(0);
             let b = FlightRecorder::new(1);
-            let root = a.root("migrate", 0);
+            let root = a.root(SpanName::verb("migrate"), 0);
             let ctx = a.context(root).unwrap();
-            let adopt = b.child(ctx, "adopt", 5);
+            let adopt = b.child(ctx, SpanName::verb("adopt"), 5);
             b.end(adopt, 9);
             a.end(root, 12);
-            let other = b.root("redirect", 20);
+            let other = b.root(SpanName::verb("redirect"), 20);
             b.end(other, 21);
             TraceLog::merge([&a, &b]).to_chrome_json("unit", 7)
         };
@@ -646,7 +727,7 @@ mod tests {
     fn write_to_names_file_after_label() {
         let dir = std::env::temp_dir().join(format!("dosgi-trace-test-{}", std::process::id()));
         let r = FlightRecorder::new(0);
-        let s = r.root("x", 0);
+        let s = r.root(SpanName::verb("x"), 0);
         r.end(s, 1);
         let log = TraceLog::merge([&r]);
         let path = log.write_to(&dir, "unit", 3).expect("write trace");

@@ -127,7 +127,7 @@ fn merged_histogram_equals_histogram_of_concatenation_200_cases() {
 // that produced it, for random cross-node interleavings.
 // ---------------------------------------------------------------------
 
-use dosgi_telemetry::{FlightRecorder, TraceEvent, TraceLog, TraceRef};
+use dosgi_telemetry::{FlightRecorder, SpanName, TraceEvent, TraceLog, TraceRef};
 use std::collections::BTreeMap;
 
 /// Reference model of one span in a random distributed execution: the
@@ -164,7 +164,7 @@ fn random_execution(rng: &mut TestRng) -> (Vec<FlightRecorder>, Vec<SpanModel>) 
         match op {
             0 => {
                 let node = rng.usize_in(0, nodes - 1);
-                let r = recorders[node].root("root", now_us);
+                let r = recorders[node].root(SpanName::verb("root"), now_us);
                 spans.push(SpanModel {
                     span_id: r.span_id,
                     trace_id: r.trace_id,
@@ -182,7 +182,7 @@ fn random_execution(rng: &mut TestRng) -> (Vec<FlightRecorder>, Vec<SpanModel>) 
                     .context(refs[pi])
                     .expect("open spans export a context");
                 let node = rng.usize_in(0, nodes - 1);
-                let r = recorders[node].child(ctx, "child", now_us);
+                let r = recorders[node].child(ctx, SpanName::verb("child"), now_us);
                 spans.push(SpanModel {
                     span_id: r.span_id,
                     trace_id: p_trace,

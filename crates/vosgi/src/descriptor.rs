@@ -86,6 +86,18 @@ impl InstanceDescriptor {
         format!("instance/{}", self.name)
     }
 
+    /// [`state_namespace`](Self::state_namespace) as text to write out where
+    /// it is used, so that naming the namespace builds no `String`.
+    pub fn state_namespace_text(&self) -> impl fmt::Display + '_ {
+        struct StateNamespace<'a>(&'a str);
+        impl fmt::Display for StateNamespace<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                write!(f, "instance/{}", self.0)
+            }
+        }
+        StateNamespace(&self.name)
+    }
+
     /// Serializes the descriptor for SAN storage / migration metadata.
     pub fn to_value(&self) -> Value {
         Value::map()
@@ -268,6 +280,7 @@ mod tests {
         assert_eq!(d.shared_packages.len(), 1);
         assert_eq!(d.shared_services, vec!["org.host.log.Logger"]);
         assert_eq!(d.state_namespace(), "instance/acme-prod");
+        assert_eq!(d.state_namespace_text().to_string(), d.state_namespace());
     }
 
     #[test]

@@ -432,13 +432,13 @@ fn crash_during_san_brownout_quarantines_then_heals() {
     assert!(
         events
             .iter()
-            .any(|(_, e)| matches!(e, NodeEvent::AdoptRetried { name, .. } if name == "ctr")),
+            .any(|(_, e)| matches!(e, NodeEvent::AdoptRetried { name, .. } if &**name == "ctr")),
         "adoption was retried against the dark SAN"
     );
     assert!(
         events
             .iter()
-            .any(|(_, e)| matches!(e, NodeEvent::Quarantined { name, .. } if name == "ctr")),
+            .any(|(_, e)| matches!(e, NodeEvent::Quarantined { name, .. } if &**name == "ctr")),
         "retry budget exhausted: instance quarantined"
     );
     let survivor = c.running_nodes()[0];
