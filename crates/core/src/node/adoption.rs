@@ -152,9 +152,12 @@ impl DosgiNode {
         net: &mut impl Fabric<Wire>,
     ) {
         let now_us = net.now().as_micros();
-        let root = self
-            .claim_roots
-            .open(&self.recorder, name, SpanName::of(kind, name), now_us);
+        let root = self.claim_roots.open(
+            &self.recorder,
+            Arc::clone(name),
+            SpanName::of(kind, name),
+            now_us,
+        );
         self.order(
             net,
             AppPayload::Adopted {

@@ -2,7 +2,7 @@
 //!
 //! *State:* the upgrade tickets (per request: instance, new manifest,
 //! failed attempts, due instant), the open `upgrade/` roots keyed by
-//! `<instance>/<bundle>`, and the ended root of each instance's last
+//! instance and bundle, and the ended root of each instance's last
 //! completed upgrade.
 //!
 //! *Transitions:* `request_upgrade` opens (or reuses) the root and queues
@@ -54,7 +54,7 @@ impl DosgiNode {
         let name = self.shared_name(name);
         self.upgrade_roots.open(
             &self.recorder,
-            &format!("{name}/{sn}").into(),
+            (Arc::clone(&name), sn.clone()),
             SpanName::of("upgrade", &name),
             now.as_micros(),
         );
@@ -76,7 +76,7 @@ impl DosgiNode {
     pub(super) fn process_pending_upgrades(&mut self, now: SimTime) {
         while let Some(t) = self.upgrades.take_due(now) {
             let sn = t.work.symbolic_name.to_string();
-            let key = format!("{}/{}", t.name, sn);
+            let key = (Arc::clone(&t.name), sn.clone());
             let now_us = now.as_micros();
             // The instance may have migrated away or crashed between the
             // request and the swap instant: abandon the ticket.
@@ -149,7 +149,7 @@ impl DosgiNode {
         &mut self,
         t: Ticket<BundleManifest>,
         bundle: String,
-        key: &str,
+        key: &(Arc<str>, String),
         error: String,
         now: SimTime,
     ) {

@@ -175,13 +175,13 @@ pub struct DosgiNode {
     // node orders an `Adopted` claim, reused by the sweep's retries, ended
     // when a claim's delivery resolves the race (either way) in the total
     // order.
-    claim_roots: OpenRoots,
-    // Open `upgrade/<instance>` roots, keyed by `<instance>/<bundle>`:
+    claim_roots: OpenRoots<Arc<str>>,
+    // Open `upgrade/<instance>` roots, keyed by instance and bundle:
     // opened when the upgrade is requested, reused by every re-request
     // and transient-fault retry, ended when the upgrade completes or
     // fails. This is what keeps a SAN-faulted upgrade from leaking an open
     // span per retry.
-    upgrade_roots: OpenRoots,
+    upgrade_roots: OpenRoots<(Arc<str>, String)>,
     // The (ended) root of the most recent completed upgrade per instance:
     // the wave orchestrator joins its `undrain/` span to this trace so the
     // un-drain is causally ordered after the new revision's adoption.
@@ -278,28 +278,23 @@ impl<W> Tickets<W> {
 /// Trace roots kept open across retries, keyed by what they trace: the
 /// first attempt opens one, every later attempt reuses it, and it is
 /// taken out once, to be ended.
-struct OpenRoots(BTreeMap<Arc<str>, TraceRef>);
+struct OpenRoots<K>(BTreeMap<K, TraceRef>);
 
-impl OpenRoots {
+impl<K: Ord> OpenRoots<K> {
     /// The open root for `key`; one named `name` is opened at `now_us` if
     /// there is none.
-    fn open(
-        &mut self,
-        recorder: &FlightRecorder,
-        key: &Arc<str>,
-        name: SpanName,
-        now_us: u64,
-    ) -> TraceRef {
-        if let Some(&root) = self.0.get(key) {
-            return root;
-        }
-        let root = recorder.root(name, now_us);
-        self.0.insert(Arc::clone(key), root);
-        root
+    fn open(&mut self, recorder: &FlightRecorder, key: K, name: SpanName, now_us: u64) -> TraceRef {
+        *self
+            .0
+            .entry(key)
+            .or_insert_with(|| recorder.root(name, now_us))
     }
 
     /// Takes `key`'s root out, [`TraceRef::NONE`] if none is open.
-    fn take(&mut self, key: &str) -> TraceRef {
+    fn take<Q: Ord + ?Sized>(&mut self, key: &Q) -> TraceRef
+    where
+        K: std::borrow::Borrow<Q>,
+    {
         self.0.remove(key).unwrap_or(TraceRef::NONE)
     }
 }
