@@ -12,6 +12,11 @@ use crate::BundleId;
 use dosgi_net::SimDuration;
 use std::collections::BTreeMap;
 
+/// `a + b`, held at the ceiling.
+fn saturating(a: SimDuration, b: SimDuration) -> SimDuration {
+    SimDuration::from_micros(a.as_micros().saturating_add(b.as_micros()))
+}
+
 /// A point-in-time reading of one bundle's accumulated usage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UsageSnapshot {
@@ -41,14 +46,17 @@ impl UsageLedger {
         self.entries.entry(bundle).or_default()
     }
 
-    /// Adds CPU time to a bundle's account.
+    /// Adds CPU time to a bundle's account. Every charge saturates at
+    /// the account's ceiling rather than wrapping.
     pub fn charge_cpu(&mut self, bundle: BundleId, d: SimDuration) {
-        self.entry(bundle).cpu += d;
+        let e = self.entry(bundle);
+        e.cpu = saturating(e.cpu, d);
     }
 
     /// Adds held memory to a bundle's account.
     pub fn alloc(&mut self, bundle: BundleId, bytes: u64) {
-        self.entry(bundle).memory += bytes;
+        let e = self.entry(bundle);
+        e.memory = e.memory.saturating_add(bytes);
     }
 
     /// Releases held memory (saturating: freeing more than held clamps to
@@ -60,12 +68,14 @@ impl UsageLedger {
 
     /// Adds persistent-storage writes to a bundle's account.
     pub fn charge_disk(&mut self, bundle: BundleId, bytes: u64) {
-        self.entry(bundle).disk += bytes;
+        let e = self.entry(bundle);
+        e.disk = e.disk.saturating_add(bytes);
     }
 
     /// Increments the bundle's served-call counter.
     pub fn count_call(&mut self, bundle: BundleId) {
-        self.entry(bundle).calls += 1;
+        let e = self.entry(bundle);
+        e.calls = e.calls.saturating_add(1);
     }
 
     /// The bundle's current snapshot (zeroes if never charged).
@@ -78,10 +88,10 @@ impl UsageLedger {
     pub fn total(&self) -> UsageSnapshot {
         let mut acc = UsageSnapshot::default();
         for s in self.entries.values() {
-            acc.cpu += s.cpu;
-            acc.memory += s.memory;
-            acc.disk += s.disk;
-            acc.calls += s.calls;
+            acc.cpu = saturating(acc.cpu, s.cpu);
+            acc.memory = acc.memory.saturating_add(s.memory);
+            acc.disk = acc.disk.saturating_add(s.disk);
+            acc.calls = acc.calls.saturating_add(s.calls);
         }
         acc
     }
@@ -135,6 +145,29 @@ mod tests {
         let t = l.total();
         assert_eq!(t.memory, 300);
         assert_eq!(t.disk, 77);
+    }
+
+    /// Every account saturates at its ceiling instead of wrapping, and so
+    /// does the sum over accounts.
+    #[test]
+    fn charges_and_totals_saturate() {
+        let mut l = UsageLedger::new();
+        for b in [BundleId(1), BundleId(2)] {
+            l.charge_cpu(b, SimDuration::from_micros(u64::MAX));
+            l.charge_cpu(b, SimDuration::from_micros(1));
+            l.alloc(b, u64::MAX);
+            l.alloc(b, 1);
+            l.charge_disk(b, u64::MAX);
+            l.charge_disk(b, 1);
+        }
+        let full = UsageSnapshot {
+            cpu: SimDuration::from_micros(u64::MAX),
+            memory: u64::MAX,
+            disk: u64::MAX,
+            calls: 0,
+        };
+        assert_eq!(l.snapshot(BundleId(1)), full);
+        assert_eq!(l.total(), full);
     }
 
     #[test]

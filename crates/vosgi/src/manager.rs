@@ -590,7 +590,9 @@ impl InstanceManager {
             return Err(VosgiError::Denied(format!("write {path}")));
         }
         let usage = inst.usage();
-        if usage.disk + bytes > inst.descriptor.quota.disk_bytes {
+        // A sum past `u64::MAX` is over any quota.
+        let after = usage.disk.checked_add(bytes);
+        if after.is_none_or(|after| after > inst.descriptor.quota.disk_bytes) {
             return Err(VosgiError::QuotaExceeded(format!(
                 "disk: {} + {bytes} > {}",
                 usage.disk, inst.descriptor.quota.disk_bytes
@@ -1067,6 +1069,23 @@ mod tests {
             .check_quota(id, SimDuration::ZERO, SimDuration::from_secs(1))
             .unwrap();
         assert!(v.is_empty());
+    }
+
+    /// A write whose size would overflow the disk account is over any
+    /// quota: it is refused, and the account keeps what it held. It used
+    /// to wrap the sum past the quota check (and panic in a debug build).
+    #[test]
+    fn regression_an_overflowing_write_cannot_bypass_the_disk_quota() {
+        let mut mgr = manager();
+        let d = InstanceDescriptor::builder("acme", "a")
+            .bundle("org.cust.app")
+            .policy(SecurityPolicy::deny_all().grant_file_rw("/data"))
+            .build();
+        let id = mgr.create_instance(d).unwrap();
+        mgr.fs_write(id, "/data/acme/small", 100).unwrap();
+        let err = mgr.fs_write(id, "/data/acme/big", u64::MAX - 50);
+        assert!(matches!(err, Err(VosgiError::QuotaExceeded(_))), "{err:?}");
+        assert_eq!(mgr.usage(id).unwrap().disk, 100);
     }
 
     #[test]
