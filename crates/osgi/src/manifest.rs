@@ -1,6 +1,9 @@
 //! Bundle manifests: the static description of a module.
 
-use crate::{PackageName, SymbolicName, Version, VersionRange};
+use crate::{
+    BundleId, ClassRef, LoadError, LoadPath, PackageName, SymbolName, SymbolicName, Version,
+    VersionRange,
+};
 use dosgi_san::Value;
 use std::sync::Arc;
 
@@ -13,6 +16,36 @@ pub struct PackageExport {
     pub version: Version,
     /// The simple names of the "classes" the package contains.
     pub symbols: Vec<String>,
+}
+
+impl PackageExport {
+    /// Loads `symbol` from this package, as defined by `bundle` and
+    /// reached `via` one delegation step: the class if the package holds
+    /// it, [`LoadError::NoSuchSymbol`] if not — a package found ends the
+    /// lookup either way.
+    ///
+    /// # Errors
+    ///
+    /// [`LoadError::NoSuchSymbol`].
+    pub fn load(
+        &self,
+        symbol: &SymbolName,
+        bundle: BundleId,
+        via: LoadPath,
+    ) -> Result<ClassRef, LoadError> {
+        if self.symbols.iter().any(|s| s == symbol.simple()) {
+            Ok(ClassRef {
+                symbol: symbol.clone(),
+                defined_by: Some(bundle),
+                via,
+            })
+        } else {
+            Err(LoadError::NoSuchSymbol {
+                package: symbol.package().clone(),
+                simple: symbol.simple().to_owned(),
+            })
+        }
+    }
 }
 
 /// A package a bundle needs from others (`Import-Package`).

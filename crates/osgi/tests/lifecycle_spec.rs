@@ -354,7 +354,7 @@ fn apply(fw: &mut Framework, model: &mut Model, op: &Op, faulty: bool) -> (Outco
             let (pool, version, level) = target(model, n, false);
             let m = manifest(pool, version, level);
             let activator = factory.create(&m);
-            let got = unit(fw.update_with_activator(BundleId(id_of(n)), m, activator));
+            let got = unit(fw.update(BundleId(id_of(n)), m, activator));
             (got, model.swap(id_of(n), version, level))
         }
         Op::Upgrade(n) => {

@@ -422,8 +422,7 @@ impl InstanceManager {
             .framework
             .find_bundle(symbolic_name)
             .ok_or_else(|| VosgiError::UnknownBundle(symbolic_name.to_owned()))?;
-        inst.framework
-            .update_with_activator(bid, manifest, activator)?;
+        inst.framework.update(bid, manifest, activator)?;
         Ok(())
     }
 
@@ -511,19 +510,7 @@ impl InstanceManager {
                     });
                 match exporter {
                     Some((host_bundle, export)) => {
-                        if export.symbols.iter().any(|s| s == symbol.simple()) {
-                            Ok(ClassRef {
-                                symbol: symbol.clone(),
-                                defined_by: Some(host_bundle),
-                                via: LoadPath::HostDelegation,
-                            })
-                        } else {
-                            Err(LoadError::NoSuchSymbol {
-                                package: symbol.package().clone(),
-                                simple: symbol.simple().to_owned(),
-                            }
-                            .into())
-                        }
+                        Ok(export.load(symbol, host_bundle, LoadPath::HostDelegation)?)
                     }
                     None => Err(LoadError::NotFound(symbol.clone()).into()),
                 }
