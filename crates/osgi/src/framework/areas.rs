@@ -4,7 +4,7 @@
 
 use super::Framework;
 use crate::{BundleError, BundleId, DataArea, PropValue, Service, ServiceError, ServiceId};
-use dosgi_san::{SharedStore, Value};
+use dosgi_san::{SharedStore, StoreError, Value};
 use dosgi_telemetry::Phase;
 use std::collections::BTreeMap;
 
@@ -101,15 +101,11 @@ impl Framework {
         key: &str,
         value: Value,
     ) -> Result<(), BundleError> {
-        let b = self
-            .bundles
-            .get(&bundle)
-            .ok_or(BundleError::NotFound(bundle))?;
-        self.ledger.charge_disk(bundle, value.encoded_len() as u64);
-        let sn = b.manifest.symbolic_name.as_str();
-        let area = area_of(&mut self.areas, &self.store, sn);
+        let bytes = value.encoded_len() as u64;
+        let area = self.bundle_area(bundle)?;
         area.put(key, value);
         let flushed = area.flush();
+        self.ledger.charge_disk(bundle, bytes);
         Ok(self.settle(flushed)?)
     }
 
@@ -126,12 +122,29 @@ impl Framework {
         bundle: BundleId,
         key: &str,
     ) -> Result<Option<Value>, BundleError> {
-        let b = self
-            .bundles
-            .get(&bundle)
-            .ok_or(BundleError::NotFound(bundle))?;
-        let sn = b.manifest.symbolic_name.as_str();
-        Ok(area_of(&mut self.areas, &self.store, sn).get(key)?)
+        Ok(self.bundle_area(bundle)?.get(key)?)
+    }
+
+    /// The data area of `bundle`'s symbolic name.
+    fn bundle_area(&mut self, bundle: BundleId) -> Result<&mut DataArea, BundleError> {
+        let b = self.bundles.get(&bundle);
+        let sn = b
+            .ok_or(BundleError::NotFound(bundle))?
+            .manifest
+            .symbolic_name
+            .as_str();
+        Ok(area_of(&mut self.areas, &self.store, sn))
+    }
+
+    /// Keeps the dirty mark equal to [`persist_dirty`](Self::persist_dirty)
+    /// across a write-through: a flush that failed sets it, one that landed
+    /// the last pending row withdraws it. An unmarked framework whose flush
+    /// landed — every request but the rare one — pays a flag test.
+    fn settle(&mut self, flushed: Result<(), StoreError>) -> Result<(), StoreError> {
+        if flushed.is_err() || self.dirty_mark.counted {
+            self.sync_dirty_mark();
+        }
+        flushed
     }
 
     /// Ends the residency of the clean rows of `id`'s data area.

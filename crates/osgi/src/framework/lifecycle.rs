@@ -98,16 +98,10 @@ impl Framework {
             // Every caller has just resolved: a bundle still `INSTALLED`
             // does not wire.
             BundleState::Installed => {
-                let missing = self
-                    .bundles
-                    .get(&id)
-                    .expect("bundle_state checked id above")
-                    .manifest
-                    .imports
-                    .iter()
-                    .filter(|i| !i.optional)
-                    .map(|i| i.name.clone())
-                    .collect();
+                let b = self.bundles.get(&id).expect("bundle_state checked id");
+                let imports = b.manifest.imports.iter();
+                let missing = imports.filter(|i| !i.optional).map(|i| i.name.clone());
+                let missing = missing.collect();
                 return Err(BundleError::ResolutionFailed {
                     bundle: id,
                     missing,
@@ -122,13 +116,7 @@ impl Framework {
                 })
             }
         }
-        self.set_state(id, BundleState::Starting);
-        let mut activator = self
-            .bundles
-            .get_mut(&id)
-            .expect("bundle_state checked id above")
-            .activator
-            .take();
+        let mut activator = self.enter(id, BundleState::Starting);
         let result = match activator.as_mut() {
             Some(a) => {
                 let mut ctx = BundleContext::new(id, self);
@@ -195,20 +183,15 @@ impl Framework {
         let state = self.bundle_state(id)?;
         if state != BundleState::Active {
             if persistent {
-                if let Some(b) = self.bundles.get_mut(&id) {
-                    b.autostart = false;
-                }
+                self.bundles
+                    .get_mut(&id)
+                    .expect("state read above")
+                    .autostart = false;
                 self.mark(Row::Bundle(id));
             }
             return Ok(());
         }
-        self.set_state(id, BundleState::Stopping);
-        let mut activator = self
-            .bundles
-            .get_mut(&id)
-            .expect("bundle_state checked id above")
-            .activator
-            .take();
+        let mut activator = self.enter(id, BundleState::Stopping);
         // A failing `stop` still stops the bundle: its services go either
         // way.
         if let Some(a) = activator.as_mut() {
@@ -448,10 +431,12 @@ impl Framework {
         let _ = self.persist();
     }
 
-    fn set_state(&mut self, id: BundleId, state: BundleState) {
-        if let Some(b) = self.bundles.get_mut(&id) {
-            b.state = state;
-        }
+    /// Enters the transient `state` (`STARTING` or `STOPPING`) and takes
+    /// the activator out for the call the state stands for.
+    fn enter(&mut self, id: BundleId, state: BundleState) -> Option<Box<dyn Activator>> {
+        let bundle = self.bundles.get_mut(&id).expect("callers read its state");
+        bundle.state = state;
+        bundle.activator.take()
     }
 }
 

@@ -95,17 +95,6 @@ impl Framework {
         self.dirty_mark.set(dirty);
     }
 
-    /// Keeps the dirty mark equal to [`persist_dirty`](Self::persist_dirty)
-    /// across a write-through: a flush that failed sets it, one that landed
-    /// the last pending row withdraws it. An unmarked framework whose flush
-    /// landed — every request but the rare one — pays a flag test.
-    pub(super) fn settle(&mut self, flushed: Result<(), StoreError>) -> Result<(), StoreError> {
-        if flushed.is_err() || self.dirty_mark.counted {
-            self.sync_dirty_mark();
-        }
-        flushed
-    }
-
     /// Marks a snapshot row — the header (`next_bundle` / `start_level`) or
     /// a bundle's — as ahead of the SAN. Every in-memory lifecycle mutation
     /// must mark the rows it touched; the persist call sites then flush
@@ -234,14 +223,10 @@ impl Framework {
         if !self.dirty_rows.is_empty() || !self.deleted_rows.is_empty() {
             self.persist()?;
         }
-        let outcome = self.flush_areas();
+        // Each area writes its dirty rows, and only those.
+        let outcome = self.areas.values_mut().try_for_each(DataArea::flush);
         self.sync_dirty_mark();
         outcome
-    }
-
-    /// Each area writes its dirty rows, and only those.
-    fn flush_areas(&mut self) -> Result<(), StoreError> {
-        self.areas.values_mut().try_for_each(DataArea::flush)
     }
 
     /// The encoded size of the persisted snapshot rows in bytes (0 when no

@@ -55,19 +55,12 @@ impl Framework {
             }
         }
         for id in failed {
-            let state = self.bundles.get(&id).map(|b| b.state);
-            if state == Some(BundleState::Active) {
+            if self.bundle_state(id) == Ok(BundleState::Active) {
                 let _ = self.stop_releasing(id, false);
             }
-            let demoted = self.bundles.get_mut(&id).is_some_and(|b| {
-                if b.state != BundleState::Installed {
-                    b.state = BundleState::Installed;
-                    true
-                } else {
-                    false
-                }
-            });
-            if demoted {
+            let state = self.bundles.get_mut(&id).map(|b| &mut b.state);
+            let was = state.map(|s| std::mem::replace(s, BundleState::Installed));
+            if was.is_some_and(|was| was != BundleState::Installed) {
                 self.mark(Row::Bundle(id));
             }
             self.wirings.remove(&id);
@@ -86,21 +79,11 @@ impl Framework {
         bundle: BundleId,
         symbol: &SymbolName,
     ) -> Result<ClassRef, LoadError> {
-        let state = self
-            .bundles
-            .get(&bundle)
-            .map(|b| b.state)
-            .ok_or(LoadError::Unresolved(bundle))?;
-        if state == BundleState::Installed {
+        if self.bundle_state(bundle) == Ok(BundleState::Installed) {
             self.resolve_all();
         }
-        let b = self
-            .bundles
-            .get(&bundle)
-            .ok_or(LoadError::Unresolved(bundle))?;
-        if !b.state.is_resolved() {
-            return Err(LoadError::Unresolved(bundle));
-        }
+        let b = self.bundles.get(&bundle).filter(|b| b.state.is_resolved());
+        let b = b.ok_or(LoadError::Unresolved(bundle))?;
         // 1. Boot delegation.
         if self.config.boot.covers(symbol.package()) {
             return Ok(ClassRef {
