@@ -91,7 +91,7 @@ fn kind(e: &BundleError) -> &'static str {
 // The model
 // ----------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct ModelBundle {
     pool: usize,
     version: Version,
@@ -101,7 +101,7 @@ struct ModelBundle {
     state_version: Version,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct Model {
     bundles: BTreeMap<u64, ModelBundle>,
     next: u64,
