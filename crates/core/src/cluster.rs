@@ -1635,6 +1635,39 @@ mod tests {
         }
     }
 
+    /// An `Undeployed` ordered while the sync that admits a restarted node
+    /// is in flight stays undeployed: the sync, exported before it, must not
+    /// bring the record back on every node, nor send its old home to adopt
+    /// an instance whose SAN state is gone. The undeploy is ordered `k`
+    /// steps after the restart, across the window in which node 0 exports
+    /// the admitting view's sync.
+    #[test]
+    fn an_undeploy_racing_the_admission_sync_stays_undeployed() {
+        for k in 0..8 {
+            let mut c = cluster();
+            c.deploy(workloads::web_instance("a", "web"), 1).unwrap();
+            c.run_for(SimDuration::from_millis(300));
+            c.crash_node(2);
+            c.run_for(SimDuration::from_secs(3));
+            c.restart_node(2);
+            for _ in 0..k {
+                c.step();
+            }
+            c.undeploy("web").unwrap();
+            c.take_events();
+            c.run_for(SimDuration::from_secs(30));
+            for n in 0..3 {
+                let held = c.node(n).unwrap().registry().record("web");
+                assert!(held.is_none(), "k = {k}: node {n} holds {held:?}");
+            }
+            let failed = c
+                .take_events()
+                .into_iter()
+                .find(|(_, e)| matches!(e, crate::NodeEvent::AdoptFailed { .. }));
+            assert_eq!(failed, None, "k = {k}");
+        }
+    }
+
     #[test]
     fn events_are_tagged_with_their_node() {
         let mut c = cluster();

@@ -12,8 +12,8 @@
 //! lowest member already in the view ships a `RegistrySync` to the joiners
 //! of each view change; the lowest other member answers a member's `Hello`
 //! with a `RegistryDelta` against its digest (every holder answers a
-//! retry); and the lowest member other than a delta's addressee ships it
-//! what moved between the `Hello` and the delta.
+//! retry); and the lowest member other than a transfer's addressees ships
+//! them what moved between the transfer's export and its position.
 //!
 //! *Invariant:* only an `Answered` node ships the registry, and every
 //! joiner gets one transfer addressed to it, asked for until it lands.
@@ -151,6 +151,7 @@ impl DosgiNode {
                 // transfer (restarts, healed minorities): everyone merges
                 // the same snapshot at the same logical instant, then
                 // reconciles local instances against it (partition heal).
+                self.correct_transfer(net, registry, joined);
                 self.phases
                     .count_in(Phase::ApplyControlSync, || self.registry.import(registry));
                 self.reconcile_with_registry(now);
@@ -166,26 +167,7 @@ impl DosgiNode {
                 // Ordered per-record delta: same merge semantics as a full
                 // sync (rev-gated upserts, rev-equality-guarded removals),
                 // applied by every member at the same logical instant.
-                //
-                // A delta carries the records its addressee lacked or held
-                // older, as they stood where its sender applied the `Hello`. A
-                // write ordered between that point and the delta's own
-                // position reached every member but the addressee, which
-                // passed over a record it did not have yet; importing the
-                // delta then left it a revision behind, for good. Every member
-                // applies the same stream and sees the same gap, so the lowest
-                // member other than the addressee ships it what moved, in a
-                // delta of its own — corrected the same way should it be
-                // overtaken in turn. Nothing moved, nothing is sent. (A sync
-                // is not checked so: its addressees may be the other side of a
-                // healed partition, whose own newer records are no gap.)
-                let sender = self.gcs.view().members.iter().find(|m| *m != to);
-                if sender == Some(&self.id) && !self.awaiting_transfer() {
-                    let (moved, gone) = self.registry.moved_since(upserts);
-                    if !moved.is_empty() || !gone.is_empty() {
-                        self.ship_delta(net, *to, moved, gone);
-                    }
-                }
+                self.correct_transfer(net, upserts, std::slice::from_ref(to));
                 self.registry.import_delta(upserts, removes);
                 self.reconcile_with_registry(now);
                 if *to == self.id {
@@ -193,6 +175,44 @@ impl DosgiNode {
                 }
             }
             _ => {}
+        }
+    }
+
+    /// Ships the addressees of a transfer what moved since it was taken.
+    /// A transfer carries records as they stood where its sender took it:
+    /// at a view change for a sync, at the `Hello` for a delta. A write
+    /// ordered between that point and the transfer's own position reached
+    /// every member, but the transfer then undoes it: an addressee that
+    /// passed over a record it did not have yet is left a revision behind,
+    /// and a record removed in between comes back wherever the transfer is
+    /// imported. Every member applies the same stream and sees the same
+    /// gap, so the lowest member that is not an addressee ships what moved
+    /// since the shipped records, in a delta of its own — corrected the
+    /// same way should it be overtaken in turn. The gap is read on that
+    /// member, so an addressee's own newer records (the other side of a
+    /// healed partition) are none of it. Nothing moved, nothing is sent.
+    /// Called before the transfer is imported.
+    fn correct_transfer(
+        &mut self,
+        net: &mut impl Fabric<Wire>,
+        shipped: &[InstanceRecord],
+        addressees: &[NodeId],
+    ) {
+        let sender = self
+            .gcs
+            .view()
+            .members
+            .iter()
+            .find(|m| !addressees.contains(m));
+        let Some(&to) = addressees.first() else {
+            return;
+        };
+        if sender != Some(&self.id) || self.awaiting_transfer() {
+            return;
+        }
+        let (moved, gone) = self.registry.moved_since(shipped);
+        if !moved.is_empty() || !gone.is_empty() {
+            self.ship_delta(net, to, moved, gone);
         }
     }
 

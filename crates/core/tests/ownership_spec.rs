@@ -41,8 +41,8 @@
 //! - a node that restarts inside the suspicion timeout asks with a `Hello`,
 //!   which the lowest other member answers with a `RegistryDelta`; one whose
 //!   transfer was cut asks again, and every member answers;
-//! - where a delta is applied, the lowest node in the view that is not its
-//!   addressee ships what moved since the delta was taken.
+//! - where a transfer is applied, the lowest node in the view that is not
+//!   among its addressees ships what moved since the transfer was taken.
 //!
 //! A rejoin transfer may be cut, as the sync of seeds 1024 and 1905 was. At
 //! quiescence — no transfer in flight, then every away or waiting node
@@ -573,7 +573,8 @@ impl<'t> World<'t> {
             bump(&self.tally.overtaken);
         }
         match &transfer.payload {
-            Payload::Sync { records, .. } => {
+            Payload::Sync { records, joined } => {
+                self.correct(records, joined);
                 self.in_view_mut().for_each(|r| r.import(records));
             }
             Payload::Delta {
