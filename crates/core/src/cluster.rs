@@ -2,7 +2,6 @@
 //! on.
 
 use crate::node::{DosgiNode, NodeConfig, NodeState, Wire};
-use crate::registry::InstanceStatus;
 use crate::BootKit;
 use crate::{AdoptReason, CoreError, NodeEvent, SlaTracker};
 use dosgi_net::{LinkConfig, NodeId, Partition, SimDuration, SimNet, SimTime};
@@ -510,11 +509,8 @@ impl DosgiCluster {
 
     /// The live node `rec` is placed on, if any.
     fn live_home<'a>(slots: &'a [Slot], rec: &crate::InstanceRecord) -> Option<&'a DosgiNode> {
-        if rec.status != InstanceStatus::Placed {
-            return None;
-        }
         slots
-            .get(rec.home.index())
+            .get(rec.placed_on()?.index())
             .filter(|s| s.alive)
             .map(|s| &s.node)
     }

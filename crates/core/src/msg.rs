@@ -141,56 +141,3 @@ pub enum AppPayload {
         removes: Vec<(Arc<str>, u64)>,
     },
 }
-
-impl AppPayload {
-    /// The instance name this message concerns, if any.
-    pub fn instance(&self) -> Option<&str> {
-        match self {
-            AppPayload::Deployed { name, .. }
-            | AppPayload::Migrate { name, .. }
-            | AppPayload::Released { name, .. }
-            | AppPayload::Adopted { name, .. }
-            | AppPayload::Quarantined { name, .. }
-            | AppPayload::Undeployed { name } => Some(name),
-            AppPayload::Draining { .. }
-            | AppPayload::Hello { .. }
-            | AppPayload::RegistrySync { .. }
-            | AppPayload::RegistryDelta { .. } => None,
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn instance_accessor() {
-        let m = AppPayload::Migrate {
-            name: "a".into(),
-            from: NodeId(0),
-            to: NodeId(1),
-        };
-        assert_eq!(m.instance(), Some("a"));
-        assert_eq!(AppPayload::Draining { node: NodeId(0) }.instance(), None);
-        assert_eq!(
-            AppPayload::Hello {
-                node: NodeId(0),
-                digest: Vec::new(),
-                retry: false,
-            }
-            .instance(),
-            None
-        );
-        assert_eq!(
-            AppPayload::RegistryDelta {
-                to: NodeId(0),
-                upserts: Vec::new(),
-                removes: Vec::new(),
-            }
-            .instance(),
-            None
-        );
-        assert_eq!(m.clone(), m);
-    }
-}

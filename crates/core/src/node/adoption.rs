@@ -64,44 +64,33 @@ impl DosgiNode {
         if !self.is_primary(view) {
             return;
         }
-        let mut stranded: Vec<NodeId> = self
-            .registry
-            .records()
-            .flat_map(|r| {
-                let to = match r.status {
-                    InstanceStatus::Migrating { to } => Some(to),
-                    _ => None,
-                };
-                std::iter::once(r.home).chain(to)
-            })
-            .filter(|n| !view.contains(*n))
-            .collect();
-        stranded.sort();
-        stranded.dedup();
+        let outside = |n| !view.contains(n);
         // Also retry plain `Orphaned` records whose home is back *inside*
         // the view: a spurious suspicion (message loss) can orphan a record
         // and lose the claim in the view churn, after which the home's
         // rejoin means no further view change will ever re-trigger
         // failover. The claim rules keep this race-free — a claim against
         // an `Orphaned` record wins exactly once in the total order.
-        if !stranded.is_empty() || self.registry.has_orphans() {
-            self.handle_failover(&stranded, net);
+        let stranded = self.registry.records().any(|r| r.depends_on(outside));
+        if stranded || self.registry.has_orphans() {
+            self.registry.orphan_homes(outside);
+            self.handle_failover(net);
         }
         self.release_handoffs_without_a_source(net);
         self.heal_quarantined(net);
     }
 
-    /// §3.2's decentralized redeployment: every survivor computes the same
-    /// assignment from the same replicated registry and agreed view, then
-    /// *claims* (via the total order) only the instances assigned to
-    /// itself. The first claim per orphan wins on every node alike.
-    pub(super) fn handle_failover(&mut self, left: &[NodeId], net: &mut impl Fabric<Wire>) {
+    /// §3.2's decentralized redeployment, once the stranded records are
+    /// marked: every survivor computes the same assignment from the same
+    /// replicated registry and agreed view, then *claims* (via the total
+    /// order) only the instances assigned to itself. The first claim per
+    /// orphan wins on every node alike.
+    pub(super) fn handle_failover(&mut self, net: &mut impl Fabric<Wire>) {
         let phases = self.phases.clone();
         let _claiming = phases.enter(Phase::ApplyControlClaims);
         // Claim both newly-orphaned records AND records still sitting in
         // Orphaned (an earlier claim may have been lost or overwritten):
         // the sweep retries until the registry converges.
-        self.registry.orphan_homes(left);
         if !self.registry.has_orphans() || self.state != NodeState::Running {
             return;
         }
@@ -185,7 +174,7 @@ impl DosgiNode {
         let won = self
             .registry
             .record(name)
-            .is_some_and(|r| r.home == node && r.status == InstanceStatus::Placed);
+            .is_some_and(|r| r.placed_on() == Some(node));
         if !won {
             return;
         }
@@ -238,8 +227,7 @@ impl DosgiNode {
             .registry
             .records()
             .filter(|r| {
-                r.home == self.id
-                    && r.status == InstanceStatus::Placed
+                r.placed_on() == Some(self.id)
                     && !self.probe_local(&r.name)
                     && !self.adoptions.holds(&r.name)
             })
@@ -301,7 +289,7 @@ impl DosgiNode {
             let still_ours = self
                 .registry
                 .record(&t.name)
-                .filter(|r| r.home == self.id && r.status == InstanceStatus::Placed)
+                .filter(|r| r.placed_on() == Some(self.id))
                 .map(|r| Arc::clone(&r.descriptor));
             let Some(descriptor) = still_ours else {
                 self.recorder.end(t.work.trace, now.as_micros());

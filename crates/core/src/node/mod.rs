@@ -729,7 +729,8 @@ impl DosgiNode {
                 }
                 self.ship_sync(&view, joined, net);
                 if !left.is_empty() && self.is_primary(&view) {
-                    self.handle_failover(&left, net);
+                    self.registry.orphan_homes(|n| left.contains(&n));
+                    self.handle_failover(net);
                 }
                 // Last, so that it takes the view's lists: nothing above
                 // pushes an event, so its place among the events is kept.
@@ -762,20 +763,17 @@ impl DosgiNode {
         now: SimTime,
     ) {
         self.metrics.registry_ops.incr();
-        // Snapshot pre-application status for claim/adoption decisions.
-        let prior_status = payload
-            .instance()
-            .and_then(|n| self.registry.record(n))
-            .map(|r| r.status);
-        self.registry.apply(payload);
+        // A hand-off the registry refused (an endpoint died first) is the
+        // failover claim's to finish.
+        let applied = self.registry.apply(payload);
         match payload {
             AppPayload::Migrate { name, from, to } => {
-                if *from == self.id && prior_status != Some(InstanceStatus::Orphaned) {
+                if *from == self.id && applied {
                     self.release_instance(name, *to, net, now, trace);
                 }
             }
             AppPayload::Released { name, to } => {
-                if *to == self.id && prior_status != Some(InstanceStatus::Orphaned) {
+                if *to == self.id && applied {
                     self.adopt(name, AdoptReason::Migration, now, trace);
                 }
             }

@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn batch_assignment_spreads() {
         let mut r = registry_with(&[("i0", 9), ("i1", 9), ("i2", 9), ("i3", 9)]);
-        assert_eq!(r.orphan_homes(&[NodeId(9)]), 4);
+        assert_eq!(r.orphan_homes(|n| n == NodeId(9)), 4);
         let candidates = vec![NodeId(0), NodeId(1)];
         let assignment = assign_all(&candidates, &r);
         let on0 = assignment.iter().filter(|(_, n)| *n == NodeId(0)).count();
@@ -136,7 +136,8 @@ mod tests {
                 for i in 0..rng.u64_below(12) {
                     r.apply(&deployed(&format!("i{i}"), rng.u64_below(5) as u32));
                     if rng.chance(0.3) {
-                        r.orphan_homes(&[NodeId(rng.u64_below(5) as u32)]);
+                        let gone = NodeId(rng.u64_below(5) as u32);
+                        r.orphan_homes(|n| n == gone);
                     }
                 }
                 let candidates: Vec<NodeId> =

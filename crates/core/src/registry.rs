@@ -81,6 +81,25 @@ pub struct InstanceRecord {
     pub rev: u64,
 }
 
+impl InstanceRecord {
+    /// True if `on` picks a node this record depends on: its home and,
+    /// while it migrates, its destination. A record is stranded when a
+    /// node it depends on leaves, and a failover claim naming such a node
+    /// as the prior home may take it.
+    pub fn depends_on(&self, on: impl Fn(NodeId) -> bool) -> bool {
+        match self.status {
+            InstanceStatus::Migrating { to } => on(self.home) || on(to),
+            _ => on(self.home),
+        }
+    }
+
+    /// The node the instance runs on: its home while it is `Placed`,
+    /// none otherwise.
+    pub fn placed_on(&self) -> Option<NodeId> {
+        (self.status == InstanceStatus::Placed).then_some(self.home)
+    }
+}
+
 /// The replicated registry: apply ordered messages, query placements.
 ///
 /// Two copies are equal when they hold the same records, however many
@@ -110,19 +129,24 @@ impl ClusterRegistry {
         self.epoch
     }
 
-    /// Applies one ordered control message. Unknown instances in
-    /// non-deploy messages are ignored (idempotent replay tolerance), and
-    /// messages that lost a race against an orphaning are ignored too:
+    /// Applies one ordered control message and returns whether it wrote
+    /// a record. Unknown instances in non-deploy messages are ignored
+    /// (idempotent replay tolerance), and messages that lost a race
+    /// against an orphaning are ignored too:
     ///
-    /// * `Released` completes a migration — unless the record was orphaned
-    ///   in the meantime (destination died), in which case the failover
-    ///   claim protocol takes over;
+    /// * `Migrate` and `Released` — a hand-off — take effect unless the
+    ///   record was orphaned in the meantime (an endpoint died), in which
+    ///   case the failover claim protocol takes over;
     /// * `Adopted` is a **failover claim**: it only takes effect on an
-    ///   `Orphaned` record, so exactly the first claim in the total order
-    ///   wins, on every node alike.
-    pub fn apply(&mut self, msg: &AppPayload) {
+    ///   `Orphaned` record or one that still depends on the claim's prior
+    ///   home, so exactly the first claim in the total order wins, on
+    ///   every node alike.
+    ///
+    /// `crates/core/tests/ownership_spec.rs` states each payload's rule as
+    /// a model.
+    pub fn apply(&mut self, msg: &AppPayload) -> bool {
         self.epoch += 1;
-        match msg {
+        let r = match msg {
             AppPayload::Deployed {
                 name,
                 descriptor,
@@ -139,83 +163,62 @@ impl ClusterRegistry {
                         rev,
                     },
                 );
+                return true;
             }
-            AppPayload::Migrate { name, to, .. } => {
-                if let Some(r) = self.records.get_mut(&**name) {
-                    if r.status != InstanceStatus::Orphaned {
-                        r.status = InstanceStatus::Migrating { to: *to };
-                        r.rev += 1;
-                    }
-                }
-            }
-            AppPayload::Released { name, to } => {
-                if let Some(r) = self.records.get_mut(&**name) {
-                    if r.status != InstanceStatus::Orphaned {
-                        r.home = *to;
-                        r.status = InstanceStatus::Placed;
-                        r.rev += 1;
-                    }
-                }
-            }
-            AppPayload::Adopted {
-                name,
-                node,
-                prior_home,
-            } => {
-                if let Some(r) = self.records.get_mut(&**name) {
-                    // The claim wins iff the record is orphaned locally OR
-                    // still points at the home the claimant saw die (this
-                    // node's failure detector is merely behind).
-                    let claimable = r.status == InstanceStatus::Orphaned
-                        || r.home == *prior_home
-                        || matches!(r.status, InstanceStatus::Migrating { to } if to == *prior_home);
-                    if claimable {
-                        r.home = *node;
-                        r.status = InstanceStatus::Placed;
-                        r.rev += 1;
-                    }
-                }
-            }
-            AppPayload::Quarantined { name, node } => {
-                if let Some(r) = self.records.get_mut(&**name) {
-                    // Only the current home may quarantine: a stale report
-                    // from a node that already lost the instance (crash +
-                    // re-claim raced the report) must not shadow the new
-                    // home's live copy.
-                    if r.home == *node && r.status != InstanceStatus::Quarantined {
-                        r.status = InstanceStatus::Quarantined;
-                        r.rev += 1;
-                    }
-                }
-            }
-            AppPayload::Undeployed { name } => {
-                self.records.remove(&**name);
-            }
+            AppPayload::Undeployed { name } => return self.records.remove(&**name).is_some(),
+            AppPayload::Migrate { name, .. }
+            | AppPayload::Released { name, .. }
+            | AppPayload::Adopted { name, .. }
+            | AppPayload::Quarantined { name, .. } => self.records.get_mut(&**name),
             AppPayload::Draining { .. }
             | AppPayload::Hello { .. }
             | AppPayload::RegistrySync { .. }
-            | AppPayload::RegistryDelta { .. } => {}
-        }
+            | AppPayload::RegistryDelta { .. } => None,
+        };
+        let Some(r) = r else { return false };
+        let (home, status) = match *msg {
+            AppPayload::Migrate { to, .. } if r.status != InstanceStatus::Orphaned => {
+                (r.home, InstanceStatus::Migrating { to })
+            }
+            AppPayload::Released { to, .. } if r.status != InstanceStatus::Orphaned => {
+                (to, InstanceStatus::Placed)
+            }
+            // The claim wins iff the record is orphaned locally OR still
+            // depends on the home the claimant saw die (this node's failure
+            // detector is merely behind).
+            AppPayload::Adopted {
+                node, prior_home, ..
+            } if r.status == InstanceStatus::Orphaned || r.depends_on(|n| n == prior_home) => {
+                (node, InstanceStatus::Placed)
+            }
+            // Only the current home may quarantine: a stale report from a
+            // node that already lost the instance (crash + re-claim raced
+            // the report) must not shadow the new home's live copy.
+            AppPayload::Quarantined { node, .. }
+                if r.home == node && r.status != InstanceStatus::Quarantined =>
+            {
+                (r.home, InstanceStatus::Quarantined)
+            }
+            _ => return false,
+        };
+        r.home = home;
+        r.status = status;
+        r.rev += 1;
+        true
     }
 
-    /// Marks every instance stranded by the departure of `left` as
-    /// orphaned; returns how many it marked. A `Placed` instance is
-    /// stranded when its home left; a `Migrating` one when either endpoint
-    /// left. [`orphans`](Self::orphans) then lists them with the ones
-    /// orphaned before.
-    pub fn orphan_homes(&mut self, left: &[NodeId]) -> usize {
+    /// Marks every instance stranded by the departure of the nodes `gone`
+    /// picks as orphaned; returns how many it marked. An instance is
+    /// stranded when a node it [depends on](InstanceRecord::depends_on)
+    /// is gone — a quarantined one like a placed one: a survivor claims it
+    /// and runs its own adopt/retry/quarantine cycle against the SAN.
+    /// [`orphans`](Self::orphans) then lists them with the ones orphaned
+    /// before.
+    pub fn orphan_homes(&mut self, gone: impl Fn(NodeId) -> bool) -> usize {
         self.epoch += 1;
         let mut marked = 0;
         for r in self.records.values_mut() {
-            let stranded = match r.status {
-                InstanceStatus::Migrating { to } => left.contains(&r.home) || left.contains(&to),
-                // A quarantined instance is stranded like a placed one when
-                // its home dies: a survivor claims it and runs its own
-                // adopt/retry/quarantine cycle against the SAN.
-                InstanceStatus::Placed | InstanceStatus::Quarantined => left.contains(&r.home),
-                InstanceStatus::Orphaned => false,
-            };
-            if stranded {
+            if r.status != InstanceStatus::Orphaned && r.depends_on(&gone) {
                 r.status = InstanceStatus::Orphaned;
                 marked += 1;
             }
@@ -237,10 +240,8 @@ impl ClusterRegistry {
     /// placement uses).
     pub fn load_by_node(&self) -> BTreeMap<NodeId, usize> {
         let mut m = BTreeMap::new();
-        for r in self.records.values() {
-            if r.status == InstanceStatus::Placed {
-                *m.entry(r.home).or_insert(0) += 1;
-            }
+        for node in self.records.values().filter_map(InstanceRecord::placed_on) {
+            *m.entry(node).or_insert(0) += 1;
         }
         m
     }
@@ -514,7 +515,7 @@ mod tests {
         r.apply(&deployed("a", 0));
         assert!(moved(&r));
         let copy = r.clone();
-        assert_eq!(r.orphan_homes(&[NodeId(1)]), 0);
+        assert_eq!(r.orphan_homes(|n| n == NodeId(1)), 0);
         assert!(moved(&r), "a write that changes nothing still counts");
         r.import(&transfer(&copy));
         assert!(moved(&r));
@@ -535,7 +536,7 @@ mod tests {
         let (upserts, removes) = r.moved_since(&shipped);
         assert!(upserts.is_empty() && removes.is_empty());
         // Written after the transfer was taken: a claim moves `a`, `b` goes.
-        r.orphan_homes(&[NodeId(0)]);
+        r.orphan_homes(|n| n == NodeId(0));
         r.apply(&AppPayload::Adopted {
             name: "a".into(),
             node: NodeId(2),
@@ -569,19 +570,19 @@ mod tests {
         r.apply(&deployed("b", 1));
         r.apply(&deployed("c", 0));
         assert!(!r.has_orphans());
-        assert_eq!(r.orphan_homes(&[NodeId(0)]), 2);
+        assert_eq!(r.orphan_homes(|n| n == NodeId(0)), 2);
         assert!(r.has_orphans());
         assert!(r.orphans().map(|n| &**n).eq(["a", "c"]));
         assert_eq!(r.record("b").unwrap().status, InstanceStatus::Placed);
         // Idempotent: a second sweep orphans nothing new.
-        assert_eq!(r.orphan_homes(&[NodeId(0)]), 0);
+        assert_eq!(r.orphan_homes(|n| n == NodeId(0)), 0);
     }
 
     #[test]
     fn first_claim_in_total_order_wins() {
         let mut r = ClusterRegistry::new();
         r.apply(&deployed("a", 0));
-        r.orphan_homes(&[NodeId(0)]);
+        r.orphan_homes(|n| n == NodeId(0));
         r.apply(&AppPayload::Adopted {
             name: "a".into(),
             node: NodeId(1),
@@ -624,7 +625,7 @@ mod tests {
             to: NodeId(1),
         });
         // Destination n1 dies mid-migration: orphaned.
-        assert_eq!(r.orphan_homes(&[NodeId(1)]), 1);
+        assert_eq!(r.orphan_homes(|n| n == NodeId(1)), 1);
         // The source's Released (racing the view change) must not resurrect
         // a placement on the dead destination.
         r.apply(&AppPayload::Released {
@@ -643,14 +644,14 @@ mod tests {
             from: NodeId(0),
             to: NodeId(1),
         });
-        assert_eq!(r.orphan_homes(&[NodeId(0)]), 1);
+        assert_eq!(r.orphan_homes(|n| n == NodeId(0)), 1);
     }
 
     #[test]
     fn quarantine_heal_cycle() {
         let mut r = ClusterRegistry::new();
         r.apply(&deployed("a", 0));
-        r.orphan_homes(&[NodeId(0)]);
+        r.orphan_homes(|n| n == NodeId(0));
         r.apply(&AppPayload::Adopted {
             name: "a".into(),
             node: NodeId(1),
@@ -687,7 +688,7 @@ mod tests {
             name: "a".into(),
             node: NodeId(0),
         });
-        assert_eq!(r.orphan_homes(&[NodeId(0)]), 1);
+        assert_eq!(r.orphan_homes(|n| n == NodeId(0)), 1);
         assert_eq!(r.record("a").unwrap().status, InstanceStatus::Orphaned);
     }
 
@@ -716,7 +717,7 @@ mod tests {
             to: NodeId(2),
         });
         r.apply(&deployed("c", 2));
-        r.orphan_homes(&[NodeId(2)]);
+        r.orphan_homes(|n| n == NodeId(2));
         let mut r2 = ClusterRegistry::new();
         r2.import(&transfer(&r));
         assert_eq!(r2, r);
@@ -736,7 +737,7 @@ mod tests {
         // A peer marked `a` orphaned locally — no revision bump — and its
         // snapshot carries the mark at the revision this copy holds.
         let mut peer = r.clone();
-        peer.orphan_homes(&[NodeId(0)]);
+        peer.orphan_homes(|n| n == NodeId(0));
         r.import(&transfer(&peer));
         assert_eq!(r.record("a").unwrap().status, InstanceStatus::Orphaned);
         assert_eq!(r.record("a").unwrap().rev, 1);
@@ -772,164 +773,13 @@ mod tests {
             node: NodeId(2),
         });
         r.apply(&deployed("d", 3));
-        r.orphan_homes(&[NodeId(3)]);
+        r.orphan_homes(|n| n == NodeId(3));
         let before = r.clone();
         r.import(&transfer(&r.clone()));
         assert_eq!(r, before);
         let (upserts, removes) = r.export_delta(&[]);
         r.import_delta(&upserts, &removes);
         assert_eq!(r, before);
-    }
-
-    /// The transfer before it was typed, kept as the model the typed one is
-    /// held to: records rendered as export-format `Value`s, digests and
-    /// removes as maps, and every receiver parsing them back. Its `import`
-    /// overwrites a whole record, the simplest rule the in-place merge
-    /// must agree with.
-    mod value_model {
-        use super::super::*;
-        use dosgi_net::SimDuration;
-        use dosgi_san::Map;
-        use dosgi_vosgi::ResourceQuota;
-
-        pub fn render(records: &[InstanceRecord]) -> Value {
-            records.iter().map(ClusterRegistry::record_value).collect()
-        }
-
-        pub fn render_removes(removes: &[(Arc<str>, u64)]) -> Value {
-            removes
-                .iter()
-                .map(|(name, rev)| Value::map().with("name", &**name).with("rev", *rev))
-                .collect()
-        }
-
-        pub fn digest(reg: &ClusterRegistry) -> Value {
-            reg.records
-                .values()
-                .map(|r| (r.name.to_string(), Value::Int(r.rev as i64)))
-                .collect()
-        }
-
-        /// The model's parse of a rendered descriptor: the fields the
-        /// descriptors of these tests vary.
-        fn typed(v: Option<&Value>) -> Arc<InstanceDescriptor> {
-            let v = v.cloned().unwrap_or_default();
-            let text = |key| v.get(key).and_then(Value::as_str).unwrap_or_default();
-            let int = |key| v.get(key).and_then(Value::as_int).unwrap_or(0) as u64;
-            let mut d = InstanceDescriptor::builder(text("customer"), text("name"));
-            for bundle in v
-                .get("bundles")
-                .and_then(Value::as_list)
-                .unwrap_or_default()
-            {
-                d = d.bundle(bundle.as_str().unwrap_or_default());
-            }
-            let quota = ResourceQuota {
-                cpu_per_sec: SimDuration::from_micros(int("quota_cpu_us")),
-                memory_bytes: int("quota_mem"),
-                disk_bytes: int("quota_disk"),
-            };
-            Arc::new(d.quota(quota).build())
-        }
-
-        pub fn export_delta(reg: &ClusterRegistry, digest: &Value) -> (Value, Value) {
-            let empty = Map::new();
-            let known = match digest {
-                Value::Map(m) => m,
-                _ => &empty,
-            };
-            let upserts: Value = reg
-                .records
-                .values()
-                .filter(|r| {
-                    known
-                        .get(&r.name)
-                        .and_then(Value::as_int)
-                        .map(|rev| (rev as u64) < r.rev)
-                        .unwrap_or(true)
-                })
-                .map(ClusterRegistry::record_value)
-                .collect();
-            let removes: Value = known
-                .iter()
-                .filter(|&(name, _)| !reg.records.contains_key(&**name))
-                .map(|(name, rev)| {
-                    Value::map()
-                        .with("name", &**name)
-                        .with("rev", rev.as_int().unwrap_or(0))
-                })
-                .collect();
-            (upserts, removes)
-        }
-
-        pub fn moved_since(reg: &ClusterRegistry, shipped: &Value) -> (Value, Value) {
-            let (mut upserts, mut removes) = (Vec::new(), Vec::new());
-            for entry in shipped.as_list().unwrap_or_default() {
-                let Some(name) = entry.get("name").and_then(Value::as_str) else {
-                    continue;
-                };
-                let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0);
-                match reg.records.get(name) {
-                    Some(r) if r.rev > rev as u64 => upserts.push(ClusterRegistry::record_value(r)),
-                    Some(_) => {}
-                    None => removes.push(Value::map().with("name", name).with("rev", rev)),
-                }
-            }
-            (Value::List(upserts), Value::List(removes))
-        }
-
-        pub fn import(reg: &mut ClusterRegistry, v: &Value) {
-            let Some(list) = v.as_list() else { return };
-            for entry in list {
-                let Some(name) = entry.get("name").and_then(Value::as_str) else {
-                    continue;
-                };
-                let Some(home) = entry.get("home").and_then(Value::as_int) else {
-                    continue;
-                };
-                let to = entry
-                    .get("to")
-                    .and_then(Value::as_int)
-                    .map(|i| NodeId(i as u32));
-                let status = match (entry.get("status").and_then(Value::as_str), to) {
-                    (Some("placed"), _) => InstanceStatus::Placed,
-                    (Some("migrating"), Some(to)) => InstanceStatus::Migrating { to },
-                    (Some("orphaned"), _) => InstanceStatus::Orphaned,
-                    (Some("quarantined"), _) => InstanceStatus::Quarantined,
-                    _ => continue,
-                };
-                let rev = entry.get("rev").and_then(Value::as_int).unwrap_or(0) as u64;
-                if reg.records.get(name).is_some_and(|local| rev < local.rev) {
-                    continue;
-                }
-                let name: Arc<str> = name.into();
-                reg.records.insert(
-                    Arc::clone(&name),
-                    InstanceRecord {
-                        name,
-                        descriptor: typed(entry.get("descriptor")),
-                        home: NodeId(home as u32),
-                        status,
-                        rev,
-                    },
-                );
-            }
-        }
-
-        pub fn import_delta(reg: &mut ClusterRegistry, upserts: &Value, removes: &Value) {
-            import(reg, upserts);
-            for entry in removes.as_list().unwrap_or_default() {
-                let Some(name) = entry.get("name").and_then(Value::as_str) else {
-                    continue;
-                };
-                let Some(rev) = entry.get("rev").and_then(Value::as_int) else {
-                    continue;
-                };
-                if reg.records.get(name).is_some_and(|r| r.rev == rev as u64) {
-                    reg.records.remove(name);
-                }
-            }
-        }
     }
 
     fn node(rng: &mut TestRng) -> NodeId {
@@ -957,65 +807,34 @@ mod tests {
                 Some(rec) if rng.chance(0.7) => rec.home,
                 _ => node(rng),
             };
-            match rng.u64_below(8) {
-                0 | 1 => r.apply(&AppPayload::Deployed {
+            let payload = match rng.u64_below(8) {
+                0 | 1 => AppPayload::Deployed {
                     descriptor: descriptor(&name, rng),
                     name,
                     home,
-                }),
-                2 => r.apply(&AppPayload::Migrate {
+                },
+                2 => AppPayload::Migrate {
                     name,
                     from: home,
                     to: node(rng),
-                }),
-                3 => r.apply(&AppPayload::Released {
+                },
+                3 => AppPayload::Released {
                     name,
                     to: node(rng),
-                }),
-                4 => r.apply(&AppPayload::Adopted {
+                },
+                4 => AppPayload::Adopted {
                     name,
                     node: node(rng),
                     prior_home: home,
-                }),
-                5 => r.apply(&AppPayload::Quarantined { name, node: home }),
-                6 => r.apply(&AppPayload::Undeployed { name }),
+                },
+                5 => AppPayload::Quarantined { name, node: home },
+                6 => AppPayload::Undeployed { name },
                 _ => {
-                    r.orphan_homes(&[home]);
+                    r.orphan_homes(|n| n == home);
+                    continue;
                 }
-            }
-        }
-    }
-
-    /// What a diverged sender's records differ by beyond history: entries
-    /// at a revision `held` already has but with another status, home or
-    /// descriptor — an equal descriptor in a value of its own, or the very
-    /// one `held` shares.
-    fn tamper(records: &mut [InstanceRecord], held: &ClusterRegistry, rng: &mut TestRng) {
-        for record in records.iter_mut() {
-            let local = held.record(&record.name);
-            if let Some(local) = local {
-                if rng.chance(0.6) {
-                    record.rev = local.rev + rng.u64_below(3) - 1;
-                }
-            }
-            match rng.u64_below(8) {
-                0 => record.descriptor = descriptor(&record.name, rng),
-                1 => {
-                    if let Some(local) = local {
-                        record.descriptor = Arc::clone(&local.descriptor);
-                    }
-                }
-                2 => record.home = node(rng),
-                3 => {
-                    record.status = match rng.u64_below(4) {
-                        0 => InstanceStatus::Placed,
-                        1 => InstanceStatus::Migrating { to: node(rng) },
-                        2 => InstanceStatus::Orphaned,
-                        _ => InstanceStatus::Quarantined,
-                    }
-                }
-                _ => {}
-            }
+            };
+            r.apply(&payload);
         }
     }
 
@@ -1037,79 +856,22 @@ mod tests {
         (ours, theirs, shipped)
     }
 
-    /// The typed transfer against the `Value` one it replaced: a sync's
-    /// import, a `Hello` answer's `export_delta` and `import_delta`, and a
-    /// correction's `moved_since`, each leaving the receiver's export
-    /// byte-identical to the model's. Mutation-checked: an equal-revision
-    /// import that leaves `status` alone fails.
-    #[test]
-    fn prop_typed_transfer_matches_the_value_transfer() {
-        let bytes = |(upserts, removes): (Value, Value)| (upserts.encode(), removes.encode());
-        let cfg = prop::Config::with_cases(300);
-        let gen = prop::u64s(0, u64::MAX);
-        prop::check_with(
-            &cfg,
-            "typed_transfer_matches_the_value_transfer",
-            &gen,
-            |&seed| {
-                let mut rng = TestRng::new(seed);
-                let (mut ours, theirs, shipped) = diverged(&mut rng);
-                let mut model = ours.clone();
-                match rng.u64_below(3) {
-                    0 => {
-                        let mut records = transfer(&theirs);
-                        tamper(&mut records, &ours, &mut rng);
-                        ours.import(&records);
-                        value_model::import(&mut model, &value_model::render(&records));
-                    }
-                    1 => {
-                        let (digest, model_digest) = if rng.chance(0.3) {
-                            (Vec::new(), Value::map())
-                        } else {
-                            (ours.digest(), value_model::digest(&ours))
-                        };
-                        let (mut upserts, removes) = theirs.export_delta(&digest);
-                        prop_verify_eq!(
-                            bytes((
-                                value_model::render(&upserts),
-                                value_model::render_removes(&removes)
-                            )),
-                            bytes(value_model::export_delta(&theirs, &model_digest))
-                        );
-                        tamper(&mut upserts, &ours, &mut rng);
-                        ours.import_delta(&upserts, &removes);
-                        value_model::import_delta(
-                            &mut model,
-                            &value_model::render(&upserts),
-                            &value_model::render_removes(&removes),
-                        );
-                    }
-                    _ => {
-                        let (upserts, removes) = theirs.moved_since(&shipped);
-                        let (model_upserts, model_removes) =
-                            value_model::moved_since(&theirs, &value_model::render(&shipped));
-                        prop_verify_eq!(
-                            bytes((
-                                value_model::render(&upserts),
-                                value_model::render_removes(&removes)
-                            )),
-                            bytes((model_upserts.clone(), model_removes.clone()))
-                        );
-                        ours.import_delta(&upserts, &removes);
-                        value_model::import_delta(&mut model, &model_upserts, &model_removes);
-                    }
-                }
-                prop_verify_eq!(ours.export().encode(), model.export().encode());
-                Ok(())
-            },
-        );
-    }
-
-    /// A transfer reports the encoded length of the `Value`s it used to
-    /// ship, counted from its typed records. Mutation-checked: a size that
-    /// drops a `Migrating` record's `to` fails.
+    /// A transfer reports the encoded length of its records rendered in
+    /// the export format, and of its removes as `{name, rev}` maps, counted
+    /// from the typed values with nothing built. Mutation-checked: a size
+    /// that drops a `Migrating` record's `to` fails.
     #[test]
     fn prop_transfer_lengths_are_their_value_encodings() {
+        let rendered = |records: &[InstanceRecord]| {
+            let list: Value = records.iter().map(ClusterRegistry::record_value).collect();
+            list.encoded_len()
+        };
+        let rendered_removes = |removes: &[(Arc<str>, u64)]| {
+            let map = |(name, rev): &(Arc<str>, u64)| {
+                Value::map().with("name", &**name).with("rev", *rev)
+            };
+            removes.iter().map(map).collect::<Value>().encoded_len()
+        };
         let (migrating, removed) = (Cell::new(0), Cell::new(0));
         let cfg = prop::Config::with_cases(300);
         let gen = prop::u64s(0, u64::MAX);
@@ -1122,11 +884,10 @@ mod tests {
                 let (ours, theirs, _) = diverged(&mut rng);
                 let records = transfer(&theirs);
                 prop_verify_eq!(records_len(&records), theirs.export().encoded_len());
+                prop_verify_eq!(records_len(&records), rendered(&records));
                 let (upserts, removes) = theirs.export_delta(&ours.digest());
-                let (model_upserts, model_removes) =
-                    value_model::export_delta(&theirs, &value_model::digest(&ours));
-                prop_verify_eq!(records_len(&upserts), model_upserts.encoded_len());
-                prop_verify_eq!(removes_len(&removes), model_removes.encoded_len());
+                prop_verify_eq!(records_len(&upserts), rendered(&upserts));
+                prop_verify_eq!(removes_len(&removes), rendered_removes(&removes));
                 let moving =
                     |r: &InstanceRecord| matches!(r.status, InstanceStatus::Migrating { .. });
                 migrating.set(migrating.get() + upserts.iter().filter(|r| moving(r)).count());
@@ -1242,7 +1003,7 @@ mod tests {
         r.apply(&deployed("a", 0));
         r.apply(&deployed("b", 0));
         r.apply(&deployed("c", 1));
-        r.orphan_homes(&[NodeId(1)]);
+        r.orphan_homes(|n| n == NodeId(1));
         let load = r.load_by_node();
         assert_eq!(load.get(&NodeId(0)), Some(&2));
         assert_eq!(load.get(&NodeId(1)), None);

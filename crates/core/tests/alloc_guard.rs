@@ -436,7 +436,7 @@ fn orphan_claim_allocations(orphans: usize) -> u64 {
     let mut registry = registry_of(orphans * NODES);
     let survivors: Vec<NodeId> = (1..NODES as u32).map(NodeId).collect();
     let (allocations, assignment) = allocations_in(|| {
-        registry.orphan_homes(&[NodeId(0)]);
+        registry.orphan_homes(|n| n == NodeId(0));
         placement::assign_all(&survivors, &registry)
     });
     assert_eq!(assignment.len(), orphans);

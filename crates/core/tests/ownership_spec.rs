@@ -81,9 +81,12 @@ struct Model(Owned);
 
 impl Model {
     /// One ordered payload: the first arm whose state it applies from.
-    fn ordered(&mut self, payload: &AppPayload, tag: u64) {
+    /// Returns whether it took effect.
+    fn ordered(&mut self, payload: &AppPayload, tag: u64) -> bool {
         use InstanceStatus::{Migrating, Orphaned, Placed, Quarantined};
-        let Some(name) = name_of(payload) else { return };
+        let Some(name) = name_of(payload) else {
+            return false;
+        };
         let held = self.0.get(name).copied();
         let next = match (payload, held) {
             (AppPayload::Deployed { home, .. }, _) => Some(Own {
@@ -125,12 +128,15 @@ impl Model {
                 })
             }
             // From any other state the payload lost a race: nothing moves.
-            (_, held) => held,
+            _ => return false,
         };
         match next {
-            Some(own) => self.0.insert(name.to_owned(), own),
-            None => self.0.remove(name),
-        };
+            Some(own) => {
+                self.0.insert(name.to_owned(), own);
+                true
+            }
+            None => self.0.remove(name).is_some(),
+        }
     }
 
     /// A view change without `left`.
@@ -381,15 +387,25 @@ impl<'t> World<'t> {
         }
     }
 
-    fn step(&mut self, at: usize, step: Step) {
+    fn step(&mut self, at: usize, step: Step) -> PropResult {
         match step {
             Step::Order(op) => {
                 let payload = self.payload(op, at as u64 + 1);
                 if self.left_out(&payload) {
-                    return;
+                    return Ok(());
                 }
-                self.model.ordered(&payload, at as u64 + 1);
-                self.in_view_mut().for_each(|r| r.apply(&payload));
+                let took = self.model.ordered(&payload, at as u64 + 1);
+                // A settled member reports what the model did.
+                let settled: Vec<NodeId> = self.members().filter(|&m| !self.owed(m)).collect();
+                for n in self.in_view().collect::<Vec<_>>() {
+                    let applied = self.nodes[n.index()].0.apply(&payload);
+                    if settled.contains(&n) && applied != took {
+                        return Err(format!(
+                            "step {at}: node {} applied {payload:?}: {applied}",
+                            n.0
+                        ));
+                    }
+                }
             }
             Step::Leave(raw) => {
                 let left = self.node(raw);
@@ -397,16 +413,15 @@ impl<'t> World<'t> {
                     self.nodes[left.index()].1 = Seat::Away;
                     self.model.leave(left);
                     self.in_view_mut().for_each(|r| {
-                        r.orphan_homes(&[left]);
+                        r.orphan_homes(|n| n == left);
                     });
                 }
             }
             Step::Mark(raw, mask) => {
                 let node = self.node(raw);
-                let homes = (0..self.nodes.len() as u32).filter(|n| mask >> n & 1 == 1);
-                let homes: Vec<NodeId> = homes.map(NodeId).collect();
                 if self.seat(node).away() {
-                    self.nodes[node.index()].0.orphan_homes(&homes);
+                    let homes = |n: NodeId| mask >> n.0 & 1 == 1;
+                    self.nodes[node.index()].0.orphan_homes(homes);
                 }
             }
             Step::Restart(raw) => {
@@ -437,20 +452,24 @@ impl<'t> World<'t> {
             }
             Step::Ask(raw) => {
                 let node = self.node(raw);
-                let owed = self.flight.iter().any(|t| t.addressees().contains(&node));
-                if self.seat(node) == Seat::Waiting && !owed {
+                if self.seat(node) == Seat::Waiting && !self.owed(node) {
                     self.ask(node, true);
                 }
             }
         }
+        Ok(())
     }
 
     /// True if a member other than `node` holds the registry and is owed
     /// no transfer: the primary view never loses its last such node, which
     /// takes syncs and corrects transfers.
     fn survives(&self, node: NodeId) -> bool {
-        let owed = |m: NodeId| self.flight.iter().any(|t| t.addressees().contains(&m));
-        self.members().any(|m| m != node && !owed(m))
+        self.members().any(|m| m != node && !self.owed(m))
+    }
+
+    /// True if a transfer in flight is addressed to `node`.
+    fn owed(&self, node: NodeId) -> bool {
+        self.flight.iter().any(|t| t.addressees().contains(&node))
     }
 
     /// True while a rejoin is under way: a node waits for its transfer,
@@ -644,7 +663,7 @@ struct Case {
 fn run_case(case: &Case, tally: &Tally) -> PropResult {
     let mut world = World::new(case.nodes, tally);
     for (at, &step) in case.steps.iter().enumerate() {
-        world.step(at, step);
+        world.step(at, step)?;
     }
     world.quiesce()
 }
