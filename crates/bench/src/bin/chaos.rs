@@ -16,7 +16,7 @@
 //! Exit status is non-zero if any run violates an invariant or fails to
 //! replay; the offending seed is printed so
 //! `CHAOS_SEED0=<seed> CHAOS_SEEDS=1 cargo run --bin chaos` reproduces it
-//! exactly.
+//! exactly, followed by its fault plan, one step per line.
 //!
 //! Every schedule also arms a **rolling upgrade wave** 10 s into the run
 //! (`CHAOS_WAVE_AT_US` overrides; `CHAOS_WAVE_AT_US=0` disables): the
@@ -115,23 +115,19 @@ fn main() {
             true
         };
         let status = if !a.ok() {
-            failed = true;
             "VIOLATION"
         } else if !replayed {
-            failed = true;
             "NON-DETERMINISTIC"
         } else if !series_passive {
-            failed = true;
             "SERIES-NOT-PASSIVE"
         } else if !trace_replayed {
-            failed = true;
             "TRACE-NON-DETERMINISTIC"
         } else if retained > RETAINED_AT_QUIESCENCE as i64 {
-            failed = true;
             "STREAM-UNBOUNDED"
         } else {
             "ok"
         };
+        failed |= status != "ok";
         let (swapped, skipped) = a
             .wave
             .as_ref()
@@ -164,6 +160,10 @@ fn main() {
                  cargo run --release -p dosgi-bench --bin chaos"
             );
             println!("      causal trace: {trace_path}");
+            for step in &plan.steps {
+                let (s, us) = (step.at_us / 1_000_000, step.at_us % 1_000_000);
+                println!("      plan {s:>2}.{us:06} s  {:?}", step.op);
+            }
         }
     }
 
