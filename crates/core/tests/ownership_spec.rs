@@ -29,12 +29,14 @@
 //! transfer was taken survives it: a newer revision, a removal, a redeploy.
 //!
 //! The property runs that model against 3–5 [`ClusterRegistry`]s driven the
-//! way nodes drive them. A node is a member of the primary view, admitted
-//! (in the view, following the ordered stream, its transfer not yet
-//! applied) or away (crashed or cut off: it applies nothing ordered and may
-//! mark orphans of its own). Every ordered payload and view change reaches
-//! the model and every node in the view at once. A transfer is taken at one
-//! stream position and applied at a later one, as a node's is:
+//! way nodes drive them. A node is a member of the primary view, waiting
+//! (restarted, in the view and following the ordered stream, its transfer
+//! not yet applied) or away (cut off, or crashed and restarted empty: it
+//! applies nothing ordered and may mark orphans of its own). Every ordered
+//! payload and view change reaches the model and every node in the view at
+//! once, and a settled member's `apply` reports what the model did. A
+//! transfer is taken at one stream position and applied at a later one, as
+//! a node's is:
 //!
 //! - a view change that admits away nodes has the lowest member export a
 //!   `RegistrySync`, which every node in the view imports at its position;
@@ -44,10 +46,12 @@
 //! - where a transfer is applied, the lowest node in the view that is not
 //!   among its addressees ships what moved since the transfer was taken.
 //!
-//! A rejoin transfer may be cut, as the sync of seeds 1024 and 1905 was. At
+//! A rejoin transfer may be cut, as seeds 1024 and 1905 cut theirs. At
 //! quiescence — no transfer in flight, then every away or waiting node
 //! admitted by one sync or answered by one delta — every registry must read
-//! what the model holds, so every name has exactly one home.
+//! what the model holds, so every name has exactly one home. The cases
+//! leave out the rejoin transfer's known gaps, each named where it is left
+//! out (`World::left_out`, `World::rejoining`, `World::survives`, `Cut`).
 
 use dosgi_core::{AppPayload, ClusterRegistry, InstanceRecord, InstanceStatus};
 use dosgi_net::NodeId;
@@ -220,7 +224,8 @@ enum Step {
     Bounce(u8),
     /// The first transfer in flight reaches its position.
     Deliver,
-    /// The first transfer in flight, if a rejoin transfer, is lost.
+    /// The first transfer in flight, if it is for restarted nodes only, is
+    /// lost.
     Cut,
     /// A waiting node whose transfer is lost asks again.
     Ask(u8),
@@ -247,40 +252,26 @@ impl Seat {
 }
 
 enum Payload {
-    Sync {
-        records: Vec<InstanceRecord>,
-        joined: Vec<NodeId>,
-    },
-    Delta {
-        to: NodeId,
-        upserts: Vec<InstanceRecord>,
-        removes: Vec<(Arc<str>, u64)>,
-    },
+    Sync(Vec<InstanceRecord>),
+    Delta(Vec<InstanceRecord>, Vec<(Arc<str>, u64)>),
 }
 
-/// A transfer in flight: what it carries, and the model's entries for it
-/// when it was taken.
+/// A transfer in flight: what it carries, the nodes it is for, and the
+/// model's entries for it when it was taken. A delta is addressed to the
+/// first of them; a sync's correction is for every joiner.
 struct Transfer {
     payload: Payload,
+    to: Vec<NodeId>,
     shipped: Owned,
 }
 
 impl Transfer {
     fn carries(&self, name: &str) -> bool {
         let (records, removes): (&[InstanceRecord], &[_]) = match &self.payload {
-            Payload::Sync { records, .. } => (records, &[]),
-            Payload::Delta {
-                upserts, removes, ..
-            } => (upserts, removes),
+            Payload::Sync(records) => (records, &[]),
+            Payload::Delta(upserts, removes) => (upserts, removes),
         };
         records.iter().any(|r| *r.name == *name) || removes.iter().any(|(n, _)| **n == *name)
-    }
-
-    fn addressees(&self) -> &[NodeId] {
-        match &self.payload {
-            Payload::Sync { joined, .. } => joined,
-            Payload::Delta { to, .. } => std::slice::from_ref(to),
-        }
     }
 }
 
@@ -409,7 +400,7 @@ impl<'t> World<'t> {
             }
             Step::Leave(raw) => {
                 let left = self.node(raw);
-                if !self.seat(left).away() && self.survives(left) {
+                if !self.seat(left).away() && self.survives(left) && !self.rejoining() {
                     self.nodes[left.index()].1 = Seat::Away;
                     self.model.leave(left);
                     self.in_view_mut().for_each(|r| {
@@ -441,9 +432,12 @@ impl<'t> World<'t> {
             Step::Admit(_) | Step::Bounce(_) => {}
             Step::Deliver => self.deliver(),
             Step::Cut => {
+                // Only a transfer for restarted nodes: a node that was cut
+                // off holds the registry already, so it never asks again
+                // for a sync that is lost (a gap, ROADMAP item 1(a)).
                 let rejoin = |t: &Transfer| {
                     let waiting = |n: &NodeId| self.seat(*n) == Seat::Waiting;
-                    t.addressees().iter().any(waiting)
+                    t.to.iter().all(waiting)
                 };
                 if self.flight.first().is_some_and(rejoin) {
                     self.flight.remove(0);
@@ -460,47 +454,68 @@ impl<'t> World<'t> {
         Ok(())
     }
 
-    /// True if a member other than `node` holds the registry and is owed
-    /// no transfer: the primary view never loses its last such node, which
-    /// takes syncs and corrects transfers.
+    /// True if a member other than `node` holds the registry: the primary
+    /// view never loses its last one, which takes syncs and answers.
     fn survives(&self, node: NodeId) -> bool {
-        self.members().any(|m| m != node && !self.owed(m))
+        self.members().any(|m| m != node)
     }
 
     /// True if a transfer in flight is addressed to `node`.
     fn owed(&self, node: NodeId) -> bool {
-        self.flight.iter().any(|t| t.addressees().contains(&node))
+        self.flight.iter().any(|t| t.to.contains(&node))
     }
 
     /// True while a rejoin is under way: a node waits for its transfer,
-    /// or a transfer or its correction is in flight. A second rejoin waits
-    /// until the first one has landed: a node still waiting, or still owed
-    /// a correction, may be the lowest in the view, and it would export a
-    /// sync or correct a transfer from a registry that is behind.
+    /// or a transfer or its correction is in flight. View changes wait
+    /// until it has landed (gaps): a node still waiting, or still owed a
+    /// correction, may be the lowest in the view and export a sync or
+    /// correct a transfer from a registry that is behind; a departure may
+    /// take the last node that could correct it, or leave holding a record
+    /// a transfer put back.
     fn rejoining(&self) -> bool {
         let waiting = self.nodes.iter().any(|(_, seat)| *seat == Seat::Waiting);
         waiting || !self.flight.is_empty()
     }
 
     /// True for a payload the property leaves out, each a gap of the
-    /// rejoin transfer that no fix has closed yet:
+    /// rejoin transfer that no fix has closed yet (ROADMAP item 1(a)):
     /// - an `Undeployed` of a name an away node holds: a sync does not
     ///   remove what it does not mention, so that node keeps the record
     ///   once admitted;
+    /// - an `Undeployed` of a name more than one transfer in flight
+    ///   carries (a retry's answers, say): the first one back puts the
+    ///   record back where the next one's correction reads what moved;
     /// - any payload naming a name the model no longer holds while a
     ///   transfer carrying it is in flight: the transfer puts the record
     ///   back until its correction removes it, and a redeploy or a write
     ///   on the record in between moves the revision the removal is
-    ///   guarded by (revisions restart at 1 on a redeploy).
+    ///   guarded by (revisions restart at 1 on a redeploy);
+    /// - any payload naming a name a sync's correction carries to more
+    ///   than one joiner: a delta has one addressee, so the lowest node
+    ///   other than it, which corrects it in turn, may be another joiner
+    ///   still behind;
+    /// - a hand-off, a claim or a quarantine while a joiner that was cut
+    ///   off is owed a transfer: its orphan marks are its own until the
+    ///   sync lands, and each of these reads the status, so it may take
+    ///   effect on that joiner alone (or everywhere but on it), past the
+    ///   revision the sync carries — hole (a).
     fn left_out(&self, payload: &AppPayload) -> bool {
         let Some(name) = name_of(payload) else {
             return false;
         };
         let mut away = self.nodes.iter().filter(|(_, seat)| seat.away());
+        let carried = self.flight.iter().filter(|t| t.carries(name)).count();
         let kept = matches!(payload, AppPayload::Undeployed { .. })
-            && away.any(|(registry, _)| registry.record(name).is_some());
-        let limbo = !self.model.0.contains_key(name) && self.flight.iter().any(|t| t.carries(name));
-        kept || limbo
+            && (carried > 1 || away.any(|(registry, _)| registry.record(name).is_some()));
+        let limbo = !self.model.0.contains_key(name) && carried > 0;
+        let shared = |t: &Transfer| matches!(t.payload, Payload::Delta(..)) && t.to.len() > 1;
+        let overtaken = self.flight.iter().any(|t| shared(t) && t.carries(name));
+        let guarded = !matches!(
+            payload,
+            AppPayload::Deployed { .. } | AppPayload::Undeployed { .. }
+        );
+        let unmarked = guarded && self.members().any(|m| self.owed(m));
+        kept || limbo || overtaken || unmarked
     }
 
     /// A view change admitting the away nodes `joins` picks: the lowest
@@ -525,8 +540,9 @@ impl<'t> World<'t> {
         }
         let records: Vec<InstanceRecord> = self.registry(sender).records().cloned().collect();
         self.flight.push(Transfer {
+            payload: Payload::Sync(records),
+            to: joined,
             shipped: self.model.0.clone(),
-            payload: Payload::Sync { records, joined },
         });
     }
 
@@ -544,31 +560,29 @@ impl<'t> World<'t> {
             }
             let (upserts, removes) = self.registry(m).export_delta(&digest);
             if retry || !upserts.is_empty() || !removes.is_empty() {
-                self.ship_delta(node, upserts, removes);
+                self.ship_delta(&[node], upserts, removes);
             }
         }
     }
 
     fn ship_delta(
         &mut self,
-        to: NodeId,
+        to: &[NodeId],
         upserts: Vec<InstanceRecord>,
         removes: Vec<(Arc<str>, u64)>,
     ) {
         self.flight.push(Transfer {
             shipped: self.model.shipped(&upserts),
-            payload: Payload::Delta {
-                to,
-                upserts,
-                removes,
-            },
+            payload: Payload::Delta(upserts, removes),
+            to: to.to_vec(),
         });
     }
 
     /// The lowest node in the view that is not among a transfer's
-    /// addressees, if it holds the registry, ships them what moved since
-    /// the transfer was taken.
-    fn correct(&mut self, shipped: &[InstanceRecord], addressees: &[NodeId]) {
+    /// `addressees` (a delta's is its first node, a sync's are all its
+    /// joiners), if it holds the registry, ships what moved since the
+    /// transfer was taken, for the nodes the transfer was `for_nodes`.
+    fn correct(&mut self, shipped: &[InstanceRecord], addressees: &[NodeId], for_nodes: &[NodeId]) {
         let sender = self.in_view().find(|n| !addressees.contains(n));
         let Some(sender) = sender.filter(|&n| self.seat(n) == Seat::Member) else {
             return;
@@ -576,7 +590,7 @@ impl<'t> World<'t> {
         let (moved, gone) = self.registry(sender).moved_since(shipped);
         if !moved.is_empty() || !gone.is_empty() {
             bump(&self.tally.corrections);
-            self.ship_delta(addressees[0], moved, gone);
+            self.ship_delta(for_nodes, moved, gone);
         }
     }
 
@@ -591,23 +605,20 @@ impl<'t> World<'t> {
         if !transfer.shipped.iter().all(held) {
             bump(&self.tally.overtaken);
         }
+        let to = &transfer.to;
         match &transfer.payload {
-            Payload::Sync { records, joined } => {
-                self.correct(records, joined);
+            Payload::Sync(records) => {
+                self.correct(records, to, to);
                 self.in_view_mut().for_each(|r| r.import(records));
             }
-            Payload::Delta {
-                to,
-                upserts,
-                removes,
-            } => {
-                self.correct(upserts, std::slice::from_ref(to));
+            Payload::Delta(upserts, removes) => {
+                self.correct(upserts, &to[..1], to);
                 self.in_view_mut()
                     .for_each(|r| r.import_delta(upserts, removes));
             }
         }
         self.model.transfer(&transfer.shipped);
-        for n in transfer.addressees() {
+        for n in &transfer.to {
             if self.seat(*n) == Seat::Waiting {
                 self.nodes[n.index()].1 = Seat::Member;
             }
