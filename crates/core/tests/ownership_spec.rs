@@ -14,7 +14,7 @@
 //! | `Adopted { node, prior_home }` | `Orphaned`, or depending on `prior_home` | `Placed` on `node` |
 //! | `Quarantined { node }` | homed on `node`, not `Quarantined` | `Quarantined` |
 //! | `Undeployed` | any | nothing |
-//! | a view change without `left` | depending on a node of `left`, not `Orphaned` | `Orphaned`, same revision |
+//! | a view change that drops `left` | depending on a node of `left`, not `Orphaned` | `Orphaned`, same revision |
 //! | a transfer carrying a record | held at the carried revision, same incarnation | the carried home and status |
 //!
 //! A record *depends on* its home and, while `Migrating`, its destination.
@@ -143,7 +143,7 @@ impl Model {
         }
     }
 
-    /// A view change without `left`.
+    /// A view change that drops `left`.
     fn leave(&mut self, left: NodeId) {
         for own in self.0.values_mut() {
             if own.status != InstanceStatus::Orphaned && own.depends_on(left) {
@@ -494,8 +494,9 @@ impl<'t> World<'t> {
     ///   than one joiner: a delta has one addressee, so the lowest node
     ///   other than it, which corrects it in turn, may be another joiner
     ///   still behind;
-    /// - a hand-off, a claim or a quarantine while a joiner that was cut
-    ///   off is owed a transfer: its orphan marks are its own until the
+    /// - a hand-off, a claim or a quarantine while a member is owed a
+    ///   transfer (a joiner that was cut off, or one whose correction is
+    ///   in flight): a cut-off joiner's orphan marks are its own until the
     ///   sync lands, and each of these reads the status, so it may take
     ///   effect on that joiner alone (or everywhere but on it), past the
     ///   revision the sync carries — hole (a).
