@@ -86,7 +86,7 @@ impl InstanceRecord {
     /// while it migrates, its destination. A record is stranded when a
     /// node it depends on leaves, and a failover claim naming such a node
     /// as the prior home may take it.
-    pub fn depends_on(&self, on: impl Fn(NodeId) -> bool) -> bool {
+    pub(crate) fn depends_on(&self, on: impl Fn(NodeId) -> bool) -> bool {
         match self.status {
             InstanceStatus::Migrating { to } => on(self.home) || on(to),
             _ => on(self.home),
@@ -95,7 +95,7 @@ impl InstanceRecord {
 
     /// The node the instance runs on: its home while it is `Placed`,
     /// none otherwise.
-    pub fn placed_on(&self) -> Option<NodeId> {
+    pub(crate) fn placed_on(&self) -> Option<NodeId> {
         (self.status == InstanceStatus::Placed).then_some(self.home)
     }
 }
@@ -209,9 +209,9 @@ impl ClusterRegistry {
 
     /// Marks every instance stranded by the departure of the nodes `gone`
     /// picks as orphaned; returns how many it marked. An instance is
-    /// stranded when a node it [depends on](InstanceRecord::depends_on)
-    /// is gone — a quarantined one like a placed one: a survivor claims it
-    /// and runs its own adopt/retry/quarantine cycle against the SAN.
+    /// stranded when its home is gone or, while it migrates, its
+    /// destination — a quarantined one like a placed one: a survivor claims
+    /// it and runs its own adopt/retry/quarantine cycle against the SAN.
     /// [`orphans`](Self::orphans) then lists them with the ones orphaned
     /// before.
     pub fn orphan_homes(&mut self, gone: impl Fn(NodeId) -> bool) -> usize {
