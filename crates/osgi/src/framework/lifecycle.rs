@@ -631,12 +631,12 @@ mod tests {
                     "faulted framework diverged from the storeless oracle in memory"
                 );
 
-                let mut rows = persist::Rows::default();
+                let mut rows = persist::Rows::new(&());
                 store
                     .visit_namespace(ns, |key, row| rows.read(key, row))
                     .expect("healed SAN");
                 let assembled = rows
-                    .assemble(&())
+                    .assemble()
                     .expect("well-formed rows")
                     .expect("header row present");
                 let rebuilt: Vec<Bundle> = assembled

@@ -74,10 +74,15 @@ pub struct Bundle {
     /// target against it before adopting the state.
     pub state_version: Version,
     pub(crate) activator: Option<Box<dyn Activator>>,
-    /// The bundle's snapshot row in the form the SAN holds it. Built where
-    /// the manifest is set (install, update, upgrade) and kept as read by a
-    /// restore; a persist rewrites its lifecycle fields in place and hands
-    /// the store a reference, so no write builds or re-serializes a row.
+    /// The bundle's snapshot row as this framework last wrote it, in
+    /// `persist::bundle_row`'s form. Built where the manifest is set
+    /// (install, update, upgrade); a restore copies no row, so a restored
+    /// bundle's is `Null` until its first write builds it, around the
+    /// restore's known row form of the manifest when the write is the
+    /// restore's own. From then on a persist rewrites its lifecycle fields
+    /// in place and hands the store a reference. A row read in another
+    /// form — without `state_version`, or with a field this code does not
+    /// write — stays as the SAN holds it until that first write.
     pub(crate) row: Value,
 }
 

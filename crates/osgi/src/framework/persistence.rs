@@ -7,7 +7,7 @@ use super::areas::area_namespace;
 use super::{Bundle, Framework, FrameworkConfig, FrameworkMetrics};
 use crate::persist::{self, Row};
 use crate::{ActivatorFactory, BundleError, BundleId, BundleState, DataArea, KnownManifests};
-use dosgi_san::{SharedStore, StoreError};
+use dosgi_san::{SharedStore, StoreError, Value};
 use dosgi_telemetry::{Phase, Phases};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -133,17 +133,28 @@ impl Framework {
     ///
     /// The [`StoreError`] from the failed write; the rows stay dirty.
     pub fn persist(&mut self) -> Result<(), StoreError> {
+        self.persist_knowing(&())
+    }
+
+    /// [`persist`](Self::persist), building a restored bundle's first row
+    /// around the row form `known` holds of its manifest.
+    fn persist_knowing(&mut self, known: &dyn KnownManifests) -> Result<(), StoreError> {
         // Lent to `persist_rows` beside `&mut self`, then put back.
         let Some((store, ns)) = self.store.take() else {
             return Ok(());
         };
-        let outcome = self.persist_rows(&store, &ns);
+        let outcome = self.persist_rows(&store, &ns, known);
         self.store = Some((store, ns));
         self.sync_dirty_mark();
         outcome
     }
 
-    fn persist_rows(&mut self, store: &SharedStore, ns: &str) -> Result<(), StoreError> {
+    fn persist_rows(
+        &mut self,
+        store: &SharedStore,
+        ns: &str,
+        known: &dyn KnownManifests,
+    ) -> Result<(), StoreError> {
         // Deletes first: an uninstalled bundle's row must be gone before a
         // concurrent restore could reassemble it into a stale bundle.
         while let Some(&row) = self.deleted_rows.first() {
@@ -162,7 +173,7 @@ impl Framework {
         for row in &self.dirty_rows {
             if let Row::Bundle(id) = row {
                 if let Some(b) = self.bundles.get_mut(id) {
-                    persist::refresh_row(b);
+                    persist::refresh_row(b, known);
                 }
             }
         }
@@ -276,9 +287,13 @@ impl Framework {
     /// `adopt.resolve`, `adopt.start` and, inside the start,
     /// `adopt.register`.
     ///
-    /// The namespace is read once, under the store's lock: the header's
-    /// fields are parsed where they lie, and only the bundle rows, which
-    /// the bundles keep, are copied.
+    /// The namespace is read once, under the store's lock, and every row is
+    /// parsed where it lies: no row is copied. The one write holds the
+    /// rows whose `(state, autostart, state_version)` differ from what was
+    /// read — none when every bundle comes back as its row says — and the
+    /// header when the ids its rows hold correct it. A restored bundle's
+    /// row is built at its first write, around the row form `known` holds
+    /// of its manifest.
     ///
     /// # Errors
     ///
@@ -293,12 +308,12 @@ impl Framework {
         phases: &Phases,
     ) -> Result<Framework, BundleError> {
         let namespace = namespace.into();
-        let mut rows = persist::Rows::default();
+        let mut rows = persist::Rows::new(known);
         phases.count_in(Phase::AdoptRead, || {
             store.visit_namespace(&namespace, |key, row| rows.read(key, row))
         })?;
         let making = phases.enter(Phase::AdoptManifests);
-        let Some(mut parsed) = rows.assemble(known).map_err(BundleError::CorruptState)? else {
+        let Some(mut parsed) = rows.assemble().map_err(BundleError::CorruptState)? else {
             let missing = format!("no snapshot in {namespace}");
             return Err(BundleError::CorruptState(missing));
         };
@@ -315,9 +330,8 @@ impl Framework {
         if fw.next_bundle != parsed.next_bundle {
             fw.mark(Row::Header);
         }
-        for record in &mut parsed.bundles {
+        for record in &parsed.bundles {
             let activator = factory.create(&record.manifest);
-            // The rows read are the rows kept: they say what the SAN holds.
             let bundle = Bundle {
                 id: record.id,
                 manifest: Arc::clone(&record.manifest),
@@ -325,7 +339,7 @@ impl Framework {
                 autostart: record.autostart,
                 state_version: record.state_version,
                 activator,
-                row: std::mem::take(&mut record.row),
+                row: Value::Null,
             };
             fw.bundles.insert(record.id, bundle);
             fw.metrics.installed.incr();
@@ -349,9 +363,12 @@ impl Framework {
         }
         drop(starting);
         fw.phases = Phases::disabled();
-        // The transitions marked the rows they changed. A row can also lag
-        // what was read without any of them having run: a bundle persisted
-        // RESOLVED that no longer resolves stays INSTALLED.
+        // A row lags exactly when its bundle no longer says what it was
+        // read as, whatever the transitions marked on the way: a bundle
+        // persisted ACTIVE and started again writes nothing, and one
+        // persisted RESOLVED that no longer resolves stays INSTALLED
+        // without any transition having run.
+        fw.dirty_rows.retain(|&row| row == Row::Header);
         for record in &parsed.bundles {
             let b = &fw.bundles[&record.id];
             let as_read = (record.state, record.autostart, record.state_version);
@@ -359,7 +376,7 @@ impl Framework {
                 fw.mark(Row::Bundle(record.id));
             }
         }
-        let _ = fw.persist();
+        let _ = fw.persist_knowing(known);
         Ok(fw)
     }
 }
@@ -370,9 +387,76 @@ mod tests {
     use crate::framework::tests::lifecycle;
     use crate::{BundleId, BundleManifest, FnActivator, ManifestBuilder, Version};
     use dosgi_net::SimTime;
-    use dosgi_san::{FaultPlan, Value};
+    use dosgi_san::FaultPlan;
     use dosgi_telemetry::Telemetry;
     use std::collections::BTreeMap;
+
+    /// The row rule, for a bundle row in a form this code does not write:
+    /// `reshape` applied to a started bundle's row. A restore that brings
+    /// the bundle back as the row says writes nothing, so every row stays
+    /// byte for byte as it was; the first lifecycle write after it writes
+    /// the row in `bundle_row`'s form.
+    fn a_quiet_restore_keeps_the_row_and_the_next_write_canonicalises_it(
+        reshape: impl FnOnce(Value) -> Value,
+    ) {
+        const NS: &str = "canon/fw";
+        let store = SharedStore::new();
+        let mut fw = Framework::new(NS);
+        fw.attach_store(store.clone(), NS).unwrap();
+        let manifest = ManifestBuilder::new("org.canon", Version::new(1, 2, 0))
+            .build()
+            .unwrap();
+        let id = fw.install(manifest, None).unwrap();
+        fw.start(id).unwrap();
+        let key = Row::Bundle(id).key();
+        let read = reshape(store.peek(NS, key.as_ref()).unwrap());
+        store.put(NS, key.as_ref(), read.clone()).unwrap();
+        let encoded = |store: &SharedStore| -> Vec<(String, Vec<u8>)> {
+            let rows = store.read_namespace(NS).unwrap().into_iter();
+            rows.map(|(key, row)| (key, row.encode())).collect()
+        };
+        let (as_read, before) = (encoded(&store), store.stats());
+
+        let factory = ActivatorFactory::new();
+        let mut fw = Framework::restore(FrameworkConfig::new(NS), store.clone(), NS, &factory)
+            .expect("the row parses");
+        let after = store.stats();
+        assert!(fw.bundles().all(|b| b.state.is_active()));
+        assert_eq!(encoded(&store), as_read, "a quiet restore moved a row");
+        assert_eq!(
+            (after.writes, after.writes_skipped),
+            (before.writes, before.writes_skipped),
+            "a quiet restore wrote"
+        );
+
+        fw.stop(id).unwrap();
+        let b = fw.bundles().next().unwrap();
+        let written = store.peek(NS, key.as_ref()).unwrap();
+        assert_eq!(written.encode(), persist::bundle_row(b).encode());
+        assert_ne!(written.encode(), read.encode());
+    }
+
+    /// A row written before `state_version` existed restores, and keeps its
+    /// form until the bundle's next transition writes the field.
+    #[test]
+    fn a_row_without_state_version_is_canonicalised_on_its_first_write() {
+        a_quiet_restore_keeps_the_row_and_the_next_write_canonicalises_it(|row| {
+            let Value::Map(mut row) = row else {
+                panic!("a bundle row is a map")
+            };
+            assert!(row.remove("state_version").is_some());
+            Value::Map(row)
+        });
+    }
+
+    /// A row carrying a field this code does not write restores, and keeps
+    /// it until the bundle's next transition writes the row without it.
+    #[test]
+    fn a_row_with_an_unknown_field_is_canonicalised_on_its_first_write() {
+        a_quiet_restore_keeps_the_row_and_the_next_write_canonicalises_it(|row| {
+            row.with("unknown", "kept until the first write")
+        });
+    }
 
     /// The crash-point table of the two batches that hand out bundle ids,
     /// with 0–3 bundles installed before each: every strict prefix of an
@@ -454,12 +538,12 @@ mod tests {
         factory: &ActivatorFactory,
         metrics: FrameworkMetrics,
     ) -> Result<Framework, BundleError> {
-        let mut rows = persist::Rows::default();
+        let mut rows = persist::Rows::new(&());
         for (key, row) in store.read_namespace(namespace)? {
             rows.read(&key, &row);
         }
         let parsed = rows
-            .assemble(&())
+            .assemble()
             .map_err(BundleError::CorruptState)?
             .ok_or_else(|| BundleError::CorruptState(format!("no snapshot in {namespace}")))?;
         let mut fw = Framework::with_config(config);

@@ -11,23 +11,23 @@
 //! The persisted framework state is stored as **per-bundle rows** inside
 //! the framework's namespace, so a dirty flush rewrites only the rows that
 //! changed instead of re-encoding the whole framework. Each bundle keeps
-//! its row as the SAN holds it: [`bundle_row`] builds it where the
-//! manifest is set, a restore keeps the row it read, and a persist
+//! its row as it last wrote it: [`bundle_row`] builds it where the manifest
+//! is set, a restored bundle builds it at its first write, and a persist
 //! rewrites the lifecycle fields in place and writes the row by reference:
 //!
 //! ```text
 //! <namespace>/header        { next_bundle, start_level }
-//! <namespace>/bundle/<id>   { id, manifest, state, autostart }
+//! <namespace>/bundle/<id>   { id, manifest, state, autostart, state_version }
 //! ```
 //!
-//! A restore reads the namespace once, through [`Rows::read`]: the header's
-//! two fields are parsed where the row lies, and each bundle row is copied,
-//! because the bundle keeps it. [`Rows::assemble`] then turns the copies
-//! into a [`Snapshot`], each manifest shared from a [`KnownManifests`] when
-//! the row's manifest equals the known manifest's row form, and parsed
-//! otherwise. The test-only `snapshot`/`parse_snapshot` keep the monolithic
-//! encoding alive as the equivalence oracle: assembling the rows must
-//! produce a byte-identical snapshot value.
+//! A restore reads the namespace once, through [`Rows::read`], which parses
+//! each row where it lies and keeps no copy of it: the header's two fields,
+//! and each bundle row's record, its manifest shared from a
+//! [`KnownManifests`] when the row's manifest equals the known manifest's
+//! row form, and parsed otherwise. [`Rows::assemble`] then orders the
+//! records into a [`Snapshot`]. The test-only `snapshot`/`parse_snapshot`
+//! keep the monolithic encoding alive as the equivalence oracle: assembling
+//! the rows must produce a byte-identical snapshot value.
 
 use crate::framework::Bundle;
 use crate::{BundleId, BundleManifest, BundleState, KnownManifests, Version};
@@ -125,8 +125,6 @@ pub struct BundleRecord {
     /// the state. Rows written before this field existed default to the
     /// manifest version.
     pub state_version: Version,
-    /// The row the record was parsed from, as the SAN holds it.
-    pub row: Value,
 }
 
 /// A parsed framework snapshot.
@@ -141,50 +139,59 @@ pub struct Snapshot {
 }
 
 /// A framework namespace as a restore reads it, row by row: the header's
-/// fields, parsed in place, and a copy of each bundle row with the id its
-/// key names. Any other row is passed over.
-#[derive(Debug, Default)]
-pub struct Rows {
+/// fields, and each bundle row's record with the id its key names, both
+/// parsed where the visitor lends the row, which is not copied. Any other
+/// row is passed over.
+pub struct Rows<'k> {
+    known: &'k dyn KnownManifests,
     header: Option<Result<(u64, u32), String>>,
-    bundles: Vec<(BundleId, Value)>,
+    /// The records read so far, or the first row that failed to parse.
+    bundles: Result<Vec<BundleRecord>, String>,
 }
 
-impl Rows {
+impl<'k> Rows<'k> {
+    /// Reads a namespace sharing each manifest `known` holds in the row's
+    /// form (see [`KnownManifests`]).
+    pub fn new(known: &'k dyn KnownManifests) -> Self {
+        Rows {
+            known,
+            header: None,
+            bundles: Ok(Vec::new()),
+        }
+    }
+
     /// Reads one row of the namespace.
     pub fn read(&mut self, key: &str, row: &Value) {
         if key == HEADER_KEY {
             self.header = Some(parse_header(row));
         } else if let Some(id) = parse_bundle_key(key) {
-            self.bundles.push((id, row.clone()));
+            let Ok(bundles) = &mut self.bundles else {
+                return;
+            };
+            match parse_bundle_record(row, self.known) {
+                Ok(record) if record.id == id => bundles.push(record),
+                Ok(record) => {
+                    let why = format!("row bundle/{} holds bundle id {}", id.0, record.id.0);
+                    self.bundles = Err(why);
+                }
+                Err(why) => self.bundles = Err(why),
+            }
         }
     }
 
-    /// Reassembles the [`Snapshot`] the rows read hold, sharing each
-    /// manifest `known` holds in the row's form. Returns `Ok(None)` when
-    /// no header row was read, that is no framework state at all.
+    /// Reassembles the [`Snapshot`] the rows read hold. Returns
+    /// `Ok(None)` when no header row was read, that is no framework state
+    /// at all.
     ///
     /// # Errors
     ///
     /// Returns a description of the first missing or malformed field.
-    pub fn assemble(self, known: &dyn KnownManifests) -> Result<Option<Snapshot>, String> {
+    pub fn assemble(self) -> Result<Option<Snapshot>, String> {
         let Some(header) = self.header else {
             return Ok(None);
         };
         let (next_bundle, start_level) = header?;
-        let mut bundles = self
-            .bundles
-            .into_iter()
-            .map(|(id, row)| {
-                let record = parse_bundle_record(row, known)?;
-                if record.id != id {
-                    return Err(format!(
-                        "row bundle/{} holds bundle id {}",
-                        id.0, record.id.0
-                    ));
-                }
-                Ok(record)
-            })
-            .collect::<Result<Vec<_>, String>>()?;
+        let mut bundles = self.bundles?;
         // Row keys sort lexicographically ("bundle/10" < "bundle/2"); the
         // snapshot contract is numeric id order.
         bundles.sort_unstable_by_key(|r| r.id);
@@ -221,38 +228,56 @@ pub fn header_row(next_bundle: u64, start_level: u32) -> Value {
 /// the monolithic `snapshot`, so row and oracle encodings agree. The
 /// framework builds one where a bundle's manifest is set, and keeps it.
 pub fn bundle_row(b: &Bundle) -> Value {
-    Value::map()
-        .with("id", b.id.0)
-        .with("manifest", b.manifest.to_value())
-        .with("state", b.state.as_str())
-        .with("autostart", b.autostart)
-        .with("state_version", b.state_version.to_string())
+    row_around(b, b.manifest.to_value())
 }
 
-/// Rewrites the lifecycle fields of `b`'s kept row — `state`, `autostart`
-/// and `state_version` — in place, each string into the buffer it already
-/// has, leaving the manifest as it is: the row then encodes as
-/// [`bundle_row`] would build it. A field a row read from the SAN lacks or
-/// holds in another type is written whole.
-pub(crate) fn refresh_row(b: &mut Bundle) {
+/// `b`'s row around `manifest`, its manifest's row form: one map, presized
+/// and filled in key order, whose `state` has room for every state name,
+/// so that no later [`refresh_row`] grows it.
+fn row_around(b: &Bundle, manifest: Value) -> Value {
+    const LONGEST_STATE: usize = "UNINSTALLED".len();
+    let mut state = String::with_capacity(LONGEST_STATE);
+    state.push_str(b.state.as_str());
+    let mut row = Map::with_capacity(5);
+    row.insert("autostart".into(), Value::Bool(b.autostart));
+    row.insert("id".into(), Value::from(b.id.0));
+    row.insert("manifest".into(), manifest);
+    row.insert("state".into(), Value::Str(state));
+    row.insert("state_version".into(), b.state_version.to_string().into());
+    Value::Map(row)
+}
+
+/// Brings `b`'s kept row up to its lifecycle fields — `state`, `autostart`
+/// and `state_version` — rewriting each string in place, in the buffer it
+/// already has, and leaving the manifest as it is: the row then encodes as
+/// [`bundle_row`] would build it. A restored bundle has no row until its
+/// first write, which builds [`bundle_row`]'s form around the row form
+/// `known` holds of the bundle's manifest, or around a fresh one.
+pub(crate) fn refresh_row(b: &mut Bundle, known: &dyn KnownManifests) {
+    if b.row.is_null() {
+        let form = known
+            .known(b.manifest.symbolic_name.as_str())
+            .filter(|(manifest, _)| Arc::ptr_eq(manifest, &b.manifest));
+        b.row = match form {
+            Some((_, form)) => row_around(b, form.clone()),
+            None => bundle_row(b),
+        };
+        return;
+    }
     let Value::Map(row) = &mut b.row else {
-        unreachable!("a bundle row is a map: built so, or parsed as one");
+        unreachable!("a bundle row is built as a map");
     };
     write_str(row, "state", b.state.as_str());
     row.insert("autostart".into(), Value::Bool(b.autostart));
     write_str(row, "state_version", b.state_version);
 }
 
-fn write_str(row: &mut Map, key: &'static str, text: impl fmt::Display) {
-    match row.get_mut(key) {
-        Some(Value::Str(s)) => {
-            s.clear();
-            write!(s, "{text}").expect("a String takes any text");
-        }
-        _ => {
-            row.insert(key.into(), Value::Str(text.to_string()));
-        }
-    }
+fn write_str(row: &mut Map, key: &str, text: impl fmt::Display) {
+    let Some(Value::Str(s)) = row.get_mut(key) else {
+        unreachable!("a bundle row is built with a string {key}");
+    };
+    s.clear();
+    write!(s, "{text}").expect("a String takes any text");
 }
 
 /// Serializes framework state into a single monolithic [`Value`].
@@ -284,7 +309,7 @@ fn manifest_of(row: &Value, known: &dyn KnownManifests) -> Result<Arc<BundleMani
     }
 }
 
-fn parse_bundle_record(row: Value, known: &dyn KnownManifests) -> Result<BundleRecord, String> {
+fn parse_bundle_record(row: &Value, known: &dyn KnownManifests) -> Result<BundleRecord, String> {
     let id = row
         .get("id")
         .and_then(Value::as_int)
@@ -315,7 +340,6 @@ fn parse_bundle_record(row: Value, known: &dyn KnownManifests) -> Result<BundleR
         state,
         autostart,
         state_version,
-        row,
     })
 }
 
@@ -341,7 +365,7 @@ pub(crate) fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
         .and_then(Value::as_list)
         .ok_or("snapshot missing bundles")?
         .iter()
-        .map(|row| parse_bundle_record(row.clone(), &()))
+        .map(|row| parse_bundle_record(row, &()))
         .collect::<Result<Vec<_>, _>>()?;
     Ok(Snapshot {
         next_bundle,
@@ -361,11 +385,11 @@ mod tests {
 
     /// What a restore assembles of a namespace listing, knowing no manifest.
     fn assemble(pairs: &[(String, Value)]) -> Result<Option<Snapshot>, String> {
-        let mut rows = Rows::default();
+        let mut rows = Rows::new(&());
         for (key, row) in pairs {
             rows.read(key, row);
         }
-        rows.assemble(&())
+        rows.assemble()
     }
 
     #[test]
