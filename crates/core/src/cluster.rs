@@ -618,7 +618,7 @@ impl DosgiCluster {
             }
         }
         for (i, slot) in self.slots.iter_mut().enumerate() {
-            for e in slot.node.take_events() {
+            for e in slot.node.drain_events() {
                 if let NodeEvent::Adopted { reason, .. } = &e {
                     match reason {
                         AdoptReason::Migration => self.metrics.migration_completed.incr(),

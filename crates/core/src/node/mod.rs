@@ -163,6 +163,9 @@ pub struct DosgiNode {
     // Where a tick drains its mail: empty between ticks, kept for its
     // capacity so a non-empty mailbox costs no allocation.
     inbox: Vec<Envelope<Wire>>,
+    // Where a tick takes the group endpoint's events, swapped with its
+    // queue: empty between ticks, kept for its capacity like the inbox.
+    gcs_events: Vec<GcsEvent<Arc<AppPayload>>>,
     store: SharedStore,
     adoptions: Tickets<Adoption>,
     upgrades: Tickets<BundleManifest>,
@@ -363,6 +366,7 @@ impl DosgiNode {
             restarted,
             wake_at: SimTime::ZERO,
             inbox: Vec::new(),
+            gcs_events: Vec::new(),
             store,
             adoptions: Tickets(Vec::new()),
             upgrades: Tickets(Vec::new()),
@@ -513,6 +517,12 @@ impl DosgiNode {
         std::mem::take(&mut self.events)
     }
 
+    /// Drains accumulated node events in place: the queue keeps its
+    /// buffer.
+    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, NodeEvent> {
+        self.events.drain(..)
+    }
+
     /// Number of accumulated (undrained) events. Long-running drivers use
     /// this to bound the buffer when nobody is collecting.
     pub fn events_len(&self) -> usize {
@@ -651,9 +661,13 @@ impl DosgiNode {
         phases.count_in(Phase::GcsTick, || self.gcs.tick(net, now));
         // Protocol events → migration/failover logic.
         phases.count_in(Phase::ApplyControl, || {
-            for event in self.gcs.take_events() {
+            // Lent out beside `&mut self`, then put back.
+            let mut events = std::mem::take(&mut self.gcs_events);
+            self.gcs.take_events(&mut events);
+            for event in events.drain(..) {
                 self.on_gcs_event(event, net, now);
             }
+            self.gcs_events = events;
             self.ask_first(net);
         });
         phases.count_in(Phase::Adopt, || self.process_pending_adoptions(net, now));

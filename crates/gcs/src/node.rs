@@ -45,6 +45,8 @@ pub struct GroupNode<A> {
     membership: Membership,
     stream: Stream<A>,
     events: Vec<GcsEvent<A>>,
+    /// The peers `tick` last believed alive, in a buffer it keeps.
+    alive: Vec<NodeId>,
     metrics: Metrics,
     // Where `handle` and `tick` count each machine's share; off unless a
     // profiling driver turns it on.
@@ -70,6 +72,7 @@ impl<A: Clone> GroupNode<A> {
             detector,
             membership: Membership::new(view.clone()),
             events: Vec::new(),
+            alive: Vec::new(),
             metrics: Metrics::default(),
             phases: Phases::disabled(),
         };
@@ -115,9 +118,16 @@ impl<A: Clone> GroupNode<A> {
         self.membership.view.coordinator() == Some(self.id)
     }
 
-    /// Drains accumulated events.
-    pub fn take_events(&mut self) -> Vec<GcsEvent<A>> {
-        std::mem::take(&mut self.events)
+    /// Moves the accumulated events onto the end of `into`. Into an empty
+    /// `into` this is a swap of buffers, so a caller that drains `into`
+    /// and hands it back each time keeps both buffers, and taking the
+    /// events allocates nothing once they are warm.
+    pub fn take_events(&mut self, into: &mut Vec<GcsEvent<A>>) {
+        if into.is_empty() {
+            std::mem::swap(&mut self.events, into);
+        } else {
+            into.append(&mut self.events);
+        }
     }
 
     /// True while events wait to be taken. A message this node sequences
@@ -226,9 +236,10 @@ impl<A: Clone> GroupNode<A> {
         // exactly the view there is nothing to agree on.
         let suspecting = phases.enter(Phase::GcsTickMembership);
         if !self.detector.alive_match(self.id, view, now) {
-            let alive: Vec<NodeId> = self.detector.alive(self.id, now).collect();
-            let counter = self.stream.seq.counter;
-            if let Some(view) = self.membership.propose(net, self.id, &alive, counter, now) {
+            self.alive.clear();
+            self.alive.extend(self.detector.alive(self.id, now));
+            let (alive, counter) = (&self.alive, self.stream.seq.counter);
+            if let Some(view) = self.membership.propose(net, self.id, alive, counter, now) {
                 self.install_view(view);
             }
         }
@@ -563,7 +574,9 @@ mod tests {
         }
 
         fn events(&mut self, i: usize) -> Vec<GcsEvent<u64>> {
-            self.nodes[i].take_events()
+            let mut events = Vec::new();
+            self.nodes[i].take_events(&mut events);
+            events
         }
 
         fn order(&mut self, i: usize, payload: u64) {

@@ -9,7 +9,7 @@ use crate::node::send_all;
 use crate::{GcsWire, View};
 use dosgi_net::{Fabric, NodeId, SimTime};
 use dosgi_telemetry::TraceContext;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// How many ordered messages a sequencer still retains for replay once
 /// every member of its view has acknowledged the whole stream: none. The
@@ -138,9 +138,10 @@ pub(crate) struct Sequencer<A> {
     /// its heartbeats still advertise it, and a member that has not yet
     /// learnt of the change compares its cursor to it.
     pub(crate) counter: u64,
-    /// The ordered messages some member may still need: everything above
-    /// `low_water`.
-    pub(crate) buffer: BTreeMap<u64, Sequenced<A>>,
+    /// The ordered messages some member may still need, everything above
+    /// `low_water`, oldest first: the last is `counter`'s. A queue that
+    /// keeps its buffer, so sequencing allocates nothing once it is warm.
+    pub(crate) buffer: VecDeque<Sequenced<A>>,
     /// Per origin, the newest request sequenced in this stream, `(inc,
     /// seq, gseq)`. An origin keeps one request outstanding, so a request
     /// not newer than this is a retry (or a stale copy): it is answered
@@ -162,7 +163,7 @@ impl<A: Clone> Sequencer<A> {
         acked.extend(members.iter().map(|m| (*m, base)));
         Sequencer {
             counter: base,
-            buffer: BTreeMap::new(),
+            buffer: VecDeque::new(),
             assigned: BTreeMap::new(),
             acked,
             low_water: base,
@@ -190,12 +191,12 @@ impl<A: Clone> Sequencer<A> {
                 self.counter += 1;
                 let gseq = self.counter;
                 self.assigned.insert(msg.origin, (msg.inc, msg.seq, gseq));
-                self.buffer.insert(gseq, msg.clone());
+                self.buffer.push_back(msg.clone());
                 self.publish_window(metrics);
                 (gseq, true)
             }
         };
-        if !self.buffer.contains_key(&gseq) {
+        if gseq < self.first_retained() {
             if msg.origin != me {
                 net.send(me, msg.origin, GcsWire::Ordered { gseq, msg });
             }
@@ -205,6 +206,12 @@ impl<A: Clone> Sequencer<A> {
         let announce = GcsWire::Ordered { gseq, msg: copy };
         send_all(net, me, &view.members, &announce);
         fresh.then_some((gseq, msg))
+    }
+
+    /// The `gseq` of the oldest retained message (`counter + 1` when none
+    /// is).
+    fn first_retained(&self) -> u64 {
+        self.counter + 1 - self.buffer.len() as u64
     }
 
     /// Notes `member`'s acknowledged cursor.
@@ -227,18 +234,15 @@ impl<A: Clone> Sequencer<A> {
 
     /// Forgets every ordered message all of `view`'s other members have
     /// acknowledged (a member not heard from yet holds the mark at 0), in
-    /// place: the replay buffer keeps its tree.
+    /// place: the replay buffer keeps its capacity.
     pub fn truncate(&mut self, me: NodeId, view: &View, metrics: &Metrics) {
         let acked = |m: &NodeId| self.acked.get(m).copied().unwrap_or(0);
         let others = view.members.iter().filter(|m| **m != me);
         let low_water = others.map(acked).min().unwrap_or(self.counter);
         if low_water > self.low_water {
             self.low_water = low_water;
-            while let Some(acknowledged) = self.buffer.first_entry() {
-                if *acknowledged.key() > low_water {
-                    break;
-                }
-                acknowledged.remove();
+            while !self.buffer.is_empty() && self.first_retained() <= low_water {
+                self.buffer.pop_front();
             }
             self.publish_window(metrics);
         }
@@ -284,7 +288,9 @@ impl<A: Clone> Sequencer<A> {
             net.send(me, to, GcsWire::OrderedRebase { base });
             from_gseq = base + 1;
         }
-        for (&gseq, msg) in self.buffer.range(from_gseq..) {
+        let first = self.first_retained();
+        let skipped = from_gseq.saturating_sub(first);
+        for (gseq, msg) in (first..).zip(&self.buffer).skip(skipped as usize) {
             metrics.antientropy_replayed.incr();
             let msg = msg.clone();
             net.send(me, to, GcsWire::Ordered { gseq, msg });
