@@ -9,6 +9,12 @@
 # The workload `all` runs every workload of BENCHMARK.json in its order, each
 # as if named alone: a table (and a recorded row) per workload.
 #
+# Once per invocation, after the pairs, each side's perf_guard bin is built
+# and run, and both of its phase tables — a failover round's and a migrate
+# op's calls and allocations per phase — are printed as one parent -> change
+# table each, the rows that moved marked. The counts are exact: one run a
+# side says all there is.
+#
 # The parent (`git archive`) and the working tree are unpacked side by side
 # under target/bench_pairs/, with the time of unpacking rather than their own,
 # so that a build left by an earlier parent is not reused; each side is built
@@ -48,11 +54,10 @@ parent_ref="$1" workload="$2" first_seed="${3:-1}" pairs="${4:-10}"
 
 cd "$(dirname "$0")/.."
 if [[ $workload == all ]]; then
-    for w in $(awk '/^  "/ { listed = /"workloads"/ }
-        listed && sub(/.*"name": *"/, "") { sub(/".*/, ""); print }' BENCHMARK.json); do
-        scripts/bench_pairs.sh ${record:+--record "$record"} "$parent_ref" "$w" "$first_seed" "$pairs"
-    done
-    exit
+    workloads=$(awk '/^  "/ { listed = /"workloads"/ }
+        listed && sub(/.*"name": *"/, "") { sub(/".*/, ""); print }' BENCHMARK.json)
+else
+    workloads=$workload
 fi
 work="$PWD/target/bench_pairs"
 rm -rf "$work/parent-src" "$work/change-src"
@@ -65,8 +70,9 @@ git ls-files -z -co --exclude-standard | while IFS= read -r -d '' f; do
     if [[ -e $f ]]; then printf '%s\0' "$f"; fi
 done | tar --null -T - -cf - | tar -x -m -C "$work/change-src"
 
-# side <parent|change> <seed>: one run; on stdout the calibration kernel's p50
-# (from the run's heading), then its last line (the result).
+# side <parent|change> <seed>: one run of $workload; on stdout the
+# calibration kernel's p50 (from the run's heading), then its last line (the
+# result).
 side() {
     local out
     out="$(CARGO_TARGET_DIR="$work/$1" "$work/$1-src/benchmark/run.sh" \
@@ -75,96 +81,144 @@ side() {
     echo "$(sed -n '1s/.*calibration kernel.* p50 \([0-9.]*\) us.*/\1/p' <<<"$out") $(tail -n 1 <<<"$out")"
 }
 
-: >"$work/out/${workload}_parent.txt"
-: >"$work/out/${workload}_change.txt"
-results="$work/out/${workload}_pairs.txt"
-: >"$results"
-for ((i = 0; i < pairs; i++)); do
-    seed=$((first_seed + i))
-    order=(parent change)
-    ((i % 2)) && order=(change parent)
-    for s in "${order[@]}"; do
-        result="$(side "$s" "$seed")"
-        echo "$s $seed $result" >>"$results"
-        echo "pair $((i + 1))/$pairs, seed $seed: $s done" >&2
+# Per workload: its pairs, its table and, with --record, its row. A run
+# that reports a failed or incorrect op stops the script.
+for workload in $workloads; do
+    : >"$work/out/${workload}_parent.txt"
+    : >"$work/out/${workload}_change.txt"
+    results="$work/out/${workload}_pairs.txt"
+    : >"$results"
+    for ((i = 0; i < pairs; i++)); do
+        seed=$((first_seed + i))
+        order=(parent change)
+        ((i % 2)) && order=(change parent)
+        for s in "${order[@]}"; do
+            result="$(side "$s" "$seed")"
+            echo "$s $seed $result" >>"$results"
+            echo "pair $((i + 1))/$pairs, seed $seed: $s done" >&2
+        done
     done
+
+    row="$work/out/${workload}_row.json"
+    awk -v workload="$workload" -v row="$row" -v pr="$record" -v first_seed="$first_seed" \
+        -v parent="$(git rev-parse --short "$parent_ref")" '
+    # Which way is better, and which metrics are exact, from the "end_to_end"
+    # list of BENCHMARK.json.
+    FILENAME == ARGV[1] {
+        if (/^  "/) listed = /"end_to_end"/
+        if (!listed) next
+        if (match($0, /"name": *"[^"]*"/)) { name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name) }
+        if (match($0, /"unit": *"[^"]*"/)) { u = $0; sub(/.*"unit": *"/, "", u); sub(/".*/, "", u); unit[name] = u }
+        if (match($0, /"better": *"[^"]*"/)) {
+            b = $0; sub(/.*"better": *"/, "", b); sub(/".*/, "", b)
+            better[name] = b; metrics[++n_metrics] = name
+        }
+        next
+    }
+    {
+        side = $1; seed = $2; value[side, "cal", seed] = $3
+        if ($0 !~ /"correct": true/ || $0 !~ /"failed": 0[,}]/) { bad = bad "  " side " on seed " seed "\n" }
+        if (!(seed in seen)) { seen[seed] = 1; n_pairs++ }
+        for (m = 1; m <= n_metrics; m++) {
+            v = $0
+            if (!sub(".*\"" metrics[m] "\": *\\{\"value\": *", "", v)) { bad = bad "  " side " on seed " seed " printed no " metrics[m] "\n"; continue }
+            sub(/[,}].*/, "", v)
+            value[side, metrics[m], seed] = v + 0
+        }
+    }
+    function quartiles(side, metric,    n, i, j, t, x, p, k, s) {
+        n = 0
+        for (s in seen) x[++n] = value[side, metric, s]
+        for (i = 2; i <= n; i++) { t = x[i]; for (j = i - 1; j >= 1 && x[j] > t; j--) x[j + 1] = x[j]; x[j + 1] = t }
+        for (k = 1; k <= 3; k++) {
+            p = k * (n + 1) / 4; i = int(p)
+            if (i < 1) q[k] = x[1]; else if (i >= n) q[k] = x[n]; else q[k] = x[i] + (p - i) * (x[i + 1] - x[i])
+        }
+    }
+    END {
+        printf "%s: %d pairs, parent -> change\n", workload, n_pairs
+        for (m = 1; m <= n_metrics; m++) {
+            name = metrics[m]; lower = better[name] == "lower"
+            below = above = 0
+            for (s in seen) {
+                d = value["change", name, s] - value["parent", name, s]
+                below += d < 0; above += d > 0
+            }
+            won = lower ? below : above; lost = lower ? above : below
+            quartiles("parent", name); p1 = q[1]; p2 = q[2]; p3 = q[3]
+            quartiles("change", name)
+            if (unit[name] ~ /^(s|us|1\/s|MiB)$/) {
+                gap = q[2] - p2; if (lower) gap = -gap
+                timed = timed sprintf("%s\"%s\": {\"parent\": [%.6g, %.6g, %.6g], \"change\": [%.6g, %.6g, %.6g], \"won\": %d, \"lost\": %d}", \
+                    timed == "" ? "" : ", ", name, p1, p2, p3, q[1], q[2], q[3], won, lost)
+                printf "  %-17s %.6g [%.6g, %.6g] -> %.6g [%.6g, %.6g] %s; parent quartile distance %.3g; change better on %d, worse on %d of %d%s\n", \
+                    name, p2, p1, p3, q[2], q[1], q[3], unit[name], p3 - p1, won, lost, n_pairs, \
+                    (n_pairs >= 10 && won * 10 >= n_pairs * 9 && gap > p3 - p1) ? "  (a gain by the rule)" : ""
+            } else {
+                verdict = !(below + above) ? "equal on every pair" : !above ? "lower" : !below ? "higher" : "lower on some pairs, higher on others"
+                printf "  %-17s exact: %s (medians %.6g -> %.6g %s)\n", name, verdict, p2, q[2], unit[name]
+                exact = exact sprintf("%s\"%s\": [%.6g, %.6g]", exact == "" ? "" : ", ", name, p2, q[2])
+            }
+        }
+        quartiles("parent", "cal"); p2 = q[2]; quartiles("change", "cal")
+        printf("{\"pr\": %d, \"parent\": \"%s\", \"workload\": \"%s\", \"seeds\": [%d, %d], \"pairs\": %d, \"timed\": {%s}, \"exact\": {%s}, \"cal.kernel_us_p50\": [%.6g, %.6g]}\n", \
+            pr, parent, workload, first_seed, first_seed + n_pairs - 1, n_pairs, timed, exact, p2, q[2]) >row
+        if (bad != "") { printf "FAILED or incorrect ops:\n%s", bad; exit 1 }
+    }' BENCHMARK.json "$results"
+
+    # The trajectory file is a JSON array, one row per line: the new row goes
+    # before the closing bracket.
+    if [[ -n $record ]]; then
+        history=BENCH_HISTORY.json
+        [[ -s $history ]] || printf '[\n]\n' >"$history"
+        sed -i '$d' "$history"
+        sed -i '$s/}$/},/' "$history"
+        cat "$row" >>"$history"
+        echo ']' >>"$history"
+        echo "recorded in $history" >&2
+    fi
 done
 
-row="$work/out/${workload}_row.json"
-awk -v workload="$workload" -v row="$row" -v pr="$record" -v first_seed="$first_seed" \
-    -v parent="$(git rev-parse --short "$parent_ref")" '
-# Which way is better, and which metrics are exact, from the "end_to_end"
-# list of BENCHMARK.json.
-FILENAME == ARGV[1] {
-    if (/^  "/) listed = /"end_to_end"/
-    if (!listed) next
-    if (match($0, /"name": *"[^"]*"/)) { name = $0; sub(/.*"name": *"/, "", name); sub(/".*/, "", name) }
-    if (match($0, /"unit": *"[^"]*"/)) { u = $0; sub(/.*"unit": *"/, "", u); sub(/".*/, "", u); unit[name] = u }
-    if (match($0, /"better": *"[^"]*"/)) {
-        b = $0; sub(/.*"better": *"/, "", b); sub(/".*/, "", b)
-        better[name] = b; metrics[++n_metrics] = name
+# Both sides' perf_guard phase tables, row by row. perf_guard exits non-zero
+# on a row broken on its own terms; its tables are printed either way.
+for s in parent change; do
+    (cd "$work/$s-src" && CARGO_TARGET_DIR="$work/$s" \
+        cargo run -q --offline --release -p dosgi-bench --bin perf_guard 2>/dev/null) \
+        >"$work/out/perf_guard_$s.txt" || echo "perf_guard failed on the $s side" >&2
+done
+awk '
+FNR == 1 { side = FILENAME == ARGV[1] ? "parent" : "change"; table = "" }
+/^## / {
+    table = ""
+    if (/^## perf_guard .*phases/) {
+        table = $0; sub(/^## perf_guard /, "", table)
+        if (!(table in known)) { known[table] = 1; tables[++n_tables] = table }
     }
     next
 }
-{
-    side = $1; seed = $2; value[side, "cal", seed] = $3
-    if ($0 !~ /"correct": true/ || $0 !~ /"failed": 0[,}]/) { bad = bad "  " side " on seed " seed "\n" }
-    if (!(seed in seen)) { seen[seed] = 1; n_pairs++ }
-    for (m = 1; m <= n_metrics; m++) {
-        v = $0
-        if (!sub(".*\"" metrics[m] "\": *\\{\"value\": *", "", v)) { bad = bad "  " side " on seed " seed " printed no " metrics[m] "\n"; continue }
-        sub(/[,}].*/, "", v)
-        value[side, metrics[m], seed] = v + 0
-    }
-}
-function quartiles(side, metric,    n, i, j, t, x, p, k, s) {
-    n = 0
-    for (s in seen) x[++n] = value[side, metric, s]
-    for (i = 2; i <= n; i++) { t = x[i]; for (j = i - 1; j >= 1 && x[j] > t; j--) x[j + 1] = x[j]; x[j + 1] = t }
-    for (k = 1; k <= 3; k++) {
-        p = k * (n + 1) / 4; i = int(p)
-        if (i < 1) q[k] = x[1]; else if (i >= n) q[k] = x[n]; else q[k] = x[i] + (p - i) * (x[i + 1] - x[i])
-    }
+table != "" && /^\|/ {
+    n = split($0, cell, "|")
+    for (i = 2; i < n; i++) gsub(/^ +| +$/, "", cell[i])
+    if (cell[2] == "phase") { head[table] = sprintf("| %-21s | %-27s | %-27s | moved |", "phase", cell[3], cell[4]); next }
+    if (cell[2] ~ /^-+$/) next
+    if (!((table, cell[2]) in listed)) { listed[table, cell[2]] = 1; rows[table, ++n_rows[table]] = cell[2] }
+    calls[side, table, cell[2]] = cell[3]; allocs[side, table, cell[2]] = cell[4]
 }
 END {
-    printf "%s: %d pairs, parent -> change\n", workload, n_pairs
-    for (m = 1; m <= n_metrics; m++) {
-        name = metrics[m]; lower = better[name] == "lower"
-        below = above = 0
-        for (s in seen) {
-            d = value["change", name, s] - value["parent", name, s]
-            below += d < 0; above += d > 0
-        }
-        won = lower ? below : above; lost = lower ? above : below
-        quartiles("parent", name); p1 = q[1]; p2 = q[2]; p3 = q[3]
-        quartiles("change", name)
-        if (unit[name] ~ /^(s|us|1\/s|MiB)$/) {
-            gap = q[2] - p2; if (lower) gap = -gap
-            timed = timed sprintf("%s\"%s\": {\"parent\": [%.6g, %.6g, %.6g], \"change\": [%.6g, %.6g, %.6g], \"won\": %d, \"lost\": %d}", \
-                timed == "" ? "" : ", ", name, p1, p2, p3, q[1], q[2], q[3], won, lost)
-            printf "  %-17s %.6g [%.6g, %.6g] -> %.6g [%.6g, %.6g] %s; parent quartile distance %.3g; change better on %d, worse on %d of %d%s\n", \
-                name, p2, p1, p3, q[2], q[1], q[3], unit[name], p3 - p1, won, lost, n_pairs, \
-                (n_pairs >= 10 && won * 10 >= n_pairs * 9 && gap > p3 - p1) ? "  (a gain by the rule)" : ""
-        } else {
-            verdict = !(below + above) ? "equal on every pair" : !above ? "lower" : !below ? "higher" : "lower on some pairs, higher on others"
-            printf "  %-17s exact: %s (medians %.6g -> %.6g %s)\n", name, verdict, p2, q[2], unit[name]
-            exact = exact sprintf("%s\"%s\": [%.6g, %.6g]", exact == "" ? "" : ", ", name, p2, q[2])
+    for (t = 1; t <= n_tables; t++) {
+        table = tables[t]
+        printf "\n%s, parent -> change\n\n%s\n", table, head[table]
+        printf "| --------------------- | --------------------------- | --------------------------- | ----- |\n"
+        for (i = 1; i <= n_rows[table]; i++) {
+            r = rows[table, i]
+            for (k = 1; k <= 2; k++) {
+                what = k == 1 ? "calls" : "allocs"
+                was = k == 1 ? calls["parent", table, r] : allocs["parent", table, r]
+                now = k == 1 ? calls["change", table, r] : allocs["change", table, r]
+                cellof[k] = (was == "" ? "-" : was) " -> " (now == "" ? "-" : now)
+                moved[k] = was != now
+            }
+            printf "| %-21s | %-27s | %-27s | %-5s |\n", r, cellof[1], cellof[2], (moved[1] || moved[2]) ? "yes" : ""
         }
     }
-    quartiles("parent", "cal"); p2 = q[2]; quartiles("change", "cal")
-    printf("{\"pr\": %d, \"parent\": \"%s\", \"workload\": \"%s\", \"seeds\": [%d, %d], \"pairs\": %d, \"timed\": {%s}, \"exact\": {%s}, \"cal.kernel_us_p50\": [%.6g, %.6g]}\n", \
-        pr, parent, workload, first_seed, first_seed + n_pairs - 1, n_pairs, timed, exact, p2, q[2]) >row
-    if (bad != "") { printf "FAILED or incorrect ops:\n%s", bad; exit 1 }
-}' BENCHMARK.json "$results"
-
-# The trajectory file is a JSON array, one row per line: the new row goes
-# before the closing bracket.
-if [[ -n $record ]]; then
-    history=BENCH_HISTORY.json
-    [[ -s $history ]] || printf '[\n]\n' >"$history"
-    sed -i '$d' "$history"
-    sed -i '$s/}$/},/' "$history"
-    cat "$row" >>"$history"
-    echo ']' >>"$history"
-    echo "recorded in $history" >&2
-fi
+}' "$work/out/perf_guard_parent.txt" "$work/out/perf_guard_change.txt"
