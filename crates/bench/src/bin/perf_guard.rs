@@ -11,7 +11,7 @@
 //! |---|---|---|---|---|
 //! | `migrate_reads` | one benchmark-shaped `migrate` round (incr → migrate → adopted → incr) of a counter whose data area holds 64, then 256, 1 KiB rows it never reads | SAN rows and bytes read | the two areas differ, or more than 4 rows are read: what an adoption reads is what its calls ask for, not the area | (3, 250) beside both areas |
 //! | `handoff` | the two ends of a hand-off at the instance manager: a one-bundle persist-on-stop counter beside 4, then 1 024, 1 KiB rows it never reads, released (stop + destroy keeping its state) and adopted | SAN operations and rows written by each end, rows read by the adoption: 1 area flush + 1 `put_many` to release, 1 `read_namespace` + 1 area read + 1 `put_many` to adopt | the two areas differ, or an end takes more operations than that | [2, 2, 3, 1, 3] beside 4 and 1 024 rows |
-//! | `boot` | a node's host boot at the SAN: a first boot over an empty namespace, then the same node restarted over what it wrote | SAN operations, rows and bytes written by the first boot; operations, rows read, rows written and bytes read by the restart | the restart writes a row (a restart is a restore), or the first boot takes more than one operation (its snapshot is one batch) | [1, 4, 699] / [2, 4, 0, 699] |
+//! | `boot` | a node's host boot at the SAN: a first boot over an empty namespace, then the same node restarted over what it wrote | SAN operations, rows and bytes written by the first boot; operations, rows read, rows written and bytes read by the restart | the restart writes a row (a restart is a restore), or the first boot takes more than one operation (its snapshot is one batch) | [1, 4, 699] / [1, 4, 0, 699] |
 //! | `admission` | E15 admission hot path: one backend at 2 000/s, 64-deep queue, 2× open-loop Poisson load, class mix, 10 simulated seconds | requests offered, completed and shed | — | 40 244 / 19 990 / 20 200 |
 //! | `failover_rounds` | 40 crash → adopt → restart → rejoin rounds, node 0 (the sequencer) never restarted | ordered deliveries, registry operations and messages sent per round | round 40 costs anything but what round 5 cost (a rejoin that replays history, or a sequencer that stops truncating, grows them with the cluster's age) | [17, 17, 1 130] at rounds 5 and 40 |
 //! | `control_work` | the `migrate` cycle and the `failover` rounds of the two phase tables below, each on a cluster of its own | spans opened (closed, open and dropped events of `DosgiCluster::trace_log`), ordered messages sent (`gcs.order.sent`) and adoptions (`core.migration.completed` + `core.failover.adoptions`), per `migrate` op and per `failover` round: the units a control-plane name rides in | — | [5, 2, 1] / [19, 11.5, 9.5] |
