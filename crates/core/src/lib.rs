@@ -63,7 +63,6 @@ mod node;
 pub mod placement;
 mod registry;
 pub mod replication;
-pub mod rt;
 mod sla;
 pub mod upgrade;
 pub mod watch;
@@ -77,6 +76,5 @@ pub use events::{AdoptReason, NodeEvent};
 pub use msg::AppPayload;
 pub use node::{DosgiNode, NodeConfig, NodeState, Wire, START_COST_PER_BUNDLE};
 pub use registry::{ClusterRegistry, InstanceRecord, InstanceStatus};
-pub use rt::RealCluster;
 pub use sla::{SlaSpec, SlaTracker};
 pub use upgrade::{NoTrafficHooks, UpgradeWave, WaveHooks, WaveReport, WaveUpgrade};

@@ -505,28 +505,10 @@ impl DosgiNode {
         self.gcs.view()
     }
 
-    /// Debug visibility into the GCS endpoint: pending (unsequenced)
-    /// ordered messages.
-    #[doc(hidden)]
-    pub fn gcs_pending(&self) -> usize {
-        self.gcs.pending_orders()
-    }
-
-    /// Drains accumulated node events.
-    pub fn take_events(&mut self) -> Vec<NodeEvent> {
-        std::mem::take(&mut self.events)
-    }
-
     /// Drains accumulated node events in place: the queue keeps its
     /// buffer.
     pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, NodeEvent> {
         self.events.drain(..)
-    }
-
-    /// Number of accumulated (undrained) events. Long-running drivers use
-    /// this to bound the buffer when nobody is collecting.
-    pub fn events_len(&self) -> usize {
-        self.events.len()
     }
 
     /// True if the instance is running locally.
@@ -639,10 +621,10 @@ impl DosgiNode {
     // ------------------------------------------------------------------
 
     /// Processes incoming messages, runs the failure detector, samples
-    /// usage and evaluates policies. The driver — the simulator's step or a
-    /// real-clock worker loop — calls this as often as it likes; a call
-    /// that finds no mail before the wake deadline returns at once, and is
-    /// one that would have done nothing.
+    /// usage and evaluates policies. The driver — the simulator's step —
+    /// calls this as often as it likes; a call that finds no mail before
+    /// the wake deadline returns at once, and is one that would have done
+    /// nothing.
     pub fn tick(&mut self, net: &mut impl Fabric<Wire>, now: SimTime) {
         if matches!(self.state, NodeState::Hibernated | NodeState::Stopped) {
             return;

@@ -1,15 +1,12 @@
-//! The message-fabric trait both runtime backends implement.
+//! The message-fabric trait the upper layers code against.
 //!
 //! Upper layers (GCS, the dosgi core node) only ever need three things from
 //! the network: the current time, a way to send a payload, and a way to
 //! drain their mailbox. [`Fabric`] captures exactly that surface, and the
 //! deterministic simulator implements it from its inherent
-//! [`SimNet`](crate::SimNet) methods — no behavioral change, which is what
-//! keeps the chaos-sweep fingerprints byte-identical across the refactor.
-//!
-//! The second implementor is [`RealEndpoint`](crate::RealEndpoint): a
-//! per-node handle onto a real multi-threaded runtime where `now` reads a
-//! monotonic clock and `send`/`drain` ride `std::sync::mpsc` channels.
+//! [`SimNet`](crate::SimNet) methods. The simulator is the one runtime;
+//! the trait is the seam a test fabric (one that loses chosen messages,
+//! say) plugs into instead.
 
 use crate::{Envelope, NodeId, SimTime};
 
@@ -27,11 +24,9 @@ use crate::{Envelope, NodeId, SimTime};
 ///   buffer is the caller's to keep, so a node that drains every tick
 ///   allocates for its mail once, not once per non-empty mailbox.
 ///
-/// The deterministic backend ([`SimNet`](crate::SimNet)) additionally
-/// guarantees that with a fixed seed the exact same interleaving of
-/// deliveries and drops is produced on every run. The
-/// real-clock backend makes no such promise — interleaving is whatever the
-/// OS scheduler does.
+/// The simulator ([`SimNet`](crate::SimNet)) additionally guarantees that
+/// with a fixed seed the exact same interleaving of deliveries and drops
+/// is produced on every run.
 pub trait Fabric<M> {
     /// The current instant on this backend's clock.
     fn now(&self) -> SimTime;
@@ -54,20 +49,6 @@ impl<M> Fabric<M> for crate::SimNet<M> {
 
     fn drain(&mut self, node: NodeId, into: &mut Vec<Envelope<M>>) {
         into.extend(std::iter::from_fn(|| self.recv(node)));
-    }
-}
-
-impl<M, F: Fabric<M> + ?Sized> Fabric<M> for &mut F {
-    fn now(&self) -> SimTime {
-        (**self).now()
-    }
-
-    fn send(&mut self, from: NodeId, to: NodeId, payload: M) {
-        (**self).send(from, to, payload);
-    }
-
-    fn drain(&mut self, node: NodeId, into: &mut Vec<Envelope<M>>) {
-        (**self).drain(node, into);
     }
 }
 
@@ -101,16 +82,5 @@ mod tests {
         Fabric::drain(&mut n, b, &mut got);
         let got: Vec<u32> = got.into_iter().map(|e| e.payload).collect();
         assert_eq!(got, vec![41, 42, 43]);
-    }
-
-    #[test]
-    fn mut_refs_forward() {
-        let mut n: SimNet<u32> = SimNet::new(LinkConfig::ideal(), 1);
-        let a = n.register_node();
-        let b = n.register_node();
-        let r = &mut n;
-        Fabric::send(&mut { r }, a, b, 7);
-        n.advance(SimDuration::from_millis(1));
-        assert_eq!(n.recv(b).unwrap().payload, 7);
     }
 }

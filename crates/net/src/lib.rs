@@ -20,12 +20,9 @@
 //! * delivery statistics and a seeded RNG so that every experiment
 //!   is exactly reproducible.
 //!
-//! Since PR 9 the crate also hosts the **runtime-backend abstraction**: the
-//! [`Fabric`] trait (clock + send + drain) that every upper layer codes
-//! against, with two implementations — the deterministic [`SimNet`] above,
-//! and a real-clock, really-concurrent backend ([`RealNet`] /
-//! [`RealEndpoint`], one `std::thread` per node over `mpsc` channels,
-//! timestamps from a shared monotonic [`RealClock`]). See DESIGN.md §10.
+//! Upper layers code against the [`Fabric`] trait (clock + send + drain),
+//! not against [`SimNet`] itself, so a test can put its own fabric under a
+//! node. See DESIGN.md §10.
 //!
 //! # Example
 //!
@@ -43,22 +40,18 @@
 //! ```
 
 mod addr;
-mod clock;
 mod config;
 mod fabric;
 mod id;
-mod rt;
 mod sim;
 mod stats;
 mod time;
 mod topology;
 
 pub use addr::{BindError, IpAddr, IpBindings, Port, SocketAddr};
-pub use clock::RealClock;
 pub use config::LinkConfig;
 pub use fabric::Fabric;
 pub use id::NodeId;
-pub use rt::{RealEndpoint, RealNet};
 pub use sim::{Envelope, SimNet};
 pub use stats::NetStats;
 pub use time::{SimDuration, SimTime};
