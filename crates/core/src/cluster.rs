@@ -689,10 +689,10 @@ impl DosgiCluster {
 
     /// Node `idx`'s current health: a dead node is `Critical` outright;
     /// otherwise alert state (cluster-scoped SLO alerts degrade every
-    /// serving node), quarantined instances homed here, and queue
-    /// pressure feed [`dosgi_telemetry::derive_health`]. Hibernated and
-    /// stopped nodes serve nothing by design, so their indicators are
-    /// naturally quiet and they report `Ok`.
+    /// serving node) and quarantined instances homed here feed
+    /// [`dosgi_telemetry::derive_health`]. Hibernated and stopped nodes
+    /// serve nothing by design, so their indicators are naturally quiet
+    /// and they report `Ok`.
     pub fn health_of(&self, idx: usize) -> HealthState {
         let Some(slot) = self.slots.get(idx) else {
             return HealthState::Critical;
@@ -713,7 +713,7 @@ impl DosgiCluster {
         // when no running node can be consulted).
         let quarantined = Self::reference_registry(&self.slots)
             .map_or(0, |r| r.quarantined_on(NodeId(idx as u32)).count());
-        dosgi_telemetry::derive_health(alerts, quarantined, 0)
+        dosgi_telemetry::derive_health(alerts, quarantined)
     }
 
     /// Publishes the scoreboard as `core.health.n<i>` gauges

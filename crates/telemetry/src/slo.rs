@@ -21,9 +21,8 @@
 //! is integer arithmetic over sim-time samples — byte-deterministic on
 //! replay.
 //!
-//! [`HealthState`] rolls alerts, quarantine, and queue pressure into the
-//! per-node ok/degraded/critical scoreboard exported by the sim driver
-//! and `RealCluster`'s command plane.
+//! [`HealthState`] rolls alerts and quarantine into the per-node
+//! ok/degraded/critical scoreboard the driver exports.
 
 use crate::Telemetry;
 use std::collections::VecDeque;
@@ -320,19 +319,14 @@ impl std::fmt::Display for HealthState {
     }
 }
 
-/// Queue-pressure percentage above which a node counts as pressured.
-pub const QUEUE_PRESSURE_PCT: u64 = 80;
-
 /// Derive a node's [`HealthState`] from its observable indicators:
-/// `alerts_firing` SLO alerts scoped to the node, `quarantined`
-/// instances homed on it, and its deepest queue at `queue_pct` percent
-/// of capacity. A dead node is `Critical` by definition — callers
-/// short-circuit that case before consulting the indicators.
-pub fn derive_health(alerts_firing: usize, quarantined: usize, queue_pct: u64) -> HealthState {
-    let pressured = queue_pct >= QUEUE_PRESSURE_PCT;
-    if quarantined > 0 || (alerts_firing > 0 && pressured) {
+/// `alerts_firing` SLO alerts scoped to the node and `quarantined`
+/// instances homed on it. A dead node is `Critical` by definition —
+/// callers short-circuit that case before consulting the indicators.
+pub fn derive_health(alerts_firing: usize, quarantined: usize) -> HealthState {
+    if quarantined > 0 {
         HealthState::Critical
-    } else if alerts_firing > 0 || pressured {
+    } else if alerts_firing > 0 {
         HealthState::Degraded
     } else {
         HealthState::Ok
@@ -490,12 +484,9 @@ mod tests {
 
     #[test]
     fn health_derivation_matrix() {
-        assert_eq!(derive_health(0, 0, 0), HealthState::Ok);
-        assert_eq!(derive_health(0, 0, 79), HealthState::Ok);
-        assert_eq!(derive_health(1, 0, 0), HealthState::Degraded);
-        assert_eq!(derive_health(0, 0, 80), HealthState::Degraded);
-        assert_eq!(derive_health(1, 0, 80), HealthState::Critical);
-        assert_eq!(derive_health(0, 1, 0), HealthState::Critical);
+        assert_eq!(derive_health(0, 0), HealthState::Ok);
+        assert_eq!(derive_health(1, 0), HealthState::Degraded);
+        assert_eq!(derive_health(0, 1), HealthState::Critical);
         assert!(HealthState::Ok < HealthState::Degraded);
         assert!(HealthState::Degraded < HealthState::Critical);
         assert_eq!(HealthState::Critical.as_gauge(), 2);
