@@ -13,8 +13,8 @@ pub enum NodeEvent {
     ViewChanged {
         /// When.
         at: SimTime,
-        /// Members now.
-        members: Vec<NodeId>,
+        /// Members now: the installed view's list, shared.
+        members: Arc<[NodeId]>,
         /// Who left (crash or graceful departure).
         left: Vec<NodeId>,
     },

@@ -98,7 +98,7 @@ impl Detector {
         // A member counts as alive up to and including `suspect_timeout` of
         // silence (every member has been heard, or it would not be alive).
         let suspect_after = self.config.suspect_timeout() + SimDuration::from_micros(1);
-        for m in &view.members {
+        for m in view.members.iter() {
             if let Some(&heard) = self.last_heard.get(m).filter(|_| *m != me) {
                 at = at.min(heard + suspect_after);
             }

@@ -61,7 +61,7 @@ impl Membership {
         // An open proposal of the same members is re-sent once its
         // interval has passed; any other is superseded at once.
         let mut open = match &self.proposal {
-            Some(p) if p.view.members == alive => Some(p.last_sent),
+            Some(p) if *p.view.members == *alive => Some(p.last_sent),
             _ => None,
         };
         if due(&mut open, PROPOSE_RESEND, now) {
@@ -77,7 +77,7 @@ impl Membership {
             // and joiners must skip its history; a freshly elected
             // coordinator starts a new stream at zero.
             let proposer = me;
-            let view = View::new(ViewId { epoch, proposer }, alive.to_vec());
+            let view = View::new(ViewId { epoch, proposer }, alive);
             let view = view.with_stream_base(self.position(me, counter));
             let acks = BTreeSet::from([me]);
             let msg = GcsWire::ViewPropose(view.clone());

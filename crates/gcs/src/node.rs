@@ -64,7 +64,7 @@ impl<A: Clone> GroupNode<A> {
     /// Panics if `peers` does not contain `id`.
     pub fn new(id: NodeId, peers: Vec<NodeId>, config: GcsConfig, now: SimTime) -> Self {
         assert!(peers.contains(&id), "peers must include the local node");
-        let view = View::new(ViewId::default(), peers.clone());
+        let view = View::new(ViewId::default(), &peers);
         let detector = Detector::new(peers, config, now);
         let mut node = GroupNode {
             id,
@@ -76,7 +76,7 @@ impl<A: Clone> GroupNode<A> {
             metrics: Metrics::default(),
             phases: Phases::disabled(),
         };
-        let joined = view.members.clone();
+        let joined = view.members.to_vec();
         node.events.push(GcsEvent::ViewChange {
             view,
             joined,
@@ -634,7 +634,7 @@ mod tests {
         for i in 0..2 {
             let events = c.events(i);
             let v = last_view(&events).expect("view after crash");
-            assert_eq!(v.members, vec![NodeId(0), NodeId(1)]);
+            assert_eq!(*v.members, [NodeId(0), NodeId(1)]);
             // The ViewChange reports who left.
             let left: Vec<NodeId> = events
                 .iter()
@@ -656,8 +656,8 @@ mod tests {
         c.run(SimDuration::from_millis(800));
         for i in 1..3 {
             assert_eq!(
-                c.nodes[i].view().members,
-                vec![NodeId(1), NodeId(2)],
+                *c.nodes[i].view().members,
+                [NodeId(1), NodeId(2)],
                 "node {i}"
             );
             assert_eq!(c.nodes[i].view().coordinator(), Some(NodeId(1)));
@@ -675,7 +675,7 @@ mod tests {
         // Well under the 200ms suspicion timeout plus propose round.
         c.run(SimDuration::from_millis(150));
         for i in 0..2 {
-            assert_eq!(c.nodes[i].view().members, vec![NodeId(0), NodeId(1)]);
+            assert_eq!(*c.nodes[i].view().members, [NodeId(0), NodeId(1)]);
         }
     }
 
@@ -805,8 +805,8 @@ mod tests {
         ]));
         c.run(SimDuration::from_secs(1));
         // Each side formed its own view; only one side has a majority test.
-        assert_eq!(c.nodes[0].view().members, vec![NodeId(0), NodeId(1)]);
-        assert_eq!(c.nodes[2].view().members, vec![NodeId(2), NodeId(3)]);
+        assert_eq!(*c.nodes[0].view().members, [NodeId(0), NodeId(1)]);
+        assert_eq!(*c.nodes[2].view().members, [NodeId(2), NodeId(3)]);
         assert!(!c.nodes[0].view().has_majority(c.nodes[0].universe()));
         c.net.heal();
         c.run(SimDuration::from_secs(1));
@@ -984,7 +984,7 @@ mod tests {
 
         assert!(fabric.lost, "the commit to node 1 was lost");
         let agreed = nodes[0].view().id;
-        assert_eq!(nodes[0].view().members, vec![NodeId(0), NodeId(1)]);
+        assert_eq!(*nodes[0].view().members, [NodeId(0), NodeId(1)]);
         assert_eq!(nodes[1].view().id, agreed, "node 1 caught up");
         assert!(
             fabric.proposed.iter().all(|&epoch| epoch <= agreed.epoch),
@@ -1108,7 +1108,7 @@ mod tests {
             c.order(3, v);
         }
         c.run(SimDuration::from_secs(1));
-        assert_eq!(c.nodes[2].view().members, vec![NodeId(1), NodeId(2)]);
+        assert_eq!(*c.nodes[2].view().members, [NodeId(1), NodeId(2)]);
         c.events(2);
 
         // Heal; what is ordered after the merge stands for the state

@@ -2,6 +2,7 @@
 
 use dosgi_net::NodeId;
 use std::fmt;
+use std::sync::Arc;
 
 /// A view identifier: `(epoch, proposer)`, totally ordered. Higher epochs
 /// supersede lower; the proposer id breaks ties between concurrent
@@ -21,13 +22,16 @@ impl fmt::Display for ViewId {
 }
 
 /// An agreed membership view: the set of nodes currently believed alive.
+/// Cloning one shares its member list: every proposal and commit sent,
+/// the installed view and the events that report it hold the one list
+/// the view was made with.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct View {
     /// The view's identifier.
     pub id: ViewId,
     /// Members, sorted ascending. The first member is the coordinator
     /// (lowest live id), which also acts as the total-order sequencer.
-    pub members: Vec<NodeId>,
+    pub members: Arc<[NodeId]>,
     /// The coordinator's ordered-stream position (last assigned global
     /// sequence number) when this view was proposed. Whoever this view
     /// makes a member of that stream — every member when the coordinator
@@ -41,10 +45,19 @@ pub struct View {
 }
 
 impl View {
-    /// Creates a view, sorting and deduplicating the members.
-    pub fn new(id: ViewId, mut members: Vec<NodeId>) -> Self {
-        members.sort();
-        members.dedup();
+    /// Creates a view, sorting and deduplicating the members. Members
+    /// already in ascending order, each once — the live peers as the
+    /// failure detector lists them — are copied into the view's list as
+    /// they are.
+    pub fn new(id: ViewId, members: &[NodeId]) -> Self {
+        let members = if members.is_sorted_by(|a, b| a < b) {
+            Arc::from(members)
+        } else {
+            let mut sorted = members.to_vec();
+            sorted.sort_unstable();
+            sorted.dedup();
+            Arc::from(sorted)
+        };
         View {
             id,
             members,
@@ -126,14 +139,14 @@ mod tests {
                 epoch,
                 proposer: NodeId(members.first().copied().unwrap_or(0)),
             },
-            members.iter().map(|&i| NodeId(i)).collect(),
+            &members.iter().map(|&i| NodeId(i)).collect::<Vec<_>>(),
         )
     }
 
     #[test]
     fn members_sorted_and_deduped() {
-        let view = View::new(ViewId::default(), vec![NodeId(2), NodeId(0), NodeId(2)]);
-        assert_eq!(view.members, vec![NodeId(0), NodeId(2)]);
+        let view = View::new(ViewId::default(), &[NodeId(2), NodeId(0), NodeId(2)]);
+        assert_eq!(*view.members, [NodeId(0), NodeId(2)]);
         assert_eq!(view.coordinator(), Some(NodeId(0)));
         assert!(view.contains(NodeId(2)));
         assert!(!view.contains(NodeId(1)));

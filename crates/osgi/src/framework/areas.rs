@@ -9,9 +9,9 @@ use dosgi_telemetry::Phase;
 use std::collections::BTreeMap;
 
 /// The SAN namespace of the data area of the bundles named `sn` in the
-/// framework persisted under `namespace`.
+/// framework persisted under `namespace`, built at its final size.
 pub(super) fn area_namespace(namespace: &str, sn: &str) -> String {
-    format!("{namespace}/data/{sn}")
+    [namespace, "/data/", sn].concat()
 }
 
 /// The data area of the bundles named `sn`, created — its name and SAN

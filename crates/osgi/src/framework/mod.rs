@@ -37,7 +37,10 @@ use std::sync::Arc;
 /// Framework construction parameters.
 #[derive(Debug, Clone)]
 pub struct FrameworkConfig {
-    /// A human-readable name; also the default persistence namespace.
+    /// A human-readable name, the one [`Framework::name`] reports. It names
+    /// no persistence namespace: [`Framework::attach_store`],
+    /// [`Framework::restore`] and [`Framework::restore_counted`] each take
+    /// theirs.
     pub name: String,
     /// Packages served by the platform itself (the `java.*` analogue).
     pub boot: BootDelegation,
@@ -152,7 +155,8 @@ pub struct Framework {
     dirty_rows: Vec<Row>,
     /// Snapshot rows pending deletion on the SAN (uninstalled bundles).
     deleted_rows: Vec<Row>,
-    /// This framework's entry in a [`DirtyCount`], kept equal to
+    /// Whether this framework is dirty, and its entry in the
+    /// [`DirtyCount`] it was given, if any; kept equal to
     /// [`persist_dirty`](Framework::persist_dirty) by every site that
     /// changes one of the two sets above or leaves a data-area row dirty.
     dirty_mark: DirtyMark,

@@ -35,10 +35,12 @@ impl DirtyCount {
 }
 
 /// One framework's contribution to a [`DirtyCount`]; withdrawn on drop, so
-/// a framework destroyed while dirty does not leave the count stuck.
+/// a framework destroyed while dirty does not leave the count stuck. It
+/// tracks whether the framework is dirty either way, and counts it only
+/// in a count it has been given.
 #[derive(Debug, Default)]
 pub(super) struct DirtyMark {
-    count: DirtyCount,
+    count: Option<DirtyCount>,
     pub(super) counted: bool,
 }
 
@@ -46,10 +48,12 @@ impl DirtyMark {
     fn set(&mut self, dirty: bool) {
         if dirty != self.counted {
             self.counted = dirty;
-            if dirty {
-                self.count.0.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.count.0.fetch_sub(1, Ordering::Relaxed);
+            if let Some(count) = &self.count {
+                if dirty {
+                    count.0.fetch_add(1, Ordering::Relaxed);
+                } else {
+                    count.0.fetch_sub(1, Ordering::Relaxed);
+                }
             }
         }
     }
@@ -80,11 +84,12 @@ impl Framework {
         self.flush_persist()
     }
 
-    /// Counts this framework's pending persistence in `count` from now on
-    /// (instead of in a count of its own).
+    /// Counts this framework's pending persistence in `count` from now on,
+    /// withdrawing it from the count it was given before, if any. A
+    /// framework counts in no shared count until it is given one.
     pub fn share_dirty_count(&mut self, count: &DirtyCount) {
         self.dirty_mark = DirtyMark {
-            count: count.clone(),
+            count: Some(count.clone()),
             counted: false,
         };
         self.sync_dirty_mark();

@@ -174,18 +174,14 @@ impl SloEngine {
     /// a steady state). Each transition is also recorded into the
     /// registry's alert timeline for the schema-v3 snapshot.
     pub fn observe(&mut self, telemetry: &Telemetry, now_us: u64) -> Vec<AlertEvent> {
-        let samples: Vec<(u64, u64)> = self
-            .slos
-            .iter()
-            .map(|s| {
-                let bad = s.spec.bad.iter().map(|n| telemetry.counter(n)).sum();
-                let total = s.spec.total.iter().map(|n| telemetry.counter(n)).sum();
-                (bad, total)
-            })
-            .collect();
-        let events = self.ingest(now_us, &samples);
-        for e in &events {
-            telemetry.record_alert(e.clone());
+        let sum = |names: &[String]| names.iter().map(|n| telemetry.counter(n)).sum();
+        let mut events = Vec::new();
+        for state in &mut self.slos {
+            let (bad, total) = (sum(&state.spec.bad), sum(&state.spec.total));
+            if let Some(event) = state.step(now_us, bad, total) {
+                telemetry.record_alert(event.clone());
+                events.push(event);
+            }
         }
         events
     }
@@ -194,50 +190,59 @@ impl SloEngine {
     /// `(bad, total)` samples, aligned with registration order. Useful
     /// when the counters do not live in a [`Telemetry`] registry.
     pub fn ingest(&mut self, now_us: u64, samples: &[(u64, u64)]) -> Vec<AlertEvent> {
-        let mut events = Vec::new();
-        for (state, &(bad, total)) in self.slos.iter_mut().zip(samples) {
-            state.ring.push_back(Sample {
-                at_us: now_us,
-                bad,
-                total,
-            });
-            while state.ring.len() > state.ring_capacity {
-                state.ring.pop_front();
-            }
-            let budget = state.spec.budget_ppm;
-            let fast = pair_burn(&state.ring, now_us, FAST_WINDOWS_US, budget);
-            let slow = pair_burn(&state.ring, now_us, SLOW_WINDOWS_US, budget);
-            let fast_breach = fast >= state.spec.fast_burn_x100;
-            let slow_breach = slow >= state.spec.slow_burn_x100;
-            let firing_now = fast_breach || slow_breach;
-            if firing_now != state.firing {
-                let window = if !firing_now {
-                    state.last_window
-                } else if fast_breach {
-                    AlertWindow::Fast
-                } else {
-                    AlertWindow::Slow
-                };
-                events.push(AlertEvent {
-                    slo: state.spec.name.clone(),
-                    at_us: now_us,
-                    firing: firing_now,
-                    window,
-                    burn_x100: if firing_now && fast_breach {
-                        fast
-                    } else if firing_now {
-                        slow
-                    } else {
-                        fast.max(slow)
-                    },
-                });
-                state.firing = firing_now;
-                if firing_now {
-                    state.last_window = window;
-                }
-            }
+        let slos = self.slos.iter_mut().zip(samples);
+        slos.filter_map(|(state, &(bad, total))| state.step(now_us, bad, total))
+            .collect()
+    }
+}
+
+impl SloState {
+    /// Records one cumulative sample at `now_us` and evaluates the burn
+    /// rates over the ring; returns the alert transition, if any. A full
+    /// ring drops its oldest sample before it takes the new one, so it
+    /// never outgrows the capacity it was made with.
+    fn step(&mut self, now_us: u64, bad: u64, total: u64) -> Option<AlertEvent> {
+        if self.ring.len() >= self.ring_capacity {
+            self.ring.pop_front();
         }
-        events
+        self.ring.push_back(Sample {
+            at_us: now_us,
+            bad,
+            total,
+        });
+        let budget = self.spec.budget_ppm;
+        let fast = pair_burn(&self.ring, now_us, FAST_WINDOWS_US, budget);
+        let slow = pair_burn(&self.ring, now_us, SLOW_WINDOWS_US, budget);
+        let fast_breach = fast >= self.spec.fast_burn_x100;
+        let slow_breach = slow >= self.spec.slow_burn_x100;
+        let firing_now = fast_breach || slow_breach;
+        if firing_now == self.firing {
+            return None;
+        }
+        let window = if !firing_now {
+            self.last_window
+        } else if fast_breach {
+            AlertWindow::Fast
+        } else {
+            AlertWindow::Slow
+        };
+        self.firing = firing_now;
+        if firing_now {
+            self.last_window = window;
+        }
+        Some(AlertEvent {
+            slo: self.spec.name.clone(),
+            at_us: now_us,
+            firing: firing_now,
+            window,
+            burn_x100: if firing_now && fast_breach {
+                fast
+            } else if firing_now {
+                slow
+            } else {
+                fast.max(slow)
+            },
+        })
     }
 }
 
@@ -480,6 +485,23 @@ mod tests {
         }
         let cap = (SLOW_WINDOWS_US.1 / TICK) as usize + 2;
         assert!(e.slos[0].ring.len() <= cap);
+    }
+
+    /// A ring fed one sample more than it holds drops its oldest and
+    /// keeps the buffer it was made with: taking the new sample first grew
+    /// a full ring to twice its size on its first wrap, and kept it.
+    #[test]
+    fn a_full_ring_keeps_its_capacity() {
+        let mut e = SloEngine::new(TICK);
+        e.add(spec());
+        let (capacity, buffer) = (e.slos[0].ring_capacity, e.slos[0].ring.capacity());
+        for i in 0..=capacity as u64 {
+            e.ingest(i * TICK, &[(0, i)]);
+        }
+        let ring = &e.slos[0].ring;
+        assert_eq!(ring.len(), capacity);
+        assert_eq!(ring.front().map(|s| s.at_us), Some(TICK));
+        assert_eq!(ring.capacity(), buffer);
     }
 
     #[test]

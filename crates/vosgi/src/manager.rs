@@ -12,6 +12,7 @@ use dosgi_osgi::{
 };
 use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::{Phases, Telemetry};
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -40,7 +41,7 @@ pub struct InstanceManager {
     instances: BTreeMap<InstanceId, VirtualInstance>,
     // Every instance by its name; kept by `insert` and `destroy_instance`,
     // the only two places that change `instances`.
-    by_name: BTreeMap<String, InstanceId>,
+    by_name: BTreeMap<NameKey, InstanceId>,
     next: u64,
     // Shared with every node the cluster boots: neither changes once a
     // manager exists.
@@ -58,6 +59,36 @@ pub struct InstanceManager {
     metrics: Metrics,
     // Counts the parts of every adoption's restore.
     phases: Phases,
+}
+
+/// An instance's descriptor as the key of its name: the descriptor the
+/// instance holds, shared, ordered and looked up by its name.
+struct NameKey(Arc<InstanceDescriptor>);
+
+impl Borrow<str> for NameKey {
+    fn borrow(&self) -> &str {
+        &self.0.name
+    }
+}
+
+impl PartialEq for NameKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.name == other.0.name
+    }
+}
+
+impl Eq for NameKey {}
+
+impl PartialOrd for NameKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for NameKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.0.name.cmp(&other.0.name)
+    }
 }
 
 impl fmt::Debug for InstanceManager {
@@ -273,7 +304,7 @@ impl InstanceManager {
         self.lifecycle_epoch += 1;
         let id = InstanceId(self.next);
         self.next += 1;
-        self.by_name.insert(descriptor.name.clone(), id);
+        self.by_name.insert(NameKey(Arc::clone(&descriptor)), id);
         self.instances.insert(
             id,
             VirtualInstance {
@@ -359,7 +390,7 @@ impl InstanceManager {
             .instances
             .remove(&id)
             .expect("looked up the id just above");
-        self.by_name.remove(&inst.descriptor.name);
+        self.by_name.remove(inst.descriptor.name.as_str());
         inst.state = InstanceState::Destroyed;
         if wipe_state {
             if let Some(store) = &self.store {

@@ -33,7 +33,11 @@
 # workload, to BENCH_HISTORY.json at the root: the trajectory file (PR, parent
 # commit, seeds, per timed metric both medians and quartiles and the pairs won
 # and lost, per exact metric both medians, and the median of the calibration
-# kernel's p50 on each side, which says how busy the host was). It holds
+# kernel's p50 on each side, which says how busy the host was). The failover
+# and migrate rows also carry `phase_allocs`: the allocation column of the
+# perf_guard phase table of their workload, parent and change per phase, so
+# the trajectory shows which layer each change moved. The rows are appended
+# once every workload's pairs and the phase tables are in. It holds
 # wall-clock numbers, so it lives outside results/, whose files are diffed
 # byte for byte. One row per line, so that a row is appended, or back-filled
 # by hand from a PR's own tables, without a JSON tool; a back-filled row says
@@ -165,28 +169,19 @@ for workload in $workloads; do
             pr, parent, workload, first_seed, first_seed + n_pairs - 1, n_pairs, timed, exact, p2, q[2]) >row
         if (bad != "") { printf "FAILED or incorrect ops:\n%s", bad; exit 1 }
     }' BENCHMARK.json "$results"
-
-    # The trajectory file is a JSON array, one row per line: the new row goes
-    # before the closing bracket.
-    if [[ -n $record ]]; then
-        history=BENCH_HISTORY.json
-        [[ -s $history ]] || printf '[\n]\n' >"$history"
-        sed -i '$d' "$history"
-        sed -i '$s/}$/},/' "$history"
-        cat "$row" >>"$history"
-        echo ']' >>"$history"
-        echo "recorded in $history" >&2
-    fi
 done
 
 # Both sides' perf_guard phase tables, row by row. perf_guard exits non-zero
-# on a row broken on its own terms; its tables are printed either way.
+# on a row broken on its own terms; its tables are printed either way. Each
+# table's allocation column also goes to phase_allocs_<workload>.json, the
+# `phase_allocs` member of that workload's recorded row.
 for s in parent change; do
     (cd "$work/$s-src" && CARGO_TARGET_DIR="$work/$s" \
         cargo run -q --offline --release -p dosgi-bench --bin perf_guard 2>/dev/null) \
         >"$work/out/perf_guard_$s.txt" || echo "perf_guard failed on the $s side" >&2
 done
-awk '
+rm -f "$work"/out/phase_allocs_*.json
+awk -v out="$work/out" '
 FNR == 1 { side = FILENAME == ARGV[1] ? "parent" : "change"; table = "" }
 /^## / {
     table = ""
@@ -219,6 +214,34 @@ END {
                 moved[k] = was != now
             }
             printf "| %-21s | %-27s | %-27s | %-5s |\n", r, cellof[1], cellof[2], (moved[1] || moved[2]) ? "yes" : ""
+            was = allocs["parent", table, r]; now = allocs["change", table, r]
+            json = json sprintf("%s\"%s\": [%s, %s]", i == 1 ? "" : ", ", r, was == "" ? "null" : was + 0, now == "" ? "null" : now + 0)
         }
+        # The table of a failover round goes with the failover row, a
+        # migrate op'"'"'s with the migrate row.
+        workload = table ~ /failover/ ? "failover" : table ~ /migrate/ ? "migrate" : ""
+        if (workload != "") printf "\"phase_allocs\": {%s}", json >(out "/phase_allocs_" workload ".json")
+        json = ""
     }
 }' "$work/out/perf_guard_parent.txt" "$work/out/perf_guard_change.txt"
+
+# The trajectory file is a JSON array, one row per line: each new row goes
+# before the closing bracket, with its workload's phase allocations, if any,
+# as its last member.
+if [[ -n $record ]]; then
+    history=BENCH_HISTORY.json
+    [[ -s $history ]] || printf '[\n]\n' >"$history"
+    for workload in $workloads; do
+        row="$work/out/${workload}_row.json"
+        phases="$work/out/phase_allocs_${workload}.json"
+        sed -i '$d' "$history"
+        sed -i '$s/}$/},/' "$history"
+        if [[ -s $phases ]]; then
+            sed "s/}\$/, $(sed 's/[\/&]/\\&/g' "$phases")}/" "$row" >>"$history"
+        else
+            cat "$row" >>"$history"
+        fi
+        echo ']' >>"$history"
+    done
+    echo "recorded in $history" >&2
+fi
