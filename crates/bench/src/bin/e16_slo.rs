@@ -63,6 +63,15 @@ const BURST_AT_S: u64 = 8;
 const BURST_SECS: u64 = 10;
 const HORIZON_SECS: u64 = 60;
 
+dosgi_telemetry::metrics! {
+    /// The standard class's request outcomes: the `std-latency` SLO's
+    /// bad/total pair.
+    struct StdRequests {
+        counter total = "e16.req.std.total",
+        counter bad = "e16.req.std.bad",
+    }
+}
+
 fn std_latency_slo(name: &str) -> SloSpec {
     SloSpec::new(
         name,
@@ -70,6 +79,15 @@ fn std_latency_slo(name: &str) -> SloSpec {
         vec!["e16.req.std.total".to_owned()],
         BUDGET_PPM,
     )
+}
+
+/// The p95 of a window's `(at, latency)` experiences; 0 when it is empty.
+fn p95(window: &[(u64, u64)]) -> u64 {
+    let mut lat: Vec<u64> = window.iter().map(|(_, l)| *l).collect();
+    lat.sort_unstable();
+    lat.get(lat.len().saturating_sub(1) * 95 / 100)
+        .copied()
+        .unwrap_or(0)
 }
 
 fn flash_crowd() -> RateSchedule {
@@ -96,7 +114,7 @@ fn one_backend_director(telemetry: &Telemetry) -> IpvsDirector {
 
 /// E16a: detection only — no reaction, one backend, overload persists
 /// through the whole burst. Returns (alert_fired_at, naive_fired_at).
-fn alert_lead_race(telemetry: &Telemetry) {
+fn alert_lead_race(telemetry: &Telemetry, std: &StdRequests) {
     let mut d = one_backend_director(telemetry);
     let mut slo = SloEngine::new(CADENCE_US);
     slo.add(std_latency_slo("std-latency-race"));
@@ -121,17 +139,17 @@ fn alert_lead_race(telemetry: &Telemetry) {
             if let Err(RouteError::Shed(_, shed_class)) = d.admit(client, VIP, class, now_us) {
                 if shed_class == RequestClass::Standard {
                     // Outcome known immediately: a shed request is bad.
-                    telemetry.add("e16.req.std.total", 1);
-                    telemetry.add("e16.req.std.bad", 1);
+                    std.total.incr();
+                    std.bad.incr();
                     window.push((now_us, SHED_PENALTY_US));
                 }
             }
         }
         for c in d.drain(VIP, now_us) {
             if c.class == RequestClass::Standard {
-                telemetry.add("e16.req.std.total", 1);
+                std.total.incr();
                 if c.missed_deadline() {
-                    telemetry.add("e16.req.std.bad", 1);
+                    std.bad.incr();
                 }
                 window.push((c.completed_us, c.latency_us()));
             }
@@ -147,14 +165,7 @@ fn alert_lead_race(telemetry: &Telemetry) {
         if now_us >= next_poll_us {
             next_poll_us += NAIVE_POLL_US;
             window.retain(|(at, _)| *at + 1_000_000 > now_us);
-            let mut lat: Vec<u64> = window.iter().map(|(_, l)| *l).collect();
-            lat.sort_unstable();
-            let p95 = if lat.is_empty() {
-                0
-            } else {
-                lat[(lat.len() - 1) * 95 / 100]
-            };
-            if p95 > RequestClass::Standard.slo_us() {
+            if p95(&window) > RequestClass::Standard.slo_us() {
                 naive_streak += 1;
                 if naive_streak >= NAIVE_SUSTAIN && naive_at.is_none() {
                     naive_at = Some(now_us);
@@ -213,7 +224,7 @@ fn alert_lead_race(telemetry: &Telemetry) {
 /// One reacted flash-crowd run for E16b: `alerts=false` replays E15b's
 /// polled loop, `alerts=true` drives `OVERLOAD_POLICY` from the SLO
 /// engine. Returns (total goodput, scale-out time).
-fn reacted_run(telemetry: &Telemetry, alerts: bool) -> (u64, Option<u64>) {
+fn reacted_run(telemetry: &Telemetry, std: &StdRequests, alerts: bool) -> (u64, Option<u64>) {
     let mut d = one_backend_director(telemetry);
     let script = if alerts {
         OVERLOAD_POLICY
@@ -246,8 +257,8 @@ fn reacted_run(telemetry: &Telemetry, alerts: bool) -> (u64, Option<u64>) {
                 d.admit(client, VIP, class, now_us)
             {
                 if alerts {
-                    telemetry.add("e16.req.std.total", 1);
-                    telemetry.add("e16.req.std.bad", 1);
+                    std.total.incr();
+                    std.bad.incr();
                 }
                 window.push((now_us, SHED_PENALTY_US));
             }
@@ -258,9 +269,9 @@ fn reacted_run(telemetry: &Telemetry, alerts: bool) -> (u64, Option<u64>) {
             }
             if c.class == RequestClass::Standard {
                 if alerts {
-                    telemetry.add("e16.req.std.total", 1);
+                    std.total.incr();
                     if c.missed_deadline() {
-                        telemetry.add("e16.req.std.bad", 1);
+                        std.bad.incr();
                     }
                 }
                 window.push((c.completed_us, c.latency_us()));
@@ -277,14 +288,7 @@ fn reacted_run(telemetry: &Telemetry, alerts: bool) -> (u64, Option<u64>) {
                     if slo.firing("std-latency") { 1.0 } else { 0.0 },
                 );
             } else {
-                let mut lat: Vec<u64> = window.iter().map(|(_, l)| *l).collect();
-                lat.sort_unstable();
-                let p95 = if lat.is_empty() {
-                    0
-                } else {
-                    lat[(lat.len() - 1) * 95 / 100]
-                };
-                bb.set_global_metric("p95_latency_us", p95 as f64);
+                bb.set_global_metric("p95_latency_us", p95(&window) as f64);
                 bb.set_global_metric("slo_us", RequestClass::Standard.slo_us() as f64);
             }
             let depth: usize = d.queue_depths(VIP).iter().map(|(_, q)| q).sum();
@@ -314,9 +318,9 @@ fn reacted_run(telemetry: &Telemetry, alerts: bool) -> (u64, Option<u64>) {
 
 /// E16b: the alert-driven policy must react no later than the polled
 /// baseline and finish with equal-or-better goodput on the same workload.
-fn alert_driven_policy(telemetry: &Telemetry) {
-    let (polled_good, polled_scaled) = reacted_run(telemetry, false);
-    let (alert_good, alert_scaled) = reacted_run(telemetry, true);
+fn alert_driven_policy(telemetry: &Telemetry, std: &StdRequests) {
+    let (polled_good, polled_scaled) = reacted_run(telemetry, std, false);
+    let (alert_good, alert_scaled) = reacted_run(telemetry, std, true);
     let fmt = |at: Option<u64>| {
         at.map(|us| format!("{:.2}s", us as f64 / 1e6))
             .unwrap_or_else(|| "never".to_string())
@@ -418,8 +422,9 @@ fn bounded_series_memory(telemetry: &Telemetry) {
 
 fn main() {
     let telemetry = Telemetry::new();
-    alert_lead_race(&telemetry);
-    alert_driven_policy(&telemetry);
+    let std = StdRequests::new(&telemetry);
+    alert_lead_race(&telemetry, &std);
+    alert_driven_policy(&telemetry, &std);
     bounded_series_memory(&telemetry);
     write_telemetry_snapshot(&telemetry, "e16", SEED);
     println!(

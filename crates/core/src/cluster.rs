@@ -59,10 +59,15 @@ struct Slot {
 }
 
 dosgi_telemetry::metrics! {
-    /// The driver's own counters, resolved at construction.
+    /// The driver's own counters and gauges, resolved at construction.
     struct Metrics {
         counter migration_completed = "core.migration.completed",
         counter failover_adoptions = "core.failover.adoptions",
+        gauge sla_down_us_total = "core.sla.down_us_total",
+        gauge sla_outages = "core.sla.outages",
+        gauge sla_longest_outage_us = "core.sla.longest_outage_us",
+        gauge nodes_running = "core.cluster.nodes_running",
+        gauge nodes_hibernated = "core.cluster.nodes_hibernated",
     }
 }
 
@@ -738,19 +743,12 @@ impl DosgiCluster {
             outages += u64::from(rec.outages);
             longest_us = longest_us.max(rec.longest_outage.as_micros());
         }
-        self.telemetry
-            .gauge_set("core.sla.down_us_total", down_us as i64);
-        self.telemetry.gauge_set("core.sla.outages", outages as i64);
-        self.telemetry
-            .gauge_set("core.sla.longest_outage_us", longest_us as i64);
-        self.telemetry.gauge_set(
-            "core.cluster.nodes_running",
-            self.running_nodes().len() as i64,
-        );
-        self.telemetry.gauge_set(
-            "core.cluster.nodes_hibernated",
-            self.hibernated_nodes() as i64,
-        );
+        let m = &self.metrics;
+        m.sla_down_us_total.set(down_us as i64);
+        m.sla_outages.set(outages as i64);
+        m.sla_longest_outage_us.set(longest_us as i64);
+        m.nodes_running.set(self.running_nodes().len() as i64);
+        m.nodes_hibernated.set(self.hibernated_nodes() as i64);
         self.record_health_gauges();
     }
 

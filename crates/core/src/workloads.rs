@@ -21,7 +21,6 @@ use dosgi_osgi::{
 };
 use dosgi_san::Value;
 use dosgi_vosgi::{BundleRepository, InstanceDescriptor, ResourceQuota};
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -137,7 +136,6 @@ pub fn standard_factory() -> ActivatorFactory {
         Box::new(FnActivator::on_start(|ctx| {
             ctx.register_service(
                 &[LOG_SERVICE],
-                BTreeMap::new(),
                 Box::new(
                     |ctx: &mut CallContext<'_>, method: &str, arg: &Value| match method {
                         "log" => {
@@ -156,7 +154,6 @@ pub fn standard_factory() -> ActivatorFactory {
         Box::new(FnActivator::on_start(|ctx| {
             ctx.register_service(
                 &[HTTP_SERVICE],
-                BTreeMap::new(),
                 Box::new(
                     |ctx: &mut CallContext<'_>, method: &str, arg: &Value| match method {
                         "request" => {
@@ -181,7 +178,6 @@ pub fn standard_factory() -> ActivatorFactory {
             let s = samples.clone();
             ctx.register_service(
                 &[METRICS_SERVICE],
-                BTreeMap::new(),
                 Box::new(
                     move |ctx: &mut CallContext<'_>, method: &str, _: &Value| match method {
                         "collect" => {
@@ -203,7 +199,6 @@ pub fn standard_factory() -> ActivatorFactory {
             let s = served.clone();
             ctx.register_service(
                 &[WEB_SERVICE],
-                BTreeMap::new(),
                 Box::new(
                     move |ctx: &mut CallContext<'_>, method: &str, arg: &Value| match method {
                         "handle" => {
@@ -276,7 +271,6 @@ impl dosgi_osgi::Activator for CounterActivator {
         let mode = self.mode;
         ctx.register_service(
             &[COUNTER_SERVICE],
-            BTreeMap::new(),
             Box::new(
                 move |ctx: &mut CallContext<'_>, method: &str, _: &Value| match method {
                     "incr" => {

@@ -78,7 +78,6 @@ use dosgi_telemetry::{FlightRecorder, Phases, ScrapeConfig, SeriesScraper, SpanN
 use dosgi_vosgi::{BundleRepository, InstanceDescriptor, InstanceId, ResourceQuota};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 thread_local! {
@@ -327,8 +326,8 @@ fn a_span_named_by_a_shared_name_allocates_nothing() {
 /// What a starting and a stopping bundle pay the service registry: the
 /// registration's one interface list, whose names it shares with the two
 /// lists that already exist, and its place in those lists (two lists
-/// grown) — no property entry for what the record's fields answer, no
-/// event, no second copy of its own metadata, no copy of anybody else's.
+/// grown) — no event, no second copy of its own metadata, no copy of
+/// anybody else's.
 /// (18 while a registration copied its interfaces into its property map
 /// and into two events, and each list's key was found by a fresh name.)
 #[test]
@@ -338,19 +337,14 @@ fn register_and_unregister_allocations() {
     };
     let mut registry = ServiceRegistry::new();
     for owner in 0..8 {
-        registry.register(
-            BundleId(owner),
-            &["svc.a", "svc.b"],
-            BTreeMap::new(),
-            service(),
-        );
+        registry.register(BundleId(owner), &["svc.a", "svc.b"], service());
     }
     let (allocations, ()) = allocations_in(|| {
-        let id = registry.register(BundleId(8), &["svc.a", "svc.b"], BTreeMap::new(), service());
+        let id = registry.register(BundleId(8), &["svc.a", "svc.b"], service());
         registry.unregister(id).expect("registered a line ago");
     });
     assert_eq!(allocations, 3);
-    assert_eq!(registry.references(Some("svc.b"), None).len(), 8);
+    assert_eq!(registry.references("svc.b").len(), 8);
 }
 
 /// The first call after an adoption reads the rows it asks for, not the

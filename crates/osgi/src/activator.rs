@@ -2,12 +2,12 @@
 
 use crate::framework::Framework;
 use crate::{
-    BundleError, BundleId, BundleManifest, ClassRef, LoadError, PropValue, Service, ServiceError,
-    ServiceId, SymbolName,
+    BundleError, BundleId, BundleManifest, ClassRef, LoadError, Service, ServiceError, ServiceId,
+    SymbolName,
 };
 use dosgi_net::SimDuration;
 use dosgi_san::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A bundle's activator, the analogue of OSGi's `BundleActivator`.
@@ -161,11 +161,10 @@ impl<'a> BundleContext<'a> {
     pub fn register_service(
         &mut self,
         interfaces: &[&str],
-        properties: BTreeMap<String, PropValue>,
         implementation: Box<dyn Service>,
     ) -> ServiceId {
         self.framework
-            .register_service(self.bundle, interfaces, properties, implementation)
+            .register_service(self.bundle, interfaces, implementation)
     }
 
     /// The best service offering `interface`.

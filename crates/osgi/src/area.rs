@@ -267,7 +267,6 @@ mod tests {
                 ctx.store_get("k0").map_err(|e| e.to_string())?;
                 ctx.register_service(
                     &["kv"],
-                    Default::default(),
                     Box::new(
                         |cc: &mut CallContext<'_>, method: &str, arg: &Value| match method {
                             "get" => {

@@ -127,7 +127,7 @@ impl std::error::Error for BundleError {}
 /// Errors from service lookup and invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServiceError {
-    /// No service satisfies the interface/filter.
+    /// No service offers the interface.
     NoSuchService(String),
     /// The service id is stale (unregistered).
     Gone(ServiceId),

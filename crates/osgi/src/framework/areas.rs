@@ -3,7 +3,7 @@
 //! write them.
 
 use super::Framework;
-use crate::{BundleError, BundleId, DataArea, PropValue, Service, ServiceError, ServiceId};
+use crate::{BundleError, BundleId, DataArea, Service, ServiceError, ServiceId};
 use dosgi_san::{SharedStore, StoreError, Value};
 use dosgi_telemetry::Phase;
 use std::collections::BTreeMap;
@@ -38,12 +38,10 @@ impl Framework {
         &mut self,
         owner: BundleId,
         interfaces: &[&str],
-        properties: BTreeMap<String, PropValue>,
         implementation: Box<dyn Service>,
     ) -> ServiceId {
         let _registering = self.phases.enter(Phase::AdoptRegister);
-        self.registry
-            .register(owner, interfaces, properties, implementation)
+        self.registry.register(owner, interfaces, implementation)
     }
 
     /// Invokes a service, charging usage to its owner. The owning bundle's

@@ -300,7 +300,7 @@ impl Framework {
 mod tests {
     use super::*;
     use crate::persist;
-    use crate::{ActivatorFactory, FnActivator, ManifestBuilder, PropValue, ServiceError};
+    use crate::{ActivatorFactory, FnActivator, ManifestBuilder, ServiceError};
     use dosgi_telemetry::Telemetry;
 
     /// A framework counting its lifecycle into a registry of its own.
@@ -344,11 +344,8 @@ mod tests {
 
     fn log_activator() -> Box<dyn Activator> {
         Box::new(FnActivator::on_start(|ctx| {
-            let mut props = BTreeMap::new();
-            props.insert("service.ranking".to_owned(), PropValue::Int(5));
             ctx.register_service(
                 &["org.test.log.Logger"],
-                props,
                 Box::new(
                     |_: &mut crate::CallContext<'_>, method: &str, arg: &Value| match method {
                         "log" => Ok(arg.clone()),
@@ -415,7 +412,6 @@ mod tests {
                     // Register, then fail: the registration must be swept.
                     ctx.register_service(
                         &["ghost"],
-                        BTreeMap::new(),
                         Box::new(|_: &mut crate::CallContext<'_>, _: &str, _: &Value| {
                             Ok(Value::Null)
                         }),
@@ -769,7 +765,6 @@ mod tests {
         Box::new(FnActivator::on_start(|ctx| {
             ctx.register_service(
                 &["org.test.Counter"],
-                BTreeMap::new(),
                 Box::new(
                     |cc: &mut crate::CallContext<'_>, method: &str, _: &Value| match method {
                         "incr" => {

@@ -394,7 +394,6 @@ mod tests {
     use dosgi_net::SimTime;
     use dosgi_san::FaultPlan;
     use dosgi_telemetry::Telemetry;
-    use std::collections::BTreeMap;
 
     /// The row rule, for a bundle row in a form this code does not write:
     /// `reshape` applied to a started bundle's row. A restore that brings
@@ -715,7 +714,6 @@ mod tests {
                                 let starts = starts.and_then(|v| v.as_int()).unwrap_or(0);
                                 ctx.register_service(
                                     &[&format!("org.diff.Starts{starts}")],
-                                    BTreeMap::new(),
                                     Box::new(
                                         |_: &mut crate::CallContext<'_>, _: &str, _: &Value| {
                                             Ok(Value::Null)

@@ -17,9 +17,9 @@
 //!   the substrate the `dosgi-vosgi` crate extends with the paper's
 //!   *explicit-export delegating classloader* for virtual instances;
 //! * **Service registry** ([`ServiceRegistry`]) — services registered under
-//!   interface names with properties, looked up directly or through
-//!   LDAP-style [`Filter`]s, ranked; a [`ServiceTracker`] follows a
-//!   registry's changes by its generation;
+//!   interface names and looked up by interface, the first-registered
+//!   provider best; a [`ServiceTracker`] follows a registry's changes by
+//!   its generation;
 //! * **Persistent framework state** — the OSGi spec requires that *"the
 //!   framework state shall be persistent across framework reboots"*; state
 //!   snapshots serialize to [`dosgi_san::Value`] and live in the simulated
@@ -51,7 +51,6 @@
 mod activator;
 mod area;
 mod error;
-mod filter;
 mod framework;
 mod ids;
 mod ledger;
@@ -59,7 +58,6 @@ mod lifecycle;
 mod loader;
 mod manifest;
 pub mod persist;
-mod props;
 mod registry;
 mod resolver;
 mod service;
@@ -68,7 +66,6 @@ mod tracker;
 pub use activator::{Activator, ActivatorFactory, BundleContext, FnActivator};
 pub use area::DataArea;
 pub use error::{BundleError, ServiceError};
-pub use filter::{Filter, FilterError, Properties};
 pub use framework::{
     Bundle, DirtyCount, Framework, FrameworkConfig, FrameworkMetrics, UpgradeReport,
 };
@@ -77,7 +74,6 @@ pub use ledger::{UsageLedger, UsageSnapshot};
 pub use lifecycle::BundleState;
 pub use loader::{BootDelegation, ClassRef, LoadError, LoadPath};
 pub use manifest::{BundleManifest, KnownManifests, ManifestBuilder, PackageExport, PackageImport};
-pub use props::PropValue;
 pub use registry::{ServiceRecord, ServiceRegistry};
 pub use resolver::{ResolutionReport, Wiring};
 pub use service::{CallContext, Service};

@@ -1,11 +1,13 @@
 //! Service trackers: the OSGi `ServiceTracker` utility.
 //!
 //! Dynamic services come and go as bundles start and stop; a tracker
-//! maintains a live, filtered set of matching services, so consumers don't
-//! re-query on every use. The paper's virtual instances consume host
-//! services exactly this way: the instance manager re-wires customers
-//! transparently when a host service bounces during an update (§1's
-//! "without disrupting the production environment").
+//! maintains a live set of the services offering one interface, so a
+//! consumer doesn't re-query on every use. The runtime itself does not
+//! track: the instance manager looks a service up by interface on every
+//! call ([`ServiceRegistry::best`]), which is how a customer's calls follow
+//! a service that bounced during an update. The tracker is for consumers
+//! outside the runtime that want to watch that churn, as the `hot_update`
+//! example does.
 //!
 //! A tracker follows the registry by its
 //! [`generation`](ServiceRegistry::generation): a [`sync`](ServiceTracker::sync)
@@ -13,11 +15,10 @@
 //! registry that has takes the set of matching services afresh and counts
 //! what joined and what left. The registry keeps no event queue for it.
 
-use crate::{Filter, ServiceId, ServiceRegistry};
+use crate::{ServiceId, ServiceRegistry};
 use std::collections::BTreeSet;
 
-/// Tracks the set of registered services offering one interface,
-/// optionally narrowed by an LDAP filter.
+/// Tracks the set of registered services offering one interface.
 ///
 /// # Example
 ///
@@ -35,7 +36,6 @@ use std::collections::BTreeSet;
 #[derive(Debug, Clone)]
 pub struct ServiceTracker {
     interface: String,
-    filter: Option<Filter>,
     tracked: BTreeSet<ServiceId>,
     /// The registry generation `tracked` was taken at.
     generation: Option<u64>,
@@ -48,19 +48,11 @@ impl ServiceTracker {
     pub fn new(interface: &str) -> Self {
         ServiceTracker {
             interface: interface.to_owned(),
-            filter: None,
             tracked: BTreeSet::new(),
             generation: None,
             added: 0,
             removed: 0,
         }
-    }
-
-    /// Additionally narrows matches with `filter`.
-    #[cfg(test)]
-    pub(crate) fn with_filter(mut self, filter: Filter) -> Self {
-        self.filter = Some(filter);
-        self
     }
 
     /// Primes the tracker from the registry's current contents.
@@ -78,7 +70,7 @@ impl ServiceTracker {
         }
         self.generation = Some(registry.generation());
         let now: BTreeSet<ServiceId> = registry
-            .references(Some(&self.interface), self.filter.as_ref())
+            .references(&self.interface)
             .into_iter()
             .map(|r| r.id)
             .collect();
@@ -92,10 +84,10 @@ impl ServiceTracker {
         self.tracked.iter().copied().collect()
     }
 
-    /// The best (highest-ranked) tracked service right now.
+    /// The best (first-registered) tracked service right now.
     pub fn best(&self, registry: &ServiceRegistry) -> Option<ServiceId> {
         registry
-            .references(Some(&self.interface), self.filter.as_ref())
+            .references(&self.interface)
             .into_iter()
             .map(|r| r.id)
             .find(|id| self.tracked.contains(id))
@@ -121,9 +113,8 @@ impl ServiceTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BundleId, CallContext, PropValue, Service, ServiceError};
+    use crate::{BundleId, CallContext, Service, ServiceError};
     use dosgi_san::Value;
-    use std::collections::BTreeMap;
 
     fn svc() -> Box<dyn Service> {
         Box::new(|_: &mut CallContext<'_>, _: &str, _: &Value| {
@@ -131,18 +122,11 @@ mod tests {
         })
     }
 
-    fn props(pairs: &[(&str, PropValue)]) -> BTreeMap<String, PropValue> {
-        pairs
-            .iter()
-            .map(|(k, v)| ((*k).to_owned(), v.clone()))
-            .collect()
-    }
-
     #[test]
     fn open_primes_from_existing_registrations() {
         let mut reg = ServiceRegistry::new();
-        let a = reg.register(BundleId(1), &["log"], BTreeMap::new(), svc());
-        let _other = reg.register(BundleId(1), &["http"], BTreeMap::new(), svc());
+        let a = reg.register(BundleId(1), &["log"], svc());
+        let _other = reg.register(BundleId(1), &["http"], svc());
         let mut t = ServiceTracker::new("log");
         t.open(&reg);
         assert_eq!(t.tracked(), vec![a]);
@@ -154,8 +138,8 @@ mod tests {
         let mut reg = ServiceRegistry::new();
         let mut t = ServiceTracker::new("log");
         t.open(&reg);
-        let a = reg.register(BundleId(1), &["log"], BTreeMap::new(), svc());
-        let b = reg.register(BundleId(2), &["log"], BTreeMap::new(), svc());
+        let a = reg.register(BundleId(1), &["log"], svc());
+        let b = reg.register(BundleId(2), &["log"], svc());
         t.sync(&reg);
         assert_eq!(t.tracked(), vec![a, b]);
         reg.unregister(a).unwrap();
@@ -166,58 +150,17 @@ mod tests {
     }
 
     #[test]
-    fn filter_gates_membership_and_reacts_to_modification() {
-        let mut reg = ServiceRegistry::new();
-        let mut t = ServiceTracker::new("log").with_filter("(vendor=acme)".parse().unwrap());
-        t.open(&reg);
-        let a = reg.register(
-            BundleId(1),
-            &["log"],
-            props(&[("vendor", PropValue::from("acme"))]),
-            svc(),
-        );
-        let b = reg.register(
-            BundleId(2),
-            &["log"],
-            props(&[("vendor", PropValue::from("globex"))]),
-            svc(),
-        );
-        t.sync(&reg);
-        assert_eq!(t.tracked(), vec![a]);
-        // b changes vendor: now it matches.
-        reg.set_properties(b, props(&[("vendor", PropValue::from("acme"))]))
-            .unwrap();
-        t.sync(&reg);
-        assert_eq!(t.tracked(), vec![a, b]);
-        // a changes away: drops out.
-        reg.set_properties(a, props(&[("vendor", PropValue::from("x"))]))
-            .unwrap();
-        t.sync(&reg);
-        assert_eq!(t.tracked(), vec![b]);
-    }
-
-    #[test]
-    fn best_respects_ranking() {
+    fn best_is_the_first_registered() {
         let mut reg = ServiceRegistry::new();
         let mut t = ServiceTracker::new("log");
         t.open(&reg);
-        let low = reg.register(
-            BundleId(1),
-            &["log"],
-            props(&[("service.ranking", PropValue::Int(1))]),
-            svc(),
-        );
-        let high = reg.register(
-            BundleId(2),
-            &["log"],
-            props(&[("service.ranking", PropValue::Int(9))]),
-            svc(),
-        );
+        let first = reg.register(BundleId(2), &["log"], svc());
+        let second = reg.register(BundleId(1), &["log"], svc());
         t.sync(&reg);
-        assert_eq!(t.best(&reg), Some(high));
-        reg.unregister(high).unwrap();
+        assert_eq!(t.best(&reg), Some(first));
+        reg.unregister(first).unwrap();
         t.sync(&reg);
-        assert_eq!(t.best(&reg), Some(low));
+        assert_eq!(t.best(&reg), Some(second));
     }
 
     #[test]
@@ -225,7 +168,7 @@ mod tests {
         let mut reg = ServiceRegistry::new();
         let mut t = ServiceTracker::new("log");
         t.open(&reg);
-        reg.register(BundleId(1), &["http"], BTreeMap::new(), svc());
+        reg.register(BundleId(1), &["http"], svc());
         t.sync(&reg);
         assert!(t.is_empty());
     }

@@ -61,7 +61,7 @@ fn factory() -> ActivatorFactory {
                 let noop = |_: &mut CallContext<'_>, _: &str, _: &Value| {
                     Ok::<_, ServiceError>(Value::Null)
                 };
-                ctx.register_service(&[name], BTreeMap::new(), Box::new(noop));
+                ctx.register_service(&[name], Box::new(noop));
                 Ok(())
             }))
         });

@@ -31,14 +31,29 @@ impl From<LexError> for ParseError {
     }
 }
 
+/// How deeply an expression may nest — the most nodes and parentheses on a
+/// path from a condition or an action argument down to a leaf: far above
+/// any script written here, far below the depth whose recursion (parsing,
+/// evaluating, printing or dropping the tree) overflows a thread's stack.
+const MAX_DEPTH: u32 = 128;
+
+/// A parsed expression and its height: the most nodes on a path from it
+/// down to a leaf.
+type Tree = (Expr, u32);
+
 /// Parses a policy script.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] locating the first malformation.
+/// Returns a [`ParseError`] locating the first malformation, including an
+/// expression nested deeper than 128 levels.
 pub fn parse(input: &str) -> Result<Script, ParseError> {
     let tokens = lex(input)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let mut rules = Vec::new();
     while !p.at_end() {
         rules.push(p.rule()?);
@@ -49,6 +64,9 @@ pub fn parse(input: &str) -> Result<Script, ParseError> {
 struct Parser {
     tokens: Vec<(usize, Token)>,
     pos: usize,
+    /// The parentheses, operators and calls enclosing the expression being
+    /// parsed, up to its root.
+    depth: u32,
 }
 
 impl Parser {
@@ -79,6 +97,35 @@ impl Parser {
             at: self.offset(),
             message: message.into(),
         }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("expression nested deeper than {MAX_DEPTH}"))
+    }
+
+    /// Parses with `f` one level below the current one, refusing to go
+    /// past the bound before it recurses.
+    fn nested(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<Tree, ParseError>,
+    ) -> Result<Tree, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let tree = f(self);
+        self.depth -= 1;
+        tree
+    }
+
+    /// `expr` as a node over children at most `below` high, refused if its
+    /// deepest leaf would lie past the bound.
+    fn node(&self, expr: Expr, below: u32) -> Result<Tree, ParseError> {
+        let height = below + 1;
+        if self.depth + height > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok((expr, height))
     }
 
     fn expect(&mut self, want: &Token) -> Result<(), ParseError> {
@@ -116,7 +163,7 @@ impl Parser {
         let name = self.ident()?;
         self.expect(&Token::LBrace)?;
         self.keyword("when")?;
-        let condition = self.expr()?;
+        let (condition, _) = self.expr()?;
         let sustain = if matches!(self.peek(), Some(Token::Ident(s)) if s == "for") {
             self.pos += 1;
             match self.bump() {
@@ -152,10 +199,10 @@ impl Parser {
         if matches!(self.peek(), Some(Token::LParen)) {
             self.pos += 1;
             if !matches!(self.peek(), Some(Token::RParen)) {
-                args.push(self.expr()?);
+                args.push(self.expr()?.0);
                 while matches!(self.peek(), Some(Token::Comma)) {
                     self.pos += 1;
-                    args.push(self.expr()?);
+                    args.push(self.expr()?.0);
                 }
             }
             self.expect(&Token::RParen)?;
@@ -163,39 +210,39 @@ impl Parser {
         Ok(ActionCall { verb, args })
     }
 
-    fn expr(&mut self) -> Result<Expr, ParseError> {
+    fn expr(&mut self) -> Result<Tree, ParseError> {
         self.or_expr()
     }
 
-    fn or_expr(&mut self) -> Result<Expr, ParseError> {
+    /// `lhs op rhs` as a node.
+    fn binary(&self, op: BinOp, lhs: Tree, rhs: Tree) -> Result<Tree, ParseError> {
+        let below = lhs.1.max(rhs.1);
+        let lhs = Box::new(lhs.0);
+        let rhs = Box::new(rhs.0);
+        self.node(Expr::Binary { op, lhs, rhs }, below)
+    }
+
+    fn or_expr(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.and_expr()?;
         while matches!(self.peek(), Some(Token::Ident(s)) if s == "or") {
             self.pos += 1;
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr, ParseError> {
+    fn and_expr(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.cmp_expr()?;
         while matches!(self.peek(), Some(Token::Ident(s)) if s == "and") {
             self.pos += 1;
             let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr, ParseError> {
+    fn cmp_expr(&mut self) -> Result<Tree, ParseError> {
         let lhs = self.sum_expr()?;
         let op = match self.peek() {
             Some(Token::Gt) => Some(BinOp::Gt),
@@ -210,17 +257,13 @@ impl Parser {
             Some(op) => {
                 self.pos += 1;
                 let rhs = self.sum_expr()?;
-                Ok(Expr::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                })
+                self.binary(op, lhs, rhs)
             }
             None => Ok(lhs),
         }
     }
 
-    fn sum_expr(&mut self) -> Result<Expr, ParseError> {
+    fn sum_expr(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.prod_expr()?;
         loop {
             let op = match self.peek() {
@@ -230,16 +273,12 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.prod_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn prod_expr(&mut self) -> Result<Expr, ParseError> {
+    fn prod_expr(&mut self) -> Result<Tree, ParseError> {
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -249,57 +288,56 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.unary_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn unary_expr(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            Some(Token::Minus) => {
-                self.pos += 1;
-                Ok(Expr::Neg(Box::new(self.unary_expr()?)))
-            }
-            Some(Token::Ident(s)) if s == "not" => {
-                self.pos += 1;
-                Ok(Expr::Not(Box::new(self.unary_expr()?)))
-            }
-            _ => self.primary(),
-        }
+    fn unary_expr(&mut self) -> Result<Tree, ParseError> {
+        let wrap: fn(Box<Expr>) -> Expr = match self.peek() {
+            Some(Token::Minus) => Expr::Neg,
+            Some(Token::Ident(s)) if s == "not" => Expr::Not,
+            _ => return self.primary(),
+        };
+        self.pos += 1;
+        let (operand, below) = self.nested(Self::unary_expr)?;
+        self.node(wrap(Box::new(operand)), below)
     }
 
-    fn primary(&mut self) -> Result<Expr, ParseError> {
-        match self.bump() {
-            Some(Token::Number(n)) => Ok(Expr::Number(n)),
-            Some(Token::Str(s)) => Ok(Expr::Str(s)),
-            Some(Token::Subject) => Ok(Expr::Subject),
+    fn primary(&mut self) -> Result<Tree, ParseError> {
+        let leaf = match self.bump() {
+            Some(Token::Number(n)) => Expr::Number(n),
+            Some(Token::Str(s)) => Expr::Str(s),
+            Some(Token::Subject) => Expr::Subject,
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(&Token::RParen)?;
-                Ok(e)
+                return Ok(e);
             }
-            Some(Token::Ident(s)) if s == "true" => Ok(Expr::Bool(true)),
-            Some(Token::Ident(s)) if s == "false" => Ok(Expr::Bool(false)),
+            Some(Token::Ident(s)) if s == "true" => Expr::Bool(true),
+            Some(Token::Ident(s)) if s == "false" => Expr::Bool(false),
             Some(Token::Ident(name)) => {
                 self.expect(&Token::LParen)?;
                 let mut args = Vec::new();
+                let mut below = 0;
                 if !matches!(self.peek(), Some(Token::RParen)) {
-                    args.push(self.expr()?);
-                    while matches!(self.peek(), Some(Token::Comma)) {
+                    loop {
+                        let (arg, height) = self.nested(Self::expr)?;
+                        args.push(arg);
+                        below = below.max(height);
+                        if !matches!(self.peek(), Some(Token::Comma)) {
+                            break;
+                        }
                         self.pos += 1;
-                        args.push(self.expr()?);
                     }
                 }
                 self.expect(&Token::RParen)?;
-                Ok(Expr::Call { name, args })
+                return self.node(Expr::Call { name, args }, below);
             }
-            Some(t) => Err(self.err(format!("unexpected {t}"))),
-            None => Err(self.err("unexpected end of input")),
-        }
+            Some(t) => return Err(self.err(format!("unexpected {t}"))),
+            None => return Err(self.err("unexpected end of input")),
+        };
+        self.node(leaf, 0)
     }
 }
 
@@ -371,5 +409,56 @@ mod tests {
         assert!(parse("rule a { when f( then stop }").is_err()); // bad call
         let e = parse("bogus").unwrap_err();
         assert!(e.message.contains("rule"));
+    }
+
+    /// What an operator's script goes through: compiled, printed and
+    /// evaluated for one subject, then dropped.
+    fn compile_and_run(src: &str) -> Result<(), ParseError> {
+        let mut engine = crate::PolicyEngine::compile(src)?;
+        let _ = engine.script().to_string();
+        let streaks = engine.streaks();
+        engine.evaluate(&crate::Blackboard::new(), &[("acme", &streaks)]);
+        Ok(())
+    }
+
+    /// Every depth up to the bound runs; past it, and far past it — where
+    /// the recursion once aborted the process — the script is refused.
+    fn refused_past_the_bound(script: impl Fn(usize) -> String) {
+        let max = MAX_DEPTH as usize;
+        compile_and_run(&script(max - 1)).unwrap();
+        for levels in [100_000, max] {
+            let err = compile_and_run(&script(levels)).unwrap_err();
+            assert_eq!(
+                err.message,
+                format!("expression nested deeper than {MAX_DEPTH}"),
+                "{levels} levels"
+            );
+        }
+    }
+
+    #[test]
+    fn deeply_parenthesised_condition_is_refused_not_overflowed() {
+        refused_past_the_bound(|n| {
+            let (open, close) = ("(".repeat(n), ")".repeat(n));
+            format!("rule r {{ when {open}1{close} > 0 then stop($i) }}")
+        });
+    }
+
+    #[test]
+    fn long_not_prefix_is_refused_not_overflowed() {
+        refused_past_the_bound(|n| {
+            let nots = "not ".repeat(n);
+            format!("rule r {{ when {nots}true then stop($i) }}")
+        });
+    }
+
+    /// The parser builds a chain in a loop, but evaluating, printing and
+    /// dropping it recurse through every link.
+    #[test]
+    fn long_operator_chain_is_refused_not_overflowed() {
+        refused_past_the_bound(|n| {
+            let sum = vec!["1"; n].join(" + ");
+            format!("rule r {{ when {sum} > 0 then stop($i) }}")
+        });
     }
 }

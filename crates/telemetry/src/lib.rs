@@ -158,12 +158,16 @@ impl Telemetry {
         HistogramHandle(self.resolve(name, |g| &mut g.histograms))
     }
 
-    /// Increment counter `name` by 1.
+    /// Increment counter `name` by 1. A by-name write looks the name up
+    /// on every call; the workspace writes through handles
+    /// ([`counter_handle`](Self::counter_handle)), and the by-name writes
+    /// stay for the stand-alone `benchmark` package's probes and for tests.
     pub fn incr(&self, name: &str) {
         self.add(name, 1);
     }
 
     /// Increment counter `name` by `n`: resolve, then write, in one call.
+    /// By name, like [`incr`](Self::incr), and kept for the same callers.
     pub fn add(&self, name: &str, n: u64) {
         if let Some(mut g) = self.lock() {
             with_slot(&mut g.counters, name, |s| s.add(n));
@@ -177,7 +181,8 @@ impl Telemetry {
             .unwrap_or(0)
     }
 
-    /// Set gauge `name` to `v` (last write wins).
+    /// Set gauge `name` to `v` (last write wins). By name, like
+    /// [`incr`](Self::incr), and kept for the same callers.
     pub fn gauge_set(&self, name: &str, v: i64) {
         if let Some(mut g) = self.lock() {
             with_slot(&mut g.gauges, name, |s| s.set(v));
@@ -189,7 +194,8 @@ impl Telemetry {
         self.lock().and_then(|g| g.gauges.get(name)?.read())
     }
 
-    /// Record sample `v` into histogram `name`.
+    /// Record sample `v` into histogram `name`. By name, like
+    /// [`incr`](Self::incr), and kept for the same callers.
     pub fn record(&self, name: &str, v: u64) {
         if let Some(mut g) = self.lock() {
             with_slot(&mut g.histograms, name, |s| handle::record(s, v));

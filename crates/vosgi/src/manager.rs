@@ -756,7 +756,6 @@ mod tests {
     use super::*;
     use crate::{InstanceDescriptor, ResourceQuota, SecurityPolicy};
     use dosgi_osgi::{CallContext, FnActivator, ManifestBuilder, Version};
-    use std::collections::BTreeMap as Props;
 
     const LOGGER_IFACE: &str = "org.host.log.Logger";
 
@@ -775,7 +774,6 @@ mod tests {
                 Some(Box::new(FnActivator::on_start(|ctx| {
                     ctx.register_service(
                         &[LOGGER_IFACE],
-                        Props::new(),
                         Box::new(
                             |ctx: &mut CallContext<'_>, method: &str, arg: &Value| match method {
                                 "log" => {
@@ -807,7 +805,6 @@ mod tests {
             Box::new(FnActivator::on_start(|ctx| {
                 ctx.register_service(
                     &["org.cust.app.Api"],
-                    Props::new(),
                     Box::new(
                         |_: &mut CallContext<'_>, method: &str, _: &Value| match method {
                             "ping" => Ok(Value::from("pong")),
@@ -839,7 +836,6 @@ mod tests {
             Box::new(FnActivator::on_start(|ctx| {
                 ctx.register_service(
                     &["org.cust.extra.Api"],
-                    Props::new(),
                     Box::new(|_: &mut CallContext<'_>, _: &str, _: &Value| Ok(Value::Int(42))),
                 );
                 Ok(())

@@ -17,7 +17,6 @@ use dosgi_osgi::{
 };
 use dosgi_san::Value;
 use dosgi_vosgi::{InstanceDescriptor, InstanceManager};
-use std::collections::BTreeMap;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Provision a new bundle + activator into the node's repository and
@@ -34,7 +33,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Box::new(FnActivator::on_start(move |ctx| {
             ctx.register_service(
                 &["org.acme.search.Search"],
-                BTreeMap::new(),
                 Box::new(
                     move |_: &mut CallContext<'_>, method: &str, _: &Value| match method {
                         "version" => Ok(Value::from(version.to_string())),

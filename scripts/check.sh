@@ -46,6 +46,11 @@ for bin in e1_topology e3_sharing e4_isolation e5_migration_cost e6_failover \
   cargo run -q --offline --release -p dosgi-bench --bin "$bin" > "results/$bin.txt"
 done
 
+echo "==> examples run to completion (their assertions hold; output discarded)"
+for example in quickstart multi_tenant_sla failover_cluster load_balanced_web hot_update; do
+  cargo run -q --offline --release -p dosgi-core --example "$example" > /dev/null
+done
+
 echo "==> telemetry snapshot schema check"
 cargo run --offline --release -p dosgi-bench --bin telemetry_check
 
