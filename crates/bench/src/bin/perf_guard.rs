@@ -48,6 +48,22 @@
 //! — and last the whole op's allocations. The `adopt.*` rows of the
 //! `failover` table count a restarted node's host restore as well.
 //!
+//! A fourth table, `serve phases`, in two parts, is the request path's
+//! profile: a benchmark-shaped `serve_read` tick and a `serve_write` one —
+//! 5 nodes, 40 web instances or 40 write-through counters behind one
+//! round-robin VIP, 8 000/s per backend from 64-deep queues; per tick a
+//! step, 80 × (an admission at the VIP and a call to a Zipf-popular
+//! tenant) and a drain — 200 ticks after every instance's first call and
+//! 20 ticks with the table off. It prints, per tick, the calls and
+//! allocations of the request path's phases — `ipvs.admit`, `ipvs.drain`,
+//! `call.route` (the whole call, routed from the reference registry to the
+//! home node), `call.instance` (inside it: the instance's lookup, the
+//! sandbox check and the activator) and `call.persist` (inside that: the
+//! write-through) — and of every step phase that ran, then the whole
+//! tick's allocations. The `phases` and `migrate phases` tables leave the request path's
+//! phases out, though their rounds' `incr`s enter them. Each phase's ns per
+//! tick and per call go to stderr only.
+//!
 //! The E5 migration round's SAN bytes and the E14 counter-scale swap
 //! blackout are pinned by their own captures, `results/e5_migration_cost.txt`
 //! and `results/e14_hot_swap.txt`. Wall-clock cost is not guarded here: the
@@ -56,7 +72,7 @@
 //! `alloc_guard` tests.
 
 use dosgi_bench::print_table;
-use dosgi_core::loadgen::{ClassMix, RateSchedule, ScheduledLoadGenerator};
+use dosgi_core::loadgen::{ClassMix, RateSchedule, ScheduledLoadGenerator, ZipfSampler};
 use dosgi_core::{workloads, BootKit, ClusterConfig, DosgiCluster, DosgiNode, NodeConfig};
 use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, Scheduler};
 use dosgi_net::{IpAddr, NodeId, Port, SimDuration, SimTime, SocketAddr};
@@ -250,6 +266,17 @@ fn measure_admission() -> (u64, u64, u64) {
 /// Rounds the phase table averages over: one per victim.
 const PHASE_ROUNDS: u64 = 4;
 
+/// The request path's phases. Only the `serve phases` tables show them: a
+/// `failover` round's and a `migrate` op's `incr`s enter them too, and
+/// those tables are the step loop's.
+const REQUEST_PATH: [Phase; 5] = [
+    Phase::IpvsAdmit,
+    Phase::IpvsDrain,
+    Phase::CallRoute,
+    Phase::CallInstance,
+    Phase::CallPersist,
+];
+
 /// The `failover` workload's cluster, settled: 5 nodes, 20 web and 20
 /// write-through counter instances, observability on. Returns the names,
 /// the counters last.
@@ -400,6 +427,7 @@ fn measure_migrate_phases() -> Vec<(&'static str, f64, f64, f64)> {
     let whole = per_op(allocations() - before);
     let mut table: Vec<_> = Phase::ALL
         .iter()
+        .filter(|p| !REQUEST_PATH.contains(p))
         .map(|&p| (p.name(), phases.count(p)))
         .filter(|(name, n)| {
             n.calls > 0 || name.starts_with("apply_control.") || name.starts_with("gcs.")
@@ -425,6 +453,7 @@ fn measure_phases() -> Vec<(&'static str, f64, f64, f64)> {
     let per_round = |n: u64| n as f64 / PHASE_ROUNDS as f64;
     let mut table: Vec<_> = Phase::ALL
         .iter()
+        .filter(|p| !REQUEST_PATH.contains(p))
         .map(|&p| {
             let n = phases.count(p);
             let us = per_round(n.ns) / 1e3;
@@ -441,6 +470,133 @@ fn measure_phases() -> Vec<(&'static str, f64, f64, f64)> {
         per_round(rest(|n| n.allocs)),
         per_round(rest(|n| n.ns)) / 1e3,
     ));
+    table
+}
+
+/// Ticks the `serve phases` tables average over: a simulated second.
+const SERVE_TICKS: u64 = 200;
+/// Requests per tick, as in the benchmark: 16 000/s, 40 % of what the
+/// five backends admit.
+const SERVE_REQUESTS: u64 = 80;
+const SERVE_VIP: SocketAddr = SocketAddr::new(IpAddr::new(10, 0, 0, 120), Port(80));
+
+/// The `serve_read` (`write` false) or `serve_write` workload's loop: 40
+/// web instances, or 40 write-through counters, on a settled 5-node
+/// cluster behind one round-robin VIP whose backends serve 8 000/s each
+/// from 64-deep queues; Zipf-popular tenants and the standard class mix.
+struct Serve {
+    cluster: DosgiCluster,
+    director: IpvsDirector,
+    names: Vec<String>,
+    tenants: ZipfSampler,
+    classes: ClassMix,
+    arg: Value,
+    client: u64,
+    write: bool,
+}
+
+impl Serve {
+    /// The loop's cluster, settled, every instance called once (its first
+    /// call creates its data area) and 20 ticks run.
+    fn new(write: bool) -> Serve {
+        let mut cluster = DosgiCluster::new(5, ClusterConfig::default(), 7);
+        cluster.run_for(SimDuration::from_millis(500));
+        let names: Vec<String> = (0..40).map(|i| format!("tenant-{i:03}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            let descriptor = if write {
+                workloads::counter_instance_with(name, name, workloads::COUNTER_WRITE_THROUGH)
+            } else {
+                workloads::web_instance(name, name)
+            };
+            cluster
+                .deploy(descriptor, i % 5)
+                .expect("deploy on a healthy cluster");
+        }
+        cluster.run_for(SimDuration::from_secs(2));
+        let mut director = IpvsDirector::new();
+        director.set_telemetry(cluster.telemetry().clone());
+        let backends: Vec<NodeId> = (0..5).map(NodeId).collect();
+        director.add_service(
+            replicated_service(SERVE_VIP, Scheduler::RoundRobin, &backends)
+                .with_admission(AdmissionConfig::per_second(8_000, 64)),
+        );
+        let mut serve = Serve {
+            cluster,
+            director,
+            names,
+            tenants: ZipfSampler::new(40, 1.0, 1),
+            classes: ClassMix::standard_web(2),
+            arg: Value::map().with("work_us", 20i64),
+            client: 0,
+            write,
+        };
+        for i in 0..serve.names.len() {
+            serve.call(i);
+        }
+        for _ in 0..20 {
+            serve.tick();
+        }
+        serve
+    }
+
+    /// The loop's call to tenant `i`.
+    fn call(&mut self, i: usize) {
+        let (interface, method) = if self.write {
+            (workloads::COUNTER_SERVICE, "incr")
+        } else {
+            (workloads::WEB_SERVICE, "handle")
+        };
+        self.cluster
+            .call(&self.names[i], interface, method, &self.arg)
+            .expect("a serving instance");
+    }
+
+    /// One op of the benchmark: a step, 80 × (admit + call), a drain.
+    fn tick(&mut self) {
+        self.cluster.step();
+        let now_us = self.cluster.now().as_micros();
+        for _ in 0..SERVE_REQUESTS {
+            let (tenant, class) = (self.tenants.sample(), self.classes.sample());
+            self.client += 1;
+            self.director
+                .admit(self.client, SERVE_VIP, class, now_us)
+                .expect("40 % load: nothing is shed");
+            self.call(tenant);
+        }
+        let done = self.director.drain(SERVE_VIP, now_us);
+        assert!(done.iter().all(|c| !c.missed_deadline()), "on time");
+    }
+}
+
+/// The phase table of `SERVE_TICKS` ticks of the `serve_read` (`write`
+/// false) or `serve_write` loop, per tick: calls and allocations of the
+/// request path's phases and of every other phase that ran, ns for
+/// stderr, and last the whole tick's allocations.
+fn measure_serve_phases(write: bool) -> Vec<(&'static str, f64, f64, f64)> {
+    let mut serve = Serve::new(write);
+    let phases = Phases::new(allocations);
+    serve.cluster.set_phases(phases.clone());
+    serve.director.set_phases(phases.clone());
+    let before = allocations();
+    for _ in 0..SERVE_TICKS {
+        serve.tick();
+    }
+    let per_tick = |n: u64| n as f64 / SERVE_TICKS as f64;
+    let whole = per_tick(allocations() - before);
+    let mut table: Vec<_> = Phase::ALL
+        .iter()
+        .map(|&p| (p, phases.count(p)))
+        .filter(|(p, n)| n.calls > 0 || REQUEST_PATH.contains(p))
+        .map(|(p, n)| {
+            (
+                p.name(),
+                per_tick(n.calls),
+                per_tick(n.allocs),
+                per_tick(n.ns),
+            )
+        })
+        .collect();
+    table.push(("op", 1.0, whole, f64::NAN));
     table
 }
 
@@ -464,6 +620,20 @@ fn phase_table_cost() -> (f64, f64) {
         }
     }
     (best[0], best[1])
+}
+
+/// A phase table's printed rows: name, calls and allocations.
+fn phase_rows(table: &[(&str, f64, f64, f64)]) -> Vec<Vec<String>> {
+    table
+        .iter()
+        .map(|(name, calls, allocs, _)| {
+            vec![
+                name.to_string(),
+                format!("{calls:.2}"),
+                format!("{allocs:.2}"),
+            ]
+        })
+        .collect()
 }
 
 /// Runs every scenario — the table in the module docs, as data — prints
@@ -546,42 +716,42 @@ fn main() {
         &rows,
     );
     let phases = measure_phases();
-    let phase_rows: Vec<Vec<String>> = phases
-        .iter()
-        .map(|(name, calls, allocs, _)| {
-            vec![
-                name.to_string(),
-                format!("{calls:.2}"),
-                format!("{allocs:.2}"),
-            ]
-        })
-        .collect();
     print_table(
         "perf_guard phases: one benchmark-shaped failover round, averaged over four",
         &["phase", "calls per round", "allocations per round"],
-        &phase_rows,
+        &phase_rows(&phases),
     );
     for (name, _, _, us) in &phases {
         eprintln!("phase {name}: {us:.1} µs per round");
     }
     let migrate = measure_migrate_phases();
-    let migrate_rows: Vec<Vec<String>> = migrate
-        .iter()
-        .map(|(name, calls, allocs, _)| {
-            vec![
-                name.to_string(),
-                format!("{calls:.2}"),
-                format!("{allocs:.2}"),
-            ]
-        })
-        .collect();
     print_table(
         "perf_guard migrate phases: one benchmark-shaped migrate cycle, per op",
         &["phase", "calls per op", "allocations per op"],
-        &migrate_rows,
+        &phase_rows(&migrate),
     );
     for (name, _, _, us) in migrate.iter().filter(|(_, _, _, us)| !us.is_nan()) {
         eprintln!("migrate phase {name}: {us:.2} µs per op");
+    }
+    for (workload, write) in [("serve_read", false), ("serve_write", true)] {
+        let serve = measure_serve_phases(write);
+        let method = if write {
+            "write-through incr"
+        } else {
+            "handle"
+        };
+        print_table(
+            &format!(
+                "perf_guard serve phases: one benchmark-shaped {workload} tick \
+                 ({SERVE_REQUESTS} {method} requests), averaged over {SERVE_TICKS}"
+            ),
+            &["phase", "calls per tick", "allocations per tick"],
+            &phase_rows(&serve),
+        );
+        for (name, calls, _, ns) in serve.iter().filter(|(_, _, _, ns)| !ns.is_nan()) {
+            let per_call = if *calls > 0.0 { ns / calls } else { 0.0 };
+            eprintln!("{workload} phase {name}: {ns:.0} ns per tick, {per_call:.0} ns per call");
+        }
     }
     let (off, on) = phase_table_cost();
     eprintln!(

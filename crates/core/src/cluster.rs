@@ -192,9 +192,10 @@ impl DosgiCluster {
         }
     }
 
-    /// Counts where each step's — and each restart's — calls, time and
-    /// allocations go into `phases`, on the driver and on every node, from
-    /// now on. Passive, like telemetry: nothing a run does depends on it.
+    /// Counts where each step's — and each restart's and client call's —
+    /// calls, time and allocations go into `phases`, on the driver and on
+    /// every node, from now on. Passive, like telemetry: nothing a run does
+    /// depends on it.
     pub fn set_phases(&mut self, phases: Phases) {
         for slot in &mut self.slots {
             slot.node.set_phases(phases.clone());
@@ -540,7 +541,8 @@ impl DosgiCluster {
             .is_some_and(|n| n.probe_local(name))
     }
 
-    /// Routes a client request to the instance's current home.
+    /// Routes a client request to the instance's current home, counted
+    /// as `call.route`.
     ///
     /// # Errors
     ///
@@ -554,6 +556,8 @@ impl DosgiCluster {
         method: &str,
         arg: &Value,
     ) -> Result<Value, CoreError> {
+        let phases = self.phases.clone();
+        let _routing = phases.enter(Phase::CallRoute);
         let idx = self
             .home_of(name)
             .ok_or_else(|| CoreError::NotPlaced(name.to_owned()))?;

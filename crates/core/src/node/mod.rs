@@ -401,8 +401,8 @@ impl DosgiNode {
         self.recorder = recorder;
     }
 
-    /// Counts the node's tick phases, its releases and its adoptions'
-    /// restores into `phases` from now on.
+    /// Counts the node's tick phases, its releases, its adoptions'
+    /// restores and its local calls into `phases` from now on.
     pub fn set_phases(&mut self, phases: Phases) {
         self.gcs.set_phases(phases.clone());
         self.mgr.set_phases(phases.clone());
@@ -533,7 +533,8 @@ impl DosgiNode {
         iid.ok_or_else(|| CoreError::NotPlaced(name.to_owned()))
     }
 
-    /// Calls a service of a locally running instance.
+    /// Calls a service of a locally running instance, counted as
+    /// `call.instance`.
     ///
     /// # Errors
     ///
@@ -546,8 +547,10 @@ impl DosgiNode {
         method: &str,
         arg: &Value,
     ) -> Result<Value, CoreError> {
+        let calling = self.phases.enter(Phase::CallInstance);
         let iid = self.local(name)?;
         let reply = self.mgr.call_service(iid, interface, method, arg);
+        drop(calling);
         if self.mgr.persist_dirty() {
             // A write-through failed; the tick retries it.
             self.wake();

@@ -11,7 +11,10 @@
 //! write-through `incr` on a hot key nothing — the lookup of the best
 //! provider reads the first entry of a list kept in order — and the first
 //! call after an adoption the same whatever the size of the area it does not
-//! read. Registering and unregistering a two-interface service beside eight
+//! read. A whole tick of the benchmark's serve loop — a step, 80 admissions
+//! and calls, a drain — allocates exactly once for write-through `incr`s,
+//! the drain's list, and at most 81 times for `handle`s, the replies beside
+//! it. Registering and unregistering a two-interface service beside eight
 //! others allocates 3 times: one interface list, whose names it shares, and
 //! two lists grown.
 //!
@@ -61,14 +64,18 @@
 //! evaluated — an error is written into the engine's one reused buffer.
 
 use dosgi_core::autonomic::{AutonomicModule, DEFAULT_POLICY};
+use dosgi_core::loadgen::{ClassMix, ZipfSampler};
 use dosgi_core::watch::{Watch, Watched};
 use dosgi_core::{
     placement, workloads, AppPayload, ClusterConfig, ClusterRegistry, DosgiCluster, InstanceRecord,
     Wire,
 };
 use dosgi_gcs::{GcsConfig, GcsEvent, GcsWire, GroupNode};
+use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, Scheduler};
 use dosgi_monitor::NodeCapacity;
-use dosgi_net::{Envelope, Fabric, LinkConfig, NodeId, SimDuration, SimNet, SimTime};
+use dosgi_net::{
+    Envelope, Fabric, IpAddr, LinkConfig, NodeId, Port, SimDuration, SimNet, SimTime, SocketAddr,
+};
 use dosgi_osgi::{
     ActivatorFactory, BundleId, CallContext, Framework, FrameworkConfig, FrameworkMetrics,
     KnownManifests, Service, ServiceRegistry, UsageSnapshot, Version,
@@ -293,6 +300,110 @@ fn request_path_allocations_with_telemetry_on() {
 #[test]
 fn request_path_allocations_with_telemetry_off() {
     request_path_allocations(Telemetry::disabled());
+}
+
+const SERVE_VIP: SocketAddr = SocketAddr::new(IpAddr::new(10, 0, 0, 120), Port(80));
+
+/// The benchmark's serve loop, settled: 40 web instances or write-through
+/// counters on five nodes behind one round-robin VIP whose backends serve
+/// 8 000/s from 64-deep queues, requests to Zipf-popular tenants in the
+/// standard class mix. Returns what each of 100 ticks — a step, 80 ×
+/// (admit + call), a drain — allocated, after every instance's first call
+/// and four ticks.
+fn serve_tick_allocations(telemetry: Telemetry, write: bool) -> Vec<u64> {
+    let mut c = DosgiCluster::new_with_telemetry(NODES, ClusterConfig::default(), 7, telemetry);
+    c.run_for(SimDuration::from_millis(500));
+    let names: Vec<String> = (0..INSTANCES).map(|i| format!("tenant-{i:03}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        let descriptor = if write {
+            workloads::counter_instance_with(name, name, workloads::COUNTER_WRITE_THROUGH)
+        } else {
+            workloads::web_instance(name, name)
+        };
+        c.deploy(descriptor, i % NODES)
+            .expect("deploy on a healthy cluster");
+    }
+    c.run_for(SimDuration::from_secs(2));
+    let mut director = IpvsDirector::new();
+    director.set_telemetry(c.telemetry().clone());
+    let backends: Vec<NodeId> = (0..NODES as u32).map(NodeId).collect();
+    director.add_service(
+        replicated_service(SERVE_VIP, Scheduler::RoundRobin, &backends)
+            .with_admission(AdmissionConfig::per_second(8_000, 64)),
+    );
+    let (mut tenants, mut classes) = (
+        ZipfSampler::new(INSTANCES, 1.0, 1),
+        ClassMix::standard_web(2),
+    );
+    let (interface, method) = if write {
+        (workloads::COUNTER_SERVICE, "incr")
+    } else {
+        (workloads::WEB_SERVICE, "handle")
+    };
+    let arg = Value::map().with("work_us", 20i64);
+    // An instance's first call creates its data area.
+    for name in &names {
+        c.call(name, interface, method, &arg).expect("serving");
+    }
+    let mut client = 0;
+    let mut ticks = Vec::new();
+    for tick in 0..104 {
+        let (allocations, completed) = allocations_in(|| {
+            c.step();
+            let now_us = c.now().as_micros();
+            for _ in 0..80 {
+                client += 1;
+                director
+                    .admit(client, SERVE_VIP, classes.sample(), now_us)
+                    .expect("40 % load: nothing is shed");
+                c.call(&names[tenants.sample()], interface, method, &arg)
+                    .expect("serving");
+            }
+            director.drain(SERVE_VIP, now_us).len()
+        });
+        if tick > 0 {
+            assert_eq!(completed, 80, "the last tick's requests complete");
+        }
+        if tick >= 4 {
+            ticks.push(allocations);
+        }
+    }
+    ticks
+}
+
+/// A tick of the `serve_write` loop allocates once: the drain's list. The
+/// step, the admissions and the write-through calls allocate nothing. (6
+/// while the drain grew its list by doubling, from empty, every tick.)
+fn a_write_through_serve_tick_allocates_its_drain(telemetry: Telemetry) {
+    let ticks = serve_tick_allocations(telemetry, true);
+    assert!(ticks.iter().all(|&n| n == 1), "per tick: {ticks:?}");
+}
+
+#[test]
+fn a_write_through_serve_tick_allocates_its_drain_with_telemetry_on() {
+    a_write_through_serve_tick_allocates_its_drain(Telemetry::new());
+}
+
+#[test]
+fn a_write_through_serve_tick_allocates_its_drain_with_telemetry_off() {
+    a_write_through_serve_tick_allocates_its_drain(Telemetry::disabled());
+}
+
+/// A tick of the `serve_read` loop allocates at most 81 times: 80 `handle`
+/// replies and the drain's list.
+fn a_handle_serve_tick_allocates_its_replies_and_its_drain(telemetry: Telemetry) {
+    let ticks = serve_tick_allocations(telemetry, false);
+    assert!(ticks.iter().all(|&n| n <= 81), "per tick: {ticks:?}");
+}
+
+#[test]
+fn a_handle_serve_tick_allocates_its_replies_and_its_drain_with_telemetry_on() {
+    a_handle_serve_tick_allocates_its_replies_and_its_drain(Telemetry::new());
+}
+
+#[test]
+fn a_handle_serve_tick_allocates_its_replies_and_its_drain_with_telemetry_off() {
+    a_handle_serve_tick_allocates_its_replies_and_its_drain(Telemetry::disabled());
 }
 
 /// A hand-off's trace as its two ends make it, call sites included: the

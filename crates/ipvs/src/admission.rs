@@ -169,11 +169,19 @@ pub struct BackendQueue {
 }
 
 impl BackendQueue {
-    /// An empty queue under `config`.
+    /// An empty queue under `config`. Each lane is made at the queue's
+    /// capacity, which is the most it can hold, so an offer never grows
+    /// one; a capacity that cannot be reserved (`usize::MAX`, a queue that
+    /// accepts everything) leaves the lanes to grow on demand.
     pub fn new(config: AdmissionConfig) -> Self {
+        let lane = || {
+            let mut lane = VecDeque::new();
+            let _ = lane.try_reserve_exact(config.queue_capacity);
+            lane
+        };
         BackendQueue {
             config,
-            lanes: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
+            lanes: [lane(), lane(), lane()],
             free_at_us: 0,
         }
     }
@@ -281,6 +289,27 @@ mod tests {
         assert!(RequestClass::Critical.slo_us() < RequestClass::Standard.slo_us());
         assert!(RequestClass::Standard.slo_us() < RequestClass::Background.slo_us());
         assert_eq!(RequestClass::Critical.priority(), 0);
+    }
+
+    #[test]
+    fn lanes_are_made_at_a_bounded_capacity_and_grow_when_unbounded() {
+        let queue = |queue_capacity| {
+            BackendQueue::new(AdmissionConfig {
+                queue_capacity,
+                service_us_per_request: 1000,
+            })
+        };
+        let bounded = queue(64);
+        assert!(bounded.lanes.iter().all(|l| l.capacity() >= 64));
+        let mut unbounded = queue(usize::MAX);
+        assert!(unbounded.lanes.iter().all(|l| l.capacity() == 0));
+        for at in 0..100 {
+            assert_eq!(
+                unbounded.offer(req(at, RequestClass::Standard, at)),
+                Admitted::Queued
+            );
+        }
+        assert_eq!(unbounded.depth(), 100);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::admission::{Admitted, Completion, QueuedRequest, RequestClass};
 use crate::metrics::{Metrics, ShedReason};
 use crate::{RealServer, Scheduler, VirtualService};
 use dosgi_net::{NodeId, SocketAddr};
-use dosgi_telemetry::{FlightRecorder, SpanName, Telemetry, TraceContext};
+use dosgi_telemetry::{FlightRecorder, Phase, Phases, SpanName, Telemetry, TraceContext};
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
@@ -76,10 +76,14 @@ pub struct IpvsDirector {
     stats: IpvsStats,
     metrics: Metrics,
     recorder: FlightRecorder,
+    phases: Phases,
+    // The drain in progress; empty between drains, its capacity kept.
+    completions: Vec<Completion>,
 }
 
-// Telemetry handles and flight recorders carry no comparable state; two
-// directors are equal when their routing state is.
+// Telemetry handles, flight recorders and phase tables carry no comparable
+// state, and the completion buffer is empty between calls; two directors
+// are equal when their routing state is.
 impl PartialEq for IpvsDirector {
     fn eq(&self, other: &Self) -> bool {
         self.services == other.services
@@ -116,6 +120,12 @@ impl IpvsDirector {
     /// The attached flight recorder (disabled by default).
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
+    }
+
+    /// Counts [`admit`](Self::admit) as `ipvs.admit` and
+    /// [`drain`](Self::drain) as `ipvs.drain` into `phases` from now on.
+    pub fn set_phases(&mut self, phases: Phases) {
+        self.phases = phases;
     }
 
     /// Registers a virtual service.
@@ -236,6 +246,8 @@ impl IpvsDirector {
         class: RequestClass,
         now_us: u64,
     ) -> Result<NodeId, RouteError> {
+        let phases = self.phases.clone();
+        let _admitting = phases.enter(Phase::IpvsAdmit);
         if !self.services.contains_key(&address) {
             self.stats.rejected += 1;
             self.metrics.rejected.incr();
@@ -297,20 +309,27 @@ impl IpvsDirector {
     /// deterministic order (backends in server order, each FIFO within
     /// class, classes by priority). Deadline misses are counted against
     /// each completion's class SLO.
+    ///
+    /// The completions are gathered in a buffer the director keeps across
+    /// drains, at the capacity of the largest so far; the list returned is
+    /// the one allocation, made at its final size, and a drain that
+    /// completes nothing allocates nothing.
     pub fn drain(&mut self, address: SocketAddr, now_us: u64) -> Vec<Completion> {
+        let phases = self.phases.clone();
+        let _draining = phases.enter(Phase::IpvsDrain);
         let Some(vs) = self.services.get_mut(&address) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
+        let out = &mut self.completions;
         for i in 0..vs.queues.len() {
             let node = vs.servers[i].node;
-            vs.queues[i].drain_until(node, now_us, &mut out);
+            vs.queues[i].drain_until(node, now_us, out);
         }
         for s in &vs.servers {
             let depth = vs.queue_depth(s.node) as i64;
             self.metrics.backend(s.node).queue_depth.set(depth);
         }
-        for c in &out {
+        for c in out.iter() {
             let class = self.metrics.class(c.class);
             self.stats.completed += 1;
             self.metrics.completed.incr();
@@ -321,7 +340,10 @@ impl IpvsDirector {
                 class.deadline_missed.incr();
             }
         }
-        out
+        // A copy, not `mem::take`: the buffer keeps its capacity.
+        let completions = out.to_vec();
+        out.clear();
+        completions
     }
 
     /// Turns outright shedding of `class` at `address` on or off (the

@@ -1,11 +1,14 @@
 //! An exact, noise-free guard on what watching costs: a counting
 //! `#[global_allocator]` asserts that the request path allocates nothing
 //! for telemetry — `IpvsDirector::admit` allocates nothing at all, with
-//! telemetry on or off; `drain` allocates the same with either; handle
-//! writes, by-name writes to known names and steady-state scrapes
-//! allocate zero bytes.
+//! telemetry on or off; `drain` allocates the list it returns and nothing
+//! else, once and at its final size (none when nothing completes), with
+//! either; handle writes, by-name writes to known names and steady-state
+//! scrapes allocate zero bytes.
 
-use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, RequestClass, Scheduler};
+use dosgi_ipvs::{
+    replicated_service, AdmissionConfig, Completion, IpvsDirector, RequestClass, Scheduler,
+};
 use dosgi_net::{IpAddr, NodeId, Port, SocketAddr};
 use dosgi_telemetry::{ScrapeConfig, SeriesScraper, Telemetry};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -84,19 +87,31 @@ fn director(telemetry: Telemetry) -> IpvsDirector {
     d
 }
 
+/// What one tick of [`tick`] requested, and how much its drain completed.
+struct Tick {
+    admit: (u64, u64),
+    drain: (u64, u64),
+    completed: u64,
+}
+
 /// One 5 ms tick of the benchmark's serve loop: 80 arrivals across the
-/// three classes, then a drain. Returns what `admit` and `drain` requested.
-fn tick(d: &mut IpvsDirector, tick: u64) -> ((u64, u64), (u64, u64)) {
+/// three classes, then a drain.
+fn tick(d: &mut IpvsDirector, tick: u64) -> Tick {
     let now_us = tick * 5_000;
-    let admits = requested(|| {
+    let admit = requested(|| {
         for i in 0..80u64 {
             let class = RequestClass::ALL[(i % 3) as usize];
             d.admit(tick * 80 + i, vip(), class, now_us)
                 .expect("40 % load: nothing is shed");
         }
     });
-    let drain = requested(|| d.drain(vip(), now_us + 5_000));
-    (admits, drain)
+    let mut completed = 0;
+    let drain = requested(|| completed = d.drain(vip(), now_us + 5_000).len() as u64);
+    Tick {
+        admit,
+        drain,
+        completed,
+    }
 }
 
 #[test]
@@ -109,15 +124,25 @@ fn admit_allocates_nothing_and_drain_the_same_with_telemetry_on_or_off() {
         tick(&mut on, t);
         tick(&mut off, t);
     }
+    let size = std::mem::size_of::<Completion>() as u64;
     for t in 4..24 {
-        let (admit_on, drain_on) = tick(&mut on, t);
-        let (admit_off, drain_off) = tick(&mut off, t);
-        assert_eq!(admit_on, (0, 0), "admit allocated with telemetry on");
-        assert_eq!(admit_off, (0, 0), "admit allocated with telemetry off");
-        assert_eq!(
-            drain_on, drain_off,
-            "drain's allocations depend on telemetry"
-        );
+        for (d, telemetry) in [(&mut on, "on"), (&mut off, "off")] {
+            let Tick {
+                admit,
+                drain,
+                completed,
+            } = tick(d, t);
+            assert_eq!(admit, (0, 0), "admit allocated with telemetry {telemetry}");
+            assert_eq!(completed, 80, "every request of the tick completes");
+            assert_eq!(
+                drain,
+                (1, completed * size),
+                "drain allocated more than its list with telemetry {telemetry}"
+            );
+            // Everything has completed: the next drain finds nothing.
+            let empty = requested(|| assert!(d.drain(vip(), t * 5_000 + 5_000).is_empty()));
+            assert_eq!(empty, (0, 0), "an empty drain allocated");
+        }
     }
     // The handles did count: 24 ticks of 80 requests, all completed.
     assert_eq!(registry.counter("ipvs.queued"), 24 * 80);

@@ -5,7 +5,7 @@
 use super::Framework;
 use crate::{BundleError, BundleId, DataArea, Service, ServiceError, ServiceId};
 use dosgi_san::{SharedStore, StoreError, Value};
-use dosgi_telemetry::Phase;
+use dosgi_telemetry::{Phase, Phases};
 use std::collections::BTreeMap;
 
 /// The SAN namespace of the data area of the bundles named `sn` in the
@@ -64,6 +64,22 @@ impl Framework {
         method: &str,
         arg: &Value,
     ) -> Result<Value, ServiceError> {
+        self.call_service_counted(id, method, arg, &Phases::disabled())
+    }
+
+    /// [`call_service`](Self::call_service), its write-through counted in
+    /// `phases` as `call.persist`.
+    ///
+    /// # Errors
+    ///
+    /// As [`call_service`](Self::call_service).
+    pub fn call_service_counted(
+        &mut self,
+        id: ServiceId,
+        method: &str,
+        arg: &Value,
+        phases: &Phases,
+    ) -> Result<Value, ServiceError> {
         let owner = self
             .registry
             .owner_of(id)
@@ -78,6 +94,7 @@ impl Framework {
             .registry
             .call(id, &mut self.ledger, Some(area), method, arg);
         if area.written() {
+            let _persisting = phases.enter(Phase::CallPersist);
             let flushed = area.flush();
             self.settle(flushed)?;
         }

@@ -48,8 +48,8 @@
 //! resolution of a handle. See [`handle`].
 //!
 //! [`Phases`] is the one wall-clock instrument: a table of calls, time and
-//! allocations per [`Phase`] of the driver loop, off unless a profiling
-//! driver turns it on. See [`phase`].
+//! allocations per [`Phase`] of the driver loop and of the request path,
+//! off unless a profiling driver turns it on. See [`phase`].
 
 pub mod handle;
 mod hist;

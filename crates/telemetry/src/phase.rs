@@ -1,4 +1,5 @@
-//! Phase counters: where a driver step's calls, time and allocations go.
+//! Phase counters: where a driver step's, or a request's, calls, time and
+//! allocations go.
 //!
 //! A [`Phases`] handle is either disabled — the default, a `None` that
 //! every entry point branches on and leaves at once, reading no clock and
@@ -11,8 +12,8 @@
 //!
 //! Unlike the rest of the crate the table reads the wall clock, so it is
 //! turned on by a call, never by a run's configuration: a profiling driver
-//! creates the handle and hands it to the cluster. Nothing the instrumented
-//! code does depends on it.
+//! creates the handle and hands it to the cluster, and to an ipvs director.
+//! Nothing the instrumented code does depends on it.
 //!
 //! Counts are inclusive: a phase entered inside another is counted in both.
 
@@ -22,7 +23,8 @@ use std::time::Instant;
 
 macro_rules! phases {
     ($($(#[$doc:meta])* $variant:ident = $name:literal,)*) => {
-        /// A named phase of the driver loop or of a node restart.
+        /// A named phase of the driver loop, of a node restart or of a
+        /// request.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         pub enum Phase {
             $($(#[$doc])* $variant,)*
@@ -117,6 +119,21 @@ phases! {
     RestartKit = "restart_node.kit",
     /// The part of a restart that builds the host framework.
     RestartHost = "restart_node.host",
+    /// A request offered at a VIP: its backend picked and its queue
+    /// joined, or the request shed.
+    IpvsAdmit = "ipvs.admit",
+    /// A VIP's backend queues drained: what they served by now, counted
+    /// and returned.
+    IpvsDrain = "ipvs.drain",
+    /// A client call, routed: its home read from the reference registry
+    /// and the call made at that node.
+    CallRoute = "call.route",
+    /// A call at its home node: the instance looked up, the sandbox's
+    /// check of the interface and the activator's method.
+    CallInstance = "call.instance",
+    /// A call's write-through: the data-area rows it wrote flushed to the
+    /// SAN.
+    CallPersist = "call.persist",
 }
 
 /// What one phase has counted.

@@ -140,8 +140,8 @@ impl InstanceManager {
         self.metrics = Metrics::new(&telemetry);
     }
 
-    /// Counts the parts of each adoption's restore (`adopt.*`) into
-    /// `phases` from now on.
+    /// Counts the parts of each adoption's restore (`adopt.*`) and each
+    /// call's write-through (`call.persist`) into `phases` from now on.
     pub fn set_phases(&mut self, phases: Phases) {
         self.phases = phases;
     }
@@ -552,7 +552,8 @@ impl InstanceManager {
 
     /// Calls `interface`'s best provider as seen from instance `id`:
     /// instance-local services first, then host services **iff** the
-    /// interface is on the instance's shared-service list.
+    /// interface is on the instance's shared-service list. The call's
+    /// write-through counts as `call.persist`.
     ///
     /// # Errors
     ///
@@ -571,7 +572,10 @@ impl InstanceManager {
             .get_mut(&id)
             .ok_or(VosgiError::NoSuchInstance(id))?;
         if let Some(sid) = inst.framework.best_service(interface) {
-            return Ok(inst.framework.call_service(sid, method, arg)?);
+            let reply = inst
+                .framework
+                .call_service_counted(sid, method, arg, &self.phases);
+            return Ok(reply?);
         }
         let shared = inst
             .descriptor
@@ -579,7 +583,12 @@ impl InstanceManager {
             .iter()
             .any(|s| s == interface);
         match self.host.best_service(interface) {
-            Some(sid) if shared => Ok(self.host.call_service(sid, method, arg)?),
+            Some(sid) if shared => {
+                let reply = self
+                    .host
+                    .call_service_counted(sid, method, arg, &self.phases);
+                Ok(reply?)
+            }
             Some(_) => Err(VosgiError::Denied(format!(
                 "service {interface} exists on the host but is not exported to {}",
                 inst.descriptor.name

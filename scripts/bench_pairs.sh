@@ -10,10 +10,11 @@
 # as if named alone: a table (and a recorded row) per workload.
 #
 # Once per invocation, after the pairs, each side's perf_guard bin is built
-# and run, and both of its phase tables — a failover round's and a migrate
-# op's calls and allocations per phase — are printed as one parent -> change
-# table each, the rows that moved marked. The counts are exact: one run a
-# side says all there is.
+# and run, and each of its phase tables — a failover round's, a migrate op's,
+# and a serve_read and a serve_write tick's calls and allocations per phase —
+# is printed as one parent -> change table, the rows that moved marked (a
+# table or row one side lacks reads `-` there). The counts are exact: one run
+# a side says all there is.
 #
 # The parent (`git archive`) and the working tree are unpacked side by side
 # under target/bench_pairs/, with the time of unpacking rather than their own,
@@ -33,10 +34,10 @@
 # workload, to BENCH_HISTORY.json at the root: the trajectory file (PR, parent
 # commit, seeds, per timed metric both medians and quartiles and the pairs won
 # and lost, per exact metric both medians, and the median of the calibration
-# kernel's p50 on each side, which says how busy the host was). The failover
-# and migrate rows also carry `phase_allocs`: the allocation column of the
-# perf_guard phase table of their workload, parent and change per phase, so
-# the trajectory shows which layer each change moved. The rows are appended
+# kernel's p50 on each side, which says how busy the host was). Each row also
+# carries `phase_allocs`: the allocation column of the perf_guard phase table
+# of its workload, parent and change per phase, so the trajectory shows which
+# layer each change moved. The rows are appended
 # once every workload's pairs and the phase tables are in. It holds
 # wall-clock numbers, so it lives outside results/, whose files are diffed
 # byte for byte. One row per line, so that a row is appended, or back-filled
@@ -218,8 +219,10 @@ END {
             json = json sprintf("%s\"%s\": [%s, %s]", i == 1 ? "" : ", ", r, was == "" ? "null" : was + 0, now == "" ? "null" : now + 0)
         }
         # The table of a failover round goes with the failover row, a
-        # migrate op'"'"'s with the migrate row.
-        workload = table ~ /failover/ ? "failover" : table ~ /migrate/ ? "migrate" : ""
+        # migrate op'"'"'s with the migrate row and a serve tick'"'"'s with its
+        # workload'"'"'s row.
+        workload = table ~ /serve_read/ ? "serve_read" : table ~ /serve_write/ ? "serve_write" \
+            : table ~ /failover/ ? "failover" : table ~ /migrate/ ? "migrate" : ""
         if (workload != "") printf "\"phase_allocs\": {%s}", json >(out "/phase_allocs_" workload ".json")
         json = ""
     }
