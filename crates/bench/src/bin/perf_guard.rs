@@ -44,17 +44,20 @@
 //! of each phase that ran, and of the parts of `apply_control`, `gcs.handle`
 //! and `gcs.tick` whether they ran or not — the source's `release`, and the destination's
 //! `adopt` with its restore's parts `adopt.read`, `adopt.manifests`,
-//! `adopt.resolve`, `adopt.start` and, inside the start, `adopt.register`
-//! — and last the whole op's allocations. The `adopt.*` rows of the
+//! `adopt.resolve`, `adopt.start` (and, inside the start,
+//! `adopt.register`) and `adopt.write` — and last the whole op's
+//! allocations. Every allocation of an adoption is one of its restore's:
+//! the bin exits non-zero naming the row when `adopt`'s allocations differ
+//! from the sum of its five direct parts'. The `adopt.*` rows of the
 //! `failover` table count a restarted node's host restore as well.
 //!
 //! A fourth table, `serve phases`, in two parts, is the request path's
 //! profile: a benchmark-shaped `serve_read` tick and a `serve_write` one —
 //! 5 nodes, 40 web instances or 40 write-through counters behind one
 //! round-robin VIP, 8 000/s per backend from 64-deep queues; per tick a
-//! step, 80 × (an admission at the VIP and a call to a Zipf-popular
-//! tenant) and a drain — 200 ticks after every instance's first call and
-//! 20 ticks with the table off. It prints, per tick, the calls and
+//! step, 80 admissions at the VIP, the 80 calls to Zipf-popular tenants
+//! they admitted, and a drain — 200 ticks after every instance's first
+//! call and 20 ticks with the table off. It prints, per tick, the calls and
 //! allocations of the request path's phases — `ipvs.admit`, `ipvs.drain`,
 //! `call.route` (the whole call, routed from the reference registry to the
 //! home node), `call.instance` (inside it: the instance's lookup, the
@@ -62,7 +65,9 @@
 //! write-through) — and of every step phase that ran, then the whole
 //! tick's allocations. The `phases` and `migrate phases` tables leave the request path's
 //! phases out, though their rounds' `incr`s enter them. Each phase's ns per
-//! tick and per call go to stderr only.
+//! tick and per call go to stderr only, and so does what the same ticks
+//! cost with the phase table off, which reads no clock per phase: ns per
+//! routed call, and per `home_of`, the call's lookup of its home.
 //!
 //! The E5 migration round's SAN bytes and the E14 counter-scale swap
 //! blackout are pinned by their own captures, `results/e5_migration_cost.txt`
@@ -81,9 +86,10 @@ use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::{Phase, Phases, ScrapeConfig, Telemetry};
 use dosgi_vosgi::InstanceManager;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -327,6 +333,16 @@ fn failover_round(c: &mut DosgiCluster, names: &[String], victim: usize) {
     drop(c.take_events());
 }
 
+/// The direct parts of an adoption's restore: `adopt.register` runs inside
+/// `adopt.start`.
+const ADOPT_PARTS: [Phase; 5] = [
+    Phase::AdoptRead,
+    Phase::AdoptManifests,
+    Phase::AdoptResolve,
+    Phase::AdoptStart,
+    Phase::AdoptWrite,
+];
+
 /// Ops the `migrate` table averages over: one per counter, a full cycle.
 const MIGRATE_OPS: usize = 20;
 
@@ -551,20 +567,34 @@ impl Serve {
             .expect("a serving instance");
     }
 
-    /// One op of the benchmark: a step, 80 × (admit + call), a drain.
-    fn tick(&mut self) {
+    /// One op of the benchmark: a step, 80 admissions, the 80 calls and a
+    /// drain. The calls are timed together, and then their tenants' homes
+    /// looked up again and timed; returns the two wall times.
+    fn tick(&mut self) -> (Duration, Duration) {
         self.cluster.step();
         let now_us = self.cluster.now().as_micros();
-        for _ in 0..SERVE_REQUESTS {
-            let (tenant, class) = (self.tenants.sample(), self.classes.sample());
+        let mut tenants = [0; SERVE_REQUESTS as usize];
+        for tenant in &mut tenants {
+            *tenant = self.tenants.sample();
+            let class = self.classes.sample();
             self.client += 1;
             self.director
                 .admit(self.client, SERVE_VIP, class, now_us)
                 .expect("40 % load: nothing is shed");
+        }
+        let t = Instant::now();
+        for &tenant in &tenants {
             self.call(tenant);
         }
+        let calls = t.elapsed();
+        let t = Instant::now();
+        for &tenant in &tenants {
+            black_box(self.cluster.home_of(&self.names[tenant]));
+        }
+        let lookups = t.elapsed();
         let done = self.director.drain(SERVE_VIP, now_us);
         assert!(done.iter().all(|c| !c.missed_deadline()), "on time");
+        (calls, lookups)
     }
 }
 
@@ -598,6 +628,25 @@ fn measure_serve_phases(write: bool) -> Vec<(&'static str, f64, f64, f64)> {
         .collect();
     table.push(("op", 1.0, whole, f64::NAN));
     table
+}
+
+/// ns per routed call and per `home_of` over `SERVE_TICKS` ticks of the
+/// `serve_read` (`write` false) or `serve_write` loop with the phase table
+/// off, best of three passes.
+fn serve_ns_with_phases_off(write: bool) -> (f64, f64) {
+    let mut serve = Serve::new(write);
+    let requests = (SERVE_TICKS * SERVE_REQUESTS) as f64;
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        let (mut calls, mut lookups) = (Duration::ZERO, Duration::ZERO);
+        for _ in 0..SERVE_TICKS {
+            let (c, l) = serve.tick();
+            (calls, lookups) = (calls + c, lookups + l);
+        }
+        let ns = |d: Duration| d.as_nanos() as f64 / requests;
+        best = (best.0.min(ns(calls)), best.1.min(ns(lookups)));
+    }
+    best
 }
 
 /// Wall time of `PHASE_ROUNDS` `failover` rounds with the phase table off
@@ -733,6 +782,18 @@ fn main() {
     for (name, _, _, us) in migrate.iter().filter(|(_, _, _, us)| !us.is_nan()) {
         eprintln!("migrate phase {name}: {us:.2} µs per op");
     }
+    let allocs_of = |name: &str| {
+        let row = migrate.iter().find(|(phase, ..)| *phase == name);
+        row.map_or(0.0, |&(_, _, allocs, _)| allocs)
+    };
+    let parts = ADOPT_PARTS.iter().map(|p| allocs_of(p.name())).sum::<f64>();
+    let adopt = allocs_of(Phase::Adopt.name());
+    if adopt != parts {
+        broken.push(format!(
+            "perf_guard[migrate phases adopt]: an adoption allocates {adopt:.2} times per op, \
+             its restore's parts {parts:.2} — an allocation outside every part is unaccounted for"
+        ));
+    }
     for (workload, write) in [("serve_read", false), ("serve_write", true)] {
         let serve = measure_serve_phases(write);
         let method = if write {
@@ -752,6 +813,11 @@ fn main() {
             let per_call = if *calls > 0.0 { ns / calls } else { 0.0 };
             eprintln!("{workload} phase {name}: {ns:.0} ns per tick, {per_call:.0} ns per call");
         }
+        let (call_ns, home_ns) = serve_ns_with_phases_off(write);
+        eprintln!(
+            "{workload} with the phase table off: {call_ns:.0} ns per routed call, \
+             {home_ns:.0} ns per home_of"
+        );
     }
     let (off, on) = phase_table_cost();
     eprintln!(

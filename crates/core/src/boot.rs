@@ -107,12 +107,12 @@ impl BootKit {
         let ns = format!("host/{id}");
         let restarted = store.namespace_bytes_prefixed(&ns) > 0;
         if restarted {
-            let (config, uncounted) = (FrameworkConfig::new(&ns), FrameworkMetrics::default());
+            let (config, uncounted) = (FrameworkConfig::new("host"), FrameworkMetrics::default());
             let known = &*self.repository;
             let restored = Framework::restore_counted(
                 config,
                 store.clone(),
-                &ns,
+                ns.as_str(),
                 &self.factory,
                 known,
                 uncounted,
@@ -122,7 +122,7 @@ impl BootKit {
                 return (host, true);
             }
         }
-        let mut host = Framework::new(&ns);
+        let mut host = Framework::new("host");
         for manifest in &self.host_bundles {
             let activator = self.factory.create(manifest);
             let bid = host

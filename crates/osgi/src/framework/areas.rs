@@ -7,6 +7,7 @@ use crate::{BundleError, BundleId, DataArea, Service, ServiceError, ServiceId};
 use dosgi_san::{SharedStore, StoreError, Value};
 use dosgi_telemetry::{Phase, Phases};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// The SAN namespace of the data area of the bundles named `sn` in the
 /// framework persisted under `namespace`, built at its final size.
@@ -19,7 +20,7 @@ pub(super) fn area_namespace(namespace: &str, sn: &str) -> String {
 /// the two fields so that callers keep their borrows of the others.
 pub(super) fn area_of<'a>(
     areas: &'a mut BTreeMap<String, DataArea>,
-    store: &Option<(SharedStore, String)>,
+    store: &Option<(SharedStore, Arc<str>)>,
     sn: &str,
 ) -> &'a mut DataArea {
     if !areas.contains_key(sn) {

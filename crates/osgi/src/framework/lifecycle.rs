@@ -548,14 +548,15 @@ mod tests {
                     let (san, ns) = match &fw.store {
                         Some(attached) => attached.clone(),
                         None => {
-                            let (san, ns) = (SharedStore::new(), fw.name().to_owned());
+                            let (san, ns) = (SharedStore::new(), std::sync::Arc::from(fw.name()));
                             fw.attach_store(san.clone(), &ns).expect("a fault-free SAN");
                             (san, ns)
                         }
                     };
                     fw.flush_persist().expect("a healed SAN");
                     let factory = ActivatorFactory::new();
-                    *fw = Framework::restore(FrameworkConfig::new(&ns), san, &ns, &factory)
+                    let config = FrameworkConfig::new(ns.to_string());
+                    *fw = Framework::restore(config, san, &ns, &factory)
                         .expect("rows the framework wrote restore");
                 }
                 Op::Fault(n) => {

@@ -30,6 +30,7 @@ use crate::{
 use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::Phases;
 use persistence::DirtyMark;
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -37,11 +38,13 @@ use std::sync::Arc;
 /// Framework construction parameters.
 #[derive(Debug, Clone)]
 pub struct FrameworkConfig {
-    /// A human-readable name, the one [`Framework::name`] reports. It names
-    /// no persistence namespace: [`Framework::attach_store`],
-    /// [`Framework::restore`] and [`Framework::restore_counted`] each take
-    /// theirs.
-    pub name: String,
+    /// A human-readable name, the one [`Framework::name`] reports; only a
+    /// `Debug` rendering reads it. It names no persistence namespace:
+    /// [`Framework::attach_store`], [`Framework::restore`] and
+    /// [`Framework::restore_counted`] each take theirs. A static name is
+    /// borrowed, so a framework made under one — every virtual instance's
+    /// — allocates no name.
+    pub name: Cow<'static, str>,
     /// Packages served by the platform itself (the `java.*` analogue).
     pub boot: BootDelegation,
     /// The initial active start level.
@@ -50,7 +53,7 @@ pub struct FrameworkConfig {
 
 impl FrameworkConfig {
     /// A config named `name` with standard boot delegation and start level 1.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         FrameworkConfig {
             name: name.into(),
             boot: BootDelegation::standard(),
@@ -147,7 +150,8 @@ pub struct Framework {
     /// Bundle data areas by symbolic name, created on first use. Ordered,
     /// so a flush visits them — and draws its fault rolls — in one order.
     areas: BTreeMap<String, DataArea>,
-    store: Option<(SharedStore, String)>,
+    /// The SAN and the namespace the framework persists under.
+    store: Option<(SharedStore, Arc<str>)>,
     /// Snapshot rows (header / `bundle/<id>`) whose in-memory state is
     /// ahead of the SAN; the next persist writes exactly these rows.
     /// Kept sorted, in key order; clearing it keeps its capacity, so a
@@ -163,6 +167,9 @@ pub struct Framework {
     /// How many times a snapshot row was marked dirty: a lifecycle
     /// operation persists when its transitions moved this.
     marks: u64,
+    /// True while a restore's transitions run: they mark no row, since the
+    /// restore decides at the end of its batch which rows lag what it read.
+    restoring: bool,
     metrics: FrameworkMetrics,
     /// The restore's phase table while a restore runs — its activators'
     /// registrations count as `adopt.register` — and disabled otherwise.
@@ -182,7 +189,7 @@ impl fmt::Debug for Framework {
 
 impl Framework {
     /// Creates a framework with default configuration.
-    pub fn new(name: &str) -> Self {
+    pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         Self::with_config(FrameworkConfig::new(name))
     }
 
@@ -201,6 +208,7 @@ impl Framework {
             deleted_rows: Vec::new(),
             dirty_mark: DirtyMark::default(),
             marks: 0,
+            restoring: false,
             metrics: FrameworkMetrics::default(),
             phases: Phases::disabled(),
         }
@@ -304,7 +312,7 @@ mod tests {
     use dosgi_telemetry::Telemetry;
 
     /// A framework counting its lifecycle into a registry of its own.
-    fn counted(name: &str) -> (Framework, Telemetry) {
+    fn counted(name: &'static str) -> (Framework, Telemetry) {
         let telemetry = Telemetry::new();
         let mut fw = Framework::new(name);
         fw.set_metrics(FrameworkMetrics::new(&telemetry));

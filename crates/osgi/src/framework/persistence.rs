@@ -79,7 +79,7 @@ impl Framework {
         for (sn, area) in &mut self.areas {
             area.attach(store.clone(), area_namespace(namespace, sn));
         }
-        self.store = Some((store, namespace.to_owned()));
+        self.store = Some((store, Arc::from(namespace)));
         self.mark_all_rows_dirty();
         self.flush_persist()
     }
@@ -103,9 +103,11 @@ impl Framework {
     /// Marks a snapshot row — the header (`next_bundle` / `start_level`) or
     /// a bundle's — as ahead of the SAN. Every in-memory lifecycle mutation
     /// must mark the rows it touched; the persist call sites then flush
-    /// exactly the marked rows (write-behind on failure).
+    /// exactly the marked rows (write-behind on failure). A restore's
+    /// transitions mark nothing: the restore decides which rows lag at the
+    /// end of its batch.
     pub(super) fn mark(&mut self, row: Row) {
-        if self.store.is_some() {
+        if self.store.is_some() && !self.restoring {
             insert_sorted(&mut self.dirty_rows, row);
             self.dirty_mark.set(true);
             self.marks += 1;
@@ -290,15 +292,17 @@ impl Framework {
     /// restore's own transitions and rows are counted, and its parts
     /// counted in `phases`: `adopt.read`, `adopt.manifests`,
     /// `adopt.resolve`, `adopt.start` and, inside the start,
-    /// `adopt.register`.
+    /// `adopt.register`, and `adopt.write`.
     ///
     /// The namespace is read once, under the store's lock, and every row is
     /// parsed where it lies: no row is copied. The one write holds the
     /// rows whose `(state, autostart, state_version)` differ from what was
     /// read — none when every bundle comes back as its row says — and the
-    /// header when the ids its rows hold correct it. A restored bundle's
-    /// row is built at its first write, around the row form `known` holds
-    /// of its manifest.
+    /// header when the ids its rows hold correct it. The transitions mark
+    /// nothing on the way, so a restore that writes nothing allocates no
+    /// list of rows to write. A restored bundle's row is built at its first
+    /// write, around the row form `known` holds of its manifest. A shared
+    /// `namespace` is kept as it is passed.
     ///
     /// # Errors
     ///
@@ -306,7 +310,7 @@ impl Framework {
     pub fn restore_counted(
         config: FrameworkConfig,
         store: SharedStore,
-        namespace: impl Into<String>,
+        namespace: impl Into<Arc<str>>,
         factory: &ActivatorFactory,
         known: &dyn KnownManifests,
         metrics: FrameworkMetrics,
@@ -332,9 +336,7 @@ impl Framework {
         // Attached before anything restarts: activators read their
         // persisted data areas during start.
         fw.store = Some((store, namespace));
-        if fw.next_bundle != parsed.next_bundle {
-            fw.mark(Row::Header);
-        }
+        fw.restoring = true;
         for record in &parsed.bundles {
             let activator = factory.create(&record.manifest);
             let bundle = Bundle {
@@ -368,12 +370,16 @@ impl Framework {
         }
         drop(starting);
         fw.phases = Phases::disabled();
+        fw.restoring = false;
+        let _writing = phases.enter(Phase::AdoptWrite);
         // A row lags exactly when its bundle no longer says what it was
-        // read as, whatever the transitions marked on the way: a bundle
+        // read as, whatever the transitions did on the way: a bundle
         // persisted ACTIVE and started again writes nothing, and one
         // persisted RESOLVED that no longer resolves stays INSTALLED
         // without any transition having run.
-        fw.dirty_rows.retain(|&row| row == Row::Header);
+        if fw.next_bundle != parsed.next_bundle {
+            fw.mark(Row::Header);
+        }
         for record in &parsed.bundles {
             let b = &fw.bundles[&record.id];
             let as_read = (record.state, record.autostart, record.state_version);
@@ -569,7 +575,7 @@ mod tests {
             fw.metrics.installed.incr();
         }
         fw.next_bundle = parsed.next_bundle;
-        fw.store = Some((store, namespace.to_owned()));
+        fw.store = Some((store, Arc::from(namespace)));
         fw.resolve_all();
         let mut to_start: Vec<(u32, BundleId)> = parsed
             .bundles

@@ -18,7 +18,8 @@
 //!   *explicit-export delegating classloader* for virtual instances;
 //! * **Service registry** ([`ServiceRegistry`]) — services registered under
 //!   interface names and looked up by interface, the first-registered
-//!   provider best; a [`ServiceTracker`] follows a registry's changes by
+//!   provider best: one list of registrations, ascending by id, which a
+//!   lookup scans; a [`ServiceTracker`] follows a registry's changes by
 //!   its generation;
 //! * **Persistent framework state** — the OSGi spec requires that *"the
 //!   framework state shall be persistent across framework reboots"*; state

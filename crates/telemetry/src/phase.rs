@@ -86,6 +86,9 @@ phases! {
     AdoptRegister = "adopt.register",
     /// A restore starting its persistently started bundles.
     AdoptStart = "adopt.start",
+    /// A restore's closing write: the rows that lag what it read, each
+    /// restored bundle's row built at its first write.
+    AdoptWrite = "adopt.write",
     /// A graceful hand-off's source end: the instance stopped, its state
     /// flushed and the release ordered.
     Release = "release",

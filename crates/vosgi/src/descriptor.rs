@@ -5,6 +5,7 @@ use dosgi_osgi::PackageName;
 use dosgi_san::codec::{field_len, header_len, int_len, str_len};
 use dosgi_san::Value;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Identifies a virtual instance within an [`InstanceManager`].
 ///
@@ -63,6 +64,25 @@ pub struct InstanceDescriptor {
     pub policy: SecurityPolicy,
     /// Resource quota from the customer's SLA.
     pub quota: ResourceQuota,
+    /// The [`state_namespace`](Self::state_namespace) this descriptor
+    /// names, made once and shared by its clones. Derived from `name`, it
+    /// is not data: it takes no part in equality or encoding. A
+    /// descriptor written field by field starts from
+    /// `NamespaceCache::default()`.
+    pub namespace: NamespaceCache,
+}
+
+/// An [`InstanceDescriptor`]'s state namespace, made the first time it is
+/// asked for and shared from then on by every clone of the descriptor — by
+/// the cluster registry's copy, so every adoption of a deployed instance
+/// names its namespace with the one `Arc`. Every two caches compare equal.
+#[derive(Debug, Clone, Default)]
+pub struct NamespaceCache(OnceLock<Arc<str>>);
+
+impl PartialEq for NamespaceCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl InstanceDescriptor {
@@ -77,13 +97,22 @@ impl InstanceDescriptor {
                 shared_services: Vec::new(),
                 policy: SecurityPolicy::deny_all(),
                 quota: ResourceQuota::standard(),
+                namespace: NamespaceCache::default(),
             },
         }
     }
 
-    /// The SAN namespace holding this instance's framework state.
-    pub fn state_namespace(&self) -> String {
-        format!("instance/{}", self.name)
+    /// The SAN namespace holding this instance's framework state,
+    /// `instance/<name>`: made once per descriptor, then shared. A name
+    /// changed after the namespace was made gets a namespace of its own.
+    pub fn state_namespace(&self) -> Arc<str> {
+        let made = || Arc::from(self.state_namespace_text().to_string());
+        let shared = self.namespace.0.get_or_init(made);
+        if shared.strip_prefix("instance/") == Some(self.name.as_str()) {
+            Arc::clone(shared)
+        } else {
+            made()
+        }
     }
 
     /// [`state_namespace`](Self::state_namespace) as text to write out where
@@ -204,6 +233,7 @@ impl InstanceDescriptor {
                 memory_bytes: v.get("quota_mem").and_then(Value::as_int).unwrap_or(0) as u64,
                 disk_bytes: v.get("quota_disk").and_then(Value::as_int).unwrap_or(0) as u64,
             },
+            namespace: NamespaceCache::default(),
         })
     }
 }
@@ -251,8 +281,10 @@ impl InstanceDescriptorBuilder {
         self
     }
 
-    /// Finishes the descriptor.
+    /// Finishes the descriptor, its state namespace made: every clone of
+    /// it shares the one.
     pub fn build(self) -> InstanceDescriptor {
+        self.descriptor.state_namespace();
         self.descriptor
     }
 }
@@ -279,8 +311,29 @@ mod tests {
         assert_eq!(d.bundles.len(), 2);
         assert_eq!(d.shared_packages.len(), 1);
         assert_eq!(d.shared_services, vec!["org.host.log.Logger"]);
-        assert_eq!(d.state_namespace(), "instance/acme-prod");
-        assert_eq!(d.state_namespace_text().to_string(), d.state_namespace());
+        assert_eq!(&*d.state_namespace(), "instance/acme-prod");
+        assert_eq!(d.state_namespace_text().to_string(), &*d.state_namespace());
+    }
+
+    /// A descriptor's clones share its namespace; a clone renamed gets its
+    /// own, and the cache never makes two descriptors unequal.
+    #[test]
+    fn clones_share_the_state_namespace() {
+        let d = sample();
+        let copy = d.clone();
+        assert!(Arc::ptr_eq(&d.state_namespace(), &copy.state_namespace()));
+        assert_eq!(copy, d);
+        let renamed = InstanceDescriptor {
+            name: "acme-test".to_owned(),
+            ..d.clone()
+        };
+        assert_eq!(&*renamed.state_namespace(), "instance/acme-test");
+        let fresh = InstanceDescriptor {
+            namespace: NamespaceCache::default(),
+            ..d.clone()
+        };
+        assert_eq!(fresh, d);
+        assert_eq!(fresh.to_value(), d.to_value());
     }
 
     #[test]

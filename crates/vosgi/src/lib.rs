@@ -21,7 +21,10 @@
 //! * [`InstanceManager`] — owns the host [`Framework`] and the virtual
 //!   instances, controls their life-cycle;
 //! * [`InstanceDescriptor`] — a customer's deployment: bundles, the
-//!   explicit host exports, the sandbox policy, the resource quota;
+//!   explicit host exports, the sandbox policy, the resource quota; its
+//!   SAN state namespace is made once and shared by its clones, so an
+//!   adoption names it without allocating, and its framework, like every
+//!   instance's, goes by one static name;
 //! * the **delegating loader** ([`InstanceManager::load_class`]) — normal
 //!   instance-local lookup first, then the host, *only* for packages on the
 //!   explicit export list (`LoadError::NotExported` otherwise — the paper's
@@ -44,7 +47,9 @@ mod repository;
 mod sandbox;
 mod topology;
 
-pub use descriptor::{CustomerId, InstanceDescriptor, InstanceDescriptorBuilder, InstanceId};
+pub use descriptor::{
+    CustomerId, InstanceDescriptor, InstanceDescriptorBuilder, InstanceId, NamespaceCache,
+};
 pub use error::VosgiError;
 pub use instance::{InstanceState, VirtualInstance};
 pub use manager::InstanceManager;

@@ -29,6 +29,11 @@ dosgi_telemetry::metrics! {
     }
 }
 
+/// The name of every virtual instance's framework: static, so creating or
+/// adopting an instance formats no name. The instance is named by its
+/// descriptor.
+const INSTANCE_FRAMEWORK: &str = "vosgi";
+
 /// Owns the host framework and every virtual instance on a node.
 ///
 /// Architecturally this is the bundle labelled *Instance Manager* in
@@ -226,8 +231,7 @@ impl InstanceManager {
     ) -> Result<InstanceId, VosgiError> {
         let descriptor = descriptor.into();
         self.check_name_free(&descriptor.name)?;
-        let mut fw =
-            Framework::with_config(FrameworkConfig::new(format!("vosgi/{}", descriptor.name)));
+        let mut fw = Framework::new(INSTANCE_FRAMEWORK);
         fw.set_metrics(self.framework_metrics.clone());
         if let Some(store) = &self.store {
             fw.attach_store(store.clone(), &descriptor.state_namespace())?;
@@ -269,7 +273,7 @@ impl InstanceManager {
             .clone()
             .ok_or(VosgiError::NoStore { operation: "adopt" })?;
         let fw = Framework::restore_counted(
-            FrameworkConfig::new(format!("vosgi/{}", descriptor.name)),
+            FrameworkConfig::new(INSTANCE_FRAMEWORK),
             store,
             descriptor.state_namespace(),
             &self.factory,
