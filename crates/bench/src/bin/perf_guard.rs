@@ -67,7 +67,8 @@
 //! phases out, though their rounds' `incr`s enter them. Each phase's ns per
 //! tick and per call go to stderr only, and so does what the same ticks
 //! cost with the phase table off, which reads no clock per phase: ns per
-//! routed call, and per `home_of`, the call's lookup of its home.
+//! admission, per drain, per routed call, and per `home_of`, the call's
+//! lookup of its home.
 //!
 //! The E5 migration round's SAN bytes and the E14 counter-scale swap
 //! blackout are pinned by their own captures, `results/e5_migration_cost.txt`
@@ -79,7 +80,7 @@
 use dosgi_bench::print_table;
 use dosgi_core::loadgen::{ClassMix, RateSchedule, ScheduledLoadGenerator, ZipfSampler};
 use dosgi_core::{workloads, BootKit, ClusterConfig, DosgiCluster, DosgiNode, NodeConfig};
-use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, Scheduler};
+use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, RequestClass, Scheduler};
 use dosgi_net::{IpAddr, NodeId, Port, SimDuration, SimTime, SocketAddr};
 use dosgi_osgi::Framework;
 use dosgi_san::{SharedStore, Value};
@@ -568,34 +569,54 @@ impl Serve {
     }
 
     /// One op of the benchmark: a step, 80 admissions, the 80 calls and a
-    /// drain. The calls are timed together, and then their tenants' homes
-    /// looked up again and timed; returns the two wall times.
-    fn tick(&mut self) -> (Duration, Duration) {
+    /// drain. The requests are drawn first; then the admissions, the calls,
+    /// a second lookup of their tenants' homes and the drain are timed, each
+    /// part as a whole.
+    fn tick(&mut self) -> TickTimes {
         self.cluster.step();
         let now_us = self.cluster.now().as_micros();
-        let mut tenants = [0; SERVE_REQUESTS as usize];
-        for tenant in &mut tenants {
-            *tenant = self.tenants.sample();
-            let class = self.classes.sample();
+        let mut requests = [(0, RequestClass::Standard); SERVE_REQUESTS as usize];
+        for request in &mut requests {
+            *request = (self.tenants.sample(), self.classes.sample());
+        }
+        let t = Instant::now();
+        for &(_, class) in &requests {
             self.client += 1;
             self.director
                 .admit(self.client, SERVE_VIP, class, now_us)
                 .expect("40 % load: nothing is shed");
         }
+        let admissions = t.elapsed();
         let t = Instant::now();
-        for &tenant in &tenants {
+        for &(tenant, _) in &requests {
             self.call(tenant);
         }
         let calls = t.elapsed();
         let t = Instant::now();
-        for &tenant in &tenants {
+        for &(tenant, _) in &requests {
             black_box(self.cluster.home_of(&self.names[tenant]));
         }
         let lookups = t.elapsed();
+        let t = Instant::now();
         let done = self.director.drain(SERVE_VIP, now_us);
+        let drain = t.elapsed();
         assert!(done.iter().all(|c| !c.missed_deadline()), "on time");
-        (calls, lookups)
+        TickTimes {
+            admissions,
+            calls,
+            lookups,
+            drain,
+        }
     }
+}
+
+/// The wall times of the parts of one serve tick.
+#[derive(Default)]
+struct TickTimes {
+    admissions: Duration,
+    calls: Duration,
+    lookups: Duration,
+    drain: Duration,
 }
 
 /// The phase table of `SERVE_TICKS` ticks of the `serve_read` (`write`
@@ -630,21 +651,32 @@ fn measure_serve_phases(write: bool) -> Vec<(&'static str, f64, f64, f64)> {
     table
 }
 
-/// ns per routed call and per `home_of` over `SERVE_TICKS` ticks of the
-/// `serve_read` (`write` false) or `serve_write` loop with the phase table
-/// off, best of three passes.
-fn serve_ns_with_phases_off(write: bool) -> (f64, f64) {
+/// ns per admission, per drain, per routed call and per `home_of` over
+/// `SERVE_TICKS` ticks of the `serve_read` (`write` false) or `serve_write`
+/// loop with the phase table off, each the best of three passes.
+fn serve_ns_with_phases_off(write: bool) -> [f64; 4] {
     let mut serve = Serve::new(write);
     let requests = (SERVE_TICKS * SERVE_REQUESTS) as f64;
-    let mut best = (f64::INFINITY, f64::INFINITY);
+    let mut best = [f64::INFINITY; 4];
     for _ in 0..3 {
-        let (mut calls, mut lookups) = (Duration::ZERO, Duration::ZERO);
+        let mut sum = TickTimes::default();
         for _ in 0..SERVE_TICKS {
-            let (c, l) = serve.tick();
-            (calls, lookups) = (calls + c, lookups + l);
+            let tick = serve.tick();
+            sum.admissions += tick.admissions;
+            sum.calls += tick.calls;
+            sum.lookups += tick.lookups;
+            sum.drain += tick.drain;
         }
-        let ns = |d: Duration| d.as_nanos() as f64 / requests;
-        best = (best.0.min(ns(calls)), best.1.min(ns(lookups)));
+        let ns = |d: Duration, per: f64| d.as_nanos() as f64 / per;
+        let pass = [
+            ns(sum.admissions, requests),
+            ns(sum.drain, SERVE_TICKS as f64),
+            ns(sum.calls, requests),
+            ns(sum.lookups, requests),
+        ];
+        for (best, pass) in best.iter_mut().zip(pass) {
+            *best = best.min(pass);
+        }
     }
     best
 }
@@ -813,9 +845,10 @@ fn main() {
             let per_call = if *calls > 0.0 { ns / calls } else { 0.0 };
             eprintln!("{workload} phase {name}: {ns:.0} ns per tick, {per_call:.0} ns per call");
         }
-        let (call_ns, home_ns) = serve_ns_with_phases_off(write);
+        let [admit_ns, drain_ns, call_ns, home_ns] = serve_ns_with_phases_off(write);
         eprintln!(
-            "{workload} with the phase table off: {call_ns:.0} ns per routed call, \
+            "{workload} with the phase table off: {admit_ns:.0} ns per admission, \
+             {drain_ns:.0} ns per drain, {call_ns:.0} ns per routed call, \
              {home_ns:.0} ns per home_of"
         );
     }

@@ -19,7 +19,7 @@ use dosgi_osgi::{
     ActivatorFactory, BundleManifest, CallContext, FnActivator, ManifestBuilder, ServiceError,
     Version,
 };
-use dosgi_san::Value;
+use dosgi_san::{Map, Value};
 use dosgi_vosgi::{BundleRepository, InstanceDescriptor, ResourceQuota};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -211,7 +211,10 @@ pub fn standard_factory() -> ActivatorFactory {
                             ctx.alloc(4096);
                             ctx.free(4096);
                             let n = s.fetch_add(1, Ordering::Relaxed) + 1;
-                            Ok(Value::map().with("status", 200i64).with("served", n))
+                            // At its final size, in key order: each entry
+                            // is appended, and the map is one allocation.
+                            let reply = Value::Map(Map::with_capacity(2));
+                            Ok(reply.with("served", n).with("status", 200i64))
                         }
                         other => Err(ServiceError::Failed(format!("web has no {other}"))),
                     },

@@ -7,16 +7,18 @@
 //! over 40 records allocates nothing, nor does a scrape whose series all
 //! exist.
 //!
-//! What a request costs: a stateless `handle` allocates its reply (≤ 3), a
-//! write-through `incr` on a hot key nothing — the lookup of the best
-//! provider reads the first entry of a list kept in order — and the first
-//! call after an adoption the same whatever the size of the area it does not
-//! read. A whole tick of the benchmark's serve loop — a step, 80 admissions
-//! and calls, a drain — allocates exactly once for write-through `incr`s,
-//! the drain's list, and at most 81 times for `handle`s, the replies beside
-//! it. Registering and unregistering a two-interface service beside eight
-//! others allocates twice: one interface list, whose names it shares, and
-//! one growth of the registration list.
+//! What a request costs: a stateless `handle` allocates its reply once, at
+//! its final size of two entries, a write-through `incr` on a hot key
+//! nothing — the lookup of the best provider reads the first entry of a
+//! list kept in order — and the first call after an adoption the same
+//! whatever the size of the area it does not read. A whole tick of the
+//! benchmark's serve loop — a step, 80 admissions and calls, a drain —
+//! allocates exactly once for write-through `incr`s, the drain's list, and
+//! at most 81 times for `handle`s, the replies beside it, asking for no
+//! more bytes than those (the counting allocator sums the bytes each
+//! request asks for, too). Registering and unregistering a two-interface
+//! service beside eight others allocates twice: one interface list, whose
+//! names it shares, and one growth of the registration list.
 //!
 //! What a hand-off costs: ten rounds of the `migrate` workload — `incr`, the
 //! ordered hand-off, the adoption — allocate ≤ 382 times, and each round
@@ -74,7 +76,7 @@ use dosgi_core::{
     Wire,
 };
 use dosgi_gcs::{GcsConfig, GcsEvent, GcsWire, GroupNode};
-use dosgi_ipvs::{replicated_service, AdmissionConfig, IpvsDirector, Scheduler};
+use dosgi_ipvs::{replicated_service, AdmissionConfig, Completion, IpvsDirector, Scheduler};
 use dosgi_monitor::NodeCapacity;
 use dosgi_net::{
     Envelope, Fabric, IpAddr, LinkConfig, NodeId, Port, SimDuration, SimNet, SimTime, SocketAddr,
@@ -83,7 +85,7 @@ use dosgi_osgi::{
     ActivatorFactory, BundleId, CallContext, Framework, FrameworkConfig, FrameworkMetrics,
     KnownManifests, Service, ServiceRegistry, UsageSnapshot, Version,
 };
-use dosgi_san::{SharedStore, Value};
+use dosgi_san::{Key, SharedStore, Value};
 use dosgi_telemetry::{FlightRecorder, Phases, ScrapeConfig, SeriesScraper, SpanName, Telemetry};
 use dosgi_vosgi::{
     BundleRepository, InstanceDescriptor, InstanceId, InstanceManager, ResourceQuota,
@@ -97,13 +99,16 @@ thread_local! {
     // `const` and `Cell<u64>`: no lazy initialiser and no destructor, so
     // the allocator never re-enters itself through this.
     static REQUESTED: Cell<u64> = const { Cell::new(0) };
+    static REQUESTED_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// `System`, counting this thread's allocation requests.
+/// `System`, counting this thread's allocation requests and the bytes they
+/// ask for (a reallocation's, its new size).
 struct Counting;
 
-fn count() {
+fn count(bytes: usize) {
     REQUESTED.with(|c| c.set(c.get() + 1));
+    REQUESTED_BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -111,19 +116,19 @@ fn count() {
 // memory being handed out.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         // SAFETY: as above.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -269,15 +274,36 @@ fn a_scrape_of_known_series_allocates_nothing() {
 
 /// Allocation requests made by this thread while `f` runs.
 fn allocations_in<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = REQUESTED.with(Cell::get);
-    let out = f();
-    (REQUESTED.with(Cell::get) - before, out)
+    let (requested, out) = requested_in(f);
+    (requested.allocations, out)
 }
 
+/// What this thread asked the allocator for while something ran.
+#[derive(Debug, PartialEq, Eq)]
+struct Requested {
+    allocations: u64,
+    bytes: u64,
+}
+
+/// Allocation requests made by this thread while `f` runs, and their bytes.
+fn requested_in<T>(f: impl FnOnce() -> T) -> (Requested, T) {
+    let before = (REQUESTED.with(Cell::get), REQUESTED_BYTES.with(Cell::get));
+    let out = f();
+    let requested = Requested {
+        allocations: REQUESTED.with(Cell::get) - before.0,
+        bytes: REQUESTED_BYTES.with(Cell::get) - before.1,
+    };
+    (requested, out)
+}
+
+/// The bytes of a `handle` reply: a map of two entries, made at its final
+/// size (224 while it was made for four).
+const HANDLE_REPLY_BYTES: u64 = 2 * size_of::<(Key, Value)>() as u64;
+
 /// The request path on a settled cluster: a stateless `handle` touches no
-/// data-area row and no SAN, and what it allocates is its reply, one vector; a
-/// write-through `incr` on a hot key builds no name, no key and no copy of
-/// the area on its way to the SAN.
+/// data-area row and no SAN, and what it allocates is its reply, one vector
+/// of exactly its two entries; a write-through `incr` on a hot key builds
+/// no name, no key and no copy of the area on its way to the SAN.
 fn request_path_allocations(telemetry: Telemetry) {
     let (mut c, _) = settled_cluster(telemetry, 0);
     c.deploy(
@@ -290,12 +316,16 @@ fn request_path_allocations(telemetry: Telemetry) {
     // The first call of each creates the bundle's data area; from the
     // second on nothing is set up any more.
     for warm in 0..2 {
-        let handle = allocations_in(|| c.call("web-00", workloads::WEB_SERVICE, "handle", &arg));
+        let handle = requested_in(|| c.call("web-00", workloads::WEB_SERVICE, "handle", &arg));
         let incr =
             allocations_in(|| c.call("ctr", workloads::COUNTER_SERVICE, "incr", &Value::Null));
         assert!(handle.1.is_ok() && incr.1 == Ok(Value::Int(warm + 1)));
         if warm == 1 {
-            assert!(handle.0 <= 1, "`handle` allocated {} times", handle.0);
+            let reply = Requested {
+                allocations: 1,
+                bytes: HANDLE_REPLY_BYTES,
+            };
+            assert_eq!(handle.0, reply, "a warm `handle`");
             assert_eq!(incr.0, 0, "write-through `incr` allocated");
         }
     }
@@ -317,9 +347,9 @@ const SERVE_VIP: SocketAddr = SocketAddr::new(IpAddr::new(10, 0, 0, 120), Port(8
 /// counters on five nodes behind one round-robin VIP whose backends serve
 /// 8 000/s from 64-deep queues, requests to Zipf-popular tenants in the
 /// standard class mix. Returns what each of 100 ticks — a step, 80 ×
-/// (admit + call), a drain — allocated, after every instance's first call
+/// (admit + call), a drain — requested, after every instance's first call
 /// and four ticks.
-fn serve_tick_allocations(telemetry: Telemetry, write: bool) -> Vec<u64> {
+fn serve_tick_allocations(telemetry: Telemetry, write: bool) -> Vec<Requested> {
     let mut c = DosgiCluster::new_with_telemetry(NODES, ClusterConfig::default(), 7, telemetry);
     c.run_for(SimDuration::from_millis(500));
     let names: Vec<String> = (0..INSTANCES).map(|i| format!("tenant-{i:03}")).collect();
@@ -357,7 +387,7 @@ fn serve_tick_allocations(telemetry: Telemetry, write: bool) -> Vec<u64> {
     let mut client = 0;
     let mut ticks = Vec::new();
     for tick in 0..104 {
-        let (allocations, completed) = allocations_in(|| {
+        let (requested, completed) = requested_in(|| {
             c.step();
             let now_us = c.now().as_micros();
             for _ in 0..80 {
@@ -374,7 +404,7 @@ fn serve_tick_allocations(telemetry: Telemetry, write: bool) -> Vec<u64> {
             assert_eq!(completed, 80, "the last tick's requests complete");
         }
         if tick >= 4 {
-            ticks.push(allocations);
+            ticks.push(requested);
         }
     }
     ticks
@@ -385,7 +415,10 @@ fn serve_tick_allocations(telemetry: Telemetry, write: bool) -> Vec<u64> {
 /// while the drain grew its list by doubling, from empty, every tick.)
 fn a_write_through_serve_tick_allocates_its_drain(telemetry: Telemetry) {
     let ticks = serve_tick_allocations(telemetry, true);
-    assert!(ticks.iter().all(|&n| n == 1), "per tick: {ticks:?}");
+    assert!(
+        ticks.iter().all(|t| t.allocations == 1),
+        "per tick: {ticks:?}"
+    );
 }
 
 #[test]
@@ -399,10 +432,16 @@ fn a_write_through_serve_tick_allocates_its_drain_with_telemetry_off() {
 }
 
 /// A tick of the `serve_read` loop allocates at most 81 times: 80 `handle`
-/// replies and the drain's list.
+/// replies and the drain's list. It asks for no more bytes than those
+/// replies, each at its final size, and the list of its 80 completions.
 fn a_handle_serve_tick_allocates_its_replies_and_its_drain(telemetry: Telemetry) {
     let ticks = serve_tick_allocations(telemetry, false);
-    assert!(ticks.iter().all(|&n| n <= 81), "per tick: {ticks:?}");
+    assert!(
+        ticks.iter().all(|t| t.allocations <= 81),
+        "per tick: {ticks:?}"
+    );
+    let most = 80 * (HANDLE_REPLY_BYTES + size_of::<Completion>() as u64);
+    assert!(ticks.iter().all(|t| t.bytes <= most), "per tick: {ticks:?}");
 }
 
 #[test]
@@ -1272,7 +1311,11 @@ fn an_upgraded_bundle_restores_by_parsing() {
 fn migrate_rounds_are_bounded_and_blind_to_the_area(telemetry: fn() -> Telemetry) {
     let small = migrate_round_allocations(telemetry(), 4);
     // Measured: 362 over the ten rounds with telemetry off, 382 with it
-    // on, 33 to 57 a round (412 and 432, 38 to 62 a round, while an
+    // on, 33 to 57 a round. The fifth round's 57 is not the hand-off's: it
+    // spans the nodes' once-a-second policy pass, in which three nodes meet
+    // an instance migrated in since their last sample, cannot evaluate its
+    // rules yet and write their first errors, growing their engines' error
+    // buffers (18), and a sample (3). (412 and 432, 38 to 62 a round, while an
     // adoption formatted its framework's name and its state namespace, a
     // registration kept an index beside its record and a release listed
     // the services it unregistered; 452 and 472, 42 to 66 a round, while every

@@ -1,7 +1,7 @@
 //! The ipvs director: request routing, connection tracking, and
 //! admission control (bounded per-backend queues with priority shedding).
 
-use crate::admission::{Admitted, Completion, QueuedRequest, RequestClass};
+use crate::admission::{Admitted, BackendQueue, Completion, QueuedRequest, RequestClass};
 use crate::metrics::{Metrics, ShedReason};
 use crate::{RealServer, Scheduler, VirtualService};
 use dosgi_net::{NodeId, SocketAddr};
@@ -248,17 +248,16 @@ impl IpvsDirector {
     ) -> Result<NodeId, RouteError> {
         let phases = self.phases.clone();
         let _admitting = phases.enter(Phase::IpvsAdmit);
-        if !self.services.contains_key(&address) {
+        let Some(vs) = self.services.get_mut(&address) else {
             self.stats.rejected += 1;
             self.metrics.rejected.incr();
             self.metrics.rejected_no_service.incr();
             return Err(RouteError::NoSuchService(address));
-        }
+        };
         if self.shed_classes.contains(&(address, class)) {
             self.count_shed(class, ShedReason::Policy);
             return Err(RouteError::Shed(address, class));
         }
-        let vs = self.services.get_mut(&address).expect("checked above");
         assert!(
             vs.admission.is_some(),
             "admit() requires a service built with_admission"
@@ -279,12 +278,13 @@ impl IpvsDirector {
             return Err(RouteError::NoLiveServers(address));
         };
         let node = vs.servers[idx].node;
-        let outcome = vs.queues[idx].offer(QueuedRequest {
+        let queue = &mut vs.queues[idx];
+        let outcome = queue.offer(QueuedRequest {
             client,
             class,
             enqueued_us: now_us,
         });
-        let depth = vs.queue_depth(node) as i64;
+        let depth = queue.depth() as i64;
         self.metrics.backend(node).queue_depth.set(depth);
         match outcome {
             Admitted::Queued => {}
@@ -325,24 +325,14 @@ impl IpvsDirector {
             let node = vs.servers[i].node;
             vs.queues[i].drain_until(node, now_us, out);
         }
-        for s in &vs.servers {
-            let depth = vs.queue_depth(s.node) as i64;
+        for (i, s) in vs.servers.iter().enumerate() {
+            let depth = vs.queues.get(i).map_or(0, BackendQueue::depth) as i64;
             self.metrics.backend(s.node).queue_depth.set(depth);
         }
-        for c in out.iter() {
-            let class = self.metrics.class(c.class);
-            self.stats.completed += 1;
-            self.metrics.completed.incr();
-            class.latency_us.record(c.latency_us());
-            if c.missed_deadline() {
-                self.stats.deadline_missed += 1;
-                self.metrics.deadline_missed.incr();
-                class.deadline_missed.incr();
-            }
-        }
+        self.count_completions();
         // A copy, not `mem::take`: the buffer keeps its capacity.
-        let completions = out.to_vec();
-        out.clear();
+        let completions = self.completions.to_vec();
+        self.completions.clear();
         completions
     }
 
@@ -371,6 +361,38 @@ impl IpvsDirector {
                 .map(|s| (s.node, vs.queue_depth(s.node)))
                 .collect()
         })
+    }
+
+    /// Counts the drain in `completions`: each metric written once — a
+    /// class's latencies under one take of its histogram's lock — and a
+    /// metric nothing counts towards not at all, so it stays unwritten.
+    fn count_completions(&mut self) {
+        let done = &self.completions;
+        if done.is_empty() {
+            return;
+        }
+        let mut missed = [0; RequestClass::ALL.len()];
+        for c in done.iter().filter(|c| c.missed_deadline()) {
+            missed[c.class.priority()] += 1;
+        }
+        for (class, missed) in RequestClass::ALL.into_iter().zip(missed) {
+            let metrics = self.metrics.class(class);
+            let of_class = done.iter().filter(|c| c.class == class);
+            metrics
+                .latency_us
+                .record_all(of_class.map(Completion::latency_us));
+            if missed > 0 {
+                metrics.deadline_missed.add(missed);
+            }
+        }
+        let completed = done.len() as u64;
+        self.stats.completed += completed;
+        self.metrics.completed.add(completed);
+        let missed: u64 = missed.iter().sum();
+        if missed > 0 {
+            self.stats.deadline_missed += missed;
+            self.metrics.deadline_missed.add(missed);
+        }
     }
 
     fn count_shed(&mut self, class: RequestClass, why: ShedReason) {
@@ -819,6 +841,75 @@ mod tests {
         assert_eq!(t.counter("ipvs.shed"), 0);
         assert!(!t.snapshot("s", 0).counters.contains_key("ipvs.shed"));
         assert_eq!(t.gauge("ipvs.queue_depth.n4"), None);
+    }
+
+    /// A drain writes each completion metric once for the whole batch: the
+    /// totals and every class's latency histogram and deadline counter
+    /// come out as one write per completion would make them, and a metric
+    /// nothing counted towards is not written at all.
+    #[test]
+    fn a_drain_counts_its_batch_exactly() {
+        // 4/s per backend: every request takes 250 ms of service.
+        let mut d = admission_director(2, 8, 4);
+        let t = Telemetry::new();
+        d.set_telemetry(t.clone());
+        use RequestClass::{Background, Critical, Standard};
+        // Join-shortest-queue alternates: each backend gets one of each
+        // pair, and serves critical, critical, standard, background.
+        for (client, class) in [Critical, Critical, Standard, Standard]
+            .into_iter()
+            .chain([Background, Background, Critical, Critical])
+            .enumerate()
+        {
+            d.admit(client as u64, addr(), class, 0).unwrap();
+        }
+
+        // Nothing is done before its service interval is: nothing written.
+        assert!(d.drain(addr(), 1).is_empty());
+        let snap = t.snapshot("s", 0);
+        for name in ["ipvs.completed", "ipvs.deadline_missed"] {
+            assert!(!snap.counters.contains_key(name), "{name} written");
+        }
+        assert!(snap.histograms.is_empty(), "{:?}", snap.histograms.keys());
+
+        let done = d.drain(addr(), 1_000_000);
+        assert_eq!(done.len(), 8);
+        let snap = t.snapshot("s", 0);
+        assert_eq!(snap.counters.get("ipvs.completed"), Some(&8));
+        // Critical misses its 50 ms at 250 and 500 ms, standard its 250 ms
+        // at 750 ms; background's 2 s is met at 1 s.
+        assert_eq!(snap.counters.get("ipvs.deadline_missed"), Some(&6));
+        assert_eq!(snap.counters.get("ipvs.deadline_missed.critical"), Some(&4));
+        assert_eq!(snap.counters.get("ipvs.deadline_missed.standard"), Some(&2));
+        assert!(!snap
+            .counters
+            .contains_key("ipvs.deadline_missed.background"));
+        for (class, count, sum, min, max) in [
+            (Critical, 4, 1_500_000, 250_000, 500_000),
+            (Standard, 2, 1_500_000, 750_000, 750_000),
+            (Background, 2, 2_000_000, 1_000_000, 1_000_000),
+        ] {
+            let h = &snap.histograms[&format!("ipvs.latency_us.{class}")];
+            assert_eq!(
+                (h.count(), h.sum(), h.min(), h.max()),
+                (count, sum, Some(min), Some(max)),
+                "{class}"
+            );
+            // The same as recording each completion on its own.
+            let mut one_by_one = dosgi_telemetry::Histogram::new();
+            done.iter()
+                .filter(|c| c.class == class)
+                .for_each(|c| one_by_one.record(c.latency_us()));
+            assert_eq!(*h, one_by_one, "{class}");
+        }
+        let stats = d.stats();
+        assert_eq!((stats.completed, stats.deadline_missed), (8, 6));
+
+        // A later drain that completes nothing writes nothing more.
+        assert!(d.drain(addr(), 2_000_000).is_empty());
+        let after = t.snapshot("s", 0);
+        assert_eq!(after.counters, snap.counters);
+        assert_eq!(after.histograms, snap.histograms);
     }
 
     #[test]

@@ -15,22 +15,27 @@ pub(super) fn area_namespace(namespace: &str, sn: &str) -> String {
     [namespace, "/data/", sn].concat()
 }
 
-/// The data area of the bundles named `sn`, created — its name and SAN
-/// namespace built — the first time it is asked for. A free function over
-/// the two fields so that callers keep their borrows of the others.
-pub(super) fn area_of<'a>(
-    areas: &'a mut BTreeMap<String, DataArea>,
+/// Runs `f` on the data area of the bundles named `sn`, which is created —
+/// its name and SAN namespace built — the first time it is asked for, and
+/// kept once `f` is done with it; an existing area is found with one
+/// lookup. A free function over the two fields so that callers keep their
+/// borrows of the others.
+pub(super) fn with_area<R>(
+    areas: &mut BTreeMap<String, DataArea>,
     store: &Option<(SharedStore, Arc<str>)>,
     sn: &str,
-) -> &'a mut DataArea {
-    if !areas.contains_key(sn) {
-        let mut area = DataArea::default();
-        if let Some((store, ns)) = store {
-            area.attach(store.clone(), area_namespace(ns, sn));
-        }
-        areas.insert(sn.to_owned(), area);
+    f: impl FnOnce(&mut DataArea) -> R,
+) -> R {
+    if let Some(area) = areas.get_mut(sn) {
+        return f(area);
     }
-    areas.get_mut(sn).expect("inserted just above")
+    let mut area = DataArea::default();
+    if let Some((store, ns)) = store {
+        area.attach(store.clone(), area_namespace(ns, sn));
+    }
+    let r = f(&mut area);
+    areas.insert(sn.to_owned(), area);
+    r
 }
 
 impl Framework {
@@ -81,22 +86,25 @@ impl Framework {
         arg: &Value,
         phases: &Phases,
     ) -> Result<Value, ServiceError> {
-        let owner = self
-            .registry
-            .owner_of(id)
-            .and_then(|b| self.bundles.get(&b));
-        let Some(owner) = owner else {
-            // Unknown service: let the registry produce the right error.
-            return self.registry.call(id, &mut self.ledger, None, method, arg);
+        let (at, owner) = self.registry.locate(id).ok_or(ServiceError::Gone(id))?;
+        let Some(owner) = self.bundles.get(&owner) else {
+            // A service whose owner is gone has no data area to attach.
+            return self
+                .registry
+                .call_at(at, &mut self.ledger, None, method, arg);
         };
         let sn = owner.manifest.symbolic_name.as_str();
-        let area = area_of(&mut self.areas, &self.store, sn);
-        let outcome = self
-            .registry
-            .call(id, &mut self.ledger, Some(area), method, arg);
-        if area.written() {
-            let _persisting = phases.enter(Phase::CallPersist);
-            let flushed = area.flush();
+        let (outcome, flushed) = with_area(&mut self.areas, &self.store, sn, |area| {
+            let outcome =
+                self.registry
+                    .call_at(at, &mut self.ledger, Some(&mut *area), method, arg);
+            let flushed = area.written().then(|| {
+                let _persisting = phases.enter(Phase::CallPersist);
+                area.flush()
+            });
+            (outcome, flushed)
+        });
+        if let Some(flushed) = flushed {
             self.settle(flushed)?;
         }
         outcome
@@ -118,9 +126,10 @@ impl Framework {
         value: Value,
     ) -> Result<(), BundleError> {
         let bytes = value.encoded_len() as u64;
-        let area = self.bundle_area(bundle)?;
-        area.put(key, value);
-        let flushed = area.flush();
+        let flushed = self.with_bundle_area(bundle, |area| {
+            area.put(key, value);
+            area.flush()
+        })?;
         self.ledger.charge_disk(bundle, bytes);
         Ok(self.settle(flushed)?)
     }
@@ -138,18 +147,22 @@ impl Framework {
         bundle: BundleId,
         key: &str,
     ) -> Result<Option<Value>, BundleError> {
-        Ok(self.bundle_area(bundle)?.get(key)?)
+        Ok(self.with_bundle_area(bundle, |area| area.get(key))??)
     }
 
-    /// The data area of `bundle`'s symbolic name.
-    fn bundle_area(&mut self, bundle: BundleId) -> Result<&mut DataArea, BundleError> {
+    /// Runs `f` on the data area of `bundle`'s symbolic name.
+    fn with_bundle_area<R>(
+        &mut self,
+        bundle: BundleId,
+        f: impl FnOnce(&mut DataArea) -> R,
+    ) -> Result<R, BundleError> {
         let b = self.bundles.get(&bundle);
         let sn = b
             .ok_or(BundleError::NotFound(bundle))?
             .manifest
             .symbolic_name
             .as_str();
-        Ok(area_of(&mut self.areas, &self.store, sn))
+        Ok(with_area(&mut self.areas, &self.store, sn, f))
     }
 
     /// Keeps the dirty mark equal to [`persist_dirty`](Self::persist_dirty)

@@ -5,7 +5,7 @@
 //! [`restore`](Framework::restore) and [`shutdown`](Framework::shutdown)
 //! are batches of many.
 
-use super::areas::area_of;
+use super::areas::with_area;
 use super::persistence::insert_sorted;
 use super::{Bundle, Framework, UpgradeReport};
 use crate::persist::{self, Row};
@@ -338,7 +338,7 @@ impl Framework {
             }
             return Err(BundleError::Store(e));
         }
-        let handoff_keys = area_of(&mut self.areas, &self.store, sn.as_str()).len();
+        let handoff_keys = with_area(&mut self.areas, &self.store, sn.as_str(), |area| area.len());
         let to = manifest.version;
         self.metrics.upgraded.incr();
         self.swap(id, manifest, activator, was_active)?;

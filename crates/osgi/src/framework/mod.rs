@@ -308,7 +308,8 @@ impl Framework {
 mod tests {
     use super::*;
     use crate::persist;
-    use crate::{ActivatorFactory, FnActivator, ManifestBuilder, ServiceError};
+    use crate::{ActivatorFactory, FnActivator, ManifestBuilder, ServiceError, UsageSnapshot};
+    use dosgi_net::SimDuration;
     use dosgi_telemetry::Telemetry;
 
     /// A framework counting its lifecycle into a registry of its own.
@@ -734,6 +735,67 @@ mod tests {
             fw.call_service(sid, "log", &Value::Null).unwrap();
         }
         assert_eq!(fw.ledger().snapshot(log).calls, 5);
+    }
+
+    /// One call lands on one account: its owner's, which gains exactly the
+    /// call, its CPU, its memory and its disk; the other bundle's, already
+    /// in the ledger, stays as it was.
+    #[test]
+    fn a_call_charges_its_owner_and_no_other_bundle() {
+        let mut fw = Framework::new("t");
+        let mut services = Vec::new();
+        for name in ["org.test.a", "org.test.b"] {
+            let manifest = ManifestBuilder::new(name, Version::new(1, 0, 0))
+                .build()
+                .unwrap();
+            let activator = FnActivator::on_start(move |ctx| {
+                ctx.register_service(
+                    &[name],
+                    Box::new(|ctx: &mut crate::CallContext<'_>, _: &str, arg: &Value| {
+                        ctx.charge_cpu(SimDuration::from_micros(30));
+                        ctx.alloc(4096);
+                        ctx.free(1024);
+                        ctx.store_put("last", arg.clone());
+                        Ok(Value::Null)
+                    }),
+                );
+                Ok(())
+            });
+            let id = fw.install(manifest, Some(Box::new(activator))).unwrap();
+            fw.start(id).unwrap();
+            services.push((id, fw.best_service(name).unwrap()));
+        }
+        let [(a, a_service), (b, b_service)] = services[..] else {
+            unreachable!("two bundles")
+        };
+        fw.call_service(a_service, "work", &Value::Int(1)).unwrap();
+        fw.call_service(b_service, "work", &Value::Int(2)).unwrap();
+        let (a_before, b_before) = (fw.ledger().snapshot(a), fw.ledger().snapshot(b));
+        assert_eq!(a_before.calls, 1);
+
+        let arg = Value::Int(3);
+        fw.call_service(a_service, "work", &arg).unwrap();
+        let a_after = fw.ledger().snapshot(a);
+        assert_eq!(
+            a_after,
+            UsageSnapshot {
+                cpu: a_before.cpu + SimDuration::from_micros(30),
+                memory: a_before.memory + 3072,
+                disk: a_before.disk + arg.encoded_len() as u64,
+                calls: a_before.calls + 1,
+            }
+        );
+        assert_eq!(fw.ledger().snapshot(b), b_before);
+        assert_eq!(fw.ledger().iter().count(), 2);
+
+        // An id no record holds charges nobody.
+        let gone = ServiceId(99);
+        assert_eq!(
+            fw.call_service(gone, "work", &arg),
+            Err(ServiceError::Gone(gone))
+        );
+        assert_eq!(fw.ledger().snapshot(a), a_after);
+        assert_eq!(fw.ledger().iter().count(), 2);
     }
 
     #[test]

@@ -30,6 +30,32 @@ pub struct UsageSnapshot {
     pub calls: u64,
 }
 
+/// The charges, one per account; every one saturates at the account's
+/// ceiling rather than wrapping.
+impl UsageSnapshot {
+    pub(crate) fn charge_cpu(&mut self, d: SimDuration) {
+        self.cpu = saturating(self.cpu, d);
+    }
+
+    pub(crate) fn alloc(&mut self, bytes: u64) {
+        self.memory = self.memory.saturating_add(bytes);
+    }
+
+    /// Freeing more than is held clamps to zero rather than corrupting
+    /// the account.
+    pub(crate) fn free(&mut self, bytes: u64) {
+        self.memory = self.memory.saturating_sub(bytes);
+    }
+
+    pub(crate) fn charge_disk(&mut self, bytes: u64) {
+        self.disk = self.disk.saturating_add(bytes);
+    }
+
+    pub(crate) fn count_call(&mut self) {
+        self.calls = self.calls.saturating_add(1);
+    }
+}
+
 /// Accumulated resource usage per bundle.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct UsageLedger {
@@ -42,40 +68,32 @@ impl UsageLedger {
         Self::default()
     }
 
-    fn entry(&mut self, bundle: BundleId) -> &mut UsageSnapshot {
+    /// The account of `bundle`, opened at zero the first time: a caller
+    /// that charges it several times looks it up once.
+    pub(crate) fn account(&mut self, bundle: BundleId) -> &mut UsageSnapshot {
         self.entries.entry(bundle).or_default()
     }
 
     /// Adds CPU time to a bundle's account. Every charge saturates at
     /// the account's ceiling rather than wrapping.
     pub fn charge_cpu(&mut self, bundle: BundleId, d: SimDuration) {
-        let e = self.entry(bundle);
-        e.cpu = saturating(e.cpu, d);
+        self.account(bundle).charge_cpu(d);
     }
 
     /// Adds held memory to a bundle's account.
     pub fn alloc(&mut self, bundle: BundleId, bytes: u64) {
-        let e = self.entry(bundle);
-        e.memory = e.memory.saturating_add(bytes);
+        self.account(bundle).alloc(bytes);
     }
 
     /// Releases held memory (saturating: freeing more than held clamps to
     /// zero rather than corrupting the account).
     pub fn free(&mut self, bundle: BundleId, bytes: u64) {
-        let e = self.entry(bundle);
-        e.memory = e.memory.saturating_sub(bytes);
+        self.account(bundle).free(bytes);
     }
 
     /// Adds persistent-storage writes to a bundle's account.
     pub fn charge_disk(&mut self, bundle: BundleId, bytes: u64) {
-        let e = self.entry(bundle);
-        e.disk = e.disk.saturating_add(bytes);
-    }
-
-    /// Increments the bundle's served-call counter.
-    pub fn count_call(&mut self, bundle: BundleId) {
-        let e = self.entry(bundle);
-        e.calls = e.calls.saturating_add(1);
+        self.account(bundle).charge_disk(bytes);
     }
 
     /// The bundle's current snapshot (zeroes if never charged).
@@ -117,7 +135,7 @@ mod tests {
         l.charge_cpu(BundleId(1), SimDuration::from_micros(10));
         l.charge_cpu(BundleId(1), SimDuration::from_micros(5));
         l.charge_cpu(BundleId(2), SimDuration::from_micros(3));
-        l.count_call(BundleId(1));
+        l.account(BundleId(1)).count_call();
         assert_eq!(l.snapshot(BundleId(1)).cpu, SimDuration::from_micros(15));
         assert_eq!(l.snapshot(BundleId(1)).calls, 1);
         assert_eq!(l.snapshot(BundleId(2)).cpu, SimDuration::from_micros(3));

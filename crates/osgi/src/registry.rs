@@ -108,6 +108,13 @@ impl ServiceRegistry {
         self.services.binary_search_by_key(&id, |r| r.id).ok()
     }
 
+    /// Where the record of `id` is in the list, and the bundle that owns
+    /// it: what [`call_at`](Self::call_at) takes, found once, and what the
+    /// framework finds the owner's data area by.
+    pub(crate) fn locate(&self, id: ServiceId) -> Option<(usize, BundleId)> {
+        self.position(id).map(|at| (at, self.services[at].owner))
+    }
+
     /// Removes a registration.
     ///
     /// # Errors
@@ -149,34 +156,29 @@ impl ServiceRegistry {
         self.position(id).map(|at| &self.services[at])
     }
 
-    /// Invokes `method` on service `id`, charging resource use to the
-    /// owning bundle's account in `ledger`, with the bundle's persistent
-    /// storage area attached to the context if the caller has one. Rows
-    /// the call wrote are dirty in `data` afterwards; the framework flushes
-    /// them to the SAN.
+    /// Invokes `method` on the service whose record is at `at`, a position
+    /// [`locate`](Self::locate) returned, charging resource use to the
+    /// owning bundle's account in `ledger` — the call counted on the account
+    /// its charges go to — with the bundle's persistent storage area
+    /// attached to the context if the caller has one. Rows the call wrote
+    /// are dirty in `data` afterwards; the framework flushes them to the
+    /// SAN.
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Gone`] for unknown ids, plus whatever the
-    /// implementation returns.
-    pub fn call(
+    /// Whatever the implementation returns.
+    pub(crate) fn call_at(
         &mut self,
-        id: ServiceId,
+        at: usize,
         ledger: &mut UsageLedger,
         data: Option<&mut DataArea>,
         method: &str,
         arg: &Value,
     ) -> Result<Value, ServiceError> {
-        let at = self.position(id).ok_or(ServiceError::Gone(id))?;
         let rec = &mut self.services[at];
-        ledger.count_call(rec.owner);
         let mut ctx = CallContext::new(rec.owner, ledger, data);
+        ctx.count_call();
         rec.implementation.call(&mut ctx, method, arg)
-    }
-
-    /// The bundle that registered service `id`.
-    pub fn owner_of(&self, id: ServiceId) -> Option<BundleId> {
-        self.record(id).map(|r| r.owner)
     }
 
     /// Number of live registrations.
@@ -235,17 +237,16 @@ mod tests {
         let mut r = ServiceRegistry::new();
         let mut ledger = UsageLedger::new();
         let id = r.register(BundleId(7), &["svc"], echo_service());
+        let (at, owner) = r.locate(id).unwrap();
+        assert_eq!(owner, BundleId(7));
         let out = r
-            .call(id, &mut ledger, None, "echo", &Value::Int(3))
+            .call_at(at, &mut ledger, None, "echo", &Value::Int(3))
             .unwrap();
         assert_eq!(out, Value::Int(3));
         let snap = ledger.snapshot(BundleId(7));
         assert_eq!(snap.calls, 1);
         assert_eq!(snap.cpu, SimDuration::from_micros(10));
-        assert!(matches!(
-            r.call(ServiceId(99), &mut ledger, None, "echo", &Value::Null),
-            Err(ServiceError::Gone(_))
-        ));
+        assert_eq!(r.locate(ServiceId(99)), None);
     }
 
     /// Each change moves the generation once; a refused one does not.
@@ -269,7 +270,7 @@ mod tests {
         let c = r.register(BundleId(1), &["y"], echo_service());
         r.unregister_bundle(BundleId(1));
         assert!(r.record(a).is_none() && r.record(c).is_none());
-        assert_eq!(r.owner_of(b), Some(BundleId(2)));
+        assert_eq!(r.locate(b), Some((0, BundleId(2))));
         assert_eq!(r.len(), 1);
         assert_eq!(r.generation(), 5, "three registrations, two removals");
     }
@@ -336,7 +337,7 @@ mod tests {
     }
 
     /// Every lookup agrees, after every step, with the model of the
-    /// churn: `best`, `references`, `record`, `owner_of`, `len` and
+    /// churn: `best`, `references`, `record`, `locate`, `len` and
     /// `generation`. An id the model has never handed out, or has seen
     /// removed, is unknown to the registry.
     fn registry_matches_the_model(ops: &[Op]) -> prop::PropResult {
@@ -398,9 +399,9 @@ mod tests {
                     "record({id:?}) after {op:?}"
                 );
                 prop_verify_eq!(
-                    r.owner_of(id),
-                    held.map(|(_, owner, _)| *owner),
-                    "owner_of({id:?}) after {op:?}"
+                    r.locate(id).map(|(at, owner)| (r.services[at].id, owner)),
+                    held.map(|(id, owner, _)| (*id, *owner)),
+                    "locate({id:?}) after {op:?}"
                 );
             }
         }

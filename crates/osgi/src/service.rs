@@ -1,6 +1,6 @@
 //! The dynamic service invocation model.
 
-use crate::{BundleId, DataArea, ServiceError, UsageLedger};
+use crate::{BundleId, DataArea, ServiceError, UsageLedger, UsageSnapshot};
 use dosgi_net::SimDuration;
 use dosgi_san::{StoreError, Value};
 
@@ -47,20 +47,23 @@ where
 /// Per-invocation context handed to a [`Service`].
 ///
 /// Lets the implementation charge its resource consumption to the owning
-/// bundle's ledger — the JSR-284-style accounting hook — and read/write the
+/// bundle's account — the JSR-284-style accounting hook — and read/write the
 /// bundle's persistent storage area (how *stateful* bundles in the paper's
-/// §3.2 sense persist state that must survive migration).
+/// §3.2 sense persist state that must survive migration). The account is
+/// looked up in the ledger once, when the context is made; every charge of
+/// the call writes it directly.
 #[derive(Debug)]
 pub struct CallContext<'a> {
     bundle: BundleId,
-    ledger: &'a mut UsageLedger,
+    account: &'a mut UsageSnapshot,
     data: Option<&'a mut DataArea>,
 }
 
 impl<'a> CallContext<'a> {
-    /// Creates a context charging `bundle` on `ledger`, with the bundle's
-    /// persistent storage area attached if there is one (without, storage
-    /// reads find nothing and writes go nowhere).
+    /// Creates a context charging `bundle`'s account on `ledger` — opened
+    /// at zero if it has none — with the bundle's persistent storage area
+    /// attached if there is one (without, storage reads find nothing and
+    /// writes go nowhere).
     pub fn new(
         bundle: BundleId,
         ledger: &'a mut UsageLedger,
@@ -68,7 +71,7 @@ impl<'a> CallContext<'a> {
     ) -> Self {
         CallContext {
             bundle,
-            ledger,
+            account: ledger.account(bundle),
             data,
         }
     }
@@ -91,8 +94,7 @@ impl<'a> CallContext<'a> {
     /// flushes the written rows to the SAN after the call), charging the
     /// bytes to the bundle's disk account.
     pub fn store_put(&mut self, key: &str, value: Value) {
-        self.ledger
-            .charge_disk(self.bundle, value.encoded_len() as u64);
+        self.account.charge_disk(value.encoded_len() as u64);
         if let Some(area) = self.data.as_mut() {
             area.put(key, value);
         }
@@ -103,24 +105,29 @@ impl<'a> CallContext<'a> {
         self.bundle
     }
 
+    /// Counts the call being served on the bundle's account.
+    pub(crate) fn count_call(&mut self) {
+        self.account.count_call();
+    }
+
     /// Records `d` of CPU time consumed by this call.
     pub fn charge_cpu(&mut self, d: SimDuration) {
-        self.ledger.charge_cpu(self.bundle, d);
+        self.account.charge_cpu(d);
     }
 
     /// Records `bytes` of memory newly held by the bundle.
     pub fn alloc(&mut self, bytes: u64) {
-        self.ledger.alloc(self.bundle, bytes);
+        self.account.alloc(bytes);
     }
 
     /// Records `bytes` of memory released by the bundle.
     pub fn free(&mut self, bytes: u64) {
-        self.ledger.free(self.bundle, bytes);
+        self.account.free(bytes);
     }
 
     /// Records `bytes` written to the bundle's persistent storage area.
     pub fn charge_disk(&mut self, bytes: u64) {
-        self.ledger.charge_disk(self.bundle, bytes);
+        self.account.charge_disk(bytes);
     }
 }
 

@@ -268,6 +268,17 @@ impl HistogramHandle {
             record(slot, v);
         }
     }
+
+    /// Records every sample of `samples` under one take of the lock, as
+    /// many [`record`](Self::record)s would; takes no lock for none.
+    pub fn record_all(&self, samples: impl IntoIterator<Item = u64>) {
+        let Some(slot) = &self.0 else { return };
+        let mut samples = samples.into_iter().peekable();
+        if samples.peek().is_some() {
+            let mut h = slot.lock().expect("histogram poisoned");
+            samples.for_each(|v| h.record(v));
+        }
+    }
 }
 
 /// Declares a struct of handles and its `new(&Telemetry)`, which resolves

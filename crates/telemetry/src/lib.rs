@@ -360,6 +360,19 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_records_what_single_records_would() {
+        let t = Telemetry::new();
+        let batch = t.histogram_handle("batch");
+        batch.record_all([]);
+        assert_eq!(t.histogram("batch"), None, "an empty batch writes nothing");
+        let samples = [7, 0, 300, 7, 1 << 40];
+        batch.record_all(samples);
+        samples.iter().for_each(|&v| t.record("single", v));
+        assert_eq!(t.histogram("batch"), t.histogram("single"));
+        HistogramHandle::default().record_all(samples);
+    }
+
+    #[test]
     fn zero_valued_writes_make_a_metric_visible() {
         let t = Telemetry::new();
         t.add("by_name", 0);
