@@ -691,11 +691,11 @@ impl DosgiNode {
 
     /// Write-behind convergence: lifecycle transitions never roll back on a
     /// transient SAN failure — the framework marks its snapshot/data areas
-    /// dirty instead. Each tick retries the flush (cheap no-op when nothing
-    /// is dirty), gated on the SAN answering at all so a brown-out is not
-    /// hammered every 5 ms.
+    /// dirty instead. Each tick retries the flush while something is dirty,
+    /// gated on the SAN answering at all so a brown-out is not hammered
+    /// every 5 ms; a clean tick asks the SAN nothing.
     fn flush_deferred_persistence(&mut self) {
-        if self.store.is_available() {
+        if self.mgr.persist_dirty() && self.store.is_available() {
             self.mgr.flush_persist_all();
         }
     }

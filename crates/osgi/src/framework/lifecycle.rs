@@ -535,7 +535,7 @@ mod tests {
                         // back, an outcome a fault is allowed to change:
                         // the SAN heals first.
                         if let Some(store) = store {
-                            store.faults().clear();
+                            store.clear_faults();
                         }
                         manifest.version = Version::new(v.major, v.minor + 1, 0);
                         let _ = fw.upgrade_bundle(id, manifest, None);
@@ -543,7 +543,7 @@ mod tests {
                 }
                 Op::Restore => {
                     if let Some(store) = store {
-                        store.faults().clear();
+                        store.clear_faults();
                     }
                     let (san, ns) = match &fw.store {
                         Some(attached) => attached.clone(),
@@ -571,7 +571,7 @@ mod tests {
                 }
                 Op::Heal => {
                     if let Some(store) = store {
-                        store.faults().clear();
+                        store.clear_faults();
                     }
                 }
             }
@@ -621,7 +621,7 @@ mod tests {
                         fw.persist_dirty()
                     );
                 }
-                store.faults().clear();
+                store.clear_faults();
                 fw.flush_persist().expect("flush after heal");
 
                 let mono =

@@ -617,7 +617,7 @@ mod tests {
             Version::new(1, 0, 0)
         );
         // Heal and retry: the same upgrade now lands.
-        store.faults().clear();
+        store.clear_faults();
         let report = fw.upgrade_bundle(id, v2, None).unwrap();
         assert_eq!(report.to, Version::new(1, 1, 0));
         assert!(fw.bundle_state(id).unwrap().is_active());

@@ -488,7 +488,7 @@ fn run_case(steps: &[Step]) -> PropResult {
     fw.attach_store(store.clone(), NS).expect("a healthy SAN");
     let mut model = Model::new();
     for (at, step) in steps.iter().enumerate() {
-        let faulty = store.faults().plan().is_some();
+        let faulty = store.fault_plan().is_some();
         match step {
             Step::Do(op) => {
                 let (got, want) = apply(&mut fw, &mut model, op, faulty);
@@ -530,7 +530,7 @@ fn run_case(steps: &[Step]) -> PropResult {
                 model = side;
             }
         }
-        let data = store.faults().plan().is_none();
+        let data = store.fault_plan().is_none();
         prop_verify_eq!(
             seen_framework(&mut fw, data),
             seen_model(&model, data),

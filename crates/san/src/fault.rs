@@ -28,11 +28,20 @@
 //! Fault decisions consume a dedicated RNG stream in operation order; since
 //! the simulation is single-threaded and deterministic, the same seed
 //! always yields the same faults at the same operations.
+//!
+//! The fault state — plan, RNG stream and clock — lives inside the store,
+//! under the store's one lock: an operation counts itself, rolls its faults,
+//! writes and updates its counters in one critical section, and every clone
+//! of a [`SharedStore`](crate::SharedStore) sees the same plan and clock.
+//! The plan is installed and read through the store
+//! ([`set_fault_plan`](crate::SharedStore::set_fault_plan),
+//! [`fault_plan`](crate::SharedStore::fault_plan),
+//! [`clear_faults`](crate::SharedStore::clear_faults),
+//! [`set_now`](crate::SharedStore::set_now)).
 
 use crate::StoreError;
 use dosgi_net::{SimDuration, SimTime};
 use dosgi_testkit::{mix_seed, TestRng};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A seeded, declarative description of how the SAN misbehaves.
 ///
@@ -106,16 +115,22 @@ impl FaultPlan {
     }
 }
 
+/// The fault decision point: a plan, its RNG stream and the clock its
+/// brown-out windows gate on.
+///
+/// Plain owned state: a [`SharedStore`](crate::SharedStore) keeps it under
+/// its one lock, beside the map it guards, so every clone of the store
+/// shares one plan, one stream and one clock.
 #[derive(Debug)]
-struct InjectorState {
+pub(crate) struct FaultInjector {
     plan: Option<FaultPlan>,
     rng: TestRng,
     now: SimTime,
 }
 
-impl Default for InjectorState {
+impl Default for FaultInjector {
     fn default() -> Self {
-        InjectorState {
+        FaultInjector {
             plan: None,
             rng: TestRng::new(0),
             now: SimTime::ZERO,
@@ -123,73 +138,46 @@ impl Default for InjectorState {
     }
 }
 
-/// The shared fault decision point.
-///
-/// A [`SharedStore`](crate::SharedStore) owns one. Clones share state
-/// (`Arc` semantics), mirroring the store itself.
-#[derive(Debug, Clone, Default)]
-pub struct FaultInjector {
-    state: Arc<Mutex<InjectorState>>,
-}
-
 impl FaultInjector {
-    /// Creates an inert injector (no plan attached).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn lock(&self) -> MutexGuard<'_, InjectorState> {
-        // Plain owned data; adopt a poisoned lock like the store does.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Installs `plan`, (re)seeding the fault RNG stream from it.
-    pub fn set_plan(&self, plan: FaultPlan) {
-        let mut s = self.lock();
-        s.rng = TestRng::new(plan.seed);
-        s.plan = Some(plan);
+    pub(crate) fn set_plan(&mut self, plan: FaultPlan) {
+        self.rng = TestRng::new(plan.seed);
+        self.plan = Some(plan);
     }
 
     /// Removes any plan: the injector becomes inert again.
-    pub fn clear(&self) {
-        self.lock().plan = None;
+    pub(crate) fn clear(&mut self) {
+        self.plan = None;
     }
 
     /// The currently installed plan, if any.
-    pub fn plan(&self) -> Option<FaultPlan> {
-        self.lock().plan.clone()
+    pub(crate) fn plan(&self) -> Option<&FaultPlan> {
+        self.plan.as_ref()
     }
 
     /// Advances the injector's clock; brown-out windows are evaluated
     /// against this instant. The simulation driver calls this every tick.
-    pub fn set_now(&self, now: SimTime) {
-        self.lock().now = now;
-    }
-
-    /// The injector's current clock reading.
-    pub fn now(&self) -> SimTime {
-        self.lock().now
+    pub(crate) fn set_now(&mut self, now: SimTime) {
+        self.now = now;
     }
 
     /// False while the current instant is inside a brown-out window.
-    pub fn is_available(&self) -> bool {
-        let s = self.lock();
-        match &s.plan {
-            Some(plan) => !plan.browned_out(s.now),
-            None => true,
-        }
+    pub(crate) fn is_available(&self) -> bool {
+        self.plan
+            .as_ref()
+            .is_none_or(|plan| !plan.browned_out(self.now))
     }
 
     /// One data-plane fault decision: `Err(Unavailable)` during a
     /// brown-out, `Err(Io)` with probability `io_error_rate`, `Ok` otherwise.
-    pub(crate) fn roll(&self, op: &'static str) -> Result<(), StoreError> {
-        let mut guard = self.lock();
-        let s = &mut *guard;
-        let Some(plan) = &s.plan else { return Ok(()) };
-        if plan.browned_out(s.now) {
+    pub(crate) fn roll(&mut self, op: &'static str) -> Result<(), StoreError> {
+        let Some(plan) = &self.plan else {
+            return Ok(());
+        };
+        if plan.browned_out(self.now) {
             return Err(StoreError::Unavailable);
         }
-        if plan.io_error_rate > 0.0 && s.rng.chance(plan.io_error_rate) {
+        if plan.io_error_rate > 0.0 && self.rng.chance(plan.io_error_rate) {
             return Err(StoreError::Io { op });
         }
         Ok(())
@@ -197,15 +185,13 @@ impl FaultInjector {
 
     /// Torn-write decision for a batch of `len` entries: `Some(written)`
     /// with `written < len` when the batch tears.
-    pub(crate) fn torn_len(&self, len: usize) -> Option<usize> {
+    pub(crate) fn torn_len(&mut self, len: usize) -> Option<usize> {
         if len == 0 {
             return None;
         }
-        let mut guard = self.lock();
-        let s = &mut *guard;
-        let plan = s.plan.as_ref()?;
-        if plan.torn_write_rate > 0.0 && s.rng.chance(plan.torn_write_rate) {
-            Some(s.rng.u64_below(len as u64) as usize)
+        let plan = self.plan.as_ref()?;
+        if plan.torn_write_rate > 0.0 && self.rng.chance(plan.torn_write_rate) {
+            Some(self.rng.u64_below(len as u64) as usize)
         } else {
             None
         }
@@ -269,7 +255,7 @@ mod tests {
 
     #[test]
     fn inert_injector_never_fails() {
-        let f = FaultInjector::new();
+        let mut f = FaultInjector::default();
         for _ in 0..1000 {
             assert_eq!(f.roll("op"), Ok(()));
         }
@@ -280,7 +266,7 @@ mod tests {
     #[test]
     fn io_errors_follow_the_seed_deterministically() {
         let run = || {
-            let f = FaultInjector::new();
+            let mut f = FaultInjector::default();
             f.set_plan(FaultPlan::flaky(0.3, 42));
             (0..200).map(|_| f.roll("op").is_err()).collect::<Vec<_>>()
         };
@@ -293,7 +279,7 @@ mod tests {
 
     #[test]
     fn brownout_windows_gate_on_the_injector_clock() {
-        let f = FaultInjector::new();
+        let mut f = FaultInjector::default();
         f.set_plan(FaultPlan::none().with_brownout(SimTime::from_secs(1), SimTime::from_secs(2)));
         assert!(f.is_available());
         assert_eq!(f.roll("op"), Ok(()));
@@ -307,7 +293,7 @@ mod tests {
 
     #[test]
     fn torn_len_is_a_strict_prefix() {
-        let f = FaultInjector::new();
+        let mut f = FaultInjector::default();
         f.set_plan(FaultPlan::none().with_torn_writes(1.0));
         for _ in 0..100 {
             let torn = f.torn_len(4).expect("rate 1.0 always tears");
@@ -318,12 +304,12 @@ mod tests {
 
     #[test]
     fn clearing_the_plan_heals_everything() {
-        let f = FaultInjector::new();
+        let mut f = FaultInjector::default();
         f.set_plan(FaultPlan::flaky(1.0, 1));
         assert!(f.roll("op").is_err());
         f.clear();
         assert_eq!(f.roll("op"), Ok(()));
-        assert_eq!(f.plan(), None);
+        assert!(f.plan().is_none());
     }
 
     #[test]

@@ -51,7 +51,7 @@ mod store;
 mod value;
 
 pub use error::StoreError;
-pub use fault::{FaultInjector, FaultPlan, RetryPolicy};
+pub use fault::{FaultPlan, RetryPolicy};
 pub use profile::SanProfile;
 pub use store::{SharedStore, StoreStats, Versioned};
 pub use value::{Key, Map, Value};

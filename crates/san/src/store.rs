@@ -6,7 +6,7 @@ use crate::{StoreError, Value};
 use dosgi_net::SimTime;
 use dosgi_telemetry::{Counter, Telemetry};
 use std::borrow::{Borrow, Cow};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A stored value together with its monotonically increasing version.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,15 +42,18 @@ pub struct StoreStats {
     pub bytes_skipped: u64,
 }
 
+/// Everything the store holds, under its one lock: the map, its counters,
+/// the fault layer and the telemetry handles.
 #[derive(Debug, Default)]
 struct Inner {
     map: MapBackend,
     stats: StoreStats,
+    faults: FaultInjector,
+    metrics: Metrics,
 }
 
 /// The `san.*` telemetry handles, resolved when a registry is attached.
-/// They sit beside the store's mutex, not inside it: counting an
-/// operation takes neither that lock nor the registry's.
+/// Counting through one takes no lock of the registry's.
 #[derive(Debug, Default)]
 struct Metrics {
     ops: Counter,
@@ -79,12 +82,6 @@ impl Metrics {
     }
 }
 
-#[derive(Debug)]
-struct Shared {
-    state: Mutex<Inner>,
-    metrics: RwLock<Metrics>,
-}
-
 /// The simulated SAN: a shared, durable, versioned key-value store.
 ///
 /// Clones share the same underlying storage (`Arc` semantics), modeling the
@@ -109,29 +106,19 @@ struct Shared {
 /// # Fallibility
 ///
 /// Every **data-plane** operation (`put`, `get`, `cas`, `delete`,
-/// `read_namespace`, `delete_namespace`, `put_many`) consults the attached
-/// [`FaultInjector`] first and returns `Err` during brown-outs or injected
-/// I/O errors — see [`crate::fault`]. With no [`FaultPlan`] attached (the
-/// default) these operations never fail for fault reasons. **Control-plane**
+/// `read_namespace`, `delete_namespace`, `put_many`) consults the fault
+/// layer first and returns `Err` during brown-outs or injected I/O errors —
+/// see [`crate::fault`]. The fault state lives under the store's one lock,
+/// beside the map: an operation takes that lock once, and counts itself,
+/// rolls its faults, writes and updates its counters inside it. With no
+/// [`FaultPlan`] attached (the default) these operations never fail for
+/// fault reasons. **Control-plane**
 /// introspection (`list_keys`, `list_namespaces`, `namespace_bytes`,
 /// `stats`, `peek`) is deliberately infallible: it models the simulation
 /// harness's omniscient view, not a real client.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SharedStore {
-    shared: Arc<Shared>,
-    faults: FaultInjector,
-}
-
-impl Default for SharedStore {
-    fn default() -> Self {
-        SharedStore {
-            shared: Arc::new(Shared {
-                state: Mutex::default(),
-                metrics: RwLock::default(),
-            }),
-            faults: FaultInjector::default(),
-        }
-    }
+    shared: Arc<Mutex<Inner>>,
 }
 
 impl SharedStore {
@@ -144,28 +131,23 @@ impl SharedStore {
     /// store holds plain owned data, and every critical section leaves it
     /// structurally valid even if a caller's panic poisons the mutex.
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.shared
-            .state
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The attached handles; like [`lock`](Self::lock), a poisoned guard
-    /// is adopted — handles are only ever replaced whole.
-    fn metrics(&self) -> RwLockReadGuard<'_, Metrics> {
-        self.shared
-            .metrics
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn fault(&self, op: &'static str) -> Result<(), StoreError> {
-        let metrics = self.metrics();
-        metrics.ops.incr();
-        self.faults.roll(op).inspect_err(|e| {
-            self.lock().stats.faults += 1;
-            metrics.count_fault(e);
-        })
+    /// The head of every data-plane operation `op`: locks the store, counts
+    /// `op` in `san.ops`, then rolls its faults. A rejection is counted in
+    /// the stats and in `san.faults` and returned; otherwise the lock is
+    /// handed to the operation.
+    fn admit(&self, op: &'static str) -> Result<MutexGuard<'_, Inner>, StoreError> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.metrics.ops.incr();
+        if let Err(e) = inner.faults.roll(op) {
+            inner.stats.faults += 1;
+            inner.metrics.count_fault(&e);
+            return Err(e);
+        }
+        Ok(guard)
     }
 
     /// Attaches a telemetry handle (`san.*` metrics), shared by every
@@ -173,41 +155,39 @@ impl SharedStore {
     /// injector's RNG stream is consumed identically with telemetry on
     /// or off.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
-        *self
-            .shared
-            .metrics
-            .write()
-            .unwrap_or_else(PoisonError::into_inner) = Metrics::new(&telemetry);
+        let metrics = Metrics::new(&telemetry);
+        self.lock().metrics = metrics;
     }
 
     // ------------------------------------------------------------------
     // Fault layer wiring
     // ------------------------------------------------------------------
 
-    /// The store's fault injector.
-    pub fn faults(&self) -> &FaultInjector {
-        &self.faults
+    /// Installs a fault plan, (re)seeding the fault RNG stream from it.
+    /// See [`crate::fault`].
+    pub fn set_fault_plan(&self, plan: FaultPlan) {
+        self.lock().faults.set_plan(plan);
     }
 
-    /// Installs a fault plan. See [`crate::fault`].
-    pub fn set_fault_plan(&self, plan: FaultPlan) {
-        self.faults.set_plan(plan);
+    /// The installed fault plan, if any.
+    pub fn fault_plan(&self) -> Option<FaultPlan> {
+        self.lock().faults.plan().cloned()
     }
 
     /// Removes any fault plan; the store becomes infallible again.
     pub fn clear_faults(&self) {
-        self.faults.clear();
+        self.lock().faults.clear();
     }
 
     /// Advances the fault clock (brown-out windows gate on it). The cluster
     /// driver calls this every simulation step.
     pub fn set_now(&self, now: SimTime) {
-        self.faults.set_now(now);
+        self.lock().faults.set_now(now);
     }
 
     /// False while the store is inside an injected brown-out window.
     pub fn is_available(&self) -> bool {
-        self.faults.is_available()
+        self.lock().faults.is_available()
     }
 
     // ------------------------------------------------------------------
@@ -225,15 +205,13 @@ impl SharedStore {
     /// The fault roll still happens first, so the injector's RNG stream is
     /// identical whether or not the value changed.
     pub fn put(&self, namespace: &str, key: &str, value: Value) -> Result<u64, StoreError> {
-        self.fault("put")?;
-        let mut inner = self.lock();
+        let mut inner = self.admit("put")?;
         let len = value.encoded_len() as u64;
         match inner.map.put(namespace, key, Cow::Owned(value), len) {
             Put::Skipped(version) => {
                 inner.stats.writes_skipped += 1;
                 inner.stats.bytes_skipped += len;
-                drop(inner);
-                self.metrics().skipped_identical.incr();
+                inner.metrics.skipped_identical.incr();
                 Ok(version)
             }
             Put::Wrote(version) => {
@@ -262,10 +240,9 @@ impl SharedStore {
         namespace: &str,
         entries: &[(K, V)],
     ) -> Result<usize, StoreError> {
-        self.fault("put_many")?;
-        let torn = self.faults.torn_len(entries.len());
+        let mut inner = self.admit("put_many")?;
+        let torn = inner.faults.torn_len(entries.len());
         let persisted = torn.unwrap_or(entries.len());
-        let mut inner = self.lock();
         let mut bytes = 0u64;
         let mut skipped = 0u64;
         let mut bytes_skipped = 0u64;
@@ -292,18 +269,14 @@ impl SharedStore {
         inner.stats.writes_skipped += skipped;
         inner.stats.bytes_skipped += bytes_skipped;
         inner.stats.bytes_written += bytes;
-        if torn.is_some() {
-            inner.stats.faults += 1;
-        }
-        drop(inner);
-        let metrics = self.metrics();
         if skipped > 0 {
-            metrics.skipped_identical.add(skipped);
+            inner.metrics.skipped_identical.add(skipped);
         }
         match torn {
             Some(written) => {
                 let e = StoreError::TornWrite { written };
-                metrics.count_fault(&e);
+                inner.stats.faults += 1;
+                inner.metrics.count_fault(&e);
                 Err(e)
             }
             None => Ok(persisted),
@@ -329,8 +302,7 @@ impl SharedStore {
         namespace: &str,
         key: &str,
     ) -> Result<Option<Versioned>, StoreError> {
-        self.fault("get")?;
-        let mut inner = self.lock();
+        let mut inner = self.admit("get")?;
         let v = inner.map.get(namespace, key);
         if let Some(v) = &v {
             inner.stats.reads += 1;
@@ -357,8 +329,7 @@ impl SharedStore {
         expected: u64,
         value: Value,
     ) -> Result<u64, StoreError> {
-        self.fault("cas")?;
-        let mut inner = self.lock();
+        let mut inner = self.admit("cas")?;
         let found = inner.map.key_version(namespace, key).live();
         if found != expected {
             return Err(StoreError::CasConflict { expected, found });
@@ -380,8 +351,7 @@ impl SharedStore {
     /// [`StoreError::NotFound`] if the key is absent, plus fault-injected
     /// errors.
     pub fn delete(&self, namespace: &str, key: &str) -> Result<(), StoreError> {
-        self.fault("delete")?;
-        let mut inner = self.lock();
+        let mut inner = self.admit("delete")?;
         if inner.map.remove(namespace, key) {
             inner.stats.writes += 1;
             Ok(())
@@ -400,8 +370,7 @@ impl SharedStore {
     ///
     /// Fault-injected [`StoreError::Unavailable`] / [`StoreError::Io`].
     pub fn delete_namespace(&self, namespace: &str) -> Result<usize, StoreError> {
-        self.fault("delete_namespace")?;
-        let mut inner = self.lock();
+        let mut inner = self.admit("delete_namespace")?;
         let n = inner.map.remove_namespace(namespace);
         if n > 0 {
             inner.stats.writes += 1;
@@ -438,9 +407,8 @@ impl SharedStore {
         namespace: &str,
         mut visit: impl FnMut(&str, &Value),
     ) -> Result<(), StoreError> {
-        self.fault("read_namespace")?;
-        let mut inner = self.lock();
-        let Inner { map, stats } = &mut *inner;
+        let mut inner = self.admit("read_namespace")?;
+        let Inner { map, stats, .. } = &mut *inner;
         for row in map.rows(namespace) {
             stats.reads += 1;
             stats.bytes_read += row.len;
@@ -866,6 +834,111 @@ mod tests {
         assert_eq!(s.get("ns", "k"), Ok(Some(Value::Int(7))));
     }
 
+    /// The fault layer is the store's, not a clone's: a plan, the clock its
+    /// windows gate on and a heal reach every clone, whichever one they went
+    /// through.
+    #[test]
+    fn clones_share_a_fault_plan_and_its_clock() {
+        let a = SharedStore::new();
+        let b = a.clone();
+        a.put("ns", "k", Value::Int(1)).unwrap();
+        a.set_fault_plan(FaultPlan::flaky(1.0, 5));
+        assert_eq!(b.fault_plan(), Some(FaultPlan::flaky(1.0, 5)));
+        assert_eq!(b.get("ns", "k"), Err(StoreError::Io { op: "get" }));
+        b.clear_faults();
+        assert_eq!(a.fault_plan(), None);
+        assert_eq!(a.get("ns", "k"), Ok(Some(Value::Int(1))));
+
+        let (from, until) = (SimTime::from_secs(1), SimTime::from_secs(2));
+        b.set_fault_plan(FaultPlan::none().with_brownout(from, until));
+        assert!(a.is_available());
+        a.set_now(SimTime::from_millis(1500));
+        assert!(!b.is_available());
+        assert_eq!(
+            b.put("ns", "k", Value::Int(2)),
+            Err(StoreError::Unavailable)
+        );
+        b.set_now(until);
+        assert!(a.is_available());
+        assert_eq!(a.put("ns", "k", Value::Int(2)), Ok(2));
+
+        for healer in [&a, &b] {
+            a.set_fault_plan(FaultPlan::flaky(1.0, 5));
+            b.set_now(SimTime::from_millis(1500));
+            healer.clear_faults();
+            for s in [&a, &b] {
+                assert!(s.is_available() && s.fault_plan().is_none());
+                assert_eq!(s.get("ns", "k"), Ok(Some(Value::Int(2))));
+            }
+        }
+        assert_eq!(a.stats().faults, 2);
+    }
+
+    /// A seeded script of every data-plane call under a flaky, tearing and
+    /// browning-out plan, run with telemetry off, attached from the start
+    /// and attached halfway: the same outcome at every call, the same store
+    /// and stats at the end, and on the attached-from-the-start run `san.ops`
+    /// is one per call, `san.faults` and its per-kind counters each sum to
+    /// `StoreStats::faults`, and `san.writes.skipped_identical` is
+    /// `writes_skipped`.
+    #[test]
+    fn each_operation_counts_once_and_telemetry_is_passive() {
+        const CALLS: usize = 400;
+        const KINDS: [&str; 3] = ["unavailable", "io", "torn_write"];
+        let plan = FaultPlan::flaky(0.15, 0x5A7)
+            .with_torn_writes(0.5)
+            .with_brownout(SimTime::from_millis(1000), SimTime::from_millis(1400));
+        let run = |attach_at: Option<usize>| {
+            let (s, t) = (SharedStore::new(), Telemetry::new());
+            s.set_fault_plan(plan.clone());
+            let mut rng = TestRng::new(49);
+            let value = |rng: &mut TestRng| Value::Int(rng.u64_below(3) as i64);
+            let mut outcomes = Vec::with_capacity(CALLS);
+            for call in 0..CALLS {
+                if attach_at == Some(call) {
+                    s.set_telemetry(t.clone());
+                }
+                s.set_now(SimTime::from_millis(5 * call as u64));
+                let key = ["a", "b", "c", "d"][rng.u64_below(4) as usize];
+                outcomes.push(match rng.u64_below(6) {
+                    0 => format!("{:?}", s.put("ns", key, value(&mut rng))),
+                    1 => {
+                        let batch: Vec<(String, Value)> = (0..rng.usize_in(1, 4))
+                            .map(|i| (format!("k{i}"), value(&mut rng)))
+                            .collect();
+                        format!("{:?}", s.put_many("ns", &batch))
+                    }
+                    2 => format!("{:?}", s.get("ns", key)),
+                    3 => format!("{:?}", s.cas("ns", key, rng.u64_below(3), value(&mut rng))),
+                    4 => format!("{:?}", s.delete("ns", key)),
+                    _ => format!("{:?}", s.read_namespace("ns")),
+                });
+            }
+            (outcomes, s.dump(), s.stats(), t)
+        };
+        let (outcomes, dump, stats, t) = run(Some(0));
+        assert_eq!(t.counter("san.ops"), CALLS as u64);
+        assert_eq!(t.counter("san.faults"), stats.faults);
+        let by_kind = KINDS.map(|kind| t.counter(&format!("san.faults.{kind}")));
+        assert!(
+            by_kind.iter().all(|&n| n > 0),
+            "every kind injected: {by_kind:?}"
+        );
+        assert_eq!(by_kind.iter().sum::<u64>(), stats.faults);
+        assert!(stats.writes_skipped > 0);
+        assert_eq!(
+            t.counter("san.writes.skipped_identical"),
+            stats.writes_skipped
+        );
+        for attach_at in [None, Some(CALLS / 2)] {
+            let (other, other_dump, other_stats, other_t) = run(attach_at);
+            assert_eq!(other, outcomes, "telemetry attached at {attach_at:?}");
+            assert_eq!((other_dump, other_stats), (dump.clone(), stats));
+            let counted = attach_at.map_or(0, |at| CALLS - at) as u64;
+            assert_eq!(other_t.counter("san.ops"), counted);
+        }
+    }
+
     #[test]
     fn flaky_store_fails_deterministically_per_seed() {
         let run = |seed| {
@@ -901,10 +974,9 @@ mod tests {
         namespace: &str,
         entries: &[(String, Value)],
     ) -> Result<usize, StoreError> {
-        store.fault("put_many")?;
-        let torn = store.faults.torn_len(entries.len());
+        let mut inner = store.admit("put_many")?;
+        let torn = inner.faults.torn_len(entries.len());
         let persisted = torn.unwrap_or(entries.len());
-        let mut inner = store.lock();
         let mut batch: Vec<(&str, &Value)> = Vec::new();
         let mut pending: HashMap<&str, usize> = HashMap::new();
         for (key, value) in &entries[..persisted] {
@@ -1033,7 +1105,7 @@ mod tests {
         (0..)
             .map(|seed| FaultPlan::flaky(0.0, seed).with_torn_writes(1.0))
             .find(|plan| {
-                let probe = FaultInjector::new();
+                let mut probe = FaultInjector::default();
                 probe.set_plan(plan.clone());
                 probe.torn_len(len) == Some(torn)
             })

@@ -1248,7 +1248,7 @@ mod tests {
                 .unwrap(),
             Value::from("pong")
         );
-        store.faults().clear();
+        store.clear_faults();
         let report = mgr.upgrade_bundle(id, "org.cust.app", v11).unwrap();
         assert_eq!(report.to, Version::new(1, 1, 0));
     }

@@ -4,7 +4,13 @@
 # which side runs first; a gain counts when the change wins nine tenths of the
 # pairs and the medians lie further apart than the parent's own quartiles.
 #
-#   scripts/bench_pairs.sh [--record <pr>] <parent-ref> <workload> [first-seed=1] [pairs=10]
+#   scripts/bench_pairs.sh [--record <pr>] [--self] <parent-ref> <workload> [first-seed=1] [pairs=10]
+#
+# With `--self` the parent is unpacked on both sides, at the two paths the
+# parent and the change use, and nothing of the working tree is read: what
+# the pairs then show is the layout-noise floor, the distance two builds of
+# one commit read apart from where they sit. A recorded row says
+# `"self": true`.
 #
 # The workload `all` runs every workload of BENCHMARK.json in its order, each
 # as if named alone: a table (and a recorded row) per workload.
@@ -46,13 +52,16 @@
 # distance as `parent_iqr`.
 set -euo pipefail
 
-record=""
-if [[ ${1:-} == --record ]]; then
-    record="${2:?--record takes the PR number}"
-    shift 2
-fi
+record="" self=false
+while [[ ${1:-} == --* ]]; do
+    case $1 in
+    --record) record="${2:?--record takes the PR number}"; shift 2 ;;
+    --self) self=true; shift ;;
+    *) echo "unknown option $1" >&2; exit 2 ;;
+    esac
+done
 if [[ $# -lt 2 || $# -gt 4 ]]; then
-    echo "usage: scripts/bench_pairs.sh [--record <pr>] <parent-ref> <workload|all> [first-seed=1] [pairs=10]" >&2
+    echo "usage: scripts/bench_pairs.sh [--record <pr>] [--self] <parent-ref> <workload|all> [first-seed=1] [pairs=10]" >&2
     exit 2
 fi
 parent_ref="$1" workload="$2" first_seed="${3:-1}" pairs="${4:-10}"
@@ -68,12 +77,17 @@ work="$PWD/target/bench_pairs"
 rm -rf "$work/parent-src" "$work/change-src"
 mkdir -p "$work/parent-src" "$work/change-src" "$work/out"
 git archive "$parent_ref" | tar -x -m -C "$work/parent-src"
-# The change is the working tree's files, tracked or not (ignored ones left
-# out), unpacked beside the parent: two builds of one commit from paths of
-# different lengths differ in layout, and serve_write read 2 % apart.
-git ls-files -z -co --exclude-standard | while IFS= read -r -d '' f; do
-    if [[ -e $f ]]; then printf '%s\0' "$f"; fi
-done | tar --null -T - -cf - | tar -x -m -C "$work/change-src"
+if $self; then
+    git archive "$parent_ref" | tar -x -m -C "$work/change-src"
+else
+    # The change is the working tree's files, tracked or not (ignored ones
+    # left out), unpacked beside the parent: two builds of one commit from
+    # paths of different lengths differ in layout, and serve_write read 2 %
+    # apart.
+    git ls-files -z -co --exclude-standard | while IFS= read -r -d '' f; do
+        if [[ -e $f ]]; then printf '%s\0' "$f"; fi
+    done | tar --null -T - -cf - | tar -x -m -C "$work/change-src"
+fi
 
 # side <parent|change> <seed>: one run of $workload; on stdout the
 # calibration kernel's p50 (from the run's heading), then its last line (the
@@ -105,7 +119,7 @@ for workload in $workloads; do
     done
 
     row="$work/out/${workload}_row.json"
-    awk -v workload="$workload" -v row="$row" -v pr="$record" -v first_seed="$first_seed" \
+    awk -v workload="$workload" -v row="$row" -v pr="$record" -v self="$self" -v first_seed="$first_seed" \
         -v parent="$(git rev-parse --short "$parent_ref")" '
     # Which way is better, and which metrics are exact, from the "end_to_end"
     # list of BENCHMARK.json.
@@ -141,7 +155,7 @@ for workload in $workloads; do
         }
     }
     END {
-        printf "%s: %d pairs, parent -> change\n", workload, n_pairs
+        printf "%s: %d pairs, parent -> change%s\n", workload, n_pairs, self == "true" ? " (both sides the parent)" : ""
         for (m = 1; m <= n_metrics; m++) {
             name = metrics[m]; lower = better[name] == "lower"
             below = above = 0
@@ -166,8 +180,8 @@ for workload in $workloads; do
             }
         }
         quartiles("parent", "cal"); p2 = q[2]; quartiles("change", "cal")
-        printf("{\"pr\": %d, \"parent\": \"%s\", \"workload\": \"%s\", \"seeds\": [%d, %d], \"pairs\": %d, \"timed\": {%s}, \"exact\": {%s}, \"cal.kernel_us_p50\": [%.6g, %.6g]}\n", \
-            pr, parent, workload, first_seed, first_seed + n_pairs - 1, n_pairs, timed, exact, p2, q[2]) >row
+        printf("{\"pr\": %d, %s\"parent\": \"%s\", \"workload\": \"%s\", \"seeds\": [%d, %d], \"pairs\": %d, \"timed\": {%s}, \"exact\": {%s}, \"cal.kernel_us_p50\": [%.6g, %.6g]}\n", \
+            pr, self == "true" ? "\"self\": true, " : "", parent, workload, first_seed, first_seed + n_pairs - 1, n_pairs, timed, exact, p2, q[2]) >row
         if (bad != "") { printf "FAILED or incorrect ops:\n%s", bad; exit 1 }
     }' BENCHMARK.json "$results"
 done
