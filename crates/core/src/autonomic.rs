@@ -216,6 +216,10 @@ impl MetricSource for InPlace<'_> {
             Some(s) => self.watched.get(s).and_then(|w| w.metric(name)),
         }
     }
+
+    fn unsampled(&self, name: &str, subject: &str) -> bool {
+        self.watched.get(subject).is_some_and(|w| w.unsampled(name))
+    }
 }
 
 #[cfg(test)]
@@ -322,6 +326,43 @@ mod tests {
             .any(|d| matches!(&d.action, PolicyAction::Stop { subject } if subject == "acme")));
     }
 
+    /// A record with no window yet — an instance just created or adopted —
+    /// has not been sampled: a rule reading its usage is false for it and
+    /// no error, while a metric no record has still errs.
+    #[test]
+    fn an_instance_not_sampled_yet_is_no_error() {
+        let script =
+            format!("{DEFAULT_POLICY} rule ghost {{ when latency($i) > 1 then stop($i) }}");
+        let mut a = AutonomicModule::new(&script, SimDuration::from_secs(1)).unwrap();
+        let fresh = Watch::new(
+            InstanceId(1),
+            descriptor("fresh", ResourceQuota::small()),
+            a.streaks(),
+        );
+        let t = table([sampled(&a, "acme", 400, 1 << 30), fresh]);
+        let decisions = a.evaluate(SimTime::from_secs(1), &t, &NodeCapacity::standard(), 3, 0);
+        let stopped: Vec<_> = decisions
+            .iter()
+            .filter_map(|d| match &d.action {
+                PolicyAction::Stop { subject } => Some(subject.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            stopped,
+            ["acme"],
+            "acme over its memory quota, fresh unread"
+        );
+        let errors: Vec<_> = a.last_errors().collect();
+        assert_eq!(
+            errors,
+            [
+                "rule ghost: unknown metric latency(acme)",
+                "rule ghost: unknown metric latency(fresh)"
+            ]
+        );
+    }
+
     #[test]
     fn within_quota_is_quiet() {
         let mut a = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_secs(1)).unwrap();
@@ -414,7 +455,9 @@ mod tests {
     /// The evaluator `evaluate` replaced: a node kept its windows and its
     /// quotas in two maps by name, and every pass copied each metric of the
     /// module table onto the blackboard, then evaluated against it, each
-    /// subject's streaks kept by name and dropped when it left.
+    /// subject's streaks kept by name and dropped when it left. A local
+    /// subject whose window has not closed yet has not been sampled for the
+    /// four usage metrics (`Unsampled`).
     #[derive(Default)]
     struct ByCopy {
         engine: Option<PolicyEngine>,
@@ -468,7 +511,31 @@ mod tests {
             bb.set_global_metric("node_rank", node_rank as f64);
             let subjects: Vec<Named> = self.streaks.iter().map(|(n, s)| (*n, s)).collect();
             let engine = self.engine.as_mut().expect("compiled");
-            engine.evaluate(&self.blackboard, &subjects)
+            let source = Unsampled {
+                blackboard: &self.blackboard,
+                windows: &self.windows,
+            };
+            engine.evaluate(&source, &subjects)
+        }
+    }
+
+    /// The blackboard, and which local subjects have no window yet.
+    struct Unsampled<'a> {
+        blackboard: &'a Blackboard,
+        windows: &'a BTreeMap<&'static str, dosgi_monitor::Sampler>,
+    }
+
+    impl MetricSource for Unsampled<'_> {
+        fn metric(&self, name: &str, subject: Option<&str>) -> Option<f64> {
+            self.blackboard.metric(name, subject)
+        }
+
+        fn unsampled(&self, name: &str, subject: &str) -> bool {
+            let windowless = self
+                .windows
+                .get(subject)
+                .is_some_and(|w| w.latest().is_none());
+            windowless && ["cpu_share", "memory", "disk", "call_rate"].contains(&name)
         }
     }
 

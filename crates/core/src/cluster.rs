@@ -3,7 +3,7 @@
 
 use crate::node::{DosgiNode, NodeConfig, NodeState, Wire};
 use crate::BootKit;
-use crate::{AdoptReason, CoreError, NodeEvent, SlaTracker};
+use crate::{AdoptReason, CoreError, InstanceRecord, NodeEvent, SlaTracker};
 use dosgi_net::{LinkConfig, NodeId, Partition, SimDuration, SimNet, SimTime};
 use dosgi_san::{SharedStore, Value};
 use dosgi_telemetry::{
@@ -78,8 +78,8 @@ dosgi_telemetry::metrics! {
 /// takes it only if it has mail or a deadline has come), and the
 /// availability of every registered instance is accounted into the
 /// [`SlaTracker`] — the downtime instrument behind experiments E5–E10 —
-/// by probing when a placement may have changed and by extending the
-/// interval when none has.
+/// by probing the instances whose placement may have changed and by
+/// extending the interval of every other.
 pub struct DosgiCluster {
     net: SimNet<Wire>,
     store: SharedStore,
@@ -87,16 +87,13 @@ pub struct DosgiCluster {
     // What every node boots and restarts from, built once.
     kit: Arc<BootKit>,
     sla: SlaTracker,
-    // What the last full availability pass saw: the reference node, and
-    // its registry's epoch plus every node's lifecycle epoch. `None` forces
-    // the next pass.
-    probed: Option<(usize, u64)>,
+    // The reference node the last step's availability accounting read.
+    // `None` owes the next step a full pass.
+    probed: Option<usize>,
     // The reference the differential test steps beside the real thing:
     // every step ticks every live node in full and probes every record.
     #[cfg(test)]
     fixed_tick_reference: bool,
-    #[cfg(test)]
-    full_passes: u64,
     events: Vec<(NodeId, NodeEvent)>,
     telemetry: Telemetry,
     metrics: Metrics,
@@ -182,8 +179,6 @@ impl DosgiCluster {
             probed: None,
             #[cfg(test)]
             fixed_tick_reference: false,
-            #[cfg(test)]
-            full_passes: 0,
             events: Vec::new(),
             metrics: Metrics::new(&telemetry),
             telemetry,
@@ -514,14 +509,14 @@ impl DosgiCluster {
     }
 
     /// The live node `rec` is placed on, if any.
-    fn live_home<'a>(slots: &'a [Slot], rec: &crate::InstanceRecord) -> Option<&'a DosgiNode> {
+    fn live_home<'a>(slots: &'a [Slot], rec: &InstanceRecord) -> Option<&'a DosgiNode> {
         slots
             .get(rec.placed_on()?.index())
             .filter(|s| s.alive)
             .map(|s| &s.node)
     }
 
-    fn find_record(&self, name: &str) -> Option<&crate::InstanceRecord> {
+    fn find_record(&self, name: &str) -> Option<&InstanceRecord> {
         Self::reference_registry(&self.slots).and_then(|r| r.record(name))
     }
 
@@ -638,39 +633,38 @@ impl DosgiCluster {
             }
         }
         // Availability. A probe's answer is a function of the reference
-        // node's registry, slot liveness and each home's local instances,
-        // so while the stamp below stands still every answer does, and the
-        // tracker extends the interval instead of being told the same
-        // thing again. The other nodes' registry copies are not read. With
-        // no running node nobody is asked, as ever.
+        // node's registry, slot liveness and each home's local instances.
+        // The registry logs the names whose record a write moved, each
+        // manager those whose instance it started, stopped, added or
+        // removed, so only those names are probed again, and the tracker
+        // extends every other interval. A new reference, a change of
+        // liveness or a log that overflowed owes a full pass. The other
+        // nodes' registry copies are not read, and every log starts afresh
+        // each step. With no running node nobody is asked, as ever.
         let availability = phases.enter(Phase::Availability);
-        match Self::reference_node(&self.slots) {
-            Some(reference) => {
-                let lifecycle = |s: &Slot| s.node.manager().lifecycle_epoch();
-                let epochs = self.slots[reference].node.registry().epoch()
-                    + self.slots.iter().map(lifecycle).sum::<u64>();
-                if self.probed == Some((reference, epochs)) {
-                    self.sla.extend_to(now);
-                } else {
-                    #[cfg(test)]
-                    {
-                        self.full_passes += 1;
-                    }
-                    self.probed = Some((reference, epochs));
-                    let slots = &self.slots;
-                    let registry = slots[reference].node.registry();
-                    self.sla.observe(
-                        now,
-                        registry.records().map(|rec| {
-                            let home = Self::live_home(slots, rec);
-                            let up = home.is_some_and(|n| n.probe_local(&rec.name));
-                            (&*rec.name, up)
-                        }),
-                    );
+        let reference = Self::reference_node(&self.slots);
+        if let Some(reference) = reference {
+            let (slots, sla) = (&self.slots, &mut self.sla);
+            let registry = slots[reference].node.registry();
+            let managers = || slots.iter().map(|s| s.node.manager().changed());
+            let logged = self.probed == Some(reference)
+                && registry.changed().is_some()
+                && managers().all(|m| m.is_some());
+            if logged {
+                let names = registry.changed().into_iter().flatten();
+                for name in names.chain(managers().flatten().flatten()) {
+                    Self::probe_into(sla, slots, &phases, now, name, registry.record(name));
+                }
+            } else {
+                sla.retire_all();
+                for rec in registry.records() {
+                    Self::probe_into(sla, slots, &phases, now, &rec.name, Some(rec));
                 }
             }
-            None => self.probed = None,
+            sla.extend_to(now);
         }
+        self.probed = reference;
+        self.slots.iter_mut().for_each(|s| s.node.clear_changed());
         drop(availability);
         // Continuous observability, on the scrape cadence: health gauges
         // first (so the scrape samples the fresh values), then the series
@@ -689,6 +683,29 @@ impl DosgiCluster {
                 obs.scraper.scrape(&self.telemetry, now_us);
                 obs.slo.observe(&self.telemetry, now_us);
             }
+        }
+    }
+
+    /// Accounts `name` — `record` in the reference registry — into `sla` at
+    /// `now`: observed serving or not while it has a record, retired when
+    /// it has none. Both the per-name and the full pass go through here,
+    /// one call of `availability.probe` each.
+    fn probe_into(
+        sla: &mut SlaTracker,
+        slots: &[Slot],
+        phases: &Phases,
+        now: SimTime,
+        name: &str,
+        record: Option<&InstanceRecord>,
+    ) {
+        let _probe = phases.enter(Phase::AvailabilityProbe);
+        match record {
+            Some(rec) => {
+                let home = Self::live_home(slots, rec);
+                let up = home.is_some_and(|n| n.probe_local(&rec.name));
+                sla.observe(now, &rec.name, up);
+            }
+            None => sla.retire(name),
         }
     }
 
@@ -1247,32 +1264,79 @@ mod tests {
         assert!(telemetry.alerts().is_empty());
     }
 
-    /// A probe reads the reference node's registry and no other: a step in
-    /// which only another node's copy was written extends the interval, one
-    /// in which the reference's was runs a full pass.
+    /// A probe reads the reference node's registry and no other, and a step
+    /// probes only the names a write logged: none in a quiet step, none
+    /// after a write to another node's copy, the one name a write to the
+    /// reference's or a stop at a home moved, and every record after a
+    /// crash.
     #[test]
     fn only_the_reference_registry_owes_a_full_pass() {
         let mut c = cluster();
         c.deploy(workloads::web_instance("a", "web"), 1).unwrap();
         c.run_for(SimDuration::from_millis(300));
         assert_eq!(DosgiCluster::reference_node(&c.slots), Some(0));
-        let write = |c: &mut DosgiCluster, idx: usize| {
+        let phases = Phases::new(|| 0);
+        c.set_phases(phases.clone());
+        let ghost = |c: &mut DosgiCluster, idx: usize| {
             let registry = c.slots[idx].node.registry_mut();
-            registry.apply(&crate::AppPayload::Draining { node: NodeId(9) });
+            registry.apply(&crate::AppPayload::Deployed {
+                name: "ghost".into(),
+                descriptor: Arc::new(workloads::web_instance("b", "ghost")),
+                home: NodeId(9),
+            });
         };
         let step = |c: &mut DosgiCluster| {
-            let (passes, up) = (c.full_passes, c.sla().record("web").up);
+            let probed = phases.count(Phase::AvailabilityProbe).calls;
             c.step();
-            assert_eq!(c.sla().record("web").up, up + TICK, "the interval grows");
-            c.full_passes - passes
+            phases.count(Phase::AvailabilityProbe).calls - probed
         };
+        let up = |c: &DosgiCluster| c.sla().record("web").up;
+        let before = up(&c);
         assert_eq!(step(&mut c), 0, "a quiet step");
         for other in [1, 2] {
-            write(&mut c, other);
+            ghost(&mut c, other);
             assert_eq!(step(&mut c), 0, "node {other}'s copy moved");
         }
-        write(&mut c, 0);
+        ghost(&mut c, 0);
         assert_eq!(step(&mut c), 1, "the reference's copy moved");
+        assert_eq!(c.sla().record("ghost").up, SimDuration::ZERO);
+        assert_eq!(up(&c), before + TICK * 4, "web's interval grows");
+        c.crash_node(2);
+        assert_eq!(step(&mut c), 2, "a crash: every record");
+        assert_eq!(step(&mut c), 0, "then nothing");
+        let home = c.node_mut(1).unwrap().manager_mut();
+        let id = home.find_by_name("web").unwrap();
+        home.stop_instance(id).unwrap();
+        let down = c.sla().record("web").down;
+        assert_eq!(step(&mut c), 1, "web stopped at its home");
+        step(&mut c);
+        assert_eq!(c.sla().record("web").down, down + TICK);
+    }
+
+    /// An instance that has just arrived has not been sampled: the policy
+    /// passes at its home right after its deployment and after each
+    /// adoption report no error.
+    #[test]
+    fn a_policy_pass_right_after_an_adoption_reports_no_error() {
+        let mut c = cluster();
+        c.deploy(workloads::web_instance("a", "web"), 0).unwrap();
+        let mut adopted = 0;
+        for to in [1, 2, 0, 1] {
+            c.migrate("web", to).unwrap();
+            for _ in 0..200 {
+                c.step();
+                for (i, slot) in c.slots.iter().enumerate() {
+                    let errors: Vec<_> = slot.node.policy_errors().collect();
+                    assert!(errors.is_empty(), "n{i} at {}: {errors:?}", c.now());
+                }
+            }
+            let events = c.take_events();
+            adopted += events
+                .iter()
+                .filter(|(_, e)| matches!(e, NodeEvent::Adopted { .. }))
+                .count();
+        }
+        assert_eq!(adopted, 4);
     }
 
     /// One generated operator action of the differential test, on instance
@@ -1301,6 +1365,12 @@ mod tests {
             torn: f64,
         },
         ClearSanFaults,
+        /// More instances than a change log holds deployed on a node at
+        /// once, none waiting for its commit: one step writes them all.
+        DeployBatch(usize),
+        /// An instance stopped at its home, out of band: its record still
+        /// says placed.
+        Stop(usize),
     }
 
     const DIFF_NODES: usize = 4;
@@ -1311,7 +1381,7 @@ mod tests {
             let instance = rng.usize_in(0, DIFF_INSTANCES - 1);
             let node = rng.usize_in(0, DIFF_NODES - 1);
             let other = rng.usize_in(0, DIFF_NODES - 1);
-            match rng.u64_below(24) {
+            match rng.u64_below(26) {
                 0..=3 => Op::Deploy(instance, node),
                 4 | 5 => Op::Migrate(instance, node),
                 6 => Op::Undeploy(instance),
@@ -1332,7 +1402,9 @@ mod tests {
                     io_error_rate: [0.0, 0.4][rng.usize_in(0, 1)],
                     torn: [0.0, 0.5][rng.usize_in(0, 1)],
                 },
-                _ => Op::ClearSanFaults,
+                23 => Op::ClearSanFaults,
+                24 => Op::DeployBatch(node),
+                _ => Op::Stop(instance),
             }
         }
     }
@@ -1417,6 +1489,30 @@ mod tests {
                 );
             }
             Op::ClearSanFaults => c.clear_faults(),
+            Op::DeployBatch(on) => {
+                let now = c.now();
+                let (slots, net) = (&mut c.slots, &mut c.net);
+                let Some(slot) = slots.get_mut(on).filter(|s| s.alive) else {
+                    return seen;
+                };
+                let deployed = (0..=dosgi_vosgi::CHANGE_LOG_CAPACITY).map(|b| {
+                    let name = format!("batch{b}");
+                    let descriptor = workloads::web_instance(&name, &name);
+                    slot.node.deploy(descriptor, net, now)
+                });
+                seen = format!("{:?}", deployed.collect::<Vec<_>>());
+            }
+            Op::Stop(instance) => {
+                let name = diff_name(instance);
+                let Some(home) = c.home_of(&name).and_then(|h| c.node_mut(h)) else {
+                    return seen;
+                };
+                let manager = home.manager_mut();
+                let stopped = manager
+                    .find_by_name(&name)
+                    .map(|id| manager.stop_instance(id));
+                seen = format!("{stopped:?}");
+            }
         }
         seen
     }

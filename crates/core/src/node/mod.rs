@@ -429,6 +429,20 @@ impl DosgiNode {
         &self.registry
     }
 
+    /// Starts new change logs of the registry copy and of the instance
+    /// manager ([`ClusterRegistry::changed`],
+    /// [`InstanceManager::changed`]).
+    pub(crate) fn clear_changed(&mut self) {
+        self.registry.clear_changed();
+        self.mgr.clear_changed();
+    }
+
+    /// The last policy pass's evaluation errors (none without a policy).
+    #[cfg(test)]
+    pub(crate) fn policy_errors(&self) -> impl Iterator<Item = &str> {
+        self.autonomic.iter().flat_map(AutonomicModule::last_errors)
+    }
+
     /// Writes the registry copy past the total order (the cluster's tests).
     #[cfg(test)]
     pub(crate) fn registry_mut(&mut self) -> &mut ClusterRegistry {

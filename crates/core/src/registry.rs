@@ -24,7 +24,7 @@ use crate::msg::AppPayload;
 use dosgi_net::NodeId;
 use dosgi_san::codec::{field_len, header_len, int_len, str_len};
 use dosgi_san::Value;
-use dosgi_vosgi::InstanceDescriptor;
+use dosgi_vosgi::{ChangeLog, InstanceDescriptor};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -107,8 +107,9 @@ impl InstanceRecord {
 #[derive(Debug, Clone, Default)]
 pub struct ClusterRegistry {
     records: BTreeMap<Arc<str>, InstanceRecord>,
-    // Moved by every `&mut self` method.
-    epoch: u64,
+    // The names whose home, status or presence a write changed since the
+    // last `clear_changed`.
+    changed: ChangeLog<Arc<str>>,
 }
 
 impl PartialEq for ClusterRegistry {
@@ -123,10 +124,19 @@ impl ClusterRegistry {
         Self::default()
     }
 
-    /// A counter that every write moves: while it stands still, every
-    /// record reads what it read before.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch
+    /// The names whose record a write has added, removed, re-homed or
+    /// given another status since the last
+    /// [`clear_changed`](Self::clear_changed): every other record reads the
+    /// home and status it read before. `None` when more changed than the
+    /// log holds ([`CHANGE_LOG_CAPACITY`](dosgi_vosgi::CHANGE_LOG_CAPACITY)):
+    /// then any record may have.
+    pub fn changed(&self) -> Option<impl Iterator<Item = &str>> {
+        self.changed.names()
+    }
+
+    /// Starts a new [`changed`](Self::changed) log.
+    pub fn clear_changed(&mut self) {
+        self.changed.clear();
     }
 
     /// Applies one ordered control message and returns whether it wrote
@@ -145,14 +155,17 @@ impl ClusterRegistry {
     /// `crates/core/tests/ownership_spec.rs` states each payload's rule as
     /// a model.
     pub fn apply(&mut self, msg: &AppPayload) -> bool {
-        self.epoch += 1;
         let r = match msg {
             AppPayload::Deployed {
                 name,
                 descriptor,
                 home,
             } => {
-                let rev = self.records.get(&**name).map(|r| r.rev).unwrap_or(0) + 1;
+                let held = self.records.get(&**name);
+                if held.is_none_or(|r| (r.home, r.status) != (*home, InstanceStatus::Placed)) {
+                    self.changed.log(Arc::clone(name));
+                }
+                let rev = held.map(|r| r.rev).unwrap_or(0) + 1;
                 self.records.insert(
                     Arc::clone(name),
                     InstanceRecord {
@@ -165,7 +178,13 @@ impl ClusterRegistry {
                 );
                 return true;
             }
-            AppPayload::Undeployed { name } => return self.records.remove(&**name).is_some(),
+            AppPayload::Undeployed { name } => {
+                let removed = self.records.remove(&**name).is_some();
+                if removed {
+                    self.changed.log(Arc::clone(name));
+                }
+                return removed;
+            }
             AppPayload::Migrate { name, .. }
             | AppPayload::Released { name, .. }
             | AppPayload::Adopted { name, .. }
@@ -201,6 +220,9 @@ impl ClusterRegistry {
             }
             _ => return false,
         };
+        if (r.home, r.status) != (home, status) {
+            self.changed.log(Arc::clone(&r.name));
+        }
         r.home = home;
         r.status = status;
         r.rev += 1;
@@ -215,11 +237,11 @@ impl ClusterRegistry {
     /// [`orphans`](Self::orphans) then lists them with the ones orphaned
     /// before.
     pub fn orphan_homes(&mut self, gone: impl Fn(NodeId) -> bool) -> usize {
-        self.epoch += 1;
         let mut marked = 0;
         for r in self.records.values_mut() {
             if r.status != InstanceStatus::Orphaned && r.depends_on(&gone) {
                 r.status = InstanceStatus::Orphaned;
+                self.changed.log(Arc::clone(&r.name));
                 marked += 1;
             }
         }
@@ -376,11 +398,11 @@ impl ClusterRegistry {
     /// between the digest and the delta (a redeploy, a claim) changes the
     /// revision and voids the removal.
     pub fn import_delta(&mut self, upserts: &[InstanceRecord], removes: &[(Arc<str>, u64)]) {
-        // (`import` moves the epoch.)
         self.import(upserts);
         for (name, rev) in removes {
             if self.records.get(name).is_some_and(|r| r.rev == *rev) {
                 self.records.remove(name);
+                self.changed.log(Arc::clone(name));
             }
         }
     }
@@ -399,7 +421,6 @@ impl ClusterRegistry {
     /// record this registry lacks costs its place in the map; its name and
     /// its descriptor are shared, not copied.
     pub fn import(&mut self, records: &[InstanceRecord]) {
-        self.epoch += 1;
         for incoming in records {
             match self.records.get_mut(&incoming.name) {
                 // Refuse regressions: only adopt the incoming record if it
@@ -409,6 +430,9 @@ impl ClusterRegistry {
                 // local `Orphaned` mark bumps no revision, and this is how a
                 // sync carries one or clears it.
                 Some(local) => {
+                    if (local.home, local.status) != (incoming.home, incoming.status) {
+                        self.changed.log(Arc::clone(&local.name));
+                    }
                     local.home = incoming.home;
                     local.status = incoming.status;
                     local.rev = incoming.rev;
@@ -419,6 +443,7 @@ impl ClusterRegistry {
                     }
                 }
                 None => {
+                    self.changed.log(Arc::clone(&incoming.name));
                     self.records
                         .insert(Arc::clone(&incoming.name), incoming.clone());
                 }
@@ -507,23 +532,57 @@ mod tests {
         assert!(r.is_empty());
     }
 
+    /// The names logged since the last look, and a new log.
+    fn take_changed(r: &mut ClusterRegistry) -> Option<Vec<String>> {
+        let names = r.changed().map(|n| n.map(str::to_owned).collect());
+        r.clear_changed();
+        names
+    }
+
     #[test]
-    fn every_write_moves_the_epoch_and_equality_ignores_it() {
+    fn every_write_logs_the_names_it_moved_and_equality_ignores_the_log() {
         let mut r = ClusterRegistry::new();
-        let mut epoch = r.epoch();
-        let mut moved = |r: &ClusterRegistry| std::mem::replace(&mut epoch, r.epoch()) != r.epoch();
         r.apply(&deployed("a", 0));
-        assert!(moved(&r));
+        r.apply(&deployed("b", 1));
+        assert_eq!(take_changed(&mut r).unwrap(), ["a", "b"]);
         let copy = r.clone();
+        assert_eq!(r.orphan_homes(|n| n == NodeId(1)), 1);
         assert_eq!(r.orphan_homes(|n| n == NodeId(1)), 0);
-        assert!(moved(&r), "a write that changes nothing still counts");
+        assert_eq!(take_changed(&mut r).unwrap(), ["b"]);
+        // An equal revision carries `b`'s status back; an own export and an
+        // empty delta change nothing.
         r.import(&transfer(&copy));
-        assert!(moved(&r));
+        assert_eq!(take_changed(&mut r).unwrap(), ["b"]);
+        r.import(&transfer(&r.clone()));
         r.import_delta(&[], &[]);
-        assert!(moved(&r));
-        let _ = (r.record("a"), r.export(), r.digest());
-        assert!(!moved(&r));
-        assert_eq!(r, copy);
+        r.apply(&deployed("b", 1));
+        assert!(
+            take_changed(&mut r).unwrap().is_empty(),
+            "b placed where it was"
+        );
+        r.apply(&deployed("b", 2));
+        assert_eq!(take_changed(&mut r).unwrap(), ["b"]);
+        let migrate = AppPayload::Migrate {
+            name: "a".into(),
+            from: NodeId(0),
+            to: NodeId(2),
+        };
+        r.apply(&migrate);
+        assert_eq!(take_changed(&mut r).unwrap(), ["a"]);
+        assert!(r.apply(&migrate), "a revision moves ...");
+        assert!(take_changed(&mut r).unwrap().is_empty(), "... no status");
+        let gone = AppPayload::Undeployed { name: "a".into() };
+        assert!(r.apply(&gone) && !r.apply(&gone));
+        let _ = (r.record("b"), r.export(), r.digest());
+        assert_eq!(take_changed(&mut r).unwrap(), ["a"]);
+        // More names than the log holds: any record may have moved.
+        for i in 0..=dosgi_vosgi::CHANGE_LOG_CAPACITY {
+            r.apply(&deployed(&format!("c{i}"), 0));
+        }
+        let logged = r.clone();
+        assert_eq!(take_changed(&mut r), None);
+        assert_eq!(r, logged);
+        assert_eq!(take_changed(&mut r).unwrap(), Vec::<String>::new());
     }
 
     #[test]

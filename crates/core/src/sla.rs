@@ -3,6 +3,7 @@
 use dosgi_net::{SimDuration, SimTime};
 use dosgi_vosgi::ResourceQuota;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A customer's service level agreement: resource entitlement plus an
 /// availability target.
@@ -60,15 +61,15 @@ impl AvailabilityRecord {
 ///
 /// A probe attributes the interval since the previous one to the previous
 /// state, so a run of probes that all see the same state adds up to one
-/// probe at its end. The cluster driver leans on that: it probes every
-/// instance only when a placement may have changed
-/// ([`observe`](Self::observe)) and otherwise just moves the horizon
-/// ([`extend_to`](Self::extend_to)); [`record`](Self::record) settles the
-/// stretch in between on the fly, so every read equals what probing each
-/// step would have accumulated.
+/// probe at its end. The cluster driver leans on that: each step it
+/// [`observe`](Self::observe)s — or [`retire`](Self::retire)s — only the
+/// instances whose answer may have changed, and otherwise just moves the
+/// horizon ([`extend_to`](Self::extend_to)); [`record`](Self::record)
+/// settles the stretch in between on the fly, so every read equals what
+/// probing every instance each step would have accumulated.
 #[derive(Debug, Clone, Default)]
 pub struct SlaTracker {
-    tracked: BTreeMap<String, Tracked>,
+    tracked: BTreeMap<Arc<str>, Tracked>,
     // Every `live` record has been seen in its last state up to here.
     horizon: SimTime,
 }
@@ -79,14 +80,16 @@ struct Tracked {
     last: Option<(SimTime, bool)>,
     // Length so far of the outage in progress (zero while up).
     current_outage: SimDuration,
-    // Part of the latest `observe` pass: still accruing, up to the horizon.
+    // Observed and not retired since: still accruing, up to the horizon.
     live: bool,
 }
 
 impl Tracked {
-    fn observe(&mut self, now: SimTime, available: bool) {
-        self.probe(now, available);
-        self.live = true;
+    /// Accounted up to `horizon` in the last seen state, and no longer
+    /// accruing.
+    fn retire(&mut self, horizon: SimTime) {
+        *self = self.settled(horizon);
+        self.live = false;
     }
 
     /// The stretch up to `at` in the last seen state, accounted for.
@@ -128,63 +131,52 @@ impl SlaTracker {
     /// Records a probe of `instance` at `now`. The interval since the
     /// previous probe is attributed to the *previous* observed state.
     pub fn probe(&mut self, instance: &str, now: SimTime, available: bool) {
-        if let Some(t) = self.tracked.get_mut(instance) {
-            t.probe(now, available);
-            return;
+        match self.tracked.get_mut(instance) {
+            Some(t) => t.probe(now, available),
+            None => self
+                .tracked
+                .entry(instance.into())
+                .or_default()
+                .probe(now, available),
         }
-        self.tracked
-            .entry(instance.to_owned())
-            .or_default()
-            .probe(now, available);
     }
 
-    /// One pass over everything there is to watch at `now`: each `(instance,
-    /// available)` is probed and keeps accruing in that state as the
-    /// horizon moves; an instance watched so far and absent from this pass
-    /// stops accruing where the previous pass or extension left it, as if
-    /// its probes had simply ceased. The name is copied only the first time
-    /// an instance is seen.
-    ///
-    /// One walk over the tracked instances beside the probes settles,
-    /// probes and retires each of them, so probes in name order cost no
-    /// lookup. A probe of a name the walk has already passed, or has never
-    /// seen, is looked up after it: any order gives the same records.
-    pub fn observe<'a>(&mut self, now: SimTime, probes: impl IntoIterator<Item = (&'a str, bool)>) {
+    /// Probes `instance` at `now`, after accounting it up to the horizon:
+    /// from here on it keeps accruing in that state as the horizon moves,
+    /// until it is observed again or retired. The name is shared, not
+    /// copied, the first time an instance is seen.
+    pub fn observe(&mut self, now: SimTime, instance: &Arc<str>, available: bool) {
         let horizon = self.horizon;
-        let retire = |t: &mut Tracked| {
-            *t = t.settled(horizon);
-            t.live = false;
+        let observe = |t: &mut Tracked| {
+            t.retire(horizon);
+            t.live = true;
+            t.probe(now, available);
         };
-        let mut behind = Vec::new();
-        let mut walk = self.tracked.iter_mut().peekable();
-        for (instance, available) in probes {
-            while let Some((_, t)) = walk.next_if(|(name, _)| name.as_str() < instance) {
-                retire(t);
-            }
-            match walk.next_if(|(name, _)| name.as_str() == instance) {
-                Some((_, t)) => {
-                    retire(t);
-                    t.observe(now, available);
-                }
-                None => behind.push((instance, available)),
-            }
+        match self.tracked.get_mut(&**instance) {
+            Some(t) => observe(t),
+            None => observe(self.tracked.entry(Arc::clone(instance)).or_default()),
         }
-        walk.for_each(|(_, t)| retire(t));
-        for (instance, available) in behind {
-            match self.tracked.get_mut(instance) {
-                Some(t) => t.observe(now, available),
-                None => self
-                    .tracked
-                    .entry(instance.to_owned())
-                    .or_default()
-                    .observe(now, available),
-            }
-        }
-        self.horizon = now;
     }
 
-    /// Nothing [`observe`](Self::observe) looks at has changed since the
-    /// last pass: the instances it saw are in the same state at `now`.
+    /// `instance` is no longer there to watch: it stops accruing where the
+    /// horizon left it, as if its probes had simply ceased. A name never
+    /// observed is left alone.
+    pub fn retire(&mut self, instance: &str) {
+        if let Some(t) = self.tracked.get_mut(instance) {
+            t.retire(self.horizon);
+        }
+    }
+
+    /// [`retire`](Self::retire)s every instance: what a pass that observes
+    /// everything there is to watch begins with, so that an instance it
+    /// does not observe stops accruing.
+    pub fn retire_all(&mut self) {
+        let horizon = self.horizon;
+        self.tracked.values_mut().for_each(|t| t.retire(horizon));
+    }
+
+    /// Every instance still accruing is in the same state at `now`: the
+    /// horizon moves there.
     pub fn extend_to(&mut self, now: SimTime) {
         self.horizon = now;
     }
@@ -205,7 +197,7 @@ impl SlaTracker {
 
     /// All tracked instance names, sorted.
     pub fn instances(&self) -> Vec<&str> {
-        self.tracked.keys().map(String::as_str).collect()
+        self.tracked.keys().map(|name| &**name).collect()
     }
 }
 
@@ -266,27 +258,30 @@ mod tests {
 
     /// Runs `ticks` — per 5 ms tick, what each of `names` shows (`None`: not
     /// in the registry) — through a tracker probed every tick and through
-    /// one that passes over the instances only when a tick differs from the
-    /// one before, reading every record after every tick.
+    /// one that observes or retires only the names whose state differs from
+    /// the tick before and otherwise extends, reading every record after
+    /// every tick.
     fn lazy_equals_every_tick(names: &[&str], ticks: &[&[Option<bool>]]) -> SlaTracker {
         let (mut every_tick, mut lazy) = (SlaTracker::new(), SlaTracker::new());
+        let shared: Vec<Arc<str>> = names.iter().map(|&n| n.into()).collect();
         let mut previous: Option<&[Option<bool>]> = None;
         for (i, &states) in ticks.iter().enumerate() {
             let now = SimTime::from_millis(5 * (i as u64 + 1));
-            let seen = || {
-                names
-                    .iter()
-                    .zip(states)
-                    .filter_map(|(n, s)| s.map(|up| (*n, up)))
-            };
-            for (name, up) in seen() {
-                every_tick.probe(name, now, up);
+            for (name, state) in names.iter().zip(states) {
+                if let Some(up) = state {
+                    every_tick.probe(name, now, *up);
+                }
             }
-            if previous == Some(states) {
-                lazy.extend_to(now);
-            } else {
-                lazy.observe(now, seen());
+            for (j, (name, state)) in shared.iter().zip(states).enumerate() {
+                if previous.is_some_and(|p| p[j] == *state) {
+                    continue;
+                }
+                match state {
+                    Some(up) => lazy.observe(now, name, *up),
+                    None => lazy.retire(name),
+                }
             }
+            lazy.extend_to(now);
             previous = Some(states);
             for name in names {
                 assert_eq!(
@@ -354,88 +349,71 @@ mod tests {
         lazy_equals_every_tick(&["a", "b"], &ticks);
     }
 
-    /// The pass the walk replaced: settle every live record, then look each
-    /// probe up.
-    fn observe_by_lookup<'a>(
-        t: &mut SlaTracker,
-        now: SimTime,
-        probes: impl IntoIterator<Item = (&'a str, bool)>,
-    ) {
-        for r in t.tracked.values_mut().filter(|r| r.live) {
-            *r = r.settled(t.horizon);
-            r.live = false;
-        }
-        for (instance, available) in probes {
-            t.tracked
-                .entry(instance.to_owned())
-                .or_default()
-                .observe(now, available);
-        }
-        t.horizon = now;
-    }
-
-    /// One step of a generated run: so many milliseconds later, a pass over
-    /// `(name, up)` probes, or an extension.
-    #[derive(Debug, Clone)]
-    enum Step {
-        Observe(Vec<(usize, bool)>),
-        Extend,
-    }
-
     const NAMES: [&str; 8] = ["a", "b", "c", "d", "e", "f", "g", "h"];
 
-    /// Passes in name order, in any order, with duplicates, with names
-    /// never seen before and without names seen so far, interleaved with
-    /// extensions: every record reads the same as through a lookup per probe.
+    /// One step of a generated run: so many milliseconds later, each name's
+    /// state (`None`: not there to watch), whether the per-name tracker
+    /// passes over everything this time, and the unchanged names it probes
+    /// anyway.
+    type Step = (u64, [Option<bool>; 8], bool, Vec<usize>);
+
+    /// A tracker told only of the names whose state changed — sometimes of
+    /// more, sometimes of everything — reads after every step what one
+    /// given a full pass each step reads: retiring every record, then
+    /// observing each name there is to watch.
     #[test]
-    fn the_walk_equals_a_lookup_per_probe_300_cases() {
+    fn a_pass_per_changed_name_equals_a_full_pass_300_cases() {
         use dosgi_testkit::prop::{self, Config, Gen};
         use dosgi_testkit::{prop_verify_eq, TestRng};
 
         let runs = Gen::new(|rng: &mut TestRng| {
-            let steps = rng.usize_in(1, 40);
-            (0..steps)
+            let mut states = [None; 8];
+            (0..rng.usize_in(1, 40))
                 .map(|_| {
-                    let gap_ms = rng.u64_in(0, 20);
-                    if rng.chance(0.3) {
-                        return (gap_ms, Step::Extend);
-                    }
-                    let n = rng.usize_in(0, 10);
-                    let mut probes: Vec<(usize, bool)> = (0..n)
-                        .map(|_| (rng.usize_in(0, NAMES.len() - 1), rng.chance(0.7)))
-                        .collect();
-                    match rng.u64_below(3) {
-                        0 => {}
-                        1 => probes.sort_by_key(|p| p.0),
-                        _ => {
-                            probes.sort_by_key(|p| p.0);
-                            probes.dedup_by_key(|p| p.0);
+                    for state in &mut states {
+                        if rng.chance(0.2) {
+                            *state = rng.chance(0.8).then(|| rng.chance(0.7));
                         }
                     }
-                    (gap_ms, Step::Observe(probes))
+                    let extra = (0..rng.usize_in(0, 3))
+                        .map(|_| rng.usize_in(0, NAMES.len() - 1))
+                        .collect();
+                    (rng.u64_in(0, 20), states, rng.chance(0.1), extra)
                 })
-                .collect::<Vec<_>>()
+                .collect::<Vec<Step>>()
         });
-        prop::check_with(&Config::with_cases(300), "sla_walk", &runs, |run| {
-            let (mut walk, mut lookup) = (SlaTracker::new(), SlaTracker::new());
+        let names: Vec<Arc<str>> = NAMES.iter().map(|&n| n.into()).collect();
+        prop::check_with(&Config::with_cases(300), "sla_per_name", &runs, |run| {
+            let (mut per_name, mut full) = (SlaTracker::new(), SlaTracker::new());
             let mut now = SimTime::ZERO;
-            for (i, (gap_ms, step)) in run.iter().enumerate() {
+            let mut previous = [None; 8];
+            for (i, (gap_ms, states, everything, extra)) in run.iter().enumerate() {
                 now += SimDuration::from_millis(*gap_ms);
-                match step {
-                    Step::Extend => {
-                        walk.extend_to(now);
-                        lookup.extend_to(now);
-                    }
-                    Step::Observe(probes) => {
-                        let probes = || probes.iter().map(|&(n, up)| (NAMES[n], up));
-                        walk.observe(now, probes());
-                        observe_by_lookup(&mut lookup, now, probes());
-                    }
+                let visit = |t: &mut SlaTracker, n: usize| match states[n] {
+                    Some(up) => t.observe(now, &names[n], up),
+                    None => t.retire(&names[n]),
+                };
+                full.retire_all();
+                for n in (0..NAMES.len()).filter(|&n| states[n].is_some()) {
+                    visit(&mut full, n);
                 }
+                full.extend_to(now);
+                if *everything {
+                    per_name.retire_all();
+                }
+                let changed = |n: &usize| *everything || states[*n] != previous[*n];
+                for n in (0..NAMES.len())
+                    .filter(changed)
+                    .chain(extra.iter().copied())
+                {
+                    visit(&mut per_name, n);
+                }
+                per_name.extend_to(now);
+                previous = *states;
                 for name in NAMES {
-                    prop_verify_eq!(walk.record(name), lookup.record(name), "{name}, step {i}");
+                    prop_verify_eq!(per_name.record(name), full.record(name), "{name}, step {i}");
                 }
-                prop_verify_eq!(walk.instances(), lookup.instances());
+                prop_verify_eq!(per_name.instances(), full.instances());
             }
             Ok(())
         });

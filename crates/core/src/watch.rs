@@ -18,6 +18,9 @@ use dosgi_telemetry::{Gauge, Telemetry};
 use dosgi_vosgi::{InstanceDescriptor, InstanceId};
 use std::sync::Arc;
 
+/// The metrics read off an instance's latest usage window.
+const USAGE_METRICS: [&str; 4] = ["cpu_share", "memory", "disk", "call_rate"];
+
 /// One local instance as the watch loop keeps it.
 #[derive(Debug)]
 pub struct Watch {
@@ -107,6 +110,12 @@ impl Watch {
         self.gauges = None;
     }
 
+    /// True when the instance has no metric `name` only because no window
+    /// has closed yet: a usage metric, before the first window.
+    pub(crate) fn unsampled(&self, name: &str) -> bool {
+        self.latest().is_none() && USAGE_METRICS.contains(&name)
+    }
+
     /// The instance's built-in per-instance metric `name`: its usage from
     /// the latest window (none before the first) and its quota.
     pub(crate) fn metric(&self, name: &str) -> Option<f64> {
@@ -136,6 +145,10 @@ impl Subject for Watch {
 
     fn metric(&self, name: &str, _: &dyn MetricSource) -> Option<f64> {
         Watch::metric(self, name)
+    }
+
+    fn unsampled(&self, name: &str, _: &dyn MetricSource) -> bool {
+        Watch::unsampled(self, name)
     }
 }
 

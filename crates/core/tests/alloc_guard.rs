@@ -3,9 +3,10 @@
 //! What waiting costs: a settled cluster's `step()` in which nothing is
 //! sent, delivered or scraped allocates nothing — with telemetry on or off,
 //! with the observability pipeline enabled — and such steps are most of a
-//! settled cluster's steps. What watching costs: a full availability pass
-//! over 40 records allocates nothing, nor does a scrape whose series all
-//! exist.
+//! settled cluster's steps. What watching costs: an availability pass
+//! allocates nothing, whether it probes the one name a step changed or, at
+//! a node that changed more than its log holds, all 44 records, nor does a
+//! scrape whose series all exist.
 //!
 //! What a request costs: a stateless `handle` allocates its reply once, at
 //! its final size of two entries, a write-through `incr` on a hot key
@@ -48,7 +49,7 @@
 //! `RegistrySync` costs, beyond its export, the same for 4 records as for
 //! 40; the restart takes its share of the cluster's one boot kit and
 //! restores the host framework from the node's own snapshot, sharing the
-//! kit's host manifests, allocating exactly 29 times and issuing no write;
+//! kit's host manifests, allocating exactly 28 times and issuing no write;
 //! a whole crash, failover, restart and rejoin of the `failover` workload —
 //! one registry transfer — allocates ≤ 315 times.
 //!
@@ -86,9 +87,12 @@ use dosgi_osgi::{
     KnownManifests, Service, ServiceRegistry, UsageSnapshot, Version,
 };
 use dosgi_san::{Key, SharedStore, Value};
-use dosgi_telemetry::{FlightRecorder, Phases, ScrapeConfig, SeriesScraper, SpanName, Telemetry};
+use dosgi_telemetry::{
+    FlightRecorder, Phase, Phases, ScrapeConfig, SeriesScraper, SpanName, Telemetry,
+};
 use dosgi_vosgi::{
     BundleRepository, InstanceDescriptor, InstanceId, InstanceManager, ResourceQuota,
+    CHANGE_LOG_CAPACITY,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -147,7 +151,9 @@ const INSTANCES: usize = 40;
 /// What a joiner's import of `INSTANCES` records allocates: the map's
 /// nodes, and nothing per record (87 while each record brought two names).
 const JOINER_IMPORT: u64 = 7;
-/// What `DosgiCluster::restart_node` allocates (35 while the host
+/// What `DosgiCluster::restart_node` allocates (29 while the new group
+/// endpoint's failure detector kept its peers' last-heard times in a map,
+/// built by way of a vector; 35 while the host
 /// framework's name was copied, the restore's transitions filled a
 /// dirty-row list its write then emptied, and each host service's
 /// registration kept an index beside its record; 37 while the restored
@@ -159,7 +165,7 @@ const JOINER_IMPORT: u64 = 7;
 /// the rows its start sweep had left as they were; 150 while it copied
 /// every row and its key to read them, parsed every manifest and
 /// registered each host service with five copies of its metadata).
-const RESTART: u64 = 29;
+const RESTART: u64 = 28;
 
 /// The `failover` workload's cluster at rest: 5 nodes, 40 instances — the
 /// last `counters` of them write-through counters, the rest web — every one
@@ -224,28 +230,66 @@ fn no_event_steps_allocate_nothing_with_telemetry_off() {
     no_event_steps_allocate_nothing(Telemetry::disabled());
 }
 
-/// A full availability pass over the 40 records allocates nothing: the
-/// tracker walks its records beside the registry's, and each home finds its
-/// instance in its name index. (Handing an instance out mutably moves its
-/// node's lifecycle epoch, which owes the next step a full pass.)
+/// An availability pass allocates nothing, whether a step probes the one
+/// name a node logged or — at a node that logged more names than its log
+/// holds — every record: the tracker shares the registry's names, and each
+/// home finds its instance in its name index. (Handing an instance out
+/// mutably logs its name at its node.)
 #[test]
 fn a_full_availability_pass_allocates_nothing() {
-    let (mut c, names) = settled_cluster(Telemetry::new(), 0);
-    let mut quiet = 0;
-    for (step, name) in names.iter().cycle().take(400).enumerate() {
+    let (mut c, mut names) = settled_cluster(Telemetry::new(), 0);
+    for i in 0..4 {
+        let name = format!("extra-{i}");
+        let descriptor = workloads::web_instance(&name, &name);
+        c.deploy(descriptor, 1)
+            .expect("deploy on a healthy cluster");
+        names.push(name);
+    }
+    c.run_for(SimDuration::from_secs(1));
+    let crowded: Vec<&String> = names.iter().filter(|n| c.home_of(n) == Some(1)).collect();
+    assert!(
+        crowded.len() > CHANGE_LOG_CAPACITY,
+        "node 1 hosts more than a log holds"
+    );
+    let phases = Phases::new(|| 0);
+    c.set_phases(phases.clone());
+    let touch = |c: &mut DosgiCluster, name: &str| {
         let home = c.home_of(name).expect("placed");
         let node = c.node_mut(home).expect("alive");
         let id = node.manager().find_by_name(name).expect("at its home");
         node.manager_mut().instance_mut(id);
+    };
+    let (mut per_name, mut full) = (0, 0);
+    for (step, name) in names.iter().cycle().take(400).enumerate() {
+        let overflow = step % 2 == 1;
+        if overflow {
+            crowded.iter().for_each(|name| touch(&mut c, name));
+        } else {
+            touch(&mut c, name);
+        }
         let traffic = c.net_mut().stats();
         let scrapes = c.scraper().map(|s| s.scrapes());
+        let probed = phases.count(Phase::AvailabilityProbe).calls;
         let (allocations, ()) = allocations_in(|| c.step());
         if c.net_mut().stats() == traffic && c.scraper().map(|s| s.scrapes()) == scrapes {
-            quiet += 1;
-            assert_eq!(allocations, 0, "step {step}, a full pass, allocated");
+            let probed = phases.count(Phase::AvailabilityProbe).calls - probed;
+            if overflow {
+                assert_eq!(probed, names.len() as u64, "step {step}: a full pass");
+                full += 1;
+            } else {
+                assert_eq!(probed, 1, "step {step}: {name} alone");
+                per_name += 1;
+            }
+            assert_eq!(
+                allocations, 0,
+                "step {step}, {probed} names probed, allocated"
+            );
         }
     }
-    assert!(quiet >= 200, "{quiet} of 400 steps were quiet");
+    assert!(
+        per_name >= 100 && full >= 100,
+        "{per_name} + {full} of 400 steps were quiet"
+    );
 }
 
 /// A scrape of the `failover` cluster's registry in which every series
@@ -1395,14 +1439,17 @@ fn a_quiet_policy_pass_allocates_nothing() {
     assert_eq!(allocations, 0, "a quiet pass allocated");
 }
 
-/// A policy pass over eight instances that have quotas but no window yet:
-/// every per-instance rule fails, and each error is written into the
-/// engine's one buffer, which the pass before grew. It allocates nothing,
-/// and the errors read as they always have.
+/// A policy pass over eight instances that have quotas but no window yet,
+/// under the default policy and a rule reading a metric no instance has:
+/// the default rules are false for an instance not sampled yet, and no
+/// error; the other rule fails for every instance, and each error is
+/// written into the engine's one buffer, which the pass before grew. It
+/// allocates nothing, and the errors read as they always have.
 #[test]
 fn an_erring_policy_pass_allocates_nothing() {
-    let mut autonomic = AutonomicModule::new(DEFAULT_POLICY, SimDuration::from_millis(500))
-        .expect("the default policy compiles");
+    let script = format!("{DEFAULT_POLICY} rule slow {{ when latency($i) > 1 then stop($i) }}");
+    let mut autonomic =
+        AutonomicModule::new(&script, SimDuration::from_millis(500)).expect("the policy compiles");
     let names: Vec<String> = (0..8).map(|i| format!("web-{i:02}")).collect();
     let table = watched(&autonomic, &names, 1);
     let capacity = NodeCapacity::standard();
@@ -1414,12 +1461,9 @@ fn an_erring_policy_pass_allocates_nothing() {
     let (allocations, decisions) = pass(2);
     assert!(decisions.is_empty());
     assert_eq!(allocations, 0, "an erring pass allocated");
-    let want: Vec<String> = [("cpu_hog", "cpu_share"), ("mem_hog", "memory")]
+    let want: Vec<String> = names
         .iter()
-        .flat_map(|(rule, metric)| {
-            let unknown = move |name| format!("rule {rule}: unknown metric {metric}({name})");
-            names.iter().map(unknown)
-        })
+        .map(|name| format!("rule slow: unknown metric latency({name})"))
         .collect();
     assert_eq!(autonomic.last_errors().collect::<Vec<_>>(), want);
 }

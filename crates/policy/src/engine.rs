@@ -1,7 +1,7 @@
 //! The rule engine: compiled script + sustained-condition tracking.
 
 use crate::ast::{ActionCall, Expr, Rule, Script};
-use crate::eval::{eval, MetricSource, Subject, Value};
+use crate::eval::{eval, EvalError, MetricSource, Subject, Value};
 use crate::parser::{parse, ParseError};
 use crate::{PolicyAction, PolicyDecision, Verb};
 use std::cell::Cell;
@@ -66,8 +66,10 @@ impl PolicyEngine {
     /// `subjects`, in order, global rules once. Returns the actions of
     /// rules whose conditions have held for their `for N` requirement.
     ///
-    /// Rules whose conditions fail to evaluate (e.g. a metric missing for a
-    /// just-created instance) are treated as *false* and recorded in
+    /// A condition that reads a metric its subject has not been sampled
+    /// for yet (a just-created instance's) is *false* for that subject.
+    /// Rules whose conditions fail to evaluate (e.g. a metric no subject
+    /// has) are treated as *false* too, and recorded in
     /// [`last_errors`](Self::last_errors) — a policy must never crash the
     /// platform it governs.
     ///
@@ -159,6 +161,7 @@ impl Pass<'_> {
     fn run(&mut self, rule: &Rule, subject: Option<&dyn Subject>, streak: &Cell<u32>) {
         let holds = match eval(&rule.condition, self.source, subject) {
             Ok(Value::Bool(b)) => b,
+            Err(EvalError::NotSampled { .. }) => false,
             Ok(other) => {
                 self.errors.push(format_args!(
                     "rule {}: condition evaluated to {other}, not bool",

@@ -66,6 +66,15 @@ pub enum EvalError<'a> {
         /// The subject queried, if any.
         subject: Option<&'a str>,
     },
+    /// A metric the subject will have once it is sampled, and has not been
+    /// yet (an instance that has just arrived). A condition that reads one
+    /// is false for that subject, and no error.
+    NotSampled {
+        /// The metric's name.
+        name: &'a str,
+        /// The subject queried.
+        subject: &'a str,
+    },
     /// A type mismatch.
     Type {
         /// What the operator needed.
@@ -91,6 +100,9 @@ impl fmt::Display for EvalError<'_> {
                 Some(s) => write!(f, "unknown metric {name}({s})"),
                 None => write!(f, "unknown metric {name}()"),
             },
+            EvalError::NotSampled { name, subject } => {
+                write!(f, "metric {name}({subject}) not sampled yet")
+            }
             EvalError::Type { expected, found } => {
                 write!(f, "type error: expected {expected}, found {found}")
             }
@@ -111,6 +123,13 @@ pub trait MetricSource {
     /// The value of metric `name` for `subject` (or the node-global value
     /// when `subject` is `None`), if known.
     fn metric(&self, name: &str, subject: Option<&str>) -> Option<f64>;
+
+    /// True when `subject` has no value of metric `name` only because it
+    /// has not been sampled yet. By default never.
+    fn unsampled(&self, name: &str, subject: &str) -> bool {
+        let _ = (name, subject);
+        false
+    }
 }
 
 /// What a per-subject rule is evaluated for: the name `$i` binds, the
@@ -128,6 +147,13 @@ pub trait Subject {
     /// metrics answers without a lookup.
     fn metric(&self, name: &str, source: &dyn MetricSource) -> Option<f64> {
         source.metric(name, Some(self.name()))
+    }
+
+    /// True when the subject has no metric `name` only because it has not
+    /// been sampled yet: by default what `source` says of the subject's
+    /// name.
+    fn unsampled(&self, name: &str, source: &dyn MetricSource) -> bool {
+        source.unsampled(name, self.name())
     }
 }
 
@@ -249,13 +275,19 @@ fn eval_call<'a>(
     }
     // Metric functions: nullary (global) or unary ($i / string subject —
     // the only two expressions that yield a string, so the name is borrowed).
-    let (value, queried) = match args {
-        [] => (source.metric(name, None), None),
+    let (value, queried, unsampled) = match args {
+        [] => (source.metric(name, None), None, false),
         [Expr::Subject] => {
             let s = subject.ok_or(EvalError::NoSubject)?;
-            (s.metric(name, source), Some(s.name()))
+            let value = s.metric(name, source);
+            let unsampled = value.is_none() && s.unsampled(name, source);
+            (value, Some(s.name()), unsampled)
         }
-        [Expr::Str(s)] => (source.metric(name, Some(s)), Some(s.as_str())),
+        [Expr::Str(s)] => {
+            let value = source.metric(name, Some(s));
+            let unsampled = value.is_none() && source.unsampled(name, s);
+            (value, Some(s.as_str()), unsampled)
+        }
         // Anything else is no string; its own error, if it has one, is first.
         [one] => {
             eval(one, source, subject)?;
@@ -271,10 +303,11 @@ fn eval_call<'a>(
             })
         }
     };
-    value.map(Value::Num).ok_or(EvalError::UnknownMetric {
-        name,
-        subject: queried,
-    })
+    match (value, queried) {
+        (Some(value), _) => Ok(Value::Num(value)),
+        (None, Some(subject)) if unsampled => Err(EvalError::NotSampled { name, subject }),
+        (None, subject) => Err(EvalError::UnknownMetric { name, subject }),
+    }
 }
 
 #[cfg(test)]

@@ -114,6 +114,8 @@ phases! {
     Sweep = "sweep",
     /// The driver's availability accounting.
     Availability = "availability",
+    /// One name probed by it and accounted into the availability tracker.
+    AvailabilityProbe = "availability.probe",
     /// The series scrape, health gauges and SLO evaluation.
     Scrape = "scrape",
     /// A whole node restart, outside the step.

@@ -38,6 +38,7 @@
 //!
 //! [`Framework`]: dosgi_osgi::Framework
 
+mod changes;
 mod descriptor;
 mod error;
 mod instance;
@@ -47,6 +48,7 @@ mod repository;
 mod sandbox;
 mod topology;
 
+pub use changes::{ChangeLog, CHANGE_LOG_CAPACITY};
 pub use descriptor::{
     CustomerId, InstanceDescriptor, InstanceDescriptorBuilder, InstanceId, NamespaceCache,
 };

@@ -2,8 +2,8 @@
 //! delegation paths (Figures 3–4 of the paper).
 
 use crate::{
-    Access, BundleRepository, InstanceDescriptor, InstanceId, InstanceState, QuotaViolation,
-    VirtualInstance, VosgiError,
+    Access, BundleRepository, ChangeLog, InstanceDescriptor, InstanceId, InstanceState,
+    QuotaViolation, VirtualInstance, VosgiError,
 };
 use dosgi_net::{IpAddr, Port, SimDuration};
 use dosgi_osgi::{
@@ -58,6 +58,9 @@ pub struct InstanceManager {
     // Bumped by everything that can change what an instance's
     // `is_running` answers, or whether the instance is here at all.
     lifecycle_epoch: u64,
+    // The instances those same writes touched, since the last
+    // `clear_changed`.
+    changed: ChangeLog<NameKey>,
     // Resolved once; cloned into instance frameworks created or adopted
     // later, before their first transition.
     framework_metrics: FrameworkMetrics,
@@ -126,6 +129,7 @@ impl InstanceManager {
             store: None,
             dirty,
             lifecycle_epoch: 0,
+            changed: ChangeLog::default(),
             framework_metrics: FrameworkMetrics::default(),
             metrics: Metrics::default(),
             phases: Phases::disabled(),
@@ -193,6 +197,24 @@ impl InstanceManager {
     /// answered before.
     pub fn lifecycle_epoch(&self) -> u64 {
         self.lifecycle_epoch
+    }
+
+    /// The instances created, adopted, started, stopped or destroyed, or
+    /// handed out mutably, since the last
+    /// [`clear_changed`](Self::clear_changed), by name: only their
+    /// [`is_running`](crate::VirtualInstance::is_running) answers, and
+    /// whether they are here at all, may have changed. `None` when more
+    /// changed than the log holds ([`CHANGE_LOG_CAPACITY`](crate::CHANGE_LOG_CAPACITY)):
+    /// then any instance may have.
+    #[inline]
+    pub fn changed(&self) -> Option<impl Iterator<Item = &str>> {
+        self.changed.names()
+    }
+
+    /// Starts a new [`changed`](Self::changed) log.
+    #[inline]
+    pub fn clear_changed(&mut self) {
+        self.changed.clear();
     }
 
     /// Read access to the host framework.
@@ -308,6 +330,7 @@ impl InstanceManager {
         self.lifecycle_epoch += 1;
         let id = InstanceId(self.next);
         self.next += 1;
+        self.changed.log(NameKey(Arc::clone(&descriptor)));
         self.by_name.insert(NameKey(Arc::clone(&descriptor)), id);
         self.instances.insert(
             id,
@@ -345,6 +368,8 @@ impl InstanceManager {
             }
         }
         inst.state = InstanceState::Running;
+        let key = NameKey(Arc::clone(&inst.descriptor));
+        self.changed.log(key);
         self.lifecycle_epoch += 1;
         self.metrics.started.incr();
         Ok(())
@@ -360,6 +385,8 @@ impl InstanceManager {
         let inst = self.instance_mut_impl(id)?;
         inst.framework.shutdown();
         inst.state = InstanceState::Stopped;
+        let key = NameKey(Arc::clone(&inst.descriptor));
+        self.changed.log(key);
         self.lifecycle_epoch += 1;
         self.metrics.stopped.incr();
         Ok(())
@@ -383,6 +410,7 @@ impl InstanceManager {
             .instances
             .get_mut(&id)
             .ok_or(VosgiError::NoSuchInstance(id))?;
+        self.changed.log(NameKey(Arc::clone(&inst.descriptor)));
         if inst.state == InstanceState::Running {
             inst.framework.shutdown();
             inst.state = InstanceState::Stopped;
@@ -698,7 +726,9 @@ impl InstanceManager {
     pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut VirtualInstance> {
         // `state` is a public field.
         self.lifecycle_epoch += 1;
-        self.instances.get_mut(&id)
+        let inst = self.instances.get_mut(&id)?;
+        self.changed.log(NameKey(Arc::clone(&inst.descriptor)));
+        Some(inst)
     }
 
     fn instance_mut_impl(&mut self, id: InstanceId) -> Result<&mut VirtualInstance, VosgiError> {
@@ -894,6 +924,34 @@ mod tests {
         assert!(moved(&mgr));
         assert!(mgr.instance(id).is_none());
         assert!(mgr.is_empty());
+    }
+
+    #[test]
+    fn every_lifecycle_write_logs_its_instance_once() {
+        let mut mgr = manager();
+        let taken = |mgr: &mut InstanceManager| {
+            let names: Option<Vec<String>> = mgr.changed().map(|n| n.map(str::to_owned).collect());
+            mgr.clear_changed();
+            names.expect("no overflow")
+        };
+        let a = mgr.create_instance(descriptor("a")).unwrap();
+        let b = mgr.create_instance(descriptor("b")).unwrap();
+        mgr.start_instance(a).unwrap();
+        assert_eq!(taken(&mut mgr), ["a", "b"]);
+        mgr.call_service(a, "org.cust.app.Api", "ping", &Value::Null)
+            .unwrap();
+        assert!(
+            taken(&mut mgr).is_empty(),
+            "a call changes no instance's state"
+        );
+        mgr.stop_instance(a).unwrap();
+        assert_eq!(taken(&mut mgr), ["a"]);
+        mgr.instance_mut(b).unwrap();
+        assert_eq!(taken(&mut mgr), ["b"]);
+        mgr.destroy_instance(a, true).unwrap();
+        assert_eq!(taken(&mut mgr), ["a"]);
+        assert!(mgr.stop_instance(a).is_err());
+        assert!(taken(&mut mgr).is_empty(), "no instance, nothing logged");
     }
 
     #[test]
