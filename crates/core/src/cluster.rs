@@ -1313,6 +1313,93 @@ mod tests {
         assert_eq!(c.sla().record("web").down, down + TICK);
     }
 
+    /// Mail that lands on a sleeping node stops at the group layer: in a
+    /// settled cluster each step that brings node 1 its peers' heartbeats
+    /// counts one `gcs.handle` call (two heartbeats) and no `gcs.tick` or
+    /// `apply_control` call. Only node 1's own heartbeat deadline runs its
+    /// tick in full.
+    #[test]
+    fn a_heartbeat_on_a_sleeping_node_counts_no_apply_control() {
+        let mut c = cluster();
+        let phases = Phases::new(|| 0);
+        c.slots[1].node.set_phases(phases.clone());
+        let phase_calls = || {
+            [
+                Phase::GcsHandleDetector,
+                Phase::GcsHandle,
+                Phase::GcsTick,
+                Phase::ApplyControl,
+            ]
+            .map(|phase| phases.count(phase).calls)
+        };
+        let (mut mail_only, mut full) = (0, 0);
+        for _ in 0..200 {
+            let asleep = c.slots[1].node.asleep_at(c.now() + TICK);
+            let before = phase_calls();
+            c.step();
+            let after = phase_calls();
+            let [heartbeats, handled, ticked, applied] = [0, 1, 2, 3].map(|i| after[i] - before[i]);
+            let at = c.now();
+            if heartbeats > 0 {
+                assert!(asleep, "{at}: the heartbeats land on a sleeping node");
+                assert_eq!((heartbeats, handled, ticked, applied), (2, 1, 0, 0), "{at}");
+                mail_only += 1;
+            } else if ticked > 0 {
+                assert_eq!((handled, applied), (1, 1), "{at}");
+                full += 1;
+            }
+        }
+        assert_eq!(
+            (mail_only, full),
+            (20, 20),
+            "one second at a 50 ms heartbeat"
+        );
+    }
+
+    /// An ordered `Deployed` and an ordered `Migrate` that land on a
+    /// sleeping bystander are applied there in the step they land, as on
+    /// the fixed-tick reference: the events they raise wake the tick.
+    #[test]
+    fn an_ordered_write_on_a_sleeping_node_applies_as_the_reference_does() {
+        let new = |reference: bool| {
+            let mut c = DosgiCluster::new(3, ClusterConfig::default(), 77);
+            c.fixed_tick_reference = reference;
+            c.run_for(SimDuration::from_millis(520));
+            c
+        };
+        let (mut stepped, mut reference) = (new(false), new(true));
+        // Steps both until node 2's record of `web` reads `want`, which must
+        // happen in one step on both and land on a sleeping node 2.
+        let lands = |stepped: &mut DosgiCluster, reference: &mut DosgiCluster, want: &str| {
+            let web = |c: &DosgiCluster| {
+                let record = c.node(2).unwrap().registry().record("web");
+                format!("{:?}", record.map(|r| (r.home, r.status)))
+            };
+            for _ in 0..40 {
+                let asleep = stepped.slots[2].node.asleep_at(stepped.now() + TICK);
+                stepped.step();
+                reference.step();
+                assert_eq!(web(stepped), web(reference), "at {}", stepped.now());
+                if web(stepped) == want {
+                    assert!(asleep, "{want} lands on a sleeping node");
+                    return;
+                }
+            }
+            panic!("node 2 never read {want}");
+        };
+        let web = || workloads::web_instance("a", "web");
+        stepped.deploy(web(), 0).unwrap();
+        reference.deploy(web(), 0).unwrap();
+        lands(&mut stepped, &mut reference, "Some((NodeId(0), Placed))");
+        stepped.run_for(SimDuration::from_millis(280));
+        reference.run_for(SimDuration::from_millis(280));
+        stepped.migrate("web", 1).unwrap();
+        reference.migrate("web", 1).unwrap();
+        let migrating = "Some((NodeId(0), Migrating { to: NodeId(1) }))";
+        lands(&mut stepped, &mut reference, migrating);
+        lands(&mut stepped, &mut reference, "Some((NodeId(1), Placed))");
+    }
+
     /// An instance that has just arrived has not been sampled: the policy
     /// passes at its home right after its deployment and after each
     /// adoption report no error.
@@ -1578,6 +1665,49 @@ mod tests {
             differ(&format!("{name} at {at}"), of(stepped), of(reference))?;
         }
         Ok(())
+    }
+
+    /// The delta-removal shape. Node 0 restarts inside the suspicion
+    /// timeout and asks for the registry. `i2` is undeployed at its home
+    /// after node 1 exported the answer and before the answer's place in
+    /// the total order, so the answer brings `i2` back to node 0 and node
+    /// 1's correction delta removes it there. Node 0 is the reference, so
+    /// availability must retire `i2` on that removal, as the fixed-tick
+    /// reference does.
+    #[test]
+    fn a_delta_that_removes_a_record_at_the_reference_retires_it() {
+        let new = |reference: bool| {
+            let mut c = DosgiCluster::new(3, ClusterConfig::default(), 77);
+            c.fixed_tick_reference = reference;
+            c.run_for(SimDuration::from_millis(500));
+            for (instance, on) in [(0, 1), (2, 2)] {
+                let name = diff_name(instance);
+                c.deploy(workloads::web_instance(&name, &name), on).unwrap();
+            }
+            c.run_for(SimDuration::from_millis(300));
+            c.crash_node(0);
+            c.restart_node(0);
+            (0..5).for_each(|_| c.step());
+            // Not `c.undeploy`: node 0's registry, which it asks, is empty.
+            let (slots, net) = (&mut c.slots, &mut c.net);
+            slots[2].node.undeploy("i2", net).unwrap();
+            c
+        };
+        let (mut stepped, mut reference) = (new(false), new(true));
+        let held = |c: &DosgiCluster| c.node(0).unwrap().registry().record("i2").is_some();
+        let mut steps_held = 0;
+        for _ in 0..40 {
+            stepped.step();
+            reference.step();
+            assert_eq!(DosgiCluster::reference_node(&stepped.slots), Some(0));
+            steps_held += usize::from(held(&stepped));
+            same_sla_and_san(&stepped, &reference).unwrap();
+        }
+        assert!(steps_held > 0, "the answer brought i2 back to node 0");
+        assert!(!held(&stepped), "and the correction removed it");
+        let retired = stepped.sla().record("i2");
+        stepped.step();
+        assert_eq!(stepped.sla().record("i2"), retired, "i2 no longer accrues");
     }
 
     /// `step()` — nodes ticking only on mail or a deadline, availability

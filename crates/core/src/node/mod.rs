@@ -443,6 +443,12 @@ impl DosgiNode {
         self.autonomic.iter().flat_map(AutonomicModule::last_errors)
     }
 
+    /// True if a tick at `now` without mail would return at once.
+    #[cfg(test)]
+    pub(crate) fn asleep_at(&self, now: SimTime) -> bool {
+        now < self.wake_at
+    }
+
     /// Writes the registry copy past the total order (the cluster's tests).
     #[cfg(test)]
     pub(crate) fn registry_mut(&mut self) -> &mut ClusterRegistry {
@@ -641,14 +647,17 @@ impl DosgiNode {
     /// usage and evaluates policies. The driver — the simulator's step —
     /// calls this as often as it likes; a call that finds no mail before
     /// the wake deadline returns at once, and is one that would have done
-    /// nothing.
+    /// nothing. Mail before the deadline goes to the group endpoint, and
+    /// the tick stops there unless the endpoint is then due: its own
+    /// deadline is the only one mail voids.
     pub fn tick(&mut self, net: &mut impl Fabric<Wire>, now: SimTime) {
         if matches!(self.state, NodeState::Hibernated | NodeState::Stopped) {
             return;
         }
         let phases = self.phases.clone();
         phases.count_in(Phase::NetDrain, || net.drain(self.id, &mut self.inbox));
-        if self.inbox.is_empty() && now < self.wake_at {
+        let sleeping = now < self.wake_at;
+        if self.inbox.is_empty() && sleeping {
             return;
         }
         // Inbound messages → protocol engine.
@@ -657,6 +666,15 @@ impl DosgiNode {
                 self.gcs.handle(net, env.from, env.payload, now);
             }
         });
+        if sleeping {
+            // No event waits and nothing of the endpoint's is due: the
+            // stages below read nothing the mail changed.
+            let gcs_due = self.gcs.next_deadline(now);
+            if gcs_due > now {
+                self.wake_at = self.wake_at.min(gcs_due);
+                return;
+            }
+        }
         phases.count_in(Phase::GcsTick, || self.gcs.tick(net, now));
         // Protocol events → migration/failover logic.
         phases.count_in(Phase::ApplyControl, || {

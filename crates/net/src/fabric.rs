@@ -3,8 +3,8 @@
 //! Upper layers (GCS, the dosgi core node) only ever need three things from
 //! the network: the current time, a way to send a payload, and a way to
 //! drain their mailbox. [`Fabric`] captures exactly that surface, and the
-//! deterministic simulator implements it from its inherent
-//! [`SimNet`](crate::SimNet) methods. The simulator is the one runtime;
+//! deterministic simulator implements it over its own clock, sender and
+//! mailboxes ([`SimNet`](crate::SimNet)). The simulator is the one runtime;
 //! the trait is the seam a test fabric (one that loses chosen messages,
 //! say) plugs into instead.
 
@@ -48,7 +48,11 @@ impl<M> Fabric<M> for crate::SimNet<M> {
     }
 
     fn drain(&mut self, node: NodeId, into: &mut Vec<Envelope<M>>) {
-        into.extend(std::iter::from_fn(|| self.recv(node)));
+        // One push at a time: `extend` would reserve each mailbox's exact
+        // length, and so grow a kept buffer in more and smaller steps.
+        for env in self.mailboxes[node.index()].drain(..) {
+            into.push(env);
+        }
     }
 }
 

@@ -2,8 +2,7 @@
 
 use crate::{IpBindings, LinkConfig, NetStats, NodeId, Partition, SimDuration, SimTime};
 use dosgi_testkit::TestRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// A delivered message together with its transit metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,28 +19,11 @@ pub struct Envelope<M> {
     pub payload: M,
 }
 
+/// An envelope in flight, the `seq`-th message sent.
 #[derive(Debug)]
 struct Queued<M> {
-    at: SimTime,
     seq: u64,
     env: Envelope<M>,
-}
-
-impl<M> PartialEq for Queued<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Queued<M> {}
-impl<M> PartialOrd for Queued<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Queued<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// The deterministic message fabric connecting the cluster's nodes.
@@ -67,8 +49,10 @@ pub struct SimNet<M> {
     links: HashMap<(NodeId, NodeId), LinkConfig>,
     partition: Partition,
     alive: Vec<bool>,
-    mailboxes: Vec<VecDeque<Envelope<M>>>,
-    queue: BinaryHeap<Reverse<Queued<M>>>,
+    pub(crate) mailboxes: Vec<VecDeque<Envelope<M>>>,
+    /// Every message in flight, in send order past the last advance.
+    /// Sorted by (delivery time, send order) once per advance.
+    in_flight: Vec<Queued<M>>,
     seq: u64,
     rng: TestRng,
     stats: NetStats,
@@ -85,7 +69,7 @@ impl<M> SimNet<M> {
             partition: Partition::none(),
             alive: Vec::new(),
             mailboxes: Vec::new(),
-            queue: BinaryHeap::new(),
+            in_flight: Vec::new(),
             seq: 0,
             rng: TestRng::new(seed),
             stats: NetStats::default(),
@@ -182,7 +166,7 @@ impl<M> SimNet<M> {
         };
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(Queued { at, seq, env }));
+        self.in_flight.push(Queued { seq, env });
     }
 
     /// Pops the next message delivered to `node`, if any.
@@ -211,28 +195,24 @@ impl<M> SimNet<M> {
 
     /// Advances the clock to `target`, processing all events due by then.
     ///
+    /// Delivers in (delivery time, send order): the in-flight list is
+    /// sorted once, then its due prefix is dispatched and the rest kept.
+    ///
     /// # Panics
     ///
     /// Panics if `target` is in the past.
     pub fn advance_to(&mut self, target: SimTime) {
         assert!(target >= self.now, "cannot advance backwards");
-        while let Some(Reverse(q)) = self.queue.peek() {
-            if q.at > target {
-                break;
-            }
-            let Reverse(q) = self.queue.pop().expect("peeked");
-            self.now = q.at;
+        // Lent out beside `&mut self`, then put back.
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        in_flight.sort_unstable_by_key(|q| (q.env.delivered_at, q.seq));
+        let due = in_flight.partition_point(|q| q.env.delivered_at <= target);
+        for q in in_flight.drain(..due) {
+            self.now = q.env.delivered_at;
             self.dispatch(q.env);
         }
+        self.in_flight = in_flight;
         self.now = target;
-    }
-
-    /// Advances to the next queued event, if any, and processes every event
-    /// at that same instant. Returns the new now, or `None` if idle.
-    pub fn step(&mut self) -> Option<SimTime> {
-        let at = self.queue.peek().map(|Reverse(q)| q.at)?;
-        self.advance_to(at);
-        Some(at)
     }
 
     fn dispatch(&mut self, env: Envelope<M>) {
@@ -280,6 +260,11 @@ impl<M> SimNet<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Fabric;
+    use dosgi_testkit::prop::{self, Config, Gen};
+    use dosgi_testkit::prop_verify_eq;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn net(seed: u64) -> SimNet<u32> {
         SimNet::new(LinkConfig::lan(), seed)
@@ -375,26 +360,6 @@ mod tests {
     }
 
     #[test]
-    fn step_jumps_to_next_event() {
-        let mut n = net(6);
-        let a = n.register_node();
-        let b = n.register_node();
-        n.set_link(
-            a,
-            b,
-            LinkConfig {
-                latency: SimDuration::from_millis(7),
-                ..LinkConfig::ideal()
-            },
-        );
-        n.send(a, b, 1);
-        let t = n.step().unwrap();
-        assert_eq!(t, SimTime::from_millis(7));
-        assert_eq!(n.recv(b).unwrap().payload, 1);
-        assert!(n.step().is_none());
-    }
-
-    #[test]
     #[should_panic(expected = "cannot advance backwards")]
     fn advance_backwards_panics() {
         let mut n = net(7);
@@ -412,5 +377,266 @@ mod tests {
         n.advance(SimDuration::from_millis(1));
         assert_eq!(n.recv(b).unwrap().payload, 5);
         assert_eq!(n.recv(c).unwrap().payload, 5);
+    }
+
+    /// A message in flight in [`HeapNet`]. Field order is heap order, and
+    /// `seq` is unique, so it orders by (delivery time, send order).
+    #[derive(PartialEq, Eq, PartialOrd, Ord)]
+    struct Flight {
+        at: SimTime,
+        seq: u64,
+        from: NodeId,
+        to: NodeId,
+        sent_at: SimTime,
+        payload: u32,
+    }
+
+    /// The simulator as it kept its in-flight messages in a binary heap,
+    /// popped one at a time, to hold the sorted list to.
+    struct HeapNet {
+        now: SimTime,
+        default_link: LinkConfig,
+        links: HashMap<(NodeId, NodeId), LinkConfig>,
+        partition: Partition,
+        alive: Vec<bool>,
+        mailboxes: Vec<VecDeque<Envelope<u32>>>,
+        queue: BinaryHeap<Reverse<Flight>>,
+        seq: u64,
+        rng: TestRng,
+        stats: NetStats,
+    }
+
+    impl HeapNet {
+        fn new(default_link: LinkConfig, seed: u64, nodes: usize) -> Self {
+            HeapNet {
+                now: SimTime::ZERO,
+                default_link,
+                links: HashMap::new(),
+                partition: Partition::none(),
+                alive: vec![true; nodes],
+                mailboxes: (0..nodes).map(|_| VecDeque::new()).collect(),
+                queue: BinaryHeap::new(),
+                seq: 0,
+                rng: TestRng::new(seed),
+                stats: NetStats::default(),
+            }
+        }
+
+        fn send(&mut self, from: NodeId, to: NodeId, payload: u32) {
+            self.stats.sent += 1;
+            if !self.alive[from.index()] || !self.alive[to.index()] {
+                self.stats.dropped_dead += 1;
+                return;
+            }
+            let link = self.links.get(&(from, to)).copied();
+            let link = link.unwrap_or(self.default_link);
+            if link.loss > 0.0 && self.rng.f64() < link.loss {
+                self.stats.lost += 1;
+                return;
+            }
+            let jitter = if link.jitter.is_zero() {
+                SimDuration::ZERO
+            } else {
+                SimDuration::from_micros(self.rng.u64_in(0, link.jitter.as_micros()))
+            };
+            let (at, seq, sent_at) = (self.now + link.latency + jitter, self.seq, self.now);
+            self.seq += 1;
+            self.queue.push(Reverse(Flight {
+                at,
+                seq,
+                from,
+                to,
+                sent_at,
+                payload,
+            }));
+        }
+
+        fn advance_to(&mut self, target: SimTime) {
+            while let Some(Reverse(q)) = self.queue.peek() {
+                if q.at > target {
+                    break;
+                }
+                let Reverse(q) = self.queue.pop().expect("peeked");
+                self.now = q.at;
+                let (from, to) = (q.from, q.to);
+                if !self.alive[to.index()] || !self.alive[from.index()] {
+                    self.stats.dropped_dead += 1;
+                } else if !self.partition.connected(from, to) {
+                    self.stats.partitioned += 1;
+                } else {
+                    self.stats.delivered += 1;
+                    self.mailboxes[to.index()].push_back(Envelope {
+                        from,
+                        to,
+                        sent_at: q.sent_at,
+                        delivered_at: q.at,
+                        payload: q.payload,
+                    });
+                }
+            }
+            self.now = target;
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Link {
+        Ideal,
+        Lan,
+        Lossy(f64),
+        /// Latency and jitter in µs; the latency is longer than a 5 ms tick.
+        Slow(u64, u64),
+    }
+
+    impl Link {
+        fn config(self) -> LinkConfig {
+            match self {
+                Link::Ideal => LinkConfig::ideal(),
+                Link::Lan => LinkConfig::lan(),
+                Link::Lossy(p) => LinkConfig::lossy(p),
+                Link::Slow(latency, jitter) => LinkConfig {
+                    latency: SimDuration::from_micros(latency),
+                    jitter: SimDuration::from_micros(jitter),
+                    loss: 0.0,
+                },
+            }
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Input {
+        Send(u32, u32),
+        /// So many sends at once on one link.
+        Burst(u32, u32, u32),
+        Broadcast(u32),
+        SetLink(u32, u32, Link),
+        Crash(u32),
+        Restart(u32),
+        /// The listed nodes on one side, the rest on the other.
+        Split(Vec<u32>),
+        Heal,
+        AdvanceUs(u64),
+        /// Drain a mailbox through the inherent API or through `Fabric`.
+        Drain(u32, bool),
+    }
+
+    /// The sorted in-flight list delivers what the heap delivered: the
+    /// same envelopes to the same mailboxes in the same order, and the
+    /// same counters, over sends on LAN, lossy and slower-than-a-tick
+    /// links, crashes and restarts, partitions and heals, and advances of
+    /// random length.
+    #[test]
+    fn the_sorted_list_delivers_as_the_heap_did_300_cases() {
+        let runs = Gen::new(|rng: &mut TestRng| {
+            let nodes = rng.u64_in(2, 6) as u32;
+            let node = |rng: &mut TestRng| rng.u64_below(u64::from(nodes)) as u32;
+            let default_loss = if rng.chance(0.3) { 0.2 } else { 0.0 };
+            let inputs = (0..rng.usize_in(1, 120))
+                .map(|_| match rng.u64_below(21) {
+                    0..=5 => Input::Send(node(rng), node(rng)),
+                    6 => Input::Burst(node(rng), node(rng), rng.u64_in(20, 60) as u32),
+                    7 => Input::Broadcast(node(rng)),
+                    8 | 9 => {
+                        // Ideal and jitter-free links tie deliveries, and
+                        // land them exactly on an advance's target.
+                        let link = match rng.u64_below(4) {
+                            0 => Link::Ideal,
+                            1 => Link::Lan,
+                            2 => Link::Lossy(0.1 * rng.u64_in(1, 9) as f64),
+                            _ if rng.chance(0.5) => Link::Slow(10_000, 0),
+                            _ => Link::Slow(rng.u64_in(5_001, 40_000), rng.u64_in(0, 10_000)),
+                        };
+                        Input::SetLink(node(rng), node(rng), link)
+                    }
+                    10 => Input::Crash(node(rng)),
+                    11 => Input::Restart(node(rng)),
+                    12 => Input::Split((0..nodes).filter(|_| rng.chance(0.5)).collect()),
+                    13 => Input::Heal,
+                    14 | 15 => Input::AdvanceUs(rng.u64_in(0, 20_000)),
+                    16 | 17 => Input::AdvanceUs([0, 5_000][rng.usize_in(0, 1)]),
+                    _ => Input::Drain(node(rng), rng.chance(0.5)),
+                })
+                .collect::<Vec<_>>();
+            (rng.next_u64(), nodes, default_loss, inputs)
+        });
+        prop::check_with(&Config::with_cases(300), "sorted_in_flight", &runs, |run| {
+            let (seed, nodes, default_loss, inputs) = run;
+            let default_link = LinkConfig::lossy(*default_loss);
+            let mut net: SimNet<u32> = SimNet::new(default_link, *seed);
+            let ids: Vec<NodeId> = (0..*nodes).map(|_| net.register_node()).collect();
+            let mut model = HeapNet::new(default_link, *seed, ids.len());
+            let id = |n: &u32| NodeId(*n);
+            for (i, input) in inputs.iter().enumerate() {
+                let payload = i as u32 * 100;
+                match input {
+                    Input::Send(a, b) => {
+                        net.send(id(a), id(b), payload);
+                        model.send(id(a), id(b), payload);
+                    }
+                    Input::Burst(a, b, n) => {
+                        for k in 0..*n {
+                            net.send(id(a), id(b), payload + k);
+                            model.send(id(a), id(b), payload + k);
+                        }
+                    }
+                    Input::Broadcast(a) => {
+                        net.broadcast(id(a), ids.iter().copied(), payload);
+                        for &to in ids.iter().filter(|&&to| to != id(a)) {
+                            model.send(id(a), to, payload);
+                        }
+                    }
+                    Input::SetLink(a, b, link) => {
+                        net.set_link(id(a), id(b), link.config());
+                        model.links.insert((id(a), id(b)), link.config());
+                        model.links.insert((id(b), id(a)), link.config());
+                    }
+                    Input::Crash(n) => {
+                        net.crash(id(n));
+                        model.alive[*n as usize] = false;
+                        model.mailboxes[*n as usize].clear();
+                    }
+                    Input::Restart(n) => {
+                        net.restart(id(n));
+                        model.alive[*n as usize] = true;
+                        model.mailboxes[*n as usize].clear();
+                    }
+                    Input::Split(side) => {
+                        let (a, b): (Vec<NodeId>, Vec<NodeId>) =
+                            ids.iter().partition(|n| side.contains(&n.0));
+                        net.partition(Partition::split([a.clone(), b.clone()]));
+                        model.partition = Partition::split([a, b]);
+                    }
+                    Input::Heal => {
+                        net.heal();
+                        model.partition = Partition::none();
+                    }
+                    Input::AdvanceUs(us) => {
+                        net.advance(SimDuration::from_micros(*us));
+                        model.advance_to(model.now + SimDuration::from_micros(*us));
+                    }
+                    Input::Drain(n, via_fabric) => {
+                        let got = if *via_fabric {
+                            let mut got = Vec::new();
+                            Fabric::drain(&mut net, id(n), &mut got);
+                            got
+                        } else {
+                            net.drain(id(n))
+                        };
+                        let want: Vec<_> = model.mailboxes[*n as usize].drain(..).collect();
+                        prop_verify_eq!(got, want, "mailbox {n}, input {i}");
+                    }
+                }
+                prop_verify_eq!(net.stats(), model.stats, "stats, input {i}");
+                prop_verify_eq!(net.now(), model.now, "now, input {i}");
+            }
+            // Everything still in flight lands as the heap would land it.
+            net.advance(SimDuration::from_millis(100));
+            model.advance_to(model.now + SimDuration::from_millis(100));
+            prop_verify_eq!(net.stats(), model.stats, "stats at the end");
+            for &n in &ids {
+                let want: Vec<_> = model.mailboxes[n.index()].drain(..).collect();
+                prop_verify_eq!(net.drain(n), want, "mailbox {n:?} at the end");
+            }
+            Ok(())
+        });
     }
 }
