@@ -7,9 +7,10 @@
 //! dependability invariants the paper's protocol promises:
 //!
 //! 1. **At most one live adoption** — no instance is ever *running* on two
-//!    nodes at once (checked whenever the network has been undisturbed long
-//!    enough for the total order to reconverge; during a partition a stale
-//!    minority copy may legitimately linger until heal-time reconciliation).
+//!    nodes at once (checked whenever the network has been undisturbed for
+//!    0.5 s, the measured bound on the copy a disturbance leaves; during a
+//!    partition a stale minority copy may legitimately linger until
+//!    heal-time reconciliation).
 //! 2. **Write-through state is never lost** — the SAN's durable counter is
 //!    always ≥ the highest value a client saw acknowledged (increments
 //!    acknowledged through a partitioned minority are excluded: a split
@@ -32,8 +33,9 @@
 //! 5. **No stale adoption tickets** — every adoption a node has queued is
 //!    for an instance its sequencer's registry homes on that node. A
 //!    rejoining node must build its registry from the state transfer, never
-//!    from history the total order has since overruled (checked, like
-//!    invariant 1, only while the network is undisturbed).
+//!    from history the total order has since overruled (checked only once
+//!    the network has been undisturbed for 6 s, long enough for the total
+//!    order to reconverge).
 //!
 //! Every run is deterministic in its seed: same seed, same schedule, same
 //! violations, same [`ChaosReport::fingerprint`]. A failing run prints its
@@ -88,6 +90,12 @@ const INSTANCES: usize = 3;
 /// How long after a network disturbance (partition / message loss) ends
 /// before order-sensitive invariants are enforced again.
 const SETTLE: SimDuration = SimDuration::from_secs(6);
+
+/// How long after a network disturbance ends before at most one live copy
+/// of each instance is required again. Checked every step over 2 000 seeds,
+/// the two copies a disturbance leaves close within 0.22 s of its end on
+/// every seed but one, whose copies never close; this bound lies above that.
+const SINGLE_COPY_SETTLE: SimDuration = SimDuration::from_millis(500);
 
 /// The outcome of one nemesis run.
 #[derive(Debug, Clone)]
@@ -178,7 +186,7 @@ pub fn run_nemesis_with_telemetry(
     let mut steps_applied = 0usize;
     let mut partitioned = false;
     let mut lossy = false;
-    let mut disturbed_until = t0; // settle clock after partition/loss heals
+    let mut healed_at = None; // when the last partition or loss ended
     let mut floors: BTreeMap<String, i64> = names.iter().map(|n| (n.clone(), 0)).collect();
     let mut acked = 0u64;
     let mut next_call = t0;
@@ -204,7 +212,7 @@ pub fn run_nemesis_with_telemetry(
                 horizon,
                 &mut partitioned,
                 &mut lossy,
-                &mut disturbed_until,
+                &mut healed_at,
                 default_link,
             );
             next_op += 1;
@@ -212,7 +220,10 @@ pub fn run_nemesis_with_telemetry(
         }
         cluster.step();
         let now = cluster.now();
-        let undisturbed = !partitioned && !lossy && now >= disturbed_until;
+        let settled = |settle: SimDuration| {
+            !partitioned && !lossy && healed_at.is_none_or(|at| now >= at + settle)
+        };
+        let undisturbed = settled(SETTLE);
 
         // The rolling upgrade wave, stepped in lock-step with the nemesis
         // so it can be hit mid-flight by crashes, partitions and SAN faults.
@@ -273,8 +284,10 @@ pub fn run_nemesis_with_telemetry(
             resequenced = seen;
         }
         check_durability(&cluster, &names, &floors, now, &mut violations);
-        if undisturbed {
+        if settled(SINGLE_COPY_SETTLE) {
             check_single_copy(&cluster, &names, now, &mut violations);
+        }
+        if undisturbed {
             check_adoption_tickets(&cluster, now, &mut violations);
         }
         if violations.len() > 32 {
@@ -395,7 +408,7 @@ fn apply_op(
     horizon: SimTime,
     partitioned: &mut bool,
     lossy: &mut bool,
-    disturbed_until: &mut SimTime,
+    healed_at: &mut Option<SimTime>,
     default_link: LinkConfig,
 ) {
     let now = cluster.now();
@@ -414,7 +427,7 @@ fn apply_op(
         NemesisOp::HealPartition => {
             cluster.heal();
             *partitioned = false;
-            *disturbed_until = now + SETTLE;
+            *healed_at = Some(now);
         }
         NemesisOp::SanBrownout => {
             // The heal is its own schedule step; arm a window that outlasts
@@ -437,7 +450,7 @@ fn apply_op(
         NemesisOp::MessageLossOff => {
             set_all_links(cluster, plan.nodes, default_link);
             *lossy = false;
-            *disturbed_until = now + SETTLE;
+            *healed_at = Some(now);
         }
     }
 }

@@ -641,18 +641,27 @@ impl DosgiCluster {
         // liveness or a log that overflowed owes a full pass. The other
         // nodes' registry copies are not read, and every log starts afresh
         // each step. With no running node nobody is asked, as ever.
+        //
+        // One walk reads each manager's log: `None` if one overflowed, else
+        // whether any holds a name. Only then are the managers' names read,
+        // so a quiet step reads each log once.
         let availability = phases.enter(Phase::Availability);
         let reference = Self::reference_node(&self.slots);
         if let Some(reference) = reference {
             let (slots, sla) = (&self.slots, &mut self.sla);
             let registry = slots[reference].node.registry();
             let managers = || slots.iter().map(|s| s.node.manager().changed());
-            let logged = self.probed == Some(reference)
-                && registry.changed().is_some()
-                && managers().all(|m| m.is_some());
-            if logged {
+            let logged = (self.probed == Some(reference) && registry.changed().is_some())
+                .then(|| {
+                    managers().try_fold(false, |named, log| {
+                        log.map(|mut names| named || names.next().is_some())
+                    })
+                })
+                .flatten();
+            if let Some(named) = logged {
                 let names = registry.changed().into_iter().flatten();
-                for name in names.chain(managers().flatten().flatten()) {
+                let managed = named.then(|| managers().flatten().flatten());
+                for name in names.chain(managed.into_iter().flatten()) {
                     Self::probe_into(sla, slots, &phases, now, name, registry.record(name));
                 }
             } else {

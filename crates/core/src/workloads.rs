@@ -211,10 +211,12 @@ pub fn standard_factory() -> ActivatorFactory {
                             ctx.alloc(4096);
                             ctx.free(4096);
                             let n = s.fetch_add(1, Ordering::Relaxed) + 1;
-                            // At its final size, in key order: each entry
-                            // is appended, and the map is one allocation.
-                            let reply = Value::Map(Map::with_capacity(2));
-                            Ok(reply.with("served", n).with("status", 200i64))
+                            // Both entries at once, in key order: the
+                            // map is one allocation, written in place.
+                            Ok(Value::Map(Map::from_sorted(vec![
+                                ("served".into(), Value::Int(n)),
+                                ("status".into(), Value::Int(200)),
+                            ])))
                         }
                         other => Err(ServiceError::Failed(format!("web has no {other}"))),
                     },
@@ -399,6 +401,18 @@ mod tests {
         assert_eq!(r1.get("served"), Some(&Value::Int(1)));
         assert_eq!(r2.get("served"), Some(&Value::Int(2)));
         assert_eq!(r2.get("status"), Some(&Value::Int(200)));
+    }
+
+    #[test]
+    fn the_handle_reply_equals_the_built_map_byte_for_byte() {
+        let mut fw = framework_with(WEB_BUNDLE);
+        let sid = fw.best_service(WEB_SERVICE).unwrap();
+        for n in 1..=3i64 {
+            let reply = fw.call_service(sid, "handle", &Value::Null).unwrap();
+            let built = Value::map().with("served", n).with("status", 200i64);
+            assert_eq!(reply, built);
+            assert_eq!(reply.encode(), built.encode());
+        }
     }
 
     #[test]

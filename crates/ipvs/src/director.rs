@@ -6,7 +6,7 @@ use crate::metrics::{Metrics, ShedReason};
 use crate::{RealServer, Scheduler, VirtualService};
 use dosgi_net::{NodeId, SocketAddr};
 use dosgi_telemetry::{FlightRecorder, Phase, Phases, SpanName, Telemetry, TraceContext};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// Routing failures. Shed-vs-dead is deliberately distinguishable: a
@@ -67,7 +67,9 @@ pub struct IpvsStats {
 /// The load-balancer core: virtual services, connection tracking, stats.
 #[derive(Debug, Clone, Default)]
 pub struct IpvsDirector {
-    services: HashMap<SocketAddr, VirtualService>,
+    // A tree, not a hash: an admission finds its service without hashing
+    // the address, and every walk over services goes in address order.
+    services: BTreeMap<SocketAddr, VirtualService>,
     // (client, service) → backend node, for connection affinity.
     connections: HashMap<(u64, SocketAddr), NodeId>,
     per_server: HashMap<(SocketAddr, NodeId), u64>,
@@ -519,9 +521,7 @@ impl IpvsDirector {
 
     /// Registered service addresses, sorted.
     pub fn addresses(&self) -> Vec<SocketAddr> {
-        let mut v: Vec<SocketAddr> = self.services.keys().copied().collect();
-        v.sort();
-        v
+        self.services.keys().copied().collect()
     }
 }
 
@@ -645,6 +645,39 @@ mod tests {
             .with_admission(crate::AdmissionConfig::per_second(rate, capacity));
         d.add_service(vs);
         d
+    }
+
+    #[test]
+    fn the_order_services_are_added_in_changes_nothing() {
+        let vips: Vec<SocketAddr> = [9, 1, 5]
+            .map(|host| SocketAddr::new(IpAddr::new(10, 0, 0, host), Port(80)))
+            .into();
+        let nodes = [NodeId(0), NodeId(1)];
+        let build = |order: &[usize]| {
+            let mut d = IpvsDirector::new();
+            for &i in order {
+                let vs = replicated_service(vips[i], Scheduler::RoundRobin, &nodes)
+                    .with_admission(crate::AdmissionConfig::per_second(1000, 8));
+                d.add_service(vs);
+            }
+            for (client, &vip) in vips.iter().enumerate() {
+                d.admit(client as u64, vip, RequestClass::Standard, 0)
+                    .unwrap();
+                d.admit(client as u64 + 10, vip, RequestClass::Standard, 0)
+                    .unwrap();
+                d.connect(client as u64, vip).unwrap();
+            }
+            d
+        };
+        let (mut forward, mut reverse) = (build(&[0, 1, 2]), build(&[2, 1, 0]));
+        let mut sorted = vips.clone();
+        sorted.sort();
+        assert_eq!(forward.addresses(), sorted);
+        assert_eq!(reverse.addresses(), sorted);
+        assert_eq!(forward.node_down(NodeId(0)), reverse.node_down(NodeId(0)));
+        assert_eq!(forward.stats(), reverse.stats());
+        assert_eq!(forward.stats().shed, 3, "one queued request per service");
+        assert_eq!(forward, reverse);
     }
 
     #[test]

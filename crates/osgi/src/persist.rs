@@ -231,20 +231,20 @@ pub fn bundle_row(b: &Bundle) -> Value {
     row_around(b, b.manifest.to_value())
 }
 
-/// `b`'s row around `manifest`, its manifest's row form: one map, presized
-/// and filled in key order, whose `state` has room for every state name,
-/// so that no later [`refresh_row`] grows it.
+/// `b`'s row around `manifest`, its manifest's row form: one map, built
+/// from its entries in key order, whose `state` has room for every state
+/// name, so that no later [`refresh_row`] grows it.
 fn row_around(b: &Bundle, manifest: Value) -> Value {
     const LONGEST_STATE: usize = "UNINSTALLED".len();
     let mut state = String::with_capacity(LONGEST_STATE);
     state.push_str(b.state.as_str());
-    let mut row = Map::with_capacity(5);
-    row.insert("autostart".into(), Value::Bool(b.autostart));
-    row.insert("id".into(), Value::from(b.id.0));
-    row.insert("manifest".into(), manifest);
-    row.insert("state".into(), Value::Str(state));
-    row.insert("state_version".into(), b.state_version.to_string().into());
-    Value::Map(row)
+    Value::Map(Map::from_sorted(vec![
+        ("autostart".into(), Value::Bool(b.autostart)),
+        ("id".into(), Value::from(b.id.0)),
+        ("manifest".into(), manifest),
+        ("state".into(), Value::Str(state)),
+        ("state_version".into(), b.state_version.to_string().into()),
+    ]))
 }
 
 /// Brings `b`'s kept row up to its lifecycle fields — `state`, `autostart`

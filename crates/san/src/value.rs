@@ -46,6 +46,22 @@ impl Map {
         Map(Vec::with_capacity(n))
     }
 
+    /// A map of `entries` given in strictly ascending key order, as they
+    /// stand: no search and no move per entry, and the vector is the map's
+    /// one allocation. Entries in any other order are a bug, caught in
+    /// debug builds; [`Value::with`] and `collect` take any order.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if a key does not sort after the one before it.
+    pub fn from_sorted(entries: Vec<(Key, Value)>) -> Map {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "Map::from_sorted: keys not strictly ascending"
+        );
+        Map(entries)
+    }
+
     /// The number of entries.
     pub fn len(&self) -> usize {
         self.0.len()
@@ -438,6 +454,32 @@ mod tests {
         assert_eq!(v.get("level").and_then(Value::as_int), Some(4));
         assert_eq!(v.get("load").and_then(Value::as_float), Some(0.5));
         assert!(v.get("missing").is_none());
+    }
+
+    #[test]
+    fn from_sorted_equals_the_built_map_byte_for_byte() {
+        let built = Value::map().with("served", 7i64).with("status", 200i64);
+        let sorted = Value::Map(Map::from_sorted(vec![
+            ("served".into(), Value::Int(7)),
+            ("status".into(), Value::Int(200)),
+        ]));
+        assert_eq!(sorted, built);
+        assert_eq!(sorted.encode(), built.encode());
+        assert_eq!(Map::from_sorted(Vec::new()), Map::new());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not strictly ascending")]
+    fn from_sorted_rejects_keys_out_of_order() {
+        let _ = Map::from_sorted(vec![("b".into(), Value::Null), ("a".into(), Value::Null)]);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "not strictly ascending")]
+    fn from_sorted_rejects_a_duplicated_key() {
+        let _ = Map::from_sorted(vec![("a".into(), Value::Null), ("a".into(), Value::Int(1))]);
     }
 
     #[test]

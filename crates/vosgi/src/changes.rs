@@ -52,8 +52,13 @@ impl<T: Borrow<str>> ChangeLog<T> {
         (!self.overflowed).then(|| logged.map(|n| n.borrow()))
     }
 
-    /// Forgets every name, and the overflow.
+    /// Forgets every name, and the overflow. A log that logged nothing is
+    /// left as it is, unwritten.
+    #[inline]
     pub fn clear(&mut self) {
+        if self.len == 0 && !self.overflowed {
+            return;
+        }
         self.names[..self.len].iter_mut().for_each(|n| *n = None);
         self.len = 0;
         self.overflowed = false;
