@@ -88,8 +88,8 @@ use dosgi_telemetry::{Phase, Phases, ScrapeConfig, Telemetry};
 use dosgi_vosgi::InstanceManager;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -216,7 +216,7 @@ fn measure_handoff(blobs: usize) -> [u64; 5] {
 fn measure_boot() -> ([u64; 3], [u64; 4]) {
     let (store, telemetry) = (SharedStore::new(), Telemetry::new());
     store.set_telemetry(telemetry.clone());
-    let kit = Arc::new(BootKit::new(NodeConfig::default()));
+    let kit = Rc::new(BootKit::new(NodeConfig::default()));
     let boot = || {
         let (id, now) = (NodeId(0), SimTime::ZERO);
         drop(DosgiNode::new(

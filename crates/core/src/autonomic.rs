@@ -231,14 +231,14 @@ mod tests {
     use dosgi_policy::{Blackboard, Named, PolicyAction};
     use dosgi_vosgi::{InstanceDescriptor, InstanceId, ResourceQuota};
     use std::collections::BTreeMap;
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     /// No subject: a pass of global rules only.
     const GLOBAL: &[Named<'static>] = &[];
 
     /// `name`'s descriptor under `quota`.
-    fn descriptor(name: &str, quota: ResourceQuota) -> Arc<InstanceDescriptor> {
-        Arc::new(InstanceDescriptor {
+    fn descriptor(name: &str, quota: ResourceQuota) -> Rc<InstanceDescriptor> {
+        Rc::new(InstanceDescriptor {
             quota,
             ..workloads::web_instance(name, name)
         })

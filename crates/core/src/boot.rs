@@ -23,6 +23,7 @@ use dosgi_osgi::{ActivatorFactory, BundleManifest, Framework, FrameworkConfig, F
 use dosgi_san::SharedStore;
 use dosgi_telemetry::Phases;
 use dosgi_vosgi::{BundleRepository, InstanceManager};
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// The parts of a node that are the same on every node of a cluster,
@@ -32,7 +33,7 @@ pub struct BootKit {
     // What the node reads of its configuration after boot comes from here.
     pub(crate) config: NodeConfig,
     repository: Arc<BundleRepository>,
-    factory: Arc<ActivatorFactory>,
+    factory: Rc<ActivatorFactory>,
     // The repository's own manifests, shared.
     host_bundles: Vec<Arc<BundleManifest>>,
     // Compiled, never evaluated: each node takes a copy, which shares the
@@ -67,7 +68,7 @@ impl BootKit {
             .collect();
         BootKit {
             repository: Arc::new(repository),
-            factory: Arc::new(workloads::standard_factory()),
+            factory: Rc::new(workloads::standard_factory()),
             host_bundles,
             autonomic,
             config,
@@ -82,11 +83,8 @@ impl BootKit {
     /// An instance manager around `host`, sharing the kit's repository
     /// and factory, with `store` attached.
     pub(crate) fn manager(&self, host: Framework, store: &SharedStore) -> InstanceManager {
-        let mut mgr = InstanceManager::new(
-            host,
-            Arc::clone(&self.repository),
-            Arc::clone(&self.factory),
-        );
+        let mut mgr =
+            InstanceManager::new(host, Arc::clone(&self.repository), Rc::clone(&self.factory));
         mgr.attach_store(store.clone());
         mgr
     }

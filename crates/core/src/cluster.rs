@@ -11,7 +11,7 @@ use dosgi_telemetry::{
     SloSpec, Telemetry, TraceLog,
 };
 use dosgi_vosgi::InstanceDescriptor;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -85,7 +85,7 @@ pub struct DosgiCluster {
     store: SharedStore,
     slots: Vec<Slot>,
     // What every node boots and restarts from, built once.
-    kit: Arc<BootKit>,
+    kit: Rc<BootKit>,
     sla: SlaTracker,
     // The reference node the last step's availability accounting read.
     // `None` owes the next step a full pass.
@@ -139,7 +139,7 @@ impl DosgiCluster {
         let store = SharedStore::new();
         store.set_telemetry(telemetry.clone());
         let ids: Vec<NodeId> = (0..n).map(|_| net.register_node()).collect();
-        let kit = Arc::new(BootKit::new(config.node));
+        let kit = Rc::new(BootKit::new(config.node));
         let slots = ids
             .iter()
             .map(|&id| {
@@ -1290,7 +1290,7 @@ mod tests {
             let registry = c.slots[idx].node.registry_mut();
             registry.apply(&crate::AppPayload::Deployed {
                 name: "ghost".into(),
-                descriptor: Arc::new(workloads::web_instance("b", "ghost")),
+                descriptor: Rc::new(workloads::web_instance("b", "ghost")),
                 home: NodeId(9),
             });
         };

@@ -3,6 +3,7 @@
 use crate::registry::InstanceRecord;
 use dosgi_net::NodeId;
 use dosgi_vosgi::InstanceDescriptor;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Application payloads exchanged between nodes through the group
@@ -10,14 +11,14 @@ use std::sync::Arc;
 /// layer's one broadcast, so every node applies registry changes and
 /// announcements alike in the same sequence.
 ///
-/// A payload travels as `Arc<AppPayload>` (see [`Wire`](crate::Wire)): the
+/// A payload travels as `Rc<AppPayload>` (see [`Wire`](crate::Wire)): the
 /// node that orders a message builds it once, the group layer's retry
 /// queue, sequencer log, fan-out and replays share that one value, and a
 /// receiver applies it by reference; no runtime path clones the payload
 /// itself. The registry's transfers are typed records, not a serialized
-/// tree: a record's name and descriptor are `Arc`s made once per deploy, so
-/// a transfer, a digest and every registry copy that imports them share
-/// those values. Every instance name a payload carries is that record's
+/// tree: a record's name and descriptor are shared pointers made once per
+/// deploy, so a transfer, a digest and every registry copy that imports
+/// them share those values. Every instance name a payload carries is that record's
 /// `Arc<str>` too (the deploying node's, in a `Deployed`), so ordering a
 /// message about an instance copies no name.
 #[derive(Debug, Clone, PartialEq)]
@@ -30,7 +31,7 @@ pub enum AppPayload {
         /// The descriptor, policy-free: the deploying node's sandbox grants
         /// stay on that node. Shared by every registry record made from
         /// this message and every instance adopted from one.
-        descriptor: Arc<InstanceDescriptor>,
+        descriptor: Rc<InstanceDescriptor>,
         /// The node it was deployed on.
         home: NodeId,
     },

@@ -290,7 +290,7 @@ impl DosgiNode {
                 .registry
                 .record(&t.name)
                 .filter(|r| r.placed_on() == Some(self.id))
-                .map(|r| Arc::clone(&r.descriptor));
+                .map(|r| Rc::clone(&r.descriptor));
             let Some(descriptor) = still_ours else {
                 self.recorder.end(t.work.trace, now.as_micros());
                 self.metrics.adopt_overruled.incr();

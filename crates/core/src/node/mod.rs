@@ -40,6 +40,7 @@ use dosgi_san::{RetryPolicy, SharedStore, Value};
 use dosgi_telemetry::{FlightRecorder, Phase, Phases, SpanName, Telemetry, TraceContext, TraceRef};
 use dosgi_vosgi::{InstanceDescriptor, InstanceId, InstanceManager, SecurityPolicy};
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 use std::sync::Arc;
 use transfer::Transfer;
 
@@ -47,7 +48,7 @@ use transfer::Transfer;
 /// an ordered message is built once by the node that orders it, and every
 /// copy the group layer keeps of it — retry queue, sequencer log, one per
 /// member of the fan-out, one per replay — is a reference to that one value.
-pub type Wire = GcsWire<Arc<AppPayload>>;
+pub type Wire = GcsWire<Rc<AppPayload>>;
 
 /// A node's coarse operational state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,9 +130,9 @@ pub struct DosgiNode {
     id: NodeId,
     state: NodeState,
     // Shared with every node of the cluster; holds the node configuration.
-    kit: Arc<BootKit>,
+    kit: Rc<BootKit>,
     mgr: InstanceManager,
-    gcs: GroupNode<Arc<AppPayload>>,
+    gcs: GroupNode<Rc<AppPayload>>,
     registry: ClusterRegistry,
     // One watch record per local instance: its window, gauges and policy
     // streaks. Brought up to the instance manager when its lifecycle
@@ -165,7 +166,7 @@ pub struct DosgiNode {
     inbox: Vec<Envelope<Wire>>,
     // Where a tick takes the group endpoint's events, swapped with its
     // queue: empty between ticks, kept for its capacity like the inbox.
-    gcs_events: Vec<GcsEvent<Arc<AppPayload>>>,
+    gcs_events: Vec<GcsEvent<Rc<AppPayload>>>,
     store: SharedStore,
     adoptions: Tickets<Adoption>,
     upgrades: Tickets<BundleManifest>,
@@ -330,13 +331,13 @@ impl DosgiNode {
     pub fn new(
         id: NodeId,
         peers: Vec<NodeId>,
-        kit: &Arc<BootKit>,
+        kit: &Rc<BootKit>,
         store: SharedStore,
         now: SimTime,
         phases: &Phases,
     ) -> Self {
         let taking = phases.enter(Phase::RestartKit);
-        let kit = Arc::clone(kit);
+        let kit = Rc::clone(kit);
         let autonomic = kit.autonomic();
         drop(taking);
         let (host, restarted) = phases.count_in(Phase::RestartHost, || {
@@ -517,7 +518,7 @@ impl DosgiNode {
     /// [`Wire`]).
     fn order(&mut self, net: &mut impl Fabric<Wire>, payload: AppPayload, under: TraceRef) {
         let trace = self.recorder.context(under);
-        self.gcs.order_traced(net, Arc::new(payload), trace);
+        self.gcs.order_traced(net, Rc::new(payload), trace);
     }
 
     /// The current membership view.
@@ -598,7 +599,7 @@ impl DosgiNode {
         // The registry's copy grants nothing: a descriptor from the network
         // must not be able to grant itself permissions, so a node adopting
         // the instance runs it under its own deny-all default.
-        let shared = Arc::new(InstanceDescriptor {
+        let shared = Rc::new(InstanceDescriptor {
             policy: SecurityPolicy::deny_all(),
             ..descriptor.clone()
         });
@@ -740,7 +741,7 @@ impl DosgiNode {
 
     fn on_gcs_event(
         &mut self,
-        event: GcsEvent<Arc<AppPayload>>,
+        event: GcsEvent<Rc<AppPayload>>,
         net: &mut impl Fabric<Wire>,
         now: SimTime,
     ) {

@@ -49,7 +49,7 @@ impl DosgiNode {
                 Some(watch) => watch.refresh(descriptor),
                 None => {
                     let streaks = self.autonomic.as_ref().map(AutonomicModule::streaks);
-                    let descriptor = Arc::clone(descriptor);
+                    let descriptor = Rc::clone(descriptor);
                     let watch = Watch::new(instance.id, descriptor, streaks.unwrap_or_default());
                     self.watched.insert(watch);
                 }

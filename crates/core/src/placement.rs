@@ -64,11 +64,12 @@ mod tests {
     use crate::msg::AppPayload;
     use dosgi_testkit::{prop, prop_verify_eq, TestRng};
     use dosgi_vosgi::InstanceDescriptor;
+    use std::rc::Rc;
 
     fn deployed(name: &str, home: u32) -> AppPayload {
         AppPayload::Deployed {
             name: name.into(),
-            descriptor: Arc::new(InstanceDescriptor::builder(name, name).build()),
+            descriptor: Rc::new(InstanceDescriptor::builder(name, name).build()),
             home: NodeId(home),
         }
     }

@@ -13,8 +13,8 @@
 //!
 //! A registry travels between nodes as typed records: a `RegistrySync`
 //! carries them all, a `RegistryDelta` the ones a digest lacks. A record's
-//! name and its descriptor are `Arc`s, both made once by the deploying node
-//! and carried by its `Deployed`, so every copy of the registry, every
+//! name (an `Arc<str>`) and its descriptor (an `Rc`) are both made once by
+//! the deploying node and carried by its `Deployed`, so every copy of the registry, every
 //! transfer and every digest shares them, as does every later message,
 //! event and trace span that names the instance.
 //! [`export`](ClusterRegistry::export) is the one serialized rendering; a
@@ -26,6 +26,7 @@ use dosgi_san::codec::{field_len, header_len, int_len, str_len};
 use dosgi_san::Value;
 use dosgi_vosgi::{ChangeLog, InstanceDescriptor};
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Where an instance is in its placement life-cycle.
@@ -69,7 +70,7 @@ pub struct InstanceRecord {
     /// The descriptor, policy-free, built once by the deploying node and
     /// shared by every copy of this record and every instance adopted
     /// from it.
-    pub descriptor: Arc<InstanceDescriptor>,
+    pub descriptor: Rc<InstanceDescriptor>,
     /// The node responsible for it.
     pub home: NodeId,
     /// Placement status.
@@ -170,7 +171,7 @@ impl ClusterRegistry {
                     Arc::clone(name),
                     InstanceRecord {
                         name: Arc::clone(name),
-                        descriptor: Arc::clone(descriptor),
+                        descriptor: Rc::clone(descriptor),
                         home: *home,
                         status: InstanceStatus::Placed,
                         rev,
@@ -436,10 +437,10 @@ impl ClusterRegistry {
                     local.home = incoming.home;
                     local.status = incoming.status;
                     local.rev = incoming.rev;
-                    if !Arc::ptr_eq(&local.descriptor, &incoming.descriptor)
+                    if !Rc::ptr_eq(&local.descriptor, &incoming.descriptor)
                         && local.descriptor != incoming.descriptor
                     {
-                        local.descriptor = Arc::clone(&incoming.descriptor);
+                        local.descriptor = Rc::clone(&incoming.descriptor);
                     }
                 }
                 None => {
@@ -486,8 +487,8 @@ mod tests {
     use dosgi_vosgi::ResourceQuota;
     use std::cell::Cell;
 
-    fn named(name: &str) -> Arc<InstanceDescriptor> {
-        Arc::new(InstanceDescriptor::builder(name, name).build())
+    fn named(name: &str) -> Rc<InstanceDescriptor> {
+        Rc::new(InstanceDescriptor::builder(name, name).build())
     }
 
     fn deployed(name: &str, home: u32) -> AppPayload {
@@ -784,7 +785,7 @@ mod tests {
         assert!(r2
             .records()
             .zip(r.records())
-            .all(|(got, sent)| Arc::ptr_eq(&got.descriptor, &sent.descriptor)));
+            .all(|(got, sent)| Rc::ptr_eq(&got.descriptor, &sent.descriptor)));
         // The one serialized rendering survives the codec.
         assert_eq!(Value::decode(&r2.export().encode()).unwrap(), r.export());
     }
@@ -845,7 +846,7 @@ mod tests {
         NodeId(rng.u64_below(4) as u32)
     }
 
-    fn descriptor(name: &str, rng: &mut TestRng) -> Arc<InstanceDescriptor> {
+    fn descriptor(name: &str, rng: &mut TestRng) -> Rc<InstanceDescriptor> {
         let quota = ResourceQuota {
             memory_bytes: rng.next_u64() >> rng.u64_below(64),
             ..ResourceQuota::standard()
@@ -854,7 +855,7 @@ mod tests {
         for b in 0..rng.u64_below(3) {
             d = d.bundle(&format!("b{b}"));
         }
-        Arc::new(d.build())
+        Rc::new(d.build())
     }
 
     /// Random ordered history plus local orphan marks over six names.

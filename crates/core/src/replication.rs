@@ -22,7 +22,7 @@
 //! [`COUNTER_WRITE_THROUGH`]: crate::workloads::COUNTER_WRITE_THROUGH
 
 use crate::{CoreError, DosgiCluster};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Pre-creates `name`'s bundles on node `standby` without starting them: a
 /// **hot standby**. If `standby` later adopts the instance (failover or
@@ -52,7 +52,7 @@ pub fn prepare_standby(
             .registry()
             .record(name)
             .ok_or_else(|| CoreError::UnknownInstance(name.to_owned()))?;
-        Arc::clone(&rec.descriptor)
+        Rc::clone(&rec.descriptor)
     };
     let node = cluster
         .node_mut(standby)

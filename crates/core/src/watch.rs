@@ -16,7 +16,7 @@ use dosgi_osgi::UsageSnapshot;
 use dosgi_policy::{MetricSource, Streaks, Subject};
 use dosgi_telemetry::{Gauge, Telemetry};
 use dosgi_vosgi::{InstanceDescriptor, InstanceId};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The metrics read off an instance's latest usage window.
 const USAGE_METRICS: [&str; 4] = ["cpu_share", "memory", "disk", "call_rate"];
@@ -26,7 +26,7 @@ const USAGE_METRICS: [&str; 4] = ["cpu_share", "memory", "disk", "call_rate"];
 pub struct Watch {
     id: InstanceId,
     // The instance's own descriptor: its name and its SLA quota.
-    descriptor: Arc<InstanceDescriptor>,
+    descriptor: Rc<InstanceDescriptor>,
     sampler: Sampler,
     // Resolved at the first window; dropped when the node's registry is
     // replaced, and resolved again from the new one.
@@ -45,7 +45,7 @@ struct Gauges {
 impl Watch {
     /// The record of instance `id`, run under `descriptor`, with no sample
     /// yet and the policy `streaks` its node's engine made for it.
-    pub fn new(id: InstanceId, descriptor: Arc<InstanceDescriptor>, streaks: Streaks) -> Self {
+    pub fn new(id: InstanceId, descriptor: Rc<InstanceDescriptor>, streaks: Streaks) -> Self {
         Watch {
             id,
             descriptor,
@@ -98,9 +98,9 @@ impl Watch {
 
     /// Points the record at `descriptor`, the one the instance manager
     /// holds for the instance now: the record reads its quota there.
-    pub(crate) fn refresh(&mut self, descriptor: &Arc<InstanceDescriptor>) {
-        if !Arc::ptr_eq(&self.descriptor, descriptor) {
-            self.descriptor = Arc::clone(descriptor);
+    pub(crate) fn refresh(&mut self, descriptor: &Rc<InstanceDescriptor>) {
+        if !Rc::ptr_eq(&self.descriptor, descriptor) {
+            self.descriptor = Rc::clone(descriptor);
         }
     }
 
@@ -231,7 +231,7 @@ mod tests {
     use dosgi_net::SimDuration;
 
     fn watch(name: &str, id: u64) -> Watch {
-        let descriptor = Arc::new(workloads::web_instance(name, name));
+        let descriptor = Rc::new(workloads::web_instance(name, name));
         Watch::new(InstanceId(id), descriptor, Streaks::default())
     }
 

@@ -21,8 +21,8 @@ use dosgi_osgi::{
 };
 use dosgi_san::{Map, Value};
 use dosgi_vosgi::{BundleRepository, InstanceDescriptor, ResourceQuota};
-use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Host log service bundle.
 pub const LOG_BUNDLE: &str = "org.dosgi.log";
@@ -174,15 +174,15 @@ pub fn standard_factory() -> ActivatorFactory {
 
     f.register(METRICS_BUNDLE, |_| {
         Box::new(FnActivator::on_start(|ctx| {
-            let samples = Arc::new(AtomicI64::new(0));
-            let s = samples.clone();
+            let s = Rc::new(Cell::new(0i64));
             ctx.register_service(
                 &[METRICS_SERVICE],
                 Box::new(
                     move |ctx: &mut CallContext<'_>, method: &str, _: &Value| match method {
                         "collect" => {
                             ctx.charge_cpu(SimDuration::from_micros(50));
-                            let n = s.fetch_add(1, Ordering::Relaxed) + 1;
+                            let n = s.get() + 1;
+                            s.set(n);
                             Ok(Value::map().with("samples", n))
                         }
                         other => Err(ServiceError::Failed(format!("metrics has no {other}"))),
@@ -195,8 +195,7 @@ pub fn standard_factory() -> ActivatorFactory {
 
     f.register(WEB_BUNDLE, |_| {
         Box::new(FnActivator::on_start(|ctx| {
-            let served = Arc::new(AtomicI64::new(0));
-            let s = served.clone();
+            let s = Rc::new(Cell::new(0i64));
             ctx.register_service(
                 &[WEB_SERVICE],
                 Box::new(
@@ -210,7 +209,8 @@ pub fn standard_factory() -> ActivatorFactory {
                             // Per-request allocation churn for the memory gauge.
                             ctx.alloc(4096);
                             ctx.free(4096);
-                            let n = s.fetch_add(1, Ordering::Relaxed) + 1;
+                            let n = s.get() + 1;
+                            s.set(n);
                             // Both entries at once, in key order: the
                             // map is one allocation, written in place.
                             Ok(Value::Map(Map::from_sorted(vec![
@@ -249,14 +249,14 @@ enum Durability {
 /// plus a durability policy for the persistent state.
 struct CounterActivator {
     mode: Durability,
-    count: Arc<AtomicI64>,
+    count: Rc<Cell<i64>>,
 }
 
 impl CounterActivator {
     fn new(mode: Durability) -> Self {
         CounterActivator {
             mode,
-            count: Arc::new(AtomicI64::new(0)),
+            count: Rc::new(Cell::new(0)),
         }
     }
 }
@@ -271,7 +271,7 @@ impl dosgi_osgi::Activator for CounterActivator {
             .map_err(|e| format!("recover count: {e}"))?
             .and_then(|v| v.as_int())
             .unwrap_or(0);
-        self.count.store(initial, Ordering::SeqCst);
+        self.count.set(initial);
         let count = self.count.clone();
         let mode = self.mode;
         ctx.register_service(
@@ -280,7 +280,8 @@ impl dosgi_osgi::Activator for CounterActivator {
                 move |ctx: &mut CallContext<'_>, method: &str, _: &Value| match method {
                     "incr" => {
                         ctx.charge_cpu(SimDuration::from_micros(30));
-                        let n = count.fetch_add(1, Ordering::SeqCst) + 1;
+                        let n = count.get() + 1;
+                        count.set(n);
                         match mode {
                             Durability::WriteThrough => ctx.store_put("count", Value::Int(n)),
                             Durability::Checkpoint(k) if n % k == 0 => {
@@ -290,7 +291,7 @@ impl dosgi_osgi::Activator for CounterActivator {
                         }
                         Ok(Value::Int(n))
                     }
-                    "get" => Ok(Value::Int(count.load(Ordering::SeqCst))),
+                    "get" => Ok(Value::Int(count.get())),
                     other => Err(ServiceError::Failed(format!("counter has no {other}"))),
                 },
             ),
@@ -303,7 +304,7 @@ impl dosgi_osgi::Activator for CounterActivator {
         // paper's graceful migration loses nothing while a crash does. On a
         // SAN fault the in-memory area is still updated and marked dirty;
         // the departure path flushes it before releasing the instance.
-        ctx.store_put("count", Value::Int(self.count.load(Ordering::SeqCst)))
+        ctx.store_put("count", Value::Int(self.count.get()))
             .map_err(|e| format!("persist count: {e}"))
     }
 }

@@ -96,6 +96,7 @@ use dosgi_vosgi::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 thread_local! {
@@ -594,7 +595,7 @@ fn registry_of(records: usize) -> ClusterRegistry {
     for i in 0..records {
         let name = format!("web-{i:02}");
         registry.apply(&AppPayload::Deployed {
-            descriptor: Arc::new(workloads::web_instance(&name, &name)),
+            descriptor: Rc::new(workloads::web_instance(&name, &name)),
             name: name.into(),
             home: NodeId((i % NODES) as u32),
         });
@@ -609,7 +610,7 @@ fn transfer(registry: &ClusterRegistry) -> Vec<InstanceRecord> {
 
 /// Whether two records share their name and their descriptor.
 fn shared(a: &InstanceRecord, b: &InstanceRecord) -> bool {
-    Arc::ptr_eq(&a.name, &b.name) && Arc::ptr_eq(&a.descriptor, &b.descriptor)
+    Arc::ptr_eq(&a.name, &b.name) && Rc::ptr_eq(&a.descriptor, &b.descriptor)
 }
 
 /// A sync's sender exports one vector (41 allocations while every record
@@ -692,7 +693,7 @@ fn ordered_sync_allocations(records: usize) -> u64 {
     let registry = registry_of(records);
     let mut net: SimNet<Wire> = SimNet::new(LinkConfig::lan(), 7);
     let ids: Vec<NodeId> = (0..NODES).map(|_| net.register_node()).collect();
-    let mut members: Vec<(GroupNode<Arc<AppPayload>>, ClusterRegistry)> = ids
+    let mut members: Vec<(GroupNode<Rc<AppPayload>>, ClusterRegistry)> = ids
         .iter()
         .map(|&id| {
             let gcs = GroupNode::new(id, ids.clone(), GcsConfig::lan(), SimTime::ZERO);
@@ -736,7 +737,7 @@ fn ordered_sync_allocations(records: usize) -> u64 {
             registry: snapshot,
             joined: vec![ids[NODES - 1]],
         };
-        members[1].0.order(&mut net, Arc::new(sync));
+        members[1].0.order(&mut net, Rc::new(sync));
         let mut applied = 0;
         while applied < NODES {
             applied += step(&mut net, &mut members);
@@ -1240,8 +1241,8 @@ fn failover_adoption_allocations(descriptor: InstanceDescriptor) -> u64 {
     adopter
         .create_instance(workloads::web_instance("other", "neighbour"))
         .expect("a fresh manager");
-    let descriptor = Arc::new(descriptor);
-    let (allocations, adopted) = allocations_in(|| adopter.adopt_instance(Arc::clone(&descriptor)));
+    let descriptor = Rc::new(descriptor);
+    let (allocations, adopted) = allocations_in(|| adopter.adopt_instance(Rc::clone(&descriptor)));
     let id = adopted.expect("persisted state adopts");
     assert!(adopter.instance(id).is_some_and(|i| i.is_running()));
     allocations
@@ -1403,7 +1404,7 @@ fn migrate_round_allocations_with_telemetry_off() {
 fn watched(autonomic: &AutonomicModule, names: &[String], samples: u64) -> Watched {
     let mut table = Watched::new();
     for (i, name) in names.iter().enumerate() {
-        let descriptor = Arc::new(InstanceDescriptor {
+        let descriptor = Rc::new(InstanceDescriptor {
             quota: ResourceQuota::standard(),
             ..workloads::web_instance(name, name)
         });

@@ -59,6 +59,7 @@ use dosgi_testkit::{prop, Gen, PropResult};
 use dosgi_vosgi::{InstanceDescriptor, ResourceQuota};
 use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// What the model holds for one name. `tag` tells incarnations apart: it
@@ -355,7 +356,7 @@ impl<'t> World<'t> {
                 let descriptor = InstanceDescriptor::builder("spec", &name).quota(quota);
                 AppPayload::Deployed {
                     name,
-                    descriptor: Arc::new(descriptor.build()),
+                    descriptor: Rc::new(descriptor.build()),
                     home: a,
                 }
             }

@@ -366,7 +366,7 @@ impl IpvsDirector {
     }
 
     /// Counts the drain in `completions`: each metric written once — a
-    /// class's latencies under one take of its histogram's lock — and a
+    /// class's latencies in one borrow of its histogram — and a
     /// metric nothing counts towards not at all, so it stays unwritten.
     fn count_completions(&mut self) {
         let done = &self.completions;

@@ -17,7 +17,7 @@ use std::fmt;
 /// Errors are strings; the framework wraps them into
 /// [`BundleError::ActivatorFailed`](crate::BundleError::ActivatorFailed) and
 /// rolls the bundle back to `RESOLVED`.
-pub trait Activator: Send {
+pub trait Activator {
     /// Called on the `RESOLVED → STARTING` transition.
     ///
     /// # Errors
@@ -36,7 +36,7 @@ pub trait Activator: Send {
 }
 
 /// A boxed start/stop callback as stored by [`FnActivator`].
-type LifecycleFn = Box<dyn for<'a> FnMut(&mut BundleContext<'a>) -> Result<(), String> + Send>;
+type LifecycleFn = Box<dyn for<'a> FnMut(&mut BundleContext<'a>) -> Result<(), String>>;
 
 /// An [`Activator`] built from two closures. Convenient in tests and
 /// examples.
@@ -49,8 +49,8 @@ impl FnActivator {
     /// Builds an activator from start and stop closures.
     pub fn new<S, T>(on_start: S, on_stop: T) -> Self
     where
-        S: FnMut(&mut BundleContext<'_>) -> Result<(), String> + Send + 'static,
-        T: FnMut(&mut BundleContext<'_>) -> Result<(), String> + Send + 'static,
+        S: FnMut(&mut BundleContext<'_>) -> Result<(), String> + 'static,
+        T: FnMut(&mut BundleContext<'_>) -> Result<(), String> + 'static,
     {
         FnActivator {
             on_start: Box::new(on_start),
@@ -61,7 +61,7 @@ impl FnActivator {
     /// An activator that only acts on start.
     pub fn on_start<S>(on_start: S) -> Self
     where
-        S: FnMut(&mut BundleContext<'_>) -> Result<(), String> + Send + 'static,
+        S: FnMut(&mut BundleContext<'_>) -> Result<(), String> + 'static,
     {
         Self::new(on_start, |_| Ok(()))
     }
@@ -83,7 +83,7 @@ impl Activator for FnActivator {
 }
 
 /// A boxed activator constructor as stored by [`ActivatorFactory`].
-type BuilderFn = Box<dyn Fn(&BundleManifest) -> Box<dyn Activator> + Send + Sync>;
+type BuilderFn = Box<dyn Fn(&BundleManifest) -> Box<dyn Activator>>;
 
 /// Recreates activators from manifests when a framework is restored from
 /// persistent state.
@@ -118,7 +118,7 @@ impl ActivatorFactory {
     /// Registers a builder for bundles whose symbolic name equals `name`.
     pub fn register<F>(&mut self, name: &str, builder: F)
     where
-        F: Fn(&BundleManifest) -> Box<dyn Activator> + Send + Sync + 'static,
+        F: Fn(&BundleManifest) -> Box<dyn Activator> + 'static,
     {
         self.builders.insert(name.to_owned(), Box::new(builder));
     }

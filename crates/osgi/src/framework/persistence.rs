@@ -9,7 +9,8 @@ use crate::persist::{self, Row};
 use crate::{ActivatorFactory, BundleError, BundleId, BundleState, DataArea, KnownManifests};
 use dosgi_san::{SharedStore, StoreError, Value};
 use dosgi_telemetry::{Phase, Phases};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 /// Adds `row` to `rows`, kept sorted and free of duplicates.
@@ -23,14 +24,12 @@ pub(super) fn insert_sorted(rows: &mut Vec<Row>, row: Row) {
 /// (see [`Framework::persist_dirty`]): the instance manager's O(1) answer
 /// to "is there anything to flush?".
 #[derive(Debug, Clone, Default)]
-pub struct DirtyCount(Arc<AtomicUsize>);
+pub struct DirtyCount(Rc<Cell<usize>>);
 
 impl DirtyCount {
     /// True if any framework counted here has persistence pending.
     pub fn any(&self) -> bool {
-        // Relaxed: a tally read by the thread that owns the frameworks; it
-        // publishes no other data.
-        self.0.load(Ordering::Relaxed) != 0
+        self.0.get() != 0
     }
 }
 
@@ -49,11 +48,8 @@ impl DirtyMark {
         if dirty != self.counted {
             self.counted = dirty;
             if let Some(count) = &self.count {
-                if dirty {
-                    count.0.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    count.0.fetch_sub(1, Ordering::Relaxed);
-                }
+                let n = count.0.get();
+                count.0.set(if dirty { n + 1 } else { n - 1 });
             }
         }
     }
@@ -294,7 +290,7 @@ impl Framework {
     /// `adopt.resolve`, `adopt.start` and, inside the start,
     /// `adopt.register`, and `adopt.write`.
     ///
-    /// The namespace is read once, under the store's lock, and every row is
+    /// The namespace is read once, in one borrow of the store, and every row is
     /// parsed where it lies: no row is copied. The one write holds the
     /// rows whose `(state, autostart, state_version)` differ from what was
     /// read — none when every bundle comes back as its row says — and the
@@ -624,8 +620,7 @@ mod tests {
     #[test]
     fn prop_batched_restore_matches_the_per_transition_model() {
         use dosgi_testkit::{prop, prop_verify, prop_verify_eq, Gen, PropResult, TestRng};
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Mutex;
+        use std::cell::RefCell;
 
         const NS: &str = "diff/fw";
 
@@ -699,8 +694,8 @@ mod tests {
         #[derive(Clone)]
         struct World {
             store: SharedStore,
-            refusing: Arc<AtomicBool>,
-            armed: Arc<Mutex<Option<(String, FaultPlan)>>>,
+            refusing: Rc<Cell<bool>>,
+            armed: Rc<RefCell<Option<(String, FaultPlan)>>>,
         }
 
         fn factory(case: &Case, world: &World) -> ActivatorFactory {
@@ -712,7 +707,7 @@ mod tests {
                     let (refuses, stateful) = (spec.refuses, spec.stateful);
                     Box::new(FnActivator::new(
                         move |ctx| {
-                            if refuses && world.refusing.load(Ordering::Relaxed) {
+                            if refuses && world.refusing.get() {
                                 return Err("refuses".to_owned());
                             }
                             if stateful {
@@ -727,7 +722,7 @@ mod tests {
                                     ),
                                 );
                             }
-                            let mut armed = world.armed.lock().unwrap();
+                            let mut armed = world.armed.borrow_mut();
                             if armed.as_ref().is_some_and(|(last, _)| *last == name) {
                                 world.store.set_fault_plan(armed.take().unwrap().1);
                             }
@@ -751,8 +746,8 @@ mod tests {
         fn world(store: &SharedStore) -> World {
             World {
                 store: store.clone(),
-                refusing: Arc::new(AtomicBool::new(false)),
-                armed: Arc::new(Mutex::new(None)),
+                refusing: Rc::new(Cell::new(false)),
+                armed: Rc::new(RefCell::new(None)),
             }
         }
 
@@ -871,7 +866,7 @@ mod tests {
                 let old = rows_of(&persisted(case));
                 let restore = |store: &SharedStore, arm: Option<FaultPlan>| {
                     let world = world(store);
-                    world.refusing.store(true, Ordering::Relaxed);
+                    world.refusing.set(true);
                     // The last bundle `restore` will start.
                     let last = case
                         .bundles
@@ -886,7 +881,7 @@ mod tests {
                         .max_by_key(|(i, spec)| (spec.level, *i))
                         .map(|(i, _)| format!("org.diff.b{i}"));
                     let armed = arm.is_some() && last.is_some();
-                    *world.armed.lock().unwrap() = last.zip(arm);
+                    *world.armed.borrow_mut() = last.zip(arm);
                     let factory = factory(case, &world);
                     let telemetry = Telemetry::new();
                     let metrics = FrameworkMetrics::new(&telemetry);
@@ -908,7 +903,7 @@ mod tests {
                 let (mut fw, counts) =
                     restore(&san, None).0.map_err(|e| format!("batched: {e}"))?;
                 let model_world = world(&model_san);
-                model_world.refusing.store(true, Ordering::Relaxed);
+                model_world.refusing.set(true);
                 let model_counts = Telemetry::new();
                 let mut model = reference_restore(
                     config(),

@@ -15,7 +15,7 @@ use dosgi_san::{StoreError, Value};
 /// [`CallContext`]; this is the measurement point the paper's Monitoring
 /// Module lacks on a stock JVM (it pins its hopes on JSR-284) and that we
 /// build in natively.
-pub trait Service: Send {
+pub trait Service {
     /// Invokes `method` with `arg`, returning the result value.
     ///
     /// # Errors
@@ -32,7 +32,7 @@ pub trait Service: Send {
 
 impl<F> Service for F
 where
-    F: FnMut(&mut CallContext<'_>, &str, &Value) -> Result<Value, ServiceError> + Send,
+    F: FnMut(&mut CallContext<'_>, &str, &Value) -> Result<Value, ServiceError>,
 {
     fn call(
         &mut self,

@@ -3,8 +3,8 @@
 //! `SharedStore` is the fault-injecting, telemetry-emitting,
 //! stats-accounting front door; this module hides what holds the bytes:
 //! slots, tombstones and the running byte total of every namespace.
-//! [`MapBackend`] is **infallible and unsynchronized** — fault injection,
-//! locking, stats, telemetry and change detection all live in the wrapper —
+//! [`MapBackend`] is **infallible and unshared** — fault injection,
+//! sharing, stats, telemetry and change detection all live in the wrapper —
 //! and iterates in sorted order (by key / namespace) everywhere. The
 //! `san_contract` bin's capture pins the semantics; DESIGN.md §6e
 //! describes them.

@@ -30,8 +30,8 @@
 //! always yields the same faults at the same operations.
 //!
 //! The fault state — plan, RNG stream and clock — lives inside the store,
-//! under the store's one lock: an operation counts itself, rolls its faults,
-//! writes and updates its counters in one critical section, and every clone
+//! in the store's one cell: an operation counts itself, rolls its faults,
+//! writes and updates its counters in one borrow of it, and every clone
 //! of a [`SharedStore`](crate::SharedStore) sees the same plan and clock.
 //! The plan is installed and read through the store
 //! ([`set_fault_plan`](crate::SharedStore::set_fault_plan),
@@ -118,8 +118,8 @@ impl FaultPlan {
 /// The fault decision point: a plan, its RNG stream and the clock its
 /// brown-out windows gate on.
 ///
-/// Plain owned state: a [`SharedStore`](crate::SharedStore) keeps it under
-/// its one lock, beside the map it guards, so every clone of the store
+/// Plain owned state: a [`SharedStore`](crate::SharedStore) keeps it in
+/// its one cell, beside the map, so every clone of the store
 /// shares one plan, one stream and one clock.
 #[derive(Debug)]
 pub(crate) struct FaultInjector {

@@ -6,7 +6,8 @@ use crate::{StoreError, Value};
 use dosgi_net::SimTime;
 use dosgi_telemetry::{Counter, Telemetry};
 use std::borrow::{Borrow, Cow};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::cell::{RefCell, RefMut};
+use std::rc::Rc;
 
 /// A stored value together with its monotonically increasing version.
 #[derive(Debug, Clone, PartialEq)]
@@ -42,7 +43,7 @@ pub struct StoreStats {
     pub bytes_skipped: u64,
 }
 
-/// Everything the store holds, under its one lock: the map, its counters,
+/// Everything the store holds, in its one cell: the map, its counters,
 /// the fault layer and the telemetry handles.
 #[derive(Debug, Default)]
 struct Inner {
@@ -53,7 +54,7 @@ struct Inner {
 }
 
 /// The `san.*` telemetry handles, resolved when a registry is attached.
-/// Counting through one takes no lock of the registry's.
+/// Counting through one does not borrow the registry.
 #[derive(Debug, Default)]
 struct Metrics {
     ops: Counter,
@@ -84,7 +85,7 @@ impl Metrics {
 
 /// The simulated SAN: a shared, durable, versioned key-value store.
 ///
-/// Clones share the same underlying storage (`Arc` semantics), modeling the
+/// Clones share the same underlying storage (`Rc` semantics), modeling the
 /// paper's assumption that every node sees the same storage tier. Node
 /// crashes in the simulation never touch this store — that is precisely the
 /// property migration relies on.
@@ -108,9 +109,9 @@ impl Metrics {
 /// Every **data-plane** operation (`put`, `get`, `cas`, `delete`,
 /// `read_namespace`, `delete_namespace`, `put_many`) consults the fault
 /// layer first and returns `Err` during brown-outs or injected I/O errors —
-/// see [`crate::fault`]. The fault state lives under the store's one lock,
-/// beside the map: an operation takes that lock once, and counts itself,
-/// rolls its faults, writes and updates its counters inside it. With no
+/// see [`crate::fault`]. The fault state lives in the store's one cell,
+/// beside the map: an operation borrows it once, and counts itself, rolls
+/// its faults, writes and updates its counters inside that borrow. With no
 /// [`FaultPlan`] attached (the default) these operations never fail for
 /// fault reasons. **Control-plane**
 /// introspection (`list_keys`, `list_namespaces`, `namespace_bytes`,
@@ -118,7 +119,7 @@ impl Metrics {
 /// harness's omniscient view, not a real client.
 #[derive(Debug, Clone, Default)]
 pub struct SharedStore {
-    shared: Arc<Mutex<Inner>>,
+    shared: Rc<RefCell<Inner>>,
 }
 
 impl SharedStore {
@@ -127,19 +128,17 @@ impl SharedStore {
         Self::default()
     }
 
-    /// Locks the shared state, explicitly adopting a poisoned lock: the
-    /// store holds plain owned data, and every critical section leaves it
-    /// structurally valid even if a caller's panic poisons the mutex.
-    fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.shared.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Borrows the shared state.
+    fn inner(&self) -> RefMut<'_, Inner> {
+        self.shared.borrow_mut()
     }
 
-    /// The head of every data-plane operation `op`: locks the store, counts
-    /// `op` in `san.ops`, then rolls its faults. A rejection is counted in
-    /// the stats and in `san.faults` and returned; otherwise the lock is
-    /// handed to the operation.
-    fn admit(&self, op: &'static str) -> Result<MutexGuard<'_, Inner>, StoreError> {
-        let mut guard = self.lock();
+    /// The head of every data-plane operation `op`: borrows the store,
+    /// counts `op` in `san.ops`, then rolls its faults. A rejection is
+    /// counted in the stats and in `san.faults` and returned; otherwise the
+    /// borrow is handed to the operation.
+    fn admit(&self, op: &'static str) -> Result<RefMut<'_, Inner>, StoreError> {
+        let mut guard = self.inner();
         let inner = &mut *guard;
         inner.metrics.ops.incr();
         if let Err(e) = inner.faults.roll(op) {
@@ -156,7 +155,7 @@ impl SharedStore {
     /// or off.
     pub fn set_telemetry(&self, telemetry: Telemetry) {
         let metrics = Metrics::new(&telemetry);
-        self.lock().metrics = metrics;
+        self.inner().metrics = metrics;
     }
 
     // ------------------------------------------------------------------
@@ -166,28 +165,28 @@ impl SharedStore {
     /// Installs a fault plan, (re)seeding the fault RNG stream from it.
     /// See [`crate::fault`].
     pub fn set_fault_plan(&self, plan: FaultPlan) {
-        self.lock().faults.set_plan(plan);
+        self.inner().faults.set_plan(plan);
     }
 
     /// The installed fault plan, if any.
     pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.lock().faults.plan().cloned()
+        self.inner().faults.plan().cloned()
     }
 
     /// Removes any fault plan; the store becomes infallible again.
     pub fn clear_faults(&self) {
-        self.lock().faults.clear();
+        self.inner().faults.clear();
     }
 
     /// Advances the fault clock (brown-out windows gate on it). The cluster
     /// driver calls this every simulation step.
     pub fn set_now(&self, now: SimTime) {
-        self.lock().faults.set_now(now);
+        self.inner().faults.set_now(now);
     }
 
     /// False while the store is inside an injected brown-out window.
     pub fn is_available(&self) -> bool {
-        self.lock().faults.is_available()
+        self.inner().faults.is_available()
     }
 
     // ------------------------------------------------------------------
@@ -223,7 +222,7 @@ impl SharedStore {
     }
 
     /// Atomically-intended multi-key write: all of `entries` into
-    /// `namespace`, in order under one lock. Under a
+    /// `namespace`, in order, in one borrow of the store. Under a
     /// torn-write fault only a strict prefix lands and
     /// [`StoreError::TornWrite`] reports how much; rewriting the full batch
     /// is the idempotent recovery. Entries are `(key, value)` pairs, owned
@@ -396,7 +395,8 @@ impl SharedStore {
     /// order, borrowed: the reader copies what it keeps and nothing else.
     /// One fault roll, and each row counted as one read of its encoded
     /// bytes, as [`read_namespace`](Self::read_namespace) counts them.
-    /// `visit` runs under the store's lock, so it must not call the store.
+    /// `visit` runs while the store is borrowed, so it must not call the
+    /// store.
     ///
     /// # Errors
     ///
@@ -426,24 +426,24 @@ impl SharedStore {
     /// Invariant checkers use this to inspect durable state *during* a
     /// brown-out; production paths must use [`get`](Self::get).
     pub fn peek(&self, namespace: &str, key: &str) -> Option<Value> {
-        self.lock().map.get(namespace, key).map(|v| v.value)
+        self.inner().map.get(namespace, key).map(|v| v.value)
     }
 
     /// Keys in a namespace, sorted.
     pub fn list_keys(&self, namespace: &str) -> Vec<String> {
-        self.lock().map.list_keys(namespace)
+        self.inner().map.list_keys(namespace)
     }
 
     /// All namespaces with at least one key, sorted.
     pub fn list_namespaces(&self) -> Vec<String> {
-        self.lock().map.list_namespaces()
+        self.inner().map.list_namespaces()
     }
 
     /// A full omniscient dump of the live store — every namespace's
     /// key-sorted `(key, version, value)` rows — bypassing faults and
     /// stats. This is the store section of the `san_contract` capture.
     pub fn dump(&self) -> Vec<(String, Vec<(String, Versioned)>)> {
-        let inner = self.lock();
+        let inner = self.inner();
         inner
             .map
             .list_namespaces()
@@ -469,24 +469,24 @@ impl SharedStore {
     /// Total encoded size of a namespace in bytes (no stats impact) —
     /// the "how much state would a migration move" metric.
     pub fn namespace_bytes(&self, namespace: &str) -> u64 {
-        self.lock().map.namespace_bytes(namespace)
+        self.inner().map.namespace_bytes(namespace)
     }
 
     /// Total encoded size across every namespace equal to `prefix` or
     /// under `prefix/…` — an instance's full footprint (framework snapshot
     /// plus all bundle data areas).
     pub fn namespace_bytes_prefixed(&self, prefix: &str) -> u64 {
-        self.lock().map.namespace_bytes_prefixed(prefix)
+        self.inner().map.namespace_bytes_prefixed(prefix)
     }
 
     /// Current I/O counters.
     pub fn stats(&self) -> StoreStats {
-        self.lock().stats
+        self.inner().stats
     }
 
     /// Resets the I/O counters (between experiment phases).
     pub fn reset_stats(&self) {
-        self.lock().stats = StoreStats::default();
+        self.inner().stats = StoreStats::default();
     }
 }
 

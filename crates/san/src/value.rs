@@ -284,15 +284,6 @@ impl Value {
         }
     }
 
-    /// The value as a float; integers are widened.
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Float(f) => Some(*f),
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-
     /// The value as a string slice, if it is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -452,7 +443,7 @@ mod tests {
         assert_eq!(v.get("name").and_then(Value::as_str), Some("logsvc"));
         assert_eq!(v.get("active").and_then(Value::as_bool), Some(true));
         assert_eq!(v.get("level").and_then(Value::as_int), Some(4));
-        assert_eq!(v.get("load").and_then(Value::as_float), Some(0.5));
+        assert_eq!(v.get("load"), Some(&Value::Float(0.5)));
         assert!(v.get("missing").is_none());
     }
 
@@ -480,11 +471,6 @@ mod tests {
     #[should_panic(expected = "not strictly ascending")]
     fn from_sorted_rejects_a_duplicated_key() {
         let _ = Map::from_sorted(vec![("a".into(), Value::Null), ("a".into(), Value::Int(1))]);
-    }
-
-    #[test]
-    fn int_widens_to_float() {
-        assert_eq!(Value::Int(3).as_float(), Some(3.0));
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Metric slots and the pre-resolved handles that write them.
 //!
-//! A *slot* is the storage of one named metric: an atomic and a
-//! written-flag for a counter or a gauge, a mutex-guarded [`Histogram`]
-//! for a histogram. The registry maps names to slots; a *handle*
+//! A *slot* is the storage of one named metric: a `Cell` and a
+//! written-flag for a counter or a gauge, a `RefCell`'d [`Histogram`] for
+//! a histogram. The registry maps names to slots; a *handle*
 //! ([`Counter`], [`Gauge`], [`HistogramHandle`]) is a shared pointer to
 //! one slot, resolved by name once. Writing through a handle compares no
-//! strings, allocates nothing and never takes the registry lock.
+//! strings, allocates nothing and never borrows the registry.
 //!
 //! A slot is **invisible until first written**: resolving a handle
 //! creates the slot, but snapshots, by-name reads and the scraper see a
@@ -13,55 +13,37 @@
 //! of names string-keyed writes alone would have produced.
 
 use crate::Histogram;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Storage of one counter or gauge.
 #[derive(Debug, Default)]
-pub struct Slot<A> {
-    value: A,
-    written: AtomicBool,
+pub struct Slot<T: Copy> {
+    value: Cell<T>,
+    written: Cell<bool>,
 }
 
 /// Storage of one counter.
-pub type CounterSlot = Slot<AtomicU64>;
+pub type CounterSlot = Slot<u64>;
 /// Storage of one gauge.
-pub type GaugeSlot = Slot<AtomicI64>;
+pub type GaugeSlot = Slot<i64>;
 /// Storage of one histogram; written once its count is non-zero.
-pub type HistogramSlot = Mutex<Histogram>;
-
-impl<A> Slot<A> {
-    fn mark_written(&self) {
-        // Release pairs with the Acquire in `is_written`: whoever sees the
-        // flag sees the value written before it was raised.
-        if !self.written.load(Ordering::Relaxed) {
-            self.written.store(true, Ordering::Release);
-        }
-    }
-
-    fn is_written(&self) -> bool {
-        self.written.load(Ordering::Acquire)
-    }
-}
+pub type HistogramSlot = RefCell<Histogram>;
 
 impl CounterSlot {
     pub(crate) fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-        self.mark_written();
+        self.value.set(self.value.get().wrapping_add(n));
+        self.written.set(true);
     }
 }
 
 impl GaugeSlot {
     pub(crate) fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-        self.mark_written();
+        self.value.set(v);
+        self.written.set(true);
     }
-}
-
-pub(crate) fn record(slot: &HistogramSlot, v: u64) {
-    slot.lock().expect("histogram poisoned").record(v);
 }
 
 /// Reading a slot: `None` until it has been written.
@@ -72,26 +54,17 @@ pub trait SlotRead {
     fn read(&self) -> Option<Self::Value>;
 }
 
-impl SlotRead for CounterSlot {
-    type Value = u64;
-    fn read(&self) -> Option<u64> {
-        self.is_written()
-            .then(|| self.value.load(Ordering::Relaxed))
-    }
-}
-
-impl SlotRead for GaugeSlot {
-    type Value = i64;
-    fn read(&self) -> Option<i64> {
-        self.is_written()
-            .then(|| self.value.load(Ordering::Relaxed))
+impl<T: Copy> SlotRead for Slot<T> {
+    type Value = T;
+    fn read(&self) -> Option<T> {
+        self.written.get().then(|| self.value.get())
     }
 }
 
 impl SlotRead for HistogramSlot {
     type Value = Histogram;
     fn read(&self) -> Option<Histogram> {
-        let h = self.lock().expect("histogram poisoned");
+        let h = self.borrow();
         (h.count() > 0).then(|| h.clone())
     }
 }
@@ -99,7 +72,7 @@ impl SlotRead for HistogramSlot {
 /// The written metrics of one kind, in name order — what
 /// [`Telemetry::read`](crate::Telemetry::read) hands its closure.
 #[derive(Debug)]
-pub struct Written<'a, S>(pub(crate) &'a BTreeMap<String, Arc<S>>);
+pub struct Written<'a, S>(pub(crate) &'a BTreeMap<String, Rc<S>>);
 
 impl<'a, S: SlotRead> Written<'a, S> {
     /// `(name, value)` of every written metric, sorted by name.
@@ -162,11 +135,11 @@ pub(crate) fn merge_entries<'a, T, V>(
 
 /// [`with_entry`] on an index of slots.
 pub(crate) fn with_slot<S: Default, R>(
-    slots: &mut BTreeMap<String, Arc<S>>,
+    slots: &mut BTreeMap<String, Rc<S>>,
     name: &str,
-    f: impl FnOnce(&Arc<S>) -> R,
+    f: impl FnOnce(&Rc<S>) -> R,
 ) -> R {
-    with_entry(slots, name, Arc::default, |slot| f(slot))
+    with_entry(slots, name, Rc::default, |slot| f(slot))
 }
 
 /// A metric name a handle is resolved from: a plain `&str`, or
@@ -228,7 +201,7 @@ impl fmt::Write for StackName {
 /// Handle on one counter. The default handle (and every handle of a
 /// disabled registry) is inert. Clones share the slot.
 #[derive(Debug, Clone, Default)]
-pub struct Counter(pub(crate) Option<Arc<CounterSlot>>);
+pub struct Counter(pub(crate) Option<Rc<CounterSlot>>);
 
 impl Counter {
     /// Increments the counter by 1.
@@ -246,7 +219,7 @@ impl Counter {
 
 /// Handle on one gauge; inert by default, clones share the slot.
 #[derive(Debug, Clone, Default)]
-pub struct Gauge(pub(crate) Option<Arc<GaugeSlot>>);
+pub struct Gauge(pub(crate) Option<Rc<GaugeSlot>>);
 
 impl Gauge {
     /// Sets the gauge to `v` (last write wins).
@@ -259,24 +232,22 @@ impl Gauge {
 
 /// Handle on one histogram; inert by default, clones share the slot.
 #[derive(Debug, Clone, Default)]
-pub struct HistogramHandle(pub(crate) Option<Arc<HistogramSlot>>);
+pub struct HistogramHandle(pub(crate) Option<Rc<HistogramSlot>>);
 
 impl HistogramHandle {
-    /// Records sample `v`. Takes the histogram's own lock, no other.
+    /// Records sample `v`.
     pub fn record(&self, v: u64) {
         if let Some(slot) = &self.0 {
-            record(slot, v);
+            slot.borrow_mut().record(v);
         }
     }
 
-    /// Records every sample of `samples` under one take of the lock, as
-    /// many [`record`](Self::record)s would; takes no lock for none.
+    /// Records every sample of `samples` under one borrow of the slot, as
+    /// many [`record`](Self::record)s would.
     pub fn record_all(&self, samples: impl IntoIterator<Item = u64>) {
-        let Some(slot) = &self.0 else { return };
-        let mut samples = samples.into_iter().peekable();
-        if samples.peek().is_some() {
-            let mut h = slot.lock().expect("histogram poisoned");
-            samples.for_each(|v| h.record(v));
+        if let Some(slot) = &self.0 {
+            let mut h = slot.borrow_mut();
+            samples.into_iter().for_each(|v| h.record(v));
         }
     }
 }

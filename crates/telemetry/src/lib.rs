@@ -38,9 +38,9 @@
 //! The write primitive is a per-metric handle — [`Counter`], [`Gauge`],
 //! [`HistogramHandle`] — resolved by name once
 //! ([`Telemetry::counter_handle`] and friends) and kept by the
-//! instrumented type. A write through a handle is an atomic operation
-//! (a histogram takes its own lock): no name is compared or allocated
-//! and the registry lock is not taken. The by-name [`Telemetry::incr`] /
+//! instrumented type. A write through a handle is a `Cell` update (a
+//! histogram borrows its own `RefCell`): no name is compared or allocated
+//! and the registry is not borrowed. The by-name [`Telemetry::incr`] /
 //! [`add`](Telemetry::add) / [`gauge_set`](Telemetry::gauge_set) /
 //! [`record`](Telemetry::record) resolve and write the same slots in one
 //! call, for cold paths and tests. A metric is visible — to snapshots,
@@ -75,8 +75,9 @@ pub use trace::{
 };
 
 use handle::{with_slot, CounterSlot, GaugeSlot, HistogramSlot, SlotRead, Written};
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// Counter name incremented when the alert timeline overflows.
 pub const DROPPED_ALERTS: &str = "telemetry.dropped_alerts";
@@ -87,16 +88,16 @@ pub const ALERT_CAPACITY: usize = 1024;
 
 #[derive(Default)]
 struct Inner {
-    counters: BTreeMap<String, Arc<CounterSlot>>,
-    gauges: BTreeMap<String, Arc<GaugeSlot>>,
-    histograms: BTreeMap<String, Arc<HistogramSlot>>,
+    counters: BTreeMap<String, Rc<CounterSlot>>,
+    gauges: BTreeMap<String, Rc<GaugeSlot>>,
+    histograms: BTreeMap<String, Rc<HistogramSlot>>,
     alerts: VecDeque<AlertEvent>,
 }
 
 /// Cheap-clone handle onto a shared telemetry registry (or a no-op).
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Option<Arc<Mutex<Inner>>>,
+    inner: Option<Rc<RefCell<Inner>>>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -111,7 +112,7 @@ impl Telemetry {
     /// An enabled, empty registry.
     pub fn new() -> Self {
         Telemetry {
-            inner: Some(Arc::default()),
+            inner: Some(Rc::default()),
         }
     }
 
@@ -125,10 +126,8 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    fn lock(&self) -> Option<std::sync::MutexGuard<'_, Inner>> {
-        self.inner
-            .as_ref()
-            .map(|m| m.lock().expect("telemetry poisoned"))
+    fn registry(&self) -> Option<RefMut<'_, Inner>> {
+        self.inner.as_ref().map(|m| m.borrow_mut())
     }
 
     /// The slot named `name` in the index `slots` picks, created on first
@@ -136,10 +135,10 @@ impl Telemetry {
     fn resolve<S: Default>(
         &self,
         name: impl MetricName,
-        slots: impl FnOnce(&mut Inner) -> &mut BTreeMap<String, Arc<S>>,
-    ) -> Option<Arc<S>> {
-        let mut g = self.lock()?;
-        Some(name.with_name(|n| with_slot(slots(&mut g), n, Arc::clone)))
+        slots: impl FnOnce(&mut Inner) -> &mut BTreeMap<String, Rc<S>>,
+    ) -> Option<Rc<S>> {
+        let mut g = self.registry()?;
+        Some(name.with_name(|n| with_slot(slots(&mut g), n, Rc::clone)))
     }
 
     /// Resolves the counter `name` to a handle (inert when disabled).
@@ -169,14 +168,14 @@ impl Telemetry {
     /// Increment counter `name` by `n`: resolve, then write, in one call.
     /// By name, like [`incr`](Self::incr), and kept for the same callers.
     pub fn add(&self, name: &str, n: u64) {
-        if let Some(mut g) = self.lock() {
+        if let Some(mut g) = self.registry() {
             with_slot(&mut g.counters, name, |s| s.add(n));
         }
     }
 
     /// Read counter `name` (0 when never written or disabled).
     pub fn counter(&self, name: &str) -> u64 {
-        self.lock()
+        self.registry()
             .and_then(|g| g.counters.get(name)?.read())
             .unwrap_or(0)
     }
@@ -184,35 +183,35 @@ impl Telemetry {
     /// Set gauge `name` to `v` (last write wins). By name, like
     /// [`incr`](Self::incr), and kept for the same callers.
     pub fn gauge_set(&self, name: &str, v: i64) {
-        if let Some(mut g) = self.lock() {
+        if let Some(mut g) = self.registry() {
             with_slot(&mut g.gauges, name, |s| s.set(v));
         }
     }
 
     /// Read gauge `name`.
     pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.lock().and_then(|g| g.gauges.get(name)?.read())
+        self.registry().and_then(|g| g.gauges.get(name)?.read())
     }
 
     /// Record sample `v` into histogram `name`. By name, like
     /// [`incr`](Self::incr), and kept for the same callers.
     pub fn record(&self, name: &str, v: u64) {
-        if let Some(mut g) = self.lock() {
-            with_slot(&mut g.histograms, name, |s| handle::record(s, v));
+        if let Some(mut g) = self.registry() {
+            with_slot(&mut g.histograms, name, |s| s.borrow_mut().record(v));
         }
     }
 
     /// Copy out histogram `name`, if it has a sample.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.lock().and_then(|g| g.histograms.get(name)?.read())
+        self.registry().and_then(|g| g.histograms.get(name)?.read())
     }
 
-    /// Read every written metric under the registry lock — counters,
+    /// Read every written metric in one borrow of the registry — counters,
     /// gauges and histograms in name order, nothing allocated. This is
     /// the [`SeriesScraper`]'s bulk read path; `f` must not call back into
-    /// this handle (the lock is held). Handle writes from other threads
-    /// go on meanwhile. Returns `None` on a disabled handle (the closure
-    /// is not called).
+    /// this handle (the registry is borrowed), though it may write through
+    /// metric handles. Returns `None` on a disabled handle (the closure is
+    /// not called).
     pub fn read<R>(
         &self,
         f: impl FnOnce(
@@ -221,7 +220,7 @@ impl Telemetry {
             Written<'_, HistogramSlot>,
         ) -> R,
     ) -> Option<R> {
-        self.lock().map(|g| {
+        self.registry().map(|g| {
             f(
                 Written(&g.counters),
                 Written(&g.gauges),
@@ -234,7 +233,7 @@ impl Telemetry {
     /// [`ALERT_CAPACITY`] drops the oldest event and increments
     /// `telemetry.dropped_alerts`.
     pub fn record_alert(&self, event: AlertEvent) {
-        if let Some(mut g) = self.lock() {
+        if let Some(mut g) = self.registry() {
             if g.alerts.len() >= ALERT_CAPACITY {
                 g.alerts.pop_front();
                 with_slot(&mut g.counters, DROPPED_ALERTS, |s| s.add(1));
@@ -245,7 +244,7 @@ impl Telemetry {
 
     /// Copy out the alert timeline, oldest first.
     pub fn alerts(&self) -> Vec<AlertEvent> {
-        self.lock()
+        self.registry()
             .map(|g| g.alerts.iter().cloned().collect())
             .unwrap_or_default()
     }
@@ -262,7 +261,7 @@ impl Telemetry {
             histograms: BTreeMap::new(),
             alerts: Vec::new(),
         };
-        if let Some(g) = self.lock() {
+        if let Some(g) = self.registry() {
             fn owned<S: SlotRead>(w: Written<'_, S>) -> BTreeMap<String, S::Value> {
                 w.iter().map(|(name, v)| (name.to_owned(), v)).collect()
             }
@@ -403,32 +402,5 @@ mod tests {
         Gauge::default().set(1);
         HistogramHandle::default().record(1);
         assert_eq!(t.read(|c, g, h| c.len() + g.len() + h.len()), None);
-    }
-
-    #[test]
-    fn concurrent_handle_writes_sum_exactly() {
-        const THREADS: u64 = 8;
-        const WRITES: u64 = 100_000;
-        let t = Telemetry::new();
-        let counter = t.counter_handle("c");
-        let hist = t.histogram_handle("h");
-        let start = std::sync::Barrier::new(THREADS as usize);
-        std::thread::scope(|s| {
-            for _ in 0..THREADS {
-                let (counter, hist, start) = (counter.clone(), hist.clone(), &start);
-                s.spawn(move || {
-                    start.wait();
-                    for i in 0..WRITES {
-                        counter.incr();
-                        hist.record(i % 2);
-                    }
-                });
-            }
-        });
-        assert_eq!(t.counter("c"), THREADS * WRITES);
-        let h = t.histogram("h").unwrap();
-        assert_eq!(h.count(), THREADS * WRITES);
-        assert_eq!(h.sum(), THREADS * WRITES / 2);
-        assert_eq!(h.bucket(0), h.bucket(1));
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! A [`Phases`] handle is either disabled — the default, a `None` that
 //! every entry point branches on and leaves at once, reading no clock and
-//! formatting nothing — or shares one [`Phase`]-indexed table of relaxed
-//! atomics. [`Phases::enter`] returns a guard that, when it drops, adds one
+//! formatting nothing — or shares one [`Phase`]-indexed table of `Cell`
+//! counters. [`Phases::enter`] returns a guard that, when it drops, adds one
 //! call, the wall-clock nanoseconds since it was made and the allocations
 //! made meanwhile to its phase. Allocations are read through a `fn() -> u64`
 //! hook supplied by whoever owns the global allocator; this crate installs
@@ -17,8 +17,8 @@
 //!
 //! Counts are inclusive: a phase entered inside another is counted in both.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::Instant;
 
 macro_rules! phases {
@@ -154,9 +154,9 @@ pub struct PhaseCount {
 
 #[derive(Debug, Default)]
 struct Slot {
-    calls: AtomicU64,
-    ns: AtomicU64,
-    allocs: AtomicU64,
+    calls: Cell<u64>,
+    ns: Cell<u64>,
+    allocs: Cell<u64>,
 }
 
 #[derive(Debug)]
@@ -167,14 +167,14 @@ struct Table {
 
 /// Handle on a phase table, or the disabled no-op. Clones share the table.
 #[derive(Debug, Clone, Default)]
-pub struct Phases(Option<Arc<Table>>);
+pub struct Phases(Option<Rc<Table>>);
 
 impl Phases {
     /// An enabled, zeroed table whose allocation counts are read from
     /// `allocations` (a running total; only differences are used).
     pub fn new(allocations: fn() -> u64) -> Self {
         let slots = Phase::ALL.iter().map(|_| Slot::default()).collect();
-        Phases(Some(Arc::new(Table { slots, allocations })))
+        Phases(Some(Rc::new(Table { slots, allocations })))
     }
 
     /// The disabled handle: every call returns at once.
@@ -207,9 +207,9 @@ impl Phases {
         self.0.as_ref().map_or_else(PhaseCount::default, |table| {
             let slot = &table.slots[phase as usize];
             PhaseCount {
-                calls: slot.calls.load(Ordering::Relaxed),
-                ns: slot.ns.load(Ordering::Relaxed),
-                allocs: slot.allocs.load(Ordering::Relaxed),
+                calls: slot.calls.get(),
+                ns: slot.ns.get(),
+                allocs: slot.allocs.get(),
             }
         })
     }
@@ -235,9 +235,9 @@ impl Drop for PhaseGuard<'_> {
             let slot = &e.table.slots[e.phase as usize];
             let ns = u64::try_from(e.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             let allocs = (e.table.allocations)().wrapping_sub(e.allocs);
-            slot.calls.fetch_add(1, Ordering::Relaxed);
-            slot.ns.fetch_add(ns, Ordering::Relaxed);
-            slot.allocs.fetch_add(allocs, Ordering::Relaxed);
+            slot.calls.set(slot.calls.get() + 1);
+            slot.ns.set(slot.ns.get().wrapping_add(ns));
+            slot.allocs.set(slot.allocs.get().wrapping_add(allocs));
         }
     }
 }
@@ -245,12 +245,17 @@ impl Drop for PhaseGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
-    static ALLOCATED: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        static ALLOCATED: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn allocated() -> u64 {
-        ALLOCATED.load(Ordering::Relaxed)
+        ALLOCATED.get()
+    }
+
+    fn allocate(n: u64) {
+        ALLOCATED.set(ALLOCATED.get() + n);
     }
 
     #[test]
@@ -258,9 +263,9 @@ mod tests {
         let phases = Phases::new(allocated);
         {
             let _outer = phases.enter(Phase::RestartNode);
-            ALLOCATED.fetch_add(2, Ordering::Relaxed);
+            allocate(2);
             let _inner = phases.enter(Phase::RestartHost);
-            ALLOCATED.fetch_add(3, Ordering::Relaxed);
+            allocate(3);
         }
         let _ = phases.enter(Phase::RestartHost);
         let (outer, inner) = (

@@ -388,12 +388,6 @@ impl SeriesScraper {
         self.all().count()
     }
 
-    /// Points currently retained across all series. Bounded by
-    /// `series_count() * capacity` forever, regardless of run length.
-    pub fn total_points(&self) -> usize {
-        self.all().map(|(_, s)| s.len()).sum()
-    }
-
     /// Points lost to compaction across all series, exactly.
     pub fn total_dropped(&self) -> u64 {
         self.all().map(|(_, s)| s.dropped()).sum()

@@ -185,15 +185,6 @@ impl SloEngine {
         }
         events
     }
-
-    /// Like [`SloEngine::observe`] but with caller-supplied cumulative
-    /// `(bad, total)` samples, aligned with registration order. Useful
-    /// when the counters do not live in a [`Telemetry`] registry.
-    pub fn ingest(&mut self, now_us: u64, samples: &[(u64, u64)]) -> Vec<AlertEvent> {
-        let slos = self.slos.iter_mut().zip(samples);
-        slos.filter_map(|(state, &(bad, total))| state.step(now_us, bad, total))
-            .collect()
-    }
 }
 
 impl SloState {
@@ -343,6 +334,16 @@ mod tests {
     use super::*;
 
     const TICK: u64 = 250_000;
+
+    impl SloEngine {
+        /// Like [`SloEngine::observe`] but with caller-supplied cumulative
+        /// `(bad, total)` samples, aligned with registration order.
+        fn ingest(&mut self, now_us: u64, samples: &[(u64, u64)]) -> Vec<AlertEvent> {
+            let slos = self.slos.iter_mut().zip(samples);
+            slos.filter_map(|(state, &(bad, total))| state.step(now_us, bad, total))
+                .collect()
+        }
+    }
 
     fn spec() -> SloSpec {
         SloSpec::new(

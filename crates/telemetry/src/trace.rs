@@ -55,10 +55,12 @@
 //! doubles still round-trip them exactly.
 
 use crate::json::JsonStr;
+use std::cell::{RefCell, RefMut};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Schema version stamped into exported trace files (`metadata.schema`).
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
@@ -288,7 +290,7 @@ impl RecInner {
 /// `Default`) makes every operation free, clones share the ring.
 #[derive(Clone, Default)]
 pub struct FlightRecorder {
-    inner: Option<Arc<Mutex<RecInner>>>,
+    inner: Option<Rc<RefCell<RecInner>>>,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -308,7 +310,7 @@ impl FlightRecorder {
     /// An enabled recorder keeping at most `capacity` closed events.
     pub fn with_capacity(node: u64, capacity: usize) -> Self {
         FlightRecorder {
-            inner: Some(Arc::new(Mutex::new(RecInner {
+            inner: Some(Rc::new(RefCell::new(RecInner {
                 node,
                 clock: 0,
                 next_seq: 1,
@@ -331,26 +333,24 @@ impl FlightRecorder {
         self.inner.is_some()
     }
 
-    fn lock(&self) -> Option<std::sync::MutexGuard<'_, RecInner>> {
-        self.inner
-            .as_ref()
-            .map(|m| m.lock().expect("flight recorder poisoned"))
+    fn ring(&self) -> Option<RefMut<'_, RecInner>> {
+        self.inner.as_ref().map(|m| m.borrow_mut())
     }
 
     /// The node this recorder stamps events with.
     pub fn node(&self) -> Option<u64> {
-        self.lock().map(|g| g.node)
+        self.ring().map(|g| g.node)
     }
 
     /// Current Lamport clock value (0 when disabled).
     pub fn clock(&self) -> u64 {
-        self.lock().map(|g| g.clock).unwrap_or(0)
+        self.ring().map(|g| g.clock).unwrap_or(0)
     }
 
     /// Open a new root span: starts a fresh trace whose id is the root's
     /// own span id.
     pub fn root(&self, name: SpanName, now_us: u64) -> TraceRef {
-        let Some(mut g) = self.lock() else {
+        let Some(mut g) = self.ring() else {
             return TraceRef::NONE;
         };
         g.clock += 1;
@@ -360,7 +360,7 @@ impl FlightRecorder {
     /// Open a child span from an imported wire context (a *receive*:
     /// the local clock is folded with the context's stamp first).
     pub fn child(&self, ctx: TraceContext, name: SpanName, now_us: u64) -> TraceRef {
-        let Some(mut g) = self.lock() else {
+        let Some(mut g) = self.ring() else {
             return TraceRef::NONE;
         };
         g.clock = g.clock.max(ctx.lamport) + 1;
@@ -378,7 +378,7 @@ impl FlightRecorder {
         if !parent.is_some() {
             return TraceRef::NONE;
         }
-        let Some(mut g) = self.lock() else {
+        let Some(mut g) = self.ring() else {
             return TraceRef::NONE;
         };
         g.clock += 1;
@@ -393,7 +393,7 @@ impl FlightRecorder {
         if !of.is_some() {
             return None;
         }
-        let mut g = self.lock()?;
+        let mut g = self.ring()?;
         g.clock += 1;
         Some(TraceContext {
             trace_id: of.trace_id,
@@ -406,7 +406,7 @@ impl FlightRecorder {
     /// opening a span (every traced delivery must call this so later
     /// local spans causally follow it).
     pub fn observe(&self, ctx: TraceContext) {
-        if let Some(mut g) = self.lock() {
+        if let Some(mut g) = self.ring() {
             g.clock = g.clock.max(ctx.lamport) + 1;
         }
     }
@@ -417,7 +417,7 @@ impl FlightRecorder {
     /// [`TraceRef::NONE`] on any handle (or anything on a disabled one)
     /// is an accepted no-op.
     pub fn end(&self, r: TraceRef, now_us: u64) -> bool {
-        let Some(mut g) = self.lock() else {
+        let Some(mut g) = self.ring() else {
             return true;
         };
         if !r.is_some() {
@@ -445,7 +445,7 @@ impl FlightRecorder {
     /// Closed events, oldest first (bounded by the ring capacity), their
     /// names rendered.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock()
+        self.ring()
             .map(|g| {
                 g.closed
                     .iter()
@@ -462,7 +462,7 @@ impl FlightRecorder {
     /// exported with `open = true` and `end_us == start_us`, their names
     /// rendered.
     pub fn open_events(&self) -> Vec<TraceEvent> {
-        self.lock()
+        self.ring()
             .map(|g| {
                 g.open
                     .iter()
@@ -474,12 +474,12 @@ impl FlightRecorder {
 
     /// Events dropped from the ring so far.
     pub fn dropped(&self) -> u64 {
-        self.lock().map(|g| g.dropped).unwrap_or(0)
+        self.ring().map(|g| g.dropped).unwrap_or(0)
     }
 
     /// Unknown / double closes rejected so far.
     pub fn rejected(&self) -> u64 {
-        self.lock().map(|g| g.rejected).unwrap_or(0)
+        self.ring().map(|g| g.rejected).unwrap_or(0)
     }
 }
 

@@ -4,8 +4,9 @@ use crate::{ResourceQuota, SecurityPolicy};
 use dosgi_osgi::PackageName;
 use dosgi_san::codec::{field_len, header_len, int_len, str_len};
 use dosgi_san::Value;
+use std::cell::OnceCell;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Identifies a virtual instance within an [`InstanceManager`].
 ///
@@ -77,7 +78,7 @@ pub struct InstanceDescriptor {
 /// the cluster registry's copy, so every adoption of a deployed instance
 /// names its namespace with the one `Arc`. Every two caches compare equal.
 #[derive(Debug, Clone, Default)]
-pub struct NamespaceCache(OnceLock<Arc<str>>);
+pub struct NamespaceCache(OnceCell<Arc<str>>);
 
 impl PartialEq for NamespaceCache {
     fn eq(&self, _: &Self) -> bool {

@@ -4,7 +4,7 @@
 use crate::{InstanceDescriptor, InstanceId};
 use dosgi_osgi::{Framework, UsageSnapshot};
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The coarse life-cycle of a virtual instance (distinct from the
 /// per-bundle lifecycle inside it).
@@ -41,7 +41,7 @@ pub struct VirtualInstance {
     pub id: InstanceId,
     /// The deployment descriptor; an adopted instance shares the cluster
     /// registry's copy.
-    pub descriptor: Arc<InstanceDescriptor>,
+    pub descriptor: Rc<InstanceDescriptor>,
     /// Current coarse state.
     pub state: InstanceState,
     pub(crate) framework: Framework,

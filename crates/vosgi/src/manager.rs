@@ -15,6 +15,7 @@ use dosgi_telemetry::{Phases, Telemetry};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 dosgi_telemetry::metrics! {
@@ -51,7 +52,7 @@ pub struct InstanceManager {
     // Shared with every node the cluster boots: neither changes once a
     // manager exists.
     repo: Arc<BundleRepository>,
-    factory: Arc<ActivatorFactory>,
+    factory: Rc<ActivatorFactory>,
     store: Option<SharedStore>,
     // Shared by the host and every instance framework.
     dirty: DirtyCount,
@@ -71,7 +72,7 @@ pub struct InstanceManager {
 
 /// An instance's descriptor as the key of its name: the descriptor the
 /// instance holds, shared, ordered and looked up by its name.
-struct NameKey(Arc<InstanceDescriptor>);
+struct NameKey(Rc<InstanceDescriptor>);
 
 impl Borrow<str> for NameKey {
     fn borrow(&self) -> &str {
@@ -111,11 +112,12 @@ impl fmt::Debug for InstanceManager {
 impl InstanceManager {
     /// Creates a manager around `host`, using `repo` to resolve bundle
     /// names and `factory` to re-create activators. Either may be shared:
-    /// pass an `Arc` that other managers hold too, or a value of its own.
+    /// pass an `Arc` (the repository) or an `Rc` (the factory) that other
+    /// managers hold too, or a value of its own.
     pub fn new(
         mut host: Framework,
         repo: impl Into<Arc<BundleRepository>>,
-        factory: impl Into<Arc<ActivatorFactory>>,
+        factory: impl Into<Rc<ActivatorFactory>>,
     ) -> Self {
         let dirty = DirtyCount::default();
         host.share_dirty_count(&dirty);
@@ -249,7 +251,7 @@ impl InstanceManager {
     /// framework error.
     pub fn create_instance(
         &mut self,
-        descriptor: impl Into<Arc<InstanceDescriptor>>,
+        descriptor: impl Into<Rc<InstanceDescriptor>>,
     ) -> Result<InstanceId, VosgiError> {
         let descriptor = descriptor.into();
         self.check_name_free(&descriptor.name)?;
@@ -286,7 +288,7 @@ impl InstanceManager {
     /// rejects the snapshot read — the caller's retry loop handles those.
     pub fn adopt_instance(
         &mut self,
-        descriptor: impl Into<Arc<InstanceDescriptor>>,
+        descriptor: impl Into<Rc<InstanceDescriptor>>,
     ) -> Result<InstanceId, VosgiError> {
         let descriptor = descriptor.into();
         self.check_name_free(&descriptor.name)?;
@@ -322,7 +324,7 @@ impl InstanceManager {
 
     fn insert(
         &mut self,
-        descriptor: Arc<InstanceDescriptor>,
+        descriptor: Rc<InstanceDescriptor>,
         mut framework: Framework,
         state: InstanceState,
     ) -> InstanceId {
@@ -330,8 +332,8 @@ impl InstanceManager {
         self.lifecycle_epoch += 1;
         let id = InstanceId(self.next);
         self.next += 1;
-        self.changed.log(NameKey(Arc::clone(&descriptor)));
-        self.by_name.insert(NameKey(Arc::clone(&descriptor)), id);
+        self.changed.log(NameKey(Rc::clone(&descriptor)));
+        self.by_name.insert(NameKey(Rc::clone(&descriptor)), id);
         self.instances.insert(
             id,
             VirtualInstance {
@@ -368,7 +370,7 @@ impl InstanceManager {
             }
         }
         inst.state = InstanceState::Running;
-        let key = NameKey(Arc::clone(&inst.descriptor));
+        let key = NameKey(Rc::clone(&inst.descriptor));
         self.changed.log(key);
         self.lifecycle_epoch += 1;
         self.metrics.started.incr();
@@ -385,7 +387,7 @@ impl InstanceManager {
         let inst = self.instance_mut_impl(id)?;
         inst.framework.shutdown();
         inst.state = InstanceState::Stopped;
-        let key = NameKey(Arc::clone(&inst.descriptor));
+        let key = NameKey(Rc::clone(&inst.descriptor));
         self.changed.log(key);
         self.lifecycle_epoch += 1;
         self.metrics.stopped.incr();
@@ -410,7 +412,7 @@ impl InstanceManager {
             .instances
             .get_mut(&id)
             .ok_or(VosgiError::NoSuchInstance(id))?;
-        self.changed.log(NameKey(Arc::clone(&inst.descriptor)));
+        self.changed.log(NameKey(Rc::clone(&inst.descriptor)));
         if inst.state == InstanceState::Running {
             inst.framework.shutdown();
             inst.state = InstanceState::Stopped;
@@ -727,7 +729,7 @@ impl InstanceManager {
         // `state` is a public field.
         self.lifecycle_epoch += 1;
         let inst = self.instances.get_mut(&id)?;
-        self.changed.log(NameKey(Arc::clone(&inst.descriptor)));
+        self.changed.log(NameKey(Rc::clone(&inst.descriptor)));
         Some(inst)
     }
 

@@ -10,6 +10,20 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+echo "==> one thread: no lock, atomic, once-lock or Send/Sync bound in library code"
+# The simulator drives every node from one thread (DESIGN §10), so shared
+# library state is Rc/Cell/RefCell and nothing asks for Send or Sync. The
+# search runs over the text of scripts/loc.sh's non-test lines under crates/
+# (past each line's `<file>:<line>:` prefix). The one
+# allowed site is perf_guard's global allocator, whose counter a `static`
+# must hold: its two lines are named below, by text.
+threaded='^[^:]*:[0-9]+:.*(\b(Mutex|RwLock|Condvar|OnceLock|Atomic[A-Z])|[^:]:[[:space:]]*(Send|Sync)\b|[+][[:space:]]*(Send|Sync)\b|\b(Send|Sync)[[:space:]]*[+]|\b(dyn|impl)[[:space:]]+(Send|Sync)\b)'
+allowed='^crates/bench/src/bin/perf_guard\.rs:[0-9]+:(use std::sync::atomic::\{AtomicU64, Ordering\};|static ALLOCATIONS: AtomicU64 = AtomicU64::new\(0\);)$'
+if scripts/loc.sh --lines | grep -E "$threaded" | grep -vE "$allowed"; then
+  echo "ERROR: the lines above make library state thread-safe; the runtime is one thread" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 

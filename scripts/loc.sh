@@ -9,29 +9,45 @@
 #                                 whose crates/ is unpacked (`git archive`)
 #                                 under target/loc/: nothing is left in .git,
 #                                 nothing fetched, bash and awk only
+#   scripts/loc.sh --lines        every counted line of the working tree, as
+#                                 `<file>:<line>:<text>` (what check.sh's
+#                                 gates search)
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# lines <root>: every counted line under <root>/crates, `<file>:<line>:<text>`,
+# files in sorted order.
+lines() {
+    (cd "$1" && find crates -name '*.rs' \( -path 'crates/*/src/*' -o -path 'crates/*/benches/*' \) -print0 \
+        | sort -z | xargs -0 awk '
+    FNR == 1 { tests = 0; held = "" }
+    tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+    # `#[cfg(test)]` counts only when what it gates is not a test module.
+    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = FILENAME ":" FNR ":" $0; next }
+    held != "" && /^[[:space:]]*(pub )?mod / { tests = 1; next }
+    {
+        if (held != "") print held
+        held = ""
+        print FILENAME ":" FNR ":" $0
+    }')
+}
 
 # count <root>: `<crate> <lines>` for every crate under <root>/crates, sorted,
 # then `total <lines>`.
 count() {
-    (cd "$1" && find crates -name '*.rs' \( -path 'crates/*/src/*' -o -path 'crates/*/benches/*' \) -print0 \
-        | sort -z | xargs -0 awk '
-    FNR == 1 { tests = 0; held = 0 }
-    tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-    # `#[cfg(test)]` counts only when what it gates is not a test module.
-    /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = 1; next }
-    held && /^[[:space:]]*(pub )?mod / { tests = 1; next }
-    { split(FILENAME, path, "/"); lines[path[2]] += 1 + held; total += 1 + held; held = 0 }
+    lines "$1" | awk -F: '
+    { split($1, path, "/"); n[path[2]]++; total++ }
     END {
-        for (crate in lines) print crate, lines[crate] | "sort"
+        for (crate in n) print crate, n[crate] | "sort"
         close("sort")
         print "total", total
-    }')
+    }'
 }
 
 if [[ $# -eq 0 ]]; then
     count . | awk '{ printf "%-10s %6d\n", $1, $2 }'
+elif [[ $# -eq 1 && $1 == --lines ]]; then
+    lines .
 elif [[ $# -eq 2 && $1 == --since ]]; then
     before="$PWD/target/loc/before"
     rm -rf "$before"
@@ -49,6 +65,6 @@ elif [[ $# -eq 2 && $1 == --since ]]; then
         print row("total")
     }'
 else
-    echo "usage: scripts/loc.sh [--since <ref>]" >&2
+    echo "usage: scripts/loc.sh [--since <ref> | --lines]" >&2
     exit 2
 fi
