@@ -454,14 +454,13 @@ mod tests {
 
     /// The evaluator `evaluate` replaced: a node kept its windows and its
     /// quotas in two maps by name, and every pass copied each metric of the
-    /// module table onto the blackboard, then evaluated against it, each
+    /// module table onto a fresh blackboard, then evaluated against it, each
     /// subject's streaks kept by name and dropped when it left. A local
     /// subject whose window has not closed yet has not been sampled for the
     /// four usage metrics (`Unsampled`).
     #[derive(Default)]
     struct ByCopy {
         engine: Option<PolicyEngine>,
-        blackboard: Blackboard,
         windows: BTreeMap<&'static str, dosgi_monitor::Sampler>,
         quotas: BTreeMap<&'static str, ResourceQuota>,
         streaks: BTreeMap<&'static str, Streaks>,
@@ -480,7 +479,6 @@ mod tests {
             self.quotas.remove(name);
             self.windows.remove(name);
             self.streaks.remove(name);
-            self.blackboard.forget_subject(name);
         }
 
         fn evaluate(
@@ -489,7 +487,7 @@ mod tests {
             node_count: usize,
             node_rank: usize,
         ) -> Vec<PolicyDecision> {
-            let bb = &mut self.blackboard;
+            let mut bb = Blackboard::new();
             for (name, q) in &self.quotas {
                 if let Some(w) = self.windows[name].latest() {
                     bb.set_subject_metric(name, "cpu_share", w.cpu_share);
@@ -512,7 +510,7 @@ mod tests {
             let subjects: Vec<Named> = self.streaks.iter().map(|(n, s)| (*n, s)).collect();
             let engine = self.engine.as_mut().expect("compiled");
             let source = Unsampled {
-                blackboard: &self.blackboard,
+                blackboard: &bb,
                 windows: &self.windows,
             };
             engine.evaluate(&source, &subjects)

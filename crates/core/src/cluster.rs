@@ -431,7 +431,9 @@ impl DosgiCluster {
     /// framework restored from its own SAN snapshot; it rejoins the
     /// group and receives one registry transfer: the `RegistrySync` of the
     /// view change that admits it, or — restarted inside the suspicion
-    /// timeout — the `RegistryDelta` answering its `Hello`.
+    /// timeout — the `RegistryDelta` answering its `Hello`. A hibernated
+    /// or orderly-stopped node wakes the same way, as a placement candidate
+    /// again: the scale-back-up half of §4's consolidation story.
     /// An index that is not a node is a no-op, as it is for
     /// [`crash_node`](Self::crash_node).
     pub fn restart_node(&mut self, idx: usize) {
@@ -456,30 +458,6 @@ impl DosgiCluster {
         slot.node = node;
         slot.alive = true;
         self.probed = None;
-    }
-
-    /// Wakes a hibernated (or orderly-stopped) node: it rejoins the group
-    /// with fresh volatile state and becomes a placement candidate again —
-    /// the scale-back-up half of §4's consolidation story ("relocating
-    /// them in another node when they need more performance").
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NodeUnavailable`] if the node is crashed or running.
-    pub fn wake_node(&mut self, idx: usize) -> Result<(), CoreError> {
-        let state = self
-            .slots
-            .get(idx)
-            .filter(|s| s.alive)
-            .map(|s| s.node.state())
-            .ok_or(CoreError::NodeUnavailable(NodeId(idx as u32)))?;
-        if !matches!(state, NodeState::Hibernated | NodeState::Stopped) {
-            return Err(CoreError::NodeUnavailable(NodeId(idx as u32)));
-        }
-        // Waking is a restart with empty volatile state; the SAN still has
-        // everything durable.
-        self.restart_node(idx);
-        Ok(())
     }
 
     /// Starts a graceful shutdown of node `idx` (drain, then leave).
@@ -782,14 +760,6 @@ impl DosgiCluster {
         self.record_health_gauges();
     }
 
-    /// Refreshes the derived gauges and takes a snapshot of the cluster's
-    /// telemetry registry, labelled for the snapshot file name.
-    #[cfg(test)]
-    pub(crate) fn telemetry_snapshot(&self, label: &str, seed: u64) -> dosgi_telemetry::Snapshot {
-        self.record_telemetry_gauges();
-        self.telemetry.snapshot(label, seed)
-    }
-
     /// Merges every node's flight recorder — including those of crashed
     /// nodes, whose rings outlive them — into one causally-ordered
     /// cluster trace. Empty when the cluster runs without telemetry.
@@ -804,6 +774,15 @@ mod tests {
     use crate::workloads;
     use dosgi_san::Value;
     use dosgi_vosgi::SecurityPolicy;
+
+    impl DosgiCluster {
+        /// Refreshes the derived gauges and takes a snapshot of the
+        /// cluster's telemetry registry, labelled for the snapshot file name.
+        fn telemetry_snapshot(&self, label: &str, seed: u64) -> dosgi_telemetry::Snapshot {
+            self.record_telemetry_gauges();
+            self.telemetry.snapshot(label, seed)
+        }
+    }
 
     fn cluster() -> DosgiCluster {
         let mut c = DosgiCluster::new(3, ClusterConfig::default(), 77);
@@ -1553,10 +1532,15 @@ mod tests {
                 c.restart_node(node);
             }
             Op::Restart(node) => {
-                if c.node(node).is_none() {
+                // A crashed node restarts, and so does a hibernated or
+                // stopped one: that is how a sleeping node wakes.
+                let state = c.node(node).map(DosgiNode::state);
+                if matches!(
+                    state,
+                    None | Some(NodeState::Hibernated | NodeState::Stopped)
+                ) {
                     c.restart_node(node);
                 }
-                seen = format!("{:?}", c.wake_node(node));
             }
             Op::Shutdown(node) => c.graceful_shutdown(node),
             Op::Isolate(node) => {

@@ -71,13 +71,6 @@ impl ZipfSampler {
         false
     }
 
-    /// The probability of drawing `rank`.
-    #[cfg(test)]
-    pub(crate) fn probability(&self, rank: usize) -> f64 {
-        let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
-        self.cdf[rank] - lo
-    }
-
     /// Maps one uniform draw `u` in `[0, 1)` to a rank (pure inverse-CDF
     /// lookup by binary search; the property suite pins it to a naive
     /// linear scan).
@@ -183,18 +176,6 @@ impl ScheduledLoadGenerator {
         gen
     }
 
-    /// Overrides the per-tick arrival cap (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cap` is zero.
-    #[cfg(test)]
-    pub(crate) fn with_max_per_tick(mut self, cap: u32) -> Self {
-        assert!(cap > 0, "cap must be positive");
-        self.max_per_tick = cap;
-        self
-    }
-
     fn advance_gap(&mut self) {
         let rate = self.schedule.rate_at(self.next_arrival);
         let u: f64 = self.rng.f64().max(f64::MIN_POSITIVE);
@@ -284,6 +265,23 @@ impl ClassMix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ZipfSampler {
+        /// The probability of drawing `rank`.
+        pub(super) fn probability(&self, rank: usize) -> f64 {
+            let lo = if rank == 0 { 0.0 } else { self.cdf[rank - 1] };
+            self.cdf[rank] - lo
+        }
+    }
+
+    impl ScheduledLoadGenerator {
+        /// Overrides the per-tick arrival cap (builder style).
+        pub(super) fn with_max_per_tick(mut self, cap: u32) -> Self {
+            assert!(cap > 0, "cap must be positive");
+            self.max_per_tick = cap;
+            self
+        }
+    }
 
     pub(super) fn constant(rate_per_sec: f64, seed: u64) -> ScheduledLoadGenerator {
         ScheduledLoadGenerator::new(RateSchedule::constant(rate_per_sec), seed, SimTime::ZERO)

@@ -438,24 +438,6 @@ impl DosgiNode {
         self.mgr.clear_changed();
     }
 
-    /// The last policy pass's evaluation errors (none without a policy).
-    #[cfg(test)]
-    pub(crate) fn policy_errors(&self) -> impl Iterator<Item = &str> {
-        self.autonomic.iter().flat_map(AutonomicModule::last_errors)
-    }
-
-    /// True if a tick at `now` without mail would return at once.
-    #[cfg(test)]
-    pub(crate) fn asleep_at(&self, now: SimTime) -> bool {
-        now < self.wake_at
-    }
-
-    /// Writes the registry copy past the total order (the cluster's tests).
-    #[cfg(test)]
-    pub(crate) fn registry_mut(&mut self) -> &mut ClusterRegistry {
-        &mut self.registry
-    }
-
     /// True until this node holds the registry: until it has applied a
     /// transfer addressed to it, or — booted with the group — its own
     /// `Hello` with nothing ordered before it.
@@ -479,11 +461,6 @@ impl DosgiNode {
     #[doc(hidden)]
     pub fn pending_adoptions(&self) -> impl Iterator<Item = &str> {
         self.adoptions.0.iter().map(|t| &*t.name)
-    }
-
-    /// Number of upgrades still queued (pending or in backoff).
-    pub fn pending_upgrades(&self) -> usize {
-        self.upgrades.0.len()
     }
 
     /// The trace context of the most recent *completed* upgrade of an
@@ -825,6 +802,34 @@ impl DosgiNode {
             AppPayload::Quarantined { .. }
             | AppPayload::Deployed { .. }
             | AppPayload::Undeployed { .. } => {}
+        }
+    }
+}
+
+/// What the cluster's tests read and write of a node past its surface.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    impl DosgiNode {
+        /// The last policy pass's evaluation errors (none without a policy).
+        pub(crate) fn policy_errors(&self) -> impl Iterator<Item = &str> {
+            self.autonomic.iter().flat_map(AutonomicModule::last_errors)
+        }
+
+        /// True if a tick at `now` without mail would return at once.
+        pub(crate) fn asleep_at(&self, now: SimTime) -> bool {
+            now < self.wake_at
+        }
+
+        /// Writes the registry copy past the total order.
+        pub(crate) fn registry_mut(&mut self) -> &mut ClusterRegistry {
+            &mut self.registry
+        }
+
+        /// Number of upgrades still queued (pending or in backoff).
+        pub(crate) fn pending_upgrades(&self) -> usize {
+            self.upgrades.0.len()
         }
     }
 }

@@ -185,10 +185,14 @@ impl DosgiNode {
     /// every member, but the transfer then undoes it: an addressee that
     /// passed over a record it did not have yet is left a revision behind,
     /// and a record removed in between comes back wherever the transfer is
-    /// imported. Every member applies the same stream and sees the same
-    /// gap, so the lowest member that is not an addressee ships what moved
-    /// since the shipped records, in a delta of its own — corrected the
-    /// same way should it be overtaken in turn. The gap is read on that
+    /// imported. The lowest member that is not an addressee ships what
+    /// moved since the shipped records, as its own registry reads, in a
+    /// delta of its own — corrected the same way should it be overtaken in
+    /// turn. Within one view's history every member applies the same
+    /// stream, so that member sees the gap the addressees have. Across a
+    /// merge it need not: the transfer can come from the other side, whose
+    /// writes that member never saw, and then nothing is corrected (seed
+    /// 1905's trace, ROADMAP item 1(a), step 6). The gap is read on that
     /// member, so an addressee's own newer records (the other side of a
     /// healed partition) are none of it. Nothing moved, nothing is sent.
     /// Called before the transfer is imported.

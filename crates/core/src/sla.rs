@@ -189,12 +189,6 @@ impl SlaTracker {
             .unwrap_or_default()
     }
 
-    /// True if `instance` meets `spec`'s availability target so far.
-    #[cfg(test)]
-    pub(crate) fn meets(&self, instance: &str, spec: &SlaSpec) -> bool {
-        self.record(instance).availability() >= spec.availability
-    }
-
     /// All tracked instance names, sorted.
     pub fn instances(&self) -> Vec<&str> {
         self.tracked.keys().map(|name| &**name).collect()
@@ -248,12 +242,13 @@ mod tests {
             ..SlaSpec::standard()
         };
         // 1000s up, 1s down: 0.999001 ≥ 0.999.
-        assert!(t.meets("a", &spec));
+        let availability = t.record("a").availability();
+        assert!(availability >= spec.availability);
         let strict = SlaSpec {
             availability: 0.9999,
             ..spec
         };
-        assert!(!t.meets("a", &strict));
+        assert!(availability < strict.availability);
     }
 
     /// Runs `ticks` — per 5 ms tick, what each of `names` shows (`None`: not

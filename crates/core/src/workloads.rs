@@ -174,16 +174,15 @@ pub fn standard_factory() -> ActivatorFactory {
 
     f.register(METRICS_BUNDLE, |_| {
         Box::new(FnActivator::on_start(|ctx| {
-            let s = Rc::new(Cell::new(0i64));
+            let mut samples = 0i64;
             ctx.register_service(
                 &[METRICS_SERVICE],
                 Box::new(
                     move |ctx: &mut CallContext<'_>, method: &str, _: &Value| match method {
                         "collect" => {
                             ctx.charge_cpu(SimDuration::from_micros(50));
-                            let n = s.get() + 1;
-                            s.set(n);
-                            Ok(Value::map().with("samples", n))
+                            samples += 1;
+                            Ok(Value::map().with("samples", samples))
                         }
                         other => Err(ServiceError::Failed(format!("metrics has no {other}"))),
                     },
@@ -195,7 +194,7 @@ pub fn standard_factory() -> ActivatorFactory {
 
     f.register(WEB_BUNDLE, |_| {
         Box::new(FnActivator::on_start(|ctx| {
-            let s = Rc::new(Cell::new(0i64));
+            let mut served = 0i64;
             ctx.register_service(
                 &[WEB_SERVICE],
                 Box::new(
@@ -209,12 +208,11 @@ pub fn standard_factory() -> ActivatorFactory {
                             // Per-request allocation churn for the memory gauge.
                             ctx.alloc(4096);
                             ctx.free(4096);
-                            let n = s.get() + 1;
-                            s.set(n);
+                            served += 1;
                             // Both entries at once, in key order: the
                             // map is one allocation, written in place.
                             Ok(Value::Map(Map::from_sorted(vec![
-                                ("served".into(), Value::Int(n)),
+                                ("served".into(), Value::Int(served)),
                                 ("status".into(), Value::Int(200)),
                             ])))
                         }

@@ -135,17 +135,6 @@ impl IpvsDirector {
         self.services.insert(service.address, service);
     }
 
-    /// Removes a virtual service and its tracked connections.
-    #[cfg(test)]
-    pub(crate) fn remove_service(&mut self, address: SocketAddr) -> bool {
-        let existed = self.services.remove(&address).is_some();
-        if existed {
-            self.connections.retain(|(_, a), _| *a != address);
-            self.stats.tracked = self.connections.len() as u64;
-        }
-        existed
-    }
-
     /// Access to a service (e.g. to add replicas at run-time).
     pub fn service_mut(&mut self, address: SocketAddr) -> Option<&mut VirtualService> {
         self.services.get_mut(&address)
@@ -432,14 +421,6 @@ impl IpvsDirector {
         before - self.connections.len()
     }
 
-    /// Marks every replica on `node` back up.
-    #[cfg(test)]
-    pub(crate) fn node_up(&mut self, node: NodeId) {
-        for vs in self.services.values_mut() {
-            vs.set_alive(node, true);
-        }
-    }
-
     /// Administratively drains `node` across all services ahead of an
     /// in-place upgrade: new work steers around it but — unlike
     /// [`node_down`](Self::node_down) — nothing queued is shed; the
@@ -459,14 +440,6 @@ impl IpvsDirector {
             vs.set_draining(node, false);
         }
         self.metrics.backend(node).undrained.incr();
-    }
-
-    /// Whether any service currently holds `node` in the draining state.
-    #[cfg(test)]
-    pub(crate) fn is_draining(&self, node: NodeId) -> bool {
-        self.services
-            .values()
-            .any(|vs| vs.servers.iter().any(|s| s.node == node && s.draining))
     }
 
     /// [`drain_node`](Self::drain_node) with a causal trace: records a
@@ -597,8 +570,7 @@ mod tests {
         assert_eq!(broken, 1);
         // The same client is rerouted to the survivor.
         assert_eq!(d.connect(1, addr()).unwrap(), NodeId(1));
-        d.node_up(NodeId(0));
-        assert_eq!(d.service(addr()).unwrap().eligible_count(), 2);
+        assert_eq!(d.service(addr()).unwrap().eligible_count(), 1);
     }
 
     #[test]
@@ -614,16 +586,6 @@ mod tests {
         assert_eq!(d.connect(1, addr()), Err(RouteError::NoLiveServers(addr())));
         // Both the missing-service and the no-backend requests count.
         assert_eq!(d.stats().rejected, 2);
-    }
-
-    #[test]
-    fn remove_service_drops_connections() {
-        let mut d = director(2);
-        d.connect(1, addr()).unwrap();
-        assert!(d.remove_service(addr()));
-        assert!(!d.remove_service(addr()));
-        assert_eq!(d.stats().tracked, 0);
-        assert!(d.addresses().is_empty());
     }
 
     #[test]
@@ -786,7 +748,8 @@ mod tests {
         }
         assert_eq!(d.queue_depths(addr()), vec![(NodeId(0), 2), (NodeId(1), 2)]);
         d.drain_node(NodeId(0));
-        assert!(d.is_draining(NodeId(0)));
+        let eligible = |d: &IpvsDirector| d.service(addr()).unwrap().eligible_count();
+        assert_eq!(eligible(&d), 1);
         // New arrivals all land on the eligible backend…
         for c in 4..8u64 {
             assert_eq!(
@@ -801,7 +764,7 @@ mod tests {
         assert_eq!(done.len(), 8);
         assert_eq!(done.iter().filter(|c| c.node == NodeId(0)).count(), 2);
         d.undrain_node(NodeId(0));
-        assert!(!d.is_draining(NodeId(0)));
+        assert_eq!(eligible(&d), 2);
         assert_eq!(
             d.admit(9, addr(), RequestClass::Standard, 20_000).unwrap(),
             NodeId(0),

@@ -112,25 +112,6 @@ impl VirtualService {
         }
     }
 
-    /// Removes the replica on `node`, returning whether one was found.
-    #[cfg(test)]
-    pub(crate) fn remove_server(&mut self, node: NodeId) -> bool {
-        match self.servers.iter().position(|s| s.node == node) {
-            Some(i) => {
-                self.servers.remove(i);
-                self.wrr_credit.remove(i);
-                if self.admission.is_some() {
-                    self.queues.remove(i);
-                }
-                if self.rr_cursor >= self.servers.len() {
-                    self.rr_cursor = 0;
-                }
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Marks the replica on `node` up or down (health checks / failover).
     pub fn set_alive(&mut self, node: NodeId, alive: bool) -> bool {
         match self.servers.iter_mut().find(|s| s.node == node) {
@@ -182,16 +163,13 @@ mod tests {
     }
 
     #[test]
-    fn add_remove_servers() {
+    fn add_servers() {
         let mut vs = VirtualService::new(addr(), Scheduler::RoundRobin);
         vs.add_server(RealServer::new(NodeId(1)));
         vs.add_server(RealServer::new(NodeId(2)).with_weight(3));
         assert_eq!(vs.servers.len(), 2);
         assert_eq!(vs.eligible_count(), 2);
-        assert!(vs.remove_server(NodeId(1)));
-        assert!(!vs.remove_server(NodeId(1)));
-        assert_eq!(vs.servers.len(), 1);
-        assert_eq!(vs.servers[0].weight, 3);
+        assert_eq!(vs.servers[1].weight, 3);
     }
 
     #[test]
@@ -218,8 +196,6 @@ mod tests {
         vs.add_server(RealServer::new(NodeId(2)));
         assert_eq!(vs.queues.len(), 2);
         assert_eq!(vs.queue_depth(NodeId(1)), 0);
-        assert!(vs.remove_server(NodeId(1)));
-        assert_eq!(vs.queues.len(), 1);
         assert_eq!(vs.queue_depth(NodeId(2)), 0);
         // Without admission, no queues are kept.
         let mut plain = VirtualService::new(addr(), Scheduler::RoundRobin);

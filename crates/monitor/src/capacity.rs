@@ -24,26 +24,6 @@ impl NodeCapacity {
         }
     }
 
-    /// True if a workload needing `cpu_per_sec` CPU (per second of wall
-    /// clock), `memory` and `disk` fits inside the *remaining* capacity
-    /// after `used_*` are subtracted.
-    #[allow(clippy::too_many_arguments)]
-    #[cfg(test)]
-    pub(crate) fn fits(
-        &self,
-        used_cpu_share: f64,
-        used_memory: u64,
-        used_disk: u64,
-        need_cpu_per_sec: dosgi_net::SimDuration,
-        need_memory: u64,
-        need_disk: u64,
-    ) -> bool {
-        let need_share = need_cpu_per_sec.as_secs_f64();
-        used_cpu_share + need_share <= self.cpu_cores
-            && used_memory.saturating_add(need_memory) <= self.memory_bytes
-            && used_disk.saturating_add(need_disk) <= self.disk_bytes
-    }
-
     /// Fraction of CPU capacity used (`0.0..=1.0+`).
     pub fn cpu_utilization(&self, used_cpu_share: f64) -> f64 {
         used_cpu_share / self.cpu_cores
@@ -65,6 +45,26 @@ impl Default for NodeCapacity {
 mod tests {
     use super::*;
     use dosgi_net::SimDuration;
+
+    impl NodeCapacity {
+        /// True if a workload needing `cpu_per_sec` CPU (per second of wall
+        /// clock), `memory` and `disk` fits inside the *remaining* capacity
+        /// after `used_*` are subtracted.
+        fn fits(
+            &self,
+            used_cpu_share: f64,
+            used_memory: u64,
+            used_disk: u64,
+            need_cpu_per_sec: SimDuration,
+            need_memory: u64,
+            need_disk: u64,
+        ) -> bool {
+            let need_share = need_cpu_per_sec.as_secs_f64();
+            used_cpu_share + need_share <= self.cpu_cores
+                && used_memory.saturating_add(need_memory) <= self.memory_bytes
+                && used_disk.saturating_add(need_disk) <= self.disk_bytes
+        }
+    }
 
     #[test]
     fn fits_checks_all_dimensions() {

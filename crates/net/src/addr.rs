@@ -177,19 +177,6 @@ impl IpBindings {
         self.owners.get(&ip).copied()
     }
 
-    /// All addresses currently bound by `node`.
-    #[cfg(test)]
-    pub(crate) fn bound_by(&self, node: NodeId) -> Vec<IpAddr> {
-        let mut v: Vec<IpAddr> = self
-            .owners
-            .iter()
-            .filter(|(_, &n)| n == node)
-            .map(|(&ip, _)| ip)
-            .collect();
-        v.sort();
-        v
-    }
-
     /// Number of bound addresses.
     pub fn len(&self) -> usize {
         self.owners.len()
@@ -258,7 +245,6 @@ mod tests {
         orphans.sort();
         assert_eq!(orphans, vec![IP, ip2]);
         assert_eq!(t.owner_of(ip3), Some(NodeId(1)));
-        assert_eq!(t.bound_by(NodeId(1)), vec![ip3]);
         assert_eq!(t.len(), 1);
     }
 

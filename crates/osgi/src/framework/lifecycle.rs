@@ -100,8 +100,7 @@ impl Framework {
             BundleState::Installed => {
                 let b = self.bundles.get(&id).expect("bundle_state checked id");
                 let imports = b.manifest.imports.iter();
-                let missing = imports.filter(|i| !i.optional).map(|i| i.name.clone());
-                let missing = missing.collect();
+                let missing = imports.map(|i| i.name.clone()).collect();
                 return Err(BundleError::ResolutionFailed {
                     bundle: id,
                     missing,
@@ -165,7 +164,7 @@ impl Framework {
     /// A stop, persisted, that ends the residency of the bundle's data-area
     /// rows: a stopped bundle holds no copy of what the SAN holds, so a
     /// restart in place reads what is there by then. A transient stop
-    /// (`persistent == false`, as in a start-level sweep or a refresh)
+    /// (`persistent == false`, as in a refresh)
     /// keeps the persistent-start flag, so the bundle comes back on
     /// restart. Only an upgrade's quiesce stops without releasing: it hands
     /// the rows to the new revision.
@@ -379,52 +378,18 @@ impl Framework {
         Ok(())
     }
 
-    /// Moves the framework to `level`: persistently-started bundles at or
-    /// below the level are started (ascending level order); active bundles
-    /// above it are stopped transiently (descending order). A bundle whose
-    /// activator fails is left degraded and does not abort the sweep.
-    #[cfg(test)]
-    pub(crate) fn set_start_level(&mut self, level: u32) {
-        let mut to_start: Vec<(u32, BundleId)> = self
-            .bundles
-            .values()
-            .filter(|b| {
-                b.autostart && b.state != BundleState::Active && b.manifest.start_level <= level
-            })
-            .map(|b| (b.manifest.start_level, b.id))
-            .collect();
-        to_start.sort();
-        let mut to_stop: Vec<(u32, BundleId)> = self
-            .bundles
-            .values()
-            .filter(|b| b.state == BundleState::Active && b.manifest.start_level > level)
-            .map(|b| (b.manifest.start_level, b.id))
-            .collect();
-        to_stop.sort_by(|a, b| b.cmp(a));
-        for (_, id) in to_stop {
-            let _ = self.stop_releasing(id, false);
-        }
-        for (_, id) in to_start {
-            // A bundle that fails to start is left degraded.
-            let _ = self.start(id);
-        }
-        self.config.start_level = level;
-        self.mark(Row::Header);
-        let _ = self.persist();
-    }
-
-    /// Orderly shutdown: stops all active bundles in descending start-level
-    /// order *without* clearing their persistent-start flags, then persists
-    /// the final state, once. After `restore`, the same bundles come back.
+    /// Orderly shutdown: stops all active bundles in descending id order
+    /// *without* clearing their persistent-start flags, then persists the
+    /// final state, once. After `restore`, the same bundles come back.
     pub fn shutdown(&mut self) {
-        let mut active: Vec<(u32, BundleId)> = self
+        let active: Vec<BundleId> = self
             .bundles
             .values()
+            .rev()
             .filter(|b| b.state == BundleState::Active)
-            .map(|b| (b.manifest.start_level, b.id))
+            .map(|b| b.id)
             .collect();
-        active.sort_by(|a, b| b.cmp(a));
-        for (_, id) in active {
+        for id in active {
             let _ = self.stop_step(id, false);
             self.release_area(id);
         }
@@ -470,7 +435,6 @@ mod tests {
             Start(u8),
             Stop(u8),
             Uninstall(u8),
-            SetStartLevel(u8),
             DataPut(u8),
             Update(u8),
             Upgrade(u8),
@@ -482,13 +446,10 @@ mod tests {
         fn pool() -> Vec<BundleManifest> {
             (0..8u32)
                 .map(|i| {
-                    let mut b =
-                        ManifestBuilder::new(&format!("org.prop.b{i}"), Version::new(1, 0, 0))
-                            .private_package(&format!("org.prop.b{i}.impl"), ["Main"]);
-                    if i % 3 == 0 {
-                        b = b.start_level(2);
-                    }
-                    b.build().unwrap()
+                    ManifestBuilder::new(&format!("org.prop.b{i}"), Version::new(1, 0, 0))
+                        .private_package(&format!("org.prop.b{i}.impl"), ["Main"])
+                        .build()
+                        .unwrap()
                 })
                 .collect()
         }
@@ -512,7 +473,6 @@ mod tests {
                 Op::Uninstall(n) => {
                     let _ = fw.uninstall(BundleId(u64::from(n) % 12 + 1));
                 }
-                Op::SetStartLevel(n) => fw.set_start_level(u32::from(n)),
                 Op::DataPut(n) => {
                     let _ = fw.bundle_store_put(
                         BundleId(u64::from(n) % 12 + 1),
@@ -528,7 +488,6 @@ mod tests {
                     let v = manifest.version;
                     if let Op::Update(_) = op {
                         manifest.version = Version::new(v.major + 1, 0, 0);
-                        manifest.start_level = 3 - manifest.start_level.min(2);
                         let _ = fw.update(id, manifest, None);
                     } else {
                         // An upgrade that cannot persist its quiesce rolls
@@ -583,7 +542,6 @@ mod tests {
                 prop::u8s(0, 11).map(Op::Start),
                 prop::u8s(0, 11).map(Op::Stop),
                 prop::u8s(0, 11).map(Op::Uninstall),
-                prop::u8s(1, 3).map(Op::SetStartLevel),
                 prop::u8s(0, 11).map(Op::DataPut),
                 prop::u8s(0, 11).map(Op::Update),
                 prop::u8s(0, 11).map(Op::Upgrade),
@@ -624,9 +582,8 @@ mod tests {
                 store.clear_faults();
                 fw.flush_persist().expect("flush after heal");
 
-                let mono =
-                    persist::snapshot(oracle.next_bundle, oracle.start_level(), oracle.bundles());
-                let live = persist::snapshot(fw.next_bundle, fw.start_level(), fw.bundles());
+                let mono = persist::tests::snapshot(oracle.next_bundle, oracle.bundles());
+                let live = persist::tests::snapshot(fw.next_bundle, fw.bundles());
                 prop_verify!(
                     live.encode() == mono.encode(),
                     "faulted framework diverged from the storeless oracle in memory"
@@ -653,8 +610,7 @@ mod tests {
                         row: Value::Null,
                     })
                     .collect();
-                let from_rows =
-                    persist::snapshot(assembled.next_bundle, assembled.start_level, rebuilt.iter());
+                let from_rows = persist::tests::snapshot(assembled.next_bundle, rebuilt.iter());
                 prop_verify!(
                     from_rows.encode() == mono.encode(),
                     "persisted rows diverge from the monolithic oracle snapshot"

@@ -47,17 +47,14 @@ pub struct FrameworkConfig {
     pub name: Cow<'static, str>,
     /// Packages served by the platform itself (the `java.*` analogue).
     pub boot: BootDelegation,
-    /// The initial active start level.
-    pub start_level: u32,
 }
 
 impl FrameworkConfig {
-    /// A config named `name` with standard boot delegation and start level 1.
+    /// A config named `name` with standard boot delegation.
     pub fn new(name: impl Into<Cow<'static, str>>) -> Self {
         FrameworkConfig {
             name: name.into(),
             boot: BootDelegation::standard(),
-            start_level: 1,
         }
     }
 }
@@ -72,8 +69,8 @@ pub struct Bundle {
     pub manifest: Arc<BundleManifest>,
     /// Current lifecycle state.
     pub state: BundleState,
-    /// Whether the bundle is persistently started (survives reboots and
-    /// start-level sweeps; the OSGi "autostart" setting).
+    /// Whether the bundle is persistently started (survives reboots; the
+    /// OSGi "autostart" setting).
     pub autostart: bool,
     /// The revision that last owned the bundle's persisted data area.
     /// Normally equals `manifest.version`; an in-place upgrade checks the
@@ -182,7 +179,6 @@ impl fmt::Debug for Framework {
             .field("name", &self.config.name)
             .field("bundles", &self.bundles.len())
             .field("services", &self.registry.len())
-            .field("start_level", &self.config.start_level)
             .finish_non_exhaustive()
     }
 }
@@ -225,11 +221,6 @@ impl Framework {
         &self.config.name
     }
 
-    /// The active start level.
-    pub fn start_level(&self) -> u32 {
-        self.config.start_level
-    }
-
     /// The best service offering `interface`.
     pub fn best_service(&self, interface: &str) -> Option<ServiceId> {
         self.registry.best(interface)
@@ -262,20 +253,16 @@ impl Framework {
         self.bundles.values()
     }
 
-    /// Bundles that should be running but are not: marked autostart, within
-    /// the active start level, yet not `ACTIVE` — typically because their
-    /// activator failed during a [`restore`](Framework::restore) (e.g. a
-    /// transient SAN read error while recovering state). A restored
+    /// Bundles that should be running but are not: marked autostart, yet
+    /// not `ACTIVE` — typically because their activator failed during a
+    /// [`restore`](Framework::restore) (e.g. a transient SAN read error
+    /// while recovering state). A restored
     /// framework with degraded bundles is only *partially* re-materialized;
     /// the adoption layer treats that as a failed adoption and retries.
     pub fn degraded_bundles(&self) -> Vec<BundleId> {
         self.bundles
             .values()
-            .filter(|b| {
-                b.autostart
-                    && b.manifest.start_level <= self.config.start_level
-                    && !b.state.is_active()
-            })
+            .filter(|b| b.autostart && !b.state.is_active())
             .map(|b| b.id)
             .collect()
     }
@@ -346,7 +333,6 @@ mod tests {
         ManifestBuilder::new("org.test.app", Version::new(1, 0, 0))
             .import_package("org.test.log.api", "[1.0,2.0)".parse().unwrap())
             .private_package("org.test.app.impl", ["Main"])
-            .start_level(2)
             .build()
             .unwrap()
     }
@@ -624,27 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn start_levels_sweep_up_and_down() {
-        let mut fw = Framework::new("t");
-        let log = fw.install(log_manifest(), Some(log_activator())).unwrap(); // level 1
-        let app = fw.install(app_manifest(), None).unwrap(); // level 2
-        fw.start(log).unwrap();
-        fw.start(app).unwrap();
-        // Sweep down to level 1: app stops (transiently), log stays.
-        fw.set_start_level(1);
-        assert_eq!(fw.bundle_state(app).unwrap(), BundleState::Resolved);
-        assert!(
-            fw.bundle(app).unwrap().autostart,
-            "transient stop keeps autostart"
-        );
-        assert!(fw.bundle_state(log).unwrap().is_active());
-        // Sweep back up: app restarts.
-        fw.set_start_level(2);
-        assert!(fw.bundle_state(app).unwrap().is_active());
-        assert_eq!(fw.start_level(), 2);
-    }
-
-    #[test]
     fn shutdown_then_restore_recreates_active_set() {
         let store = SharedStore::new();
         let mut factory = ActivatorFactory::new();
@@ -654,7 +619,6 @@ mod tests {
         fw.attach_store(store.clone(), "fw/a").unwrap();
         let log = fw.install(log_manifest(), Some(log_activator())).unwrap();
         let app = fw.install(app_manifest(), None).unwrap();
-        fw.set_start_level(2);
         fw.start(log).unwrap();
         fw.start(app).unwrap();
         fw.shutdown();
@@ -664,7 +628,6 @@ mod tests {
         // "Another node" restores from the SAN.
         let fw2 =
             Framework::restore(FrameworkConfig::new("node-b"), store, "fw/a", &factory).unwrap();
-        assert_eq!(fw2.start_level(), 2);
         assert!(fw2.bundle_state(log).unwrap().is_active());
         assert!(fw2.bundle_state(app).unwrap().is_active());
         // The activator was re-created and re-registered its service.
@@ -686,7 +649,7 @@ mod tests {
 
         // A monolithic `snapshot` key is not framework state: only rows are.
         let store = SharedStore::new();
-        let mono = persist::snapshot(5, 2, std::iter::empty());
+        let mono = persist::tests::snapshot(5, std::iter::empty());
         store.put("old", "snapshot", mono).unwrap();
         let err = Framework::restore(
             FrameworkConfig::new("x"),
@@ -798,29 +761,16 @@ mod tests {
         assert_eq!(fw.ledger().iter().count(), 2);
     }
 
-    #[test]
-    fn snapshot_bytes_reports_persisted_size() {
-        let store = SharedStore::new();
-        let mut fw = Framework::new("a");
-        assert_eq!(fw.snapshot_bytes(), 0);
-        fw.attach_store(store, "fw/a").unwrap();
-        fw.install(log_manifest(), None).unwrap();
-        assert!(fw.snapshot_bytes() > 0);
-    }
-
-    /// Each transition of a full lifecycle is counted once, and the
-    /// registry's generation moves once for the service's registration
-    /// and once for its removal.
+    /// Each transition of a full lifecycle is counted once.
     #[test]
     fn events_flow_for_full_lifecycle() {
         let (mut fw, telemetry) = counted("t");
         let log = fw.install(log_manifest(), Some(log_activator())).unwrap();
         fw.start(log).unwrap();
-        assert_eq!(fw.registry().generation(), 1, "registered");
+        assert_eq!(fw.registry().len(), 1, "registered");
         fw.stop(log).unwrap();
         fw.uninstall(log).unwrap();
         assert_eq!(lifecycle(&telemetry), [1, 1, 1, 1, 0, 0, 1]);
-        assert_eq!(fw.registry().generation(), 2, "unregistered");
         assert!(fw.bundles().next().is_none() && fw.registry().is_empty());
     }
 
@@ -1005,7 +955,7 @@ mod tests {
         }
         drop(fw);
         store
-            .put("fw/a", persist::HEADER_KEY, persist::header_row(3, 1))
+            .put("fw/a", persist::HEADER_KEY, persist::header_row(3))
             .unwrap();
         let factory = ActivatorFactory::new();
         let mut fw =
@@ -1035,7 +985,7 @@ mod tests {
             .with("state", "INSTALLED");
         store.put("fw/a", "bundle/1", legacy).unwrap();
         store
-            .put("fw/a", persist::HEADER_KEY, persist::header_row(2, 1))
+            .put("fw/a", persist::HEADER_KEY, persist::header_row(2))
             .unwrap();
         let factory = ActivatorFactory::new();
         let mut fw =

@@ -96,7 +96,7 @@ impl Framework {
         self.dirty_mark.set(dirty);
     }
 
-    /// Marks a snapshot row — the header (`next_bundle` / `start_level`) or
+    /// Marks a snapshot row — the header (`next_bundle`) or
     /// a bundle's — as ahead of the SAN. Every in-memory lifecycle mutation
     /// must mark the rows it touched; the persist call sites then flush
     /// exactly the marked rows (write-behind on failure). A restore's
@@ -183,7 +183,7 @@ impl Framework {
         let header = self
             .dirty_rows
             .contains(&Row::Header)
-            .then(|| persist::header_row(self.next_bundle, self.config.start_level));
+            .then(|| persist::header_row(self.next_bundle));
         // In key order, header last: a torn batch lands a prefix of it.
         let mut entries = self.dirty_rows.iter().filter_map(|&row| {
             let value = match row {
@@ -241,18 +241,6 @@ impl Framework {
         let outcome = self.areas.values_mut().try_for_each(DataArea::flush);
         self.sync_dirty_mark();
         outcome
-    }
-
-    /// The encoded size of the persisted snapshot rows in bytes (0 when no
-    /// store is attached) — the state a migration must move.
-    #[cfg(test)]
-    pub(crate) fn snapshot_bytes(&self) -> u64 {
-        match &self.store {
-            // A metric, not a data read: namespace_bytes bypasses the fault
-            // layer so sizing stays observable during brown-outs.
-            Some((store, ns)) => store.namespace_bytes(ns),
-            None => 0,
-        }
     }
 
     /// Reconstructs a framework from the per-bundle snapshot rows stored
@@ -318,13 +306,12 @@ impl Framework {
             store.visit_namespace(&namespace, |key, row| rows.read(key, row))
         })?;
         let making = phases.enter(Phase::AdoptManifests);
-        let Some(mut parsed) = rows.assemble().map_err(BundleError::CorruptState)? else {
+        let Some(parsed) = rows.assemble().map_err(BundleError::CorruptState)? else {
             let missing = format!("no snapshot in {namespace}");
             return Err(BundleError::CorruptState(missing));
         };
         let mut fw = Framework::with_config(config);
         fw.metrics = metrics;
-        fw.config.start_level = parsed.start_level;
         // A torn install batch lands the bundle's row without the header
         // that counts it: no id a row holds is handed out again.
         let past_rows = parsed.bundles.last().map_or(0, |r| r.id.0 + 1);
@@ -348,18 +335,11 @@ impl Framework {
             fw.metrics.installed.incr();
         }
         // The records still say what each row said when it was read.
-        // Sorted, the persistently-started bundles within the start level
-        // come last, in (start level, id) order.
-        let starts = |r: &persist::BundleRecord| {
-            let level = r.manifest.start_level;
-            (r.autostart && level <= parsed.start_level).then_some(level)
-        };
-        parsed.bundles.sort_unstable_by_key(|r| (starts(r), r.id));
         drop(making);
         phases.count_in(Phase::AdoptResolve, || fw.resolve_step());
         fw.phases = phases.clone();
         let starting = phases.enter(Phase::AdoptStart);
-        for record in parsed.bundles.iter().filter(|r| starts(r).is_some()) {
+        for record in parsed.bundles.iter().filter(|r| r.autostart) {
             // A bundle whose activator fails stays degraded
             // (`degraded_bundles`); the others start regardless.
             let _ = fw.start_step(record.id);
@@ -554,7 +534,6 @@ mod tests {
             .ok_or_else(|| BundleError::CorruptState(format!("no snapshot in {namespace}")))?;
         let mut fw = Framework::with_config(config);
         fw.metrics = metrics;
-        fw.config.start_level = parsed.start_level;
         for record in &parsed.bundles {
             let activator = factory.create(&record.manifest);
             let mut bundle = Bundle {
@@ -573,15 +552,8 @@ mod tests {
         fw.next_bundle = parsed.next_bundle;
         fw.store = Some((store, Arc::from(namespace)));
         fw.resolve_all();
-        let mut to_start: Vec<(u32, BundleId)> = parsed
-            .bundles
-            .iter()
-            .filter(|r| r.autostart && r.manifest.start_level <= parsed.start_level)
-            .map(|r| (r.manifest.start_level, r.id))
-            .collect();
-        to_start.sort();
-        for (_, id) in to_start {
-            let _ = fw.start(id);
+        for record in parsed.bundles.iter().filter(|r| r.autostart) {
+            let _ = fw.start(record.id);
         }
         fw.mark_all_rows_dirty();
         let _ = fw.persist();
@@ -591,7 +563,7 @@ mod tests {
     /// A lifecycle batch against the per-transition model, and against what
     /// a crash or a failing SAN can leave of its one write.
     ///
-    /// Random bundle sets (1–6 bundles; start levels; left installed,
+    /// Random bundle sets (1–6 bundles; left installed,
     /// resolved, started or started-then-stopped; an exporter uninstalled
     /// under its importers, so that rows persisted RESOLVED or ACTIVE no
     /// longer resolve; an activator that starts refusing; stateful bundles
@@ -599,8 +571,8 @@ mod tests {
     /// shutdown or a crash. Then:
     ///
     /// * restored by the batched `restore` and by `reference_restore`, each
-    ///   from its own copy of the SAN: bundles, start level, wirings, the
-    ///   services and the registry's generation, and the lifecycle counts
+    ///   from its own copy of the SAN: bundles, wirings, the registry — its
+    ///   services and the next id it hands out — and the lifecycle counts
     ///   are equal, and once flushed the two SANs hold
     ///   the same rows, value for value — and each what its framework holds;
     /// * the batch's one write failed with `Unavailable`, with `Io`, and
@@ -634,7 +606,6 @@ mod tests {
 
         #[derive(Debug, Clone)]
         struct Spec {
-            level: u32,
             left: Left,
             imports: bool,
             refuses: bool,
@@ -644,7 +615,6 @@ mod tests {
         #[derive(Debug, Clone)]
         struct Case {
             bundles: Vec<Spec>,
-            framework_level: u32,
             orphan_importers: bool,
             orderly: bool,
         }
@@ -654,7 +624,6 @@ mod tests {
             Case {
                 bundles: (0..n)
                     .map(|i| Spec {
-                        level: rng.u64_in(1, 3) as u32,
                         left: [
                             Left::Installed,
                             Left::Resolved,
@@ -667,15 +636,13 @@ mod tests {
                         stateful: rng.chance(0.4),
                     })
                     .collect(),
-                framework_level: rng.u64_in(1, 3) as u32,
                 orphan_importers: rng.chance(0.3),
                 orderly: rng.chance(0.5),
             }
         }
 
         fn manifest(i: usize, spec: &Spec) -> BundleManifest {
-            let mut b = ManifestBuilder::new(&format!("org.diff.b{i}"), Version::new(1, 0, 0))
-                .start_level(spec.level);
+            let mut b = ManifestBuilder::new(&format!("org.diff.b{i}"), Version::new(1, 0, 0));
             if i == 0 {
                 b = b.export_package("org.diff.api", Version::new(1, 0, 0), ["Api"]);
             }
@@ -767,7 +734,6 @@ mod tests {
                     fw.install(m, activator).unwrap()
                 })
                 .collect();
-            fw.set_start_level(case.framework_level);
             for (id, spec) in ids.iter().zip(&case.bundles) {
                 match spec.left {
                     Left::Installed => {}
@@ -827,9 +793,9 @@ mod tests {
                 .bundles()
                 .map(|b| (b.id, &b.manifest, b.state, b.autostart, b.state_version))
                 .collect();
-            let head = (fw.next_bundle, fw.config.start_level, fw.persist_dirty());
+            let head = (fw.next_bundle, fw.persist_dirty());
             let wirings = format!("{:?}", fw.wirings);
-            let services = (fw.registry.len(), fw.registry.generation());
+            let services = format!("{:?}", fw.registry);
             let counted = lifecycle(telemetry);
             format!("{head:?} {bundles:?} {wirings} {services:?} {counted:?}")
         }
@@ -837,7 +803,7 @@ mod tests {
         /// The SAN holds what the framework holds: header and every
         /// bundle's row.
         fn san_is_memory(fw: &Framework, store: &SharedStore) -> Result<(), String> {
-            let header = persist::header_row(fw.next_bundle, fw.config.start_level);
+            let header = persist::header_row(fw.next_bundle);
             let at = store.peek(NS, persist::HEADER_KEY);
             prop_verify!(
                 at.is_some_and(|at| dosgi_san::codec::codec_eq(&at, &header)),
@@ -872,13 +838,11 @@ mod tests {
                         .bundles
                         .iter()
                         .enumerate()
-                        .filter(|(i, spec)| {
+                        .rfind(|(i, spec)| {
                             spec.left == Left::Started
-                                && spec.level <= case.framework_level
                                 && !(case.orphan_importers && (*i == 0 || spec.imports))
                                 && !spec.refuses
                         })
-                        .max_by_key(|(i, spec)| (spec.level, *i))
                         .map(|(i, _)| format!("org.diff.b{i}"));
                     let armed = arm.is_some() && last.is_some();
                     *world.armed.borrow_mut() = last.zip(arm);

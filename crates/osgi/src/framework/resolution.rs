@@ -115,8 +115,7 @@ impl Framework {
 #[cfg(test)]
 mod tests {
     use crate::framework::tests::{app_manifest, log_manifest};
-    use crate::{BundleState, Framework, LoadError, LoadPath, ManifestBuilder, SymbolName};
-    use crate::{Version, VersionRange};
+    use crate::{Framework, LoadError, LoadPath, SymbolName};
 
     #[test]
     fn class_loading_follows_delegation_order() {
@@ -163,27 +162,5 @@ mod tests {
             fw.load_class(log, &sym),
             Err(LoadError::NotFound(_))
         ));
-    }
-
-    #[test]
-    fn optional_import_wires_when_available() {
-        let mut fw = Framework::new("t");
-        let m = ManifestBuilder::new("opt.app", Version::new(1, 0, 0))
-            .import_package_optional("org.test.log.api", VersionRange::ANY)
-            .build()
-            .unwrap();
-        let app = fw.install(m, None).unwrap();
-        fw.resolve_all();
-        assert_eq!(fw.bundle_state(app).unwrap(), BundleState::Resolved);
-        assert!(fw.wiring(app).unwrap().imports.is_empty());
-        // Install the exporter, refresh: the optional import now wires.
-        let log = fw.install(log_manifest(), None).unwrap();
-        fw.refresh();
-        assert_eq!(
-            fw.wiring(app)
-                .unwrap()
-                .exporter_of(&crate::PackageName::new("org.test.log.api").unwrap()),
-            Some(log)
-        );
     }
 }

@@ -260,17 +260,6 @@ impl VersionRange {
         }
     }
 
-    /// `[min,max)` — the common "compatible until next major" form.
-    #[cfg(test)]
-    pub(crate) const fn half_open(min: Version, max: Version) -> Self {
-        VersionRange {
-            min,
-            min_inclusive: true,
-            max: Some(max),
-            max_inclusive: false,
-        }
-    }
-
     /// True if `v` falls within the range.
     pub fn contains(&self, v: Version) -> bool {
         let lower_ok = if self.min_inclusive {
@@ -357,6 +346,16 @@ mod tests {
     use super::*;
     use dosgi_testkit::{prop, prop_verify_eq, Gen};
 
+    /// `[min,max)` — the common "compatible until next major" form.
+    fn half_open(min: Version, max: Version) -> VersionRange {
+        VersionRange {
+            min,
+            min_inclusive: true,
+            max: Some(max),
+            max_inclusive: false,
+        }
+    }
+
     #[test]
     fn symbolic_name_validation() {
         assert!(SymbolicName::new("org.example.log-svc").is_ok());
@@ -431,7 +430,7 @@ mod tests {
     fn range_constructors() {
         assert!(VersionRange::exact(Version::new(1, 2, 3)).contains(Version::new(1, 2, 3)));
         assert!(!VersionRange::exact(Version::new(1, 2, 3)).contains(Version::new(1, 2, 4)));
-        let r = VersionRange::half_open(Version::new(1, 0, 0), Version::new(2, 0, 0));
+        let r = half_open(Version::new(1, 0, 0), Version::new(2, 0, 0));
         assert!(r.contains(Version::new(1, 5, 0)));
         assert!(!r.contains(Version::new(2, 0, 0)));
         assert_eq!(VersionRange::default(), VersionRange::ANY);
@@ -479,7 +478,7 @@ mod tests {
             &triples,
             |&(a, b, x)| {
                 let (lo, hi) = (a.min(b), a.max(b));
-                let r = VersionRange::half_open(Version::new(lo, 0, 0), Version::new(hi, 0, 0));
+                let r = half_open(Version::new(lo, 0, 0), Version::new(hi, 0, 0));
                 let v = Version::new(x, 0, 0);
                 prop_verify_eq!(r.contains(v), x >= lo && x < hi);
                 Ok(())

@@ -9,7 +9,7 @@
 //!   versioned modules with explicit package imports/exports;
 //! * **Lifecycle** ([`BundleState`]) — installed / resolved / starting /
 //!   active / stopping / uninstalled, with start/stop/update/uninstall at
-//!   run-time and framework start levels;
+//!   run-time;
 //! * **Resolver** — wires each import to an exporter satisfying its version
 //!   range (highest version wins, ties broken by lowest bundle id);
 //! * **Class spaces** ([`Framework::load_class`]) — symbol lookup through
@@ -19,8 +19,7 @@
 //! * **Service registry** ([`ServiceRegistry`]) — services registered under
 //!   interface names and looked up by interface, the first-registered
 //!   provider best: one list of registrations, ascending by id, which a
-//!   lookup scans; a [`ServiceTracker`] follows a registry's changes by
-//!   its generation;
+//!   lookup scans;
 //! * **Persistent framework state** — the OSGi spec requires that *"the
 //!   framework state shall be persistent across framework reboots"*; state
 //!   snapshots serialize to [`dosgi_san::Value`] and live in the simulated
@@ -62,7 +61,6 @@ pub mod persist;
 mod registry;
 mod resolver;
 mod service;
-mod tracker;
 
 pub use activator::{Activator, ActivatorFactory, BundleContext, FnActivator};
 pub use area::DataArea;
@@ -78,4 +76,3 @@ pub use manifest::{BundleManifest, KnownManifests, ManifestBuilder, PackageExpor
 pub use registry::{ServiceRecord, ServiceRegistry};
 pub use resolver::{ResolutionReport, Wiring};
 pub use service::{CallContext, Service};
-pub use tracker::ServiceTracker;

@@ -52,18 +52,6 @@ impl BundleState {
         )
     }
 
-    /// True if a `start` operation is legal from this state.
-    #[cfg(test)]
-    pub(crate) fn can_start(self) -> bool {
-        matches!(self, BundleState::Installed | BundleState::Resolved)
-    }
-
-    /// True if a `stop` operation is legal from this state.
-    #[cfg(test)]
-    pub(crate) fn can_stop(self) -> bool {
-        self == BundleState::Active
-    }
-
     /// True if the bundle can be uninstalled from this state.
     pub fn can_uninstall(self) -> bool {
         !matches!(
@@ -138,16 +126,6 @@ mod tests {
         assert!(BundleState::Active.is_resolved());
         assert!(!BundleState::Installed.is_resolved());
         assert!(!BundleState::Uninstalled.is_resolved());
-    }
-
-    #[test]
-    fn start_stop_legality() {
-        assert!(BundleState::Installed.can_start());
-        assert!(BundleState::Resolved.can_start());
-        assert!(!BundleState::Active.can_start());
-        assert!(!BundleState::Uninstalled.can_start());
-        assert!(BundleState::Active.can_stop());
-        assert!(!BundleState::Resolved.can_stop());
     }
 
     #[test]

@@ -81,12 +81,6 @@ impl BootDelegation {
         }
     }
 
-    /// A boot delegation with the given prefixes.
-    #[cfg(test)]
-    pub(crate) fn with_prefixes(prefixes: &'static [&'static str]) -> Self {
-        BootDelegation { prefixes }
-    }
-
     /// True if `package` is boot-delegated.
     pub fn covers(&self, package: &PackageName) -> bool {
         self.prefixes.iter().any(|p| package.starts_with(p))
@@ -104,7 +98,9 @@ mod tests {
         assert!(boot.covers(&PackageName::new("platform").unwrap()));
         assert!(!boot.covers(&PackageName::new("org.example").unwrap()));
         assert!(!boot.covers(&PackageName::new("stdlib").unwrap()));
-        let custom = BootDelegation::with_prefixes(&["corp.base"]);
+        let custom = BootDelegation {
+            prefixes: &["corp.base"],
+        };
         assert!(custom.covers(&PackageName::new("corp.base.util").unwrap()));
         assert!(!BootDelegation::default().covers(&PackageName::new("std.io").unwrap()));
     }

@@ -55,8 +55,6 @@ pub struct PackageImport {
     pub name: PackageName,
     /// Acceptable exporter versions.
     pub range: VersionRange,
-    /// Optional imports do not block resolution when unsatisfiable.
-    pub optional: bool,
 }
 
 /// The static description of a bundle: identity, wiring requirements and
@@ -78,8 +76,6 @@ pub struct BundleManifest {
     pub imports: Vec<PackageImport>,
     /// Private packages: loadable by this bundle only.
     pub private: Vec<PackageExport>,
-    /// The start level the bundle belongs to (default 1).
-    pub start_level: u32,
     /// Whether the bundle keeps conversation state between requests.
     ///
     /// §3.2 of the paper distinguishes *stateless* bundles (restart on the
@@ -123,12 +119,10 @@ impl BundleManifest {
                             Value::map()
                                 .with("name", i.name.as_str())
                                 .with("range", i.range.to_string())
-                                .with("optional", i.optional)
                         })
                         .collect(),
                 ),
             )
-            .with("start_level", i64::from(self.start_level))
             .with("stateful", self.stateful)
     }
 
@@ -187,7 +181,6 @@ impl BundleManifest {
                 Ok::<PackageImport, String>(PackageImport {
                     name: PackageName::new(name)?,
                     range: range.parse()?,
-                    optional: i.get("optional").and_then(Value::as_bool).unwrap_or(false),
                 })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -197,12 +190,6 @@ impl BundleManifest {
             exports: exports_from_value(v.get("exports"))?,
             private: exports_from_value(v.get("private"))?,
             imports,
-            start_level: v
-                .get("start_level")
-                .and_then(Value::as_int)
-                .unwrap_or(1)
-                .try_into()
-                .map_err(|_| "negative start level")?,
             stateful: v.get("stateful").and_then(Value::as_bool).unwrap_or(false),
         })
     }
@@ -241,7 +228,6 @@ impl KnownManifests for () {
 /// let manifest = ManifestBuilder::new("org.example.httpsvc", Version::new(2, 1, 0))
 ///     .export_package("org.example.http", Version::new(2, 0, 0), ["Server", "Request"])
 ///     .import_package("org.example.log", "[1.0,2.0)".parse()?)
-///     .start_level(2)
 ///     .stateful(true)
 ///     .build()?;
 /// assert_eq!(manifest.exports.len(), 1);
@@ -254,8 +240,7 @@ pub struct ManifestBuilder {
     version: Version,
     exports: Vec<(String, Version, Vec<String>)>,
     private: Vec<(String, Version, Vec<String>)>,
-    imports: Vec<(String, VersionRange, bool)>,
-    start_level: u32,
+    imports: Vec<(String, VersionRange)>,
     stateful: bool,
 }
 
@@ -268,7 +253,6 @@ impl ManifestBuilder {
             exports: Vec::new(),
             private: Vec::new(),
             imports: Vec::new(),
-            start_level: 1,
             stateful: false,
         }
     }
@@ -301,22 +285,9 @@ impl ManifestBuilder {
         self
     }
 
-    /// Adds a mandatory package import.
+    /// Adds a package import.
     pub fn import_package(mut self, name: &str, range: VersionRange) -> Self {
-        self.imports.push((name.to_owned(), range, false));
-        self
-    }
-
-    /// Adds an optional package import.
-    #[cfg(test)]
-    pub(crate) fn import_package_optional(mut self, name: &str, range: VersionRange) -> Self {
-        self.imports.push((name.to_owned(), range, true));
-        self
-    }
-
-    /// Sets the bundle's start level (default 1).
-    pub fn start_level(mut self, level: u32) -> Self {
-        self.start_level = level;
+        self.imports.push((name.to_owned(), range));
         self
     }
 
@@ -331,12 +302,9 @@ impl ManifestBuilder {
     /// # Errors
     ///
     /// Returns an error string if any name is malformed, a package is both
-    /// exported and imported by the same bundle (not modeled), a package is
-    /// exported twice, or the start level is zero.
+    /// exported and imported by the same bundle (not modeled), or a package
+    /// is exported twice.
     pub fn build(self) -> Result<BundleManifest, String> {
-        if self.start_level == 0 {
-            return Err("start level must be >= 1".to_owned());
-        }
         let mut exports = Vec::new();
         let mut seen = std::collections::HashSet::new();
         for (name, version, symbols) in self.exports {
@@ -363,16 +331,12 @@ impl ManifestBuilder {
             });
         }
         let mut imports = Vec::new();
-        for (name, range, optional) in self.imports {
+        for (name, range) in self.imports {
             let name = PackageName::new(&name)?;
             if seen.contains(&name) {
                 return Err(format!("package {name} both owned and imported"));
             }
-            imports.push(PackageImport {
-                name,
-                range,
-                optional,
-            });
+            imports.push(PackageImport { name, range });
         }
         Ok(BundleManifest {
             symbolic_name: SymbolicName::new(&self.symbolic_name)?,
@@ -380,7 +344,6 @@ impl ManifestBuilder {
             exports,
             imports,
             private,
-            start_level: self.start_level,
             stateful: self.stateful,
         })
     }
@@ -395,8 +358,7 @@ mod tests {
             .export_package("org.example.http.api", Version::new(2, 0, 0), ["Server"])
             .private_package("org.example.http.impl", ["ServerImpl", "Worker"])
             .import_package("org.example.log", "[1.0,2.0)".parse().unwrap())
-            .import_package_optional("org.example.metrics", VersionRange::ANY)
-            .start_level(3)
+            .import_package("org.example.metrics", VersionRange::ANY)
             .stateful(true)
             .build()
             .unwrap()
@@ -409,8 +371,6 @@ mod tests {
         assert_eq!(m.exports.len(), 1);
         assert_eq!(m.private.len(), 1);
         assert_eq!(m.imports.len(), 2);
-        assert!(m.imports[1].optional);
-        assert_eq!(m.start_level, 3);
         assert!(m.stateful);
         assert_eq!(m.own_packages().count(), 2);
     }
@@ -440,11 +400,6 @@ mod tests {
             .import_package("p.q", VersionRange::ANY)
             .build()
             .is_err());
-        // Zero start level.
-        assert!(ManifestBuilder::new("a", Version::ZERO)
-            .start_level(0)
-            .build()
-            .is_err());
     }
 
     #[test]
@@ -466,7 +421,6 @@ mod tests {
         let m = ManifestBuilder::new("a.b", Version::new(1, 0, 0))
             .build()
             .unwrap();
-        assert_eq!(m.start_level, 1);
         assert!(!m.stateful);
         assert!(m.exports.is_empty());
     }

@@ -16,16 +16,16 @@
 //! rewrites the lifecycle fields in place and writes the row by reference:
 //!
 //! ```text
-//! <namespace>/header        { next_bundle, start_level }
+//! <namespace>/header        { next_bundle }
 //! <namespace>/bundle/<id>   { id, manifest, state, autostart, state_version }
 //! ```
 //!
 //! A restore reads the namespace once, through [`Rows::read`], which parses
-//! each row where it lies and keeps no copy of it: the header's two fields,
+//! each row where it lies and keeps no copy of it: the header's field,
 //! and each bundle row's record, its manifest shared from a
 //! [`KnownManifests`] when the row's manifest equals the known manifest's
 //! row form, and parsed otherwise. [`Rows::assemble`] then orders the
-//! records into a [`Snapshot`]. The test-only `snapshot`/`parse_snapshot`
+//! records into a [`Snapshot`]. The tests' `snapshot`/`parse_snapshot`
 //! keep the monolithic encoding alive as the equivalence oracle: assembling
 //! the rows must produce a byte-identical snapshot value.
 
@@ -35,7 +35,7 @@ use dosgi_san::{Map, Value};
 use std::fmt::{self, Write};
 use std::sync::Arc;
 
-/// Key of the header row (`next_bundle` + `start_level`).
+/// Key of the header row (`next_bundle`).
 pub const HEADER_KEY: &str = "header";
 
 /// Key prefix of per-bundle rows.
@@ -132,19 +132,17 @@ pub struct BundleRecord {
 pub struct Snapshot {
     /// Next bundle id to allocate.
     pub next_bundle: u64,
-    /// Active start level at persist time.
-    pub start_level: u32,
     /// All installed bundles.
     pub bundles: Vec<BundleRecord>,
 }
 
 /// A framework namespace as a restore reads it, row by row: the header's
-/// fields, and each bundle row's record with the id its key names, both
+/// field, and each bundle row's record with the id its key names, both
 /// parsed where the visitor lends the row, which is not copied. Any other
 /// row is passed over.
 pub struct Rows<'k> {
     known: &'k dyn KnownManifests,
-    header: Option<Result<(u64, u32), String>>,
+    header: Option<Result<u64, String>>,
     /// The records read so far, or the first row that failed to parse.
     bundles: Result<Vec<BundleRecord>, String>,
 }
@@ -190,42 +188,33 @@ impl<'k> Rows<'k> {
         let Some(header) = self.header else {
             return Ok(None);
         };
-        let (next_bundle, start_level) = header?;
+        let next_bundle = header?;
         let mut bundles = self.bundles?;
         // Row keys sort lexicographically ("bundle/10" < "bundle/2"); the
         // snapshot contract is numeric id order.
         bundles.sort_unstable_by_key(|r| r.id);
         Ok(Some(Snapshot {
             next_bundle,
-            start_level,
             bundles,
         }))
     }
 }
 
-fn parse_header(header: &Value) -> Result<(u64, u32), String> {
+fn parse_header(header: &Value) -> Result<u64, String> {
     let next_bundle = header
         .get("next_bundle")
         .and_then(Value::as_int)
-        .ok_or("header missing next_bundle")? as u64;
-    let start_level = header
-        .get("start_level")
-        .and_then(Value::as_int)
-        .ok_or("header missing start_level")?
-        .try_into()
-        .map_err(|_| "negative start_level")?;
-    Ok((next_bundle, start_level))
+        .ok_or("header missing next_bundle")?;
+    Ok(next_bundle as u64)
 }
 
 /// Serializes the header row: the non-bundle framework state.
-pub fn header_row(next_bundle: u64, start_level: u32) -> Value {
-    Value::map()
-        .with("next_bundle", next_bundle)
-        .with("start_level", i64::from(start_level))
+pub fn header_row(next_bundle: u64) -> Value {
+    Value::map().with("next_bundle", next_bundle)
 }
 
 /// Serializes one bundle's row — the same map shape a bundle has inside
-/// the monolithic `snapshot`, so row and oracle encodings agree. The
+/// the tests' monolithic `snapshot`, so row and oracle encodings agree. The
 /// framework builds one where a bundle's manifest is set, and keeps it.
 pub fn bundle_row(b: &Bundle) -> Value {
     row_around(b, b.manifest.to_value())
@@ -280,19 +269,6 @@ fn write_str(row: &mut Map, key: &str, text: impl fmt::Display) {
     write!(s, "{text}").expect("a String takes any text");
 }
 
-/// Serializes framework state into a single monolithic [`Value`].
-#[cfg(test)]
-pub(crate) fn snapshot<'a>(
-    next_bundle: u64,
-    start_level: u32,
-    bundles: impl Iterator<Item = &'a Bundle>,
-) -> Value {
-    Value::map()
-        .with("next_bundle", next_bundle)
-        .with("start_level", i64::from(start_level))
-        .with("bundles", Value::List(bundles.map(bundle_row).collect()))
-}
-
 /// The manifest a bundle row holds: the one `known` holds under its
 /// symbolic name when the row's manifest equals that one's row form — a
 /// comparison of values, which allocates nothing — and a parse of it
@@ -343,41 +319,42 @@ fn parse_bundle_record(row: &Value, known: &dyn KnownManifests) -> Result<Bundle
     })
 }
 
-/// Parses a snapshot produced by [`snapshot`].
-///
-/// # Errors
-///
-/// Returns a description of the first missing or malformed field.
 #[cfg(test)]
-pub(crate) fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
-    let next_bundle = v
-        .get("next_bundle")
-        .and_then(Value::as_int)
-        .ok_or("snapshot missing next_bundle")? as u64;
-    let start_level = v
-        .get("start_level")
-        .and_then(Value::as_int)
-        .ok_or("snapshot missing start_level")?
-        .try_into()
-        .map_err(|_| "negative start_level")?;
-    let bundles = v
-        .get("bundles")
-        .and_then(Value::as_list)
-        .ok_or("snapshot missing bundles")?
-        .iter()
-        .map(|row| parse_bundle_record(row, &()))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(Snapshot {
-        next_bundle,
-        start_level,
-        bundles,
-    })
-}
-
-#[cfg(test)]
-mod tests {
+/// The tests, and the monolithic encoding the framework's tests hold the
+/// per-bundle rows to.
+pub mod tests {
     use super::*;
     use crate::{Framework, ManifestBuilder, Version};
+
+    /// Serializes framework state into a single monolithic [`Value`]: the
+    /// oracle the per-bundle rows are checked against.
+    pub(crate) fn snapshot<'a>(
+        next_bundle: u64,
+        bundles: impl Iterator<Item = &'a Bundle>,
+    ) -> Value {
+        Value::map()
+            .with("next_bundle", next_bundle)
+            .with("bundles", Value::List(bundles.map(bundle_row).collect()))
+    }
+
+    /// Parses a snapshot produced by [`snapshot`].
+    pub(crate) fn parse_snapshot(v: &Value) -> Result<Snapshot, String> {
+        let next_bundle = v
+            .get("next_bundle")
+            .and_then(Value::as_int)
+            .ok_or("snapshot missing next_bundle")? as u64;
+        let bundles = v
+            .get("bundles")
+            .and_then(Value::as_list)
+            .ok_or("snapshot missing bundles")?
+            .iter()
+            .map(|row| parse_bundle_record(row, &()))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(Snapshot {
+            next_bundle,
+            bundles,
+        })
+    }
 
     fn bundle_key(id: BundleId) -> String {
         Row::Bundle(id).key().as_ref().to_owned()
@@ -401,10 +378,9 @@ mod tests {
             .unwrap();
         let id = fw.install(m.clone(), None).unwrap();
         fw.start(id).unwrap();
-        let v = snapshot(2, 1, fw.bundles());
+        let v = snapshot(2, fw.bundles());
         let parsed = parse_snapshot(&v).unwrap();
         assert_eq!(parsed.next_bundle, 2);
-        assert_eq!(parsed.start_level, 1);
         assert_eq!(parsed.bundles.len(), 1);
         assert_eq!(parsed.bundles[0].id, id);
         assert_eq!(*parsed.bundles[0].manifest, m);
@@ -418,14 +394,13 @@ mod tests {
         assert!(parse_snapshot(&Value::map().with("next_bundle", 1u64)).is_err());
         let bad_bundle = Value::map()
             .with("next_bundle", 1u64)
-            .with("start_level", 1i64)
             .with("bundles", Value::List(vec![Value::map().with("id", 1u64)]));
         assert!(parse_snapshot(&bad_bundle).is_err());
     }
 
     #[test]
     fn binary_codec_round_trip() {
-        let v = snapshot(7, 3, std::iter::empty());
+        let v = snapshot(7, std::iter::empty());
         let decoded = Value::decode(&v.encode()).unwrap();
         assert_eq!(parse_snapshot(&decoded).unwrap().next_bundle, 7);
     }
@@ -467,11 +442,11 @@ mod tests {
             .unwrap();
         let id = fw.install(m, None).unwrap();
         fw.start(id).unwrap();
-        let rows: Vec<(String, Value)> = std::iter::once((HEADER_KEY.to_owned(), header_row(2, 1)))
+        let rows: Vec<(String, Value)> = std::iter::once((HEADER_KEY.to_owned(), header_row(2)))
             .chain(fw.bundles().map(|b| (bundle_key(b.id), bundle_row(b))))
             .collect();
         let assembled = assemble(&rows).unwrap().unwrap();
-        let oracle = parse_snapshot(&snapshot(2, 1, fw.bundles())).unwrap();
+        let oracle = parse_snapshot(&snapshot(2, fw.bundles())).unwrap();
         assert_eq!(assembled, oracle);
     }
 
@@ -494,7 +469,7 @@ mod tests {
         let rows = vec![
             ("bundle/10".to_owned(), record(10)),
             ("bundle/2".to_owned(), record(2)),
-            (HEADER_KEY.to_owned(), header_row(11, 1)),
+            (HEADER_KEY.to_owned(), header_row(11)),
         ];
         let s = assemble(&rows).unwrap().unwrap();
         let ids: Vec<u64> = s.bundles.iter().map(|b| b.id.0).collect();
@@ -510,7 +485,7 @@ mod tests {
         let id = fw.install(m, None).unwrap();
         let row = bundle_row(fw.bundles().next().unwrap());
         let rows = vec![
-            (HEADER_KEY.to_owned(), header_row(2, 1)),
+            (HEADER_KEY.to_owned(), header_row(2)),
             (bundle_key(id), row),
         ];
         let s = assemble(&rows).unwrap().unwrap();
@@ -526,14 +501,14 @@ mod tests {
             .with("state", "INSTALLED")
             .with("autostart", false);
         let rows = vec![
-            (HEADER_KEY.to_owned(), header_row(2, 1)),
+            (HEADER_KEY.to_owned(), header_row(2)),
             ("bundle/1".to_owned(), legacy_record.clone()),
         ];
         let s = assemble(&rows).unwrap().unwrap();
         assert_eq!(s.bundles[0].state_version, Version::new(2, 0, 0));
         // A malformed version is corrupt state, not silently defaulted.
         let rows = vec![
-            (HEADER_KEY.to_owned(), header_row(2, 1)),
+            (HEADER_KEY.to_owned(), header_row(2)),
             (
                 "bundle/1".to_owned(),
                 legacy_record.with("state_version", "not-a-version"),
@@ -555,7 +530,7 @@ mod tests {
         let rows = vec![(HEADER_KEY.to_owned(), Value::Null)];
         assert!(assemble(&rows).is_err());
         let rows = vec![
-            (HEADER_KEY.to_owned(), header_row(2, 1)),
+            (HEADER_KEY.to_owned(), header_row(2)),
             ("bundle/1".to_owned(), Value::map().with("id", 1u64)),
         ];
         assert!(assemble(&rows).is_err());
@@ -568,7 +543,7 @@ mod tests {
         let row = bundle_row(fw.bundles().next().unwrap());
         assert_eq!(id, BundleId(1));
         let rows = vec![
-            (HEADER_KEY.to_owned(), header_row(2, 1)),
+            (HEADER_KEY.to_owned(), header_row(2)),
             ("bundle/9".to_owned(), row),
         ];
         assert!(assemble(&rows).is_err());

@@ -39,9 +39,7 @@ impl fmt::Debug for ServiceRecord {
 /// Services are registered under one or more interface names; consumers
 /// look them up by interface and receive references in registration order,
 /// so the best provider of an interface is the one registered first — the
-/// lowest id, OSGi's tie-break among equal rankings. A
-/// [`generation`](Self::generation) moves with every change, which is how a
-/// [`ServiceTracker`](crate::ServiceTracker) knows to look again.
+/// lowest id, OSGi's tie-break among equal rankings.
 ///
 /// The registrations are one list, ascending by id — ids only grow, so a
 /// registration is a push — and a lookup by interface is a scan of it in
@@ -53,7 +51,6 @@ impl fmt::Debug for ServiceRecord {
 pub struct ServiceRegistry {
     services: Vec<ServiceRecord>,
     next_id: u64,
-    generation: u64,
 }
 
 impl ServiceRegistry {
@@ -83,7 +80,6 @@ impl ServiceRegistry {
         );
         let id = ServiceId(self.next_id);
         self.next_id += 1;
-        self.generation += 1;
         let interfaces = interfaces
             .iter()
             .map(|name| {
@@ -123,16 +119,13 @@ impl ServiceRegistry {
     pub fn unregister(&mut self, id: ServiceId) -> Result<(), ServiceError> {
         let at = self.position(id).ok_or(ServiceError::Gone(id))?;
         self.services.remove(at);
-        self.generation += 1;
         Ok(())
     }
 
     /// Removes every service registered by `owner` (called when a bundle
-    /// stops); the generation moves once per service removed.
+    /// stops).
     pub fn unregister_bundle(&mut self, owner: BundleId) {
-        let before = self.services.len();
         self.services.retain(|r| r.owner != owner);
-        self.generation += (before - self.services.len()) as u64;
     }
 
     /// The services offering `interface`, in registration order.
@@ -190,12 +183,6 @@ impl ServiceRegistry {
     pub fn is_empty(&self) -> bool {
         self.services.is_empty()
     }
-
-    /// A count that moves with every registration and unregistration:
-    /// while it stands still, every lookup answers what it answered before.
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
 }
 
 #[cfg(test)]
@@ -249,17 +236,14 @@ mod tests {
         assert_eq!(r.locate(ServiceId(99)), None);
     }
 
-    /// Each change moves the generation once; a refused one does not.
+    /// A removed registration is gone; removing it again is refused.
     #[test]
     fn unregister_and_events() {
         let mut r = ServiceRegistry::new();
         let id = r.register(BundleId(1), &["svc"], echo_service());
-        assert_eq!(r.generation(), 1);
         r.unregister(id).unwrap();
         assert!(r.is_empty());
-        assert_eq!(r.generation(), 2);
         assert!(matches!(r.unregister(id), Err(ServiceError::Gone(_))));
-        assert_eq!(r.generation(), 2);
     }
 
     #[test]
@@ -272,7 +256,6 @@ mod tests {
         assert!(r.record(a).is_none() && r.record(c).is_none());
         assert_eq!(r.locate(b), Some((0, BundleId(2))));
         assert_eq!(r.len(), 1);
-        assert_eq!(r.generation(), 5, "three registrations, two removals");
     }
 
     #[test]
@@ -328,18 +311,17 @@ mod tests {
 
     /// The churn as the test keeps it, apart from the registry: each live
     /// registration's id, owner and interface names, in the order
-    /// registered, and the number of changes made.
+    /// registered.
     #[derive(Default)]
     struct Model {
         live: Vec<(ServiceId, BundleId, Vec<&'static str>)>,
         registered: u64,
-        changes: u64,
     }
 
     /// Every lookup agrees, after every step, with the model of the
-    /// churn: `best`, `references`, `record`, `locate`, `len` and
-    /// `generation`. An id the model has never handed out, or has seen
-    /// removed, is unknown to the registry.
+    /// churn: `best`, `references`, `record`, `locate` and `len`. An id the
+    /// model has never handed out, or has seen removed, is unknown to the
+    /// registry.
     fn registry_matches_the_model(ops: &[Op]) -> prop::PropResult {
         let (mut r, mut m) = (ServiceRegistry::new(), Model::default());
         for op in ops {
@@ -350,25 +332,20 @@ mod tests {
                     prop_verify_eq!(id, ServiceId(m.registered), "ids are handed out in order");
                     m.live.push((id, BundleId(*owner), names));
                     m.registered += 1;
-                    m.changes += 1;
                 }
                 Op::Unregister(target) if !m.live.is_empty() => {
                     let (id, _, _) = m.live.remove(target % m.live.len());
                     prop_verify_eq!(r.unregister(id), Ok(()), "unregister {id:?}");
                     prop_verify_eq!(r.unregister(id), Err(ServiceError::Gone(id)), "again");
-                    m.changes += 1;
                 }
                 Op::UnregisterBundle(owner) => {
-                    let before = m.live.len();
                     m.live.retain(|(_, o, _)| *o != BundleId(*owner));
-                    m.changes += (before - m.live.len()) as u64;
                     r.unregister_bundle(BundleId(*owner));
                 }
                 Op::Unregister(_) => {}
             }
             prop_verify_eq!(r.len(), m.live.len(), "len after {op:?}");
             prop_verify_eq!(r.is_empty(), m.live.is_empty(), "is_empty after {op:?}");
-            prop_verify_eq!(r.generation(), m.changes, "generation after {op:?}");
             for iface in IFACES {
                 let offering: Vec<ServiceId> = m
                     .live

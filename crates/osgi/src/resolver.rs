@@ -11,21 +11,12 @@ pub struct Wiring {
     pub imports: BTreeMap<PackageName, (BundleId, Version)>,
 }
 
-impl Wiring {
-    /// The exporter wired for `package`, if any.
-    #[cfg(test)]
-    pub(crate) fn exporter_of(&self, package: &PackageName) -> Option<BundleId> {
-        self.imports.get(package).map(|(b, _)| *b)
-    }
-}
-
 /// The outcome of a resolution pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ResolutionReport {
     /// Bundles that resolved, with their wiring.
     pub resolved: BTreeMap<BundleId, Wiring>,
-    /// Bundles that could not resolve, with their unsatisfiable mandatory
-    /// imports.
+    /// Bundles that could not resolve, with their unsatisfiable imports.
     pub failed: BTreeMap<BundleId, Vec<PackageName>>,
 }
 
@@ -38,7 +29,6 @@ pub struct ResolutionReport {
 ///   version inside the import's range;
 /// * among multiple candidates, the **highest version** wins, ties broken
 ///   by **lowest bundle id** (oldest installed);
-/// * optional imports never block resolution; they wire if possible;
 /// * resolution is a fixpoint: bundles may depend on each other (cycles are
 ///   fine), and a bundle failing to resolve removes its exports from the
 ///   candidate pool, which may cascade.
@@ -78,7 +68,6 @@ pub fn resolve<'a>(
             let missing: Vec<PackageName> = m
                 .imports
                 .iter()
-                .filter(|imp| !imp.optional)
                 .filter(|imp| {
                     !pool
                         .get(&imp.name)
@@ -97,15 +86,13 @@ pub fn resolve<'a>(
             for (id, m) in viable {
                 let mut wiring = Wiring::default();
                 for imp in &m.imports {
+                    // At the fixpoint every import of a viable bundle has an
+                    // offer in range.
                     let pick = pool
                         .get(&imp.name)
-                        .and_then(|offers| offers.iter().find(|(_, v)| imp.range.contains(*v)))
-                        .copied();
-                    match pick {
-                        Some((exporter, version)) => {
-                            wiring.imports.insert(imp.name.clone(), (exporter, version));
-                        }
-                        None => debug_assert!(imp.optional, "mandatory import unwired"),
+                        .and_then(|offers| offers.iter().find(|(_, v)| imp.range.contains(*v)));
+                    if let Some(&pick) = pick {
+                        wiring.imports.insert(imp.name.clone(), pick);
                     }
                 }
                 resolved.insert(id, wiring);
@@ -159,10 +146,6 @@ mod tests {
             wiring.imports[&PackageName::new("api.log").unwrap()],
             (BundleId(1), Version::new(1, 2, 0))
         );
-        assert_eq!(
-            wiring.exporter_of(&PackageName::new("api.log").unwrap()),
-            Some(BundleId(1))
-        );
     }
 
     #[test]
@@ -190,17 +173,6 @@ mod tests {
             vec![PackageName::new("api.log").unwrap()]
         );
         assert!(report.resolved.contains_key(&BundleId(1)));
-    }
-
-    #[test]
-    fn optional_import_does_not_block() {
-        let app = ManifestBuilder::new("app", Version::new(1, 0, 0))
-            .import_package_optional("api.absent", VersionRange::ANY)
-            .build()
-            .unwrap();
-        let report = run(&[(1, &app)], &[]);
-        assert!(report.failed.is_empty());
-        assert!(report.resolved[&BundleId(1)].imports.is_empty());
     }
 
     #[test]
@@ -250,8 +222,8 @@ mod tests {
         let report = run(&[(5, &app)], &[(1, &host)]);
         assert!(report.failed.is_empty());
         assert_eq!(
-            report.resolved[&BundleId(5)].exporter_of(&PackageName::new("api.log").unwrap()),
-            Some(BundleId(1))
+            report.resolved[&BundleId(5)].imports[&PackageName::new("api.log").unwrap()].0,
+            BundleId(1)
         );
     }
 
@@ -270,13 +242,7 @@ mod tests {
         );
         assert!(report.failed.is_empty());
         let p = PackageName::new("pkg").unwrap();
-        assert_eq!(
-            report.resolved[&BundleId(3)].exporter_of(&p),
-            Some(BundleId(1))
-        );
-        assert_eq!(
-            report.resolved[&BundleId(4)].exporter_of(&p),
-            Some(BundleId(2))
-        );
+        assert_eq!(report.resolved[&BundleId(3)].imports[&p].0, BundleId(1));
+        assert_eq!(report.resolved[&BundleId(4)].imports[&p].0, BundleId(2));
     }
 }

@@ -2,8 +2,7 @@
 //!
 //! [`Model`] is a pure description of what each public operation does to a
 //! framework's bundles, in the style of Blech's OSGi formalization: a bundle
-//! *is* its state, its persistent-start flag, its start level, the revision
-//! that owns its data, and its data area's rows; each transition names the
+//! *is* its state, its persistent-start flag, the revision that owns its data, and its data area's rows; each transition names the
 //! states it is allowed from and the error it returns otherwise. The
 //! property below runs the same random operation sequences on a
 //! [`Framework`] with a SAN attached and on the model, with SAN faults,
@@ -27,18 +26,16 @@ use std::collections::BTreeMap;
 const NS: &str = "spec/fw";
 
 /// The bundles a case draws from: `spec.api` exports the package
-/// `spec.app` imports, `spec.bad`'s activator always refuses, and the
-/// start levels straddle the framework's (1).
+/// `spec.app` imports, and `spec.bad`'s activator always refuses.
 const POOL: [&str; 5] = ["spec.api", "spec.app", "spec.log", "spec.bad", "spec.late"];
-const LEVEL: [u32; 5] = [1, 2, 1, 1, 3];
 const EXPORTS: usize = 0;
 const IMPORTS: usize = 1;
 const REFUSES: usize = 3;
 
 /// A revision of pool bundle `pool`. Every revision keeps the bundle's
-/// package wiring; only its version and start level move.
-fn manifest(pool: usize, version: Version, level: u32) -> BundleManifest {
-    let mut b = ManifestBuilder::new(POOL[pool], version).start_level(level);
+/// package wiring; only its version moves.
+fn manifest(pool: usize, version: Version) -> BundleManifest {
+    let mut b = ManifestBuilder::new(POOL[pool], version);
     if pool == EXPORTS {
         b = b.export_package("spec.api", Version::new(1, 0, 0), ["Api"]);
     }
@@ -97,7 +94,6 @@ struct ModelBundle {
     version: Version,
     state: BundleState,
     autostart: bool,
-    level: u32,
     state_version: Version,
 }
 
@@ -141,7 +137,6 @@ impl Model {
             version,
             state: BundleState::Installed,
             autostart: false,
-            level: LEVEL[pool],
             state_version: version,
         };
         self.bundles.insert(id, b);
@@ -210,11 +205,11 @@ impl Model {
     /// The revision swap `update` and `upgrade_bundle` share: the new
     /// revision owns the data area, re-wires, and restarts if the old one
     /// was running.
-    fn swap(&mut self, id: u64, version: Version, level: u32) -> Outcome {
+    fn swap(&mut self, id: u64, version: Version) -> Outcome {
         let was_active = self.get(id)?.state == BundleState::Active;
         self.stop(id, false)?;
         let b = self.get(id)?;
-        (b.version, b.level, b.state_version) = (version, level, version);
+        (b.version, b.state_version) = (version, version);
         b.state = BundleState::Installed;
         self.refresh();
         if was_active {
@@ -234,8 +229,7 @@ impl Model {
         if rolled_back {
             return Err("Store");
         }
-        let level = b.level;
-        self.swap(id, version, level)
+        self.swap(id, version)
     }
 
     fn put(&mut self, id: u64, key: String, value: i64) -> Outcome {
@@ -254,8 +248,8 @@ impl Model {
     }
 
     /// What a restore of this state brings back: every bundle reinstalled,
-    /// resolved where it wires, and the persistently started ones within
-    /// the framework's start level (1) started again.
+    /// resolved where it wires, and the persistently started ones started
+    /// again.
     fn restored(&self) -> Model {
         let mut m = self.clone();
         for b in m.bundles.values_mut() {
@@ -265,7 +259,7 @@ impl Model {
         let ids: Vec<u64> = m.bundles.keys().copied().collect();
         for id in ids {
             let b = &m.bundles[&id];
-            if b.autostart && b.level <= 1 {
+            if b.autostart {
                 let _ = m.start_resolved(id);
             }
         }
@@ -316,19 +310,16 @@ fn apply(fw: &mut Framework, model: &mut Model, op: &Op, faulty: bool) -> (Outco
     // A revision target computed from the model's view of the bundle.
     let target = |model: &Model, n: u8, upgrade: bool| {
         let b = model.bundles.get(&id_of(n));
-        let (pool, v, level) = b.map_or((0, Version::new(1, 0, 0), 1), |b| {
-            (b.pool, b.version, b.level)
-        });
+        let (pool, v) = b.map_or((0, Version::new(1, 0, 0)), |b| (b.pool, b.version));
         match (upgrade, n % 4) {
-            (true, 0) => (pool, Version::new(v.major + 1, 0, 0), level),
-            (true, _) => (pool, Version::new(v.major, v.minor + 1, 0), level),
-            (false, _) => (pool, Version::new(v.major + 1, 0, 0), level % 3 + 1),
+            (true, 1..) => (pool, Version::new(v.major, v.minor + 1, 0)),
+            _ => (pool, Version::new(v.major + 1, 0, 0)),
         }
     };
     match *op {
         Op::Install(n) => {
             let pool = usize::from(n) % POOL.len();
-            let m = manifest(pool, Version::new(1, 0, 0), LEVEL[pool]);
+            let m = manifest(pool, Version::new(1, 0, 0));
             let activator = factory.create(&m);
             let got = fw
                 .install(m, activator)
@@ -351,15 +342,15 @@ fn apply(fw: &mut Framework, model: &mut Model, op: &Op, faulty: bool) -> (Outco
             (got, model.uninstall(id_of(n)))
         }
         Op::Update(n) => {
-            let (pool, version, level) = target(model, n, false);
-            let m = manifest(pool, version, level);
+            let (pool, version) = target(model, n, false);
+            let m = manifest(pool, version);
             let activator = factory.create(&m);
             let got = unit(fw.update(BundleId(id_of(n)), m, activator));
-            (got, model.swap(id_of(n), version, level))
+            (got, model.swap(id_of(n), version))
         }
         Op::Upgrade(n) => {
-            let (pool, version, level) = target(model, n, true);
-            let m = manifest(pool, version, level);
+            let (pool, version) = target(model, n, true);
+            let m = manifest(pool, version);
             let activator = factory.create(&m);
             let got = fw.upgrade_bundle(BundleId(id_of(n)), m, activator);
             let got = got.map(|_| 0).map_err(|e| kind(&e));
@@ -390,7 +381,7 @@ fn apply(fw: &mut Framework, model: &mut Model, op: &Op, faulty: bool) -> (Outco
 /// rows, read through a bundle of its name.
 #[derive(Debug, PartialEq)]
 struct Seen {
-    bundles: Vec<(u64, String, Version, BundleState, bool, u32, Version)>,
+    bundles: Vec<(u64, String, Version, BundleState, bool, Version)>,
     services: (usize, Vec<bool>),
     data: Vec<(String, String, Option<i64>)>,
 }
@@ -399,15 +390,7 @@ fn seen_framework(fw: &mut Framework, data: bool) -> Seen {
     let bundles = fw.bundles().map(|b| {
         let m = &b.manifest;
         let sn = m.symbolic_name.to_string();
-        (
-            b.id.0,
-            sn,
-            m.version,
-            b.state,
-            b.autostart,
-            m.start_level,
-            b.state_version,
-        )
+        (b.id.0, sn, m.version, b.state, b.autostart, b.state_version)
     });
     let bundles: Vec<_> = bundles.collect();
     let services = POOL.map(|sn| fw.best_service(sn).is_some()).to_vec();
@@ -431,15 +414,7 @@ fn seen_framework(fw: &mut Framework, data: bool) -> Seen {
 fn seen_model(model: &Model, data: bool) -> Seen {
     let bundles = model.bundles.iter().map(|(&id, b)| {
         let sn = POOL[b.pool].to_owned();
-        (
-            id,
-            sn,
-            b.version,
-            b.state,
-            b.autostart,
-            b.level,
-            b.state_version,
-        )
+        (id, sn, b.version, b.state, b.autostart, b.state_version)
     });
     let active = |pool: usize| {
         model

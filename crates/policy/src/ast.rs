@@ -144,6 +144,23 @@ pub struct Rule {
     pub actions: Vec<ActionCall>,
 }
 
+impl Rule {
+    /// True if the rule uses `$i` anywhere: it is evaluated once per
+    /// subject, where a rule without it is evaluated once.
+    pub(crate) fn uses_subject(&self) -> bool {
+        fn expr_uses(e: &Expr) -> bool {
+            match e {
+                Expr::Subject => true,
+                Expr::Call { args, .. } => args.iter().any(expr_uses),
+                Expr::Neg(x) | Expr::Not(x) => expr_uses(x),
+                Expr::Binary { lhs, rhs, .. } => expr_uses(lhs) || expr_uses(rhs),
+                _ => false,
+            }
+        }
+        expr_uses(&self.condition) || self.actions.iter().any(|a| a.args.iter().any(expr_uses))
+    }
+}
+
 impl fmt::Display for Rule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "rule {} {{ when {}", self.name, self.condition)?;
@@ -166,26 +183,6 @@ impl fmt::Display for Rule {
 pub struct Script {
     /// The rules, in source order.
     pub rules: Vec<Rule>,
-}
-
-impl Script {
-    /// True if the script uses `$i` anywhere (needs per-subject
-    /// evaluation).
-    #[cfg(test)]
-    pub(crate) fn uses_subject(&self) -> bool {
-        fn expr_uses(e: &Expr) -> bool {
-            match e {
-                Expr::Subject => true,
-                Expr::Call { args, .. } => args.iter().any(expr_uses),
-                Expr::Neg(x) | Expr::Not(x) => expr_uses(x),
-                Expr::Binary { lhs, rhs, .. } => expr_uses(lhs) || expr_uses(rhs),
-                _ => false,
-            }
-        }
-        self.rules.iter().any(|r| {
-            expr_uses(&r.condition) || r.actions.iter().any(|a| a.args.iter().any(expr_uses))
-        })
-    }
 }
 
 impl fmt::Display for Script {
@@ -230,8 +227,9 @@ mod tests {
 
     #[test]
     fn uses_subject_detection() {
+        let uses_subject = |script: &Script| script.rules.iter().any(Rule::uses_subject);
         let mut script = Script::default();
-        assert!(!script.uses_subject());
+        assert!(!uses_subject(&script));
         script.rules.push(Rule {
             name: "global".into(),
             condition: Expr::Call {
@@ -244,7 +242,7 @@ mod tests {
                 args: vec![],
             }],
         });
-        assert!(!script.uses_subject());
+        assert!(!uses_subject(&script));
         script.rules.push(Rule {
             name: "local".into(),
             condition: Expr::Not(Box::new(Expr::Call {
@@ -254,6 +252,6 @@ mod tests {
             sustain: 1,
             actions: vec![],
         });
-        assert!(script.uses_subject());
+        assert!(uses_subject(&script));
     }
 }

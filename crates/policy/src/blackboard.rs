@@ -38,11 +38,6 @@ impl Blackboard {
     pub fn set_global_metric(&mut self, name: &str, value: f64) {
         set(&mut self.global_metrics, name, value);
     }
-
-    /// Removes every metric of a subject (after migration/destruction).
-    pub fn forget_subject(&mut self, subject: &str) {
-        self.subject_metrics.remove(subject);
-    }
 }
 
 /// Overwrites a metric in place; only the first write of a name owns it.
@@ -81,18 +76,6 @@ mod tests {
         assert_eq!(bb.metric("cpu", Some("b")), None);
         assert_eq!(bb.metric("node_cpu", None), Some(0.9));
         assert_eq!(bb.metric("cpu", None), None);
-    }
-
-    #[test]
-    fn forget_subject_keeps_the_rest() {
-        let mut bb = Blackboard::new();
-        bb.set_subject_metric("a", "cpu", 0.5);
-        bb.set_subject_metric("b", "cpu", 0.7);
-        bb.set_global_metric("g", 1.0);
-        bb.forget_subject("a");
-        assert_eq!(bb.metric("cpu", Some("a")), None);
-        assert_eq!(bb.metric("cpu", Some("b")), Some(0.7));
-        assert_eq!(bb.metric("g", None), Some(1.0));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The rule engine: compiled script + sustained-condition tracking.
 
-use crate::ast::{ActionCall, Expr, Rule, Script};
+use crate::ast::{ActionCall, Rule, Script};
 use crate::eval::{eval, EvalError, MetricSource, Subject, Value};
 use crate::parser::{parse, ParseError};
 use crate::{PolicyAction, PolicyDecision, Verb};
@@ -95,7 +95,7 @@ impl PolicyEngine {
             decisions: Vec::new(),
         };
         for (i, rule) in script.rules.iter().enumerate() {
-            if rule_uses_subject(rule) {
+            if rule.uses_subject() {
                 for subject in subjects {
                     // Streaks another script made lack this rule's slot.
                     let fresh = Cell::new(0);
@@ -116,13 +116,6 @@ impl PolicyEngine {
         let Errors { text, ends } = &self.errors;
         let starts = std::iter::once(0).chain(ends.iter().copied());
         starts.zip(ends).map(|(start, &end)| &text[start..end])
-    }
-
-    /// Resets the global rules' sustained-condition counters (e.g. after
-    /// reconfiguring).
-    #[cfg(test)]
-    pub(crate) fn reset(&mut self) {
-        self.global.fill(0);
     }
 }
 
@@ -193,19 +186,6 @@ impl Pass<'_> {
     }
 }
 
-fn rule_uses_subject(rule: &Rule) -> bool {
-    fn expr_uses(e: &Expr) -> bool {
-        match e {
-            Expr::Subject => true,
-            Expr::Call { args, .. } => args.iter().any(expr_uses),
-            Expr::Neg(x) | Expr::Not(x) => expr_uses(x),
-            Expr::Binary { lhs, rhs, .. } => expr_uses(lhs) || expr_uses(rhs),
-            _ => false,
-        }
-    }
-    expr_uses(&rule.condition) || rule.actions.iter().any(|a| a.args.iter().any(expr_uses))
-}
-
 fn resolve_action(
     call: &ActionCall,
     source: &dyn MetricSource,
@@ -266,6 +246,13 @@ fn resolve_action(
 mod tests {
     use super::*;
     use crate::{Blackboard, Named};
+
+    impl PolicyEngine {
+        /// Resets the global rules' sustained-condition counters.
+        fn reset(&mut self) {
+            self.global.fill(0);
+        }
+    }
 
     /// No subject: a pass of global rules only.
     const GLOBAL: &[Named<'static>] = &[];

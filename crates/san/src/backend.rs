@@ -169,19 +169,6 @@ impl MapBackend {
         }
     }
 
-    /// If the *live* value under `namespace/key` encodes byte-identically
-    /// to `value`, returns its version. A store write makes this
-    /// comparison inside [`put`](Self::put), in the search that writes.
-    #[cfg(test)]
-    pub(crate) fn identical_live(&self, namespace: &str, key: &str, value: &Value) -> Option<u64> {
-        self.slot(namespace, key).and_then(|s| {
-            s.value
-                .as_ref()
-                .filter(|stored| crate::codec::codec_eq(stored, value))
-                .map(|_| s.version)
-        })
-    }
-
     /// Writes `value`, whose encoded length the caller has measured as
     /// `len`, unless the live value under `namespace/key` encodes
     /// byte-identically to it — the change detection every store write
@@ -326,6 +313,25 @@ impl MapBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MapBackend {
+        /// If the *live* value under `namespace/key` encodes byte-identically
+        /// to `value`, returns its version. A store write makes this
+        /// comparison inside [`put`](Self::put), in the search that writes.
+        pub(crate) fn identical_live(
+            &self,
+            namespace: &str,
+            key: &str,
+            value: &Value,
+        ) -> Option<u64> {
+            self.slot(namespace, key).and_then(|s| {
+                s.value
+                    .as_ref()
+                    .filter(|stored| crate::codec::codec_eq(stored, value))
+                    .map(|_| s.version)
+            })
+        }
+    }
 
     fn insert(b: &mut MapBackend, namespace: &str, key: &str, value: Value) -> u64 {
         let len = value.encoded_len() as u64;

@@ -107,12 +107,6 @@ impl FaultPlan {
             .iter()
             .any(|&(from, until)| at >= from && at < until)
     }
-
-    /// True when the plan can never inject anything.
-    #[cfg(test)]
-    pub(crate) fn is_inert(&self) -> bool {
-        self.io_error_rate <= 0.0 && self.torn_write_rate <= 0.0 && self.brownouts.is_empty()
-    }
 }
 
 /// The fault decision point: a plan, its RNG stream and the clock its
@@ -252,6 +246,13 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl FaultPlan {
+        /// True when the plan can never inject anything.
+        fn is_inert(&self) -> bool {
+            self.io_error_rate <= 0.0 && self.torn_write_rate <= 0.0 && self.brownouts.is_empty()
+        }
+    }
 
     #[test]
     fn inert_injector_never_fails() {

@@ -99,15 +99,6 @@ impl Json {
         }
     }
 
-    /// The number as `f64`, if this is a number.
-    #[cfg(test)]
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(f, _) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// The number as an exact `u64`, if this is a non-negative integer
     /// literal (no fraction, no exponent, in range).
     pub fn as_u64(&self) -> Option<u64> {
@@ -401,6 +392,16 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Json {
+        /// The number as `f64`, if this is a number.
+        fn as_f64(&self) -> Option<f64> {
+            match self {
+                Json::Num(f, _) => Some(*f),
+                _ => None,
+            }
+        }
+    }
 
     #[test]
     fn parses_scalars() {

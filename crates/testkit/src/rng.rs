@@ -150,17 +150,18 @@ impl TestRng {
             chunk.copy_from_slice(&word[..chunk.len()]);
         }
     }
-
-    /// Derives an independent generator (distinct stream) from this one.
-    #[cfg(test)]
-    pub(crate) fn fork(&mut self) -> TestRng {
-        TestRng::new(self.next_u64())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TestRng {
+        /// Derives an independent generator (distinct stream) from this one.
+        fn fork(&mut self) -> TestRng {
+            TestRng::new(self.next_u64())
+        }
+    }
 
     #[test]
     fn known_answer_vectors_pin_the_algorithm() {

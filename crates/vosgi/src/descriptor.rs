@@ -187,56 +187,6 @@ impl InstanceDescriptor {
             + field_len("quota_mem", int(self.quota.memory_bytes))
             + field_len("quota_disk", int(self.quota.disk_bytes))
     }
-
-    /// Reads a descriptor back from [`to_value`](Self::to_value) form, with
-    /// a deny-all policy: the policy is not in the value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first malformed field.
-    #[cfg(test)]
-    pub fn from_value(v: &Value) -> Result<Self, String> {
-        let str_list = |key: &str| -> Result<Vec<String>, String> {
-            v.get(key)
-                .and_then(Value::as_list)
-                .ok_or_else(|| format!("missing {key}"))?
-                .iter()
-                .map(|x| {
-                    x.as_str()
-                        .map(str::to_owned)
-                        .ok_or_else(|| format!("bad {key} entry"))
-                })
-                .collect()
-        };
-        let customer = v
-            .get("customer")
-            .and_then(Value::as_str)
-            .ok_or("missing customer")?;
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("missing name")?;
-        let shared_packages = str_list("shared_packages")?
-            .into_iter()
-            .map(|p| PackageName::new(&p))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(InstanceDescriptor {
-            customer: CustomerId(customer.to_owned()),
-            name: name.to_owned(),
-            bundles: str_list("bundles")?,
-            shared_packages,
-            shared_services: str_list("shared_services")?,
-            policy: SecurityPolicy::deny_all(),
-            quota: ResourceQuota {
-                cpu_per_sec: dosgi_net::SimDuration::from_micros(
-                    v.get("quota_cpu_us").and_then(Value::as_int).unwrap_or(0) as u64,
-                ),
-                memory_bytes: v.get("quota_mem").and_then(Value::as_int).unwrap_or(0) as u64,
-                disk_bytes: v.get("quota_disk").and_then(Value::as_int).unwrap_or(0) as u64,
-            },
-            namespace: NamespaceCache::default(),
-        })
-    }
 }
 
 /// Builder for [`InstanceDescriptor`].
@@ -295,6 +245,51 @@ mod tests {
     use super::*;
     use dosgi_testkit::{prop, prop_verify_eq, TestRng};
 
+    /// Reads a descriptor back from its `to_value` form, with a deny-all
+    /// policy: the policy is not in the value.
+    fn from_value(v: &Value) -> Result<InstanceDescriptor, String> {
+        let str_list = |key: &str| -> Result<Vec<String>, String> {
+            v.get(key)
+                .and_then(Value::as_list)
+                .ok_or_else(|| format!("missing {key}"))?
+                .iter()
+                .map(|x| {
+                    x.as_str()
+                        .map(str::to_owned)
+                        .ok_or_else(|| format!("bad {key} entry"))
+                })
+                .collect()
+        };
+        let customer = v
+            .get("customer")
+            .and_then(Value::as_str)
+            .ok_or("missing customer")?;
+        let name = v
+            .get("name")
+            .and_then(Value::as_str)
+            .ok_or("missing name")?;
+        let shared_packages = str_list("shared_packages")?
+            .into_iter()
+            .map(|p| PackageName::new(&p))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(InstanceDescriptor {
+            customer: CustomerId(customer.to_owned()),
+            name: name.to_owned(),
+            bundles: str_list("bundles")?,
+            shared_packages,
+            shared_services: str_list("shared_services")?,
+            policy: SecurityPolicy::deny_all(),
+            quota: ResourceQuota {
+                cpu_per_sec: dosgi_net::SimDuration::from_micros(
+                    v.get("quota_cpu_us").and_then(Value::as_int).unwrap_or(0) as u64,
+                ),
+                memory_bytes: v.get("quota_mem").and_then(Value::as_int).unwrap_or(0) as u64,
+                disk_bytes: v.get("quota_disk").and_then(Value::as_int).unwrap_or(0) as u64,
+            },
+            namespace: NamespaceCache::default(),
+        })
+    }
+
     fn sample() -> InstanceDescriptor {
         InstanceDescriptor::builder("acme", "acme-prod")
             .bundle("org.acme.shop")
@@ -341,7 +336,7 @@ mod tests {
     fn value_round_trip_preserves_everything_but_policy() {
         let mut d = sample();
         d.policy = SecurityPolicy::deny_all().grant_file_rw("/data/acme");
-        let back = InstanceDescriptor::from_value(&d.to_value()).unwrap();
+        let back = from_value(&d.to_value()).unwrap();
         assert_eq!(back.customer, d.customer);
         assert_eq!(back.name, d.name);
         assert_eq!(back.bundles, d.bundles);
@@ -394,8 +389,8 @@ mod tests {
 
     #[test]
     fn from_value_rejects_garbage() {
-        assert!(InstanceDescriptor::from_value(&Value::Null).is_err());
-        assert!(InstanceDescriptor::from_value(&Value::map().with("customer", "x")).is_err());
+        assert!(from_value(&Value::Null).is_err());
+        assert!(from_value(&Value::map().with("customer", "x")).is_err());
     }
 
     #[test]

@@ -53,12 +53,6 @@ impl VirtualInstance {
         &self.framework
     }
 
-    /// Mutable access to the instance's framework (tests and the core
-    /// simulation drive workloads through this).
-    pub fn framework_mut(&mut self) -> &mut Framework {
-        &mut self.framework
-    }
-
     /// The instance's aggregate resource usage across all of its bundles —
     /// the per-customer reading the paper's Monitoring Module wants and
     /// cannot get from a stock JVM.

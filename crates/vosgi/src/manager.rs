@@ -193,16 +193,15 @@ impl InstanceManager {
     }
 
     /// A counter that moves whenever an instance is created, adopted,
-    /// started, stopped or destroyed, or handed out mutably: while it
-    /// stands still, every instance's
+    /// started, stopped or destroyed: while it stands still, every instance's
     /// [`is_running`](crate::VirtualInstance::is_running) answers what it
     /// answered before.
     pub fn lifecycle_epoch(&self) -> u64 {
         self.lifecycle_epoch
     }
 
-    /// The instances created, adopted, started, stopped or destroyed, or
-    /// handed out mutably, since the last
+    /// The instances created, adopted, started, stopped or destroyed since
+    /// the last
     /// [`clear_changed`](Self::clear_changed), by name: only their
     /// [`is_running`](crate::VirtualInstance::is_running) answers, and
     /// whether they are here at all, may have changed. `None` when more
@@ -346,7 +345,7 @@ impl InstanceManager {
         id
     }
 
-    /// Starts every bundle of the instance (ascending start-level order).
+    /// Starts every bundle of the instance, in id order.
     ///
     /// # Errors
     ///
@@ -355,15 +354,10 @@ impl InstanceManager {
     /// ([`Framework::degraded_bundles`]) — so one bad bundle does not block
     /// a customer's remaining services.
     pub fn start_instance(&mut self, id: InstanceId) -> Result<(), VosgiError> {
-        let inst = self.instance_mut_impl(id)?;
-        let mut order: Vec<(u32, BundleId)> = inst
-            .framework
-            .bundles()
-            .map(|b| (b.manifest.start_level, b.id))
-            .collect();
-        order.sort();
+        let inst = self.instance_mut(id)?;
+        let order: Vec<BundleId> = inst.framework.bundles().map(|b| b.id).collect();
         inst.framework.resolve_all();
-        for (_, bid) in order {
+        for bid in order {
             if let Err(e) = inst.framework.start(bid) {
                 // Recorded for the monitoring layer; other bundles continue.
                 let _ = e;
@@ -384,7 +378,7 @@ impl InstanceManager {
     ///
     /// [`VosgiError::NoSuchInstance`].
     pub fn stop_instance(&mut self, id: InstanceId) -> Result<(), VosgiError> {
-        let inst = self.instance_mut_impl(id)?;
+        let inst = self.instance_mut(id)?;
         inst.framework.shutdown();
         inst.state = InstanceState::Stopped;
         let key = NameKey(Rc::clone(&inst.descriptor));
@@ -455,7 +449,7 @@ impl InstanceManager {
                 .ok_or_else(|| VosgiError::UnknownBundle(symbolic_name.to_owned()))?,
         );
         let activator = self.factory.create(&manifest);
-        let inst = self.instance_mut_impl(id)?;
+        let inst = self.instance_mut(id)?;
         let bid = inst.framework.install(manifest, activator)?;
         if inst.state == InstanceState::Running {
             inst.framework.start(bid)?;
@@ -482,7 +476,7 @@ impl InstanceManager {
         // manifest), exactly as a real update loads the new bundle's
         // activator class.
         let activator = self.factory.create(&manifest);
-        let inst = self.instance_mut_impl(id)?;
+        let inst = self.instance_mut(id)?;
         let bid = inst
             .framework
             .find_bundle(symbolic_name)
@@ -514,7 +508,7 @@ impl InstanceManager {
         manifest: dosgi_osgi::BundleManifest,
     ) -> Result<UpgradeReport, VosgiError> {
         let activator = self.factory.create(&manifest);
-        let inst = self.instance_mut_impl(id)?;
+        let inst = self.instance_mut(id)?;
         let bid = inst
             .framework
             .find_bundle(symbolic_name)
@@ -722,18 +716,7 @@ impl InstanceManager {
         self.instances.get(&id)
     }
 
-    /// Mutable instance access. The descriptor's name is what
-    /// [`find_by_name`](Self::find_by_name) knows the instance by: leave it
-    /// as it is.
-    pub fn instance_mut(&mut self, id: InstanceId) -> Option<&mut VirtualInstance> {
-        // `state` is a public field.
-        self.lifecycle_epoch += 1;
-        let inst = self.instances.get_mut(&id)?;
-        self.changed.log(NameKey(Rc::clone(&inst.descriptor)));
-        Some(inst)
-    }
-
-    fn instance_mut_impl(&mut self, id: InstanceId) -> Result<&mut VirtualInstance, VosgiError> {
+    fn instance_mut(&mut self, id: InstanceId) -> Result<&mut VirtualInstance, VosgiError> {
         self.instances
             .get_mut(&id)
             .ok_or(VosgiError::NoSuchInstance(id))
@@ -920,8 +903,6 @@ mod tests {
         mgr.stop_instance(id).unwrap();
         assert!(moved(&mgr));
         assert_eq!(mgr.instance(id).unwrap().state, InstanceState::Stopped);
-        mgr.instance_mut(id).unwrap().state = InstanceState::Running;
-        assert!(moved(&mgr), "`state` is a public field");
         mgr.destroy_instance(id, true).unwrap();
         assert!(moved(&mgr));
         assert!(mgr.instance(id).is_none());
@@ -937,7 +918,7 @@ mod tests {
             names.expect("no overflow")
         };
         let a = mgr.create_instance(descriptor("a")).unwrap();
-        let b = mgr.create_instance(descriptor("b")).unwrap();
+        mgr.create_instance(descriptor("b")).unwrap();
         mgr.start_instance(a).unwrap();
         assert_eq!(taken(&mut mgr), ["a", "b"]);
         mgr.call_service(a, "org.cust.app.Api", "ping", &Value::Null)
@@ -948,8 +929,6 @@ mod tests {
         );
         mgr.stop_instance(a).unwrap();
         assert_eq!(taken(&mut mgr), ["a"]);
-        mgr.instance_mut(b).unwrap();
-        assert_eq!(taken(&mut mgr), ["b"]);
         mgr.destroy_instance(a, true).unwrap();
         assert_eq!(taken(&mut mgr), ["a"]);
         assert!(mgr.stop_instance(a).is_err());
@@ -1236,7 +1215,7 @@ mod tests {
         mgr.start_instance(id).unwrap();
         // Seed data-area state the upgraded revision must inherit.
         {
-            let fw = mgr.instance_mut(id).unwrap().framework_mut();
+            let fw = &mut mgr.instances.get_mut(&id).unwrap().framework;
             let bid = fw.find_bundle("org.cust.app").unwrap();
             fw.bundle_store_put(bid, "n", Value::Int(7)).unwrap();
         }
@@ -1254,7 +1233,7 @@ mod tests {
             Value::from("pong")
         );
         {
-            let fw = mgr.instance_mut(id).unwrap().framework_mut();
+            let fw = &mut mgr.instances.get_mut(&id).unwrap().framework;
             let bid = fw.find_bundle("org.cust.app").unwrap();
             assert_eq!(fw.bundle_store_get(bid, "n").unwrap(), Some(Value::Int(7)));
         }
@@ -1289,7 +1268,7 @@ mod tests {
         let id = mgr.create_instance(descriptor("a")).unwrap();
         mgr.start_instance(id).unwrap();
         {
-            let fw = mgr.instance_mut(id).unwrap().framework_mut();
+            let fw = &mut mgr.instances.get_mut(&id).unwrap().framework;
             let bid = fw.find_bundle("org.cust.app").unwrap();
             fw.bundle_store_put(bid, "n", Value::Int(3)).unwrap();
         }

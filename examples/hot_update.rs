@@ -6,17 +6,25 @@
 //!
 //! A customer's instance keeps serving while (1) a brand-new bundle is
 //! hot-installed into it and (2) an existing bundle is updated to a new
-//! version in place. A `ServiceTracker` watches the churn the way a real
-//! consumer would.
+//! version in place. The instance's service registry shows the churn: the
+//! update replaces the search service's registration with a new one.
 //!
 //! Run with: `cargo run -p dosgi-core --example hot_update`
 
 use dosgi_core::workloads;
 use dosgi_osgi::{
-    CallContext, FnActivator, Framework, ManifestBuilder, ServiceError, ServiceTracker, Version,
+    CallContext, FnActivator, Framework, ManifestBuilder, ServiceError, ServiceId, Version,
 };
 use dosgi_san::Value;
-use dosgi_vosgi::{InstanceDescriptor, InstanceManager};
+use dosgi_vosgi::{InstanceDescriptor, InstanceId, InstanceManager};
+
+const SEARCH: &str = "org.acme.search.Search";
+
+/// The services the instance's registry holds under the search interface.
+fn search_services(mgr: &InstanceManager, id: InstanceId) -> Vec<ServiceId> {
+    let registry = mgr.instance(id).expect("created").framework().registry();
+    registry.references(SEARCH).iter().map(|r| r.id).collect()
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Provision a new bundle + activator into the node's repository and
@@ -32,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let version = m.version;
         Box::new(FnActivator::on_start(move |ctx| {
             ctx.register_service(
-                &["org.acme.search.Search"],
+                &[SEARCH],
                 Box::new(
                     move |_: &mut CallContext<'_>, method: &str, _: &Value| match method {
                         "version" => Ok(Value::from(version.to_string())),
@@ -53,9 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     mgr.start_instance(id)?;
 
-    let mut tracker = ServiceTracker::new("org.acme.search.Search");
-    tracker.open(mgr.instance(id).unwrap().framework().registry());
-    println!("serving; search services tracked: {}", tracker.len());
+    assert!(search_services(&mgr, id).is_empty());
+    println!("serving; no search service registered");
 
     // 1. Hot-install the search bundle — no restart of anything else.
     let before = mgr
@@ -64,11 +71,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .and_then(Value::as_int)
         .unwrap_or(0);
     mgr.install_bundle(id, "org.acme.search")?;
-    tracker.sync(mgr.instance(id).unwrap().framework().registry());
+    let installed = search_services(&mgr, id);
+    assert_eq!(installed.len(), 1);
     println!(
-        "hot-installed search v{} (tracked: {}); web already served {} requests and keeps going",
-        mgr.call_service(id, "org.acme.search.Search", "version", &Value::Null)?,
-        tracker.len(),
+        "hot-installed search v{} (service {:?}); web already served {} requests and keeps going",
+        mgr.call_service(id, SEARCH, "version", &Value::Null)?,
+        installed[0],
         before
     );
 
@@ -80,11 +88,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .private_package("org.acme.search.impl", ["Index", "Ranker"])
             .build()?,
     )?;
-    tracker.sync(mgr.instance(id).unwrap().framework().registry());
-    let (added, removed) = tracker.churn();
+    let updated = search_services(&mgr, id);
+    assert_eq!(updated.len(), 1);
+    assert_ne!(updated, installed, "the update re-registers the service");
     println!(
-        "hot-updated search to v{} (tracker saw {added} registrations, {removed} removals)",
-        mgr.call_service(id, "org.acme.search.Search", "version", &Value::Null)?
+        "hot-updated search to v{} (service {:?} replaced by {:?})",
+        mgr.call_service(id, SEARCH, "version", &Value::Null)?,
+        installed[0],
+        updated[0]
     );
 
     // The web bundle never blinked.

@@ -24,6 +24,19 @@ if scripts/loc.sh --lines | grep -E "$threaded" | grep -vE "$allowed"; then
   exit 1
 fi
 
+echo "==> the library is what a runtime path calls: no test-only function in library code"
+# A `#[cfg(test)]` function outside a test module is library surface that
+# only tests reach: delete it, or move it into the test module beside its
+# callers. The search runs over scripts/loc.sh's non-test lines, where such a
+# function shows as a `#[cfg(test)]` line followed by a `fn` line. A gated
+# field or statement (cluster.rs's fixed-tick reference) is not a `fn`.
+cfg_test='^[^:]*:[0-9]+:[[:space:]]*#\[cfg\(test\)\][[:space:]]*$'
+test_fn='^[^:]*:[0-9]+:(.*[^[:alnum:]_])?fn[[:space:]]'
+if scripts/loc.sh --lines | grep -A1 -E "$cfg_test" | grep -B1 -E "$test_fn" | grep -v '^--$'; then
+  echo "ERROR: the functions above are compiled for tests only: delete each, or move it into its test module" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 

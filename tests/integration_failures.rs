@@ -356,7 +356,6 @@ fn consolidation_then_wake_and_scale_back_out() {
     for i in 0..3 {
         assert!(c.probe(&format!("idle-{i}")), "idle-{i} still served");
     }
-    let packed_home = c.home_of("idle-0").unwrap();
 
     // Demand returns: wake a hibernated node and move an instance onto it.
     let sleeping = (0..3)
@@ -366,10 +365,10 @@ fn consolidation_then_wake_and_scale_back_out() {
                 .unwrap_or(false)
         })
         .expect("a hibernated node exists");
-    c.wake_node(sleeping).unwrap();
+    // Waking is a restart: empty volatile state, and the SAN still holds
+    // everything durable.
+    c.restart_node(sleeping);
     c.run_for(SimDuration::from_secs(2));
-    // Waking a running node is rejected.
-    assert!(c.wake_node(packed_home).is_err());
 
     c.migrate("idle-0", sleeping).unwrap();
     // Demand is back: drive load so the instances are no longer idle and
