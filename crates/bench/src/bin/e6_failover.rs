@@ -164,8 +164,9 @@ fn main() {
             c.telemetry().counter("core.registry.ops"),
             c.net_mut().stats().sent,
         );
-        // A node that orders a `RegistrySync` or a `RegistryDelta` adds its
-        // bytes as it orders it: a step in which a counter moved ordered one.
+        // A node that orders a `RegistryTransfer` adds its bytes as it orders
+        // it, a view change's to `registry.sync_bytes` and any other to
+        // `registry.delta_bytes`: a step in which a counter moved ordered one.
         let shipped = |c: &DosgiCluster| {
             ["registry.sync_bytes", "registry.delta_bytes"].map(|m| c.telemetry().counter(m))
         };
@@ -210,8 +211,8 @@ fn main() {
     println!(
         "\n(A rejoin after suspicion is a view agreement, a re-base, the \
          joiner's `Hello` — ordered before the view admits it, so nobody \
-         answers it — and the `RegistrySync` the admitting view change orders \
-         for it: one registry transfer, O(nodes) messages however long the \
+         answers it — and the `RegistryTransfer` the admitting view change \
+         orders for it: one registry transfer, O(nodes) messages however long the \
          stream the node missed.)"
     );
 

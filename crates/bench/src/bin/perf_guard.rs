@@ -24,7 +24,7 @@
 //! counting global allocator feeding it. It prints, per round over four
 //! rounds (one per victim), how often each phase ran and what it allocated;
 //! `apply_control` has three parts, a failover's claims (`.claims`), a
-//! `RegistrySync`'s export and import (`.sync`) and adoptions queued
+//! registry transfer's export and import (`.sync`) and adoptions queued
 //! (`.queue`); `gcs.handle` and `gcs.tick` have one part per machine of
 //! the group layer (`.detector`, `.membership`, `.stream`; a handled
 //! message counts one call of the machine it is addressed to); `sample`

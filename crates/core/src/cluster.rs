@@ -429,9 +429,9 @@ impl DosgiCluster {
 
     /// Restarts a crashed node with fresh volatile state and its host
     /// framework restored from its own SAN snapshot; it rejoins the
-    /// group and receives one registry transfer: the `RegistrySync` of the
-    /// view change that admits it, or — restarted inside the suspicion
-    /// timeout — the `RegistryDelta` answering its `Hello`. A hibernated
+    /// group and receives one `RegistryTransfer`: the one the view change
+    /// that admits it orders, or — restarted inside the suspicion timeout —
+    /// the one answering its `Hello`. A hibernated
     /// or orderly-stopped node wakes the same way, as a placement candidate
     /// again: the scale-back-up half of §4's consolidation story.
     /// An index that is not a node is a no-op, as it is for

@@ -90,55 +90,62 @@ pub enum AppPayload {
     },
     /// (ordered) A node announces it (re)started and asks for the registry.
     /// A node admitted by a view change is sent its state by the
-    /// `RegistrySync` that view change orders, so a `Hello` from outside the
-    /// answering node's view goes unanswered. A `Hello` from a member — a
+    /// `RegistryTransfer` that view change orders, so a `Hello` from outside
+    /// the answering node's view goes unanswered. A `Hello` from a member — a
     /// node that crashed and restarted *below the suspicion timeout*,
     /// invisible to the failure detector — is answered with a
-    /// `RegistryDelta` addressed to it, computed against the carried digest,
-    /// so it learns the registry and re-adopts the instances it silently
-    /// lost without being sent records it already holds. Until a transfer
-    /// addressed to it lands, the node asks again on the stranded-sweep
-    /// cadence.
+    /// `RegistryTransfer` addressed to it, computed against the carried
+    /// digest, so it learns the registry and re-adopts the instances it
+    /// silently lost without being sent records it already holds. Until a
+    /// transfer addressed to it lands, the node asks again on the
+    /// stranded-sweep cadence.
     Hello {
         /// The (re)started node.
         node: NodeId,
         /// The sender's registry digest (`(name, rev)` in name order, see
         /// [`ClusterRegistry::digest`](crate::ClusterRegistry::digest)).
-        /// Empty after a fresh restart, in which case the answering delta
-        /// degenerates to a full snapshot.
+        /// Empty after a fresh restart, in which case the answer carries
+        /// every record.
         digest: Vec<(Arc<str>, u64)>,
         /// A repeated request: an earlier `Hello` went unanswered. Every
-        /// member that holds the registry answers it, with an empty delta
-        /// if need be, so that the asking stops.
+        /// member that holds the registry answers it, with an empty
+        /// transfer if need be, so that the asking stops.
         retry: bool,
     },
-    /// (ordered) Full registry state, ordered by the lowest-id member that
-    /// was already in the group when a view change admits nodes: the
-    /// joiners' one transfer, whether they restarted after being suspected
-    /// or come from the other side of a healed partition, whose divergence
-    /// is unbounded. Every member merges it at the same logical instant.
-    RegistrySync {
-        /// Every record of the sender's registry, in name order, each
-        /// sharing its descriptor with the sender's copy.
-        registry: Vec<InstanceRecord>,
-        /// The nodes the view change admitted, as the sender saw it: the
-        /// nodes this transfer is addressed to.
-        joined: Vec<NodeId>,
-    },
-    /// (ordered) Per-record registry delta, answering a `Hello`: only the
-    /// records the digest is missing or holds at an older revision travel,
-    /// plus revision-guarded removals for records the digest names but the
-    /// sender's registry no longer contains.
-    RegistryDelta {
-        /// The node whose `Hello` this answers: the node it is addressed to.
-        to: NodeId,
-        /// Records newer than — or absent from — the digest this delta
-        /// answers, in name order.
+    /// (ordered) Registry records for the nodes in `to`, which every member
+    /// merges at the same logical instant. Three senders order one: the
+    /// lowest-id member already in the group ships every record to the
+    /// joiners of a view change (restarted after being suspected, or from
+    /// the other side of a healed partition, whose divergence is
+    /// unbounded), with no removes; a member answers a `Hello` with the
+    /// records its digest is missing or holds at an older revision, plus
+    /// revision-guarded removals for records the digest names but the
+    /// sender's registry no longer contains; and the lowest member that is
+    /// not an addressee of a transfer ships what moved since it was taken.
+    RegistryTransfer {
+        /// The nodes this transfer is addressed to: a view change's
+        /// joiners as the sender saw them, the node whose `Hello` it
+        /// answers, or the first addressee of the transfer it corrects.
+        to: Box<[NodeId]>,
+        /// Records in name order, each sharing its name and descriptor
+        /// with the sender's copy.
         upserts: Vec<InstanceRecord>,
-        /// `(name, rev)`: records the digest named that the sender lacks.
+        /// `(name, rev)`: records the receiver should no longer hold.
         /// Applied only when the receiver's revision still equals `rev` (a
         /// CAS guard — revisions restart at 1 after an undeploy + redeploy,
         /// so a plain `<=` check would be unsound).
-        removes: Vec<(Arc<str>, u64)>,
+        removes: Box<[(Arc<str>, u64)]>,
     },
+}
+
+#[cfg(test)]
+mod tests {
+    /// Every ordered message's `Rc` allocation is sized by the largest
+    /// variant: the transfer's boxed addressee and remove lists keep it at
+    /// the size the other variants need.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_payload_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<super::AppPayload>(), 56);
+    }
 }

@@ -736,7 +736,7 @@ impl DosgiNode {
                     self.draining_peers.remove(j);
                     self.departed_peers.remove(j);
                 }
-                self.ship_sync(&view, joined, net);
+                self.ship_to_joiners(&view, joined, net);
                 if !left.is_empty() && self.is_primary(&view) {
                     self.registry.orphan_homes(|n| left.contains(&n));
                     self.handle_failover(net);
@@ -792,9 +792,9 @@ impl DosgiNode {
                     self.draining_peers.insert(*node);
                 }
             }
-            AppPayload::Hello { .. }
-            | AppPayload::RegistrySync { .. }
-            | AppPayload::RegistryDelta { .. } => self.apply_transfer(payload, net, now),
+            AppPayload::Hello { .. } | AppPayload::RegistryTransfer { .. } => {
+                self.apply_transfer(payload, net, now)
+            }
             // Registry bookkeeping only (done in `apply` above). The
             // quarantining node keeps its partially-restored copy
             // installed-but-stopped so the heal re-claim can restart it in

@@ -6,14 +6,15 @@
 //! *Transitions:* the first tick orders a `Hello` with the node's digest
 //! (`Unsent → Sent`); a stranded sweep marks it overdue (`Sent →
 //! Overdue`), and every later sweep asks again with `retry: true`. Applying
-//! a `RegistrySync` naming the node among its `joined`, a `RegistryDelta`
-//! addressed to it, or — booted with the group — its own `Hello` with
-//! nothing ordered before it, makes it `Answered`. The other direction: the
-//! lowest member already in the view ships a `RegistrySync` to the joiners
-//! of each view change; the lowest other member answers a member's `Hello`
-//! with a `RegistryDelta` against its digest (every holder answers a
-//! retry); and the lowest member other than a transfer's addressees ships
-//! them what moved between the transfer's export and its position.
+//! a `RegistryTransfer` whose `to` names the node or — booted with the
+//! group — its own `Hello` with nothing ordered before it, makes it
+//! `Answered`. The other direction is one message with three senders: the
+//! lowest member already in the view ships every record to the joiners of
+//! each view change; the lowest other member answers a member's `Hello`
+//! with what its digest lacks (every holder answers a retry); and the
+//! lowest member other than a transfer's addressees ships them what moved
+//! between the transfer's export and its position. Every member applies
+//! each transfer the same way: correct, import, reconcile.
 //!
 //! *Invariant:* only an `Answered` node ships the registry, and every
 //! joiner gets one transfer addressed to it, asked for until it lands.
@@ -47,7 +48,7 @@ impl DosgiNode {
 
     /// The stranded sweep's turn: a joiner whose transfer has not landed
     /// asks again, since the one it was owed can die with a crashing
-    /// sequencer or sync sender.
+    /// sequencer or the transfer's sender.
     pub(super) fn chase_transfer(&mut self, net: &mut impl Fabric<Wire>) {
         match self.transfer {
             Transfer::Sent => self.transfer = Transfer::Overdue,
@@ -75,35 +76,28 @@ impl DosgiNode {
     }
 
     /// State transfer for the joiners of a view change, the one they get:
-    /// the lowest-id member that was *already* in the group sends its
-    /// registry, addressed to them (the new coordinator may well be the
+    /// the lowest-id member that was *already* in the group ships every
+    /// record, addressed to them (the new coordinator may well be the
     /// freshly-restarted joiner, whose registry is empty). A member still
     /// waiting for its own transfer has nothing to ship; the joiners then
     /// ask again.
-    pub(super) fn ship_sync(
+    pub(super) fn ship_to_joiners(
         &mut self,
         view: &View,
         joined: Vec<NodeId>,
         net: &mut impl Fabric<Wire>,
     ) {
-        let sync_sender = view.members.iter().find(|m| !joined.contains(m));
-        if joined.is_empty() || sync_sender != Some(&self.id) || self.awaiting_transfer() {
+        let sender = view.members.iter().find(|m| !joined.contains(m));
+        if joined.is_empty() || sender != Some(&self.id) || self.awaiting_transfer() {
             return;
         }
         let phases = self.phases.clone();
         let _exporting = phases.enter(Phase::ApplyControlSync);
-        let records: Vec<InstanceRecord> = self.registry.records().cloned().collect();
-        self.metrics
-            .registry_sync_bytes
-            .add(registry::records_len(&records) as u64);
-        let sync = AppPayload::RegistrySync {
-            registry: records,
-            joined,
-        };
-        self.order(net, sync, TraceRef::NONE);
+        let records = self.registry.records().cloned().collect();
+        self.ship_transfer(net, joined.into_boxed_slice(), records, None);
     }
 
-    /// Applies a delivered `Hello`, `RegistrySync` or `RegistryDelta`.
+    /// Applies a delivered `Hello` or `RegistryTransfer`.
     pub(super) fn apply_transfer(
         &mut self,
         payload: &AppPayload,
@@ -128,12 +122,12 @@ impl DosgiNode {
                     }
                 } else if self.gcs.view().contains(*node) && !self.awaiting_transfer() {
                     // A member that restarted under the suspicion timeout
-                    // (a node outside the view is sent the sync of the view
-                    // change that admits it): the lowest-id other member
-                    // answers with a per-record delta against its digest,
-                    // so the peer is not re-sent records it holds at the
-                    // current revision. A retry is answered by every member
-                    // that holds the registry, even with an empty delta, so
+                    // (a node outside the view is sent the transfer of the
+                    // view change that admits it): the lowest-id other
+                    // member answers with what its digest lacks, so the
+                    // peer is not re-sent records it holds at the current
+                    // revision. A retry is answered by every member that
+                    // holds the registry, even with an empty transfer, so
                     // that the asking stops; rev-gated merge-import makes
                     // the duplicates harmless.
                     let responder = self.gcs.view().members.iter().find(|m| *m != node);
@@ -141,36 +135,26 @@ impl DosgiNode {
                     if *retry || lowest {
                         let (upserts, removes) = self.registry.export_delta(digest);
                         if *retry || !upserts.is_empty() || !removes.is_empty() {
-                            self.ship_delta(net, *node, upserts, removes);
+                            self.ship_transfer(net, Box::new([*node]), upserts, Some(removes));
                         }
                     }
                 }
             }
-            AppPayload::RegistrySync { registry, joined } => {
-                // Authoritative snapshot in the total order — the joiners'
-                // transfer (restarts, healed minorities): everyone merges
-                // the same snapshot at the same logical instant, then
-                // reconciles local instances against it (partition heal).
-                self.correct_transfer(net, registry, joined);
-                self.phases
-                    .count_in(Phase::ApplyControlSync, || self.registry.import(registry));
-                self.reconcile_with_registry(now);
-                if joined.contains(&self.id) {
-                    self.transfer = Transfer::Answered;
-                }
-            }
-            AppPayload::RegistryDelta {
+            AppPayload::RegistryTransfer {
                 to,
                 upserts,
                 removes,
             } => {
-                // Ordered per-record delta: same merge semantics as a full
-                // sync (rev-gated upserts, rev-equality-guarded removals),
-                // applied by every member at the same logical instant.
-                self.correct_transfer(net, upserts, std::slice::from_ref(to));
-                self.registry.import_delta(upserts, removes);
+                // Every member merges the same records (rev-gated upserts,
+                // rev-equality-guarded removals) at the same logical
+                // instant, then reconciles local instances against them
+                // (partition heal).
+                self.correct_transfer(net, upserts, to);
+                self.phases.count_in(Phase::ApplyControlSync, || {
+                    self.registry.import(upserts, removes)
+                });
                 self.reconcile_with_registry(now);
-                if *to == self.id {
+                if to.contains(&self.id) {
                     self.transfer = Transfer::Answered;
                 }
             }
@@ -180,22 +164,22 @@ impl DosgiNode {
 
     /// Ships the addressees of a transfer what moved since it was taken.
     /// A transfer carries records as they stood where its sender took it:
-    /// at a view change for a sync, at the `Hello` for a delta. A write
-    /// ordered between that point and the transfer's own position reached
-    /// every member, but the transfer then undoes it: an addressee that
-    /// passed over a record it did not have yet is left a revision behind,
-    /// and a record removed in between comes back wherever the transfer is
+    /// at the view change, or at the `Hello` it answers. A write ordered
+    /// between that point and the transfer's own position reached every
+    /// member, but the transfer then undoes it: an addressee that passed
+    /// over a record it did not have yet is left a revision behind, and a
+    /// record removed in between comes back wherever the transfer is
     /// imported. The lowest member that is not an addressee ships what
     /// moved since the shipped records, as its own registry reads, in a
-    /// delta of its own — corrected the same way should it be overtaken in
-    /// turn. Within one view's history every member applies the same
-    /// stream, so that member sees the gap the addressees have. Across a
-    /// merge it need not: the transfer can come from the other side, whose
-    /// writes that member never saw, and then nothing is corrected (seed
-    /// 1905's trace, ROADMAP item 1(a), step 6). The gap is read on that
-    /// member, so an addressee's own newer records (the other side of a
-    /// healed partition) are none of it. Nothing moved, nothing is sent.
-    /// Called before the transfer is imported.
+    /// transfer of its own to the first addressee — corrected the same way
+    /// should it be overtaken in turn. Within one view's history every
+    /// member applies the same stream, so that member sees the gap the
+    /// addressees have. Across a merge it need not: the transfer can come
+    /// from the other side, whose writes that member never saw, and then
+    /// nothing is corrected (seed 1905's trace, ROADMAP item 1(a), step 6).
+    /// The gap is read on that member, so an addressee's own newer records
+    /// (the other side of a healed partition) are none of it. Nothing
+    /// moved, nothing is sent. Called before the transfer is imported.
     fn correct_transfer(
         &mut self,
         net: &mut impl Fabric<Wire>,
@@ -216,26 +200,36 @@ impl DosgiNode {
         }
         let (moved, gone) = self.registry.moved_since(shipped);
         if !moved.is_empty() || !gone.is_empty() {
-            self.ship_delta(net, to, moved, gone);
+            self.ship_transfer(net, Box::new([to]), moved, Some(gone));
         }
     }
 
-    /// Orders a `RegistryDelta` addressed to `to`.
-    fn ship_delta(
+    /// Orders a `RegistryTransfer` of `upserts` and `removes` to `to`. A
+    /// view change's transfer is every record and has no removes (`None`):
+    /// it counts on `registry.sync_bytes` as the registry's export would
+    /// encode. Any other carries a removes list, even an empty one, and
+    /// counts both lists on `registry.delta_bytes`.
+    fn ship_transfer(
         &mut self,
         net: &mut impl Fabric<Wire>,
-        to: NodeId,
+        to: Box<[NodeId]>,
         upserts: Vec<InstanceRecord>,
-        removes: Vec<(Arc<str>, u64)>,
+        removes: Option<Vec<(Arc<str>, u64)>>,
     ) {
-        self.metrics
-            .registry_delta_bytes
-            .add((registry::records_len(&upserts) + registry::removes_len(&removes)) as u64);
-        let delta = AppPayload::RegistryDelta {
+        let records_len = registry::records_len(&upserts);
+        let (sent, len) = match &removes {
+            None => (&self.metrics.registry_sync_bytes, records_len),
+            Some(removes) => (
+                &self.metrics.registry_delta_bytes,
+                records_len + registry::removes_len(removes),
+            ),
+        };
+        sent.add(len as u64);
+        let transfer = AppPayload::RegistryTransfer {
             to,
             upserts,
-            removes,
+            removes: removes.unwrap_or_default().into_boxed_slice(),
         };
-        self.order(net, delta, TraceRef::NONE);
+        self.order(net, transfer, TraceRef::NONE);
     }
 }

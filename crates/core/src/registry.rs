@@ -11,8 +11,9 @@
 //! failover *claims* race-free: the first claim for an orphan in the total
 //! order wins everywhere; later claims are ignored everywhere.
 //!
-//! A registry travels between nodes as typed records: a `RegistrySync`
-//! carries them all, a `RegistryDelta` the ones a digest lacks. A record's
+//! A registry travels between nodes as typed records in a
+//! `RegistryTransfer`: a view change's carries them all, a `Hello`'s answer
+//! the ones a digest lacks, a correction the ones that moved. A record's
 //! name (an `Arc<str>`) and its descriptor (an `Rc`) are both made once by
 //! the deploying node and carried by its `Deployed`, so every copy of the registry, every
 //! transfer and every digest shares them, as does every later message,
@@ -192,8 +193,7 @@ impl ClusterRegistry {
             | AppPayload::Quarantined { name, .. } => self.records.get_mut(&**name),
             AppPayload::Draining { .. }
             | AppPayload::Hello { .. }
-            | AppPayload::RegistrySync { .. }
-            | AppPayload::RegistryDelta { .. } => None,
+            | AppPayload::RegistryTransfer { .. } => None,
         };
         let Some(r) = r else { return false };
         let (home, status) = match *msg {
@@ -392,44 +392,33 @@ impl ClusterRegistry {
         (upserts, removes)
     }
 
-    /// Applies a per-record delta (see [`export_delta`](Self::export_delta)).
-    /// Upserts merge exactly like [`import`](Self::import) — revision
-    /// regressions are refused — and removals only fire while the local
-    /// revision still *equals* the guard: any ordered mutation interleaved
-    /// between the digest and the delta (a redeploy, a claim) changes the
-    /// revision and voids the removal.
-    pub fn import_delta(&mut self, upserts: &[InstanceRecord], removes: &[(Arc<str>, u64)]) {
-        self.import(upserts);
-        for (name, rev) in removes {
-            if self.records.get(name).is_some_and(|r| r.rev == *rev) {
-                self.records.remove(name);
-                self.changed.log(Arc::clone(name));
-            }
-        }
-    }
-
-    /// Merges a transfer's records into this registry: records it does not
-    /// mention are **kept**, and a record it does mention is written only
-    /// where it differs. Merge (rather than replace) semantics make sync
-    /// storms safe: a stale snapshot — e.g. one exported before an
-    /// in-flight `Deployed` re-sequenced — cannot wipe fresher records, and
-    /// since every node applies the same syncs in the same total order, all
-    /// copies still converge.
+    /// Merges a transfer into this registry. Records `upserts` does not
+    /// mention are **kept**, a record it does mention is written only
+    /// where it differs, and revision regressions are refused. Merge
+    /// (rather than replace) semantics make sync storms safe: a stale
+    /// snapshot — e.g. one exported before an in-flight `Deployed`
+    /// re-sequenced — cannot wipe fresher records, and since every node
+    /// applies the same transfers in the same total order, all copies
+    /// still converge. A removal fires only while the local revision still
+    /// *equals* its guard, the revision the sender saw (see
+    /// [`export_delta`](Self::export_delta)): any ordered mutation
+    /// interleaved since (a redeploy, a claim) changes the revision and
+    /// voids it.
     ///
     /// A record held already is updated in place, and a descriptor it
     /// shares with the incoming record is not compared, so a member that is
     /// up to date — every member but the joiner — allocates nothing. A
     /// record this registry lacks costs its place in the map; its name and
     /// its descriptor are shared, not copied.
-    pub fn import(&mut self, records: &[InstanceRecord]) {
-        for incoming in records {
+    pub fn import(&mut self, upserts: &[InstanceRecord], removes: &[(Arc<str>, u64)]) {
+        for incoming in upserts {
             match self.records.get_mut(&incoming.name) {
                 // Refuse regressions: only adopt the incoming record if it
                 // is at least as fresh as ours.
                 Some(local) if incoming.rev < local.rev => {}
                 // An *equal* revision still writes `home` and `status`: a
                 // local `Orphaned` mark bumps no revision, and this is how a
-                // sync carries one or clears it.
+                // transfer carries one or clears it.
                 Some(local) => {
                     if (local.home, local.status) != (incoming.home, incoming.status) {
                         self.changed.log(Arc::clone(&local.name));
@@ -448,6 +437,12 @@ impl ClusterRegistry {
                     self.records
                         .insert(Arc::clone(&incoming.name), incoming.clone());
                 }
+            }
+        }
+        for (name, rev) in removes {
+            if self.records.get(name).is_some_and(|r| r.rev == *rev) {
+                self.records.remove(name);
+                self.changed.log(Arc::clone(name));
             }
         }
     }
@@ -499,7 +494,8 @@ mod tests {
         }
     }
 
-    /// What a `RegistrySync` carries: every record, descriptors shared.
+    /// What a view change's transfer carries: every record, descriptors
+    /// shared.
     fn transfer(r: &ClusterRegistry) -> Vec<InstanceRecord> {
         r.records().cloned().collect()
     }
@@ -552,10 +548,10 @@ mod tests {
         assert_eq!(take_changed(&mut r).unwrap(), ["b"]);
         // An equal revision carries `b`'s status back; an own export and an
         // empty delta change nothing.
-        r.import(&transfer(&copy));
+        r.import(&transfer(&copy), &[]);
         assert_eq!(take_changed(&mut r).unwrap(), ["b"]);
-        r.import(&transfer(&r.clone()));
-        r.import_delta(&[], &[]);
+        r.import(&transfer(&r.clone()), &[]);
+        r.import(&[], &[]);
         r.apply(&deployed("b", 1));
         assert!(
             take_changed(&mut r).unwrap().is_empty(),
@@ -606,8 +602,8 @@ mod tests {
         let (upserts, removes) = r.moved_since(&shipped);
         // Whoever imported the transfer ends where this registry stands.
         let mut joiner = ClusterRegistry::new();
-        joiner.import(&shipped);
-        joiner.import_delta(&upserts, &removes);
+        joiner.import(&shipped, &[]);
+        joiner.import(&upserts, &removes);
         assert_eq!(joiner, r);
         assert_eq!((upserts.len(), removes.len()), (1, 1));
     }
@@ -761,7 +757,7 @@ mod tests {
             node: NodeId(0),
         });
         let mut r2 = ClusterRegistry::new();
-        r2.import(&transfer(&r));
+        r2.import(&transfer(&r), &[]);
         assert_eq!(r2, r);
         assert_eq!(r2.export().encode(), r.export().encode());
     }
@@ -779,7 +775,7 @@ mod tests {
         r.apply(&deployed("c", 2));
         r.orphan_homes(|n| n == NodeId(2));
         let mut r2 = ClusterRegistry::new();
-        r2.import(&transfer(&r));
+        r2.import(&transfer(&r), &[]);
         assert_eq!(r2, r);
         // The joiner's descriptors are the sender's, not copies of them.
         assert!(r2
@@ -798,7 +794,7 @@ mod tests {
         // snapshot carries the mark at the revision this copy holds.
         let mut peer = r.clone();
         peer.orphan_homes(|n| n == NodeId(0));
-        r.import(&transfer(&peer));
+        r.import(&transfer(&peer), &[]);
         assert_eq!(r.record("a").unwrap().status, InstanceStatus::Orphaned);
         assert_eq!(r.record("a").unwrap().rev, 1);
         // The same way a later snapshot clears it, and moves `home` with it.
@@ -809,7 +805,7 @@ mod tests {
             status: InstanceStatus::Placed,
             rev: 1,
         };
-        r.import(&[placed]);
+        r.import(&[placed], &[]);
         let rec = r.record("a").unwrap();
         assert_eq!(
             (rec.home, rec.status, rec.rev),
@@ -835,10 +831,10 @@ mod tests {
         r.apply(&deployed("d", 3));
         r.orphan_homes(|n| n == NodeId(3));
         let before = r.clone();
-        r.import(&transfer(&r.clone()));
+        r.import(&transfer(&r.clone()), &[]);
         assert_eq!(r, before);
         let (upserts, removes) = r.export_delta(&[]);
-        r.import_delta(&upserts, &removes);
+        r.import(&upserts, &removes);
         assert_eq!(r, before);
     }
 
@@ -969,7 +965,7 @@ mod tests {
         assert!(removes.is_empty());
         // A fresh replica importing the delta converges exactly.
         let mut r2 = ClusterRegistry::new();
-        r2.import_delta(&upserts, &removes);
+        r2.import(&upserts, &removes);
         assert_eq!(r2, r);
     }
 
@@ -1004,7 +1000,7 @@ mod tests {
         assert_eq!(names, vec!["a", "c"]);
         assert!(removes.is_empty());
         let mut caught_up = behind.clone();
-        caught_up.import_delta(&upserts, &removes);
+        caught_up.import(&upserts, &removes);
         assert_eq!(caught_up, r);
     }
 
@@ -1021,7 +1017,7 @@ mod tests {
         // A replica still holding a@1 drops it…
         let mut behind = ClusterRegistry::new();
         behind.apply(&deployed("a", 0));
-        behind.import_delta(&upserts, &removes);
+        behind.import(&upserts, &removes);
         assert!(behind.is_empty());
 
         // …but a replica that re-deployed `a` after the undeploy holds it
@@ -1035,7 +1031,7 @@ mod tests {
             from: NodeId(3),
             to: NodeId(4),
         });
-        redeployed.import_delta(&upserts, &removes);
+        redeployed.import(&upserts, &removes);
         assert!(
             redeployed.record("a").is_some(),
             "revision-mismatched remove must be voided"
@@ -1052,7 +1048,7 @@ mod tests {
         });
         let (upserts, removes) = r.export_delta(&[]);
         let mut r2 = ClusterRegistry::new();
-        r2.import_delta(&upserts, &removes);
+        r2.import(&upserts, &removes);
         assert_eq!(r2, r);
         assert_eq!(Value::decode(&r2.export().encode()).unwrap(), r.export());
     }

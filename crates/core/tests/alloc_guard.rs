@@ -45,9 +45,9 @@
 //! descriptor; a joiner imports 40 records in 7 allocations, the map's
 //! nodes, holding the sender's names and descriptors rather than copies of
 //! them; importing a
-//! registry that says nothing new allocates nothing; ordering a
-//! `RegistrySync` costs, beyond its export, the same for 4 records as for
-//! 40; the restart takes its share of the cluster's one boot kit and
+//! registry that says nothing new allocates nothing; ordering a view
+//! change's `RegistryTransfer` costs, beyond its export, the same for 4
+//! records as for 40; the restart takes its share of the cluster's one boot kit and
 //! restores the host framework from the node's own snapshot, sharing the
 //! kit's host manifests, allocating exactly 28 times and issuing no write;
 //! a whole crash, failover, restart and rejoin of the `failover` workload —
@@ -606,7 +606,7 @@ fn registry_of(records: usize) -> ClusterRegistry {
     registry
 }
 
-/// What a `RegistrySync` carries: every record, descriptors shared.
+/// What a view change's transfer carries: every record, descriptors shared.
 fn transfer(registry: &ClusterRegistry) -> Vec<InstanceRecord> {
     registry.records().cloned().collect()
 }
@@ -636,7 +636,7 @@ fn exporting_a_sync_copies_no_descriptor() {
 fn a_joiner_shares_every_descriptor_it_imports() {
     let records = transfer(&registry_of(INSTANCES));
     let mut joiner = ClusterRegistry::new();
-    let (allocations, ()) = allocations_in(|| joiner.import(&records));
+    let (allocations, ()) = allocations_in(|| joiner.import(&records, &[]));
     assert_eq!(allocations, JOINER_IMPORT);
     assert!(joiner
         .records()
@@ -680,15 +680,15 @@ fn importing_an_own_export_allocates_nothing() {
     let (upserts, removes) = registry.export_delta(&[]);
     let before = registry.clone();
     let (allocations, ()) = allocations_in(|| {
-        registry.import(&snapshot);
-        registry.import(&twin);
-        registry.import_delta(&upserts, &removes);
+        registry.import(&snapshot, &[]);
+        registry.import(&twin, &[]);
+        registry.import(&upserts, &removes);
     });
     assert_eq!(allocations, 0);
     assert_eq!(registry, before);
 }
 
-/// What ordering one `RegistrySync` addressed to a joiner in a five-member
+/// What ordering one `RegistryTransfer` addressed to a joiner in a five-member
 /// view allocates — its list of addressees, retry queue, sequencer log,
 /// fan-out, delivery and five up-to-date imports — with the snapshot already
 /// exported.
@@ -717,13 +717,13 @@ fn ordered_sync_allocations(records: usize) -> u64 {
             gcs.take_events(&mut events);
             for event in events {
                 if let GcsEvent::OrderedDeliver { msg, .. } = event {
-                    let AppPayload::RegistrySync {
-                        registry: snapshot, ..
+                    let AppPayload::RegistryTransfer {
+                        upserts, removes, ..
                     } = &*msg.payload
                     else {
-                        panic!("only a sync is ordered here");
+                        panic!("only a transfer is ordered here");
                     };
-                    registry.import(snapshot);
+                    registry.import(upserts, removes);
                     applied += 1;
                 }
             }
@@ -736,9 +736,10 @@ fn ordered_sync_allocations(records: usize) -> u64 {
     assert!(members.iter().all(|(gcs, _)| gcs.view().len() == NODES));
     let snapshot = transfer(&registry);
     let (allocations, ()) = allocations_in(|| {
-        let sync = AppPayload::RegistrySync {
-            registry: snapshot,
-            joined: vec![ids[NODES - 1]],
+        let sync = AppPayload::RegistryTransfer {
+            to: Box::new([ids[NODES - 1]]),
+            upserts: snapshot,
+            removes: Box::default(),
         };
         members[1].0.order(&mut net, Rc::new(sync));
         let mut applied = 0;

@@ -39,9 +39,11 @@
 //! a node's is:
 //!
 //! - a view change that admits away nodes has the lowest member export a
-//!   `RegistrySync`, which every node in the view imports at its position;
+//!   `RegistryTransfer` of every record, which every node in the view
+//!   imports at its position;
 //! - a node that restarts inside the suspicion timeout asks with a `Hello`,
-//!   which the lowest other member answers with a `RegistryDelta`; one whose
+//!   which the lowest other member answers with a `RegistryTransfer` of
+//!   what its digest lacks; one whose
 //!   transfer was cut asks again, and every member answers;
 //! - where a transfer is applied, the lowest node in the view that is not
 //!   among its addressees ships what moved since the transfer was taken.
@@ -562,12 +564,12 @@ impl<'t> World<'t> {
             }
             let (upserts, removes) = self.registry(m).export_delta(&digest);
             if retry || !upserts.is_empty() || !removes.is_empty() {
-                self.ship_delta(&[node], upserts, removes);
+                self.ship_transfer(&[node], upserts, removes);
             }
         }
     }
 
-    fn ship_delta(
+    fn ship_transfer(
         &mut self,
         to: &[NodeId],
         upserts: Vec<InstanceRecord>,
@@ -592,7 +594,7 @@ impl<'t> World<'t> {
         let (moved, gone) = self.registry(sender).moved_since(shipped);
         if !moved.is_empty() || !gone.is_empty() {
             bump(&self.tally.corrections);
-            self.ship_delta(for_nodes, moved, gone);
+            self.ship_transfer(for_nodes, moved, gone);
         }
     }
 
@@ -611,12 +613,11 @@ impl<'t> World<'t> {
         match &transfer.payload {
             Payload::Sync(records) => {
                 self.correct(records, to, to);
-                self.in_view_mut().for_each(|r| r.import(records));
+                self.in_view_mut().for_each(|r| r.import(records, &[]));
             }
             Payload::Delta(upserts, removes) => {
                 self.correct(upserts, &to[..1], to);
-                self.in_view_mut()
-                    .for_each(|r| r.import_delta(upserts, removes));
+                self.in_view_mut().for_each(|r| r.import(upserts, removes));
             }
         }
         self.model.transfer(&transfer.shipped);

@@ -98,14 +98,13 @@ impl View {
     }
 
     /// Members in `self` but not `older` (joined) and members in `older`
-    /// but not `self` (left).
+    /// but not `self` (left). The joined list is allocated at its exact
+    /// length, so that a registry transfer addressed to the joiners takes
+    /// it as a boxed slice without reallocating.
     pub fn diff(&self, older: &View) -> (Vec<NodeId>, Vec<NodeId>) {
-        let joined = self
-            .members
-            .iter()
-            .filter(|m| !older.contains(**m))
-            .copied()
-            .collect();
+        let new = |m: &&NodeId| !older.contains(**m);
+        let mut joined = Vec::with_capacity(self.members.iter().filter(new).count());
+        joined.extend(self.members.iter().filter(new).copied());
         let left = older
             .members
             .iter()

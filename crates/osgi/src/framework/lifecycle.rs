@@ -244,35 +244,6 @@ impl Framework {
         Ok(())
     }
 
-    /// Replaces a bundle's manifest at run-time (the OSGi `update`
-    /// operation): the bundle is stopped if active, re-wired, and restarted
-    /// if it was active — the "change a module without disrupting the
-    /// production environment" capability the paper's introduction credits
-    /// OSGi with. `activator`, when given, replaces the bundle's — the
-    /// analogue of the new revision bringing a new activator class: the old
-    /// one's `stop` runs first, the new one `start`s.
-    ///
-    /// `update` gives no state-handoff guarantee: the new revision owns
-    /// whatever the data area holds, so the compatibility anchor moves.
-    ///
-    /// # Errors
-    ///
-    /// Lifecycle errors from the embedded stop/start, or
-    /// [`BundleError::ResolutionFailed`] if the new manifest cannot wire.
-    pub fn update(
-        &mut self,
-        id: BundleId,
-        manifest: impl Into<Arc<BundleManifest>>,
-        activator: Option<Box<dyn Activator>>,
-    ) -> Result<(), BundleError> {
-        let was_active = self.bundle_state(id)? == BundleState::Active;
-        if was_active {
-            self.stop_releasing(id, false)?;
-        }
-        self.metrics.updated.incr();
-        self.swap(id, manifest.into(), activator, was_active)
-    }
-
     /// Hot-swaps a bundle in place with **state handoff** — the paper's
     /// "change a module without disrupting the production environment"
     /// promise taken all the way to stateful bundles:
@@ -340,30 +311,13 @@ impl Framework {
         let handoff_keys = with_area(&mut self.areas, &self.store, sn.as_str(), |area| area.len());
         let to = manifest.version;
         self.metrics.upgraded.incr();
-        self.swap(id, manifest, activator, was_active)?;
-        Ok(UpgradeReport {
-            bundle: id,
-            from,
-            to,
-            handoff_keys,
-        })
-    }
-
-    /// The revision swap `update` and `upgrade_bundle` share, once the old
-    /// revision is stopped: the new manifest, `INSTALLED`, the new revision
-    /// owning the data area, its activator, its wiring recomputed, and a
-    /// restart if the old revision was running.
-    fn swap(
-        &mut self,
-        id: BundleId,
-        manifest: Arc<BundleManifest>,
-        activator: Option<Box<dyn Activator>>,
-        restart: bool,
-    ) -> Result<(), BundleError> {
-        let bundle = self.bundles.get_mut(&id).expect("callers checked id");
+        // The swap: the new manifest, `INSTALLED`, the new revision owning
+        // the data area, its activator, its wiring recomputed, and a
+        // restart if the old revision was running.
+        let bundle = self.bundles.get_mut(&id).expect("looked up above");
         bundle.manifest = manifest;
         bundle.state = BundleState::Installed;
-        bundle.state_version = bundle.manifest.version;
+        bundle.state_version = to;
         bundle.row = persist::bundle_row(bundle);
         if let Some(a) = activator {
             bundle.activator = Some(a);
@@ -371,11 +325,16 @@ impl Framework {
         self.wirings.remove(&id);
         self.mark(Row::Bundle(id));
         self.refresh();
-        if restart {
+        if was_active {
             self.start(id)?;
         }
         let _ = self.persist();
-        Ok(())
+        Ok(UpgradeReport {
+            bundle: id,
+            from,
+            to,
+            handoff_keys,
+        })
     }
 
     /// Orderly shutdown: stops all active bundles in descending id order
@@ -419,8 +378,8 @@ mod tests {
     /// and the write-behind rows flush, its per-bundle rows — the rows each
     /// bundle keeps, refreshed in place by every persist — must reassemble
     /// byte-identically to the monolithic snapshot the oracle would write,
-    /// which builds every row afresh. The ops include `update`, an in-place
-    /// upgrade within the major version, and a restore: the framework is
+    /// which builds every row afresh. The ops include an in-place upgrade
+    /// within the major version, and a restore: the framework is
     /// dropped and restored from what the healed SAN holds, the oracle from
     /// a fault-free SAN of its own (after which it keeps that one).
     /// Mutation-checked: an `upgrade_bundle` that leaves the kept row's
@@ -436,7 +395,6 @@ mod tests {
             Stop(u8),
             Uninstall(u8),
             DataPut(u8),
-            Update(u8),
             Upgrade(u8),
             Restore,
             Fault(u8),
@@ -480,25 +438,20 @@ mod tests {
                         Value::Int(i64::from(n)),
                     );
                 }
-                Op::Update(n) | Op::Upgrade(n) => {
+                Op::Upgrade(n) => {
                     let id = BundleId(u64::from(n) % 12 + 1);
                     let Some(mut manifest) = fw.bundle(id).map(|b| (*b.manifest).clone()) else {
                         return;
                     };
-                    let v = manifest.version;
-                    if let Op::Update(_) = op {
-                        manifest.version = Version::new(v.major + 1, 0, 0);
-                        let _ = fw.update(id, manifest, None);
-                    } else {
-                        // An upgrade that cannot persist its quiesce rolls
-                        // back, an outcome a fault is allowed to change:
-                        // the SAN heals first.
-                        if let Some(store) = store {
-                            store.clear_faults();
-                        }
-                        manifest.version = Version::new(v.major, v.minor + 1, 0);
-                        let _ = fw.upgrade_bundle(id, manifest, None);
+                    // An upgrade that cannot persist its quiesce rolls
+                    // back, an outcome a fault is allowed to change: the
+                    // SAN heals first.
+                    if let Some(store) = store {
+                        store.clear_faults();
                     }
+                    let v = manifest.version;
+                    manifest.version = Version::new(v.major, v.minor + 1, 0);
+                    let _ = fw.upgrade_bundle(id, manifest, None);
                 }
                 Op::Restore => {
                     if let Some(store) = store {
@@ -543,7 +496,6 @@ mod tests {
                 prop::u8s(0, 11).map(Op::Stop),
                 prop::u8s(0, 11).map(Op::Uninstall),
                 prop::u8s(0, 11).map(Op::DataPut),
-                prop::u8s(0, 11).map(Op::Update),
                 prop::u8s(0, 11).map(Op::Upgrade),
                 Gen::new(|_| Op::Restore),
                 prop::u8s(0, 99).map(Op::Fault),

@@ -4,8 +4,7 @@
 //! of its own, one controller per concern:
 //!
 //! * [`lifecycle`] — the transitions (`install`, `start`, `stop`,
-//!   `update`, `upgrade_bundle`, `uninstall`, `shutdown`) and the one
-//!   revision swap `update` and `upgrade_bundle` share;
+//!   `upgrade_bundle`, the one revision swap, `uninstall`, `shutdown`);
 //! * [`resolution`] — wiring (`resolve_step`, `refresh`) and class loading;
 //! * [`persistence`] — dirty marks, the persist of marked rows, the flush
 //!   of pending ones, and `restore`;
@@ -124,7 +123,6 @@ dosgi_telemetry::metrics! {
         counter resolved = "osgi.lifecycle.resolved",
         counter started = "osgi.lifecycle.started",
         counter stopped = "osgi.lifecycle.stopped",
-        counter updated = "osgi.lifecycle.updated",
         counter upgraded = "osgi.lifecycle.upgraded",
         counter uninstalled = "osgi.lifecycle.uninstalled",
         counter rows_written = "persist.rows_written",
@@ -308,14 +306,13 @@ mod tests {
     }
 
     /// The `osgi.lifecycle.*` counts `telemetry` holds: installed,
-    /// resolved, started, stopped, updated, upgraded and uninstalled.
-    pub(super) fn lifecycle(telemetry: &Telemetry) -> [u64; 7] {
+    /// resolved, started, stopped, upgraded and uninstalled.
+    pub(super) fn lifecycle(telemetry: &Telemetry) -> [u64; 6] {
         [
             "installed",
             "resolved",
             "started",
             "stopped",
-            "updated",
             "upgraded",
             "uninstalled",
         ]
@@ -458,30 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn update_replaces_manifest_and_restarts() {
-        let (mut fw, telemetry) = counted("t");
-        let log = fw.install(log_manifest(), Some(log_activator())).unwrap();
-        fw.start(log).unwrap();
-        let v2 = ManifestBuilder::new("org.test.log", Version::new(1, 1, 0))
-            .export_package(
-                "org.test.log.api",
-                Version::new(1, 1, 0),
-                ["Logger", "Appender"],
-            )
-            .build()
-            .unwrap();
-        fw.update(log, v2, None).unwrap();
-        assert!(fw.bundle_state(log).unwrap().is_active());
-        assert_eq!(
-            fw.bundle(log).unwrap().manifest.version,
-            Version::new(1, 1, 0)
-        );
-        assert_eq!(lifecycle(&telemetry)[4], 1, "one update");
-        // Service re-registered by the restarted activator.
-        assert!(fw.best_service("org.test.log.Logger").is_some());
-    }
-
-    #[test]
     fn upgrade_hands_state_to_new_revision() {
         let store = SharedStore::new();
         let (mut fw, telemetry) = counted("u");
@@ -517,7 +490,7 @@ mod tests {
         assert!(fw.bundle_state(id).unwrap().is_active());
         assert_eq!(fw.bundle(id).unwrap().state_version, Version::new(1, 2, 0));
         assert_eq!(fw.bundle_store_get(id, "n").unwrap(), Some(Value::Int(42)));
-        assert_eq!(lifecycle(&telemetry)[5], 1, "one upgrade");
+        assert_eq!(lifecycle(&telemetry)[4], 1, "one upgrade");
         // The swap is durable: a restore comes back at the new revision
         // with the same compatibility anchor.
         let factory = ActivatorFactory::new();
@@ -770,7 +743,7 @@ mod tests {
         assert_eq!(fw.registry().len(), 1, "registered");
         fw.stop(log).unwrap();
         fw.uninstall(log).unwrap();
-        assert_eq!(lifecycle(&telemetry), [1, 1, 1, 1, 0, 0, 1]);
+        assert_eq!(lifecycle(&telemetry), [1, 1, 1, 1, 0, 1]);
         assert!(fw.bundles().next().is_none() && fw.registry().is_empty());
     }
 

@@ -8,7 +8,7 @@
 //! * **Bundles** ([`BundleManifest`], [`Framework::install`]) — named,
 //!   versioned modules with explicit package imports/exports;
 //! * **Lifecycle** ([`BundleState`]) — installed / resolved / starting /
-//!   active / stopping / uninstalled, with start/stop/update/uninstall at
+//!   active / stopping / uninstalled, with start/stop/upgrade/uninstall at
 //!   run-time;
 //! * **Resolver** — wires each import to an exporter satisfying its version
 //!   range (highest version wins, ties broken by lowest bundle id);

@@ -8,7 +8,7 @@ use std::fmt;
 ///            install            resolve            start
 ///   (none) ─────────▶ INSTALLED ───────▶ RESOLVED ───────▶ STARTING ─▶ ACTIVE
 ///                         ▲                  │ ▲                          │
-///                         │ update           │ │        stop             │
+///                         │ upgrade          │ │        stop             │
 ///                         └──────────────────┘ └──────── STOPPING ◀──────┘
 ///                              uninstall  ──▶ UNINSTALLED (terminal)
 /// ```

@@ -202,11 +202,20 @@ impl Model {
         }
     }
 
-    /// The revision swap `update` and `upgrade_bundle` share: the new
-    /// revision owns the data area, re-wires, and restarts if the old one
-    /// was running.
-    fn swap(&mut self, id: u64, version: Version) -> Outcome {
-        let was_active = self.get(id)?.state == BundleState::Active;
+    /// An in-place upgrade: gated on the major version of the revision
+    /// that owns the state; `rolled_back` when the quiesce could not
+    /// persist, which leaves the old revision as it was. Past the gate the
+    /// new revision owns the data area, re-wires, and restarts if the old
+    /// one was running.
+    fn upgrade(&mut self, id: u64, version: Version, rolled_back: bool) -> Outcome {
+        let b = self.get(id)?;
+        if version.major != b.state_version.major {
+            return Err("IncompatibleUpgrade");
+        }
+        if rolled_back {
+            return Err("Store");
+        }
+        let was_active = b.state == BundleState::Active;
         self.stop(id, false)?;
         let b = self.get(id)?;
         (b.version, b.state_version) = (version, version);
@@ -216,20 +225,6 @@ impl Model {
             self.start(id)?;
         }
         Ok(0)
-    }
-
-    /// An in-place upgrade: gated on the major version of the revision
-    /// that owns the state; `rolled_back` when the quiesce could not
-    /// persist, which leaves the old revision as it was.
-    fn upgrade(&mut self, id: u64, version: Version, rolled_back: bool) -> Outcome {
-        let b = self.get(id)?;
-        if version.major != b.state_version.major {
-            return Err("IncompatibleUpgrade");
-        }
-        if rolled_back {
-            return Err("Store");
-        }
-        self.swap(id, version)
     }
 
     fn put(&mut self, id: u64, key: String, value: i64) -> Outcome {
@@ -277,7 +272,6 @@ enum Op {
     Resolve,
     Start(u8),
     Stop(u8),
-    Update(u8),
     Upgrade(u8),
     Uninstall(u8),
     Put(u8, u8),
@@ -307,13 +301,14 @@ fn id_of(n: u8) -> u64 {
 fn apply(fw: &mut Framework, model: &mut Model, op: &Op, faulty: bool) -> (Outcome, Outcome) {
     let factory = factory();
     let unit = |r: Result<(), BundleError>| r.map(|()| 0).map_err(|e| kind(&e));
-    // A revision target computed from the model's view of the bundle.
-    let target = |model: &Model, n: u8, upgrade: bool| {
+    // An upgrade's target, computed from the model's view of the bundle:
+    // a new major version (refused) one time in four, a new minor otherwise.
+    let target = |model: &Model, n: u8| {
         let b = model.bundles.get(&id_of(n));
         let (pool, v) = b.map_or((0, Version::new(1, 0, 0)), |b| (b.pool, b.version));
-        match (upgrade, n % 4) {
-            (true, 1..) => (pool, Version::new(v.major, v.minor + 1, 0)),
-            _ => (pool, Version::new(v.major + 1, 0, 0)),
+        match n % 4 {
+            0 => (pool, Version::new(v.major + 1, 0, 0)),
+            _ => (pool, Version::new(v.major, v.minor + 1, 0)),
         }
     };
     match *op {
@@ -341,15 +336,8 @@ fn apply(fw: &mut Framework, model: &mut Model, op: &Op, faulty: bool) -> (Outco
             let got = unit(fw.uninstall(BundleId(id_of(n))));
             (got, model.uninstall(id_of(n)))
         }
-        Op::Update(n) => {
-            let (pool, version) = target(model, n, false);
-            let m = manifest(pool, version);
-            let activator = factory.create(&m);
-            let got = unit(fw.update(BundleId(id_of(n)), m, activator));
-            (got, model.swap(id_of(n), version))
-        }
         Op::Upgrade(n) => {
-            let (pool, version) = target(model, n, true);
+            let (pool, version) = target(model, n);
             let m = manifest(pool, version);
             let activator = factory.create(&m);
             let got = fw.upgrade_bundle(BundleId(id_of(n)), m, activator);
@@ -523,7 +511,6 @@ fn steps() -> Gen<Vec<Step>> {
         prop::u8s(0, 7).map(Op::Start),
         prop::u8s(0, 7).map(Op::Start),
         prop::u8s(0, 7).map(Op::Stop),
-        prop::u8s(0, 7).map(Op::Update),
         prop::u8s(0, 7).map(Op::Upgrade),
         prop::u8s(0, 7).map(Op::Upgrade),
         prop::u8s(0, 7).map(Op::Uninstall),

@@ -69,7 +69,8 @@ phases! {
     /// A failover's claims: orphans marked, assigned and claimed
     /// (`handle_failover`, wherever it runs — the stranded sweep too).
     ApplyControlClaims = "apply_control.claims",
-    /// A `RegistrySync`: the sender's export and every member's import.
+    /// A registry transfer: a view change's export by its sender, and
+    /// every member's import of any transfer.
     ApplyControlSync = "apply_control.sync",
     /// Adoptions queued: the record read and the adoption's cost reckoned.
     ApplyControlQueue = "apply_control.queue",

@@ -457,41 +457,12 @@ impl InstanceManager {
         Ok(bid)
     }
 
-    /// Replaces a bundle of a running instance with a new manifest at
-    /// run-time (the OSGi `update` operation): the bundle restarts, its
-    /// dependents re-wire, every *other* bundle keeps serving.
-    ///
-    /// # Errors
-    ///
-    /// [`VosgiError::NoSuchInstance`], [`VosgiError::UnknownBundle`] when
-    /// the instance has no bundle of that name, or a wrapped framework
-    /// error (e.g. the new manifest does not resolve).
-    pub fn update_bundle(
-        &mut self,
-        id: InstanceId,
-        symbolic_name: &str,
-        manifest: dosgi_osgi::BundleManifest,
-    ) -> Result<(), VosgiError> {
-        // The new revision brings a new activator (built from the new
-        // manifest), exactly as a real update loads the new bundle's
-        // activator class.
-        let activator = self.factory.create(&manifest);
-        let inst = self.instance_mut(id)?;
-        let bid = inst
-            .framework
-            .find_bundle(symbolic_name)
-            .ok_or_else(|| VosgiError::UnknownBundle(symbolic_name.to_owned()))?;
-        inst.framework.update(bid, manifest, activator)?;
-        Ok(())
-    }
-
     /// Hot-swaps a bundle of a running instance **with state handoff**
     /// ([`Framework::upgrade_bundle`]): the old revision quiesces, its
     /// persisted state flushes to the SAN, the new revision adopts it —
-    /// all while the instance's other bundles keep serving. Unlike
-    /// [`update_bundle`](Self::update_bundle), an incompatible target
-    /// (different symbolic name or major version than the state's owner)
-    /// is rejected before the old revision stops.
+    /// all while the instance's other bundles keep serving. An incompatible
+    /// target (different symbolic name or major version than the state's
+    /// owner) is rejected before the old revision stops.
     ///
     /// # Errors
     ///
@@ -1179,16 +1150,16 @@ mod tests {
         ));
 
         // Hot-update: bump the app bundle's version in place.
-        let v2 = ManifestBuilder::new("org.cust.app", Version::new(2, 0, 0))
+        let v11 = ManifestBuilder::new("org.cust.app", Version::new(1, 1, 0))
             .private_package("org.cust.app.impl", ["Main"])
             .build()
             .unwrap();
-        mgr.update_bundle(id, "org.cust.app", v2).unwrap();
+        mgr.upgrade_bundle(id, "org.cust.app", v11).unwrap();
         let fw = mgr.instance(id).unwrap().framework();
         let bid = fw.find_bundle("org.cust.app").unwrap();
         assert_eq!(
             fw.bundle(bid).unwrap().manifest.version,
-            Version::new(2, 0, 0)
+            Version::new(1, 1, 0)
         );
         // The activator re-registered the service on restart.
         assert_eq!(
@@ -1197,7 +1168,7 @@ mod tests {
             Value::from("pong")
         );
         assert!(matches!(
-            mgr.update_bundle(
+            mgr.upgrade_bundle(
                 id,
                 "ghost",
                 ManifestBuilder::new("g", Version::ZERO).build().unwrap()

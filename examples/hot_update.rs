@@ -5,9 +5,9 @@
 //! > the production environment."*
 //!
 //! A customer's instance keeps serving while (1) a brand-new bundle is
-//! hot-installed into it and (2) an existing bundle is updated to a new
+//! hot-installed into it and (2) an existing bundle is upgraded to a new
 //! version in place. The instance's service registry shows the churn: the
-//! update replaces the search service's registration with a new one.
+//! upgrade replaces the search service's registration with a new one.
 //!
 //! Run with: `cargo run -p dosgi-core --example hot_update`
 
@@ -80,11 +80,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         before
     );
 
-    // 2. Hot-update the search bundle to 2.0.0.
-    mgr.update_bundle(
+    // 2. Hot-update the search bundle to 1.1.0: the old revision stops,
+    //    the new one adopts its state and starts.
+    let report = mgr.upgrade_bundle(
         id,
         "org.acme.search",
-        ManifestBuilder::new("org.acme.search", Version::new(2, 0, 0))
+        ManifestBuilder::new("org.acme.search", Version::new(1, 1, 0))
             .private_package("org.acme.search.impl", ["Index", "Ranker"])
             .build()?,
     )?;
@@ -92,10 +93,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(updated.len(), 1);
     assert_ne!(updated, installed, "the update re-registers the service");
     println!(
-        "hot-updated search to v{} (service {:?} replaced by {:?})",
+        "hot-updated search {} -> {} (service {:?} replaced by {:?})",
+        report.from, report.to, installed[0], updated[0]
+    );
+    assert_eq!(
         mgr.call_service(id, SEARCH, "version", &Value::Null)?,
-        installed[0],
-        updated[0]
+        Value::from("1.1.0")
     );
 
     // The web bundle never blinked.

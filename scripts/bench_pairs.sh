@@ -6,10 +6,9 @@
 #
 #   scripts/bench_pairs.sh [--record <pr>] [--self] <parent-ref> <workload> [first-seed=1] [pairs=10]
 #
-# With `--self` the parent is unpacked on both sides, at the two paths the
-# parent and the change use, and nothing of the working tree is read: what
-# the pairs then show is the layout-noise floor, the distance two builds of
-# one commit read apart from where they sit. A recorded row says
+# With `--self` the parent is built for both sides and nothing of the working
+# tree is read: what the pairs then show is the layout-noise floor, the
+# distance two builds of one commit read apart. A recorded row says
 # `"self": true`.
 #
 # The workload `all` runs every workload of BENCHMARK.json in its order, each
@@ -22,11 +21,17 @@
 # table or row one side lacks reads `-` there). The counts are exact: one run
 # a side says all there is.
 #
-# The parent (`git archive`) and the working tree are unpacked side by side
-# under target/bench_pairs/, with the time of unpacking rather than their own,
-# so that a build left by an earlier parent is not reused; each side is built
-# by its own benchmark/run.sh into its own CARGO_TARGET_DIR there, and pair i
-# runs both on seed first-seed + i.
+# Each side is built in two slots, a and b: unpacked (the parent with `git
+# archive`, the change from the working tree) with the time of unpacking
+# rather than its own, so that no earlier build is reused, at the slot's
+# source path target/bench_pairs/<slot>-src/, and built by its own
+# benchmark/run.sh into the slot's CARGO_TARGET_DIR target/bench_pairs/<slot>/;
+# between runs the four builds wait under target/bench_pairs/built/, and a run
+# moves its build back into its slot, so a binary always runs from where it
+# was built. Pair i runs both sides on seed first-seed + i, the first in slot
+# a and the second in slot b, the order alternating: each side runs half its
+# pairs in each slot, and a slot's layout bias, which read 2-9 % on every
+# workload with one commit on both sides, cancels in the medians.
 # Bash and awk only, nothing fetched;
 # it reads benchmark/ and BENCHMARK.json and edits neither. Per timed metric it
 # prints both medians with their quartiles (Python's statistics.quantiles,
@@ -74,28 +79,57 @@ else
     workloads=$workload
 fi
 work="$PWD/target/bench_pairs"
-rm -rf "$work/parent-src" "$work/change-src"
-mkdir -p "$work/parent-src" "$work/change-src" "$work/out"
-git archive "$parent_ref" | tar -x -m -C "$work/parent-src"
-if $self; then
-    git archive "$parent_ref" | tar -x -m -C "$work/change-src"
-else
-    # The change is the working tree's files, tracked or not (ignored ones
-    # left out), unpacked beside the parent: two builds of one commit from
-    # paths of different lengths differ in layout, and serve_write read 2 %
-    # apart.
-    git ls-files -z -co --exclude-standard | while IFS= read -r -d '' f; do
-        if [[ -e $f ]]; then printf '%s\0' "$f"; fi
-    done | tar --null -T - -cf - | tar -x -m -C "$work/change-src"
-fi
+rm -rf "$work"
+mkdir -p "$work/built" "$work/out"
 
-# side <parent|change> <seed>: one run of $workload; on stdout the
+# unpack <side> <dir>: the side's files into <dir>. The change is the working
+# tree's files, tracked or not (ignored ones left out).
+unpack() {
+    mkdir -p "$2"
+    if [[ $1 == parent ]] || $self; then
+        git archive "$parent_ref" | tar -x -m -C "$2"
+    else
+        git ls-files -z -co --exclude-standard | while IFS= read -r -d '' f; do
+            if [[ -e $f ]]; then printf '%s\0' "$f"; fi
+        done | tar --null -T - -cf - | tar -x -m -C "$2"
+    fi
+}
+
+# in_slot <side> <slot> <command...>: runs <command> with the side's build of
+# that slot moved into it, CARGO_TARGET_DIR naming the slot's target
+# directory, and moves the build aside again after.
+in_slot() {
+    local side=$1 slot=$2 status=0
+    shift 2
+    mv "$work/built/$side-$slot-src" "$work/$slot-src"
+    mv "$work/built/$side-$slot" "$work/$slot"
+    (export CARGO_TARGET_DIR="$work/$slot" && "$@") || status=$?
+    mv "$work/$slot-src" "$work/built/$side-$slot-src"
+    mv "$work/$slot" "$work/built/$side-$slot"
+    return "$status"
+}
+
+# build <slot>: the benchmark in the slot, as its run.sh builds it.
+build() {
+    (cd "$work/$1-src/benchmark" && cargo build -q --release --offline)
+}
+
+for s in parent change; do
+    for slot in a b; do
+        unpack "$s" "$work/built/$s-$slot-src"
+        mkdir "$work/built/$s-$slot"
+        echo "building $s in slot $slot" >&2
+        in_slot "$s" "$slot" build "$slot"
+    done
+done
+
+# side <parent|change> <slot> <seed>: one run of $workload; on stdout the
 # calibration kernel's p50 (from the run's heading), then its last line (the
 # result).
 side() {
     local out
-    out="$(CARGO_TARGET_DIR="$work/$1" "$work/$1-src/benchmark/run.sh" \
-        --workload "$workload" --seed "$2" --trace 0)"
+    out="$(in_slot "$1" "$2" "$work/$2-src/benchmark/run.sh" \
+        --workload "$workload" --seed "$3" --trace 0)"
     echo "$out" >>"$work/out/${workload}_$1.txt"
     echo "$(sed -n '1s/.*calibration kernel.* p50 \([0-9.]*\) us.*/\1/p' <<<"$out") $(tail -n 1 <<<"$out")"
 }
@@ -111,10 +145,12 @@ for workload in $workloads; do
         seed=$((first_seed + i))
         order=(parent change)
         ((i % 2)) && order=(change parent)
-        for s in "${order[@]}"; do
-            result="$(side "$s" "$seed")"
+        slots=(a b)
+        for k in 0 1; do
+            s=${order[k]}
+            result="$(side "$s" "${slots[k]}" "$seed")"
             echo "$s $seed $result" >>"$results"
-            echo "pair $((i + 1))/$pairs, seed $seed: $s done" >&2
+            echo "pair $((i + 1))/$pairs, seed $seed: $s done (slot ${slots[k]})" >&2
         done
     done
 
@@ -190,10 +226,11 @@ done
 # on a row broken on its own terms; its tables are printed either way. Each
 # table's allocation column also goes to phase_allocs_<workload>.json, the
 # `phase_allocs` member of that workload's recorded row.
+perf_guard() {
+    (cd "$work/a-src" && cargo run -q --offline --release -p dosgi-bench --bin perf_guard 2>/dev/null)
+}
 for s in parent change; do
-    (cd "$work/$s-src" && CARGO_TARGET_DIR="$work/$s" \
-        cargo run -q --offline --release -p dosgi-bench --bin perf_guard 2>/dev/null) \
-        >"$work/out/perf_guard_$s.txt" || echo "perf_guard failed on the $s side" >&2
+    in_slot "$s" a perf_guard >"$work/out/perf_guard_$s.txt" || echo "perf_guard failed on the $s side" >&2
 done
 rm -f "$work"/out/phase_allocs_*.json
 awk -v out="$work/out" '

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Non-test code lines per crate and in total, by the rule CHANGES.md quotes:
 # every `.rs` file under `crates/*/src` and `crates/*/benches`; blank lines,
-# `//` comment lines and everything from a `#[cfg(test)]` `mod` to the end of
-# the file are not counted.
+# `//` comment lines and everything from a `#[cfg(test)]` `mod` (private,
+# `pub`, `pub(crate)` or `pub(super)`) to the end of the file are not counted.
 #
 #   scripts/loc.sh                the working tree
 #   scripts/loc.sh --since <ref>  `crate  before → after  (±n)` against <ref>,
@@ -24,7 +24,7 @@ lines() {
     tests || /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
     # `#[cfg(test)]` counts only when what it gates is not a test module.
     /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ { held = FILENAME ":" FNR ":" $0; next }
-    held != "" && /^[[:space:]]*(pub )?mod / { tests = 1; next }
+    held != "" && /^[[:space:]]*(pub(\((crate|super)\))? )?mod / { tests = 1; next }
     {
         if (held != "") print held
         held = ""

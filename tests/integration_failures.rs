@@ -237,7 +237,8 @@ fn restarted_node_rejoins_and_syncs_registry() {
     c.run_for(SimDuration::from_secs(3));
     // Back in the view…
     assert_eq!(c.node(0).unwrap().view().members.len(), 3);
-    // …and caught up on the replicated registry via RegistrySync.
+    // …and caught up on the replicated registry via its view change's
+    // RegistryTransfer.
     let reg = c.node(2).unwrap().registry();
     assert_eq!(reg.record("web").unwrap().home, NodeId(1));
 }

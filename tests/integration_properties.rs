@@ -656,8 +656,8 @@ fn regression_rejoiner_queues_no_adoption_from_overruled_history() {
 /// partition* rejoins the majority by view change, and the majority's
 /// sequencer learns its new incarnation only after admitting it. An early
 /// cut re-based a member whenever the sequencer saw its incarnation change,
-/// which here moved the rejoiner past the `RegistrySync` pair ordered for
-/// its admission: it kept the minority's registry and its stale copy of
+/// which here moved the rejoiner past the `RegistryTransfer` pair ordered
+/// for its admission: it kept the minority's registry and its stale copy of
 /// `ctr-2` for good (a second live copy, diverged registries). A restarted
 /// member is re-based only when it *asks* for history, to where its previous
 /// incarnation last acknowledged.
@@ -704,7 +704,7 @@ fn encoded_registries(c: &DosgiCluster) -> Vec<(usize, Vec<u8>)> {
 /// Regression (hole (b) of the rejoin protocol): node 1 restarts after it
 /// was suspected, and the view change that admits it has node 0 — the
 /// sequencer and the lowest member already in the group — order its
-/// `RegistrySync`. Node 0 crashes `k` steps later. For some `k` the sync
+/// `RegistryTransfer`. Node 0 crashes `k` steps later. For some `k` the sync
 /// dies with it before it reaches node 1, which then coordinates the new
 /// view with an empty registry. A joiner that asked once and waited held 0
 /// of 6 records for good (k = 5 and 6); one that asks again until a
@@ -805,6 +805,38 @@ fn check_one_transfer(r: &Rejoin) -> PropResult {
         prop_verify_eq!(transfers, expected, "(syncs, deltas) for the rejoin");
     }
     Ok(())
+}
+
+/// Two nodes suspected and restarted together are admitted by one view
+/// change, whose one transfer is addressed to both: each of them is
+/// answered by it, so neither asks again and no `Hello` is answered.
+#[test]
+fn one_transfer_answers_every_joiner_it_names() {
+    let mut c = DosgiCluster::new(5, ClusterConfig::default(), 31);
+    c.run_for(SimDuration::from_millis(500));
+    for i in 0..6 {
+        let name = format!("w{i}");
+        c.deploy(workloads::web_instance(&name, &name), i % 3)
+            .unwrap();
+    }
+    c.run_for(SimDuration::from_millis(300));
+    c.crash_node(3);
+    c.crash_node(4);
+    c.run_for(SimDuration::from_millis(1_500));
+    c.restart_node(3);
+    c.restart_node(4);
+    let transfers = count_transfers(&mut c, SimDuration::from_secs(8));
+    assert_eq!(transfers, (1, 0), "(syncs, deltas) for the two joiners");
+    let encoded = encoded_registries(&c);
+    assert!(
+        encoded.windows(2).all(|w| w[0].1 == w[1].1),
+        "registries diverged"
+    );
+    for i in [3, 4] {
+        let node = c.node(i).unwrap();
+        assert_eq!(node.registry().len(), 6, "node {i}'s records");
+        assert!(!node.awaiting_transfer(), "node {i} still waits");
+    }
 }
 
 /// Whatever the interleaving of a rejoin with a crash of the sequencer,
