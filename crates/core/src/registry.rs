@@ -20,9 +20,14 @@
 //! event and trace span that names the instance.
 //! [`export`](ClusterRegistry::export) is the one serialized rendering; a
 //! transfer's reported size is that rendering's encoded length.
+//!
+//! Records are found by hash and walked in name order: a hash table holds
+//! them by name, for the lookup every request's routing makes, and a sorted
+//! list beside it holds the same names, the order every walk, export and
+//! digest reads.
 
 use crate::msg::AppPayload;
-use dosgi_net::NodeId;
+use dosgi_net::{FxHashMap, NodeId};
 use dosgi_san::codec::{field_len, header_len, int_len, str_len};
 use dosgi_san::Value;
 use dosgi_vosgi::{ChangeLog, InstanceDescriptor};
@@ -108,7 +113,10 @@ impl InstanceRecord {
 /// writes each took to get there.
 #[derive(Debug, Clone, Default)]
 pub struct ClusterRegistry {
-    records: BTreeMap<Arc<str>, InstanceRecord>,
+    // Every record by its name.
+    records: FxHashMap<Arc<str>, InstanceRecord>,
+    // The keys of `records`, sorted: the order of every walk.
+    names: Vec<Arc<str>>,
     // The names whose home, status or presence a write changed since the
     // last `clear_changed`.
     changed: ChangeLog<Arc<str>>,
@@ -141,6 +149,22 @@ impl ClusterRegistry {
         self.changed.clear();
     }
 
+    /// Adds `record` under its name, which the registry must not hold,
+    /// placing the name in the sorted list.
+    fn insert_new(&mut self, record: InstanceRecord) {
+        let at = self.names.partition_point(|held| *held < record.name);
+        self.names.insert(at, Arc::clone(&record.name));
+        self.records.insert(Arc::clone(&record.name), record);
+    }
+
+    /// Removes the record under `name`, which the registry holds, and its
+    /// name from the sorted list.
+    fn remove_held(&mut self, name: &str) {
+        self.records.remove(name);
+        let at = self.names.partition_point(|held| **held < *name);
+        self.names.remove(at);
+    }
+
     /// Applies one ordered control message and returns whether it wrote
     /// a record. Unknown instances in non-deploy messages are ignored
     /// (idempotent replay tolerance), and messages that lost a race
@@ -163,26 +187,30 @@ impl ClusterRegistry {
                 descriptor,
                 home,
             } => {
-                let held = self.records.get(&**name);
-                if held.is_none_or(|r| (r.home, r.status) != (*home, InstanceStatus::Placed)) {
+                let held = self.records.get_mut(&**name);
+                if held
+                    .as_ref()
+                    .is_none_or(|r| (r.home, r.status) != (*home, InstanceStatus::Placed))
+                {
                     self.changed.log(Arc::clone(name));
                 }
-                let rev = held.map(|r| r.rev).unwrap_or(0) + 1;
-                self.records.insert(
-                    Arc::clone(name),
-                    InstanceRecord {
-                        name: Arc::clone(name),
-                        descriptor: Rc::clone(descriptor),
-                        home: *home,
-                        status: InstanceStatus::Placed,
-                        rev,
-                    },
-                );
+                let record = InstanceRecord {
+                    name: Arc::clone(name),
+                    descriptor: Rc::clone(descriptor),
+                    home: *home,
+                    status: InstanceStatus::Placed,
+                    rev: held.as_ref().map_or(0, |r| r.rev) + 1,
+                };
+                match held {
+                    Some(held) => *held = record,
+                    None => self.insert_new(record),
+                }
                 return true;
             }
             AppPayload::Undeployed { name } => {
-                let removed = self.records.remove(&**name).is_some();
+                let removed = self.records.contains_key(&**name);
                 if removed {
+                    self.remove_held(name);
                     self.changed.log(Arc::clone(name));
                 }
                 return removed;
@@ -239,7 +267,11 @@ impl ClusterRegistry {
     /// before.
     pub fn orphan_homes(&mut self, gone: impl Fn(NodeId) -> bool) -> usize {
         let mut marked = 0;
-        for r in self.records.values_mut() {
+        for name in &self.names {
+            let r = self
+                .records
+                .get_mut(name)
+                .expect("every listed name is held");
             if r.status != InstanceStatus::Orphaned && r.depends_on(&gone) {
                 r.status = InstanceStatus::Orphaned;
                 self.changed.log(Arc::clone(&r.name));
@@ -256,7 +288,7 @@ impl ClusterRegistry {
 
     /// All records, in name order.
     pub fn records(&self) -> impl Iterator<Item = &InstanceRecord> {
-        self.records.values()
+        self.names.iter().map(|name| &self.records[name])
     }
 
     /// Count of placed instances per node (the deterministic load signal
@@ -272,8 +304,7 @@ impl ClusterRegistry {
     /// Names of instances with [`InstanceStatus::Orphaned`], in name
     /// order, as the registry shares them.
     pub fn orphans(&self) -> impl Iterator<Item = &Arc<str>> {
-        self.records
-            .values()
+        self.records()
             .filter(|r| r.status == InstanceStatus::Orphaned)
             .map(|r| &r.name)
     }
@@ -281,8 +312,7 @@ impl ClusterRegistry {
     /// Names of instances with [`InstanceStatus::Quarantined`] homed on
     /// `node`, in name order.
     pub(crate) fn quarantined_on(&self, node: NodeId) -> impl Iterator<Item = &Arc<str>> {
-        self.records
-            .values()
+        self.records()
             .filter(move |r| r.status == InstanceStatus::Quarantined && r.home == node)
             .map(|r| &r.name)
     }
@@ -320,7 +350,7 @@ impl ClusterRegistry {
     /// Serializes the full registry: the one rendering of it as a [`Value`],
     /// which fingerprints and convergence checks compare byte for byte.
     pub fn export(&self) -> Value {
-        Value::List(self.records.values().map(Self::record_value).collect())
+        Value::List(self.records().map(Self::record_value).collect())
     }
 
     /// A compact digest: `(name, rev)` for every record, in name order,
@@ -328,8 +358,7 @@ impl ClusterRegistry {
     /// per-record delta ([`export_delta`](Self::export_delta)) instead of
     /// the full registry.
     pub fn digest(&self) -> Vec<(Arc<str>, u64)> {
-        self.records
-            .values()
+        self.records()
             .map(|r| (Arc::clone(&r.name), r.rev))
             .collect()
     }
@@ -357,12 +386,10 @@ impl ClusterRegistry {
             let at = digest.binary_search_by(|(held, _)| (**held).cmp(name));
             at.ok().map(|i| digest[i].1)
         };
-        let upserts = self
-            .records
-            .values()
-            .filter(|r| known(&r.name).is_none_or(|rev| rev < r.rev))
-            .cloned()
-            .collect();
+        let stale = |r: &&InstanceRecord| known(&r.name).is_none_or(|rev| rev < r.rev);
+        // Counted first, so the list is allocated once, at its size.
+        let mut upserts = Vec::with_capacity(self.records().filter(stale).count());
+        upserts.extend(self.records().filter(stale).cloned());
         let removes = digest
             .iter()
             .filter(|(name, _)| !self.records.contains_key(name))
@@ -407,10 +434,17 @@ impl ClusterRegistry {
     ///
     /// A record held already is updated in place, and a descriptor it
     /// shares with the incoming record is not compared, so a member that is
-    /// up to date — every member but the joiner — allocates nothing. A
-    /// record this registry lacks costs its place in the map; its name and
-    /// its descriptor are shared, not copied.
+    /// up to date — every member but the joiner — allocates nothing. The
+    /// records this registry lacks are counted first, and the table and the
+    /// name list grow once for all of them; their names and descriptors are
+    /// shared, not copied.
     pub fn import(&mut self, upserts: &[InstanceRecord], removes: &[(Arc<str>, u64)]) {
+        let lacking = upserts
+            .iter()
+            .filter(|r| !self.records.contains_key(&r.name))
+            .count();
+        self.records.reserve(lacking);
+        self.names.reserve(lacking);
         for incoming in upserts {
             match self.records.get_mut(&incoming.name) {
                 // Refuse regressions: only adopt the incoming record if it
@@ -434,14 +468,13 @@ impl ClusterRegistry {
                 }
                 None => {
                     self.changed.log(Arc::clone(&incoming.name));
-                    self.records
-                        .insert(Arc::clone(&incoming.name), incoming.clone());
+                    self.insert_new(incoming.clone());
                 }
             }
         }
         for (name, rev) in removes {
             if self.records.get(name).is_some_and(|r| r.rev == *rev) {
-                self.records.remove(name);
+                self.remove_held(name);
                 self.changed.log(Arc::clone(name));
             }
         }
@@ -854,10 +887,17 @@ mod tests {
         Rc::new(d.build())
     }
 
+    /// How many names `churn` writes: `i0` to `i5`.
+    const CHURN_NAMES: u64 = 6;
+
+    fn churn_name(i: u64) -> Arc<str> {
+        format!("i{i}").into()
+    }
+
     /// Random ordered history plus local orphan marks over six names.
     fn churn(r: &mut ClusterRegistry, rng: &mut TestRng, ops: u64) {
         for _ in 0..ops {
-            let name: Arc<str> = format!("i{}", rng.u64_below(6)).into();
+            let name = churn_name(rng.u64_below(CHURN_NAMES));
             // Mostly the node the message must name to take effect.
             let home = match r.record(&name) {
                 Some(rec) if rng.chance(0.7) => rec.home,
@@ -953,6 +993,133 @@ mod tests {
             },
         );
         assert!(migrating.get() > 0 && removed.get() > 0);
+    }
+
+    /// The registry as a tree of its records, as it was held before the
+    /// hash table and its sorted name list: the oracle of every walk.
+    struct Model(BTreeMap<Arc<str>, InstanceRecord>);
+
+    impl Model {
+        /// What `r` finds by name, for every name `churn` writes.
+        fn found_in(r: &ClusterRegistry) -> Model {
+            let found = (0..CHURN_NAMES).filter_map(|i| r.record(&churn_name(i)));
+            Model(
+                found
+                    .map(|rec| (Arc::clone(&rec.name), rec.clone()))
+                    .collect(),
+            )
+        }
+
+        fn digest(&self) -> Vec<(Arc<str>, u64)> {
+            self.0
+                .values()
+                .map(|r| (Arc::clone(&r.name), r.rev))
+                .collect()
+        }
+
+        fn export_delta(&self, digest: &[(Arc<str>, u64)]) -> Transfer {
+            let held: BTreeMap<&str, u64> = digest.iter().map(|(n, rev)| (&**n, *rev)).collect();
+            let upserts = self
+                .0
+                .values()
+                .filter(|r| held.get(&*r.name).is_none_or(|rev| *rev < r.rev));
+            let removes = digest.iter().filter(|(n, _)| !self.0.contains_key(n));
+            (upserts.cloned().collect(), removes.cloned().collect())
+        }
+
+        fn moved_since(&self, shipped: &[InstanceRecord]) -> Transfer {
+            let (mut upserts, mut removes) = (Vec::new(), Vec::new());
+            for s in shipped {
+                match self.0.get(&s.name) {
+                    Some(r) if r.rev > s.rev => upserts.push(r.clone()),
+                    Some(_) => {}
+                    None => removes.push((Arc::clone(&s.name), s.rev)),
+                }
+            }
+            (upserts, removes)
+        }
+
+        fn import(&mut self, upserts: &[InstanceRecord], removes: &[(Arc<str>, u64)]) {
+            for incoming in upserts {
+                match self.0.get_mut(&incoming.name) {
+                    Some(local) if incoming.rev < local.rev => {}
+                    Some(local) => *local = incoming.clone(),
+                    None => {
+                        self.0.insert(Arc::clone(&incoming.name), incoming.clone());
+                    }
+                }
+            }
+            for (name, rev) in removes {
+                if self.0.get(name).is_some_and(|r| r.rev == *rev) {
+                    self.0.remove(name);
+                }
+            }
+        }
+
+        /// Every walk of `r`, and every lookup, against the tree's.
+        fn holds(&self, r: &ClusterRegistry) -> Result<(), String> {
+            prop_verify_eq!(r.len(), self.0.len());
+            prop_verify!(
+                r.records().eq(self.0.values()),
+                "records() out of name order"
+            );
+            for i in 0..=CHURN_NAMES {
+                let name = churn_name(i);
+                prop_verify_eq!(r.record(&name), self.0.get(&name), "record({name})");
+            }
+            prop_verify_eq!(r.digest(), self.digest());
+            let orphaned = self
+                .0
+                .values()
+                .filter(|r| r.status == InstanceStatus::Orphaned);
+            prop_verify!(r.orphans().eq(orphaned.map(|r| &r.name)), "orphans()");
+            for node in 0..4 {
+                let on = |rec: &&InstanceRecord| {
+                    rec.status == InstanceStatus::Quarantined && rec.home == NodeId(node)
+                };
+                let quarantined = self.0.values().filter(on).map(|r| &r.name);
+                prop_verify!(
+                    r.quarantined_on(NodeId(node)).eq(quarantined),
+                    "quarantined_on(n{node})"
+                );
+            }
+            let export: Value = self.0.values().map(ClusterRegistry::record_value).collect();
+            prop_verify!(r.export().encode() == export.encode(), "export() bytes");
+            Ok(())
+        }
+    }
+
+    type Transfer = (Vec<InstanceRecord>, Vec<(Arc<str>, u64)>);
+
+    /// The hash table and its sorted name list read as the tree did, over
+    /// random histories: every walk in name order, every lookup, every
+    /// export byte, the deltas a transfer carries and the merge of one.
+    /// Mutation-checked: a removal that leaves its name in the list, and
+    /// an insert that appends its name instead of placing it, each fail.
+    #[test]
+    fn prop_the_table_and_its_name_list_read_as_a_tree() {
+        prop::check_with(
+            &prop::Config::with_cases(300),
+            "the_table_and_its_name_list_read_as_a_tree",
+            &prop::u64s(0, u64::MAX),
+            |&seed| {
+                let mut rng = TestRng::new(seed);
+                let (mut ours, theirs, shipped) = diverged(&mut rng);
+                let (mut model, their_model) = (Model::found_in(&ours), Model::found_in(&theirs));
+                model.holds(&ours)?;
+                their_model.holds(&theirs)?;
+                let delta = theirs.export_delta(&ours.digest());
+                prop_verify_eq!(delta, their_model.export_delta(&model.digest()));
+                let moved = theirs.moved_since(&shipped);
+                prop_verify_eq!(moved, their_model.moved_since(&shipped));
+                for (upserts, removes) in [&moved, &delta] {
+                    ours.import(upserts, removes);
+                    model.import(upserts, removes);
+                    model.holds(&ours)?;
+                }
+                Ok(())
+            },
+        );
     }
 
     #[test]

@@ -149,9 +149,11 @@ static ALLOCATOR: Counting = Counting;
 
 const NODES: usize = 5;
 const INSTANCES: usize = 40;
-/// What a joiner's import of `INSTANCES` records allocates: the map's
-/// nodes, and nothing per record (87 while each record brought two names).
-const JOINER_IMPORT: u64 = 7;
+/// What a joiner's import of `INSTANCES` records allocates: the hash table
+/// and the sorted name list, each sized once for every record it lacks, and
+/// nothing per record (7 while the records were a tree, one allocation per
+/// node; 87 while each record brought two names).
+const JOINER_IMPORT: u64 = 2;
 /// What `DosgiCluster::restart_node` allocates (28 while the host's
 /// `metrics` service counted its samples in a shared cell of their own; 29
 /// while the new group
@@ -631,7 +633,8 @@ fn exporting_a_sync_copies_no_descriptor() {
 }
 
 /// A joiner's import of a 40-record sync inserts the records without
-/// copying a name or a descriptor: what it allocates is the map's nodes.
+/// copying a name or a descriptor: what it allocates is the table and the
+/// name list.
 #[test]
 fn a_joiner_shares_every_descriptor_it_imports() {
     let records = transfer(&registry_of(INSTANCES));
@@ -642,6 +645,18 @@ fn a_joiner_shares_every_descriptor_it_imports() {
         .records()
         .zip(&records)
         .all(|(held, sent)| shared(held, sent)));
+}
+
+/// The answer to a `Hello` whose digest is empty — a node restarted inside
+/// the suspicion timeout — is every record, counted before it is collected:
+/// one vector, as a view change's export (5 while the list grew from
+/// empty through a filter). The removes are empty and allocate nothing.
+#[test]
+fn a_delta_against_an_empty_digest_allocates_its_one_list() {
+    let registry = registry_of(INSTANCES);
+    let (allocations, (upserts, removes)) = allocations_in(|| registry.export_delta(&[]));
+    assert_eq!(allocations, 1);
+    assert_eq!((upserts.len(), removes.len()), (INSTANCES, 0));
 }
 
 /// What marking the orphans of a departed home and assigning them to the

@@ -4,9 +4,9 @@
 use crate::admission::{Admitted, BackendQueue, Completion, QueuedRequest, RequestClass};
 use crate::metrics::{Metrics, ShedReason};
 use crate::{RealServer, Scheduler, VirtualService};
-use dosgi_net::{NodeId, SocketAddr};
+use dosgi_net::{FxHashMap, NodeId, SocketAddr};
 use dosgi_telemetry::{FlightRecorder, Phase, Phases, SpanName, Telemetry, TraceContext};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Routing failures. Shed-vs-dead is deliberately distinguishable: a
@@ -71,8 +71,8 @@ pub struct IpvsDirector {
     // the address, and every walk over services goes in address order.
     services: BTreeMap<SocketAddr, VirtualService>,
     // (client, service) → backend node, for connection affinity.
-    connections: HashMap<(u64, SocketAddr), NodeId>,
-    per_server: HashMap<(SocketAddr, NodeId), u64>,
+    connections: FxHashMap<(u64, SocketAddr), NodeId>,
+    per_server: FxHashMap<(SocketAddr, NodeId), u64>,
     // Classes currently shed outright by policy (see `set_shed_class`).
     shed_classes: BTreeSet<(SocketAddr, RequestClass)>,
     stats: IpvsStats,

@@ -7,8 +7,7 @@
 //! (Figure 6). [`IpBindings`] is the substrate both schemes share: a table of
 //! which node currently answers for which IP.
 
-use crate::NodeId;
-use std::collections::HashMap;
+use crate::{FxHashMap, NodeId};
 use std::fmt;
 
 /// A simulated IPv4-style address.
@@ -114,7 +113,7 @@ impl std::error::Error for BindError {}
 /// **E7** measures.
 #[derive(Debug, Clone, Default)]
 pub struct IpBindings {
-    owners: HashMap<IpAddr, NodeId>,
+    owners: FxHashMap<IpAddr, NodeId>,
 }
 
 impl IpBindings {

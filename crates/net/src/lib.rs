@@ -18,7 +18,9 @@
 //!   by the old node and bound by the new one; Figure 6: shared IPs fronted
 //!   by an ipvs layer, built in the `dosgi-ipvs` crate on top of this);
 //! * delivery statistics and a seeded RNG so that every experiment
-//!   is exactly reproducible.
+//!   is exactly reproducible;
+//! * [`FxHashMap`] / [`FxHashSet`] — the one unkeyed, deterministic hash
+//!   table every crate above uses.
 //!
 //! Upper layers code against the [`Fabric`] trait (clock + send + drain),
 //! not against [`SimNet`] itself, so a test can put its own fabric under a
@@ -42,6 +44,7 @@
 mod addr;
 mod config;
 mod fabric;
+mod hash;
 mod id;
 mod sim;
 mod stats;
@@ -51,6 +54,7 @@ mod topology;
 pub use addr::{BindError, IpAddr, IpBindings, Port, SocketAddr};
 pub use config::LinkConfig;
 pub use fabric::Fabric;
+pub use hash::{FxHashMap, FxHashSet, FxHasher};
 pub use id::NodeId;
 pub use sim::{Envelope, SimNet};
 pub use stats::NetStats;

@@ -1,8 +1,8 @@
 //! The discrete-event network simulator.
 
-use crate::{IpBindings, LinkConfig, NetStats, NodeId, Partition, SimDuration, SimTime};
+use crate::{FxHashMap, IpBindings, LinkConfig, NetStats, NodeId, Partition, SimDuration, SimTime};
 use dosgi_testkit::TestRng;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// A delivered message together with its transit metadata.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +46,7 @@ struct Queued<M> {
 pub struct SimNet<M> {
     now: SimTime,
     default_link: LinkConfig,
-    links: HashMap<(NodeId, NodeId), LinkConfig>,
+    links: FxHashMap<(NodeId, NodeId), LinkConfig>,
     partition: Partition,
     alive: Vec<bool>,
     pub(crate) mailboxes: Vec<VecDeque<Envelope<M>>>,
@@ -65,7 +65,7 @@ impl<M> SimNet<M> {
         SimNet {
             now: SimTime::ZERO,
             default_link,
-            links: HashMap::new(),
+            links: FxHashMap::default(),
             partition: Partition::none(),
             alive: Vec::new(),
             mailboxes: Vec::new(),
@@ -396,7 +396,7 @@ mod tests {
     struct HeapNet {
         now: SimTime,
         default_link: LinkConfig,
-        links: HashMap<(NodeId, NodeId), LinkConfig>,
+        links: FxHashMap<(NodeId, NodeId), LinkConfig>,
         partition: Partition,
         alive: Vec<bool>,
         mailboxes: Vec<VecDeque<Envelope<u32>>>,
@@ -411,7 +411,7 @@ mod tests {
             HeapNet {
                 now: SimTime::ZERO,
                 default_link,
-                links: HashMap::new(),
+                links: FxHashMap::default(),
                 partition: Partition::none(),
                 alive: vec![true; nodes],
                 mailboxes: (0..nodes).map(|_| VecDeque::new()).collect(),

@@ -1,7 +1,6 @@
 //! Network partitions.
 
-use crate::NodeId;
-use std::collections::HashSet;
+use crate::{FxHashSet, NodeId};
 
 /// A set of network partitions: nodes in different groups cannot exchange
 /// messages; nodes in the same group (or in no group at all) communicate
@@ -14,7 +13,7 @@ use std::collections::HashSet;
 /// [`SimNet::partition`](crate::SimNet::partition).
 #[derive(Debug, Clone, Default)]
 pub struct Partition {
-    groups: Vec<HashSet<NodeId>>,
+    groups: Vec<FxHashSet<NodeId>>,
 }
 
 impl Partition {
@@ -36,11 +35,11 @@ impl Partition {
         I: IntoIterator<Item = G>,
         G: IntoIterator<Item = NodeId>,
     {
-        let groups: Vec<HashSet<NodeId>> = groups
+        let groups: Vec<FxHashSet<NodeId>> = groups
             .into_iter()
             .map(|g| g.into_iter().collect())
             .collect();
-        let mut seen = HashSet::new();
+        let mut seen = FxHashSet::default();
         for g in &groups {
             for n in g {
                 assert!(seen.insert(*n), "node {n} appears in multiple partitions");

@@ -5,9 +5,8 @@ use crate::{
     BundleError, BundleId, BundleManifest, ClassRef, LoadError, Service, ServiceError, ServiceId,
     SymbolName,
 };
-use dosgi_net::SimDuration;
+use dosgi_net::{FxHashMap, SimDuration};
 use dosgi_san::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// A bundle's activator, the analogue of OSGi's `BundleActivator`.
@@ -96,7 +95,7 @@ type BuilderFn = Box<dyn Fn(&BundleManifest) -> Box<dyn Activator>>;
 /// paper's migration — work.
 #[derive(Default)]
 pub struct ActivatorFactory {
-    builders: HashMap<String, BuilderFn>,
+    builders: FxHashMap<String, BuilderFn>,
 }
 
 impl fmt::Debug for ActivatorFactory {

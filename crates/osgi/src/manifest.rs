@@ -306,7 +306,7 @@ impl ManifestBuilder {
     /// is exported twice.
     pub fn build(self) -> Result<BundleManifest, String> {
         let mut exports = Vec::new();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = dosgi_net::FxHashSet::default();
         for (name, version, symbols) in self.exports {
             let name = PackageName::new(&name)?;
             if !seen.insert(name.clone()) {

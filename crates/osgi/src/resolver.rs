@@ -1,7 +1,8 @@
 //! The wiring resolver: matches package imports to exports.
 
 use crate::{BundleId, BundleManifest, PackageName, Version};
-use std::collections::{BTreeMap, HashMap};
+use dosgi_net::FxHashMap;
+use std::collections::BTreeMap;
 
 /// The resolved wiring of one bundle: for each imported package, which
 /// bundle exports it (and at which version).
@@ -52,7 +53,7 @@ pub fn resolve<'a>(
             .filter(|(id, _)| !failed.contains_key(id));
         // Exporter pool: already-resolved bundles plus currently-viable
         // candidates.
-        let mut pool: HashMap<&PackageName, Vec<(BundleId, Version)>> = HashMap::new();
+        let mut pool: FxHashMap<&PackageName, Vec<(BundleId, Version)>> = FxHashMap::default();
         for (id, m) in already_resolved.clone().chain(viable.clone()) {
             for e in &m.exports {
                 pool.entry(&e.name).or_default().push((id, e.version));

@@ -5,7 +5,9 @@
 //! slots, tombstones and the running byte total of every namespace.
 //! [`MapBackend`] is **infallible and unshared** — fault injection,
 //! sharing, stats, telemetry and change detection all live in the wrapper —
-//! and iterates in sorted order (by key / namespace) everywhere. The
+//! and iterates in sorted order (by key / namespace) everywhere. A
+//! namespace is found by hash and walked in name order: a hash table holds
+//! them by name, and a sorted list beside it the same names. The
 //! `san_contract` bin's capture pins the semantics; DESIGN.md §6e
 //! describes them.
 //!
@@ -31,9 +33,10 @@
 
 use crate::store::Versioned;
 use crate::Value;
+use dosgi_net::FxHashMap;
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::ops::Bound;
+use std::rc::Rc;
 
 /// The per-key version-counter state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,9 +139,14 @@ pub(crate) struct Row<'a> {
 }
 
 /// Namespaces of ordered maps. Tombstones are slots whose value is `None`.
+/// A namespace, once written, is never dropped: its slots keep the
+/// versions of the keys it held.
 #[derive(Debug, Default)]
 pub(crate) struct MapBackend {
-    namespaces: BTreeMap<String, Namespace>,
+    // Every namespace by its name.
+    namespaces: FxHashMap<Rc<str>, Namespace>,
+    // The keys of `namespaces`, sorted: the order of every walk.
+    names: Vec<Rc<str>>,
 }
 
 impl MapBackend {
@@ -212,7 +220,10 @@ impl MapBackend {
         }
         let mut ns = Namespace::default();
         let wrote = ns.write(key, value, len, skip_identical);
-        self.namespaces.insert(namespace.to_owned(), ns);
+        let name: Rc<str> = namespace.into();
+        let at = self.names.partition_point(|held| **held < *namespace);
+        self.names.insert(at, Rc::clone(&name));
+        self.namespaces.insert(name, ns);
         wrote
     }
 
@@ -281,10 +292,15 @@ impl MapBackend {
 
     /// Namespaces holding at least one live key, sorted.
     pub(crate) fn list_namespaces(&self) -> Vec<String> {
-        self.namespaces
+        self.names
             .iter()
-            .filter(|(_, ns)| ns.slots.values().any(|s| s.value.is_some()))
-            .map(|(k, _)| k.clone())
+            .filter(|name| {
+                self.namespaces[*name]
+                    .slots
+                    .values()
+                    .any(|s| s.value.is_some())
+            })
+            .map(|name| name.to_string())
             .collect()
     }
 
@@ -296,16 +312,17 @@ impl MapBackend {
 
     /// Total encoded bytes of live values across every namespace equal to
     /// `prefix` or under `prefix/…`, from the same per-namespace totals. The
-    /// ordered names are walked from `prefix` on: nothing is cloned and no
+    /// sorted names are walked from `prefix` on: nothing is cloned and no
     /// namespace outside the prefix's range is visited.
     pub(crate) fn namespace_bytes_prefixed(&self, prefix: &str) -> u64 {
-        self.namespaces
-            .range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
-            .take_while(|(name, _)| name.starts_with(prefix))
+        let from = self.names.partition_point(|name| **name < *prefix);
+        self.names[from..]
+            .iter()
+            .take_while(|name| name.starts_with(prefix))
             // `a-b` and `a0` sort between `a` and `a/b` or after it; neither
             // is under `a`.
-            .filter(|(name, _)| matches!(name.as_bytes().get(prefix.len()), None | Some(b'/')))
-            .map(|(_, ns)| ns.live_bytes)
+            .filter(|name| matches!(name.as_bytes().get(prefix.len()), None | Some(b'/')))
+            .map(|name| self.namespaces[name].live_bytes)
             .sum()
     }
 }

@@ -1,5 +1,6 @@
 //! The store's running byte totals, held to a recount over seeded op +
-//! fault streams, and the store's determinism under them.
+//! fault streams, and the store's determinism under them; its sorted
+//! namespace list, held to a tree.
 //!
 //! The fixed scripts that pin the store contract (results, versions, stats,
 //! fault interleaving) are the `san_contract` bin, whose stdout
@@ -8,7 +9,7 @@
 use dosgi_net::SimTime;
 use dosgi_san::{FaultPlan, SharedStore, Value, Versioned};
 use dosgi_testkit::{prop, PropConfig, TestRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Holds the store's running byte totals to a recount: `namespace_bytes`
 /// of every live namespace and of each of `names` (a wiped namespace must
@@ -172,4 +173,83 @@ fn byte_totals_equal_a_recount_through_a_seeded_walk() {
         }
         assert!(!seen.is_empty(), "seed {seed}: the walk wrote nothing");
     }
+}
+
+/// Namespaces that sort around one another: `a-b` and `a0` fall between
+/// `a` and `a/b` or after it without being under `a`.
+const NEIGHBOURS: [&str; 8] = ["a0", "a/b", "b", "a-b", "a", "a/b/c", "ab", "a/c"];
+
+/// The sorted namespace list against a tree of what each namespace holds:
+/// streams of puts, deletes and namespace wipes over [`NEIGHBOURS`], in
+/// random order (so namespaces are created out of name order and
+/// tombstoned), after every op. `list_namespaces` and `dump` must name the
+/// namespaces with a live key, in name order, and
+/// `namespace_bytes_prefixed` of each prefix must be the tree's sum over
+/// the namespaces equal to it or under it. Mutation-checked: an insert
+/// that appends its name instead of placing it, and a listing that keeps
+/// a wiped namespace, each fail.
+#[test]
+fn prop_the_namespace_list_reads_as_a_tree() {
+    let prefixes = ["", "a", "a-", "a/", "a/b", "a/b/c", "a0", "ab", "b", "c"];
+    prop::check_with(
+        &PropConfig::with_cases(300),
+        "prop_the_namespace_list_reads_as_a_tree",
+        &prop::u64s(0, u64::MAX),
+        |&seed| {
+            let store = SharedStore::new();
+            let mut rng = TestRng::new(seed);
+            // Namespace -> key -> the live value's encoded length.
+            let mut tree: BTreeMap<&str, BTreeMap<&str, u64>> = BTreeMap::new();
+            for _ in 0..rng.usize_in(1, 40) {
+                let ns = NEIGHBOURS[rng.usize_in(0, NEIGHBOURS.len() - 1)];
+                let key = ["k0", "k1", "k2"][rng.usize_in(0, 2)];
+                let op = match rng.u64_below(5) {
+                    0..=2 => {
+                        let value = Value::Bytes(vec![7; rng.usize_in(0, 20)]);
+                        let len = value.encoded_len() as u64;
+                        store.put(ns, key, value).map_err(|e| format!("{e:?}"))?;
+                        tree.entry(ns).or_default().insert(key, len);
+                        format!("put {ns}/{key}")
+                    }
+                    3 => {
+                        // A key that is not live answers `NotFound`.
+                        let _ = store.delete(ns, key);
+                        tree.get_mut(ns).map(|keys| keys.remove(key));
+                        format!("delete {ns}/{key}")
+                    }
+                    _ => {
+                        store.delete_namespace(ns).map_err(|e| format!("{e:?}"))?;
+                        tree.remove(ns);
+                        format!("delete_namespace {ns}")
+                    }
+                };
+                let live: Vec<&str> = tree
+                    .iter()
+                    .filter(|(_, keys)| !keys.is_empty())
+                    .map(|(ns, _)| *ns)
+                    .collect();
+                if store.list_namespaces() != live {
+                    return Err(format!("after {op}: list_namespaces is not {live:?}"));
+                }
+                if !store.dump().iter().map(|(ns, _)| ns).eq(&live) {
+                    return Err(format!("after {op}: dump does not walk {live:?}"));
+                }
+                for prefix in prefixes {
+                    let under = |ns: &&str| {
+                        let rest = ns.strip_prefix(prefix);
+                        rest.is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
+                    };
+                    let sums = tree.iter().filter(|(ns, _)| under(ns));
+                    let want: u64 = sums.flat_map(|(_, keys)| keys.values()).sum();
+                    let got = store.namespace_bytes_prefixed(prefix);
+                    if got != want {
+                        return Err(format!(
+                            "after {op}: namespace_bytes_prefixed({prefix:?}) is {got}, not {want}"
+                        ));
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
 }

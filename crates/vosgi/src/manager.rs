@@ -5,7 +5,7 @@ use crate::{
     Access, BundleRepository, ChangeLog, InstanceDescriptor, InstanceId, InstanceState,
     QuotaViolation, VirtualInstance, VosgiError,
 };
-use dosgi_net::{IpAddr, Port, SimDuration};
+use dosgi_net::{FxHashMap, IpAddr, Port, SimDuration};
 use dosgi_osgi::{
     ActivatorFactory, BundleId, ClassRef, DirtyCount, Framework, FrameworkConfig, FrameworkMetrics,
     LoadError, LoadPath, ServiceError, SymbolName, UpgradeReport, UsageSnapshot,
@@ -15,6 +15,7 @@ use dosgi_telemetry::{Phases, Telemetry};
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 use std::sync::Arc;
 
@@ -45,9 +46,9 @@ const INSTANCE_FRAMEWORK: &str = "vosgi";
 pub struct InstanceManager {
     host: Framework,
     instances: BTreeMap<InstanceId, VirtualInstance>,
-    // Every instance by its name; kept by `insert` and `destroy_instance`,
-    // the only two places that change `instances`.
-    by_name: BTreeMap<NameKey, InstanceId>,
+    // Every instance by its name, found by hash; kept by `insert` and
+    // `destroy_instance`, the only two places that change `instances`.
+    by_name: FxHashMap<NameKey, InstanceId>,
     next: u64,
     // Shared with every node the cluster boots: neither changes once a
     // manager exists.
@@ -71,7 +72,7 @@ pub struct InstanceManager {
 }
 
 /// An instance's descriptor as the key of its name: the descriptor the
-/// instance holds, shared, ordered and looked up by its name.
+/// instance holds, shared, compared and hashed as its name.
 struct NameKey(Rc<InstanceDescriptor>);
 
 impl Borrow<str> for NameKey {
@@ -88,15 +89,10 @@ impl PartialEq for NameKey {
 
 impl Eq for NameKey {}
 
-impl PartialOrd for NameKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for NameKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.name.cmp(&other.0.name)
+// As `str` hashes, so a lookup by `&str` finds the key (`Borrow<str>`).
+impl Hash for NameKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.0.name.as_str().hash(state);
     }
 }
 
@@ -124,7 +120,7 @@ impl InstanceManager {
         InstanceManager {
             host,
             instances: BTreeMap::new(),
-            by_name: BTreeMap::new(),
+            by_name: FxHashMap::default(),
             next: 1,
             repo: repo.into(),
             factory: factory.into(),

@@ -12,9 +12,9 @@
 //! manifest's row form beside it for that comparison
 //! ([`KnownManifests`]).
 
+use dosgi_net::FxHashMap;
 use dosgi_osgi::{BundleManifest, KnownManifests};
 use dosgi_san::Value;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -22,7 +22,7 @@ use std::sync::Arc;
 #[derive(Clone, Default)]
 pub struct BundleRepository {
     /// Each manifest beside its row form.
-    manifests: HashMap<String, (Arc<BundleManifest>, Value)>,
+    manifests: FxHashMap<String, (Arc<BundleManifest>, Value)>,
 }
 
 impl fmt::Debug for BundleRepository {

@@ -24,6 +24,19 @@ if scripts/loc.sh --lines | grep -E "$threaded" | grep -vE "$allowed"; then
   exit 1
 fi
 
+echo "==> one hash map type: every hash table in library code uses dosgi-net's FxHasher"
+# std's RandomState seeds its hash per process, so a table's iteration order
+# changes from run to run; FxHashMap and FxHashSet are unkeyed and
+# deterministic. The search runs over the same non-test lines; a bare
+# `HashMap` or `HashSet` (FxHashMap and FxHashSet do not match), and any
+# `RandomState`, fail. crates/net/src/hash.rs, which defines the two
+# aliases over std's tables, is the one file allowed to name them.
+hashed='^[^:]*:[0-9]+:.*\b(HashMap|HashSet|RandomState)\b'
+if scripts/loc.sh --lines | grep -E "$hashed" | grep -v '^crates/net/src/hash\.rs:'; then
+  echo "ERROR: the lines above build a hash table without FxHasher; use dosgi_net::FxHashMap / FxHashSet" >&2
+  exit 1
+fi
+
 echo "==> the library is what a runtime path calls: no test-only function in library code"
 # A `#[cfg(test)]` function outside a test module is library surface that
 # only tests reach: delete it, or move it into the test module beside its
