@@ -178,8 +178,8 @@ mod tests {
         assert!(!restarted);
         assert_eq!(
             (first.writes, first.reads),
-            (4, 0),
-            "3 bundle rows + header"
+            (7, 0),
+            "3 bundles' lifecycle and manifest rows + header"
         );
         let booted = shape(&host, &store);
         assert_eq!(booted.1.len(), 3, "every host service registered");
@@ -188,7 +188,7 @@ mod tests {
         let restart = store.stats();
         assert!(restarted);
         assert_eq!(restart.writes, first.writes, "a restart writes no row");
-        assert_eq!(restart.reads - first.reads, 4);
+        assert_eq!(restart.reads - first.reads, 7);
         assert_eq!(shape(&host, &store), booted);
     }
 

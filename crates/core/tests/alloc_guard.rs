@@ -941,14 +941,15 @@ fn an_ordered_sync_costs_its_export_and_nothing_else_that_scales() {
     assert_eq!(ordered_sync_allocations(4), ordered_sync_allocations(40));
 }
 
-/// A restart takes the node's share of the cluster's one boot kit and
-/// restores the host framework from the node's own SAN snapshot: it reads
-/// the snapshot's four rows back, writes none, and allocates exactly
+/// A restart takes the node's share of the cluster's one boot kit and restores
+/// the host framework from the node's own SAN snapshot: it reads the snapshot's
+/// seven rows back (its three bundles' lifecycle and manifest rows and the
+/// header; four while a bundle had one row), writes none, and allocates exactly
 /// `RESTART` times, telemetry on or off. A restart that built its kit again
-/// (repository, factory, host manifests, compiled policy) allocated 339
-/// times; one that booted a fresh host framework over its snapshot read no
-/// row and allocated 165 times; the code before the kit did both, and wrote
-/// its snapshot 13 times: 353.
+/// (repository, factory, host manifests, compiled policy) allocated 339 times;
+/// one that booted a fresh host framework over its snapshot read no row and
+/// allocated 165 times; the code before the kit did both, and wrote its
+/// snapshot 13 times: 353.
 fn a_restart_restores_and_shares_the_kit(telemetry: Telemetry) {
     let (mut c, names) = settled_cluster(telemetry, INSTANCES / 2);
     for victim in 1..NODES {
@@ -963,7 +964,7 @@ fn a_restart_restores_and_shares_the_kit(telemetry: Telemetry) {
         let (allocations, ()) = allocations_in(|| c.restart_node(victim));
         let after = c.store().stats();
         let rows = (after.reads - before.reads, after.writes - before.writes);
-        assert_eq!(rows, (4, 0), "node {victim}'s restart [read, wrote] rows");
+        assert_eq!(rows, (7, 0), "node {victim}'s restart [read, wrote] rows");
         assert_eq!(allocations, RESTART, "restarting node {victim}");
         c.run_for(SimDuration::from_secs(2));
         assert_eq!(c.running_nodes().len(), NODES);
@@ -1151,13 +1152,15 @@ const NS: &str = "instance/ctr";
 /// closing write takes the bundle back to `ACTIVE`, and the restored
 /// framework's `shutdown`, whose write takes it to `RESOLVED`. The restore
 /// reads the namespace once and copies no row; it shares the repository's
-/// manifest, which the row's equals, instead of parsing one. The bundle's
-/// row is built at the restore's write, not copied at its read: once,
-/// around the repository's row form of the manifest, in a map presized for
-/// it, its state string with room for every state name. The shutdown
-/// builds none: a persist rewrites the lifecycle fields in place and the
-/// store overwrites its copy in place; a write of one row builds no batch
-/// for it and no key. (A restore allocated 18 times while the restored
+/// manifest, which its manifest row equals, instead of parsing one. The
+/// bundle's lifecycle row is built at the restore's write, not copied at
+/// its read: once, from its four fields, its state string with room for
+/// every state name; the manifest row is neither written nor built. The
+/// shutdown builds none: a persist rewrites the lifecycle fields in place
+/// and the store overwrites its copy in place; a write of one row builds
+/// no batch for it and no key. (A restore allocated 17 times while a
+/// bundle's one row held its manifest, and the restore's write deep-copied
+/// the repository's row form of it into the row; 18 while the restored
 /// framework copied its name; 19 while it allocated a dirty count of its
 /// own, which the instance
 /// manager's replaced at once; 20 while it copied the row it read; 44, and a shutdown 3, while a restore copied every row and
@@ -1185,20 +1188,20 @@ fn the_ends_of_a_handoff_build_no_row() {
     });
     let mut fw = fw.expect("persisted state restores");
     let (shutdown_allocations, ()) = allocations_in(|| fw.shutdown());
-    assert_eq!((restore_allocations, shutdown_allocations), (17, 1));
+    assert_eq!((restore_allocations, shutdown_allocations), (8, 1));
 }
 
-/// A failover adoption's restore: the `migrate` workload's one-bundle
-/// instance, its row saying `ACTIVE` as a crash leaves it, restored
-/// through the repository. The bundle comes back as its row says, so no
-/// row lags what was read and the restore issues no write at all — not
-/// even one the SAN would skip as identical — builds no row, allocates no
-/// list of rows to write, and allocates exactly 4 times. (6 while the
-/// restored framework copied its name and its transitions filled a
-/// dirty-row list the restore then emptied; 7 while it allocated a dirty
-/// count of its own; its start sweep's marks were written while the
-/// restore relied on them: one skipped write, and 20 allocations with the
-/// row it copied.)
+/// A failover adoption's restore: the `migrate` workload's one-bundle instance,
+/// its row saying `ACTIVE` as a crash leaves it, restored through the
+/// repository. It reads the header and the bundle's two rows (two rows in all
+/// while a bundle had one). The bundle comes back as its row says, so no row
+/// lags what was read and the restore issues no write at all — not even one the
+/// SAN would skip as identical — builds no row, allocates no list of rows to
+/// write, and allocates exactly 4 times. (6 while the restored framework copied
+/// its name and its transitions filled a dirty-row list the restore then
+/// emptied; 7 while it allocated a dirty count of its own; its start sweep's
+/// marks were written while the restore relied on them: one skipped write, and
+/// 20 allocations with the row it copied.)
 #[test]
 fn a_restore_of_an_active_instance_writes_nothing() {
     let store = SharedStore::new();
@@ -1227,8 +1230,69 @@ fn a_restore_of_an_active_instance_writes_nothing() {
         after.writes - before.writes,
         after.writes_skipped - before.writes_skipped,
     );
-    assert_eq!(writes, (2, 0, 0), "rows [read, written, skipped]");
+    assert_eq!(writes, (3, 0, 0), "rows [read, written, skipped]");
     assert_eq!(allocations, 4);
+}
+
+/// A restored bundle's first write — the restore's own, for the
+/// `migrate` workload's instance shut down — writes its lifecycle row and
+/// nothing else: one row written, none skipped, the manifest row's
+/// version unmoved, and the bytes the SAN counts those of the lifecycle
+/// row. What it allocates, the restore's allocations beside those of the
+/// same restore of the instance left `ACTIVE`, which writes nothing, is
+/// the lifecycle row, 3 (its entries, its state string and its
+/// `state_version`), and the list of rows to write, 1. (13 while the row
+/// held the manifest, deep-copied from the repository's row form.)
+#[test]
+fn a_restored_bundles_first_write_builds_its_lifecycle_row_only() {
+    let repository = workloads::standard_repository();
+    let manifest_version = |store: &SharedStore| {
+        let rows = store.dump().into_iter().find(|(ns, _)| ns == NS);
+        let manifest =
+            rows.and_then(|(_, rows)| rows.into_iter().find(|(k, _)| k == "bundle/1/manifest"));
+        manifest.map(|(_, row)| row.version)
+    };
+    let restore = |store: &SharedStore| {
+        let (factory, metrics) = (ActivatorFactory::new(), FrameworkMetrics::default());
+        let before = (store.stats(), manifest_version(store));
+        let (allocations, fw) = allocations_in(|| {
+            let (config, phases) = (FrameworkConfig::new(NS), Phases::disabled());
+            Framework::restore_counted(
+                config,
+                store.clone(),
+                NS,
+                &factory,
+                &repository,
+                metrics,
+                &phases,
+            )
+        });
+        let fw = fw.expect("persisted state restores");
+        assert!(fw.bundles().all(|b| b.state.is_active()));
+        let after = store.stats();
+        assert!(before.1.is_some());
+        assert_eq!(manifest_version(store), before.1, "the manifest row moved");
+        let wrote = (
+            after.writes - before.0.writes,
+            after.writes_skipped - before.0.writes_skipped,
+            after.bytes_written - before.0.bytes_written,
+        );
+        (allocations, wrote, fw)
+    };
+    let quiet = SharedStore::new();
+    drop(running_counter(&quiet, &repository));
+    let (quiet_allocations, wrote, _) = restore(&quiet);
+    assert_eq!(wrote, (0, 0, 0), "a quiet restore wrote");
+
+    let store = SharedStore::new();
+    shut_down_counter(&store, &repository);
+    let (allocations, (written, skipped, bytes), fw) = restore(&store);
+    assert_eq!((written, skipped), (1, 0), "rows [written, skipped]");
+    let lifecycle = store.peek(NS, "bundle/1").expect("its lifecycle row");
+    let b = fw.bundles().next().expect("one bundle");
+    assert_eq!(lifecycle, dosgi_osgi::persist::bundle_row(b));
+    assert_eq!(bytes, lifecycle.encoded_len() as u64);
+    assert_eq!(allocations - quiet_allocations, 3 + 1);
 }
 
 /// An instance manager over `store` with the standard repository and

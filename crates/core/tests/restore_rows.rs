@@ -1,5 +1,6 @@
 //! The restore rows as hostile input: every single-bit flip, and every
-//! truncation, of the two rows a hand-off's adoption reads.
+//! truncation, of the three rows a hand-off's adoption reads — the bundle's
+//! lifecycle row, its manifest row and the header.
 //!
 //! The rows are the `migrate` workload's instance as its release leaves
 //! them — a persist-on-stop counter, stopped — each encoded with
@@ -8,7 +9,7 @@
 //! row's equals, and by a restore that knows no manifest and parses every
 //! one. The two agree: both refuse the rows, or both restore the same
 //! bundles and leave the same rows on the SAN. A restore shares the
-//! repository's manifest only where the row's manifest equals the one the
+//! repository's manifest only where the manifest row equals the one the
 //! repository holds.
 //!
 //! Mutation-checked: sharing the repository's manifest by symbolic name
@@ -108,13 +109,12 @@ fn check(
             );
             assert_eq!(shared.san, parsed.san, "{case}: the restores' rows differ");
             for ((id, ..), manifest) in shared.shape.iter().zip(&shared.manifests) {
-                let key = format!("bundle/{}", id.0);
+                let key = format!("bundle/{}/manifest", id.0);
                 let row = &hostile.iter().find(|(k, _)| *k == key).expect("its row").1;
                 let held = repository.known(manifest.symbolic_name.as_str());
                 if let Some((held, form)) = held.filter(|(held, _)| Arc::ptr_eq(held, manifest)) {
                     assert_eq!(
-                        row.get("manifest"),
-                        Some(form),
+                        row, form,
                         "{case}: shared {} for a manifest that is not its row form",
                         held.symbolic_name
                     );
@@ -136,7 +136,7 @@ fn every_bit_flip_and_truncation_of_the_restore_rows_restores_as_a_parse_does() 
     let keys: Vec<&str> = rows.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(
         keys,
-        ["bundle/1", "header"],
+        ["bundle/1", "bundle/1/manifest", "header"],
         "the migrate instance's snapshot"
     );
     let repository = workloads::standard_repository();

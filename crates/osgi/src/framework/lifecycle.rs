@@ -8,7 +8,7 @@
 use super::areas::with_area;
 use super::persistence::insert_sorted;
 use super::{Bundle, Framework, UpgradeReport};
-use crate::persist::{self, Row};
+use crate::persist::Row;
 use crate::{Activator, BundleContext, BundleError, BundleId, BundleManifest, BundleState};
 use dosgi_san::Value;
 use std::sync::Arc;
@@ -37,7 +37,7 @@ impl Framework {
         let id = BundleId(self.next_bundle);
         self.next_bundle += 1;
         let state_version = manifest.version;
-        let mut bundle = Bundle {
+        let bundle = Bundle {
             id,
             manifest,
             state: BundleState::Installed,
@@ -46,11 +46,11 @@ impl Framework {
             activator,
             row: Value::Null,
         };
-        bundle.row = persist::bundle_row(&bundle);
         self.bundles.insert(id, bundle);
         self.metrics.installed.incr();
         self.mark(Row::Header); // next_bundle advanced
         self.mark(Row::Bundle(id));
+        self.mark(Row::Manifest(id));
         let _ = self.persist();
         Ok(id)
     }
@@ -235,9 +235,10 @@ impl Framework {
         self.ledger.forget(id);
         self.metrics.uninstalled.incr();
         if self.store.is_some() {
-            let row = Row::Bundle(id);
-            self.dirty_rows.retain(|dirty| *dirty != row);
-            insert_sorted(&mut self.deleted_rows, row);
+            let rows = [Row::Bundle(id), Row::Manifest(id)];
+            self.dirty_rows.retain(|dirty| !rows.contains(dirty));
+            rows.into_iter()
+                .for_each(|row| insert_sorted(&mut self.deleted_rows, row));
             self.sync_dirty_mark();
         }
         let _ = self.persist();
@@ -318,12 +319,12 @@ impl Framework {
         bundle.manifest = manifest;
         bundle.state = BundleState::Installed;
         bundle.state_version = to;
-        bundle.row = persist::bundle_row(bundle);
         if let Some(a) = activator {
             bundle.activator = Some(a);
         }
         self.wirings.remove(&id);
         self.mark(Row::Bundle(id));
+        self.mark(Row::Manifest(id));
         self.refresh();
         if was_active {
             self.start(id)?;

@@ -76,15 +76,14 @@ pub struct Bundle {
     /// target against it before adopting the state.
     pub state_version: Version,
     pub(crate) activator: Option<Box<dyn Activator>>,
-    /// The bundle's snapshot row as this framework last wrote it, in
-    /// `persist::bundle_row`'s form. Built where the manifest is set
-    /// (install, update, upgrade); a restore copies no row, so a restored
-    /// bundle's is `Null` until its first write builds it, around the
-    /// restore's known row form of the manifest when the write is the
-    /// restore's own. From then on a persist rewrites its lifecycle fields
-    /// in place and hands the store a reference. A row read in another
-    /// form — without `state_version`, or with a field this code does not
-    /// write — stays as the SAN holds it until that first write.
+    /// The bundle's lifecycle row as this framework last wrote it, in
+    /// `persist::bundle_row`'s form; `Null` until the bundle's first write
+    /// builds it from its four fields (a restore copies no row). From then
+    /// on a persist rewrites the fields in place and hands the store a
+    /// reference. A row read in another form — without `state_version`, or
+    /// with a field this code does not write — stays as the SAN holds it
+    /// until that first write. The manifest row is not kept: it is built
+    /// for each write of it.
     pub(crate) row: Value,
 }
 
@@ -913,10 +912,10 @@ mod tests {
         .is_ok());
     }
 
-    /// An install writes `[bundle/<n>, header]`; a batch torn after its first
-    /// row leaves the header one bundle behind. A restore of that must not
-    /// hand the bundle's id out again — a later install would overwrite it —
-    /// and converges the header.
+    /// An install writes `[bundle/<n>, bundle/<n>/manifest, header]`; a batch
+    /// torn before its header leaves the header one bundle behind. A restore of
+    /// that must not hand the bundle's id out again — a later install would
+    /// overwrite it — and converges the header.
     #[test]
     fn regression_a_torn_install_batch_reuses_no_bundle_id() {
         let store = SharedStore::new();
@@ -944,19 +943,19 @@ mod tests {
         assert_eq!(names, ["a", "b", "c", "d"]);
     }
 
-    /// A row written before `state_version` existed restores (the field
-    /// defaults to the manifest version), and is kept as read: the next
-    /// persist of its bundle writes the field into it, so the SAN then holds
-    /// the row `bundle_row` builds.
+    /// A lifecycle row written without `state_version` or `autostart`
+    /// restores (the version defaults to the manifest row's), and is kept
+    /// as read: the next persist of its bundle writes the fields into it,
+    /// so the SAN then holds the row `bundle_row` builds.
     #[test]
     fn a_kept_row_gains_the_fields_it_was_read_without() {
         let store = SharedStore::new();
         let manifest = log_manifest();
-        let legacy = Value::map()
-            .with("id", 1u64)
-            .with("manifest", manifest.to_value())
-            .with("state", "INSTALLED");
+        let legacy = Value::map().with("id", 1u64).with("state", "INSTALLED");
         store.put("fw/a", "bundle/1", legacy).unwrap();
+        store
+            .put("fw/a", "bundle/1/manifest", manifest.to_value())
+            .unwrap();
         store
             .put("fw/a", persist::HEADER_KEY, persist::header_row(2))
             .unwrap();

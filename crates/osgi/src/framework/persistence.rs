@@ -9,6 +9,7 @@ use crate::persist::{self, Row};
 use crate::{ActivatorFactory, BundleError, BundleId, BundleState, DataArea, KnownManifests};
 use dosgi_san::{SharedStore, StoreError, Value};
 use dosgi_telemetry::{Phase, Phases};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -96,12 +97,12 @@ impl Framework {
         self.dirty_mark.set(dirty);
     }
 
-    /// Marks a snapshot row — the header (`next_bundle`) or
-    /// a bundle's — as ahead of the SAN. Every in-memory lifecycle mutation
-    /// must mark the rows it touched; the persist call sites then flush
-    /// exactly the marked rows (write-behind on failure). A restore's
-    /// transitions mark nothing: the restore decides which rows lag at the
-    /// end of its batch.
+    /// Marks a snapshot row — the header (`next_bundle`), or a bundle's
+    /// lifecycle or manifest row — as ahead of the SAN. Every in-memory
+    /// lifecycle mutation must mark the rows it touched; the persist call sites
+    /// then flush exactly the marked rows (write-behind on failure). A
+    /// restore's transitions mark nothing: the restore decides which rows lag
+    /// at the end of its batch.
     pub(super) fn mark(&mut self, row: Row) {
         if self.store.is_some() && !self.restoring {
             insert_sorted(&mut self.dirty_rows, row);
@@ -110,13 +111,17 @@ impl Framework {
         }
     }
 
-    /// Marks every snapshot row dirty — used when the SAN copy cannot be
-    /// assumed to match anything (store attach). Change detection in the
-    /// store makes rewriting an identical row free.
+    /// Marks every snapshot row dirty, each bundle's manifest row too —
+    /// used when the SAN copy cannot be assumed to match anything (store
+    /// attach). Change detection in the store makes rewriting an identical
+    /// row free.
     pub(super) fn mark_all_rows_dirty(&mut self) {
         let ids: Vec<BundleId> = self.bundles.keys().copied().collect();
         self.mark(Row::Header);
-        ids.into_iter().for_each(|id| self.mark(Row::Bundle(id)));
+        for id in ids {
+            self.mark(Row::Bundle(id));
+            self.mark(Row::Manifest(id));
+        }
     }
 
     /// Writes the changed snapshot rows of the framework state to the
@@ -136,30 +141,20 @@ impl Framework {
     ///
     /// The [`StoreError`] from the failed write; the rows stay dirty.
     pub fn persist(&mut self) -> Result<(), StoreError> {
-        self.persist_knowing(&())
-    }
-
-    /// [`persist`](Self::persist), building a restored bundle's first row
-    /// around the row form `known` holds of its manifest.
-    fn persist_knowing(&mut self, known: &dyn KnownManifests) -> Result<(), StoreError> {
         // Lent to `persist_rows` beside `&mut self`, then put back.
         let Some((store, ns)) = self.store.take() else {
             return Ok(());
         };
-        let outcome = self.persist_rows(&store, &ns, known);
+        let outcome = self.persist_rows(&store, &ns);
         self.store = Some((store, ns));
         self.sync_dirty_mark();
         outcome
     }
 
-    fn persist_rows(
-        &mut self,
-        store: &SharedStore,
-        ns: &str,
-        known: &dyn KnownManifests,
-    ) -> Result<(), StoreError> {
-        // Deletes first: an uninstalled bundle's row must be gone before a
-        // concurrent restore could reassemble it into a stale bundle.
+    fn persist_rows(&mut self, store: &SharedStore, ns: &str) -> Result<(), StoreError> {
+        // Deletes first: an uninstalled bundle's rows must be gone before a
+        // concurrent restore could reassemble them into a stale bundle. In
+        // key order, so the lifecycle row goes before the manifest row.
         while let Some(&row) = self.deleted_rows.first() {
             match store.delete(ns, row.key().as_ref()) {
                 Ok(()) | Err(StoreError::NotFound { .. }) => {
@@ -176,7 +171,7 @@ impl Framework {
         for row in &self.dirty_rows {
             if let Row::Bundle(id) = row {
                 if let Some(b) = self.bundles.get_mut(id) {
-                    persist::refresh_row(b, known);
+                    persist::refresh_row(b);
                 }
             }
         }
@@ -187,8 +182,11 @@ impl Framework {
         // In key order, header last: a torn batch lands a prefix of it.
         let mut entries = self.dirty_rows.iter().filter_map(|&row| {
             let value = match row {
-                Row::Header => header.as_ref()?,
-                Row::Bundle(id) => &self.bundles.get(&id)?.row,
+                Row::Header => Cow::Borrowed(header.as_ref()?),
+                Row::Bundle(id) => Cow::Borrowed(&self.bundles.get(&id)?.row),
+                // Built for this write and not kept: only an install, a
+                // revision swap and `attach_store` mark a manifest row.
+                Row::Manifest(id) => Cow::Owned(self.bundles.get(&id)?.manifest.to_value()),
             };
             Some((row.key(), value))
         });
@@ -201,9 +199,8 @@ impl Framework {
             }
         } as u64;
         self.metrics.rows_written.add(rows);
-        self.metrics
-            .rows_skipped
-            .add((self.bundles.len() as u64 + 1).saturating_sub(rows));
+        let held = 2 * self.bundles.len() as u64 + 1;
+        self.metrics.rows_skipped.add(held.saturating_sub(rows));
         self.dirty_rows.clear();
         Ok(())
     }
@@ -243,12 +240,12 @@ impl Framework {
         outcome
     }
 
-    /// Reconstructs a framework from the per-bundle snapshot rows stored
-    /// under `namespace`, reinstalling every bundle (activators re-created
-    /// via `factory`, every manifest parsed from its row) and restarting
-    /// the ones that were persistently started — one lifecycle batch: one
-    /// read, then every transition, then one write of the rows that no
-    /// longer say what the SAN holds.
+    /// Reconstructs a framework from the per-bundle snapshot rows stored under
+    /// `namespace`, reinstalling every bundle (activators re-created via
+    /// `factory`, every manifest parsed from its manifest row) and restarting
+    /// the ones that were persistently started — one lifecycle batch: one read,
+    /// then every transition, then one write of the rows that no longer say
+    /// what the SAN holds.
     ///
     /// This is the paper's migration/redeployment path: the OSGi spec makes
     /// framework state persistent, the SAN makes it visible cluster-wide, so
@@ -270,7 +267,7 @@ impl Framework {
     }
 
     /// [`restore`](Self::restore) sharing the manifests `known` holds —
-    /// a bundle whose persisted manifest equals a known one's row form gets
+    /// a bundle whose manifest row equals a known one's row form gets
     /// that manifest, any other is parsed from its row — with the telemetry
     /// handles attached before the first bundle is installed, so that the
     /// restore's own transitions and rows are counted, and its parts
@@ -280,13 +277,13 @@ impl Framework {
     ///
     /// The namespace is read once, in one borrow of the store, and every row is
     /// parsed where it lies: no row is copied. The one write holds the
-    /// rows whose `(state, autostart, state_version)` differ from what was
-    /// read — none when every bundle comes back as its row says — and the
-    /// header when the ids its rows hold correct it. The transitions mark
-    /// nothing on the way, so a restore that writes nothing allocates no
-    /// list of rows to write. A restored bundle's row is built at its first
-    /// write, around the row form `known` holds of its manifest. A shared
-    /// `namespace` is kept as it is passed.
+    /// lifecycle rows whose `(state, autostart, state_version)` differ from
+    /// what was read — none when every bundle comes back as its row says —
+    /// and the header when the ids its rows hold correct it; never a
+    /// manifest row. The transitions mark nothing on the way, so a restore
+    /// that writes nothing allocates no list of rows to write. A restored
+    /// bundle's lifecycle row is built at its first write, from its four
+    /// fields. A shared `namespace` is kept as it is passed.
     ///
     /// # Errors
     ///
@@ -312,8 +309,9 @@ impl Framework {
         };
         let mut fw = Framework::with_config(config);
         fw.metrics = metrics;
-        // A torn install batch lands the bundle's row without the header
-        // that counts it: no id a row holds is handed out again.
+        // A torn install batch lands the bundle's two rows without the
+        // header that counts them: no id a restored bundle holds is handed
+        // out again.
         let past_rows = parsed.bundles.last().map_or(0, |r| r.id.0 + 1);
         fw.next_bundle = parsed.next_bundle.max(past_rows);
         // Attached before anything restarts: activators read their
@@ -327,7 +325,10 @@ impl Framework {
                 manifest: Arc::clone(&record.manifest),
                 state: BundleState::Installed,
                 autostart: record.autostart,
-                state_version: record.state_version,
+                // The manifest row's revision: a lifecycle row naming
+                // another was left by a torn revision swap (see `persist`),
+                // and is rewritten below.
+                state_version: record.manifest.version,
                 activator,
                 row: Value::Null,
             };
@@ -363,7 +364,7 @@ impl Framework {
                 fw.mark(Row::Bundle(record.id));
             }
         }
-        let _ = fw.persist_knowing(known);
+        let _ = fw.persist();
         Ok(fw)
     }
 }
@@ -514,6 +515,124 @@ mod tests {
             );
         }
     }
+
+    /// The crash-point table of the three batches that write manifest
+    /// rows, with 0–3 bundles beside the one each writes: every prefix of
+    /// an install's batch, of a revision swap's (of a bundle left installed
+    /// and of one left started) and of `attach_store`'s, laid over the rows
+    /// the SAN held before it, restores to the framework before the batch
+    /// or to the one after it (a namespace with no header holds no
+    /// framework). From each restored cut, one more install lands, and the
+    /// SAN then holds what the framework holds, row for row: a lifecycle row
+    /// left without its manifest row is overwritten by the install handed
+    /// its id, and no other row is left over.
+    #[test]
+    fn every_prefix_of_a_manifest_writing_batch_restores_one_side_of_it() {
+        const NS: &str = "pairs/fw";
+        type Shape = Option<(u64, Vec<(BundleId, String, Version, Version, bool)>)>;
+        let shape = |fw: &Framework| -> Shape {
+            let bundles = fw.bundles().map(|b| {
+                let m = &b.manifest;
+                let name = m.symbolic_name.to_string();
+                (b.id, name, m.version, b.state_version, b.state.is_active())
+            });
+            Some((fw.next_bundle, bundles.collect()))
+        };
+        let manifest = |name: &str, minor: u32| {
+            let b = ManifestBuilder::new(name, Version::new(1, minor, 0));
+            b.build().unwrap()
+        };
+        let san_holds_memory = |fw: &Framework, store: &SharedStore| {
+            let mut rows = vec![(Row::Header, persist::header_row(fw.next_bundle))];
+            for b in fw.bundles() {
+                rows.push((Row::Bundle(b.id), persist::bundle_row(b)));
+                rows.push((Row::Manifest(b.id), b.manifest.to_value()));
+            }
+            rows.sort_by_key(|(row, _)| *row);
+            let keys = rows.iter().map(|(row, _)| row.key().as_ref().to_owned());
+            let held = store.read_namespace(NS).unwrap();
+            let held_keys: Vec<String> = held.iter().map(|(k, _)| k.clone()).collect();
+            assert_eq!(held_keys, keys.collect::<Vec<_>>(), "rows left over");
+            for ((_, at), (_, want)) in held.iter().zip(&rows) {
+                assert!(
+                    dosgi_san::codec::codec_eq(at, want),
+                    "{at:?} is not {want:?}"
+                );
+            }
+        };
+        let restored = |rows: &[(String, Value)]| -> Shape {
+            let store = SharedStore::new();
+            store.put_many(NS, rows).unwrap();
+            let factory = ActivatorFactory::new();
+            let config = FrameworkConfig::new(NS);
+            let mut fw = match Framework::restore(config, store.clone(), NS, &factory) {
+                Ok(fw) => fw,
+                Err(BundleError::CorruptState(_)) => return None,
+                Err(e) => panic!("restore: {e}"),
+            };
+            let got = shape(&fw);
+            fw.install(manifest("after.the.cut", 0), None).unwrap();
+            san_holds_memory(&fw, &store);
+            got
+        };
+        // The batch is the rows that moved, in key order, as it is written.
+        let check = |what: &str, old: Vec<(String, Value)>, new: Vec<(String, Value)>, sides| {
+            let sides: [Shape; 2] = sides;
+            let batch: Vec<_> = new.iter().filter(|row| !old.contains(row)).collect();
+            assert!(batch.iter().any(|(key, _)| key.ends_with("/manifest")));
+            for landed in 0..=batch.len() {
+                let mut torn = old.clone();
+                for (key, value) in &batch[..landed] {
+                    torn.retain(|(k, _)| k != key);
+                    torn.push((key.clone(), value.clone()));
+                }
+                let got = restored(&torn);
+                assert!(
+                    sides.contains(&got),
+                    "{what}: {landed} of {} rows landed: {got:?} is neither {sides:?}",
+                    batch.len()
+                );
+            }
+        };
+        let framework = |store: Option<&SharedStore>, n: u32| {
+            let mut fw = Framework::new(NS);
+            if let Some(store) = store {
+                fw.attach_store(store.clone(), NS).unwrap();
+            }
+            for i in 1..=n {
+                fw.install(manifest(&format!("b{i}"), 0), None).unwrap();
+            }
+            fw
+        };
+        for n in 0..=3 {
+            let store = SharedStore::new();
+            let mut fw = framework(Some(&store), n);
+            let (old, before) = (store.read_namespace(NS).unwrap(), shape(&fw));
+            fw.install(manifest("new", 0), None).unwrap();
+            let new = store.read_namespace(NS).unwrap();
+            check("install", old, new, [before, shape(&fw)]);
+
+            for started in [false, true] {
+                let store = SharedStore::new();
+                let mut fw = framework(Some(&store), n + 1);
+                if started {
+                    fw.start(BundleId(1)).unwrap();
+                }
+                let (old, before) = (store.read_namespace(NS).unwrap(), shape(&fw));
+                fw.upgrade_bundle(BundleId(1), manifest("b1", 1), None)
+                    .unwrap();
+                let new = store.read_namespace(NS).unwrap();
+                check("swap", old, new, [before, shape(&fw)]);
+            }
+
+            let store = SharedStore::new();
+            let mut fw = framework(None, n + 1);
+            fw.attach_store(store.clone(), NS).unwrap();
+            let new = store.read_namespace(NS).unwrap();
+            check("attach_store", Vec::new(), new, [None, shape(&fw)]);
+        }
+    }
+
     /// The model the batched [`Framework::restore`] is held to: the
     /// per-transition sequence it replaced — every transition persisted on
     /// its own through the public operations, every row re-marked at the end.
@@ -801,25 +920,32 @@ mod tests {
         }
 
         /// The SAN holds what the framework holds: header and every
-        /// bundle's row.
+        /// bundle's two rows.
         fn san_is_memory(fw: &Framework, store: &SharedStore) -> Result<(), String> {
-            let header = persist::header_row(fw.next_bundle);
-            let at = store.peek(NS, persist::HEADER_KEY);
+            let holds = |row: Row, value: &Value| {
+                let at = store.peek(NS, row.key().as_ref());
+                at.is_some_and(|at| dosgi_san::codec::codec_eq(&at, value))
+            };
             prop_verify!(
-                at.is_some_and(|at| dosgi_san::codec::codec_eq(&at, &header)),
+                holds(Row::Header, &persist::header_row(fw.next_bundle)),
                 "header"
             );
             for b in fw.bundles() {
-                let at = store.peek(NS, Row::Bundle(b.id).key().as_ref());
                 let row = persist::bundle_row(b);
                 prop_verify!(
-                    at.is_some_and(|at| dosgi_san::codec::codec_eq(&at, &row)),
+                    holds(Row::Bundle(b.id), &row),
                     "row of {:?} lags memory",
+                    b.id
+                );
+                let manifest = b.manifest.to_value();
+                prop_verify!(
+                    holds(Row::Manifest(b.id), &manifest),
+                    "manifest of {:?}",
                     b.id
                 );
             }
             let live = store.list_keys(NS).len();
-            prop_verify_eq!(live, fw.bundles().count() + 1, "stray rows");
+            prop_verify_eq!(live, 2 * fw.bundles().count() + 1, "stray rows");
             Ok(())
         }
 

@@ -8,26 +8,63 @@
 //!
 //! # On-SAN layout
 //!
-//! The persisted framework state is stored as **per-bundle rows** inside
-//! the framework's namespace, so a dirty flush rewrites only the rows that
-//! changed instead of re-encoding the whole framework. Each bundle keeps
-//! its row as it last wrote it: [`bundle_row`] builds it where the manifest
-//! is set, a restored bundle builds it at its first write, and a persist
-//! rewrites the lifecycle fields in place and writes the row by reference:
+//! The persisted framework state is stored as rows inside the framework's
+//! namespace: a header, and two rows per bundle — its running state, and
+//! which one it is — so that a lifecycle transition, which changes only
+//! the first, writes only the first:
 //!
 //! ```text
-//! <namespace>/header        { next_bundle }
-//! <namespace>/bundle/<id>   { id, manifest, state, autostart, state_version }
+//! <namespace>/header              { next_bundle }
+//! <namespace>/bundle/<id>          { autostart, id, state, state_version }
+//! <namespace>/bundle/<id>/manifest the manifest's row form (BundleManifest::to_value)
 //! ```
 //!
+//! The **lifecycle row** `bundle/<id>` is rewritten by every transition. A
+//! bundle keeps it as it last wrote it: `refresh_row` builds it from the
+//! four fields at the bundle's first write, and from then on rewrites
+//! them in place, and a persist hands the store a reference. The
+//! **manifest row** `bundle/<id>/manifest` is written only where the
+//! manifest is set or the SAN is new to the framework — `install`, a
+//! revision swap and `attach_store` — built for that write from the
+//! manifest and not kept. Either end of a hand-off therefore writes one
+//! lifecycle row and no manifest.
+//!
+//! A bundle's manifest row follows its lifecycle row in key order
+//! (`bundle/1` < `bundle/1/manifest` < `bundle/10`), and every batch is
+//! written in key order, header last: a torn batch lands a prefix of it.
+//! An uninstall deletes the lifecycle row first, then the manifest row.
+//!
 //! A restore reads the namespace once, through [`Rows::read`], which parses
-//! each row where it lies and keeps no copy of it: the header's field,
-//! and each bundle row's record, its manifest shared from a
-//! [`KnownManifests`] when the row's manifest equals the known manifest's
-//! row form, and parsed otherwise. [`Rows::assemble`] then orders the
-//! records into a [`Snapshot`]. The tests' `snapshot`/`parse_snapshot`
-//! keep the monolithic encoding alive as the equivalence oracle: assembling
-//! the rows must produce a byte-identical snapshot value.
+//! each row where it lies and keeps no copy of it: the header's field, and
+//! each lifecycle row paired with the manifest row that follows it into a
+//! record — the manifest shared from a [`KnownManifests`] when the row
+//! equals the known manifest's row form, and parsed otherwise.
+//! [`Rows::assemble`] then orders the records into a [`Snapshot`]. The
+//! tests' `snapshot`/`parse_snapshot` keep a monolithic encoding alive as
+//! the equivalence oracle: assembling the rows must produce the same
+//! snapshot.
+//!
+//! # A row pair that did not land whole
+//!
+//! * **A lifecycle row with no manifest row after it leaves its bundle
+//!   uninstalled.** A bundle is its manifest: there is nothing to restore
+//!   it from. Only an install's batch torn after its first row writes one,
+//!   and that batch's header did not land either: the framework restores
+//!   as it was before the install, and the next install is handed the
+//!   torn row's id and overwrites the row. No restored bundle holds that
+//!   id, so no id is reused — as a lifecycle row that did get its
+//!   manifest row but not its header is counted past by the restore.
+//! * **A manifest row with no lifecycle row before it is passed over**: an
+//!   uninstall's deletes stopped between the two rows. The framework
+//!   retries the delete; after a crash nothing does, and the row stays.
+//! * **A revision swap** rewrites both rows of a bundle that has both, and
+//!   writes `state_version` — the revision that owns the bundle's data —
+//!   beside the revision its manifest row holds: every pair written whole
+//!   names one revision twice. Torn after the lifecycle row, the pair names
+//!   the new revision in `state_version` and the old one in the manifest
+//!   row. The bundle restores as its manifest row's revision, that
+//!   revision's `state_version` included — the framework before the swap —
+//!   and the restore's write puts the lifecycle row back in line.
 
 use crate::framework::Bundle;
 use crate::{BundleId, BundleManifest, BundleState, KnownManifests, Version};
@@ -41,13 +78,19 @@ pub const HEADER_KEY: &str = "header";
 /// Key prefix of per-bundle rows.
 pub const BUNDLE_KEY_PREFIX: &str = "bundle/";
 
-/// One snapshot row of a framework: the header, or a bundle's. Rows order
-/// as their keys sort (`bundle/10` < `bundle/2` < `header`), so a batch
-/// written in row order is written in key order, header last.
+/// What follows a lifecycle row's key in its manifest row's.
+const MANIFEST_KEY_SUFFIX: &str = "/manifest";
+
+/// One snapshot row of a framework: the header, or one of a bundle's two.
+/// Rows order as their keys sort (`bundle/10` < `bundle/10/manifest` <
+/// `bundle/2` < `header`), so a batch written in row order is written in
+/// key order, each manifest row after its lifecycle row, header last.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Row {
-    /// A bundle's row.
+    /// A bundle's lifecycle row.
     Bundle(BundleId),
+    /// A bundle's manifest row.
+    Manifest(BundleId),
     /// The header row.
     Header,
 }
@@ -65,8 +108,9 @@ impl Row {
         match self {
             Row::Header => out.write_all(HEADER_KEY.as_bytes()),
             Row::Bundle(id) => write!(out, "{BUNDLE_KEY_PREFIX}{}", id.0),
+            Row::Manifest(id) => write!(out, "{BUNDLE_KEY_PREFIX}{}{MANIFEST_KEY_SUFFIX}", id.0),
         }
-        .expect("`bundle/` and a u64 fit");
+        .expect("`bundle/`, a u64 and `/manifest` fit");
         key.len = Key::CAPACITY - out.len();
         key
     }
@@ -92,8 +136,8 @@ pub(crate) struct Key {
 }
 
 impl Key {
-    /// `bundle/` and the twenty digits of the largest id.
-    const CAPACITY: usize = 27;
+    /// `bundle/`, the twenty digits of the largest id and `/manifest`.
+    const CAPACITY: usize = 36;
 }
 
 impl AsRef<str> for Key {
@@ -102,19 +146,20 @@ impl AsRef<str> for Key {
     }
 }
 
-/// Parses a `bundle/<id>` row key back into the bundle id.
+/// Parses a `bundle/<id>` lifecycle row key back into the bundle id.
 pub fn parse_bundle_key(key: &str) -> Option<BundleId> {
     key.strip_prefix(BUNDLE_KEY_PREFIX)
         .and_then(|id| id.parse().ok())
         .map(BundleId)
 }
 
-/// One bundle's persisted record.
+/// One bundle's persisted record: its lifecycle row and its manifest row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BundleRecord {
     /// The bundle's id (preserved across restore).
     pub id: BundleId,
-    /// The manifest: a known one the row's equals, or parsed from the row.
+    /// The manifest: a known one the manifest row equals, or parsed from
+    /// the row.
     pub manifest: Arc<BundleManifest>,
     /// The persisted lifecycle state (`ACTIVE` collapses transient states).
     pub state: BundleState,
@@ -122,8 +167,9 @@ pub struct BundleRecord {
     pub autostart: bool,
     /// The bundle version that last owned the persisted data area — the
     /// compatibility anchor an in-place upgrade checks before adopting
-    /// the state. Rows written before this field existed default to the
-    /// manifest version.
+    /// the state — as the lifecycle row names it. A lifecycle row written
+    /// without it defaults to the manifest version. A restore takes the
+    /// manifest's version, and rewrites a row that names another.
     pub state_version: Version,
 }
 
@@ -136,13 +182,28 @@ pub struct Snapshot {
     pub bundles: Vec<BundleRecord>,
 }
 
-/// A framework namespace as a restore reads it, row by row: the header's
-/// field, and each bundle row's record with the id its key names, both
-/// parsed where the visitor lends the row, which is not copied. Any other
-/// row is passed over.
+/// A lifecycle row's fields, as read, until the manifest row that follows
+/// it completes the record.
+struct Lifecycle {
+    id: BundleId,
+    state: BundleState,
+    autostart: bool,
+    /// `None` for a row written without it: the manifest's version.
+    state_version: Option<Version>,
+}
+
+/// A framework namespace as a restore reads it, row by row, in key order:
+/// the header's field, and each lifecycle row with the id its key names,
+/// held until the manifest row that follows it completes the bundle's
+/// record. Each row is parsed where the visitor lends it, and not copied.
+/// Any other row is passed over, as is a manifest row that follows no
+/// lifecycle row of its id, and a lifecycle row that no manifest row
+/// follows leaves its bundle out (see the module docs).
 pub struct Rows<'k> {
     known: &'k dyn KnownManifests,
     header: Option<Result<u64, String>>,
+    /// The lifecycle row read last, while no manifest row has completed it.
+    lifecycle: Option<Lifecycle>,
     /// The records read so far, or the first row that failed to parse.
     bundles: Result<Vec<BundleRecord>, String>,
 }
@@ -154,24 +215,44 @@ impl<'k> Rows<'k> {
         Rows {
             known,
             header: None,
+            lifecycle: None,
             bundles: Ok(Vec::new()),
         }
     }
 
-    /// Reads one row of the namespace.
+    /// Reads one row of the namespace; rows are read in key order.
     pub fn read(&mut self, key: &str, row: &Value) {
         if key == HEADER_KEY {
             self.header = Some(parse_header(row));
-        } else if let Some(id) = parse_bundle_key(key) {
-            let Ok(bundles) = &mut self.bundles else {
-                return;
-            };
-            match parse_bundle_record(row, self.known) {
-                Ok(record) if record.id == id => bundles.push(record),
-                Ok(record) => {
-                    let why = format!("row bundle/{} holds bundle id {}", id.0, record.id.0);
+            return;
+        }
+        let Ok(bundles) = &mut self.bundles else {
+            return;
+        };
+        if let Some(id) = parse_bundle_key(key) {
+            match parse_lifecycle(row) {
+                Ok(lifecycle) if lifecycle.id == id => self.lifecycle = Some(lifecycle),
+                Ok(lifecycle) => {
+                    let why = format!("row bundle/{} holds bundle id {}", id.0, lifecycle.id.0);
                     self.bundles = Err(why);
                 }
+                Err(why) => self.bundles = Err(why),
+            }
+        } else if let Some(id) = key
+            .strip_suffix(MANIFEST_KEY_SUFFIX)
+            .and_then(parse_bundle_key)
+        {
+            let Some(lifecycle) = self.lifecycle.take_if(|l| l.id == id) else {
+                return;
+            };
+            match manifest_of(row, self.known) {
+                Ok(manifest) => bundles.push(BundleRecord {
+                    id,
+                    state: lifecycle.state,
+                    autostart: lifecycle.autostart,
+                    state_version: lifecycle.state_version.unwrap_or(manifest.version),
+                    manifest,
+                }),
                 Err(why) => self.bundles = Err(why),
             }
         }
@@ -213,48 +294,29 @@ pub fn header_row(next_bundle: u64) -> Value {
     Value::map().with("next_bundle", next_bundle)
 }
 
-/// Serializes one bundle's row — the same map shape a bundle has inside
-/// the tests' monolithic `snapshot`, so row and oracle encodings agree. The
-/// framework builds one where a bundle's manifest is set, and keeps it.
+/// Serializes one bundle's lifecycle row: one map, built from its four
+/// entries in key order, whose `state` has room for every state name, so
+/// that no later `refresh_row` grows it.
 pub fn bundle_row(b: &Bundle) -> Value {
-    row_around(b, b.manifest.to_value())
-}
-
-/// `b`'s row around `manifest`, its manifest's row form: one map, built
-/// from its entries in key order, whose `state` has room for every state
-/// name, so that no later [`refresh_row`] grows it.
-fn row_around(b: &Bundle, manifest: Value) -> Value {
     const LONGEST_STATE: usize = "UNINSTALLED".len();
     let mut state = String::with_capacity(LONGEST_STATE);
     state.push_str(b.state.as_str());
     Value::Map(Map::from_sorted(vec![
         ("autostart".into(), Value::Bool(b.autostart)),
         ("id".into(), Value::from(b.id.0)),
-        ("manifest".into(), manifest),
         ("state".into(), Value::Str(state)),
         ("state_version".into(), b.state_version.to_string().into()),
     ]))
 }
 
-/// Brings `b`'s kept row up to its lifecycle fields — `state`, `autostart`
+/// Brings `b`'s kept lifecycle row up to its fields — `state`, `autostart`
 /// and `state_version` — rewriting each string in place, in the buffer it
-/// already has, and leaving the manifest as it is: the row then encodes as
-/// [`bundle_row`] would build it. A restored bundle has no row until its
-/// first write, which builds [`bundle_row`]'s form around the row form
-/// `known` holds of the bundle's manifest, or around a fresh one.
-pub(crate) fn refresh_row(b: &mut Bundle, known: &dyn KnownManifests) {
-    if b.row.is_null() {
-        let form = known
-            .known(b.manifest.symbolic_name.as_str())
-            .filter(|(manifest, _)| Arc::ptr_eq(manifest, &b.manifest));
-        b.row = match form {
-            Some((_, form)) => row_around(b, form.clone()),
-            None => bundle_row(b),
-        };
-        return;
-    }
+/// already has: the row then encodes as [`bundle_row`] would build it. A
+/// bundle has no row until its first write, which builds it.
+pub(crate) fn refresh_row(b: &mut Bundle) {
     let Value::Map(row) = &mut b.row else {
-        unreachable!("a bundle row is built as a map");
+        b.row = bundle_row(b);
+        return;
     };
     write_str(row, "state", b.state.as_str());
     row.insert("autostart".into(), Value::Bool(b.autostart));
@@ -269,10 +331,9 @@ fn write_str(row: &mut Map, key: &str, text: impl fmt::Display) {
     write!(s, "{text}").expect("a String takes any text");
 }
 
-/// The manifest a bundle row holds: the one `known` holds under its
-/// symbolic name when the row's manifest equals that one's row form — a
-/// comparison of values, which allocates nothing — and a parse of it
-/// otherwise.
+/// The manifest a manifest row holds: the one `known` holds under its
+/// symbolic name when the row equals that one's row form — a comparison
+/// of values, which allocates nothing — and a parse of it otherwise.
 fn manifest_of(row: &Value, known: &dyn KnownManifests) -> Result<Arc<BundleManifest>, String> {
     let shared = row
         .get("sn")
@@ -285,34 +346,29 @@ fn manifest_of(row: &Value, known: &dyn KnownManifests) -> Result<Arc<BundleMani
     }
 }
 
-fn parse_bundle_record(row: &Value, known: &dyn KnownManifests) -> Result<BundleRecord, String> {
+fn parse_lifecycle(row: &Value) -> Result<Lifecycle, String> {
     let id = row
         .get("id")
         .and_then(Value::as_int)
         .ok_or("bundle record missing id")? as u64;
-    let manifest = manifest_of(
-        row.get("manifest")
-            .ok_or("bundle record missing manifest")?,
-        known,
-    )?;
     let state = BundleState::parse(
         row.get("state")
             .and_then(Value::as_str)
             .ok_or("bundle record missing state")?,
     )?;
     let state_version = match row.get("state_version").and_then(Value::as_str) {
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("bad state_version {s:?} in bundle record"))?,
-        None => manifest.version,
+        Some(s) => Some(
+            s.parse()
+                .map_err(|_| format!("bad state_version {s:?} in bundle record"))?,
+        ),
+        None => None,
     };
     let autostart = row
         .get("autostart")
         .and_then(Value::as_bool)
         .unwrap_or(false);
-    Ok(BundleRecord {
+    Ok(Lifecycle {
         id: BundleId(id),
-        manifest,
         state,
         autostart,
         state_version,
@@ -327,14 +383,16 @@ pub mod tests {
     use crate::{Framework, ManifestBuilder, Version};
 
     /// Serializes framework state into a single monolithic [`Value`]: the
-    /// oracle the per-bundle rows are checked against.
+    /// oracle the per-bundle rows are checked against. Each bundle is its
+    /// lifecycle row with its manifest under `manifest`.
     pub(crate) fn snapshot<'a>(
         next_bundle: u64,
         bundles: impl Iterator<Item = &'a Bundle>,
     ) -> Value {
+        let bundle = |b: &Bundle| bundle_row(b).with("manifest", b.manifest.to_value());
         Value::map()
             .with("next_bundle", next_bundle)
-            .with("bundles", Value::List(bundles.map(bundle_row).collect()))
+            .with("bundles", Value::List(bundles.map(bundle).collect()))
     }
 
     /// Parses a snapshot produced by [`snapshot`].
@@ -343,12 +401,26 @@ pub mod tests {
             .get("next_bundle")
             .and_then(Value::as_int)
             .ok_or("snapshot missing next_bundle")? as u64;
+        let record = |row: &Value| -> Result<BundleRecord, String> {
+            let lifecycle = parse_lifecycle(row)?;
+            let manifest = row
+                .get("manifest")
+                .ok_or("bundle record missing manifest")?;
+            let manifest = manifest_of(manifest, &())?;
+            Ok(BundleRecord {
+                id: lifecycle.id,
+                state: lifecycle.state,
+                autostart: lifecycle.autostart,
+                state_version: lifecycle.state_version.unwrap_or(manifest.version),
+                manifest,
+            })
+        };
         let bundles = v
             .get("bundles")
             .and_then(Value::as_list)
             .ok_or("snapshot missing bundles")?
             .iter()
-            .map(|row| parse_bundle_record(row, &()))
+            .map(record)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Snapshot {
             next_bundle,
@@ -358,6 +430,29 @@ pub mod tests {
 
     fn bundle_key(id: BundleId) -> String {
         Row::Bundle(id).key().as_ref().to_owned()
+    }
+
+    fn manifest_key(id: BundleId) -> String {
+        Row::Manifest(id).key().as_ref().to_owned()
+    }
+
+    /// A bundle's two rows: its lifecycle row and its manifest row.
+    fn pair(id: BundleId, lifecycle: Value, manifest: &BundleManifest) -> [(String, Value); 2] {
+        [
+            (bundle_key(id), lifecycle),
+            (manifest_key(id), manifest.to_value()),
+        ]
+    }
+
+    /// Every row `fw` persists, in key order.
+    fn rows_of(fw: &Framework, next_bundle: u64) -> Vec<(String, Value)> {
+        let mut rows: Vec<_> = fw
+            .bundles()
+            .flat_map(|b| pair(b.id, bundle_row(b), &b.manifest))
+            .collect();
+        rows.sort_by(|a, b| a.0.cmp(&b.0));
+        rows.push((HEADER_KEY.to_owned(), header_row(next_bundle)));
+        rows
     }
 
     /// What a restore assembles of a namespace listing, knowing no manifest.
@@ -412,23 +507,35 @@ pub mod tests {
             bundle_key(BundleId(u64::MAX)),
             format!("bundle/{}", u64::MAX)
         );
+        assert_eq!(
+            manifest_key(BundleId(u64::MAX)),
+            format!("bundle/{}/manifest", u64::MAX)
+        );
         assert_eq!(Row::Header.key().as_ref(), HEADER_KEY);
-        // Rows order as their keys.
+        // Rows order as their keys: each manifest row after its lifecycle
+        // row, header last.
         let mut rows = [
             Row::Header,
+            Row::Manifest(BundleId(2)),
             Row::Bundle(BundleId(2)),
+            Row::Manifest(BundleId(1)),
             Row::Bundle(BundleId(10)),
+            Row::Bundle(BundleId(1)),
         ];
         rows.sort();
         assert_eq!(
             rows,
             [
+                Row::Bundle(BundleId(1)),
+                Row::Manifest(BundleId(1)),
                 Row::Bundle(BundleId(10)),
                 Row::Bundle(BundleId(2)),
+                Row::Manifest(BundleId(2)),
                 Row::Header
             ]
         );
         assert_eq!(parse_bundle_key("bundle/17"), Some(BundleId(17)));
+        assert_eq!(parse_bundle_key("bundle/17/manifest"), None);
         assert_eq!(parse_bundle_key("header"), None);
         assert_eq!(parse_bundle_key("bundle/x"), None);
         assert_eq!(parse_bundle_key("snapshot"), None);
@@ -442,10 +549,7 @@ pub mod tests {
             .unwrap();
         let id = fw.install(m, None).unwrap();
         fw.start(id).unwrap();
-        let rows: Vec<(String, Value)> = std::iter::once((HEADER_KEY.to_owned(), header_row(2)))
-            .chain(fw.bundles().map(|b| (bundle_key(b.id), bundle_row(b))))
-            .collect();
-        let assembled = assemble(&rows).unwrap().unwrap();
+        let assembled = assemble(&rows_of(&fw, 2)).unwrap().unwrap();
         let oracle = parse_snapshot(&snapshot(2, fw.bundles())).unwrap();
         assert_eq!(assembled, oracle);
     }
@@ -453,25 +557,17 @@ pub mod tests {
     #[test]
     fn assemble_orders_bundles_numerically() {
         // Lexicographic row order would put bundle/10 before bundle/2.
-        let record = |id: u64| {
-            Value::map()
+        let rows = |id: u64| {
+            let lifecycle = Value::map()
                 .with("id", id)
-                .with(
-                    "manifest",
-                    ManifestBuilder::new(&format!("b{id}"), Version::new(1, 0, 0))
-                        .build()
-                        .unwrap()
-                        .to_value(),
-                )
                 .with("state", "INSTALLED")
-                .with("autostart", false)
+                .with("autostart", false);
+            let manifest = ManifestBuilder::new(&format!("b{id}"), Version::new(1, 0, 0));
+            pair(BundleId(id), lifecycle, &manifest.build().unwrap())
         };
-        let rows = vec![
-            ("bundle/10".to_owned(), record(10)),
-            ("bundle/2".to_owned(), record(2)),
-            (HEADER_KEY.to_owned(), header_row(11)),
-        ];
-        let s = assemble(&rows).unwrap().unwrap();
+        let mut listing: Vec<_> = rows(10).into_iter().chain(rows(2)).collect();
+        listing.push((HEADER_KEY.to_owned(), header_row(11)));
+        let s = assemble(&listing).unwrap().unwrap();
         let ids: Vec<u64> = s.bundles.iter().map(|b| b.id.0).collect();
         assert_eq!(ids, vec![2, 10]);
     }
@@ -482,39 +578,28 @@ pub mod tests {
         let m = ManifestBuilder::new("a.b", Version::new(1, 3, 0))
             .build()
             .unwrap();
-        let id = fw.install(m, None).unwrap();
-        let row = bundle_row(fw.bundles().next().unwrap());
-        let rows = vec![
-            (HEADER_KEY.to_owned(), header_row(2)),
-            (bundle_key(id), row),
-        ];
-        let s = assemble(&rows).unwrap().unwrap();
+        fw.install(m, None).unwrap();
+        let s = assemble(&rows_of(&fw, 2)).unwrap().unwrap();
         assert_eq!(s.bundles[0].state_version, Version::new(1, 3, 0));
-        // Rows written before the field existed default to the manifest
-        // version — old SAN state restores unchanged.
+        // A lifecycle row written without the field defaults to the
+        // manifest row's version.
         let manifest = ManifestBuilder::new("a.b", Version::new(2, 0, 0))
             .build()
             .unwrap();
-        let legacy_record = Value::map()
+        let lifecycle = Value::map()
             .with("id", 1u64)
-            .with("manifest", manifest.to_value())
             .with("state", "INSTALLED")
             .with("autostart", false);
-        let rows = vec![
-            (HEADER_KEY.to_owned(), header_row(2)),
-            ("bundle/1".to_owned(), legacy_record.clone()),
-        ];
-        let s = assemble(&rows).unwrap().unwrap();
+        let rows = |lifecycle: Value| {
+            let mut rows = pair(BundleId(1), lifecycle, &manifest).to_vec();
+            rows.push((HEADER_KEY.to_owned(), header_row(2)));
+            rows
+        };
+        let s = assemble(&rows(lifecycle.clone())).unwrap().unwrap();
         assert_eq!(s.bundles[0].state_version, Version::new(2, 0, 0));
         // A malformed version is corrupt state, not silently defaulted.
-        let rows = vec![
-            (HEADER_KEY.to_owned(), header_row(2)),
-            (
-                "bundle/1".to_owned(),
-                legacy_record.with("state_version", "not-a-version"),
-            ),
-        ];
-        assert!(assemble(&rows).is_err());
+        let bad = lifecycle.with("state_version", "not-a-version");
+        assert!(assemble(&rows(bad)).is_err());
     }
 
     #[test]
@@ -540,12 +625,50 @@ pub mod tests {
             .build()
             .unwrap();
         let id = fw.install(m, None).unwrap();
-        let row = bundle_row(fw.bundles().next().unwrap());
         assert_eq!(id, BundleId(1));
-        let rows = vec![
-            (HEADER_KEY.to_owned(), header_row(2)),
-            ("bundle/9".to_owned(), row),
-        ];
+        let b = fw.bundles().next().unwrap();
+        let mut rows = pair(BundleId(9), bundle_row(b), &b.manifest).to_vec();
+        rows.push((HEADER_KEY.to_owned(), header_row(2)));
         assert!(assemble(&rows).is_err());
+        // So is a manifest row that does not parse.
+        let mut rows = rows_of(&fw, 2);
+        rows[1].1 = Value::map().with("sn", "a.b");
+        assert!(assemble(&rows).is_err());
+    }
+
+    /// The rule for a pair that did not land whole: a lifecycle row that no
+    /// manifest row follows leaves its bundle out — wherever it lies, and
+    /// whatever row follows it — and a manifest row that follows no
+    /// lifecycle row of its id is passed over, parsed or not. The bundles
+    /// around either restore as their rows say.
+    #[test]
+    fn a_half_pair_restores_no_bundle() {
+        let mut fw = Framework::new("t");
+        for name in ["a", "b", "c"] {
+            let m = ManifestBuilder::new(name, Version::new(1, 0, 0));
+            fw.install(m.build().unwrap(), None).unwrap();
+        }
+        let whole = rows_of(&fw, 4);
+        let ids = |rows: &[(String, Value)]| -> Vec<u64> {
+            let s = assemble(rows).unwrap().unwrap();
+            s.bundles.iter().map(|b| b.id.0).collect()
+        };
+        assert_eq!(ids(&whole), [1, 2, 3]);
+        // Rows 2k and 2k + 1 are bundle k + 1's pair.
+        for (at, left) in [(1, [2, 3]), (3, [1, 3]), (5, [1, 2])] {
+            let mut rows = whole.clone();
+            rows.remove(at);
+            assert_eq!(ids(&rows), left, "without {}", whole[at].0);
+            let mut rows = whole.clone();
+            rows.remove(at - 1);
+            assert_eq!(ids(&rows), left, "without {}", whole[at - 1].0);
+            rows[at - 1].1 = Value::Null;
+            assert_eq!(ids(&rows), left, "an unparsed half");
+        }
+        // Two halves of two pairs side by side: bundle 1's lifecycle row,
+        // then bundle 2's manifest row. They are no pair.
+        let mut rows = whole.clone();
+        rows.drain(1..3);
+        assert_eq!(ids(&rows), [3]);
     }
 }
